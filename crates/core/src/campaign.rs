@@ -2,9 +2,10 @@
 //! the CE-probing comparison run and the distributed cloud measurement.
 
 use crate::executor::ShardedExecutor;
-use crate::observation::{DomainRecord, HostMeasurement, MirrorUse};
+use crate::observation::{DomainRecord, HostMeasurement};
 use crate::resilience::RetryPolicy;
 use crate::scanner::{ProbeMode, ScanOptions, Scanner};
+use crate::source::join_domains;
 use crate::vantage::VantagePoint;
 use qem_netsim::CrossTraffic;
 use qem_obs::{MetricsSnapshot, RunTelemetry};
@@ -122,36 +123,12 @@ impl SnapshotMeasurement {
     /// Build per-domain records by joining the universe's DNS data with the
     /// per-host measurements — the paper's per-domain vs per-IP distinction.
     pub fn domain_records(&self, universe: &Universe) -> Vec<DomainRecord> {
-        universe
-            .domains
-            .iter()
-            .enumerate()
-            .map(|(idx, domain)| {
-                let host_id = domain
-                    .host
-                    .filter(|&h| universe.hosts[h].addr(self.ipv6).is_some());
-                let measurement = host_id.and_then(|h| self.hosts.get(&h));
-                let quic = measurement.map(|m| m.quic_reachable).unwrap_or(false);
-                let mirror_use = if quic {
-                    measurement.map(|m| m.mirror_use()).unwrap_or_default()
-                } else {
-                    MirrorUse::default()
-                };
-                let class = if quic {
-                    measurement.and_then(|m| m.ecn_class())
-                } else {
-                    None
-                };
-                DomainRecord {
-                    domain_idx: idx,
-                    resolved: host_id.is_some(),
-                    host_id,
-                    quic,
-                    mirror_use,
-                    class,
-                }
-            })
-            .collect()
+        join_domains(universe, self.ipv6, |h| {
+            self.hosts
+                .get(&h)
+                .filter(|m| m.quic_reachable)
+                .map(|m| (m.mirror_use(), m.ecn_class()))
+        })
     }
 
     /// Number of hosts reachable via QUIC in this snapshot.

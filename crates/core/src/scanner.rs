@@ -15,7 +15,7 @@ use crate::vantage::VantagePoint;
 use qem_netsim::{build_duplex_path, Asn, CrossTraffic, DuplexPath, FaultPlan, TransitProfile};
 use qem_obs::MetricsSnapshot;
 use qem_quic::behavior::EcnMirroringBehavior;
-use qem_quic::{ClientConfig, ConnectionRun, DriverConfig, EcnConfig};
+use qem_quic::{ClientConfig, ConnectionRun, DriverConfig};
 use qem_tcp::{TcpClientConfig, TcpConnectionRun};
 use qem_tracebox::{analyze_trace, trace_path, TraceConfig};
 use qem_web::{SnapshotDate, StackProfile, Universe};
@@ -349,15 +349,6 @@ impl<'a> Scanner<'a> {
             quic: quic_report,
             tcp: tcp_report,
             trace,
-        }
-    }
-
-    /// ECN configuration used by the QUIC client (exposed for the ablation
-    /// benches, which swap in the RFC's 10-packet budget).
-    pub fn ecn_config(&self) -> EcnConfig {
-        match self.options.probe {
-            ProbeMode::Ect0 => EcnConfig::paper_default(),
-            ProbeMode::ForceCe => EcnConfig::force_ce(),
         }
     }
 

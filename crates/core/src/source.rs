@@ -62,45 +62,46 @@ pub trait SnapshotSource {
     /// Builders that need the join repeatedly should compute it once via
     /// [`JoinedSnapshot`] instead of re-joining per table.
     fn domain_records(&self, universe: &Universe) -> Vec<DomainRecord> {
-        // One pass to pull out the three per-host attributes the join needs;
+        // One pass to pull out the two per-host attributes the join needs;
         // the full reports (with their packet counters and traces) can be
         // dropped as soon as they have been summarised.
-        let mut summaries: BTreeMap<usize, (bool, MirrorUse, Option<EcnClass>)> = BTreeMap::new();
+        let mut summaries: BTreeMap<usize, (MirrorUse, Option<EcnClass>)> = BTreeMap::new();
         self.for_each_host(&mut |m| {
-            summaries.insert(m.host_id, (m.quic_reachable, m.mirror_use(), m.ecn_class()));
+            if m.quic_reachable {
+                summaries.insert(m.host_id, (m.mirror_use(), m.ecn_class()));
+            }
         });
-        let ipv6 = self.ipv6();
-        universe
-            .domains
-            .iter()
-            .enumerate()
-            .map(|(idx, domain)| {
-                let host_id = domain
-                    .host
-                    .filter(|&h| universe.hosts[h].addr(ipv6).is_some());
-                let summary = host_id.and_then(|h| summaries.get(&h));
-                let quic = summary.map(|s| s.0).unwrap_or(false);
-                let mirror_use = if quic {
-                    summary.map(|s| s.1).unwrap_or_default()
-                } else {
-                    MirrorUse::default()
-                };
-                let class = if quic {
-                    summary.and_then(|s| s.2)
-                } else {
-                    None
-                };
-                DomainRecord {
-                    domain_idx: idx,
-                    resolved: host_id.is_some(),
-                    host_id,
-                    quic,
-                    mirror_use,
-                    class,
-                }
-            })
-            .collect()
+        join_domains(universe, self.ipv6(), |h| summaries.get(&h).copied())
     }
+}
+
+/// The domain join itself: every domain of `universe`, resolved for the
+/// probed address family, paired with what `quic_summary` knows about its
+/// host — `None` unless that host was measured and reachable via QUIC.
+pub(crate) fn join_domains(
+    universe: &Universe,
+    ipv6: bool,
+    quic_summary: impl Fn(usize) -> Option<(MirrorUse, Option<EcnClass>)>,
+) -> Vec<DomainRecord> {
+    universe
+        .domains
+        .iter()
+        .enumerate()
+        .map(|(idx, domain)| {
+            let host_id = domain
+                .host
+                .filter(|&h| universe.hosts[h].addr(ipv6).is_some());
+            let summary = host_id.and_then(&quic_summary);
+            DomainRecord {
+                domain_idx: idx,
+                resolved: host_id.is_some(),
+                host_id,
+                quic: summary.is_some(),
+                mirror_use: summary.map(|s| s.0).unwrap_or_default(),
+                class: summary.and_then(|s| s.1),
+            }
+        })
+        .collect()
 }
 
 impl SnapshotSource for SnapshotMeasurement {
@@ -143,8 +144,8 @@ impl SnapshotSource for SnapshotMeasurement {
 /// Every table and figure builder starts from [`SnapshotSource::domain_records`];
 /// rendering the full report set from a plain snapshot therefore repeats the
 /// O(domains) join up to nine times.  `JoinedSnapshot` performs the join at
-/// construction and serves cheap copies afterwards — see the
-/// `domain_records_memoization` micro-benchmark for the measured win.
+/// construction and serves cheap copies afterwards — the repo benchmark's
+/// `core.join_ns_per_domain` probe is what one join costs.
 pub struct JoinedSnapshot<'a, S: SnapshotSource> {
     snapshot: &'a S,
     records: Vec<DomainRecord>,

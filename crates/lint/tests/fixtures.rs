@@ -147,31 +147,6 @@ fn store_read_path_and_resilience_files_are_panic_policy_zones() {
 }
 
 #[test]
-fn deprecated_runner_fixture_fires_on_every_wrapper() {
-    let lines = fired_lines(
-        "crates/workload/src/fixture.rs",
-        "violations/deprecated_runners.rs",
-        "no-deprecated-runners",
-    );
-    assert_eq!(lines, BTreeSet::from([4, 5, 6, 7, 11, 12]));
-}
-
-#[test]
-fn deprecated_runner_definition_sites_are_exempt() {
-    // The wrappers' own definitions and re-exports are the sanctioned
-    // mentions; everywhere else the rule fires (previous test).
-    for path in [
-        "crates/quic/src/driver.rs",
-        "crates/quic/src/lib.rs",
-        "crates/tcp/src/connection.rs",
-        "crates/tcp/src/lib.rs",
-    ] {
-        let findings = engine().check_file(path, &fixture("violations/deprecated_runners.rs"));
-        assert!(findings.is_empty(), "{path} is allow-listed: {findings:?}");
-    }
-}
-
-#[test]
 fn workload_crate_is_a_determinism_and_sans_io_zone() {
     // The workload sources joined every purity zone: ambient clocks,
     // entropy, unordered collections and I/O must all fire there.

@@ -25,10 +25,12 @@
 //!   (transmit, receive, time out) and either asks to sleep until its next
 //!   timer or declares itself done.
 //!
-//! Single-flow wrappers (`run_connection`, `run_tcp_connection`) run a
-//! one-flow engine with **no** registered queues; in that configuration the
-//! shared-queue hooks consume no randomness and add no delay, so legacy
-//! callers get bit-identical results.
+//! [`run_measured`] is the one place a measured connection meets the engine:
+//! the QUIC and TCP run builders hand it their flow plus whatever
+//! [`CrossTraffic::instantiate_with`] produced.  Without cross traffic that is
+//! a one-flow engine with **no** registered queues; in that configuration the
+//! shared-queue hooks consume no randomness and add no delay, so an unloaded
+//! run is bit-identical to stepping the flow over a private path.
 
 use crate::aqm::{AqmDecision, OccupancyAqm};
 use crate::fault::{FaultStats, FaultVerdict};
@@ -868,6 +870,17 @@ impl CrossTraffic {
     /// Build the shared queues and background flows for a measured forward
     /// path.  Returns `None` when disabled or when the path has no hops.
     pub fn instantiate(&self, forward: &Path, seed: u64) -> Option<(SharedQueues, Vec<LoadFlow>)> {
+        self.instantiate_with(forward, || seed)
+    }
+
+    /// [`instantiate`](CrossTraffic::instantiate) with the seed drawn only
+    /// when a scenario is actually built, so a caller seeding from its own
+    /// RNG leaves that stream untouched whenever this returns `None`.
+    pub fn instantiate_with(
+        &self,
+        forward: &Path,
+        seed: impl FnOnce() -> u64,
+    ) -> Option<(SharedQueues, Vec<LoadFlow>)> {
         if !self.is_enabled() {
             return None;
         }
@@ -885,7 +898,7 @@ impl CrossTraffic {
             self.packets_per_flow as u64,
             self.interval,
             EcnCodepoint::Ect0,
-            seed,
+            seed(),
         );
         Some((queues, flows))
     }
@@ -1013,6 +1026,28 @@ impl Flow for LoadFlow {
             FlowStatus::Sleep(now + self.interval)
         }
     }
+}
+
+/// Drive one measured flow to completion next to the background `load` a
+/// [`CrossTraffic`] scenario instantiated (`None`: alone, over no shared
+/// queues), returning the engine's telemetry iff `want_telemetry`.
+///
+/// Background flows register first so their first packets occupy the
+/// bottleneck before the measured flow's initial burst (FIFO tie-break at
+/// the epoch).
+pub fn run_measured(
+    flow: &mut dyn Flow,
+    load: Option<(SharedQueues, Vec<LoadFlow>)>,
+    want_telemetry: bool,
+) -> Option<EngineTelemetry> {
+    let (queues, mut loads) = load.unwrap_or_default();
+    let mut engine = Engine::new(queues);
+    for load in loads.iter_mut() {
+        engine.add_flow(load);
+    }
+    engine.add_flow(flow);
+    engine.run();
+    want_telemetry.then(|| engine.telemetry())
 }
 
 #[cfg(test)]

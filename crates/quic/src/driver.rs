@@ -22,17 +22,17 @@
 //!     .execute(&mut rng);
 //! ```
 //!
-//! Without cross traffic it drives a one-flow engine with no shared queues,
-//! bit-identical to the historical per-connection loop; with it, the same
-//! flow runs next to background [`LoadFlow`](qem_netsim::LoadFlow)s through
-//! a shared bottleneck, which is where CE marking becomes load-dependent.
-//! The legacy `run_connection*` function matrix survives as thin deprecated
-//! wrappers, each proven equivalent by the existing tests.
+//! Without cross traffic it drives a one-flow engine with no shared queues;
+//! with it, the same flow runs next to background
+//! [`LoadFlow`](qem_netsim::LoadFlow)s through a shared bottleneck, which is
+//! where CE marking becomes load-dependent.
 
 use crate::behavior::ServerBehavior;
 use crate::client::{ClientConfig, ClientConnection, ClientReport};
 use crate::server::ServerConnection;
-use qem_netsim::engine::{CrossTraffic, Engine, EngineTelemetry, Flow, FlowStatus, SharedQueues};
+use qem_netsim::engine::{
+    run_measured, CrossTraffic, EngineTelemetry, Flow, FlowStatus, SharedQueues,
+};
 use qem_netsim::{DuplexPath, SimDuration, SimInstant};
 use qem_packet::ecn::{EcnCodepoint, EcnCounts};
 use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol, Ipv4Header, Ipv6Header};
@@ -90,10 +90,9 @@ pub struct ConnectionOutcome {
 /// engine: one client, one server, the duplex path between them and the
 /// randomness driving that path.
 ///
-/// The flow owns a *local* clock with the exact semantics of the historical
-/// driver loop (time only moves at timer boundaries, and a timer that does
-/// not advance time nudges the clock forward by one millisecond), so the
-/// single-flow wrapper below reproduces the legacy results bit for bit.
+/// The flow owns a *local* clock: time only moves at timer boundaries, and
+/// a timer that does not advance time nudges the clock forward by one
+/// millisecond.
 pub struct QuicFlow<'a, R: Rng + ?Sized> {
     client: &'a mut ClientConnection,
     server: &'a mut ServerConnection,
@@ -215,8 +214,8 @@ impl<'a, R: Rng + ?Sized> QuicFlow<'a, R> {
 
 impl<R: Rng + ?Sized> Flow for QuicFlow<'_, R> {
     fn on_wake(&mut self, _at: SimInstant, net: &mut SharedQueues) -> FlowStatus {
-        // A wake with a pending timer services it first, with the legacy
-        // clock-nudge semantics.
+        // A wake with a pending timer services it first, with the
+        // clock-nudge semantics above.
         if let Some(t) = self.pending_timer.take() {
             self.now = if t > self.now {
                 t
@@ -279,14 +278,12 @@ pub struct RunOutcome {
     pub telemetry: Option<EngineTelemetry>,
 }
 
-/// Builder for one QUIC measurement connection — the single entrypoint
-/// replacing the old `run_connection` × `_under_load` × `_with_telemetry`
-/// function matrix.
+/// Builder for one QUIC measurement connection — the single entrypoint.
 ///
 /// Defaults mirror the paper's methodology: no cross traffic (an otherwise
-/// idle path) and no telemetry.  Every combination is bit-identical to the
-/// legacy function it replaces; reading telemetry is side-effect free and
-/// a disabled cross-traffic scenario leaves the RNG stream untouched.
+/// idle path) and no telemetry.  Reading telemetry is side-effect free, and
+/// a cross-traffic scenario that is disabled — or has no bottleneck to
+/// attach to, on a hop-less path — leaves the RNG stream untouched.
 #[derive(Debug)]
 pub struct ConnectionRun<'a> {
     client_config: ClientConfig,
@@ -338,156 +335,20 @@ impl<'a> ConnectionRun<'a> {
 
     /// Drive the connection to completion.
     pub fn execute<R: Rng + ?Sized>(self, rng: &mut R) -> RunOutcome {
-        let ConnectionRun {
-            client_config,
-            behavior,
-            path,
-            driver,
-            cross,
-            telemetry: want_telemetry,
-        } = self;
-        // No scenario — or nothing to attach it to (a hop-less path has no
-        // bottleneck): run the plain single-flow connection with an
-        // untouched RNG stream so the fallback really is bit-identical.
-        if !cross.is_enabled() || CrossTraffic::bottleneck_of(&path.forward).is_none() {
-            let mut client = ClientConnection::new(client_config, SimInstant::EPOCH, rng.gen());
-            let mut server = ServerConnection::new(behavior, rng.gen());
-            let (connection, telemetry) =
-                run_endpoints(&mut client, &mut server, path, &driver, rng, want_telemetry);
-            return RunOutcome {
-                connection,
-                telemetry,
-            };
-        }
-        let mut client = ClientConnection::new(client_config, SimInstant::EPOCH, rng.gen());
-        let mut server = ServerConnection::new(behavior, rng.gen());
-        let (queues, mut loads) = cross
-            .instantiate(&path.forward, rng.gen())
-            // Unreachable: the guard above returned unless the scenario is
-            // enabled and the path has a bottleneck, and restructuring into
-            // a fallback would reorder the RNG draws the golden reports pin.
-            // lint: allow(panic-policy) guard-checked precondition
-            .expect("enabled scenario with a bottleneck");
-        let mut engine = Engine::new(queues);
-        // Background flows register first so their first packets occupy the
-        // bottleneck before the measured connection's initial burst (FIFO
-        // tie-break at the epoch).
-        for load in loads.iter_mut() {
-            engine.add_flow(load);
-        }
-        let mut flow = QuicFlow::new(&mut client, &mut server, path, &driver, rng);
-        engine.add_flow(&mut flow);
-        engine.run();
-        let telemetry = want_telemetry.then(|| engine.telemetry());
-        drop(engine);
+        let mut client = ClientConnection::new(self.client_config, SimInstant::EPOCH, rng.gen());
+        let mut server = ServerConnection::new(self.behavior, rng.gen());
+        // The scenario's seed comes after the endpoints' and only when there
+        // is a scenario to build — the draw order the golden reports pin.
+        let load = self
+            .cross
+            .instantiate_with(&self.path.forward, || rng.gen());
+        let mut flow = QuicFlow::new(&mut client, &mut server, self.path, &self.driver, rng);
+        let telemetry = run_measured(&mut flow, load, self.telemetry);
         RunOutcome {
             connection: flow.into_outcome(),
             telemetry,
         }
     }
-}
-
-/// Run a complete client↔server exchange over `path`.
-#[deprecated(note = "use the ConnectionRun builder: \
-                     ConnectionRun::new(config, behavior, path, driver).execute(rng)")]
-pub fn run_connection<R: Rng + ?Sized>(
-    client_config: ClientConfig,
-    behavior: ServerBehavior,
-    path: &DuplexPath,
-    config: &DriverConfig,
-    rng: &mut R,
-) -> ConnectionOutcome {
-    ConnectionRun::new(client_config, behavior, path, config.clone())
-        .execute(rng)
-        .connection
-}
-
-/// Like `run_connection`, additionally returning the engine's telemetry
-/// (event counts, queue metrics, the virtual-time wake trace).  Reading
-/// telemetry is side-effect free: the outcome is bit-identical to
-/// `run_connection` with the same inputs.
-#[deprecated(note = "use the ConnectionRun builder with .telemetry(true)")]
-pub fn run_connection_with_telemetry<R: Rng + ?Sized>(
-    client_config: ClientConfig,
-    behavior: ServerBehavior,
-    path: &DuplexPath,
-    config: &DriverConfig,
-    rng: &mut R,
-) -> (ConnectionOutcome, EngineTelemetry) {
-    let out = ConnectionRun::new(client_config, behavior, path, config.clone())
-        .telemetry(true)
-        .execute(rng);
-    (out.connection, out.telemetry.unwrap_or_default())
-}
-
-/// Run a prepared client and server to completion (exposed for tests that
-/// need access to the endpoints afterwards): a one-flow engine with no
-/// shared queues, bit-identical to the historical driver loop.
-pub fn run_with_endpoints<R: Rng + ?Sized>(
-    client: &mut ClientConnection,
-    server: &mut ServerConnection,
-    path: &DuplexPath,
-    config: &DriverConfig,
-    rng: &mut R,
-) -> ConnectionOutcome {
-    run_endpoints(client, server, path, config, rng, false).0
-}
-
-fn run_endpoints<R: Rng + ?Sized>(
-    client: &mut ClientConnection,
-    server: &mut ServerConnection,
-    path: &DuplexPath,
-    config: &DriverConfig,
-    rng: &mut R,
-    want_telemetry: bool,
-) -> (ConnectionOutcome, Option<EngineTelemetry>) {
-    let mut flow = QuicFlow::new(client, server, path, config, rng);
-    let mut engine = Engine::new(SharedQueues::new());
-    engine.add_flow(&mut flow);
-    engine.run();
-    // Telemetry must be read before the engine goes away — it borrows the
-    // flow list; the outcome needs the flow back, hence the drop.
-    let telemetry = want_telemetry.then(|| engine.telemetry());
-    drop(engine);
-    (flow.into_outcome(), telemetry)
-}
-
-/// Run a client↔server exchange while `cross` background flows push packets
-/// through the forward path's bottleneck router.  With a disabled scenario
-/// this falls back to the plain single-flow run exactly.
-#[deprecated(note = "use the ConnectionRun builder with .cross_traffic(cross)")]
-pub fn run_connection_under_load<R: Rng + ?Sized>(
-    client_config: ClientConfig,
-    behavior: ServerBehavior,
-    path: &DuplexPath,
-    config: &DriverConfig,
-    cross: &CrossTraffic,
-    rng: &mut R,
-) -> ConnectionOutcome {
-    ConnectionRun::new(client_config, behavior, path, config.clone())
-        .cross_traffic(*cross)
-        .execute(rng)
-        .connection
-}
-
-/// Like `run_connection_under_load`, additionally returning the engine's
-/// telemetry — under load this includes the shared bottleneck's per-router
-/// queue metrics (`queue.r<id>.*`: CE marks, tail drops, occupancy).
-#[deprecated(note = "use the ConnectionRun builder with \
-                     .cross_traffic(cross).telemetry(true)")]
-pub fn run_connection_under_load_with_telemetry<R: Rng + ?Sized>(
-    client_config: ClientConfig,
-    behavior: ServerBehavior,
-    path: &DuplexPath,
-    config: &DriverConfig,
-    cross: &CrossTraffic,
-    rng: &mut R,
-) -> (ConnectionOutcome, EngineTelemetry) {
-    let out = ConnectionRun::new(client_config, behavior, path, config.clone())
-        .cross_traffic(*cross)
-        .telemetry(true)
-        .execute(rng);
-    (out.connection, out.telemetry.unwrap_or_default())
 }
 
 fn encapsulate(
@@ -530,9 +391,6 @@ fn decapsulate(datagram: &IpDatagram) -> Option<Vec<u8>> {
 }
 
 #[cfg(test)]
-// The legacy wrappers are exercised deliberately: these tests are the proof
-// that each deprecated function stays equivalent to its builder form.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::behavior::{EcnMirroringBehavior, ServerBehavior};
@@ -754,16 +612,17 @@ mod tests {
         let forward = build_transit_path(Asn::DFN, Asn(16509), TransitProfile::Clean, true);
         let path = DuplexPath::symmetric_clean_reverse(forward);
         let mut rng = StdRng::seed_from_u64(13);
-        let outcome = run_connection(
+        let outcome = ConnectionRun::new(
             ClientConfig::paper_default("v6.example.org"),
             ServerBehavior::accurate(),
             &path,
-            &DriverConfig::new(
+            DriverConfig::new(
                 "2001:db8::10".parse().unwrap(),
                 "2001:db8:1::443".parse().unwrap(),
             ),
-            &mut rng,
-        );
+        )
+        .execute(&mut rng)
+        .connection;
         assert!(outcome.report.connected);
         assert_eq!(outcome.report.ecn_state, EcnValidationState::Capable);
     }
@@ -785,82 +644,73 @@ mod tests {
         assert!(!outcome.report.server_used_ecn);
     }
 
-    #[test]
-    fn cross_traffic_marks_what_a_lone_flow_never_sees() {
-        use qem_netsim::CrossTraffic;
+    /// The paper-default connection over `path` from a fresh `seed`ed RNG,
+    /// plus that RNG's next draw (how far the run advanced the stream).
+    fn run_under(
+        path: &DuplexPath,
+        cross: CrossTraffic,
+        telemetry: bool,
+        seed: u64,
+    ) -> (RunOutcome, u64) {
         let (client_addr, server_addr) = addrs();
-        let path = clean_path();
-        let driver = DriverConfig::new(client_addr, server_addr);
-
-        // Alone on a clean path: no CE, ever.
-        let mut rng = StdRng::seed_from_u64(77);
-        let solo = run_connection(
+        let mut rng = StdRng::seed_from_u64(seed);
+        let outcome = ConnectionRun::new(
             ClientConfig::paper_default("www.example.org"),
             ServerBehavior::accurate(),
-            &path,
-            &driver,
-            &mut rng,
-        );
-        assert!(solo.report.connected);
-        assert_eq!(solo.report.mirrored_counts.ce, 0);
-        assert_eq!(solo.forward_arrival_ecn.ce, 0);
+            path,
+            DriverConfig::new(client_addr, server_addr),
+        )
+        .cross_traffic(cross)
+        .telemetry(telemetry)
+        .execute(&mut rng);
+        (outcome, rng.gen())
+    }
+
+    #[test]
+    fn cross_traffic_marks_what_a_lone_flow_never_sees() {
+        let path = clean_path();
+
+        // Alone on a clean path: no CE, ever.
+        let (solo, solo_next) = run_under(&path, CrossTraffic::none(), false, 77);
+        assert!(solo.connection.report.connected);
+        assert_eq!(solo.connection.report.mirrored_counts.ce, 0);
+        assert_eq!(solo.connection.forward_arrival_ecn.ce, 0);
+        assert!(solo.telemetry.is_none(), "telemetry is strictly opt-in");
 
         // Same connection, same seed, but behind a congested shared
         // bottleneck: the combined occupancy pushes the AQM into marking.
-        let mut rng = StdRng::seed_from_u64(77);
-        let loaded = run_connection_under_load(
-            ClientConfig::paper_default("www.example.org"),
-            ServerBehavior::accurate(),
-            &path,
-            &driver,
-            &CrossTraffic::congested(),
-            &mut rng,
-        );
+        let (loaded, loaded_next) = run_under(&path, CrossTraffic::congested(), false, 77);
         assert!(
-            loaded.forward_arrival_ecn.ce > 0,
+            loaded.connection.forward_arrival_ecn.ce > 0,
             "shared-queue occupancy must CE-mark the measured flow"
         );
         assert!(
-            loaded.report.mirrored_counts.ce > 0,
+            loaded.connection.report.mirrored_counts.ce > 0,
             "the server must mirror the congestion marks"
         );
+        assert_ne!(loaded_next, solo_next, "a built scenario draws its seed");
 
-        // And a disabled scenario is the single-flow run, bit for bit.
-        let mut rng = StdRng::seed_from_u64(77);
-        let off = run_connection_under_load(
-            ClientConfig::paper_default("www.example.org"),
-            ServerBehavior::accurate(),
-            &path,
-            &driver,
-            &CrossTraffic::none(),
-            &mut rng,
+        // An enabled scenario with nothing to attach to — a hop-less forward
+        // path has no bottleneck — is the single-flow run, bit for bit, and
+        // leaves the caller's RNG where the plain run leaves it.
+        let hopless = DuplexPath::new(Path::new(vec![]), Path::empty());
+        assert_eq!(
+            run_under(&hopless, CrossTraffic::congested(), false, 77),
+            run_under(&hopless, CrossTraffic::none(), false, 77)
         );
-        assert_eq!(off, solo);
     }
 
     #[test]
     fn telemetry_variant_is_outcome_identical_and_observes_the_run() {
-        let (client_addr, server_addr) = addrs();
         let path = clean_path();
-        let driver = DriverConfig::new(client_addr, server_addr);
 
-        let mut rng = StdRng::seed_from_u64(55);
-        let plain = run_connection(
-            ClientConfig::paper_default("www.example.org"),
-            ServerBehavior::accurate(),
-            &path,
-            &driver,
-            &mut rng,
+        let (plain, _) = run_under(&path, CrossTraffic::none(), false, 55);
+        let (observed, _) = run_under(&path, CrossTraffic::none(), true, 55);
+        assert_eq!(
+            observed.connection, plain.connection,
+            "telemetry reads must not perturb the run"
         );
-        let mut rng = StdRng::seed_from_u64(55);
-        let (observed, telemetry) = run_connection_with_telemetry(
-            ClientConfig::paper_default("www.example.org"),
-            ServerBehavior::accurate(),
-            &path,
-            &driver,
-            &mut rng,
-        );
-        assert_eq!(observed, plain, "telemetry reads must not perturb the run");
+        let telemetry = observed.telemetry.expect("telemetry was requested");
         let events = telemetry
             .metrics
             .counter("engine.events_processed")
@@ -868,19 +718,15 @@ mod tests {
         assert!(events > 0);
         assert_eq!(telemetry.trace.len() as u64, events, "one wake per event");
         assert!(telemetry.trace.windows(2).all(|w| w[0].at <= w[1].at));
-        // No shared queues in the single-flow wrapper: no queue metrics.
+        // No shared queues without cross traffic: no queue metrics.
         assert!(telemetry.metrics.counter("queue.r1.enqueued").is_none());
 
-        // Under congestion the same API surfaces the bottleneck's counters.
-        let mut rng = StdRng::seed_from_u64(55);
-        let (_, loaded) = run_connection_under_load_with_telemetry(
-            ClientConfig::paper_default("www.example.org"),
-            ServerBehavior::accurate(),
-            &path,
-            &driver,
-            &qem_netsim::CrossTraffic::congested(),
-            &mut rng,
-        );
+        // Under congestion the same API surfaces the bottleneck's counters,
+        // again without perturbing the connection.
+        let (bare, _) = run_under(&path, CrossTraffic::congested(), false, 55);
+        let (loaded, _) = run_under(&path, CrossTraffic::congested(), true, 55);
+        assert_eq!(loaded.connection, bare.connection);
+        let loaded = loaded.telemetry.expect("telemetry was requested");
         let marked: u64 = loaded
             .metrics
             .metrics
@@ -892,58 +738,17 @@ mod tests {
     }
 
     #[test]
-    fn builder_is_equivalent_to_every_legacy_wrapper() {
-        let (client_addr, server_addr) = addrs();
-        let path = clean_path();
-        let driver = DriverConfig::new(client_addr, server_addr);
-        let config = || ClientConfig::paper_default("www.example.org");
-
-        // Plain run, no telemetry requested.
-        let mut rng = StdRng::seed_from_u64(91);
-        let legacy = run_connection(
-            config(),
-            ServerBehavior::accurate(),
-            &path,
-            &driver,
-            &mut rng,
-        );
-        let mut rng = StdRng::seed_from_u64(91);
-        let built = ConnectionRun::new(config(), ServerBehavior::accurate(), &path, driver.clone())
-            .execute(&mut rng);
-        assert_eq!(built.connection, legacy);
-        assert!(built.telemetry.is_none(), "telemetry is strictly opt-in");
-
-        // Under load, with telemetry: outcome and telemetry both match.
-        let cross = CrossTraffic::congested();
-        let mut rng = StdRng::seed_from_u64(91);
-        let (legacy, legacy_tel) = run_connection_under_load_with_telemetry(
-            config(),
-            ServerBehavior::accurate(),
-            &path,
-            &driver,
-            &cross,
-            &mut rng,
-        );
-        let mut rng = StdRng::seed_from_u64(91);
-        let built = ConnectionRun::new(config(), ServerBehavior::accurate(), &path, driver.clone())
-            .cross_traffic(cross)
-            .telemetry(true)
-            .execute(&mut rng);
-        assert_eq!(built.connection, legacy);
-        assert_eq!(built.telemetry, Some(legacy_tel));
-    }
-
-    #[test]
     fn ce_probing_mode_reports_mirrored_ce() {
         let (client_addr, server_addr) = addrs();
         let mut rng = StdRng::seed_from_u64(15);
-        let outcome = run_connection(
+        let outcome = ConnectionRun::new(
             ClientConfig::force_ce("www.example.org"),
             ServerBehavior::accurate(),
             &clean_path(),
-            &DriverConfig::new(client_addr, server_addr),
-            &mut rng,
-        );
+            DriverConfig::new(client_addr, server_addr),
+        )
+        .execute(&mut rng)
+        .connection;
         assert!(outcome.report.connected);
         assert!(outcome.report.mirrored_counts.ce >= 5);
         assert_eq!(outcome.report.mirrored_counts.ect0, 0);

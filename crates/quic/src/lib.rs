@@ -47,11 +47,6 @@ pub mod transport_params;
 pub use app::{AppChunk, AppDataSource, BulkObject, FrameSource, StreamPacketizer};
 pub use behavior::{EcnMirroringBehavior, ServerBehavior};
 pub use client::{ClientConfig, ClientConnection, ClientEcnMode, ClientReport};
-#[allow(deprecated)]
-pub use driver::{
-    run_connection, run_connection_under_load, run_connection_under_load_with_telemetry,
-    run_connection_with_telemetry, run_with_endpoints,
-};
 pub use driver::{ConnectionOutcome, ConnectionRun, DriverConfig, QuicFlow, RunOutcome};
 pub use ecn::{EcnConfig, EcnValidationFailure, EcnValidationState, EcnValidator};
 pub use server::ServerConnection;

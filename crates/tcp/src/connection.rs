@@ -10,15 +10,15 @@
 //! The exchange is modelled as a sans-IO [`TcpFlow`] state machine for the
 //! discrete-event engine, driven through the [`TcpConnectionRun`] builder —
 //! the mirror of `qem_quic`'s `ConnectionRun`.  Without cross traffic it is
-//! a one-flow engine with no shared queues (bit-identical to the historical
-//! straight-line script); with [`TcpConnectionRun::cross_traffic`] the flow
-//! runs next to background load through a shared bottleneck queue, where CE
-//! marks — and therefore ECE echoes — emerge from combined occupancy.  The
-//! legacy `run_tcp_connection*` functions survive as thin deprecated
-//! wrappers.
+//! a one-flow engine with no shared queues; with
+//! [`TcpConnectionRun::cross_traffic`] the flow runs next to background load
+//! through a shared bottleneck queue, where CE marks — and therefore ECE
+//! echoes — emerge from combined occupancy.
 
 use crate::behavior::TcpServerBehavior;
-use qem_netsim::engine::{CrossTraffic, Engine, EngineTelemetry, Flow, FlowStatus, SharedQueues};
+use qem_netsim::engine::{
+    run_measured, CrossTraffic, EngineTelemetry, Flow, FlowStatus, SharedQueues,
+};
 use qem_netsim::{DuplexPath, SimDuration, SimInstant, TransitOutcome};
 use qem_packet::ecn::{EcnCodepoint, EcnCounts};
 use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol, Ipv4Header, Ipv6Header};
@@ -448,13 +448,9 @@ pub struct TcpRunOutcome {
 }
 
 /// Builder for one TCP measurement connection — the mirror of `qem_quic`'s
-/// `ConnectionRun`, replacing the `run_tcp_connection` /
-/// `run_tcp_connection_under_load` pair.
+/// `ConnectionRun`.
 ///
 /// Defaults mirror the paper's methodology: no cross traffic, no telemetry.
-/// Each combination is bit-identical to the legacy function it replaces,
-/// and — new with the builder — TCP runs can now capture engine telemetry
-/// just like QUIC runs.
 #[derive(Debug)]
 pub struct TcpConnectionRun<'a> {
     config: TcpClientConfig,
@@ -507,50 +503,26 @@ impl<'a> TcpConnectionRun<'a> {
 
     /// Drive the exchange to completion.
     pub fn execute<R: Rng + ?Sized>(self, rng: &mut R) -> TcpRunOutcome {
-        let TcpConnectionRun {
-            config,
-            behavior,
-            client_addr,
-            server_addr,
-            path,
-            cross,
-            telemetry: want_telemetry,
-        } = self;
-        // No scenario — or nothing to attach it to (a hop-less path has no
-        // bottleneck): run the plain single-flow exchange with an untouched
-        // RNG stream so the fallback really is bit-identical.
-        if !cross.is_enabled() || CrossTraffic::bottleneck_of(&path.forward).is_none() {
-            let mut flow = TcpFlow::new(config, behavior, client_addr, server_addr, path, rng);
-            let mut engine = Engine::new(SharedQueues::new());
-            engine.add_flow(&mut flow);
-            engine.run();
-            let telemetry = want_telemetry.then(|| engine.telemetry());
-            drop(engine);
-            return TcpRunOutcome {
-                report: flow.into_report(),
-                telemetry,
-            };
+        // The scenario's seed is drawn only when there is a scenario to
+        // build, so a disabled one leaves the RNG stream untouched.
+        let load = self
+            .cross
+            .instantiate_with(&self.path.forward, || rng.gen());
+        let mut flow = TcpFlow::new(
+            self.config,
+            self.behavior,
+            self.client_addr,
+            self.server_addr,
+            self.path,
+            rng,
+        );
+        if load.is_some() {
+            // Pace the probes across the background burst so each segment
+            // samples the queue, rather than the whole exchange landing on
+            // one instant.
+            flow = flow.with_pacing(SimDuration::from_millis(1));
         }
-        let (queues, mut loads) = cross
-            .instantiate(&path.forward, rng.gen())
-            // Unreachable: the guard above returned unless the scenario is
-            // enabled and the path has a bottleneck, and restructuring into
-            // a fallback would reorder the RNG draws the golden reports pin.
-            // lint: allow(panic-policy) guard-checked precondition
-            .expect("enabled scenario with a bottleneck");
-        let mut engine = Engine::new(queues);
-        for load in loads.iter_mut() {
-            engine.add_flow(load);
-        }
-        // Pace the probes across the background burst so each segment
-        // samples the queue, rather than the whole exchange landing on one
-        // instant.
-        let mut flow = TcpFlow::new(config, behavior, client_addr, server_addr, path, rng)
-            .with_pacing(SimDuration::from_millis(1));
-        engine.add_flow(&mut flow);
-        engine.run();
-        let telemetry = want_telemetry.then(|| engine.telemetry());
-        drop(engine);
+        let telemetry = run_measured(&mut flow, load, self.telemetry);
         TcpRunOutcome {
             report: flow.into_report(),
             telemetry,
@@ -558,45 +530,7 @@ impl<'a> TcpConnectionRun<'a> {
     }
 }
 
-/// Run one TCP connection between a client at `client_addr` and a server at
-/// `server_addr` over `path`, returning the scanner's observations.
-#[deprecated(note = "use the TcpConnectionRun builder: \
-                     TcpConnectionRun::new(..).execute(rng).report")]
-pub fn run_tcp_connection<R: Rng + ?Sized>(
-    config: TcpClientConfig,
-    behavior: TcpServerBehavior,
-    client_addr: IpAddr,
-    server_addr: IpAddr,
-    path: &DuplexPath,
-    rng: &mut R,
-) -> TcpReport {
-    TcpConnectionRun::new(config, behavior, client_addr, server_addr, path)
-        .execute(rng)
-        .report
-}
-
-/// Run one TCP connection while `cross` background flows push packets
-/// through the forward path's bottleneck router (its last hop).
-#[deprecated(note = "use the TcpConnectionRun builder with .cross_traffic(cross)")]
-pub fn run_tcp_connection_under_load<R: Rng + ?Sized>(
-    config: TcpClientConfig,
-    behavior: TcpServerBehavior,
-    client_addr: IpAddr,
-    server_addr: IpAddr,
-    path: &DuplexPath,
-    cross: &CrossTraffic,
-    rng: &mut R,
-) -> TcpReport {
-    TcpConnectionRun::new(config, behavior, client_addr, server_addr, path)
-        .cross_traffic(*cross)
-        .execute(rng)
-        .report
-}
-
 #[cfg(test)]
-// The legacy wrappers are exercised deliberately: these tests are the proof
-// that each deprecated function stays equivalent to its builder form.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use qem_netsim::{build_transit_path, Asn, TransitProfile};
@@ -759,114 +693,71 @@ mod tests {
         assert!(report.forward_losses >= 1);
     }
 
-    #[test]
-    fn cross_traffic_triggers_ece_echo_for_ect0_probes() {
-        use qem_netsim::CrossTraffic;
+    /// The ECT(0) exchange over `path` from a fresh `seed`ed RNG, plus that
+    /// RNG's next draw (how far the run advanced the stream).
+    fn run_under(
+        path: &DuplexPath,
+        cross: CrossTraffic,
+        telemetry: bool,
+        seed: u64,
+    ) -> (TcpRunOutcome, u64) {
         let (c, s) = addrs();
-        let path = clean();
-
-        // ECT(0) probing alone never produces an ECE echo on a clean path…
-        let mut rng = StdRng::seed_from_u64(99);
-        let solo = run_tcp_connection(
+        let mut rng = StdRng::seed_from_u64(seed);
+        let outcome = TcpConnectionRun::new(
             TcpClientConfig::ect0(),
             TcpServerBehavior::full_ecn(),
             c,
             s,
-            &path,
-            &mut rng,
-        );
-        assert!(solo.negotiated);
-        assert!(!solo.ce_mirrored);
-        assert_eq!(solo.server_observed_ecn.ce, 0);
-
-        // …but behind a congested shared bottleneck the probes arrive CE and
-        // the server echoes ECE.
-        let mut rng = StdRng::seed_from_u64(99);
-        let loaded = run_tcp_connection_under_load(
-            TcpClientConfig::ect0(),
-            TcpServerBehavior::full_ecn(),
-            c,
-            s,
-            &path,
-            &CrossTraffic::congested(),
-            &mut rng,
-        );
-        assert!(loaded.negotiated);
-        assert!(
-            loaded.server_observed_ecn.ce > 0,
-            "combined occupancy must CE-mark TCP probes"
-        );
-        assert!(loaded.ce_mirrored, "the server must echo the marks via ECE");
-
-        // A disabled scenario is the single-flow run, bit for bit.
-        let mut rng = StdRng::seed_from_u64(99);
-        let off = run_tcp_connection_under_load(
-            TcpClientConfig::ect0(),
-            TcpServerBehavior::full_ecn(),
-            c,
-            s,
-            &path,
-            &CrossTraffic::none(),
-            &mut rng,
-        );
-        assert_eq!(off, solo);
+            path,
+        )
+        .cross_traffic(cross)
+        .telemetry(telemetry)
+        .execute(&mut rng);
+        (outcome, rng.gen())
     }
 
     #[test]
-    fn builder_is_equivalent_to_every_legacy_wrapper() {
-        use qem_netsim::CrossTraffic;
-        let (c, s) = addrs();
+    fn cross_traffic_triggers_ece_echo_for_ect0_probes() {
+        use qem_netsim::Path;
         let path = clean();
 
-        // Plain run: builder == run_tcp_connection, with no telemetry
-        // captured unless asked for.
-        let mut rng = StdRng::seed_from_u64(91);
-        let legacy = run_tcp_connection(
-            TcpClientConfig::ect0(),
-            TcpServerBehavior::full_ecn(),
-            c,
-            s,
-            &path,
-            &mut rng,
-        );
-        let mut rng = StdRng::seed_from_u64(91);
-        let built = TcpConnectionRun::new(
-            TcpClientConfig::ect0(),
-            TcpServerBehavior::full_ecn(),
-            c,
-            s,
-            &path,
-        )
-        .execute(&mut rng);
-        assert_eq!(built.report, legacy);
-        assert!(built.telemetry.is_none());
+        // ECT(0) probing alone never produces an ECE echo on a clean path…
+        let (solo, solo_next) = run_under(&path, CrossTraffic::none(), false, 99);
+        assert!(solo.report.negotiated);
+        assert!(!solo.report.ce_mirrored);
+        assert_eq!(solo.report.server_observed_ecn.ce, 0);
+        assert!(solo.telemetry.is_none(), "telemetry is strictly opt-in");
 
-        // Loaded run: builder with cross traffic == the under-load wrapper,
-        // and telemetry capture does not perturb the report.
-        let cross = CrossTraffic::congested();
-        let mut rng = StdRng::seed_from_u64(91);
-        let legacy = run_tcp_connection_under_load(
-            TcpClientConfig::ect0(),
-            TcpServerBehavior::full_ecn(),
-            c,
-            s,
-            &path,
-            &cross,
-            &mut rng,
+        // …but behind a congested shared bottleneck the probes arrive CE and
+        // the server echoes ECE.
+        let (loaded, loaded_next) = run_under(&path, CrossTraffic::congested(), false, 99);
+        assert!(loaded.report.negotiated);
+        assert!(
+            loaded.report.server_observed_ecn.ce > 0,
+            "combined occupancy must CE-mark TCP probes"
         );
-        let mut rng = StdRng::seed_from_u64(91);
-        let built = TcpConnectionRun::new(
-            TcpClientConfig::ect0(),
-            TcpServerBehavior::full_ecn(),
-            c,
-            s,
-            &path,
-        )
-        .cross_traffic(cross)
-        .telemetry(true)
-        .execute(&mut rng);
-        assert_eq!(built.report, legacy);
-        assert!(built.telemetry.is_some());
+        assert!(
+            loaded.report.ce_mirrored,
+            "the server must echo the marks via ECE"
+        );
+        assert_ne!(loaded_next, solo_next, "a built scenario draws its seed");
+
+        // Capturing telemetry does not perturb the report, loaded or not.
+        let (observed, _) = run_under(&path, CrossTraffic::congested(), true, 99);
+        assert_eq!(observed.report, loaded.report);
+        assert!(observed.telemetry.is_some());
+        let (observed, _) = run_under(&path, CrossTraffic::none(), true, 99);
+        assert_eq!(observed.report, solo.report);
+        assert!(observed.telemetry.is_some());
+
+        // An enabled scenario with nothing to attach to — a hop-less forward
+        // path has no bottleneck — is the single-flow run, bit for bit, and
+        // leaves the caller's RNG where the plain run leaves it.
+        let hopless = DuplexPath::new(Path::new(vec![]), Path::empty());
+        assert_eq!(
+            run_under(&hopless, CrossTraffic::congested(), false, 99),
+            run_under(&hopless, CrossTraffic::none(), false, 99)
+        );
     }
 
     #[test]
@@ -874,14 +765,15 @@ mod tests {
         let forward = build_transit_path(Asn::DFN, Asn(13335), TransitProfile::Clean, true);
         let path = DuplexPath::symmetric_clean_reverse(forward);
         let mut rng = StdRng::seed_from_u64(7);
-        let report = run_tcp_connection(
+        let report = TcpConnectionRun::new(
             TcpClientConfig::force_ce(),
             TcpServerBehavior::full_ecn(),
             "2001:db8::1".parse().unwrap(),
             "2001:db8:2::9".parse().unwrap(),
             &path,
-            &mut rng,
-        );
+        )
+        .execute(&mut rng)
+        .report;
         assert!(report.connected);
         assert!(report.ce_mirrored);
     }

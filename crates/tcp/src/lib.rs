@@ -26,6 +26,4 @@ pub mod connection;
 
 pub use app::SegmentPacketizer;
 pub use behavior::TcpServerBehavior;
-#[allow(deprecated)]
-pub use connection::{run_tcp_connection, run_tcp_connection_under_load};
 pub use connection::{TcpClientConfig, TcpConnectionRun, TcpFlow, TcpReport, TcpRunOutcome};
