@@ -86,7 +86,9 @@ impl CampaignOptions {
         }
     }
 
-    fn scan_options(&self, ipv6: bool) -> ScanOptions {
+    /// The scanner options of one address family of this campaign — the only
+    /// `CampaignOptions` → [`ScanOptions`] conversion.
+    pub fn scan_options(&self, ipv6: bool) -> ScanOptions {
         ScanOptions {
             date: self.date,
             ipv6,
@@ -181,16 +183,31 @@ impl<'a> Campaign<'a> {
         options: &CampaignOptions,
         ipv6: bool,
     ) -> (SnapshotMeasurement, MetricsSnapshot) {
+        let (snapshot, scanner) = self.scan(vantage, options, ipv6, Scanner::scan_all);
+        (snapshot, scanner.metrics_snapshot())
+    }
+
+    /// Build the scanner of `vantage`, let `probe` pick what it scans and
+    /// collect the measurements into a snapshot; the scanner comes back for
+    /// callers that read its metrics.
+    fn scan(
+        &self,
+        vantage: &VantagePoint,
+        options: &CampaignOptions,
+        ipv6: bool,
+        probe: impl FnOnce(&Scanner<'a>) -> Vec<HostMeasurement>,
+    ) -> (SnapshotMeasurement, Scanner<'a>) {
         let scanner = Scanner::new(self.universe, vantage.clone(), options.scan_options(ipv6));
-        let measurements = scanner.scan_all();
-        let metrics = scanner.metrics_snapshot();
         let snapshot = SnapshotMeasurement {
             date: options.date,
             ipv6,
             vantage: vantage.clone(),
-            hosts: measurements.into_iter().map(|m| (m.host_id, m)).collect(),
+            hosts: probe(&scanner)
+                .into_iter()
+                .map(|m| (m.host_id, m))
+                .collect(),
         };
-        (snapshot, metrics)
+        (snapshot, scanner)
     }
 
     /// Run the main-vantage-point campaign (IPv4, optionally IPv6).
@@ -289,34 +306,14 @@ impl<'a> Campaign<'a> {
             ..*options
         };
         executor.run(&fleet, |vantage| {
-            let scanner_v4 = Scanner::new(
-                self.universe,
-                vantage.clone(),
-                per_vantage_options.scan_options(false),
-            );
-            let hosts_v4 = scanner_v4.scan_hosts(&v4_targets);
-            let snap_v4 = SnapshotMeasurement {
-                date: options.date,
-                ipv6: false,
-                vantage: vantage.clone(),
-                hosts: hosts_v4.into_iter().map(|m| (m.host_id, m)).collect(),
-            };
-            let snap_v6 = if v6_targets.is_empty() {
-                None
-            } else {
-                let scanner_v6 = Scanner::new(
-                    self.universe,
-                    vantage.clone(),
-                    per_vantage_options.scan_options(true),
-                );
-                let hosts_v6 = scanner_v6.scan_hosts(&v6_targets);
-                Some(SnapshotMeasurement {
-                    date: options.date,
-                    ipv6: true,
-                    vantage: vantage.clone(),
-                    hosts: hosts_v6.into_iter().map(|m| (m.host_id, m)).collect(),
+            let scan = |ipv6, targets: &[usize]| {
+                self.scan(vantage, &per_vantage_options, ipv6, |s| {
+                    s.scan_hosts(targets)
                 })
+                .0
             };
+            let snap_v4 = scan(false, &v4_targets);
+            let snap_v6 = (!v6_targets.is_empty()).then(|| scan(true, &v6_targets));
             (vantage.clone(), snap_v4, snap_v6)
         })
     }
@@ -330,6 +327,40 @@ mod tests {
 
     fn universe() -> Universe {
         Universe::generate(&UniverseConfig::tiny())
+    }
+
+    /// Destructures without `..`: a field added to `ScanOptions` does not
+    /// compile here until `scan_options` forwards it.
+    #[test]
+    fn scan_options_forwards_every_field() {
+        let options = CampaignOptions {
+            workers: 3,
+            retry: RetryPolicy::standard(),
+            ..CampaignOptions::ce_probing_under_load()
+        };
+        let ScanOptions {
+            date,
+            ipv6,
+            probe,
+            trace_sample_probability,
+            workers,
+            seed,
+            cross_traffic,
+            retry,
+        } = options.scan_options(true);
+        assert!(ipv6);
+        assert_eq!(
+            (date, probe, trace_sample_probability, workers, seed),
+            (
+                options.date,
+                options.probe,
+                options.trace_sample_probability,
+                3,
+                options.seed
+            )
+        );
+        assert_eq!(cross_traffic, CrossTraffic::congested());
+        assert_eq!(retry, RetryPolicy::standard());
     }
 
     #[test]

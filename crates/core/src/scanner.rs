@@ -234,9 +234,8 @@ impl<'a> Scanner<'a> {
             let mut attempt = 1u32;
             loop {
                 let driver = DriverConfig::new(client_addr, server_addr);
-                // A disabled scenario falls back to the plain single-flow run
-                // inside the builder, so the old enabled/disabled call matrix
-                // collapses into one expression.
+                // A disabled scenario is the plain single-flow run inside
+                // the builder.
                 let run =
                     ConnectionRun::new(client_config.clone(), behavior.clone(), &path, driver)
                         .cross_traffic(self.options.cross_traffic)

@@ -1,48 +1,16 @@
-//! Active queue management models that apply CE marks probabilistically.
+//! The marking law of the shared router egress queues.
 //!
-//! The study itself only rarely encountered genuine congestion marking (the
-//! four "All CE" domains in Table 5 are more likely a broken middlebox), but
-//! the paper's discussion section (§9.3) argues that ECT(0)→ECT(1) re-marking
-//! interacts badly with L4S (RFC 9330/9331): an L4S queue treats ECT(1) as a
-//! promise of scalable congestion control and marks it far more aggressively.
-//! To let the repository demonstrate that interaction (the `l4s_ablation`
-//! bench), routers can carry an AQM model in addition to their ECN policy.
+//! CE marks in this simulator come from one place: a router whose egress
+//! queue is registered in [`SharedQueues`](crate::engine::SharedQueues)
+//! marks ECT packets with a probability driven by the queue's combined
+//! occupancy ([`OccupancyAqm`]) and tail-drops when full.  Rewriting
+//! middleboxes (clearing, ECT(0)→ECT(1) re-marking, the "All CE" devices of
+//! the paper's Table 5) are [`EcnPolicy`](crate::policy::EcnPolicy)s, not
+//! AQMs.
 
-use crate::policy::EcnPolicy;
 use qem_packet::ecn::EcnCodepoint;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-/// Which AQM discipline a router applies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum AqmKind {
-    /// Classic RED/CoDel-style marking: ECT packets are marked CE with the
-    /// configured probability, not-ECT packets are dropped with the same
-    /// probability.
-    Classic {
-        /// Marking / dropping probability in `[0, 1]`.
-        mark_probability: f64,
-    },
-    /// An L4S dual-queue (RFC 9332-like) model: ECT(1) and CE packets go to
-    /// the low-latency queue and are marked with `l4s_mark_probability`;
-    /// ECT(0) packets are treated as classic traffic.
-    L4sDualQueue {
-        /// Marking probability for the classic queue (ECT(0)).
-        classic_mark_probability: f64,
-        /// Marking probability for the L4S queue (ECT(1)); typically much higher.
-        l4s_mark_probability: f64,
-    },
-    /// Pathological device that marks every ECT packet CE (the "All CE" rows
-    /// of Table 5).
-    MarkAll,
-}
-
-/// AQM configuration attached to a router.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AqmConfig {
-    /// The marking discipline.
-    pub kind: AqmKind,
-}
 
 /// What the AQM decided to do with a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,109 +19,6 @@ pub enum AqmDecision {
     Forward(EcnCodepoint),
     /// Drop the packet (congestion signalling for not-ECT traffic).
     Drop,
-}
-
-impl AqmConfig {
-    /// A classic AQM with the given marking probability.
-    pub fn classic(mark_probability: f64) -> Self {
-        AqmConfig {
-            kind: AqmKind::Classic { mark_probability },
-        }
-    }
-
-    /// An L4S dual queue with typical probabilities (1 % classic, 20 % L4S).
-    pub fn l4s_default() -> Self {
-        AqmConfig {
-            kind: AqmKind::L4sDualQueue {
-                classic_mark_probability: 0.01,
-                l4s_mark_probability: 0.20,
-            },
-        }
-    }
-
-    /// Apply the AQM to a packet carrying `ecn`, using `rng` for the marking
-    /// decision.
-    pub fn apply<R: Rng + ?Sized>(&self, ecn: EcnCodepoint, rng: &mut R) -> AqmDecision {
-        match self.kind {
-            AqmKind::Classic { mark_probability } => match ecn {
-                EcnCodepoint::NotEct => {
-                    if rng.gen_bool(mark_probability.clamp(0.0, 1.0)) {
-                        AqmDecision::Drop
-                    } else {
-                        AqmDecision::Forward(ecn)
-                    }
-                }
-                EcnCodepoint::Ect0 | EcnCodepoint::Ect1 => {
-                    if rng.gen_bool(mark_probability.clamp(0.0, 1.0)) {
-                        AqmDecision::Forward(EcnCodepoint::Ce)
-                    } else {
-                        AqmDecision::Forward(ecn)
-                    }
-                }
-                EcnCodepoint::Ce => AqmDecision::Forward(EcnCodepoint::Ce),
-            },
-            AqmKind::L4sDualQueue {
-                classic_mark_probability,
-                l4s_mark_probability,
-            } => {
-                let p = match ecn {
-                    EcnCodepoint::Ect1 | EcnCodepoint::Ce => l4s_mark_probability,
-                    EcnCodepoint::Ect0 => classic_mark_probability,
-                    EcnCodepoint::NotEct => classic_mark_probability,
-                };
-                match ecn {
-                    EcnCodepoint::NotEct => {
-                        if rng.gen_bool(p.clamp(0.0, 1.0)) {
-                            AqmDecision::Drop
-                        } else {
-                            AqmDecision::Forward(ecn)
-                        }
-                    }
-                    _ => {
-                        if rng.gen_bool(p.clamp(0.0, 1.0)) {
-                            AqmDecision::Forward(EcnCodepoint::Ce)
-                        } else {
-                            AqmDecision::Forward(ecn)
-                        }
-                    }
-                }
-            }
-            AqmKind::MarkAll => match ecn {
-                EcnCodepoint::NotEct => AqmDecision::Forward(ecn),
-                _ => AqmDecision::Forward(EcnCodepoint::Ce),
-            },
-        }
-    }
-
-    /// The marking probability an L4S flow (ECT(1)) would experience if a
-    /// broken router re-marks classic ECT(0) traffic into the L4S queue.
-    /// Used by the ablation bench to quantify the paper's §9.3 concern.
-    pub fn effective_mark_probability(&self, ecn: EcnCodepoint) -> f64 {
-        match self.kind {
-            AqmKind::Classic { mark_probability } => {
-                if ecn == EcnCodepoint::NotEct {
-                    0.0
-                } else {
-                    mark_probability
-                }
-            }
-            AqmKind::L4sDualQueue {
-                classic_mark_probability,
-                l4s_mark_probability,
-            } => match ecn {
-                EcnCodepoint::Ect1 | EcnCodepoint::Ce => l4s_mark_probability,
-                EcnCodepoint::Ect0 => classic_mark_probability,
-                EcnCodepoint::NotEct => 0.0,
-            },
-            AqmKind::MarkAll => {
-                if ecn == EcnCodepoint::NotEct {
-                    0.0
-                } else {
-                    1.0
-                }
-            }
-        }
-    }
 }
 
 /// RED-style marking law for **shared** egress queues, driven by the queue's
@@ -224,14 +89,6 @@ impl OccupancyAqm {
     }
 }
 
-/// Convenience: combine an [`EcnPolicy`] (re-marking middlebox) with an L4S
-/// AQM downstream of it and compute the marking probability the flow sees.
-/// This is the quantitative core of the §9.3 / L4S ossification argument.
-pub fn remark_then_aqm_probability(policy: EcnPolicy, aqm: &AqmConfig, sent: EcnCodepoint) -> f64 {
-    let after_policy = policy.apply(sent);
-    aqm.effective_mark_probability(after_policy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,61 +97,6 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
-    }
-
-    #[test]
-    fn classic_never_marks_ce_into_something_else() {
-        let aqm = AqmConfig::classic(1.0);
-        let mut r = rng();
-        assert_eq!(
-            aqm.apply(EcnCodepoint::Ce, &mut r),
-            AqmDecision::Forward(EcnCodepoint::Ce)
-        );
-    }
-
-    #[test]
-    fn classic_marks_ect_and_drops_not_ect_at_p1() {
-        let aqm = AqmConfig::classic(1.0);
-        let mut r = rng();
-        assert_eq!(
-            aqm.apply(EcnCodepoint::Ect0, &mut r),
-            AqmDecision::Forward(EcnCodepoint::Ce)
-        );
-        assert_eq!(aqm.apply(EcnCodepoint::NotEct, &mut r), AqmDecision::Drop);
-    }
-
-    #[test]
-    fn classic_at_p0_is_transparent() {
-        let aqm = AqmConfig::classic(0.0);
-        let mut r = rng();
-        for cp in EcnCodepoint::ALL {
-            assert_eq!(aqm.apply(cp, &mut r), AqmDecision::Forward(cp));
-        }
-    }
-
-    #[test]
-    fn l4s_marks_ect1_more_aggressively() {
-        let aqm = AqmConfig::l4s_default();
-        assert!(
-            aqm.effective_mark_probability(EcnCodepoint::Ect1)
-                > aqm.effective_mark_probability(EcnCodepoint::Ect0)
-        );
-    }
-
-    #[test]
-    fn mark_all_spares_not_ect() {
-        let aqm = AqmConfig {
-            kind: AqmKind::MarkAll,
-        };
-        let mut r = rng();
-        assert_eq!(
-            aqm.apply(EcnCodepoint::NotEct, &mut r),
-            AqmDecision::Forward(EcnCodepoint::NotEct)
-        );
-        assert_eq!(
-            aqm.apply(EcnCodepoint::Ect0, &mut r),
-            AqmDecision::Forward(EcnCodepoint::Ce)
-        );
     }
 
     #[test]
@@ -329,22 +131,5 @@ mod tests {
             aqm.apply(EcnCodepoint::Ce, 8, &mut r),
             AqmDecision::Forward(EcnCodepoint::Ce)
         );
-    }
-
-    #[test]
-    fn remarking_raises_l4s_marking_for_classic_flows() {
-        // A classic ECT(0) flow passing a re-marking middlebox and then an L4S
-        // queue sees the aggressive marking probability — the §9.3 hazard.
-        let clean = remark_then_aqm_probability(
-            EcnPolicy::Pass,
-            &AqmConfig::l4s_default(),
-            EcnCodepoint::Ect0,
-        );
-        let remarked = remark_then_aqm_probability(
-            EcnPolicy::RemarkEct0ToEct1,
-            &AqmConfig::l4s_default(),
-            EcnCodepoint::Ect0,
-        );
-        assert!(remarked > clean * 10.0);
     }
 }

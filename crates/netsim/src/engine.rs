@@ -40,13 +40,13 @@ use crate::time::{SimDuration, SimInstant};
 use crate::wheel::TimerWheel;
 use qem_obs::{Histogram, MetricsSnapshot, TraceRing};
 use qem_packet::ecn::EcnCodepoint;
-use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol, Ipv4Header, Ipv6Header};
+use qem_packet::ip::{IpDatagram, IpProtocol};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
-use std::net::IpAddr;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 // ---------------------------------------------------------------------------
 // The scheduler boundary
@@ -404,8 +404,9 @@ impl QueueState {
 
 /// The shared egress queues of a topology, keyed by router.
 ///
-/// Only routers explicitly registered here queue packets; everything else
-/// forwards as before.  An empty `SharedQueues` is the legacy behaviour.
+/// Only routers explicitly registered here queue packets; every other hop
+/// forwards at once, drawing nothing — so over an empty `SharedQueues` a
+/// path is a lone flow's idle network.
 #[derive(Debug, Default)]
 pub struct SharedQueues {
     queues: BTreeMap<RouterId, QueueState>,
@@ -506,11 +507,6 @@ impl SharedQueues {
         self.faults.record(verdict);
     }
 
-    /// The fault-injection counters accumulated so far.
-    pub fn fault_stats(&self) -> FaultStats {
-        self.faults
-    }
-
     /// Per-router metrics of every registered queue, in router-id order:
     /// `queue.r<id>.{enqueued,marked,dropped}` counters, the
     /// `queue.r<id>.peak_occupancy` gauge and the `queue.r<id>.occupancy`
@@ -591,6 +587,9 @@ pub struct FlowWake {
 /// memory over arbitrarily long runs.
 pub const DEFAULT_EVENT_LOG_CAPACITY: usize = 65_536;
 
+/// Livelock guard: an engine run stops after this many events.
+const MAX_EVENTS: usize = 10_000_000;
+
 /// Post-run observability bundle of one engine: deterministic metrics plus
 /// the (ring-bounded) virtual-time wake trace.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -620,7 +619,6 @@ pub struct EngineCore<'a, S: Scheduler<usize>> {
     flows: Vec<&'a mut dyn Flow>,
     shared: SharedQueues,
     log: TraceRing<FlowWake>,
-    max_events: usize,
     events_processed: u64,
     /// Reusable same-instant dispatch batch (see [`EngineCore::run`]).
     batch: Vec<Event<usize>>,
@@ -634,7 +632,6 @@ impl<'a, S: Scheduler<usize> + Default> EngineCore<'a, S> {
             flows: Vec::new(),
             shared,
             log: TraceRing::new(DEFAULT_EVENT_LOG_CAPACITY),
-            max_events: 10_000_000,
             events_processed: 0,
             batch: Vec::new(),
         }
@@ -642,13 +639,6 @@ impl<'a, S: Scheduler<usize> + Default> EngineCore<'a, S> {
 }
 
 impl<'a, S: Scheduler<usize>> EngineCore<'a, S> {
-    /// Cap the number of events processed (a livelock guard; the default is
-    /// ten million).
-    pub fn with_max_events(mut self, max_events: usize) -> Self {
-        self.max_events = max_events;
-        self
-    }
-
     /// Retain at most `capacity` wake-log entries (the newest ones; the
     /// default is [`DEFAULT_EVENT_LOG_CAPACITY`]).  Evictions are counted
     /// in [`EngineCore::telemetry`] as `engine.trace.dropped`.
@@ -763,7 +753,7 @@ impl<'a, S: Scheduler<usize>> EngineCore<'a, S> {
             }
             for &event in &batch {
                 processed += 1;
-                if processed > self.max_events {
+                if processed > MAX_EVENTS {
                     break 'run;
                 }
                 self.events_processed += 1;
@@ -914,7 +904,8 @@ pub struct LoadFlow {
     path: Path,
     packets: u64,
     interval: SimDuration,
-    ecn: EcnCodepoint,
+    /// The datagram every send is a copy of, assembled once.
+    datagram: Option<IpDatagram>,
     rng: StdRng,
     sent: u64,
     delivered: u64,
@@ -923,11 +914,31 @@ pub struct LoadFlow {
 impl LoadFlow {
     /// A load flow sending `packets` ECT(0) datagrams, one every `interval`.
     pub fn new(path: Path, packets: u64, interval: SimDuration, seed: u64) -> Self {
+        // Benchmarking address ranges (RFC 2544; 2001:db8:bbbb::/48 for
+        // IPv6): never collide with simulated vantage points or servers.
+        let (src, dst) = match path.hops.first().map(|h| h.router.address) {
+            Some(IpAddr::V6(_)) => (
+                IpAddr::V6(Ipv6Addr::new(0x2001, 0x0db8, 0xbbbb, 0, 0, 0, 0, 1)),
+                IpAddr::V6(Ipv6Addr::new(0x2001, 0x0db8, 0xbbbb, 0, 0, 0, 0, 2)),
+            ),
+            _ => (
+                IpAddr::V4(Ipv4Addr::new(198, 18, 0, 1)),
+                IpAddr::V4(Ipv4Addr::new(198, 19, 0, 1)),
+            ),
+        };
+        let datagram = IpDatagram::assemble(
+            src,
+            dst,
+            IpProtocol::Udp,
+            64,
+            EcnCodepoint::Ect0,
+            vec![0u8; 64],
+        );
         LoadFlow {
             path,
             packets,
             interval,
-            ecn: EcnCodepoint::Ect0,
+            datagram: datagram.ok(),
             rng: StdRng::seed_from_u64(seed),
             sent: 0,
             delivered: 0,
@@ -938,7 +949,9 @@ impl LoadFlow {
     /// Workload scenarios use this so background load follows the same ECN
     /// variant as the measured applications.
     pub fn with_ecn(mut self, ecn: EcnCodepoint) -> Self {
-        self.ecn = ecn;
+        if let Some(datagram) = &mut self.datagram {
+            datagram.header.set_ecn(ecn);
+        }
         self
     }
 
@@ -976,34 +989,6 @@ impl LoadFlow {
     pub fn delivered(&self) -> u64 {
         self.delivered
     }
-
-    fn datagram(&self) -> IpDatagram {
-        // Benchmarking address range (RFC 2544): never collides with
-        // simulated vantage points or servers.
-        let header = match self.path.hops.first().map(|h| h.router.address) {
-            Some(IpAddr::V6(_)) => IpHeader::V6(
-                Ipv6Header::new(
-                    // 2001:db8:bbbb::1 / ::2 — const-constructed so the
-                    // per-datagram path neither parses strings nor panics.
-                    std::net::Ipv6Addr::new(0x2001, 0x0db8, 0xbbbb, 0, 0, 0, 0, 1),
-                    std::net::Ipv6Addr::new(0x2001, 0x0db8, 0xbbbb, 0, 0, 0, 0, 2),
-                    IpProtocol::Udp,
-                    64,
-                )
-                .with_ecn(self.ecn),
-            ),
-            _ => IpHeader::V4(
-                Ipv4Header::new(
-                    std::net::Ipv4Addr::new(198, 18, 0, 1),
-                    std::net::Ipv4Addr::new(198, 19, 0, 1),
-                    IpProtocol::Udp,
-                    64,
-                )
-                .with_ecn(self.ecn),
-            ),
-        };
-        IpDatagram::new(header, vec![0u8; 64])
-    }
 }
 
 impl Flow for LoadFlow {
@@ -1011,12 +996,12 @@ impl Flow for LoadFlow {
         if self.sent >= self.packets {
             return FlowStatus::Done;
         }
-        let datagram = self.datagram();
-        if self
-            .path
-            .transit_shared(&datagram, now, &mut self.rng, net)
-            .is_delivered()
-        {
+        let delivered = self.datagram.as_ref().is_some_and(|datagram| {
+            self.path
+                .transit_shared(datagram, now, &mut self.rng, net)
+                .is_delivered()
+        });
+        if delivered {
             self.delivered += 1;
         }
         self.sent += 1;
@@ -1237,7 +1222,9 @@ mod tests {
             QueueConfig::bottleneck(8, 1, 2),
         );
         let mut rng = StdRng::seed_from_u64(1);
-        let dgram = LoadFlow::new(mirrored.forward.clone(), 1, SimDuration::ZERO, 1).datagram();
+        let dgram = LoadFlow::new(mirrored.forward.clone(), 1, SimDuration::ZERO, 1)
+            .datagram
+            .unwrap();
         // Forward transits occupy the queue…
         mirrored
             .forward

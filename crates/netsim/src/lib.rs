@@ -20,9 +20,10 @@
 //! * **Sans-IO** — the simulator never spawns tasks or touches sockets; it
 //!   transforms [`IpDatagram`](qem_packet::IpDatagram)s and reports what a
 //!   real network would have done via [`TransitOutcome`](path::TransitOutcome).
-//! * **Virtual time** — endpoints run against [`SimClock`](time::SimClock);
-//!   path delays and endpoint timers (PTO, idle timeout) share the same
-//!   timeline, so handshake timeouts behave like the paper's 10 s budget.
+//! * **Virtual time** — path delays and endpoint timers (PTO, idle timeout)
+//!   share one [`SimInstant`](time::SimInstant) timeline owned by the
+//!   [`Engine`](engine::Engine), so handshake timeouts behave like the
+//!   paper's 10 s budget.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +39,7 @@ pub mod time;
 pub mod topology;
 pub mod wheel;
 
-pub use aqm::{AqmConfig, AqmKind, OccupancyAqm};
+pub use aqm::OccupancyAqm;
 pub use arena::{ArenaKey, EventArena};
 pub use engine::{
     CrossTraffic, Engine, EngineCore, EngineTelemetry, EventId, EventQueue, Flow, FlowStatus,
@@ -49,6 +50,6 @@ pub use fault::{FaultDrop, FaultKind, FaultPlan, FaultStats, FaultVerdict, Fault
 pub use path::{DuplexPath, Hop, Path, TransitOutcome};
 pub use policy::{DscpPolicy, EcnPolicy};
 pub use router::{IcmpBehavior, Router, RouterId};
-pub use time::{SimClock, SimDuration, SimInstant};
+pub use time::{SimDuration, SimInstant};
 pub use topology::{build_duplex_path, build_transit_path, Asn, PathBuilder, TransitProfile};
 pub use wheel::TimerWheel;

@@ -7,10 +7,9 @@ use crate::router::Router;
 use crate::time::{SimDuration, SimInstant};
 use qem_packet::ecn::EcnCodepoint;
 use qem_packet::icmp::IcmpMessage;
-use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol, Ipv4Header, Ipv6Header};
+use qem_packet::ip::{IpDatagram, IpProtocol};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::net::IpAddr;
 
 use crate::aqm::AqmDecision;
 
@@ -172,18 +171,17 @@ impl Path {
     /// visible in the quote) or stays silent, according to its
     /// [`IcmpBehavior`](crate::router::IcmpBehavior).
     pub fn transit<R: Rng + ?Sized>(&self, datagram: &IpDatagram, rng: &mut R) -> TransitOutcome {
-        self.transit_inner(datagram, rng, None)
+        // No router is registered in an empty `SharedQueues`, so no hop
+        // queues and nothing is drawn for one.
+        self.transit_shared(datagram, SimInstant::EPOCH, rng, &mut SharedQueues::new())
     }
 
     /// Send `datagram` down the path at virtual time `now`, passing every hop
     /// whose router has a queue registered in `queues` through that **shared**
     /// egress queue: the packet competes for space with every other flow
     /// crossing the same router, picks up the queueing delay, and may be
-    /// CE-marked or dropped based on the *combined* occupancy.
-    ///
-    /// With an empty [`SharedQueues`] this is exactly [`Path::transit`] —
-    /// same outcomes, same RNG draws — which is what keeps the single-flow
-    /// wrappers bit-identical to the legacy drivers.
+    /// CE-marked or dropped based on the *combined* occupancy.  A hop whose
+    /// router has no registered queue forwards at once and draws nothing.
     pub fn transit_shared<R: Rng + ?Sized>(
         &self,
         datagram: &IpDatagram,
@@ -191,31 +189,14 @@ impl Path {
         rng: &mut R,
         queues: &mut SharedQueues,
     ) -> TransitOutcome {
-        self.transit_inner(datagram, rng, Some((now, queues)))
-    }
-
-    fn transit_inner<R: Rng + ?Sized>(
-        &self,
-        datagram: &IpDatagram,
-        rng: &mut R,
-        mut shared: Option<(SimInstant, &mut SharedQueues)>,
-    ) -> TransitOutcome {
         let mut current = datagram.clone();
         let mut elapsed = SimDuration::ZERO;
 
         // Fault injection happens once, at path entry, before any hop sees
-        // the packet.  The guard keeps clean paths draw-free; timed windows
-        // are evaluated at the engine clock when present, at the epoch for
-        // the un-timed `transit` entry point.
+        // the packet.  The guard keeps clean paths draw-free.
         if !self.fault.is_empty() {
-            let now = match shared.as_ref() {
-                Some((now, _)) => *now,
-                None => SimInstant::EPOCH,
-            };
             let verdict = self.fault.apply(now, current.payload.len(), rng);
-            if let Some((_, queues)) = shared.as_mut() {
-                queues.record_fault(&verdict);
-            }
+            queues.record_fault(&verdict);
             if verdict.drop.is_some() {
                 // Fault drops report hop 0: the plan guards the path entry.
                 return TransitOutcome::Dropped { at_hop: 0 };
@@ -242,7 +223,10 @@ impl Path {
                 if !respond {
                     return TransitOutcome::Expired { at_hop: index };
                 }
-                let response = build_time_exceeded(&hop.router, &current);
+                // A router that cannot address the sender stays silent.
+                let Ok(response) = build_time_exceeded(&hop.router, &current) else {
+                    return TransitOutcome::Expired { at_hop: index };
+                };
                 // The ICMP message travels back over the hops already crossed.
                 let return_delay: SimDuration = self.hops[..=index]
                     .iter()
@@ -266,24 +250,14 @@ impl Path {
                 current.header.set_dscp(qem_packet::ecn::Dscp::BEST_EFFORT);
             }
 
-            // Shared egress queue (engine scenarios only): combined-occupancy
-            // marking and tail drop, plus the queueing delay.
-            if let Some((now, queues)) = shared.as_mut() {
-                let (decision, wait) = queues.admit(hop.router.id, *now, current.header.ecn(), rng);
-                match decision {
-                    AqmDecision::Forward(ecn) => current.header.set_ecn(ecn),
-                    AqmDecision::Drop => return TransitOutcome::Dropped { at_hop: index },
-                }
-                elapsed += wait;
+            // Shared egress queue: combined-occupancy marking and tail drop,
+            // plus the queueing delay.
+            let (decision, wait) = queues.admit(hop.router.id, now, current.header.ecn(), rng);
+            match decision {
+                AqmDecision::Forward(ecn) => current.header.set_ecn(ecn),
+                AqmDecision::Drop => return TransitOutcome::Dropped { at_hop: index },
             }
-
-            // AQM marking / dropping.
-            if let Some(aqm) = &hop.router.aqm {
-                match aqm.apply(current.header.ecn(), rng) {
-                    AqmDecision::Forward(ecn) => current.header.set_ecn(ecn),
-                    AqmDecision::Drop => return TransitOutcome::Dropped { at_hop: index },
-                }
-            }
+            elapsed += wait;
         }
         TransitOutcome::Delivered {
             datagram: current,
@@ -293,7 +267,7 @@ impl Path {
 }
 
 /// Build the ICMP time-exceeded response a router sends for `expired`.
-fn build_time_exceeded(router: &Router, expired: &IpDatagram) -> IpDatagram {
+fn build_time_exceeded(router: &Router, expired: &IpDatagram) -> qem_packet::Result<IpDatagram> {
     let v6 = expired.header.is_v6();
     let full_quote = expired.to_bytes();
     let quote_len = router.icmp.quote_bytes.min(full_quote.len());
@@ -301,31 +275,19 @@ fn build_time_exceeded(router: &Router, expired: &IpDatagram) -> IpDatagram {
         v6,
         quote: full_quote[..quote_len].to_vec(),
     };
-    let payload = message.encode();
-    let header = match (router.address, expired.header.src()) {
-        (IpAddr::V4(src), IpAddr::V4(dst)) => {
-            IpHeader::V4(Ipv4Header::new(src, dst, IpProtocol::Icmp, 64))
-        }
-        (IpAddr::V6(src), IpAddr::V6(dst)) => {
-            IpHeader::V6(Ipv6Header::new(src, dst, IpProtocol::Icmpv6, 64))
-        }
-        // Mixed families can only happen if a topology was mis-built; answer
-        // from the router's address family towards a mapped destination so
-        // the caller still sees *something* rather than a panic.
-        (IpAddr::V4(src), IpAddr::V6(_)) => IpHeader::V4(Ipv4Header::new(
-            src,
-            std::net::Ipv4Addr::UNSPECIFIED,
-            IpProtocol::Icmp,
-            64,
-        )),
-        (IpAddr::V6(src), IpAddr::V4(_)) => IpHeader::V6(Ipv6Header::new(
-            src,
-            std::net::Ipv6Addr::UNSPECIFIED,
-            IpProtocol::Icmpv6,
-            64,
-        )),
+    let protocol = if v6 {
+        IpProtocol::Icmpv6
+    } else {
+        IpProtocol::Icmp
     };
-    IpDatagram::new(header, payload)
+    IpDatagram::assemble(
+        router.address,
+        expired.header.src(),
+        protocol,
+        64,
+        EcnCodepoint::NotEct,
+        message.encode(),
+    )
 }
 
 /// A bidirectional path between a client and a server.
@@ -363,7 +325,6 @@ impl DuplexPath {
                     router.id = router.id.reverse_direction();
                     router.ecn_policy = crate::policy::EcnPolicy::Pass;
                     router.dscp_policy = crate::policy::DscpPolicy::Pass;
-                    router.aqm = None;
                     Hop {
                         router,
                         delay: hop.delay,

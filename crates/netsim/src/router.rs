@@ -1,6 +1,5 @@
 //! Routers: the per-hop actors of the path simulator.
 
-use crate::aqm::AqmConfig;
 use crate::policy::{DscpPolicy, EcnPolicy};
 use crate::topology::Asn;
 use serde::{Deserialize, Serialize};
@@ -109,8 +108,6 @@ pub struct Router {
     pub ecn_policy: EcnPolicy,
     /// DSCP rewrite policy.
     pub dscp_policy: DscpPolicy,
-    /// Optional AQM applied after the rewrite policies.
-    pub aqm: Option<AqmConfig>,
     /// Behaviour towards TTL-expired packets.
     pub icmp: IcmpBehavior,
 }
@@ -127,7 +124,6 @@ impl Router {
             address: Router::derive_v4_address(id, asn),
             ecn_policy: EcnPolicy::Pass,
             dscp_policy: DscpPolicy::Pass,
-            aqm: None,
             icmp: IcmpBehavior::responsive(),
         }
     }
@@ -154,12 +150,6 @@ impl Router {
     /// Set the ICMP behaviour.
     pub fn with_icmp(mut self, icmp: IcmpBehavior) -> Self {
         self.icmp = icmp;
-        self
-    }
-
-    /// Attach an AQM.
-    pub fn with_aqm(mut self, aqm: AqmConfig) -> Self {
-        self.aqm = Some(aqm);
         self
     }
 
@@ -203,7 +193,6 @@ mod tests {
         assert_eq!(r.asn, Asn(1299));
         assert_eq!(r.ecn_policy, EcnPolicy::ClearEcn);
         assert_eq!(r.icmp.response_probability, 0.0);
-        assert!(r.aqm.is_none());
     }
 
     #[test]

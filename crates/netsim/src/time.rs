@@ -129,38 +129,6 @@ impl fmt::Display for SimInstant {
     }
 }
 
-/// A monotonically advancing virtual clock.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct SimClock {
-    now: SimInstant,
-}
-
-impl SimClock {
-    /// A clock starting at the epoch.
-    pub fn new() -> Self {
-        SimClock {
-            now: SimInstant::EPOCH,
-        }
-    }
-
-    /// The current instant.
-    pub fn now(&self) -> SimInstant {
-        self.now
-    }
-
-    /// Advance the clock by `d`.
-    pub fn advance(&mut self, d: SimDuration) {
-        self.now = self.now + d;
-    }
-
-    /// Advance the clock to `instant` if it lies in the future.
-    pub fn advance_to(&mut self, instant: SimInstant) {
-        if instant > self.now {
-            self.now = instant;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,17 +146,6 @@ mod tests {
         let t1 = t0 + SimDuration::from_millis(10);
         assert_eq!((t1 - t0).as_millis(), 10);
         assert_eq!(t0.duration_since(t1), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn clock_is_monotone() {
-        let mut clock = SimClock::new();
-        clock.advance(SimDuration::from_millis(5));
-        let t = clock.now();
-        clock.advance_to(SimInstant::EPOCH); // must not go backwards
-        assert_eq!(clock.now(), t);
-        clock.advance_to(t + SimDuration::from_secs(1));
-        assert!(clock.now() > t);
     }
 
     #[test]

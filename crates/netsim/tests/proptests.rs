@@ -1,8 +1,9 @@
 //! Property-based tests for the path simulator.
 
 use proptest::prelude::*;
+use qem_netsim::aqm::AqmDecision;
 use qem_netsim::{
-    AqmConfig, Asn, DscpPolicy, EcnPolicy, Hop, IcmpBehavior, Path, Router, SimDuration,
+    Asn, DscpPolicy, EcnPolicy, Hop, IcmpBehavior, OccupancyAqm, Path, Router, SimDuration,
     TransitOutcome,
 };
 use qem_packet::ecn::EcnCodepoint;
@@ -148,26 +149,28 @@ proptest! {
     }
 
     /// AQM decisions never invent an ECT mark out of not-ECT traffic and never
-    /// turn marked traffic into not-ECT (they either forward, mark CE or drop).
+    /// turn marked traffic into not-ECT (they either forward, mark CE or drop),
+    /// at any thresholds and any occupancy.
     #[test]
     fn aqm_preserves_mark_semantics(
         ecn in arb_ecn(),
-        probability in 0.0f64..1.0,
+        min_thresh in 0usize..32,
+        span in 0usize..32,
+        occupancy in 0usize..96,
         seed in any::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        for aqm in [AqmConfig::classic(probability), AqmConfig::l4s_default()] {
-            match aqm.apply(ecn, &mut rng) {
-                qem_netsim::aqm::AqmDecision::Forward(out) => {
-                    if ecn == EcnCodepoint::NotEct {
-                        prop_assert_eq!(out, EcnCodepoint::NotEct);
-                    } else {
-                        prop_assert!(out != EcnCodepoint::NotEct);
-                    }
+        let aqm = OccupancyAqm { min_thresh, max_thresh: min_thresh + span };
+        match aqm.apply(ecn, occupancy, &mut rng) {
+            AqmDecision::Forward(out) => {
+                if ecn == EcnCodepoint::NotEct {
+                    prop_assert_eq!(out, EcnCodepoint::NotEct);
+                } else {
+                    prop_assert!(out != EcnCodepoint::NotEct);
                 }
-                qem_netsim::aqm::AqmDecision::Drop => {
-                    prop_assert_eq!(ecn, EcnCodepoint::NotEct);
-                }
+            }
+            AqmDecision::Drop => {
+                prop_assert_eq!(ecn, EcnCodepoint::NotEct);
             }
         }
     }

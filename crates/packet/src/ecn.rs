@@ -55,12 +55,6 @@ impl EcnCodepoint {
         self as u8
     }
 
-    /// Whether this codepoint declares an ECN-capable transport
-    /// (`ECT(0)`, `ECT(1)`) or an already-applied mark (`CE`).
-    pub fn is_ect_or_ce(self) -> bool {
-        self != EcnCodepoint::NotEct
-    }
-
     /// Whether the codepoint is one of the two ECT values (excluding `CE`).
     pub fn is_ect(self) -> bool {
         matches!(self, EcnCodepoint::Ect0 | EcnCodepoint::Ect1)

@@ -146,18 +146,6 @@ impl ServerBehavior {
         self
     }
 
-    /// Set the HTTP `via` header.
-    pub fn with_via_header(mut self, header: &str) -> Self {
-        self.via_header = Some(header.to_string());
-        self
-    }
-
-    /// Set the advertised transport parameters.
-    pub fn with_transport_params(mut self, params: TransportParameters) -> Self {
-        self.transport_params = params;
-        self
-    }
-
     /// Whether `version` is acceptable to this server.
     pub fn supports_version(&self, version: QuicVersion) -> bool {
         self.supported_versions.contains(&version)

@@ -222,12 +222,6 @@ impl ClientConnection {
         self.closed
     }
 
-    /// Whether the client has everything it came for: a response, and every
-    /// ack-eliciting packet acknowledged so the full ECN feedback is in.
-    pub fn is_done(&self) -> bool {
-        self.closed || (self.response.is_some() && self.all_acked())
-    }
-
     fn all_acked(&self) -> bool {
         !self.spaces.iter().any(|s| s.has_unacked())
     }

@@ -28,14 +28,14 @@
 //! where CE marking becomes load-dependent.
 
 use crate::behavior::ServerBehavior;
-use crate::client::{ClientConfig, ClientConnection, ClientReport};
+use crate::client::{ClientConfig, ClientConnection, ClientReport, Transmit};
 use crate::server::ServerConnection;
 use qem_netsim::engine::{
     run_measured, CrossTraffic, EngineTelemetry, Flow, FlowStatus, SharedQueues,
 };
 use qem_netsim::{DuplexPath, SimDuration, SimInstant};
-use qem_packet::ecn::{EcnCodepoint, EcnCounts};
-use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol, Ipv4Header, Ipv6Header};
+use qem_packet::ecn::EcnCounts;
+use qem_packet::ip::{IpDatagram, IpProtocol};
 use qem_packet::quic::QUIC_PORT;
 use qem_packet::udp::UdpHeader;
 use rand::Rng;
@@ -106,7 +106,6 @@ pub struct QuicFlow<'a, R: Rng + ?Sized> {
     forward_arrival_ecn: EcnCounts,
     forward_losses: u64,
     reverse_losses: u64,
-    done: bool,
 }
 
 impl<'a, R: Rng + ?Sized> QuicFlow<'a, R> {
@@ -131,13 +130,7 @@ impl<'a, R: Rng + ?Sized> QuicFlow<'a, R> {
             forward_arrival_ecn: EcnCounts::ZERO,
             forward_losses: 0,
             reverse_losses: 0,
-            done: false,
         }
-    }
-
-    /// Whether the flow has finished.
-    pub fn is_done(&self) -> bool {
-        self.done
     }
 
     /// Consume the flow and build the connection outcome.
@@ -151,6 +144,31 @@ impl<'a, R: Rng + ?Sized> QuicFlow<'a, R> {
         }
     }
 
+    /// `transmit` inside UDP inside IP, pushed down the forward (client →
+    /// server) or the reverse path.  `None` when it did not arrive: lost in
+    /// transit, or never sent because the address pair cannot be assembled.
+    fn send(
+        &mut self,
+        forward: bool,
+        transmit: &Transmit,
+        net: &mut SharedQueues,
+    ) -> Option<IpDatagram> {
+        let client = (self.config.client_addr, self.config.client_port);
+        let server = (self.config.server_addr, QUIC_PORT);
+        let (path, (src, src_port), (dst, dst_port)) = if forward {
+            (&self.path.forward, client, server)
+        } else {
+            (&self.path.reverse, server, client)
+        };
+        let udp = UdpHeader::new(src_port, dst_port).encode(src, dst, &transmit.payload);
+        let datagram =
+            IpDatagram::assemble(src, dst, IpProtocol::Udp, 64, transmit.ecn, udp).ok()?;
+        let (arrived, _) = path
+            .transit_shared(&datagram, self.now, self.rng, net)
+            .delivered()?;
+        Some(arrived)
+    }
+
     /// One bidirectional drain pass; returns whether anything moved.
     fn drain(&mut self, net: &mut SharedQueues) -> bool {
         let mut activity = false;
@@ -158,53 +176,29 @@ impl<'a, R: Rng + ?Sized> QuicFlow<'a, R> {
         // Client → server.
         while let Some(transmit) = self.client.poll_transmit(self.now) {
             activity = true;
-            let datagram = encapsulate(
-                self.config.client_addr,
-                self.config.server_addr,
-                self.config.client_port,
-                QUIC_PORT,
-                transmit.ecn,
-                &transmit.payload,
-            );
-            match self
-                .path
-                .forward
-                .transit_shared(&datagram, self.now, self.rng, net)
-            {
-                qem_netsim::TransitOutcome::Delivered { datagram, .. } => {
+            match self.send(true, &transmit, net) {
+                Some(datagram) => {
                     self.forward_arrival_ecn.record(datagram.header.ecn());
-                    if let Some(payload) = decapsulate(&datagram) {
+                    if let Some(payload) = quic_payload(&datagram) {
                         self.server
-                            .handle_datagram(self.now, datagram.header.ecn(), &payload);
+                            .handle_datagram(self.now, datagram.header.ecn(), payload);
                     }
                 }
-                _ => self.forward_losses += 1,
+                None => self.forward_losses += 1,
             }
         }
 
         // Server → client.
         while let Some(transmit) = self.server.poll_transmit(self.now) {
             activity = true;
-            let datagram = encapsulate(
-                self.config.server_addr,
-                self.config.client_addr,
-                QUIC_PORT,
-                self.config.client_port,
-                transmit.ecn,
-                &transmit.payload,
-            );
-            match self
-                .path
-                .reverse
-                .transit_shared(&datagram, self.now, self.rng, net)
-            {
-                qem_netsim::TransitOutcome::Delivered { datagram, .. } => {
-                    if let Some(payload) = decapsulate(&datagram) {
+            match self.send(false, &transmit, net) {
+                Some(datagram) => {
+                    if let Some(payload) = quic_payload(&datagram) {
                         self.client
-                            .handle_datagram(self.now, datagram.header.ecn(), &payload);
+                            .handle_datagram(self.now, datagram.header.ecn(), payload);
                     }
                 }
-                _ => self.reverse_losses += 1,
+                None => self.reverse_losses += 1,
             }
         }
 
@@ -228,7 +222,6 @@ impl<R: Rng + ?Sized> Flow for QuicFlow<'_, R> {
 
         loop {
             if self.iterations >= self.config.max_iterations {
-                self.done = true;
                 return FlowStatus::Done;
             }
             self.iterations += 1;
@@ -236,7 +229,6 @@ impl<R: Rng + ?Sized> Flow for QuicFlow<'_, R> {
             let activity = self.drain(net);
 
             if self.client.is_closed() {
-                self.done = true;
                 return FlowStatus::Done;
             }
             if activity {
@@ -257,10 +249,7 @@ impl<R: Rng + ?Sized> Flow for QuicFlow<'_, R> {
                     // be woken "now" — the engine clamps to the present.
                     return FlowStatus::Sleep(t.max(self.now));
                 }
-                _ => {
-                    self.done = true;
-                    return FlowStatus::Done;
-                }
+                _ => return FlowStatus::Done,
             }
         }
     }
@@ -351,43 +340,10 @@ impl<'a> ConnectionRun<'a> {
     }
 }
 
-fn encapsulate(
-    src: IpAddr,
-    dst: IpAddr,
-    src_port: u16,
-    dst_port: u16,
-    ecn: EcnCodepoint,
-    payload: &[u8],
-) -> IpDatagram {
-    let udp = UdpHeader::new(src_port, dst_port).encode(src, dst, payload);
-    let header = match (src, dst) {
-        (IpAddr::V4(s), IpAddr::V4(d)) => {
-            IpHeader::V4(Ipv4Header::new(s, d, IpProtocol::Udp, 64).with_ecn(ecn))
-        }
-        (IpAddr::V6(s), IpAddr::V6(d)) => {
-            IpHeader::V6(Ipv6Header::new(s, d, IpProtocol::Udp, 64).with_ecn(ecn))
-        }
-        // Mixed families indicate a mis-built scenario; default to v4 with
-        // unspecified addresses so the failure is visible (nothing will match).
-        _ => IpHeader::V4(
-            Ipv4Header::new(
-                std::net::Ipv4Addr::UNSPECIFIED,
-                std::net::Ipv4Addr::UNSPECIFIED,
-                IpProtocol::Udp,
-                64,
-            )
-            .with_ecn(ecn),
-        ),
-    };
-    IpDatagram::new(header, udp)
-}
-
-fn decapsulate(datagram: &IpDatagram) -> Option<Vec<u8>> {
-    if datagram.header.protocol() != IpProtocol::Udp {
-        return None;
-    }
-    let (_, payload) = UdpHeader::decode(&datagram.payload).ok()?;
-    Some(payload.to_vec())
+/// The QUIC bytes of a delivered datagram.
+fn quic_payload(datagram: &IpDatagram) -> Option<&[u8]> {
+    let (_, payload) = UdpHeader::decode(datagram.transport(IpProtocol::Udp)?).ok()?;
+    Some(payload)
 }
 
 #[cfg(test)]
@@ -625,6 +581,23 @@ mod tests {
         .connection;
         assert!(outcome.report.connected);
         assert_eq!(outcome.report.ecn_state, EcnValidationState::Capable);
+    }
+
+    #[test]
+    fn mixed_address_families_finish_unconnected_with_losses_counted() {
+        // A v4 client towards a v6 server cannot put a datagram on the wire:
+        // every transmit counts as lost and the client times out.
+        let outcome = ConnectionRun::new(
+            ClientConfig::paper_default("mixed.example.org"),
+            ServerBehavior::accurate(),
+            &clean_path(),
+            DriverConfig::new(addrs().0, "2001:db8:1::443".parse().unwrap()),
+        )
+        .execute(&mut StdRng::seed_from_u64(13))
+        .connection;
+        assert!(!outcome.report.connected);
+        assert!(outcome.forward_losses >= 2);
+        assert_eq!(outcome.forward_arrival_ecn, EcnCounts::ZERO);
     }
 
     #[test]

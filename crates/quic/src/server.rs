@@ -61,11 +61,6 @@ impl ServerConnection {
         &self.behavior
     }
 
-    /// Whether the server saw the client finish the handshake.
-    pub fn handshake_complete(&self) -> bool {
-        self.client_finished
-    }
-
     /// Whether the connection is closed.
     pub fn is_closed(&self) -> bool {
         self.closed

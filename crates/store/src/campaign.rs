@@ -149,20 +149,7 @@ impl CampaignStoreExt for Campaign<'_> {
         let universe = self.universe();
         let meta = SnapshotMeta::for_campaign(options, vantage, ipv6);
         let mut writer = CampaignWriter::create(dir, &meta)?;
-        let scanner = Scanner::new(
-            universe,
-            vantage.clone(),
-            ScanOptions {
-                date: options.date,
-                ipv6,
-                probe: options.probe,
-                trace_sample_probability: options.trace_sample_probability,
-                workers: options.workers,
-                seed: options.seed,
-                cross_traffic: options.cross_traffic,
-                retry: qem_core::resilience::RetryPolicy::none(),
-            },
-        );
+        let scanner = Scanner::new(universe, vantage.clone(), options.scan_options(ipv6));
         let population = universe.scan_population(ipv6);
         scan_into(&scanner, &population, |m| writer.append(m))?;
         let (store, stats) = writer.finish_with_stats()?;
@@ -236,20 +223,8 @@ impl CampaignStoreExt for Campaign<'_> {
         let population = universe.scan_population(false);
         for _ in dates {
             let date = writer.begin_date()?;
-            let scanner = Scanner::new(
-                universe,
-                vantage.clone(),
-                ScanOptions {
-                    date,
-                    ipv6: false,
-                    probe: options.probe,
-                    trace_sample_probability: options.trace_sample_probability,
-                    workers: options.workers,
-                    seed: options.seed,
-                    cross_traffic: options.cross_traffic,
-                    retry: qem_core::resilience::RetryPolicy::none(),
-                },
-            );
+            let dated = CampaignOptions { date, ..*options };
+            let scanner = Scanner::new(universe, vantage.clone(), dated.scan_options(false));
             scan_into(&scanner, &population, |m| writer.append(m))?;
             writer.end_date()?;
         }
@@ -361,20 +336,7 @@ mod tests {
             let mut writer = CampaignWriter::create(&dir, &meta)
                 .unwrap()
                 .with_segment_capacity(16);
-            let scanner = Scanner::new(
-                &universe,
-                vantage.clone(),
-                ScanOptions {
-                    date: options.date,
-                    ipv6: false,
-                    probe: options.probe,
-                    trace_sample_probability: options.trace_sample_probability,
-                    workers: 0,
-                    seed: options.seed,
-                    cross_traffic: options.cross_traffic,
-                    retry: qem_core::resilience::RetryPolicy::none(),
-                },
-            );
+            let scanner = Scanner::new(&universe, vantage.clone(), options.scan_options(false));
             scan_into(&scanner, &population[..cut], |m| writer.append(m)).unwrap();
             // Writer dropped here: partial segments stay, no COMPLETE marker.
         }

@@ -19,9 +19,9 @@ use crate::behavior::TcpServerBehavior;
 use qem_netsim::engine::{
     run_measured, CrossTraffic, EngineTelemetry, Flow, FlowStatus, SharedQueues,
 };
-use qem_netsim::{DuplexPath, SimDuration, SimInstant, TransitOutcome};
+use qem_netsim::{DuplexPath, SimDuration, SimInstant};
 use qem_packet::ecn::{EcnCodepoint, EcnCounts};
-use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol, Ipv4Header, Ipv6Header};
+use qem_packet::ip::{IpDatagram, IpProtocol};
 use qem_packet::tcp::{TcpFlags, TcpHeader};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -115,11 +115,16 @@ impl<'a> Wire<'a> {
         payload: &[u8],
     ) -> Option<IpDatagram> {
         let segment = header.encode(self.client, self.server, payload);
-        let datagram = encapsulate(self.client, self.server, ecn, segment);
-        match self.path.forward.transit_shared(&datagram, now, rng, net) {
-            TransitOutcome::Delivered { datagram, .. } => Some(datagram),
-            _ => None,
-        }
+        // A segment that cannot be assembled was never sent: a loss.
+        let datagram =
+            IpDatagram::assemble(self.client, self.server, IpProtocol::Tcp, 64, ecn, segment)
+                .ok()?;
+        let (arrived, _) = self
+            .path
+            .forward
+            .transit_shared(&datagram, now, rng, net)
+            .delivered()?;
+        Some(arrived)
     }
 
     fn send_reverse<R: Rng + ?Sized>(
@@ -132,42 +137,23 @@ impl<'a> Wire<'a> {
         payload: &[u8],
     ) -> Option<IpDatagram> {
         let segment = header.encode(self.server, self.client, payload);
-        let datagram = encapsulate(self.server, self.client, ecn, segment);
-        match self.path.reverse.transit_shared(&datagram, now, rng, net) {
-            TransitOutcome::Delivered { datagram, .. } => Some(datagram),
-            _ => None,
-        }
+        // A segment that cannot be assembled was never sent: a loss.
+        let datagram =
+            IpDatagram::assemble(self.server, self.client, IpProtocol::Tcp, 64, ecn, segment)
+                .ok()?;
+        let (arrived, _) = self
+            .path
+            .reverse
+            .transit_shared(&datagram, now, rng, net)
+            .delivered()?;
+        Some(arrived)
     }
 }
 
-fn encapsulate(src: IpAddr, dst: IpAddr, ecn: EcnCodepoint, payload: Vec<u8>) -> IpDatagram {
-    let header = match (src, dst) {
-        (IpAddr::V4(s), IpAddr::V4(d)) => {
-            IpHeader::V4(Ipv4Header::new(s, d, IpProtocol::Tcp, 64).with_ecn(ecn))
-        }
-        (IpAddr::V6(s), IpAddr::V6(d)) => {
-            IpHeader::V6(Ipv6Header::new(s, d, IpProtocol::Tcp, 64).with_ecn(ecn))
-        }
-        _ => IpHeader::V4(
-            Ipv4Header::new(
-                std::net::Ipv4Addr::UNSPECIFIED,
-                std::net::Ipv4Addr::UNSPECIFIED,
-                IpProtocol::Tcp,
-                64,
-            )
-            .with_ecn(ecn),
-        ),
-    };
-    IpDatagram::new(header, payload)
-}
-
-fn decode(datagram: &IpDatagram) -> Option<(TcpHeader, Vec<u8>)> {
-    if datagram.header.protocol() != IpProtocol::Tcp {
-        return None;
-    }
-    TcpHeader::decode(&datagram.payload)
-        .ok()
-        .map(|(h, p)| (h, p.to_vec()))
+/// The TCP header of a delivered datagram.
+fn decode(datagram: &IpDatagram) -> Option<TcpHeader> {
+    let (header, _) = TcpHeader::decode(datagram.transport(IpProtocol::Tcp)?).ok()?;
+    Some(header)
 }
 
 const CLIENT_PORT: u16 = 52_000;
@@ -247,11 +233,6 @@ impl<'a, R: Rng + ?Sized> TcpFlow<'a, R> {
         self
     }
 
-    /// Whether the exchange has finished.
-    pub fn is_done(&self) -> bool {
-        self.state == TcpFlowState::Finished
-    }
-
     /// Consume the flow and return the scanner's observations.
     pub fn into_report(self) -> TcpReport {
         self.report
@@ -276,7 +257,7 @@ impl<'a, R: Rng + ?Sized> TcpFlow<'a, R> {
             self.report.forward_losses += 1;
             return false;
         };
-        let Some((syn_seen, _)) = decode(&at_server) else {
+        let Some(syn_seen) = decode(&at_server) else {
             return false;
         };
         self.report
@@ -300,7 +281,7 @@ impl<'a, R: Rng + ?Sized> TcpFlow<'a, R> {
         else {
             return false;
         };
-        let Some((syn_ack_seen, _)) = decode(&at_client) else {
+        let Some(syn_ack_seen) = decode(&at_client) else {
             return false;
         };
         self.report.received_ecn.record(at_client.header.ecn());
@@ -375,7 +356,7 @@ impl<'a, R: Rng + ?Sized> TcpFlow<'a, R> {
                 .send_reverse(self.rng, now, net, self.server_data_ecn, ack, &[])
         {
             self.report.received_ecn.record(at_client.header.ecn());
-            if let Some((ack_seen, _)) = decode(&at_client) {
+            if let Some(ack_seen) = decode(&at_client) {
                 if ack_seen.flags.ece {
                     self.report.ce_mirrored = true;
                 }
@@ -691,6 +672,23 @@ mod tests {
         );
         assert!(!report.connected);
         assert!(report.forward_losses >= 1);
+    }
+
+    #[test]
+    fn mixed_address_families_report_unconnected_with_the_loss_counted() {
+        let path = clean();
+        let report = TcpConnectionRun::new(
+            TcpClientConfig::ect0(),
+            TcpServerBehavior::full_ecn(),
+            addrs().0,
+            "2001:db8:2::9".parse().unwrap(),
+            &path,
+        )
+        .execute(&mut StdRng::seed_from_u64(42))
+        .report;
+        assert!(!report.connected);
+        assert_eq!(report.forward_losses, 1);
+        assert_eq!(report.server_observed_ecn, EcnCounts::ZERO);
     }
 
     /// The ECT(0) exchange over `path` from a fresh `seed`ed RNG, plus that

@@ -3,12 +3,13 @@
 use qem_netsim::{Path, SimDuration, TransitOutcome};
 use qem_packet::ecn::{Dscp, EcnCodepoint};
 use qem_packet::icmp::IcmpMessage;
-use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol, Ipv4Header, Ipv6Header};
+use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol};
 use qem_packet::quic::{
     ConnectionId, Frame, LongPacketType, PacketHeader, QuicPacket, QuicVersion, MIN_INITIAL_SIZE,
     QUIC_PORT,
 };
 use qem_packet::udp::UdpHeader;
+use qem_packet::PacketError;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
@@ -99,7 +100,7 @@ fn build_probe(
     ttl: u8,
     config: &TraceConfig,
     seq: u32,
-) -> IpDatagram {
+) -> Result<IpDatagram, PacketError> {
     let mut payload = Frame::encode_all(&[Frame::Ping]);
     // Pad so that the whole IP datagram clears the 1200-byte Initial minimum
     // (QUIC long header + UDP + IP headers add roughly 50–70 bytes).
@@ -123,29 +124,16 @@ fn build_probe(
         destination,
         &packet.encode(),
     );
-    let header = match (source, destination) {
-        (IpAddr::V4(s), IpAddr::V4(d)) => IpHeader::V4(
-            Ipv4Header::new(s, d, IpProtocol::Udp, ttl)
-                .with_ecn(config.probe_codepoint)
-                .with_dscp(config.probe_dscp),
-        ),
-        (IpAddr::V6(s), IpAddr::V6(d)) => {
-            let mut h =
-                Ipv6Header::new(s, d, IpProtocol::Udp, ttl).with_ecn(config.probe_codepoint);
-            h.dscp = config.probe_dscp;
-            IpHeader::V6(h)
-        }
-        _ => IpHeader::V4(
-            Ipv4Header::new(
-                std::net::Ipv4Addr::UNSPECIFIED,
-                std::net::Ipv4Addr::UNSPECIFIED,
-                IpProtocol::Udp,
-                ttl,
-            )
-            .with_ecn(config.probe_codepoint),
-        ),
-    };
-    IpDatagram::new(header, udp)
+    let mut probe = IpDatagram::assemble(
+        source,
+        destination,
+        IpProtocol::Udp,
+        ttl,
+        config.probe_codepoint,
+        udp,
+    )?;
+    probe.header.set_dscp(config.probe_dscp);
+    Ok(probe)
 }
 
 /// Extract the quoted traffic class from an ICMP time-exceeded response.
@@ -180,12 +168,14 @@ pub fn trace_path<R: Rng + ?Sized>(
     };
     let mut consecutive_timeouts = 0u32;
     for ttl in 1..=config.max_ttl {
-        let probe = build_probe(source, destination, ttl, config, u32::from(ttl));
+        // A probe that cannot be assembled is never answered: a timeout.
+        let outcome = build_probe(source, destination, ttl, config, u32::from(ttl))
+            .map(|probe| path.transit(&probe, rng));
         trace.probes_sent += 1;
-        match path.transit(&probe, rng) {
-            TransitOutcome::TimeExceeded {
+        match outcome {
+            Ok(TransitOutcome::TimeExceeded {
                 response, delay, ..
-            } => {
+            }) => {
                 consecutive_timeouts = 0;
                 trace.time_spent += delay;
                 let observed = parse_quote(&response);
@@ -197,11 +187,11 @@ pub fn trace_path<R: Rng + ?Sized>(
                     timed_out: false,
                 });
             }
-            TransitOutcome::Delivered { .. } => {
+            Ok(TransitOutcome::Delivered { .. }) => {
                 trace.destination_reached = true;
                 break;
             }
-            TransitOutcome::Expired { .. } | TransitOutcome::Dropped { .. } => {
+            Ok(TransitOutcome::Expired { .. } | TransitOutcome::Dropped { .. }) | Err(_) => {
                 consecutive_timeouts += 1;
                 trace.time_spent += config.per_hop_timeout;
                 trace.hops.push(HopObservation {
@@ -330,7 +320,7 @@ mod tests {
     #[test]
     fn probe_is_a_padded_quic_initial() {
         let (src, dst) = endpoints();
-        let probe = build_probe(src, dst, 3, &TraceConfig::default(), 3);
+        let probe = build_probe(src, dst, 3, &TraceConfig::default(), 3).unwrap();
         assert!(probe.wire_len() >= MIN_INITIAL_SIZE);
         assert_eq!(probe.header.ttl(), 3);
         assert_eq!(probe.header.ecn(), EcnCodepoint::Ect0);

@@ -21,7 +21,7 @@
 
 use qem_netsim::{DuplexPath, Flow, FlowStatus, SharedQueues, SimDuration, SimInstant};
 use qem_packet::ecn::EcnCodepoint;
-use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol, Ipv4Header};
+use qem_packet::ip::{IpDatagram, IpProtocol};
 use qem_packet::udp::UdpHeader;
 use qem_quic::app::{AppDataSource, BulkObject, FrameSource, StreamPacketizer};
 use qem_tcp::app::SegmentPacketizer;
@@ -55,20 +55,6 @@ fn endpoint_addrs(conn: u8) -> (IpAddr, IpAddr) {
         IpAddr::V4(Ipv4Addr::new(198, 18, 1, conn)),
         IpAddr::V4(Ipv4Addr::new(198, 19, 1, 1)),
     )
-}
-
-fn encapsulate(
-    src: IpAddr,
-    dst: IpAddr,
-    ecn: EcnCodepoint,
-    protocol: IpProtocol,
-    transport_bytes: Vec<u8>,
-) -> IpDatagram {
-    let (IpAddr::V4(src_v4), IpAddr::V4(dst_v4)) = (src, dst) else {
-        unreachable!("workload endpoints are IPv4");
-    };
-    let header = IpHeader::V4(Ipv4Header::new(src_v4, dst_v4, protocol, 64).with_ecn(ecn));
-    IpDatagram::new(header, transport_bytes)
 }
 
 /// What the bulk sender learns about one packet, delivered as a timed event.
@@ -242,15 +228,18 @@ impl BulkAppFlow {
             }
             Packetizer::Tcp(p) => (IpProtocol::Tcp, p.packetize(src, dst, len)),
         };
-        let datagram = encapsulate(src, dst, self.ecn, protocol, transport_bytes);
         self.packets_sent += 1;
         self.in_flight.insert(offset, len);
-        match self
-            .path
-            .forward
-            .transit_shared(&datagram, now, &mut self.rng, net)
-        {
-            qem_netsim::TransitOutcome::Delivered { datagram, delay } => {
+        let arrived = IpDatagram::assemble(src, dst, protocol, 64, self.ecn, transport_bytes)
+            .ok()
+            .and_then(|datagram| {
+                self.path
+                    .forward
+                    .transit_shared(&datagram, now, &mut self.rng, net)
+                    .delivered()
+            });
+        match arrived {
+            Some((datagram, delay)) => {
                 let ce = datagram.header.ecn() == EcnCodepoint::Ce;
                 let ack_at = now + delay + self.path.reverse.one_way_delay();
                 self.feedback
@@ -258,7 +247,7 @@ impl BulkAppFlow {
                     .or_default()
                     .push(Feedback::Ack { offset, len, ce });
             }
-            _ => {
+            None => {
                 self.feedback
                     .entry(now + self.rto)
                     .or_default()
@@ -463,18 +452,22 @@ impl RtcAppFlow {
             let quic_bytes = self.packetizer.packetize(&chunk);
             let udp = UdpHeader::new(51_000 + u16::from(self.conn), 443);
             let transport_bytes = udp.encode(src, dst, &quic_bytes);
-            let datagram = encapsulate(src, dst, self.ecn, IpProtocol::Udp, transport_bytes);
-            match self
-                .path
-                .forward
-                .transit_shared(&datagram, now, &mut self.rng, net)
-            {
-                qem_netsim::TransitOutcome::Delivered { datagram, delay } => {
+            let arrived =
+                IpDatagram::assemble(src, dst, IpProtocol::Udp, 64, self.ecn, transport_bytes)
+                    .ok()
+                    .and_then(|datagram| {
+                        self.path
+                            .forward
+                            .transit_shared(&datagram, now, &mut self.rng, net)
+                            .delivered()
+                    });
+            match arrived {
+                Some((datagram, delay)) => {
                     state.outstanding += 1;
                     state.ce |= datagram.header.ecn() == EcnCodepoint::Ce;
                     self.arrivals.entry(now + delay).or_default().push(index);
                 }
-                _ => {
+                None => {
                     state.lost = true;
                 }
             }
