@@ -2,10 +2,9 @@
 //! the CE-probing comparison run and the distributed cloud measurement.
 
 use crate::executor::ShardedExecutor;
-use crate::observation::{DomainRecord, HostMeasurement};
+use crate::observation::HostMeasurement;
 use crate::resilience::RetryPolicy;
 use crate::scanner::{ProbeMode, ScanOptions, Scanner};
-use crate::source::join_domains;
 use crate::vantage::VantagePoint;
 use qem_netsim::CrossTraffic;
 use qem_obs::{MetricsSnapshot, RunTelemetry};
@@ -120,17 +119,6 @@ impl SnapshotMeasurement {
     /// Look up the measurement for a host.
     pub fn host(&self, host_id: usize) -> Option<&HostMeasurement> {
         self.hosts.get(&host_id)
-    }
-
-    /// Build per-domain records by joining the universe's DNS data with the
-    /// per-host measurements — the paper's per-domain vs per-IP distinction.
-    pub fn domain_records(&self, universe: &Universe) -> Vec<DomainRecord> {
-        join_domains(universe, self.ipv6, |h| {
-            self.hosts
-                .get(&h)
-                .filter(|m| m.quic_reachable)
-                .map(|m| (m.mirror_use(), m.ecn_class()))
-        })
     }
 
     /// Number of hosts reachable via QUIC in this snapshot.
@@ -322,7 +310,8 @@ impl<'a> Campaign<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observation::EcnClass;
+    use crate::observation::{EcnClass, HostSummary};
+    use crate::source::{HostTable, Scope, SnapshotSource};
     use qem_web::UniverseConfig;
 
     fn universe() -> Universe {
@@ -363,23 +352,34 @@ mod tests {
         assert_eq!(retry, RetryPolicy::standard());
     }
 
+    /// Domains of either population on the QUIC-reachable hosts of `table`
+    /// that satisfy `pred`.
+    fn quic_domains(table: &HostTable, pred: impl Fn(&HostSummary) -> bool) -> u64 {
+        [Scope::Toplists, Scope::Cno]
+            .into_iter()
+            .flat_map(|scope| table.quic_hosts(scope))
+            .filter(|(_, _, host)| pred(host))
+            .map(|(_, domains, _)| domains)
+            .sum()
+    }
+
     #[test]
-    fn main_campaign_produces_domain_records() {
+    fn main_campaign_joins_domains_onto_hosts() {
         let universe = universe();
         let campaign = Campaign::new(&universe);
         let result = campaign.run_main(&CampaignOptions::paper_default(), false);
-        let records = result.v4.domain_records(&universe);
-        assert_eq!(records.len(), universe.domains.len());
-        let quic = records.iter().filter(|r| r.quic).count();
-        let resolved = records.iter().filter(|r| r.resolved).count();
+        let table = result.v4.host_table(&universe);
+        let resolved: u64 = [Scope::Toplists, Scope::Cno]
+            .into_iter()
+            .flat_map(|scope| table.weights(scope))
+            .map(|&w| u64::from(w))
+            .sum();
+        let quic = quic_domains(&table, |_| true);
         assert!(quic > 0);
         assert!(resolved > quic);
         // Mirroring domains are a small minority, capable even fewer.
-        let mirroring = records.iter().filter(|r| r.mirror_use.mirroring).count();
-        let capable = records
-            .iter()
-            .filter(|r| r.class == Some(EcnClass::Capable))
-            .count();
+        let mirroring = quic_domains(&table, |h| h.mirror_use.mirroring);
+        let capable = quic_domains(&table, |h| h.class == Some(EcnClass::Capable));
         assert!(mirroring < quic / 4);
         assert!(capable <= mirroring);
     }
@@ -389,18 +389,8 @@ mod tests {
         let universe = universe();
         let campaign = Campaign::new(&universe);
         let result = campaign.run_main(&CampaignOptions::paper_default(), true);
-        let v6 = result.v6.unwrap();
-        let v4_quic = result
-            .v4
-            .domain_records(&universe)
-            .iter()
-            .filter(|r| r.quic)
-            .count();
-        let v6_quic = v6
-            .domain_records(&universe)
-            .iter()
-            .filter(|r| r.quic)
-            .count();
+        let v4_quic = quic_domains(&result.v4.host_table(&universe), |_| true);
+        let v6_quic = quic_domains(&result.v6.unwrap().host_table(&universe), |_| true);
         assert!(v6_quic < v4_quic);
         assert!(v6_quic > 0);
     }
@@ -417,14 +407,9 @@ mod tests {
             ],
             &CampaignOptions::paper_default(),
         );
-        let mirroring_domains: Vec<usize> = snapshots
+        let mirroring_domains: Vec<u64> = snapshots
             .iter()
-            .map(|s| {
-                s.domain_records(&universe)
-                    .iter()
-                    .filter(|r| r.mirror_use.mirroring)
-                    .count()
-            })
+            .map(|s| quic_domains(&s.host_table(&universe), |h| h.mirror_use.mirroring))
             .collect();
         // The Figure 3 shape: decline from June 2022 to February 2023, strong
         // recovery by April 2023.

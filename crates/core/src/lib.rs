@@ -29,9 +29,9 @@ pub mod vantage;
 pub use campaign::{Campaign, CampaignOptions, CampaignResult, SnapshotMeasurement};
 pub use executor::{ExecutorStats, ShardedExecutor};
 pub use metrics::{class_slug, ScanMetrics};
-pub use observation::{DomainRecord, EcnClass, HostMeasurement, MirrorUse};
+pub use observation::{EcnClass, HostMeasurement, MirrorUse};
 pub use qem_netsim::CrossTraffic;
 pub use resilience::{classify_probe, ProbeError, RetryPolicy};
 pub use scanner::{ScanOptions, Scanner};
-pub use source::{JoinedSnapshot, SnapshotSource};
+pub use source::{HostTable, JoinedSnapshot, SnapshotSource};
 pub use vantage::{CloudProvider, VantagePoint};

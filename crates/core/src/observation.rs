@@ -1,9 +1,10 @@
 //! Observation records and their classification into the paper's categories.
 
+use crate::reports::{QuicCeCategory, TcpCategory};
 use qem_quic::ecn::{EcnValidationFailure, EcnValidationState};
-use qem_quic::ClientReport;
+use qem_quic::{ClientReport, QuicVersion};
 use qem_tcp::TcpReport;
-use qem_tracebox::TraceAnalysis;
+use qem_tracebox::{PathVerdict, TraceAnalysis};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -82,6 +83,36 @@ pub struct MirrorUse {
     pub uses_ecn: bool,
 }
 
+/// The web-server families Figure 3 tells apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ServerFamily {
+    LiteSpeed,
+    Pepyaka,
+    Other,
+}
+
+impl ServerFamily {
+    /// Bucket a normalised `server` header.
+    fn of(family: &str) -> Self {
+        if family.starts_with("LiteSpeed") {
+            ServerFamily::LiteSpeed
+        } else if family.starts_with("Pepyaka") {
+            ServerFamily::Pepyaka
+        } else {
+            ServerFamily::Other
+        }
+    }
+
+    /// Label used in the rendered figure.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            ServerFamily::LiteSpeed => "LiteSpeed",
+            ServerFamily::Pepyaka => "Pepyaka",
+            ServerFamily::Other => "Other",
+        }
+    }
+}
+
 /// Everything measured about one host from one vantage point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HostMeasurement {
@@ -114,43 +145,60 @@ impl HostMeasurement {
         self.quic.as_ref().and_then(EcnClass::classify)
     }
 
-    /// The normalised HTTP server family reported by the host.
-    pub fn server_family(&self) -> Option<String> {
-        self.quic
-            .as_ref()
-            .and_then(|r| r.response.as_ref())
-            .and_then(|resp| resp.server_family())
-    }
-
-    /// The server's transport-parameter fingerprint.
-    pub fn fingerprint(&self) -> Option<u64> {
-        self.quic.as_ref().and_then(|r| r.transport_fingerprint)
+    /// Everything the report builders read about this host, decided once
+    /// per host instead of once per domain it serves.  Total over any
+    /// measurement a store segment can decode to.
+    pub(crate) fn summary(&self) -> HostSummary {
+        let quic = self.quic.as_ref();
+        HostSummary {
+            quic_reachable: self.quic_reachable,
+            mirror_use: self.mirror_use(),
+            class: self.ecn_class(),
+            verdict: self.trace.as_ref().map(|t| t.verdict),
+            // A decoded segment can carry the `quic_reachable` flag without a
+            // QUIC report — the two are independent bits on disk — and
+            // Figure 4 draws such a host as v1.
+            version: quic.map_or(QuicVersion::V1, |r| r.version),
+            family: quic
+                .and_then(|r| r.response.as_ref())
+                .and_then(|resp| resp.server_family())
+                .map(|family| ServerFamily::of(&family)),
+            fingerprint: quic.and_then(|r| r.transport_fingerprint),
+            tcp: self.tcp.as_ref().and_then(TcpCategory::of),
+            quic_ce: quic.and_then(QuicCeCategory::of),
+        }
     }
 }
 
-/// A per-domain view of a snapshot: which host served it and what was
-/// measured there.  This is what the report builders consume.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DomainRecord {
-    /// Index of the domain in the universe.
-    pub domain_idx: usize,
-    /// Whether the domain resolved for the probed address family.
-    pub resolved: bool,
-    /// The host index, if resolved.
-    pub host_id: Option<usize>,
-    /// Whether the domain was reachable via QUIC.
-    pub quic: bool,
+/// The per-host attributes of one [`HostMeasurement`] that tables and
+/// figures are built from — a flat value, no packet counters, no strings.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct HostSummary {
+    /// Whether an HTTP/3-over-QUIC exchange succeeded.
+    pub quic_reachable: bool,
     /// Mirroring / use summary.
     pub mirror_use: MirrorUse,
-    /// Validation class, if reachable via QUIC.
+    /// Validation class, if a QUIC connection was established.
     pub class: Option<EcnClass>,
+    /// Tracebox verdict, if the host was traced.
+    pub verdict: Option<PathVerdict>,
+    /// QUIC version spoken.
+    pub version: QuicVersion,
+    /// Server family from the `server` header, if the host sent one.
+    pub family: Option<ServerFamily>,
+    /// Transport-parameter fingerprint, which identifies the stack of hosts
+    /// that suppress the header (§5.3).
+    pub fingerprint: Option<u64>,
+    /// Figure 6 category of the TCP probe, if it connected.
+    pub tcp: Option<TcpCategory>,
+    /// Figure 6 category of the QUIC probe, if it connected.
+    pub quic_ce: Option<QuicCeCategory>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use qem_packet::ecn::EcnCounts;
-    use qem_packet::quic::QuicVersion;
 
     fn report(connected: bool, mirrored: bool, state: EcnValidationState) -> ClientReport {
         ClientReport {

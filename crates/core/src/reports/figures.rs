@@ -2,15 +2,18 @@
 //! Figure 2 the pipeline diagram; neither carries data).
 //!
 //! Like the table builders, every figure builder is generic over
-//! [`SnapshotSource`] and gathers the per-host attributes it needs (server
-//! family, QUIC version, TCP category) in one streaming pass, so the same
+//! [`SnapshotSource`] and loops over the source's per-host join, so the same
 //! code renders a figure from a live campaign or from a `qem-store`
-//! directory with byte-identical output.
+//! directory with byte-identical output.  Only Figure 7 streams sources
+//! itself: the cloud snapshots are weighted by the main vantage point's
+//! join, not joined.
 
 use super::fmt_count;
-use crate::observation::EcnClass;
-use crate::source::SnapshotSource;
+use crate::observation::{EcnClass, HostSummary};
+use crate::source::{Scope, SnapshotSource};
 use crate::vantage::VantagePoint;
+use qem_quic::ClientReport;
+use qem_tcp::TcpReport;
 use qem_web::{SnapshotDate, Universe};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -46,56 +49,33 @@ pub struct Figure3 {
     pub points: Vec<Figure3Point>,
 }
 
-/// Normalise a server family string into the Figure 3 buckets.
-fn family_bucket(family: Option<&str>) -> String {
-    match family {
-        Some(f) if f.starts_with("LiteSpeed") => "LiteSpeed".to_string(),
-        Some(f) if f.starts_with("Pepyaka") => "Pepyaka".to_string(),
-        Some(_) => "Other".to_string(),
-        None => "Unknown".to_string(),
-    }
-}
-
 /// Build Figure 3 from a longitudinal series of IPv4 snapshots.
 pub fn figure3<S: SnapshotSource>(universe: &Universe, snapshots: &[S]) -> Figure3 {
     let mut points = Vec::new();
     for snapshot in snapshots {
-        // One streaming pass: remember each host's (server family,
-        // fingerprint) pair, and build the fingerprint → family map used to
-        // identify stacks without a server header (§5.3).
-        let mut fingerprint_family: BTreeMap<u64, String> = BTreeMap::new();
-        let mut host_family: BTreeMap<usize, (Option<String>, Option<u64>)> = BTreeMap::new();
-        snapshot.for_each_host(&mut |m| {
-            let family = m.server_family();
-            let fp = m.fingerprint();
-            if let (Some(family), Some(fp)) = (family.clone(), fp) {
-                fingerprint_family.insert(fp, family);
-            }
-            host_family.insert(m.host_id, (family, fp));
-        });
-        let records = snapshot.domain_records(universe);
+        let table = snapshot.host_table(universe);
+        // The fingerprint → family map that identifies stacks without a
+        // server header (§5.3); where hosts disagree, the last in id order
+        // wins.
+        let fingerprint_family: BTreeMap<u64, _> = table
+            .measured
+            .iter()
+            .flatten()
+            .filter_map(|host| Some((host.fingerprint?, host.family?)))
+            .collect();
         let mut by_family: BTreeMap<String, u64> = BTreeMap::new();
         let mut total_quic = 0u64;
-        for record in &records {
-            if !universe.domains[record.domain_idx].lists.cno || !record.quic {
+        for (_, weight, host) in table.quic_hosts(Scope::Cno) {
+            total_quic += weight;
+            if !host.mirror_use.mirroring {
                 continue;
             }
-            total_quic += 1;
-            if !record.mirror_use.mirroring {
-                continue;
-            }
-            let family =
-                record
-                    .host_id
-                    .and_then(|h| host_family.get(&h))
-                    .and_then(|(family, fp)| {
-                        family
-                            .clone()
-                            .or_else(|| fp.and_then(|fp| fingerprint_family.get(&fp).cloned()))
-                    });
+            let family = host
+                .family
+                .or_else(|| fingerprint_family.get(&host.fingerprint?).copied());
             *by_family
-                .entry(family_bucket(family.as_deref()))
-                .or_default() += 1;
+                .entry(family.map_or("Unknown", |f| f.label()).to_string())
+                .or_default() += weight;
         }
         points.push(Figure3Point {
             date: snapshot.date(),
@@ -168,80 +148,57 @@ pub struct Figure4 {
     pub transitions: Vec<BTreeMap<(DomainState, DomainState), u64>>,
 }
 
-/// Build Figure 4 from (typically three) longitudinal snapshots.
-pub fn figure4<S: SnapshotSource>(universe: &Universe, snapshots: &[S]) -> Figure4 {
-    let mut per_domain_states: Vec<Vec<DomainState>> = Vec::new();
-    for snapshot in snapshots {
-        // Streaming pass: the only per-host attribute the alluvial needs is
-        // the QUIC version label.
-        let mut versions: BTreeMap<usize, String> = BTreeMap::new();
-        snapshot.for_each_host(&mut |m| {
-            if let Some(report) = &m.quic {
-                versions.insert(m.host_id, report.version.label());
-            }
-        });
-        let records = snapshot.domain_records(universe);
-        let states: Vec<DomainState> = records
-            .iter()
-            .map(|record| {
-                if !record.quic {
-                    return DomainState::Unavailable;
-                }
-                let version = record
-                    .host_id
-                    .and_then(|h| versions.get(&h).cloned())
-                    .unwrap_or_else(|| "v1".to_string());
-                if record.mirror_use.mirroring {
+impl DomainState {
+    /// The state of every domain a host serves.
+    fn of(host: Option<&HostSummary>) -> Self {
+        match host {
+            Some(host) if host.quic_reachable => {
+                let version = host.version.label();
+                if host.mirror_use.mirroring {
                     DomainState::Mirroring(version)
                 } else {
                     DomainState::NoMirroring(version)
                 }
-            })
-            .collect();
-        per_domain_states.push(states);
+            }
+            _ => DomainState::Unavailable,
+        }
     }
+}
 
-    // Like the paper's alluvial plots, only domains that are part of the
-    // QUIC web at some point in the window are shown; the never-QUIC mass of
-    // the zone files would otherwise dwarf every flow.
-    let ever_quic: Vec<bool> = (0..universe.domains.len())
-        .map(|idx| {
-            per_domain_states
-                .iter()
-                .any(|states| states[idx] != DomainState::Unavailable)
-        })
-        .collect();
-    let cno_mask: Vec<bool> = universe
-        .domains
-        .iter()
-        .enumerate()
-        .map(|(idx, d)| d.lists.cno && ever_quic[idx])
-        .collect();
-    let mut states_counts = Vec::new();
-    for states in &per_domain_states {
-        let mut counts: BTreeMap<DomainState, u64> = BTreeMap::new();
-        for (idx, state) in states.iter().enumerate() {
-            if cno_mask[idx] {
-                *counts.entry(state.clone()).or_default() += 1;
-            }
+/// Build Figure 4 from (typically three) longitudinal snapshots.
+pub fn figure4<S: SnapshotSource>(universe: &Universe, snapshots: &[S]) -> Figure4 {
+    let tables: Vec<_> = snapshots.iter().map(|s| s.host_table(universe)).collect();
+    let mut states = vec![BTreeMap::new(); tables.len()];
+    let mut transitions = vec![BTreeMap::new(); tables.len().saturating_sub(1)];
+    for id in 0..universe.hosts.len() {
+        // Like the paper's alluvial plots, only domains that are part of the
+        // QUIC web at some point in the window are shown; the never-QUIC
+        // mass of the zone files would otherwise dwarf every flow.
+        let Some((weight, _)) = tables
+            .iter()
+            .filter_map(|t| t.host(Scope::Cno, id))
+            .find(|(_, host)| host.quic_reachable)
+        else {
+            continue;
+        };
+        // A domain's state at each date is its host's, so the host's domains
+        // move through the alluvial together.
+        let path: Vec<DomainState> = tables
+            .iter()
+            .map(|t| DomainState::of(t.host(Scope::Cno, id).map(|(_, host)| host)))
+            .collect();
+        for (counts, state) in states.iter_mut().zip(&path) {
+            *counts.entry(state.clone()).or_default() += weight;
         }
-        states_counts.push(counts);
-    }
-    let mut transitions = Vec::new();
-    for window in per_domain_states.windows(2) {
-        let mut counts: BTreeMap<(DomainState, DomainState), u64> = BTreeMap::new();
-        for idx in 0..window[0].len() {
-            if cno_mask[idx] {
-                *counts
-                    .entry((window[0][idx].clone(), window[1][idx].clone()))
-                    .or_default() += 1;
-            }
+        for (counts, step) in transitions.iter_mut().zip(path.windows(2)) {
+            *counts
+                .entry((step[0].clone(), step[1].clone()))
+                .or_default() += weight;
         }
-        transitions.push(counts);
     }
     Figure4 {
         dates: snapshots.iter().map(|s| s.date()).collect(),
-        states: states_counts,
+        states,
         transitions,
     }
 }
@@ -365,34 +322,30 @@ pub fn figure5<S4: SnapshotSource + ?Sized, S6: SnapshotSource + ?Sized>(
     v4: &S4,
     v6: &S6,
 ) -> Figure5 {
-    let records_v4 = v4.domain_records(universe);
-    let records_v6 = v6.domain_records(universe);
+    let table_v4 = v4.host_table(universe);
+    let table_v6 = v6.host_table(universe);
+    let quadrant = |host: &HostSummary| {
+        MirrorUseQuadrant::of(host.mirror_use.mirroring, host.mirror_use.uses_ecn)
+    };
     let mut fig = Figure5 {
         v4: BTreeMap::new(),
         v6: BTreeMap::new(),
         v4_only: 0,
         cross: BTreeMap::new(),
     };
-    for (r4, r6) in records_v4.iter().zip(&records_v6) {
-        if !universe.domains[r4.domain_idx].lists.cno {
-            continue;
-        }
-        let q4 = r4
-            .quic
-            .then(|| MirrorUseQuadrant::of(r4.mirror_use.mirroring, r4.mirror_use.uses_ecn));
-        let q6 = r6
-            .quic
-            .then(|| MirrorUseQuadrant::of(r6.mirror_use.mirroring, r6.mirror_use.uses_ecn));
-        if let Some(q) = q4 {
-            *fig.v4.entry(q).or_default() += 1;
-        }
-        if let Some(q) = q6 {
-            *fig.v6.entry(q).or_default() += 1;
-        }
-        match (q4, q6) {
-            (Some(a), Some(b)) => *fig.cross.entry((a, b)).or_default() += 1,
-            (Some(_), None) => fig.v4_only += 1,
-            _ => {}
+    for (_, weight, host) in table_v6.quic_hosts(Scope::Cno) {
+        *fig.v6.entry(quadrant(host)).or_default() += weight;
+    }
+    for (id, weight, host) in table_v4.quic_hosts(Scope::Cno) {
+        *fig.v4.entry(quadrant(host)).or_default() += weight;
+        // A dual-stacked host serves the same domains in both families.
+        match table_v6.host(Scope::Cno, id) {
+            Some((_, host_v6)) if host_v6.quic_reachable => {
+                *fig.cross
+                    .entry((quadrant(host), quadrant(host_v6)))
+                    .or_default() += weight;
+            }
+            _ => fig.v4_only += weight,
         }
     }
     fig
@@ -457,6 +410,22 @@ impl TcpCategory {
             TcpCategory::NoNegotiation => "No Negotiation",
         }
     }
+
+    /// Category of a finished TCP probe; `None` if it never connected.
+    pub(crate) fn of(report: &TcpReport) -> Option<Self> {
+        let category = match (
+            report.negotiated,
+            report.ce_mirrored,
+            report.server_used_ecn,
+        ) {
+            (false, ..) => TcpCategory::NoNegotiation,
+            (true, true, false) => TcpCategory::CeMirrorNoUseNegotiated,
+            (true, true, true) => TcpCategory::CeMirrorUseNegotiated,
+            (true, false, false) => TcpCategory::NoCeMirrorNoUseNegotiated,
+            (true, false, true) => TcpCategory::NoCeMirrorUseNegotiated,
+        };
+        report.connected.then_some(category)
+    }
 }
 
 /// QUIC-side categories of Figure 6.
@@ -482,6 +451,17 @@ impl QuicCeCategory {
             QuicCeCategory::NoCeMirrorUse => "No CE Mirroring, Use",
         }
     }
+
+    /// Category of a finished QUIC probe; `None` if it never connected.
+    pub(crate) fn of(report: &ClientReport) -> Option<Self> {
+        let category = match (report.mirrored_counts.ce > 0, report.server_used_ecn) {
+            (true, false) => QuicCeCategory::CeMirrorNoUse,
+            (true, true) => QuicCeCategory::CeMirrorUse,
+            (false, false) => QuicCeCategory::NoCeMirrorNoUse,
+            (false, true) => QuicCeCategory::NoCeMirrorUse,
+        };
+        report.connected.then_some(category)
+    }
 }
 
 /// Figure 6: TCP ↔ QUIC CE-mirroring relation (the week-20 CE-probing run).
@@ -497,55 +477,20 @@ pub struct Figure6 {
 
 /// Build Figure 6 from the CE-probing snapshot (QUIC and TCP measured in parallel).
 pub fn figure6<S: SnapshotSource + ?Sized>(universe: &Universe, snapshot: &S) -> Figure6 {
-    // Streaming pass: reduce every host to its (TCP, QUIC) category pair.
-    let mut categories: BTreeMap<usize, (Option<TcpCategory>, Option<QuicCeCategory>)> =
-        BTreeMap::new();
-    snapshot.for_each_host(&mut |m| {
-        let tcp_category = m.tcp.as_ref().filter(|t| t.connected).map(|t| {
-            if !t.negotiated {
-                TcpCategory::NoNegotiation
-            } else {
-                match (t.ce_mirrored, t.server_used_ecn) {
-                    (true, false) => TcpCategory::CeMirrorNoUseNegotiated,
-                    (true, true) => TcpCategory::CeMirrorUseNegotiated,
-                    (false, false) => TcpCategory::NoCeMirrorNoUseNegotiated,
-                    (false, true) => TcpCategory::NoCeMirrorUseNegotiated,
-                }
-            }
-        });
-        let quic_category = m.quic.as_ref().filter(|q| q.connected).map(|q| {
-            let ce_mirrored = q.mirrored_counts.ce > 0;
-            match (ce_mirrored, q.server_used_ecn) {
-                (true, false) => QuicCeCategory::CeMirrorNoUse,
-                (true, true) => QuicCeCategory::CeMirrorUse,
-                (false, false) => QuicCeCategory::NoCeMirrorNoUse,
-                (false, true) => QuicCeCategory::NoCeMirrorUse,
-            }
-        });
-        categories.insert(m.host_id, (tcp_category, quic_category));
-    });
-    let records = snapshot.domain_records(universe);
     let mut fig = Figure6 {
         tcp: BTreeMap::new(),
         quic: BTreeMap::new(),
         cross: BTreeMap::new(),
     };
-    for record in &records {
-        if !universe.domains[record.domain_idx].lists.cno {
-            continue;
+    for (_, weight, host) in snapshot.host_table(universe).hosts(Scope::Cno) {
+        if let Some(t) = host.tcp {
+            *fig.tcp.entry(t).or_default() += weight;
         }
-        let Some(host) = record.host_id else { continue };
-        let Some(&(tcp_category, quic_category)) = categories.get(&host) else {
-            continue;
-        };
-        if let Some(t) = tcp_category {
-            *fig.tcp.entry(t).or_default() += 1;
+        if let Some(q) = host.quic_ce {
+            *fig.quic.entry(q).or_default() += weight;
         }
-        if let Some(q) = quic_category {
-            *fig.quic.entry(q).or_default() += 1;
-        }
-        if let (Some(t), Some(q)) = (tcp_category, quic_category) {
-            *fig.cross.entry((t, q)).or_default() += 1;
+        if let (Some(t), Some(q)) = (host.tcp, host.quic_ce) {
+            *fig.cross.entry((t, q)).or_default() += weight;
         }
     }
     fig
@@ -604,38 +549,29 @@ pub fn figure7<SM: SnapshotSource, SC: SnapshotSource>(
     cloud: &[(VantagePoint, SC, Option<SC>)],
 ) -> Figure7 {
     // Domain weight per host, from the main vantage point's IPv4 view.
-    let mut weight: BTreeMap<usize, u64> = BTreeMap::new();
-    let mut total_weight = 0u64;
-    for record in main_v4.domain_records(universe) {
-        if !universe.domains[record.domain_idx].lists.cno || !record.quic {
-            continue;
-        }
-        if let Some(host) = record.host_id {
-            *weight.entry(host).or_default() += 1;
-            total_weight += 1;
-        }
-    }
-    fn share<S: SnapshotSource + ?Sized>(
-        snapshot: &S,
-        weight: &BTreeMap<usize, u64>,
-        total_weight: u64,
-    ) -> f64 {
+    let table = main_v4.host_table(universe);
+    let total_weight: u64 = table.quic_hosts(Scope::Cno).map(|(_, w, _)| w).sum();
+    let share = |snapshot: &dyn SnapshotSource| {
         if total_weight == 0 {
             return 0.0;
         }
         let mut capable = 0u64;
         snapshot.for_each_host(&mut |m| {
             if m.ecn_class() == Some(EcnClass::Capable) {
-                capable += weight.get(&m.host_id).copied().unwrap_or(0);
+                if let Some((weight, main)) = table.host(Scope::Cno, m.host_id) {
+                    if main.quic_reachable {
+                        capable += weight;
+                    }
+                }
             }
         });
         capable as f64 / total_weight as f64
-    }
+    };
     let mut rows = Vec::new();
     rows.push(Figure7Row {
         vantage: main_v4.vantage().name.clone(),
         marker: main_v4.vantage().provider.marker(),
-        capable_share_v4: share(main_v4, &weight, total_weight),
+        capable_share_v4: share(main_v4),
         capable_share_v6: None,
         hosts_probed: main_v4.host_count(),
     });
@@ -643,8 +579,8 @@ pub fn figure7<SM: SnapshotSource, SC: SnapshotSource>(
         rows.push(Figure7Row {
             vantage: vantage.name.clone(),
             marker: vantage.provider.marker(),
-            capable_share_v4: share(v4, &weight, total_weight),
-            capable_share_v6: v6.as_ref().map(|s| share(s, &weight, total_weight)),
+            capable_share_v4: share(v4),
+            capable_share_v6: v6.as_ref().map(|s| share(s)),
             hosts_probed: v4.host_count(),
         });
     }

@@ -2,10 +2,14 @@
 //!
 //! Every builder consumes only the measurement results (plus the DNS and
 //! as2org data a real scanner would also have) and produces a printable
-//! structure whose rows mirror the corresponding table or figure.  The
-//! absolute counts depend on the universe scale; the *shape* — who wins, by
-//! roughly which factor, where the crossovers are — is what EXPERIMENTS.md
-//! compares against the paper.
+//! structure whose rows mirror the corresponding table or figure.  All of
+//! them start from the per-host join of [`crate::source`]: a source is
+//! streamed once to build it — once per report set when the caller keeps it
+//! in a [`JoinedSnapshot`](crate::source::JoinedSnapshot) — and each builder
+//! is a loop over hosts weighted by the domains they serve.  The absolute
+//! counts depend on the universe scale; the *shape* — who wins, by roughly
+//! which factor, where the crossovers are — is what the integration tests
+//! under `tests/` compare against the paper.
 
 mod figures;
 mod tables;

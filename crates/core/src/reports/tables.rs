@@ -1,16 +1,15 @@
 //! Builders for Tables 1–7.
 //!
-//! Every builder is generic over [`SnapshotSource`], so the same code renders
-//! a table from a live in-memory campaign or from a `qem-store` directory on
-//! disk — and produces byte-identical output either way.  Builders that need
-//! per-host attributes beyond the domain join (trace verdicts for Tables 4
-//! and 7) collect them in one streaming pass up front instead of random-
-//! accessing the snapshot, so a store-backed source never has to hold more
-//! than one segment in memory.
+//! Every builder is generic over [`SnapshotSource`] and is a plain loop over
+//! the source's [`HostTable`](crate::source::HostTable): each domain count
+//! is a sum of per-host domain weights, each IP count the number of hosts
+//! that contributed.  The same code therefore renders a table from a live
+//! in-memory campaign or from a `qem-store` directory on disk with
+//! byte-identical output; the source itself is streamed once, by the join.
 
 use super::{fmt_count, fmt_pct};
 use crate::observation::EcnClass;
-use crate::source::SnapshotSource;
+use crate::source::{Scope, SnapshotSource};
 use qem_tracebox::PathVerdict;
 use qem_web::Universe;
 use serde::Serialize;
@@ -18,36 +17,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::net::IpAddr;
 
-/// One streaming pass collecting the trace verdict of every traced host —
-/// the only per-host attribute Tables 4 and 7 need beyond the domain join.
-fn trace_verdicts<S: SnapshotSource + ?Sized>(snapshot: &S) -> BTreeMap<usize, PathVerdict> {
-    let mut verdicts = BTreeMap::new();
-    snapshot.for_each_host(&mut |m| {
-        if let Some(trace) = &m.trace {
-            verdicts.insert(m.host_id, trace.verdict);
-        }
-    });
-    verdicts
-}
-
-/// Which domain population a row covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum Scope {
-    /// The merged toplists (Alexa, Umbrella, Majestic, Tranco).
-    Toplists,
-    /// The `.com/.net/.org` zone files.
-    Cno,
-}
-
 impl Scope {
-    fn matches(self, universe: &Universe, domain_idx: usize) -> bool {
-        let lists = universe.domains[domain_idx].lists;
-        match self {
-            Scope::Toplists => lists.toplist(),
-            Scope::Cno => lists.cno,
-        }
-    }
-
     fn label(self) -> &'static str {
         match self {
             Scope::Toplists => "Toplists",
@@ -94,48 +64,23 @@ pub struct Table1 {
 
 /// Build Table 1 from the main IPv4 snapshot.
 pub fn table1<S: SnapshotSource + ?Sized>(universe: &Universe, snapshot: &S) -> Table1 {
-    let records = snapshot.domain_records(universe);
+    let table = snapshot.host_table(universe);
     let mut rows = Vec::new();
     for scope in [Scope::Toplists, Scope::Cno] {
-        // Domain-level counts.
-        let mut total = 0u64;
-        let mut resolved = 0u64;
-        let mut quic = 0u64;
-        let mut mirroring = 0u64;
-        let mut uses = 0u64;
-        // IP-level sets.
-        let mut resolved_ips = BTreeSet::new();
-        let mut quic_ips = BTreeSet::new();
-        let mut mirroring_ips = BTreeSet::new();
-        let mut use_ips = BTreeSet::new();
-        for record in &records {
-            if !scope.matches(universe, record.domain_idx) {
-                continue;
+        let mut resolved = ClassCount::default();
+        for &weight in table.weights(scope).iter().filter(|&&w| w > 0) {
+            resolved.add(u64::from(weight));
+        }
+        let mut quic = ClassCount::default();
+        let mut mirroring = ClassCount::default();
+        let mut uses = ClassCount::default();
+        for (_, weight, host) in table.quic_hosts(scope) {
+            quic.add(weight);
+            if host.mirror_use.mirroring {
+                mirroring.add(weight);
             }
-            total += 1;
-            if record.resolved {
-                resolved += 1;
-                if let Some(host) = record.host_id {
-                    resolved_ips.insert(host);
-                }
-            }
-            if record.quic {
-                quic += 1;
-                if let Some(host) = record.host_id {
-                    quic_ips.insert(host);
-                    if record.mirror_use.mirroring {
-                        mirroring_ips.insert(host);
-                    }
-                    if record.mirror_use.uses_ecn {
-                        use_ips.insert(host);
-                    }
-                }
-                if record.mirror_use.mirroring {
-                    mirroring += 1;
-                }
-                if record.mirror_use.uses_ecn {
-                    uses += 1;
-                }
+            if host.mirror_use.uses_ecn {
+                uses.add(weight);
             }
         }
         let pct = |num: u64, den: u64| {
@@ -148,20 +93,20 @@ pub fn table1<S: SnapshotSource + ?Sized>(universe: &Universe, snapshot: &S) -> 
         rows.push(Table1Row {
             scope: scope.label(),
             unit: "Domains",
-            total,
-            resolved,
-            quic,
-            mirroring: pct(mirroring, quic),
-            uses: pct(uses, quic),
+            total: table.total(scope),
+            resolved: resolved.domains,
+            quic: quic.domains,
+            mirroring: pct(mirroring.domains, quic.domains),
+            uses: pct(uses.domains, quic.domains),
         });
         rows.push(Table1Row {
             scope: scope.label(),
             unit: "IPs",
-            total: resolved_ips.len() as u64,
-            resolved: resolved_ips.len() as u64,
-            quic: quic_ips.len() as u64,
-            mirroring: pct(mirroring_ips.len() as u64, quic_ips.len() as u64),
-            uses: pct(use_ips.len() as u64, quic_ips.len() as u64),
+            total: resolved.ips,
+            resolved: resolved.ips,
+            quic: quic.ips,
+            mirroring: pct(mirroring.ips, quic.ips),
+            uses: pct(uses.ips, quic.ips),
         });
     }
     Table1 { rows }
@@ -230,7 +175,6 @@ fn provider_table<S: SnapshotSource + ?Sized>(
     scope: Scope,
     listed: usize,
 ) -> ProviderTable {
-    let records = snapshot.domain_records(universe);
     #[derive(Default, Clone)]
     struct Acc {
         total: u64,
@@ -239,20 +183,15 @@ fn provider_table<S: SnapshotSource + ?Sized>(
     }
     let mut per_org: BTreeMap<String, Acc> = BTreeMap::new();
     let mut total_quic = 0u64;
-    for record in &records {
-        if !scope.matches(universe, record.domain_idx) || !record.quic {
-            continue;
+    for (id, weight, host) in snapshot.host_table(universe).quic_hosts(scope) {
+        total_quic += weight;
+        let acc = per_org.entry(org_of_host(universe, id)).or_default();
+        acc.total += weight;
+        if host.mirror_use.mirroring {
+            acc.mirroring += weight;
         }
-        total_quic += 1;
-        let Some(host) = record.host_id else { continue };
-        let org = org_of_host(universe, host);
-        let acc = per_org.entry(org).or_default();
-        acc.total += 1;
-        if record.mirror_use.mirroring {
-            acc.mirroring += 1;
-        }
-        if record.mirror_use.uses_ecn {
-            acc.uses += 1;
+        if host.mirror_use.uses_ecn {
+            acc.uses += weight;
         }
     }
     let mut ranked: Vec<(String, Acc)> = per_org.into_iter().collect();
@@ -391,44 +330,27 @@ pub struct Table4 {
 
 /// Build Table 4 from the main IPv4 snapshot.
 pub fn table4<S: SnapshotSource + ?Sized>(universe: &Universe, snapshot: &S) -> Table4 {
-    let records = snapshot.domain_records(universe);
-    let verdicts = trace_verdicts(snapshot);
     let mut per_org: BTreeMap<String, Table4Row> = BTreeMap::new();
-    let mut totals = (0u64, 0u64, 0u64);
-    let mut ips: [BTreeSet<usize>; 3] = [BTreeSet::new(), BTreeSet::new(), BTreeSet::new()];
-    for record in &records {
-        if !Scope::Cno.matches(universe, record.domain_idx) || !record.quic {
+    // Cleared, not tested, not cleared.
+    let mut totals = [ClassCount::default(); 3];
+    for (id, weight, host) in snapshot.host_table(universe).quic_hosts(Scope::Cno) {
+        if host.mirror_use.mirroring {
             continue;
         }
-        if record.mirror_use.mirroring {
-            continue;
-        }
-        let Some(host) = record.host_id else { continue };
-        let verdict = verdicts.get(&host).copied();
-        let org = org_of_host(universe, host);
+        let org = org_of_host(universe, id);
         let row = per_org.entry(org.clone()).or_insert_with(|| Table4Row {
             org,
             cleared: 0,
             not_tested: 0,
             not_cleared: 0,
         });
-        match verdict {
-            Some(PathVerdict::Cleared) => {
-                row.cleared += 1;
-                totals.0 += 1;
-                ips[0].insert(host);
-            }
-            None | Some(PathVerdict::Untested) => {
-                row.not_tested += 1;
-                totals.1 += 1;
-                ips[1].insert(host);
-            }
-            Some(_) => {
-                row.not_cleared += 1;
-                totals.2 += 1;
-                ips[2].insert(host);
-            }
-        }
+        let (cell, total) = match host.verdict {
+            Some(PathVerdict::Cleared) => (&mut row.cleared, &mut totals[0]),
+            None | Some(PathVerdict::Untested) => (&mut row.not_tested, &mut totals[1]),
+            Some(_) => (&mut row.not_cleared, &mut totals[2]),
+        };
+        *cell += weight;
+        total.add(weight);
     }
     let mut rows: Vec<Table4Row> = per_org.into_values().collect();
     rows.sort_by(|a, b| {
@@ -438,12 +360,8 @@ pub fn table4<S: SnapshotSource + ?Sized>(universe: &Universe, snapshot: &S) -> 
     });
     Table4 {
         rows,
-        totals,
-        total_ips: (
-            ips[0].len() as u64,
-            ips[1].len() as u64,
-            ips[2].len() as u64,
-        ),
+        totals: (totals[0].domains, totals[1].domains, totals[2].domains),
+        total_ips: (totals[0].ips, totals[1].ips, totals[2].ips),
     }
 }
 
@@ -504,6 +422,14 @@ pub struct ClassCount {
     pub domains: u64,
 }
 
+impl ClassCount {
+    /// Count one more host, serving `domains` domains.
+    fn add(&mut self, domains: u64) {
+        self.ips += 1;
+        self.domains += domains;
+    }
+}
+
 /// Table 5: ECN validation results for the com/net/org domains.
 #[derive(Debug, Clone, Serialize)]
 pub struct Table5 {
@@ -517,21 +443,11 @@ fn classify_snapshot<S: SnapshotSource + ?Sized>(
     universe: &Universe,
     snapshot: &S,
 ) -> BTreeMap<EcnClass, ClassCount> {
-    let records = snapshot.domain_records(universe);
     let mut counts: BTreeMap<EcnClass, ClassCount> = BTreeMap::new();
-    let mut ips: BTreeMap<EcnClass, BTreeSet<usize>> = BTreeMap::new();
-    for record in &records {
-        if !Scope::Cno.matches(universe, record.domain_idx) || !record.quic {
-            continue;
+    for (_, weight, host) in snapshot.host_table(universe).quic_hosts(Scope::Cno) {
+        if let Some(class) = host.class {
+            counts.entry(class).or_default().add(weight);
         }
-        let Some(class) = record.class else { continue };
-        counts.entry(class).or_default().domains += 1;
-        if let Some(host) = record.host_id {
-            ips.entry(class).or_default().insert(host);
-        }
-    }
-    for (class, hosts) in ips {
-        counts.entry(class).or_default().ips = hosts.len() as u64;
     }
     counts
 }
@@ -606,22 +522,18 @@ pub struct Table6 {
 
 /// Build Table 6 from the main IPv4 snapshot.
 pub fn table6<S: SnapshotSource + ?Sized>(universe: &Universe, snapshot: &S) -> Table6 {
-    let records = snapshot.domain_records(universe);
     let mut per_class: BTreeMap<EcnClass, BTreeMap<String, u64>> = BTreeMap::new();
-    for record in &records {
-        if !Scope::Cno.matches(universe, record.domain_idx) || !record.quic {
+    for (id, weight, host) in snapshot.host_table(universe).quic_hosts(Scope::Cno) {
+        let Some(class @ (EcnClass::Capable | EcnClass::Undercount | EcnClass::RemarkEct1)) =
+            host.class
+        else {
             continue;
-        }
-        let Some(class) = record.class else { continue };
-        if !matches!(
-            class,
-            EcnClass::Capable | EcnClass::Undercount | EcnClass::RemarkEct1
-        ) {
-            continue;
-        }
-        let Some(host) = record.host_id else { continue };
-        let org = org_of_host(universe, host);
-        *per_class.entry(class).or_default().entry(org).or_default() += 1;
+        };
+        *per_class
+            .entry(class)
+            .or_default()
+            .entry(org_of_host(universe, id))
+            .or_default() += weight;
     }
     let mut columns = BTreeMap::new();
     for (class, orgs) in per_class {
@@ -695,57 +607,23 @@ pub struct Table7 {
 
 /// Build Table 7 from the main IPv4 snapshot.
 pub fn table7<S: SnapshotSource + ?Sized>(universe: &Universe, snapshot: &S) -> Table7 {
-    let records = snapshot.domain_records(universe);
-    let verdicts = trace_verdicts(snapshot);
     let mut remarking = Table7Row::default();
     let mut undercount = Table7Row::default();
-    let mut ip_sets: BTreeMap<(u8, u8), BTreeSet<usize>> = BTreeMap::new();
-    for record in &records {
-        if !Scope::Cno.matches(universe, record.domain_idx) || !record.quic {
-            continue;
-        }
-        let class = match record.class {
-            Some(EcnClass::RemarkEct1) => 0u8,
-            Some(EcnClass::Undercount) => 1u8,
+    for (_, weight, host) in snapshot.host_table(universe).quic_hosts(Scope::Cno) {
+        let row = match host.class {
+            Some(EcnClass::RemarkEct1) => &mut remarking,
+            Some(EcnClass::Undercount) => &mut undercount,
             _ => continue,
         };
-        let Some(host) = record.host_id else { continue };
-        let verdict = verdicts.get(&host).copied();
-        let column = match verdict {
-            Some(PathVerdict::RemarkedToEct1) => 0u8,
-            Some(PathVerdict::Cleared) => 1u8,
+        let cell = match host.verdict {
+            Some(PathVerdict::RemarkedToEct1) => &mut row.remarked_to_ect1,
+            Some(PathVerdict::Cleared) => &mut row.cleared_to_not_ect,
             Some(PathVerdict::NoChange)
             | Some(PathVerdict::RemarkedToEct0)
-            | Some(PathVerdict::CeMarked) => 2u8,
-            None | Some(PathVerdict::Untested) => 3u8,
+            | Some(PathVerdict::CeMarked) => &mut row.unchanged_ect0,
+            None | Some(PathVerdict::Untested) => &mut row.not_tested,
         };
-        let row = if class == 0 {
-            &mut remarking
-        } else {
-            &mut undercount
-        };
-        let cell = match column {
-            0 => &mut row.remarked_to_ect1,
-            1 => &mut row.cleared_to_not_ect,
-            2 => &mut row.unchanged_ect0,
-            _ => &mut row.not_tested,
-        };
-        cell.domains += 1;
-        ip_sets.entry((class, column)).or_default().insert(host);
-    }
-    for ((class, column), hosts) in ip_sets {
-        let row = if class == 0 {
-            &mut remarking
-        } else {
-            &mut undercount
-        };
-        let cell = match column {
-            0 => &mut row.remarked_to_ect1,
-            1 => &mut row.cleared_to_not_ect,
-            2 => &mut row.unchanged_ect0,
-            _ => &mut row.not_tested,
-        };
-        cell.ips = hosts.len() as u64;
+        cell.add(weight);
     }
     Table7 {
         remarking,

@@ -108,12 +108,7 @@ pub struct Scanner<'a> {
 impl<'a> Scanner<'a> {
     /// Create a scanner for one vantage point.
     pub fn new(universe: &'a Universe, vantage: VantagePoint, options: ScanOptions) -> Self {
-        let mut domain_weight = vec![0u32; universe.hosts.len()];
-        for domain in &universe.domains {
-            if let Some(host) = domain.host {
-                domain_weight[host] += 1;
-            }
-        }
+        let ([domain_weight], _) = universe.domains_per_host(|_| [true]);
         Scanner {
             universe,
             vantage,

@@ -1,25 +1,31 @@
-//! Streaming snapshot sources: the report builders' view of a snapshot.
+//! Streaming snapshot sources and the per-host join every report starts from.
 //!
-//! Tables 1–7 and Figures 3–8 never need a whole snapshot in memory at once —
-//! each builder needs (a) the per-domain join with the universe's DNS data
-//! and (b) one or two small per-host attributes (a trace verdict, a server
-//! family, a TCP category).  [`SnapshotSource`] captures exactly that: a
+//! The paper's headline numbers are statements about *hosts weighted by the
+//! websites they serve* ("20 % of QUIC hosts, providing 6 % of HTTP/3
+//! websites"), and so is every cell of Tables 1–7 and Figures 3–7: apart
+//! from list membership and "resolves in this address family", everything a
+//! builder reads about a domain is a property of the host serving it.  The
+//! join is therefore per host, not per domain.  [`SnapshotSource`] is a
 //! snapshot's identity plus a way to *stream* its measurements in host-id
-//! order.  The in-memory [`SnapshotMeasurement`] implements it trivially;
-//! `qem-store`'s segment reader implements it by decoding one segment at a
-//! time, which is how store-backed reports run without ever materialising a
-//! full campaign.
+//! order; [`HostTable`] is what one such pass, joined with the universe's
+//! DNS data, leaves behind — per host the number of toplist and
+//! `.com/.net/.org` domains it serves and a flat summary of what was
+//! measured there.  Every count in a report is a sum of those weights over
+//! the hosts matching a predicate, and every "IPs" count the number of such
+//! hosts.
 //!
-//! The contract that makes store-backed and in-memory reports byte-identical
-//! is the same one the sharded executor relies on: measurements are streamed
-//! in ascending host-id order, and every consumer aggregates into
-//! order-insensitive structures keyed by domain index, host id or class.
+//! The in-memory [`SnapshotMeasurement`] streams its map; `qem-store`'s
+//! segment reader decodes one segment at a time.  Both are joined by the
+//! same [`HostTable::new`], which is what makes store-backed and in-memory
+//! reports the same path: measurements arrive in ascending host-id order and
+//! land in a table indexed by host id.  [`JoinedSnapshot`] keeps the table
+//! so that a whole report set costs one pass over the source.
 
 use crate::campaign::SnapshotMeasurement;
-use crate::observation::{DomainRecord, EcnClass, HostMeasurement, MirrorUse};
+use crate::observation::{HostMeasurement, HostSummary};
 use crate::vantage::VantagePoint;
 use qem_web::{SnapshotDate, Universe};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 
 /// A source of host measurements for one snapshot (one vantage point, one
 /// address family, one date).
@@ -43,65 +49,99 @@ pub trait SnapshotSource {
         n
     }
 
-    /// Number of hosts reachable via QUIC.
-    fn quic_host_count(&self) -> usize {
-        let mut n = 0;
-        self.for_each_host(&mut |m| {
-            if m.quic_reachable {
-                n += 1;
-            }
-        });
-        n
-    }
-
-    /// Build per-domain records by joining the universe's DNS data with the
-    /// per-host measurements — the paper's per-domain vs per-IP distinction.
+    /// This snapshot joined with `universe` — what every table and figure
+    /// builder starts from.
     ///
     /// **Cost:** one streaming pass over the measurements plus one pass over
-    /// `universe.domains`, allocating the full `Vec<DomainRecord>` each call.
-    /// Builders that need the join repeatedly should compute it once via
-    /// [`JoinedSnapshot`] instead of re-joining per table.
-    fn domain_records(&self, universe: &Universe) -> Vec<DomainRecord> {
-        // One pass to pull out the two per-host attributes the join needs;
-        // the full reports (with their packet counters and traces) can be
-        // dropped as soon as they have been summarised.
-        let mut summaries: BTreeMap<usize, (MirrorUse, Option<EcnClass>)> = BTreeMap::new();
-        self.for_each_host(&mut |m| {
-            if m.quic_reachable {
-                summaries.insert(m.host_id, (m.mirror_use(), m.ecn_class()));
-            }
-        });
-        join_domains(universe, self.ipv6(), |h| summaries.get(&h).copied())
+    /// `universe.domains`, unless the source already holds the table: a
+    /// [`JoinedSnapshot`] lends its own, so builders never copy one.
+    fn host_table(&self, universe: &Universe) -> Cow<'_, HostTable> {
+        Cow::Owned(HostTable::new(universe, self))
     }
 }
 
-/// The domain join itself: every domain of `universe`, resolved for the
-/// probed address family, paired with what `quic_summary` knows about its
-/// host — `None` unless that host was measured and reachable via QUIC.
-pub(crate) fn join_domains(
-    universe: &Universe,
-    ipv6: bool,
-    quic_summary: impl Fn(usize) -> Option<(MirrorUse, Option<EcnClass>)>,
-) -> Vec<DomainRecord> {
-    universe
-        .domains
-        .iter()
-        .enumerate()
-        .map(|(idx, domain)| {
-            let host_id = domain
-                .host
-                .filter(|&h| universe.hosts[h].addr(ipv6).is_some());
-            let summary = host_id.and_then(&quic_summary);
-            DomainRecord {
-                domain_idx: idx,
-                resolved: host_id.is_some(),
-                host_id,
-                quic: summary.is_some(),
-                mirror_use: summary.map(|s| s.0).unwrap_or_default(),
-                class: summary.and_then(|s| s.1),
+/// Which domain population a count covers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Scope {
+    /// The merged toplists (Alexa, Umbrella, Majestic, Tranco).
+    Toplists,
+    /// The `.com/.net/.org` zone files.
+    Cno,
+}
+
+/// One snapshot joined with the universe's DNS data, per host.
+///
+/// Rows are indexed by host id.  A host without an address in the probed
+/// family serves no domain *in this snapshot*: its weights are zero, exactly
+/// as its domains do not resolve.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HostTable {
+    /// Per [`Scope`]: in-scope domains resolving to each host.
+    weights: [Vec<u32>; 2],
+    /// Per [`Scope`]: in-scope domains overall, resolving or not.
+    totals: [u64; 2],
+    /// What was measured at each host, if anything.
+    pub(crate) measured: Vec<Option<HostSummary>>,
+}
+
+impl HostTable {
+    /// Join `source` against `universe`: one pass over each.
+    fn new<S: SnapshotSource + ?Sized>(universe: &Universe, source: &S) -> Self {
+        // Columns in `Scope` order.
+        let (mut weights, totals) = universe.domains_per_host(|lists| [lists.toplist(), lists.cno]);
+        let ipv6 = source.ipv6();
+        for host in universe.hosts.iter().filter(|h| h.addr(ipv6).is_none()) {
+            for column in &mut weights {
+                column[host.id] = 0;
             }
-        })
-        .collect()
+        }
+        let mut measured = vec![None; universe.hosts.len()];
+        source.for_each_host(&mut |m| {
+            // A store written for another universe can name hosts this one
+            // does not have; no domain resolves to them.
+            if let Some(slot) = measured.get_mut(m.host_id) {
+                *slot = Some(m.summary());
+            }
+        });
+        HostTable {
+            weights,
+            totals,
+            measured,
+        }
+    }
+
+    /// In-scope domains overall, resolving or not.
+    pub(crate) fn total(&self, scope: Scope) -> u64 {
+        self.totals[scope as usize]
+    }
+
+    /// In-scope domains resolving to each host, indexed by host id.
+    pub(crate) fn weights(&self, scope: Scope) -> &[u32] {
+        &self.weights[scope as usize]
+    }
+
+    /// Host `host` as `scope` sees it: the in-scope domains it serves and
+    /// what was measured there — `None` unless both exist.
+    pub(crate) fn host(&self, scope: Scope, host: usize) -> Option<(u64, &HostSummary)> {
+        let weight = *self.weights(scope).get(host)?;
+        let summary = self.measured[host].as_ref()?;
+        (weight > 0).then_some((u64::from(weight), summary))
+    }
+
+    /// Every measured host serving in-scope domains, in host-id order, as
+    /// `(host id, domains, summary)`.
+    pub(crate) fn hosts(&self, scope: Scope) -> impl Iterator<Item = (usize, u64, &HostSummary)> {
+        (0..self.measured.len())
+            .filter_map(move |id| self.host(scope, id).map(|(weight, s)| (id, weight, s)))
+    }
+
+    /// [`HostTable::hosts`], QUIC-reachable ones only.
+    pub(crate) fn quic_hosts(
+        &self,
+        scope: Scope,
+    ) -> impl Iterator<Item = (usize, u64, &HostSummary)> {
+        self.hosts(scope).filter(|(_, _, s)| s.quic_reachable)
+    }
 }
 
 impl SnapshotSource for SnapshotMeasurement {
@@ -128,45 +168,30 @@ impl SnapshotSource for SnapshotMeasurement {
     fn host_count(&self) -> usize {
         self.hosts.len()
     }
-
-    fn quic_host_count(&self) -> usize {
-        SnapshotMeasurement::quic_host_count(self)
-    }
-
-    fn domain_records(&self, universe: &Universe) -> Vec<DomainRecord> {
-        // The in-memory snapshot has random access; skip the summary pass.
-        SnapshotMeasurement::domain_records(self, universe)
-    }
 }
 
-/// A snapshot paired with its domain join, computed **once**.
+/// A snapshot paired with its [`HostTable`], computed **once**.
 ///
-/// Every table and figure builder starts from [`SnapshotSource::domain_records`];
-/// rendering the full report set from a plain snapshot therefore repeats the
-/// O(domains) join up to nine times.  `JoinedSnapshot` performs the join at
-/// construction and serves cheap copies afterwards — the repo benchmark's
-/// `core.join_ns_per_domain` probe is what one join costs.
-pub struct JoinedSnapshot<'a, S: SnapshotSource> {
-    snapshot: &'a S,
-    records: Vec<DomainRecord>,
+/// Rendering a report set from a plain source joins it once per builder;
+/// `JoinedSnapshot` joins at construction and lends the table to every
+/// builder afterwards — the repo benchmark's `core.join_ns_per_domain` probe
+/// is what one join costs.
+pub struct JoinedSnapshot<'a> {
+    snapshot: &'a dyn SnapshotSource,
+    table: HostTable,
 }
 
-impl<'a, S: SnapshotSource> JoinedSnapshot<'a, S> {
+impl<'a> JoinedSnapshot<'a> {
     /// Join `snapshot` against `universe` once.
-    pub fn new(universe: &Universe, snapshot: &'a S) -> Self {
+    pub fn new<S: SnapshotSource>(universe: &Universe, snapshot: &'a S) -> Self {
         JoinedSnapshot {
-            records: snapshot.domain_records(universe),
+            table: HostTable::new(universe, snapshot),
             snapshot,
         }
     }
-
-    /// The cached per-domain records, without copying.
-    pub fn records(&self) -> &[DomainRecord] {
-        &self.records
-    }
 }
 
-impl<S: SnapshotSource> SnapshotSource for JoinedSnapshot<'_, S> {
+impl SnapshotSource for JoinedSnapshot<'_> {
     fn date(&self) -> SnapshotDate {
         self.snapshot.date()
     }
@@ -187,65 +212,279 @@ impl<S: SnapshotSource> SnapshotSource for JoinedSnapshot<'_, S> {
         self.snapshot.host_count()
     }
 
-    fn quic_host_count(&self) -> usize {
-        self.snapshot.quic_host_count()
-    }
-
-    fn domain_records(&self, _universe: &Universe) -> Vec<DomainRecord> {
-        // `DomainRecord` is a flat value type; cloning the cached join is a
-        // memcpy, not a re-join.
-        self.records.clone()
+    fn host_table(&self, _universe: &Universe) -> Cow<'_, HostTable> {
+        Cow::Borrowed(&self.table)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{Campaign, CampaignOptions};
-    use qem_web::UniverseConfig;
+    use crate::campaign::{Campaign, CampaignOptions, CampaignResult};
+    use crate::observation::EcnClass;
+    use crate::reports::{
+        figure4, figure5, figure6, table1, table2, table3, table4, table5, table6, table7,
+        DomainState, MirrorUseQuadrant,
+    };
+    use qem_web::{DomainLists, UniverseConfig};
+    use std::cell::Cell;
+    use std::collections::{BTreeMap, BTreeSet};
 
-    #[test]
-    fn streaming_join_matches_random_access_join() {
+    fn census() -> (Universe, CampaignResult) {
         let universe = Universe::generate(&UniverseConfig::tiny());
-        let result = Campaign::new(&universe).run_main(&CampaignOptions::paper_default(), false);
-        // Route the default (streaming) implementation through a thin wrapper
-        // so it cannot fall back to the specialised SnapshotMeasurement impl.
-        struct Stream<'a>(&'a SnapshotMeasurement);
-        impl SnapshotSource for Stream<'_> {
-            fn date(&self) -> SnapshotDate {
-                self.0.date
-            }
-            fn ipv6(&self) -> bool {
-                self.0.ipv6
-            }
-            fn vantage(&self) -> &VantagePoint {
-                &self.0.vantage
-            }
-            fn for_each_host(&self, f: &mut dyn FnMut(&HostMeasurement)) {
-                self.0.for_each_host(f);
+        let result = Campaign::new(&universe).run_main(&CampaignOptions::paper_default(), true);
+        (universe, result)
+    }
+
+    /// A source that counts how often it is streamed.
+    struct Counted<'a> {
+        inner: &'a SnapshotMeasurement,
+        passes: Cell<usize>,
+    }
+
+    impl<'a> Counted<'a> {
+        fn new(inner: &'a SnapshotMeasurement) -> Self {
+            Counted {
+                inner,
+                passes: Cell::new(0),
             }
         }
-        let streamed = Stream(&result.v4).domain_records(&universe);
-        assert_eq!(streamed, result.v4.domain_records(&universe));
-        assert_eq!(
-            Stream(&result.v4).quic_host_count(),
-            result.v4.quic_host_count()
-        );
-        assert_eq!(Stream(&result.v4).host_count(), result.v4.hosts.len());
+    }
+
+    impl SnapshotSource for Counted<'_> {
+        fn date(&self) -> SnapshotDate {
+            self.inner.date
+        }
+        fn ipv6(&self) -> bool {
+            self.inner.ipv6
+        }
+        fn vantage(&self) -> &VantagePoint {
+            &self.inner.vantage
+        }
+        fn for_each_host(&self, f: &mut dyn FnMut(&HostMeasurement)) {
+            self.passes.set(self.passes.get() + 1);
+            self.inner.for_each_host(f);
+        }
     }
 
     #[test]
-    fn joined_snapshot_serves_the_same_records() {
-        let universe = Universe::generate(&UniverseConfig::tiny());
-        let result = Campaign::new(&universe).run_main(&CampaignOptions::paper_default(), false);
+    fn a_report_set_streams_its_source_once() {
+        let (universe, result) = census();
+        let (v4, v6) = (&result.v4, result.v6.as_ref().unwrap());
+
+        let (counted_v4, counted_v6) = (Counted::new(v4), Counted::new(v6));
+        let joined_v4 = JoinedSnapshot::new(&universe, &counted_v4);
+        let joined_v6 = JoinedSnapshot::new(&universe, &counted_v6);
+        table1(&universe, &joined_v4);
+        table2(&universe, &joined_v4);
+        table3(&universe, &joined_v4);
+        table4(&universe, &joined_v4);
+        table5(&universe, &joined_v4, Some(&joined_v6));
+        table6(&universe, &joined_v4);
+        table7(&universe, &joined_v4);
+        figure5(&universe, &joined_v4, &joined_v6);
+        figure6(&universe, &joined_v4);
+        assert_eq!((counted_v4.passes.get(), counted_v6.passes.get()), (1, 1));
+
+        // On a raw source every builder joins for itself: one pass each.
+        let passes = |build: &dyn Fn(&Counted)| {
+            let counted = Counted::new(v4);
+            build(&counted);
+            counted.passes.get()
+        };
+        assert_eq!(passes(&|s| _ = table1(&universe, s)), 1);
+        assert_eq!(passes(&|s| _ = table2(&universe, s)), 1);
+        assert_eq!(passes(&|s| _ = table3(&universe, s)), 1);
+        assert_eq!(passes(&|s| _ = table4(&universe, s)), 1);
+        assert_eq!(passes(&|s| _ = table5(&universe, s, None)), 1);
+        assert_eq!(passes(&|s| _ = table6(&universe, s)), 1);
+        assert_eq!(passes(&|s| _ = table7(&universe, s)), 1);
+        assert_eq!(passes(&|s| _ = figure6(&universe, s)), 1);
+        let (counted_v4, counted_v6) = (Counted::new(v4), Counted::new(v6));
+        figure5(&universe, &counted_v4, &counted_v6);
+        assert_eq!((counted_v4.passes.get(), counted_v6.passes.get()), (1, 1));
+        // The provided `host_count` streams too, and counts what it sees.
+        assert_eq!(counted_v4.host_count(), v4.hosts.len());
+        assert_eq!(counted_v4.passes.get(), 2);
+    }
+
+    #[test]
+    fn joined_snapshot_lends_the_table_a_fresh_join_builds() {
+        let (universe, result) = census();
         let joined = JoinedSnapshot::new(&universe, &result.v4);
-        assert_eq!(
-            joined.records(),
-            result.v4.domain_records(&universe).as_slice()
+        let lent = joined.host_table(&universe);
+        assert!(matches!(lent, Cow::Borrowed(_)));
+        assert_eq!(*lent, *result.v4.host_table(&universe));
+    }
+
+    /// The definition the weighted table must agree with, one domain at a
+    /// time: the in-scope domains whose resolved host satisfies `pred`, as
+    /// `(distinct hosts, domains)`.
+    fn recount(
+        universe: &Universe,
+        ipv6: bool,
+        in_scope: impl Fn(DomainLists) -> bool,
+        pred: impl Fn(usize) -> bool,
+    ) -> (u64, u64) {
+        let mut hosts = BTreeSet::new();
+        let mut domains = 0;
+        for domain in universe.domains.iter().filter(|d| in_scope(d.lists)) {
+            let resolved = domain
+                .host
+                .filter(|&h| universe.hosts[h].addr(ipv6).is_some());
+            if let Some(host) = resolved.filter(|&h| pred(h)) {
+                hosts.insert(host);
+                domains += 1;
+            }
+        }
+        (hosts.len() as u64, domains)
+    }
+
+    const QUADRANTS: [(MirrorUseQuadrant, bool, bool); 4] = [
+        (MirrorUseQuadrant::MirroringNoUse, true, false),
+        (MirrorUseQuadrant::MirroringUse, true, true),
+        (MirrorUseQuadrant::NoMirroringNoUse, false, false),
+        (MirrorUseQuadrant::NoMirroringUse, false, true),
+    ];
+
+    #[test]
+    fn weighted_hosts_agree_with_a_per_domain_recount() {
+        let (universe, result) = census();
+        let (v4, v6) = (&result.v4, result.v6.as_ref().unwrap());
+        fn quic(snapshot: &SnapshotMeasurement, host: usize) -> Option<&HostMeasurement> {
+            snapshot.host(host).filter(|m| m.quic_reachable)
+        }
+
+        // Table 1.
+        let rows = table1(&universe, v4).rows;
+        let scopes: [&dyn Fn(DomainLists) -> bool; 2] = [&|l| l.toplist(), &|l| l.cno];
+        for (scope, pair) in scopes.into_iter().zip(rows.chunks(2)) {
+            let total = universe.domains.iter().filter(|d| scope(d.lists)).count();
+            let resolved = recount(&universe, false, scope, |_| true);
+            let reachable = recount(&universe, false, scope, |h| quic(v4, h).is_some());
+            let mirroring = recount(&universe, false, scope, |h| {
+                quic(v4, h).is_some_and(|m| m.mirror_use().mirroring)
+            });
+            let uses = recount(&universe, false, scope, |h| {
+                quic(v4, h).is_some_and(|m| m.mirror_use().uses_ecn)
+            });
+            assert!(reachable.1 > 0 && mirroring.1 > 0);
+            let (domains, ips) = (&pair[0], &pair[1]);
+            assert_eq!(
+                (domains.total, domains.resolved, domains.quic),
+                (total as u64, resolved.1, reachable.1)
+            );
+            assert_eq!(domains.mirroring, mirroring.1 as f64 / reachable.1 as f64);
+            assert_eq!(domains.uses, uses.1 as f64 / reachable.1 as f64);
+            assert_eq!(
+                (ips.total, ips.resolved, ips.quic),
+                (resolved.0, resolved.0, reachable.0)
+            );
+            assert_eq!(ips.mirroring, mirroring.0 as f64 / reachable.0 as f64);
+            assert_eq!(ips.uses, uses.0 as f64 / reachable.0 as f64);
+        }
+
+        // Table 5, both families.
+        let t5 = table5(&universe, v4, Some(v6));
+        for (snapshot, counts) in [(v4, &t5.v4), (v6, &t5.v6)] {
+            assert!(!counts.is_empty());
+            for class in [
+                EcnClass::NoMirroring,
+                EcnClass::Undercount,
+                EcnClass::RemarkEct1,
+                EcnClass::AllCe,
+                EcnClass::Capable,
+                EcnClass::Other,
+            ] {
+                let expected = recount(
+                    &universe,
+                    snapshot.ipv6,
+                    |l| l.cno,
+                    |h| quic(snapshot, h).is_some_and(|m| m.ecn_class() == Some(class)),
+                );
+                let got = counts.get(&class).map_or((0, 0), |c| (c.ips, c.domains));
+                assert_eq!(got, expected, "{class} ipv6={}", snapshot.ipv6);
+                assert_eq!(counts.contains_key(&class), expected.1 > 0);
+            }
+        }
+
+        // Figure 5.
+        let quadrant = |snapshot: &SnapshotMeasurement, host: usize| {
+            let m = quic(snapshot, host)?.mirror_use();
+            QUADRANTS
+                .iter()
+                .find(|q| (q.1, q.2) == (m.mirroring, m.uses_ecn))
+                .map(|q| q.0)
+        };
+        let fig = figure5(&universe, v4, v6);
+        let mut cross = BTreeMap::new();
+        for (q4, ..) in QUADRANTS {
+            let in_v4 = recount(&universe, false, |l| l.cno, |h| quadrant(v4, h) == Some(q4));
+            let in_v6 = recount(&universe, true, |l| l.cno, |h| quadrant(v6, h) == Some(q4));
+            assert_eq!(fig.v4.get(&q4).copied().unwrap_or(0), in_v4.1);
+            assert_eq!(fig.v6.get(&q4).copied().unwrap_or(0), in_v6.1);
+            for (q6, ..) in QUADRANTS {
+                // Resolving in IPv6 implies resolving in IPv4: every host
+                // has an IPv4 address.
+                let both = recount(
+                    &universe,
+                    true,
+                    |l| l.cno,
+                    |h| quadrant(v4, h) == Some(q4) && quadrant(v6, h) == Some(q6),
+                );
+                if both.1 > 0 {
+                    cross.insert((q4, q6), both.1);
+                }
+            }
+        }
+        assert_eq!(fig.cross, cross);
+        assert!(!cross.is_empty());
+        let v4_only = recount(
+            &universe,
+            false,
+            |l| l.cno,
+            |h| {
+                let via_v6 = universe.hosts[h].ipv6.and(quadrant(v6, h));
+                quadrant(v4, h).is_some() && via_v6.is_none()
+            },
         );
-        assert_eq!(
-            joined.domain_records(&universe),
-            result.v4.domain_records(&universe)
-        );
+        assert_eq!(fig.v4_only, v4_only.1);
+    }
+
+    #[test]
+    fn a_reachable_host_without_a_quic_report_joins_as_v1() {
+        let universe = Universe::generate(&UniverseConfig::tiny());
+        let served = |host: usize| {
+            universe
+                .domains
+                .iter()
+                .filter(|d| d.lists.cno && d.host == Some(host))
+                .count() as u64
+        };
+        let host = (0..universe.hosts.len())
+            .find(|&h| served(h) > 0)
+            .expect("some host serves com/net/org domains");
+        // What `decode_block` returns for a segment with the reachable bit
+        // set and no QUIC report, next to a host this universe does not have.
+        let bare = |host_id| HostMeasurement {
+            host_id,
+            quic_reachable: true,
+            quic: None,
+            tcp: None,
+            trace: None,
+        };
+        let snapshot = SnapshotMeasurement {
+            date: SnapshotDate::APR_2023,
+            ipv6: false,
+            vantage: VantagePoint::main(),
+            hosts: [host, universe.hosts.len()]
+                .into_iter()
+                .map(|id| (id, bare(id)))
+                .collect(),
+        };
+        let fig = figure4(&universe, std::slice::from_ref(&snapshot));
+        let state = DomainState::NoMirroring("v1".to_string());
+        assert_eq!(fig.states, [BTreeMap::from([(state, served(host))])]);
+        assert!(fig.to_string().contains("No Mirroring (v1)"));
     }
 }

@@ -156,22 +156,33 @@ fn store_read_path_and_resilience_files_are_panic_policy_zones() {
 #[test]
 fn workload_crate_is_a_determinism_and_sans_io_zone() {
     // The workload sources joined every purity zone: ambient clocks,
-    // entropy, unordered collections and I/O must all fire there.
-    let path = "crates/workload/src/fixture.rs";
+    // entropy, unordered collections and I/O must all fire there.  The
+    // report join and the host summary it is made of — the input of every
+    // table and figure — are determinism zones at their exact paths.
+    let workload = "crates/workload/src/fixture.rs";
+    for path in [
+        workload,
+        "crates/core/src/source.rs",
+        "crates/core/src/observation.rs",
+    ] {
+        assert_eq!(
+            fired_lines(path, "violations/wall_clock.rs", "no-wall-clock"),
+            BTreeSet::from([3, 4, 7, 8, 9]),
+            "{path}"
+        );
+        assert_eq!(
+            fired_lines(path, "violations/entropy.rs", "no-ambient-entropy"),
+            BTreeSet::from([4, 9, 10]),
+            "{path}"
+        );
+        assert_eq!(
+            fired_lines(path, "violations/unordered.rs", "no-unordered-collections"),
+            BTreeSet::from([3, 4, 7, 8]),
+            "{path}"
+        );
+    }
     assert_eq!(
-        fired_lines(path, "violations/wall_clock.rs", "no-wall-clock"),
-        BTreeSet::from([3, 4, 7, 8, 9])
-    );
-    assert_eq!(
-        fired_lines(path, "violations/entropy.rs", "no-ambient-entropy"),
-        BTreeSet::from([4, 9, 10])
-    );
-    assert_eq!(
-        fired_lines(path, "violations/unordered.rs", "no-unordered-collections"),
-        BTreeSet::from([3, 4, 7, 8])
-    );
-    assert_eq!(
-        fired_lines(path, "violations/sans_io.rs", "sans-io"),
+        fired_lines(workload, "violations/sans_io.rs", "sans-io"),
         BTreeSet::from([3, 6, 7, 8])
     );
 }

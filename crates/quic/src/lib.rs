@@ -49,6 +49,9 @@ pub use behavior::{EcnMirroringBehavior, ServerBehavior};
 pub use client::{ClientConfig, ClientConnection, ClientEcnMode, ClientReport};
 pub use driver::{ConnectionOutcome, ConnectionRun, DriverConfig, QuicFlow, RunOutcome};
 pub use ecn::{EcnConfig, EcnValidationFailure, EcnValidationState, EcnValidator};
+/// The type of [`ClientReport::version`], for crates that read reports
+/// without depending on `qem-packet` themselves.
+pub use qem_packet::quic::QuicVersion;
 pub use server::ServerConnection;
 pub use transport_params::TransportParameters;
 

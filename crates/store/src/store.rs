@@ -614,8 +614,9 @@ impl StoredSnapshot {
     /// seeded by what [`StoredSnapshot::open_quarantining`] set aside.  A
     /// nonzero value means reports built from this snapshot are partial.
     ///
-    /// The counter is a high-water mark, not a sum: a census streams the
-    /// store once per table, and one bad segment stays one bad segment.
+    /// The counter is a high-water mark, not a sum: a store may be streamed
+    /// more than once (one join per report set, Figure 7 once more per
+    /// vantage), and one bad segment stays one bad segment.
     pub fn quarantined_segments(&self) -> u64 {
         self.quarantined.load(Ordering::Relaxed)
     }

@@ -10,8 +10,8 @@
 //! The calibration is **input**, not output: the measurement pipeline in
 //! `qem-core` never reads these ground-truth labels — it probes the simulated
 //! hosts over simulated paths exactly like the real study and must *recover*
-//! the numbers from observations.  Comparing the recovered tables against the
-//! paper is what EXPERIMENTS.md documents.
+//! the numbers from observations.  `tests/end_to_end_census.rs` and its
+//! siblings compare the recovered tables against the paper's shape.
 //!
 //! Main entry point: [`Universe::generate`].
 

@@ -490,6 +490,32 @@ impl Universe {
             .collect()
     }
 
+    /// Domains per host, one column per population — **the** walk behind
+    /// every "IPs vs domains" weighting (tracebox sampling in the scanner,
+    /// the report join).  `columns` says which of the `N` populations a
+    /// domain with the given list membership belongs to; the result is, per
+    /// column, the number of member domains resolving to each host (indexed
+    /// by host id) and the number of member domains overall, resolving or
+    /// not.
+    pub fn domains_per_host<const N: usize>(
+        &self,
+        columns: impl Fn(DomainLists) -> [bool; N],
+    ) -> ([Vec<u32>; N], [u64; N]) {
+        let mut per_host: [Vec<u32>; N] = std::array::from_fn(|_| vec![0; self.hosts.len()]);
+        let mut totals = [0u64; N];
+        for domain in &self.domains {
+            for (column, member) in columns(domain.lists).into_iter().enumerate() {
+                if member {
+                    totals[column] += 1;
+                    if let Some(host) = domain.host {
+                        per_host[column][host] += 1;
+                    }
+                }
+            }
+        }
+        (per_host, totals)
+    }
+
     /// Iterator over domains on the `.com/.net/.org` zone lists.
     pub fn cno_domains(&self) -> impl Iterator<Item = &Domain> {
         self.domains.iter().filter(|d| d.lists.cno)
