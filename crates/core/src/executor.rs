@@ -149,7 +149,7 @@ impl ShardedExecutor {
     /// The batch size used for `n` items.
     ///
     /// Aims for ~8 batches per worker so stragglers rebalance, bounded by
-    /// [`MAX_BATCH`] so the result channel never holds huge payloads.
+    /// `MAX_BATCH` so the result channel never holds huge payloads.
     pub fn batch_size(&self, n: usize) -> usize {
         if self.batch_size > 0 {
             return self.batch_size;

@@ -424,6 +424,7 @@ impl<'a> Scanner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qem_netsim::FaultKind;
     use qem_web::UniverseConfig;
 
     fn universe() -> Universe {
@@ -483,6 +484,48 @@ mod tests {
         assert!(single.counter("engine.events_processed").unwrap() > 0);
         // Scheduling telemetry exists but is allowed to differ per run.
         assert_eq!(single_sched.counter("executor.items"), Some(16));
+    }
+
+    #[test]
+    fn retries_under_forward_loss_terminate_recover_hosts_and_stay_worker_invariant() {
+        let universe = universe();
+        let population = universe.scan_population(false);
+        let run = |workers: usize, retry: RetryPolicy| {
+            let scanner = Scanner::new(
+                &universe,
+                VantagePoint::main(),
+                ScanOptions {
+                    workers,
+                    retry,
+                    ..ScanOptions::paper_default(SnapshotDate::APR_2023)
+                },
+            )
+            .with_fault_plan(FaultPlan::new().always(FaultKind::Loss { rate: 0.35 }));
+            (scanner.scan_all(), scanner.metrics_snapshot())
+        };
+        let (single, metrics) = run(1, RetryPolicy::standard());
+        let (every_core, every_core_metrics) = run(0, RetryPolicy::standard());
+        assert_eq!(single, every_core);
+        assert_eq!(metrics, every_core_metrics);
+        assert_eq!(single.len(), population.len());
+        let counter = |name: &str| metrics.counter(name).unwrap_or(0);
+        assert_eq!(counter("scan.hosts"), population.len() as u64);
+        assert!(counter("scan.quic.retries") > 0);
+        assert!(counter("scan.quic.recovered") > 0);
+        assert!(counter("scan.probe_error.exhausted") > 0);
+        // One backoff is recorded per retry, none per first attempt.
+        assert_eq!(
+            metrics.histogram("scan.quic.backoff_us").map(|h| h.count),
+            Some(counter("scan.quic.retries"))
+        );
+        // A host's first attempt draws identically under both policies, so
+        // retries can only add reachable hosts.
+        let (_, single_attempt) = run(1, RetryPolicy::none());
+        assert_eq!(single_attempt.counter("scan.quic.retries"), Some(0));
+        assert_eq!(
+            counter("scan.quic.reachable"),
+            single_attempt.counter("scan.quic.reachable").unwrap() + counter("scan.quic.recovered")
+        );
     }
 
     #[test]

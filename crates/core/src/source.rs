@@ -16,7 +16,7 @@
 //!
 //! The in-memory [`SnapshotMeasurement`] streams its map; `qem-store`'s
 //! segment reader decodes one segment at a time.  Both are joined by the
-//! same [`HostTable::new`], which is what makes store-backed and in-memory
+//! same `HostTable::new`, which is what makes store-backed and in-memory
 //! reports the same path: measurements arrive in ascending host-id order and
 //! land in a table indexed by host id.  [`JoinedSnapshot`] keeps the table
 //! so that a whole report set costs one pass over the source.

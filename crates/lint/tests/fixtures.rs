@@ -158,12 +158,14 @@ fn workload_crate_is_a_determinism_and_sans_io_zone() {
     // The workload sources joined every purity zone: ambient clocks,
     // entropy, unordered collections and I/O must all fire there.  The
     // report join and the host summary it is made of — the input of every
-    // table and figure — are determinism zones at their exact paths.
+    // table and figure — are determinism zones at their exact paths, and so
+    // is the universe generator every census starts from.
     let workload = "crates/workload/src/fixture.rs";
     for path in [
         workload,
         "crates/core/src/source.rs",
         "crates/core/src/observation.rs",
+        "crates/web/src/universe.rs",
     ] {
         assert_eq!(
             fired_lines(path, "violations/wall_clock.rs", "no-wall-clock"),

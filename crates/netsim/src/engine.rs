@@ -12,14 +12,13 @@
 //!   cancellation by [`EventId`], and same-instant batch draining.  Two
 //!   implementations share the contract: [`EventQueue`], the original
 //!   binary heap, kept as the reference oracle differential tests compare
-//!   against; and [`TimerWheel`](crate::wheel::TimerWheel), the
-//!   hierarchical timer wheel production engines run on.
+//!   against; and [`TimerWheel`], the hierarchical timer wheel production
+//!   engines run on.
 //! * [`SharedQueues`] — real egress queues attached to routers by
 //!   [`RouterId`].  Packets from *all* flows crossing a registered router
-//!   occupy the same queue; [`OccupancyAqm`](crate::aqm::OccupancyAqm) marks
-//!   CE based on the combined occupancy, so congestion experienced by one
-//!   flow is caused by the others — the load-dependent regime of the paper's
-//!   §6.2/§6.3 findings.
+//!   occupy the same queue; [`OccupancyAqm`] marks CE based on the combined
+//!   occupancy, so congestion experienced by one flow is caused by the
+//!   others — the load-dependent regime of the paper's §6.2/§6.3 findings.
 //! * [`Engine`] — the scheduler that owns virtual time and wakes sans-IO
 //!   [`Flow`]s.  A flow does whatever work it can at the current instant
 //!   (transmit, receive, time out) and either asks to sleep until its next
@@ -79,7 +78,7 @@ pub struct SchedulerStats {
 /// draining.
 ///
 /// Both implementations — [`EventQueue`] (binary heap, the reference
-/// oracle) and [`TimerWheel`](crate::wheel::TimerWheel) (the production
+/// oracle) and [`TimerWheel`] (the production
 /// scheduler) — produce bit-identical `(fire time, schedule order)` event
 /// sequences for identical workloads; `tests/scheduler_differential.rs`
 /// and the schedule/cancel proptests pin that equivalence down.
@@ -162,7 +161,7 @@ impl<T> Ord for Scheduled<T> {
 ///
 /// The original engine scheduler, kept as the slow-but-obviously-correct
 /// reference oracle behind the [`Scheduler`] trait: differential tests
-/// drive it and [`TimerWheel`](crate::wheel::TimerWheel) through identical
+/// drive it and [`TimerWheel`] through identical
 /// workloads and assert identical event sequences.  Cancellation here is
 /// O(n) (a membership scan plus a lazy tombstone) — the wheel is where
 /// cancels are O(1).

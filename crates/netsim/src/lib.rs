@@ -5,9 +5,9 @@
 //! some clear them (the paper attributes the bulk of IPv4 clearing to a
 //! single transit provider, AS 1299), some re-mark `ECT(0)` to `ECT(1)`, and
 //! a few mark every packet `CE`.  This crate models exactly that: a
-//! [`Path`](path::Path) is an ordered list of [`Hop`](path::Hop)s, each owned
-//! by a [`Router`](router::Router) with an [`EcnPolicy`](policy::EcnPolicy)
-//! and a DSCP policy, a propagation delay, and a loss probability.  Routers
+//! [`Path`] is an ordered list of [`Hop`]s, each owned by a [`Router`] with an
+//! [`EcnPolicy`] and a DSCP policy, a propagation delay, and a loss
+//! probability.  Routers
 //! decrement the TTL and answer with ICMP *time exceeded* quotations, which is
 //! what makes the tracebox methodology (paper §4.2) work against the
 //! simulator.
@@ -19,11 +19,10 @@
 //!   seeded campaign is exactly reproducible.
 //! * **Sans-IO** — the simulator never spawns tasks or touches sockets; it
 //!   transforms [`IpDatagram`](qem_packet::IpDatagram)s and reports what a
-//!   real network would have done via [`TransitOutcome`](path::TransitOutcome).
+//!   real network would have done via [`TransitOutcome`].
 //! * **Virtual time** — path delays and endpoint timers (PTO, idle timeout)
-//!   share one [`SimInstant`](time::SimInstant) timeline owned by the
-//!   [`Engine`](engine::Engine), so handshake timeouts behave like the
-//!   paper's 10 s budget.
+//!   share one [`SimInstant`] timeline owned by the [`Engine`], so handshake
+//!   timeouts behave like the paper's 10 s budget.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -40,7 +40,7 @@ pub const HISTOGRAM_BUCKETS: usize = 252;
 /// Index of the log-linear bucket recording `value`.
 ///
 /// Values 0–3 get exact buckets; beyond that each power-of-two octave is
-/// split into [`SUB_BUCKETS`] equal slices, giving a worst-case relative
+/// split into `SUB_BUCKETS` equal slices, giving a worst-case relative
 /// error of 25% — plenty for queue depths, packet counts and microsecond
 /// latencies.
 pub fn bucket_index(value: u64) -> usize {
@@ -487,7 +487,7 @@ impl MetricsSnapshot {
 
     /// Deterministic JSON object: `{"name": {"type": …, …}, …}` with keys
     /// in name order and two-space indentation.  Byte-identical for equal
-    /// snapshots; see [`crate::json`] for the writer.
+    /// snapshots; see the private `json` module for the writer.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         self.write_json(&mut out, 0);

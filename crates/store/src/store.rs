@@ -14,7 +14,7 @@
 //! always in one of three states: empty, a resumable prefix of a campaign,
 //! or a complete snapshot.
 
-use crate::codec::{encode_block, FORMAT_VERSION};
+use crate::codec::FORMAT_VERSION;
 use crate::segment::{
     list_segments, read_segment, remove_tmp_orphans, verify_segment, write_atomically,
     write_segment,
@@ -271,11 +271,6 @@ pub struct WriterStats {
     pub bytes_written: u64,
     /// Measurements flushed to disk (excluding any still buffered).
     pub records_written: u64,
-    /// What the flushed measurements would occupy encoded one record per
-    /// block — i.e. without sharing the per-segment dictionaries.  The
-    /// ratio `bytes_written / raw_bytes` is the codec's true
-    /// dictionary-compression win.
-    pub raw_bytes: u64,
     /// Records found already persisted by [`CampaignWriter::resume`] and
     /// therefore never re-written.
     pub resume_skipped: u64,
@@ -288,11 +283,7 @@ impl WriterStats {
         snap.set_counter("store.segments_written", self.segments_written);
         snap.set_counter("store.bytes_written", self.bytes_written);
         snap.set_counter("store.records_written", self.records_written);
-        snap.set_counter("store.raw_bytes", self.raw_bytes);
         snap.set_counter("store.resume_skipped", self.resume_skipped);
-        if let Some(pct) = (self.bytes_written * 100).checked_div(self.raw_bytes) {
-            snap.set_gauge("store.codec_ratio_pct", pct);
-        }
         snap
     }
 }
@@ -416,11 +407,6 @@ impl CampaignWriter {
     fn flush_segment(&mut self) -> Result<(), StoreError> {
         if self.buf.is_empty() {
             return Ok(());
-        }
-        // The codec baseline: what these records cost encoded one per block,
-        // i.e. without amortising the per-segment dictionaries.
-        for m in &self.buf {
-            self.stats.raw_bytes += encode_block(std::slice::from_ref(m)).len() as u64;
         }
         let path = write_segment(&self.dir, self.next_segment, &self.buf)?;
         self.stats.segments_written += 1;
@@ -763,6 +749,7 @@ impl Iterator for MeasurementIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::encode_block;
     use crate::testutil::temp_dir;
 
     fn meta() -> SnapshotMeta {
@@ -843,10 +830,14 @@ mod tests {
             })
             .sum();
         assert_eq!(stats.bytes_written, on_disk);
-        assert!(
-            stats.raw_bytes > 0,
-            "single-record baseline must be measured"
-        );
+        // The codec win the shared per-block dictionaries buy, computed here
+        // rather than by re-encoding every record on the production path.
+        let hosts: Vec<HostMeasurement> = (0..23).map(measurement).collect();
+        let alone: usize = hosts
+            .iter()
+            .map(|m| encode_block(std::slice::from_ref(m)).len())
+            .sum();
+        assert!(encode_block(&hosts).len() < alone);
         let telemetry = stats.telemetry();
         assert_eq!(telemetry.counter("store.records_written"), Some(23));
         assert_eq!(stored.telemetry_json().unwrap(), None);

@@ -12,17 +12,17 @@
 
 use qem_netsim::Asn;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::IpAddr;
 
 /// The ASN → organisation and prefix → ASN database.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct AsOrgDb {
-    orgs: HashMap<u32, String>,
+    orgs: BTreeMap<u32, String>,
     /// First IPv4 octet of a provider's host prefix → ASN.
-    v4_prefix_owners: HashMap<u8, u32>,
+    v4_prefix_owners: BTreeMap<u8, u32>,
     /// IPv6 "provider index" (third hextet under 2001:db8::/32) → ASN.
-    v6_prefix_owners: HashMap<u16, u32>,
+    v6_prefix_owners: BTreeMap<u16, u32>,
     /// All ASNs ever registered, used to reverse router addresses.
     known_asns: Vec<u32>,
 }
@@ -106,7 +106,7 @@ impl AsOrgDb {
         }
     }
 
-    /// Resolve an IP to an organisation name ("<unknown>" if unattributable).
+    /// Resolve an IP to an organisation name (`"<unknown>"` if unattributable).
     pub fn org_of_ip(&self, ip: IpAddr) -> String {
         self.asn_of_ip(ip)
             .map(|asn| self.org_name_or_asn(asn))

@@ -5,7 +5,9 @@
 //! seeded, deterministic generator: hosting providers are modelled with the
 //! market shares, QUIC stacks, ECN behaviours, transit paths and IPv6
 //! coverage the paper reports (Tables 1–7, Figures 3–8), scaled down by a
-//! configurable factor (1:1000 by default).
+//! configurable factor (1:1000 by default).  Hosts are modelled in full;
+//! a domain is list membership, the host it resolves to and a parked flag
+//! (see [`universe`]).
 //!
 //! The calibration is **input**, not output: the measurement pipeline in
 //! `qem-core` never reads these ground-truth labels — it probes the simulated

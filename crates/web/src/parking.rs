@@ -3,35 +3,16 @@
 //! The study checks NS/CNAME/A records against known parking providers and
 //! finds 0.6 % of QUIC-capable `.com/.net/.org` domains to be parked — too
 //! few to bias the results.  The universe generator marks the same share of
-//! domains as parked; this module provides the classifier the pipeline uses
-//! to reproduce the check.
+//! QUIC zone-file domains with [`Domain::parked`], the outcome of that DNS
+//! check; this module reproduces the share from the flags.  There is no
+//! synthetic NS record to match against a provider table: a record the
+//! generator writes and a table that can only agree with it test nothing.
 
 use crate::universe::{Domain, Universe};
 
-/// Well-known parking name-server suffixes (the classifier's rule base).
-pub const PARKING_NS_SUFFIXES: &[&str] = &[
-    "sedoparking.com",
-    "parkingcrew.net",
-    "bodis.com",
-    "above.com",
-    "parklogic.com",
-];
-
 /// Whether a domain is classified as parked.
-///
-/// In the simulation the generator stores the ground truth directly on the
-/// domain; the classifier reads the synthetic NS record the generator derives
-/// from it, mirroring how the real pipeline infers parking from DNS.
 pub fn is_parked(domain: &Domain) -> bool {
-    domain
-        .parking_ns
-        .as_deref()
-        .map(|ns| {
-            PARKING_NS_SUFFIXES
-                .iter()
-                .any(|suffix| ns.ends_with(suffix))
-        })
-        .unwrap_or(false)
+    domain.parked
 }
 
 /// Count parked QUIC domains in the c/n/o zones and their share of all QUIC
@@ -77,11 +58,9 @@ mod tests {
     #[test]
     fn classifier_requires_a_parking_ns() {
         let universe = Universe::generate(&UniverseConfig::default());
-        let unparked = universe
-            .domains
-            .iter()
-            .find(|d| d.parking_ns.is_none())
-            .unwrap();
+        let unparked = universe.domains.iter().find(|d| !d.parked).unwrap();
         assert!(!is_parked(unparked));
+        let parked = universe.domains.iter().find(|d| d.parked).unwrap();
+        assert!(is_parked(parked));
     }
 }

@@ -1,4 +1,12 @@
 //! The seeded universe generator: hosts, domains, DNS and toplists.
+//!
+//! A [`Host`] carries everything a probe can observe.  A [`Domain`] carries
+//! only what the pipeline reads about it — which lists it is on, which host
+//! it resolves to, whether it is parked — because in the paper a domain is
+//! a weight on a host, never a name.  `Universe::domains` is resident for a
+//! whole census, so the record is 24 bytes with no heap behind it, and the
+//! universe is generated eagerly: at that size holding every domain is
+//! cheaper than a generator that re-derives them per shard.
 
 use crate::as2org::AsOrgDb;
 use crate::providers::{
@@ -165,26 +173,15 @@ impl Host {
     }
 }
 
-/// A domain name with its DNS resolution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A domain as the pipeline reads it; the module docs say why it has no name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Domain {
-    /// The domain name.
-    pub name: String,
     /// Which lists the domain appears on.
     pub lists: DomainLists,
     /// The host serving the domain (`None` = does not resolve).
     pub host: Option<usize>,
-    /// Synthetic parking NS record, set for parked domains.
-    pub parking_ns: Option<String>,
-}
-
-impl Domain {
-    /// Whether the domain resolves to an address of the requested family.
-    pub fn resolves(&self, universe: &Universe, v6: bool) -> bool {
-        self.host
-            .map(|h| universe.hosts[h].addr(v6).is_some())
-            .unwrap_or(false)
-    }
+    /// Whether the domain's DNS records point at a parking provider.
+    pub parked: bool,
 }
 
 /// A provider as materialised in the universe.
@@ -281,24 +278,19 @@ impl Universe {
         // Unresolved domains.
         let unresolved_cno = config.scaled(landscape.cno_unresolved);
         let unresolved_top = config.scaled(landscape.toplist_unresolved);
-        for i in 0..unresolved_cno {
-            let name = format!("nxdomain-{i}.{}", tld(&mut rng));
+        for _ in 0..unresolved_cno {
+            skip_tld_draw(&mut rng);
             universe.domains.push(Domain {
-                name,
-                lists: DomainLists {
-                    cno: true,
-                    ..DomainLists::default()
-                },
+                lists: CNO_ONLY,
                 host: None,
-                parking_ns: None,
+                parked: false,
             });
         }
-        for i in 0..unresolved_top {
+        for _ in 0..unresolved_top {
             universe.domains.push(Domain {
-                name: format!("gone-top-{i}.example"),
                 lists: toplist_membership(&mut rng),
                 host: None,
-                parking_ns: None,
+                parked: false,
             });
         }
 
@@ -325,7 +317,7 @@ impl Universe {
         let hosts_needed = total.div_ceil(u64::from(segment.domains_per_ip)).max(1);
         let first_host = self.hosts.len();
         let asn = self.providers[provider_idx].asn;
-        for h in 0..hosts_needed {
+        for _ in 0..hosts_needed {
             let id = self.hosts.len();
             let host_no = id as u32;
             let ipv4 = Ipv4Addr::new(
@@ -364,32 +356,23 @@ impl Universe {
                 transit_v6: segment.transit_v6,
                 tcp_profile: segment.tcp,
             });
-            let _ = h;
         }
-        let provider_name = self.providers[provider_idx]
-            .name
-            .to_lowercase()
-            .replace(' ', "-");
         for i in 0..cno {
             let host = first_host + (i % hosts_needed) as usize;
             let parked = rng.gen_bool(landscape.parked_share.clamp(0.0, 1.0));
+            skip_tld_draw(rng);
             self.domains.push(Domain {
-                name: format!("{provider_name}-{}-{i}.{}", segment.label, tld(rng)),
-                lists: DomainLists {
-                    cno: true,
-                    ..DomainLists::default()
-                },
+                lists: CNO_ONLY,
                 host: Some(host),
-                parking_ns: parked.then(|| "ns1.sedoparking.com".to_string()),
+                parked,
             });
         }
         for i in 0..top {
             let host = first_host + ((cno + i) % hosts_needed) as usize;
             self.domains.push(Domain {
-                name: format!("top-{provider_name}-{}-{i}.example", segment.label),
                 lists: toplist_membership(rng),
                 host: Some(host),
-                parking_ns: None,
+                parked: false,
             });
         }
     }
@@ -451,23 +434,19 @@ impl Universe {
         }
         for i in 0..cno {
             let host = first_host + (i % hosts_needed) as usize;
+            skip_tld_draw(rng);
             self.domains.push(Domain {
-                name: format!("site-{v4_octet}-{i}.{}", tld(rng)),
-                lists: DomainLists {
-                    cno: true,
-                    ..DomainLists::default()
-                },
+                lists: CNO_ONLY,
                 host: Some(host),
-                parking_ns: None,
+                parked: false,
             });
         }
         for i in 0..top {
             let host = first_host + ((cno + i) % hosts_needed) as usize;
             self.domains.push(Domain {
-                name: format!("top-site-{v4_octet}-{i}.example"),
                 lists: toplist_membership(rng),
                 host: Some(host),
-                parking_ns: None,
+                parked: false,
             });
         }
     }
@@ -535,12 +514,19 @@ impl Universe {
     }
 }
 
-fn tld(rng: &mut StdRng) -> &'static str {
-    match rng.gen_range(0..10) {
-        0..=5 => "com",
-        6..=7 => "net",
-        _ => "org",
-    }
+/// Membership of a zone-file domain that is on no toplist.
+const CNO_ONLY: DomainLists = DomainLists {
+    cno: true,
+    alexa: false,
+    umbrella: false,
+    majestic: false,
+    tranco: false,
+};
+
+/// The draw that once picked a zone-file domain's TLD.  Domains carry no
+/// names, but the goldens pin the RNG stream, so the draw stays in place.
+fn skip_tld_draw(rng: &mut StdRng) {
+    let _: i32 = rng.gen_range(0..10);
 }
 
 fn toplist_membership(rng: &mut StdRng) -> DomainLists {
@@ -569,10 +555,56 @@ mod tests {
     fn generation_is_deterministic() {
         let a = Universe::generate(&UniverseConfig::default());
         let b = Universe::generate(&UniverseConfig::default());
-        assert_eq!(a.domains.len(), b.domains.len());
+        assert_eq!(a.domains, b.domains);
         assert_eq!(a.hosts.len(), b.hosts.len());
-        assert_eq!(a.domains[100].name, b.domains[100].name);
         assert_eq!(a.hosts[10].ipv4, b.hosts[10].ipv4);
+    }
+
+    #[test]
+    fn a_domain_is_at_most_24_bytes() {
+        // `Universe::domains` is resident for a whole census (744 k entries
+        // at 1:250), so this size is most of the benchmark's `peak_live_mb`.
+        assert!(std::mem::size_of::<Domain>() <= 24);
+    }
+
+    #[test]
+    fn every_domain_walk_agrees_with_a_naive_recount() {
+        for config in [UniverseConfig::default(), UniverseConfig::tiny()] {
+            let u = Universe::generate(&config);
+            let mut per_host = [vec![0u32; u.hosts.len()], vec![0u32; u.hosts.len()]];
+            let mut totals = [0u64; 2];
+            let (mut quic_cno, mut parked) = (0u64, 0u64);
+            for domain in &u.domains {
+                for (column, member) in [domain.lists.cno, domain.lists.toplist()]
+                    .into_iter()
+                    .enumerate()
+                {
+                    if member {
+                        totals[column] += 1;
+                        if let Some(host) = domain.host {
+                            per_host[column][host] += 1;
+                        }
+                    }
+                }
+                let quic = domain.host.is_some_and(|h| u.hosts[h].stack.is_some());
+                if domain.lists.cno && quic {
+                    quic_cno += 1;
+                    parked += u64::from(domain.parked);
+                }
+                // Only QUIC zone-file domains are ever drawn as parked.
+                assert!(!domain.parked || (domain.lists.cno && quic));
+            }
+            assert_eq!(
+                u.domains_per_host(|l| [l.cno, l.toplist()]),
+                (per_host, totals)
+            );
+            assert_eq!(u.cno_domains().count() as u64, totals[0]);
+            assert_eq!(u.toplist_domains().count() as u64, totals[1]);
+            assert_eq!(
+                crate::parking::parked_quic_share(&u),
+                (parked, parked as f64 / quic_cno as f64)
+            );
+        }
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! on the engine *is* spec order (connections within an app in connection
 //! order), which — together with the engine's FIFO tie-breaking — makes a
 //! scenario run a pure function of `(scenario, variant)`.  The same scenario
-//! runs unmodified on the production [`TimerWheel`](qem_netsim::TimerWheel)
-//! and the [`EventQueue`](qem_netsim::EventQueue) oracle, which the
-//! determinism tests exploit.
+//! runs unmodified on the production [`TimerWheel`] and the [`EventQueue`]
+//! oracle, which the determinism tests exploit.
 
 use crate::apps::{jitter_us, BulkAppFlow, RtcAppFlow};
 use crate::report::{BulkOutcome, LoadOutcome, RtcOutcome, WorkloadComparison, WorkloadReport};
