@@ -13,6 +13,13 @@
 //! derives each host's RNG from `seed × host id`), the returned vector is
 //! bit-identical for every worker count — results are reassembled in input
 //! order, not completion order.
+//!
+//! Work that wants reusable buffers gets them as **per-worker state**:
+//! [`ShardedExecutor::run_streaming_observed`] builds one `W` per worker
+//! thread (or one for the inline path) with `init`, hands it to every `work`
+//! call of that worker, and drops it when the run ends.  The state belongs
+//! to the run — nothing is parked in thread-locals or statics — and, by the
+//! contract above, must not influence results.
 
 use crossbeam::channel;
 use qem_obs::{MetricsSnapshot, ShardedRegistry};
@@ -191,23 +198,34 @@ impl ShardedExecutor {
         F: Fn(&I) -> T + Sync,
         S: FnMut(T),
     {
-        self.run_streaming_observed(items, work, sink, &ExecutorStats::new(self.workers));
+        self.run_streaming_observed(
+            items,
+            || (),
+            |(), item| work(item),
+            sink,
+            &ExecutorStats::new(self.workers),
+        );
     }
 
-    /// [`ShardedExecutor::run_streaming`] with scheduling telemetry: each
-    /// worker records claimed batches and processed items into its own
+    /// [`ShardedExecutor::run_streaming`] with per-worker state and
+    /// scheduling telemetry: each worker builds its own `W` with `init`
+    /// and lends it to every `work` call it makes (the inline path builds
+    /// one), records claimed batches and processed items into its own
     /// [`ExecutorStats`] shard, and the collector records the reorder
-    /// buffer's high-water mark.  Output semantics are identical.
-    pub fn run_streaming_observed<I, T, F, S>(
+    /// buffer's high-water mark.  Output semantics are identical as long
+    /// as `work`'s result does not depend on the state.
+    pub fn run_streaming_observed<I, T, W, N, F, S>(
         &self,
         items: &[I],
+        init: N,
         work: F,
         mut sink: S,
         stats: &ExecutorStats,
     ) where
         I: Sync,
         T: Send,
-        F: Fn(&I) -> T + Sync,
+        N: Fn() -> W + Sync,
+        F: Fn(&mut W, &I) -> T + Sync,
         S: FnMut(T),
     {
         // An explicit batch size signals coarse-grained items (e.g. one whole
@@ -221,8 +239,9 @@ impl ShardedExecutor {
                 shard.counter("executor.batches").inc();
             }
             shard.counter("executor.items").add(items.len() as u64);
+            let mut state = init();
             for item in items {
-                sink(work(item));
+                sink(work(&mut state, item));
             }
             return;
         }
@@ -256,7 +275,7 @@ impl ShardedExecutor {
             cancelled: false,
         });
         let frontier_moved = std::sync::Condvar::new();
-        let work = &work;
+        let (init, work) = (&init, &work);
         std::thread::scope(|scope| {
             for worker in 0..self.workers.min(shard_count) {
                 let shard_rx = shard_rx.clone();
@@ -267,6 +286,7 @@ impl ShardedExecutor {
                 scope.spawn(move || {
                     let batches = worker_shard.counter("executor.batches");
                     let items_done = worker_shard.counter("executor.items");
+                    let mut state = init();
                     // If `work` panics, this shard never reaches the
                     // collector and the frontier stalls; cancel the run so
                     // the other workers exit and the panic can propagate.
@@ -290,7 +310,10 @@ impl ShardedExecutor {
                                 return;
                             }
                         }
-                        let outputs: Vec<T> = items[start..end].iter().map(work).collect();
+                        let outputs: Vec<T> = items[start..end]
+                            .iter()
+                            .map(|item| work(&mut state, item))
+                            .collect();
                         batches.inc();
                         items_done.add(outputs.len() as u64);
                         if result_tx.send((shard, outputs)).is_err() {
@@ -506,7 +529,8 @@ mod tests {
             let mut got = Vec::new();
             ShardedExecutor::new(workers).run_streaming_observed(
                 &items,
-                |&x| x,
+                || (),
+                |(), &x| x,
                 |v| got.push(v),
                 &stats,
             );

@@ -162,7 +162,7 @@ impl HostMeasurement {
             family: quic
                 .and_then(|r| r.response.as_ref())
                 .and_then(|resp| resp.server_family())
-                .map(|family| ServerFamily::of(&family)),
+                .map(ServerFamily::of),
             fingerprint: quic.and_then(|r| r.transport_fingerprint),
             tcp: self.tcp.as_ref().and_then(TcpCategory::of),
             quic_ce: quic.and_then(QuicCeCategory::of),

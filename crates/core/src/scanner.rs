@@ -6,13 +6,18 @@
 //! ([`crate::executor::ShardedExecutor`]).  Each host gets its own
 //! deterministic RNG derived from the scan seed and the host id, so a scan
 //! produces identical results regardless of worker count or scheduling.
+//! Each executor worker owns one [`EngineScratch`] for the scan and lends it
+//! to both probes of every host it measures: one timer wheel per worker,
+//! not one per probe.
 
 use crate::executor::{ExecutorStats, ShardedExecutor};
 use crate::metrics::ScanMetrics;
 use crate::observation::{EcnClass, HostMeasurement};
 use crate::resilience::{classify_probe, ProbeError, RetryPolicy};
 use crate::vantage::VantagePoint;
-use qem_netsim::{build_duplex_path, Asn, CrossTraffic, DuplexPath, FaultPlan, TransitProfile};
+use qem_netsim::{
+    build_duplex_path, Asn, CrossTraffic, DuplexPath, EngineScratch, FaultPlan, TransitProfile,
+};
 use qem_obs::MetricsSnapshot;
 use qem_quic::behavior::EcnMirroringBehavior;
 use qem_quic::{ClientConfig, ConnectionRun, DriverConfig};
@@ -184,12 +189,20 @@ impl<'a> Scanner<'a> {
         ids.dedup();
         let executor = ShardedExecutor::new(self.options.workers);
         let stats = ExecutorStats::new(self.options.workers);
-        executor.run_streaming_observed(&ids, |&id| self.measure_host(id), sink, &stats);
+        executor.run_streaming_observed(
+            &ids,
+            EngineScratch::default,
+            |scratch, &id| self.measure_host(id, scratch),
+            sink,
+            &stats,
+        );
         self.metrics.absorb_scheduling(&stats.merged());
     }
 
-    /// Measure one host: QUIC, TCP and (sampled) tracebox.
-    pub fn measure_host(&self, host_id: usize) -> HostMeasurement {
+    /// Measure one host: QUIC, TCP and (sampled) tracebox.  Both probes run
+    /// their engine over `scratch`; the measurement does not depend on what
+    /// ran over it before.
+    pub fn measure_host(&self, host_id: usize, scratch: &mut EngineScratch) -> HostMeasurement {
         let host = &self.universe.hosts[host_id];
         let mut rng = StdRng::seed_from_u64(
             self.options
@@ -235,6 +248,7 @@ impl<'a> Scanner<'a> {
                     ConnectionRun::new(client_config.clone(), behavior.clone(), &path, driver)
                         .cross_traffic(self.options.cross_traffic)
                         .telemetry(true)
+                        .scratch(scratch)
                         .execute(&mut rng);
                 let outcome = run.connection;
                 self.metrics
@@ -296,6 +310,7 @@ impl<'a> Scanner<'a> {
                 &path,
             )
             .cross_traffic(self.options.cross_traffic)
+            .scratch(scratch)
             .execute(&mut rng)
             .report,
         );
@@ -529,6 +544,57 @@ mod tests {
     }
 
     #[test]
+    fn reused_scratches_measure_what_a_fresh_scratch_per_host_does() {
+        let universe = universe();
+        let population = universe.scan_population(false);
+        let loss = FaultPlan::new().always(FaultKind::Loss { rate: 0.35 });
+        for (cross_traffic, fault_plan, retry) in [
+            (
+                CrossTraffic::none(),
+                FaultPlan::default(),
+                RetryPolicy::none(),
+            ),
+            (CrossTraffic::congested(), loss, RetryPolicy::standard()),
+        ] {
+            let scanner = |workers: usize| {
+                Scanner::new(
+                    &universe,
+                    VantagePoint::main(),
+                    ScanOptions {
+                        workers,
+                        cross_traffic,
+                        retry,
+                        ..ScanOptions::paper_default(SnapshotDate::APR_2023)
+                    },
+                )
+                .with_fault_plan(fault_plan.clone())
+            };
+            let single = scanner(1);
+            let fresh: Vec<HostMeasurement> = population
+                .iter()
+                .map(|&id| single.measure_host(id, &mut EngineScratch::default()))
+                .collect();
+            // One scratch for every host, visited in the opposite order…
+            let mut scratch = EngineScratch::default();
+            let mut reversed: Vec<HostMeasurement> = population
+                .iter()
+                .rev()
+                .map(|&id| single.measure_host(id, &mut scratch))
+                .collect();
+            reversed.reverse();
+            assert_eq!(reversed, fresh);
+            // …and one per executor worker, inline and threaded.
+            for workers in [1, 2, 0] {
+                assert_eq!(
+                    scanner(workers).scan_hosts(&population),
+                    fresh,
+                    "workers={workers}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn quic_hosts_answer_and_tcp_hosts_do_not_speak_quic() {
         let universe = universe();
         let scanner = Scanner::new(
@@ -538,10 +604,10 @@ mod tests {
         );
         let quic_host = universe.hosts.iter().find(|h| h.stack.is_some()).unwrap();
         let tcp_host = universe.hosts.iter().find(|h| h.stack.is_none()).unwrap();
-        let m = scanner.measure_host(quic_host.id);
+        let m = scanner.measure_host(quic_host.id, &mut EngineScratch::default());
         assert!(m.quic.is_some());
         assert!(m.tcp.as_ref().unwrap().connected);
-        let m = scanner.measure_host(tcp_host.id);
+        let m = scanner.measure_host(tcp_host.id, &mut EngineScratch::default());
         assert!(m.quic.is_none());
         assert!(!m.quic_reachable);
         assert!(m.tcp.as_ref().unwrap().connected);
@@ -569,7 +635,7 @@ mod tests {
             .iter()
             .find(|h| h.provider == cf && h.stack.is_some())
             .unwrap();
-        let m = scanner.measure_host(host.id);
+        let m = scanner.measure_host(host.id, &mut EngineScratch::default());
         assert!(m.trace.is_some());
         assert!(!m.trace.unwrap().is_impaired());
     }
@@ -595,7 +661,7 @@ mod tests {
             .iter()
             .find(|h| h.provider == amazon && h.segment == "cloudfront")
             .unwrap();
-        let m = scanner.measure_host(host.id);
+        let m = scanner.measure_host(host.id, &mut EngineScratch::default());
         assert_eq!(m.ecn_class(), Some(EcnClass::Capable));
         assert!(m.trace.is_none());
     }
@@ -616,7 +682,7 @@ mod tests {
             .iter()
             .find(|h| matches!(h.transit_v4, TransitProfile::Clearing { .. }) && h.stack.is_some())
             .unwrap();
-        let m = scanner.measure_host(host.id);
+        let m = scanner.measure_host(host.id, &mut EngineScratch::default());
         assert_eq!(m.ecn_class(), Some(EcnClass::NoMirroring));
         let trace = m.trace.expect("abnormal host must be traced");
         assert!(trace.is_impaired());

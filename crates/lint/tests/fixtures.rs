@@ -190,6 +190,23 @@ fn workload_crate_is_a_determinism_and_sans_io_zone() {
 }
 
 #[test]
+fn ambient_state_fixture_fires_on_every_global_and_never_on_the_static_lifetime() {
+    // The rule guards the scan hot path (scanner, executor), the wire and
+    // the tracer on top of the deterministic zones.
+    for path in [
+        "crates/netsim/src/fixture.rs",
+        "crates/core/src/scanner.rs",
+        "crates/core/src/executor.rs",
+        "crates/packet/src/fixture.rs",
+        "crates/tracebox/src/fixture.rs",
+    ] {
+        let lines = fired_lines(path, "violations/ambient_state.rs", "no-ambient-state");
+        // Lines 11 and 15 only mention the `'static` lifetime.
+        assert_eq!(lines, BTreeSet::from([3, 4, 7, 8, 9, 12, 13, 14]), "{path}");
+    }
+}
+
+#[test]
 fn unsafe_fixture_fires_only_without_a_safety_comment() {
     let lines = fired_lines(
         "crates/packet/src/fixture.rs",

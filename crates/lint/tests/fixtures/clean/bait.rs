@@ -12,6 +12,7 @@ pub const RAW: &str = r#"thread_rng() and OsRng and "quoted" getrandom"#;
 pub const NESTED_RAW: &str = r##"raw with "# inside: from_entropy()"##;
 pub const BYTES: &[u8] = b"std::fs::read and TcpStream and UdpSocket";
 pub const CHARS: (char, char) = ('a', '"');
+pub const AMBIENT: &'static str = "thread_local! static mut OnceLock OnceCell LazyLock lazy_static";
 
 /// Doc comments mentioning sleep, stdin and UdpSocket are also fine.
 pub struct SimInstant(pub u64);

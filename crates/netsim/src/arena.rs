@@ -66,6 +66,14 @@ impl<T> EventArena<T> {
         }
     }
 
+    /// Drop every payload and forget every slot, keeping the allocations:
+    /// the next insert is slot 0, generation 0, as in [`EventArena::new`].
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+        self.live = 0;
+    }
+
     /// Number of live (inserted, not yet removed) payloads.
     pub fn len(&self) -> usize {
         self.live

@@ -30,6 +30,12 @@
 //! a one-flow engine with **no** registered queues; in that configuration the
 //! shared-queue hooks consume no randomness and add no delay, so an unloaded
 //! run is bit-identical to stepping the flow over a private path.
+//!
+//! An engine's allocations — the wheel's slot table above all — live in an
+//! [`EngineScratch`].  [`Engine::new`] owns a fresh one; `run_measured`
+//! borrows the caller's and resets it first, so a census worker builds one
+//! wheel for its whole scan instead of one per probe.  A reset scratch is
+//! observably a new one: results never depend on what ran over it before.
 
 use crate::aqm::{AqmDecision, OccupancyAqm};
 use crate::fault::{FaultStats, FaultVerdict};
@@ -43,8 +49,10 @@ use qem_packet::ip::{IpDatagram, IpProtocol};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::borrow::BorrowMut;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::marker::PhantomData;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 // ---------------------------------------------------------------------------
@@ -609,40 +617,70 @@ pub type Engine<'a> = EngineCore<'a, TimerWheel<usize>>;
 /// wheel benchmarks.
 pub type HeapEngine<'a> = EngineCore<'a, EventQueue<usize>>;
 
+/// What an engine allocates and the next run can use again: the scheduler,
+/// the same-instant dispatch batch and the wake log.
+///
+/// Whoever runs many connections in a row — a scanner worker, through the
+/// run builders' `.scratch()` — owns one and lends it to each
+/// [`run_measured`]; it dies with its owner, never in ambient state.
+#[derive(Debug)]
+pub struct EngineScratch<S = TimerWheel<usize>> {
+    queue: S,
+    /// Reusable same-instant dispatch batch (see [`EngineCore::run`]).
+    batch: Vec<Event<usize>>,
+    log: TraceRing<FlowWake>,
+}
+
+impl<S: Default> Default for EngineScratch<S> {
+    fn default() -> Self {
+        EngineScratch {
+            queue: S::default(),
+            batch: Vec::new(),
+            log: TraceRing::new(DEFAULT_EVENT_LOG_CAPACITY),
+        }
+    }
+}
+
 /// The discrete-event scheduler: owns virtual time, the shared queues and
 /// a [`Scheduler`] implementation, and drives registered flows to
 /// completion.  Use the [`Engine`] alias (timer wheel) unless you are
 /// differentially testing against the [`HeapEngine`] oracle.
-pub struct EngineCore<'a, S: Scheduler<usize>> {
-    queue: S,
+///
+/// `H` is how the engine holds its [`EngineScratch`]: owned (the default,
+/// what [`EngineCore::new`] builds) or `&mut`, borrowed from a caller that
+/// reuses it across runs.
+pub struct EngineCore<'a, S: Scheduler<usize>, H: BorrowMut<EngineScratch<S>> = EngineScratch<S>> {
+    scratch: H,
     flows: Vec<&'a mut dyn Flow>,
     shared: SharedQueues,
-    log: TraceRing<FlowWake>,
     events_processed: u64,
-    /// Reusable same-instant dispatch batch (see [`EngineCore::run`]).
-    batch: Vec<Event<usize>>,
+    scheduler: PhantomData<S>,
 }
 
 impl<'a, S: Scheduler<usize> + Default> EngineCore<'a, S> {
     /// An engine over the given shared queues.
     pub fn new(shared: SharedQueues) -> Self {
-        EngineCore {
-            queue: S::default(),
-            flows: Vec::new(),
-            shared,
-            log: TraceRing::new(DEFAULT_EVENT_LOG_CAPACITY),
-            events_processed: 0,
-            batch: Vec::new(),
-        }
+        EngineCore::over(shared, EngineScratch::default())
     }
 }
 
-impl<'a, S: Scheduler<usize>> EngineCore<'a, S> {
+impl<'a, S: Scheduler<usize>, H: BorrowMut<EngineScratch<S>>> EngineCore<'a, S, H> {
+    /// An engine over the given shared queues and a new or reset scratch.
+    fn over(shared: SharedQueues, scratch: H) -> Self {
+        EngineCore {
+            scratch,
+            flows: Vec::new(),
+            shared,
+            events_processed: 0,
+            scheduler: PhantomData,
+        }
+    }
+
     /// Retain at most `capacity` wake-log entries (the newest ones; the
     /// default is [`DEFAULT_EVENT_LOG_CAPACITY`]).  Evictions are counted
     /// in [`EngineCore::telemetry`] as `engine.trace.dropped`.
     pub fn with_event_log_capacity(mut self, capacity: usize) -> Self {
-        self.log = TraceRing::new(capacity);
+        self.scratch.borrow_mut().log = TraceRing::new(capacity);
         self
     }
 
@@ -656,13 +694,13 @@ impl<'a, S: Scheduler<usize>> EngineCore<'a, S> {
     pub fn add_flow_at(&mut self, start: SimInstant, flow: &'a mut dyn Flow) -> usize {
         let index = self.flows.len();
         self.flows.push(flow);
-        self.queue.schedule_at(start, index);
+        self.scratch.borrow_mut().queue.schedule_at(start, index);
         index
     }
 
     /// The current virtual time.
     pub fn now(&self) -> SimInstant {
-        self.queue.now()
+        self.scratch.borrow().queue.now()
     }
 
     /// The shared queues (e.g. to read [`QueueStats`] after a run).
@@ -675,7 +713,7 @@ impl<'a, S: Scheduler<usize>> EngineCore<'a, S> {
     /// differential tests assert).  Bounded: only the newest
     /// [`EngineCore::with_event_log_capacity`] wakes are retained.
     pub fn event_log(&self) -> Vec<FlowWake> {
-        self.log.to_vec()
+        self.scratch.borrow().log.to_vec()
     }
 
     /// Total number of events processed so far (unbounded, unlike the log).
@@ -690,16 +728,17 @@ impl<'a, S: Scheduler<usize>> EngineCore<'a, S> {
     /// not perturb the simulation, so instrumented and uninstrumented runs
     /// stay bit-identical.
     pub fn telemetry(&self) -> EngineTelemetry {
+        let EngineScratch { queue, log, .. } = self.scratch.borrow();
         let mut metrics = self.shared.telemetry();
         metrics.set_counter("engine.events_processed", self.events_processed);
         metrics.set_counter("engine.flows", self.flows.len() as u64);
-        metrics.set_counter("engine.trace.recorded", self.log.recorded());
-        metrics.set_counter("engine.trace.dropped", self.log.dropped());
-        metrics.set_gauge("engine.virtual_now_us", self.queue.now().as_micros());
+        metrics.set_counter("engine.trace.recorded", log.recorded());
+        metrics.set_counter("engine.trace.dropped", log.dropped());
+        metrics.set_gauge("engine.virtual_now_us", queue.now().as_micros());
         // Cancellation counters are emitted only when nonzero: runs that
         // never cancel — every golden-pinned scenario — keep byte-identical
         // telemetry documents across the scheduler swap.
-        let sched = self.queue.stats();
+        let sched = queue.stats();
         if sched.cancelled > 0 {
             metrics.set_counter("engine.sched.cancelled", sched.cancelled);
         }
@@ -708,14 +747,14 @@ impl<'a, S: Scheduler<usize>> EngineCore<'a, S> {
         }
         EngineTelemetry {
             metrics,
-            trace: self.log.to_vec(),
+            trace: log.to_vec(),
         }
     }
 
     /// The scheduler's own counters (also folded into
     /// [`EngineCore::telemetry`] when nonzero).
     pub fn scheduler_stats(&self) -> SchedulerStats {
-        self.queue.stats()
+        self.scratch.borrow().queue.stats()
     }
 
     /// Schedule an extra wake for the flow at `index` (as returned by
@@ -724,7 +763,7 @@ impl<'a, S: Scheduler<usize>> EngineCore<'a, S> {
     /// cancellable via [`EngineCore::cancel_wake`] — O(1) on the default
     /// wheel scheduler.
     pub fn schedule_wake_at(&mut self, at: SimInstant, index: usize) -> EventId {
-        self.queue.schedule_at(at, index)
+        self.scratch.borrow_mut().queue.schedule_at(at, index)
     }
 
     /// Cancel a wake scheduled with [`EngineCore::schedule_wake_at`].
@@ -733,7 +772,7 @@ impl<'a, S: Scheduler<usize>> EngineCore<'a, S> {
     /// (and, once the dead entry drains, `engine.sched.stale_pops`) —
     /// never silently dropped.
     pub fn cancel_wake(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
+        self.scratch.borrow_mut().queue.cancel(id)
     }
 
     /// Run until every flow is done (or the event cap is hit).
@@ -744,20 +783,17 @@ impl<'a, S: Scheduler<usize>> EngineCore<'a, S> {
     /// in a later batch, so the observable wake order is provably the same
     /// as popping one event at a time.
     pub fn run(&mut self) {
+        let EngineScratch { queue, batch, log } = self.scratch.borrow_mut();
         let mut processed = 0usize;
-        let mut batch = std::mem::take(&mut self.batch);
-        'run: loop {
-            if self.queue.pop_batch(&mut batch) == 0 {
-                break;
-            }
-            for &event in &batch {
+        'run: while queue.pop_batch(batch) > 0 {
+            for &event in batch.iter() {
                 processed += 1;
                 if processed > MAX_EVENTS {
                     break 'run;
                 }
                 self.events_processed += 1;
                 let index = event.payload;
-                self.log.push(FlowWake {
+                log.push(FlowWake {
                     at: event.at,
                     flow: index,
                 });
@@ -766,13 +802,12 @@ impl<'a, S: Scheduler<usize>> EngineCore<'a, S> {
                 };
                 match flow.on_wake(event.at, &mut self.shared) {
                     FlowStatus::Sleep(at) => {
-                        self.queue.schedule_at(at, index);
+                        queue.schedule_at(at, index);
                     }
                     FlowStatus::Done => {}
                 }
             }
         }
-        self.batch = batch;
     }
 }
 
@@ -997,7 +1032,7 @@ impl Flow for LoadFlow {
         }
         let delivered = self.datagram.as_ref().is_some_and(|datagram| {
             self.path
-                .transit_shared(datagram, now, &mut self.rng, net)
+                .transit_shared(datagram.clone(), now, &mut self.rng, net)
                 .is_delivered()
         });
         if delivered {
@@ -1016,6 +1051,10 @@ impl Flow for LoadFlow {
 /// [`CrossTraffic`] scenario instantiated (`None`: alone, over no shared
 /// queues), returning the engine's telemetry iff `want_telemetry`.
 ///
+/// The engine runs over the caller's `scratch`, reset first — whatever ran
+/// over it before, this run is the run of a fresh [`Engine`] — or, given
+/// `None`, over a scratch of its own.
+///
 /// Background flows register first so their first packets occupy the
 /// bottleneck before the measured flow's initial burst (FIFO tie-break at
 /// the epoch).
@@ -1023,9 +1062,18 @@ pub fn run_measured(
     flow: &mut dyn Flow,
     load: Option<(SharedQueues, Vec<LoadFlow>)>,
     want_telemetry: bool,
+    scratch: Option<&mut EngineScratch>,
 ) -> Option<EngineTelemetry> {
     let (queues, mut loads) = load.unwrap_or_default();
-    let mut engine = Engine::new(queues);
+    let mut fresh = None;
+    let scratch = match scratch {
+        Some(scratch) => scratch,
+        None => fresh.insert(EngineScratch::default()),
+    };
+    scratch.queue.reset();
+    scratch.batch.clear();
+    scratch.log.clear();
+    let mut engine = EngineCore::<TimerWheel<usize>, _>::over(queues, scratch);
     for load in loads.iter_mut() {
         engine.add_flow(load);
     }
@@ -1227,12 +1275,12 @@ mod tests {
         // Forward transits occupy the queue…
         mirrored
             .forward
-            .transit_shared(&dgram, SimInstant::EPOCH, &mut rng, &mut queues);
+            .transit_shared(dgram.clone(), SimInstant::EPOCH, &mut rng, &mut queues);
         assert_eq!(queues.stats(RouterId(1)).unwrap().enqueued, 1);
         // …reverse transits of the "same" router do not.
         mirrored
             .reverse
-            .transit_shared(&dgram, SimInstant::EPOCH, &mut rng, &mut queues);
+            .transit_shared(dgram, SimInstant::EPOCH, &mut rng, &mut queues);
         assert_eq!(
             queues.stats(RouterId(1)).unwrap().enqueued,
             1,

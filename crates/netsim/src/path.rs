@@ -1,5 +1,12 @@
 //! Forwarding paths: ordered router hops that forward, rewrite, drop or
 //! answer packets with ICMP.
+//!
+//! A packet is moved down a path, not copied: [`Path::transit_shared`] takes
+//! the [`IpDatagram`] by value, rewrites its header hop by hop and hands the
+//! same body back in [`TransitOutcome::Delivered`], so a sender can take the
+//! body back for its next packet.  [`Path::transit`], which borrows, is the
+//! one place a packet is cloned (besides `LoadFlow`, which sends copies of
+//! a template).
 
 use crate::engine::SharedQueues;
 use crate::fault::FaultPlan;
@@ -173,7 +180,8 @@ impl Path {
     pub fn transit<R: Rng + ?Sized>(&self, datagram: &IpDatagram, rng: &mut R) -> TransitOutcome {
         // No router is registered in an empty `SharedQueues`, so no hop
         // queues and nothing is drawn for one.
-        self.transit_shared(datagram, SimInstant::EPOCH, rng, &mut SharedQueues::new())
+        let mut no_queues = SharedQueues::new();
+        self.transit_shared(datagram.clone(), SimInstant::EPOCH, rng, &mut no_queues)
     }
 
     /// Send `datagram` down the path at virtual time `now`, passing every hop
@@ -182,14 +190,17 @@ impl Path {
     /// crossing the same router, picks up the queueing delay, and may be
     /// CE-marked or dropped based on the *combined* occupancy.  A hop whose
     /// router has no registered queue forwards at once and draws nothing.
+    ///
+    /// The datagram is consumed: a delivered one comes back in the outcome
+    /// (same body allocation), anything else is dropped with the packet.
     pub fn transit_shared<R: Rng + ?Sized>(
         &self,
-        datagram: &IpDatagram,
+        datagram: IpDatagram,
         now: SimInstant,
         rng: &mut R,
         queues: &mut SharedQueues,
     ) -> TransitOutcome {
-        let mut current = datagram.clone();
+        let mut current = datagram;
         let mut elapsed = SimDuration::ZERO;
 
         // Fault injection happens once, at path entry, before any hop sees
@@ -269,12 +280,13 @@ impl Path {
 /// Build the ICMP time-exceeded response a router sends for `expired`.
 fn build_time_exceeded(router: &Router, expired: &IpDatagram) -> qem_packet::Result<IpDatagram> {
     let v6 = expired.header.is_v6();
-    let full_quote = expired.to_bytes();
-    let quote_len = router.icmp.quote_bytes.min(full_quote.len());
-    let message = IcmpMessage::TimeExceeded {
-        v6,
-        quote: full_quote[..quote_len].to_vec(),
-    };
+    // The first `quote_bytes` of the datagram as it would be serialised:
+    // the header, then as much of the body as the router quotes.
+    let mut quote = expired.header.encode(expired.payload.len());
+    let body = router.icmp.quote_bytes.saturating_sub(quote.len());
+    quote.truncate(router.icmp.quote_bytes);
+    quote.extend_from_slice(&expired.payload[..body.min(expired.payload.len())]);
+    let message = IcmpMessage::TimeExceeded { v6, quote };
     let protocol = if v6 {
         IpProtocol::Icmpv6
     } else {

@@ -3,13 +3,13 @@
 use proptest::prelude::*;
 use qem_netsim::aqm::AqmDecision;
 use qem_netsim::{
-    Asn, DscpPolicy, EcnPolicy, Hop, IcmpBehavior, OccupancyAqm, Path, Router, SimDuration,
-    TransitOutcome,
+    Asn, DscpPolicy, EcnPolicy, FaultKind, FaultPlan, Hop, IcmpBehavior, OccupancyAqm, Path,
+    Router, SharedQueues, SimDuration, SimInstant, TransitOutcome,
 };
 use qem_packet::ecn::EcnCodepoint;
 use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol, Ipv4Header};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::net::Ipv4Addr;
 
 fn arb_policy() -> impl Strategy<Value = EcnPolicy> {
@@ -87,6 +87,47 @@ proptest! {
             }
             other => prop_assert!(false, "lossless path must deliver, got {other:?}"),
         }
+    }
+
+    /// Sending a datagram by value is sending a copy of it by reference:
+    /// same outcome (delivered header and payload, ICMP response, drop hop),
+    /// same RNG draws consumed — on clean, re-marking, lossy,
+    /// faulted-with-corruption and TTL-expiring paths — and a delivered
+    /// datagram still owns the body it was sent with.
+    #[test]
+    fn owned_transit_equals_borrowed_transit(
+        policies in proptest::collection::vec(arb_policy(), 0..10),
+        loss in prop_oneof![Just(0.0), Just(0.3)],
+        faulted in any::<bool>(),
+        ttl in prop_oneof![1u8..12, Just(64u8)],
+        sent in arb_ecn(),
+        seed in any::<u64>(),
+    ) {
+        let mut path = build_path(&policies, loss, false);
+        if faulted {
+            path = path.with_fault(
+                FaultPlan::new()
+                    .always(FaultKind::Corrupt { rate: 0.5 })
+                    .always(FaultKind::Loss { rate: 0.1 }),
+            );
+        }
+        let sent = datagram(ttl, sent);
+        let mut borrowed_rng = StdRng::seed_from_u64(seed);
+        let borrowed = path.transit(&sent, &mut borrowed_rng);
+
+        let mut owned_rng = StdRng::seed_from_u64(seed);
+        let body = sent.payload.as_ptr();
+        let owned = path.transit_shared(
+            sent,
+            SimInstant::EPOCH,
+            &mut owned_rng,
+            &mut SharedQueues::new(),
+        );
+        if let TransitOutcome::Delivered { datagram, .. } = &owned {
+            prop_assert_eq!(datagram.payload.as_ptr(), body);
+        }
+        prop_assert_eq!(owned, borrowed);
+        prop_assert_eq!(owned_rng.gen::<u64>(), borrowed_rng.gen::<u64>());
     }
 
     /// A policy can never resurrect an ECN mark: once a packet is not-ECT it

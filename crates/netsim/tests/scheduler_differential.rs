@@ -9,10 +9,15 @@
 //! full shared-bottleneck engine run, explicit cancellation, and
 //! proptest-generated random schedule/cancel/pop interleavings — and
 //! assert exact agreement.
+//!
+//! The same machinery pins [`TimerWheel::reset`]: a wheel that ran any
+//! workload, was cut short anywhere and then reset is indistinguishable —
+//! [`EventId`]s included — from a new wheel, and therefore from the oracle.
 
 use proptest::prelude::*;
 use qem_netsim::engine::{
-    CrossTraffic, EngineCore, EventQueue, Flow, FlowStatus, FlowWake, Scheduler, SharedQueues,
+    CrossTraffic, EngineCore, EventId, EventQueue, Flow, FlowStatus, FlowWake, Scheduler,
+    SharedQueues,
 };
 use qem_netsim::{
     build_transit_path, Asn, EngineTelemetry, SimDuration, SimInstant, TimerWheel, TransitProfile,
@@ -148,18 +153,28 @@ enum Observed {
 }
 
 /// Apply the same operation sequence and record every observable: pop
-/// results, batch boundaries, cancel return values, pending lengths.
-fn observe<S: Scheduler<u32>>(sched: &mut S, ops: &[Op]) -> Vec<Observed> {
+/// results, batch boundaries, cancel return values, pending lengths —
+/// and, apart (two implementations number events differently), every
+/// [`EventId`] handed out or popped.  `drain` empties the scheduler at the
+/// end; without it the run is cut short wherever `ops` left it.
+fn observe<S: Scheduler<u32>>(
+    sched: &mut S,
+    ops: &[Op],
+    drain: bool,
+) -> (Vec<Observed>, Vec<EventId>) {
     let mut ids = Vec::new();
     let mut horizon = 0u64;
     let mut seen = Vec::new();
+    let mut seen_ids = Vec::new();
     let mut batch = Vec::new();
     for op in ops {
         match op {
             Op::Schedule { delay_us, payload } => {
                 horizon += delay_us;
                 let at = SimInstant::EPOCH + SimDuration::from_micros(horizon);
-                ids.push(Some(sched.schedule_at(at, *payload)));
+                let id = sched.schedule_at(at, *payload);
+                seen_ids.push(id);
+                ids.push(Some(id));
             }
             Op::Cancel { i } => {
                 if !ids.is_empty() {
@@ -172,11 +187,14 @@ fn observe<S: Scheduler<u32>>(sched: &mut S, ops: &[Op]) -> Vec<Observed> {
                 }
             }
             Op::Pop => {
-                let popped = sched.pop().map(|e| (e.at.as_micros(), e.payload));
+                let popped = sched.pop();
+                seen_ids.extend(popped.map(|e| e.id));
+                let popped = popped.map(|e| (e.at.as_micros(), e.payload));
                 seen.push(Observed::Popped(popped, sched.len()));
             }
             Op::PopBatch => {
                 sched.pop_batch(&mut batch);
+                seen_ids.extend(batch.iter().map(|e| e.id));
                 let items = batch
                     .iter()
                     .map(|e| (e.at.as_micros(), e.payload))
@@ -187,13 +205,73 @@ fn observe<S: Scheduler<u32>>(sched: &mut S, ops: &[Op]) -> Vec<Observed> {
     }
     // Full drain: whatever is left must come out in the same order, and
     // skipping the cancelled entries must leave identical stale totals.
-    while let Some(e) = sched.pop() {
+    while let Some(e) = drain.then(|| sched.pop()).flatten() {
+        seen_ids.push(e.id);
         seen.push(Observed::Popped(
             Some((e.at.as_micros(), e.payload)),
             sched.len(),
         ));
     }
-    seen
+    (seen, seen_ids)
+}
+
+/// Drive workload `a` on a wheel without draining it, reset, and require
+/// that workload `b` cannot tell the wheel from a new one (same events,
+/// batches, lengths, [`EventId`]s, counters and final clock) nor — ids
+/// aside — from the heap oracle.
+fn assert_reset_wheel_is_new(a: &[Op], b: &[Op]) -> Result<(), TestCaseError> {
+    let mut reused = TimerWheel::<u32>::new();
+    observe(&mut reused, a, false);
+    reused.reset();
+    prop_assert_eq!(reused.len(), 0);
+    prop_assert_eq!(reused.now(), SimInstant::EPOCH);
+    prop_assert_eq!(reused.stats(), TimerWheel::<u32>::new().stats());
+
+    let mut fresh = TimerWheel::<u32>::new();
+    let mut heap = EventQueue::<u32>::new();
+    let reused_seen = observe(&mut reused, b, true);
+    prop_assert_eq!(&reused_seen, &observe(&mut fresh, b, true));
+    prop_assert_eq!(reused_seen.0, observe(&mut heap, b, true).0);
+    prop_assert_eq!(reused.stats(), fresh.stats());
+    prop_assert_eq!(reused.stats(), Scheduler::<u32>::stats(&heap));
+    prop_assert_eq!(reused.len(), 0);
+    prop_assert_eq!(reused.now(), fresh.now());
+    prop_assert_eq!(reused.now(), Scheduler::<u32>::now(&heap));
+    Ok(())
+}
+
+/// Everything a reset has to forget, spelled out: a same-tick batch cut
+/// short after its first event (two more sit drained in the ready queue),
+/// live entries pending in the bottom ring and in two upper levels, and
+/// cancelled entries of both kinds that were never drained.
+#[test]
+fn reset_forgets_ready_pending_and_cancelled_entries() {
+    let schedule = |delay_us, payload| Op::Schedule { delay_us, payload };
+    let a = [
+        schedule(0, 1),
+        schedule(0, 2),
+        schedule(0, 3),
+        Op::Pop,
+        schedule(100, 4),               // bottom ring
+        schedule(200, 5),               // bottom ring, cancelled below
+        schedule(5_000_000, 6),         // upper level
+        schedule(5_000_000, 7),         // upper level, cancelled below
+        schedule(1_000_000_000_000, 8), // a high upper level
+        Op::Cancel { i: 4 },
+        Op::Cancel { i: 6 },
+    ];
+    let b = [
+        schedule(200, 10),
+        schedule(0, 11),
+        schedule(4_000, 12),
+        Op::Cancel { i: 0 },
+        Op::PopBatch,
+        schedule(5_000_000, 13),
+        Op::Pop,
+    ];
+    assert_reset_wheel_is_new(&a, &b).unwrap();
+    // …and a second reset of the same wheel is as good as the first.
+    assert_reset_wheel_is_new(&b, &a).unwrap();
 }
 
 proptest! {
@@ -205,12 +283,22 @@ proptest! {
     fn random_workloads_are_indistinguishable(ops in proptest::collection::vec(arb_op(), 1..120)) {
         let mut heap = EventQueue::<u32>::new();
         let mut wheel = TimerWheel::<u32>::new();
-        let heap_seen = observe(&mut heap, &ops);
-        let wheel_seen = observe(&mut wheel, &ops);
+        let (heap_seen, _) = observe(&mut heap, &ops, true);
+        let (wheel_seen, _) = observe(&mut wheel, &ops, true);
         prop_assert_eq!(heap_seen, wheel_seen);
         prop_assert_eq!(
             Scheduler::<u32>::stats(&heap),
             Scheduler::<u32>::stats(&wheel)
         );
+    }
+
+    /// A reset wheel is observably a new wheel, whatever ran over it and
+    /// wherever that run stopped.
+    #[test]
+    fn a_reset_wheel_is_a_new_wheel(
+        a in proptest::collection::vec(arb_op(), 0..120),
+        b in proptest::collection::vec(arb_op(), 1..120),
+    ) {
+        assert_reset_wheel_is_new(&a, &b)?;
     }
 }

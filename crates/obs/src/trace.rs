@@ -41,6 +41,14 @@ impl<T> TraceRing<T> {
         }
     }
 
+    /// Forget every entry and eviction, keeping capacity and allocation: the
+    /// ring is as [`TraceRing::new`] left it.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        self.head = 0;
+        self.dropped = 0;
+    }
+
     /// Number of retained entries.
     pub fn len(&self) -> usize {
         self.buf.len()

@@ -470,8 +470,15 @@ impl IpDatagram {
     }
 }
 
-/// RFC 1071 Internet checksum over `data` (used by IPv4, ICMP, UDP, TCP).
-pub fn internet_checksum(data: &[u8]) -> u16 {
+/// The one's-complement sum of `data` as big-endian 16-bit words (an odd
+/// trailing byte is padded with zero), not yet folded.
+///
+/// The accumulator stays `u32` — a 65 535-byte segment plus a pseudo-header
+/// sums to under 2³² — because that is what the word loop vectorises on: a
+/// `u64` accumulator halves the SIMD width and measured 8.5 % *slower* on
+/// the many-packet `netbench-mix` workload (DESIGN.md, "One owner per
+/// packet body").
+fn sum_words(data: &[u8]) -> u32 {
     let mut sum = 0u32;
     let mut chunks = data.chunks_exact(2);
     for chunk in &mut chunks {
@@ -480,43 +487,56 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
     if let [last] = chunks.remainder() {
         sum += u32::from(u16::from_be_bytes([*last, 0]));
     }
+    sum
+}
+
+/// Fold a word sum to 16 bits and complement it.
+fn fold(mut sum: u32) -> u16 {
     while sum > 0xffff {
         sum = (sum & 0xffff) + (sum >> 16);
     }
     !(sum as u16)
 }
 
+/// RFC 1071 Internet checksum over `data` (used by IPv4, ICMP, UDP, TCP).
+pub fn internet_checksum(data: &[u8]) -> u16 {
+    fold(sum_words(data))
+}
+
 /// Compute the transport checksum (UDP / TCP / ICMPv6) including the
 /// pseudo-header for the given source/destination pair.
+///
+/// The pseudo-header is built on the stack and `transport_bytes` is summed
+/// where it lies: both pseudo-headers are even-length, so the two word sums
+/// add up to the sum over their concatenation.
 pub fn pseudo_header_checksum(
     src: IpAddr,
     dst: IpAddr,
     protocol: IpProtocol,
     transport_bytes: &[u8],
 ) -> u16 {
-    let mut pseudo = Vec::with_capacity(40 + transport_bytes.len());
-    match (src, dst) {
+    let mut pseudo = [0u8; 40];
+    let pseudo_len = match (src, dst) {
         (IpAddr::V4(s), IpAddr::V4(d)) => {
-            pseudo.extend_from_slice(&s.octets());
-            pseudo.extend_from_slice(&d.octets());
-            pseudo.push(0);
-            pseudo.push(protocol.number());
-            pseudo.extend_from_slice(&(transport_bytes.len() as u16).to_be_bytes());
+            pseudo[0..4].copy_from_slice(&s.octets());
+            pseudo[4..8].copy_from_slice(&d.octets());
+            pseudo[9] = protocol.number();
+            pseudo[10..12].copy_from_slice(&(transport_bytes.len() as u16).to_be_bytes());
+            12
         }
         (IpAddr::V6(s), IpAddr::V6(d)) => {
-            pseudo.extend_from_slice(&s.octets());
-            pseudo.extend_from_slice(&d.octets());
-            pseudo.extend_from_slice(&(transport_bytes.len() as u32).to_be_bytes());
-            pseudo.extend_from_slice(&[0, 0, 0, protocol.number()]);
+            pseudo[0..16].copy_from_slice(&s.octets());
+            pseudo[16..32].copy_from_slice(&d.octets());
+            pseudo[32..36].copy_from_slice(&(transport_bytes.len() as u32).to_be_bytes());
+            pseudo[39] = protocol.number();
+            40
         }
-        _ => {
-            // Mixed address families cannot occur on a real path; fall back to
-            // a checksum over the transport bytes only so the caller still
-            // gets a deterministic value.
-        }
-    }
-    pseudo.extend_from_slice(transport_bytes);
-    internet_checksum(&pseudo)
+        // Mixed address families cannot occur on a real path; fall back to
+        // a checksum over the transport bytes only so the caller still
+        // gets a deterministic value.
+        _ => 0,
+    };
+    fold(sum_words(&pseudo[..pseudo_len]) + sum_words(transport_bytes))
 }
 
 #[cfg(test)]

@@ -138,10 +138,12 @@ impl TcpHeader {
         }
     }
 
-    /// Encode the header followed by `payload`, computing the checksum over
-    /// the pseudo header for `src`/`dst`.
-    pub fn encode(&self, src: IpAddr, dst: IpAddr, payload: &[u8]) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(TCP_HEADER_LEN + payload.len());
+    /// Encode the header followed by `payload` into `buf` (cleared first, its
+    /// capacity kept — a sender recycles one segment buffer for a whole
+    /// flow), computing the checksum over the pseudo header for `src`/`dst`.
+    pub fn encode(&self, src: IpAddr, dst: IpAddr, payload: &[u8], buf: &mut Vec<u8>) {
+        buf.clear();
+        buf.reserve(TCP_HEADER_LEN + payload.len());
         buf.extend_from_slice(&self.src_port.to_be_bytes());
         buf.extend_from_slice(&self.dst_port.to_be_bytes());
         buf.extend_from_slice(&self.seq.to_be_bytes());
@@ -152,9 +154,8 @@ impl TcpHeader {
         buf.extend_from_slice(&[0, 0]); // checksum placeholder
         buf.extend_from_slice(&[0, 0]); // urgent pointer
         buf.extend_from_slice(payload);
-        let csum = pseudo_header_checksum(src, dst, IpProtocol::Tcp, &buf);
+        let csum = pseudo_header_checksum(src, dst, IpProtocol::Tcp, buf);
         buf[16..18].copy_from_slice(&csum.to_be_bytes());
-        buf
     }
 
     /// Decode a TCP header; returns the header and the payload slice.
@@ -236,7 +237,8 @@ mod tests {
     fn header_round_trip() {
         let (src, dst) = addrs();
         let hdr = TcpHeader::new(50000, 443, 1000, 2000, TcpFlags::ECN_SETUP_SYN);
-        let seg = hdr.encode(src, dst, b"GET /");
+        let mut seg = Vec::new();
+        hdr.encode(src, dst, b"GET /", &mut seg);
         let (decoded, payload) = TcpHeader::decode(&seg).unwrap();
         assert_eq!(decoded, hdr);
         assert_eq!(payload, b"GET /");
@@ -245,8 +247,8 @@ mod tests {
     #[test]
     fn checksum_detects_corruption() {
         let (src, dst) = addrs();
-        let mut seg =
-            TcpHeader::new(50000, 443, 1, 0, TcpFlags::default()).encode(src, dst, b"data");
+        let mut seg = Vec::new();
+        TcpHeader::new(50000, 443, 1, 0, TcpFlags::default()).encode(src, dst, b"data", &mut seg);
         assert!(TcpHeader::verify_checksum(src, dst, &seg));
         seg[4] ^= 1;
         assert!(!TcpHeader::verify_checksum(src, dst, &seg));

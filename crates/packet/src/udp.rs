@@ -24,21 +24,22 @@ impl UdpHeader {
         UdpHeader { src_port, dst_port }
     }
 
-    /// Encode the header followed by `payload`, computing length and checksum
-    /// over the pseudo header for `src`/`dst`.
-    pub fn encode(&self, src: IpAddr, dst: IpAddr, payload: &[u8]) -> Vec<u8> {
+    /// Encode the header followed by `payload` into `buf` (cleared first, its
+    /// capacity kept — a sender recycles one body for a whole flow),
+    /// computing length and checksum over the pseudo header for `src`/`dst`.
+    pub fn encode(&self, src: IpAddr, dst: IpAddr, payload: &[u8], buf: &mut Vec<u8>) {
         let len = (UDP_HEADER_LEN + payload.len()) as u16;
-        let mut buf = Vec::with_capacity(UDP_HEADER_LEN + payload.len());
+        buf.clear();
+        buf.reserve(UDP_HEADER_LEN + payload.len());
         buf.extend_from_slice(&self.src_port.to_be_bytes());
         buf.extend_from_slice(&self.dst_port.to_be_bytes());
         buf.extend_from_slice(&len.to_be_bytes());
         buf.extend_from_slice(&[0, 0]); // checksum placeholder
         buf.extend_from_slice(payload);
-        let csum = pseudo_header_checksum(src, dst, IpProtocol::Udp, &buf);
+        let csum = pseudo_header_checksum(src, dst, IpProtocol::Udp, buf);
         // A computed checksum of zero is transmitted as all ones (RFC 768).
         let csum = if csum == 0 { 0xffff } else { csum };
         buf[6..8].copy_from_slice(&csum.to_be_bytes());
-        buf
     }
 
     /// Decode a UDP header; returns the header and the payload slice.
@@ -90,11 +91,17 @@ mod tests {
         )
     }
 
+    fn encoded(hdr: UdpHeader, src: IpAddr, dst: IpAddr, payload: &[u8]) -> Vec<u8> {
+        let mut seg = Vec::new();
+        hdr.encode(src, dst, payload, &mut seg);
+        seg
+    }
+
     #[test]
     fn round_trip() {
         let (src, dst) = addrs();
         let hdr = UdpHeader::new(40000, 443);
-        let seg = hdr.encode(src, dst, b"quic initial");
+        let seg = encoded(hdr, src, dst, b"quic initial");
         let (decoded, payload) = UdpHeader::decode(&seg).unwrap();
         assert_eq!(decoded, hdr);
         assert_eq!(payload, b"quic initial");
@@ -103,14 +110,14 @@ mod tests {
     #[test]
     fn checksum_verifies() {
         let (src, dst) = addrs();
-        let seg = UdpHeader::new(1234, 443).encode(src, dst, b"payload");
+        let seg = encoded(UdpHeader::new(1234, 443), src, dst, b"payload");
         assert!(UdpHeader::verify_checksum(src, dst, &seg));
     }
 
     #[test]
     fn checksum_detects_payload_corruption() {
         let (src, dst) = addrs();
-        let mut seg = UdpHeader::new(1234, 443).encode(src, dst, b"payload!");
+        let mut seg = encoded(UdpHeader::new(1234, 443), src, dst, b"payload!");
         seg[10] ^= 0x55;
         assert!(!UdpHeader::verify_checksum(src, dst, &seg));
     }
@@ -126,7 +133,7 @@ mod tests {
     #[test]
     fn bad_length_field_rejected() {
         let (src, dst) = addrs();
-        let mut seg = UdpHeader::new(1, 2).encode(src, dst, b"abc");
+        let mut seg = encoded(UdpHeader::new(1, 2), src, dst, b"abc");
         seg[4..6].copy_from_slice(&100u16.to_be_bytes());
         assert!(UdpHeader::decode(&seg).is_err());
     }
@@ -135,7 +142,7 @@ mod tests {
     fn ipv6_checksum_round_trip() {
         let src: IpAddr = "2001:db8::1".parse().unwrap();
         let dst: IpAddr = "2001:db8::2".parse().unwrap();
-        let seg = UdpHeader::new(5000, 443).encode(src, dst, b"h3");
+        let seg = encoded(UdpHeader::new(5000, 443), src, dst, b"h3");
         assert!(UdpHeader::verify_checksum(src, dst, &seg));
     }
 }

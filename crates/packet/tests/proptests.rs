@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 use qem_packet::ecn::{split_traffic_class, traffic_class, Dscp, EcnCodepoint, EcnCounts};
-use qem_packet::ip::{internet_checksum, IpProtocol, Ipv4Header, Ipv6Header};
+use qem_packet::ip::{
+    internet_checksum, pseudo_header_checksum, IpProtocol, Ipv4Header, Ipv6Header,
+};
 use qem_packet::quic::{
     decode_varint, encode_varint, varint_len, AckFrame, ConnectionId, Frame, LongPacketType,
     PacketHeader, QuicPacket, QuicVersion,
@@ -20,7 +22,83 @@ fn arb_ecn() -> impl Strategy<Value = EcnCodepoint> {
     ]
 }
 
+/// A (source, destination) pair: both IPv4, both IPv6, or — the
+/// checksum's fallback case — one of each.
+fn arb_addr_pair() -> impl Strategy<Value = (IpAddr, IpAddr)> {
+    let v4 = |bits: u32| IpAddr::V4(Ipv4Addr::from(bits));
+    let v6 = |bits: u128| IpAddr::V6(Ipv6Addr::from(bits));
+    prop_oneof![
+        (any::<u32>(), any::<u32>()).prop_map(move |(s, d)| (v4(s), v4(d))),
+        (any::<u128>(), any::<u128>()).prop_map(move |(s, d)| (v6(s), v6(d))),
+        (any::<u32>(), any::<u128>()).prop_map(move |(s, d)| (v4(s), v6(d))),
+    ]
+}
+
+/// Encode twice — into an empty buffer and into a dirty, larger one — and
+/// require the same bytes; then encode the first `shorter` payload bytes
+/// into the warm buffer and require that it was reused in place.  Returns
+/// the segment.
+fn encode_reusing(
+    payload: &[u8],
+    shorter: usize,
+    encode: impl Fn(&[u8], &mut Vec<u8>),
+) -> Result<Vec<u8>, TestCaseError> {
+    let mut clean = Vec::new();
+    encode(payload, &mut clean);
+    let mut warm = vec![0xa5; clean.len() + 300];
+    encode(payload, &mut warm);
+    prop_assert_eq!(&warm, &clean);
+    let (ptr, capacity) = (warm.as_ptr(), warm.capacity());
+    let shorter = &payload[..shorter.min(payload.len())];
+    encode(shorter, &mut warm);
+    prop_assert_eq!((warm.as_ptr(), warm.capacity()), (ptr, capacity));
+    let mut expected = Vec::new();
+    encode(shorter, &mut expected);
+    prop_assert_eq!(warm, expected);
+    Ok(clean)
+}
+
 proptest! {
+    /// The heap-free checksum against the definition written out: the
+    /// Internet checksum of pseudo-header ‖ segment, for IPv4, IPv6 and the
+    /// mixed-family fallback (no pseudo-header), odd and even lengths up to
+    /// the largest a length field can carry.
+    #[test]
+    fn pseudo_header_checksum_is_the_checksum_of_pseudo_header_then_bytes(
+        addrs in arb_addr_pair(),
+        udp in any::<bool>(),
+        bytes in prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..=1500),
+            proptest::collection::vec(any::<u8>(), 0..=1500),
+            proptest::collection::vec(any::<u8>(), 0..=1500),
+            proptest::collection::vec(any::<u8>(), 65_535usize),
+            proptest::collection::vec(any::<u8>(), 65_534usize),
+        ],
+    ) {
+        let protocol = if udp { IpProtocol::Udp } else { IpProtocol::Tcp };
+        let mut naive = Vec::new();
+        match addrs {
+            (IpAddr::V4(s), IpAddr::V4(d)) => {
+                naive.extend_from_slice(&s.octets());
+                naive.extend_from_slice(&d.octets());
+                naive.extend_from_slice(&[0, protocol.number()]);
+                naive.extend_from_slice(&(bytes.len() as u16).to_be_bytes());
+            }
+            (IpAddr::V6(s), IpAddr::V6(d)) => {
+                naive.extend_from_slice(&s.octets());
+                naive.extend_from_slice(&d.octets());
+                naive.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+                naive.extend_from_slice(&[0, 0, 0, protocol.number()]);
+            }
+            _ => {}
+        }
+        naive.extend_from_slice(&bytes);
+        prop_assert_eq!(
+            pseudo_header_checksum(addrs.0, addrs.1, protocol, &bytes),
+            internet_checksum(&naive)
+        );
+    }
+
     #[test]
     fn traffic_class_round_trips(dscp in 0u8..64, ecn in arb_ecn()) {
         let tc = traffic_class(Dscp::new(dscp), ecn);
@@ -94,11 +172,16 @@ proptest! {
     }
 
     #[test]
-    fn udp_round_trips(sport in any::<u16>(), dport in any::<u16>(), payload in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let src = IpAddr::V4(Ipv4Addr::new(192, 0, 2, 1));
-        let dst = IpAddr::V4(Ipv4Addr::new(198, 51, 100, 1));
+    fn udp_round_trips(
+        addrs in arb_addr_pair(),
+        sport in any::<u16>(),
+        dport in any::<u16>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..256),
+        shorter in 0usize..256,
+    ) {
+        let (src, dst) = addrs;
         let hdr = UdpHeader::new(sport, dport);
-        let seg = hdr.encode(src, dst, &payload);
+        let seg = encode_reusing(&payload, shorter, |p, buf| hdr.encode(src, dst, p, buf))?;
         prop_assert!(UdpHeader::verify_checksum(src, dst, &seg));
         let (decoded, body) = UdpHeader::decode(&seg).unwrap();
         prop_assert_eq!(decoded, hdr);
@@ -117,12 +200,13 @@ proptest! {
         seq in any::<u32>(),
         ack in any::<u32>(),
         flags in any::<u8>(),
+        addrs in arb_addr_pair(),
         payload in proptest::collection::vec(any::<u8>(), 0..128),
+        shorter in 0usize..128,
     ) {
-        let src = IpAddr::V4(Ipv4Addr::new(10, 1, 0, 1));
-        let dst = IpAddr::V4(Ipv4Addr::new(10, 1, 0, 2));
+        let (src, dst) = addrs;
         let hdr = TcpHeader::new(sport, dport, seq, ack, TcpFlags::from_byte(flags));
-        let seg = hdr.encode(src, dst, &payload);
+        let seg = encode_reusing(&payload, shorter, |p, buf| hdr.encode(src, dst, p, buf))?;
         prop_assert!(TcpHeader::verify_checksum(src, dst, &seg));
         let (decoded, body) = TcpHeader::decode(&seg).unwrap();
         prop_assert_eq!(decoded, hdr);

@@ -31,7 +31,7 @@ use crate::behavior::ServerBehavior;
 use crate::client::{ClientConfig, ClientConnection, ClientReport, Transmit};
 use crate::server::ServerConnection;
 use qem_netsim::engine::{
-    run_measured, CrossTraffic, EngineTelemetry, Flow, FlowStatus, SharedQueues,
+    run_measured, CrossTraffic, EngineScratch, EngineTelemetry, Flow, FlowStatus, SharedQueues,
 };
 use qem_netsim::{DuplexPath, SimDuration, SimInstant};
 use qem_packet::ecn::EcnCounts;
@@ -106,6 +106,9 @@ pub struct QuicFlow<'a, R: Rng + ?Sized> {
     forward_arrival_ecn: EcnCounts,
     forward_losses: u64,
     reverse_losses: u64,
+    /// The UDP body of the last delivered datagram, taken back as the
+    /// buffer the next one is encoded into.
+    body: Vec<u8>,
 }
 
 impl<'a, R: Rng + ?Sized> QuicFlow<'a, R> {
@@ -130,6 +133,7 @@ impl<'a, R: Rng + ?Sized> QuicFlow<'a, R> {
             forward_arrival_ecn: EcnCounts::ZERO,
             forward_losses: 0,
             reverse_losses: 0,
+            body: Vec::new(),
         }
     }
 
@@ -160,11 +164,12 @@ impl<'a, R: Rng + ?Sized> QuicFlow<'a, R> {
         } else {
             (&self.path.reverse, server, client)
         };
-        let udp = UdpHeader::new(src_port, dst_port).encode(src, dst, &transmit.payload);
+        let mut udp = std::mem::take(&mut self.body);
+        UdpHeader::new(src_port, dst_port).encode(src, dst, &transmit.payload, &mut udp);
         let datagram =
             IpDatagram::assemble(src, dst, IpProtocol::Udp, 64, transmit.ecn, udp).ok()?;
         let (arrived, _) = path
-            .transit_shared(&datagram, self.now, self.rng, net)
+            .transit_shared(datagram, self.now, self.rng, net)
             .delivered()?;
         Some(arrived)
     }
@@ -183,6 +188,7 @@ impl<'a, R: Rng + ?Sized> QuicFlow<'a, R> {
                         self.server
                             .handle_datagram(self.now, datagram.header.ecn(), payload);
                     }
+                    self.body = datagram.payload;
                 }
                 None => self.forward_losses += 1,
             }
@@ -197,6 +203,7 @@ impl<'a, R: Rng + ?Sized> QuicFlow<'a, R> {
                         self.client
                             .handle_datagram(self.now, datagram.header.ecn(), payload);
                     }
+                    self.body = datagram.payload;
                 }
                 None => self.reverse_losses += 1,
             }
@@ -281,6 +288,7 @@ pub struct ConnectionRun<'a> {
     driver: DriverConfig,
     cross: CrossTraffic,
     telemetry: bool,
+    scratch: Option<&'a mut EngineScratch>,
 }
 
 impl<'a> ConnectionRun<'a> {
@@ -299,7 +307,16 @@ impl<'a> ConnectionRun<'a> {
             driver,
             cross: CrossTraffic::none(),
             telemetry: false,
+            scratch: None,
         }
+    }
+
+    /// Run the engine over the caller's `scratch` instead of a fresh one.
+    /// Lends allocations, selects nothing: the outcome is the same bit for
+    /// bit, whatever ran over the scratch before.
+    pub fn scratch(mut self, scratch: &'a mut EngineScratch) -> Self {
+        self.scratch = Some(scratch);
+        self
     }
 
     /// Race `cross` background flows through the forward path's bottleneck
@@ -332,7 +349,7 @@ impl<'a> ConnectionRun<'a> {
             .cross
             .instantiate_with(&self.path.forward, || rng.gen());
         let mut flow = QuicFlow::new(&mut client, &mut server, self.path, &self.driver, rng);
-        let telemetry = run_measured(&mut flow, load, self.telemetry);
+        let telemetry = run_measured(&mut flow, load, self.telemetry, self.scratch);
         RunOutcome {
             connection: flow.into_outcome(),
             telemetry,
@@ -708,6 +725,46 @@ mod tests {
             .filter_map(|(name, _)| loaded.metrics.counter(name))
             .sum();
         assert!(marked > 0, "congested bottleneck must report CE marks");
+    }
+
+    #[test]
+    fn a_dirty_scratch_is_a_fresh_scratch() {
+        use qem_netsim::{FaultKind, FaultPlan};
+        // The busiest run there is — 32 background flows, a lossy forward
+        // path, retransmission timers left pending when the client gives
+        // up — dirties the scratch; every later run over it must equal the
+        // run over a fresh one: report, telemetry and wake trace.
+        let mut path = clean_path();
+        path.forward = path
+            .forward
+            .with_fault(FaultPlan::new().always(FaultKind::Loss { rate: 0.3 }));
+        let run = |path: &DuplexPath, cross, scratch: Option<&mut EngineScratch>, seed| {
+            let (client_addr, server_addr) = addrs();
+            let mut run = ConnectionRun::new(
+                ClientConfig::paper_default("www.example.org"),
+                ServerBehavior::accurate(),
+                path,
+                DriverConfig::new(client_addr, server_addr),
+            )
+            .cross_traffic(cross)
+            .telemetry(true);
+            if let Some(scratch) = scratch {
+                run = run.scratch(scratch);
+            }
+            run.execute(&mut StdRng::seed_from_u64(seed))
+        };
+        let mut scratch = EngineScratch::default();
+        let dirtying = run(&path, CrossTraffic::congested(), Some(&mut scratch), 3);
+        assert!(dirtying.connection.forward_losses > 0);
+        for (path, cross, seed) in [
+            (&path, CrossTraffic::congested(), 4),
+            (&clean_path(), CrossTraffic::none(), 5),
+            (&path, CrossTraffic::none(), 6),
+        ] {
+            let reused = run(path, cross, Some(&mut scratch), seed);
+            assert_eq!(reused, run(path, cross, None, seed), "seed {seed}");
+            assert!(!reused.telemetry.expect("requested").trace.is_empty());
+        }
     }
 
     #[test]

@@ -162,10 +162,10 @@ impl HttpResponse {
 
     /// The server-software family, with version suffixes after `/` removed —
     /// the normalisation Figure 3 applies to the `server` header.
-    pub fn server_family(&self) -> Option<String> {
+    pub fn server_family(&self) -> Option<&str> {
         self.server
-            .as_ref()
-            .map(|s| s.split('/').next().unwrap_or(s).trim().to_string())
+            .as_deref()
+            .map(|s| s.split('/').next().unwrap_or(s).trim())
     }
 }
 
@@ -200,7 +200,7 @@ mod tests {
     #[test]
     fn server_family_strips_version() {
         let resp = HttpResponse::ok().with_server("LiteSpeed/6.1.2");
-        assert_eq!(resp.server_family().as_deref(), Some("LiteSpeed"));
+        assert_eq!(resp.server_family(), Some("LiteSpeed"));
         let resp = HttpResponse::ok();
         assert_eq!(resp.server_family(), None);
     }

@@ -95,6 +95,7 @@ pub(crate) mod testutil {
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    // lint: allow(no-ambient-state) test-only counter for unique temp directories
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
     /// A fresh, unique, created temp directory for one test.

@@ -32,18 +32,18 @@ impl SegmentPacketizer {
     }
 
     /// Encode the next `len` application bytes as one `ACK|PSH` segment
-    /// between `src` and `dst`.  The payload is zeroed — workloads measure
-    /// delivery, not content — and the sequence number advances by `len`.
-    pub fn packetize(&mut self, src: IpAddr, dst: IpAddr, len: usize) -> Vec<u8> {
+    /// between `src` and `dst` into `segment` (cleared first, capacity
+    /// kept).  The payload is zeroed — workloads measure delivery, not
+    /// content — and the sequence number advances by `len`.
+    pub fn packetize(&mut self, src: IpAddr, dst: IpAddr, len: usize, segment: &mut Vec<u8>) {
         let flags = TcpFlags {
             ack: true,
             psh: true,
             ..TcpFlags::default()
         };
         let header = TcpHeader::new(self.src_port, self.dst_port, self.next_seq, 0, flags);
-        let segment = header.encode(src, dst, &vec![0u8; len]);
+        header.encode(src, dst, &vec![0u8; len], segment);
         self.next_seq = self.next_seq.wrapping_add(len as u32);
-        segment
     }
 
     /// The sequence number the next segment will carry.
@@ -76,8 +76,9 @@ mod tests {
     fn sequence_numbers_advance_by_payload_length() {
         let (src, dst) = addrs();
         let mut packetizer = SegmentPacketizer::new(443, 50_000, 1_000);
-        let first = packetizer.packetize(src, dst, 1_200);
-        let second = packetizer.packetize(src, dst, 600);
+        let (mut first, mut second) = (Vec::new(), Vec::new());
+        packetizer.packetize(src, dst, 1_200, &mut first);
+        packetizer.packetize(src, dst, 600, &mut second);
         assert_eq!(packetizer.next_seq(), 1_000 + 1_200 + 600);
         assert_eq!(SegmentPacketizer::parse(&first), Some((1_000, 1_200)));
         assert_eq!(SegmentPacketizer::parse(&second), Some((2_200, 600)));
@@ -87,7 +88,8 @@ mod tests {
     fn segments_carry_ack_and_psh() {
         let (src, dst) = addrs();
         let mut packetizer = SegmentPacketizer::new(443, 50_000, 0);
-        let wire = packetizer.packetize(src, dst, 64);
+        let mut wire = Vec::new();
+        packetizer.packetize(src, dst, 64, &mut wire);
         let (header, payload) = TcpHeader::decode(&wire).expect("valid segment");
         assert!(header.flags.ack && header.flags.psh);
         assert!(!header.flags.syn && !header.flags.fin);

@@ -14,10 +14,16 @@
 //! [`TcpConnectionRun::cross_traffic`] the flow runs next to background load
 //! through a shared bottleneck queue, where CE marks — and therefore ECE
 //! echoes — emerge from combined occupancy.
+//!
+//! A flow allocates one segment buffer for its 15-odd segments: each is
+//! encoded into the body the path handed back with the previous delivery
+//! (a dropped segment takes the buffer with it and the next send
+//! allocates again).  [`TcpConnectionRun::scratch`] does the same for the
+//! engine underneath.
 
 use crate::behavior::TcpServerBehavior;
 use qem_netsim::engine::{
-    run_measured, CrossTraffic, EngineTelemetry, Flow, FlowStatus, SharedQueues,
+    run_measured, CrossTraffic, EngineScratch, EngineTelemetry, Flow, FlowStatus, SharedQueues,
 };
 use qem_netsim::{DuplexPath, SimDuration, SimInstant};
 use qem_packet::ecn::{EcnCodepoint, EcnCounts};
@@ -25,6 +31,7 @@ use qem_packet::ip::{IpDatagram, IpProtocol};
 use qem_packet::tcp::{TcpFlags, TcpHeader};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::io::Write;
 use std::net::IpAddr;
 
 /// Client-side configuration.
@@ -98,62 +105,17 @@ pub struct TcpReport {
     pub forward_losses: u32,
 }
 
-struct Wire<'a> {
-    client: IpAddr,
-    server: IpAddr,
-    path: &'a DuplexPath,
-}
+/// The HTTP request of data segment 0 and the response it is answered with.
+const REQUEST: &[u8] = b"GET / HTTP/1.1\r\nhost: probe\r\n\r\n";
+const RESPONSE: &[u8] = b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nok";
 
-impl<'a> Wire<'a> {
-    fn send_forward<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        now: SimInstant,
-        net: &mut SharedQueues,
-        ecn: EcnCodepoint,
-        header: TcpHeader,
-        payload: &[u8],
-    ) -> Option<IpDatagram> {
-        let segment = header.encode(self.client, self.server, payload);
-        // A segment that cannot be assembled was never sent: a loss.
-        let datagram =
-            IpDatagram::assemble(self.client, self.server, IpProtocol::Tcp, 64, ecn, segment)
-                .ok()?;
-        let (arrived, _) = self
-            .path
-            .forward
-            .transit_shared(&datagram, now, rng, net)
-            .delivered()?;
-        Some(arrived)
-    }
-
-    fn send_reverse<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        now: SimInstant,
-        net: &mut SharedQueues,
-        ecn: EcnCodepoint,
-        header: TcpHeader,
-        payload: &[u8],
-    ) -> Option<IpDatagram> {
-        let segment = header.encode(self.server, self.client, payload);
-        // A segment that cannot be assembled was never sent: a loss.
-        let datagram =
-            IpDatagram::assemble(self.server, self.client, IpProtocol::Tcp, 64, ecn, segment)
-                .ok()?;
-        let (arrived, _) = self
-            .path
-            .reverse
-            .transit_shared(&datagram, now, rng, net)
-            .delivered()?;
-        Some(arrived)
-    }
-}
-
-/// The TCP header of a delivered datagram.
-fn decode(datagram: &IpDatagram) -> Option<TcpHeader> {
-    let (header, _) = TcpHeader::decode(datagram.transport(IpProtocol::Tcp)?).ok()?;
-    Some(header)
+/// `probe-{i}`, the payload of probe segment `i`, written into `buf`.
+fn probe_payload(i: usize, buf: &mut [u8; 32]) -> &[u8] {
+    let mut rest = &mut buf[..];
+    // "probe-" and the 20 digits of `usize::MAX` fit: the write cannot fail.
+    let _ = write!(rest, "probe-{i}");
+    let unused = rest.len();
+    &buf[..buf.len() - unused]
 }
 
 const CLIENT_PORT: u16 = 52_000;
@@ -181,12 +143,15 @@ enum TcpFlowState {
 pub struct TcpFlow<'a, R: Rng + ?Sized> {
     config: TcpClientConfig,
     behavior: TcpServerBehavior,
-    wire: Wire<'a>,
+    client: IpAddr,
+    server: IpAddr,
+    path: &'a DuplexPath,
+    /// The flow's segment buffer, between two sends.
+    body: Vec<u8>,
     rng: &'a mut R,
     report: TcpReport,
     state: TcpFlowState,
     pacing: SimDuration,
-    segments: Vec<Vec<u8>>,
     server_ecn: bool,
     server_saw_ce: bool,
     client_seq: u32,
@@ -208,16 +173,14 @@ impl<'a, R: Rng + ?Sized> TcpFlow<'a, R> {
         TcpFlow {
             config,
             behavior,
-            wire: Wire {
-                client: client_addr,
-                server: server_addr,
-                path,
-            },
+            client: client_addr,
+            server: server_addr,
+            path,
+            body: Vec::new(),
             rng,
             report: TcpReport::default(),
             state: TcpFlowState::Handshake,
             pacing: SimDuration::ZERO,
-            segments: Vec::new(),
             server_ecn: false,
             server_saw_ce: false,
             client_seq: 1_001,
@@ -238,6 +201,40 @@ impl<'a, R: Rng + ?Sized> TcpFlow<'a, R> {
         self.report
     }
 
+    /// One segment down the forward (client → server) or the reverse path.
+    /// `None` if it never arrived; otherwise the codepoint it arrived with
+    /// and its TCP header as the receiver decodes it (`None` after
+    /// corruption), and the delivered body becomes the next send's buffer.
+    fn send(
+        &mut self,
+        forward: bool,
+        now: SimInstant,
+        net: &mut SharedQueues,
+        ecn: EcnCodepoint,
+        header: TcpHeader,
+        payload: &[u8],
+    ) -> Option<(EcnCodepoint, Option<TcpHeader>)> {
+        let (path, src, dst) = if forward {
+            (&self.path.forward, self.client, self.server)
+        } else {
+            (&self.path.reverse, self.server, self.client)
+        };
+        let mut segment = std::mem::take(&mut self.body);
+        header.encode(src, dst, payload, &mut segment);
+        // A segment that cannot be assembled was never sent: a loss.
+        let datagram = IpDatagram::assemble(src, dst, IpProtocol::Tcp, 64, ecn, segment).ok()?;
+        let (arrived, _) = path
+            .transit_shared(datagram, now, self.rng, net)
+            .delivered()?;
+        let seen = arrived
+            .transport(IpProtocol::Tcp)
+            .and_then(|segment| TcpHeader::decode(segment).ok())
+            .map(|(header, _)| header);
+        let ecn = arrived.header.ecn();
+        self.body = arrived.payload;
+        Some((ecn, seen))
+    }
+
     /// SYN / SYN-ACK exchange; returns whether the data phase should run.
     fn handshake(&mut self, now: SimInstant, net: &mut SharedQueues) -> bool {
         let syn_flags = if self.config.ecn_enabled {
@@ -250,19 +247,16 @@ impl<'a, R: Rng + ?Sized> TcpFlow<'a, R> {
         };
         // The SYN itself is never ECT-marked (RFC 3168 §6.1.1).
         let syn = TcpHeader::new(CLIENT_PORT, SERVER_PORT, 1_000, 0, syn_flags);
-        let Some(at_server) =
-            self.wire
-                .send_forward(self.rng, now, net, EcnCodepoint::NotEct, syn, &[])
+        let Some((arrived_ecn, syn_seen)) =
+            self.send(true, now, net, EcnCodepoint::NotEct, syn, &[])
         else {
             self.report.forward_losses += 1;
             return false;
         };
-        let Some(syn_seen) = decode(&at_server) else {
+        let Some(syn_seen) = syn_seen else {
             return false;
         };
-        self.report
-            .server_observed_ecn
-            .record(at_server.header.ecn());
+        self.report.server_observed_ecn.record(arrived_ecn);
 
         // The server accepts ECN only if the SYN still looks like an ECN setup
         // (middleboxes clearing TCP flags are out of scope — the paper found
@@ -275,16 +269,12 @@ impl<'a, R: Rng + ?Sized> TcpFlow<'a, R> {
             ..TcpFlags::default()
         };
         let syn_ack = TcpHeader::new(SERVER_PORT, CLIENT_PORT, 5_000, 1_001, syn_ack_flags);
-        let Some(at_client) =
-            self.wire
-                .send_reverse(self.rng, now, net, EcnCodepoint::NotEct, syn_ack, &[])
+        let Some((arrived_ecn, Some(syn_ack_seen))) =
+            self.send(false, now, net, EcnCodepoint::NotEct, syn_ack, &[])
         else {
             return false;
         };
-        let Some(syn_ack_seen) = decode(&at_client) else {
-            return false;
-        };
-        self.report.received_ecn.record(at_client.header.ecn());
+        self.report.received_ecn.record(arrived_ecn);
         self.report.connected = true;
         self.report.negotiated =
             self.config.ecn_enabled && syn_ack_seen.flags.is_ecn_setup_syn_ack();
@@ -300,19 +290,22 @@ impl<'a, R: Rng + ?Sized> TcpFlow<'a, R> {
         } else {
             EcnCodepoint::NotEct
         };
-
-        let request = b"GET / HTTP/1.1\r\nhost: probe\r\n\r\n".to_vec();
-        self.segments = vec![request];
-        for i in 0..self.config.probe_segments {
-            self.segments.push(format!("probe-{i}").into_bytes());
-        }
         true
+    }
+
+    /// Data segments of the exchange: the request, then the probes.
+    fn data_segments(&self) -> usize {
+        1 + self.config.probe_segments as usize
     }
 
     /// One data segment plus the server's ACK (and, for the request, the
     /// HTTP response).
     fn exchange_segment(&mut self, index: usize, now: SimInstant, net: &mut SharedQueues) {
-        let payload = std::mem::take(&mut self.segments[index]);
+        let mut probe = [0u8; 32];
+        let payload = match index.checked_sub(1) {
+            None => REQUEST,
+            Some(i) => probe_payload(i, &mut probe),
+        };
         let flags = TcpFlags {
             ack: true,
             psh: true,
@@ -325,17 +318,14 @@ impl<'a, R: Rng + ?Sized> TcpFlow<'a, R> {
         }
         let header = TcpHeader::new(CLIENT_PORT, SERVER_PORT, self.client_seq, 5_001, flags);
         self.client_seq = self.client_seq.wrapping_add(payload.len() as u32);
-        let Some(at_server) =
-            self.wire
-                .send_forward(self.rng, now, net, self.client_data_ecn, header, &payload)
+        let Some((arrived_ecn, _)) =
+            self.send(true, now, net, self.client_data_ecn, header, payload)
         else {
             self.report.forward_losses += 1;
             return;
         };
-        self.report
-            .server_observed_ecn
-            .record(at_server.header.ecn());
-        if at_server.header.ecn() == EcnCodepoint::Ce {
+        self.report.server_observed_ecn.record(arrived_ecn);
+        if arrived_ecn == EcnCodepoint::Ce {
             self.server_saw_ce = true;
         }
 
@@ -351,32 +341,27 @@ impl<'a, R: Rng + ?Sized> TcpFlow<'a, R> {
             ..TcpFlags::default()
         };
         let ack = TcpHeader::new(SERVER_PORT, CLIENT_PORT, 5_001, self.client_seq, ack_flags);
-        if let Some(at_client) =
-            self.wire
-                .send_reverse(self.rng, now, net, self.server_data_ecn, ack, &[])
+        if let Some((arrived_ecn, ack_seen)) =
+            self.send(false, now, net, self.server_data_ecn, ack, &[])
         {
-            self.report.received_ecn.record(at_client.header.ecn());
-            if let Some(ack_seen) = decode(&at_client) {
-                if ack_seen.flags.ece {
-                    self.report.ce_mirrored = true;
-                }
+            self.report.received_ecn.record(arrived_ecn);
+            if ack_seen.is_some_and(|ack| ack.flags.ece) {
+                self.report.ce_mirrored = true;
             }
         }
 
         // Serve the HTTP response right after the request segment.
         if index == 0 && self.behavior.serves_http {
-            let body = b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nok".to_vec();
             let resp_flags = TcpFlags {
                 ack: true,
                 psh: true,
                 ..TcpFlags::default()
             };
             let resp = TcpHeader::new(SERVER_PORT, CLIENT_PORT, 5_001, self.client_seq, resp_flags);
-            if let Some(at_client) =
-                self.wire
-                    .send_reverse(self.rng, now, net, self.server_data_ecn, resp, &body)
+            if let Some((arrived_ecn, _)) =
+                self.send(false, now, net, self.server_data_ecn, resp, RESPONSE)
             {
-                self.report.received_ecn.record(at_client.header.ecn());
+                self.report.received_ecn.record(arrived_ecn);
                 self.report.response_received = true;
             }
         }
@@ -403,12 +388,12 @@ impl<R: Rng + ?Sized> Flow for TcpFlow<'_, R> {
                     self.state = TcpFlowState::Data { index: 0 };
                 }
                 TcpFlowState::Data { index } => {
-                    if index >= self.segments.len() {
+                    if index >= self.data_segments() {
                         return self.finish();
                     }
                     self.exchange_segment(index, now, net);
                     self.state = TcpFlowState::Data { index: index + 1 };
-                    if self.pacing > SimDuration::ZERO && index + 1 < self.segments.len() {
+                    if self.pacing > SimDuration::ZERO && index + 1 < self.data_segments() {
                         return FlowStatus::Sleep(now + self.pacing);
                     }
                 }
@@ -441,6 +426,7 @@ pub struct TcpConnectionRun<'a> {
     path: &'a DuplexPath,
     cross: CrossTraffic,
     telemetry: bool,
+    scratch: Option<&'a mut EngineScratch>,
 }
 
 impl<'a> TcpConnectionRun<'a> {
@@ -461,7 +447,16 @@ impl<'a> TcpConnectionRun<'a> {
             path,
             cross: CrossTraffic::none(),
             telemetry: false,
+            scratch: None,
         }
+    }
+
+    /// Run the engine over the caller's `scratch` instead of a fresh one.
+    /// Lends allocations, selects nothing: the outcome is the same bit for
+    /// bit, whatever ran over the scratch before.
+    pub fn scratch(mut self, scratch: &'a mut EngineScratch) -> Self {
+        self.scratch = Some(scratch);
+        self
     }
 
     /// Race `cross` background flows through the forward path's bottleneck
@@ -503,7 +498,7 @@ impl<'a> TcpConnectionRun<'a> {
             // one instant.
             flow = flow.with_pacing(SimDuration::from_millis(1));
         }
-        let telemetry = run_measured(&mut flow, load, self.telemetry);
+        let telemetry = run_measured(&mut flow, load, self.telemetry, self.scratch);
         TcpRunOutcome {
             report: flow.into_report(),
             telemetry,

@@ -1,6 +1,6 @@
 //! The TTL-sweep probe engine.
 
-use qem_netsim::{Path, SimDuration, TransitOutcome};
+use qem_netsim::{Path, SharedQueues, SimDuration, SimInstant, TransitOutcome};
 use qem_packet::ecn::{Dscp, EcnCodepoint};
 use qem_packet::icmp::IcmpMessage;
 use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol};
@@ -119,10 +119,12 @@ fn build_probe(
         },
         payload,
     );
-    let udp = UdpHeader::new(44_000 + (seq as u16 % 1000), QUIC_PORT).encode(
+    let mut udp = Vec::new();
+    UdpHeader::new(44_000 + (seq as u16 % 1000), QUIC_PORT).encode(
         source,
         destination,
         &packet.encode(),
+        &mut udp,
     );
     let mut probe = IpDatagram::assemble(
         source,
@@ -167,10 +169,13 @@ pub fn trace_path<R: Rng + ?Sized>(
         time_spent: SimDuration::ZERO,
     };
     let mut consecutive_timeouts = 0u32;
+    // Each probe is built for one TTL and sent by value: what `Path::transit`
+    // does — no registered queue, the epoch — minus its clone.
+    let mut no_queues = SharedQueues::new();
     for ttl in 1..=config.max_ttl {
         // A probe that cannot be assembled is never answered: a timeout.
         let outcome = build_probe(source, destination, ttl, config, u32::from(ttl))
-            .map(|probe| path.transit(&probe, rng));
+            .map(|probe| path.transit_shared(probe, SimInstant::EPOCH, rng, &mut no_queues));
         trace.probes_sent += 1;
         match outcome {
             Ok(TransitOutcome::TimeExceeded {

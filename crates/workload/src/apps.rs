@@ -210,6 +210,10 @@ impl BulkAppFlow {
         }
     }
 
+    /// Send one packet, encoded into `body` — the buffer the previous
+    /// packet of this wake was delivered in, handed back for the next.  A
+    /// burst shares one body; nothing is kept between wakes, so a thousand
+    /// idle flows hold no packet buffers.
     fn transmit(
         &mut self,
         offset: u64,
@@ -217,16 +221,22 @@ impl BulkAppFlow {
         fin: bool,
         now: SimInstant,
         net: &mut SharedQueues,
+        body: &mut Vec<u8>,
     ) {
         let (src, dst) = endpoint_addrs(self.conn);
         let chunk = qem_quic::app::AppChunk { offset, len, fin };
-        let (protocol, transport_bytes) = match &mut self.packetizer {
+        let mut transport_bytes = std::mem::take(body);
+        let protocol = match &mut self.packetizer {
             Packetizer::Quic(p) => {
                 let quic_bytes = p.packetize(&chunk);
                 let udp = UdpHeader::new(50_000 + u16::from(self.conn), 443);
-                (IpProtocol::Udp, udp.encode(src, dst, &quic_bytes))
+                udp.encode(src, dst, &quic_bytes, &mut transport_bytes);
+                IpProtocol::Udp
             }
-            Packetizer::Tcp(p) => (IpProtocol::Tcp, p.packetize(src, dst, len)),
+            Packetizer::Tcp(p) => {
+                p.packetize(src, dst, len, &mut transport_bytes);
+                IpProtocol::Tcp
+            }
         };
         self.packets_sent += 1;
         self.in_flight.insert(offset, len);
@@ -235,12 +245,13 @@ impl BulkAppFlow {
             .and_then(|datagram| {
                 self.path
                     .forward
-                    .transit_shared(&datagram, now, &mut self.rng, net)
+                    .transit_shared(datagram, now, &mut self.rng, net)
                     .delivered()
             });
         match arrived {
             Some((datagram, delay)) => {
                 let ce = datagram.header.ecn() == EcnCodepoint::Ce;
+                *body = datagram.payload;
                 let ack_at = now + delay + self.path.reverse.one_way_delay();
                 self.feedback
                     .entry(ack_at)
@@ -298,14 +309,15 @@ impl Flow for BulkAppFlow {
         }
 
         // 3. Fill the window: retransmissions first, then fresh data.
+        let mut body = Vec::new();
         while self.in_flight.len() < self.cwnd {
             if let Some((&offset, &len)) = self.retransmit.iter().next() {
                 self.retransmit.remove(&offset);
                 self.retransmits += 1;
                 let fin = offset + len as u64 >= self.source.total_len().unwrap_or(0);
-                self.transmit(offset, len, fin, now, net);
+                self.transmit(offset, len, fin, now, net, &mut body);
             } else if let Some(chunk) = self.source.next_chunk(MSS) {
-                self.transmit(chunk.offset, chunk.len, chunk.fin, now, net);
+                self.transmit(chunk.offset, chunk.len, chunk.fin, now, net, &mut body);
             } else {
                 break;
             }
@@ -448,23 +460,28 @@ impl RtcAppFlow {
             ce: false,
             completed_at: now,
         };
+        // The packets of a frame share one body: each is encoded into the
+        // buffer the previous one was delivered in.
+        let mut body = Vec::new();
         for chunk in self.source.next_frame(MSS) {
             let quic_bytes = self.packetizer.packetize(&chunk);
             let udp = UdpHeader::new(51_000 + u16::from(self.conn), 443);
-            let transport_bytes = udp.encode(src, dst, &quic_bytes);
+            let mut transport_bytes = std::mem::take(&mut body);
+            udp.encode(src, dst, &quic_bytes, &mut transport_bytes);
             let arrived =
                 IpDatagram::assemble(src, dst, IpProtocol::Udp, 64, self.ecn, transport_bytes)
                     .ok()
                     .and_then(|datagram| {
                         self.path
                             .forward
-                            .transit_shared(&datagram, now, &mut self.rng, net)
+                            .transit_shared(datagram, now, &mut self.rng, net)
                             .delivered()
                     });
             match arrived {
                 Some((datagram, delay)) => {
                     state.outstanding += 1;
                     state.ce |= datagram.header.ecn() == EcnCodepoint::Ce;
+                    body = datagram.payload;
                     self.arrivals.entry(now + delay).or_default().push(index);
                 }
                 None => {

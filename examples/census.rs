@@ -9,7 +9,7 @@
 //! * `--workers <n>` — worker-thread budget (`0` = one per core; the
 //!   default).  The output is byte-identical for every value — CI's
 //!   `determinism-gate` job diffs a `--workers 1` run against `--workers 0`.
-//! * `--tiny` — use the tiny test universe instead of the full 1:250 scale
+//! * `--tiny` — use the tiny test universe instead of the default 1:1000 scale
 //!   (what CI runs to keep the gate fast).
 //! * `--metrics` — print the run's telemetry (deterministic scan metrics as
 //!   JSON on stdout; wall-clock throughput on stderr, where it cannot
