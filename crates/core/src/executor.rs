@@ -1,12 +1,12 @@
 //! Sharded, batch-dequeuing executor for embarrassingly-parallel measurement
 //! work.
 //!
-//! The scanner's original worker loop handed hosts to threads one id at a
-//! time over a channel, which serialises on the channel lock once per host.
-//! This executor instead shards the input into contiguous batches and lets
-//! workers *dequeue whole batches*: the per-item synchronisation cost is
-//! amortised over [`ShardedExecutor::batch_size`] items, so throughput scales
-//! with cores even when a single measurement is cheap.
+//! Handing items to threads one at a time over a channel serialises on the
+//! channel lock once per item.  This executor shards the input into
+//! contiguous batches and lets workers *dequeue whole batches*: the per-item
+//! synchronisation cost is amortised over [`ShardedExecutor::batch_size`]
+//! items, so throughput scales with cores even when a single measurement is
+//! cheap.
 //!
 //! Determinism contract: the executor only controls *scheduling*.  As long
 //! as the supplied closure is a pure function of the item (the scanner
@@ -14,58 +14,20 @@
 //! bit-identical for every worker count — results are reassembled in input
 //! order, not completion order.
 //!
-//! Work that wants reusable buffers gets them as **per-worker state**:
-//! [`ShardedExecutor::run_streaming_observed`] builds one `W` per worker
-//! thread (or one for the inline path) with `init`, hands it to every `work`
-//! call of that worker, and drops it when the run ends.  The state belongs
-//! to the run — nothing is parked in thread-locals or statics — and, by the
-//! contract above, must not influence results.
+//! Work that wants reusable buffers or a private accumulator gets them as
+//! **per-worker state**: [`ShardedExecutor::run_streaming`] builds one `W`
+//! per worker thread (or one for the inline path) with `init`, hands it to
+//! every `work` call of that worker, and drops it — exactly once, on the
+//! thread that built it, also when `work` or the sink panics — before the
+//! run returns, so a `Drop` impl is where a worker hands in what it
+//! accumulated.  The state belongs to the run — nothing is parked in
+//! thread-locals or statics — and, by the contract above, must not
+//! influence results.  The executor itself keeps no statistics: how many
+//! batches a worker claimed is scheduling, and nobody reads it.
 
 use crossbeam::channel;
-use qem_obs::{MetricsSnapshot, ShardedRegistry};
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
-
-/// Scheduling telemetry of one (or more) streaming runs: per-worker shards
-/// recording claimed batches and processed items, plus the collector's
-/// reorder-buffer high-water mark.
-///
-/// **This is scheduling noise, not scan data.**  Batch sizes and reorder
-/// depths depend on the worker count and on thread timing, so these metrics
-/// are deliberately kept out of the deterministic snapshots that CI
-/// byte-diffs (`Scanner::metrics_snapshot`, `RunTelemetry`) — they are for
-/// operators watching a live run.  The shards are merged in worker-id
-/// order, so *for a fixed schedule* the merge itself is reproducible.
-#[derive(Debug)]
-pub struct ExecutorStats {
-    /// One shard per worker plus one for the collector thread.
-    shards: ShardedRegistry,
-    workers: usize,
-}
-
-impl ExecutorStats {
-    /// Stats sized for `workers` worker threads (0 resolves like
-    /// [`ShardedExecutor::new`]).
-    pub fn new(workers: usize) -> Self {
-        let workers = ShardedExecutor::new(workers).workers();
-        ExecutorStats {
-            shards: ShardedRegistry::new(workers + 1),
-            workers,
-        }
-    }
-
-    /// The shard registry of worker `w` (the collector uses the last shard).
-    fn shard(&self, w: usize) -> &qem_obs::MetricsRegistry {
-        self.shards.shard(w)
-    }
-
-    /// Merge every worker shard, in worker-id order.
-    pub fn merged(&self) -> MetricsSnapshot {
-        let mut snap = self.shards.merged();
-        snap.set_gauge("executor.workers", self.workers as u64);
-        snap
-    }
-}
 
 /// A sharded batch executor with a fixed worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,7 +137,7 @@ impl ShardedExecutor {
         F: Fn(&I) -> T + Sync,
     {
         let mut out = Vec::with_capacity(items.len());
-        self.run_streaming(items, work, |value| out.push(value));
+        self.run_streaming(items, || (), |(), item| work(item), |value| out.push(value));
         out
     }
 
@@ -191,37 +153,12 @@ impl ShardedExecutor {
     ///
     /// Calling `sink` for each output of `items.iter().map(work)` in order is
     /// the exact sequential semantics; only the scheduling differs.
-    pub fn run_streaming<I, T, F, S>(&self, items: &[I], work: F, sink: S)
+    ///
+    /// Each worker builds its own `W` with `init` and lends it to every
+    /// `work` call it makes (the inline path builds one); the output is the
+    /// same as long as `work`'s result does not depend on the state.
+    pub fn run_streaming<I, T, W, N, F, S>(&self, items: &[I], init: N, work: F, mut sink: S)
     where
-        I: Sync,
-        T: Send,
-        F: Fn(&I) -> T + Sync,
-        S: FnMut(T),
-    {
-        self.run_streaming_observed(
-            items,
-            || (),
-            |(), item| work(item),
-            sink,
-            &ExecutorStats::new(self.workers),
-        );
-    }
-
-    /// [`ShardedExecutor::run_streaming`] with per-worker state and
-    /// scheduling telemetry: each worker builds its own `W` with `init`
-    /// and lends it to every `work` call it makes (the inline path builds
-    /// one), records claimed batches and processed items into its own
-    /// [`ExecutorStats`] shard, and the collector records the reorder
-    /// buffer's high-water mark.  Output semantics are identical as long
-    /// as `work`'s result does not depend on the state.
-    pub fn run_streaming_observed<I, T, W, N, F, S>(
-        &self,
-        items: &[I],
-        init: N,
-        work: F,
-        mut sink: S,
-        stats: &ExecutorStats,
-    ) where
         I: Sync,
         T: Send,
         N: Fn() -> W + Sync,
@@ -234,11 +171,6 @@ impl ShardedExecutor {
         let run_inline =
             self.workers <= 1 || (self.batch_size == 0 && items.len() < SEQUENTIAL_CUTOFF);
         if run_inline {
-            let shard = stats.shard(0);
-            if !items.is_empty() {
-                shard.counter("executor.batches").inc();
-            }
-            shard.counter("executor.items").add(items.len() as u64);
             let mut state = init();
             for item in items {
                 sink(work(&mut state, item));
@@ -277,15 +209,12 @@ impl ShardedExecutor {
         let frontier_moved = std::sync::Condvar::new();
         let (init, work) = (&init, &work);
         std::thread::scope(|scope| {
-            for worker in 0..self.workers.min(shard_count) {
+            for _ in 0..self.workers.min(shard_count) {
                 let shard_rx = shard_rx.clone();
                 let result_tx = result_tx.clone();
                 let frontier = &frontier;
                 let frontier_moved = &frontier_moved;
-                let worker_shard = stats.shard(worker);
                 scope.spawn(move || {
-                    let batches = worker_shard.counter("executor.batches");
-                    let items_done = worker_shard.counter("executor.items");
                     let mut state = init();
                     // If `work` panics, this shard never reaches the
                     // collector and the frontier stalls; cancel the run so
@@ -314,8 +243,6 @@ impl ShardedExecutor {
                             .iter()
                             .map(|item| work(&mut state, item))
                             .collect();
-                        batches.inc();
-                        items_done.add(outputs.len() as u64);
                         if result_tx.send((shard, outputs)).is_err() {
                             break;
                         }
@@ -338,14 +265,10 @@ impl ShardedExecutor {
             // Flush batches to the sink in shard order: completion order is
             // scheduling noise.  Out-of-order arrivals wait in `pending`,
             // which the claim throttle above caps at `window` entries.
-            let reorder_peak = stats
-                .shard(self.workers)
-                .gauge("executor.reorder_depth_peak");
             let mut pending: BTreeMap<usize, Vec<T>> = BTreeMap::new();
             let mut next_shard = 0usize;
             for (shard, outputs) in result_rx.iter() {
                 pending.insert(shard, outputs);
-                reorder_peak.record_max(pending.len() as u64);
                 if pending.contains_key(&next_shard) {
                     while let Some(outputs) = pending.remove(&next_shard) {
                         for value in outputs {
@@ -372,6 +295,7 @@ impl ShardedExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -422,7 +346,12 @@ mod tests {
         let expected: Vec<u64> = items.iter().map(|&x| x ^ 0xa5).collect();
         for workers in [1, 2, 4, 8] {
             let mut got = Vec::new();
-            ShardedExecutor::new(workers).run_streaming(&items, |&x| x ^ 0xa5, |v| got.push(v));
+            ShardedExecutor::new(workers).run_streaming(
+                &items,
+                || (),
+                |(), &x| x ^ 0xa5,
+                |v| got.push(v),
+            );
             assert_eq!(got, expected, "workers={workers}");
         }
     }
@@ -437,7 +366,8 @@ mod tests {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             ShardedExecutor::new(4).with_batch_size(10).run_streaming(
                 &items,
-                |&x| {
+                || (),
+                |(), &x| {
                     assert!(x != 500, "work gives up");
                     x
                 },
@@ -458,7 +388,8 @@ mod tests {
             let mut seen = 0usize;
             ShardedExecutor::new(4).with_batch_size(8).run_streaming(
                 &items,
-                |&x| x,
+                || (),
+                |(), &x| x,
                 |_| {
                     seen += 1;
                     assert!(seen <= 64, "sink gives up");
@@ -481,7 +412,8 @@ mod tests {
         let mut got = Vec::new();
         executor.run_streaming(
             &items,
-            |&x| {
+            || (),
+            |(), &x| {
                 if x == 0 {
                     std::thread::sleep(std::time::Duration::from_millis(30));
                 }
@@ -510,7 +442,8 @@ mod tests {
         let mut got = Vec::new();
         ShardedExecutor::new(4).with_batch_size(7).run_streaming(
             &items,
-            |&x| x,
+            || (),
+            |(), &x| x,
             |v| {
                 if v % 512 == 0 {
                     std::thread::sleep(std::time::Duration::from_millis(2));
@@ -521,28 +454,76 @@ mod tests {
         assert_eq!(got, items);
     }
 
+    /// Worker state that counts its drops on the thread that built it.
+    struct Counted<'a> {
+        dropped: &'a AtomicUsize,
+        thread: std::thread::ThreadId,
+    }
+
+    impl Drop for Counted<'_> {
+        fn drop(&mut self) {
+            if self.thread == std::thread::current().id() {
+                self.dropped.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
     #[test]
-    fn executor_stats_account_for_every_item_at_any_worker_count() {
-        let items: Vec<usize> = (0..2_000).collect();
-        for workers in [1, 2, 4, 8] {
-            let stats = ExecutorStats::new(workers);
-            let mut got = Vec::new();
-            ShardedExecutor::new(workers).run_streaming_observed(
-                &items,
-                || (),
-                |(), &x| x,
-                |v| got.push(v),
-                &stats,
-            );
-            assert_eq!(got, items);
-            let merged = stats.merged();
-            assert_eq!(
-                merged.counter("executor.items"),
-                Some(items.len() as u64),
-                "workers={workers}"
-            );
-            assert!(merged.counter("executor.batches").unwrap_or(0) >= 1);
-            assert_eq!(merged.gauge("executor.workers"), Some(workers as u64));
+    fn worker_state_is_built_once_per_worker_and_dropped_before_the_run_returns() {
+        #[derive(Clone, Copy, PartialEq, Debug)]
+        enum Panics {
+            Nowhere,
+            InWork,
+            InSink,
+        }
+        let threaded: Vec<usize> = (0..2_000).collect();
+        let inline: Vec<usize> = (0..SEQUENTIAL_CUTOFF - 1).collect();
+        for (workers, items) in [(1, &threaded), (4, &threaded), (4, &inline)] {
+            for panics in [Panics::Nowhere, Panics::InWork, Panics::InSink] {
+                let case = format!("workers={workers} items={} {panics:?}", items.len());
+                let dropped = AtomicUsize::new(0);
+                let built_on = Mutex::new(Vec::new());
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let mut got = Vec::new();
+                    ShardedExecutor::new(workers).run_streaming(
+                        items,
+                        || {
+                            let thread = std::thread::current().id();
+                            built_on.lock().unwrap().push(thread);
+                            Counted {
+                                dropped: &dropped,
+                                thread,
+                            }
+                        },
+                        |state, &x| {
+                            assert_eq!(state.thread, std::thread::current().id());
+                            assert!(panics != Panics::InWork || x != 20, "work gives up");
+                            x
+                        },
+                        |v| {
+                            assert!(panics != Panics::InSink || v != 20, "sink gives up");
+                            got.push(v);
+                        },
+                    );
+                    got
+                }));
+                // Whatever happened, every state built is gone by now.
+                let built_on = built_on.into_inner().unwrap();
+                let built = built_on.len();
+                assert_eq!(dropped.load(Ordering::Relaxed), built, "{case}");
+                let threads: HashSet<_> = built_on.into_iter().collect();
+                assert_eq!(threads.len(), built, "one state per thread: {case}");
+                if workers == 1 || items.len() < SEQUENTIAL_CUTOFF {
+                    assert_eq!(built, 1, "{case}");
+                    assert!(threads.contains(&std::thread::current().id()), "{case}");
+                } else {
+                    assert_eq!(built, workers, "{case}");
+                }
+                match panics {
+                    Panics::Nowhere => assert_eq!(&result.expect(&case), items),
+                    _ => assert!(result.is_err(), "the panic must propagate: {case}"),
+                }
+            }
         }
     }
 

@@ -18,7 +18,7 @@
 
 pub mod campaign;
 pub mod executor;
-pub mod metrics;
+mod metrics;
 pub mod observation;
 pub mod reports;
 pub mod resilience;
@@ -27,8 +27,7 @@ pub mod source;
 pub mod vantage;
 
 pub use campaign::{Campaign, CampaignOptions, CampaignResult, SnapshotMeasurement};
-pub use executor::{ExecutorStats, ShardedExecutor};
-pub use metrics::{class_slug, ScanMetrics};
+pub use executor::ShardedExecutor;
 pub use observation::{EcnClass, HostMeasurement, MirrorUse};
 pub use qem_netsim::CrossTraffic;
 pub use resilience::{classify_probe, ProbeError, RetryPolicy};

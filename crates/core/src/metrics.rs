@@ -1,170 +1,154 @@
-//! Deterministic scan metrics.
+//! The scan tally: what a scan worker counts while it scans.
 //!
-//! [`ScanMetrics`] is the scanner's instrumentation surface: probe outcome
-//! counters, per-class ECN validation counts, loss/latency histograms and
-//! the aggregated engine/queue metrics of every simulated connection.  All
-//! of it obeys the workspace determinism invariant — every value is a `u64`
-//! recorded per host and merged commutatively, so
-//! [`ScanMetrics::snapshot`] is bit-identical for any worker count.
+//! A [`ScanTally`] is plain data — a fixed array of `u64` rows (probe
+//! outcomes, the six ECN validation classes, the four probe-error kinds),
+//! two histograms and the merged engine/queue metrics of every connection
+//! the worker simulated.  Three places, three jobs:
 //!
-//! Scheduling telemetry (batches per worker, reorder depth) is *not* in
-//! here: it depends on the worker count by construction and lives in
-//! [`crate::executor::ExecutorStats`], exposed separately through
-//! [`crate::scanner::Scanner::scheduling_snapshot`].
+//! * **accumulated** in the worker: each executor worker owns one tally and
+//!   `Scanner::measure_host` bumps it through `&mut`, so counting takes no
+//!   lock, formats no name and touches no memory another worker writes;
+//! * **merged** at worker end: the worker folds its tally into the
+//!   scanner's once, when it is dropped ([`ScanTally::merge_from`]);
+//! * **named** in [`ScanTally::snapshot`]: the one place a row becomes a
+//!   `scan.*` key of a [`MetricsSnapshot`].
+//!
+//! Every value is a `u64` counted per host and every merge is commutative,
+//! so the snapshot is bit-identical for any worker count and any split of
+//! the hosts into scans.
 
 use crate::observation::EcnClass;
 use crate::resilience::ProbeError;
-use qem_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
-use std::sync::Mutex;
+use qem_obs::{HistogramSnapshot, MetricsSnapshot};
 
-/// Stable metric-name slug of an ECN validation class (Table 5's rows).
-pub fn class_slug(class: EcnClass) -> &'static str {
-    match class {
-        EcnClass::NoMirroring => "no_mirroring",
-        EcnClass::Undercount => "undercount",
-        EcnClass::RemarkEct1 => "remark_ect1",
-        EcnClass::AllCe => "all_ce",
-        EcnClass::Capable => "capable",
-        EcnClass::Other => "other",
-    }
+/// One counter row of a [`ScanTally`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Row {
+    Hosts,
+    NoAddress,
+    QuicNoStack,
+    QuicAttempted,
+    QuicConnected,
+    QuicReachable,
+    QuicForwardLosses,
+    QuicReverseLosses,
+    QuicRetries,
+    QuicRecovered,
+    TcpProbed,
+    TcpConnected,
+    Traced,
+    TraceImpaired,
+    ClassNoMirroring,
+    ClassUndercount,
+    ClassRemarkEct1,
+    ClassAllCe,
+    ClassCapable,
+    ClassOther,
+    ErrorTimeout,
+    ErrorBlackhole,
+    ErrorCorruptReply,
+    ErrorExhausted,
 }
 
-/// Probe-outcome metrics of one scanner, deterministic across worker counts.
-#[derive(Debug)]
-pub struct ScanMetrics {
-    registry: MetricsRegistry,
-    /// Engine/queue metrics of every simulated connection, merged as the
-    /// scan progresses.  Merge order varies with scheduling; the merged
-    /// value does not (all merges are commutative).
-    engine: Mutex<MetricsSnapshot>,
-    /// Scheduling noise (executor stats) — kept out of [`Self::snapshot`].
-    scheduling: Mutex<MetricsSnapshot>,
-    pub(crate) hosts: Counter,
-    pub(crate) no_address: Counter,
-    pub(crate) quic_no_stack: Counter,
-    pub(crate) quic_attempted: Counter,
-    pub(crate) quic_connected: Counter,
-    pub(crate) quic_reachable: Counter,
-    pub(crate) tcp_probed: Counter,
-    pub(crate) tcp_connected: Counter,
-    pub(crate) traced: Counter,
-    pub(crate) trace_impaired: Counter,
-    pub(crate) quic_forward_losses: Counter,
-    pub(crate) quic_reverse_losses: Counter,
-    pub(crate) quic_elapsed_us: Histogram,
-    pub(crate) quic_retries: Counter,
-    pub(crate) quic_recovered: Counter,
-    pub(crate) quic_backoff_us: Histogram,
-}
+/// Every row with its exported name.  All of them are rendered, so an
+/// empty scan still exports the full key set.
+const ROWS: [(Row, &str); 24] = [
+    (Row::Hosts, "scan.hosts"),
+    (Row::NoAddress, "scan.no_address"),
+    (Row::QuicNoStack, "scan.quic.no_stack"),
+    (Row::QuicAttempted, "scan.quic.attempted"),
+    (Row::QuicConnected, "scan.quic.connected"),
+    (Row::QuicReachable, "scan.quic.reachable"),
+    (Row::QuicForwardLosses, "scan.quic.forward_losses"),
+    (Row::QuicReverseLosses, "scan.quic.reverse_losses"),
+    (Row::QuicRetries, "scan.quic.retries"),
+    (Row::QuicRecovered, "scan.quic.recovered"),
+    (Row::TcpProbed, "scan.tcp.probed"),
+    (Row::TcpConnected, "scan.tcp.connected"),
+    (Row::Traced, "scan.traced"),
+    (Row::TraceImpaired, "scan.trace_impaired"),
+    (Row::ClassNoMirroring, "scan.class.no_mirroring"),
+    (Row::ClassUndercount, "scan.class.undercount"),
+    (Row::ClassRemarkEct1, "scan.class.remark_ect1"),
+    (Row::ClassAllCe, "scan.class.all_ce"),
+    (Row::ClassCapable, "scan.class.capable"),
+    (Row::ClassOther, "scan.class.other"),
+    (Row::ErrorTimeout, "scan.probe_error.timeout"),
+    (Row::ErrorBlackhole, "scan.probe_error.blackhole"),
+    (Row::ErrorCorruptReply, "scan.probe_error.corrupt_reply"),
+    (Row::ErrorExhausted, "scan.probe_error.exhausted"),
+];
 
-impl Default for ScanMetrics {
-    fn default() -> Self {
-        ScanMetrics::new()
-    }
-}
-
-impl ScanMetrics {
-    /// Fresh metrics with every scanner counter pre-registered (so empty
-    /// scans still export a stable key set).
-    pub fn new() -> ScanMetrics {
-        let registry = MetricsRegistry::new();
-        let metrics = ScanMetrics {
-            hosts: registry.counter("scan.hosts"),
-            no_address: registry.counter("scan.no_address"),
-            quic_no_stack: registry.counter("scan.quic.no_stack"),
-            quic_attempted: registry.counter("scan.quic.attempted"),
-            quic_connected: registry.counter("scan.quic.connected"),
-            quic_reachable: registry.counter("scan.quic.reachable"),
-            tcp_probed: registry.counter("scan.tcp.probed"),
-            tcp_connected: registry.counter("scan.tcp.connected"),
-            traced: registry.counter("scan.traced"),
-            trace_impaired: registry.counter("scan.trace_impaired"),
-            quic_forward_losses: registry.counter("scan.quic.forward_losses"),
-            quic_reverse_losses: registry.counter("scan.quic.reverse_losses"),
-            quic_elapsed_us: registry.histogram("scan.quic.elapsed_us"),
-            quic_retries: registry.counter("scan.quic.retries"),
-            quic_recovered: registry.counter("scan.quic.recovered"),
-            quic_backoff_us: registry.histogram("scan.quic.backoff_us"),
-            registry,
-            engine: Mutex::new(MetricsSnapshot::new()),
-            scheduling: Mutex::new(MetricsSnapshot::new()),
-        };
-        // Stable key set: every class row exists even at count zero.
-        for class in [
-            EcnClass::NoMirroring,
-            EcnClass::Undercount,
-            EcnClass::RemarkEct1,
-            EcnClass::AllCe,
-            EcnClass::Capable,
-            EcnClass::Other,
-        ] {
-            metrics.registry.counter(&class_name(class));
+impl From<EcnClass> for Row {
+    /// The Table 5 row of an ECN validation class.
+    fn from(class: EcnClass) -> Row {
+        match class {
+            EcnClass::NoMirroring => Row::ClassNoMirroring,
+            EcnClass::Undercount => Row::ClassUndercount,
+            EcnClass::RemarkEct1 => Row::ClassRemarkEct1,
+            EcnClass::AllCe => Row::ClassAllCe,
+            EcnClass::Capable => Row::ClassCapable,
+            EcnClass::Other => Row::ClassOther,
         }
-        // Same for the probe-error taxonomy rows.
-        for error in [
-            ProbeError::Timeout,
-            ProbeError::Blackhole,
-            ProbeError::CorruptReply,
-            ProbeError::Exhausted { attempts: 0 },
-        ] {
-            metrics.registry.counter(&probe_error_name(error));
+    }
+}
+
+impl From<ProbeError> for Row {
+    /// The taxonomy row of a probe failure.
+    fn from(error: ProbeError) -> Row {
+        match error {
+            ProbeError::Timeout => Row::ErrorTimeout,
+            ProbeError::Blackhole => Row::ErrorBlackhole,
+            ProbeError::CorruptReply => Row::ErrorCorruptReply,
+            ProbeError::Exhausted { .. } => Row::ErrorExhausted,
         }
-        metrics
+    }
+}
+
+/// Probe-outcome counts of some set of scanned hosts.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct ScanTally {
+    counts: [u64; ROWS.len()],
+    /// Virtual duration of every QUIC attempt.
+    pub(crate) quic_elapsed_us: HistogramSnapshot,
+    /// Back-off drawn before every QUIC retry.
+    pub(crate) quic_backoff_us: HistogramSnapshot,
+    /// Engine/queue metrics of every simulated connection, merged.
+    pub(crate) engine: MetricsSnapshot,
+}
+
+impl ScanTally {
+    /// Add one to `row`.
+    pub(crate) fn inc(&mut self, row: Row) {
+        self.add(row, 1);
     }
 
-    /// Count one host in ECN validation class `class`.
-    pub(crate) fn record_class(&self, class: EcnClass) {
-        self.registry.counter(&class_name(class)).inc();
+    /// Add `n` to `row`.
+    pub(crate) fn add(&mut self, row: Row, n: u64) {
+        self.counts[row as usize] += n;
     }
 
-    /// Count one final (post-retry) probe failure in its taxonomy row.
-    pub(crate) fn record_probe_error(&self, error: ProbeError) {
-        self.registry.counter(&probe_error_name(error)).inc();
+    /// Fold `other` into `self`.
+    pub(crate) fn merge_from(&mut self, other: &ScanTally) {
+        for (mine, theirs) in self.counts.iter_mut().zip(other.counts) {
+            *mine += theirs;
+        }
+        self.quic_elapsed_us.merge_from(&other.quic_elapsed_us);
+        self.quic_backoff_us.merge_from(&other.quic_backoff_us);
+        self.engine.merge_from(&other.engine);
     }
 
-    /// Fold one connection's engine metrics into the scan-wide aggregate.
-    pub(crate) fn absorb_engine(&self, snapshot: &MetricsSnapshot) {
-        self.lock_merge(&self.engine, snapshot);
-    }
-
-    /// Fold one streaming run's executor stats into the scheduling section.
-    pub(crate) fn absorb_scheduling(&self, snapshot: &MetricsSnapshot) {
-        self.lock_merge(&self.scheduling, snapshot);
-    }
-
-    fn lock_merge(&self, slot: &Mutex<MetricsSnapshot>, snapshot: &MetricsSnapshot) {
-        // Poisoning only means a scan worker panicked mid-merge; the
-        // accumulated snapshot is still structurally valid.
-        let mut agg = slot.lock().unwrap_or_else(|e| e.into_inner());
-        agg.merge_from(snapshot);
-    }
-
-    /// The deterministic scan snapshot: probe counters plus the aggregated
-    /// engine/queue metrics.  Bit-identical across worker counts and
-    /// repeat runs (asserted by `tests/scan_determinism.rs`).
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.registry.snapshot();
-        let engine = self.engine.lock().unwrap_or_else(|e| e.into_inner());
-        snap.merge_from(&engine);
+    /// The tally under its exported names: every `scan.*` row plus the
+    /// merged engine/queue metrics.
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        let mut snap = self.engine.clone();
+        for (row, name) in ROWS {
+            snap.set_counter(name, self.counts[row as usize]);
+        }
+        snap.set_histogram("scan.quic.elapsed_us", self.quic_elapsed_us.clone());
+        snap.set_histogram("scan.quic.backoff_us", self.quic_backoff_us.clone());
         snap
     }
-
-    /// The scheduling-noise snapshot (executor batches, reorder depth).
-    /// Varies with worker count — never mix it into deterministic exports.
-    pub fn scheduling(&self) -> MetricsSnapshot {
-        self.scheduling
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-}
-
-fn class_name(class: EcnClass) -> String {
-    format!("scan.class.{}", class_slug(class))
-}
-
-fn probe_error_name(error: ProbeError) -> String {
-    format!("scan.probe_error.{}", error.slug())
 }
 
 #[cfg(test)]
@@ -173,12 +157,42 @@ mod tests {
 
     #[test]
     fn empty_metrics_export_a_stable_key_set() {
-        let a = ScanMetrics::new().snapshot();
-        let b = ScanMetrics::new().snapshot();
-        assert_eq!(a, b);
+        let a = ScanTally::default().snapshot();
+        assert_eq!(a, ScanTally::default().snapshot());
+        assert_eq!(a.metrics.len(), ROWS.len() + 2);
         assert_eq!(a.counter("scan.hosts"), Some(0));
         assert_eq!(a.counter("scan.class.capable"), Some(0));
         assert_eq!(a.counter("scan.class.no_mirroring"), Some(0));
+        assert_eq!(
+            a.histogram("scan.quic.backoff_us").map(|h| h.count),
+            Some(0)
+        );
+    }
+
+    #[test]
+    fn every_row_has_one_slot_and_its_own_name() {
+        for (slot, (row, _)) in ROWS.iter().enumerate() {
+            assert_eq!(*row as usize, slot, "{row:?}");
+        }
+        let mut tally = ScanTally::default();
+        for (n, (row, _)) in ROWS.iter().enumerate() {
+            tally.add(*row, n as u64 + 1);
+        }
+        let snap = tally.snapshot();
+        for (n, (_, name)) in ROWS.iter().enumerate() {
+            assert_eq!(snap.counter(name), Some(n as u64 + 1), "{name}");
+        }
+        for error in [
+            ProbeError::Timeout,
+            ProbeError::Blackhole,
+            ProbeError::CorruptReply,
+            ProbeError::Exhausted { attempts: 3 },
+        ] {
+            let (_, name) = ROWS[Row::from(error) as usize];
+            assert_eq!(name, format!("scan.probe_error.{}", error.slug()));
+        }
+        let (_, name) = ROWS[Row::from(EcnClass::RemarkEct1) as usize];
+        assert_eq!(name, "scan.class.remark_ect1");
     }
 
     #[test]
@@ -190,24 +204,31 @@ mod tests {
         y.set_counter("engine.events_processed", 7);
         y.set_gauge("engine.virtual_now_us", 9);
 
-        let ab = ScanMetrics::new();
-        ab.absorb_engine(&x);
-        ab.absorb_engine(&y);
-        let ba = ScanMetrics::new();
-        ba.absorb_engine(&y);
-        ba.absorb_engine(&x);
+        let mut ab = ScanTally::default();
+        ab.engine.merge_from(&x);
+        ab.engine.merge_from(&y);
+        let mut ba = ScanTally::default();
+        ba.engine.merge_from(&y);
+        ba.engine.merge_from(&x);
         assert_eq!(ab.snapshot(), ba.snapshot());
         assert_eq!(ab.snapshot().counter("engine.events_processed"), Some(17));
         assert_eq!(ab.snapshot().gauge("engine.virtual_now_us"), Some(9));
-    }
 
-    #[test]
-    fn scheduling_stays_out_of_the_deterministic_snapshot() {
-        let m = ScanMetrics::new();
-        let mut sched = MetricsSnapshot::new();
-        sched.set_counter("executor.batches", 42);
-        m.absorb_scheduling(&sched);
-        assert_eq!(m.snapshot().counter("executor.batches"), None);
-        assert_eq!(m.scheduling().counter("executor.batches"), Some(42));
+        // The same through two workers' tallies, merged in either order.
+        let worker = |engine: &MetricsSnapshot| {
+            let mut tally = ScanTally::default();
+            tally.inc(Row::Hosts);
+            tally.quic_elapsed_us.record(40);
+            tally.engine.merge_from(engine);
+            tally
+        };
+        let (wx, wy) = (worker(&x), worker(&y));
+        let mut xy = wx.clone();
+        xy.merge_from(&wy);
+        let mut yx = wy;
+        yx.merge_from(&wx);
+        assert_eq!(xy, yx);
+        assert_eq!(xy.snapshot().counter("scan.hosts"), Some(2));
+        assert_eq!(xy.snapshot().counter("engine.events_processed"), Some(17));
     }
 }

@@ -6,14 +6,16 @@
 //! ([`crate::executor::ShardedExecutor`]).  Each host gets its own
 //! deterministic RNG derived from the scan seed and the host id, so a scan
 //! produces identical results regardless of worker count or scheduling.
-//! Each executor worker owns one [`EngineScratch`] for the scan and lends it
-//! to both probes of every host it measures: one timer wheel per worker,
-//! not one per probe.
+//! Each executor worker owns one `ScanWorker` for the scan: an
+//! [`EngineScratch`] lent to both probes of every host it measures (one
+//! timer wheel per worker, not one per probe) and the `ScanTally` those
+//! hosts are counted in, which the worker folds into the scanner's once,
+//! when it ends; [`Scanner::metrics_snapshot`] gives the counts their names.
 
-use crate::executor::{ExecutorStats, ShardedExecutor};
-use crate::metrics::ScanMetrics;
+use crate::executor::ShardedExecutor;
+use crate::metrics::{Row, ScanTally};
 use crate::observation::{EcnClass, HostMeasurement};
-use crate::resilience::{classify_probe, ProbeError, RetryPolicy};
+use crate::resilience::{classify_probe, RetryPolicy};
 use crate::vantage::VantagePoint;
 use qem_netsim::{
     build_duplex_path, Asn, CrossTraffic, DuplexPath, EngineScratch, FaultPlan, TransitProfile,
@@ -28,6 +30,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::sync::Mutex;
 
 /// What the probes carry on the forward path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -92,6 +95,20 @@ impl ScanOptions {
     }
 }
 
+/// What one executor worker owns for the length of a scan.
+struct ScanWorker<'s> {
+    scratch: EngineScratch,
+    tally: ScanTally,
+    scanner: &'s Scanner<'s>,
+}
+
+impl Drop for ScanWorker<'_> {
+    /// The worker ends: hand its counts in.
+    fn drop(&mut self) {
+        self.scanner.lock_tally().merge_from(&self.tally);
+    }
+}
+
 /// The scanner.
 pub struct Scanner<'a> {
     universe: &'a Universe,
@@ -101,9 +118,9 @@ pub struct Scanner<'a> {
     /// per domain (with each IP traced at most once), so heavy-hitter IPs are
     /// almost always covered — exactly the property §6.1 relies on.
     domain_weight: Vec<u32>,
-    /// Probe-outcome metrics, recorded per host and merged commutatively —
-    /// the deterministic part of the scan's observability surface.
-    metrics: ScanMetrics,
+    /// The tally of every host scanned so far: each worker counts into a
+    /// tally of its own and merges it in here once, when it ends.
+    tally: Mutex<ScanTally>,
     /// Impairments injected on every forward path (chaos scans).  Empty by
     /// default; not part of [`ScanOptions`] because a plan is a schedule,
     /// not part of a snapshot's identity — stores reject faulted scans.
@@ -119,7 +136,7 @@ impl<'a> Scanner<'a> {
             vantage,
             options,
             domain_weight,
-            metrics: ScanMetrics::new(),
+            tally: Mutex::default(),
             fault_plan: FaultPlan::default(),
         }
     }
@@ -137,23 +154,26 @@ impl<'a> Scanner<'a> {
         &self.options
     }
 
-    /// The scanner's metrics handle.
-    pub fn metrics(&self) -> &ScanMetrics {
-        &self.metrics
-    }
-
     /// The deterministic metrics of everything scanned so far: probe
     /// outcome counters, per-class counts and the aggregated engine/queue
     /// metrics.  Bit-identical across worker counts.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        self.lock_tally().snapshot()
     }
 
-    /// Executor scheduling telemetry (batches per worker, reorder depth).
-    /// This varies with the worker count by construction — it is diagnostic
-    /// noise and is deliberately kept out of [`Scanner::metrics_snapshot`].
-    pub fn scheduling_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.scheduling()
+    fn lock_tally(&self) -> std::sync::MutexGuard<'_, ScanTally> {
+        // Poisoning only means a worker panicked while merging; every step
+        // of a merge leaves the tally structurally valid.
+        self.tally.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The state of one scan worker, merged into this scanner when dropped.
+    fn worker(&self) -> ScanWorker<'_> {
+        ScanWorker {
+            scratch: EngineScratch::default(),
+            tally: ScanTally::default(),
+            scanner: self,
+        }
     }
 
     /// Scan every host that has an address in the requested family.
@@ -187,22 +207,19 @@ impl<'a> Scanner<'a> {
         let mut ids = host_ids.to_vec();
         ids.sort_unstable();
         ids.dedup();
-        let executor = ShardedExecutor::new(self.options.workers);
-        let stats = ExecutorStats::new(self.options.workers);
-        executor.run_streaming_observed(
+        ShardedExecutor::new(self.options.workers).run_streaming(
             &ids,
-            EngineScratch::default,
-            |scratch, &id| self.measure_host(id, scratch),
+            || self.worker(),
+            |worker, &id| self.measure_host(id, worker),
             sink,
-            &stats,
         );
-        self.metrics.absorb_scheduling(&stats.merged());
     }
 
     /// Measure one host: QUIC, TCP and (sampled) tracebox.  Both probes run
-    /// their engine over `scratch`; the measurement does not depend on what
-    /// ran over it before.
-    pub fn measure_host(&self, host_id: usize, scratch: &mut EngineScratch) -> HostMeasurement {
+    /// their engine over the worker's scratch and are counted in its tally;
+    /// the measurement does not depend on what the worker measured before.
+    fn measure_host(&self, host_id: usize, worker: &mut ScanWorker<'_>) -> HostMeasurement {
+        let ScanWorker { scratch, tally, .. } = worker;
         let host = &self.universe.hosts[host_id];
         let mut rng = StdRng::seed_from_u64(
             self.options
@@ -210,10 +227,10 @@ impl<'a> Scanner<'a> {
                 .wrapping_mul(0x9e37_79b9_7f4a_7c15)
                 .wrapping_add(host_id as u64),
         );
-        self.metrics.hosts.inc();
+        tally.inc(Row::Hosts);
         let v6 = self.options.ipv6;
         let Some(server_addr) = host.addr(v6) else {
-            self.metrics.no_address.inc();
+            tally.inc(Row::NoAddress);
             return HostMeasurement {
                 host_id,
                 quic_reachable: false,
@@ -228,7 +245,7 @@ impl<'a> Scanner<'a> {
         // ---- QUIC ---------------------------------------------------------
         let behavior = self.effective_quic_behavior(host_id);
         if behavior.is_none() {
-            self.metrics.quic_no_stack.inc();
+            tally.inc(Row::QuicNoStack);
         }
         let quic_report = behavior.map(|behavior| {
             let sni = format!("www.host-{host_id}.example");
@@ -236,7 +253,7 @@ impl<'a> Scanner<'a> {
                 ProbeMode::Ect0 => ClientConfig::paper_default(&sni),
                 ProbeMode::ForceCe => ClientConfig::force_ce(&sni),
             };
-            self.metrics.quic_attempted.inc();
+            tally.inc(Row::QuicAttempted);
             let policy = self.options.retry;
             let max_attempts = policy.attempts.max(1);
             let mut attempt = 1u32;
@@ -251,34 +268,32 @@ impl<'a> Scanner<'a> {
                         .scratch(scratch)
                         .execute(&mut rng);
                 let outcome = run.connection;
-                self.metrics
-                    .quic_elapsed_us
-                    .record(outcome.elapsed.as_micros());
-                self.metrics.quic_forward_losses.add(outcome.forward_losses);
-                self.metrics.quic_reverse_losses.add(outcome.reverse_losses);
-                let telemetry = run.telemetry.unwrap_or_default();
-                self.metrics.absorb_engine(&telemetry.metrics);
+                tally.quic_elapsed_us.record(outcome.elapsed.as_micros());
+                tally.add(Row::QuicForwardLosses, outcome.forward_losses);
+                tally.add(Row::QuicReverseLosses, outcome.reverse_losses);
+                if let Some(telemetry) = &run.telemetry {
+                    tally.engine.merge_from(&telemetry.metrics);
+                }
                 match classify_probe(&outcome) {
                     Ok(()) => {
                         if attempt > 1 {
-                            self.metrics.quic_recovered.inc();
+                            tally.inc(Row::QuicRecovered);
                         }
                         break outcome.report;
                     }
                     Err(error) if attempt < max_attempts => {
-                        self.metrics.record_probe_error(error);
+                        tally.inc(error.into());
                         let backoff = policy.backoff_before(attempt + 1, &mut rng);
-                        self.metrics.quic_backoff_us.record(backoff.as_micros());
-                        self.metrics.quic_retries.inc();
+                        tally.quic_backoff_us.record(backoff.as_micros());
+                        tally.inc(Row::QuicRetries);
                         attempt += 1;
                     }
                     Err(error) => {
                         // The final verdict: the concrete error, plus the
                         // exhausted row when retries were actually burned.
-                        self.metrics.record_probe_error(error);
+                        tally.inc(error.into());
                         if attempt > 1 {
-                            self.metrics
-                                .record_probe_error(ProbeError::Exhausted { attempts: attempt });
+                            tally.inc(Row::ErrorExhausted);
                         }
                         break outcome.report;
                     }
@@ -286,14 +301,14 @@ impl<'a> Scanner<'a> {
             }
         });
         if quic_report.as_ref().is_some_and(|r| r.connected) {
-            self.metrics.quic_connected.inc();
+            tally.inc(Row::QuicConnected);
         }
         let quic_reachable = quic_report
             .as_ref()
             .map(|r| r.connected && r.response.is_some())
             .unwrap_or(false);
         if quic_reachable {
-            self.metrics.quic_reachable.inc();
+            tally.inc(Row::QuicReachable);
         }
 
         // ---- TCP ----------------------------------------------------------
@@ -314,15 +329,15 @@ impl<'a> Scanner<'a> {
             .execute(&mut rng)
             .report,
         );
-        self.metrics.tcp_probed.inc();
+        tally.inc(Row::TcpProbed);
         if tcp_report.as_ref().is_some_and(|r| r.connected) {
-            self.metrics.tcp_connected.inc();
+            tally.inc(Row::TcpConnected);
         }
 
         // ---- Tracebox (sampled, only on abnormal behaviour) ----------------
         let class = quic_report.as_ref().and_then(EcnClass::classify);
         if let Some(class) = class {
-            self.metrics.record_class(class);
+            tally.inc(class.into());
         }
         let abnormal = match class {
             Some(EcnClass::Capable) | None => false,
@@ -343,9 +358,9 @@ impl<'a> Scanner<'a> {
             );
             let as_org = &self.universe.as_org;
             let analysis = analyze_trace(&trace, &|ip| as_org.asn_of_ip(ip));
-            self.metrics.traced.inc();
+            tally.inc(Row::Traced);
             if analysis.is_impaired() {
-                self.metrics.trace_impaired.inc();
+                tally.inc(Row::TraceImpaired);
             }
             Some(analysis)
         } else {
@@ -478,7 +493,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_metrics_match_across_worker_counts_but_scheduling_differs() {
+    fn scan_metrics_match_across_worker_counts() {
         let universe = universe();
         let host_ids: Vec<usize> = universe.hosts.iter().map(|h| h.id).take(16).collect();
         let options = ScanOptions::paper_default(SnapshotDate::APR_2023);
@@ -489,16 +504,70 @@ mod tests {
                 ScanOptions { workers, ..options },
             );
             scanner.scan_hosts(&host_ids);
-            (scanner.metrics_snapshot(), scanner.scheduling_snapshot())
+            scanner.metrics_snapshot()
         };
-        let (single, single_sched) = run(1);
-        let (quad, _) = run(4);
+        let single = run(1);
+        let quad = run(4);
         assert_eq!(single, quad);
         assert_eq!(single.to_json(), quad.to_json());
         assert_eq!(single.counter("scan.hosts"), Some(16));
         assert!(single.counter("engine.events_processed").unwrap() > 0);
-        // Scheduling telemetry exists but is allowed to differ per run.
-        assert_eq!(single_sched.counter("executor.items"), Some(16));
+    }
+
+    #[test]
+    fn scan_tally_does_not_depend_on_how_the_hosts_are_partitioned() {
+        let universe = universe();
+        let population = universe.scan_population(false);
+        let loss = FaultPlan::new().always(FaultKind::Loss { rate: 0.35 });
+        for (fault_plan, retry) in [
+            (FaultPlan::default(), RetryPolicy::none()),
+            (loss, RetryPolicy::standard()),
+        ] {
+            let scanner = |workers: usize| {
+                Scanner::new(
+                    &universe,
+                    VantagePoint::main(),
+                    ScanOptions {
+                        workers,
+                        retry,
+                        ..ScanOptions::paper_default(SnapshotDate::APR_2023)
+                    },
+                )
+                .with_fault_plan(fault_plan.clone())
+            };
+            let whole = scanner(1);
+            whole.scan_hosts(&population);
+            let whole = whole.metrics_snapshot();
+            assert_eq!(whole.counter("scan.hosts"), Some(population.len() as u64));
+
+            // Three disjoint sub-scans: by three scanners whose snapshots
+            // are merged, and by one scanner that accumulates.
+            let mut merged = MetricsSnapshot::new();
+            let accumulating = scanner(1);
+            for part in population.chunks(population.len().div_ceil(3)) {
+                let sub = scanner(1);
+                sub.scan_hosts(part);
+                merged.merge_from(&sub.metrics_snapshot());
+                accumulating.scan_hosts(part);
+            }
+            assert_eq!(merged, whole);
+            assert_eq!(accumulating.metrics_snapshot(), whole);
+
+            for workers in [2, 0] {
+                let parallel = scanner(workers);
+                parallel.scan_hosts(&population);
+                assert_eq!(parallel.metrics_snapshot(), whole, "workers={workers}");
+            }
+
+            let faulted = !fault_plan.is_empty();
+            let errors: u64 = ["timeout", "blackhole", "corrupt_reply", "exhausted"]
+                .iter()
+                .map(|kind| whole.counter(&format!("scan.probe_error.{kind}")).unwrap())
+                .sum();
+            let backoffs = whole.histogram("scan.quic.backoff_us").unwrap().count;
+            assert_eq!(errors > 0, faulted);
+            assert_eq!(backoffs > 0, faulted);
+        }
     }
 
     #[test]
@@ -572,14 +641,14 @@ mod tests {
             let single = scanner(1);
             let fresh: Vec<HostMeasurement> = population
                 .iter()
-                .map(|&id| single.measure_host(id, &mut EngineScratch::default()))
+                .map(|&id| single.measure_host(id, &mut single.worker()))
                 .collect();
             // One scratch for every host, visited in the opposite order…
-            let mut scratch = EngineScratch::default();
+            let mut worker = single.worker();
             let mut reversed: Vec<HostMeasurement> = population
                 .iter()
                 .rev()
-                .map(|&id| single.measure_host(id, &mut scratch))
+                .map(|&id| single.measure_host(id, &mut worker))
                 .collect();
             reversed.reverse();
             assert_eq!(reversed, fresh);
@@ -604,10 +673,10 @@ mod tests {
         );
         let quic_host = universe.hosts.iter().find(|h| h.stack.is_some()).unwrap();
         let tcp_host = universe.hosts.iter().find(|h| h.stack.is_none()).unwrap();
-        let m = scanner.measure_host(quic_host.id, &mut EngineScratch::default());
+        let m = scanner.measure_host(quic_host.id, &mut scanner.worker());
         assert!(m.quic.is_some());
         assert!(m.tcp.as_ref().unwrap().connected);
-        let m = scanner.measure_host(tcp_host.id, &mut EngineScratch::default());
+        let m = scanner.measure_host(tcp_host.id, &mut scanner.worker());
         assert!(m.quic.is_none());
         assert!(!m.quic_reachable);
         assert!(m.tcp.as_ref().unwrap().connected);
@@ -635,7 +704,7 @@ mod tests {
             .iter()
             .find(|h| h.provider == cf && h.stack.is_some())
             .unwrap();
-        let m = scanner.measure_host(host.id, &mut EngineScratch::default());
+        let m = scanner.measure_host(host.id, &mut scanner.worker());
         assert!(m.trace.is_some());
         assert!(!m.trace.unwrap().is_impaired());
     }
@@ -661,7 +730,7 @@ mod tests {
             .iter()
             .find(|h| h.provider == amazon && h.segment == "cloudfront")
             .unwrap();
-        let m = scanner.measure_host(host.id, &mut EngineScratch::default());
+        let m = scanner.measure_host(host.id, &mut scanner.worker());
         assert_eq!(m.ecn_class(), Some(EcnClass::Capable));
         assert!(m.trace.is_none());
     }
@@ -682,7 +751,7 @@ mod tests {
             .iter()
             .find(|h| matches!(h.transit_v4, TransitProfile::Clearing { .. }) && h.stack.is_some())
             .unwrap();
-        let m = scanner.measure_host(host.id, &mut EngineScratch::default());
+        let m = scanner.measure_host(host.id, &mut scanner.worker());
         assert_eq!(m.ecn_class(), Some(EcnClass::NoMirroring));
         let trace = m.trace.expect("abnormal host must be traced");
         assert!(trace.is_impaired());

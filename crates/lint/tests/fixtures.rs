@@ -207,6 +207,30 @@ fn ambient_state_fixture_fires_on_every_global_and_never_on_the_static_lifetime(
 }
 
 #[test]
+fn shared_counter_fixture_fires_on_every_atomic_and_never_in_the_test_clock() {
+    // The rule guards the scan tally, the scanner and every crate a probe
+    // runs through.
+    for path in [
+        "crates/core/src/metrics.rs",
+        "crates/core/src/scanner.rs",
+        "crates/obs/src/registry.rs",
+        "crates/netsim/src/fixture.rs",
+        "crates/quic/src/fixture.rs",
+        "crates/tcp/src/fixture.rs",
+        "crates/tracebox/src/fixture.rs",
+        "crates/workload/src/fixture.rs",
+    ] {
+        let lines = fired_lines(path, "violations/shared_counters.rs", "no-shared-counters");
+        assert_eq!(lines, BTreeSet::from([3, 4, 7, 8, 13, 14]), "{path}");
+    }
+    // `ManualClock` keeps its atomic; the executor is outside the zone.
+    for path in ["crates/obs/src/clock.rs", "crates/core/src/executor.rs"] {
+        let findings = engine().check_file(path, &fixture("violations/shared_counters.rs"));
+        assert!(findings.is_empty(), "{path}: {findings:?}");
+    }
+}
+
+#[test]
 fn unsafe_fixture_fires_only_without_a_safety_comment() {
     let lines = fired_lines(
         "crates/packet/src/fixture.rs",

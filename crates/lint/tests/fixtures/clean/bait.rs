@@ -13,6 +13,7 @@ pub const NESTED_RAW: &str = r##"raw with "# inside: from_entropy()"##;
 pub const BYTES: &[u8] = b"std::fs::read and TcpStream and UdpSocket";
 pub const CHARS: (char, char) = ('a', '"');
 pub const AMBIENT: &'static str = "thread_local! static mut OnceLock OnceCell LazyLock lazy_static";
+pub const SHARED: &str = "AtomicU64 AtomicUsize AtomicU32 .fetch_add(1) .fetch_max(2)"; // fetch_add
 
 /// Doc comments mentioning sleep, stdin and UdpSocket are also fine.
 pub struct SimInstant(pub u64);

@@ -5,7 +5,7 @@ thread_local! {
 }
 
 static mut PROBES: u64 = 0;
-static HOSTS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+static HOSTS: std::sync::Mutex<u64> = std::sync::Mutex::new(0);
 static TABLE: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
 
 pub fn label() -> &'static str {

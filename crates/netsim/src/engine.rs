@@ -43,7 +43,7 @@ use crate::path::Path;
 use crate::router::RouterId;
 use crate::time::{SimDuration, SimInstant};
 use crate::wheel::TimerWheel;
-use qem_obs::{Histogram, MetricsSnapshot, TraceRing};
+use qem_obs::{HistogramSnapshot, MetricsSnapshot, TraceRing};
 use qem_packet::ecn::EcnCodepoint;
 use qem_packet::ip::{IpDatagram, IpProtocol};
 use rand::rngs::StdRng;
@@ -394,7 +394,7 @@ struct QueueState {
     /// Occupancy observed at each arrival (drained, pre-admission), as a
     /// log-linear distribution — `peak_occupancy` tells the worst case,
     /// this tells where the queue actually sat.
-    occupancy_hist: Histogram,
+    occupancy_hist: HistogramSnapshot,
 }
 
 impl QueueState {
@@ -436,7 +436,7 @@ impl SharedQueues {
                 departures: BinaryHeap::new(),
                 last_departure: SimInstant::EPOCH,
                 stats: QueueStats::default(),
-                occupancy_hist: Histogram::standalone(),
+                occupancy_hist: HistogramSnapshot::default(),
             },
         );
     }
@@ -530,10 +530,7 @@ impl SharedQueues {
                 format!("{prefix}peak_occupancy"),
                 state.stats.peak_occupancy as u64,
             );
-            snap.set_histogram(
-                format!("{prefix}occupancy"),
-                state.occupancy_hist.snapshot(),
-            );
+            snap.set_histogram(format!("{prefix}occupancy"), state.occupancy_hist.clone());
         }
         // Fault counters are emitted only when nonzero: fault-free runs —
         // every golden-pinned scenario — keep byte-identical telemetry.

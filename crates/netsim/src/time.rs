@@ -23,14 +23,14 @@ impl SimDuration {
         SimDuration(micros)
     }
 
-    /// Construct from milliseconds.
+    /// Construct from milliseconds (saturating).
     pub const fn from_millis(millis: u64) -> Self {
-        SimDuration(millis * 1_000)
+        SimDuration(millis.saturating_mul(1_000))
     }
 
-    /// Construct from seconds.
+    /// Construct from seconds (saturating).
     pub const fn from_secs(secs: u64) -> Self {
-        SimDuration(secs * 1_000_000)
+        SimDuration(secs.saturating_mul(1_000_000))
     }
 
     /// The duration in microseconds.
@@ -60,14 +60,16 @@ impl Mul<u64> for SimDuration {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+
+    /// Saturating, like every other operation on the virtual timeline.
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
+        SimDuration(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimDuration {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -111,8 +113,11 @@ impl SimInstant {
 
 impl Add<SimDuration> for SimInstant {
     type Output = SimInstant;
+
+    /// Saturating: the end of the timeline is sticky, a deadline past it
+    /// never wraps around into the past.
     fn add(self, rhs: SimDuration) -> SimInstant {
-        SimInstant(self.0 + rhs.as_micros())
+        SimInstant(self.0.saturating_add(rhs.as_micros()))
     }
 }
 
@@ -161,5 +166,22 @@ mod tests {
         let b = SimDuration::from_millis(4);
         assert_eq!(a.saturating_sub(b), SimDuration::ZERO);
         assert_eq!((b * 3).as_millis(), 12);
+
+        // Every operation clamps at the end of the timeline.
+        let forever = SimDuration::from_micros(u64::MAX);
+        let end = SimInstant::from_micros(u64::MAX);
+        let tick = SimDuration::from_micros(1);
+        assert_eq!(end + tick, end);
+        assert_eq!(SimInstant::EPOCH + forever + tick, end);
+        assert_eq!(forever + tick, forever);
+        let mut total = forever;
+        total += tick;
+        assert_eq!(total, forever);
+        assert_eq!(forever * 2, forever);
+        assert_eq!(SimDuration::from_millis(u64::MAX), forever);
+        assert_eq!(SimDuration::from_secs(u64::MAX), forever);
+        assert_eq!(SimDuration::from_secs(u64::MAX / 1_000_000 + 1), forever);
+        assert_eq!(end - SimInstant::EPOCH, forever);
+        assert_eq!(SimInstant::EPOCH - end, SimDuration::ZERO);
     }
 }

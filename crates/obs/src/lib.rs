@@ -5,14 +5,15 @@
 //! workers)**.  Metrics must therefore never become a side channel that
 //! re-introduces nondeterminism into outputs:
 //!
+//! * metrics are plain values ([`MetricsSnapshot`], [`MetricValue`],
+//!   [`HistogramSnapshot`]): whoever counts owns its counts, nothing is
+//!   atomic or shared, and parts meet only by being merged;
 //! * every metric value is a `u64` and every merge operation is
 //!   commutative and associative (counters add, gauges take the max,
-//!   histograms add per-bucket counts), so a [`MetricsSnapshot`] is
-//!   bit-identical no matter how work was interleaved across workers;
-//! * registries store their metrics in `BTreeMap`s, so snapshots,
-//!   renderings and JSON exports enumerate in one deterministic order;
-//! * per-worker shards ([`ShardedRegistry`]) are merged in worker-id
-//!   order;
+//!   histograms add per-bucket counts), so a merged [`MetricsSnapshot`] is
+//!   bit-identical no matter how work was split across workers;
+//! * a snapshot is a `BTreeMap`, so renderings and JSON exports enumerate
+//!   in one deterministic order;
 //! * traces ([`TraceRing`]) are bounded rings of events timestamped in
 //!   **virtual time** (`SimInstant` microseconds), so engine traces are
 //!   golden-testable;
@@ -36,9 +37,6 @@ pub mod telemetry;
 pub mod trace;
 
 pub use clock::{Clock, ManualClock, RateMeter, WallClock};
-pub use registry::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, MetricsRegistry, MetricsSnapshot,
-    ShardedRegistry,
-};
+pub use registry::{HistogramSnapshot, MetricValue, MetricsSnapshot};
 pub use telemetry::RunTelemetry;
 pub use trace::TraceRing;

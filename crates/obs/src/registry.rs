@@ -1,332 +1,39 @@
-//! Metric registries whose snapshots are bit-identical across runs and
-//! worker counts.
+//! Metrics as plain values: built, merged, compared and rendered, never
+//! shared.
 //!
 //! Three metric kinds, all `u64`-valued so merges stay exact:
 //!
-//! | kind        | record op            | merge op              |
-//! |-------------|----------------------|-----------------------|
-//! | [`Counter`] | `add(n)`             | sum                   |
-//! | [`Gauge`]   | `record_max(v)`      | max                   |
-//! | [`Histogram`] | `record(v)`        | per-bucket count sums |
+//! | kind      | [`MetricValue`] | merge op              |
+//! |-----------|-----------------|-----------------------|
+//! | counter   | `Counter(n)`    | sum                   |
+//! | gauge     | `Gauge(peak)`   | max                   |
+//! | histogram | `Histogram(h)`  | per-bucket count sums |
 //!
-//! Because every merge is commutative and associative, the merged value is
-//! independent of scheduling: it does not matter which worker incremented
-//! first or how hosts were batched.  Anything that is *not* schedule
-//! independent (batch counts, queue depths) must be kept out of
-//! deterministic snapshots and reported as scheduling noise instead — see
-//! `qem_core::executor::ExecutorStats`.
-//!
-//! Registration takes a `Mutex` once per metric name; the returned handles
-//! record lock-free via relaxed atomics, which is all the ordering needed
-//! because snapshots are taken after worker threads have been joined.
+//! Whoever counts owns its counts: a scan worker tallies into plain
+//! fields, the engine into its own struct, and each renders a
+//! [`MetricsSnapshot`] when asked.  Snapshots from different owners meet
+//! in [`MetricsSnapshot::merge_from`]; because every merge is commutative
+//! and associative, the merged value does not depend on which worker
+//! counted what or in which order the parts were folded.  Nothing in here
+//! is atomic, locked or reference-counted.
 
 use crate::json;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
-// ---------------------------------------------------------------------------
-// Log-linear histogram geometry
-// ---------------------------------------------------------------------------
-
-/// Sub-buckets per power-of-two octave (2 bits of mantissa).
-const SUB_BUCKETS: u64 = 4;
-
-/// Total bucket count covering the full `u64` range: 4 linear buckets for
-/// values 0–3, then 4 sub-buckets for each of the 62 remaining octaves.
-pub const HISTOGRAM_BUCKETS: usize = 252;
-
-/// Index of the log-linear bucket recording `value`.
+/// Lower bound of the log-linear bucket holding `value`.
 ///
 /// Values 0–3 get exact buckets; beyond that each power-of-two octave is
-/// split into `SUB_BUCKETS` equal slices, giving a worst-case relative
-/// error of 25% — plenty for queue depths, packet counts and microsecond
-/// latencies.
-pub fn bucket_index(value: u64) -> usize {
-    if value < SUB_BUCKETS {
-        return value as usize;
+/// split into four equal slices (the leading bit plus two bits of
+/// mantissa are kept), giving a worst-case relative error of 25% — plenty
+/// for queue depths, packet counts and microsecond latencies.
+fn bucket_floor(value: u64) -> u64 {
+    if value < 4 {
+        return value;
     }
-    let msb = 63 - value.leading_zeros() as usize;
-    let top = (value >> (msb - 2)) as usize; // 4..8: leading bit + 2 mantissa bits
-    (msb - 2) * SUB_BUCKETS as usize + top
+    let shift = 61 - value.leading_zeros();
+    value >> shift << shift
 }
-
-/// Smallest value that lands in bucket `index` (the inverse of
-/// [`bucket_index`]); used when rendering snapshots.
-pub fn bucket_lower_bound(index: usize) -> u64 {
-    if index < SUB_BUCKETS as usize {
-        return index as u64;
-    }
-    let k = (index - SUB_BUCKETS as usize) as u64;
-    (SUB_BUCKETS + k % SUB_BUCKETS) << (k / SUB_BUCKETS)
-}
-
-// ---------------------------------------------------------------------------
-// Slots (shared storage behind the cloneable handles)
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Default)]
-struct ValueSlot(AtomicU64);
-
-#[derive(Debug)]
-struct HistogramSlot {
-    count: AtomicU64,
-    sum: AtomicU64,
-    buckets: Vec<AtomicU64>,
-}
-
-impl Default for HistogramSlot {
-    fn default() -> Self {
-        HistogramSlot {
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            buckets: (0..HISTOGRAM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-}
-
-/// A monotonically increasing count.  Merge = sum.
-#[derive(Debug, Clone, Default)]
-pub struct Counter {
-    slot: Arc<ValueSlot>,
-}
-
-impl Counter {
-    /// A counter not attached to any registry (embed it in a struct and
-    /// export it by hand with [`MetricsSnapshot::set_counter`]).
-    pub fn standalone() -> Counter {
-        Counter::default()
-    }
-
-    /// Add `n` to the counter.
-    pub fn add(&self, n: u64) {
-        self.slot.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Add one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.slot.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A high-water mark.  `record_max` keeps the largest observed value, which
-/// makes the merge (max) commutative — the deterministic counterpart of a
-/// "current value" gauge.
-#[derive(Debug, Clone, Default)]
-pub struct Gauge {
-    slot: Arc<ValueSlot>,
-}
-
-impl Gauge {
-    /// A gauge not attached to any registry.
-    pub fn standalone() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Raise the gauge to `v` if `v` is larger than the current value.
-    pub fn record_max(&self, v: u64) {
-        self.slot.0.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.slot.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A log-linear histogram of `u64` samples (see [`bucket_index`] for the
-/// geometry).  Merge = per-bucket count sums.
-#[derive(Debug, Clone, Default)]
-pub struct Histogram {
-    slot: Arc<HistogramSlot>,
-}
-
-impl Histogram {
-    /// A histogram not attached to any registry (e.g. the per-router
-    /// occupancy histogram embedded in `qem_netsim`'s `QueueState`).
-    pub fn standalone() -> Histogram {
-        Histogram::default()
-    }
-
-    /// Record one sample.
-    pub fn record(&self, value: u64) {
-        self.slot.count.fetch_add(1, Ordering::Relaxed);
-        self.slot.sum.fetch_add(value, Ordering::Relaxed);
-        self.slot.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.slot.count.load(Ordering::Relaxed)
-    }
-
-    /// Immutable snapshot of the current bucket contents.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let buckets = self
-            .slot
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let n = b.load(Ordering::Relaxed);
-                (n > 0).then(|| (bucket_lower_bound(i), n))
-            })
-            .collect();
-        HistogramSnapshot {
-            count: self.slot.count.load(Ordering::Relaxed),
-            sum: self.slot.sum.load(Ordering::Relaxed),
-            buckets,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-enum AnySlot {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
-}
-
-/// A named collection of metrics.  Handles are registered once under a
-/// `Mutex` and then record lock-free; [`MetricsRegistry::snapshot`]
-/// enumerates them in `BTreeMap` (i.e. name) order.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    slots: Mutex<BTreeMap<String, AnySlot>>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, AnySlot>> {
-        // A poisoned registration map only means another thread panicked
-        // mid-insert; the map itself (name -> Arc handle) is still valid.
-        self.slots.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The counter named `name`, registering it on first use.
-    ///
-    /// # Panics
-    /// If `name` is already registered as a different metric kind.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut slots = self.lock();
-        match slots
-            .entry(name.to_owned())
-            .or_insert_with(|| AnySlot::Counter(Counter::standalone()))
-        {
-            AnySlot::Counter(c) => c.clone(),
-            other => panic!("metric {name:?} already registered as {other:?}"),
-        }
-    }
-
-    /// The gauge named `name`, registering it on first use.
-    ///
-    /// # Panics
-    /// If `name` is already registered as a different metric kind.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut slots = self.lock();
-        match slots
-            .entry(name.to_owned())
-            .or_insert_with(|| AnySlot::Gauge(Gauge::standalone()))
-        {
-            AnySlot::Gauge(g) => g.clone(),
-            other => panic!("metric {name:?} already registered as {other:?}"),
-        }
-    }
-
-    /// The histogram named `name`, registering it on first use.
-    ///
-    /// # Panics
-    /// If `name` is already registered as a different metric kind.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        let mut slots = self.lock();
-        match slots
-            .entry(name.to_owned())
-            .or_insert_with(|| AnySlot::Histogram(Histogram::standalone()))
-        {
-            AnySlot::Histogram(h) => h.clone(),
-            other => panic!("metric {name:?} already registered as {other:?}"),
-        }
-    }
-
-    /// Snapshot every registered metric, in name order.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let slots = self.lock();
-        let metrics = slots
-            .iter()
-            .map(|(name, slot)| {
-                let value = match slot {
-                    AnySlot::Counter(c) => MetricValue::Counter(c.get()),
-                    AnySlot::Gauge(g) => MetricValue::Gauge(g.get()),
-                    AnySlot::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-                };
-                (name.clone(), value)
-            })
-            .collect();
-        MetricsSnapshot { metrics }
-    }
-}
-
-/// One registry per worker, merged in worker-id order.
-///
-/// Sharding keeps hot-path increments off shared cache lines; because every
-/// merge is commutative the merged snapshot is nevertheless independent of
-/// which shard recorded what.
-#[derive(Debug)]
-pub struct ShardedRegistry {
-    shards: Vec<MetricsRegistry>,
-}
-
-impl ShardedRegistry {
-    /// A registry with `shards` independent shards (at least one).
-    pub fn new(shards: usize) -> ShardedRegistry {
-        ShardedRegistry {
-            shards: (0..shards.max(1)).map(|_| MetricsRegistry::new()).collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Always false — there is at least one shard.
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// The registry of shard `worker` (indices wrap, so a caller may pass a
-    /// raw worker id without bounds bookkeeping).
-    pub fn shard(&self, worker: usize) -> &MetricsRegistry {
-        &self.shards[worker % self.shards.len()]
-    }
-
-    /// Merge every shard's snapshot, in worker-id order.
-    pub fn merged(&self) -> MetricsSnapshot {
-        let mut out = MetricsSnapshot::default();
-        for shard in &self.shards {
-            out.merge_from(&shard.snapshot());
-        }
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Snapshots
-// ---------------------------------------------------------------------------
 
 /// The frozen value of one metric.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -339,8 +46,9 @@ pub enum MetricValue {
     Histogram(HistogramSnapshot),
 }
 
-/// Frozen histogram contents: only non-empty buckets are kept, as
-/// `(bucket lower bound, sample count)` pairs in ascending bound order.
+/// A log-linear histogram of `u64` samples: only non-empty buckets are
+/// kept, as `(bucket lower bound, sample count)` pairs in ascending bound
+/// order.  Merge = per-bucket count sums.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Total number of samples.
@@ -352,15 +60,33 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Merge `other` into `self` by summing per-bucket counts.
+    /// Record one sample (the sum wraps, so a `u64::MAX` "never finished"
+    /// sample is recordable).
+    pub fn record(&mut self, value: u64) {
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(value);
+        let bound = bucket_floor(value);
+        match self.buckets.binary_search_by_key(&bound, |&(b, _)| b) {
+            Ok(i) => self.buckets[i].1 += 1,
+            Err(i) => self.buckets.insert(i, (bound, 1)),
+        }
+    }
+
+    /// Merge `other` into `self` by summing per-bucket counts: one cursor
+    /// walks each ascending bucket list, in place.
     pub fn merge_from(&mut self, other: &HistogramSnapshot) {
         self.count += other.count;
         self.sum += other.sum;
-        let mut merged: BTreeMap<u64, u64> = self.buckets.iter().copied().collect();
+        let mut i = 0;
         for &(bound, n) in &other.buckets {
-            *merged.entry(bound).or_insert(0) += n;
+            while self.buckets.get(i).is_some_and(|&(mine, _)| mine < bound) {
+                i += 1;
+            }
+            match self.buckets.get_mut(i) {
+                Some((mine, count)) if *mine == bound => *count += n,
+                _ => self.buckets.insert(i, (bound, n)),
+            }
         }
-        self.buckets = merged.into_iter().collect();
     }
 
     /// Mean sample value, rounded down (0 when empty).
@@ -373,8 +99,8 @@ impl HistogramSnapshot {
     /// 0 when empty).
     ///
     /// Workload reports use this for frame-lateness percentiles; the
-    /// log-linear buckets bound the answer's relative error at 25 % —
-    /// see [`bucket_index`] — which is plenty for a latency table.
+    /// log-linear buckets bound the answer's relative error at 25 %,
+    /// which is plenty for a latency table.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -394,8 +120,7 @@ impl HistogramSnapshot {
 
 /// A deterministic, order-stable snapshot of many metrics.
 ///
-/// Snapshots can be taken from a [`MetricsRegistry`], built by hand with
-/// the `set_*` methods (the single-threaded engine does this), merged with
+/// Snapshots are built with the `set_*` methods, merged with
 /// [`MetricsSnapshot::merge_from`], compared bit-for-bit with `==`, and
 /// exported with [`MetricsSnapshot::to_json`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -547,84 +272,143 @@ impl fmt::Display for MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    fn histogram_of(samples: impl IntoIterator<Item = u64>) -> HistogramSnapshot {
+        let mut h = HistogramSnapshot::default();
+        for v in samples {
+            h.record(v);
+        }
+        h
+    }
+
+    /// Everything one event contributes, as a snapshot of its own.
+    fn event(i: u64) -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot::new();
+        snap.set_counter("events", 1);
+        snap.set_gauge("peak", i);
+        snap.set_histogram("size", histogram_of([i * 17 % 1000]));
+        snap
+    }
 
     #[test]
     fn bucket_geometry_round_trips() {
         for v in [0u64, 1, 2, 3, 4, 5, 7, 8, 9, 100, 1023, 1024, u64::MAX] {
-            let idx = bucket_index(v);
-            let lo = bucket_lower_bound(idx);
+            let lo = bucket_floor(v);
             assert!(lo <= v, "lower bound {lo} above sample {v}");
-            if idx + 1 < HISTOGRAM_BUCKETS {
-                let hi = bucket_lower_bound(idx + 1);
-                assert!(v < hi, "sample {v} not below next bound {hi}");
-            }
-            assert!(idx < HISTOGRAM_BUCKETS);
+            assert!(v - lo <= lo / 4, "sample {v} too far above bound {lo}");
+            assert_eq!(bucket_floor(lo), lo, "a bound opens its own bucket");
         }
-        // Bounds are strictly increasing — no bucket is unreachable.
-        for i in 1..HISTOGRAM_BUCKETS {
-            assert!(bucket_lower_bound(i) > bucket_lower_bound(i - 1));
+        // Walk the bounds upwards: every bucket ends right below the next
+        // bound, and there are 4 exact buckets plus 4 for each of the 62
+        // octaves above them.
+        let mut bound = 0u64;
+        let mut buckets = 1;
+        loop {
+            let width = if bound < 4 {
+                1
+            } else {
+                1u64 << (61 - bound.leading_zeros())
+            };
+            let Some(next) = bound.checked_add(width) else {
+                break;
+            };
+            assert_eq!(bucket_floor(next - 1), bound);
+            assert_eq!(bucket_floor(next), next);
+            bound = next;
+            buckets += 1;
         }
+        assert_eq!(buckets, 252);
     }
 
     #[test]
     fn registry_snapshot_is_name_ordered_and_stable() {
-        let reg = MetricsRegistry::new();
-        reg.counter("z.last").add(3);
-        reg.counter("a.first").inc();
-        reg.gauge("m.peak").record_max(7);
-        reg.gauge("m.peak").record_max(5); // lower: ignored
-        let snap = reg.snapshot();
+        let build = || {
+            let mut snap = MetricsSnapshot::new();
+            snap.set_counter("z.last", 3);
+            snap.set_counter("a.first", 1);
+            snap.set_gauge("m.peak", 7);
+            snap
+        };
+        let snap = build();
         let names: Vec<&str> = snap.metrics.keys().map(String::as_str).collect();
         assert_eq!(names, ["a.first", "m.peak", "z.last"]);
         assert_eq!(snap.counter("z.last"), Some(3));
         assert_eq!(snap.gauge("m.peak"), Some(7));
-        assert_eq!(snap, reg.snapshot());
+        assert_eq!(snap.gauge("z.last"), None, "a counter is not a gauge");
+        assert_eq!(snap, build());
     }
 
     #[test]
     fn sharded_merge_is_schedule_independent() {
-        // Record the same multiset of events under two different
-        // shard assignments; the merged snapshots must be identical.
+        // Fold the same multiset of events into four per-worker values
+        // under two different assignments; the merged snapshots must be
+        // identical.
         let record = |assign: &dyn Fn(u64) -> usize| {
-            let shards = ShardedRegistry::new(4);
+            let mut shards = vec![MetricsSnapshot::new(); 4];
             for i in 0..100u64 {
-                let reg = shards.shard(assign(i));
-                reg.counter("events").inc();
-                reg.gauge("peak").record_max(i);
-                reg.histogram("size").record(i * 17 % 1000);
+                shards[assign(i)].merge_from(&event(i));
             }
-            shards.merged()
+            let mut merged = MetricsSnapshot::new();
+            for shard in &shards {
+                merged.merge_from(shard);
+            }
+            merged
         };
         let round_robin = record(&|i| (i % 4) as usize);
         let skewed = record(&|i| usize::from(i > 90));
         assert_eq!(round_robin, skewed);
         assert_eq!(round_robin.to_json(), skewed.to_json());
         assert_eq!(round_robin.counter("events"), Some(100));
+        assert_eq!(round_robin.gauge("peak"), Some(99));
     }
 
     #[test]
     fn concurrent_recording_merges_deterministically() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("n");
-        let h = reg.histogram("v");
+        // Four threads race for the samples, each recording into a value
+        // of its own; whatever the split was, the merge is the whole.
         let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= 1000 {
-                        break;
-                    }
-                    c.inc();
-                    h.record(i as u64);
-                });
-            }
+        let parts: Vec<HistogramSnapshot> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut mine = HistogramSnapshot::default();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= 1000 {
+                                break mine;
+                            }
+                            mine.record(i as u64);
+                        }
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("recorder thread"))
+                .collect()
         });
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("n"), Some(1000));
-        assert_eq!(snap.histogram("v").unwrap().count, 1000);
-        assert_eq!(snap.histogram("v").unwrap().sum, 999 * 1000 / 2);
+        let mut merged = HistogramSnapshot::default();
+        for part in &parts {
+            merged.merge_from(part);
+        }
+        assert_eq!(merged, histogram_of(0..1000));
+        assert_eq!(merged.count, 1000);
+        assert_eq!(merged.sum, 999 * 1000 / 2);
+    }
+
+    /// A merge that rebuilds the bucket list through a map: the oracle
+    /// for the in-place two-cursor [`HistogramSnapshot::merge_from`].
+    fn merge_via_map(a: &HistogramSnapshot, b: &HistogramSnapshot) -> HistogramSnapshot {
+        let mut merged: BTreeMap<u64, u64> = a.buckets.iter().copied().collect();
+        for &(bound, n) in &b.buckets {
+            *merged.entry(bound).or_insert(0) += n;
+        }
+        HistogramSnapshot {
+            count: a.count + b.count,
+            sum: a.sum + b.sum,
+            buckets: merged.into_iter().collect(),
+        }
     }
 
     #[test]
@@ -649,16 +433,35 @@ mod tests {
         assert_eq!(a.histogram("d").unwrap().count, 1);
         let p = a.prefixed("s.");
         assert_eq!(p.counter("s.x"), Some(3));
+
+        // Histogram operands: empty, disjoint (below, above, interleaved),
+        // overlapping and identical bucket lists, in both orders.
+        let operands = [
+            HistogramSnapshot::default(),
+            histogram_of([0, 1, 2]),
+            histogram_of([100, 200, 400]),
+            histogram_of([1, 150, 300, 1000]),
+            histogram_of([2, 2, 100, 400, 400, 1 << 60]),
+            histogram_of(0..500),
+        ];
+        for x in &operands {
+            for y in &operands {
+                let mut xy = x.clone();
+                xy.merge_from(y);
+                let mut yx = y.clone();
+                yx.merge_from(x);
+                assert_eq!(xy, merge_via_map(x, y), "{x:?} + {y:?}");
+                assert_eq!(xy, yx, "{x:?} + {y:?} does not commute");
+                assert!(xy.buckets.windows(2).all(|w| w[0].0 < w[1].0));
+                assert_eq!(xy.buckets.iter().map(|&(_, n)| n).sum::<u64>(), xy.count);
+            }
+        }
     }
 
     #[test]
     fn quantile_walks_the_bucketed_distribution() {
-        let h = Histogram::standalone();
-        for v in 1..=100u64 {
-            h.record(v);
-        }
-        let snap = h.snapshot();
-        assert_eq!(snap.quantile(0.0), bucket_lower_bound(bucket_index(1)));
+        let snap = histogram_of(1..=100);
+        assert_eq!(snap.quantile(0.0), bucket_floor(1));
         // Bucket bounds are exact only up to the log-linear resolution:
         // the answer must bracket the true percentile within one bucket.
         let p50 = snap.quantile(0.5);

@@ -16,7 +16,7 @@ use qem_netsim::{
     Asn, DuplexPath, EcnPolicy, EngineCore, EventQueue, FaultKind, FaultPlan, Hop, LoadFlow, Path,
     QueueConfig, Router, RouterId, Scheduler, SharedQueues, SimDuration, SimInstant, TimerWheel,
 };
-use qem_obs::Histogram;
+use qem_obs::HistogramSnapshot;
 use qem_packet::ecn::EcnCodepoint;
 use serde::{Deserialize, Serialize};
 
@@ -436,7 +436,7 @@ impl Scenario {
                         ce_acks: 0,
                         timeouts: 0,
                     };
-                    let fct_hist = Histogram::standalone();
+                    let mut fct_hist = HistogramSnapshot::default();
                     for _ in 0..connections {
                         let flow = bulk_cursor.next().expect("collected bulk flow");
                         let fct_us = flow
@@ -454,21 +454,20 @@ impl Scenario {
                     }
                     let index = report.bulk.len();
                     let prefix = format!("workload.{}.bulk{}", variant.label(), index);
-                    metrics.set_histogram(format!("{prefix}.fct_us"), fct_hist.snapshot());
+                    metrics.set_histogram(format!("{prefix}.fct_us"), fct_hist);
                     metrics.set_counter(format!("{prefix}.retransmits"), outcome.retransmits);
                     metrics.set_counter(format!("{prefix}.ce_acks"), outcome.ce_acks);
                     report.bulk.push(outcome);
                 }
                 AppSpec::RtcStream { .. } => {
                     let flow = rtc_cursor.next().expect("collected rtc flow");
-                    let lateness_hist = Histogram::standalone();
+                    let mut lateness_hist = HistogramSnapshot::default();
                     for &sample in flow.lateness_us() {
                         lateness_hist.record(sample);
                     }
                     let index = report.rtc.len();
                     let prefix = format!("workload.{}.rtc{}", variant.label(), index);
-                    metrics
-                        .set_histogram(format!("{prefix}.lateness_us"), lateness_hist.snapshot());
+                    metrics.set_histogram(format!("{prefix}.lateness_us"), lateness_hist);
                     metrics.set_counter(
                         format!("{prefix}.frames_delivered"),
                         flow.frames_delivered(),

@@ -47,6 +47,10 @@ fn golden_chaos_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/golden_chaos_report.txt")
 }
 
+fn golden_scan_metrics_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/golden_scan_metrics_tiny.txt")
+}
+
 /// Render every table and figure the acceptance criteria name (Tables 1–7,
 /// Figures 3–8; Figure 8 shares its builder with Figure 4) into one string.
 fn render_all_reports() -> String {
@@ -179,6 +183,26 @@ fn render_chaos_report() -> String {
 #[test]
 fn chaos_report_matches_golden_snapshot() {
     check_golden(golden_chaos_path(), &render_chaos_report());
+}
+
+/// The telemetry document of the main campaign (IPv4 + IPv6) on the tiny
+/// universe: every metric name, kind and value of the scan — zero-count
+/// rows and empty histograms included.
+fn render_scan_metrics(workers: usize) -> String {
+    let universe = Universe::generate(&UniverseConfig::tiny());
+    let options = CampaignOptions {
+        workers,
+        ..CampaignOptions::paper_default()
+    };
+    let (_, telemetry) = Campaign::new(&universe).run_main_with_telemetry(&options, true);
+    telemetry.to_json()
+}
+
+#[test]
+fn scan_metrics_match_golden_snapshot_at_one_worker_and_every_core() {
+    for workers in [1, 0] {
+        check_golden(golden_scan_metrics_path(), &render_scan_metrics(workers));
+    }
 }
 
 #[test]

@@ -58,9 +58,9 @@ fn auto_worker_scan_matches_single_threaded_scan() {
 
 /// The observability layer inherits the purity promise: the deterministic
 /// metrics snapshot (scan counters, ECN-class tallies, merged engine
-/// telemetry) is byte-identical at `--workers 1` and `--workers 0`, while
-/// the scheduling accumulator — which *does* depend on the worker count —
-/// stays quarantined outside it.
+/// telemetry) is byte-identical at `--workers 1` and `--workers 0`: each
+/// worker's tally is merged commutatively, and nothing that depends on the
+/// worker count is counted at all.
 #[test]
 fn scan_metrics_are_identical_across_worker_counts() {
     let universe = universe();
