@@ -114,10 +114,6 @@ pub struct Scanner<'a> {
     universe: &'a Universe,
     vantage: VantagePoint,
     options: ScanOptions,
-    /// Number of domains served by each host; tracebox sampling is applied
-    /// per domain (with each IP traced at most once), so heavy-hitter IPs are
-    /// almost always covered — exactly the property §6.1 relies on.
-    domain_weight: Vec<u32>,
     /// The tally of every host scanned so far: each worker counts into a
     /// tally of its own and merges it in here once, when it ends.
     tally: Mutex<ScanTally>,
@@ -130,12 +126,10 @@ pub struct Scanner<'a> {
 impl<'a> Scanner<'a> {
     /// Create a scanner for one vantage point.
     pub fn new(universe: &'a Universe, vantage: VantagePoint, options: ScanOptions) -> Self {
-        let ([domain_weight], _) = universe.domains_per_host(|_| [true]);
         Scanner {
             universe,
             vantage,
             options,
-            domain_weight,
             tally: Mutex::default(),
             fault_plan: FaultPlan::default(),
         }
@@ -344,9 +338,10 @@ impl<'a> Scanner<'a> {
             Some(_) => true,
         };
         // Per-domain sampling, at most one trace per IP: an IP serving `n`
-        // domains is traced with probability 1 - (1-p)^n.
+        // domains is traced with probability 1 - (1-p)^n, so heavy-hitter IPs
+        // are almost always covered — exactly the property §6.1 relies on.
         let per_domain_p = self.options.trace_sample_probability.clamp(0.0, 1.0);
-        let weight = self.domain_weight.get(host_id).copied().unwrap_or(1).max(1);
+        let weight = (host.cno_domains + host.toplist_domains).max(1);
         let host_trace_p = 1.0 - (1.0 - per_domain_p).powi(weight.min(1_000) as i32);
         let trace = if abnormal && rng.gen_bool(host_trace_p) {
             let trace = trace_path(

@@ -24,7 +24,7 @@
 use crate::campaign::SnapshotMeasurement;
 use crate::observation::{HostMeasurement, HostSummary};
 use crate::vantage::VantagePoint;
-use qem_web::{SnapshotDate, Universe};
+use qem_web::{Host, SnapshotDate, Universe};
 use std::borrow::Cow;
 
 /// A source of host measurements for one snapshot (one vantage point, one
@@ -53,7 +53,7 @@ pub trait SnapshotSource {
     /// builder starts from.
     ///
     /// **Cost:** one streaming pass over the measurements plus one pass over
-    /// `universe.domains`, unless the source already holds the table: a
+    /// `universe.hosts`, unless the source already holds the table: a
     /// [`JoinedSnapshot`] lends its own, so builders never copy one.
     fn host_table(&self, universe: &Universe) -> Cow<'_, HostTable> {
         Cow::Owned(HostTable::new(universe, self))
@@ -87,14 +87,14 @@ pub struct HostTable {
 impl HostTable {
     /// Join `source` against `universe`: one pass over each.
     fn new<S: SnapshotSource + ?Sized>(universe: &Universe, source: &S) -> Self {
-        // Columns in `Scope` order.
-        let (mut weights, totals) = universe.domains_per_host(|lists| [lists.toplist(), lists.cno]);
         let ipv6 = source.ipv6();
-        for host in universe.hosts.iter().filter(|h| h.addr(ipv6).is_none()) {
-            for column in &mut weights {
-                column[host.id] = 0;
-            }
-        }
+        let served = |count: fn(&Host) -> u32| -> Vec<u32> {
+            let in_family = |h: &Host| if h.addr(ipv6).is_some() { count(h) } else { 0 };
+            universe.hosts.iter().map(in_family).collect()
+        };
+        // Columns in `Scope` order.
+        let weights = [served(|h| h.toplist_domains), served(|h| h.cno_domains)];
+        let totals = [universe.domains.toplist, universe.domains.cno];
         let mut measured = vec![None; universe.hosts.len()];
         source.for_each_host(&mut |m| {
             // A store written for another universe can name hosts this one
@@ -226,7 +226,7 @@ mod tests {
         figure4, figure5, figure6, table1, table2, table3, table4, table5, table6, table7,
         DomainState, MirrorUseQuadrant,
     };
-    use qem_web::{DomainLists, UniverseConfig};
+    use qem_web::{default_landscape, Domain, DomainLists, UniverseConfig};
     use std::cell::Cell;
     use std::collections::{BTreeMap, BTreeSet};
 
@@ -234,6 +234,16 @@ mod tests {
         let universe = Universe::generate(&UniverseConfig::tiny());
         let result = Campaign::new(&universe).run_main(&CampaignOptions::paper_default(), true);
         (universe, result)
+    }
+
+    /// A universe and every domain its generator drew: the records the
+    /// per-domain oracles below recount, which the universe itself only
+    /// keeps as counts.
+    fn observed(config: &UniverseConfig) -> (Universe, Vec<Domain>) {
+        let mut domains = Vec::new();
+        let universe =
+            Universe::generate_observed(&default_landscape(), config, |d| domains.push(d));
+        (universe, domains)
     }
 
     /// A source that counts how often it is streamed.
@@ -322,22 +332,23 @@ mod tests {
     /// `(distinct hosts, domains)`.
     fn recount(
         universe: &Universe,
+        domains: &[Domain],
         ipv6: bool,
         in_scope: impl Fn(DomainLists) -> bool,
         pred: impl Fn(usize) -> bool,
     ) -> (u64, u64) {
         let mut hosts = BTreeSet::new();
-        let mut domains = 0;
-        for domain in universe.domains.iter().filter(|d| in_scope(d.lists)) {
+        let mut served = 0;
+        for domain in domains.iter().filter(|d| in_scope(d.lists)) {
             let resolved = domain
                 .host
                 .filter(|&h| universe.hosts[h].addr(ipv6).is_some());
             if let Some(host) = resolved.filter(|&h| pred(h)) {
                 hosts.insert(host);
-                domains += 1;
+                served += 1;
             }
         }
-        (hosts.len() as u64, domains)
+        (hosts.len() as u64, served)
     }
 
     const QUADRANTS: [(MirrorUseQuadrant, bool, bool); 4] = [
@@ -349,7 +360,8 @@ mod tests {
 
     #[test]
     fn weighted_hosts_agree_with_a_per_domain_recount() {
-        let (universe, result) = census();
+        let (universe, domains) = observed(&UniverseConfig::tiny());
+        let result = Campaign::new(&universe).run_main(&CampaignOptions::paper_default(), true);
         let (v4, v6) = (&result.v4, result.v6.as_ref().unwrap());
         fn quic(snapshot: &SnapshotMeasurement, host: usize) -> Option<&HostMeasurement> {
             snapshot.host(host).filter(|m| m.quic_reachable)
@@ -359,13 +371,13 @@ mod tests {
         let rows = table1(&universe, v4).rows;
         let scopes: [&dyn Fn(DomainLists) -> bool; 2] = [&|l| l.toplist(), &|l| l.cno];
         for (scope, pair) in scopes.into_iter().zip(rows.chunks(2)) {
-            let total = universe.domains.iter().filter(|d| scope(d.lists)).count();
-            let resolved = recount(&universe, false, scope, |_| true);
-            let reachable = recount(&universe, false, scope, |h| quic(v4, h).is_some());
-            let mirroring = recount(&universe, false, scope, |h| {
+            let total = domains.iter().filter(|d| scope(d.lists)).count();
+            let resolved = recount(&universe, &domains, false, scope, |_| true);
+            let reachable = recount(&universe, &domains, false, scope, |h| quic(v4, h).is_some());
+            let mirroring = recount(&universe, &domains, false, scope, |h| {
                 quic(v4, h).is_some_and(|m| m.mirror_use().mirroring)
             });
-            let uses = recount(&universe, false, scope, |h| {
+            let uses = recount(&universe, &domains, false, scope, |h| {
                 quic(v4, h).is_some_and(|m| m.mirror_use().uses_ecn)
             });
             assert!(reachable.1 > 0 && mirroring.1 > 0);
@@ -398,6 +410,7 @@ mod tests {
             ] {
                 let expected = recount(
                     &universe,
+                    &domains,
                     snapshot.ipv6,
                     |l| l.cno,
                     |h| quic(snapshot, h).is_some_and(|m| m.ecn_class() == Some(class)),
@@ -419,8 +432,20 @@ mod tests {
         let fig = figure5(&universe, v4, v6);
         let mut cross = BTreeMap::new();
         for (q4, ..) in QUADRANTS {
-            let in_v4 = recount(&universe, false, |l| l.cno, |h| quadrant(v4, h) == Some(q4));
-            let in_v6 = recount(&universe, true, |l| l.cno, |h| quadrant(v6, h) == Some(q4));
+            let in_v4 = recount(
+                &universe,
+                &domains,
+                false,
+                |l| l.cno,
+                |h| quadrant(v4, h) == Some(q4),
+            );
+            let in_v6 = recount(
+                &universe,
+                &domains,
+                true,
+                |l| l.cno,
+                |h| quadrant(v6, h) == Some(q4),
+            );
             assert_eq!(fig.v4.get(&q4).copied().unwrap_or(0), in_v4.1);
             assert_eq!(fig.v6.get(&q4).copied().unwrap_or(0), in_v6.1);
             for (q6, ..) in QUADRANTS {
@@ -428,6 +453,7 @@ mod tests {
                 // has an IPv4 address.
                 let both = recount(
                     &universe,
+                    &domains,
                     true,
                     |l| l.cno,
                     |h| quadrant(v4, h) == Some(q4) && quadrant(v6, h) == Some(q6),
@@ -441,6 +467,7 @@ mod tests {
         assert!(!cross.is_empty());
         let v4_only = recount(
             &universe,
+            &domains,
             false,
             |l| l.cno,
             |h| {
@@ -452,11 +479,53 @@ mod tests {
     }
 
     #[test]
+    fn domain_counts_are_conserved_from_the_generator_to_the_table() {
+        fn sum<'a>(hosts: impl Iterator<Item = &'a Host>, count: fn(&Host) -> u32) -> u64 {
+            hosts.map(|h| u64::from(count(h))).sum()
+        }
+        /// A scope, its count on a host and its membership test.
+        type Column = (Scope, fn(&Host) -> u32, fn(DomainLists) -> bool);
+        let scopes: [Column; 2] = [
+            (Scope::Toplists, |h| h.toplist_domains, |l| l.toplist()),
+            (Scope::Cno, |h| h.cno_domains, |l| l.cno),
+        ];
+        for config in [UniverseConfig::default(), UniverseConfig::tiny()] {
+            let (universe, domains) = observed(&config);
+            for ipv6 in [false, true] {
+                let unmeasured = SnapshotMeasurement {
+                    date: SnapshotDate::APR_2023,
+                    ipv6,
+                    vantage: VantagePoint::main(),
+                    hosts: BTreeMap::new(),
+                };
+                let table = HostTable::new(&universe, &unmeasured);
+                for (scope, count, member) in scopes {
+                    let in_family = universe.hosts.iter().filter(|h| h.addr(ipv6).is_some());
+                    let weights = table.weights(scope).iter().map(|&w| u64::from(w));
+                    assert_eq!(weights.sum::<u64>(), sum(in_family, count));
+                    let unresolved = domains
+                        .iter()
+                        .filter(|d| member(d.lists) && d.host.is_none())
+                        .count() as u64;
+                    assert!(unresolved > 0);
+                    assert_eq!(
+                        sum(universe.hosts.iter(), count) + unresolved,
+                        table.total(scope)
+                    );
+                }
+                assert_eq!(
+                    table.total(Scope::Toplists) + table.total(Scope::Cno),
+                    universe.domains.len() as u64
+                );
+            }
+        }
+    }
+
+    #[test]
     fn a_reachable_host_without_a_quic_report_joins_as_v1() {
-        let universe = Universe::generate(&UniverseConfig::tiny());
+        let (universe, domains) = observed(&UniverseConfig::tiny());
         let served = |host: usize| {
-            universe
-                .domains
+            domains
                 .iter()
                 .filter(|d| d.lists.cno && d.host == Some(host))
                 .count() as u64

@@ -31,7 +31,7 @@
 use crate::codec::FORMAT_VERSION;
 use crate::segment::write_atomically;
 use crate::store::{CampaignWriter, SnapshotMeta, StoredSnapshot};
-use crate::wire::{fnv1a, split_seal, write_str, write_u64_le, write_varint, ByteReader};
+use crate::wire::{fnv1a, open_sealed, write_str, write_u64_le, write_varint};
 use crate::StoreError;
 use qem_core::campaign::{CampaignOptions, SnapshotMeasurement};
 use qem_core::observation::HostMeasurement;
@@ -42,6 +42,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 const LONGITUDINAL_MAGIC: &[u8; 4] = b"QLON";
+const LONGITUDINAL_COMPLETE_MAGIC: &[u8; 4] = b"QLDN";
 
 /// File holding the series identity.
 pub const LONGITUDINAL_META_FILE: &str = "longitudinal.meta";
@@ -74,23 +75,7 @@ fn encode_series_meta(
 }
 
 fn decode_series_dates(bytes: &[u8]) -> Result<Vec<SnapshotDate>, StoreError> {
-    let (body, stored) = split_seal(bytes)
-        .map_err(|_| StoreError::Corrupt("longitudinal metadata truncated".to_string()))?;
-    if stored != fnv1a(body) {
-        return Err(StoreError::Corrupt(
-            "longitudinal metadata checksum mismatch".to_string(),
-        ));
-    }
-    let mut r = ByteReader::new(body);
-    if r.bytes(LONGITUDINAL_MAGIC.len())? != LONGITUDINAL_MAGIC {
-        return Err(StoreError::Corrupt("bad longitudinal magic".to_string()));
-    }
-    let version = r.u8()?;
-    if version != FORMAT_VERSION {
-        return Err(StoreError::Corrupt(format!(
-            "unsupported longitudinal version {version}"
-        )));
-    }
+    let mut r = open_sealed(bytes, LONGITUDINAL_MAGIC, "longitudinal metadata")?;
     let _vantage_name = r.string()?;
     let _seed = r.u64_le()?;
     let _trace_p = r.u64_le()?;
@@ -288,7 +273,7 @@ impl LongitudinalWriter {
             )));
         }
         let mut bytes = Vec::with_capacity(16);
-        bytes.extend_from_slice(b"QLDN");
+        bytes.extend_from_slice(LONGITUDINAL_COMPLETE_MAGIC);
         bytes.push(FORMAT_VERSION);
         let checksum = fnv1a(&bytes);
         bytes.extend_from_slice(&checksum.to_le_bytes());
@@ -310,12 +295,20 @@ pub struct LongitudinalStore {
 impl LongitudinalStore {
     /// Open a sealed series.
     pub fn open(dir: &Path) -> Result<LongitudinalStore, StoreError> {
-        if !dir.join(LONGITUDINAL_COMPLETE_FILE).exists() {
-            return Err(StoreError::State(format!(
-                "{} holds an unfinished longitudinal series",
-                dir.display()
-            )));
-        }
+        let marker = dir.join(LONGITUDINAL_COMPLETE_FILE);
+        let sealed = match fs::read(&marker) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Err(StoreError::State(format!(
+                    "{} holds an unfinished longitudinal series",
+                    dir.display()
+                )));
+            }
+            Err(e) => return Err(e.into()),
+        };
+        open_sealed(&sealed, LONGITUDINAL_COMPLETE_MAGIC, "COMPLETE marker")
+            .and_then(|r| r.expect_end("COMPLETE marker"))
+            .map_err(|e| StoreError::Corrupt(format!("{}: {e}", marker.display())))?;
         let meta_bytes = fs::read(dir.join(LONGITUDINAL_META_FILE))?;
         let dates = decode_series_dates(&meta_bytes)?;
         let mut snapshots = Vec::with_capacity(dates.len());

@@ -19,7 +19,7 @@ use crate::segment::{
     list_segments, read_segment, remove_tmp_orphans, verify_segment, write_atomically,
     write_segment,
 };
-use crate::wire::{fnv1a, split_seal, write_str, write_u64_le, write_varint, ByteReader};
+use crate::wire::{fnv1a, open_sealed, write_str, write_u64_le, write_varint};
 use crate::StoreError;
 use qem_core::campaign::{CampaignOptions, SnapshotMeasurement};
 use qem_core::observation::HostMeasurement;
@@ -138,23 +138,7 @@ impl SnapshotMeta {
     }
 
     fn decode(bytes: &[u8]) -> Result<SnapshotMeta, StoreError> {
-        let (body, stored) = split_seal(bytes)
-            .map_err(|_| StoreError::Corrupt("metadata file truncated".to_string()))?;
-        if stored != fnv1a(body) {
-            return Err(StoreError::Corrupt(
-                "metadata checksum mismatch".to_string(),
-            ));
-        }
-        let mut r = ByteReader::new(body);
-        if r.bytes(META_MAGIC.len())? != META_MAGIC {
-            return Err(StoreError::Corrupt("bad metadata magic".to_string()));
-        }
-        let version = r.u8()?;
-        if version != FORMAT_VERSION {
-            return Err(StoreError::Corrupt(format!(
-                "unsupported metadata version {version}"
-            )));
-        }
+        let mut r = open_sealed(bytes, META_MAGIC, "metadata")?;
         let flags = r.u8()?;
         let year = r.varint()?;
         let month = r.u8()?;
@@ -176,11 +160,7 @@ impl SnapshotMeta {
         };
         let trace_sample_probability = f64::from_bits(r.u64_le()?);
         let seed = r.u64_le()?;
-        if !r.is_empty() {
-            return Err(StoreError::Corrupt(
-                "trailing bytes in metadata".to_string(),
-            ));
-        }
+        r.expect_end("metadata")?;
         Ok(SnapshotMeta {
             date: SnapshotDate::new(
                 u16::try_from(year)
@@ -239,19 +219,16 @@ fn read_complete_marker(dir: &Path) -> Result<Option<u64>, StoreError> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    let (body, stored) = split_seal(&bytes)
-        .map_err(|_| StoreError::Corrupt("COMPLETE marker truncated".to_string()))?;
-    if stored != fnv1a(body) {
-        return Err(StoreError::Corrupt(
-            "COMPLETE marker checksum mismatch".to_string(),
-        ));
-    }
-    let mut r = ByteReader::new(body);
-    if r.bytes(COMPLETE_MAGIC.len())? != COMPLETE_MAGIC {
-        return Err(StoreError::Corrupt("bad COMPLETE marker magic".to_string()));
-    }
-    let _version = r.u8()?;
-    Ok(Some(r.varint()?))
+    decode_complete_marker(&bytes)
+        .map(Some)
+        .map_err(|e| StoreError::Corrupt(format!("{}: {e}", path.display())))
+}
+
+fn decode_complete_marker(bytes: &[u8]) -> Result<u64, StoreError> {
+    let mut r = open_sealed(bytes, COMPLETE_MAGIC, "COMPLETE marker")?;
+    let record_count = r.varint()?;
+    r.expect_end("COMPLETE marker")?;
+    Ok(record_count)
 }
 
 // ---------------------------------------------------------------------------

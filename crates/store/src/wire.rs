@@ -5,7 +5,7 @@
 //! registry crates (the build runs fully offline), and the format is simple
 //! enough that a dependency would cost more than it saves.
 
-use crate::StoreError;
+use crate::{StoreError, FORMAT_VERSION};
 
 /// Append a LEB128-encoded unsigned integer to `buf`.
 pub fn write_varint(buf: &mut Vec<u8>, mut value: u64) {
@@ -60,6 +60,32 @@ pub fn split_seal(bytes: &[u8]) -> Result<(&[u8], u64), StoreError> {
     Ok((body, u64::from_le_bytes(seal)))
 }
 
+/// Open a sealed header file — `magic`, the format version, a payload, the
+/// [`fnv1a`] seal — and return a reader over the payload.  `what` names the
+/// kind of file in the error of a failed seal, magic or version check.
+pub fn open_sealed<'a>(
+    bytes: &'a [u8],
+    magic: &[u8; 4],
+    what: &str,
+) -> Result<ByteReader<'a>, StoreError> {
+    let (body, stored) =
+        split_seal(bytes).map_err(|_| StoreError::Corrupt(format!("{what} truncated")))?;
+    if stored != fnv1a(body) {
+        return Err(StoreError::Corrupt(format!("{what} checksum mismatch")));
+    }
+    let mut r = ByteReader::new(body);
+    if r.bytes(magic.len())? != magic {
+        return Err(StoreError::Corrupt(format!("bad {what} magic")));
+    }
+    let version = r.u8()?;
+    if version != FORMAT_VERSION {
+        return Err(StoreError::Corrupt(format!(
+            "unsupported {what} version {version} (this build reads {FORMAT_VERSION})"
+        )));
+    }
+    Ok(r)
+}
+
 /// A bounds-checked cursor over an encoded buffer.  Every read error carries
 /// the reader's position so corrupt files produce actionable messages.
 pub struct ByteReader<'a> {
@@ -81,6 +107,16 @@ impl<'a> ByteReader<'a> {
     /// Whether every byte has been consumed.
     pub fn is_empty(&self) -> bool {
         self.pos >= self.data.len()
+    }
+
+    /// Fail unless every byte has been consumed: bytes a decoder does not
+    /// read are bytes nobody validated.
+    pub fn expect_end(&self, what: &str) -> Result<(), StoreError> {
+        if self.is_empty() {
+            Ok(())
+        } else {
+            Err(self.corrupt(&format!("trailing bytes in {what}")))
+        }
     }
 
     fn corrupt(&self, what: &str) -> StoreError {

@@ -5,7 +5,10 @@
 
 use qem_core::observation::HostMeasurement;
 use qem_core::source::SnapshotSource;
-use qem_store::{CampaignWriter, SnapshotMeta, StoreError, StoredSnapshot};
+use qem_store::{
+    CampaignWriter, LongitudinalStore, LongitudinalWriter, SnapshotMeta, StoreError, StoredSnapshot,
+};
+use qem_web::SnapshotDate;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -98,6 +101,82 @@ fn a_truncated_segment_fails_open_with_a_typed_error_naming_the_segment() {
         StoredSnapshot::open(&dir),
         Err(StoreError::Corrupt(_))
     ));
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// COMPLETE markers are validated, not merely present
+// ---------------------------------------------------------------------------
+
+/// Every way these tests damage a sealed marker: each byte flipped in turn,
+/// one byte appended, and — under a fresh, valid seal, so only the check in
+/// question can catch it — a bumped version byte and a padded payload.
+fn damaged_markers(marker: &[u8]) -> Vec<Vec<u8>> {
+    let reseal = |mut body: Vec<u8>| {
+        let seal = qem_store::wire::fnv1a(&body);
+        body.extend_from_slice(&seal.to_le_bytes());
+        body
+    };
+    let body = &marker[..marker.len() - 8];
+    let mut damaged: Vec<Vec<u8>> = (0..marker.len())
+        .map(|i| {
+            let mut flipped = marker.to_vec();
+            flipped[i] ^= 0x10;
+            flipped
+        })
+        .collect();
+    damaged.push([marker, &[0]].concat());
+    let mut bumped = body.to_vec();
+    bumped[4] += 1; // magic is four bytes; the version follows it
+    damaged.push(reseal(bumped));
+    damaged.push(reseal([body, &[0]].concat()));
+    damaged
+}
+
+/// `open` must refuse every damaged form of `marker` with a `Corrupt` error
+/// naming the file, and accept the original again afterwards.
+fn assert_marker_is_validated<T>(marker: &Path, open: impl Fn() -> Result<T, StoreError>) {
+    let original = fs::read(marker).unwrap();
+    for damaged in damaged_markers(&original) {
+        fs::write(marker, &damaged).unwrap();
+        match open() {
+            Err(StoreError::Corrupt(msg)) => assert!(
+                msg.contains("COMPLETE"),
+                "error must name the marker: {msg}"
+            ),
+            Err(other) => panic!("expected Corrupt for {damaged:02x?}, got {other:?}"),
+            Ok(_) => panic!("a store with marker {damaged:02x?} was accepted"),
+        }
+    }
+    fs::write(marker, &original).unwrap();
+    assert!(open().is_ok());
+}
+
+#[test]
+fn a_damaged_snapshot_complete_marker_fails_open_with_a_typed_error() {
+    let dir = temp_dir("marker");
+    write_store(&dir, 20, 8);
+    assert_marker_is_validated(&dir.join("COMPLETE"), || StoredSnapshot::open(&dir));
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_damaged_series_complete_marker_fails_open_with_a_typed_error() {
+    let dir = temp_dir("series-marker");
+    let mut writer = LongitudinalWriter::create(
+        &dir,
+        &qem_core::vantage::VantagePoint::main(),
+        &qem_core::campaign::CampaignOptions::paper_default(),
+        &[SnapshotDate::JUN_2022],
+    )
+    .unwrap();
+    writer.begin_date().unwrap();
+    for id in 0..5 {
+        writer.append(measurement(id)).unwrap();
+    }
+    writer.end_date().unwrap();
+    writer.finish().unwrap();
+    assert_marker_is_validated(&dir.join("COMPLETE"), || LongitudinalStore::open(&dir));
     fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -6,8 +6,7 @@
 //! market shares, QUIC stacks, ECN behaviours, transit paths and IPv6
 //! coverage the paper reports (Tables 1–7, Figures 3–8), scaled down by a
 //! configurable factor (1:1000 by default).  Hosts are modelled in full;
-//! a domain is list membership, the host it resolves to and a parked flag
-//! (see [`universe`]).
+//! a domain is a count on the host it resolves to (see [`universe`]).
 //!
 //! The calibration is **input**, not output: the measurement pipeline in
 //! `qem-core` never reads these ground-truth labels — it probes the simulated
@@ -31,4 +30,4 @@ pub use as2org::AsOrgDb;
 pub use providers::{default_landscape, ProviderSpec, SegmentSpec};
 pub use snapshot::SnapshotDate;
 pub use stacks::StackProfile;
-pub use universe::{Domain, DomainLists, Host, Universe, UniverseConfig};
+pub use universe::{Domain, DomainCounts, DomainLists, Host, Universe, UniverseConfig};

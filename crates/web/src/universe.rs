@@ -1,12 +1,13 @@
 //! The seeded universe generator: hosts, domains, DNS and toplists.
 //!
-//! A [`Host`] carries everything a probe can observe.  A [`Domain`] carries
-//! only what the pipeline reads about it — which lists it is on, which host
-//! it resolves to, whether it is parked — because in the paper a domain is
-//! a weight on a host, never a name.  `Universe::domains` is resident for a
-//! whole census, so the record is 24 bytes with no heap behind it, and the
-//! universe is generated eagerly: at that size holding every domain is
-//! cheaper than a generator that re-derives them per shard.
+//! A [`Host`] carries everything a probe can observe.  A domain is a count
+//! on the host it resolves to: in the paper it enters every number as a
+//! weight on a host and as list membership, never as a name, so each host
+//! holds the number of `.com/.net/.org` and of toplist domains it serves and
+//! [`Universe::domains`] holds the three totals no host can — a universe is
+//! O(hosts) in memory.  The generator still draws every [`Domain`] one at a
+//! time; [`Universe::generate_observed`] hands each to an observer before it
+//! is counted, which is how tests recount the universe per domain.
 
 use crate::as2org::AsOrgDb;
 use crate::providers::{
@@ -87,7 +88,7 @@ impl DomainLists {
 }
 
 /// A web host (one IP, possibly dual-stacked, serving many domains).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Host {
     /// Index in [`Universe::hosts`].
     pub id: usize,
@@ -117,6 +118,10 @@ pub struct Host {
     pub transit_v6: TransitProfile,
     /// TCP ECN behaviour.
     pub tcp_profile: TcpEcnProfile,
+    /// `.com/.net/.org` domains resolving to this host.
+    pub cno_domains: u32,
+    /// Toplist domains resolving to this host.
+    pub toplist_domains: u32,
 }
 
 impl Host {
@@ -173,7 +178,9 @@ impl Host {
     }
 }
 
-/// A domain as the pipeline reads it; the module docs say why it has no name.
+/// A domain as the generator draws it.  It is on the zone files or on a
+/// toplist, never both, and is counted, not kept: only the observer of
+/// [`Universe::generate_observed`] ever sees one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Domain {
     /// Which lists the domain appears on.
@@ -182,6 +189,29 @@ pub struct Domain {
     pub host: Option<usize>,
     /// Whether the domain's DNS records point at a parking provider.
     pub parked: bool,
+}
+
+/// The domain counts no single host holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DomainCounts {
+    /// `.com/.net/.org` domains, resolving or not.
+    pub cno: u64,
+    /// Toplist domains, resolving or not.
+    pub toplist: u64,
+    /// Parked `.com/.net/.org` domains served by a QUIC host (paper §5.1).
+    pub parked_quic_cno: u64,
+}
+
+impl DomainCounts {
+    /// Number of domains generated, resolving or not.
+    pub fn len(&self) -> usize {
+        (self.cno + self.toplist) as usize
+    }
+
+    /// Whether no domain was generated.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 /// A provider as materialised in the universe.
@@ -202,8 +232,8 @@ pub struct Universe {
     pub providers: Vec<ProviderInfo>,
     /// Hosts (QUIC and TCP-only).
     pub hosts: Vec<Host>,
-    /// Domains.
-    pub domains: Vec<Domain>,
+    /// Domain totals; the per-host counts are on the [`Host`]s.
+    pub domains: DomainCounts,
     /// The AS-organisation / prefix database.
     pub as_org: AsOrgDb,
 }
@@ -216,12 +246,24 @@ impl Universe {
 
     /// Generate a universe from an explicit landscape specification.
     pub fn generate_from(landscape: &LandscapeSpec, config: &UniverseConfig) -> Universe {
+        Self::generate_observed(landscape, config, |_| {})
+    }
+
+    /// [`Universe::generate_from`], handing every domain to `observe` in
+    /// generation order before it is counted.  The universe does not depend
+    /// on the observer; it is the seam through which tests recount the
+    /// per-host and overall counts one domain at a time.
+    pub fn generate_observed(
+        landscape: &LandscapeSpec,
+        config: &UniverseConfig,
+        mut observe: impl FnMut(Domain),
+    ) -> Universe {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut universe = Universe {
             config: *config,
             providers: Vec::new(),
             hosts: Vec::new(),
-            domains: Vec::new(),
+            domains: DomainCounts::default(),
             as_org: AsOrgDb::new(),
         };
 
@@ -245,9 +287,9 @@ impl Universe {
                     octet,
                     index as u16,
                     segment,
-                    landscape,
+                    landscape.parked_share,
                     &mut rng,
-                    config,
+                    &mut observe,
                 );
             }
         }
@@ -271,7 +313,7 @@ impl Universe {
                 1000 + index as u16,
                 background,
                 &mut rng,
-                config,
+                &mut observe,
             );
         }
 
@@ -280,21 +322,43 @@ impl Universe {
         let unresolved_top = config.scaled(landscape.toplist_unresolved);
         for _ in 0..unresolved_cno {
             skip_tld_draw(&mut rng);
-            universe.domains.push(Domain {
-                lists: CNO_ONLY,
-                host: None,
-                parked: false,
-            });
+            universe.add_domain(CNO_ONLY, None, false, &mut observe);
         }
         for _ in 0..unresolved_top {
-            universe.domains.push(Domain {
-                lists: toplist_membership(&mut rng),
-                host: None,
-                parked: false,
-            });
+            universe.add_domain(toplist_membership(&mut rng), None, false, &mut observe);
         }
 
         universe
+    }
+
+    /// Count one generated domain — on its host, if it resolves, and in the
+    /// totals — after showing it to the observer.
+    fn add_domain(
+        &mut self,
+        lists: DomainLists,
+        host: Option<usize>,
+        parked: bool,
+        observe: &mut impl FnMut(Domain),
+    ) {
+        observe(Domain {
+            lists,
+            host,
+            parked,
+        });
+        let served = host.map(|id| &mut self.hosts[id]);
+        if lists.cno {
+            self.domains.cno += 1;
+            if let Some(host) = served {
+                host.cno_domains += 1;
+            }
+        } else {
+            self.domains.toplist += 1;
+            if let Some(host) = served {
+                host.toplist_domains += 1;
+            }
+        }
+        // Only QUIC segments draw the flag, and only for zone-file domains.
+        self.domains.parked_quic_cno += u64::from(parked);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -304,12 +368,12 @@ impl Universe {
         v4_octet: u8,
         v6_index: u16,
         segment: &SegmentSpec,
-        landscape: &LandscapeSpec,
+        parked_share: f64,
         rng: &mut StdRng,
-        config: &UniverseConfig,
+        observe: &mut impl FnMut(Domain),
     ) {
-        let cno = config.scaled(segment.cno_quic_domains);
-        let top = config.scaled(segment.toplist_quic_domains);
+        let cno = self.config.scaled(segment.cno_quic_domains);
+        let top = self.config.scaled(segment.toplist_quic_domains);
         let total = cno + top;
         if total == 0 {
             return;
@@ -319,26 +383,8 @@ impl Universe {
         let asn = self.providers[provider_idx].asn;
         for _ in 0..hosts_needed {
             let id = self.hosts.len();
-            let host_no = id as u32;
-            let ipv4 = Ipv4Addr::new(
-                v4_octet,
-                ((host_no >> 16) & 0xff) as u8,
-                ((host_no >> 8) & 0xff) as u8,
-                (host_no & 0xff) as u8,
-            );
             let has_v6 = rng.gen_bool(segment.ipv6_share.clamp(0.0, 1.0));
-            let ipv6 = has_v6.then(|| {
-                Ipv6Addr::new(
-                    0x2001,
-                    0x0db8,
-                    v6_index,
-                    0,
-                    0,
-                    0,
-                    (host_no >> 16) as u16,
-                    host_no as u16,
-                )
-            });
+            let (ipv4, ipv6) = host_addrs(v4_octet, v6_index, id as u32, has_v6);
             self.hosts.push(Host {
                 id,
                 ipv4,
@@ -355,25 +401,19 @@ impl Universe {
                 transit_v4: segment.transit_v4,
                 transit_v6: segment.transit_v6,
                 tcp_profile: segment.tcp,
+                cno_domains: 0,
+                toplist_domains: 0,
             });
         }
         for i in 0..cno {
             let host = first_host + (i % hosts_needed) as usize;
-            let parked = rng.gen_bool(landscape.parked_share.clamp(0.0, 1.0));
+            let parked = rng.gen_bool(parked_share.clamp(0.0, 1.0));
             skip_tld_draw(rng);
-            self.domains.push(Domain {
-                lists: CNO_ONLY,
-                host: Some(host),
-                parked,
-            });
+            self.add_domain(CNO_ONLY, Some(host), parked, observe);
         }
         for i in 0..top {
             let host = first_host + ((cno + i) % hosts_needed) as usize;
-            self.domains.push(Domain {
-                lists: toplist_membership(rng),
-                host: Some(host),
-                parked: false,
-            });
+            self.add_domain(toplist_membership(rng), Some(host), false, observe);
         }
     }
 
@@ -384,10 +424,10 @@ impl Universe {
         v6_index: u16,
         background: &BackgroundSpec,
         rng: &mut StdRng,
-        config: &UniverseConfig,
+        observe: &mut impl FnMut(Domain),
     ) {
-        let cno = config.scaled(background.cno_domains);
-        let top = config.scaled(background.toplist_domains);
+        let cno = self.config.scaled(background.cno_domains);
+        let top = self.config.scaled(background.toplist_domains);
         let total = cno + top;
         if total == 0 {
             return;
@@ -397,28 +437,12 @@ impl Universe {
         let asn = self.providers[provider_idx].asn;
         for _ in 0..hosts_needed {
             let id = self.hosts.len();
-            let host_no = id as u32;
             let has_v6 = rng.gen_bool(background.ipv6_share.clamp(0.0, 1.0));
+            let (ipv4, ipv6) = host_addrs(v4_octet, v6_index, id as u32, has_v6);
             self.hosts.push(Host {
                 id,
-                ipv4: Ipv4Addr::new(
-                    v4_octet,
-                    ((host_no >> 16) & 0xff) as u8,
-                    ((host_no >> 8) & 0xff) as u8,
-                    (host_no & 0xff) as u8,
-                ),
-                ipv6: has_v6.then(|| {
-                    Ipv6Addr::new(
-                        0x2001,
-                        0x0db8,
-                        v6_index,
-                        0,
-                        0,
-                        0,
-                        (host_no >> 16) as u16,
-                        host_no as u16,
-                    )
-                }),
+                ipv4,
+                ipv6,
                 provider: provider_idx,
                 asn,
                 stack: None,
@@ -430,24 +454,18 @@ impl Universe {
                 transit_v4: TransitProfile::Clean,
                 transit_v6: TransitProfile::Clean,
                 tcp_profile: background.tcp,
+                cno_domains: 0,
+                toplist_domains: 0,
             });
         }
         for i in 0..cno {
             let host = first_host + (i % hosts_needed) as usize;
             skip_tld_draw(rng);
-            self.domains.push(Domain {
-                lists: CNO_ONLY,
-                host: Some(host),
-                parked: false,
-            });
+            self.add_domain(CNO_ONLY, Some(host), false, observe);
         }
         for i in 0..top {
             let host = first_host + ((cno + i) % hosts_needed) as usize;
-            self.domains.push(Domain {
-                lists: toplist_membership(rng),
-                host: Some(host),
-                parked: false,
-            });
+            self.add_domain(toplist_membership(rng), Some(host), false, observe);
         }
     }
 
@@ -469,42 +487,6 @@ impl Universe {
             .collect()
     }
 
-    /// Domains per host, one column per population — **the** walk behind
-    /// every "IPs vs domains" weighting (tracebox sampling in the scanner,
-    /// the report join).  `columns` says which of the `N` populations a
-    /// domain with the given list membership belongs to; the result is, per
-    /// column, the number of member domains resolving to each host (indexed
-    /// by host id) and the number of member domains overall, resolving or
-    /// not.
-    pub fn domains_per_host<const N: usize>(
-        &self,
-        columns: impl Fn(DomainLists) -> [bool; N],
-    ) -> ([Vec<u32>; N], [u64; N]) {
-        let mut per_host: [Vec<u32>; N] = std::array::from_fn(|_| vec![0; self.hosts.len()]);
-        let mut totals = [0u64; N];
-        for domain in &self.domains {
-            for (column, member) in columns(domain.lists).into_iter().enumerate() {
-                if member {
-                    totals[column] += 1;
-                    if let Some(host) = domain.host {
-                        per_host[column][host] += 1;
-                    }
-                }
-            }
-        }
-        (per_host, totals)
-    }
-
-    /// Iterator over domains on the `.com/.net/.org` zone lists.
-    pub fn cno_domains(&self) -> impl Iterator<Item = &Domain> {
-        self.domains.iter().filter(|d| d.lists.cno)
-    }
-
-    /// Iterator over toplist domains.
-    pub fn toplist_domains(&self) -> impl Iterator<Item = &Domain> {
-        self.domains.iter().filter(|d| d.lists.toplist())
-    }
-
     /// Number of hosts that answer QUIC at `date`.
     pub fn quic_host_count(&self, date: SnapshotDate) -> usize {
         self.hosts
@@ -522,6 +504,30 @@ const CNO_ONLY: DomainLists = DomainLists {
     majestic: false,
     tranco: false,
 };
+
+/// The addresses of host number `host_no` inside its provider's prefixes.
+fn host_addrs(
+    v4_octet: u8,
+    v6_index: u16,
+    host_no: u32,
+    has_v6: bool,
+) -> (Ipv4Addr, Option<Ipv6Addr>) {
+    let [_, b, c, d] = host_no.to_be_bytes();
+    let ipv4 = Ipv4Addr::new(v4_octet, b, c, d);
+    let ipv6 = has_v6.then(|| {
+        Ipv6Addr::new(
+            0x2001,
+            0x0db8,
+            v6_index,
+            0,
+            0,
+            0,
+            (host_no >> 16) as u16,
+            host_no as u16,
+        )
+    });
+    (ipv4, ipv6)
+}
 
 /// The draw that once picked a zone-file domain's TLD.  Domains carry no
 /// names, but the goldens pin the RNG stream, so the draw stays in place.
@@ -543,6 +549,15 @@ fn toplist_membership(rng: &mut StdRng) -> DomainLists {
     lists
 }
 
+/// A universe and every domain its generator drew, in generation order: what
+/// this crate's per-domain oracle tests recount.
+#[cfg(test)]
+pub(crate) fn observed(config: &UniverseConfig) -> (Universe, Vec<Domain>) {
+    let mut domains = Vec::new();
+    let universe = Universe::generate_observed(&default_landscape(), config, |d| domains.push(d));
+    (universe, domains)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,30 +566,49 @@ mod tests {
         Universe::generate(&UniverseConfig::default())
     }
 
-    #[test]
-    fn generation_is_deterministic() {
-        let a = Universe::generate(&UniverseConfig::default());
-        let b = Universe::generate(&UniverseConfig::default());
-        assert_eq!(a.domains, b.domains);
-        assert_eq!(a.hosts.len(), b.hosts.len());
-        assert_eq!(a.hosts[10].ipv4, b.hosts[10].ipv4);
+    fn served_by_quic(u: &Universe, domain: &Domain) -> bool {
+        domain.host.is_some_and(|h| u.hosts[h].stack.is_some())
     }
 
     #[test]
-    fn a_domain_is_at_most_24_bytes() {
-        // `Universe::domains` is resident for a whole census (744 k entries
-        // at 1:250), so this size is most of the benchmark's `peak_live_mb`.
-        assert!(std::mem::size_of::<Domain>() <= 24);
+    fn generation_is_deterministic() {
+        let (a, a_domains) = observed(&UniverseConfig::default());
+        let (b, b_domains) = observed(&UniverseConfig::default());
+        assert_eq!(a_domains, b_domains);
+        assert_eq!(a.domains, b.domains);
+        assert_eq!(a.hosts, b.hosts);
+    }
+
+    #[test]
+    fn a_host_is_at_most_112_bytes() {
+        // `Universe::hosts` is what a census holds resident — domains are
+        // counts on it — so this size times the host count is the universe's
+        // share of the benchmark's `peak_live_mb`.
+        assert!(std::mem::size_of::<Host>() <= 112);
+    }
+
+    #[test]
+    fn observing_a_generation_does_not_change_it() {
+        for config in [UniverseConfig::default(), UniverseConfig::tiny()] {
+            let plain = Universe::generate(&config);
+            let (watched, domains) = observed(&config);
+            assert_eq!(plain.hosts, watched.hosts);
+            assert_eq!(plain.domains, watched.domains);
+            assert_eq!(domains.len(), plain.domains.len());
+            assert!(!plain.domains.is_empty());
+        }
     }
 
     #[test]
     fn every_domain_walk_agrees_with_a_naive_recount() {
         for config in [UniverseConfig::default(), UniverseConfig::tiny()] {
-            let u = Universe::generate(&config);
+            let (u, domains) = observed(&config);
             let mut per_host = [vec![0u32; u.hosts.len()], vec![0u32; u.hosts.len()]];
             let mut totals = [0u64; 2];
             let (mut quic_cno, mut parked) = (0u64, 0u64);
-            for domain in &u.domains {
+            for domain in &domains {
+                // On the zone files or on a toplist, never both.
+                assert_ne!(domain.lists.cno, domain.lists.toplist());
                 for (column, member) in [domain.lists.cno, domain.lists.toplist()]
                     .into_iter()
                     .enumerate()
@@ -586,7 +620,7 @@ mod tests {
                         }
                     }
                 }
-                let quic = domain.host.is_some_and(|h| u.hosts[h].stack.is_some());
+                let quic = served_by_quic(&u, domain);
                 if domain.lists.cno && quic {
                     quic_cno += 1;
                     parked += u64::from(domain.parked);
@@ -594,12 +628,15 @@ mod tests {
                 // Only QUIC zone-file domains are ever drawn as parked.
                 assert!(!domain.parked || (domain.lists.cno && quic));
             }
+            let counted =
+                |count: fn(&Host) -> u32| -> Vec<u32> { u.hosts.iter().map(count).collect() };
             assert_eq!(
-                u.domains_per_host(|l| [l.cno, l.toplist()]),
-                (per_host, totals)
+                [counted(|h| h.cno_domains), counted(|h| h.toplist_domains)],
+                per_host
             );
-            assert_eq!(u.cno_domains().count() as u64, totals[0]);
-            assert_eq!(u.toplist_domains().count() as u64, totals[1]);
+            assert_eq!([u.domains.cno, u.domains.toplist], totals);
+            assert_eq!(u.domains.len() as u64, totals[0] + totals[1]);
+            assert_eq!(u.domains.parked_quic_cno, parked);
             assert_eq!(
                 crate::parking::parked_quic_share(&u),
                 (parked, parked as f64 / quic_cno as f64)
@@ -628,20 +665,17 @@ mod tests {
     fn population_sizes_scale_with_the_paper() {
         let u = universe();
         // ~183 k c/n/o domains and ~2.7 k toplist domains at 1:1000.
-        let cno = u.cno_domains().count();
-        let top = u.toplist_domains().count();
+        let (cno, top) = (u.domains.cno, u.domains.toplist);
         assert!((150_000..=210_000).contains(&cno), "cno = {cno}");
         assert!((2_000..=3_500).contains(&top), "top = {top}");
     }
 
     #[test]
     fn quic_share_matches_the_paper() {
-        let u = universe();
-        let quic_cno = u
-            .cno_domains()
-            .filter(|d| d.host.map(|h| u.hosts[h].stack.is_some()).unwrap_or(false))
-            .count() as f64;
-        let resolved_cno = u.cno_domains().filter(|d| d.host.is_some()).count() as f64;
+        let (u, domains) = observed(&UniverseConfig::default());
+        let cno = || domains.iter().filter(|d| d.lists.cno);
+        let quic_cno = cno().filter(|d| served_by_quic(&u, d)).count() as f64;
+        let resolved_cno = cno().filter(|d| d.host.is_some()).count() as f64;
         // Paper: 17.3 M QUIC of 159.4 M resolved ≈ 10.9 %.
         let share = quic_cno / resolved_cno;
         assert!((0.07..=0.15).contains(&share), "share = {share}");
@@ -649,13 +683,9 @@ mod tests {
 
     #[test]
     fn hosts_serve_many_domains() {
-        let u = universe();
+        let (u, domains) = observed(&UniverseConfig::default());
         let quic_hosts = u.hosts.iter().filter(|h| h.stack.is_some()).count() as f64;
-        let quic_domains = u
-            .domains
-            .iter()
-            .filter(|d| d.host.map(|h| u.hosts[h].stack.is_some()).unwrap_or(false))
-            .count() as f64;
+        let quic_domains = domains.iter().filter(|d| served_by_quic(&u, d)).count() as f64;
         let ratio = quic_domains / quic_hosts;
         // Paper: 17.3 M domains over 232.75 k IPs ≈ 74 domains per IP.
         assert!(ratio > 20.0 && ratio < 200.0, "ratio = {ratio}");
@@ -672,7 +702,7 @@ mod tests {
 
     #[test]
     fn ipv6_coverage_is_partial_and_cloudflare_heavy() {
-        let u = universe();
+        let (u, domains) = observed(&UniverseConfig::default());
         let v6_hosts = u
             .hosts
             .iter()
@@ -684,8 +714,7 @@ mod tests {
             .iter()
             .position(|p| p.name == "Cloudflare")
             .unwrap();
-        let cf_v6_domains = u
-            .domains
+        let cf_v6_domains = domains
             .iter()
             .filter(|d| {
                 d.host
@@ -693,8 +722,7 @@ mod tests {
                     .unwrap_or(false)
             })
             .count();
-        let all_v6_quic_domains = u
-            .domains
+        let all_v6_quic_domains = domains
             .iter()
             .filter(|d| {
                 d.host

@@ -2,8 +2,8 @@
 //! under which ECN variant — and the compiler that lowers a scenario onto
 //! [`qem_netsim::EngineCore`].
 //!
-//! A [`Scenario`] is pure data (serde-serializable, netbench-style): a named
-//! bottleneck spec plus an ordered list of [`AppSpec`]s.  Registration order
+//! A [`Scenario`] is plain data (netbench-style): a named bottleneck spec
+//! plus an ordered list of [`AppSpec`]s.  Registration order
 //! on the engine *is* spec order (connections within an app in connection
 //! order), which — together with the engine's FIFO tie-breaking — makes a
 //! scenario run a pure function of `(scenario, variant)`.  The same scenario
