@@ -243,8 +243,45 @@ fn unsafe_fixture_fires_only_without_a_safety_comment() {
 
 #[test]
 fn bait_fixture_is_clean() {
-    let findings = engine().check_file("crates/netsim/src/bait.rs", &fixture("clean/bait.rs"));
-    assert!(findings.is_empty(), "false positives on bait: {findings:?}");
+    // Under a determinism zone, and under a panic-policy zone: a directory
+    // one (the QUIC codec) and a single-file one (an endpoint).
+    for path in [
+        "crates/netsim/src/bait.rs",
+        "crates/packet/src/quic/bait.rs",
+        "crates/quic/src/client.rs",
+    ] {
+        let findings = engine().check_file(path, &fixture("clean/bait.rs"));
+        assert!(
+            findings.is_empty(),
+            "false positives on bait at {path}: {findings:?}"
+        );
+    }
+}
+
+#[test]
+fn parsers_of_hostile_bytes_and_the_endpoints_are_panic_policy_zones() {
+    // Whatever a network can present reaches the packet codecs and the
+    // QUIC endpoints first; none of them may abort a campaign over it.
+    for path in [
+        "crates/packet/src/quic/frame.rs",
+        "crates/packet/src/quic/header.rs",
+        "crates/packet/src/quic/varint.rs",
+        "crates/packet/src/quic/version.rs",
+        "crates/packet/src/udp.rs",
+        "crates/packet/src/tcp.rs",
+        "crates/packet/src/icmp.rs",
+        "crates/quic/src/client.rs",
+        "crates/quic/src/server.rs",
+        "crates/quic/src/spaces.rs",
+        "crates/quic/src/outbox.rs",
+        "crates/quic/src/handshake.rs",
+        "crates/quic/src/http.rs",
+        "crates/quic/src/transport_params.rs",
+        "crates/quic/src/app.rs",
+    ] {
+        let lines = fired_lines(path, "violations/panics.rs", "panic-policy");
+        assert_eq!(lines, BTreeSet::from([4, 5, 7, 10, 11, 12]), "{path}");
+    }
 }
 
 #[test]

@@ -14,12 +14,31 @@ pub const BYTES: &[u8] = b"std::fs::read and TcpStream and UdpSocket";
 pub const CHARS: (char, char) = ('a', '"');
 pub const AMBIENT: &'static str = "thread_local! static mut OnceLock OnceCell LazyLock lazy_static";
 pub const SHARED: &str = "AtomicU64 AtomicUsize AtomicU32 .fetch_add(1) .fetch_max(2)"; // fetch_add
+pub const ABORTS: &str = "x.unwrap() y.expect(\"why\") panic!() unreachable!() todo!() unimplemented!()"; // .unwrap()
 
 /// Doc comments mentioning sleep, stdin and UdpSocket are also fine.
 pub struct SimInstant(pub u64);
 
 pub fn lookalikes(v: Option<u64>) -> u64 {
     v.unwrap_or(0)
+}
+
+/// A parser of hostile bytes degrades without `.unwrap()` or `panic!`: the
+/// total lookalikes stay legal in a panic-policy zone.
+pub fn total_lookalikes(bytes: &[u8], parsed: Result<u8, u8>) -> u8 {
+    let expected = bytes.first().copied().unwrap_or_default();
+    parsed.unwrap_or_else(|unexpected| unexpected) ^ expected
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn test_modules_may_abort() {
+        assert_eq!(super::lookalikes(Some(1)), Some(1).unwrap());
+        if super::lookalikes(None) != 0 {
+            panic!("tests may");
+        }
+    }
 }
 
 pub struct HashMapLike;

@@ -5,17 +5,35 @@
 //! bytes, encoded in the two low bits of the first byte exactly as RFC 9000
 //! specifies) because header protection is deliberately not implemented
 //! (see the crate-level documentation).
+//!
+//! A packet is read where it lies and written where it goes.
+//! [`PacketRef::parse`] is the one parser: it yields the header — a value
+//! without heap for every packet the endpoints exchange, since a
+//! [`ConnectionId`] is stored inline — and the frame bytes as a slice of
+//! the datagram; [`QuicPacket::decode`] copies that slice and nothing else.
+//! [`PacketHeader::begin`] is the one encoder: it appends the header to the
+//! buffer that becomes the datagram, the caller appends the frames behind
+//! it, and [`OpenPacket::finish`] settles the long header's Length field;
+//! [`QuicPacket::encode`] does exactly that with its owned payload.
 
 use crate::error::PacketError;
-use crate::quic::varint::{decode_varint, encode_varint};
+use crate::quic::frame::Frames;
+use crate::quic::varint::{decode_varint, encode_varint, varint_bytes};
 use crate::quic::version::QuicVersion;
 use crate::Result;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
-/// A QUIC connection ID (0–20 bytes).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub struct ConnectionId(Vec<u8>);
+/// A QUIC connection ID (0–20 bytes), stored inline: copying one is a
+/// 21-byte move, not an allocation.
+#[derive(Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct ConnectionId {
+    /// The ID's bytes, zero beyond `len` (so the derived `Eq` is an
+    /// equality of IDs).
+    bytes: [u8; ConnectionId::MAX_LEN],
+    len: u8,
+}
 
 impl ConnectionId {
     /// Maximum connection-ID length permitted by RFC 9000.
@@ -23,34 +41,55 @@ impl ConnectionId {
 
     /// Build a connection ID, truncating to [`ConnectionId::MAX_LEN`] bytes.
     pub fn new(bytes: &[u8]) -> Self {
-        ConnectionId(bytes[..bytes.len().min(Self::MAX_LEN)].to_vec())
+        let len = bytes.len().min(Self::MAX_LEN);
+        let mut id = ConnectionId {
+            bytes: [0; Self::MAX_LEN],
+            len: len as u8,
+        };
+        id.bytes[..len].copy_from_slice(&bytes[..len]);
+        id
     }
 
     /// Build a connection ID from a `u64`, as the endpoints in this
     /// reproduction do (8-byte IDs).
     pub fn from_u64(value: u64) -> Self {
-        ConnectionId(value.to_be_bytes().to_vec())
+        Self::new(&value.to_be_bytes())
     }
 
     /// The raw bytes.
     pub fn as_bytes(&self) -> &[u8] {
-        &self.0
+        &self.bytes[..usize::from(self.len)]
     }
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.0.len()
+        usize::from(self.len)
     }
 
     /// Whether the connection ID is zero length.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.len == 0
+    }
+}
+
+impl fmt::Debug for ConnectionId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("ConnectionId")
+            .field(&self.as_bytes())
+            .finish()
+    }
+}
+
+/// Hashes as its byte string does, whatever the storage behind it.
+impl Hash for ConnectionId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_bytes().hash(state);
     }
 }
 
 impl fmt::Display for ConnectionId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for b in &self.0 {
+        for b in self.as_bytes() {
             write!(f, "{b:02x}")?;
         }
         Ok(())
@@ -118,6 +157,13 @@ pub enum PacketHeader {
     },
 }
 
+/// Number of bytes used to encode packet numbers on the wire.
+const PN_LEN: usize = 4;
+
+/// Bytes [`PacketHeader::begin`] reserves for a long header's Length field:
+/// the two-byte varint that fits every payload from 60 bytes to 16 KB.
+const LENGTH_RESERVED: usize = 2;
+
 impl PacketHeader {
     /// The packet number, if this header type carries one.
     pub fn packet_number(&self) -> Option<u64> {
@@ -146,31 +192,15 @@ impl PacketHeader {
             }
         )
     }
-}
 
-/// A full (plaintext) QUIC packet: header plus frame payload bytes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct QuicPacket {
-    /// The packet header.
-    pub header: PacketHeader,
-    /// Encoded frames.
-    pub payload: Vec<u8>,
-}
-
-/// Number of bytes used to encode packet numbers on the wire.
-const PN_LEN: usize = 4;
-
-impl QuicPacket {
-    /// Construct a packet.
-    pub fn new(header: PacketHeader, payload: Vec<u8>) -> Self {
-        QuicPacket { header, payload }
-    }
-
-    /// Encode the packet.  Initial packets are *not* padded here; datagram
-    /// padding to [`crate::quic::MIN_INITIAL_SIZE`] is the sender's job.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64 + self.payload.len());
-        match &self.header {
+    /// Append this header to `buf` — the buffer that becomes the datagram.
+    /// The caller appends the packet's frames behind it and then calls
+    /// [`OpenPacket::finish`].  Initial packets are *not* padded here;
+    /// datagram padding to [`crate::quic::MIN_INITIAL_SIZE`] is the sender's
+    /// job.
+    pub fn begin(&self, buf: &mut Vec<u8>) -> OpenPacket {
+        let mut length_at = None;
+        match self {
             PacketHeader::Long {
                 ty,
                 version,
@@ -188,13 +218,14 @@ impl QuicPacket {
                 buf.push(scid.len() as u8);
                 buf.extend_from_slice(scid.as_bytes());
                 if *ty == LongPacketType::Initial {
-                    encode_varint(&mut buf, token.len() as u64);
+                    encode_varint(buf, token.len() as u64);
                     buf.extend_from_slice(token);
                 }
-                // Length field: packet number + payload.
-                encode_varint(&mut buf, (PN_LEN + self.payload.len()) as u64);
-                buf.extend_from_slice(&(*packet_number as u32).to_be_bytes());
-                buf.extend_from_slice(&self.payload);
+                // Length field (packet number + payload), known once the
+                // payload is behind it, then the packet number.
+                length_at = Some(buf.len());
+                let pn = (*packet_number as u32).to_be_bytes();
+                buf.extend_from_slice(&[0, 0, pn[0], pn[1], pn[2], pn[3]]);
             }
             PacketHeader::Short {
                 dcid,
@@ -204,7 +235,6 @@ impl QuicPacket {
                 buf.push(first);
                 buf.extend_from_slice(dcid.as_bytes());
                 buf.extend_from_slice(&(*packet_number as u32).to_be_bytes());
-                buf.extend_from_slice(&self.payload);
             }
             PacketHeader::VersionNegotiation {
                 dcid,
@@ -222,32 +252,123 @@ impl QuicPacket {
                 }
             }
         }
+        OpenPacket { length_at }
+    }
+}
+
+/// A packet whose header is in the buffer and whose frames are being
+/// appended behind it; see [`PacketHeader::begin`].
+#[derive(Debug)]
+#[must_use = "a long header's Length field is only valid after `finish`"]
+pub struct OpenPacket {
+    /// Where a long header's Length field sits; `None` for the headers
+    /// that carry none.
+    length_at: Option<usize>,
+}
+
+impl OpenPacket {
+    /// The packet is complete: everything behind the header in `buf` is its
+    /// payload.  Writes the long header's Length field as the minimal
+    /// varint, closing up (or widening) the two bytes reserved for it when
+    /// the payload is shorter than 60 bytes (or longer than 16 KB).
+    pub fn finish(self, buf: &mut Vec<u8>) {
+        let Some(at) = self.length_at else {
+            return;
+        };
+        let behind = at + LENGTH_RESERVED;
+        let (field, len) = varint_bytes(buf.len().saturating_sub(behind) as u64);
+        if len == LENGTH_RESERVED {
+            buf[at..behind].copy_from_slice(&field[..len]);
+        } else {
+            buf.splice(at..behind, field[..len].iter().copied());
+        }
+    }
+}
+
+/// A full (plaintext) QUIC packet: header plus frame payload bytes.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct QuicPacket {
+    /// The packet header.
+    pub header: PacketHeader,
+    /// Encoded frames.
+    pub payload: Vec<u8>,
+}
+
+impl QuicPacket {
+    /// Construct a packet.
+    pub fn new(header: PacketHeader, payload: Vec<u8>) -> Self {
+        QuicPacket { header, payload }
+    }
+
+    /// Encode the packet into a buffer of its own; see
+    /// [`PacketHeader::begin`] for writing one in place.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(64 + self.payload.len());
+        let open = self.header.begin(&mut buf);
+        buf.extend_from_slice(&self.payload);
+        open.finish(&mut buf);
         buf
     }
 
-    /// Decode one packet from the front of `buf`.
+    /// Decode one packet from the front of `buf` into an owned packet: what
+    /// [`PacketRef::parse`] reads, with the payload copied out.
+    pub fn decode(buf: &[u8], local_cid_len: usize) -> Result<(Self, usize)> {
+        let (packet, consumed) = PacketRef::parse(buf, local_cid_len)?;
+        Ok((
+            QuicPacket::new(packet.header, packet.payload.to_vec()),
+            consumed,
+        ))
+    }
+}
+
+/// A packet read in place: its header and its frame bytes, the latter a
+/// slice of the datagram it arrived in.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PacketRef<'a> {
+    /// The packet header.
+    pub header: PacketHeader,
+    /// Encoded frames.
+    pub payload: &'a [u8],
+}
+
+impl<'a> PacketRef<'a> {
+    /// Read one packet from the front of `buf`.
     ///
     /// `local_cid_len` is the length of connection IDs this endpoint issues;
     /// it is needed to delimit short headers.  Returns the packet and the
     /// number of bytes consumed, so coalesced datagrams can be processed by
     /// calling this in a loop.
-    pub fn decode(buf: &[u8], local_cid_len: usize) -> Result<(Self, usize)> {
-        if buf.is_empty() {
-            return Err(PacketError::Truncated {
+    pub fn parse(buf: &'a [u8], local_cid_len: usize) -> Result<(Self, usize)> {
+        match buf.first() {
+            None => Err(PacketError::Truncated {
                 what: "quic packet",
                 needed: 1,
                 available: 0,
-            });
-        }
-        let first = buf[0];
-        if first & 0b1000_0000 != 0 {
-            Self::decode_long(buf)
-        } else {
-            Self::decode_short(buf, local_cid_len, first)
+            }),
+            Some(first) if first & 0b1000_0000 != 0 => Self::decode_long(buf),
+            Some(&first) => Self::decode_short(buf, local_cid_len, first),
         }
     }
 
-    fn decode_long(buf: &[u8]) -> Result<(Self, usize)> {
+    /// The frames of the payload, read in place.
+    pub fn frames(&self) -> Frames<'a> {
+        Frames::new(self.payload)
+    }
+
+    /// Check every frame: whether any is ack-eliciting, or the first
+    /// malformed one's error.  A receiver that drops a packet with a
+    /// malformed frame whole calls this before it acts on
+    /// [`frames`](Self::frames) — two passes over the payload, no list of
+    /// frames in between.
+    pub fn ack_eliciting(&self) -> Result<bool> {
+        let mut ack_eliciting = false;
+        for frame in self.frames() {
+            ack_eliciting |= frame?.is_ack_eliciting();
+        }
+        Ok(ack_eliciting)
+    }
+
+    fn decode_long(buf: &'a [u8]) -> Result<(Self, usize)> {
         let mut at = 1usize;
         let need = |n: usize, at: usize, buf: &[u8]| -> Result<()> {
             if buf.len() < at + n {
@@ -290,23 +411,20 @@ impl QuicPacket {
 
         if version_raw == 0 {
             // Version negotiation: the rest of the packet is a version list.
-            let mut supported = Vec::new();
-            let mut rest = &buf[at..];
-            while rest.len() >= 4 {
-                supported.push(QuicVersion::from_u32(u32::from_be_bytes([
-                    rest[0], rest[1], rest[2], rest[3],
-                ])));
-                rest = &rest[4..];
-            }
-            let consumed = buf.len() - rest.len();
+            let list = &buf[at..];
+            let supported = list
+                .chunks_exact(4)
+                .map(|v| QuicVersion::from_u32(u32::from_be_bytes([v[0], v[1], v[2], v[3]])))
+                .collect();
+            let consumed = buf.len() - list.len() % 4;
             return Ok((
-                QuicPacket {
+                PacketRef {
                     header: PacketHeader::VersionNegotiation {
                         dcid,
                         scid,
                         supported,
                     },
-                    payload: Vec::new(),
+                    payload: &[],
                 },
                 consumed,
             ));
@@ -340,10 +458,8 @@ impl QuicPacket {
         for b in &buf[at..at + pn_len] {
             pn = (pn << 8) | u64::from(*b);
         }
-        let payload = buf[at + pn_len..at + length].to_vec();
-        let consumed_total = at + length;
         Ok((
-            QuicPacket {
+            PacketRef {
                 header: PacketHeader::Long {
                     ty,
                     version,
@@ -352,13 +468,13 @@ impl QuicPacket {
                     token,
                     packet_number: pn,
                 },
-                payload,
+                payload: &buf[at + pn_len..at + length],
             },
-            consumed_total,
+            at + length,
         ))
     }
 
-    fn decode_short(buf: &[u8], local_cid_len: usize, first: u8) -> Result<(Self, usize)> {
+    fn decode_short(buf: &'a [u8], local_cid_len: usize, first: u8) -> Result<(Self, usize)> {
         let pn_len = ((first & 0b11) as usize) + 1;
         let needed = 1 + local_cid_len + pn_len;
         if buf.len() < needed {
@@ -374,14 +490,13 @@ impl QuicPacket {
             pn = (pn << 8) | u64::from(*b);
         }
         // A short-header packet extends to the end of the datagram.
-        let payload = buf[needed..].to_vec();
         Ok((
-            QuicPacket {
+            PacketRef {
                 header: PacketHeader::Short {
                     dcid,
                     packet_number: pn,
                 },
-                payload,
+                payload: &buf[needed..],
             },
             buf.len(),
         ))

@@ -21,8 +21,8 @@ pub mod header;
 pub mod varint;
 pub mod version;
 
-pub use frame::{AckFrame, Frame};
-pub use header::{ConnectionId, LongPacketType, PacketHeader, QuicPacket};
+pub use frame::{AckFrame, AckRef, Frame, FrameRef, Frames};
+pub use header::{ConnectionId, LongPacketType, OpenPacket, PacketHeader, PacketRef, QuicPacket};
 pub use varint::{decode_varint, encode_varint, varint_len};
 pub use version::QuicVersion;
 

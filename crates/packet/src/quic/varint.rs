@@ -25,25 +25,31 @@ pub fn varint_len(value: u64) -> usize {
     }
 }
 
+/// The varint encoding of `value` and its length: the first `.1` bytes of
+/// `.0`.
+///
+/// Values above [`VARINT_MAX`] are clamped to it; QUIC cannot represent them.
+pub fn varint_bytes(value: u64) -> ([u8; 8], usize) {
+    let value = value.min(VARINT_MAX);
+    let len = varint_len(value);
+    // The length's logarithm in the top two bits of the value's `len`
+    // bytes, and those moved to the front of the eight.
+    let tagged = value | (u64::from(len.trailing_zeros()) << (8 * len - 2));
+    ((tagged << (64 - 8 * len)).to_be_bytes(), len)
+}
+
 /// Append the varint encoding of `value` to `buf`.
 ///
 /// Values above [`VARINT_MAX`] are clamped to it; QUIC cannot represent them.
 pub fn encode_varint(buf: &mut Vec<u8>, value: u64) {
-    let value = value.min(VARINT_MAX);
-    match varint_len(value) {
-        1 => buf.push(value as u8),
-        2 => {
-            let v = (value as u16) | 0x4000;
-            buf.extend_from_slice(&v.to_be_bytes());
-        }
-        4 => {
-            let v = (value as u32) | 0x8000_0000;
-            buf.extend_from_slice(&v.to_be_bytes());
-        }
-        _ => {
-            let v = value | 0xc000_0000_0000_0000;
-            buf.extend_from_slice(&v.to_be_bytes());
-        }
+    let (bytes, len) = varint_bytes(value);
+    // Fixed-size appends: frame types, small offsets and counts make most
+    // varints one byte.
+    match len {
+        1 => buf.push(bytes[0]),
+        2 => buf.extend_from_slice(&bytes[..2]),
+        4 => buf.extend_from_slice(&bytes[..4]),
+        _ => buf.extend_from_slice(&bytes),
     }
 }
 

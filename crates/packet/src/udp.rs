@@ -28,18 +28,36 @@ impl UdpHeader {
     /// capacity kept — a sender recycles one body for a whole flow),
     /// computing length and checksum over the pseudo header for `src`/`dst`.
     pub fn encode(&self, src: IpAddr, dst: IpAddr, payload: &[u8], buf: &mut Vec<u8>) {
-        let len = (UDP_HEADER_LEN + payload.len()) as u16;
-        buf.clear();
-        buf.reserve(UDP_HEADER_LEN + payload.len());
-        buf.extend_from_slice(&self.src_port.to_be_bytes());
-        buf.extend_from_slice(&self.dst_port.to_be_bytes());
-        buf.extend_from_slice(&len.to_be_bytes());
-        buf.extend_from_slice(&[0, 0]); // checksum placeholder
+        Self::begin(buf, payload.len());
         buf.extend_from_slice(payload);
-        let csum = pseudo_header_checksum(src, dst, IpProtocol::Udp, buf);
+        self.finish(src, dst, buf);
+    }
+
+    /// Start a segment in `buf` (cleared first, its capacity kept) with room
+    /// for the header and `payload_room` bytes behind it: the caller writes
+    /// the payload where it goes and then calls [`UdpHeader::finish`].
+    pub fn begin(buf: &mut Vec<u8>, payload_room: usize) {
+        buf.clear();
+        buf.reserve(UDP_HEADER_LEN + payload_room);
+        buf.extend_from_slice(&[0; UDP_HEADER_LEN]);
+    }
+
+    /// Complete a segment started with [`UdpHeader::begin`]: fill in the
+    /// ports, the length and the checksum over the pseudo header for
+    /// `src`/`dst` and everything in `segment`.
+    pub fn finish(&self, src: IpAddr, dst: IpAddr, segment: &mut [u8]) {
+        let len = segment.len() as u16;
+        let Some(header) = segment.get_mut(..UDP_HEADER_LEN) else {
+            return;
+        };
+        header[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        header[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        header[4..6].copy_from_slice(&len.to_be_bytes());
+        header[6..8].copy_from_slice(&[0, 0]); // checksum placeholder
+        let csum = pseudo_header_checksum(src, dst, IpProtocol::Udp, segment);
         // A computed checksum of zero is transmitted as all ones (RFC 768).
         let csum = if csum == 0 { 0xffff } else { csum };
-        buf[6..8].copy_from_slice(&csum.to_be_bytes());
+        segment[6..8].copy_from_slice(&csum.to_be_bytes());
     }
 
     /// Decode a UDP header; returns the header and the payload slice.

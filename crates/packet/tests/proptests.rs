@@ -6,11 +6,12 @@ use qem_packet::ip::{
     internet_checksum, pseudo_header_checksum, IpProtocol, Ipv4Header, Ipv6Header,
 };
 use qem_packet::quic::{
-    decode_varint, encode_varint, varint_len, AckFrame, ConnectionId, Frame, LongPacketType,
-    PacketHeader, QuicPacket, QuicVersion,
+    decode_varint, encode_varint, varint_len, AckFrame, ConnectionId, Frame, FrameRef, Frames,
+    LongPacketType, PacketHeader, PacketRef, QuicPacket, QuicVersion,
 };
 use qem_packet::tcp::{TcpFlags, TcpHeader};
 use qem_packet::udp::UdpHeader;
+use qem_packet::PacketError;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 fn arb_ecn() -> impl Strategy<Value = EcnCodepoint> {
@@ -56,6 +57,274 @@ fn encode_reusing(
     encode(shorter, &mut expected);
     prop_assert_eq!(warm, expected);
     Ok(clean)
+}
+
+/// The frame decoder this crate had before [`Frames`]: one owned frame per
+/// call, one `Padding { size: 1 }` per padding byte, merged afterwards.  Kept
+/// as the reference the borrowing parser is held to.
+mod oracle {
+    use qem_packet::ecn::EcnCounts;
+    use qem_packet::quic::{decode_varint, AckFrame, Frame};
+    use qem_packet::PacketError;
+
+    pub fn decode_all(buf: &[u8]) -> Result<Vec<Frame>, PacketError> {
+        let mut frames = Vec::new();
+        let mut at = 0usize;
+        while at < buf.len() {
+            let (frame, consumed) = oracle_decode_one(&buf[at..])?;
+            at += consumed;
+            // Merge consecutive padding entries.
+            if let (Some(Frame::Padding { size }), Frame::Padding { size: add }) =
+                (frames.last_mut(), &frame)
+            {
+                *size += add;
+            } else {
+                frames.push(frame);
+            }
+        }
+        Ok(frames)
+    }
+
+    fn oracle_decode_one(buf: &[u8]) -> Result<(Frame, usize), PacketError> {
+        let (ty, mut at) = decode_varint(buf)?;
+        let need = |n: usize, at: usize| -> Result<(), PacketError> {
+            if buf.len() < at + n {
+                Err(PacketError::Truncated {
+                    what: "quic frame",
+                    needed: at + n,
+                    available: buf.len(),
+                })
+            } else {
+                Ok(())
+            }
+        };
+        match ty {
+            0x00 => Ok((Frame::Padding { size: 1 }, at)),
+            0x01 => Ok((Frame::Ping, at)),
+            0x02 | 0x03 => {
+                let (largest_acked, c) = decode_varint(&buf[at..])?;
+                at += c;
+                let (ack_delay, c) = decode_varint(&buf[at..])?;
+                at += c;
+                let (range_count, c) = decode_varint(&buf[at..])?;
+                at += c;
+                let (first_range, c) = decode_varint(&buf[at..])?;
+                at += c;
+                if first_range > largest_acked {
+                    return Err(PacketError::InvalidField {
+                        what: "ack frame",
+                        reason: "first range exceeds largest acknowledged",
+                    });
+                }
+                let mut ranges = vec![(largest_acked - first_range, largest_acked)];
+                let mut prev_start = largest_acked - first_range;
+                for _ in 0..range_count {
+                    let (gap, c) = decode_varint(&buf[at..])?;
+                    at += c;
+                    let (len, c) = decode_varint(&buf[at..])?;
+                    at += c;
+                    let end = prev_start
+                        .checked_sub(gap + 2)
+                        .ok_or(PacketError::InvalidField {
+                            what: "ack frame",
+                            reason: "gap underflows packet number space",
+                        })?;
+                    let start = end.checked_sub(len).ok_or(PacketError::InvalidField {
+                        what: "ack frame",
+                        reason: "range length underflows packet number space",
+                    })?;
+                    ranges.push((start, end));
+                    prev_start = start;
+                }
+                let ecn = if ty == 0x03 {
+                    let (ect0, c) = decode_varint(&buf[at..])?;
+                    at += c;
+                    let (ect1, c) = decode_varint(&buf[at..])?;
+                    at += c;
+                    let (ce, c) = decode_varint(&buf[at..])?;
+                    at += c;
+                    Some(EcnCounts { ect0, ect1, ce })
+                } else {
+                    None
+                };
+                Ok((
+                    Frame::Ack(AckFrame {
+                        largest_acked,
+                        ack_delay,
+                        ranges,
+                        ecn,
+                    }),
+                    at,
+                ))
+            }
+            0x06 => {
+                let (offset, c) = decode_varint(&buf[at..])?;
+                at += c;
+                let (len, c) = decode_varint(&buf[at..])?;
+                at += c;
+                let len = len as usize;
+                need(len, at)?;
+                let data = buf[at..at + len].to_vec();
+                Ok((Frame::Crypto { offset, data }, at + len))
+            }
+            0x0e | 0x0f => {
+                let (stream_id, c) = decode_varint(&buf[at..])?;
+                at += c;
+                let (offset, c) = decode_varint(&buf[at..])?;
+                at += c;
+                let (len, c) = decode_varint(&buf[at..])?;
+                at += c;
+                let len = len as usize;
+                need(len, at)?;
+                let data = buf[at..at + len].to_vec();
+                Ok((
+                    Frame::Stream {
+                        stream_id,
+                        offset,
+                        fin: ty == 0x0f,
+                        data,
+                    },
+                    at + len,
+                ))
+            }
+            0x1c => {
+                let (error_code, c) = decode_varint(&buf[at..])?;
+                at += c;
+                let (_frame_type, c) = decode_varint(&buf[at..])?;
+                at += c;
+                let (len, c) = decode_varint(&buf[at..])?;
+                at += c;
+                let len = len as usize;
+                need(len, at)?;
+                let reason = String::from_utf8_lossy(&buf[at..at + len]).into_owned();
+                Ok((Frame::ConnectionClose { error_code, reason }, at + len))
+            }
+            0x1e => Ok((Frame::HandshakeDone, at)),
+            other => Err(PacketError::UnknownFrameType(other)),
+        }
+    }
+}
+
+/// What [`Frames`] reads from `bytes`, copied out — and, on the way, every
+/// borrowed slice checked to lie in `bytes`, none overlapping another: the
+/// parser's views are the input, so reading requests no heap at all and
+/// copying them out no more than the input's length.
+fn frames_read_in_place(bytes: &[u8]) -> Result<Result<Vec<Frame>, PacketError>, TestCaseError> {
+    let input = bytes.as_ptr_range();
+    let mut borrowed = 0usize;
+    let mut last_end = input.start;
+    let mut frames = Vec::new();
+    for frame in Frames::new(bytes) {
+        let frame = match frame {
+            Ok(frame) => frame,
+            Err(error) => return Ok(Err(error)),
+        };
+        if let FrameRef::Crypto { data, .. }
+        | FrameRef::Stream { data, .. }
+        | FrameRef::ConnectionClose { reason: data, .. } = frame
+        {
+            let view = data.as_ptr_range();
+            prop_assert!(last_end <= view.start && view.end <= input.end);
+            last_end = view.end;
+            borrowed += data.len();
+        }
+        frames.push(frame.to_owned());
+    }
+    prop_assert!(borrowed <= bytes.len());
+    Ok(Ok(frames))
+}
+
+/// One stretch of a generated payload.
+#[derive(Debug, Clone)]
+enum Piece {
+    Frame(Frame),
+    /// A run of one-byte padding frames.
+    Zeros(usize),
+    /// One padding frame whose type is a 2-, 4- or 8-byte varint.
+    LongPadding(usize),
+}
+
+fn arb_ack() -> impl Strategy<Value = Frame> {
+    (
+        0u64..100_000,
+        proptest::collection::vec((0u64..40, 0u64..40), 0..6),
+        proptest::option::of((0u64..100, 0u64..100, 0u64..100)),
+    )
+        .prop_map(|(largest_acked, below, ecn)| {
+            let mut ranges = vec![(largest_acked.saturating_sub(7), largest_acked)];
+            for (gap, len) in below {
+                let prev_start = ranges[ranges.len() - 1].0;
+                let Some(end) = prev_start.checked_sub(gap + 2) else {
+                    break;
+                };
+                ranges.push((end.saturating_sub(len), end));
+            }
+            Frame::Ack(AckFrame {
+                largest_acked,
+                ack_delay: largest_acked % 97,
+                ranges,
+                ecn: ecn.map(|(ect0, ect1, ce)| EcnCounts { ect0, ect1, ce }),
+            })
+        })
+}
+
+fn arb_piece() -> impl Strategy<Value = Piece> {
+    let data = || proptest::collection::vec(any::<u8>(), 0..80);
+    prop_oneof![
+        (0usize..=1300).prop_map(Piece::Zeros),
+        (0usize..=3).prop_map(Piece::Zeros),
+        prop_oneof![Just(2usize), Just(4usize), Just(8usize)].prop_map(Piece::LongPadding),
+        Just(Piece::Frame(Frame::Ping)),
+        Just(Piece::Frame(Frame::HandshakeDone)),
+        arb_ack().prop_map(Piece::Frame),
+        (any::<u32>(), data()).prop_map(|(offset, data)| Piece::Frame(Frame::Crypto {
+            offset: u64::from(offset),
+            data,
+        })),
+        (any::<u16>(), any::<u32>(), data()).prop_map(|(id, offset, data)| Piece::Frame(
+            Frame::Stream {
+                stream_id: u64::from(id),
+                offset: u64::from(offset),
+                fin: offset % 2 == 0,
+                data,
+            }
+        )),
+        (any::<u16>(), "[ -~]{0,24}").prop_map(|(code, reason)| Piece::Frame(
+            Frame::ConnectionClose {
+                error_code: u64::from(code),
+                reason,
+            }
+        )),
+    ]
+}
+
+/// The wire bytes of `pieces`, and the frames they decode to.
+fn lay_out(pieces: &[Piece]) -> (Vec<u8>, Vec<Frame>) {
+    let mut bytes = Vec::new();
+    let mut frames: Vec<Frame> = Vec::new();
+    for piece in pieces {
+        let frame = match piece {
+            Piece::Frame(frame) => {
+                frame.encode(&mut bytes);
+                frame.clone()
+            }
+            Piece::Zeros(run) => {
+                bytes.resize(bytes.len() + run, 0);
+                Frame::Padding { size: *run }
+            }
+            Piece::LongPadding(len) => {
+                bytes.push(((len.trailing_zeros()) as u8) << 6);
+                bytes.resize(bytes.len() + len - 1, 0);
+                Frame::Padding { size: 1 }
+            }
+        };
+        match (frames.last_mut(), frame) {
+            (_, Frame::Padding { size: 0 }) => {}
+            (Some(Frame::Padding { size }), Frame::Padding { size: more }) => *size += more,
+            (_, frame) => frames.push(frame),
+        }
+    }
+    (bytes, frames)
 }
 
 proptest! {
@@ -261,6 +530,145 @@ proptest! {
         let frames = vec![Frame::Ack(ack)];
         let decoded = Frame::decode_all(&Frame::encode_all(&frames)).unwrap();
         prop_assert_eq!(decoded, frames);
+    }
+
+    #[test]
+    fn frames_of_arbitrary_bytes_are_the_oracles(
+        bytes in proptest::collection::vec(any::<u8>(), 0..1500),
+        zeros in 0usize..1400,
+    ) {
+        // As drawn — the first byte is rarely a frame type, so mostly the
+        // error paths — and behind a run of padding, as hostile bytes at
+        // the end of an Initial would sit.
+        prop_assert_eq!(frames_read_in_place(&bytes)?, oracle::decode_all(&bytes));
+        let mut padded = vec![0u8; zeros];
+        padded.extend_from_slice(&bytes);
+        prop_assert_eq!(frames_read_in_place(&padded)?, oracle::decode_all(&padded));
+        prop_assert_eq!(Frame::decode_all(&padded), oracle::decode_all(&padded));
+    }
+
+    #[test]
+    fn frames_between_padding_runs_are_the_oracles(
+        pieces in proptest::collection::vec(arb_piece(), 0..12),
+        cut in any::<u16>(),
+        flip in (any::<u16>(), 1u8..=255),
+    ) {
+        let (bytes, frames) = lay_out(&pieces);
+        prop_assert_eq!(frames_read_in_place(&bytes)?, Ok(frames));
+        prop_assert_eq!(Frame::decode_all(&bytes), oracle::decode_all(&bytes));
+        if bytes.is_empty() {
+            return Ok(());
+        }
+        // Cut short anywhere, and with any one byte damaged: the same
+        // frames or the same error.
+        let cut = &bytes[..usize::from(cut) % bytes.len()];
+        prop_assert_eq!(frames_read_in_place(cut)?, oracle::decode_all(cut));
+        let mut damaged = bytes.clone();
+        damaged[usize::from(flip.0) % bytes.len()] ^= flip.1;
+        prop_assert_eq!(frames_read_in_place(&damaged)?, oracle::decode_all(&damaged));
+        // The receiver's check of a whole payload says what the list would.
+        let packet = PacketRef {
+            header: PacketHeader::Short {
+                dcid: ConnectionId::default(),
+                packet_number: 0,
+            },
+            payload: &damaged,
+        };
+        prop_assert_eq!(
+            packet.ack_eliciting(),
+            oracle::decode_all(&damaged).map(|frames| frames.iter().any(Frame::is_ack_eliciting))
+        );
+    }
+
+    #[test]
+    fn packet_read_in_place_is_the_owned_decode(
+        bytes in proptest::collection::vec(any::<u8>(), 0..300),
+        cid_len in 0usize..=20,
+    ) {
+        match (PacketRef::parse(&bytes, cid_len), QuicPacket::decode(&bytes, cid_len)) {
+            (Ok((read, read_len)), Ok((owned, owned_len))) => {
+                prop_assert_eq!(read_len, owned_len);
+                prop_assert_eq!(&read.header, &owned.header);
+                prop_assert_eq!(read.payload, &owned.payload[..]);
+                // The payload is a slice of the datagram, and what was read
+                // encodes back to the bytes consumed when they were minimal.
+                let (input, view) = (bytes.as_ptr_range(), read.payload.as_ptr_range());
+                prop_assert!(read.payload.is_empty() || (input.start <= view.start && view.end <= input.end));
+                if let Ok((again, _)) = QuicPacket::decode(&owned.encode(), cid_len) {
+                    prop_assert_eq!(again, owned);
+                }
+            }
+            (Err(read), Err(owned)) => prop_assert_eq!(read, owned),
+            (read, owned) => prop_assert!(false, "{read:?} vs {owned:?}"),
+        }
+    }
+
+    #[test]
+    fn packet_written_in_place_is_the_owned_encode(
+        long in any::<u8>(),
+        cids in (any::<u64>(), any::<u64>()),
+        pn in any::<u32>(),
+        token in proptest::collection::vec(any::<u8>(), 0..24),
+        payload in proptest::collection::vec(any::<u8>(), 0..80),
+        stretch in prop_oneof![Just(0usize), Just(40usize), Just(17_000usize)],
+        front in proptest::collection::vec(any::<u8>(), 0..16),
+    ) {
+        // Payload lengths on every side of the Length field's 1-, 2- and
+        // 4-byte encodings, behind whatever the buffer already holds.
+        let mut payload = payload;
+        payload.resize(payload.len() + stretch, 0x5a);
+        let (dcid, scid) = (ConnectionId::from_u64(cids.0), ConnectionId::from_u64(cids.1));
+        let header = match long % 3 {
+            0 => PacketHeader::Short { dcid, packet_number: u64::from(pn) },
+            kind => PacketHeader::Long {
+                ty: if kind == 1 { LongPacketType::Initial } else { LongPacketType::Handshake },
+                version: QuicVersion::V1,
+                dcid,
+                scid,
+                token: if kind == 1 { token } else { Vec::new() },
+                packet_number: u64::from(pn),
+            },
+        };
+        let mut buf = front.clone();
+        let open = header.begin(&mut buf);
+        buf.extend_from_slice(&payload);
+        open.finish(&mut buf);
+        prop_assert_eq!(&buf[..front.len()], &front[..]);
+        let packet = QuicPacket::new(header, payload);
+        prop_assert_eq!(&buf[front.len()..], &packet.encode()[..]);
+        let (decoded, consumed) = QuicPacket::decode(&buf[front.len()..], 8).unwrap();
+        prop_assert_eq!(consumed, buf.len() - front.len());
+        prop_assert_eq!(decoded, packet);
+    }
+
+    #[test]
+    fn connection_id_is_its_byte_string(
+        bytes in proptest::collection::vec(any::<u8>(), 0..=40),
+        other in proptest::collection::vec(any::<u8>(), 0..=40),
+    ) {
+        use std::hash::{Hash, Hasher};
+        use std::collections::hash_map::DefaultHasher;
+        fn hash_of(value: &impl Hash) -> u64 {
+            let mut hasher = DefaultHasher::new();
+            value.hash(&mut hasher);
+            hasher.finish()
+        }
+        // The heap form the inline one replaces: a `Vec` of at most 20 bytes.
+        let vec_form = |bytes: &[u8]| bytes[..bytes.len().min(ConnectionId::MAX_LEN)].to_vec();
+        let id = ConnectionId::new(&bytes);
+        let copy = id;
+        prop_assert_eq!(id.as_bytes(), &vec_form(&bytes)[..]);
+        prop_assert_eq!(id.len(), vec_form(&bytes).len());
+        prop_assert_eq!(id.is_empty(), vec_form(&bytes).is_empty());
+        let hex: String = vec_form(&bytes).iter().map(|b| format!("{b:02x}")).collect();
+        prop_assert_eq!(id.to_string(), hex);
+        prop_assert_eq!(hash_of(&id), hash_of(&vec_form(&bytes)));
+        prop_assert_eq!(id == ConnectionId::new(&other), vec_form(&bytes) == vec_form(&other));
+        prop_assert_eq!(copy, id);
+        if bytes.len() == 8 {
+            let value = u64::from_be_bytes(bytes[..8].try_into().unwrap());
+            prop_assert_eq!(ConnectionId::from_u64(value), id);
+        }
     }
 
     #[test]

@@ -11,15 +11,17 @@
 //! * [`AppDataSource`] — a pull interface handing out [`AppChunk`]s of
 //!   stream data ([`BulkObject`] for a fixed-size HTTP-style object,
 //!   [`FrameSource`] for periodic RTC frames);
-//! * [`StreamPacketizer`] — turns chunks into encoded short-header QUIC
-//!   packets (one STREAM frame per packet, monotonically increasing packet
-//!   numbers), and parses them back on the receiving side.
+//! * [`StreamPacketizer`] — appends chunks as short-header QUIC packets
+//!   (one STREAM frame per packet, monotonically increasing packet
+//!   numbers) to the datagram a flow is building, and reads them back in
+//!   place on the receiving side; neither direction allocates.
 //!
 //! Everything here is sans-IO and deterministic: no clocks, no sockets, no
 //! randomness.  The discrete-event engine owns time; `qem-workload` owns the
 //! send/receive scheduling and congestion response.
 
-use qem_packet::quic::{ConnectionId, Frame, PacketHeader, QuicPacket};
+use qem_packet::quic::frame::encode_stream_header;
+use qem_packet::quic::{ConnectionId, FrameRef, PacketHeader, PacketRef};
 
 /// A chunk of application stream data scheduled for transmission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,6 +144,10 @@ pub struct StreamPacketizer {
 }
 
 impl StreamPacketizer {
+    /// The most a packet adds to its chunk: a short header with an 8-byte
+    /// connection ID and the STREAM frame's type, stream, offset and length.
+    pub const PACKET_OVERHEAD: usize = 13 + 25;
+
     /// A packetizer for `stream_id`, addressing packets to the connection ID
     /// derived from `cid_seed`.
     pub fn new(cid_seed: u64, stream_id: u64) -> Self {
@@ -152,22 +158,20 @@ impl StreamPacketizer {
         }
     }
 
-    /// Encode `chunk` as a short-header packet carrying one STREAM frame.
-    /// The stream payload is zero bytes of the chunk's length — workloads
-    /// measure delivery, not content.
-    pub fn packetize(&mut self, chunk: &AppChunk) -> Vec<u8> {
-        let frame = Frame::Stream {
-            stream_id: self.stream_id,
-            offset: chunk.offset,
-            fin: chunk.fin,
-            data: vec![0u8; chunk.len],
-        };
+    /// Append `chunk` to `buf` as a short-header packet carrying one STREAM
+    /// frame, written where it goes: `buf` is the datagram under
+    /// construction.  The stream payload is zero bytes of the chunk's
+    /// length — workloads measure delivery, not content.
+    pub fn packetize(&mut self, chunk: &AppChunk, buf: &mut Vec<u8>) {
         let header = PacketHeader::Short {
-            dcid: self.dcid.clone(),
+            dcid: self.dcid,
             packet_number: self.next_pn,
         };
         self.next_pn += 1;
-        QuicPacket::new(header, Frame::encode_all(&[frame])).encode()
+        let open = header.begin(buf);
+        encode_stream_header(buf, self.stream_id, chunk.offset, chunk.fin, chunk.len);
+        buf.resize(buf.len() + chunk.len, 0);
+        open.finish(buf);
     }
 
     /// Packets built so far (also the next packet number).
@@ -179,21 +183,26 @@ impl StreamPacketizer {
     /// chunk, for the receiving side of a workload flow.  Returns `None` for
     /// anything that is not a short-header packet with one STREAM frame.
     pub fn parse(payload: &[u8], cid_len: usize) -> Option<AppChunk> {
-        let (packet, _) = QuicPacket::decode(payload, cid_len).ok()?;
+        let (packet, _) = PacketRef::parse(payload, cid_len).ok()?;
         if !matches!(packet.header, PacketHeader::Short { .. }) {
             return None;
         }
-        let frames = Frame::decode_all(&packet.payload).ok()?;
-        frames.iter().find_map(|frame| match frame {
-            Frame::Stream {
+        // Any malformed frame spoils the packet, also one behind the STREAM
+        // frame looked for.
+        let mut chunk = None;
+        for frame in packet.frames() {
+            if let FrameRef::Stream {
                 offset, fin, data, ..
-            } => Some(AppChunk {
-                offset: *offset,
-                len: data.len(),
-                fin: *fin,
-            }),
-            _ => None,
-        })
+            } = frame.ok()?
+            {
+                chunk = chunk.or(Some(AppChunk {
+                    offset,
+                    len: data.len(),
+                    fin,
+                }));
+            }
+        }
+        chunk
     }
 }
 
@@ -237,7 +246,8 @@ mod tests {
             len: 1_200,
             fin: true,
         };
-        let wire = packetizer.packetize(&chunk);
+        let mut wire = Vec::new();
+        packetizer.packetize(&chunk, &mut wire);
         assert_eq!(packetizer.packets_built(), 1);
         let parsed = StreamPacketizer::parse(&wire, CID_LEN).expect("valid stream packet");
         assert_eq!(parsed, chunk);

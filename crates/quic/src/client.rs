@@ -8,17 +8,27 @@
 //! timeouts.  After the handshake it tops the connection up with PING
 //! packets so that the full testing budget is exercised even for a single
 //! small HTTP exchange.
+//!
+//! Incoming datagrams are read where they lie: each packet's header by
+//! value, its frames as views of the datagram, a packet with a malformed
+//! frame dropped whole.  Outgoing packets are written where they go: header,
+//! frame and Initial padding appended to the connection's outbox, which
+//! [`ClientConnection::poll_transmit`] lends out first-in first-out.  An
+//! ack-eliciting frame stays with its [`SentPacket`] until acknowledged, so
+//! that a PTO can send it again.
 
 use crate::ecn::{EcnConfig, EcnValidationState, EcnValidator};
 use crate::handshake::HandshakeMessage;
 use crate::http::{HttpRequest, HttpResponse};
+use crate::outbox::{Content, Outbox};
 use crate::spaces::{PacketSpace, SentPacket, SpaceId};
 use crate::transport_params::TransportParameters;
 use crate::CID_LEN;
 use qem_netsim::{SimDuration, SimInstant};
 use qem_packet::ecn::{EcnCodepoint, EcnCounts};
 use qem_packet::quic::{
-    ConnectionId, Frame, LongPacketType, PacketHeader, QuicPacket, QuicVersion, MIN_INITIAL_SIZE,
+    ConnectionId, Frame, FrameRef, LongPacketType, PacketHeader, PacketRef, QuicVersion,
+    MIN_INITIAL_SIZE,
 };
 use serde::{Deserialize, Serialize};
 
@@ -86,15 +96,12 @@ impl ClientConfig {
     }
 }
 
-/// A UDP datagram the connection wants to send, with the ECN codepoint to be
-/// set on the enclosing IP packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Transmit {
-    /// UDP payload (one or more QUIC packets).
-    pub payload: Vec<u8>,
-    /// ECN codepoint for the IP header.
-    pub ecn: EcnCodepoint,
-}
+pub use crate::outbox::Transmit;
+
+/// Frame bytes a client Initial is padded to, so that the datagram — with
+/// a generous 48 bytes allowed for its header — meets the RFC 9000 §14.1
+/// minimum.
+const INITIAL_PAYLOAD: usize = MIN_INITIAL_SIZE - 48;
 
 /// Summary of a finished (or failed) client connection, consumed by the
 /// measurement pipeline.
@@ -142,7 +149,7 @@ pub struct ClientConnection {
     /// Aggregate of `peer_counts` fed to the validator.
     aggregate_counts: EcnCounts,
     received_ecn: EcnCounts,
-    outbox: Vec<Transmit>,
+    outbox: Outbox,
 
     hello_sent: bool,
     server_hello: Option<HandshakeMessage>,
@@ -185,7 +192,7 @@ impl ClientConnection {
             peer_counts: [None; 3],
             aggregate_counts: EcnCounts::ZERO,
             received_ecn: EcnCounts::ZERO,
-            outbox: Vec::new(),
+            outbox: Outbox::default(),
             hello_sent: false,
             server_hello: None,
             server_params: None,
@@ -254,29 +261,23 @@ impl ClientConnection {
             return;
         }
         self.last_activity = now;
-        let mut at = 0usize;
-        while at < payload.len() {
-            match QuicPacket::decode(&payload[at..], CID_LEN) {
-                Ok((packet, consumed)) => {
-                    at += consumed;
-                    self.handle_packet(now, ecn, packet);
-                }
-                Err(_) => break,
-            }
+        let mut rest = payload;
+        while !rest.is_empty() {
+            let Ok((packet, consumed)) = PacketRef::parse(rest, CID_LEN) else {
+                break;
+            };
+            rest = &rest[consumed..];
+            self.handle_packet(now, ecn, &packet);
         }
         self.drive(now);
     }
 
     /// Next datagram to send, if any.
-    pub fn poll_transmit(&mut self, now: SimInstant) -> Option<Transmit> {
+    pub fn poll_transmit(&mut self, now: SimInstant) -> Option<Transmit<'_>> {
         if !self.hello_sent {
             self.drive(now);
         }
-        if self.outbox.is_empty() {
-            None
-        } else {
-            Some(self.outbox.remove(0))
-        }
+        self.outbox.pop()
     }
 
     /// The next instant at which [`handle_timeout`](Self::handle_timeout)
@@ -333,19 +334,10 @@ impl ClientConnection {
         // Retransmit unacknowledged ack-eliciting data, respecting the
         // retransmission budget (1 by default, per the paper).
         for space_id in SpaceId::ALL {
-            let to_resend: Vec<SentPacket> =
+            let to_resend =
                 self.spaces[space_id.index()].retransmittable(self.config.max_retransmissions);
-            for packet in to_resend {
-                let frames: Vec<Frame> = packet
-                    .frames
-                    .iter()
-                    .filter(|f| f.is_ack_eliciting())
-                    .cloned()
-                    .collect();
-                if frames.is_empty() {
-                    continue;
-                }
-                self.send_packet(space_id, frames, now, packet.retransmissions + 1);
+            for (frame, retransmissions) in to_resend {
+                self.send_packet(space_id, Content::Frame(frame), now, retransmissions);
             }
         }
         // Exponential backoff for the next PTO.
@@ -353,10 +345,10 @@ impl ClientConnection {
         self.pto_deadline = Some(now + backoff);
     }
 
-    fn handle_packet(&mut self, now: SimInstant, ecn: EcnCodepoint, packet: QuicPacket) {
-        match &packet.header {
+    fn handle_packet(&mut self, now: SimInstant, ecn: EcnCodepoint, packet: &PacketRef<'_>) {
+        let (space_id, pn) = match &packet.header {
             PacketHeader::VersionNegotiation { supported, .. } => {
-                self.on_version_negotiation(now, supported.clone());
+                return self.on_version_negotiation(now, supported);
             }
             PacketHeader::Long {
                 ty,
@@ -373,49 +365,31 @@ impl ClientConnection {
                 };
                 // Learn the server's connection ID from its first packet.
                 if *ty == LongPacketType::Initial {
-                    self.remote_cid = scid.clone();
+                    self.remote_cid = *scid;
                 }
-                self.receive_in_space(now, space_id, *packet_number, ecn, &packet.payload);
+                (space_id, *packet_number)
             }
-            PacketHeader::Short { packet_number, .. } => {
-                self.receive_in_space(
-                    now,
-                    SpaceId::Application,
-                    *packet_number,
-                    ecn,
-                    &packet.payload,
-                );
-            }
-        }
-    }
-
-    fn receive_in_space(
-        &mut self,
-        now: SimInstant,
-        space_id: SpaceId,
-        pn: u64,
-        ecn: EcnCodepoint,
-        payload: &[u8],
-    ) {
-        let Ok(frames) = Frame::decode_all(payload) else {
+            PacketHeader::Short { packet_number, .. } => (SpaceId::Application, *packet_number),
+        };
+        // A packet with a malformed frame is dropped whole.
+        let Ok(ack_eliciting) = packet.ack_eliciting() else {
             return;
         };
-        let ack_eliciting = frames.iter().any(Frame::is_ack_eliciting);
         let is_new = self.spaces[space_id.index()].on_packet_received(pn, ecn, ack_eliciting);
         self.received_ecn.record(ecn);
         if !is_new {
             return;
         }
-        for frame in frames {
-            self.handle_frame(now, space_id, frame);
+        for frame in packet.frames().flatten() {
+            self.handle_frame(space_id, frame);
         }
     }
 
-    fn handle_frame(&mut self, _now: SimInstant, space_id: SpaceId, frame: Frame) {
+    fn handle_frame(&mut self, space_id: SpaceId, frame: FrameRef<'_>) {
         match frame {
-            Frame::Ack(ack) => {
+            FrameRef::Ack(ack) => {
                 let result = self.spaces[space_id.index()].on_ack_received(&ack);
-                if result.count() > 0 {
+                if result.count > 0 {
                     self.pto_count = 0;
                     self.pto_deadline = None;
                 }
@@ -443,51 +417,43 @@ impl ClientConnection {
                         }
                         None => None,
                     };
-                    self.validator.on_ack_received(
-                        result.marked_count(),
-                        result.count(),
-                        aggregate,
-                    );
+                    self.validator
+                        .on_ack_received(result.marked_count, result.count, aggregate);
                 }
             }
-            Frame::Crypto { data, .. } => {
-                if let Ok(message) = HandshakeMessage::decode(&data) {
-                    match message {
-                        HandshakeMessage::ServerHello {
-                            transport_params, ..
-                        } => {
-                            self.server_params = Some(transport_params);
-                            self.server_hello = Some(HandshakeMessage::ServerHello {
-                                transport_params,
-                                alpn: "h3".to_string(),
-                            });
-                        }
-                        HandshakeMessage::Finished => {}
-                        HandshakeMessage::ClientHello { .. } => {}
-                    }
+            FrameRef::Crypto { data, .. } => {
+                if let Ok(
+                    hello @ HandshakeMessage::ServerHello {
+                        transport_params, ..
+                    },
+                ) = HandshakeMessage::decode(data)
+                {
+                    self.server_params = Some(transport_params);
+                    self.server_hello = Some(hello);
                 }
             }
-            Frame::HandshakeDone => {
+            FrameRef::HandshakeDone => {
                 self.handshake_done = true;
             }
-            Frame::Stream { data, fin, .. } => {
-                self.response_buf.extend_from_slice(&data);
+            FrameRef::Stream { data, fin, .. } => {
+                self.response_buf.extend_from_slice(data);
                 if fin {
                     self.response_fin = true;
                     self.response = HttpResponse::decode(&self.response_buf);
                 }
             }
-            Frame::ConnectionClose { reason, .. } => {
+            FrameRef::ConnectionClose { reason, .. } => {
                 if self.response.is_none() && self.error.is_none() {
+                    let reason = String::from_utf8_lossy(reason);
                     self.error = Some(format!("closed by peer: {reason}"));
                 }
                 self.closed = true;
             }
-            Frame::Ping | Frame::Padding { .. } => {}
+            FrameRef::Ping | FrameRef::Padding { .. } => {}
         }
     }
 
-    fn on_version_negotiation(&mut self, now: SimInstant, supported: Vec<QuicVersion>) {
+    fn on_version_negotiation(&mut self, now: SimInstant, supported: &[QuicVersion]) {
         if self.version_negotiated {
             return;
         }
@@ -544,10 +510,10 @@ impl ClientConnection {
             };
             self.send_packet(
                 SpaceId::Initial,
-                vec![Frame::Crypto {
+                Content::Frame(Frame::Crypto {
                     offset: 0,
                     data: hello.encode(),
-                }],
+                }),
                 now,
                 0,
             );
@@ -557,10 +523,10 @@ impl ClientConnection {
         if self.server_hello.is_some() && !self.finished_sent {
             self.send_packet(
                 SpaceId::Handshake,
-                vec![Frame::Crypto {
+                Content::Frame(Frame::Crypto {
                     offset: 0,
                     data: HandshakeMessage::Finished.encode(),
-                }],
+                }),
                 now,
                 0,
             );
@@ -571,12 +537,12 @@ impl ClientConnection {
             let request = HttpRequest::get(&self.config.sni);
             self.send_packet(
                 SpaceId::Application,
-                vec![Frame::Stream {
+                Content::Frame(Frame::Stream {
                     stream_id: 0,
                     offset: 0,
                     fin: true,
                     data: request.encode(),
-                }],
+                }),
                 now,
                 0,
             );
@@ -585,7 +551,7 @@ impl ClientConnection {
         // 4. Top-up PINGs so the ECN testing budget is exercised.
         if self.request_sent && self.pings_sent < self.config.extra_pings {
             while self.pings_sent < self.config.extra_pings {
-                self.send_packet(SpaceId::Application, vec![Frame::Ping], now, 0);
+                self.send_packet(SpaceId::Application, Content::Frame(Frame::Ping), now, 0);
                 self.pings_sent += 1;
             }
         }
@@ -594,29 +560,15 @@ impl ClientConnection {
         for space_id in SpaceId::ALL {
             if self.spaces[space_id.index()].ack_pending() {
                 let counts = self.spaces[space_id.index()].ecn_received();
-                let ecn = if counts.total() > 0 {
-                    Some(counts)
-                } else {
-                    None
-                };
-                if let Some(ack) = self.spaces[space_id.index()].build_ack(ecn) {
-                    self.send_packet(space_id, vec![Frame::Ack(ack)], now, 0);
-                }
+                let ecn = (counts.total() > 0).then_some(counts);
+                self.send_packet(space_id, Content::Ack(ecn), now, 0);
             }
         }
         // 6. Close once everything we came for has arrived: the HTTP
         //    response plus acknowledgments (and thus ECN feedback) for every
         //    ack-eliciting packet we sent.
         if self.response.is_some() && !self.close_sent && self.all_acked() {
-            self.send_packet(
-                SpaceId::Application,
-                vec![Frame::ConnectionClose {
-                    error_code: 0,
-                    reason: "done".to_string(),
-                }],
-                now,
-                0,
-            );
+            self.send_packet(SpaceId::Application, Content::Close(0, "done"), now, 0);
             self.close_sent = true;
             self.closed = true;
         }
@@ -625,7 +577,7 @@ impl ClientConnection {
     fn send_packet(
         &mut self,
         space_id: SpaceId,
-        frames: Vec<Frame>,
+        content: Content,
         now: SimInstant,
         retransmissions: u32,
     ) {
@@ -634,52 +586,25 @@ impl ClientConnection {
         } else {
             EcnCodepoint::NotEct
         };
-        let pn = self.spaces[space_id.index()].next_pn();
-        let mut payload = Frame::encode_all(&frames);
-        let header = match space_id {
-            SpaceId::Initial => {
-                // Pad client Initials to the RFC minimum datagram size.
-                let overhead = 48; // generous estimate of header bytes
-                if payload.len() + overhead < MIN_INITIAL_SIZE {
-                    Frame::Padding {
-                        size: MIN_INITIAL_SIZE - overhead - payload.len(),
-                    }
-                    .encode(&mut payload);
-                }
-                PacketHeader::Long {
-                    ty: LongPacketType::Initial,
-                    version: self.version,
-                    dcid: self.remote_cid.clone(),
-                    scid: self.local_cid.clone(),
-                    token: Vec::new(),
-                    packet_number: pn,
-                }
+        let space = &mut self.spaces[space_id.index()];
+        let pn = space.next_pn();
+        let header = space_id.header(self.version, self.remote_cid, self.local_cid, pn);
+        self.outbox.push(&header, ecn, |buf| {
+            let payload_at = buf.len();
+            content.encode(space, buf);
+            // Pad client Initials to the RFC minimum datagram size.
+            if space_id == SpaceId::Initial && buf.len() < payload_at + INITIAL_PAYLOAD {
+                buf.resize(payload_at + INITIAL_PAYLOAD, 0);
             }
-            SpaceId::Handshake => PacketHeader::Long {
-                ty: LongPacketType::Handshake,
-                version: self.version,
-                dcid: self.remote_cid.clone(),
-                scid: self.local_cid.clone(),
-                token: Vec::new(),
-                packet_number: pn,
-            },
-            SpaceId::Application => PacketHeader::Short {
-                dcid: self.remote_cid.clone(),
-                packet_number: pn,
-            },
-        };
-        let ack_eliciting = frames.iter().any(Frame::is_ack_eliciting);
-        let packet = QuicPacket::new(header, payload);
-        self.outbox.push(Transmit {
-            payload: packet.encode(),
-            ecn,
         });
         if self.ecn_enabled {
             self.validator.on_packet_sent(ecn);
         }
-        self.spaces[space_id.index()].on_packet_sent(SentPacket {
+        let frame = content.into_ack_eliciting();
+        let ack_eliciting = frame.is_some();
+        space.on_packet_sent(SentPacket {
             packet_number: pn,
-            frames,
+            frame,
             ecn,
             ack_eliciting,
             time_sent: now,
@@ -695,6 +620,7 @@ impl ClientConnection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qem_packet::quic::QuicPacket;
 
     fn new_client() -> ClientConnection {
         ClientConnection::new(
@@ -710,7 +636,7 @@ mod tests {
         let transmit = client.poll_transmit(SimInstant::EPOCH).unwrap();
         assert!(transmit.payload.len() >= MIN_INITIAL_SIZE - 60);
         assert_eq!(transmit.ecn, EcnCodepoint::Ect0);
-        let (packet, _) = QuicPacket::decode(&transmit.payload, CID_LEN).unwrap();
+        let (packet, _) = QuicPacket::decode(transmit.payload, CID_LEN).unwrap();
         assert!(packet.header.is_initial());
         assert_eq!(packet.header.version(), Some(QuicVersion::V1));
     }
@@ -738,9 +664,9 @@ mod tests {
     fn version_negotiation_restarts_with_common_version() {
         let mut client = new_client();
         let first = client.poll_transmit(SimInstant::EPOCH).unwrap();
-        let (initial, _) = QuicPacket::decode(&first.payload, CID_LEN).unwrap();
+        let (initial, _) = QuicPacket::decode(first.payload, CID_LEN).unwrap();
         let (dcid, scid) = match &initial.header {
-            PacketHeader::Long { dcid, scid, .. } => (dcid.clone(), scid.clone()),
+            PacketHeader::Long { dcid, scid, .. } => (*dcid, *scid),
             _ => unreachable!(),
         };
         let vn = QuicPacket::new(
@@ -753,7 +679,7 @@ mod tests {
         );
         client.handle_datagram(SimInstant::EPOCH, EcnCodepoint::NotEct, &vn.encode());
         let retry = client.poll_transmit(SimInstant::EPOCH).unwrap();
-        let (packet, _) = QuicPacket::decode(&retry.payload, CID_LEN).unwrap();
+        let (packet, _) = QuicPacket::decode(retry.payload, CID_LEN).unwrap();
         assert_eq!(packet.header.version(), Some(QuicVersion::DRAFT_27));
         assert!(!client.is_closed());
     }
@@ -762,9 +688,9 @@ mod tests {
     fn version_negotiation_without_common_version_fails() {
         let mut client = new_client();
         let first = client.poll_transmit(SimInstant::EPOCH).unwrap();
-        let (initial, _) = QuicPacket::decode(&first.payload, CID_LEN).unwrap();
+        let (initial, _) = QuicPacket::decode(first.payload, CID_LEN).unwrap();
         let (dcid, scid) = match &initial.header {
-            PacketHeader::Long { dcid, scid, .. } => (dcid.clone(), scid.clone()),
+            PacketHeader::Long { dcid, scid, .. } => (*dcid, *scid),
             _ => unreachable!(),
         };
         let vn = QuicPacket::new(

@@ -28,7 +28,7 @@
 //! where CE marking becomes load-dependent.
 
 use crate::behavior::ServerBehavior;
-use crate::client::{ClientConfig, ClientConnection, ClientReport, Transmit};
+use crate::client::{ClientConfig, ClientConnection, ClientReport};
 use crate::server::ServerConnection;
 use qem_netsim::engine::{
     run_measured, CrossTraffic, EngineScratch, EngineTelemetry, Flow, FlowStatus, SharedQueues,
@@ -148,30 +148,32 @@ impl<'a, R: Rng + ?Sized> QuicFlow<'a, R> {
         }
     }
 
-    /// `transmit` inside UDP inside IP, pushed down the forward (client →
-    /// server) or the reverse path.  `None` when it did not arrive: lost in
-    /// transit, or never sent because the address pair cannot be assembled.
-    fn send(
-        &mut self,
-        forward: bool,
-        transmit: &Transmit,
-        net: &mut SharedQueues,
-    ) -> Option<IpDatagram> {
+    /// The next datagram of the client (`forward`) or of the server, inside
+    /// UDP inside IP, pushed down the forward or the reverse path.  `None`
+    /// when that endpoint has nothing to send; `Some(None)` when what it
+    /// sent did not arrive: lost in transit, or never sent because the
+    /// address pair cannot be assembled.
+    fn send_next(&mut self, forward: bool, net: &mut SharedQueues) -> Option<Option<IpDatagram>> {
         let client = (self.config.client_addr, self.config.client_port);
         let server = (self.config.server_addr, QUIC_PORT);
-        let (path, (src, src_port), (dst, dst_port)) = if forward {
-            (&self.path.forward, client, server)
+        let (path, (src, src_port), (dst, dst_port), transmit) = if forward {
+            let transmit = self.client.poll_transmit(self.now)?;
+            (&self.path.forward, client, server, transmit)
         } else {
-            (&self.path.reverse, server, client)
+            let transmit = self.server.poll_transmit(self.now)?;
+            (&self.path.reverse, server, client, transmit)
         };
+        // The one copy of a datagram: out of its endpoint's outbox, into
+        // the body the last delivered datagram came back in.
         let mut udp = std::mem::take(&mut self.body);
-        UdpHeader::new(src_port, dst_port).encode(src, dst, &transmit.payload, &mut udp);
-        let datagram =
-            IpDatagram::assemble(src, dst, IpProtocol::Udp, 64, transmit.ecn, udp).ok()?;
-        let (arrived, _) = path
-            .transit_shared(datagram, self.now, self.rng, net)
-            .delivered()?;
-        Some(arrived)
+        UdpHeader::new(src_port, dst_port).encode(src, dst, transmit.payload, &mut udp);
+        let arrived = IpDatagram::assemble(src, dst, IpProtocol::Udp, 64, transmit.ecn, udp)
+            .ok()
+            .and_then(|datagram| {
+                path.transit_shared(datagram, self.now, self.rng, net)
+                    .delivered()
+            });
+        Some(arrived.map(|(datagram, _)| datagram))
     }
 
     /// One bidirectional drain pass; returns whether anything moved.
@@ -179,9 +181,9 @@ impl<'a, R: Rng + ?Sized> QuicFlow<'a, R> {
         let mut activity = false;
 
         // Client → server.
-        while let Some(transmit) = self.client.poll_transmit(self.now) {
+        while let Some(arrived) = self.send_next(true, net) {
             activity = true;
-            match self.send(true, &transmit, net) {
+            match arrived {
                 Some(datagram) => {
                     self.forward_arrival_ecn.record(datagram.header.ecn());
                     if let Some(payload) = quic_payload(&datagram) {
@@ -195,9 +197,9 @@ impl<'a, R: Rng + ?Sized> QuicFlow<'a, R> {
         }
 
         // Server → client.
-        while let Some(transmit) = self.server.poll_transmit(self.now) {
+        while let Some(arrived) = self.send_next(false, net) {
             activity = true;
-            match self.send(false, &transmit, net) {
+            match arrived {
                 Some(datagram) => {
                     if let Some(payload) = quic_payload(&datagram) {
                         self.client

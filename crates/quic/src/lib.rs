@@ -40,6 +40,7 @@ pub mod driver;
 pub mod ecn;
 pub mod handshake;
 pub mod http;
+mod outbox;
 pub mod server;
 pub mod spaces;
 pub mod transport_params;

@@ -5,17 +5,20 @@
 //! ClientHellos and requests by re-sending its own handshake and response, so
 //! a lossy forward path converges as long as the client keeps probing — the
 //! same property real deployments have thanks to their loss recovery.
+//! It therefore keeps no sent frame: a packet is written into the outbox
+//! and, for the ACK bookkeeping, remembered by number and codepoint only.
+//! Datagrams are read in place, like the client's.
 
 use crate::behavior::ServerBehavior;
-use crate::client::Transmit;
 use crate::handshake::HandshakeMessage;
 use crate::http::{HttpRequest, HttpResponse};
+use crate::outbox::{Content, Outbox, Transmit};
 use crate::spaces::{PacketSpace, SentPacket, SpaceId};
 use crate::CID_LEN;
 use qem_netsim::SimInstant;
 use qem_packet::ecn::EcnCodepoint;
 use qem_packet::quic::{
-    ConnectionId, Frame, LongPacketType, PacketHeader, QuicPacket, QuicVersion,
+    ConnectionId, Frame, FrameRef, LongPacketType, PacketHeader, PacketRef, QuicVersion,
 };
 
 /// A sans-IO QUIC server connection (one per client).
@@ -26,7 +29,7 @@ pub struct ServerConnection {
     remote_cid: ConnectionId,
     version: QuicVersion,
     spaces: [PacketSpace; 3],
-    outbox: Vec<Transmit>,
+    outbox: Outbox,
     hello_received: bool,
     client_finished: bool,
     request: Option<HttpRequest>,
@@ -45,7 +48,7 @@ impl ServerConnection {
             remote_cid: ConnectionId::default(),
             version: QuicVersion::V1,
             spaces: Default::default(),
-            outbox: Vec::new(),
+            outbox: Outbox::default(),
             hello_received: false,
             client_finished: false,
             request: None,
@@ -73,30 +76,24 @@ impl ServerConnection {
     }
 
     /// Feed an incoming UDP payload.
-    pub fn handle_datagram(&mut self, now: SimInstant, ecn: EcnCodepoint, payload: &[u8]) {
+    pub fn handle_datagram(&mut self, _now: SimInstant, ecn: EcnCodepoint, payload: &[u8]) {
         if self.closed {
             return;
         }
-        let mut at = 0usize;
-        while at < payload.len() {
-            match QuicPacket::decode(&payload[at..], CID_LEN) {
-                Ok((packet, consumed)) => {
-                    at += consumed;
-                    self.handle_packet(now, ecn, packet);
-                }
-                Err(_) => break,
-            }
+        let mut rest = payload;
+        while !rest.is_empty() {
+            let Ok((packet, consumed)) = PacketRef::parse(rest, CID_LEN) else {
+                break;
+            };
+            rest = &rest[consumed..];
+            self.handle_packet(ecn, &packet);
         }
         self.flush_acks();
     }
 
     /// Next datagram to send, if any.
-    pub fn poll_transmit(&mut self, _now: SimInstant) -> Option<Transmit> {
-        if self.outbox.is_empty() {
-            None
-        } else {
-            Some(self.outbox.remove(0))
-        }
+    pub fn poll_transmit(&mut self, _now: SimInstant) -> Option<Transmit<'_>> {
+        self.outbox.pop()
     }
 
     /// Servers in this reproduction are purely reactive; they never arm timers.
@@ -109,101 +106,68 @@ impl ServerConnection {
 
     // ------------------------------------------------------------------
 
-    fn handle_packet(&mut self, now: SimInstant, ecn: EcnCodepoint, packet: QuicPacket) {
-        match &packet.header {
+    fn handle_packet(&mut self, ecn: EcnCodepoint, packet: &PacketRef<'_>) {
+        let (space_id, pn) = match &packet.header {
             PacketHeader::Long {
                 ty,
                 version,
                 scid,
-                dcid: _,
                 packet_number,
                 ..
             } => {
                 if *ty == LongPacketType::Initial && !self.behavior.supports_version(*version) {
                     // Version negotiation; echo the client's connection IDs.
-                    let vn = QuicPacket::new(
-                        PacketHeader::VersionNegotiation {
-                            dcid: scid.clone(),
-                            scid: self.local_cid.clone(),
-                            supported: self.behavior.supported_versions.clone(),
-                        },
-                        Vec::new(),
-                    );
-                    self.outbox.push(Transmit {
-                        payload: vn.encode(),
-                        ecn: EcnCodepoint::NotEct,
-                    });
+                    let vn = PacketHeader::VersionNegotiation {
+                        dcid: *scid,
+                        scid: self.local_cid,
+                        supported: self.behavior.supported_versions.clone(),
+                    };
+                    self.outbox.push(&vn, EcnCodepoint::NotEct, |_| {});
                     return;
                 }
                 if *ty == LongPacketType::Initial {
                     self.version = *version;
-                    self.remote_cid = scid.clone();
+                    self.remote_cid = *scid;
                 }
                 let Some(space_id) = SpaceId::for_long_type(*ty) else {
                     return;
                 };
-                self.receive_in_space(now, space_id, *packet_number, ecn, &packet.payload);
+                (space_id, *packet_number)
             }
-            PacketHeader::Short { packet_number, .. } => {
-                self.receive_in_space(
-                    now,
-                    SpaceId::Application,
-                    *packet_number,
-                    ecn,
-                    &packet.payload,
-                );
-            }
-            PacketHeader::VersionNegotiation { .. } => {}
-        }
-    }
-
-    fn receive_in_space(
-        &mut self,
-        now: SimInstant,
-        space_id: SpaceId,
-        pn: u64,
-        ecn: EcnCodepoint,
-        payload: &[u8],
-    ) {
-        let Ok(frames) = Frame::decode_all(payload) else {
+            PacketHeader::Short { packet_number, .. } => (SpaceId::Application, *packet_number),
+            PacketHeader::VersionNegotiation { .. } => return,
+        };
+        // A packet with a malformed frame is dropped whole.
+        let Ok(ack_eliciting) = packet.ack_eliciting() else {
             return;
         };
-        let ack_eliciting = frames.iter().any(Frame::is_ack_eliciting);
         let is_new = self.spaces[space_id.index()].on_packet_received(pn, ecn, ack_eliciting);
         let mut saw_client_hello = false;
         let mut saw_request = false;
         if is_new {
-            for frame in frames {
+            for frame in packet.frames().flatten() {
                 match frame {
-                    Frame::Crypto { data, .. } => {
-                        if let Ok(message) = HandshakeMessage::decode(&data) {
-                            match message {
-                                HandshakeMessage::ClientHello { .. } => {
-                                    saw_client_hello = true;
-                                }
-                                HandshakeMessage::Finished => {
-                                    if space_id == SpaceId::Handshake {
-                                        self.client_finished = true;
-                                    }
-                                }
-                                HandshakeMessage::ServerHello { .. } => {}
-                            }
+                    FrameRef::Crypto { data, .. } => match HandshakeMessage::decode(data) {
+                        Ok(HandshakeMessage::ClientHello { .. }) => saw_client_hello = true,
+                        Ok(HandshakeMessage::Finished) if space_id == SpaceId::Handshake => {
+                            self.client_finished = true;
                         }
-                    }
-                    Frame::Stream { data, fin, .. } => {
-                        self.request_buf.extend_from_slice(&data);
+                        _ => {}
+                    },
+                    FrameRef::Stream { data, fin, .. } => {
+                        self.request_buf.extend_from_slice(data);
                         if fin {
                             self.request = HttpRequest::decode(&self.request_buf);
                             saw_request = true;
                         }
                     }
-                    Frame::Ack(ack) => {
+                    FrameRef::Ack(ack) => {
                         let _ = self.spaces[space_id.index()].on_ack_received(&ack);
                     }
-                    Frame::ConnectionClose { .. } => {
+                    FrameRef::ConnectionClose { .. } => {
                         self.closed = true;
                     }
-                    Frame::Ping | Frame::Padding { .. } | Frame::HandshakeDone => {}
+                    FrameRef::Ping | FrameRef::Padding { .. } | FrameRef::HandshakeDone => {}
                 }
             }
         } else {
@@ -214,51 +178,43 @@ impl ServerConnection {
 
         if saw_client_hello {
             self.hello_received = true;
-            self.send_server_hello(now);
+            self.send_server_hello();
         }
         if self.client_finished && !self.handshake_done_sent {
-            self.send_packet(SpaceId::Application, vec![Frame::HandshakeDone], now);
+            self.send_packet(SpaceId::Application, Content::Frame(Frame::HandshakeDone));
             self.handshake_done_sent = true;
         }
         if saw_request && self.request.is_some() {
-            self.send_response(now);
+            self.send_response();
         }
     }
 
-    fn send_server_hello(&mut self, now: SimInstant) {
+    fn send_server_hello(&mut self) {
         let hello = HandshakeMessage::ServerHello {
             transport_params: self.behavior.transport_params,
             alpn: "h3".to_string(),
         };
         self.send_packet(
             SpaceId::Initial,
-            vec![Frame::Crypto {
+            Content::Frame(Frame::Crypto {
                 offset: 0,
                 data: hello.encode(),
-            }],
-            now,
+            }),
         );
         self.send_packet(
             SpaceId::Handshake,
-            vec![Frame::Crypto {
+            Content::Frame(Frame::Crypto {
                 offset: 0,
                 data: HandshakeMessage::Finished.encode(),
-            }],
-            now,
+            }),
         );
     }
 
-    fn send_response(&mut self, now: SimInstant) {
+    fn send_response(&mut self) {
         if self.response_sent || !self.behavior.serves_http {
             if !self.behavior.serves_http && !self.response_sent {
-                self.send_packet(
-                    SpaceId::Application,
-                    vec![Frame::ConnectionClose {
-                        error_code: 0x0100, // H3_GENERAL_PROTOCOL_ERROR-ish
-                        reason: "not serving".to_string(),
-                    }],
-                    now,
-                );
+                // H3_GENERAL_PROTOCOL_ERROR-ish
+                self.send_packet(SpaceId::Application, Content::Close(0x0100, "not serving"));
                 self.response_sent = true;
             }
             return;
@@ -272,13 +228,12 @@ impl ServerConnection {
         }
         self.send_packet(
             SpaceId::Application,
-            vec![Frame::Stream {
+            Content::Frame(Frame::Stream {
                 stream_id: 0,
                 offset: 0,
                 fin: true,
                 data: response.encode(),
-            }],
-            now,
+            }),
         );
         self.response_sent = true;
     }
@@ -296,54 +251,25 @@ impl ServerConnection {
                 // Plain ACK (no ECN section) when the profile reports nothing
                 // or has never seen a mark.
                 let ecn = reported.filter(|c| c.total() > 0 || observed.total() > 0);
-                if let Some(ack) = self.spaces[space_id.index()].build_ack(ecn) {
-                    self.send_packet_now(space_id, vec![Frame::Ack(ack)]);
-                }
+                self.send_packet(space_id, Content::Ack(ecn));
             }
         }
     }
 
-    fn send_packet(&mut self, space_id: SpaceId, frames: Vec<Frame>, now: SimInstant) {
-        let _ = now;
-        self.send_packet_now(space_id, frames);
-    }
-
-    fn send_packet_now(&mut self, space_id: SpaceId, frames: Vec<Frame>) {
-        let pn = self.spaces[space_id.index()].next_pn();
-        let payload = Frame::encode_all(&frames);
-        let header = match space_id {
-            SpaceId::Initial => PacketHeader::Long {
-                ty: LongPacketType::Initial,
-                version: self.version,
-                dcid: self.remote_cid.clone(),
-                scid: self.local_cid.clone(),
-                token: Vec::new(),
-                packet_number: pn,
-            },
-            SpaceId::Handshake => PacketHeader::Long {
-                ty: LongPacketType::Handshake,
-                version: self.version,
-                dcid: self.remote_cid.clone(),
-                scid: self.local_cid.clone(),
-                token: Vec::new(),
-                packet_number: pn,
-            },
-            SpaceId::Application => PacketHeader::Short {
-                dcid: self.remote_cid.clone(),
-                packet_number: pn,
-            },
-        };
-        let ack_eliciting = frames.iter().any(Frame::is_ack_eliciting);
-        let packet = QuicPacket::new(header, payload);
-        self.outbox.push(Transmit {
-            payload: packet.encode(),
-            ecn: self.behavior.egress_ecn,
-        });
-        self.spaces[space_id.index()].on_packet_sent(SentPacket {
+    fn send_packet(&mut self, space_id: SpaceId, content: Content) {
+        let ecn = self.behavior.egress_ecn;
+        let space = &mut self.spaces[space_id.index()];
+        let pn = space.next_pn();
+        let header = space_id.header(self.version, self.remote_cid, self.local_cid, pn);
+        self.outbox
+            .push(&header, ecn, |buf| content.encode(space, buf));
+        // The server repairs loss by answering again, not by repeating
+        // packets, so it keeps no frame.
+        space.on_packet_sent(SentPacket {
             packet_number: pn,
-            frames,
-            ecn: self.behavior.egress_ecn,
-            ack_eliciting,
+            frame: None,
+            ecn,
+            ack_eliciting: content.into_ack_eliciting().is_some(),
             time_sent: SimInstant::EPOCH,
             retransmissions: 0,
         });
@@ -355,6 +281,7 @@ mod tests {
     use super::*;
     use crate::behavior::EcnMirroringBehavior;
     use crate::transport_params::TransportParameters;
+    use qem_packet::quic::QuicPacket;
 
     fn client_initial(version: QuicVersion) -> Vec<u8> {
         let hello = HandshakeMessage::ClientHello {
@@ -389,7 +316,7 @@ mod tests {
         );
         let mut kinds = Vec::new();
         while let Some(t) = server.poll_transmit(SimInstant::EPOCH) {
-            let (pkt, _) = QuicPacket::decode(&t.payload, CID_LEN).unwrap();
+            let (pkt, _) = QuicPacket::decode(t.payload, CID_LEN).unwrap();
             kinds.push(match pkt.header {
                 PacketHeader::Long { ty, .. } => format!("{ty:?}"),
                 PacketHeader::Short { .. } => "Short".to_string(),
@@ -411,7 +338,7 @@ mod tests {
             &client_initial(QuicVersion::V1),
         );
         let t = server.poll_transmit(SimInstant::EPOCH).unwrap();
-        let (pkt, _) = QuicPacket::decode(&t.payload, CID_LEN).unwrap();
+        let (pkt, _) = QuicPacket::decode(t.payload, CID_LEN).unwrap();
         match pkt.header {
             PacketHeader::VersionNegotiation { supported, .. } => {
                 assert_eq!(supported, vec![QuicVersion::DRAFT_27]);
@@ -434,7 +361,7 @@ mod tests {
         );
         let mut saw_ack_without_ecn = false;
         while let Some(t) = server.poll_transmit(SimInstant::EPOCH) {
-            let (pkt, _) = QuicPacket::decode(&t.payload, CID_LEN).unwrap();
+            let (pkt, _) = QuicPacket::decode(t.payload, CID_LEN).unwrap();
             for frame in Frame::decode_all(&pkt.payload).unwrap() {
                 if let Frame::Ack(ack) = frame {
                     assert!(ack.ecn.is_none());
@@ -467,7 +394,7 @@ mod tests {
         server.handle_datagram(SimInstant::EPOCH, EcnCodepoint::Ect0, &initial);
         let mut resent_crypto = false;
         while let Some(t) = server.poll_transmit(SimInstant::EPOCH) {
-            let (pkt, _) = QuicPacket::decode(&t.payload, CID_LEN).unwrap();
+            let (pkt, _) = QuicPacket::decode(t.payload, CID_LEN).unwrap();
             for frame in Frame::decode_all(&pkt.payload).unwrap() {
                 if matches!(frame, Frame::Crypto { .. }) {
                     resent_crypto = true;

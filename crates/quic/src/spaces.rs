@@ -7,12 +7,19 @@
 //! study: the LiteSpeed undercounting bug the paper diagnoses in §7.3 is a
 //! failure to carry ECN accounting across the handshake → 1-RTT transition,
 //! which can only be modelled if the spaces are real.
+//!
+//! A space keeps what it received as the ranges an ACK reports — highest
+//! first, one range on a loss-free connection — and writes its ACK frame
+//! from them straight into the packet under construction
+//! ([`PacketSpace::encode_ack`]).  An incoming ACK is read in place
+//! ([`AckRef`]) and splits `sent` in place; its two counts
+//! ([`AckResult`]) are all a caller reads.
 
 use qem_netsim::SimInstant;
 use qem_packet::ecn::{EcnCodepoint, EcnCounts};
-use qem_packet::quic::{AckFrame, Frame, LongPacketType};
+use qem_packet::quic::frame::encode_ack;
+use qem_packet::quic::{AckRef, ConnectionId, Frame, LongPacketType, PacketHeader, QuicVersion};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// Identifier of a packet number space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -34,6 +41,35 @@ impl SpaceId {
         self as usize
     }
 
+    /// The header of packet `packet_number` in this space, from `scid` to
+    /// `dcid`: Initial and Handshake long headers, a short one for 1-RTT.
+    pub fn header(
+        self,
+        version: QuicVersion,
+        dcid: ConnectionId,
+        scid: ConnectionId,
+        packet_number: u64,
+    ) -> PacketHeader {
+        let ty = match self {
+            SpaceId::Initial => LongPacketType::Initial,
+            SpaceId::Handshake => LongPacketType::Handshake,
+            SpaceId::Application => {
+                return PacketHeader::Short {
+                    dcid,
+                    packet_number,
+                }
+            }
+        };
+        PacketHeader::Long {
+            ty,
+            version,
+            dcid,
+            scid,
+            token: Vec::new(),
+            packet_number,
+        }
+    }
+
     /// The space a long-header packet type belongs to (`None` for Retry).
     pub fn for_long_type(ty: LongPacketType) -> Option<SpaceId> {
         match ty {
@@ -50,8 +86,9 @@ impl SpaceId {
 pub struct SentPacket {
     /// Packet number.
     pub packet_number: u64,
-    /// Frames carried (kept for PTO retransmission).
-    pub frames: Vec<Frame>,
+    /// The ack-eliciting frame carried, kept by an endpoint that repairs
+    /// loss (the client) for PTO retransmission.
+    pub frame: Option<Frame>,
     /// ECN codepoint the packet was sent with.
     pub ecn: EcnCodepoint,
     /// Whether the packet elicits an acknowledgment.
@@ -63,35 +100,22 @@ pub struct SentPacket {
 }
 
 /// Result of processing an ACK frame against a space.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AckResult {
-    /// Packets that were newly acknowledged.
-    pub newly_acked: Vec<SentPacket>,
-}
-
-impl AckResult {
     /// Number of newly acknowledged packets.
-    pub fn count(&self) -> u64 {
-        self.newly_acked.len() as u64
-    }
-
+    pub count: u64,
     /// Number of newly acknowledged packets that carried an ECT/CE mark.
-    pub fn marked_count(&self) -> u64 {
-        self.newly_acked
-            .iter()
-            .filter(|p| p.ecn != EcnCodepoint::NotEct)
-            .count() as u64
-    }
+    pub marked_count: u64,
 }
 
 /// One packet number space of a connection.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PacketSpace {
     next_packet_number: u64,
-    /// Packet numbers received but not yet covered by a sent ACK.
-    pending_ack: BTreeSet<u64>,
-    /// All packet numbers ever received (for duplicate suppression).
-    received: BTreeSet<u64>,
+    /// All packet numbers ever received (for duplicate suppression), as the
+    /// ranges an ACK reports: inclusive `(start, end)`, highest first,
+    /// neither overlapping nor adjacent.  A loss-free connection keeps one.
+    received: Vec<(u64, u64)>,
     /// ECN codepoints observed on packets received in this space.
     ecn_received: EcnCounts,
     /// Packets sent and not yet acknowledged.
@@ -122,13 +146,46 @@ impl PacketSpace {
 
     /// Record a received packet.  Returns `false` for duplicates.
     pub fn on_packet_received(&mut self, pn: u64, ecn: EcnCodepoint, ack_eliciting: bool) -> bool {
-        if !self.received.insert(pn) {
+        if !self.insert_received(pn) {
             return false;
         }
         self.ecn_received.record(ecn);
-        self.pending_ack.insert(pn);
         if ack_eliciting {
             self.ack_pending = true;
+        }
+        true
+    }
+
+    /// Add `pn` to the received ranges; `false` if it is in one already.
+    fn insert_received(&mut self, pn: u64) -> bool {
+        let above = pn.checked_add(1);
+        // The first range `pn` is not strictly below with a gap in between.
+        let Some(i) = self
+            .received
+            .iter()
+            .position(|&(start, _)| above.map_or(true, |above| start <= above))
+        else {
+            self.received.push((pn, pn));
+            return true;
+        };
+        let (start, end) = self.received[i];
+        if above == Some(start) {
+            // Extends this range downwards — maybe onto the next one.
+            match self.received.get(i + 1) {
+                Some(&(below_start, below_end)) if below_end + 1 == pn => {
+                    self.received[i].0 = below_start;
+                    self.received.remove(i + 1);
+                }
+                _ => self.received[i].0 = pn,
+            }
+        } else if pn <= end {
+            return false;
+        } else if pn == end + 1 {
+            // Extends it upwards; a range starting at `pn + 1` would have
+            // been found first, so there is nothing to join above.
+            self.received[i].1 = pn;
+        } else {
+            self.received.insert(i, (pn, pn));
         }
         true
     }
@@ -140,7 +197,7 @@ impl PacketSpace {
 
     /// Whether an acknowledgment is owed.
     pub fn ack_pending(&self) -> bool {
-        self.ack_pending && !self.pending_ack.is_empty()
+        self.ack_pending
     }
 
     /// Whether any sent, ack-eliciting packet is still unacknowledged.
@@ -159,66 +216,52 @@ impl PacketSpace {
         std::mem::take(&mut self.sent)
     }
 
-    /// Return clones of the unacknowledged ack-eliciting packets that still
-    /// have retransmission budget left, and charge one retransmission against
-    /// each of them so the next PTO does not resend the same data again.
-    pub fn retransmittable(&mut self, max_retransmissions: u32) -> Vec<SentPacket> {
+    /// Return the frames of the unacknowledged ack-eliciting packets that
+    /// still have retransmission budget left (oldest first, each with the
+    /// retransmission count its repeat is sent with), and charge the whole
+    /// budget against each of them so the next PTO does not resend the same
+    /// data again.
+    pub fn retransmittable(&mut self, max_retransmissions: u32) -> Vec<(Frame, u32)> {
         let mut out = Vec::new();
         for packet in &mut self.sent {
             if packet.ack_eliciting && packet.retransmissions < max_retransmissions {
-                out.push(packet.clone());
+                if let Some(frame) = &packet.frame {
+                    out.push((frame.clone(), packet.retransmissions + 1));
+                }
                 packet.retransmissions = max_retransmissions;
             }
         }
         out
     }
 
-    /// Build an ACK frame covering everything received so far, with the given
-    /// ECN counters (the counters are chosen by the caller because the
-    /// server-behaviour profiles deliberately mis-report them).
+    /// Append an ACK frame covering everything received so far to `buf`,
+    /// with the given ECN counters (the counters are chosen by the caller
+    /// because the server-behaviour profiles deliberately mis-report them),
+    /// and consider the acknowledgment paid.
     ///
-    /// Returns `None` if nothing has been received yet.
-    pub fn build_ack(&mut self, ecn: Option<EcnCounts>) -> Option<AckFrame> {
-        let largest = *self.received.iter().next_back()?;
-        // Collapse the received set into ranges, highest first.
-        let mut ranges: Vec<(u64, u64)> = Vec::new();
-        for &pn in self.received.iter().rev() {
-            match ranges.last_mut() {
-                Some((start, _)) if *start == pn + 1 => *start = pn,
-                _ => ranges.push((pn, pn)),
-            }
+    /// Appends nothing if nothing has been received yet.
+    pub fn encode_ack(&mut self, ecn: Option<EcnCounts>, buf: &mut Vec<u8>) {
+        if let Some(&(_, largest)) = self.received.first() {
+            encode_ack(buf, largest, 0, &self.received, ecn);
+            self.ack_pending = false;
         }
-        self.ack_pending = false;
-        self.pending_ack.clear();
-        Some(AckFrame {
-            largest_acked: largest,
-            ack_delay: 0,
-            ranges,
-            ecn,
-        })
     }
 
     /// Process an ACK frame from the peer.
-    pub fn on_ack_received(&mut self, ack: &AckFrame) -> AckResult {
-        let mut newly_acked = Vec::new();
-        let mut remaining = Vec::with_capacity(self.sent.len());
-        for packet in self.sent.drain(..) {
-            if ack.acknowledges(packet.packet_number) {
-                newly_acked.push(packet);
-            } else {
-                remaining.push(packet);
+    pub fn on_ack_received(&mut self, ack: &AckRef<'_>) -> AckResult {
+        let mut result = AckResult::default();
+        let mut largest = None;
+        self.sent.retain(|packet| {
+            if !ack.acknowledges(packet.packet_number) {
+                return true;
             }
-        }
-        self.sent = remaining;
-        if !newly_acked.is_empty() {
-            let largest = newly_acked
-                .iter()
-                .map(|p| p.packet_number)
-                .max()
-                .unwrap_or(0);
-            self.largest_acked = Some(self.largest_acked.map_or(largest, |l| l.max(largest)));
-        }
-        AckResult { newly_acked }
+            result.count += 1;
+            result.marked_count += u64::from(packet.ecn != EcnCodepoint::NotEct);
+            largest = largest.max(Some(packet.packet_number));
+            false
+        });
+        self.largest_acked = self.largest_acked.max(largest);
+        result
     }
 
     /// Largest packet number the peer has acknowledged.
@@ -230,16 +273,31 @@ impl PacketSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qem_packet::quic::{AckFrame, FrameRef, Frames};
 
     fn sent(pn: u64, ecn: EcnCodepoint) -> SentPacket {
         SentPacket {
             packet_number: pn,
-            frames: vec![Frame::Ping],
+            frame: Some(Frame::Ping),
             ecn,
             ack_eliciting: true,
             time_sent: SimInstant::EPOCH,
             retransmissions: 0,
         }
+    }
+
+    /// The ACK frame in `wire`, read in place.
+    fn read_ack(wire: &[u8]) -> AckRef<'_> {
+        match Frames::new(wire).next() {
+            Some(Ok(FrameRef::Ack(ack))) => ack,
+            other => panic!("expected an ACK, got {other:?}"),
+        }
+    }
+
+    /// `space` processing the ACK of the single range `[start, end]`.
+    fn ack_range(space: &mut PacketSpace, start: u64, end: u64) -> AckResult {
+        let wire = Frame::encode_all(&[Frame::Ack(AckFrame::contiguous(start, end, None))]);
+        space.on_ack_received(&read_ack(&wire))
     }
 
     #[test]
@@ -264,16 +322,56 @@ mod tests {
         for pn in [0, 1, 2, 5, 6, 9] {
             space.on_packet_received(pn, EcnCodepoint::NotEct, true);
         }
-        let ack = space.build_ack(None).unwrap();
+        assert!(space.ack_pending());
+        let mut wire = Vec::new();
+        space.encode_ack(None, &mut wire);
+        let ack = read_ack(&wire).to_owned();
         assert_eq!(ack.largest_acked, 9);
         assert_eq!(ack.ranges, vec![(9, 9), (5, 6), (0, 2)]);
         assert!(!space.ack_pending());
     }
 
     #[test]
+    fn received_ranges_are_the_set_of_received_numbers() {
+        // Every arrival order of a few numbers around gaps, joins and
+        // duplicates ends in the ranges of the set, highest first.
+        let arrivals: [&[u64]; 6] = [
+            &[0, 1, 2, 3],
+            &[3, 2, 1, 0],
+            &[0, 2, 1, 1, 4, 3],
+            &[5, 0, 3, 1, 4, 2, 5, 0],
+            &[7, 3, 5, 9, 1],
+            &[10, 12, 11, 0, 2, 1, 6, 6],
+        ];
+        for order in arrivals {
+            let mut space = PacketSpace::default();
+            let mut seen = std::collections::BTreeSet::new();
+            for &pn in order {
+                let is_new = space.on_packet_received(pn, EcnCodepoint::NotEct, false);
+                assert_eq!(is_new, seen.insert(pn), "{order:?} at {pn}");
+            }
+            let mut expected: Vec<(u64, u64)> = Vec::new();
+            for &pn in seen.iter().rev() {
+                match expected.last_mut() {
+                    Some((start, _)) if *start == pn + 1 => *start = pn,
+                    _ => expected.push((pn, pn)),
+                }
+            }
+            assert_eq!(space.received, expected, "{order:?}");
+        }
+        let mut space = PacketSpace::default();
+        assert!(space.on_packet_received(u64::MAX, EcnCodepoint::NotEct, false));
+        assert!(space.on_packet_received(u64::MAX - 1, EcnCodepoint::NotEct, false));
+        assert!(!space.on_packet_received(u64::MAX, EcnCodepoint::NotEct, false));
+        assert_eq!(space.received, vec![(u64::MAX - 1, u64::MAX)]);
+    }
+
+    #[test]
     fn build_ack_requires_received_packets() {
         let mut space = PacketSpace::default();
-        assert!(space.build_ack(None).is_none());
+        let mut wire = Vec::new();
+        space.encode_ack(None, &mut wire);
+        assert!(wire.is_empty());
     }
 
     #[test]
@@ -282,13 +380,17 @@ mod tests {
         for pn in 0..5 {
             space.on_packet_sent(sent(pn, EcnCodepoint::Ect0));
         }
-        let ack = AckFrame::contiguous(0, 2, None);
-        let result = space.on_ack_received(&ack);
-        assert_eq!(result.count(), 3);
-        assert_eq!(result.marked_count(), 3);
+        let result = ack_range(&mut space, 0, 2);
+        assert_eq!(result.count, 3);
+        assert_eq!(result.marked_count, 3);
         assert!(space.has_unacked());
         assert_eq!(space.largest_acked(), Some(2));
         assert_eq!(space.unacked().count(), 2);
+        // Acknowledged again: nothing new, and what is left keeps its order.
+        assert_eq!(ack_range(&mut space, 0, 2), AckResult::default());
+        assert_eq!(space.largest_acked(), Some(2));
+        let left: Vec<u64> = space.unacked().map(|p| p.packet_number).collect();
+        assert_eq!(left, [3, 4]);
     }
 
     #[test]
@@ -296,9 +398,22 @@ mod tests {
         let mut space = PacketSpace::default();
         space.on_packet_sent(sent(0, EcnCodepoint::Ect0));
         space.on_packet_sent(sent(1, EcnCodepoint::NotEct));
-        let result = space.on_ack_received(&AckFrame::contiguous(0, 1, None));
-        assert_eq!(result.count(), 2);
-        assert_eq!(result.marked_count(), 1);
+        let result = ack_range(&mut space, 0, 1);
+        assert_eq!(result.count, 2);
+        assert_eq!(result.marked_count, 1);
+    }
+
+    #[test]
+    fn retransmittable_charges_the_budget_once() {
+        let mut space = PacketSpace::default();
+        space.on_packet_sent(sent(0, EcnCodepoint::Ect0));
+        space.on_packet_sent(SentPacket {
+            frame: None,
+            ack_eliciting: false,
+            ..sent(1, EcnCodepoint::Ect0)
+        });
+        assert_eq!(space.retransmittable(1), vec![(Frame::Ping, 1)]);
+        assert!(space.retransmittable(1).is_empty());
     }
 
     #[test]

@@ -1,12 +1,18 @@
 //! The TTL-sweep probe engine.
+//!
+//! A probe is a client Initial padded to the RFC 9000 minimum, so that it
+//! looks like — and is treated like — the first packet of a real QUIC
+//! connection.  Each is built once, in the buffer the IP datagram takes:
+//! UDP header room, the Initial behind it, then the UDP length and
+//! checksum.  Transit consumes the datagram; an expired probe's body does
+//! not come back, so every TTL's probe is one allocation.
 
 use qem_netsim::{Path, SharedQueues, SimDuration, SimInstant, TransitOutcome};
 use qem_packet::ecn::{Dscp, EcnCodepoint};
 use qem_packet::icmp::IcmpMessage;
 use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol};
 use qem_packet::quic::{
-    ConnectionId, Frame, LongPacketType, PacketHeader, QuicPacket, QuicVersion, MIN_INITIAL_SIZE,
-    QUIC_PORT,
+    ConnectionId, Frame, LongPacketType, PacketHeader, QuicVersion, MIN_INITIAL_SIZE, QUIC_PORT,
 };
 use qem_packet::udp::UdpHeader;
 use qem_packet::PacketError;
@@ -93,7 +99,8 @@ impl PathTrace {
 }
 
 /// Build one probe: a padded QUIC Initial inside UDP inside IP with the given
-/// TTL and traffic class.
+/// TTL and traffic class.  The Initial is written once, where it goes: into
+/// the body the datagram takes.
 fn build_probe(
     source: IpAddr,
     destination: IpAddr,
@@ -101,31 +108,26 @@ fn build_probe(
     config: &TraceConfig,
     seq: u32,
 ) -> Result<IpDatagram, PacketError> {
-    let mut payload = Frame::encode_all(&[Frame::Ping]);
+    let mut udp = Vec::new();
+    UdpHeader::begin(&mut udp, MIN_INITIAL_SIZE);
+    let initial = PacketHeader::Long {
+        ty: LongPacketType::Initial,
+        version: config.probe_version,
+        dcid: ConnectionId::from_u64(0x7261_6365_0000_0000 | u64::from(seq)),
+        scid: ConnectionId::from_u64(0x7372_6300_0000_0000 | u64::from(seq)),
+        token: Vec::new(),
+        packet_number: 0,
+    }
+    .begin(&mut udp);
+    Frame::Ping.encode(&mut udp);
     // Pad so that the whole IP datagram clears the 1200-byte Initial minimum
     // (QUIC long header + UDP + IP headers add roughly 50–70 bytes).
     Frame::Padding {
         size: MIN_INITIAL_SIZE - 40,
     }
-    .encode(&mut payload);
-    let packet = QuicPacket::new(
-        PacketHeader::Long {
-            ty: LongPacketType::Initial,
-            version: config.probe_version,
-            dcid: ConnectionId::from_u64(0x7261_6365_0000_0000 | u64::from(seq)),
-            scid: ConnectionId::from_u64(0x7372_6300_0000_0000 | u64::from(seq)),
-            token: Vec::new(),
-            packet_number: 0,
-        },
-        payload,
-    );
-    let mut udp = Vec::new();
-    UdpHeader::new(44_000 + (seq as u16 % 1000), QUIC_PORT).encode(
-        source,
-        destination,
-        &packet.encode(),
-        &mut udp,
-    );
+    .encode(&mut udp);
+    initial.finish(&mut udp);
+    UdpHeader::new(44_000 + (seq as u16 % 1000), QUIC_PORT).finish(source, destination, &mut udp);
     let mut probe = IpDatagram::assemble(
         source,
         destination,
@@ -221,6 +223,7 @@ mod tests {
     use qem_netsim::{
         build_transit_path, Asn, EcnPolicy, Hop, IcmpBehavior, PathBuilder, Router, TransitProfile,
     };
+    use qem_packet::quic::QuicPacket;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::net::Ipv4Addr;
@@ -332,6 +335,34 @@ mod tests {
         let (_, udp_payload) = UdpHeader::decode(&probe.payload).unwrap();
         let (packet, _) = QuicPacket::decode(udp_payload, 8).unwrap();
         assert!(packet.header.is_initial());
+    }
+
+    /// FNV-1a of every probe's wire bytes at TTL 1..=12, towards a v4 and
+    /// a v6 destination: a probe is a 1.2 KB Initial whose bytes routers
+    /// quote back, so however it is built, each byte stays where it is.
+    #[test]
+    fn probe_bytes_are_where_they_were() {
+        let v6: (IpAddr, IpAddr) = (
+            "2001:db8::10".parse().unwrap(),
+            "2001:db8:5::1".parse().unwrap(),
+        );
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for (source, destination) in [endpoints(), v6] {
+            for ttl in 1..=12u8 {
+                let probe = build_probe(
+                    source,
+                    destination,
+                    ttl,
+                    &TraceConfig::default(),
+                    u32::from(ttl),
+                )
+                .unwrap();
+                for byte in probe.to_bytes() {
+                    digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(digest, 0x4173_01aa_b63b_88f9, "{digest:#018x}");
     }
 
     #[test]

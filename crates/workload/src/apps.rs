@@ -228,9 +228,13 @@ impl BulkAppFlow {
         let mut transport_bytes = std::mem::take(body);
         let protocol = match &mut self.packetizer {
             Packetizer::Quic(p) => {
-                let quic_bytes = p.packetize(&chunk);
+                UdpHeader::begin(
+                    &mut transport_bytes,
+                    StreamPacketizer::PACKET_OVERHEAD + len,
+                );
+                p.packetize(&chunk, &mut transport_bytes);
                 let udp = UdpHeader::new(50_000 + u16::from(self.conn), 443);
-                udp.encode(src, dst, &quic_bytes, &mut transport_bytes);
+                udp.finish(src, dst, &mut transport_bytes);
                 IpProtocol::Udp
             }
             Packetizer::Tcp(p) => {
@@ -464,10 +468,14 @@ impl RtcAppFlow {
         // buffer the previous one was delivered in.
         let mut body = Vec::new();
         for chunk in self.source.next_frame(MSS) {
-            let quic_bytes = self.packetizer.packetize(&chunk);
-            let udp = UdpHeader::new(51_000 + u16::from(self.conn), 443);
             let mut transport_bytes = std::mem::take(&mut body);
-            udp.encode(src, dst, &quic_bytes, &mut transport_bytes);
+            UdpHeader::begin(
+                &mut transport_bytes,
+                StreamPacketizer::PACKET_OVERHEAD + chunk.len,
+            );
+            self.packetizer.packetize(&chunk, &mut transport_bytes);
+            let udp = UdpHeader::new(51_000 + u16::from(self.conn), 443);
+            udp.finish(src, dst, &mut transport_bytes);
             let arrived =
                 IpDatagram::assemble(src, dst, IpProtocol::Udp, 64, self.ecn, transport_bytes)
                     .ok()
