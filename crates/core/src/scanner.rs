@@ -8,9 +8,13 @@
 //! produces identical results regardless of worker count or scheduling.
 //! Each executor worker owns one `ScanWorker` for the scan: an
 //! [`EngineScratch`] lent to both probes of every host it measures (one
-//! timer wheel per worker, not one per probe) and the `ScanTally` those
+//! timer wheel per worker, not one per probe), the `ScanTally` those
 //! hosts are counted in, which the worker folds into the scanner's once,
-//! when it ends; [`Scanner::metrics_snapshot`] gives the counts their names.
+//! when it ends ([`Scanner::metrics_snapshot`] gives the counts their
+//! names), and its last route: the [`DuplexPath`] to the previous host and
+//! the `RouteKey` it was built from.  Hosts in id order share a route far
+//! more often than not, so a host whose key matches borrows that path, and
+//! only a new key builds one.
 
 use crate::executor::ShardedExecutor;
 use crate::metrics::{Row, ScanTally};
@@ -99,7 +103,19 @@ impl ScanOptions {
 struct ScanWorker<'s> {
     scratch: EngineScratch,
     tally: ScanTally,
+    /// The route to the last host measured, with what it was built from.
+    route: Option<(RouteKey, DuplexPath)>,
     scanner: &'s Scanner<'s>,
+}
+
+/// Everything a route depends on that varies per host: the host's AS, the
+/// transit after the vantage quirks, and the address family.  The vantage
+/// AS and the fault plan are the scanner's, and a worker has one scanner.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RouteKey {
+    asn: Asn,
+    transit: TransitProfile,
+    v6: bool,
 }
 
 impl Drop for ScanWorker<'_> {
@@ -166,6 +182,7 @@ impl<'a> Scanner<'a> {
         ScanWorker {
             scratch: EngineScratch::default(),
             tally: ScanTally::default(),
+            route: None,
             scanner: self,
         }
     }
@@ -210,10 +227,16 @@ impl<'a> Scanner<'a> {
     }
 
     /// Measure one host: QUIC, TCP and (sampled) tracebox.  Both probes run
-    /// their engine over the worker's scratch and are counted in its tally;
-    /// the measurement does not depend on what the worker measured before.
+    /// their engine over the worker's scratch and the worker's route, and
+    /// are counted in its tally; the measurement does not depend on what the
+    /// worker measured before.
     fn measure_host(&self, host_id: usize, worker: &mut ScanWorker<'_>) -> HostMeasurement {
-        let ScanWorker { scratch, tally, .. } = worker;
+        let ScanWorker {
+            scratch,
+            tally,
+            route,
+            ..
+        } = worker;
         let host = &self.universe.hosts[host_id];
         let mut rng = StdRng::seed_from_u64(
             self.options
@@ -234,7 +257,7 @@ impl<'a> Scanner<'a> {
             };
         };
         let client_addr = self.client_addr(v6);
-        let path = self.path_to(host_id, v6, &mut rng);
+        let path = self.path_to(host_id, v6, &mut rng, route);
 
         // ---- QUIC ---------------------------------------------------------
         let behavior = self.effective_quic_behavior(host_id);
@@ -255,12 +278,11 @@ impl<'a> Scanner<'a> {
                 let driver = DriverConfig::new(client_addr, server_addr);
                 // A disabled scenario is the plain single-flow run inside
                 // the builder.
-                let run =
-                    ConnectionRun::new(client_config.clone(), behavior.clone(), &path, driver)
-                        .cross_traffic(self.options.cross_traffic)
-                        .telemetry(true)
-                        .scratch(scratch)
-                        .execute(&mut rng);
+                let run = ConnectionRun::new(client_config.clone(), behavior.clone(), path, driver)
+                    .cross_traffic(self.options.cross_traffic)
+                    .telemetry(true)
+                    .scratch(scratch)
+                    .execute(&mut rng);
                 let outcome = run.connection;
                 tally.quic_elapsed_us.record(outcome.elapsed.as_micros());
                 tally.add(Row::QuicForwardLosses, outcome.forward_losses);
@@ -316,7 +338,7 @@ impl<'a> Scanner<'a> {
                 host.tcp_behavior(),
                 client_addr,
                 server_addr,
-                &path,
+                path,
             )
             .cross_traffic(self.options.cross_traffic)
             .scratch(scratch)
@@ -380,8 +402,16 @@ impl<'a> Scanner<'a> {
     }
 
     /// The path from this vantage point to the host, after applying the
-    /// location quirks that are part of the simulated world.
-    fn path_to(&self, host_id: usize, v6: bool, rng: &mut StdRng) -> DuplexPath {
+    /// location quirks that are part of the simulated world: `route` if it
+    /// was built for the same key, else built into `route`.  The quirk draws
+    /// are made either way.
+    fn path_to<'r>(
+        &self,
+        host_id: usize,
+        v6: bool,
+        rng: &mut StdRng,
+        route: &'r mut Option<(RouteKey, DuplexPath)>,
+    ) -> &'r DuplexPath {
         let host = &self.universe.hosts[host_id];
         let mut transit = if v6 { host.transit_v6 } else { host.transit_v4 };
         if !v6 {
@@ -402,12 +432,27 @@ impl<'a> Scanner<'a> {
                 _ => {}
             }
         }
+        let key = RouteKey {
+            asn: host.asn,
+            transit,
+            v6,
+        };
+        if route.as_ref().is_some_and(|(last, _)| *last != key) {
+            *route = None;
+        }
+        let (_, path) = route.get_or_insert_with(|| (key, self.build_route(key)));
+        path
+    }
+
+    /// The duplex path for `key`, with the scanner's fault plan on its
+    /// forward direction.
+    fn build_route(&self, key: RouteKey) -> DuplexPath {
         let mut duplex = build_duplex_path(
             self.vantage.asn,
-            host.asn,
-            transit,
+            key.asn,
+            key.transit,
             TransitProfile::Clean,
-            v6,
+            key.v6,
         );
         if !self.fault_plan.is_empty() {
             duplex.forward = duplex.forward.with_fault(self.fault_plan.clone());
@@ -449,8 +494,10 @@ impl<'a> Scanner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vantage::VantageQuirks;
     use qem_netsim::FaultKind;
     use qem_web::UniverseConfig;
+    use std::collections::BTreeMap;
 
     fn universe() -> Universe {
         Universe::generate(&UniverseConfig::tiny())
@@ -610,22 +657,32 @@ mod tests {
     #[test]
     fn reused_scratches_measure_what_a_fresh_scratch_per_host_does() {
         let universe = universe();
-        let population = universe.scan_population(false);
         let loss = FaultPlan::new().always(FaultKind::Loss { rate: 0.35 });
-        for (cross_traffic, fault_plan, retry) in [
-            (
-                CrossTraffic::none(),
-                FaultPlan::default(),
-                RetryPolicy::none(),
-            ),
-            (CrossTraffic::congested(), loss, RetryPolicy::standard()),
+        // A cloud vantage whose quirks re-mark or clean a host's transit by
+        // a per-host draw: neighbours on one provider get different routes.
+        let quirky = VantagePoint {
+            quirks: VantageQuirks {
+                extra_remark_probability: 0.5,
+                remark_suppression_probability: 0.5,
+                ..VantageQuirks::default()
+            },
+            ..VantagePoint::cloud_fleet()[0].clone()
+        };
+        let none = (CrossTraffic::none(), RetryPolicy::none());
+        let congested = (CrossTraffic::congested(), RetryPolicy::standard());
+        for (vantage, ipv6, (cross_traffic, retry), fault_plan) in [
+            (VantagePoint::main(), false, none, FaultPlan::default()),
+            (VantagePoint::main(), false, congested, loss.clone()),
+            (VantagePoint::main(), true, none, FaultPlan::default()),
+            (quirky, false, congested, loss),
         ] {
             let scanner = |workers: usize| {
                 Scanner::new(
                     &universe,
-                    VantagePoint::main(),
+                    vantage.clone(),
                     ScanOptions {
                         workers,
+                        ipv6,
                         cross_traffic,
                         retry,
                         ..ScanOptions::paper_default(SnapshotDate::APR_2023)
@@ -633,27 +690,51 @@ mod tests {
                 )
                 .with_fault_plan(fault_plan.clone())
             };
+            let population = universe.scan_population(ipv6);
             let single = scanner(1);
             let fresh: Vec<HostMeasurement> = population
                 .iter()
                 .map(|&id| single.measure_host(id, &mut single.worker()))
                 .collect();
-            // One scratch for every host, visited in the opposite order…
-            let mut worker = single.worker();
-            let mut reversed: Vec<HostMeasurement> = population
-                .iter()
-                .rev()
-                .map(|&id| single.measure_host(id, &mut worker))
+            let fresh_metrics = single.metrics_snapshot();
+
+            // One worker for every host, in orders whose route changes at
+            // nearly every host: round robin over the providers, forwards
+            // and backwards, and the population backwards…
+            let mut by_provider: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+            for &id in &population {
+                let provider = universe.hosts[id].provider;
+                by_provider.entry(provider).or_default().push(id);
+            }
+            let longest = by_provider.values().map(Vec::len).max().unwrap_or(0);
+            let interleaved: Vec<usize> = (0..longest)
+                .flat_map(|round| by_provider.values().filter_map(move |ids| ids.get(round)))
+                .copied()
                 .collect();
-            reversed.reverse();
-            assert_eq!(reversed, fresh);
+            let asn_changes = interleaved
+                .windows(2)
+                .filter(|w| universe.hosts[w[0]].asn != universe.hosts[w[1]].asn)
+                .count();
+            assert!(asn_changes > interleaved.len() / 2, "{asn_changes}");
+            let reversed_interleaved: Vec<usize> = interleaved.iter().rev().copied().collect();
+            let reversed: Vec<usize> = population.iter().rev().copied().collect();
+            for order in [interleaved, reversed_interleaved, reversed] {
+                let reused = scanner(1);
+                let mut worker = reused.worker();
+                let mut measured: Vec<HostMeasurement> = order
+                    .iter()
+                    .map(|&id| reused.measure_host(id, &mut worker))
+                    .collect();
+                drop(worker);
+                measured.sort_by_key(|m| m.host_id);
+                assert_eq!(measured, fresh, "{} ipv6={ipv6}", vantage.name);
+                assert_eq!(reused.metrics_snapshot(), fresh_metrics);
+            }
             // …and one per executor worker, inline and threaded.
             for workers in [1, 2, 0] {
-                assert_eq!(
-                    scanner(workers).scan_hosts(&population),
-                    fresh,
-                    "workers={workers}"
-                );
+                let scanner = scanner(workers);
+                assert_eq!(scanner.scan_hosts(&population), fresh, "workers={workers}");
+                assert_eq!(scanner.metrics_snapshot(), fresh_metrics);
             }
         }
     }

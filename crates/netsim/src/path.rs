@@ -2,19 +2,21 @@
 //! answer packets with ICMP.
 //!
 //! A packet is moved down a path, not copied: [`Path::transit_shared`] takes
-//! the [`IpDatagram`] by value, rewrites its header hop by hop and hands the
-//! same body back in [`TransitOutcome::Delivered`], so a sender can take the
-//! body back for its next packet.  [`Path::transit`], which borrows, is the
-//! one place a packet is cloned (besides `LoadFlow`, which sends copies of
-//! a template).
+//! the [`IpDatagram`] by value, carries its TTL, ECN and DSCP down the hops
+//! as three scalars, writes them into the header once — when it arrives, or
+//! when a router quotes it — and hands the same body back in
+//! [`TransitOutcome::Delivered`], so a sender can take the body back for its
+//! next packet.  [`Path::transit`], which borrows, is the one place a packet
+//! is cloned (besides `LoadFlow`, which sends copies of a template).
 
 use crate::engine::SharedQueues;
 use crate::fault::FaultPlan;
+use crate::policy::EcnPolicy;
 use crate::router::Router;
 use crate::time::{SimDuration, SimInstant};
-use qem_packet::ecn::EcnCodepoint;
+use qem_packet::ecn::{Dscp, EcnCodepoint};
 use qem_packet::icmp::IcmpMessage;
-use qem_packet::ip::{IpDatagram, IpProtocol};
+use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -193,6 +195,11 @@ impl Path {
     ///
     /// The datagram is consumed: a delivered one comes back in the outcome
     /// (same body allocation), anything else is dropped with the packet.
+    /// The hops rewrite TTL, ECN and DSCP as three locals read out of the
+    /// header once; the header is written once, on delivery or just before
+    /// a router quotes it, so the quote shows the packet as it reached that
+    /// hop.  A hop's loss and ICMP response probabilities are clamped to
+    /// `[0, 1]` (NaN draws nothing), as a [`FaultPlan`]'s rates are.
     pub fn transit_shared<R: Rng + ?Sized>(
         &self,
         datagram: IpDatagram,
@@ -218,22 +225,26 @@ impl Path {
             }
         }
 
+        let (mut ttl, mut ecn, mut dscp) = match &current.header {
+            IpHeader::V4(h) => (h.ttl, h.ecn, h.dscp),
+            IpHeader::V6(h) => (h.hop_limit, h.ecn, h.dscp),
+        };
         for (index, hop) in self.hops.iter().enumerate() {
             elapsed += hop.delay;
 
             // Queue loss happens before the router looks at the packet.
-            if hop.loss > 0.0 && rng.gen_bool(hop.loss) {
+            if hop.loss > 0.0 && rng.gen_bool(hop.loss.clamp(0.0, 1.0)) {
                 return TransitOutcome::Dropped { at_hop: index };
             }
 
             // TTL handling: the quote shows the packet as received.
-            let ttl_after = current.header.ttl().saturating_sub(1);
+            let ttl_after = ttl.saturating_sub(1);
             if ttl_after == 0 {
-                let respond = hop.router.icmp.response_probability > 0.0
-                    && rng.gen_bool(hop.router.icmp.response_probability);
-                if !respond {
+                let p = hop.router.icmp.response_probability;
+                if !(p > 0.0 && rng.gen_bool(p.clamp(0.0, 1.0))) {
                     return TransitOutcome::Expired { at_hop: index };
                 }
+                set_rewritable(&mut current.header, ttl, ecn, dscp);
                 // A router that cannot address the sender stays silent.
                 let Ok(response) = build_time_exceeded(&hop.router, &current) else {
                     return TransitOutcome::Expired { at_hop: index };
@@ -248,32 +259,38 @@ impl Path {
                     delay: elapsed + return_delay,
                 };
             }
-            current.header.set_ttl(ttl_after);
+            ttl = ttl_after;
 
             // Rewrite policies.
-            let ecn_in = current.header.ecn();
-            current.header.set_ecn(hop.router.ecn_policy.apply(ecn_in));
-            let dscp_in = current.header.dscp();
-            current
-                .header
-                .set_dscp(hop.router.dscp_policy.apply(dscp_in));
-            if hop.router.ecn_policy == crate::policy::EcnPolicy::BleachTos {
-                current.header.set_dscp(qem_packet::ecn::Dscp::BEST_EFFORT);
-            }
+            ecn = hop.router.ecn_policy.apply(ecn);
+            dscp = if hop.router.ecn_policy == EcnPolicy::BleachTos {
+                Dscp::BEST_EFFORT
+            } else {
+                hop.router.dscp_policy.apply(dscp)
+            };
 
             // Shared egress queue: combined-occupancy marking and tail drop,
             // plus the queueing delay.
-            let (decision, wait) = queues.admit(hop.router.id, now, current.header.ecn(), rng);
+            let (decision, wait) = queues.admit(hop.router.id, now, ecn, rng);
             match decision {
-                AqmDecision::Forward(ecn) => current.header.set_ecn(ecn),
+                AqmDecision::Forward(marked) => ecn = marked,
                 AqmDecision::Drop => return TransitOutcome::Dropped { at_hop: index },
             }
             elapsed += wait;
         }
+        set_rewritable(&mut current.header, ttl, ecn, dscp);
         TransitOutcome::Delivered {
             datagram: current,
             delay: elapsed,
         }
+    }
+}
+
+/// Write back the three header fields a hop may rewrite.
+fn set_rewritable(header: &mut IpHeader, ttl: u8, ecn: EcnCodepoint, dscp: Dscp) {
+    match header {
+        IpHeader::V4(h) => (h.ttl, h.ecn, h.dscp) = (ttl, ecn, dscp),
+        IpHeader::V6(h) => (h.hop_limit, h.ecn, h.dscp) = (ttl, ecn, dscp),
     }
 }
 
@@ -492,6 +509,41 @@ mod tests {
             path.transit(&dgram(64, EcnCodepoint::NotEct), &mut rng),
             TransitOutcome::Dropped { at_hop: 0 }
         );
+    }
+
+    #[test]
+    fn out_of_range_hop_probabilities_are_clamped() {
+        // `Hop` and `IcmpBehavior` fields are public and deserialisable, so
+        // a hop can hold any `f64` the builders would have clamped.
+        let path = |loss: f64, respond: f64| {
+            let mut hop = Hop::new(Router::transparent(1, Asn(680)));
+            hop.loss = loss;
+            hop.router.icmp.response_probability = respond;
+            Path::new(vec![hop])
+        };
+        let run = |path: Path, ttl: u8| {
+            let mut rng = StdRng::seed_from_u64(9);
+            let outcome = path.transit(&dgram(ttl, EcnCodepoint::Ect0), &mut rng);
+            (outcome, rng.gen::<u64>())
+        };
+        // 1.5 drops as 1.0 does, drawing what 1.0 draws.
+        let dropped = run(path(1.5, 1.0), 64);
+        assert_eq!(dropped.0, TransitOutcome::Dropped { at_hop: 0 });
+        assert_eq!(dropped, run(path(1.0, 1.0), 64));
+        // 2.0 answers as 1.0 does.
+        let answered = run(path(0.0, 2.0), 1);
+        assert!(matches!(
+            answered.0,
+            TransitOutcome::TimeExceeded { at_hop: 0, .. }
+        ));
+        assert_eq!(answered, run(path(0.0, 1.0), 1));
+        // NaN draws nothing, as 0.0 does.
+        let untouched = StdRng::seed_from_u64(9).gen::<u64>();
+        for ttl in [1, 64] {
+            let nan = run(path(f64::NAN, f64::NAN), ttl);
+            assert_eq!(nan, run(path(0.0, 0.0), ttl));
+            assert_eq!(nan.1, untouched);
+        }
     }
 
     #[test]

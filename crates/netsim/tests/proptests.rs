@@ -4,13 +4,14 @@ use proptest::prelude::*;
 use qem_netsim::aqm::AqmDecision;
 use qem_netsim::{
     Asn, DscpPolicy, EcnPolicy, FaultKind, FaultPlan, Hop, IcmpBehavior, OccupancyAqm, Path,
-    Router, SharedQueues, SimDuration, SimInstant, TransitOutcome,
+    QueueConfig, Router, SharedQueues, SimDuration, SimInstant, TransitOutcome,
 };
-use qem_packet::ecn::EcnCodepoint;
-use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol, Ipv4Header};
+use qem_packet::ecn::{Dscp, EcnCodepoint};
+use qem_packet::icmp::IcmpMessage;
+use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol, Ipv4Header, Ipv6Header};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::net::Ipv4Addr;
+use std::net::{Ipv4Addr, Ipv6Addr};
 
 fn arb_policy() -> impl Strategy<Value = EcnPolicy> {
     prop_oneof![
@@ -64,6 +65,251 @@ fn build_path(policies: &[EcnPolicy], loss: f64, silent: bool) -> Path {
             })
             .collect(),
     )
+}
+
+/// The hop loop as it was before it ran on three scalars: the header is read
+/// and rewritten at every hop.  `Path::transit_shared` is held to it.
+fn oracle_transit(
+    path: &Path,
+    datagram: IpDatagram,
+    now: SimInstant,
+    rng: &mut StdRng,
+    queues: &mut SharedQueues,
+) -> TransitOutcome {
+    let mut current = datagram;
+    let mut elapsed = SimDuration::ZERO;
+    if !path.fault.is_empty() {
+        let verdict = path.fault.apply(now, current.payload.len(), rng);
+        queues.record_fault(&verdict);
+        if verdict.drop.is_some() {
+            return TransitOutcome::Dropped { at_hop: 0 };
+        }
+        elapsed += verdict.extra_delay;
+        if let Some(index) = verdict.corrupt_byte {
+            current.payload[index] ^= 0x01;
+        }
+    }
+    for (index, hop) in path.hops.iter().enumerate() {
+        elapsed += hop.delay;
+        if hop.loss > 0.0 && rng.gen_bool(hop.loss) {
+            return TransitOutcome::Dropped { at_hop: index };
+        }
+        let ttl_after = current.header.ttl().saturating_sub(1);
+        if ttl_after == 0 {
+            let respond = hop.router.icmp.response_probability > 0.0
+                && rng.gen_bool(hop.router.icmp.response_probability);
+            if !respond {
+                return TransitOutcome::Expired { at_hop: index };
+            }
+            let Some(response) = oracle_time_exceeded(&hop.router, &current) else {
+                return TransitOutcome::Expired { at_hop: index };
+            };
+            let return_delay: SimDuration = path.hops[..=index]
+                .iter()
+                .fold(SimDuration::ZERO, |acc, h| acc + h.delay);
+            return TransitOutcome::TimeExceeded {
+                at_hop: index,
+                response,
+                delay: elapsed + return_delay,
+            };
+        }
+        current.header.set_ttl(ttl_after);
+        let ecn_in = current.header.ecn();
+        current.header.set_ecn(hop.router.ecn_policy.apply(ecn_in));
+        let dscp_in = current.header.dscp();
+        current
+            .header
+            .set_dscp(hop.router.dscp_policy.apply(dscp_in));
+        if hop.router.ecn_policy == EcnPolicy::BleachTos {
+            current.header.set_dscp(Dscp::BEST_EFFORT);
+        }
+        let (decision, wait) = queues.admit(hop.router.id, now, current.header.ecn(), rng);
+        match decision {
+            AqmDecision::Forward(ecn) => current.header.set_ecn(ecn),
+            AqmDecision::Drop => return TransitOutcome::Dropped { at_hop: index },
+        }
+        elapsed += wait;
+    }
+    TransitOutcome::Delivered {
+        datagram: current,
+        delay: elapsed,
+    }
+}
+
+/// The oracle's ICMP time-exceeded answer: the expired datagram's header as
+/// it stands, then as much of its body as the router quotes.
+fn oracle_time_exceeded(router: &Router, expired: &IpDatagram) -> Option<IpDatagram> {
+    let v6 = expired.header.is_v6();
+    let mut quote = expired.header.encode(expired.payload.len());
+    let body = router.icmp.quote_bytes.saturating_sub(quote.len());
+    quote.truncate(router.icmp.quote_bytes);
+    quote.extend_from_slice(&expired.payload[..body.min(expired.payload.len())]);
+    let protocol = if v6 {
+        IpProtocol::Icmpv6
+    } else {
+        IpProtocol::Icmp
+    };
+    IpDatagram::assemble(
+        router.address,
+        expired.header.src(),
+        protocol,
+        64,
+        EcnCodepoint::NotEct,
+        IcmpMessage::TimeExceeded { v6, quote }.encode(),
+    )
+    .ok()
+}
+
+const ECN_POLICIES: [EcnPolicy; 7] = [
+    EcnPolicy::Pass,
+    EcnPolicy::ClearEcn,
+    EcnPolicy::RemarkEct0ToEct1,
+    EcnPolicy::RemarkEctToNotEct,
+    EcnPolicy::MarkAllCe,
+    EcnPolicy::BleachTos,
+    EcnPolicy::EraseCe,
+];
+
+/// A path of `hops` hops laid out by `layout`: any ECN and DSCP policy, one
+/// of four ICMP behaviours, a v4 or v6 router address (a v6 router cannot
+/// answer a v4 sender), `loss` on about a third of the hops, and — when
+/// `faulted` — a plan that duplicates, loses, corrupts, jitters and
+/// reorders.
+fn layout_path(layout: &mut StdRng, hops: usize, loss: f64, faulted: bool) -> Path {
+    let hops = (1..=hops as u32)
+        .map(|id| {
+            let router = if layout.gen_bool(0.5) {
+                Router::transparent(id, Asn(100 + id))
+            } else {
+                Router::transparent_v6(id, Asn(100 + id))
+            };
+            let dscp_policy = match layout.gen_range(0..3) {
+                0 => DscpPolicy::Pass,
+                1 => DscpPolicy::ResetToBestEffort,
+                _ => DscpPolicy::Rewrite(Dscp::new(layout.gen_range(0..64u8))),
+            };
+            let icmp = match layout.gen_range(0..4) {
+                0 => IcmpBehavior::responsive(),
+                1 => IcmpBehavior::silent(),
+                2 => IcmpBehavior::rate_limited(0.5),
+                _ => IcmpBehavior::minimal_quote(),
+            };
+            let router = router
+                .with_ecn_policy(ECN_POLICIES[layout.gen_range(0..ECN_POLICIES.len())])
+                .with_dscp_policy(dscp_policy)
+                .with_icmp(icmp);
+            let hop_loss = if layout.gen_bool(0.3) { loss } else { 0.0 };
+            Hop::new(router)
+                .with_delay(SimDuration::from_micros(layout.gen_range(0..5_000u64)))
+                .with_loss(hop_loss)
+        })
+        .collect();
+    let path = Path::new(hops);
+    if !faulted {
+        return path;
+    }
+    path.with_fault(
+        FaultPlan::new()
+            .always(FaultKind::Duplicate { rate: 0.2 })
+            .always(FaultKind::Loss { rate: 0.1 })
+            .always(FaultKind::Corrupt { rate: 0.3 })
+            .always(FaultKind::Jitter {
+                max: SimDuration::from_millis(1),
+            })
+            .always(FaultKind::Reorder {
+                rate: 0.2,
+                extra: SimDuration::from_millis(3),
+            }),
+    )
+}
+
+/// Shared queues at about a third of `path`'s hops, each pre-filled to a
+/// random occupancy; the same `seed` builds the same queues.
+fn seeded_queues(seed: u64, path: &Path) -> SharedQueues {
+    let mut layout = StdRng::seed_from_u64(seed);
+    let mut queues = SharedQueues::new();
+    for hop in &path.hops {
+        if layout.gen_bool(0.35) {
+            let capacity = layout.gen_range(1..=24usize);
+            let min = layout.gen_range(0..=8usize);
+            let max = min + layout.gen_range(0..=16usize);
+            let id = hop.router.id;
+            queues.register(id, QueueConfig::bottleneck(capacity, min, max));
+            for _ in 0..layout.gen_range(0..=capacity) {
+                queues.admit(id, SimInstant::EPOCH, EcnCodepoint::Ect0, &mut layout);
+            }
+        }
+    }
+    queues
+}
+
+/// A UDP datagram of `len` body bytes with the given family and header
+/// fields.
+fn datagram_with(v6: bool, ttl: u8, ecn: EcnCodepoint, dscp: Dscp, len: usize) -> IpDatagram {
+    let header = if v6 {
+        let mut header = Ipv6Header::new(
+            Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 1),
+            Ipv6Addr::new(0x2001, 0xdb8, 2, 0, 0, 0, 0, 9),
+            IpProtocol::Udp,
+            ttl,
+        )
+        .with_ecn(ecn);
+        header.dscp = dscp;
+        IpHeader::V6(header)
+    } else {
+        IpHeader::V4(
+            Ipv4Header::new(
+                Ipv4Addr::new(192, 0, 2, 1),
+                Ipv4Addr::new(203, 0, 113, 9),
+                IpProtocol::Udp,
+                ttl,
+            )
+            .with_ecn(ecn)
+            .with_dscp(dscp),
+        )
+    };
+    IpDatagram::new(header, (0..len).map(|i| i as u8).collect())
+}
+
+proptest! {
+    /// The hop loop that carries TTL, ECN and DSCP as scalars is the
+    /// per-hop header rewrite: over 0..=12 hops of every policy, ICMP
+    /// behaviour and loss, pre-filled shared queues and faulted paths, v4
+    /// and v6 datagrams of every codepoint and DSCP at TTL 1..=16 end the
+    /// same — delivered header and body, drop hop, ICMP quote and delay —
+    /// leave the RNG at the same draw, and leave the queues' counters equal.
+    #[test]
+    fn hop_loop_matches_the_per_hop_oracle(
+        layout_seed in any::<u64>(),
+        hops in 0usize..=12,
+        loss in prop_oneof![Just(0.0), Just(0.3), Just(1.0)],
+        faulted in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let mut layout = StdRng::seed_from_u64(layout_seed);
+        let path = layout_path(&mut layout, hops, loss, faulted);
+        let queue_seed = layout.gen();
+        let mut queues = seeded_queues(queue_seed, &path);
+        let mut oracle_queues = seeded_queues(queue_seed, &path);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut oracle_rng = StdRng::seed_from_u64(seed);
+        let mut now = SimInstant::EPOCH;
+        for v6 in [false, true] {
+            for ecn in EcnCodepoint::ALL {
+                for dscp in (0..64).map(Dscp::new) {
+                    let ttl = layout.gen_range(1..=16u8);
+                    let sent = datagram_with(v6, ttl, ecn, dscp, layout.gen_range(0..160usize));
+                    let expected =
+                        oracle_transit(&path, sent.clone(), now, &mut oracle_rng, &mut oracle_queues);
+                    let outcome = path.transit_shared(sent, now, &mut rng, &mut queues);
+                    prop_assert_eq!(outcome, expected);
+                    prop_assert_eq!(rng.gen::<u64>(), oracle_rng.gen::<u64>());
+                    now = now + SimDuration::from_micros(layout.gen_range(0..400u64));
+                }
+            }
+        }
+        prop_assert_eq!(queues.telemetry(), oracle_queues.telemetry());
+    }
 }
 
 proptest! {

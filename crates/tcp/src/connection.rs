@@ -15,11 +15,14 @@
 //! through a shared bottleneck queue, where CE marks — and therefore ECE
 //! echoes — emerge from combined occupancy.
 //!
-//! A flow allocates one segment buffer for its 15-odd segments: each is
-//! encoded into the body the path handed back with the previous delivery
-//! (a dropped segment takes the buffer with it and the next send
-//! allocates again).  [`TcpConnectionRun::scratch`] does the same for the
-//! engine underneath.
+//! A flow allocates one segment buffer for its 15-odd segments, once, with
+//! the capacity of its largest segment (a header and the longest of the
+//! request, the response and a probe payload): each segment is encoded
+//! into the body the path handed back with the previous delivery (a
+//! dropped segment takes the buffer with it and the next send allocates
+//! again).  Probe payloads are written digit by digit into a stack array.
+//! [`TcpConnectionRun::scratch`] lends the engine underneath its
+//! allocations the same way.
 
 use crate::behavior::TcpServerBehavior;
 use qem_netsim::engine::{
@@ -28,10 +31,9 @@ use qem_netsim::engine::{
 use qem_netsim::{DuplexPath, SimDuration, SimInstant};
 use qem_packet::ecn::{EcnCodepoint, EcnCounts};
 use qem_packet::ip::{IpDatagram, IpProtocol};
-use qem_packet::tcp::{TcpFlags, TcpHeader};
+use qem_packet::tcp::{TcpFlags, TcpHeader, TCP_HEADER_LEN};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::io::Write;
 use std::net::IpAddr;
 
 /// Client-side configuration.
@@ -109,13 +111,38 @@ pub struct TcpReport {
 const REQUEST: &[u8] = b"GET / HTTP/1.1\r\nhost: probe\r\n\r\n";
 const RESPONSE: &[u8] = b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nok";
 
-/// `probe-{i}`, the payload of probe segment `i`, written into `buf`.
-fn probe_payload(i: usize, buf: &mut [u8; 32]) -> &[u8] {
-    let mut rest = &mut buf[..];
-    // "probe-" and the 20 digits of `usize::MAX` fit: the write cannot fail.
-    let _ = write!(rest, "probe-{i}");
-    let unused = rest.len();
-    &buf[..buf.len() - unused]
+/// What every probe payload starts with; the probe's index follows.
+const PROBE_PREFIX: &[u8] = b"probe-";
+/// The longest probe payload: the prefix and the digits of `usize::MAX`.
+const PROBE_PAYLOAD_MAX: usize = PROBE_PREFIX.len() + usize::MAX.ilog10() as usize + 1;
+/// The largest segment a flow sends: a header and the longest payload.
+const SEGMENT_CAPACITY: usize =
+    TCP_HEADER_LEN + longest(longest(REQUEST.len(), RESPONSE.len()), PROBE_PAYLOAD_MAX);
+
+const fn longest(a: usize, b: usize) -> usize {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// `probe-{i}`, the payload of probe segment `i`, written into the end of
+/// `buf`: the digits from the back, then the prefix in front of them.
+fn probe_payload(i: usize, buf: &mut [u8; PROBE_PAYLOAD_MAX]) -> &[u8] {
+    let mut start = buf.len();
+    let mut rest = i;
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    start -= PROBE_PREFIX.len();
+    buf[start..start + PROBE_PREFIX.len()].copy_from_slice(PROBE_PREFIX);
+    &buf[start..]
 }
 
 const CLIENT_PORT: u16 = 52_000;
@@ -176,7 +203,7 @@ impl<'a, R: Rng + ?Sized> TcpFlow<'a, R> {
             client: client_addr,
             server: server_addr,
             path,
-            body: Vec::new(),
+            body: Vec::with_capacity(SEGMENT_CAPACITY),
             rng,
             report: TcpReport::default(),
             state: TcpFlowState::Handshake,
@@ -301,7 +328,7 @@ impl<'a, R: Rng + ?Sized> TcpFlow<'a, R> {
     /// One data segment plus the server's ACK (and, for the request, the
     /// HTTP response).
     fn exchange_segment(&mut self, index: usize, now: SimInstant, net: &mut SharedQueues) {
-        let mut probe = [0u8; 32];
+        let mut probe = [0u8; PROBE_PAYLOAD_MAX];
         let payload = match index.checked_sub(1) {
             None => REQUEST,
             Some(i) => probe_payload(i, &mut probe),
@@ -536,6 +563,16 @@ mod tests {
         TcpConnectionRun::new(config, behavior, c, s, path)
             .execute(&mut rng)
             .report
+    }
+
+    #[test]
+    fn probe_payload_is_the_formatted_index() {
+        let mut buf = [0u8; PROBE_PAYLOAD_MAX];
+        for i in (0..=100_000).chain([usize::MAX / 10, usize::MAX - 1, usize::MAX]) {
+            assert_eq!(probe_payload(i, &mut buf), format!("probe-{i}").as_bytes());
+        }
+        assert_eq!(PROBE_PAYLOAD_MAX, format!("probe-{}", usize::MAX).len());
+        assert_eq!(SEGMENT_CAPACITY, TCP_HEADER_LEN + RESPONSE.len());
     }
 
     #[test]
