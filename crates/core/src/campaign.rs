@@ -9,11 +9,10 @@ use crate::vantage::VantagePoint;
 use qem_netsim::CrossTraffic;
 use qem_obs::{MetricsSnapshot, RunTelemetry};
 use qem_web::{SnapshotDate, Universe};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Options shared by campaign runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CampaignOptions {
     /// Snapshot date of the measurement.
     pub date: SnapshotDate,
@@ -34,7 +33,6 @@ pub struct CampaignOptions {
     /// results are bit-identical to the single-flow methodology.
     pub cross_traffic: CrossTraffic,
     /// QUIC probe retry policy; [`RetryPolicy::none()`] by default.
-    #[serde(default)]
     pub retry: RetryPolicy,
 }
 
@@ -103,7 +101,7 @@ impl CampaignOptions {
 
 /// All host measurements taken from one vantage point for one address family
 /// at one date.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SnapshotMeasurement {
     /// Snapshot date.
     pub date: SnapshotDate,
@@ -128,7 +126,7 @@ impl SnapshotMeasurement {
 }
 
 /// The result of the main-vantage-point campaign: IPv4 plus optional IPv6.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampaignResult {
     /// IPv4 snapshot.
     pub v4: SnapshotMeasurement,

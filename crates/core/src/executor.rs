@@ -1,12 +1,11 @@
-//! Sharded, batch-dequeuing executor for embarrassingly-parallel measurement
+//! Sharded, batch-claiming executor for embarrassingly-parallel measurement
 //! work.
 //!
-//! Handing items to threads one at a time over a channel serialises on the
-//! channel lock once per item.  This executor shards the input into
-//! contiguous batches and lets workers *dequeue whole batches*: the per-item
-//! synchronisation cost is amortised over [`ShardedExecutor::batch_size`]
-//! items, so throughput scales with cores even when a single measurement is
-//! cheap.
+//! Handing items to threads one at a time serialises on a lock once per
+//! item.  This executor shards the input into contiguous batches and lets
+//! workers *claim whole batches*: the per-item synchronisation cost is
+//! amortised over [`ShardedExecutor::batch_size`] items, so throughput
+//! scales with cores even when a single measurement is cheap.
 //!
 //! Determinism contract: the executor only controls *scheduling*.  As long
 //! as the supplied closure is a pure function of the item (the scanner
@@ -25,9 +24,9 @@
 //! influence results.  The executor itself keeps no statistics: how many
 //! batches a worker claimed is scheduling, and nobody reads it.
 
-use crossbeam::channel;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::num::NonZeroUsize;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// A sharded batch executor with a fixed worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,53 +38,57 @@ pub struct ShardedExecutor {
 /// Work below this size is run inline: thread startup would dominate.
 const SEQUENTIAL_CUTOFF: usize = 32;
 
-use std::sync::{Condvar, Mutex};
+/// Upper bound on the batch size picked by [`ShardedExecutor::new`].
+const MAX_BATCH: usize = 256;
 
-/// Shared flush state of one streaming run.
-struct Frontier {
-    /// Index of the next shard the sink is waiting for.
+/// What the threads of one streaming run share: shards `flushed..claimed`
+/// are handed out and not yet through the sink.
+struct Board<T> {
+    /// The next shard a worker claims.
+    claimed: usize,
+    /// The shard the sink waits for.
     flushed: usize,
-    /// Set when the run is being torn down (sink panicked): throttled
-    /// workers must exit instead of waiting for the frontier to move.
+    /// One slot per shard in `flushed..claimed`, filled when its batch is
+    /// computed; the front slot is emptied while its batch is in the sink.
+    done: VecDeque<Option<Vec<T>>>,
+    /// Set when a worker or the sink panicked: nobody waits any more, so
+    /// the scope join can propagate the panic.
     cancelled: bool,
 }
 
-/// Wakes throttled workers with `cancelled = true` when dropped.
-///
-/// Two deployments, both about panics:
-/// * in the collector closure (`only_on_panic = false`): runs on every exit,
-///   covering a panicking *sink* — harmless on the normal path, where the
-///   workers are already gone;
-/// * in each worker (`only_on_panic = true`): a panicking *work* closure
-///   dies without sending its shard, so the frontier would never reach it
-///   and every other worker would park on the throttle forever while the
-///   collector waits for their senders — cancellation breaks that cycle and
-///   lets the scope join propagate the panic.
-struct CancelOnDrop<'a> {
-    frontier: &'a Mutex<Frontier>,
-    frontier_moved: &'a Condvar,
-    only_on_panic: bool,
+/// The board behind its one lock, and the one condition: "the board moved".
+struct Shared<T> {
+    board: Mutex<Board<T>>,
+    moved: Condvar,
 }
 
-impl Drop for CancelOnDrop<'_> {
-    fn drop(&mut self) {
-        if self.only_on_panic && !std::thread::panicking() {
-            return;
-        }
-        // Recover from poisoning: this runs while a panic may already be
-        // unwinding, and its whole job is to unblock the join that follows.
-        let mut state = match self.frontier.lock() {
-            Ok(state) => state,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        state.cancelled = true;
-        drop(state);
-        self.frontier_moved.notify_all();
+impl<T> Shared<T> {
+    // Short of a failed debug assertion, nothing panics while the lock is
+    // held, so a poisoned lock still guards a consistent board.
+    fn lock(&self) -> MutexGuard<'_, Board<T>> {
+        self.board.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Lock the board once `waiting` no longer holds for it.
+    fn wait_while(&self, waiting: impl FnMut(&mut Board<T>) -> bool) -> MutexGuard<'_, Board<T>> {
+        self.moved
+            .wait_while(self.lock(), waiting)
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// Upper bound on the batch size picked by [`ShardedExecutor::new`].
-const MAX_BATCH: usize = 256;
+/// Cancels the run when dropped by a panicking thread, so that nobody is
+/// left waiting on a shard the panic will never deliver.
+struct CancelOnPanic<'a, T>(&'a Shared<T>);
+
+impl<T> Drop for CancelOnPanic<'_, T> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().cancelled = true;
+            self.0.moved.notify_all();
+        }
+    }
+}
 
 impl ShardedExecutor {
     /// Create an executor.  `workers == 0` means "one worker per available
@@ -118,7 +121,8 @@ impl ShardedExecutor {
     /// The batch size used for `n` items.
     ///
     /// Aims for ~8 batches per worker so stragglers rebalance, bounded by
-    /// `MAX_BATCH` so the result channel never holds huge payloads.
+    /// `MAX_BATCH` so a batch waiting for the sink never holds a huge
+    /// payload.
     pub fn batch_size(&self, n: usize) -> usize {
         if self.batch_size > 0 {
             return self.batch_size;
@@ -144,12 +148,13 @@ impl ShardedExecutor {
     /// Apply `work` to every item, delivering outputs to `sink` *in input
     /// order* without ever materialising the full result set.
     ///
-    /// This is the spill path campaign persistence is built on: workers hand
-    /// finished batches to the calling thread over a **bounded** channel, so
-    /// when the sink (e.g. a segment writer flushing to disk) falls behind,
-    /// workers block instead of piling results up in RAM.  The sink runs on
-    /// the calling thread; a small reorder buffer holds batches that finish
-    /// ahead of their turn.
+    /// This is the spill path campaign persistence is built on: workers
+    /// claim shards only within a **window** of the shard the sink waits
+    /// for, and a batch counts against the window until the sink has
+    /// returned from its last item.  So when the sink (e.g. a segment
+    /// writer flushing to disk) or one slow shard falls behind, workers
+    /// block instead of piling results up in RAM.  The sink runs on the
+    /// calling thread.
     ///
     /// Calling `sink` for each output of `items.iter().map(work)` in order is
     /// the exact sequential semantics; only the scheduling differs.
@@ -180,114 +185,78 @@ impl ShardedExecutor {
 
         let batch = self.batch_size(items.len());
         let shard_count = items.len().div_ceil(batch);
-        // Queue every shard up front; workers drain the queue batch-by-batch,
-        // so a worker stuck on an expensive shard simply claims fewer shards.
-        let (shard_tx, shard_rx) = channel::unbounded::<(usize, usize, usize)>();
-        for shard in 0..shard_count {
-            let start = shard * batch;
-            let end = (start + batch).min(items.len());
-            // lint: allow(panic-policy) unbounded send with the receiver alive in scope cannot fail
-            shard_tx.send((shard, start, end)).expect("queue shards");
-        }
-        drop(shard_tx);
-
-        // Two brakes keep memory bounded at O(window × batch):
-        //
-        // * the result channel is bounded, so a slow *sink* back-pressures
-        //   the workers instead of letting finished batches queue up;
-        // * workers may only compute shards within `window` of the flush
-        //   frontier, so a slow *shard* (one expensive batch while its
-        //   successors race ahead) cannot make the reorder buffer hoard the
-        //   whole result set.  The frontier shard itself is always within
-        //   the window, so the throttle can never deadlock.
+        // At most `window` shards are claimed and not yet through the sink,
+        // so memory stays O(window × batch) however slow one shard or the
+        // sink is.  The shard the sink waits for is always inside the
+        // window, so the throttle cannot deadlock.
         let window = self.workers * 4;
-        let (result_tx, result_rx) = channel::bounded::<(usize, Vec<T>)>(self.workers * 2);
-        let frontier: Mutex<Frontier> = Mutex::new(Frontier {
-            flushed: 0,
-            cancelled: false,
-        });
-        let frontier_moved = std::sync::Condvar::new();
-        let (init, work) = (&init, &work);
+        let shared = Shared {
+            board: Mutex::new(Board {
+                claimed: 0,
+                flushed: 0,
+                done: VecDeque::with_capacity(window),
+                cancelled: false,
+            }),
+            moved: Condvar::new(),
+        };
+        let (shared, init, work) = (&shared, &init, &work);
         std::thread::scope(|scope| {
             for _ in 0..self.workers.min(shard_count) {
-                let shard_rx = shard_rx.clone();
-                let result_tx = result_tx.clone();
-                let frontier = &frontier;
-                let frontier_moved = &frontier_moved;
                 scope.spawn(move || {
                     let mut state = init();
-                    // If `work` panics, this shard never reaches the
-                    // collector and the frontier stalls; cancel the run so
-                    // the other workers exit and the panic can propagate.
-                    let _cancel = CancelOnDrop {
-                        frontier,
-                        frontier_moved,
-                        only_on_panic: true,
-                    };
-                    while let Ok((shard, start, end)) = shard_rx.recv() {
-                        {
-                            // A poisoned frontier means another worker already
-                            // panicked; re-panicking here merely joins the
-                            // teardown the cancellation guard is propagating.
-                            // lint: allow(panic-policy) poisoning propagation, not a new abort
-                            let mut state = frontier.lock().expect("frontier lock poisoned");
-                            while !state.cancelled && shard >= state.flushed + window {
-                                // lint: allow(panic-policy) poisoning propagation, not a new abort
-                                state = frontier_moved.wait(state).expect("frontier lock poisoned");
-                            }
-                            if state.cancelled {
-                                return;
-                            }
+                    let _cancel = CancelOnPanic(shared);
+                    loop {
+                        let mut board = shared.wait_while(|b| {
+                            !b.cancelled
+                                && b.claimed < shard_count
+                                && b.claimed >= b.flushed + window
+                        });
+                        if board.cancelled || board.claimed == shard_count {
+                            return;
                         }
-                        let outputs: Vec<T> = items[start..end]
+                        let shard = board.claimed;
+                        board.claimed += 1;
+                        board.done.push_back(None);
+                        debug_assert_eq!(board.done.len(), board.claimed - board.flushed);
+                        drop(board);
+                        let start = shard * batch;
+                        let outputs = items[start..(start + batch).min(items.len())]
                             .iter()
                             .map(|item| work(&mut state, item))
                             .collect();
-                        if result_tx.send((shard, outputs)).is_err() {
-                            break;
+                        let mut board = shared.lock();
+                        let slot = shard - board.flushed;
+                        board.done[slot] = Some(outputs);
+                        if slot == 0 {
+                            drop(board);
+                            shared.moved.notify_all();
                         }
                     }
                 });
             }
-            // Both bindings below are owned by this closure so that a panic
-            // in the sink drops them *before* the scope joins the workers:
-            // dropping the receiver errors out senders blocked on the full
-            // channel, and the guard wakes workers parked on the throttle —
-            // the panic then propagates instead of hanging the join.
-            let result_rx = result_rx;
-            drop(result_tx);
-            let _cancel = CancelOnDrop {
-                frontier: &frontier,
-                frontier_moved: &frontier_moved,
-                only_on_panic: false,
-            };
 
             // Flush batches to the sink in shard order: completion order is
-            // scheduling noise.  Out-of-order arrivals wait in `pending`,
-            // which the claim throttle above caps at `window` entries.
-            let mut pending: BTreeMap<usize, Vec<T>> = BTreeMap::new();
-            let mut next_shard = 0usize;
-            for (shard, outputs) in result_rx.iter() {
-                pending.insert(shard, outputs);
-                if pending.contains_key(&next_shard) {
-                    while let Some(outputs) = pending.remove(&next_shard) {
-                        for value in outputs {
-                            sink(value);
-                        }
-                        next_shard += 1;
-                    }
-                    // lint: allow(panic-policy) poisoning propagation, not a new abort
-                    frontier.lock().expect("frontier lock poisoned").flushed = next_shard;
-                    frontier_moved.notify_all();
+            // scheduling noise.
+            let _cancel = CancelOnPanic(shared);
+            for _ in 0..shard_count {
+                let mut board =
+                    shared.wait_while(|b| !b.cancelled && !matches!(b.done.front(), Some(Some(_))));
+                let Some(outputs) = board.done.front_mut().and_then(Option::take) else {
+                    // Cancelled: a worker panicked, and the scope join
+                    // re-raises it.
+                    return;
+                };
+                drop(board);
+                for value in outputs {
+                    sink(value);
                 }
+                let mut board = shared.lock();
+                board.done.pop_front();
+                board.flushed += 1;
+                debug_assert_eq!(board.done.len(), board.claimed - board.flushed);
+                drop(board);
+                shared.moved.notify_all();
             }
-            // On the normal path every shard has flushed; after a worker
-            // panic the buffer may legitimately hold orphans — the scope
-            // join below re-raises that panic.
-            debug_assert!(
-                pending.is_empty() || frontier.lock().map(|s| s.cancelled).unwrap_or(true),
-                "every shard flushes in order"
-            );
         });
     }
 }
@@ -358,8 +327,9 @@ mod tests {
 
     #[test]
     fn a_panicking_work_closure_propagates_instead_of_deadlocking() {
-        // A worker that dies mid-shard never sends its result; the frontier
-        // would stall there and park every other worker on the throttle.
+        // A worker that dies mid-shard never fills its slot; the sink would
+        // wait there forever and every other worker would park on the
+        // claim window.
         // The cancellation guard must break that cycle so the panic reaches
         // the caller (regression test: this used to hang forever).
         let items: Vec<usize> = (0..100_000).collect();
@@ -381,8 +351,7 @@ mod tests {
     fn a_panicking_sink_propagates_instead_of_hanging_the_join() {
         // The sink panics while workers are still producing; the run must
         // end in that panic (observable via catch_unwind), not in a hang on
-        // the scope join with workers parked on the throttle or the full
-        // result channel.
+        // the scope join with workers parked on the claim window.
         let items: Vec<usize> = (0..10_000).collect();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut seen = 0usize;
@@ -401,39 +370,48 @@ mod tests {
 
     #[test]
     fn streaming_bounds_the_reorder_buffer_when_one_shard_is_slow() {
-        // Shard 0 sleeps while its successors race ahead: the claim throttle
-        // must cap how far ahead workers compute (bounded reorder buffer)
-        // without ever deadlocking the shard the flush frontier waits on.
+        // Shard 0 sleeps while its successors race ahead, or the sink sleeps
+        // inside shard 0's batch: either way the claim window must cap how
+        // far ahead workers compute, the batch in the sink included, without
+        // ever deadlocking the shard the sink waits on.
         let items: Vec<usize> = (0..4_000).collect();
-        let executor = ShardedExecutor::new(4).with_batch_size(10);
-        let window_items = 4 * 4 * 10; // workers × window factor × batch
-        let computed_ahead = AtomicUsize::new(0);
-        let flushed = AtomicUsize::new(0);
-        let mut got = Vec::new();
-        executor.run_streaming(
-            &items,
-            || (),
-            |(), &x| {
-                if x == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(30));
-                }
-                let lead = x.saturating_sub(flushed.load(Ordering::Relaxed));
-                computed_ahead.fetch_max(lead, Ordering::Relaxed);
-                x
-            },
-            |v| {
-                flushed.store(v + 1, Ordering::Relaxed);
-                got.push(v);
-            },
-        );
-        assert_eq!(got, items);
-        // The lead can exceed the window by in-flight batches, but must stay
-        // far below "the rest of the input raced ahead".
-        let max_lead = computed_ahead.load(Ordering::Relaxed);
-        assert!(
-            max_lead <= window_items + 4 * 2 * 10,
-            "reorder window not enforced: lead {max_lead}"
-        );
+        let batch = 10;
+        let executor = ShardedExecutor::new(4).with_batch_size(batch);
+        let window_items = 4 * 4 * batch; // workers × window factor × batch
+        let nap = || std::thread::sleep(std::time::Duration::from_millis(30));
+        for slow_sink in [false, true] {
+            let computed_ahead = AtomicUsize::new(0);
+            let flushed = AtomicUsize::new(0);
+            let mut got = Vec::new();
+            executor.run_streaming(
+                &items,
+                || (),
+                |(), &x| {
+                    if x == 0 && !slow_sink {
+                        nap();
+                    }
+                    let lead = x.saturating_sub(flushed.load(Ordering::Relaxed));
+                    computed_ahead.fetch_max(lead, Ordering::Relaxed);
+                    x
+                },
+                |v| {
+                    if v == batch / 2 && slow_sink {
+                        nap();
+                    }
+                    flushed.store(v + 1, Ordering::Relaxed);
+                    got.push(v);
+                },
+            );
+            assert_eq!(got, items, "slow_sink={slow_sink}");
+            // Nothing outside the window is ever computed: the lead stays
+            // within one batch of it, far below "the rest of the input raced
+            // ahead".
+            let max_lead = computed_ahead.load(Ordering::Relaxed);
+            assert!(
+                max_lead <= window_items + batch,
+                "claim window not enforced (slow_sink={slow_sink}): lead {max_lead}"
+            );
+        }
     }
 
     #[test]
@@ -473,56 +451,77 @@ mod tests {
         #[derive(Clone, Copy, PartialEq, Debug)]
         enum Panics {
             Nowhere,
-            InWork,
-            InSink,
+            InWork(usize),
+            InSink(usize),
         }
         let threaded: Vec<usize> = (0..2_000).collect();
         let inline: Vec<usize> = (0..SEQUENTIAL_CUTOFF - 1).collect();
+        let mut cases = Vec::new();
         for (workers, items) in [(1, &threaded), (4, &threaded), (4, &inline)] {
-            for panics in [Panics::Nowhere, Panics::InWork, Panics::InSink] {
-                let case = format!("workers={workers} items={} {panics:?}", items.len());
-                let dropped = AtomicUsize::new(0);
-                let built_on = Mutex::new(Vec::new());
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut got = Vec::new();
-                    ShardedExecutor::new(workers).run_streaming(
-                        items,
-                        || {
-                            let thread = std::thread::current().id();
-                            built_on.lock().unwrap().push(thread);
-                            Counted {
-                                dropped: &dropped,
-                                thread,
-                            }
-                        },
-                        |state, &x| {
-                            assert_eq!(state.thread, std::thread::current().id());
-                            assert!(panics != Panics::InWork || x != 20, "work gives up");
-                            x
-                        },
-                        |v| {
-                            assert!(panics != Panics::InSink || v != 20, "sink gives up");
-                            got.push(v);
-                        },
-                    );
-                    got
-                }));
-                // Whatever happened, every state built is gone by now.
-                let built_on = built_on.into_inner().unwrap();
-                let built = built_on.len();
-                assert_eq!(dropped.load(Ordering::Relaxed), built, "{case}");
-                let threads: HashSet<_> = built_on.into_iter().collect();
-                assert_eq!(threads.len(), built, "one state per thread: {case}");
-                if workers == 1 || items.len() < SEQUENTIAL_CUTOFF {
-                    assert_eq!(built, 1, "{case}");
-                    assert!(threads.contains(&std::thread::current().id()), "{case}");
-                } else {
-                    assert_eq!(built, workers, "{case}");
-                }
-                match panics {
-                    Panics::Nowhere => assert_eq!(&result.expect(&case), items),
-                    _ => assert!(result.is_err(), "the panic must propagate: {case}"),
-                }
+            for panics in [Panics::Nowhere, Panics::InWork(20), Panics::InSink(20)] {
+                cases.push((ShardedExecutor::new(workers), items, panics));
+            }
+        }
+        // Cancellation at every batch boundary: the panic hits each shard's
+        // first and last item, in `work` and in the sink.
+        let small: Vec<usize> = (0..64).collect();
+        let batch = 4;
+        for workers in [1, 2, 4, 0] {
+            let executor = ShardedExecutor::new(workers).with_batch_size(batch);
+            cases.push((executor, &small, Panics::Nowhere));
+            for &x in small
+                .iter()
+                .filter(|&&x| x % batch == 0 || x % batch == batch - 1)
+            {
+                cases.push((executor, &small, Panics::InWork(x)));
+                cases.push((executor, &small, Panics::InSink(x)));
+            }
+        }
+        for (executor, items, panics) in cases {
+            let workers = executor.workers();
+            let case = format!("workers={workers} items={} {panics:?}", items.len());
+            let dropped = AtomicUsize::new(0);
+            let built_on = Mutex::new(Vec::new());
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut got = Vec::new();
+                executor.run_streaming(
+                    items,
+                    || {
+                        let thread = std::thread::current().id();
+                        built_on.lock().unwrap().push(thread);
+                        Counted {
+                            dropped: &dropped,
+                            thread,
+                        }
+                    },
+                    |state, &x| {
+                        assert_eq!(state.thread, std::thread::current().id());
+                        assert!(panics != Panics::InWork(x), "work gives up");
+                        x
+                    },
+                    |v| {
+                        assert!(panics != Panics::InSink(v), "sink gives up");
+                        got.push(v);
+                    },
+                );
+                got
+            }));
+            // Whatever happened, every state built is gone by now.
+            let built_on = built_on.into_inner().unwrap();
+            let built = built_on.len();
+            assert_eq!(dropped.load(Ordering::Relaxed), built, "{case}");
+            let threads: HashSet<_> = built_on.into_iter().collect();
+            assert_eq!(threads.len(), built, "one state per thread: {case}");
+            if workers == 1 || items.len() < SEQUENTIAL_CUTOFF {
+                assert_eq!(built, 1, "{case}");
+                assert!(threads.contains(&std::thread::current().id()), "{case}");
+            } else {
+                let shards = items.len().div_ceil(executor.batch_size(items.len()));
+                assert_eq!(built, workers.min(shards), "{case}");
+            }
+            match panics {
+                Panics::Nowhere => assert_eq!(&result.expect(&case), items),
+                _ => assert!(result.is_err(), "the panic must propagate: {case}"),
             }
         }
     }

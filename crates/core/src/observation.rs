@@ -5,11 +5,10 @@ use qem_quic::ecn::{EcnValidationFailure, EcnValidationState};
 use qem_quic::{ClientReport, QuicVersion};
 use qem_tcp::TcpReport;
 use qem_tracebox::{PathVerdict, TraceAnalysis};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The ECN validation classes of Table 5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum EcnClass {
     /// The host never mirrored any ECN counter.
     NoMirroring,
@@ -75,7 +74,7 @@ impl fmt::Display for EcnClass {
 }
 
 /// The paper's "Mirroring" / "Use" terminology (§2.2.2) for one host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MirrorUse {
     /// The host mirrored ECN counters.
     pub mirroring: bool,
@@ -114,7 +113,7 @@ impl ServerFamily {
 }
 
 /// Everything measured about one host from one vantage point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostMeasurement {
     /// Host index in the universe.
     pub host_id: usize,

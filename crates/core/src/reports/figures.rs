@@ -15,7 +15,6 @@ use crate::vantage::VantagePoint;
 use qem_quic::ClientReport;
 use qem_tcp::TcpReport;
 use qem_web::{SnapshotDate, Universe};
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -24,7 +23,7 @@ use std::fmt;
 // ---------------------------------------------------------------------------
 
 /// One month of Figure 3.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure3Point {
     /// Snapshot date.
     pub date: SnapshotDate,
@@ -43,7 +42,7 @@ impl Figure3Point {
 }
 
 /// Figure 3: ECN mirroring over time by web-server family.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure3 {
     /// One point per snapshot, in chronological order.
     pub points: Vec<Figure3Point>,
@@ -117,7 +116,7 @@ impl fmt::Display for Figure3 {
 // ---------------------------------------------------------------------------
 
 /// Per-domain state used in the Figure 4 alluvial plot.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DomainState {
     /// Not reachable via QUIC at that date.
     Unavailable,
@@ -138,7 +137,7 @@ impl fmt::Display for DomainState {
 }
 
 /// Figure 4 / Figure 8: per-domain transitions across snapshots.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure4 {
     /// The snapshot dates, in order.
     pub dates: Vec<SnapshotDate>,
@@ -270,7 +269,7 @@ impl fmt::Display for Figure4 {
 // ---------------------------------------------------------------------------
 
 /// The four mirroring/use quadrants of Figure 5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MirrorUseQuadrant {
     /// Mirrors, does not use.
     MirroringNoUse,
@@ -304,7 +303,7 @@ impl MirrorUseQuadrant {
 }
 
 /// Figure 5: IPv4 ↔ IPv6 relation of visible ECN support (com/net/org).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure5 {
     /// Domain counts per quadrant via IPv4.
     pub v4: BTreeMap<MirrorUseQuadrant, u64>,
@@ -385,7 +384,7 @@ impl fmt::Display for Figure5 {
 // ---------------------------------------------------------------------------
 
 /// TCP-side categories of Figure 6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TcpCategory {
     /// ECN negotiated, CE mirrored, host does not use ECN.
     CeMirrorNoUseNegotiated,
@@ -429,7 +428,7 @@ impl TcpCategory {
 }
 
 /// QUIC-side categories of Figure 6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum QuicCeCategory {
     /// CE counter mirrored, host does not use ECN.
     CeMirrorNoUse,
@@ -465,7 +464,7 @@ impl QuicCeCategory {
 }
 
 /// Figure 6: TCP ↔ QUIC CE-mirroring relation (the week-20 CE-probing run).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure6 {
     /// Domain counts per TCP category (TCP-reachable c/n/o domains).
     pub tcp: BTreeMap<TcpCategory, u64>,
@@ -519,7 +518,7 @@ impl fmt::Display for Figure6 {
 // ---------------------------------------------------------------------------
 
 /// One vantage point of Figure 7.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure7Row {
     /// Vantage point name.
     pub vantage: String,
@@ -534,7 +533,7 @@ pub struct Figure7Row {
 }
 
 /// Figure 7: global view on QUIC ECN validation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure7 {
     /// One row per vantage point.
     pub rows: Vec<Figure7Row>,

@@ -12,7 +12,6 @@ use crate::observation::EcnClass;
 use crate::source::{Scope, SnapshotSource};
 use qem_tracebox::PathVerdict;
 use qem_web::Universe;
-use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::net::IpAddr;
@@ -37,7 +36,7 @@ fn org_of_host(universe: &Universe, host_id: usize) -> String {
 // ---------------------------------------------------------------------------
 
 /// One row of Table 1 (a scope × unit combination).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     /// Domain population.
     pub scope: &'static str,
@@ -56,7 +55,7 @@ pub struct Table1Row {
 }
 
 /// Table 1: visible ECN mirroring and use via QUIC.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table1 {
     /// The four rows (toplists/c-n-o × domains/IPs).
     pub rows: Vec<Table1Row>,
@@ -142,7 +141,7 @@ impl fmt::Display for Table1 {
 // ---------------------------------------------------------------------------
 
 /// One provider row of Table 2 / Table 3.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ProviderRow {
     /// Rank by total QUIC domains.
     pub rank: usize,
@@ -157,7 +156,7 @@ pub struct ProviderRow {
 }
 
 /// Table 2 / Table 3: top providers and their ECN support.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ProviderTable {
     /// Scope the table covers.
     pub scope: &'static str,
@@ -304,7 +303,7 @@ impl fmt::Display for ProviderTable {
 // ---------------------------------------------------------------------------
 
 /// One organisation row of Table 4.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table4Row {
     /// AS organisation.
     pub org: String,
@@ -318,7 +317,7 @@ pub struct Table4Row {
 
 /// Table 4: ECN codepoint clearing per AS organisation (non-mirroring
 /// com/net/org QUIC domains).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table4 {
     /// Per-organisation rows, sorted by cleared count.
     pub rows: Vec<Table4Row>,
@@ -414,7 +413,7 @@ impl fmt::Display for Table4 {
 // ---------------------------------------------------------------------------
 
 /// Counts for one validation class and one address family.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ClassCount {
     /// Distinct IPs in the class.
     pub ips: u64,
@@ -431,7 +430,7 @@ impl ClassCount {
 }
 
 /// Table 5: ECN validation results for the com/net/org domains.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table5 {
     /// Per-class counts for IPv4.
     pub v4: BTreeMap<EcnClass, ClassCount>,
@@ -514,7 +513,7 @@ impl fmt::Display for Table5 {
 // ---------------------------------------------------------------------------
 
 /// Table 6: the AS organisations behind the three biggest validation classes.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table6 {
     /// Top organisations per class: (org, domain count), plus an `<other>` row.
     pub columns: BTreeMap<EcnClass, Vec<(String, u64)>>,
@@ -584,7 +583,7 @@ impl fmt::Display for Table6 {
 // ---------------------------------------------------------------------------
 
 /// Tracebox-visible path state for domains in a validation failure class.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Table7Row {
     /// The path visibly re-marked ECT(0) to ECT(1).
     pub remarked_to_ect1: ClassCount,
@@ -597,7 +596,7 @@ pub struct Table7Row {
 }
 
 /// Table 7: validation failures and the network impacts seen for them.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table7 {
     /// Row for the re-marking failure class.
     pub remarking: Table7Row,

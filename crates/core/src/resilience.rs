@@ -11,11 +11,10 @@
 use qem_netsim::SimDuration;
 use qem_quic::ConnectionOutcome;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why a QUIC probe (or its final retry) failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeError {
     /// Packets still flowed but the connection never completed inside the
     /// virtual probe budget.
@@ -85,7 +84,7 @@ pub fn classify_probe(outcome: &ConnectionOutcome) -> Result<(), ProbeError> {
 /// `Copy` on purpose: the policy rides inside
 /// [`ScanOptions`](crate::scanner::ScanOptions) without breaking the
 /// struct-update idiom the whole test suite uses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts per probe (minimum 1; 1 means no retries).
     pub attempts: u32,

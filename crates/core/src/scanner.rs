@@ -32,12 +32,11 @@ use qem_tracebox::{analyze_trace, trace_path, TraceConfig};
 use qem_web::{SnapshotDate, StackProfile, Universe};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::Mutex;
 
 /// What the probes carry on the forward path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeMode {
     /// The standard methodology: ECT(0) plus ECN validation (§4.1).
     Ect0,
@@ -46,7 +45,7 @@ pub enum ProbeMode {
 }
 
 /// Scanner options.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScanOptions {
     /// Snapshot date (selects the stack behaviour of every host).
     pub date: SnapshotDate,
@@ -67,7 +66,6 @@ pub struct ScanOptions {
     pub cross_traffic: CrossTraffic,
     /// QUIC probe retry policy.  [`RetryPolicy::none()`] (the default)
     /// keeps the scan bit-identical to the single-attempt methodology.
-    #[serde(default)]
     pub retry: RetryPolicy,
 }
 

@@ -10,10 +10,9 @@
 //! Santiago de Chile).
 
 use qem_netsim::Asn;
-use serde::{Deserialize, Serialize};
 
 /// Which platform hosts the vantage point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CloudProvider {
     /// The university vantage point (RWTH Aachen, upstream DFN).
     Main,
@@ -35,7 +34,7 @@ impl CloudProvider {
 }
 
 /// Location-specific measurement peculiarities.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct VantageQuirks {
     /// Heavy-hitter IPs (the wix.com infrastructure) do not answer QUIC from
     /// this location (§8: Hawaii and San Francisco).
@@ -52,7 +51,7 @@ pub struct VantageQuirks {
 }
 
 /// A measurement vantage point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VantagePoint {
     /// Human-readable location.
     pub name: String,

@@ -10,7 +10,6 @@
 
 use qem_packet::ecn::EcnCodepoint;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// What the AQM decided to do with a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +30,7 @@ pub enum AqmDecision {
 /// actually full.  The deterministic extremes are deliberate: they let the
 /// shared-bottleneck tests assert marking without depending on RNG draws,
 /// and they mean an uncongested queue consumes no randomness at all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OccupancyAqm {
     /// Occupancy below which nothing is marked.
     pub min_thresh: usize,

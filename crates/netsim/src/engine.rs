@@ -48,7 +48,6 @@ use qem_packet::ecn::EcnCodepoint;
 use qem_packet::ip::{IpDatagram, IpProtocol};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::borrow::BorrowMut;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
@@ -346,7 +345,7 @@ impl<T> Scheduler<T> for EventQueue<T> {
 // ---------------------------------------------------------------------------
 
 /// Configuration of one shared router egress queue.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueConfig {
     /// Maximum number of queued packets; arrivals beyond it are dropped.
     pub capacity: usize,
@@ -817,7 +816,7 @@ impl<'a, S: Scheduler<usize>, H: BorrowMut<EngineScratch<S>>> EngineCore<'a, S, 
 /// queue.  With enough background load the queue occupancy crosses the AQM
 /// thresholds and the *measured* flow starts seeing CE marks — marking
 /// becomes a property of congestion instead of a per-flow constant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrossTraffic {
     /// Number of background flows; `0` disables the scenario entirely.
     pub flows: u32,

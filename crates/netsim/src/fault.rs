@@ -16,7 +16,6 @@
 
 use crate::time::{SimDuration, SimInstant};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One impairment mechanism, active while its [`FaultWindow`] covers the
 /// current virtual time.
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// `Duplicate`) draw from the flow RNG in window order; time-driven kinds
 /// (`Blackhole`, `Flap`, `BurstLoss`) draw nothing — they are square waves
 /// over the virtual clock, phase-locked to the window start.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultKind {
     /// Drop each packet independently with probability `rate`.
     Loss {
@@ -84,7 +83,7 @@ pub enum FaultKind {
 
 /// A [`FaultKind`] active over a half-open virtual-time interval
 /// `[from, until)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultWindow {
     /// First instant (inclusive) at which the fault applies.
     pub from: SimInstant,
@@ -163,7 +162,7 @@ impl FaultVerdict {
 /// the RNG draw sequence and therefore the byte-identical replay property.
 /// Order is also semantic: a `Duplicate` window only protects against
 /// `Loss` windows that come after it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// The impairment windows, evaluated in order.
     pub windows: Vec<FaultWindow>,

@@ -18,12 +18,11 @@ use qem_packet::ecn::{Dscp, EcnCodepoint};
 use qem_packet::icmp::IcmpMessage;
 use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::aqm::AqmDecision;
 
 /// One hop of a forwarding path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Hop {
     /// The router owning this hop.
     pub router: Router,
@@ -105,14 +104,13 @@ impl TransitOutcome {
 }
 
 /// A unidirectional forwarding path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Path {
     /// The hops, in forwarding order (nearest to the sender first).
     pub hops: Vec<Hop>,
     /// Scheduled impairments applied at path entry.  Empty by default —
     /// and an empty plan consumes no RNG draws, keeping fault-free paths
     /// bit-identical to the pre-fault world.
-    #[serde(default)]
     pub fault: FaultPlan,
 }
 
@@ -325,7 +323,7 @@ fn build_time_exceeded(router: &Router, expired: &IpDatagram) -> qem_packet::Res
 /// stresses that tracebox can only observe the forward path (§4.2, §6.3) —
 /// reverse-path impairments stay invisible to the tracer but still affect the
 /// server's view of client-set codepoints.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DuplexPath {
     /// Client → server direction.
     pub forward: Path,
@@ -513,8 +511,8 @@ mod tests {
 
     #[test]
     fn out_of_range_hop_probabilities_are_clamped() {
-        // `Hop` and `IcmpBehavior` fields are public and deserialisable, so
-        // a hop can hold any `f64` the builders would have clamped.
+        // `Hop` and `IcmpBehavior` fields are public, so a hop can hold any
+        // `f64` the builders would have clamped.
         let path = |loss: f64, respond: f64| {
             let mut hop = Hop::new(Router::transparent(1, Asn(680)));
             hop.loss = loss;

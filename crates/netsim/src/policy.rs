@@ -12,11 +12,10 @@
 //! * legacy devices that bleach the whole former ToS octet (DSCP and ECN).
 
 use qem_packet::ecn::{Dscp, EcnCodepoint};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How a router rewrites the ECN field of forwarded packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EcnPolicy {
     /// Forward the codepoint unchanged (the default, and what RFC 3168 asks for).
     Pass,
@@ -102,7 +101,7 @@ impl fmt::Display for EcnPolicy {
 }
 
 /// How a router rewrites the DSCP field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DscpPolicy {
     /// Forward the DSCP unchanged.
     #[default]

@@ -2,7 +2,6 @@
 
 use crate::policy::{DscpPolicy, EcnPolicy};
 use crate::topology::Asn;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
@@ -18,9 +17,7 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 /// paths mark their ids with [`RouterId::REVERSE_DIRECTION_BIT`] to keep a
 /// queue registered at a forward hop from accidentally capturing
 /// numerically-colliding reverse hops.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct RouterId(pub u32);
 
 impl RouterId {
@@ -42,7 +39,7 @@ impl fmt::Display for RouterId {
 }
 
 /// How a router answers packets whose TTL expired.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IcmpBehavior {
     /// Probability in `[0, 1]` that a time-exceeded message is actually sent.
     /// Models ICMP rate limiting and administrative silence; the paper's
@@ -96,7 +93,7 @@ impl Default for IcmpBehavior {
 }
 
 /// A router on a forwarding path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Router {
     /// Identifier inside the topology.
     pub id: RouterId,

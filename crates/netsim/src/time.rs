@@ -4,14 +4,11 @@
 //! simulated connections both slow and non-deterministic.  Instead every
 //! endpoint and every path shares a microsecond-granularity virtual timeline.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
 /// A span of virtual time with microsecond granularity.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {
@@ -86,9 +83,7 @@ impl fmt::Display for SimDuration {
 }
 
 /// A point on the virtual timeline.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimInstant(u64);
 
 impl SimInstant {

@@ -9,13 +9,10 @@ use crate::path::{DuplexPath, Hop, Path};
 use crate::policy::{DscpPolicy, EcnPolicy};
 use crate::router::Router;
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An autonomous system number.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Asn(pub u32);
 
 impl Asn {
@@ -42,7 +39,7 @@ impl fmt::Display for Asn {
 /// These profiles correspond to the path phenomena the paper observes:
 /// clean transit, ToS bleaching (clearing), ECT(0)→ECT(1) re-marking, the
 /// double rewrite (re-mark then clear), and pathological all-CE marking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransitProfile {
     /// No ECN-relevant rewriting anywhere on the path.
     Clean,

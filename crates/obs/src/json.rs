@@ -1,11 +1,10 @@
 //! A tiny deterministic JSON writer.
 //!
-//! The workspace's vendored serde stand-in has no `serde_json`, and pulling
-//! one in would violate the offline-vendoring policy — so telemetry exports
-//! are written by hand.  The writer produces a fixed layout (two-space
-//! indentation, keys in the caller's iteration order, `", "` separators in
-//! inline arrays) so equal inputs serialize to byte-identical documents,
-//! which is what the CI determinism gate diffs.
+//! Telemetry exports are the workspace's only JSON, and no serialisation
+//! crate is vendored, so they are written by hand.  The writer produces a
+//! fixed layout (two-space indentation, keys in the caller's iteration
+//! order, `", "` separators in inline arrays) so equal inputs serialize to
+//! byte-identical documents, which is what the CI determinism gate diffs.
 
 /// Append `s` as a JSON string literal (quotes included).
 pub(crate) fn push_string(out: &mut String, s: &str) {

@@ -73,10 +73,11 @@ impl HistogramSnapshot {
     }
 
     /// Merge `other` into `self` by summing per-bucket counts: one cursor
-    /// walks each ascending bucket list, in place.
+    /// walks each ascending bucket list, in place.  The sum wraps as in
+    /// [`HistogramSnapshot::record`].
     pub fn merge_from(&mut self, other: &HistogramSnapshot) {
         self.count += other.count;
-        self.sum += other.sum;
+        self.sum = self.sum.wrapping_add(other.sum);
         let mut i = 0;
         for &(bound, n) in &other.buckets {
             while self.buckets.get(i).is_some_and(|&(mine, _)| mine < bound) {
@@ -456,6 +457,16 @@ mod tests {
                 assert_eq!(xy.buckets.iter().map(|&(_, n)| n).sum::<u64>(), xy.count);
             }
         }
+    }
+
+    #[test]
+    fn merging_a_never_finished_sample_wraps_the_sum() {
+        // An unfinished flow records `u64::MAX`; merging it with any other
+        // sample must wrap the sum as `record` does, not overflow.
+        let mut a = histogram_of([u64::MAX]);
+        a.merge_from(&histogram_of([1]));
+        assert_eq!(a, histogram_of([u64::MAX, 1]));
+        assert_eq!((a.count, a.sum), (2, 0));
     }
 
     #[test]

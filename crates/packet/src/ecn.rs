@@ -5,7 +5,6 @@
 //! bits encode four codepoints; routers that participate in ECN replace
 //! `ECT(0)` / `ECT(1)` with `CE` instead of dropping the packet.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The two-bit ECN codepoint of an IP packet (RFC 3168 §5).
@@ -13,9 +12,7 @@ use std::fmt;
 /// The numeric values are the on-the-wire bit patterns.  Note the asymmetry
 /// the paper calls out in §7.1: `ECT(1)` is `0b01` and `ECT(0)` is `0b10`,
 /// which invites implementation mix-ups.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum EcnCodepoint {
     /// `00` — the transport does not support ECN; routers drop on congestion.
@@ -78,9 +75,7 @@ impl fmt::Display for EcnCodepoint {
 /// The study's tracebox analysis distinguishes routers that rewrite only the
 /// DSCP bits (legitimate) from routers that bleach the whole ToS octet and
 /// thereby clear ECN (the impairment attributed to AS 1299 in §6.1).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct Dscp(u8);
 
 impl Dscp {
@@ -120,7 +115,7 @@ pub fn split_traffic_class(octet: u8) -> (Dscp, EcnCodepoint) {
 
 /// Per-codepoint counters, as kept by QUIC endpoints for ACK_ECN frames and by
 /// the study's eBPF-style instrumentation of TCP sockets.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EcnCounts {
     /// Number of packets received with `ECT(0)`.
     pub ect0: u64,

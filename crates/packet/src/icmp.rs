@@ -14,7 +14,6 @@
 use crate::error::PacketError;
 use crate::ip::internet_checksum;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// ICMPv4 type for *time exceeded*.
 pub const ICMPV4_TIME_EXCEEDED: u8 = 11;
@@ -29,7 +28,7 @@ pub const ICMPV6_DEST_UNREACHABLE: u8 = 1;
 pub const ICMP_HEADER_LEN: usize = 8;
 
 /// The ICMP messages the simulator and tracer exchange.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IcmpMessage {
     /// Time exceeded in transit (TTL reached zero at a router).
     TimeExceeded {

@@ -8,11 +8,10 @@
 use crate::ecn::{split_traffic_class, traffic_class, Dscp, EcnCodepoint};
 use crate::error::PacketError;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 /// Transport protocol numbers used by the study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum IpProtocol {
     /// ICMP for IPv4 (protocol 1).
@@ -52,7 +51,7 @@ pub const IPV4_HEADER_LEN: usize = 20;
 pub const IPV6_HEADER_LEN: usize = 40;
 
 /// An IPv4 header (RFC 791) without options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ipv4Header {
     /// Source address.
     pub src: Ipv4Addr,
@@ -172,7 +171,7 @@ impl Ipv4Header {
 }
 
 /// An IPv6 header (RFC 8200) without extension headers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ipv6Header {
     /// Source address.
     pub src: Ipv6Addr,
@@ -266,7 +265,7 @@ impl Ipv6Header {
 }
 
 /// Either an IPv4 or an IPv6 header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IpHeader {
     /// IPv4.
     V4(Ipv4Header),
@@ -392,7 +391,7 @@ impl IpHeader {
 /// This is the unit the path simulator forwards hop by hop.  The payload is
 /// opaque to routers except for the ICMP quotation logic, which re-encodes
 /// the datagram via [`IpDatagram::to_bytes`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IpDatagram {
     /// The network-layer header.
     pub header: IpHeader,

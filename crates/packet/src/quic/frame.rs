@@ -20,11 +20,10 @@ use crate::ecn::EcnCounts;
 use crate::error::PacketError;
 use crate::quic::varint::{decode_varint, encode_varint};
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// An ACK frame: the largest acknowledged packet number, the ranges of
 /// acknowledged packet numbers below it, and optionally the ECN counters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AckFrame {
     /// Largest packet number being acknowledged.
     pub largest_acked: u64,
@@ -61,7 +60,7 @@ impl AckFrame {
 }
 
 /// The QUIC frames supported by this reproduction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
     /// PADDING (type 0x00); `size` consecutive padding bytes.
     Padding {

@@ -21,13 +21,12 @@ use crate::quic::frame::Frames;
 use crate::quic::varint::{decode_varint, encode_varint, varint_bytes};
 use crate::quic::version::QuicVersion;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
 /// A QUIC connection ID (0–20 bytes), stored inline: copying one is a
 /// 21-byte move, not an allocation.
-#[derive(Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct ConnectionId {
     /// The ID's bytes, zero beyond `len` (so the derived `Eq` is an
     /// equality of IDs).
@@ -97,7 +96,7 @@ impl fmt::Display for ConnectionId {
 }
 
 /// Long-header packet types (RFC 9000 §17.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum LongPacketType {
     /// Initial packet (carries a token length field).
@@ -122,7 +121,7 @@ impl LongPacketType {
 }
 
 /// A decoded QUIC packet header.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PacketHeader {
     /// A long-header packet (Initial, Handshake, …).
     Long {
@@ -286,7 +285,7 @@ impl OpenPacket {
 }
 
 /// A full (plaintext) QUIC packet: header plus frame payload bytes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuicPacket {
     /// The packet header.
     pub header: PacketHeader,

@@ -4,11 +4,10 @@
 //! version a domain speaks because the LiteSpeed draft-27 → v1 transition is
 //! what made ECN mirroring collapse in 2022 and reappear in March 2023.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A QUIC version number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum QuicVersion {
     /// QUIC version 1 (RFC 9000), wire value `0x00000001`.
     V1,

@@ -9,7 +9,6 @@
 use crate::error::PacketError;
 use crate::ip::{pseudo_header_checksum, IpProtocol};
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::IpAddr;
 
@@ -17,7 +16,7 @@ use std::net::IpAddr;
 pub const TCP_HEADER_LEN: usize = 20;
 
 /// TCP control flags, including the ECN nonce/echo bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TcpFlags {
     /// Congestion window reduced.
     pub cwr: bool,
@@ -109,7 +108,7 @@ impl fmt::Display for TcpFlags {
 }
 
 /// A TCP header without options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpHeader {
     /// Source port.
     pub src_port: u16,

@@ -3,14 +3,13 @@
 use crate::error::PacketError;
 use crate::ip::{pseudo_header_checksum, IpProtocol};
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
 
 /// Length of a UDP header in bytes.
 pub const UDP_HEADER_LEN: usize = 8;
 
 /// A UDP header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UdpHeader {
     /// Source port.
     pub src_port: u16,

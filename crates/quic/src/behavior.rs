@@ -20,10 +20,9 @@
 use crate::transport_params::TransportParameters;
 use qem_packet::ecn::{EcnCodepoint, EcnCounts};
 use qem_packet::quic::QuicVersion;
-use serde::{Deserialize, Serialize};
 
 /// How a server reports ECN counters in its ACK frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EcnMirroringBehavior {
     /// Never include ECN counts (plain ACK frames only).
     None,
@@ -78,7 +77,7 @@ impl EcnMirroringBehavior {
 }
 
 /// Complete behavioural description of a simulated QUIC server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerBehavior {
     /// QUIC versions the server accepts; anything else triggers version
     /// negotiation.

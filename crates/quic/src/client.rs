@@ -30,10 +30,9 @@ use qem_packet::quic::{
     ConnectionId, Frame, FrameRef, LongPacketType, PacketHeader, PacketRef, QuicVersion,
     MIN_INITIAL_SIZE,
 };
-use serde::{Deserialize, Serialize};
 
 /// Whether and how the client uses ECN.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClientEcnMode {
     /// Never set ECN codepoints (the unmodified quic-go behaviour).
     Disabled,
@@ -49,7 +48,7 @@ impl ClientEcnMode {
 }
 
 /// Client configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClientConfig {
     /// The domain name being probed (SNI and HTTP authority).
     pub sni: String,
@@ -105,7 +104,7 @@ const INITIAL_PAYLOAD: usize = MIN_INITIAL_SIZE - 48;
 
 /// Summary of a finished (or failed) client connection, consumed by the
 /// measurement pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClientReport {
     /// Whether the QUIC handshake completed.
     pub connected: bool,

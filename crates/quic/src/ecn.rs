@@ -19,11 +19,10 @@
 //! [`EcnConfig`].
 
 use qem_packet::ecn::{EcnCodepoint, EcnCounts};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Parameters of the validation phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EcnConfig {
     /// Number of packets sent with ECT marking during the testing phase.
     pub testing_packets: u64,
@@ -71,7 +70,7 @@ impl Default for EcnConfig {
 /// Why ECN validation failed.
 ///
 /// The variants map one-to-one onto the failure classes of Table 5 / §7.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EcnValidationFailure {
     /// ACK frames acknowledged ECT-marked packets without any ECN counts.
     NoMirroring,
@@ -103,7 +102,7 @@ impl fmt::Display for EcnValidationFailure {
 }
 
 /// The state of the validation machine (Figure 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EcnValidationState {
     /// ECN is being tested: outgoing packets carry the configured codepoint.
     Testing,
@@ -146,7 +145,7 @@ impl EcnValidationState {
 ///   ECT-marked packets were newly acknowledged,
 /// * [`on_timeout`](EcnValidator::on_timeout) whenever a PTO fires without
 ///   any acknowledgment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EcnValidator {
     config: EcnConfig,
     state: EcnValidationState,

@@ -10,7 +10,6 @@
 use crate::transport_params::TransportParameters;
 use qem_packet::quic::{decode_varint, encode_varint};
 use qem_packet::PacketError;
-use serde::{Deserialize, Serialize};
 
 /// Handshake message tags.
 const TAG_CLIENT_HELLO: u64 = 1;
@@ -18,7 +17,7 @@ const TAG_SERVER_HELLO: u64 = 2;
 const TAG_FINISHED: u64 = 3;
 
 /// A handshake ("crypto stream") message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HandshakeMessage {
     /// Sent by the client in its Initial packet.
     ClientHello {

@@ -8,10 +8,8 @@
 //! are replaced by a plain-text header block on stream 0; the substitution is
 //! documented in DESIGN.md.
 
-use serde::{Deserialize, Serialize};
-
 /// An HTTP request sent over stream 0.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpRequest {
     /// The `:authority` pseudo-header (the probed domain).
     pub authority: String,
@@ -72,7 +70,7 @@ impl HttpRequest {
 }
 
 /// An HTTP response sent over stream 0.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpResponse {
     /// Status code.
     pub status: u16,

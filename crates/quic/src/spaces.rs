@@ -19,10 +19,9 @@ use qem_netsim::SimInstant;
 use qem_packet::ecn::{EcnCodepoint, EcnCounts};
 use qem_packet::quic::frame::encode_ack;
 use qem_packet::quic::{AckRef, ConnectionId, Frame, LongPacketType, PacketHeader, QuicVersion};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a packet number space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SpaceId {
     /// Initial packets.
     Initial = 0,
@@ -82,7 +81,7 @@ impl SpaceId {
 }
 
 /// A packet this endpoint sent and has not yet seen acknowledged.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SentPacket {
     /// Packet number.
     pub packet_number: u64,
@@ -109,7 +108,7 @@ pub struct AckResult {
 }
 
 /// One packet number space of a connection.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PacketSpace {
     next_packet_number: u64,
     /// All packet numbers ever received (for duplicate suppression), as the

@@ -10,10 +10,9 @@
 
 use qem_packet::quic::{decode_varint, encode_varint};
 use qem_packet::PacketError;
-use serde::{Deserialize, Serialize};
 
 /// A (simplified) set of QUIC transport parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TransportParameters {
     /// `max_idle_timeout` in milliseconds.
     pub max_idle_timeout_ms: u64,

@@ -6,7 +6,7 @@
 //!
 //! * **Streaming ingest** — [`CampaignWriter`] receives measurements from
 //!   the sharded scanner *while the scan runs* (in ascending host-id order,
-//!   over the executor's bounded channel) and spills them to checksummed,
+//!   through the executor's claim window) and spills them to checksummed,
 //!   atomically-renamed segment files.  Peak memory is one segment, not one
 //!   campaign.
 //! * **Kill-and-resume** — a campaign killed mid-scan leaves a valid prefix;

@@ -1,10 +1,9 @@
 //! Server-side TCP ECN behaviour profiles.
 
 use qem_packet::ecn::EcnCodepoint;
-use serde::{Deserialize, Serialize};
 
 /// How a simulated TCP server treats ECN.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpServerBehavior {
     /// Whether the server accepts ECN negotiation (answers an ECN-setup SYN
     /// with an ECN-setup SYN-ACK).  Large providers almost universally do

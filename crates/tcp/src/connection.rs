@@ -33,11 +33,10 @@ use qem_packet::ecn::{EcnCodepoint, EcnCounts};
 use qem_packet::ip::{IpDatagram, IpProtocol};
 use qem_packet::tcp::{TcpFlags, TcpHeader, TCP_HEADER_LEN};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
 
 /// Client-side configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpClientConfig {
     /// Whether the client requests ECN (sends an ECN-setup SYN).
     pub ecn_enabled: bool,
@@ -83,7 +82,7 @@ impl Default for TcpClientConfig {
 }
 
 /// The observations the scanner records for one TCP connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TcpReport {
     /// Whether the handshake completed (SYN-ACK received and acknowledged).
     pub connected: bool,

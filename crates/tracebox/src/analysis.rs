@@ -10,11 +10,10 @@
 use crate::tracer::PathTrace;
 use qem_netsim::Asn;
 use qem_packet::ecn::EcnCodepoint;
-use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
 
 /// A single observed change of the probe's ECN codepoint along the path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EcnChange {
     /// The codepoint before the change.
     pub from: EcnCodepoint,
@@ -41,7 +40,7 @@ impl EcnChange {
 }
 
 /// End-to-end verdict about what the path did to the probe codepoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PathVerdict {
     /// The codepoint visible at the last observed hop equals the sent one and
     /// no intermediate change was seen.
@@ -59,7 +58,7 @@ pub enum PathVerdict {
 }
 
 /// The result of analysing one trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceAnalysis {
     /// Every codepoint change observed along the path, in order.
     pub changes: Vec<EcnChange>,

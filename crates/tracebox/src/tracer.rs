@@ -17,11 +17,10 @@ use qem_packet::quic::{
 use qem_packet::udp::UdpHeader;
 use qem_packet::PacketError;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
 
 /// Configuration of a path trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceConfig {
     /// Largest TTL probed.
     pub max_ttl: u8,
@@ -52,7 +51,7 @@ impl Default for TraceConfig {
 }
 
 /// What the tracer learnt about one hop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HopObservation {
     /// TTL of the probe that produced this observation.
     pub ttl: u8,
@@ -68,7 +67,7 @@ pub struct HopObservation {
 }
 
 /// A complete trace towards one destination.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathTrace {
     /// The destination that was probed.
     pub destination: IpAddr,

@@ -11,12 +11,11 @@
 //!   `qem_netsim::Router`.
 
 use qem_netsim::Asn;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::IpAddr;
 
 /// The ASN → organisation and prefix → ASN database.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AsOrgDb {
     orgs: BTreeMap<u32, String>,
     /// First IPv4 octet of a provider's host prefix → ASN.

@@ -15,10 +15,9 @@
 use crate::stacks::StackProfile;
 use qem_netsim::{Asn, TransitProfile};
 use qem_tcp::TcpServerBehavior;
-use serde::{Deserialize, Serialize};
 
 /// TCP ECN behaviour classes used by the calibration (Figure 6 vocabulary).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpEcnProfile {
     /// Negotiates, mirrors CE and uses ECN itself (the dominant class).
     FullEcn,
@@ -43,7 +42,7 @@ impl TcpEcnProfile {
 }
 
 /// A homogeneous slice of a provider's QUIC deployment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SegmentSpec {
     /// Human-readable label (shows up in diagnostics only).
     pub label: &'static str,
@@ -99,7 +98,7 @@ impl SegmentSpec {
 }
 
 /// A hosting provider / AS organisation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ProviderSpec {
     /// Organisation name as reported by the as2org mapping.
     pub name: &'static str,
@@ -112,7 +111,7 @@ pub struct ProviderSpec {
 }
 
 /// A slice of the non-QUIC background population (TCP-only hosts).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BackgroundSpec {
     /// `.com/.net/.org` domains (paper scale).
     pub cno_domains: u64,
@@ -127,7 +126,7 @@ pub struct BackgroundSpec {
 }
 
 /// The full landscape: QUIC providers, TCP-only background, unresolved mass.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LandscapeSpec {
     /// QUIC-capable hosting providers.
     pub providers: Vec<ProviderSpec>,

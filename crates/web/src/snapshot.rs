@@ -4,11 +4,10 @@
 //! the longitudinal figures (3, 4 and 8) are drawn at, plus the specific
 //! measurement weeks referenced by the tables (week 13/15/16/20 of 2023).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A year/month snapshot date.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SnapshotDate {
     /// Calendar year.
     pub year: u16,

@@ -14,10 +14,9 @@ use qem_packet::ecn::EcnCodepoint;
 use qem_packet::quic::QuicVersion;
 use qem_quic::behavior::{EcnMirroringBehavior, ServerBehavior};
 use qem_quic::transport_params::TransportParameters;
-use serde::{Deserialize, Serialize};
 
 /// The QUIC stack (and configuration) running on a host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StackProfile {
     /// Cloudflare's quiche deployment: QUIC v1, no ECN mirroring.
     CloudflareQuiche,

@@ -20,11 +20,10 @@ use qem_quic::behavior::ServerBehavior;
 use qem_tcp::TcpServerBehavior;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 /// Parameters of universe generation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UniverseConfig {
     /// Scale factor relative to the paper's population (1.0 = 183 M domains).
     pub scale: f64,
@@ -66,7 +65,7 @@ impl UniverseConfig {
 }
 
 /// Which domain lists a domain appears on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DomainLists {
     /// Member of the `.com/.net/.org` zone files.
     pub cno: bool,
@@ -88,7 +87,7 @@ impl DomainLists {
 }
 
 /// A web host (one IP, possibly dual-stacked, serving many domains).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Host {
     /// Index in [`Universe::hosts`].
     pub id: usize,
@@ -181,7 +180,7 @@ impl Host {
 /// A domain as the generator draws it.  It is on the zone files or on a
 /// toplist, never both, and is counted, not kept: only the observer of
 /// [`Universe::generate_observed`] ever sees one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Domain {
     /// Which lists the domain appears on.
     pub lists: DomainLists,
@@ -215,7 +214,7 @@ impl DomainCounts {
 }
 
 /// A provider as materialised in the universe.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProviderInfo {
     /// Organisation name.
     pub name: String,

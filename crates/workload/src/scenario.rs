@@ -18,7 +18,6 @@ use qem_netsim::{
 };
 use qem_obs::HistogramSnapshot;
 use qem_packet::ecn::EcnCodepoint;
-use serde::{Deserialize, Serialize};
 
 /// Fibonacci-hashing constant shared with [`LoadFlow::fleet`]'s per-flow
 /// seed derivation, so nested derivations stay well distributed.
@@ -29,7 +28,7 @@ fn derive_seed(seed: u64, salt: u64) -> u64 {
 }
 
 /// The ECN condition a scenario runs under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EcnVariant {
     /// Endpoints send ECT(0); the bottleneck CE-marks and the marks reach
     /// the receiver — the feedback loop closes without loss.
@@ -72,7 +71,7 @@ impl EcnVariant {
 }
 
 /// The shared bottleneck every app of a scenario crosses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BottleneckSpec {
     /// Queue capacity in packets; arrivals beyond it tail-drop.
     pub capacity: usize,
@@ -95,7 +94,7 @@ impl BottleneckSpec {
 }
 
 /// Which transport a bulk transfer uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Transport {
     /// QUIC short-header STREAM packets over UDP.
     Quic,
@@ -104,7 +103,7 @@ pub enum Transport {
 }
 
 /// One application of a scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AppSpec {
     /// `connections` parallel transfers of an `object_size`-byte object,
     /// measuring goodput and flow completion time.
@@ -138,7 +137,7 @@ pub enum AppSpec {
 }
 
 /// A complete declarative workload scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Scenario name, used in report headers.
     pub name: String,
@@ -151,7 +150,6 @@ pub struct Scenario {
     /// Fault plan attached to the forward path.  The default (empty) plan
     /// consumes no RNG draws, so fault-free scenarios are byte-identical to
     /// the pre-fault world.
-    #[serde(default)]
     pub fault: FaultPlan,
 }
 
