@@ -2,8 +2,10 @@
 //!
 //! A [`ScanTally`] is plain data — a fixed array of `u64` rows (probe
 //! outcomes, the six ECN validation classes, the four probe-error kinds),
-//! two histograms and the merged engine/queue metrics of every connection
-//! the worker simulated.  Three places, three jobs:
+//! two histograms and the summed engine tallies of every connection the
+//! worker simulated (by name only for the runs whose queue or fault
+//! metrics are named after their router or fault).  Three places, three
+//! jobs:
 //!
 //! * **accumulated** in the worker: each executor worker owns one tally and
 //!   `Scanner::measure_host` bumps it through `&mut`, so counting takes no
@@ -11,7 +13,8 @@
 //! * **merged** at worker end: the worker folds its tally into the
 //!   scanner's once, when it is dropped ([`ScanTally::merge_from`]);
 //! * **named** in [`ScanTally::snapshot`]: the one place a row becomes a
-//!   `scan.*` key of a [`MetricsSnapshot`].
+//!   `scan.*` key of a [`MetricsSnapshot`], and the engine tally its
+//!   `engine.*` / `fault.*` keys.
 //!
 //! Every value is a `u64` counted per host and every merge is commutative,
 //! so the snapshot is bit-identical for any worker count and any split of
@@ -19,6 +22,7 @@
 
 use crate::observation::EcnClass;
 use crate::resilience::ProbeError;
+use qem_netsim::EngineTally;
 use qem_obs::{HistogramSnapshot, MetricsSnapshot};
 
 /// One counter row of a [`ScanTally`].
@@ -113,8 +117,10 @@ pub(crate) struct ScanTally {
     pub(crate) quic_elapsed_us: HistogramSnapshot,
     /// Back-off drawn before every QUIC retry.
     pub(crate) quic_backoff_us: HistogramSnapshot,
-    /// Engine/queue metrics of every simulated connection, merged.
-    pub(crate) engine: MetricsSnapshot,
+    /// The engine tallies of the connections counted by slot, summed.
+    pub(crate) engine: EngineTally,
+    /// Engine and queue metrics of the connections counted by name, merged.
+    pub(crate) named: MetricsSnapshot,
 }
 
 impl ScanTally {
@@ -136,12 +142,18 @@ impl ScanTally {
         self.quic_elapsed_us.merge_from(&other.quic_elapsed_us);
         self.quic_backoff_us.merge_from(&other.quic_backoff_us);
         self.engine.merge_from(&other.engine);
+        self.named.merge_from(&other.named);
     }
 
     /// The tally under its exported names: every `scan.*` row plus the
-    /// merged engine/queue metrics.
+    /// engine/queue metrics of every connection.
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.engine.clone();
+        let mut snap = MetricsSnapshot::new();
+        // Every run has a flow: a tally that counted none has no names.
+        if self.engine != EngineTally::default() {
+            self.engine.name_into(&mut snap);
+        }
+        snap.merge_from(&self.named);
         for (row, name) in ROWS {
             snap.set_counter(name, self.counts[row as usize]);
         }
@@ -195,40 +207,66 @@ mod tests {
         assert_eq!(name, "scan.class.remark_ect1");
     }
 
+    /// A fleet of `flows` load flows over a lossy one-hop path with no
+    /// shared queue and no fault plan — what a scan counts by slot: the
+    /// engine's tally and its telemetry.
+    fn engine_run(flows: u32, seed: u64) -> (EngineTally, MetricsSnapshot) {
+        use qem_netsim::{Asn, Engine, Hop, LoadFlow, Path, Router, SharedQueues, SimDuration};
+        let path = Path::new(vec![
+            Hop::new(Router::transparent(1, Asn(680))).with_loss(0.5)
+        ]);
+        let ecn = qem_packet::ecn::EcnCodepoint::Ect0;
+        let interval = SimDuration::from_millis(u64::from(flows));
+        let mut loads = LoadFlow::fleet(&path, flows, 8, interval, ecn, seed);
+        let mut engine = Engine::new(SharedQueues::new());
+        for flow in loads.iter_mut() {
+            engine.add_flow(flow);
+        }
+        engine.run();
+        (engine.tally(), engine.telemetry().metrics)
+    }
+
     #[test]
     fn engine_absorption_is_order_independent() {
-        let mut x = MetricsSnapshot::new();
-        x.set_counter("engine.events_processed", 10);
-        x.set_gauge("engine.virtual_now_us", 5);
-        let mut y = MetricsSnapshot::new();
-        y.set_counter("engine.events_processed", 7);
-        y.set_gauge("engine.virtual_now_us", 9);
-
-        let mut ab = ScanTally::default();
-        ab.engine.merge_from(&x);
-        ab.engine.merge_from(&y);
-        let mut ba = ScanTally::default();
-        ba.engine.merge_from(&y);
-        ba.engine.merge_from(&x);
-        assert_eq!(ab.snapshot(), ba.snapshot());
-        assert_eq!(ab.snapshot().counter("engine.events_processed"), Some(17));
-        assert_eq!(ab.snapshot().gauge("engine.virtual_now_us"), Some(9));
-
-        // The same through two workers' tallies, merged in either order.
-        let worker = |engine: &MetricsSnapshot| {
+        let runs = [engine_run(2, 1), engine_run(5, 2)];
+        // A worker's tally of one host and the runs `(run, by name)`.
+        let tally = |counted: &[(usize, bool)]| {
             let mut tally = ScanTally::default();
             tally.inc(Row::Hosts);
             tally.quic_elapsed_us.record(40);
-            tally.engine.merge_from(engine);
+            for &(i, by_name) in counted {
+                let (engine, named) = &runs[i];
+                if by_name {
+                    tally.named.merge_from(named);
+                } else {
+                    tally.engine.merge_from(engine);
+                }
+            }
             tally
         };
-        let (wx, wy) = (worker(&x), worker(&y));
-        let mut xy = wx.clone();
-        xy.merge_from(&wy);
-        let mut yx = wy;
-        yx.merge_from(&wx);
-        assert_eq!(xy, yx);
-        assert_eq!(xy.snapshot().counter("scan.hosts"), Some(2));
-        assert_eq!(xy.snapshot().counter("engine.events_processed"), Some(17));
+        let expected = tally(&[(0, true), (1, true)]).snapshot();
+        for by_name in [[false, false], [false, true], [true, false]] {
+            for order in [[0, 1], [1, 0]] {
+                let counted = order.map(|i| (i, by_name[i]));
+                assert_eq!(tally(&counted).snapshot(), expected, "{counted:?}");
+            }
+        }
+        // The same through two workers' tallies, merged in either order.
+        let (a, b) = (tally(&[(0, false)]), tally(&[(1, true)]));
+        let mut ab = a.clone();
+        ab.merge_from(&b);
+        let mut ba = b;
+        ba.merge_from(&a);
+        assert_eq!(ab, ba);
+        let mut both = tally(&[(0, true), (1, false)]);
+        both.merge_from(&tally(&[]));
+        assert_eq!(ab.snapshot(), both.snapshot());
+        // Counters add, the clock keeps its peak.
+        let count = |name| runs.iter().map(|(_, m)| m.counter(name).unwrap()).sum();
+        let events: u64 = count("engine.events_processed");
+        assert_eq!(expected.counter("engine.events_processed"), Some(events));
+        let peak = runs[1].1.gauge("engine.virtual_now_us");
+        assert!(peak > runs[0].1.gauge("engine.virtual_now_us"));
+        assert_eq!(expected.gauge("engine.virtual_now_us"), peak);
     }
 }

@@ -8,8 +8,10 @@
 //! produces identical results regardless of worker count or scheduling.
 //! Each executor worker owns one `ScanWorker` for the scan: an
 //! [`EngineScratch`] lent to both probes of every host it measures (one
-//! timer wheel per worker, not one per probe), the `ScanTally` those
-//! hosts are counted in, which the worker folds into the scanner's once,
+//! timer wheel per worker, not one per probe) and a [`QuicScratch`] lent to
+//! its QUIC probes (the endpoints' packet spaces, outboxes and stream
+//! buffers), the `ScanTally` those hosts are counted in — each probe's
+//! engine tally by slot — which the worker folds into the scanner's once,
 //! when it ends ([`Scanner::metrics_snapshot`] gives the counts their
 //! names), and its last route: the [`DuplexPath`] to the previous host and
 //! the `RouteKey` it was built from.  Hosts in id order share a route far
@@ -26,7 +28,7 @@ use qem_netsim::{
 };
 use qem_obs::MetricsSnapshot;
 use qem_quic::behavior::EcnMirroringBehavior;
-use qem_quic::{ClientConfig, ConnectionRun, DriverConfig};
+use qem_quic::{ClientConfig, ConnectionRun, DriverConfig, QuicScratch};
 use qem_tcp::{TcpClientConfig, TcpConnectionRun};
 use qem_tracebox::{analyze_trace, trace_path, TraceConfig};
 use qem_web::{SnapshotDate, StackProfile, Universe};
@@ -100,6 +102,7 @@ impl ScanOptions {
 /// What one executor worker owns for the length of a scan.
 struct ScanWorker<'s> {
     scratch: EngineScratch,
+    quic: QuicScratch,
     tally: ScanTally,
     /// The route to the last host measured, with what it was built from.
     route: Option<(RouteKey, DuplexPath)>,
@@ -179,6 +182,7 @@ impl<'a> Scanner<'a> {
     fn worker(&self) -> ScanWorker<'_> {
         ScanWorker {
             scratch: EngineScratch::default(),
+            quic: QuicScratch::default(),
             tally: ScanTally::default(),
             route: None,
             scanner: self,
@@ -225,12 +229,13 @@ impl<'a> Scanner<'a> {
     }
 
     /// Measure one host: QUIC, TCP and (sampled) tracebox.  Both probes run
-    /// their engine over the worker's scratch and the worker's route, and
+    /// their engine over the worker's scratches and the worker's route, and
     /// are counted in its tally; the measurement does not depend on what the
     /// worker measured before.
     fn measure_host(&self, host_id: usize, worker: &mut ScanWorker<'_>) -> HostMeasurement {
         let ScanWorker {
             scratch,
+            quic,
             tally,
             route,
             ..
@@ -271,6 +276,9 @@ impl<'a> Scanner<'a> {
             tally.inc(Row::QuicAttempted);
             let policy = self.options.retry;
             let max_attempts = policy.attempts.max(1);
+            // Queue and fault metrics are named per router and per fault:
+            // only a loaded or faulted run is counted by name.
+            let named = self.options.cross_traffic.is_enabled() || !self.fault_plan.is_empty();
             let mut attempt = 1u32;
             loop {
                 let driver = DriverConfig::new(client_addr, server_addr);
@@ -278,15 +286,16 @@ impl<'a> Scanner<'a> {
                 // the builder.
                 let run = ConnectionRun::new(client_config.clone(), behavior.clone(), path, driver)
                     .cross_traffic(self.options.cross_traffic)
-                    .telemetry(true)
-                    .scratch(scratch)
+                    .telemetry(named)
+                    .scratch(scratch, quic)
                     .execute(&mut rng);
                 let outcome = run.connection;
                 tally.quic_elapsed_us.record(outcome.elapsed.as_micros());
                 tally.add(Row::QuicForwardLosses, outcome.forward_losses);
                 tally.add(Row::QuicReverseLosses, outcome.reverse_losses);
-                if let Some(telemetry) = &run.telemetry {
-                    tally.engine.merge_from(&telemetry.metrics);
+                match &run.telemetry {
+                    Some(telemetry) => tally.named.merge_from(&telemetry.metrics),
+                    None => tally.engine.merge_from(&run.engine),
                 }
                 match classify_probe(&outcome) {
                     Ok(()) => {

@@ -36,6 +36,12 @@
 //! borrows the caller's and resets it first, so a census worker builds one
 //! wheel for its whole scan instead of one per probe.  A reset scratch is
 //! observably a new one: results never depend on what ran over it before.
+//!
+//! An engine counts in the fixed slots of a `Copy` [`EngineTally`], which
+//! every measured run returns and a scan worker sums; the counts get their
+//! names in one place, [`EngineTally::name_into`], when someone asks for
+//! [`EngineCore::telemetry`] or a scan's metrics.  Queue and fault metrics,
+//! named per router and per fault, stay with [`SharedQueues::telemetry`].
 
 use crate::aqm::{AqmDecision, OccupancyAqm};
 use crate::fault::{FaultStats, FaultVerdict};
@@ -553,6 +559,52 @@ impl SharedQueues {
 }
 
 // ---------------------------------------------------------------------------
+// The engine tally
+// ---------------------------------------------------------------------------
+
+/// The slot of the virtual clock in an [`EngineTally`]: a peak.
+const CLOCK: usize = 4;
+
+/// An engine's own counts — events, flows, wake-log accounting, the
+/// virtual clock, cancellations — of one run or summed over many, as plain
+/// `Copy` slots: what a measured run returns and a scan worker adds up
+/// without a name in sight.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EngineTally([u64; 7]);
+
+impl EngineTally {
+    /// Fold `other` in: counters add, the virtual clock keeps its peak.
+    pub fn merge_from(&mut self, other: &EngineTally) {
+        let clock = self.0[CLOCK].max(other.0[CLOCK]);
+        for (mine, theirs) in self.0.iter_mut().zip(other.0) {
+            *mine += theirs;
+        }
+        self.0[CLOCK] = clock;
+    }
+
+    /// Set every slot in `snap` under its name — the one place an engine
+    /// count gets one.  Cancellations are named only when nonzero, so that
+    /// runs that never cancel — every golden-pinned scenario — keep
+    /// byte-identical documents.
+    pub fn name_into(&self, snap: &mut MetricsSnapshot) {
+        let [events, flows, recorded, dropped, clock, cancelled, stale] = self.0;
+        snap.set_counter("engine.events_processed", events);
+        snap.set_counter("engine.flows", flows);
+        snap.set_counter("engine.trace.recorded", recorded);
+        snap.set_counter("engine.trace.dropped", dropped);
+        snap.set_gauge("engine.virtual_now_us", clock);
+        for (name, value) in [
+            ("engine.sched.cancelled", cancelled),
+            ("engine.sched.stale_pops", stale),
+        ] {
+            if value > 0 {
+                snap.set_counter(name, value);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Flows and the engine
 // ---------------------------------------------------------------------------
 
@@ -597,7 +649,7 @@ const MAX_EVENTS: usize = 10_000_000;
 /// the (ring-bounded) virtual-time wake trace.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct EngineTelemetry {
-    /// Engine counters merged with [`SharedQueues::telemetry`].
+    /// The engine's [`EngineTally`], named, with [`SharedQueues::telemetry`].
     pub metrics: MetricsSnapshot,
     /// Retained wake log, oldest first (see [`EngineCore::event_log`]).
     pub trace: Vec<FlowWake>,
@@ -717,33 +769,32 @@ impl<'a, S: Scheduler<usize>, H: BorrowMut<EngineScratch<S>>> EngineCore<'a, S, 
         self.events_processed
     }
 
-    /// Deterministic metrics and the retained wake trace: engine counters
-    /// (`engine.events_processed`, `engine.flows`, trace accounting, the
-    /// virtual clock) merged with the per-router queue metrics of
+    /// The engine's counts so far.
+    pub fn tally(&self) -> EngineTally {
+        let EngineScratch { queue, log, .. } = self.scratch.borrow();
+        let sched = queue.stats();
+        EngineTally([
+            self.events_processed,
+            self.flows.len() as u64,
+            log.recorded(),
+            log.dropped(),
+            queue.now().as_micros(),
+            sched.cancelled,
+            sched.stale,
+        ])
+    }
+
+    /// Deterministic metrics and the retained wake trace: the
+    /// [`EngineTally`], named, with the per-router queue metrics of
     /// [`SharedQueues::telemetry`].  Purely a read — taking telemetry does
     /// not perturb the simulation, so instrumented and uninstrumented runs
     /// stay bit-identical.
     pub fn telemetry(&self) -> EngineTelemetry {
-        let EngineScratch { queue, log, .. } = self.scratch.borrow();
         let mut metrics = self.shared.telemetry();
-        metrics.set_counter("engine.events_processed", self.events_processed);
-        metrics.set_counter("engine.flows", self.flows.len() as u64);
-        metrics.set_counter("engine.trace.recorded", log.recorded());
-        metrics.set_counter("engine.trace.dropped", log.dropped());
-        metrics.set_gauge("engine.virtual_now_us", queue.now().as_micros());
-        // Cancellation counters are emitted only when nonzero: runs that
-        // never cancel — every golden-pinned scenario — keep byte-identical
-        // telemetry documents across the scheduler swap.
-        let sched = queue.stats();
-        if sched.cancelled > 0 {
-            metrics.set_counter("engine.sched.cancelled", sched.cancelled);
-        }
-        if sched.stale > 0 {
-            metrics.set_counter("engine.sched.stale_pops", sched.stale);
-        }
+        self.tally().name_into(&mut metrics);
         EngineTelemetry {
             metrics,
-            trace: log.to_vec(),
+            trace: self.scratch.borrow().log.to_vec(),
         }
     }
 
@@ -1045,7 +1096,8 @@ impl Flow for LoadFlow {
 
 /// Drive one measured flow to completion next to the background `load` a
 /// [`CrossTraffic`] scenario instantiated (`None`: alone, over no shared
-/// queues), returning the engine's telemetry iff `want_telemetry`.
+/// queues), returning the engine's tally and, iff `want_telemetry`, its
+/// telemetry.
 ///
 /// The engine runs over the caller's `scratch`, reset first — whatever ran
 /// over it before, this run is the run of a fresh [`Engine`] — or, given
@@ -1059,7 +1111,7 @@ pub fn run_measured(
     load: Option<(SharedQueues, Vec<LoadFlow>)>,
     want_telemetry: bool,
     scratch: Option<&mut EngineScratch>,
-) -> Option<EngineTelemetry> {
+) -> (EngineTally, Option<EngineTelemetry>) {
     let (queues, mut loads) = load.unwrap_or_default();
     let mut fresh = None;
     let scratch = match scratch {
@@ -1075,7 +1127,7 @@ pub fn run_measured(
     }
     engine.add_flow(flow);
     engine.run();
-    want_telemetry.then(|| engine.telemetry())
+    (engine.tally(), want_telemetry.then(|| engine.telemetry()))
 }
 
 #[cfg(test)]

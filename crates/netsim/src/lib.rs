@@ -41,9 +41,9 @@ pub mod wheel;
 pub use aqm::OccupancyAqm;
 pub use arena::{ArenaKey, EventArena};
 pub use engine::{
-    CrossTraffic, Engine, EngineCore, EngineScratch, EngineTelemetry, EventId, EventQueue, Flow,
-    FlowStatus, FlowWake, HeapEngine, LoadFlow, QueueConfig, QueueStats, Scheduler, SchedulerStats,
-    SharedQueues, DEFAULT_EVENT_LOG_CAPACITY,
+    CrossTraffic, Engine, EngineCore, EngineScratch, EngineTally, EngineTelemetry, EventId,
+    EventQueue, Flow, FlowStatus, FlowWake, HeapEngine, LoadFlow, QueueConfig, QueueStats,
+    Scheduler, SchedulerStats, SharedQueues, DEFAULT_EVENT_LOG_CAPACITY,
 };
 pub use fault::{FaultDrop, FaultKind, FaultPlan, FaultStats, FaultVerdict, FaultWindow};
 pub use path::{DuplexPath, Hop, Path, TransitOutcome};

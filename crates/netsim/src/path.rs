@@ -4,10 +4,12 @@
 //! A packet is moved down a path, not copied: [`Path::transit_shared`] takes
 //! the [`IpDatagram`] by value, carries its TTL, ECN and DSCP down the hops
 //! as three scalars, writes them into the header once — when it arrives, or
-//! when a router quotes it — and hands the same body back in
-//! [`TransitOutcome::Delivered`], so a sender can take the body back for its
-//! next packet.  [`Path::transit`], which borrows, is the one place a packet
-//! is cloned (besides `LoadFlow`, which sends copies of a template).
+//! when a router quotes it — and hands the same body back whatever the
+//! verdict ([`TransitOutcome::into_body`]), so a sender builds its next
+//! packet in it.  A router that answers an expired packet writes its ICMP
+//! message — header and quote — into one new body, the response's.
+//! [`Path::transit`], which borrows, is the one place a packet is cloned
+//! (besides `LoadFlow`, which sends copies of a template).
 
 use crate::engine::SharedQueues;
 use crate::fault::FaultPlan;
@@ -15,7 +17,7 @@ use crate::policy::EcnPolicy;
 use crate::router::Router;
 use crate::time::{SimDuration, SimInstant};
 use qem_packet::ecn::{Dscp, EcnCodepoint};
-use qem_packet::icmp::IcmpMessage;
+use qem_packet::icmp::{write_time_exceeded, ICMP_HEADER_LEN};
 use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol};
 use rand::Rng;
 
@@ -55,7 +57,9 @@ impl Hop {
     }
 }
 
-/// What happened to a datagram sent down a [`Path`].
+/// What happened to a datagram sent down a [`Path`].  Every verdict hands
+/// the datagram's body back: a delivered one in the datagram, the others
+/// as `body`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TransitOutcome {
     /// The datagram reached the far end, possibly with rewritten ECN / DSCP.
@@ -69,6 +73,8 @@ pub enum TransitOutcome {
     Dropped {
         /// Index of the hop at which the packet was lost.
         at_hop: usize,
+        /// The dropped datagram's body.
+        body: Vec<u8>,
     },
     /// The TTL expired at a router, which answered with an ICMP
     /// *time exceeded* message.
@@ -79,12 +85,16 @@ pub enum TransitOutcome {
         response: IpDatagram,
         /// Delay until the ICMP response arrives back at the sender.
         delay: SimDuration,
+        /// The expired datagram's body.
+        body: Vec<u8>,
     },
     /// The TTL expired but the router stayed silent (ICMP rate limiting,
     /// filtering, or blackholing).
     Expired {
         /// Index of the hop at which the TTL ran out.
         at_hop: usize,
+        /// The expired datagram's body.
+        body: Vec<u8>,
     },
 }
 
@@ -94,6 +104,16 @@ impl TransitOutcome {
         match self {
             TransitOutcome::Delivered { datagram, delay } => Some((datagram, delay)),
             _ => None,
+        }
+    }
+
+    /// The body of the datagram that was sent, whatever became of it.
+    pub fn into_body(self) -> Vec<u8> {
+        match self {
+            TransitOutcome::Delivered { datagram, .. } => datagram.payload,
+            TransitOutcome::Dropped { body, .. }
+            | TransitOutcome::TimeExceeded { body, .. }
+            | TransitOutcome::Expired { body, .. } => body,
         }
     }
 
@@ -191,9 +211,8 @@ impl Path {
     /// CE-marked or dropped based on the *combined* occupancy.  A hop whose
     /// router has no registered queue forwards at once and draws nothing.
     ///
-    /// The datagram is consumed: a delivered one comes back in the outcome
-    /// (same body allocation), anything else is dropped with the packet.
-    /// The hops rewrite TTL, ECN and DSCP as three locals read out of the
+    /// The datagram is consumed and its body comes back in the outcome,
+    /// whatever the verdict (same allocation).  The hops rewrite TTL, ECN and DSCP as three locals read out of the
     /// header once; the header is written once, on delivery or just before
     /// a router quotes it, so the quote shows the packet as it reached that
     /// hop.  A hop's loss and ICMP response probabilities are clamped to
@@ -207,6 +226,8 @@ impl Path {
     ) -> TransitOutcome {
         let mut current = datagram;
         let mut elapsed = SimDuration::ZERO;
+        let dropped = |at_hop, body| TransitOutcome::Dropped { at_hop, body };
+        let expired = |at_hop, body| TransitOutcome::Expired { at_hop, body };
 
         // Fault injection happens once, at path entry, before any hop sees
         // the packet.  The guard keeps clean paths draw-free.
@@ -215,7 +236,7 @@ impl Path {
             queues.record_fault(&verdict);
             if verdict.drop.is_some() {
                 // Fault drops report hop 0: the plan guards the path entry.
-                return TransitOutcome::Dropped { at_hop: 0 };
+                return dropped(0, current.payload);
             }
             elapsed += verdict.extra_delay;
             if let Some(index) = verdict.corrupt_byte {
@@ -232,20 +253,19 @@ impl Path {
 
             // Queue loss happens before the router looks at the packet.
             if hop.loss > 0.0 && rng.gen_bool(hop.loss.clamp(0.0, 1.0)) {
-                return TransitOutcome::Dropped { at_hop: index };
+                return dropped(index, current.payload);
             }
 
             // TTL handling: the quote shows the packet as received.
             let ttl_after = ttl.saturating_sub(1);
             if ttl_after == 0 {
                 let p = hop.router.icmp.response_probability;
-                if !(p > 0.0 && rng.gen_bool(p.clamp(0.0, 1.0))) {
-                    return TransitOutcome::Expired { at_hop: index };
-                }
+                let answered = p > 0.0 && rng.gen_bool(p.clamp(0.0, 1.0));
                 set_rewritable(&mut current.header, ttl, ecn, dscp);
                 // A router that cannot address the sender stays silent.
-                let Ok(response) = build_time_exceeded(&hop.router, &current) else {
-                    return TransitOutcome::Expired { at_hop: index };
+                let response = answered.then(|| build_time_exceeded(&hop.router, &current));
+                let Some(Ok(response)) = response else {
+                    return expired(index, current.payload);
                 };
                 // The ICMP message travels back over the hops already crossed.
                 let return_delay: SimDuration = self.hops[..=index]
@@ -255,6 +275,7 @@ impl Path {
                     at_hop: index,
                     response,
                     delay: elapsed + return_delay,
+                    body: current.payload,
                 };
             }
             ttl = ttl_after;
@@ -272,7 +293,7 @@ impl Path {
             let (decision, wait) = queues.admit(hop.router.id, now, ecn, rng);
             match decision {
                 AqmDecision::Forward(marked) => ecn = marked,
-                AqmDecision::Drop => return TransitOutcome::Dropped { at_hop: index },
+                AqmDecision::Drop => return dropped(index, current.payload),
             }
             elapsed += wait;
         }
@@ -292,16 +313,21 @@ fn set_rewritable(header: &mut IpHeader, ttl: u8, ecn: EcnCodepoint, dscp: Dscp)
     }
 }
 
-/// Build the ICMP time-exceeded response a router sends for `expired`.
+/// Build the ICMP time-exceeded response a router sends for `expired`:
+/// the message is written where it goes, into the one body the response
+/// takes.
 fn build_time_exceeded(router: &Router, expired: &IpDatagram) -> qem_packet::Result<IpDatagram> {
     let v6 = expired.header.is_v6();
+    let quote_bytes = router.icmp.quote_bytes;
+    let mut message = Vec::with_capacity(ICMP_HEADER_LEN + quote_bytes.min(expired.wire_len()));
     // The first `quote_bytes` of the datagram as it would be serialised:
     // the header, then as much of the body as the router quotes.
-    let mut quote = expired.header.encode(expired.payload.len());
-    let body = router.icmp.quote_bytes.saturating_sub(quote.len());
-    quote.truncate(router.icmp.quote_bytes);
-    quote.extend_from_slice(&expired.payload[..body.min(expired.payload.len())]);
-    let message = IcmpMessage::TimeExceeded { v6, quote };
+    write_time_exceeded(&mut message, v6, |buf| {
+        expired.header.write(expired.payload.len(), buf);
+        let body = quote_bytes.saturating_sub(buf.len() - ICMP_HEADER_LEN);
+        buf.extend_from_slice(&expired.payload[..body.min(expired.payload.len())]);
+        buf.truncate(quote_bytes.saturating_add(ICMP_HEADER_LEN));
+    });
     let protocol = if v6 {
         IpProtocol::Icmpv6
     } else {
@@ -313,7 +339,7 @@ fn build_time_exceeded(router: &Router, expired: &IpDatagram) -> qem_packet::Res
         protocol,
         64,
         EcnCodepoint::NotEct,
-        message.encode(),
+        message,
     )
 }
 
@@ -372,10 +398,12 @@ impl DuplexPath {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultKind, FaultPlan};
     use crate::policy::EcnPolicy;
     use crate::router::{IcmpBehavior, Router};
     use crate::topology::Asn;
     use qem_packet::ecn::EcnCodepoint;
+    use qem_packet::icmp::IcmpMessage;
     use qem_packet::ip::{IpHeader, Ipv4Header};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -486,13 +514,57 @@ mod tests {
     }
 
     #[test]
+    fn every_verdict_hands_back_the_body_that_was_sent() {
+        let silent = Router::transparent(1, Asn(680)).with_icmp(IcmpBehavior::silent());
+        let cases = [
+            // Dropped by a hop, and by the fault plan at the path entry.
+            (Path::new(vec![Hop::new(silent.clone()).with_loss(1.0)]), 64),
+            (
+                three_hop_path(EcnPolicy::Pass)
+                    .with_fault(FaultPlan::new().always(FaultKind::Loss { rate: 1.0 })),
+                64,
+            ),
+            (Path::new(vec![Hop::new(silent)]), 1),
+            (three_hop_path(EcnPolicy::ClearEcn), 2),
+            (three_hop_path(EcnPolicy::Pass), 64),
+        ];
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut verdicts = Vec::new();
+        for (path, ttl) in cases {
+            let sent = dgram(ttl, EcnCodepoint::Ect0);
+            let (at, bytes) = (sent.payload.as_ptr(), sent.payload.clone());
+            let outcome =
+                path.transit_shared(sent, SimInstant::EPOCH, &mut rng, &mut SharedQueues::new());
+            verdicts.push(match &outcome {
+                TransitOutcome::Delivered { .. } => "delivered",
+                TransitOutcome::Dropped { .. } => "dropped",
+                TransitOutcome::TimeExceeded { .. } => "time exceeded",
+                TransitOutcome::Expired { .. } => "expired",
+            });
+            let body = outcome.into_body();
+            assert_eq!(body.as_ptr(), at, "{verdicts:?}: the same allocation");
+            assert_eq!(body, bytes, "{verdicts:?}: the same bytes");
+        }
+        assert_eq!(
+            verdicts,
+            [
+                "dropped",
+                "dropped",
+                "expired",
+                "time exceeded",
+                "delivered"
+            ]
+        );
+    }
+
+    #[test]
     fn silent_router_expires_without_response() {
         let path = Path::new(vec![Hop::new(
             Router::transparent(1, Asn(680)).with_icmp(IcmpBehavior::silent()),
         )]);
         let mut rng = StdRng::seed_from_u64(1);
         match path.transit(&dgram(1, EcnCodepoint::Ect0), &mut rng) {
-            TransitOutcome::Expired { at_hop } => assert_eq!(at_hop, 0),
+            TransitOutcome::Expired { at_hop, .. } => assert_eq!(at_hop, 0),
             other => panic!("expected Expired, got {other:?}"),
         }
     }
@@ -503,10 +575,10 @@ mod tests {
             Hop::new(Router::transparent(1, Asn(680))).with_loss(1.0)
         ]);
         let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(
+        assert!(matches!(
             path.transit(&dgram(64, EcnCodepoint::NotEct), &mut rng),
-            TransitOutcome::Dropped { at_hop: 0 }
-        );
+            TransitOutcome::Dropped { at_hop: 0, .. }
+        ));
     }
 
     #[test]
@@ -526,7 +598,10 @@ mod tests {
         };
         // 1.5 drops as 1.0 does, drawing what 1.0 draws.
         let dropped = run(path(1.5, 1.0), 64);
-        assert_eq!(dropped.0, TransitOutcome::Dropped { at_hop: 0 });
+        assert!(matches!(
+            dropped.0,
+            TransitOutcome::Dropped { at_hop: 0, .. }
+        ));
         assert_eq!(dropped, run(path(1.0, 1.0), 64));
         // 2.0 answers as 1.0 does.
         let answered = run(path(0.0, 2.0), 1);

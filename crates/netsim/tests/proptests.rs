@@ -7,7 +7,7 @@ use qem_netsim::{
     QueueConfig, Router, SharedQueues, SimDuration, SimInstant, TransitOutcome,
 };
 use qem_packet::ecn::{Dscp, EcnCodepoint};
-use qem_packet::icmp::IcmpMessage;
+use qem_packet::icmp::write_time_exceeded;
 use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol, Ipv4Header, Ipv6Header};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -82,7 +82,10 @@ fn oracle_transit(
         let verdict = path.fault.apply(now, current.payload.len(), rng);
         queues.record_fault(&verdict);
         if verdict.drop.is_some() {
-            return TransitOutcome::Dropped { at_hop: 0 };
+            return TransitOutcome::Dropped {
+                at_hop: 0,
+                body: current.payload,
+            };
         }
         elapsed += verdict.extra_delay;
         if let Some(index) = verdict.corrupt_byte {
@@ -92,17 +95,23 @@ fn oracle_transit(
     for (index, hop) in path.hops.iter().enumerate() {
         elapsed += hop.delay;
         if hop.loss > 0.0 && rng.gen_bool(hop.loss) {
-            return TransitOutcome::Dropped { at_hop: index };
+            return TransitOutcome::Dropped {
+                at_hop: index,
+                body: current.payload,
+            };
         }
         let ttl_after = current.header.ttl().saturating_sub(1);
         if ttl_after == 0 {
             let respond = hop.router.icmp.response_probability > 0.0
                 && rng.gen_bool(hop.router.icmp.response_probability);
-            if !respond {
-                return TransitOutcome::Expired { at_hop: index };
-            }
-            let Some(response) = oracle_time_exceeded(&hop.router, &current) else {
-                return TransitOutcome::Expired { at_hop: index };
+            let response = respond
+                .then(|| oracle_time_exceeded(&hop.router, &current))
+                .flatten();
+            let Some(response) = response else {
+                return TransitOutcome::Expired {
+                    at_hop: index,
+                    body: current.payload,
+                };
             };
             let return_delay: SimDuration = path.hops[..=index]
                 .iter()
@@ -111,6 +120,7 @@ fn oracle_transit(
                 at_hop: index,
                 response,
                 delay: elapsed + return_delay,
+                body: current.payload,
             };
         }
         current.header.set_ttl(ttl_after);
@@ -126,7 +136,12 @@ fn oracle_transit(
         let (decision, wait) = queues.admit(hop.router.id, now, current.header.ecn(), rng);
         match decision {
             AqmDecision::Forward(ecn) => current.header.set_ecn(ecn),
-            AqmDecision::Drop => return TransitOutcome::Dropped { at_hop: index },
+            AqmDecision::Drop => {
+                return TransitOutcome::Dropped {
+                    at_hop: index,
+                    body: current.payload,
+                }
+            }
         }
         elapsed += wait;
     }
@@ -140,7 +155,8 @@ fn oracle_transit(
 /// it stands, then as much of its body as the router quotes.
 fn oracle_time_exceeded(router: &Router, expired: &IpDatagram) -> Option<IpDatagram> {
     let v6 = expired.header.is_v6();
-    let mut quote = expired.header.encode(expired.payload.len());
+    let mut quote = Vec::new();
+    expired.header.write(expired.payload.len(), &mut quote);
     let body = router.icmp.quote_bytes.saturating_sub(quote.len());
     quote.truncate(router.icmp.quote_bytes);
     quote.extend_from_slice(&expired.payload[..body.min(expired.payload.len())]);
@@ -149,13 +165,15 @@ fn oracle_time_exceeded(router: &Router, expired: &IpDatagram) -> Option<IpDatag
     } else {
         IpProtocol::Icmp
     };
+    let mut message = Vec::new();
+    write_time_exceeded(&mut message, v6, |buf| buf.extend_from_slice(&quote));
     IpDatagram::assemble(
         router.address,
         expired.header.src(),
         protocol,
         64,
         EcnCodepoint::NotEct,
-        IcmpMessage::TimeExceeded { v6, quote }.encode(),
+        message,
     )
     .ok()
 }
@@ -422,7 +440,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let dropped_at_first_hop = matches!(
             lossy.transit(&datagram(64, EcnCodepoint::Ect0), &mut rng),
-            TransitOutcome::Dropped { at_hop: 0 }
+            TransitOutcome::Dropped { at_hop: 0, .. }
         );
         prop_assert!(dropped_at_first_hop);
         let silent = build_path(&policies, 0.0, true);

@@ -98,9 +98,9 @@ impl Ipv4Header {
     /// Encode the header for a payload of `payload_len` bytes.
     ///
     /// The total-length field and the header checksum are computed here.
-    pub fn encode(&self, payload_len: usize) -> Vec<u8> {
+    pub fn encode(&self, payload_len: usize) -> [u8; IPV4_HEADER_LEN] {
         let total_len = (IPV4_HEADER_LEN + payload_len) as u16;
-        let mut buf = vec![0u8; IPV4_HEADER_LEN];
+        let mut buf = [0u8; IPV4_HEADER_LEN];
         buf[0] = (4 << 4) | 5; // version 4, IHL 5 words
         buf[1] = traffic_class(self.dscp, self.ecn);
         buf[2..4].copy_from_slice(&total_len.to_be_bytes());
@@ -210,8 +210,8 @@ impl Ipv6Header {
     }
 
     /// Encode the header for a payload of `payload_len` bytes.
-    pub fn encode(&self, payload_len: usize) -> Vec<u8> {
-        let mut buf = vec![0u8; IPV6_HEADER_LEN];
+    pub fn encode(&self, payload_len: usize) -> [u8; IPV6_HEADER_LEN] {
+        let mut buf = [0u8; IPV6_HEADER_LEN];
         let tc = traffic_class(self.dscp, self.ecn) as u32;
         let word0 = (6u32 << 28) | (tc << 20) | (self.flow_label & 0x000f_ffff);
         buf[0..4].copy_from_slice(&word0.to_be_bytes());
@@ -358,11 +358,11 @@ impl IpHeader {
         matches!(self, IpHeader::V6(_))
     }
 
-    /// Encode header plus payload length metadata.
-    pub fn encode(&self, payload_len: usize) -> Vec<u8> {
+    /// Append the header, for a payload of `payload_len` bytes, to `buf`.
+    pub fn write(&self, payload_len: usize, buf: &mut Vec<u8>) {
         match self {
-            IpHeader::V4(h) => h.encode(payload_len),
-            IpHeader::V6(h) => h.encode(payload_len),
+            IpHeader::V4(h) => buf.extend_from_slice(&h.encode(payload_len)),
+            IpHeader::V6(h) => buf.extend_from_slice(&h.encode(payload_len)),
         }
     }
 
@@ -444,7 +444,8 @@ impl IpDatagram {
 
     /// Serialise header and payload into one byte vector.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = self.header.encode(self.payload.len());
+        let mut buf = Vec::with_capacity(self.wire_len());
+        self.header.write(self.payload.len(), &mut buf);
         buf.extend_from_slice(&self.payload);
         buf
     }

@@ -14,10 +14,13 @@
 //! same items into owned [`Frame`]s.  [`Frame::encode`] appends to the
 //! caller's buffer; [`encode_ack`], [`encode_stream_header`] and
 //! [`encode_connection_close`] are its parts for senders that hold the
-//! content in another shape than an owned frame.
+//! content in another shape than an owned frame, and [`begin_crypto`] /
+//! [`begin_stream`] open a frame whose data the sender then writes where it
+//! goes.
 
 use crate::ecn::EcnCounts;
 use crate::error::PacketError;
+use crate::quic::header::OpenPacket;
 use crate::quic::varint::{decode_varint, encode_varint};
 use crate::Result;
 
@@ -165,6 +168,23 @@ pub fn encode_stream_header(buf: &mut Vec<u8>, stream_id: u64, offset: u64, fin:
     encode_varint(buf, stream_id);
     encode_varint(buf, offset);
     encode_varint(buf, len as u64);
+}
+
+/// Append the type and offset of a CRYPTO frame to `buf` and reserve its
+/// length: the caller writes the data behind it and finishes the length.
+pub fn begin_crypto(buf: &mut Vec<u8>, offset: u64) -> OpenPacket {
+    encode_varint(buf, FRAME_CRYPTO);
+    encode_varint(buf, offset);
+    OpenPacket::length(buf)
+}
+
+/// [`encode_stream_header`] for data of a length not known yet: the caller
+/// writes the data behind it and finishes the length.
+pub fn begin_stream(buf: &mut Vec<u8>, stream_id: u64, offset: u64, fin: bool) -> OpenPacket {
+    // A zero length is the one byte `0`: take it back, reserve two.
+    encode_stream_header(buf, stream_id, offset, fin, 0);
+    buf.pop();
+    OpenPacket::length(buf)
 }
 
 /// Append a CONNECTION_CLOSE frame to `buf`.

@@ -198,7 +198,7 @@ impl PacketHeader {
     /// datagram padding to [`crate::quic::MIN_INITIAL_SIZE`] is the sender's
     /// job.
     pub fn begin(&self, buf: &mut Vec<u8>) -> OpenPacket {
-        let mut length_at = None;
+        let mut open = OpenPacket { length_at: None };
         match self {
             PacketHeader::Long {
                 ty,
@@ -222,9 +222,8 @@ impl PacketHeader {
                 }
                 // Length field (packet number + payload), known once the
                 // payload is behind it, then the packet number.
-                length_at = Some(buf.len());
-                let pn = (*packet_number as u32).to_be_bytes();
-                buf.extend_from_slice(&[0, 0, pn[0], pn[1], pn[2], pn[3]]);
+                open = OpenPacket::length(buf);
+                buf.extend_from_slice(&(*packet_number as u32).to_be_bytes());
             }
             PacketHeader::Short {
                 dcid,
@@ -251,7 +250,7 @@ impl PacketHeader {
                 }
             }
         }
-        OpenPacket { length_at }
+        open
     }
 }
 
@@ -266,6 +265,15 @@ pub struct OpenPacket {
 }
 
 impl OpenPacket {
+    /// Reserve a length field at the end of `buf` for whatever the caller
+    /// writes behind it — a CRYPTO or STREAM frame's data, written where it
+    /// goes — settled by [`OpenPacket::finish`] as a long header's is.
+    pub fn length(buf: &mut Vec<u8>) -> OpenPacket {
+        let length_at = Some(buf.len());
+        buf.extend_from_slice(&[0; LENGTH_RESERVED]);
+        OpenPacket { length_at }
+    }
+
     /// The packet is complete: everything behind the header in `buf` is its
     /// payload.  Writes the long header's Length field as the minimal
     /// varint, closing up (or widening) the two bytes reserved for it when

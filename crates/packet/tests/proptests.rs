@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use qem_packet::ecn::{split_traffic_class, traffic_class, Dscp, EcnCodepoint, EcnCounts};
+use qem_packet::icmp::{write_time_exceeded, IcmpMessage};
 use qem_packet::ip::{
     internet_checksum, pseudo_header_checksum, IpProtocol, Ipv4Header, Ipv6Header,
 };
@@ -60,12 +61,94 @@ fn encode_reusing(
 }
 
 /// The frame decoder this crate had before [`Frames`]: one owned frame per
-/// call, one `Padding { size: 1 }` per padding byte, merged afterwards.  Kept
-/// as the reference the borrowing parser is held to.
+/// call, one `Padding { size: 1 }` per padding byte, merged afterwards; and
+/// the owned ICMP codec from before messages were read and written in
+/// place.  Kept as the reference the borrowing forms are held to.
 mod oracle {
     use qem_packet::ecn::EcnCounts;
+    use qem_packet::icmp::{
+        ICMPV4_DEST_UNREACHABLE, ICMPV4_TIME_EXCEEDED, ICMPV6_DEST_UNREACHABLE,
+        ICMPV6_TIME_EXCEEDED, ICMP_HEADER_LEN,
+    };
+    use qem_packet::ip::internet_checksum;
     use qem_packet::quic::{decode_varint, AckFrame, Frame};
     use qem_packet::PacketError;
+
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum IcmpMessage {
+        TimeExceeded { v6: bool, quote: Vec<u8> },
+        DestinationUnreachable { v6: bool, code: u8, quote: Vec<u8> },
+    }
+
+    impl IcmpMessage {
+        pub fn encode(&self) -> Vec<u8> {
+            let (ty, code, quote) = match self {
+                IcmpMessage::TimeExceeded { v6, quote } => {
+                    let ty = if *v6 {
+                        ICMPV6_TIME_EXCEEDED
+                    } else {
+                        ICMPV4_TIME_EXCEEDED
+                    };
+                    (ty, 0u8, quote)
+                }
+                IcmpMessage::DestinationUnreachable { v6, code, quote } => {
+                    let ty = if *v6 {
+                        ICMPV6_DEST_UNREACHABLE
+                    } else {
+                        ICMPV4_DEST_UNREACHABLE
+                    };
+                    (ty, *code, quote)
+                }
+            };
+            let mut buf = Vec::with_capacity(ICMP_HEADER_LEN + quote.len());
+            buf.push(ty);
+            buf.push(code);
+            buf.extend_from_slice(&[0, 0]); // checksum placeholder
+            buf.extend_from_slice(&[0, 0, 0, 0]); // unused
+            buf.extend_from_slice(quote);
+            let csum = internet_checksum(&buf);
+            buf[2..4].copy_from_slice(&csum.to_be_bytes());
+            buf
+        }
+
+        pub fn decode(buf: &[u8], v6: bool) -> Result<Self, PacketError> {
+            if buf.len() < ICMP_HEADER_LEN {
+                return Err(PacketError::Truncated {
+                    what: "icmp message",
+                    needed: ICMP_HEADER_LEN,
+                    available: buf.len(),
+                });
+            }
+            if internet_checksum(buf) != 0 {
+                return Err(PacketError::BadChecksum {
+                    what: "icmp message",
+                });
+            }
+            let ty = buf[0];
+            let code = buf[1];
+            let quote = buf[ICMP_HEADER_LEN..].to_vec();
+            let time_exceeded = if v6 {
+                ICMPV6_TIME_EXCEEDED
+            } else {
+                ICMPV4_TIME_EXCEEDED
+            };
+            let unreachable = if v6 {
+                ICMPV6_DEST_UNREACHABLE
+            } else {
+                ICMPV4_DEST_UNREACHABLE
+            };
+            if ty == time_exceeded {
+                Ok(IcmpMessage::TimeExceeded { v6, quote })
+            } else if ty == unreachable {
+                Ok(IcmpMessage::DestinationUnreachable { v6, code, quote })
+            } else {
+                Err(PacketError::InvalidField {
+                    what: "icmp message",
+                    reason: "unsupported icmp type",
+                })
+            }
+        }
+    }
 
     pub fn decode_all(buf: &[u8]) -> Result<Vec<Frame>, PacketError> {
         let mut frames = Vec::new();
@@ -668,6 +751,50 @@ proptest! {
         if bytes.len() == 8 {
             let value = u64::from_be_bytes(bytes[..8].try_into().unwrap());
             prop_assert_eq!(ConnectionId::from_u64(value), id);
+        }
+    }
+
+    /// ICMP messages read in place read what the owned decoder read — the
+    /// same quote bytes, the same error — on arbitrary and on damaged
+    /// bytes, never panicking; and a time-exceeded message written in
+    /// place, its quote written where it goes, is the owned encoder's
+    /// bytes.
+    #[test]
+    fn icmp_read_and_written_in_place_are_the_oracles(
+        v6 in any::<bool>(),
+        unreachable in any::<bool>(),
+        code in any::<u8>(),
+        quote in proptest::collection::vec(any::<u8>(), 0..200),
+        damage in (any::<usize>(), any::<u8>(), any::<usize>()),
+        arbitrary in proptest::collection::vec(any::<u8>(), 0..40),
+    ) {
+        let expected = if unreachable {
+            oracle::IcmpMessage::DestinationUnreachable { v6, code, quote: quote.clone() }
+        } else {
+            oracle::IcmpMessage::TimeExceeded { v6, quote: quote.clone() }
+        };
+        let bytes = expected.encode();
+        let oracle_bytes = bytes.clone();
+        if !unreachable {
+            // A router writes its quote behind the header it was given.
+            let mut written = vec![0xa5; 3];
+            write_time_exceeded(&mut written, v6, |buf| buf.extend_from_slice(&quote));
+            prop_assert_eq!(&written[3..], &oracle_bytes[..]);
+        }
+        let (at, flip, cut) = damage;
+        let mut damaged = bytes.clone();
+        damaged[at % bytes.len()] ^= flip;
+        damaged.truncate(cut % (bytes.len() + 1));
+        for (buf, v6) in [(&bytes, v6), (&bytes, !v6), (&damaged, v6), (&arbitrary, v6)] {
+            let read = IcmpMessage::decode(buf, v6).map(|m| match m {
+                IcmpMessage::TimeExceeded { v6, quote } => {
+                    oracle::IcmpMessage::TimeExceeded { v6, quote: quote.to_vec() }
+                }
+                IcmpMessage::DestinationUnreachable { v6, code, quote } => {
+                    oracle::IcmpMessage::DestinationUnreachable { v6, code, quote: quote.to_vec() }
+                }
+            });
+            prop_assert_eq!(read, oracle::IcmpMessage::decode(buf, v6));
         }
     }
 

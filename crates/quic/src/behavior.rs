@@ -16,6 +16,10 @@
 //!   client-visible equivalent of Google's suspected internal ECT(1)
 //!   exposure, §7.3),
 //! * stacks that mark everything CE (the Google-in-India anomaly, §8).
+//!
+//! A profile owns no heap — its headers are `&'static str`, its versions an
+//! inline list — so a scanner hands a copy to every probe without
+//! allocating.
 
 use crate::transport_params::TransportParameters;
 use qem_packet::ecn::{EcnCodepoint, EcnCounts};
@@ -76,21 +80,42 @@ impl EcnMirroringBehavior {
     }
 }
 
+/// The QUIC versions a server accepts, in its order, held inline: the first
+/// eight of what it is given.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Versions([Option<QuicVersion>; 8]);
+
+impl Versions {
+    /// The first eight of `versions`.
+    pub fn new(versions: impl IntoIterator<Item = QuicVersion>) -> Self {
+        let mut list = [None; 8];
+        for (slot, version) in list.iter_mut().zip(versions) {
+            *slot = Some(version);
+        }
+        Versions(list)
+    }
+
+    /// The versions, in order.
+    pub fn iter(&self) -> impl Iterator<Item = QuicVersion> + '_ {
+        self.0.iter().flatten().copied()
+    }
+}
+
 /// Complete behavioural description of a simulated QUIC server.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerBehavior {
     /// QUIC versions the server accepts; anything else triggers version
     /// negotiation.
-    pub supported_versions: Vec<QuicVersion>,
+    pub supported_versions: Versions,
     /// ECN mirroring behaviour.
     pub mirroring: EcnMirroringBehavior,
     /// The codepoint the server sets on its own outgoing packets
     /// (`NotEct` if the server does not *use* ECN).
     pub egress_ecn: EcnCodepoint,
     /// Value of the HTTP `server` header (`None` = header suppressed).
-    pub server_header: Option<String>,
+    pub server_header: Option<&'static str>,
     /// Value of the HTTP `via` header (set by reverse proxies).
-    pub via_header: Option<String>,
+    pub via_header: Option<&'static str>,
     /// Transport parameters advertised in the handshake (fingerprinted by the
     /// measurement pipeline to identify stacks without a `server` header).
     pub transport_params: TransportParameters,
@@ -103,7 +128,7 @@ impl ServerBehavior {
     /// A well-behaved server: QUIC v1, accurate mirroring, no ECN use of its own.
     pub fn accurate() -> Self {
         ServerBehavior {
-            supported_versions: vec![QuicVersion::V1],
+            supported_versions: Versions::new([QuicVersion::V1]),
             mirroring: EcnMirroringBehavior::Accurate,
             egress_ecn: EcnCodepoint::NotEct,
             server_header: None,
@@ -134,20 +159,20 @@ impl ServerBehavior {
     }
 
     /// Set the supported versions.
-    pub fn with_versions(mut self, versions: Vec<QuicVersion>) -> Self {
-        self.supported_versions = versions;
+    pub fn with_versions(mut self, versions: impl IntoIterator<Item = QuicVersion>) -> Self {
+        self.supported_versions = Versions::new(versions);
         self
     }
 
     /// Set the HTTP `server` header.
-    pub fn with_server_header(mut self, header: &str) -> Self {
-        self.server_header = Some(header.to_string());
+    pub fn with_server_header(mut self, header: &'static str) -> Self {
+        self.server_header = Some(header);
         self
     }
 
     /// Whether `version` is acceptable to this server.
     pub fn supports_version(&self, version: QuicVersion) -> bool {
-        self.supported_versions.contains(&version)
+        self.supported_versions.iter().any(|v| v == version)
     }
 
     /// Whether this behaviour would count as "Mirroring" in the paper's
@@ -234,7 +259,15 @@ mod tests {
         assert!(b.nominally_mirrors());
         assert!(b.supports_version(QuicVersion::DRAFT_27));
         assert!(!b.supports_version(QuicVersion::V1));
-        assert_eq!(b.server_header.as_deref(), Some("LiteSpeed"));
+        assert_eq!(b.server_header, Some("LiteSpeed"));
+    }
+
+    #[test]
+    fn versions_are_held_inline_up_to_eight() {
+        let all = (0..10).map(|n| QuicVersion::Draft(20 + n));
+        let versions = Versions::new(all.clone());
+        assert!(versions.iter().eq(all.take(8)));
+        assert!(Versions::new([]).iter().next().is_none());
     }
 
     #[test]

@@ -11,24 +11,26 @@
 //!
 //! Incoming datagrams are read where they lie: each packet's header by
 //! value, its frames as views of the datagram, a packet with a malformed
-//! frame dropped whole.  Outgoing packets are written where they go: header,
-//! frame and Initial padding appended to the connection's outbox, which
-//! [`ClientConnection::poll_transmit`] lends out first-in first-out.  An
-//! ack-eliciting frame stays with its [`SentPacket`] until acknowledged, so
-//! that a PTO can send it again.
+//! frame dropped whole, the ServerHello read in place.  Outgoing packets
+//! are written where they go: header, frame — ClientHello and request
+//! included — and Initial padding appended to the connection's outbox,
+//! which [`ClientConnection::poll_transmit`] lends out first-in first-out.
+//! An ack-eliciting packet's [`Content`] tag stays with its [`SentPacket`]
+//! until acknowledged, so that a PTO can write it again.  The one thing a
+//! connection allocates for keeps is its report's response, which it moves
+//! into the report.
 
 use crate::ecn::{EcnConfig, EcnValidationState, EcnValidator};
 use crate::handshake::HandshakeMessage;
 use crate::http::{HttpRequest, HttpResponse};
-use crate::outbox::{Content, Outbox};
-use crate::spaces::{PacketSpace, SentPacket, SpaceId};
+use crate::outbox::{Buffers, Content, Messages};
+use crate::spaces::{AckResult, PacketSpace, SentPacket, SpaceId};
 use crate::transport_params::TransportParameters;
 use crate::CID_LEN;
 use qem_netsim::{SimDuration, SimInstant};
 use qem_packet::ecn::{EcnCodepoint, EcnCounts};
 use qem_packet::quic::{
-    ConnectionId, Frame, FrameRef, LongPacketType, PacketHeader, PacketRef, QuicVersion,
-    MIN_INITIAL_SIZE,
+    ConnectionId, FrameRef, LongPacketType, PacketHeader, PacketRef, QuicVersion, MIN_INITIAL_SIZE,
 };
 
 /// Whether and how the client uses ECN.
@@ -95,6 +97,20 @@ impl ClientConfig {
     }
 }
 
+impl Messages for ClientConfig {
+    fn hello(&self) -> HandshakeMessage<'_> {
+        HandshakeMessage::ClientHello {
+            sni: self.sni.as_bytes(),
+            alpn: b"h3",
+            transport_params: self.transport_params,
+        }
+    }
+
+    fn http(&self, buf: &mut Vec<u8>) {
+        HttpRequest::get(&self.sni).encode(buf);
+    }
+}
+
 pub use crate::outbox::Transmit;
 
 /// Frame bytes a client Initial is padded to, so that the datagram — with
@@ -140,25 +156,22 @@ pub struct ClientConnection {
     version: QuicVersion,
     local_cid: ConnectionId,
     remote_cid: ConnectionId,
-    spaces: [PacketSpace; 3],
+    /// Packet number spaces, outbox and the response stream.
+    buffers: Buffers,
     validator: EcnValidator,
     ecn_enabled: bool,
-    /// Last cumulative ECN counters reported by the peer, per space.
-    peer_counts: [Option<EcnCounts>; 3],
+    /// Last cumulative ECN counters accepted from the peer, per space.
+    peer_counts: [EcnCounts; 3],
     /// Aggregate of `peer_counts` fed to the validator.
     aggregate_counts: EcnCounts,
     received_ecn: EcnCounts,
-    outbox: Outbox,
 
     hello_sent: bool,
-    server_hello: Option<HandshakeMessage>,
+    /// The ServerHello's parameters, once it has arrived.
     server_params: Option<TransportParameters>,
     finished_sent: bool,
-    handshake_done: bool,
     request_sent: bool,
     pings_sent: u64,
-    response_buf: Vec<u8>,
-    response_fin: bool,
     response: Option<HttpResponse>,
     close_sent: bool,
     closed: bool,
@@ -166,7 +179,6 @@ pub struct ClientConnection {
     version_negotiated: bool,
 
     start_time: SimInstant,
-    last_activity: SimInstant,
     pto_deadline: Option<SimInstant>,
     pto_count: u32,
 }
@@ -174,6 +186,17 @@ pub struct ClientConnection {
 impl ClientConnection {
     /// Create a connection; `cid_seed` makes connection IDs deterministic.
     pub fn new(config: ClientConfig, now: SimInstant, cid_seed: u64) -> Self {
+        ClientConnection::over(config, now, cid_seed, Buffers::default())
+    }
+
+    /// [`ClientConnection::new`] over `buffers`, reset first.
+    pub(crate) fn over(
+        config: ClientConfig,
+        now: SimInstant,
+        cid_seed: u64,
+        mut buffers: Buffers,
+    ) -> Self {
+        buffers.reset();
         let validator = match config.ecn {
             ClientEcnMode::Disabled => EcnValidator::disabled(),
             ClientEcnMode::Validate(ecn_config) => EcnValidator::new(ecn_config),
@@ -185,29 +208,23 @@ impl ClientConnection {
             version,
             local_cid: ConnectionId::from_u64(cid_seed),
             remote_cid: ConnectionId::from_u64(cid_seed.wrapping_add(1)),
-            spaces: Default::default(),
+            buffers,
             validator,
             ecn_enabled,
-            peer_counts: [None; 3],
+            peer_counts: [EcnCounts::ZERO; 3],
             aggregate_counts: EcnCounts::ZERO,
             received_ecn: EcnCounts::ZERO,
-            outbox: Outbox::default(),
             hello_sent: false,
-            server_hello: None,
             server_params: None,
             finished_sent: false,
-            handshake_done: false,
             request_sent: false,
             pings_sent: 0,
-            response_buf: Vec::new(),
-            response_fin: false,
             response: None,
             close_sent: false,
             closed: false,
             error: None,
             version_negotiated: false,
             start_time: now,
-            last_activity: now,
             pto_deadline: None,
             pto_count: 0,
         }
@@ -220,7 +237,7 @@ impl ClientConnection {
 
     /// Whether the handshake has completed.
     pub fn is_established(&self) -> bool {
-        self.finished_sent && self.server_hello.is_some()
+        self.finished_sent && self.server_params.is_some()
     }
 
     /// Whether the connection is finished (successfully or not).
@@ -228,15 +245,22 @@ impl ClientConnection {
         self.closed
     }
 
-    fn all_acked(&self) -> bool {
-        !self.spaces.iter().any(|s| s.has_unacked())
-    }
-
     /// Produce the measurement report.
     pub fn report(&self) -> ClientReport {
+        self.report_with(self.response.clone(), self.error.clone())
+    }
+
+    /// The measurement report, the response and error moved into it, and
+    /// the buffers the connection ran in.
+    pub(crate) fn finish(mut self) -> (ClientReport, Buffers) {
+        let (response, error) = (self.response.take(), self.error.take());
+        (self.report_with(response, error), self.buffers)
+    }
+
+    fn report_with(&self, response: Option<HttpResponse>, error: Option<String>) -> ClientReport {
         ClientReport {
             connected: self.is_established(),
-            response: self.response.clone(),
+            response,
             version: self.version,
             server_transport_params: self.server_params,
             transport_fingerprint: self.server_params.map(|p| p.fingerprint()),
@@ -246,7 +270,7 @@ impl ClientConnection {
             sent_counts: self.validator.sent_counts(),
             received_ecn: self.received_ecn,
             server_used_ecn: self.received_ecn.total() > 0,
-            error: self.error.clone(),
+            error,
         }
     }
 
@@ -259,7 +283,6 @@ impl ClientConnection {
         if self.closed {
             return;
         }
-        self.last_activity = now;
         let mut rest = payload;
         while !rest.is_empty() {
             let Ok((packet, consumed)) = PacketRef::parse(rest, CID_LEN) else {
@@ -276,7 +299,7 @@ impl ClientConnection {
         if !self.hello_sent {
             self.drive(now);
         }
-        self.outbox.pop()
+        self.buffers.outbox.pop()
     }
 
     /// The next instant at which [`handle_timeout`](Self::handle_timeout)
@@ -293,7 +316,7 @@ impl ClientConnection {
     }
 
     fn has_unacked(&self) -> bool {
-        self.spaces.iter().any(|s| s.has_unacked())
+        self.buffers.spaces.iter().any(|s| s.has_unacked())
     }
 
     /// Handle the expiry of the timer returned by [`poll_timeout`](Self::poll_timeout).
@@ -331,12 +354,15 @@ impl ClientConnection {
             self.validator.on_timeout();
         }
         // Retransmit unacknowledged ack-eliciting data, respecting the
-        // retransmission budget (1 by default, per the paper).
+        // retransmission budget (1 by default, per the paper).  Only the
+        // packets sent before the PTO are visited; repeats queue behind.
+        let max = self.config.max_retransmissions;
         for space_id in SpaceId::ALL {
-            let to_resend =
-                self.spaces[space_id.index()].retransmittable(self.config.max_retransmissions);
-            for (frame, retransmissions) in to_resend {
-                self.send_packet(space_id, Content::Frame(frame), now, retransmissions);
+            let i = space_id.index();
+            for at in 0..self.buffers.spaces[i].sent_len() {
+                if let Some((content, repeat)) = self.buffers.spaces[i].retransmit(at, max) {
+                    self.send_packet(space_id, content, now, repeat);
+                }
             }
         }
         // Exponential backoff for the next PTO.
@@ -374,7 +400,8 @@ impl ClientConnection {
         let Ok(ack_eliciting) = packet.ack_eliciting() else {
             return;
         };
-        let is_new = self.spaces[space_id.index()].on_packet_received(pn, ecn, ack_eliciting);
+        let is_new =
+            self.buffers.spaces[space_id.index()].on_packet_received(pn, ecn, ack_eliciting);
         self.received_ecn.record(ecn);
         if !is_new {
             return;
@@ -387,58 +414,27 @@ impl ClientConnection {
     fn handle_frame(&mut self, space_id: SpaceId, frame: FrameRef<'_>) {
         match frame {
             FrameRef::Ack(ack) => {
-                let result = self.spaces[space_id.index()].on_ack_received(&ack);
+                let result = self.buffers.spaces[space_id.index()].on_ack_received(&ack);
                 if result.count > 0 {
                     self.pto_count = 0;
                     self.pto_deadline = None;
                 }
                 if self.ecn_enabled {
-                    // Aggregate per-space cumulative counters into a single
-                    // connection-level cumulative series for the validator.
-                    let aggregate = match ack.ecn {
-                        Some(counts) => {
-                            let prev =
-                                self.peer_counts[space_id.index()].unwrap_or(EcnCounts::ZERO);
-                            if counts.dominates(&prev) {
-                                let delta = counts.saturating_sub(&prev);
-                                self.peer_counts[space_id.index()] = Some(counts);
-                                self.aggregate_counts = self.aggregate_counts.plus(&delta);
-                            } else {
-                                // Per-space regression; surface it to the
-                                // validator as a non-monotonic aggregate.
-                                self.peer_counts[space_id.index()] = Some(counts);
-                                self.aggregate_counts = EcnCounts {
-                                    ect0: self.aggregate_counts.ect0.saturating_sub(1),
-                                    ..self.aggregate_counts
-                                };
-                            }
-                            Some(self.aggregate_counts)
-                        }
-                        None => None,
-                    };
-                    self.validator
-                        .on_ack_received(result.marked_count, result.count, aggregate);
+                    self.on_ack_ecn(space_id.index(), ack.ecn, result);
                 }
             }
             FrameRef::Crypto { data, .. } => {
-                if let Ok(
-                    hello @ HandshakeMessage::ServerHello {
-                        transport_params, ..
-                    },
-                ) = HandshakeMessage::decode(data)
+                if let Ok(HandshakeMessage::ServerHello {
+                    transport_params, ..
+                }) = HandshakeMessage::decode(data)
                 {
                     self.server_params = Some(transport_params);
-                    self.server_hello = Some(hello);
                 }
             }
-            FrameRef::HandshakeDone => {
-                self.handshake_done = true;
-            }
             FrameRef::Stream { data, fin, .. } => {
-                self.response_buf.extend_from_slice(data);
+                self.buffers.stream.extend_from_slice(data);
                 if fin {
-                    self.response_fin = true;
-                    self.response = HttpResponse::decode(&self.response_buf);
+                    self.response = HttpResponse::decode(&self.buffers.stream);
                 }
             }
             FrameRef::ConnectionClose { reason, .. } => {
@@ -448,7 +444,31 @@ impl ClientConnection {
                 }
                 self.closed = true;
             }
-            FrameRef::Ping | FrameRef::Padding { .. } => {}
+            FrameRef::Ping | FrameRef::Padding { .. } | FrameRef::HandshakeDone => {}
+        }
+    }
+
+    /// Fold an ACK's per-space cumulative counters into the one
+    /// connection-level series the validator reads.
+    fn on_ack_ecn(&mut self, space: usize, ecn: Option<EcnCounts>, ack: AckResult) {
+        let base = self.peer_counts[space];
+        match ecn {
+            // A per-space regression keeps the accepted base; it fails
+            // validation iff this ACK acknowledges anything new (RFC 9000
+            // §13.4.2.1: a reordered ACK must not).
+            Some(counts) if !counts.dominates(&base) => {
+                self.validator.on_regressed_counts(ack.count)
+            }
+            _ => {
+                if let Some(counts) = ecn {
+                    self.peer_counts[space] = counts;
+                    self.aggregate_counts =
+                        self.aggregate_counts.plus(&counts.saturating_sub(&base));
+                }
+                let aggregate = ecn.map(|_| self.aggregate_counts);
+                self.validator
+                    .on_ack_received(ack.marked_count, ack.count, aggregate);
+            }
         }
     }
 
@@ -470,14 +490,13 @@ impl ClientConnection {
             Some(version) => {
                 self.version = version;
                 // Restart the connection state with the new version.
-                self.spaces = Default::default();
-                self.peer_counts = [None; 3];
+                self.buffers.spaces.iter_mut().for_each(PacketSpace::reset);
+                self.peer_counts = [EcnCounts::ZERO; 3];
                 self.aggregate_counts = EcnCounts::ZERO;
                 self.hello_sent = false;
                 self.finished_sent = false;
                 self.request_sent = false;
                 self.pings_sent = 0;
-                self.server_hello = None;
                 self.server_params = None;
                 self.validator = match self.config.ecn {
                     ClientEcnMode::Disabled => EcnValidator::disabled(),
@@ -502,63 +521,29 @@ impl ClientConnection {
         }
         // 1. Client Initial with the ClientHello.
         if !self.hello_sent {
-            let hello = HandshakeMessage::ClientHello {
-                sni: self.config.sni.clone(),
-                alpn: "h3".to_string(),
-                transport_params: self.config.transport_params,
-            };
-            self.send_packet(
-                SpaceId::Initial,
-                Content::Frame(Frame::Crypto {
-                    offset: 0,
-                    data: hello.encode(),
-                }),
-                now,
-                0,
-            );
+            self.send_packet(SpaceId::Initial, Content::Hello, now, 0);
             self.hello_sent = true;
         }
         // 2. Client Finished once the ServerHello has arrived.
-        if self.server_hello.is_some() && !self.finished_sent {
-            self.send_packet(
-                SpaceId::Handshake,
-                Content::Frame(Frame::Crypto {
-                    offset: 0,
-                    data: HandshakeMessage::Finished.encode(),
-                }),
-                now,
-                0,
-            );
+        if self.server_params.is_some() && !self.finished_sent {
+            self.send_packet(SpaceId::Handshake, Content::Finished, now, 0);
             self.finished_sent = true;
         }
         // 3. The HTTP request.
         if self.finished_sent && !self.request_sent {
-            let request = HttpRequest::get(&self.config.sni);
-            self.send_packet(
-                SpaceId::Application,
-                Content::Frame(Frame::Stream {
-                    stream_id: 0,
-                    offset: 0,
-                    fin: true,
-                    data: request.encode(),
-                }),
-                now,
-                0,
-            );
+            self.send_packet(SpaceId::Application, Content::Http, now, 0);
             self.request_sent = true;
         }
         // 4. Top-up PINGs so the ECN testing budget is exercised.
-        if self.request_sent && self.pings_sent < self.config.extra_pings {
-            while self.pings_sent < self.config.extra_pings {
-                self.send_packet(SpaceId::Application, Content::Frame(Frame::Ping), now, 0);
-                self.pings_sent += 1;
-            }
+        while self.request_sent && self.pings_sent < self.config.extra_pings {
+            self.send_packet(SpaceId::Application, Content::Ping, now, 0);
+            self.pings_sent += 1;
         }
         // 5. Acknowledge whatever is pending (accurate ECN counts — the
         //    client is the measurement instrument).
         for space_id in SpaceId::ALL {
-            if self.spaces[space_id.index()].ack_pending() {
-                let counts = self.spaces[space_id.index()].ecn_received();
+            if self.buffers.spaces[space_id.index()].ack_pending() {
+                let counts = self.buffers.spaces[space_id.index()].ecn_received();
                 let ecn = (counts.total() > 0).then_some(counts);
                 self.send_packet(space_id, Content::Ack(ecn), now, 0);
             }
@@ -566,7 +551,7 @@ impl ClientConnection {
         // 6. Close once everything we came for has arrived: the HTTP
         //    response plus acknowledgments (and thus ECN feedback) for every
         //    ack-eliciting packet we sent.
-        if self.response.is_some() && !self.close_sent && self.all_acked() {
+        if self.response.is_some() && !self.close_sent && !self.has_unacked() {
             self.send_packet(SpaceId::Application, Content::Close(0, "done"), now, 0);
             self.close_sent = true;
             self.closed = true;
@@ -585,12 +570,13 @@ impl ClientConnection {
         } else {
             EcnCodepoint::NotEct
         };
-        let space = &mut self.spaces[space_id.index()];
+        let space = &mut self.buffers.spaces[space_id.index()];
         let pn = space.next_pn();
         let header = space_id.header(self.version, self.remote_cid, self.local_cid, pn);
-        self.outbox.push(&header, ecn, |buf| {
+        let config = &self.config;
+        self.buffers.outbox.push(&header, ecn, |buf| {
             let payload_at = buf.len();
-            content.encode(space, buf);
+            content.encode(config, space, buf);
             // Pad client Initials to the RFC minimum datagram size.
             if space_id == SpaceId::Initial && buf.len() < payload_at + INITIAL_PAYLOAD {
                 buf.resize(payload_at + INITIAL_PAYLOAD, 0);
@@ -599,27 +585,22 @@ impl ClientConnection {
         if self.ecn_enabled {
             self.validator.on_packet_sent(ecn);
         }
-        let frame = content.into_ack_eliciting();
-        let ack_eliciting = frame.is_some();
         space.on_packet_sent(SentPacket {
             packet_number: pn,
-            frame,
+            content,
             ecn,
-            ack_eliciting,
-            time_sent: now,
             retransmissions,
         });
-        if ack_eliciting && self.pto_deadline.is_none() {
+        if content.is_ack_eliciting() && self.pto_deadline.is_none() {
             self.pto_deadline = Some(now + self.config.pto);
         }
-        self.last_activity = now;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qem_packet::quic::QuicPacket;
+    use qem_packet::quic::{Frame, QuicPacket};
 
     fn new_client() -> ClientConnection {
         ClientConnection::new(
@@ -733,6 +714,72 @@ mod tests {
         let pto2 = pto1 + SimDuration::from_secs(2);
         client.handle_timeout(pto2);
         assert!(client.poll_transmit(pto2).is_none());
+    }
+
+    /// A client whose Initial space holds two marked packets — its
+    /// ClientHello and the PTO's repeat — fed the server ACKs `acks`, each
+    /// `(largest, count)`: packets `0..=largest` acknowledged, `count` of
+    /// the client's own codepoint mirrored.
+    fn acked(config: ClientConfig, acks: &[(u64, u64)]) -> ClientReport {
+        use qem_packet::quic::AckFrame;
+        let mut client = ClientConnection::new(config, SimInstant::EPOCH, 0x1000);
+        let codepoint = client.poll_transmit(SimInstant::EPOCH).unwrap().ecn;
+        let pto = client.poll_timeout().unwrap();
+        client.handle_timeout(pto);
+        assert_eq!(client.poll_transmit(pto).map(|t| t.ecn), Some(codepoint));
+        for (pn, &(largest, count)) in acks.iter().enumerate() {
+            let mut counts = EcnCounts::ZERO;
+            *if codepoint == EcnCodepoint::Ce {
+                &mut counts.ce
+            } else {
+                &mut counts.ect0
+            } = count;
+            let ack = Frame::Ack(AckFrame::contiguous(0, largest, Some(counts)));
+            let header = PacketHeader::Long {
+                ty: LongPacketType::Initial,
+                version: QuicVersion::V1,
+                dcid: *client.local_cid(),
+                scid: ConnectionId::from_u64(7),
+                token: Vec::new(),
+                packet_number: pn as u64,
+            };
+            let packet = QuicPacket::new(header, Frame::encode_all(&[ack])).encode();
+            client.handle_datagram(pto, EcnCodepoint::NotEct, &packet);
+        }
+        client.report()
+    }
+
+    #[test]
+    fn a_per_space_regression_is_judged_alike_whatever_the_codepoint() {
+        use crate::ecn::EcnValidationFailure::{NonMonotonic, Undercount};
+        for config in [
+            ClientConfig::paper_default("example.org"),
+            ClientConfig::force_ce("example.org"),
+        ] {
+            let mode = config.ecn;
+            // A reordered ACK that acknowledges nothing new is ignored and
+            // the base stays at the counts accepted before it: an honest
+            // ACK after it validates, and nothing is counted twice…
+            let honest = acked(config.clone(), &[(0, 1), (0, 0), (1, 2)]);
+            assert_eq!(honest.ecn_state, EcnValidationState::Testing, "{mode:?}");
+            assert_eq!(honest.mirrored_counts.total(), 2, "{mode:?}");
+            // …and an ACK mirroring one of two is an undercount.
+            let short = acked(config.clone(), &[(0, 1), (0, 0), (1, 1)]);
+            assert_eq!(
+                short.ecn_state,
+                EcnValidationState::Failed(Undercount),
+                "{mode:?}"
+            );
+            assert_eq!(short.mirrored_counts.total(), 1, "{mode:?}");
+            // A regression on an ACK that newly acknowledges fails.
+            let regressed = acked(config, &[(0, 1), (1, 0)]);
+            assert_eq!(
+                regressed.ecn_state,
+                EcnValidationState::Failed(NonMonotonic),
+                "{mode:?}"
+            );
+            assert_eq!(regressed.mirrored_counts.total(), 1, "{mode:?}");
+        }
     }
 
     #[test]

@@ -26,14 +26,23 @@
 //! with it, the same flow runs next to background
 //! [`LoadFlow`](qem_netsim::LoadFlow)s through a shared bottleneck, which is
 //! where CE marking becomes load-dependent.
+//!
+//! Both endpoints' packet spaces, outboxes and stream buffers and the
+//! flow's UDP body live in a [`QuicScratch`], which [`ConnectionRun::scratch`]
+//! lends beside the engine's and every run resets: over used scratches a
+//! run allocates what its outcome keeps — the response's header values, an
+//! error — and the engine's one-entry flow table.  Every run returns the
+//! engine's [`EngineTally`](qem_netsim::EngineTally); by-name telemetry is
+//! opt-in.
 
 use crate::behavior::ServerBehavior;
 use crate::client::{ClientConfig, ClientConnection, ClientReport};
+use crate::outbox::Buffers;
 use crate::server::ServerConnection;
 use qem_netsim::engine::{
     run_measured, CrossTraffic, EngineScratch, EngineTelemetry, Flow, FlowStatus, SharedQueues,
 };
-use qem_netsim::{DuplexPath, SimDuration, SimInstant};
+use qem_netsim::{DuplexPath, SimDuration, SimInstant, TransitOutcome};
 use qem_packet::ecn::EcnCounts;
 use qem_packet::ip::{IpDatagram, IpProtocol};
 use qem_packet::quic::QUIC_PORT;
@@ -94,8 +103,8 @@ pub struct ConnectionOutcome {
 /// a timer that does not advance time nudges the clock forward by one
 /// millisecond.
 pub struct QuicFlow<'a, R: Rng + ?Sized> {
-    client: &'a mut ClientConnection,
-    server: &'a mut ServerConnection,
+    client: ClientConnection,
+    server: ServerConnection,
     path: &'a DuplexPath,
     config: &'a DriverConfig,
     rng: &'a mut R,
@@ -106,16 +115,16 @@ pub struct QuicFlow<'a, R: Rng + ?Sized> {
     forward_arrival_ecn: EcnCounts,
     forward_losses: u64,
     reverse_losses: u64,
-    /// The UDP body of the last delivered datagram, taken back as the
-    /// buffer the next one is encoded into.
+    /// The UDP body of the last datagram sent, handed back by the path
+    /// whatever became of it: the buffer the next one is encoded into.
     body: Vec<u8>,
 }
 
 impl<'a, R: Rng + ?Sized> QuicFlow<'a, R> {
     /// Wrap prepared endpoints into a flow.
     pub fn new(
-        client: &'a mut ClientConnection,
-        server: &'a mut ServerConnection,
+        client: ClientConnection,
+        server: ServerConnection,
         path: &'a DuplexPath,
         config: &'a DriverConfig,
         rng: &'a mut R,
@@ -137,10 +146,14 @@ impl<'a, R: Rng + ?Sized> QuicFlow<'a, R> {
         }
     }
 
-    /// Consume the flow and build the connection outcome.
-    pub fn into_outcome(self) -> ConnectionOutcome {
+    /// Consume the flow into the connection outcome, handing what the
+    /// endpoints and the flow ran in back to `scratch`.
+    fn into_outcome(self, scratch: &mut QuicScratch) -> ConnectionOutcome {
+        let report;
+        (report, scratch.client) = self.client.finish();
+        (scratch.server, scratch.body) = (self.server.finish(), self.body);
         ConnectionOutcome {
-            report: self.client.report(),
+            report,
             forward_arrival_ecn: self.forward_arrival_ecn,
             forward_losses: self.forward_losses,
             reverse_losses: self.reverse_losses,
@@ -164,16 +177,16 @@ impl<'a, R: Rng + ?Sized> QuicFlow<'a, R> {
             (&self.path.reverse, server, client, transmit)
         };
         // The one copy of a datagram: out of its endpoint's outbox, into
-        // the body the last delivered datagram came back in.
+        // the body the last one came back in.
         let mut udp = std::mem::take(&mut self.body);
         UdpHeader::new(src_port, dst_port).encode(src, dst, transmit.payload, &mut udp);
-        let arrived = IpDatagram::assemble(src, dst, IpProtocol::Udp, 64, transmit.ecn, udp)
-            .ok()
-            .and_then(|datagram| {
-                path.transit_shared(datagram, self.now, self.rng, net)
-                    .delivered()
-            });
-        Some(arrived.map(|(datagram, _)| datagram))
+        let outcome = IpDatagram::assemble(src, dst, IpProtocol::Udp, 64, transmit.ecn, udp)
+            .map(|datagram| path.transit_shared(datagram, self.now, self.rng, net));
+        let Ok(TransitOutcome::Delivered { datagram, .. }) = outcome else {
+            self.body = outcome.map(TransitOutcome::into_body).unwrap_or_default();
+            return Some(None);
+        };
+        Some(Some(datagram))
     }
 
     /// One bidirectional drain pass; returns whether anything moved.
@@ -264,12 +277,15 @@ impl<R: Rng + ?Sized> Flow for QuicFlow<'_, R> {
     }
 }
 
-/// A complete client↔server run: the measured [`ConnectionOutcome`] plus,
-/// when requested via [`ConnectionRun::telemetry`], the engine's telemetry.
+/// A complete client↔server run: the measured [`ConnectionOutcome`], the
+/// engine's tally and, when requested via [`ConnectionRun::telemetry`], its
+/// telemetry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOutcome {
     /// What the measured connection observed.
     pub connection: ConnectionOutcome,
+    /// The engine's counts.
+    pub engine: qem_netsim::EngineTally,
     /// Engine telemetry, `Some` iff requested.  Under load it includes the
     /// shared bottleneck's per-router queue metrics (`queue.r<id>.*`: CE
     /// marks, tail drops, occupancy).
@@ -290,7 +306,19 @@ pub struct ConnectionRun<'a> {
     driver: DriverConfig,
     cross: CrossTraffic,
     telemetry: bool,
-    scratch: Option<&'a mut EngineScratch>,
+    scratch: Option<(&'a mut EngineScratch, &'a mut QuicScratch)>,
+}
+
+/// What a QUIC run allocates and the next one can use again: both
+/// endpoints' packet number spaces, outboxes and stream buffers, and the
+/// flow's UDP body.  Whoever runs many connections in a row — a scan worker
+/// — owns one and lends it to each ([`ConnectionRun::scratch`]); a run
+/// resets what it takes, so it is observably a fresh one.
+#[derive(Debug, Default)]
+pub struct QuicScratch {
+    client: Buffers,
+    server: Buffers,
+    body: Vec<u8>,
 }
 
 impl<'a> ConnectionRun<'a> {
@@ -313,11 +341,12 @@ impl<'a> ConnectionRun<'a> {
         }
     }
 
-    /// Run the engine over the caller's `scratch` instead of a fresh one.
-    /// Lends allocations, selects nothing: the outcome is the same bit for
-    /// bit, whatever ran over the scratch before.
-    pub fn scratch(mut self, scratch: &'a mut EngineScratch) -> Self {
-        self.scratch = Some(scratch);
+    /// Run the engine over the caller's `engine` scratch and the endpoints
+    /// and flow over its `quic` one instead of fresh ones.  Lends
+    /// allocations, selects nothing: the outcome is the same bit for bit,
+    /// whatever ran over the scratches before.
+    pub fn scratch(mut self, engine: &'a mut EngineScratch, quic: &'a mut QuicScratch) -> Self {
+        self.scratch = Some((engine, quic));
         self
     }
 
@@ -343,17 +372,25 @@ impl<'a> ConnectionRun<'a> {
 
     /// Drive the connection to completion.
     pub fn execute<R: Rng + ?Sized>(self, rng: &mut R) -> RunOutcome {
-        let mut client = ClientConnection::new(self.client_config, SimInstant::EPOCH, rng.gen());
-        let mut server = ServerConnection::new(self.behavior, rng.gen());
+        let (engine, quic) = self.scratch.unzip();
+        let mut fresh = QuicScratch::default();
+        let quic = quic.unwrap_or(&mut fresh);
+        let (seed, buffers) = (rng.gen(), std::mem::take(&mut quic.client));
+        let client = ClientConnection::over(self.client_config, SimInstant::EPOCH, seed, buffers);
+        let server =
+            ServerConnection::over(self.behavior, rng.gen(), std::mem::take(&mut quic.server));
         // The scenario's seed comes after the endpoints' and only when there
         // is a scenario to build — the draw order the golden reports pin.
         let load = self
             .cross
             .instantiate_with(&self.path.forward, || rng.gen());
-        let mut flow = QuicFlow::new(&mut client, &mut server, self.path, &self.driver, rng);
-        let telemetry = run_measured(&mut flow, load, self.telemetry, self.scratch);
+        let mut flow = QuicFlow::new(client, server, self.path, &self.driver, rng);
+        flow.body = std::mem::take(&mut quic.body);
+        let (engine, telemetry) = run_measured(&mut flow, load, self.telemetry, engine);
+        let connection = flow.into_outcome(quic);
         RunOutcome {
-            connection: flow.into_outcome(),
+            connection,
+            engine,
             telemetry,
         }
     }
@@ -372,6 +409,7 @@ mod tests {
     use crate::ecn::{EcnValidationFailure, EcnValidationState};
     use qem_netsim::IcmpBehavior;
     use qem_netsim::{build_transit_path, Asn, DuplexPath, Hop, Path, Router, TransitProfile};
+    use qem_packet::quic::QuicVersion;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::net::Ipv4Addr;
@@ -526,14 +564,11 @@ mod tests {
     #[test]
     fn draft_only_server_is_reached_via_version_negotiation() {
         let behavior = ServerBehavior::accurate()
-            .with_versions(vec![qem_packet::quic::QuicVersion::DRAFT_27])
+            .with_versions([QuicVersion::DRAFT_27])
             .with_server_header("LiteSpeed");
         let outcome = run(behavior, &clean_path(), 10);
         assert!(outcome.report.connected);
-        assert_eq!(
-            outcome.report.version,
-            qem_packet::quic::QuicVersion::DRAFT_27
-        );
+        assert_eq!(outcome.report.version, QuicVersion::DRAFT_27);
         assert_eq!(
             outcome.report.response.unwrap().server.as_deref(),
             Some("LiteSpeed")
@@ -734,37 +769,68 @@ mod tests {
         use qem_netsim::{FaultKind, FaultPlan};
         // The busiest run there is — 32 background flows, a lossy forward
         // path, retransmission timers left pending when the client gives
-        // up — dirties the scratch; every later run over it must equal the
-        // run over a fresh one: report, telemetry and wake trace.
+        // up — dirties both scratches: the engine's and the endpoints'
+        // (every packet space, both outboxes and stream buffers, the UDP
+        // body).  Every later run over them must equal the run over fresh
+        // ones: report, tally, telemetry and wake trace.
         let mut path = clean_path();
         path.forward = path
             .forward
             .with_fault(FaultPlan::new().always(FaultKind::Loss { rate: 0.3 }));
-        let run = |path: &DuplexPath, cross, scratch: Option<&mut EngineScratch>, seed| {
+        let run = |path: &DuplexPath,
+                   behavior: &ServerBehavior,
+                   cross,
+                   scratch: Option<(&mut EngineScratch, &mut QuicScratch)>,
+                   seed| {
             let (client_addr, server_addr) = addrs();
             let mut run = ConnectionRun::new(
                 ClientConfig::paper_default("www.example.org"),
-                ServerBehavior::accurate(),
+                behavior.clone(),
                 path,
                 DriverConfig::new(client_addr, server_addr),
             )
             .cross_traffic(cross)
             .telemetry(true);
-            if let Some(scratch) = scratch {
-                run = run.scratch(scratch);
+            if let Some((engine, quic)) = scratch {
+                run = run.scratch(engine, quic);
             }
             run.execute(&mut StdRng::seed_from_u64(seed))
         };
-        let mut scratch = EngineScratch::default();
-        let dirtying = run(&path, CrossTraffic::congested(), Some(&mut scratch), 3);
+        let (mut engine, mut quic) = (EngineScratch::default(), QuicScratch::default());
+        let accurate = ServerBehavior::accurate().with_server_header("LiteSpeed");
+        let congested = CrossTraffic::congested();
+        let dirtying = run(
+            &path,
+            &accurate,
+            congested,
+            Some((&mut engine, &mut quic)),
+            0,
+        );
         assert!(dirtying.connection.forward_losses > 0);
-        for (path, cross, seed) in [
-            (&path, CrossTraffic::congested(), 4),
-            (&clean_path(), CrossTraffic::none(), 5),
-            (&path, CrossTraffic::none(), 6),
+        assert!(
+            quic.client.spaces.iter().any(|s| s.has_unacked()),
+            "PTO pending"
+        );
+        assert!(!quic.server.stream.is_empty() && !quic.client.stream.is_empty());
+        assert!(!quic.body.is_empty());
+        let negotiating = ServerBehavior::accurate().with_versions([QuicVersion::DRAFT_29]);
+        let not_serving = ServerBehavior {
+            serves_http: false,
+            ..accurate.clone()
+        };
+        for (path, behavior, cross, seed) in [
+            (&path, &accurate, congested, 4),
+            (&clean_path(), &accurate, CrossTraffic::none(), 5),
+            (&path, &accurate, CrossTraffic::none(), 6),
+            (&clean_path(), &negotiating, CrossTraffic::none(), 7),
+            (&clean_path(), &not_serving, CrossTraffic::none(), 8),
         ] {
-            let reused = run(path, cross, Some(&mut scratch), seed);
-            assert_eq!(reused, run(path, cross, None, seed), "seed {seed}");
+            let reused = run(path, behavior, cross, Some((&mut engine, &mut quic)), seed);
+            assert_eq!(
+                reused,
+                run(path, behavior, cross, None, seed),
+                "seed {seed}"
+            );
             assert!(!reused.telemetry.expect("requested").trace.is_empty());
         }
     }

@@ -330,6 +330,16 @@ impl EcnValidator {
         }
     }
 
+    /// Process an ACK frame whose counters went backwards in their packet
+    /// number space.  RFC 9000 §13.4.2.1 fails validation on it only if it
+    /// newly acknowledges something — a reordered ACK does not — and, like
+    /// any ACK, only while validation has not failed already.
+    pub fn on_regressed_counts(&mut self, newly_acked_total: u64) {
+        if !matches!(self.state, EcnValidationState::Failed(_)) && newly_acked_total > 0 {
+            self.state = EcnValidationState::Failed(EcnValidationFailure::NonMonotonic);
+        }
+    }
+
     /// Whether the peer mirrored *any* ECN counters on this connection,
     /// regardless of whether validation succeeded.  This is the paper's
     /// "Mirroring" notion (§2.2.2 terminology).

@@ -7,40 +7,57 @@
 //! know that a response arrived at all.  QPACK and the HTTP/3 binary framing
 //! are replaced by a plain-text header block on stream 0; the substitution is
 //! documented in DESIGN.md.
+//!
+//! Messages are written where they go and read where they lie: a
+//! [`HttpRequest`] borrows its strings, a server's [`HttpResponse`] its
+//! header values, and each appends itself to the STREAM frame under
+//! construction; both parse as slices of the reassembled stream.  The one
+//! thing copied out is what a client report keeps: the response's header
+//! values.
 
-/// An HTTP request sent over stream 0.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HttpRequest {
+use std::io::Write;
+
+/// An HTTP request sent over stream 0, its strings borrowed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HttpRequest<'a> {
     /// The `:authority` pseudo-header (the probed domain).
-    pub authority: String,
+    pub authority: &'a str,
     /// The request path (always `/` for the scanner).
-    pub path: String,
+    pub path: &'a str,
     /// The user-agent string; the paper embeds the research project name in
     /// every request for the opt-out process described in its ethics section.
-    pub user_agent: String,
+    pub user_agent: &'a str,
 }
 
-impl HttpRequest {
+impl<'a> HttpRequest<'a> {
     /// A scanner request for `authority`.
-    pub fn get(authority: &str) -> Self {
+    pub fn get(authority: &'a str) -> Self {
         HttpRequest {
-            authority: authority.to_string(),
-            path: "/".to_string(),
-            user_agent: "quic-ecn-measurements (research scan; see project page)".to_string(),
+            authority,
+            path: "/",
+            user_agent: "quic-ecn-measurements (research scan; see project page)",
         }
     }
 
-    /// Serialise to stream bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        format!(
-            "GET {} HTTP/3\r\nhost: {}\r\nuser-agent: {}\r\n\r\n",
-            self.path, self.authority, self.user_agent
-        )
-        .into_bytes()
+    /// Append the request to `buf`: stream bytes, written where they go.
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        let parts = [
+            "GET ",
+            self.path,
+            " HTTP/3\r\nhost: ",
+            self.authority,
+            "\r\nuser-agent: ",
+            self.user_agent,
+            "\r\n\r\n",
+        ];
+        for part in parts {
+            buf.extend_from_slice(part.as_bytes());
+        }
     }
 
-    /// Parse from stream bytes; returns `None` for malformed requests.
-    pub fn decode(bytes: &[u8]) -> Option<Self> {
+    /// Parse from stream bytes, in place; returns `None` for malformed
+    /// requests.
+    pub fn decode(bytes: &'a [u8]) -> Option<Self> {
         let text = std::str::from_utf8(bytes).ok()?;
         let mut lines = text.lines();
         let request_line = lines.next()?;
@@ -49,43 +66,43 @@ impl HttpRequest {
         if method != "GET" {
             return None;
         }
-        let path = parts.next()?.to_string();
-        let mut authority = String::new();
-        let mut user_agent = String::new();
+        let mut request = HttpRequest {
+            authority: "",
+            path: parts.next()?,
+            user_agent: "",
+        };
         for line in lines {
             if let Some((name, value)) = line.split_once(':') {
-                match name.trim().to_ascii_lowercase().as_str() {
-                    "host" => authority = value.trim().to_string(),
-                    "user-agent" => user_agent = value.trim().to_string(),
-                    _ => {}
+                let name = name.trim();
+                if name.eq_ignore_ascii_case("host") {
+                    request.authority = value.trim();
+                } else if name.eq_ignore_ascii_case("user-agent") {
+                    request.user_agent = value.trim();
                 }
             }
         }
-        Some(HttpRequest {
-            authority,
-            path,
-            user_agent,
-        })
+        Some(request)
     }
 }
 
-/// An HTTP response sent over stream 0.
+/// An HTTP response sent over stream 0: with `String` header values as a
+/// client report keeps it, or with `&str` ones as a server writes it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HttpResponse {
+pub struct HttpResponse<S = String> {
     /// Status code.
     pub status: u16,
     /// The `server` header, if the server sets one.
-    pub server: Option<String>,
+    pub server: Option<S>,
     /// The `via` header, if set (e.g. `1.1 google` for proxied wix.com sites).
-    pub via: Option<String>,
+    pub via: Option<S>,
     /// The `alt-svc` header, if set (ignored by the scanner per §4.1 but kept
     /// for completeness).
-    pub alt_svc: Option<String>,
+    pub alt_svc: Option<S>,
     /// Number of body bytes (the body itself is synthetic padding).
     pub body_len: usize,
 }
 
-impl HttpResponse {
+impl<S> HttpResponse<S> {
     /// A plain 200 response without identifying headers.
     pub fn ok() -> Self {
         HttpResponse {
@@ -96,38 +113,31 @@ impl HttpResponse {
             body_len: 1024,
         }
     }
+}
 
-    /// Set the `server` header.
-    pub fn with_server(mut self, server: &str) -> Self {
-        self.server = Some(server.to_string());
-        self
-    }
-
-    /// Set the `via` header.
-    pub fn with_via(mut self, via: &str) -> Self {
-        self.via = Some(via.to_string());
-        self
-    }
-
-    /// Serialise to stream bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut text = format!("HTTP/3 {}\r\n", self.status);
-        if let Some(server) = &self.server {
-            text.push_str(&format!("server: {server}\r\n"));
+impl<S: AsRef<str>> HttpResponse<S> {
+    /// Append the response to `buf`: stream bytes, written where they go.
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        // Writing to a `Vec` cannot fail.
+        let _ = write!(buf, "HTTP/3 {}\r\n", self.status);
+        let headers = [&self.server, &self.via, &self.alt_svc];
+        for (name, value) in HEADERS.iter().zip(headers) {
+            if let Some(value) = value {
+                let _ = write!(buf, "{name}: {}\r\n", value.as_ref());
+            }
         }
-        if let Some(via) = &self.via {
-            text.push_str(&format!("via: {via}\r\n"));
-        }
-        if let Some(alt_svc) = &self.alt_svc {
-            text.push_str(&format!("alt-svc: {alt_svc}\r\n"));
-        }
-        text.push_str(&format!("content-length: {}\r\n\r\n", self.body_len));
-        let mut bytes = text.into_bytes();
-        bytes.extend(std::iter::repeat(b'x').take(self.body_len));
-        bytes
+        let _ = write!(buf, "content-length: {}\r\n\r\n", self.body_len);
+        buf.resize(buf.len() + self.body_len, b'x');
     }
+}
 
-    /// Parse from stream bytes.
+/// The headers a response keeps, in the order it writes them.
+const HEADERS: [&str; 3] = ["server", "via", "alt-svc"];
+
+impl HttpResponse {
+    /// Parse from stream bytes, read in place — as their text when they are
+    /// UTF-8, else as a lossy copy — with only the kept header values
+    /// copied out.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
         let text = String::from_utf8_lossy(bytes);
         let mut lines = text.lines();
@@ -135,23 +145,27 @@ impl HttpResponse {
         let status = status_line.split_whitespace().nth(1)?.parse().ok()?;
         let mut response = HttpResponse {
             status,
-            server: None,
-            via: None,
-            alt_svc: None,
             body_len: 0,
+            ..HttpResponse::ok()
         };
         for line in lines {
             if line.is_empty() {
                 break;
             }
             if let Some((name, value)) = line.split_once(':') {
-                let value = value.trim().to_string();
-                match name.trim().to_ascii_lowercase().as_str() {
-                    "server" => response.server = Some(value),
-                    "via" => response.via = Some(value),
-                    "alt-svc" => response.alt_svc = Some(value),
-                    "content-length" => response.body_len = value.parse().unwrap_or(0),
-                    _ => {}
+                let (name, value) = (name.trim(), value.trim());
+                let slots = [
+                    &mut response.server,
+                    &mut response.via,
+                    &mut response.alt_svc,
+                ];
+                for (header, slot) in HEADERS.iter().zip(slots) {
+                    if name.eq_ignore_ascii_case(header) {
+                        *slot = Some(value.to_string());
+                    }
+                }
+                if name.eq_ignore_ascii_case("content-length") {
+                    response.body_len = value.parse().unwrap_or(0);
                 }
             }
         }
@@ -171,11 +185,17 @@ impl HttpResponse {
 mod tests {
     use super::*;
 
+    fn encoded(write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write(&mut buf);
+        buf
+    }
+
     #[test]
     fn request_round_trip() {
         let req = HttpRequest::get("www.example.com");
-        let decoded = HttpRequest::decode(&req.encode()).unwrap();
-        assert_eq!(decoded, req);
+        let bytes = encoded(|buf| req.encode(buf));
+        assert_eq!(HttpRequest::decode(&bytes), Some(req));
     }
 
     #[test]
@@ -185,10 +205,12 @@ mod tests {
 
     #[test]
     fn response_round_trip_with_headers() {
-        let resp = HttpResponse::ok()
-            .with_server("LiteSpeed/6.1")
-            .with_via("1.1 google");
-        let decoded = HttpResponse::decode(&resp.encode()).unwrap();
+        let resp = HttpResponse {
+            server: Some("LiteSpeed/6.1"),
+            via: Some("1.1 google"),
+            ..HttpResponse::ok()
+        };
+        let decoded = HttpResponse::decode(&encoded(|buf| resp.encode(buf))).unwrap();
         assert_eq!(decoded.status, 200);
         assert_eq!(decoded.server.as_deref(), Some("LiteSpeed/6.1"));
         assert_eq!(decoded.via.as_deref(), Some("1.1 google"));
@@ -197,16 +219,18 @@ mod tests {
 
     #[test]
     fn server_family_strips_version() {
-        let resp = HttpResponse::ok().with_server("LiteSpeed/6.1.2");
+        let resp = HttpResponse {
+            server: Some("LiteSpeed/6.1.2".to_string()),
+            ..HttpResponse::ok()
+        };
         assert_eq!(resp.server_family(), Some("LiteSpeed"));
-        let resp = HttpResponse::ok();
-        assert_eq!(resp.server_family(), None);
+        assert_eq!(HttpResponse::<String>::ok().server_family(), None);
     }
 
     #[test]
     fn response_without_server_header() {
-        let resp = HttpResponse::ok();
-        let decoded = HttpResponse::decode(&resp.encode()).unwrap();
+        let bytes = encoded(|buf| HttpResponse::<&str>::ok().encode(buf));
+        let decoded = HttpResponse::decode(&bytes).unwrap();
         assert_eq!(decoded.server, None);
         assert_eq!(decoded.status, 200);
     }

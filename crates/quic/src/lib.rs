@@ -40,15 +40,17 @@ pub mod driver;
 pub mod ecn;
 pub mod handshake;
 pub mod http;
-mod outbox;
+pub mod outbox;
 pub mod server;
 pub mod spaces;
 pub mod transport_params;
 
 pub use app::{AppChunk, AppDataSource, BulkObject, FrameSource, StreamPacketizer};
-pub use behavior::{EcnMirroringBehavior, ServerBehavior};
+pub use behavior::{EcnMirroringBehavior, ServerBehavior, Versions};
 pub use client::{ClientConfig, ClientConnection, ClientEcnMode, ClientReport};
-pub use driver::{ConnectionOutcome, ConnectionRun, DriverConfig, QuicFlow, RunOutcome};
+pub use driver::{
+    ConnectionOutcome, ConnectionRun, DriverConfig, QuicFlow, QuicScratch, RunOutcome,
+};
 pub use ecn::{EcnConfig, EcnValidationFailure, EcnValidationState, EcnValidator};
 /// The type of [`ClientReport::version`], for crates that read reports
 /// without depending on `qem-packet` themselves.

@@ -3,10 +3,18 @@
 //! frames appended where they will be read from, and a FIFO of where each
 //! ends.  The buffer is rewound whenever the queue has drained, so an
 //! endpoint allocates for its largest burst once, not per packet.
+//!
+//! What a packet carries is a `Copy` [`Content`] tag: the endpoint writes
+//! the frame from it — a handshake message or an HTTP message straight
+//! into the packet, from what its configuration says — and the client keeps
+//! the tag, not the frame, for a PTO to write again.  An endpoint's outbox,
+//! packet number spaces and stream buffer are its `Buffers`, which a driver
+//! lends from one connection to the next ([`QuicScratch`](crate::QuicScratch)).
 
+use crate::handshake::HandshakeMessage;
 use crate::spaces::PacketSpace;
 use qem_packet::ecn::{EcnCodepoint, EcnCounts};
-use qem_packet::quic::frame::encode_connection_close;
+use qem_packet::quic::frame::{begin_crypto, begin_stream, encode_connection_close};
 use qem_packet::quic::{Frame, PacketHeader, MIN_INITIAL_SIZE};
 use std::collections::VecDeque;
 
@@ -21,12 +29,21 @@ pub struct Transmit<'a> {
     pub ecn: EcnCodepoint,
 }
 
-/// What one outgoing packet carries.
-#[derive(Debug)]
-pub(crate) enum Content {
-    /// One frame — ack-eliciting for every frame the endpoints send this
-    /// way (CRYPTO, STREAM, PING, HANDSHAKE_DONE).
-    Frame(Frame),
+/// What one outgoing packet carries: the one frame of every packet the
+/// endpoints send, as a tag to write it from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Content {
+    /// CRYPTO with the endpoint's hello (ClientHello or ServerHello).
+    Hello,
+    /// CRYPTO with Finished.
+    Finished,
+    /// STREAM 0, whole and finished: the client's request or the server's
+    /// response.
+    Http,
+    /// PING.
+    Ping,
+    /// HANDSHAKE_DONE.
+    HandshakeDone,
     /// An ACK of everything received in the packet's space, reporting
     /// these ECN counters.
     Ack(Option<EcnCounts>),
@@ -34,28 +51,68 @@ pub(crate) enum Content {
     Close(u64, &'static str),
 }
 
+/// The messages only the endpoint knows: what its configuration says.
+pub(crate) trait Messages {
+    /// The endpoint's hello.
+    fn hello(&self) -> HandshakeMessage<'_>;
+    /// Append the endpoint's HTTP message to `buf`.
+    fn http(&self, buf: &mut Vec<u8>);
+}
+
 impl Content {
-    /// Append the frame to `buf`; an ACK is read from — and settles the
-    /// acknowledgment owed by — `space`.
-    pub(crate) fn encode(&self, space: &mut PacketSpace, buf: &mut Vec<u8>) {
+    /// Append the frame to `buf`, its message written where it goes from
+    /// `msgs`; an ACK is read from — and settles the acknowledgment
+    /// owed by — `space`.
+    pub(crate) fn encode(self, msgs: &impl Messages, space: &mut PacketSpace, buf: &mut Vec<u8>) {
+        let crypto = |buf: &mut Vec<u8>, message: &HandshakeMessage<'_>| {
+            let length = begin_crypto(buf, 0);
+            message.encode(buf);
+            length.finish(buf);
+        };
         match self {
-            Content::Frame(frame) => frame.encode(buf),
-            Content::Ack(ecn) => space.encode_ack(*ecn, buf),
-            Content::Close(error_code, reason) => encode_connection_close(buf, *error_code, reason),
+            Content::Hello => crypto(buf, &msgs.hello()),
+            Content::Finished => crypto(buf, &HandshakeMessage::Finished),
+            Content::Http => {
+                let length = begin_stream(buf, 0, 0, true);
+                msgs.http(buf);
+                length.finish(buf);
+            }
+            Content::Ping => Frame::Ping.encode(buf),
+            Content::HandshakeDone => Frame::HandshakeDone.encode(buf),
+            Content::Ack(ecn) => space.encode_ack(ecn, buf),
+            Content::Close(error_code, reason) => encode_connection_close(buf, error_code, reason),
         }
     }
 
-    /// The frame a PTO would repeat, if this is one.
-    pub(crate) fn into_ack_eliciting(self) -> Option<Frame> {
-        match self {
-            Content::Frame(frame) if frame.is_ack_eliciting() => Some(frame),
-            _ => None,
-        }
+    /// Whether the packet elicits an acknowledgment — and a PTO repeats it.
+    pub fn is_ack_eliciting(self) -> bool {
+        !matches!(self, Content::Ack(_) | Content::Close(..))
     }
 }
 
-/// A padded client Initial with its header, rounded up.
-const DATAGRAM_ROOM: usize = MIN_INITIAL_SIZE + 80;
+/// What an endpoint allocates and the next connection can use again: its
+/// packet number spaces, its outbox and the stream it reassembles.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Buffers {
+    pub(crate) spaces: [PacketSpace; 3],
+    pub(crate) outbox: Outbox,
+    pub(crate) stream: Vec<u8>,
+}
+
+impl Buffers {
+    /// Forget everything, keeping the allocations: observably new buffers.
+    pub(crate) fn reset(&mut self) {
+        self.spaces.iter_mut().for_each(PacketSpace::reset);
+        // A drained outbox rewinds at its next push.
+        self.outbox.queue.clear();
+        self.stream.clear();
+    }
+}
+
+/// Two padded client Initials with their headers, rounded up: room for
+/// the largest burst either endpoint queues (a server answering a
+/// handshake and a request at once).
+const DATAGRAM_ROOM: usize = 2 * (MIN_INITIAL_SIZE + 80);
 
 /// The FIFO of built datagrams.
 #[derive(Debug, Clone, Default)]
@@ -82,8 +139,9 @@ impl Outbox {
         if self.queue.is_empty() {
             self.bytes.clear();
             self.next = 0;
-            // Room for a full-sized datagram: most bursts are smaller.
+            // Room for the largest burst, so that one allocation serves.
             self.bytes.reserve(DATAGRAM_ROOM);
+            self.queue.reserve(16);
         }
         let open = header.begin(&mut self.bytes);
         frames(&mut self.bytes);
@@ -113,12 +171,11 @@ mod tests {
 
     /// Queue packet `pn` carrying `len` bytes of CRYPTO data.
     fn push(outbox: &mut Outbox, pn: u64, len: usize, ecn: EcnCodepoint) {
-        let content = Content::Frame(Frame::Crypto {
+        let frame = Frame::Crypto {
             offset: pn,
             data: vec![pn as u8; len],
-        });
-        let mut space = PacketSpace::default();
-        outbox.push(&header(pn), ecn, |buf| content.encode(&mut space, buf));
+        };
+        outbox.push(&header(pn), ecn, |buf| frame.encode(buf));
     }
 
     /// The packet numbers and codepoints of everything queued, in order.

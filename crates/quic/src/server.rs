@@ -5,21 +5,42 @@
 //! ClientHellos and requests by re-sending its own handshake and response, so
 //! a lossy forward path converges as long as the client keeps probing — the
 //! same property real deployments have thanks to their loss recovery.
-//! It therefore keeps no sent frame: a packet is written into the outbox
-//! and, for the ACK bookkeeping, remembered by number and codepoint only.
-//! Datagrams are read in place, like the client's.
+//! It therefore never repeats a packet, and keeps none it sent: a packet is
+//! written into the outbox and forgotten, and an ACK from the client has
+//! nothing to settle.  Datagrams are read in place, like the client's —
+//! ClientHello and request as slices of the datagram and of the reassembled
+//! stream — and the ServerHello, the response and a version negotiation are
+//! written where they go.
 
 use crate::behavior::ServerBehavior;
 use crate::handshake::HandshakeMessage;
 use crate::http::{HttpRequest, HttpResponse};
-use crate::outbox::{Content, Outbox, Transmit};
-use crate::spaces::{PacketSpace, SentPacket, SpaceId};
+use crate::outbox::{Buffers, Content, Messages, Transmit};
+use crate::spaces::SpaceId;
 use crate::CID_LEN;
 use qem_netsim::SimInstant;
 use qem_packet::ecn::EcnCodepoint;
 use qem_packet::quic::{
-    ConnectionId, Frame, FrameRef, LongPacketType, PacketHeader, PacketRef, QuicVersion,
+    ConnectionId, FrameRef, LongPacketType, PacketHeader, PacketRef, QuicVersion,
 };
+
+impl Messages for ServerBehavior {
+    fn hello(&self) -> HandshakeMessage<'_> {
+        HandshakeMessage::ServerHello {
+            transport_params: self.transport_params,
+            alpn: b"h3",
+        }
+    }
+
+    fn http(&self, buf: &mut Vec<u8>) {
+        let response = HttpResponse {
+            server: self.server_header,
+            via: self.via_header,
+            ..HttpResponse::ok()
+        };
+        response.encode(buf);
+    }
+}
 
 /// A sans-IO QUIC server connection (one per client).
 #[derive(Debug, Clone)]
@@ -28,12 +49,12 @@ pub struct ServerConnection {
     local_cid: ConnectionId,
     remote_cid: ConnectionId,
     version: QuicVersion,
-    spaces: [PacketSpace; 3],
-    outbox: Outbox,
+    /// Packet number spaces, outbox and the request stream.
+    buffers: Buffers,
     hello_received: bool,
     client_finished: bool,
-    request: Option<HttpRequest>,
-    request_buf: Vec<u8>,
+    /// Whether a well-formed request has arrived.
+    request: bool,
     response_sent: bool,
     handshake_done_sent: bool,
     closed: bool,
@@ -42,26 +63,30 @@ pub struct ServerConnection {
 impl ServerConnection {
     /// Create a server endpoint with the given behaviour profile.
     pub fn new(behavior: ServerBehavior, cid_seed: u64) -> Self {
+        ServerConnection::over(behavior, cid_seed, Buffers::default())
+    }
+
+    /// [`ServerConnection::new`] over `buffers`, reset first.
+    pub(crate) fn over(behavior: ServerBehavior, cid_seed: u64, mut buffers: Buffers) -> Self {
+        buffers.reset();
         ServerConnection {
             behavior,
             local_cid: ConnectionId::from_u64(cid_seed ^ 0xdead_beef_0000_0000),
             remote_cid: ConnectionId::default(),
             version: QuicVersion::V1,
-            spaces: Default::default(),
-            outbox: Outbox::default(),
+            buffers,
             hello_received: false,
             client_finished: false,
-            request: None,
-            request_buf: Vec::new(),
+            request: false,
             response_sent: false,
             handshake_done_sent: false,
             closed: false,
         }
     }
 
-    /// The behaviour profile in use.
-    pub fn behavior(&self) -> &ServerBehavior {
-        &self.behavior
+    /// The buffers the connection ran in.
+    pub(crate) fn finish(self) -> Buffers {
+        self.buffers
     }
 
     /// Whether the connection is closed.
@@ -72,7 +97,7 @@ impl ServerConnection {
     /// ECN counters the server actually observed in a given space (ground
     /// truth, before the behaviour profile distorts the report).
     pub fn observed_ecn(&self, space: SpaceId) -> qem_packet::ecn::EcnCounts {
-        self.spaces[space.index()].ecn_received()
+        self.buffers.spaces[space.index()].ecn_received()
     }
 
     /// Feed an incoming UDP payload.
@@ -93,7 +118,7 @@ impl ServerConnection {
 
     /// Next datagram to send, if any.
     pub fn poll_transmit(&mut self, _now: SimInstant) -> Option<Transmit<'_>> {
-        self.outbox.pop()
+        self.buffers.outbox.pop()
     }
 
     /// Servers in this reproduction are purely reactive; they never arm timers.
@@ -116,13 +141,17 @@ impl ServerConnection {
                 ..
             } => {
                 if *ty == LongPacketType::Initial && !self.behavior.supports_version(*version) {
-                    // Version negotiation; echo the client's connection IDs.
+                    // Version negotiation; echo the client's connection IDs
+                    // and write the version list behind them.
                     let vn = PacketHeader::VersionNegotiation {
                         dcid: *scid,
                         scid: self.local_cid,
-                        supported: self.behavior.supported_versions.clone(),
+                        supported: Vec::new(),
                     };
-                    self.outbox.push(&vn, EcnCodepoint::NotEct, |_| {});
+                    let versions = self.behavior.supported_versions.iter();
+                    self.buffers.outbox.push(&vn, EcnCodepoint::NotEct, |buf| {
+                        versions.for_each(|v| buf.extend_from_slice(&v.to_u32().to_be_bytes()));
+                    });
                     return;
                 }
                 if *ty == LongPacketType::Initial {
@@ -141,7 +170,8 @@ impl ServerConnection {
         let Ok(ack_eliciting) = packet.ack_eliciting() else {
             return;
         };
-        let is_new = self.spaces[space_id.index()].on_packet_received(pn, ecn, ack_eliciting);
+        let is_new =
+            self.buffers.spaces[space_id.index()].on_packet_received(pn, ecn, ack_eliciting);
         let mut saw_client_hello = false;
         let mut saw_request = false;
         if is_new {
@@ -155,25 +185,25 @@ impl ServerConnection {
                         _ => {}
                     },
                     FrameRef::Stream { data, fin, .. } => {
-                        self.request_buf.extend_from_slice(data);
+                        self.buffers.stream.extend_from_slice(data);
                         if fin {
-                            self.request = HttpRequest::decode(&self.request_buf);
+                            self.request = HttpRequest::decode(&self.buffers.stream).is_some();
                             saw_request = true;
                         }
-                    }
-                    FrameRef::Ack(ack) => {
-                        let _ = self.spaces[space_id.index()].on_ack_received(&ack);
                     }
                     FrameRef::ConnectionClose { .. } => {
                         self.closed = true;
                     }
-                    FrameRef::Ping | FrameRef::Padding { .. } | FrameRef::HandshakeDone => {}
+                    FrameRef::Ack(_)
+                    | FrameRef::Ping
+                    | FrameRef::Padding { .. }
+                    | FrameRef::HandshakeDone => {}
                 }
             }
         } else {
             // A retransmitted ClientHello or request: re-send our answer.
             saw_client_hello = space_id == SpaceId::Initial && self.hello_received;
-            saw_request = space_id == SpaceId::Application && self.request.is_some();
+            saw_request = space_id == SpaceId::Application && self.request;
         }
 
         if saw_client_hello {
@@ -181,33 +211,17 @@ impl ServerConnection {
             self.send_server_hello();
         }
         if self.client_finished && !self.handshake_done_sent {
-            self.send_packet(SpaceId::Application, Content::Frame(Frame::HandshakeDone));
+            self.send_packet(SpaceId::Application, Content::HandshakeDone);
             self.handshake_done_sent = true;
         }
-        if saw_request && self.request.is_some() {
+        if saw_request && self.request {
             self.send_response();
         }
     }
 
     fn send_server_hello(&mut self) {
-        let hello = HandshakeMessage::ServerHello {
-            transport_params: self.behavior.transport_params,
-            alpn: "h3".to_string(),
-        };
-        self.send_packet(
-            SpaceId::Initial,
-            Content::Frame(Frame::Crypto {
-                offset: 0,
-                data: hello.encode(),
-            }),
-        );
-        self.send_packet(
-            SpaceId::Handshake,
-            Content::Frame(Frame::Crypto {
-                offset: 0,
-                data: HandshakeMessage::Finished.encode(),
-            }),
-        );
+        self.send_packet(SpaceId::Initial, Content::Hello);
+        self.send_packet(SpaceId::Handshake, Content::Finished);
     }
 
     fn send_response(&mut self) {
@@ -219,22 +233,7 @@ impl ServerConnection {
             }
             return;
         }
-        let mut response = HttpResponse::ok();
-        if let Some(server) = &self.behavior.server_header {
-            response = response.with_server(server);
-        }
-        if let Some(via) = &self.behavior.via_header {
-            response = response.with_via(via);
-        }
-        self.send_packet(
-            SpaceId::Application,
-            Content::Frame(Frame::Stream {
-                stream_id: 0,
-                offset: 0,
-                fin: true,
-                data: response.encode(),
-            }),
-        );
+        self.send_packet(SpaceId::Application, Content::Http);
         self.response_sent = true;
     }
 
@@ -242,8 +241,8 @@ impl ServerConnection {
     /// behaviour profile to the reported ECN counters.
     fn flush_acks(&mut self) {
         for space_id in SpaceId::ALL {
-            if self.spaces[space_id.index()].ack_pending() {
-                let observed = self.spaces[space_id.index()].ecn_received();
+            if self.buffers.spaces[space_id.index()].ack_pending() {
+                let observed = self.buffers.spaces[space_id.index()].ecn_received();
                 let reported = self
                     .behavior
                     .mirroring
@@ -258,21 +257,13 @@ impl ServerConnection {
 
     fn send_packet(&mut self, space_id: SpaceId, content: Content) {
         let ecn = self.behavior.egress_ecn;
-        let space = &mut self.spaces[space_id.index()];
+        let space = &mut self.buffers.spaces[space_id.index()];
         let pn = space.next_pn();
         let header = space_id.header(self.version, self.remote_cid, self.local_cid, pn);
-        self.outbox
-            .push(&header, ecn, |buf| content.encode(space, buf));
-        // The server repairs loss by answering again, not by repeating
-        // packets, so it keeps no frame.
-        space.on_packet_sent(SentPacket {
-            packet_number: pn,
-            frame: None,
-            ecn,
-            ack_eliciting: content.into_ack_eliciting().is_some(),
-            time_sent: SimInstant::EPOCH,
-            retransmissions: 0,
-        });
+        let behavior = &self.behavior;
+        self.buffers
+            .outbox
+            .push(&header, ecn, |buf| content.encode(behavior, space, buf));
     }
 }
 
@@ -281,14 +272,16 @@ mod tests {
     use super::*;
     use crate::behavior::EcnMirroringBehavior;
     use crate::transport_params::TransportParameters;
-    use qem_packet::quic::QuicPacket;
+    use qem_packet::quic::{Frame, QuicPacket};
 
     fn client_initial(version: QuicVersion) -> Vec<u8> {
-        let hello = HandshakeMessage::ClientHello {
-            sni: "example.org".to_string(),
-            alpn: "h3".to_string(),
+        let mut hello = Vec::new();
+        HandshakeMessage::ClientHello {
+            sni: b"example.org",
+            alpn: b"h3",
             transport_params: TransportParameters::client_default(),
-        };
+        }
+        .encode(&mut hello);
         QuicPacket::new(
             PacketHeader::Long {
                 ty: LongPacketType::Initial,
@@ -300,7 +293,7 @@ mod tests {
             },
             Frame::encode_all(&[Frame::Crypto {
                 offset: 0,
-                data: hello.encode(),
+                data: hello,
             }]),
         )
         .encode()

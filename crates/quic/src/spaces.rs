@@ -13,12 +13,15 @@
 //! from them straight into the packet under construction
 //! ([`PacketSpace::encode_ack`]).  An incoming ACK is read in place
 //! ([`AckRef`]) and splits `sent` in place; its two counts
-//! ([`AckResult`]) are all a caller reads.
+//! ([`AckResult`]) are all a caller reads.  The client — the endpoint that
+//! repairs loss — remembers a sent packet by its number, its codepoint and
+//! the `Copy` [`Content`] tag a PTO writes it again from; the server
+//! records none.
 
-use qem_netsim::SimInstant;
+use crate::outbox::Content;
 use qem_packet::ecn::{EcnCodepoint, EcnCounts};
 use qem_packet::quic::frame::encode_ack;
-use qem_packet::quic::{AckRef, ConnectionId, Frame, LongPacketType, PacketHeader, QuicVersion};
+use qem_packet::quic::{AckRef, ConnectionId, LongPacketType, PacketHeader, QuicVersion};
 
 /// Identifier of a packet number space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -81,19 +84,14 @@ impl SpaceId {
 }
 
 /// A packet this endpoint sent and has not yet seen acknowledged.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SentPacket {
     /// Packet number.
     pub packet_number: u64,
-    /// The ack-eliciting frame carried, kept by an endpoint that repairs
-    /// loss (the client) for PTO retransmission.
-    pub frame: Option<Frame>,
+    /// What it carried: what a PTO writes again.
+    pub content: Content,
     /// ECN codepoint the packet was sent with.
     pub ecn: EcnCodepoint,
-    /// Whether the packet elicits an acknowledgment.
-    pub ack_eliciting: bool,
-    /// When it was sent.
-    pub time_sent: SimInstant,
     /// How many times this payload has been retransmitted already.
     pub retransmissions: u32,
 }
@@ -121,8 +119,6 @@ pub struct PacketSpace {
     sent: Vec<SentPacket>,
     /// Whether an ACK should be sent.
     ack_pending: bool,
-    /// Largest packet number acknowledged by the peer.
-    largest_acked: Option<u64>,
 }
 
 impl PacketSpace {
@@ -133,9 +129,12 @@ impl PacketSpace {
         pn
     }
 
-    /// Number of packets sent in this space so far.
-    pub fn sent_count(&self) -> u64 {
-        self.next_packet_number
+    /// Forget everything, keeping the allocations: observably a new space.
+    pub fn reset(&mut self) {
+        self.received.clear();
+        self.sent.clear();
+        (self.next_packet_number, self.ack_pending) = (0, false);
+        self.ecn_received = EcnCounts::ZERO;
     }
 
     /// Record a sent packet for possible retransmission.
@@ -201,36 +200,28 @@ impl PacketSpace {
 
     /// Whether any sent, ack-eliciting packet is still unacknowledged.
     pub fn has_unacked(&self) -> bool {
-        self.sent.iter().any(|p| p.ack_eliciting)
+        self.sent.iter().any(|p| p.content.is_ack_eliciting())
     }
 
-    /// Unacknowledged ack-eliciting packets (oldest first), for PTO handling.
-    pub fn unacked(&self) -> impl Iterator<Item = &SentPacket> {
-        self.sent.iter().filter(|p| p.ack_eliciting)
+    /// Number of sent packets not yet acknowledged, ack-eliciting or not:
+    /// the positions [`PacketSpace::retransmit`] takes, oldest first.
+    pub fn sent_len(&self) -> usize {
+        self.sent.len()
     }
 
-    /// Remove every unacknowledged packet and return them (used when a space
-    /// is abandoned after the handshake completes).
-    pub fn take_unacked(&mut self) -> Vec<SentPacket> {
-        std::mem::take(&mut self.sent)
-    }
-
-    /// Return the frames of the unacknowledged ack-eliciting packets that
-    /// still have retransmission budget left (oldest first, each with the
-    /// retransmission count its repeat is sent with), and charge the whole
-    /// budget against each of them so the next PTO does not resend the same
-    /// data again.
-    pub fn retransmittable(&mut self, max_retransmissions: u32) -> Vec<(Frame, u32)> {
-        let mut out = Vec::new();
-        for packet in &mut self.sent {
-            if packet.ack_eliciting && packet.retransmissions < max_retransmissions {
-                if let Some(frame) = &packet.frame {
-                    out.push((frame.clone(), packet.retransmissions + 1));
-                }
-                packet.retransmissions = max_retransmissions;
-            }
+    /// If the unacknowledged packet at position `at` is ack-eliciting and
+    /// has retransmission budget left, charge the whole budget against it —
+    /// so the next PTO does not resend the same data again — and return
+    /// what it carried with the retransmission count its repeat is sent
+    /// with.
+    pub fn retransmit(&mut self, at: usize, max_retransmissions: u32) -> Option<(Content, u32)> {
+        let packet = self.sent.get_mut(at)?;
+        if !packet.content.is_ack_eliciting() || packet.retransmissions >= max_retransmissions {
+            return None;
         }
-        out
+        let repeat = packet.retransmissions + 1;
+        packet.retransmissions = max_retransmissions;
+        Some((packet.content, repeat))
     }
 
     /// Append an ACK frame covering everything received so far to `buf`,
@@ -249,38 +240,28 @@ impl PacketSpace {
     /// Process an ACK frame from the peer.
     pub fn on_ack_received(&mut self, ack: &AckRef<'_>) -> AckResult {
         let mut result = AckResult::default();
-        let mut largest = None;
         self.sent.retain(|packet| {
             if !ack.acknowledges(packet.packet_number) {
                 return true;
             }
             result.count += 1;
             result.marked_count += u64::from(packet.ecn != EcnCodepoint::NotEct);
-            largest = largest.max(Some(packet.packet_number));
             false
         });
-        self.largest_acked = self.largest_acked.max(largest);
         result
-    }
-
-    /// Largest packet number the peer has acknowledged.
-    pub fn largest_acked(&self) -> Option<u64> {
-        self.largest_acked
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qem_packet::quic::{AckFrame, FrameRef, Frames};
+    use qem_packet::quic::{AckFrame, Frame, FrameRef, Frames};
 
     fn sent(pn: u64, ecn: EcnCodepoint) -> SentPacket {
         SentPacket {
             packet_number: pn,
-            frame: Some(Frame::Ping),
+            content: Content::Ping,
             ecn,
-            ack_eliciting: true,
-            time_sent: SimInstant::EPOCH,
             retransmissions: 0,
         }
     }
@@ -304,7 +285,6 @@ mod tests {
         let mut space = PacketSpace::default();
         assert_eq!(space.next_pn(), 0);
         assert_eq!(space.next_pn(), 1);
-        assert_eq!(space.sent_count(), 2);
     }
 
     #[test]
@@ -383,12 +363,10 @@ mod tests {
         assert_eq!(result.count, 3);
         assert_eq!(result.marked_count, 3);
         assert!(space.has_unacked());
-        assert_eq!(space.largest_acked(), Some(2));
-        assert_eq!(space.unacked().count(), 2);
+        assert_eq!(space.sent_len(), 2);
         // Acknowledged again: nothing new, and what is left keeps its order.
         assert_eq!(ack_range(&mut space, 0, 2), AckResult::default());
-        assert_eq!(space.largest_acked(), Some(2));
-        let left: Vec<u64> = space.unacked().map(|p| p.packet_number).collect();
+        let left: Vec<u64> = space.sent.iter().map(|p| p.packet_number).collect();
         assert_eq!(left, [3, 4]);
     }
 
@@ -407,12 +385,32 @@ mod tests {
         let mut space = PacketSpace::default();
         space.on_packet_sent(sent(0, EcnCodepoint::Ect0));
         space.on_packet_sent(SentPacket {
-            frame: None,
-            ack_eliciting: false,
+            content: Content::Ack(None),
             ..sent(1, EcnCodepoint::Ect0)
         });
-        assert_eq!(space.retransmittable(1), vec![(Frame::Ping, 1)]);
-        assert!(space.retransmittable(1).is_empty());
+        assert_eq!(space.sent_len(), 2);
+        assert_eq!(space.retransmit(0, 1), Some((Content::Ping, 1)));
+        assert_eq!(space.retransmit(0, 1), None, "charged");
+        assert_eq!(space.retransmit(1, 1), None, "not ack-eliciting");
+        assert_eq!(space.retransmit(2, 1), None, "no such packet");
+        // Budget two: the first repeat goes with count 1, and it is spent.
+        space.on_packet_sent(sent(2, EcnCodepoint::Ect0));
+        assert_eq!(space.retransmit(2, 2), Some((Content::Ping, 1)));
+        assert_eq!(space.retransmit(2, 2), None);
+    }
+
+    #[test]
+    fn a_reset_space_is_a_fresh_space() {
+        let mut space = PacketSpace::default();
+        for pn in [0, 1, 5] {
+            space.on_packet_received(pn, EcnCodepoint::Ce, true);
+            let pn = space.next_pn();
+            space.on_packet_sent(sent(pn, EcnCodepoint::Ect0));
+        }
+        ack_range(&mut space, 0, 1);
+        space.reset();
+        let fresh = PacketSpace::default();
+        assert_eq!(format!("{space:?}"), format!("{fresh:?}"));
     }
 
     #[test]
@@ -427,13 +425,5 @@ mod tests {
         );
         assert_eq!(SpaceId::for_long_type(LongPacketType::Retry), None);
         assert_eq!(SpaceId::Application.index(), 2);
-    }
-
-    #[test]
-    fn take_unacked_empties_the_space() {
-        let mut space = PacketSpace::default();
-        space.on_packet_sent(sent(0, EcnCodepoint::Ect0));
-        assert_eq!(space.take_unacked().len(), 1);
-        assert!(!space.has_unacked());
     }
 }

@@ -6,9 +6,11 @@
 //! of the QUIC connections and found that these were mostly equal to those
 //! of requests identifying as LiteSpeed").  This module provides both the
 //! wire encoding of the parameters (carried inside the handshake CRYPTO
-//! exchange) and a stable fingerprint for that comparison.
+//! exchange) and a stable fingerprint for that comparison.  The parameters
+//! are a `Copy` value: decoding reads them where they lie, encoding appends
+//! them to the handshake message under construction.
 
-use qem_packet::quic::{decode_varint, encode_varint};
+use qem_packet::quic::{decode_varint, encode_varint, varint_len};
 use qem_packet::PacketError;
 
 /// A (simplified) set of QUIC transport parameters.
@@ -54,42 +56,38 @@ impl TransportParameters {
     /// headers with known stacks.
     pub fn fingerprint(&self) -> u64 {
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |value: u64| {
+        for (_, value) in self.wire() {
             for byte in value.to_be_bytes() {
                 hash ^= u64::from(byte);
                 hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
             }
-        };
-        mix(self.max_idle_timeout_ms);
-        mix(self.max_udp_payload_size);
-        mix(self.initial_max_data);
-        mix(self.initial_max_stream_data);
-        mix(self.initial_max_streams_bidi);
-        mix(self.ack_delay_exponent);
-        mix(self.max_ack_delay_ms);
-        mix(self.active_connection_id_limit);
+        }
         hash
     }
 
-    /// Encode as a sequence of (id, length, value) triples like RFC 9000 §18.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64);
-        let mut put = |id: u64, value: u64| {
-            encode_varint(&mut buf, id);
-            let mut v = Vec::with_capacity(8);
-            encode_varint(&mut v, value);
-            encode_varint(&mut buf, v.len() as u64);
-            buf.extend_from_slice(&v);
-        };
-        put(0x01, self.max_idle_timeout_ms);
-        put(0x03, self.max_udp_payload_size);
-        put(0x04, self.initial_max_data);
-        put(0x05, self.initial_max_stream_data);
-        put(0x08, self.initial_max_streams_bidi);
-        put(0x0a, self.ack_delay_exponent);
-        put(0x0b, self.max_ack_delay_ms);
-        put(0x0e, self.active_connection_id_limit);
-        buf
+    /// Every parameter as the `(id, value)` pair it is sent as, in wire
+    /// order.
+    fn wire(&self) -> [(u64, u64); 8] {
+        [
+            (0x01, self.max_idle_timeout_ms),
+            (0x03, self.max_udp_payload_size),
+            (0x04, self.initial_max_data),
+            (0x05, self.initial_max_stream_data),
+            (0x08, self.initial_max_streams_bidi),
+            (0x0a, self.ack_delay_exponent),
+            (0x0b, self.max_ack_delay_ms),
+            (0x0e, self.active_connection_id_limit),
+        ]
+    }
+
+    /// Append the parameters to `buf` as a sequence of (id, length, value)
+    /// triples like RFC 9000 §18.
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        for (id, value) in self.wire() {
+            encode_varint(buf, id);
+            encode_varint(buf, varint_len(value) as u64);
+            encode_varint(buf, value);
+        }
     }
 
     /// Decode from the wire representation; unknown parameter ids are skipped
@@ -142,6 +140,12 @@ impl Default for TransportParameters {
 mod tests {
     use super::*;
 
+    fn encoded(params: &TransportParameters) -> Vec<u8> {
+        let mut buf = Vec::new();
+        params.encode(&mut buf);
+        buf
+    }
+
     #[test]
     fn round_trip() {
         let params = TransportParameters {
@@ -154,7 +158,7 @@ mod tests {
             max_ack_delay_ms: 26,
             active_connection_id_limit: 8,
         };
-        let decoded = TransportParameters::decode(&params.encode()).unwrap();
+        let decoded = TransportParameters::decode(&encoded(&params)).unwrap();
         assert_eq!(decoded, params);
     }
 
@@ -174,7 +178,7 @@ mod tests {
 
     #[test]
     fn unknown_parameters_are_skipped() {
-        let mut buf = TransportParameters::client_default().encode();
+        let mut buf = encoded(&TransportParameters::client_default());
         // Append an unknown parameter (id 0x7f, 2-byte value).
         encode_varint(&mut buf, 0x7f);
         encode_varint(&mut buf, 2);
@@ -185,7 +189,7 @@ mod tests {
 
     #[test]
     fn truncated_rejected() {
-        let buf = TransportParameters::client_default().encode();
+        let buf = encoded(&TransportParameters::client_default());
         assert!(TransportParameters::decode(&buf[..buf.len() - 1]).is_err());
     }
 }

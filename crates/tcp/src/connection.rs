@@ -18,9 +18,8 @@
 //! A flow allocates one segment buffer for its 15-odd segments, once, with
 //! the capacity of its largest segment (a header and the longest of the
 //! request, the response and a probe payload): each segment is encoded
-//! into the body the path handed back with the previous delivery (a
-//! dropped segment takes the buffer with it and the next send allocates
-//! again).  Probe payloads are written digit by digit into a stack array.
+//! into the body the path handed back with the previous one, delivered or
+//! not.  Probe payloads are written digit by digit into a stack array.
 //! [`TcpConnectionRun::scratch`] lends the engine underneath its
 //! allocations the same way.
 
@@ -28,7 +27,7 @@ use crate::behavior::TcpServerBehavior;
 use qem_netsim::engine::{
     run_measured, CrossTraffic, EngineScratch, EngineTelemetry, Flow, FlowStatus, SharedQueues,
 };
-use qem_netsim::{DuplexPath, SimDuration, SimInstant};
+use qem_netsim::{DuplexPath, SimDuration, SimInstant, TransitOutcome};
 use qem_packet::ecn::{EcnCodepoint, EcnCounts};
 use qem_packet::ip::{IpDatagram, IpProtocol};
 use qem_packet::tcp::{TcpFlags, TcpHeader, TCP_HEADER_LEN};
@@ -230,7 +229,8 @@ impl<'a, R: Rng + ?Sized> TcpFlow<'a, R> {
     /// One segment down the forward (client → server) or the reverse path.
     /// `None` if it never arrived; otherwise the codepoint it arrived with
     /// and its TCP header as the receiver decodes it (`None` after
-    /// corruption), and the delivered body becomes the next send's buffer.
+    /// corruption).  The body the path hands back becomes the next send's
+    /// buffer.
     fn send(
         &mut self,
         forward: bool,
@@ -249,15 +249,17 @@ impl<'a, R: Rng + ?Sized> TcpFlow<'a, R> {
         header.encode(src, dst, payload, &mut segment);
         // A segment that cannot be assembled was never sent: a loss.
         let datagram = IpDatagram::assemble(src, dst, IpProtocol::Tcp, 64, ecn, segment).ok()?;
-        let (arrived, _) = path
-            .transit_shared(datagram, now, self.rng, net)
-            .delivered()?;
-        let seen = arrived
+        let outcome = path.transit_shared(datagram, now, self.rng, net);
+        let TransitOutcome::Delivered { datagram, .. } = outcome else {
+            self.body = outcome.into_body();
+            return None;
+        };
+        let seen = datagram
             .transport(IpProtocol::Tcp)
             .and_then(|segment| TcpHeader::decode(segment).ok())
             .map(|(header, _)| header);
-        let ecn = arrived.header.ecn();
-        self.body = arrived.payload;
+        let ecn = datagram.header.ecn();
+        self.body = datagram.payload;
         Some((ecn, seen))
     }
 
@@ -429,12 +431,14 @@ impl<R: Rng + ?Sized> Flow for TcpFlow<'_, R> {
     }
 }
 
-/// A complete TCP run: the scanner's [`TcpReport`] plus, when requested via
-/// [`TcpConnectionRun::telemetry`], the engine's telemetry.
+/// A complete TCP run: the scanner's [`TcpReport`], the engine's tally and,
+/// when requested via [`TcpConnectionRun::telemetry`], its telemetry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TcpRunOutcome {
     /// The scanner's observations.
     pub report: TcpReport,
+    /// The engine's counts.
+    pub engine: qem_netsim::EngineTally,
     /// Engine telemetry, `Some` iff requested.
     pub telemetry: Option<EngineTelemetry>,
 }
@@ -524,9 +528,10 @@ impl<'a> TcpConnectionRun<'a> {
             // one instant.
             flow = flow.with_pacing(SimDuration::from_millis(1));
         }
-        let telemetry = run_measured(&mut flow, load, self.telemetry, self.scratch);
+        let (engine, telemetry) = run_measured(&mut flow, load, self.telemetry, self.scratch);
         TcpRunOutcome {
             report: flow.into_report(),
+            engine,
             telemetry,
         }
     }

@@ -2,10 +2,13 @@
 //!
 //! A probe is a client Initial padded to the RFC 9000 minimum, so that it
 //! looks like — and is treated like — the first packet of a real QUIC
-//! connection.  Each is built once, in the buffer the IP datagram takes:
-//! UDP header room, the Initial behind it, then the UDP length and
-//! checksum.  Transit consumes the datagram; an expired probe's body does
-//! not come back, so every TTL's probe is one allocation.
+//! connection.  Each is built in the buffer the IP datagram takes: UDP
+//! header room, the Initial behind it, then the UDP length and checksum.
+//! Transit hands that body back whatever the verdict, and the next TTL's
+//! probe is written over it, so a trace has one probe buffer.  An
+//! answering hop's ICMP message is read in place — the quote is a slice of
+//! the response — and the response, which the router allocates, is a
+//! trace's only other allocation per hop.
 
 use qem_netsim::{Path, SharedQueues, SimDuration, SimInstant, TransitOutcome};
 use qem_packet::ecn::{Dscp, EcnCodepoint};
@@ -97,17 +100,17 @@ impl PathTrace {
     }
 }
 
-/// Build one probe: a padded QUIC Initial inside UDP inside IP with the given
-/// TTL and traffic class.  The Initial is written once, where it goes: into
-/// the body the datagram takes.
-fn build_probe(
+/// Build one probe in `udp`: a padded QUIC Initial inside UDP inside IP with
+/// the given TTL and traffic class.  The Initial is written once, where it
+/// goes: into the body the datagram takes.
+fn probe_in(
+    mut udp: Vec<u8>,
     source: IpAddr,
     destination: IpAddr,
     ttl: u8,
     config: &TraceConfig,
     seq: u32,
 ) -> Result<IpDatagram, PacketError> {
-    let mut udp = Vec::new();
     UdpHeader::begin(&mut udp, MIN_INITIAL_SIZE);
     let initial = PacketHeader::Long {
         ty: LongPacketType::Initial,
@@ -139,7 +142,8 @@ fn build_probe(
     Ok(probe)
 }
 
-/// Extract the quoted traffic class from an ICMP time-exceeded response.
+/// Extract the quoted traffic class from an ICMP time-exceeded response,
+/// read in place.
 fn parse_quote(response: &IpDatagram) -> Option<(EcnCodepoint, Dscp)> {
     let v6 = response.header.is_v6();
     let icmp = IcmpMessage::decode(&response.payload, v6).ok()?;
@@ -170,21 +174,23 @@ pub fn trace_path<R: Rng + ?Sized>(
         time_spent: SimDuration::ZERO,
     };
     let mut consecutive_timeouts = 0u32;
-    // Each probe is built for one TTL and sent by value: what `Path::transit`
-    // does — no registered queue, the epoch — minus its clone.
+    // Each probe is built for one TTL, in the body the last one came back
+    // in, and sent by value: what `Path::transit` does — no registered
+    // queue, the epoch — minus its clone.
     let mut no_queues = SharedQueues::new();
+    let mut body = Vec::new();
     for ttl in 1..=config.max_ttl {
         // A probe that cannot be assembled is never answered: a timeout.
-        let outcome = build_probe(source, destination, ttl, config, u32::from(ttl))
+        let outcome = probe_in(body, source, destination, ttl, config, u32::from(ttl))
             .map(|probe| path.transit_shared(probe, SimInstant::EPOCH, rng, &mut no_queues));
         trace.probes_sent += 1;
-        match outcome {
+        match &outcome {
             Ok(TransitOutcome::TimeExceeded {
                 response, delay, ..
             }) => {
                 consecutive_timeouts = 0;
-                trace.time_spent += delay;
-                let observed = parse_quote(&response);
+                trace.time_spent += *delay;
+                let observed = parse_quote(response);
                 trace.hops.push(HopObservation {
                     ttl,
                     router: Some(response.header.src()),
@@ -212,8 +218,21 @@ pub fn trace_path<R: Rng + ?Sized>(
                 }
             }
         }
+        body = outcome.map(TransitOutcome::into_body).unwrap_or_default();
     }
     trace
+}
+
+/// One probe, in a buffer of its own.
+#[cfg(test)]
+fn build_probe(
+    source: IpAddr,
+    destination: IpAddr,
+    ttl: u8,
+    config: &TraceConfig,
+    seq: u32,
+) -> Result<IpDatagram, PacketError> {
+    probe_in(Vec::new(), source, destination, ttl, config, seq)
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 use crate::snapshot::SnapshotDate;
 use qem_packet::ecn::EcnCodepoint;
 use qem_packet::quic::QuicVersion;
-use qem_quic::behavior::{EcnMirroringBehavior, ServerBehavior};
+use qem_quic::behavior::{EcnMirroringBehavior, ServerBehavior, Versions};
 use qem_quic::transport_params::TransportParameters;
 
 /// The QUIC stack (and configuration) running on a host.
@@ -190,18 +190,18 @@ impl StackProfile {
         suppress_server_header: bool,
     ) -> ServerBehavior {
         let params = self.transport_params();
-        let (versions, mirroring) = match self {
+        let (versions, mirroring): (&[QuicVersion], _) = match self {
             StackProfile::CloudflareQuiche
             | StackProfile::FastlyQuicly
             | StackProfile::GoogleFrontend
-            | StackProfile::NginxNoEcn => (vec![QuicVersion::V1], EcnMirroringBehavior::None),
+            | StackProfile::NginxNoEcn => (&[QuicVersion::V1], EcnMirroringBehavior::None),
             StackProfile::GooglePepyakaProxy => {
                 let mirroring = if date >= GOOGLE_PROXY_MIRRORING {
                     EcnMirroringBehavior::MirrorOnlyHandshake
                 } else {
                     EcnMirroringBehavior::None
                 };
-                (vec![QuicVersion::V1], mirroring)
+                (&[QuicVersion::V1], mirroring)
             }
             StackProfile::GoogleEct1Remark => {
                 let mirroring = if date >= QUICHE_ECN_COMMIT {
@@ -209,16 +209,16 @@ impl StackProfile {
                 } else {
                     EcnMirroringBehavior::None
                 };
-                (vec![QuicVersion::V1], mirroring)
+                (&[QuicVersion::V1], mirroring)
             }
             StackProfile::LiteSpeedEcnFlagOff
             | StackProfile::LiteSpeedEcnFlagOn
             | StackProfile::LiteSpeedNoEcn => {
                 let upgraded = date >= Self::litespeed_upgrade_date(upgrade_quantile);
-                let versions = if upgraded {
-                    vec![QuicVersion::V1, QuicVersion::DRAFT_34]
+                let versions: &[QuicVersion] = if upgraded {
+                    &[QuicVersion::V1, QuicVersion::DRAFT_34]
                 } else {
-                    vec![QuicVersion::DRAFT_27]
+                    &[QuicVersion::DRAFT_27]
                 };
                 let mirrors_now = match self {
                     StackProfile::LiteSpeedNoEcn => false,
@@ -235,7 +235,7 @@ impl StackProfile {
                 (versions, mirroring)
             }
             StackProfile::S2nQuic | StackProfile::GenericAccurate => {
-                (vec![QuicVersion::V1], EcnMirroringBehavior::Accurate)
+                (&[QuicVersion::V1], EcnMirroringBehavior::Accurate)
             }
         };
         let egress = if uses_ecn {
@@ -244,15 +244,15 @@ impl StackProfile {
             EcnCodepoint::NotEct
         };
         let mut behavior = ServerBehavior {
-            supported_versions: versions,
+            supported_versions: Versions::new(versions.iter().copied()),
             mirroring,
             egress_ecn: egress,
             server_header: if suppress_server_header {
                 None
             } else {
-                self.server_header().map(str::to_string)
+                self.server_header()
             },
-            via_header: self.via_header().map(str::to_string),
+            via_header: self.via_header(),
             transport_params: params,
             serves_http: true,
         };
@@ -282,11 +282,14 @@ mod tests {
         let stack = StackProfile::LiteSpeedEcnFlagOff;
         // Before its upgrade a host speaks draft-27 and mirrors.
         let early = stack.behavior_at(SnapshotDate::JUN_2022, 0.5, false, false);
-        assert_eq!(early.supported_versions, vec![QuicVersion::DRAFT_27]);
+        assert_eq!(
+            early.supported_versions,
+            Versions::new([QuicVersion::DRAFT_27])
+        );
         assert!(early.mirroring.mirrors());
         // After upgrading (before lsquic 4.0) it speaks v1 and stops mirroring.
         let mid = stack.behavior_at(SnapshotDate::FEB_2023, 0.5, false, false);
-        assert!(mid.supported_versions.contains(&QuicVersion::V1));
+        assert!(mid.supports_version(QuicVersion::V1));
         assert_eq!(mid.mirroring, EcnMirroringBehavior::None);
         // From March 2023 it mirrors again — but undercounts.
         let late = stack.behavior_at(SnapshotDate::APR_2023, 0.5, false, false);
@@ -301,7 +304,7 @@ mod tests {
             false,
             false,
         );
-        assert_eq!(b.supported_versions, vec![QuicVersion::DRAFT_27]);
+        assert_eq!(b.supported_versions, Versions::new([QuicVersion::DRAFT_27]));
         assert!(b.mirroring.mirrors());
     }
 
@@ -353,8 +356,8 @@ mod tests {
                 .transport_params()
                 .fingerprint()
         );
-        assert_eq!(b.server_header.as_deref(), Some("Pepyaka/4.12"));
-        assert_eq!(b.via_header.as_deref(), Some("1.1 google"));
+        assert_eq!(b.server_header, Some("Pepyaka/4.12"));
+        assert_eq!(b.via_header, Some("1.1 google"));
     }
 
     #[test]
@@ -367,7 +370,7 @@ mod tests {
         );
         let unnamed =
             StackProfile::LiteSpeedEcnFlagOff.behavior_at(SnapshotDate::APR_2023, 0.3, false, true);
-        assert_eq!(named.server_header.as_deref(), Some("LiteSpeed"));
+        assert_eq!(named.server_header, Some("LiteSpeed"));
         assert_eq!(unnamed.server_header, None);
         assert_eq!(
             named.transport_params.fingerprint(),
@@ -380,7 +383,7 @@ mod tests {
         let b = StackProfile::S2nQuic.behavior_at(SnapshotDate::APR_2023, 0.0, true, false);
         assert_eq!(b.mirroring, EcnMirroringBehavior::Accurate);
         assert_eq!(b.egress_ecn, EcnCodepoint::Ect0);
-        assert_eq!(b.server_header.as_deref(), Some("CloudFront"));
+        assert_eq!(b.server_header, Some("CloudFront"));
     }
 
     #[test]
