@@ -206,32 +206,20 @@ impl<T> EventQueue<T> {
             stats: SchedulerStats::default(),
         }
     }
+}
 
-    /// The current virtual time (the fire time of the last popped event).
-    pub fn now(&self) -> SimInstant {
+impl<T> Scheduler<T> for EventQueue<T> {
+    fn now(&self) -> SimInstant {
         self.now
     }
 
-    /// Number of pending events (cancelled ones no longer count, even while
-    /// their tombstoned heap entries await lazy removal).
-    pub fn len(&self) -> usize {
+    // Cancelled events no longer count, even while their tombstoned heap
+    // entries await lazy removal.
+    fn len(&self) -> usize {
         self.heap.len() - self.tombstones.len()
     }
 
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Fire time of the next heap entry.  May report a cancelled event's
-    /// time: tombstones are only resolved on pop.
-    pub fn peek_at(&self) -> Option<SimInstant> {
-        self.heap.peek().map(|Reverse(s)| s.at)
-    }
-
-    /// Schedule `payload` at `at` (clamped to the present: events cannot
-    /// fire in the past).
-    pub fn schedule_at(&mut self, at: SimInstant, payload: T) -> EventId {
+    fn schedule_at(&mut self, at: SimInstant, payload: T) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.stats.scheduled += 1;
@@ -243,16 +231,15 @@ impl<T> EventQueue<T> {
         EventId(seq)
     }
 
-    /// Schedule `payload` after `delay` from the current instant.
-    pub fn schedule_after(&mut self, delay: SimDuration, payload: T) -> EventId {
+    fn schedule_after(&mut self, delay: SimDuration, payload: T) -> EventId {
         let at = self.now + delay;
         self.schedule_at(at, payload)
     }
 
-    /// Cancel a pending event.  O(n): the heap is scanned to prove the id
-    /// is actually pending (this is the reference oracle — the wheel does
-    /// this in O(1)), then a tombstone defers removal to pop time.
-    pub fn cancel(&mut self, id: EventId) -> bool {
+    // O(n): the heap is scanned to prove the id is actually pending (this
+    // is the reference oracle — the wheel does this in O(1)), then a
+    // tombstone defers removal to pop time.
+    fn cancel(&mut self, id: EventId) -> bool {
         let seq = id.0;
         if self.tombstones.contains(&seq) {
             return false;
@@ -265,10 +252,9 @@ impl<T> EventQueue<T> {
         true
     }
 
-    /// Pop the next live event, advancing virtual time to its fire time.
-    /// Tombstoned entries drained on the way are counted as stale; like the
-    /// wheel, draining past them still advances the clock.
-    pub fn pop(&mut self) -> Option<Event<T>> {
+    // Tombstoned entries drained on the way are counted as stale; like the
+    // wheel, draining past them still advances the clock.
+    fn pop(&mut self) -> Option<Event<T>> {
         loop {
             let Reverse(scheduled) = self.heap.pop()?;
             self.now = self.now.max(scheduled.at);
@@ -284,9 +270,7 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Drain the whole batch of events sharing the next occupied fire time
-    /// into `out` (cleared first), FIFO within the batch.
-    pub fn pop_batch(&mut self, out: &mut Vec<Event<T>>) -> usize {
+    fn pop_batch(&mut self, out: &mut Vec<Event<T>>) -> usize {
         out.clear();
         let Some(first) = self.pop() else {
             return 0;
@@ -313,36 +297,8 @@ impl<T> EventQueue<T> {
         out.len()
     }
 
-    /// Scheduling/cancellation counters.
-    pub fn stats(&self) -> SchedulerStats {
-        self.stats
-    }
-}
-
-impl<T> Scheduler<T> for EventQueue<T> {
-    fn now(&self) -> SimInstant {
-        EventQueue::now(self)
-    }
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-    fn schedule_at(&mut self, at: SimInstant, payload: T) -> EventId {
-        EventQueue::schedule_at(self, at, payload)
-    }
-    fn schedule_after(&mut self, delay: SimDuration, payload: T) -> EventId {
-        EventQueue::schedule_after(self, delay, payload)
-    }
-    fn cancel(&mut self, id: EventId) -> bool {
-        EventQueue::cancel(self, id)
-    }
-    fn pop(&mut self) -> Option<Event<T>> {
-        EventQueue::pop(self)
-    }
-    fn pop_batch(&mut self, out: &mut Vec<Event<T>>) -> usize {
-        EventQueue::pop_batch(self, out)
-    }
     fn stats(&self) -> SchedulerStats {
-        EventQueue::stats(self)
+        self.stats
     }
 }
 

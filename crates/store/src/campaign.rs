@@ -12,7 +12,7 @@ use crate::segment::write_atomically;
 use crate::store::{CampaignWriter, SnapshotMeta, StoredSnapshot, WriterStats, TELEMETRY_FILE};
 use crate::StoreError;
 use qem_core::campaign::{Campaign, CampaignOptions};
-use qem_core::scanner::{ScanOptions, Scanner};
+use qem_core::scanner::Scanner;
 use qem_core::vantage::VantagePoint;
 use qem_obs::RunTelemetry;
 use qem_web::SnapshotDate;
@@ -183,22 +183,11 @@ impl CampaignStoreExt for Campaign<'_> {
             .copied()
             .filter(|id| !persisted_set.contains(id))
             .collect();
+        let options = meta.campaign_options(workers);
         let scanner = Scanner::new(
             universe,
             meta.vantage.clone(),
-            ScanOptions {
-                date: meta.date,
-                ipv6: meta.ipv6,
-                probe: meta.probe,
-                trace_sample_probability: meta.trace_sample_probability,
-                workers,
-                seed: meta.seed,
-                // Cross-traffic and retry what-if scenarios are not campaign
-                // artifacts: the store only ever holds (and resumes) the
-                // single-flow, single-attempt methodology.
-                cross_traffic: qem_netsim::CrossTraffic::none(),
-                retry: qem_core::resilience::RetryPolicy::none(),
-            },
+            options.scan_options(meta.ipv6),
         );
         scan_into(&scanner, &remaining, |m| writer.append(m))?;
         let (store, stats) = writer.finish_with_stats()?;
@@ -261,18 +250,13 @@ mod tests {
             campaign.run_longitudinal_to_store(&[qem_web::SnapshotDate::APR_2023], &loaded, &dir);
         assert!(matches!(series, Err(StoreError::Mismatch(_))));
 
-        // And a stored single-flow snapshot never claims identity with
-        // loaded options, even when everything else matches.
+        // And a stored snapshot hands back exactly the single-flow options
+        // it was written with.
         let options = CampaignOptions::paper_default();
         let stored = campaign
             .run_snapshot_to_store(&vantage, &options, false, &dir)
             .unwrap();
-        assert!(stored.meta().matches(&options, &vantage, false));
-        assert!(!stored.meta().matches(
-            &options.with_cross_traffic(qem_netsim::CrossTraffic::congested()),
-            &vantage,
-            false
-        ));
+        assert_eq!(stored.meta().campaign_options(options.workers), options);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -297,24 +281,18 @@ mod tests {
             .expect("store-backed runs persist their telemetry");
         assert!(telemetry.contains("\"scan.hosts\""));
         assert!(telemetry.contains("\"store.segments_written\""));
-        // The persisted identity names exactly this campaign — and rejects
-        // any options that would produce different measurements.
-        assert!(stored.meta().matches(&options, &vantage, false));
-        assert!(!stored.meta().matches(&options, &vantage, true));
-        assert!(!stored
-            .meta()
-            .matches(&CampaignOptions::ce_probing(), &vantage, false));
-        assert!(
-            stored.meta().matches(
-                &CampaignOptions {
-                    workers: 7,
-                    ..options
-                },
-                &vantage,
-                false
-            ),
-            "worker count is scheduling, not identity"
-        );
+        // The persisted identity is exactly this campaign's, at any worker
+        // count: scheduling is not identity.
+        let meta = stored.meta();
+        for workers in [0, 7] {
+            let options = meta.campaign_options(workers);
+            assert_eq!(options.workers, workers);
+            assert_eq!(
+                SnapshotMeta::for_campaign(&options, &meta.vantage, meta.ipv6),
+                *meta
+            );
+        }
+        assert_eq!(SnapshotMeta::for_campaign(&options, &vantage, false), *meta);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -616,6 +616,21 @@ pub fn encode_block(measurements: &[HostMeasurement]) -> Vec<u8> {
     block
 }
 
+/// The record count of a block produced by [`encode_block`], read without
+/// decoding a record or allocating: the dictionaries are stepped over
+/// (string bytes and ASN varints skipped), then the count varint is read.
+pub(crate) fn block_record_count(data: &[u8]) -> Result<u64, StoreError> {
+    let mut r = ByteReader::new(data);
+    for _ in 0..r.varint()? {
+        let len = r.varint()? as usize;
+        r.bytes(len)?;
+    }
+    for _ in 0..r.varint()? {
+        r.varint()?;
+    }
+    r.varint()
+}
+
 /// Decode a block produced by [`encode_block`].
 pub fn decode_block(data: &[u8]) -> Result<Vec<HostMeasurement>, StoreError> {
     let mut r = ByteReader::new(data);

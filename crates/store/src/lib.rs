@@ -16,6 +16,11 @@
 //! * **Delta-encoded longitudinal series** — monthly snapshots store only
 //!   the hosts whose measurement changed ([`LongitudinalWriter`]), turning
 //!   `O(dates × hosts)` storage into `O(hosts + changed)`.
+//! * **Verified reads** — [`StoredSnapshot::open`] checks every segment's
+//!   seal and the `COMPLETE` marker's record count before a report runs;
+//!   [`StoredSnapshot::open_quarantining`] skips and reports damaged
+//!   segments ([`QuarantineReport`]) so a census degrades to partial
+//!   results instead of dying.
 //!
 //! Reports never need the data back in memory: [`StoredSnapshot`] implements
 //! [`qem_core::source::SnapshotSource`], so every Table 1–7 / Figure 3–8
@@ -40,8 +45,7 @@ pub use campaign::{scan_into, CampaignStoreExt, ResumeOutcome};
 pub use codec::FORMAT_VERSION;
 pub use longitudinal::{LongitudinalStore, LongitudinalWriter};
 pub use store::{
-    CampaignWriter, MeasurementIter, QuarantineReport, SnapshotMeta, StoredSnapshot, WriterStats,
-    TELEMETRY_FILE,
+    CampaignWriter, QuarantineReport, SnapshotMeta, StoredSnapshot, WriterStats, TELEMETRY_FILE,
 };
 
 use std::fmt;

@@ -352,9 +352,10 @@ impl LongitudinalStore {
     ) -> Result<(), StoreError> {
         let mut state: BTreeMap<usize, HostMeasurement> = BTreeMap::new();
         for (idx, snapshot) in self.snapshots.iter().enumerate() {
-            for result in snapshot.iter() {
-                let m = result?;
-                state.insert(m.host_id, m);
+            for segment in snapshot.read_segments() {
+                for m in segment? {
+                    state.insert(m.host_id, m);
+                }
             }
             let full = SnapshotMeasurement {
                 date: self.dates[idx],
@@ -366,28 +367,6 @@ impl LongitudinalStore {
             state = full.hosts;
         }
         Ok(())
-    }
-
-    /// Reconstruct one date in full: apply the delta chain up to `idx` and
-    /// hand over the accumulated state — no per-date clones, no reading
-    /// past the requested date.
-    pub fn snapshot(&self, idx: usize) -> Result<SnapshotMeasurement, StoreError> {
-        let Some(target) = self.snapshots.get(idx) else {
-            return Err(StoreError::State(format!("no date {idx} in this series")));
-        };
-        let mut state: BTreeMap<usize, HostMeasurement> = BTreeMap::new();
-        for snapshot in &self.snapshots[..=idx] {
-            for result in snapshot.iter() {
-                let m = result?;
-                state.insert(m.host_id, m);
-            }
-        }
-        Ok(SnapshotMeasurement {
-            date: self.dates[idx],
-            ipv6: false,
-            vantage: target.meta().vantage.clone(),
-            hosts: state,
-        })
     }
 
     /// Reconstruct every date.
@@ -465,7 +444,9 @@ mod tests {
         assert!(snapshots[1].hosts[&7].quic_reachable);
         assert!(!snapshots[2].hosts[&7].quic_reachable);
         assert!(snapshots[2].hosts[&13].quic_reachable);
-        assert_eq!(store.snapshot(1).unwrap().hosts, snapshots[1].hosts);
+        let date1: BTreeMap<usize, HostMeasurement> =
+            (0..50).map(|id| (id, measurement(id, id == 7))).collect();
+        assert_eq!(snapshots[1].hosts, date1);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -13,7 +13,7 @@
 //! `.tmp` orphan — never a half-segment — which is the invariant resume
 //! relies on.
 
-use crate::codec::{decode_block, encode_block, FORMAT_VERSION};
+use crate::codec::{block_record_count, decode_block, encode_block, FORMAT_VERSION};
 use crate::wire::{fnv1a, split_seal, ByteReader};
 use crate::StoreError;
 use qem_core::observation::HostMeasurement;
@@ -78,16 +78,18 @@ pub fn read_segment(path: &Path) -> Result<Vec<HostMeasurement>, StoreError> {
     decode_block(payload).map_err(|e| StoreError::Corrupt(format!("{}: {e}", path.display())))
 }
 
-/// Verify a segment file's framing and FNV seal without decoding the block.
+/// Verify a segment file's framing and FNV seal without decoding the block,
+/// returning the block's record count.
 ///
 /// This is the eager integrity check [`crate::StoredSnapshot::open`] runs
 /// over every segment, so corruption surfaces as a typed
 /// [`StoreError::Corrupt`] naming the file at open time instead of failing
-/// (or silently skipping) halfway through a census.
-pub fn verify_segment(path: &Path) -> Result<(), StoreError> {
+/// (or silently skipping) halfway through a census; the counts let it check
+/// the `COMPLETE` marker against what the segments hold.
+pub fn verify_segment(path: &Path) -> Result<u64, StoreError> {
     let bytes = fs::read(path)?;
     check_framing(&bytes)
-        .map(|_| ())
+        .and_then(block_record_count)
         .map_err(|e| StoreError::Corrupt(format!("{}: {e}", path.display())))
 }
 

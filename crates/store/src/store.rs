@@ -13,6 +13,14 @@
 //! Every file is checksummed and written atomically, so the directory is
 //! always in one of three states: empty, a resumable prefix of a campaign,
 //! or a complete snapshot.
+//!
+//! Reading has two openers over one loader (metadata, segment list,
+//! marker): [`StoredSnapshot::open`] requires the marker and verifies every
+//! seal and the marker's record count; [`StoredSnapshot::open_quarantining`]
+//! sets corrupt segments aside instead.  Every accessor then reads through
+//! one per-segment loop — strictly ([`StoredSnapshot::host_ids`],
+//! [`StoredSnapshot::to_snapshot`]) or, behind [`SnapshotSource`], skipping
+//! and counting what fails.
 
 use crate::codec::FORMAT_VERSION;
 use crate::segment::{
@@ -23,9 +31,11 @@ use crate::wire::{fnv1a, open_sealed, write_str, write_u64_le, write_varint};
 use crate::StoreError;
 use qem_core::campaign::{CampaignOptions, SnapshotMeasurement};
 use qem_core::observation::HostMeasurement;
+use qem_core::resilience::RetryPolicy;
 use qem_core::scanner::ProbeMode;
 use qem_core::source::SnapshotSource;
 use qem_core::vantage::{CloudProvider, VantagePoint, VantageQuirks};
+use qem_netsim::CrossTraffic;
 use qem_obs::MetricsSnapshot;
 use qem_web::SnapshotDate;
 use std::collections::BTreeMap;
@@ -87,19 +97,21 @@ impl SnapshotMeta {
         }
     }
 
-    /// Whether a campaign with `options` produces the measurements this
-    /// store holds.  The worker count is deliberately not part of the
-    /// identity: scheduling never changes results.  Stores only ever hold
-    /// the single-flow methodology, so options with an enabled
-    /// cross-traffic scenario never match.
-    pub fn matches(&self, options: &CampaignOptions, vantage: &VantagePoint, ipv6: bool) -> bool {
-        !options.cross_traffic.is_enabled()
-            && self.date == options.date
-            && self.ipv6 == ipv6
-            && self.vantage == *vantage
-            && self.probe == options.probe
-            && self.trace_sample_probability.to_bits() == options.trace_sample_probability.to_bits()
-            && self.seed == options.seed
+    /// The options of the campaign that produces the measurements this
+    /// store holds — the inverse of [`SnapshotMeta::for_campaign`].  The
+    /// worker count is not part of the identity (scheduling never changes
+    /// results), so it is supplied; stores only ever hold the single-flow,
+    /// single-attempt methodology, so cross traffic and retries are off.
+    pub fn campaign_options(&self, workers: usize) -> CampaignOptions {
+        CampaignOptions {
+            date: self.date,
+            probe: self.probe,
+            trace_sample_probability: self.trace_sample_probability,
+            workers,
+            seed: self.seed,
+            cross_traffic: CrossTraffic::none(),
+            retry: RetryPolicy::none(),
+        }
     }
 
     fn encode(&self) -> Vec<u8> {
@@ -312,28 +324,23 @@ impl CampaignWriter {
     /// Reopen an interrupted snapshot: validates the persisted prefix,
     /// removes `.tmp` orphans and returns the writer (positioned after the
     /// last complete segment) together with the metadata and the host ids
-    /// already persisted.
+    /// already persisted.  The segment listing never includes an orphan, so
+    /// it does not matter that it is taken before they are removed.
     pub fn resume(dir: &Path) -> Result<(CampaignWriter, SnapshotMeta, Vec<usize>), StoreError> {
-        let meta = SnapshotMeta::read_from(dir)?;
-        if dir.join(COMPLETE_FILE).exists() {
+        let stored = StoredSnapshot::load(dir)?;
+        if stored.is_complete() {
             return Err(StoreError::State(format!(
                 "{} is already complete; nothing to resume",
                 dir.display()
             )));
         }
         remove_tmp_orphans(dir)?;
-        let segments = list_segments(dir)?;
-        let mut persisted = Vec::new();
-        for path in &segments {
-            for m in read_segment(path)? {
-                persisted.push(m.host_id);
-            }
-        }
+        let persisted = stored.host_ids()?;
         let writer = CampaignWriter {
             dir: dir.to_path_buf(),
             buf: Vec::new(),
             segment_capacity: DEFAULT_SEGMENT_CAPACITY,
-            next_segment: segments.len() as u32,
+            next_segment: stored.segment_count() as u32,
             appended: persisted.len() as u64,
             last_host_id: persisted.last().copied(),
             stats: WriterStats {
@@ -341,7 +348,7 @@ impl CampaignWriter {
                 ..WriterStats::default()
             },
         };
-        Ok((writer, meta, persisted))
+        Ok((writer, stored.meta, persisted))
     }
 
     /// Override the records-per-segment spill threshold.
@@ -406,7 +413,8 @@ impl CampaignWriter {
     pub fn finish_with_stats(mut self) -> Result<(StoredSnapshot, WriterStats), StoreError> {
         self.flush_segment()?;
         write_complete_marker(&self.dir, self.appended)?;
-        Ok((StoredSnapshot::open_trusted(&self.dir)?, self.stats))
+        // Every segment was just written and synced here: no re-hashing.
+        Ok((StoredSnapshot::load(&self.dir)?, self.stats))
     }
 }
 
@@ -417,7 +425,8 @@ impl CampaignWriter {
 /// What [`StoredSnapshot::open_quarantining`] had to set aside: segments
 /// whose FNV seal failed, with the corruption that condemned them.  The
 /// quarantined segments are dropped from the read set, so a census over the
-/// snapshot degrades to partial results instead of dying.
+/// snapshot degrades to partial results instead of dying; their count
+/// reaches the run telemetry through [`StoredSnapshot::quarantine_telemetry`].
 #[derive(Debug, Default)]
 pub struct QuarantineReport {
     /// Quarantined segment paths, each with the error that condemned it.
@@ -433,17 +442,6 @@ impl QuarantineReport {
     /// Number of segments set aside.
     pub fn quarantined_segments(&self) -> u64 {
         self.segments.len() as u64
-    }
-
-    /// The quarantine outcome as `store.quarantine.*` counters for
-    /// [`qem_obs::RunTelemetry`].  Empty when the store was clean, so the
-    /// telemetry of healthy runs is unchanged.
-    pub fn telemetry(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::new();
-        if !self.segments.is_empty() {
-            snap.set_counter("store.quarantine.segments", self.segments.len() as u64);
-        }
-        snap
     }
 }
 
@@ -465,33 +463,69 @@ pub struct StoredSnapshot {
 
 impl StoredSnapshot {
     /// Open a **complete** snapshot, eagerly verifying every segment's FNV
-    /// seal: corruption surfaces here as [`StoreError::Corrupt`] naming the
-    /// bad file, not as a failure halfway through report generation.  Use
-    /// [`StoredSnapshot::open_quarantining`] to degrade gracefully instead.
+    /// seal and that the segments hold the record count the `COMPLETE`
+    /// marker seals: corruption — a flipped bit, a truncated or a deleted
+    /// segment — surfaces here as [`StoreError::Corrupt`] naming the bad
+    /// file or directory, not as a failure (or a wrong count) halfway
+    /// through report generation.  Use [`StoredSnapshot::open_quarantining`]
+    /// to degrade gracefully instead.
     pub fn open(dir: &Path) -> Result<StoredSnapshot, StoreError> {
-        let snapshot = StoredSnapshot::open_trusted(dir)?;
-        for path in &snapshot.segments {
-            verify_segment(path)?;
-        }
-        Ok(snapshot)
-    }
-
-    /// [`StoredSnapshot::open`] without the eager per-segment verification —
-    /// for the writer that just produced (and synced) every segment itself
-    /// and would only be re-hashing its own output.
-    pub(crate) fn open_trusted(dir: &Path) -> Result<StoredSnapshot, StoreError> {
-        let snapshot = StoredSnapshot::open_partial(dir)?;
-        if snapshot.recorded_count.is_none() {
+        let snapshot = StoredSnapshot::load(dir)?;
+        let Some(recorded) = snapshot.recorded_count else {
             return Err(StoreError::State(format!(
                 "{} holds an incomplete snapshot (no COMPLETE marker); resume the campaign first",
+                dir.display()
+            )));
+        };
+        // Counts come from disk: sum them where no segment list can overflow.
+        let mut held = 0u128;
+        for path in &snapshot.segments {
+            held += u128::from(verify_segment(path)?);
+        }
+        if held != u128::from(recorded) {
+            return Err(StoreError::Corrupt(format!(
+                "{}: COMPLETE marker records {recorded} hosts but the segments hold {held}",
                 dir.display()
             )));
         }
         Ok(snapshot)
     }
 
-    /// Open a snapshot that may still be mid-campaign.
-    pub fn open_partial(dir: &Path) -> Result<StoredSnapshot, StoreError> {
+    /// Open a snapshot — complete or still mid-campaign — tolerantly: verify
+    /// every segment's seal and **quarantine** the corrupt ones — skip,
+    /// count and report them — so downstream consumers see a partial but
+    /// well-formed snapshot instead of an error or a panic.
+    ///
+    /// The `COMPLETE` marker's record count stands only if the kept
+    /// segments hold exactly that many records; otherwise (a segment
+    /// quarantined or missing) the snapshot reports itself as incomplete
+    /// and counts hosts by streaming.
+    pub fn open_quarantining(dir: &Path) -> Result<(StoredSnapshot, QuarantineReport), StoreError> {
+        let mut snapshot = StoredSnapshot::load(dir)?;
+        let mut report = QuarantineReport::default();
+        let mut held = 0u128;
+        for path in std::mem::take(&mut snapshot.segments) {
+            match verify_segment(&path) {
+                Ok(records) => {
+                    held += u128::from(records);
+                    snapshot.segments.push(path);
+                }
+                Err(e) => report.segments.push((path, e)),
+            }
+        }
+        if !report.is_clean() || snapshot.recorded_count.map(u128::from) != Some(held) {
+            snapshot.recorded_count = None;
+        }
+        snapshot
+            .quarantined
+            .store(report.quarantined_segments(), Ordering::Relaxed);
+        Ok((snapshot, report))
+    }
+
+    /// What every opener shares: the identity, the gapless segment list and
+    /// the `COMPLETE` marker, in that order, verifying nothing else.  The
+    /// writer re-opens its own freshly synced output this way.
+    fn load(dir: &Path) -> Result<StoredSnapshot, StoreError> {
         let meta = SnapshotMeta::read_from(dir)?;
         let segments = list_segments(dir)?;
         let recorded_count = read_complete_marker(dir)?;
@@ -502,34 +536,6 @@ impl StoredSnapshot {
             recorded_count,
             quarantined: AtomicU64::new(0),
         })
-    }
-
-    /// Open a snapshot tolerantly: verify every segment's seal and
-    /// **quarantine** the corrupt ones — skip, count and report them — so
-    /// downstream consumers see a partial but well-formed snapshot instead
-    /// of an error or a panic.
-    ///
-    /// Quarantining invalidates the `COMPLETE` marker's record count (the
-    /// missing records are exactly what was quarantined), so the returned
-    /// snapshot reports itself as incomplete and counts hosts by streaming.
-    pub fn open_quarantining(dir: &Path) -> Result<(StoredSnapshot, QuarantineReport), StoreError> {
-        let mut snapshot = StoredSnapshot::open_partial(dir)?;
-        let mut report = QuarantineReport::default();
-        let mut kept = Vec::with_capacity(snapshot.segments.len());
-        for path in std::mem::take(&mut snapshot.segments) {
-            match verify_segment(&path) {
-                Ok(()) => kept.push(path),
-                Err(e) => report.segments.push((path, e)),
-            }
-        }
-        snapshot.segments = kept;
-        if !report.is_clean() {
-            snapshot.recorded_count = None;
-            snapshot
-                .quarantined
-                .store(report.quarantined_segments(), Ordering::Relaxed);
-        }
-        Ok((snapshot, report))
     }
 
     /// The snapshot identity.
@@ -563,16 +569,6 @@ impl StoredSnapshot {
         }
     }
 
-    /// Stream every measurement, one segment in memory at a time.
-    pub fn iter(&self) -> MeasurementIter<'_> {
-        MeasurementIter {
-            segments: &self.segments,
-            next_segment: 0,
-            current: Vec::new().into_iter(),
-            failed: false,
-        }
-    }
-
     /// Segments the tolerant [`SnapshotSource`] read path has had to skip,
     /// seeded by what [`StoredSnapshot::open_quarantining`] set aside.  A
     /// nonzero value means reports built from this snapshot are partial.
@@ -584,8 +580,9 @@ impl StoredSnapshot {
         self.quarantined.load(Ordering::Relaxed)
     }
 
-    /// The current quarantine state as `store.quarantine.*` counters (empty
-    /// while nothing was skipped, so clean runs' telemetry is unchanged).
+    /// The current quarantine state as `store.quarantine.*` counters for
+    /// [`qem_obs::RunTelemetry`] (empty while nothing was skipped, so clean
+    /// runs' telemetry is unchanged).
     pub fn quarantine_telemetry(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
         let skipped = self.quarantined_segments();
@@ -595,30 +592,22 @@ impl StoredSnapshot {
         snap
     }
 
-    /// Stream every readable measurement, skipping — and counting into the
-    /// quarantine high-water mark — segments that fail their checksum.
-    /// This is the degraded-mode backbone of the infallible
-    /// [`SnapshotSource`] methods.
-    fn read_tolerantly(&self, f: &mut dyn FnMut(&HostMeasurement)) {
-        let mut skipped = 0u64;
-        for path in &self.segments {
-            match read_segment(path) {
-                Ok(measurements) => {
-                    for m in &measurements {
-                        f(m);
-                    }
-                }
-                Err(_) => skipped += 1,
-            }
-        }
-        self.quarantined.fetch_max(skipped, Ordering::Relaxed);
+    /// The one read loop: every segment decoded in turn, one in memory at a
+    /// time, in host-id order.  Strict readers stop at the first `Err`; the
+    /// [`SnapshotSource`] methods skip and count it.
+    pub(crate) fn read_segments(
+        &self,
+    ) -> impl Iterator<Item = Result<Vec<HostMeasurement>, StoreError>> + '_ {
+        self.segments.iter().map(|path| read_segment(path))
     }
 
     /// The host ids persisted so far, in order.
     pub fn host_ids(&self) -> Result<Vec<usize>, StoreError> {
         let mut ids = Vec::new();
-        for result in self.iter() {
-            ids.push(result?.host_id);
+        for segment in self.read_segments() {
+            for m in segment? {
+                ids.push(m.host_id);
+            }
         }
         Ok(ids)
     }
@@ -630,9 +619,10 @@ impl StoredSnapshot {
     /// through [`SnapshotSource`].
     pub fn to_snapshot(&self) -> Result<SnapshotMeasurement, StoreError> {
         let mut hosts = BTreeMap::new();
-        for result in self.iter() {
-            let m = result?;
-            hosts.insert(m.host_id, m);
+        for segment in self.read_segments() {
+            for m in segment? {
+                hosts.insert(m.host_id, m);
+            }
         }
         if let Some(recorded) = self.recorded_count {
             if recorded != hosts.len() as u64 {
@@ -673,7 +663,7 @@ impl SnapshotSource for StoredSnapshot {
             Some(count) => count as usize,
             None => {
                 let mut count = 0usize;
-                self.read_tolerantly(&mut |_| count += 1);
+                self.for_each_host(&mut |_| count += 1);
                 count
             }
         }
@@ -686,40 +676,14 @@ impl SnapshotSource for StoredSnapshot {
     /// [`StoredSnapshot::open`] verifies eagerly, so skips here mean the
     /// file rotted (or was tampered with) after open.
     fn for_each_host(&self, f: &mut dyn FnMut(&HostMeasurement)) {
-        self.read_tolerantly(f);
-    }
-}
-
-/// Streaming iterator over a stored snapshot: segments are decoded lazily,
-/// one at a time, in host-id order.
-pub struct MeasurementIter<'a> {
-    segments: &'a [PathBuf],
-    next_segment: usize,
-    current: std::vec::IntoIter<HostMeasurement>,
-    failed: bool,
-}
-
-impl Iterator for MeasurementIter<'_> {
-    type Item = Result<HostMeasurement, StoreError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        loop {
-            if let Some(m) = self.current.next() {
-                return Some(Ok(m));
-            }
-            let path = self.segments.get(self.next_segment)?;
-            self.next_segment += 1;
-            match read_segment(path) {
-                Ok(measurements) => self.current = measurements.into_iter(),
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
+        let mut skipped = 0u64;
+        for segment in self.read_segments() {
+            match segment {
+                Ok(measurements) => measurements.iter().for_each(&mut *f),
+                Err(_) => skipped += 1,
             }
         }
+        self.quarantined.fetch_max(skipped, Ordering::Relaxed);
     }
 }
 
@@ -728,6 +692,7 @@ mod tests {
     use super::*;
     use crate::codec::encode_block;
     use crate::testutil::temp_dir;
+    use qem_core::source::SnapshotSource;
 
     fn meta() -> SnapshotMeta {
         SnapshotMeta::for_campaign(
@@ -778,7 +743,8 @@ mod tests {
         assert!(stored.is_complete());
         assert_eq!(stored.recorded_host_count(), Some(23));
         assert_eq!(stored.segment_count(), 4); // 7 + 7 + 7 + 2
-        let read: Vec<HostMeasurement> = stored.iter().map(|r| r.unwrap()).collect();
+        let read: Vec<HostMeasurement> =
+            stored.to_snapshot().unwrap().hosts.into_values().collect();
         assert_eq!(read, hosts);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -875,7 +841,11 @@ mod tests {
             StoredSnapshot::open(&dir),
             Err(StoreError::State(_))
         ));
-        assert!(StoredSnapshot::open_partial(&dir).is_ok());
+        let (partial, report) = StoredSnapshot::open_quarantining(&dir).unwrap();
+        assert!(report.is_clean());
+        assert!(!partial.is_complete());
+        assert_eq!(partial.host_ids().unwrap(), [0, 1]);
+        assert_eq!(partial.host_count(), 2);
         assert!(matches!(
             CampaignWriter::create(&dir, &meta()),
             Err(StoreError::State(_))

@@ -104,6 +104,31 @@ fn a_truncated_segment_fails_open_with_a_typed_error_naming_the_segment() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
+#[test]
+fn a_complete_store_missing_its_last_segment_fails_open() {
+    let dir = temp_dir("tail");
+    write_store(&dir, 24, 8); // segments 0, 1, 2 with 8 hosts each
+    fs::remove_file(dir.join("segment-00002.qseg")).unwrap();
+
+    // The segment list is still gapless, so only the COMPLETE marker's
+    // record count can tell that the tail is gone.
+    match StoredSnapshot::open(&dir) {
+        Err(StoreError::Corrupt(msg)) => assert!(
+            msg.contains(&dir.display().to_string()) && msg.contains("24"),
+            "error must name the store and the sealed count: {msg}"
+        ),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+
+    // The tolerant open quarantines nothing but no longer trusts the
+    // marker: the host count is what the segments actually hold.
+    let (snapshot, report) = StoredSnapshot::open_quarantining(&dir).unwrap();
+    assert!(report.is_clean());
+    assert!(!snapshot.is_complete());
+    assert_eq!(snapshot.host_count(), 16);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
 // ---------------------------------------------------------------------------
 // COMPLETE markers are validated, not merely present
 // ---------------------------------------------------------------------------
@@ -198,10 +223,6 @@ fn quarantining_skips_corrupt_segments_and_counts_them() {
     assert_eq!(report.quarantined_segments(), 1);
     assert!(!report.is_clean());
     assert_eq!(report.segments[0].0, victim);
-    assert_eq!(
-        report.telemetry().counter("store.quarantine.segments"),
-        Some(1)
-    );
 
     // The census-facing read path completes with the surviving 16 hosts.
     assert_eq!(snapshot.host_count(), 16);
@@ -226,7 +247,9 @@ fn a_clean_store_quarantines_nothing_and_keeps_its_complete_count() {
     let (snapshot, report) = StoredSnapshot::open_quarantining(&dir).unwrap();
     assert!(report.is_clean());
     assert_eq!(
-        report.telemetry().counter("store.quarantine.segments"),
+        snapshot
+            .quarantine_telemetry()
+            .counter("store.quarantine.segments"),
         None
     );
     assert!(snapshot.is_complete());
@@ -257,6 +280,65 @@ fn bit_rot_after_open_degrades_for_each_host_instead_of_panicking() {
     // count: the quarantine counter is a high-water mark.
     snapshot.for_each_host(&mut |_| {});
     assert_eq!(snapshot.quarantined_segments(), 1);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// One read loop, two policies: strict accessors fail, the census path skips
+// ---------------------------------------------------------------------------
+
+fn streamed_ids(snapshot: &StoredSnapshot) -> Vec<usize> {
+    let mut ids = Vec::new();
+    snapshot.for_each_host(&mut |m| ids.push(m.host_id));
+    ids
+}
+
+#[test]
+fn strict_and_tolerant_readers_agree_on_a_clean_store() {
+    let dir = temp_dir("agree");
+    write_store(&dir, 30, 8);
+    let snapshot = StoredSnapshot::open(&dir).unwrap();
+    let ids = snapshot.host_ids().unwrap();
+    assert_eq!(ids, (0..30).collect::<Vec<_>>());
+    let materialised: Vec<usize> = snapshot.to_snapshot().unwrap().hosts.into_keys().collect();
+    assert_eq!(materialised, ids);
+    assert_eq!(streamed_ids(&snapshot), ids);
+    assert_eq!(snapshot.quarantined_segments(), 0);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn after_open_rot_fails_strict_readers_and_degrades_the_census_path() {
+    let dir = temp_dir("policies");
+    write_store(&dir, 24, 8);
+    let snapshot = StoredSnapshot::open(&dir).unwrap();
+    let victim = dir.join("segment-00001.qseg");
+    let mut bytes = fs::read(&victim).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x08;
+    fs::write(&victim, &bytes).unwrap();
+
+    for result in [
+        snapshot.host_ids().map(drop),
+        snapshot.to_snapshot().map(drop),
+    ] {
+        match result {
+            Err(StoreError::Corrupt(msg)) => assert!(
+                msg.contains("segment-00001.qseg"),
+                "error must name the rotten segment: {msg}"
+            ),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+    let expected: Vec<usize> = (0..8).chain(16..24).collect();
+    assert_eq!(streamed_ids(&snapshot), expected);
+    assert_eq!(snapshot.quarantined_segments(), 1);
+    assert_eq!(
+        snapshot
+            .quarantine_telemetry()
+            .counter("store.quarantine.segments"),
+        Some(1)
+    );
     fs::remove_dir_all(&dir).unwrap();
 }
 

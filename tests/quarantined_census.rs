@@ -61,7 +61,7 @@ fn a_census_over_a_corrupt_store_completes_with_quarantine_telemetry() {
     assert!(!t1.is_empty() && !t2.is_empty());
 
     let mut telemetry = RunTelemetry::new();
-    telemetry.insert_section("store", report.telemetry());
+    telemetry.insert_section("store", snapshot.quarantine_telemetry());
     let json = telemetry.to_json();
     assert!(
         json.contains("store.quarantine.segments"),
