@@ -78,7 +78,7 @@ impl VantagePoint {
         let asn = match provider {
             CloudProvider::Main => Asn::DFN,
             CloudProvider::Aws => Asn(16509),
-            CloudProvider::Vultr => Asn(20473),
+            CloudProvider::Vultr => Asn::VULTR,
         };
         VantagePoint {
             name: name.to_string(),

@@ -112,24 +112,46 @@ pub struct Router {
 impl Router {
     /// A transparent router belonging to `asn` with the given id.
     ///
-    /// The ICMP source address is derived deterministically from the id so
-    /// traces are stable across runs.
+    /// Its ICMP source address is the id inside the AS's IPv4 router prefix
+    /// ([`Router::prefix`]), so traces are stable across runs.
     pub fn transparent(id: u32, asn: Asn) -> Self {
+        Router::numbered(id, asn, false)
+    }
+
+    /// A transparent router with an IPv6 ICMP source address.
+    pub fn transparent_v6(id: u32, asn: Asn) -> Self {
+        Router::numbered(id, asn, true)
+    }
+
+    fn numbered(id: u32, asn: Asn, v6: bool) -> Self {
+        let address = match Router::prefix(asn, v6).0 {
+            IpAddr::V4(net) => IpAddr::V4(Ipv4Addr::from(u32::from(net) | (id & 0xff))),
+            IpAddr::V6(net) => IpAddr::V6(Ipv6Addr::from(u128::from(net) | u128::from(id))),
+        };
         Router {
             id: RouterId(id),
             asn,
-            address: Router::derive_v4_address(id, asn),
+            address,
             ecn_policy: EcnPolicy::Pass,
             dscp_policy: DscpPolicy::Pass,
             icmp: IcmpBehavior::responsive(),
         }
     }
 
-    /// A transparent router with an IPv6 ICMP source address.
-    pub fn transparent_v6(id: u32, asn: Asn) -> Self {
-        let mut r = Router::transparent(id, asn);
-        r.address = Router::derive_v6_address(id, asn);
-        r
+    /// The prefix, and its length, that `asn` numbers its routers from:
+    /// `10.<asn bits 8–15>.<asn bits 0–7>.0/24` for IPv4 and
+    /// `fd00:<asn high 16 bits>:<asn low 16 bits>::/48` for IPv6.  A router's
+    /// ICMP source is its id in the host bits — for IPv4 the last octet,
+    /// which holds every id a [`PathBuilder`](crate::PathBuilder) hands out.
+    /// Whoever attributes router addresses announces these prefixes.
+    pub fn prefix(asn: Asn, v6: bool) -> (IpAddr, u8) {
+        let [_, _, hi, lo] = asn.0.to_be_bytes();
+        if v6 {
+            let net = Ipv6Addr::new(0xfd00, (asn.0 >> 16) as u16, asn.0 as u16, 0, 0, 0, 0, 0);
+            (IpAddr::V6(net), 48)
+        } else {
+            (IpAddr::V4(Ipv4Addr::new(10, hi, lo, 0)), 24)
+        }
     }
 
     /// Set the ECN policy.
@@ -148,32 +170,6 @@ impl Router {
     pub fn with_icmp(mut self, icmp: IcmpBehavior) -> Self {
         self.icmp = icmp;
         self
-    }
-
-    /// Deterministic IPv4 address for a router id within an AS
-    /// (from the 10.0.0.0/8 space so it never collides with simulated servers).
-    pub fn derive_v4_address(id: u32, asn: Asn) -> IpAddr {
-        let a = (asn.0 % 200) as u8;
-        IpAddr::V4(Ipv4Addr::new(
-            10,
-            a,
-            ((id >> 8) & 0xff) as u8,
-            (id & 0xff) as u8,
-        ))
-    }
-
-    /// Deterministic IPv6 address for a router id within an AS.
-    pub fn derive_v6_address(id: u32, asn: Asn) -> IpAddr {
-        IpAddr::V6(Ipv6Addr::new(
-            0xfd00,
-            (asn.0 >> 16) as u16,
-            (asn.0 & 0xffff) as u16,
-            0,
-            0,
-            0,
-            (id >> 16) as u16,
-            (id & 0xffff) as u16,
-        ))
     }
 }
 
@@ -194,16 +190,41 @@ mod tests {
 
     #[test]
     fn addresses_are_deterministic_and_distinct() {
-        let a = Router::derive_v4_address(1, Asn(1299));
-        let b = Router::derive_v4_address(2, Asn(1299));
-        let c = Router::derive_v4_address(1, Asn(1299));
+        let a = Router::transparent(1, Asn(1299)).address;
+        let b = Router::transparent(2, Asn(1299)).address;
+        let c = Router::transparent(1, Asn(1299)).address;
         assert_ne!(a, b);
         assert_eq!(a, c);
         assert!(matches!(a, IpAddr::V4(_)));
         assert!(matches!(
-            Router::derive_v6_address(1, Asn(174)),
+            Router::transparent_v6(1, Asn(174)).address,
             IpAddr::V6(_)
         ));
+    }
+
+    #[test]
+    fn a_router_is_its_id_inside_its_as_prefix() {
+        assert_eq!(
+            Router::prefix(Asn(203_118), false),
+            ("10.25.110.0".parse().unwrap(), 24)
+        );
+        assert_eq!(
+            Router::transparent(7, Asn(203_118)).address,
+            "10.25.110.7".parse::<IpAddr>().unwrap()
+        );
+        assert_eq!(
+            Router::prefix(Asn(203_118), true),
+            ("fd00:3:196e::".parse().unwrap(), 48)
+        );
+        assert_eq!(
+            Router::transparent_v6(7, Asn(203_118)).address,
+            "fd00:3:196e::7".parse::<IpAddr>().unwrap()
+        );
+        // ASNs that agree modulo 200 still get prefixes of their own.
+        assert_ne!(
+            Router::prefix(Asn(19_318), false),
+            Router::prefix(Asn(203_118), false)
+        );
     }
 
     #[test]

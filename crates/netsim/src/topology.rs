@@ -25,6 +25,8 @@ impl Asn {
     pub const COGENT: Asn = Asn(174);
     /// Lumen / Level3 (AS 3356), the pre-December-2022 route towards Server Central.
     pub const LEVEL3: Asn = Asn(3356);
+    /// Vultr (AS 20473), the platform of nine of the sixteen cloud vantage points.
+    pub const VULTR: Asn = Asn(20473);
 }
 
 impl fmt::Display for Asn {
@@ -84,6 +86,19 @@ impl TransitProfile {
             | TransitProfile::MarkAllCe { asn } => Some(asn),
             TransitProfile::RemarkThenClear { first, .. } => Some(first),
         }
+    }
+
+    /// The ASes whose routers [`build_transit_path`] puts between the
+    /// vantage and the destination network, in path order.
+    pub fn transit_asns(self) -> impl Iterator<Item = Asn> {
+        let (first, second) = match self {
+            TransitProfile::Clean => (Asn::LEVEL3, None),
+            TransitProfile::Clearing { asn }
+            | TransitProfile::Remarking { asn }
+            | TransitProfile::MarkAllCe { asn } => (asn, None),
+            TransitProfile::RemarkThenClear { first, second } => (first, Some(second)),
+        };
+        std::iter::once(first).chain(second)
     }
 }
 
@@ -276,6 +291,31 @@ mod tests {
         );
         assert!(!TransitProfile::Clean.is_impairing());
         assert!(TransitProfile::MarkAllCe { asn: Asn(64500) }.is_impairing());
+    }
+
+    #[test]
+    fn transit_asns_name_the_built_transit_hops() {
+        let (vantage, destination) = (Asn(1), Asn(2));
+        for profile in [
+            TransitProfile::Clean,
+            TransitProfile::Clearing { asn: Asn::ARELION },
+            TransitProfile::Remarking { asn: Asn::COGENT },
+            TransitProfile::RemarkThenClear {
+                first: Asn::ARELION,
+                second: Asn::COGENT,
+            },
+            TransitProfile::MarkAllCe { asn: Asn(64699) },
+        ] {
+            let path = build_transit_path(vantage, destination, profile, false);
+            let mut transit: Vec<Asn> = path
+                .hops
+                .iter()
+                .map(|h| h.router.asn)
+                .filter(|&asn| asn != vantage && asn != destination)
+                .collect();
+            transit.dedup();
+            assert_eq!(transit, profile.transit_asns().collect::<Vec<_>>());
+        }
     }
 
     #[test]

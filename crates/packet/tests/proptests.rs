@@ -523,6 +523,22 @@ proptest! {
         let _ = qem_packet::ip::IpHeader::decode(&bytes);
     }
 
+    /// The transport headers inside the ICMP quotes a tracer reads: any
+    /// bytes give a typed error or a header and a body inside the input.
+    #[test]
+    fn tcp_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..80)) {
+        if let Ok((_, body)) = TcpHeader::decode(&bytes) {
+            prop_assert!(body.len() <= bytes.len());
+        }
+    }
+
+    #[test]
+    fn udp_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..40)) {
+        if let Ok((_, body)) = UdpHeader::decode(&bytes) {
+            prop_assert!(body.len() <= bytes.len());
+        }
+    }
+
     #[test]
     fn udp_round_trips(
         addrs in arb_addr_pair(),

@@ -183,15 +183,18 @@ mod tests {
         )
     }
 
-    /// Resolve the deterministic router addresses back to ASes by matching
-    /// the second octet (see `Router::derive_v4_address`).
+    /// Resolve a router address to the candidate AS whose router prefix
+    /// ([`Router::prefix`]) holds it.
     fn resolver(candidates: &'static [Asn]) -> impl Fn(IpAddr) -> Option<Asn> {
-        move |addr| match addr {
-            IpAddr::V4(v4) => candidates
-                .iter()
-                .copied()
-                .find(|asn| (asn.0 % 200) as u8 == v4.octets()[1]),
-            IpAddr::V6(_) => None,
+        let bits = |ip: IpAddr| match ip {
+            IpAddr::V4(v4) => u128::from(u32::from(v4)) << 96,
+            IpAddr::V6(v6) => u128::from(v6),
+        };
+        move |addr| {
+            candidates.iter().copied().find(|&asn| {
+                let (prefix, len) = Router::prefix(asn, addr.is_ipv6());
+                (bits(prefix) ^ bits(addr)) >> (128 - u32::from(len)) == 0
+            })
         }
     }
 

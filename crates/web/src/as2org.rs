@@ -6,9 +6,11 @@
 //! * [`AsOrgDb::org_name`] — ASN → organisation name, with sibling ASNs of
 //!   the same operator merged (the paper merges e.g. "Cloudflare London"
 //!   into "Cloudflare"),
-//! * [`AsOrgDb::asn_of_ip`] — IP → ASN, covering both the simulated hosting
-//!   prefixes and the deterministic router addresses generated by
-//!   `qem_netsim::Router`.
+//! * [`AsOrgDb::asn_of_ip`] — IP → ASN, as a routing table answers it: the
+//!   AS that announced the longest prefix holding the address.  The table
+//!   knows no address format; whoever assigns addresses announces their
+//!   prefixes ([`AsOrgDb::announce`]), and an address nobody announced has
+//!   no AS.
 
 use qem_netsim::Asn;
 use std::collections::BTreeMap;
@@ -18,48 +20,43 @@ use std::net::IpAddr;
 #[derive(Debug, Clone, Default)]
 pub struct AsOrgDb {
     orgs: BTreeMap<u32, String>,
-    /// First IPv4 octet of a provider's host prefix → ASN.
-    v4_prefix_owners: BTreeMap<u8, u32>,
-    /// IPv6 "provider index" (third hextet under 2001:db8::/32) → ASN.
-    v6_prefix_owners: BTreeMap<u16, u32>,
-    /// All ASNs ever registered, used to reverse router addresses.
-    known_asns: Vec<u32>,
+    /// Announced prefixes by [`key`] — (is IPv6, length, network bits; an
+    /// IPv4 network in the low 32) — and their owners, sorted.
+    prefixes: Vec<((bool, u8, u128), Asn)>,
 }
 
 impl AsOrgDb {
-    /// Create an empty database pre-populated with the transit networks the
-    /// study names.
+    /// Create an empty database pre-populated with the vantage and transit
+    /// networks the study names.
     pub fn new() -> Self {
         let mut db = AsOrgDb::default();
         db.register_org(Asn::DFN, "DFN", &[]);
         db.register_org(Asn::ARELION, "Arelion (Telia Carrier)", &[]);
         db.register_org(Asn::COGENT, "Cogent", &[]);
         db.register_org(Asn::LEVEL3, "Lumen (Level3)", &[]);
+        db.register_org(Asn::VULTR, "Vultr", &[]);
         db
     }
 
     /// Register an organisation with its primary and sibling ASNs.
     pub fn register_org(&mut self, asn: Asn, name: &str, siblings: &[Asn]) {
-        self.orgs.insert(asn.0, name.to_string());
-        if !self.known_asns.contains(&asn.0) {
-            self.known_asns.push(asn.0);
+        for asn in std::iter::once(asn).chain(siblings.iter().copied()) {
+            self.orgs.insert(asn.0, name.to_string());
         }
-        for sibling in siblings {
-            self.orgs.insert(sibling.0, name.to_string());
-            if !self.known_asns.contains(&sibling.0) {
-                self.known_asns.push(sibling.0);
+    }
+
+    /// Record that `asn` announces `prefix/len` (`len` is capped at the
+    /// family's width; bits past it are ignored).  A prefix keeps its first
+    /// owner: announcing it again changes nothing and returns that owner.
+    pub fn announce(&mut self, prefix: IpAddr, len: u8, asn: Asn) -> Option<Asn> {
+        let key = key(prefix, len);
+        match self.prefixes.binary_search_by_key(&key, |&(key, _)| key) {
+            Ok(at) => Some(self.prefixes[at].1),
+            Err(at) => {
+                self.prefixes.insert(at, (key, asn));
+                None
             }
         }
-    }
-
-    /// Record that the IPv4 prefix identified by its first octet belongs to `asn`.
-    pub fn register_v4_prefix(&mut self, first_octet: u8, asn: Asn) {
-        self.v4_prefix_owners.insert(first_octet, asn.0);
-    }
-
-    /// Record that the IPv6 provider index belongs to `asn`.
-    pub fn register_v6_prefix(&mut self, provider_index: u16, asn: Asn) {
-        self.v6_prefix_owners.insert(provider_index, asn.0);
     }
 
     /// The organisation name for an ASN, if known.
@@ -74,35 +71,21 @@ impl AsOrgDb {
             .unwrap_or_else(|| asn.to_string())
     }
 
-    /// Resolve an IP address (host or router) to its ASN.
+    /// Resolve an IP address (host or router) to the AS announcing the
+    /// longest prefix that holds it: one binary search per announced family
+    /// and length, longest first.
     pub fn asn_of_ip(&self, ip: IpAddr) -> Option<Asn> {
-        match ip {
-            IpAddr::V4(v4) => {
-                let octets = v4.octets();
-                if octets[0] == 10 {
-                    // Router addresses are derived as 10.(asn % 200).x.y.
-                    return self
-                        .known_asns
-                        .iter()
-                        .copied()
-                        .find(|asn| (asn % 200) as u8 == octets[1])
-                        .map(Asn);
-                }
-                self.v4_prefix_owners.get(&octets[0]).copied().map(Asn)
+        let mut rest = &self.prefixes[..];
+        while let Some(&((v6, len, _), _)) = rest.last() {
+            let (shorter, group) =
+                rest.split_at(rest.partition_point(|&((f, l, _), _)| (f, l) < (v6, len)));
+            // The other family's key never matches: it differs in `is IPv6`.
+            if let Ok(at) = group.binary_search_by_key(&key(ip, len), |&(key, _)| key) {
+                return Some(group[at].1);
             }
-            IpAddr::V6(v6) => {
-                let segments = v6.segments();
-                if segments[0] == 0xfd00 {
-                    // Router addresses: fd00:<asn_hi>:<asn_lo>::…
-                    let asn = (u32::from(segments[1]) << 16) | u32::from(segments[2]);
-                    return Some(Asn(asn));
-                }
-                if segments[0] == 0x2001 && segments[1] == 0x0db8 {
-                    return self.v6_prefix_owners.get(&segments[2]).copied().map(Asn);
-                }
-                None
-            }
+            rest = shorter;
         }
+        None
     }
 
     /// Resolve an IP to an organisation name (`"<unknown>"` if unattributable).
@@ -111,6 +94,18 @@ impl AsOrgDb {
             .map(|asn| self.org_name_or_asn(asn))
             .unwrap_or_else(|| "<unknown>".to_string())
     }
+}
+
+/// The table key of `ip/len`: is IPv6, `len` capped at the family's width,
+/// and the address bits with everything past `len` cleared.
+fn key(ip: IpAddr, len: u8) -> (bool, u8, u128) {
+    let (v6, bits, width) = match ip {
+        IpAddr::V4(v4) => (false, u128::from(u32::from(v4)), 32),
+        IpAddr::V6(v6) => (true, u128::from(v6), 128),
+    };
+    let len = len.min(width);
+    let host = u32::from(width - len);
+    (v6, len, bits.checked_shr(host).map_or(0, |net| net << host))
 }
 
 #[cfg(test)]
@@ -124,6 +119,7 @@ mod tests {
         let db = AsOrgDb::new();
         assert_eq!(db.org_name(Asn::ARELION), Some("Arelion (Telia Carrier)"));
         assert_eq!(db.org_name(Asn::COGENT), Some("Cogent"));
+        assert_eq!(db.org_name(Asn::VULTR), Some("Vultr"));
     }
 
     #[test]
@@ -138,23 +134,61 @@ mod tests {
     fn host_prefix_lookup() {
         let mut db = AsOrgDb::new();
         db.register_org(Asn(16509), "Amazon", &[]);
-        db.register_v4_prefix(65, Asn(16509));
-        db.register_v6_prefix(5, Asn(16509));
+        assert_eq!(
+            db.announce("65.0.0.0".parse().unwrap(), 8, Asn(16509)),
+            None
+        );
+        assert_eq!(
+            db.announce("2001:db8:5::".parse().unwrap(), 48, Asn(16509)),
+            None
+        );
         assert_eq!(db.asn_of_ip("65.1.2.3".parse().unwrap()), Some(Asn(16509)));
         assert_eq!(
             db.asn_of_ip("2001:db8:5::1".parse().unwrap()),
             Some(Asn(16509))
         );
+        assert_eq!(db.asn_of_ip("2001:db8:6::1".parse().unwrap()), None);
         assert_eq!(db.org_of_ip("65.1.2.3".parse().unwrap()), "Amazon");
     }
 
     #[test]
     fn router_addresses_resolve_to_their_asn() {
-        let db = AsOrgDb::new();
-        let addr = Router::derive_v4_address(7, Asn::ARELION);
+        let mut db = AsOrgDb::new();
+        for (asn, v6) in [(Asn::ARELION, false), (Asn::COGENT, true)] {
+            let (prefix, len) = Router::prefix(asn, v6);
+            assert_eq!(db.announce(prefix, len, asn), None);
+        }
+        let addr = Router::transparent(7, Asn::ARELION).address;
         assert_eq!(db.asn_of_ip(addr), Some(Asn::ARELION));
-        let addr6 = Router::derive_v6_address(7, Asn::COGENT);
+        let addr6 = Router::transparent_v6(7, Asn::COGENT).address;
         assert_eq!(db.asn_of_ip(addr6), Some(Asn::COGENT));
+        // Unannounced: Cogent's IPv4 routers and Arelion's IPv6 routers.
+        assert_eq!(
+            db.asn_of_ip(Router::transparent(7, Asn::COGENT).address),
+            None
+        );
+        assert_eq!(
+            db.asn_of_ip(Router::transparent_v6(7, Asn::ARELION).address),
+            None
+        );
+    }
+
+    #[test]
+    fn the_longest_prefix_wins_and_the_first_owner_stays() {
+        let mut db = AsOrgDb::new();
+        assert_eq!(db.announce("10.0.0.0".parse().unwrap(), 8, Asn(1)), None);
+        assert_eq!(db.announce("10.1.2.99".parse().unwrap(), 24, Asn(2)), None);
+        assert_eq!(
+            db.announce("10.1.2.0".parse().unwrap(), 24, Asn(3)),
+            Some(Asn(2))
+        );
+        assert_eq!(db.announce("0.0.0.0".parse().unwrap(), 0, Asn(4)), None);
+        let at = |ip: &str| db.asn_of_ip(ip.parse().unwrap());
+        assert_eq!(at("10.1.2.3"), Some(Asn(2)));
+        assert_eq!(at("10.1.3.3"), Some(Asn(1)));
+        assert_eq!(at("11.0.0.1"), Some(Asn(4)));
+        // An IPv4 default route covers no IPv6 address.
+        assert_eq!(at("::a01:203"), None);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::providers::{
 };
 use crate::snapshot::SnapshotDate;
 use crate::stacks::StackProfile;
-use qem_netsim::{build_duplex_path, Asn, DuplexPath, TransitProfile};
+use qem_netsim::{build_duplex_path, Asn, DuplexPath, Router, TransitProfile};
 use qem_quic::behavior::ServerBehavior;
 use qem_tcp::TcpServerBehavior;
 use rand::rngs::StdRng;
@@ -265,6 +265,11 @@ impl Universe {
             domains: DomainCounts::default(),
             as_org: AsOrgDb::new(),
         };
+        // Networks on paths to any host: the main vantage point's upstream,
+        // the cloud platform that hosts no site, and the clean transit.
+        for asn in [Asn::DFN, Asn::VULTR, Asn::LEVEL3] {
+            universe.announce_routers(asn);
+        }
 
         for (index, provider) in landscape.providers.iter().enumerate() {
             let provider_idx = universe.providers.len();
@@ -276,11 +281,12 @@ impl Universe {
                 .as_org
                 .register_org(provider.asn, provider.name, &provider.sibling_asns);
             let octet = 60 + index as u8;
-            universe.as_org.register_v4_prefix(octet, provider.asn);
-            universe
-                .as_org
-                .register_v6_prefix(index as u16, provider.asn);
+            universe.announce_hoster(provider.asn, octet, index as u16);
             for segment in &provider.segments {
+                let transit = [segment.transit_v4, segment.transit_v6];
+                for asn in transit.into_iter().flat_map(TransitProfile::transit_asns) {
+                    universe.announce_routers(asn);
+                }
                 universe.add_segment(
                     provider_idx,
                     octet,
@@ -304,8 +310,7 @@ impl Universe {
             });
             universe.as_org.register_org(asn, &name, &[]);
             let octet = 140 + index as u8;
-            universe.as_org.register_v4_prefix(octet, asn);
-            universe.as_org.register_v6_prefix(1000 + index as u16, asn);
+            universe.announce_hoster(asn, octet, 1000 + index as u16);
             universe.add_background(
                 provider_idx,
                 octet,
@@ -328,6 +333,23 @@ impl Universe {
         }
 
         universe
+    }
+
+    /// Announce a hosting AS: its host prefixes, `<v4_octet>.0.0.0/8` and
+    /// `2001:db8:<v6_index>::/48` (see [`host_addrs`]), and its routers.
+    fn announce_hoster(&mut self, asn: Asn, v4_octet: u8, v6_index: u16) {
+        let (v4, v6) = host_addrs(v4_octet, v6_index, 0);
+        self.as_org.announce(IpAddr::V4(v4), 8, asn);
+        self.as_org.announce(IpAddr::V6(v6), 48, asn);
+        self.announce_routers(asn);
+    }
+
+    /// Announce the IPv4 and IPv6 prefixes `asn` numbers its routers from.
+    fn announce_routers(&mut self, asn: Asn) {
+        for v6 in [false, true] {
+            let (prefix, len) = Router::prefix(asn, v6);
+            self.as_org.announce(prefix, len, asn);
+        }
     }
 
     /// Count one generated domain — on its host, if it resolves, and in the
@@ -383,11 +405,11 @@ impl Universe {
         for _ in 0..hosts_needed {
             let id = self.hosts.len();
             let has_v6 = rng.gen_bool(segment.ipv6_share.clamp(0.0, 1.0));
-            let (ipv4, ipv6) = host_addrs(v4_octet, v6_index, id as u32, has_v6);
+            let (ipv4, ipv6) = host_addrs(v4_octet, v6_index, id as u32);
             self.hosts.push(Host {
                 id,
                 ipv4,
-                ipv6,
+                ipv6: has_v6.then_some(ipv6),
                 provider: provider_idx,
                 asn,
                 stack: Some(segment.stack),
@@ -437,11 +459,11 @@ impl Universe {
         for _ in 0..hosts_needed {
             let id = self.hosts.len();
             let has_v6 = rng.gen_bool(background.ipv6_share.clamp(0.0, 1.0));
-            let (ipv4, ipv6) = host_addrs(v4_octet, v6_index, id as u32, has_v6);
+            let (ipv4, ipv6) = host_addrs(v4_octet, v6_index, id as u32);
             self.hosts.push(Host {
                 id,
                 ipv4,
-                ipv6,
+                ipv6: has_v6.then_some(ipv6),
                 provider: provider_idx,
                 asn,
                 stack: None,
@@ -466,11 +488,6 @@ impl Universe {
             let host = first_host + ((cno + i) % hosts_needed) as usize;
             self.add_domain(toplist_membership(rng), Some(host), false, observe);
         }
-    }
-
-    /// The AS organisation database.
-    pub fn as_org(&self) -> &AsOrgDb {
-        &self.as_org
     }
 
     /// Every host with an address in the requested family, in ascending id
@@ -504,28 +521,16 @@ const CNO_ONLY: DomainLists = DomainLists {
     tranco: false,
 };
 
-/// The addresses of host number `host_no` inside its provider's prefixes.
-fn host_addrs(
-    v4_octet: u8,
-    v6_index: u16,
-    host_no: u32,
-    has_v6: bool,
-) -> (Ipv4Addr, Option<Ipv6Addr>) {
+/// The addresses of host number `host_no` inside its provider's prefixes:
+/// its low 24 bits under `<v4_octet>.0.0.0/8`, all 32 under
+/// `2001:db8:<v6_index>::/48`.
+fn host_addrs(v4_octet: u8, v6_index: u16, host_no: u32) -> (Ipv4Addr, Ipv6Addr) {
     let [_, b, c, d] = host_no.to_be_bytes();
-    let ipv4 = Ipv4Addr::new(v4_octet, b, c, d);
-    let ipv6 = has_v6.then(|| {
-        Ipv6Addr::new(
-            0x2001,
-            0x0db8,
-            v6_index,
-            0,
-            0,
-            0,
-            (host_no >> 16) as u16,
-            host_no as u16,
-        )
-    });
-    (ipv4, ipv6)
+    let [hi, lo] = [(host_no >> 16) as u16, host_no as u16];
+    (
+        Ipv4Addr::new(v4_octet, b, c, d),
+        Ipv6Addr::new(0x2001, 0x0db8, v6_index, 0, 0, 0, hi, lo),
+    )
 }
 
 /// The draw that once picked a zone-file domain's TLD.  Domains carry no
@@ -737,10 +742,19 @@ mod tests {
 
     #[test]
     fn prefixes_resolve_back_to_their_org() {
-        let u = universe();
-        for host in u.hosts.iter().take(200) {
-            let asn = u.as_org.asn_of_ip(IpAddr::V4(host.ipv4));
-            assert_eq!(asn, Some(host.asn), "host {:?}", host.ipv4);
+        for config in [UniverseConfig::default(), UniverseConfig::tiny()] {
+            let u = Universe::generate(&config);
+            for host in &u.hosts {
+                let v6 = host.ipv6.map(IpAddr::V6);
+                for addr in std::iter::once(IpAddr::V4(host.ipv4)).chain(v6) {
+                    assert_eq!(u.as_org.asn_of_ip(addr), Some(host.asn), "host {addr}");
+                }
+            }
+            // Addresses nobody announces: the scanner's client addresses and
+            // the engine's load-flow range.
+            for addr in ["192.0.2.10", "2001:db8:ffff::10", "2001:db8:bbbb::1"] {
+                assert_eq!(u.as_org.asn_of_ip(addr.parse().unwrap()), None, "{addr}");
+            }
         }
     }
 

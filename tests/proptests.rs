@@ -9,6 +9,7 @@ use qem_packet::ecn::EcnCodepoint;
 use qem_quic::ecn::EcnValidationState;
 use qem_quic::{ClientConfig, ConnectionRun, DriverConfig, EcnMirroringBehavior, ServerBehavior};
 use qem_tracebox::{analyze_trace, trace_path, TraceConfig};
+use qem_web::AsOrgDb;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::IpAddr;
@@ -147,6 +148,71 @@ proptest! {
             EcnCodepoint::Ect1 => prop_assert!(ground_truth.ect1 > 0 && ground_truth.ect0 == 0),
             EcnCodepoint::NotEct => prop_assert_eq!(ground_truth.total(), 0),
             EcnCodepoint::Ce => prop_assert!(ground_truth.ce > 0),
+        }
+    }
+}
+
+/// An address that agrees with one fixed anchor on a random number of
+/// leading bits, so that announced prefixes nest and often hold the
+/// addresses looked up.
+fn arb_clustered_ip() -> impl Strategy<Value = IpAddr> {
+    const ANCHOR: u128 = 0x2001_0db8_0a0b_0c0d_1122_3344_5566_7788;
+    (any::<bool>(), any::<u128>(), 0u32..=128).prop_map(|(v6, noise, agree)| {
+        if v6 {
+            IpAddr::V6((ANCHOR ^ noise.checked_shr(agree).unwrap_or(0)).into())
+        } else {
+            let bits = (ANCHOR >> 96) as u32 ^ (noise as u32).checked_shr(agree / 4).unwrap_or(0);
+            IpAddr::V4(bits.into())
+        }
+    })
+}
+
+/// The oracle's containment test: same family, and the first `len` bits of
+/// `prefix` and `addr` agree, compared one bit at a time.
+fn holds(prefix: IpAddr, len: u8, addr: IpAddr) -> bool {
+    let (prefix, addr, width) = match (prefix, addr) {
+        (IpAddr::V4(p), IpAddr::V4(a)) => (u32::from(p).into(), u32::from(a).into(), 32),
+        (IpAddr::V6(p), IpAddr::V6(a)) => (u128::from(p), u128::from(a), 128),
+        _ => return false,
+    };
+    let bit = |bits: u128, i: u8| (bits >> (width - 1 - i)) & 1;
+    (0..len.min(width)).all(|i| bit(prefix, i) == bit(addr, i))
+}
+
+proptest! {
+    /// `AsOrgDb`'s longest-prefix lookup answers what a linear scan over the
+    /// kept announcements does, for nested prefixes of every length in both
+    /// families; an identical prefix announced again keeps its first owner.
+    #[test]
+    fn longest_prefix_lookup_matches_a_linear_scan(
+        announced in proptest::collection::vec((arb_clustered_ip(), 0u8..=128), 0..24),
+        probes in proptest::collection::vec(arb_clustered_ip(), 0..24),
+    ) {
+        let mut db = AsOrgDb::new();
+        // Every announcement the table kept: prefix, capped length, owner.
+        let mut kept: Vec<(IpAddr, u8, Asn)> = Vec::new();
+        for (i, &(prefix, len)) in announced.iter().enumerate() {
+            let capped = len.min(if prefix.is_ipv4() { 32 } else { 128 });
+            let first = kept
+                .iter()
+                .find(|&&(p, l, _)| l == capped && holds(p, l, prefix))
+                .map(|&(_, _, owner)| owner);
+            prop_assert_eq!(db.announce(prefix, len, Asn(i as u32)), first);
+            if first.is_none() {
+                kept.push((prefix, capped, Asn(i as u32)));
+            }
+        }
+        for &(prefix, len, owner) in &kept {
+            prop_assert_eq!(db.announce(prefix, len, Asn(u32::MAX)), Some(owner));
+        }
+        let oracle = |addr| {
+            kept.iter()
+                .filter(|&&(p, l, _)| holds(p, l, addr))
+                .max_by_key(|&&(_, l, _)| l)
+                .map(|&(_, _, owner)| owner)
+        };
+        for addr in probes.iter().copied().chain(announced.iter().map(|&(p, _)| p)) {
+            prop_assert_eq!(db.asn_of_ip(addr), oracle(addr));
         }
     }
 }
