@@ -8,9 +8,11 @@
 //! produces identical results regardless of worker count or scheduling.
 //! Each executor worker owns one `ScanWorker` for the scan: an
 //! [`EngineScratch`] lent to both probes of every host it measures (one
-//! timer wheel per worker, not one per probe) and a [`QuicScratch`] lent to
-//! its QUIC probes (the endpoints' packet spaces, outboxes and stream
-//! buffers), the `ScanTally` those hosts are counted in — each probe's
+//! timer wheel, flow table and packet body per worker, not per probe), a
+//! [`QuicScratch`] lent to its QUIC probes (the endpoints' packet spaces,
+//! outboxes and stream buffers) and the [`ClientConfig`] they read, each
+//! host's SNI written into it in place; the `ScanTally` those hosts are
+//! counted in — each probe's
 //! engine tally by slot — which the worker folds into the scanner's once,
 //! when it ends ([`Scanner::metrics_snapshot`] gives the counts their
 //! names), and its last route: the [`DuplexPath`] to the previous host and
@@ -34,6 +36,7 @@ use qem_tracebox::{analyze_trace, trace_path, TraceConfig};
 use qem_web::{SnapshotDate, StackProfile, Universe};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt::Write;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::Mutex;
 
@@ -103,6 +106,8 @@ impl ScanOptions {
 struct ScanWorker<'s> {
     scratch: EngineScratch,
     quic: QuicScratch,
+    /// The QUIC probes' configuration, each host's SNI written into it.
+    client: ClientConfig,
     tally: ScanTally,
     /// The route to the last host measured, with what it was built from.
     route: Option<(RouteKey, DuplexPath)>,
@@ -183,6 +188,10 @@ impl<'a> Scanner<'a> {
         ScanWorker {
             scratch: EngineScratch::default(),
             quic: QuicScratch::default(),
+            client: match self.options.probe {
+                ProbeMode::Ect0 => ClientConfig::paper_default(""),
+                ProbeMode::ForceCe => ClientConfig::force_ce(""),
+            },
             tally: ScanTally::default(),
             route: None,
             scanner: self,
@@ -236,6 +245,7 @@ impl<'a> Scanner<'a> {
         let ScanWorker {
             scratch,
             quic,
+            client,
             tally,
             route,
             ..
@@ -268,11 +278,9 @@ impl<'a> Scanner<'a> {
             tally.inc(Row::QuicNoStack);
         }
         let quic_report = behavior.map(|behavior| {
-            let sni = format!("www.host-{host_id}.example");
-            let client_config = match self.options.probe {
-                ProbeMode::Ect0 => ClientConfig::paper_default(&sni),
-                ProbeMode::ForceCe => ClientConfig::force_ce(&sni),
-            };
+            client.sni.clear();
+            // Writing to a `String` cannot fail.
+            let _ = write!(client.sni, "www.host-{host_id}.example");
             tally.inc(Row::QuicAttempted);
             let policy = self.options.retry;
             let max_attempts = policy.attempts.max(1);
@@ -284,7 +292,7 @@ impl<'a> Scanner<'a> {
                 let driver = DriverConfig::new(client_addr, server_addr);
                 // A disabled scenario is the plain single-flow run inside
                 // the builder.
-                let run = ConnectionRun::new(client_config.clone(), behavior.clone(), path, driver)
+                let run = ConnectionRun::lent(client, behavior.clone(), path, driver)
                     .cross_traffic(self.options.cross_traffic)
                     .telemetry(named)
                     .scratch(scratch, quic)

@@ -622,7 +622,8 @@ pub type Engine<'a> = EngineCore<'a, TimerWheel<usize>>;
 pub type HeapEngine<'a> = EngineCore<'a, EventQueue<usize>>;
 
 /// What an engine allocates and the next run can use again: the scheduler,
-/// the same-instant dispatch batch and the wake log.
+/// the same-instant dispatch batch, the wake log and the flow table — and
+/// the packet body the measured flow sends in.
 ///
 /// Whoever runs many connections in a row — a scanner worker, through the
 /// run builders' `.scratch()` — owns one and lends it to each
@@ -633,6 +634,12 @@ pub struct EngineScratch<S = TimerWheel<usize>> {
     /// Reusable same-instant dispatch batch (see [`EngineCore::run`]).
     batch: Vec<Event<usize>>,
     log: TraceRing<FlowWake>,
+    flows: FlowTable,
+    /// The body the last run's flow sent its packets in, for the next
+    /// run's flow to encode into: a run builder takes it before the run
+    /// and puts it back after.  Its bytes are stale; every sender clears
+    /// the buffer it writes a packet into.
+    pub body: Vec<u8>,
 }
 
 impl<S: Default> Default for EngineScratch<S> {
@@ -641,8 +648,39 @@ impl<S: Default> Default for EngineScratch<S> {
             queue: S::default(),
             batch: Vec::new(),
             log: TraceRing::new(DEFAULT_EVENT_LOG_CAPACITY),
+            flows: FlowTable::default(),
+            body: Vec::new(),
         }
     }
+}
+
+/// An engine's flow table between two runs: no flows, only the allocation.
+#[derive(Default)]
+struct FlowTable(Vec<&'static mut (dyn Flow + Send + Sync)>);
+
+impl std::fmt::Debug for FlowTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "FlowTable {{ capacity: {} }}", self.0.capacity())
+    }
+}
+
+impl FlowTable {
+    /// The table, for a run whose flows live for `'a`.
+    fn lend<'a>(&mut self) -> Vec<&'a mut dyn Flow> {
+        empty(std::mem::take(&mut self.0))
+    }
+
+    /// Take the table back from a run.
+    fn restore(&mut self, flows: Vec<&mut dyn Flow>) {
+        self.0 = empty(flows);
+    }
+}
+
+/// `flows` emptied, as a table of another lifetime: an empty `Vec` holds
+/// no borrow, and collecting a `vec::IntoIter` into a `Vec` whose elements
+/// have the same layout reuses its allocation.
+fn empty<'a, T: ?Sized, U: ?Sized>(flows: Vec<&mut T>) -> Vec<&'a mut U> {
+    flows.into_iter().filter_map(|_| None).collect()
 }
 
 /// The discrete-event scheduler: owns virtual time, the shared queues and
@@ -670,10 +708,10 @@ impl<'a, S: Scheduler<usize> + Default> EngineCore<'a, S> {
 
 impl<'a, S: Scheduler<usize>, H: BorrowMut<EngineScratch<S>>> EngineCore<'a, S, H> {
     /// An engine over the given shared queues and a new or reset scratch.
-    fn over(shared: SharedQueues, scratch: H) -> Self {
+    fn over(shared: SharedQueues, mut scratch: H) -> Self {
         EngineCore {
+            flows: scratch.borrow_mut().flows.lend(),
             scratch,
-            flows: Vec::new(),
             shared,
             events_processed: 0,
             scheduler: PhantomData,
@@ -786,7 +824,9 @@ impl<'a, S: Scheduler<usize>, H: BorrowMut<EngineScratch<S>>> EngineCore<'a, S, 
     /// in a later batch, so the observable wake order is provably the same
     /// as popping one event at a time.
     pub fn run(&mut self) {
-        let EngineScratch { queue, batch, log } = self.scratch.borrow_mut();
+        let EngineScratch {
+            queue, batch, log, ..
+        } = self.scratch.borrow_mut();
         let mut processed = 0usize;
         'run: while queue.pop_batch(batch) > 0 {
             for &event in batch.iter() {
@@ -1083,7 +1123,10 @@ pub fn run_measured(
     }
     engine.add_flow(flow);
     engine.run();
-    (engine.tally(), want_telemetry.then(|| engine.telemetry()))
+    let measured = (engine.tally(), want_telemetry.then(|| engine.telemetry()));
+    let EngineCore { scratch, flows, .. } = engine;
+    scratch.flows.restore(flows);
+    measured
 }
 
 #[cfg(test)]
@@ -1093,6 +1136,34 @@ mod tests {
     use crate::topology::Asn;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn a_lent_scratch_keeps_its_flow_table() {
+        struct Once;
+        impl Flow for Once {
+            fn on_wake(&mut self, _: SimInstant, _: &mut SharedQueues) -> FlowStatus {
+                FlowStatus::Done
+            }
+        }
+        let mut scratch = EngineScratch::default();
+        let fresh = run_measured(&mut Once, None, true, None);
+        assert_eq!(
+            run_measured(&mut Once, None, true, Some(&mut scratch)),
+            fresh
+        );
+        let table = (scratch.flows.0.as_ptr(), scratch.flows.0.capacity());
+        assert!(table.1 >= 1 && scratch.flows.0.is_empty());
+        for _ in 0..3 {
+            assert_eq!(
+                run_measured(&mut Once, None, true, Some(&mut scratch)),
+                fresh
+            );
+            assert_eq!(
+                (scratch.flows.0.as_ptr(), scratch.flows.0.capacity()),
+                table
+            );
+        }
+    }
 
     #[test]
     fn event_queue_orders_by_time_then_fifo() {

@@ -7,7 +7,9 @@
 //! when a router quotes it — and hands the same body back whatever the
 //! verdict ([`TransitOutcome::into_body`]), so a sender builds its next
 //! packet in it.  A router that answers an expired packet writes its ICMP
-//! message — header and quote — into one new body, the response's.
+//! message — header and quote — into one body, the response's: a new one,
+//! or the one a tracer lends ([`Path::transit_answering`]) and takes back
+//! from each response, so that a whole trace is answered in one buffer.
 //! [`Path::transit`], which borrows, is the one place a packet is cloned
 //! (besides `LoadFlow`, which sends copies of a template).
 
@@ -224,6 +226,23 @@ impl Path {
         rng: &mut R,
         queues: &mut SharedQueues,
     ) -> TransitOutcome {
+        self.transit_answering(datagram, now, rng, queues, &mut Vec::new())
+    }
+
+    /// [`Path::transit_shared`], with the router that answers an expired
+    /// datagram writing its ICMP message into `answer`'s allocation: the
+    /// response takes the buffer, and the caller — a tracer, whose every
+    /// probe may be answered — gets it back as the response's payload and
+    /// lends it again.  `answer` is left as it was when no router answers,
+    /// and empty when the one that would cannot address the sender.
+    pub fn transit_answering<R: Rng + ?Sized>(
+        &self,
+        datagram: IpDatagram,
+        now: SimInstant,
+        rng: &mut R,
+        queues: &mut SharedQueues,
+        answer: &mut Vec<u8>,
+    ) -> TransitOutcome {
         let mut current = datagram;
         let mut elapsed = SimDuration::ZERO;
         let dropped = |at_hop, body| TransitOutcome::Dropped { at_hop, body };
@@ -263,7 +282,8 @@ impl Path {
                 let answered = p > 0.0 && rng.gen_bool(p.clamp(0.0, 1.0));
                 set_rewritable(&mut current.header, ttl, ecn, dscp);
                 // A router that cannot address the sender stays silent.
-                let response = answered.then(|| build_time_exceeded(&hop.router, &current));
+                let response = answered
+                    .then(|| build_time_exceeded(&hop.router, &current, std::mem::take(answer)));
                 let Some(Ok(response)) = response else {
                     return expired(index, current.payload);
                 };
@@ -314,12 +334,17 @@ fn set_rewritable(header: &mut IpHeader, ttl: u8, ecn: EcnCodepoint, dscp: Dscp)
 }
 
 /// Build the ICMP time-exceeded response a router sends for `expired`:
-/// the message is written where it goes, into the one body the response
-/// takes.
-fn build_time_exceeded(router: &Router, expired: &IpDatagram) -> qem_packet::Result<IpDatagram> {
+/// the message is written where it goes, into `message` (cleared first, its
+/// capacity kept), the one body the response takes.
+fn build_time_exceeded(
+    router: &Router,
+    expired: &IpDatagram,
+    mut message: Vec<u8>,
+) -> qem_packet::Result<IpDatagram> {
     let v6 = expired.header.is_v6();
     let quote_bytes = router.icmp.quote_bytes;
-    let mut message = Vec::with_capacity(ICMP_HEADER_LEN + quote_bytes.min(expired.wire_len()));
+    message.clear();
+    message.reserve(ICMP_HEADER_LEN + quote_bytes.min(expired.wire_len()));
     // The first `quote_bytes` of the datagram as it would be serialised:
     // the header, then as much of the body as the router quotes.
     write_time_exceeded(&mut message, v6, |buf| {

@@ -4,6 +4,14 @@
 //! are modelled as structured data; IPv4 options are not supported (the study
 //! never emits them) and are rejected on decode with an explicit error rather
 //! than silently skipped.
+//!
+//! The RFC 1071 checksum every header here and in `udp`, `tcp` and `icmp`
+//! relies on ([`internet_checksum`], [`pseudo_header_checksum`]) has one
+//! kernel: it adds the bytes eight at a time as native-endian `u64` words,
+//! counts the carries out of the top bit on the side and adds them back
+//! (2⁶⁴ ≡ 1 in one's complement), and swaps the folded sum to big endian
+//! once, at the end.  Every byte of a probe, a segment or a quote is
+//! summed once, by one add per eight.
 
 use crate::ecn::{split_traffic_class, traffic_class, Dscp, EcnCodepoint};
 use crate::error::PacketError;
@@ -470,32 +478,50 @@ impl IpDatagram {
     }
 }
 
-/// The one's-complement sum of `data` as big-endian 16-bit words (an odd
-/// trailing byte is padded with zero), not yet folded.
+/// The one's-complement sum of `data` as 16-bit words (an odd trailing
+/// byte is padded with zero), not yet folded: under 2³³, so a few of them
+/// add without overflow.
 ///
-/// The accumulator stays `u32` — a 65 535-byte segment plus a pseudo-header
-/// sums to under 2³² — because that is what the word loop vectorises on: a
-/// `u64` accumulator halves the SIMD width and measured 8.5 % *slower* on
-/// the many-packet `netbench-mix` workload (DESIGN.md, "One owner per
-/// packet body").
-fn sum_words(data: &[u8]) -> u32 {
-    let mut sum = 0u32;
-    let mut chunks = data.chunks_exact(2);
-    for chunk in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([chunk[0], chunk[1]]));
+/// The words are read eight bytes at a time in native byte order (RFC 1071
+/// §2(B): the sum is byte-order independent, so [`fold`] swaps it to big
+/// endian once, at the end) and added as `u64`s, with the carries out of
+/// bit 63 counted on the side: 2⁶⁴ ≡ 1 in one's complement, so each carry
+/// is worth one and the count is added back.  The tail is a 4-, 2- and
+/// 1-byte word at the lanes they would have had in a full one.
+fn sum_words(data: &[u8]) -> u64 {
+    let (mut sum, mut carries) = (0u64, 0u64);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let word = u64::from_ne_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]);
+        let (next, carry) = sum.overflowing_add(word);
+        sum = next;
+        carries += u64::from(carry);
     }
-    if let [last] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
+    let (mut tail, mut tail_sum) = (words.remainder(), 0u64);
+    if let [a, b, c, d, rest @ ..] = tail {
+        tail_sum += u64::from(u32::from_ne_bytes([*a, *b, *c, *d]));
+        tail = rest;
     }
-    sum
+    if let [a, b, rest @ ..] = tail {
+        tail_sum += u64::from(u16::from_ne_bytes([*a, *b]));
+        tail = rest;
+    }
+    if let [last] = tail {
+        tail_sum += u64::from(u16::from_ne_bytes([*last, 0]));
+    }
+    // Both are small: at most one more carry, after which the sum is
+    // below them and cannot carry again.
+    let (sum, carry) = sum.overflowing_add(carries + tail_sum);
+    let sum = sum + u64::from(carry);
+    (sum & 0xffff_ffff) + (sum >> 32)
 }
 
-/// Fold a word sum to 16 bits and complement it.
-fn fold(mut sum: u32) -> u16 {
+/// Fold a word sum to 16 bits, swap it to big endian and complement it.
+fn fold(mut sum: u64) -> u16 {
     while sum > 0xffff {
         sum = (sum & 0xffff) + (sum >> 16);
     }
-    !(sum as u16)
+    !u16::from_be(sum as u16)
 }
 
 /// RFC 1071 Internet checksum over `data` (used by IPv4, ICMP, UDP, TCP).

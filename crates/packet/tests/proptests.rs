@@ -36,6 +36,54 @@ fn arb_addr_pair() -> impl Strategy<Value = (IpAddr, IpAddr)> {
     ]
 }
 
+/// RFC 1071 written out, the oracle of the word-at-a-time kernel: each
+/// big-endian 16-bit word added in turn (an odd last byte padded with
+/// zero), the end-around carries folded in, the sum complemented.
+fn checksum_oracle(data: &[u8]) -> u16 {
+    let mut sum = 0u64;
+    for pair in data.chunks(2) {
+        let low = pair.get(1).copied().unwrap_or(0);
+        sum += u64::from(u16::from_be_bytes([pair[0], low]));
+    }
+    while sum > 0xffff {
+        sum = (sum & 0xffff) + (sum >> 16);
+    }
+    !(sum as u16)
+}
+
+/// The pseudo-header RFC 768 / RFC 793 (IPv4) or RFC 8200 §8.1 (IPv6)
+/// prepend to a transport segment of `len` bytes; none for mixed families.
+fn pseudo_header(src: IpAddr, dst: IpAddr, protocol: IpProtocol, len: usize) -> Vec<u8> {
+    let mut pseudo = Vec::new();
+    match (src, dst) {
+        (IpAddr::V4(s), IpAddr::V4(d)) => {
+            pseudo.extend_from_slice(&s.octets());
+            pseudo.extend_from_slice(&d.octets());
+            pseudo.extend_from_slice(&[0, protocol.number()]);
+            pseudo.extend_from_slice(&(len as u16).to_be_bytes());
+        }
+        (IpAddr::V6(s), IpAddr::V6(d)) => {
+            pseudo.extend_from_slice(&s.octets());
+            pseudo.extend_from_slice(&d.octets());
+            pseudo.extend_from_slice(&(len as u32).to_be_bytes());
+            pseudo.extend_from_slice(&[0, 0, 0, protocol.number()]);
+        }
+        _ => {}
+    }
+    pseudo
+}
+
+/// Bytes to checksum: uniform ones, and runs of `0xff` and `0x00` that
+/// drive the sum to its carry and all-ones edges.
+fn arb_checksum_bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        proptest::collection::vec(any::<u8>(), 0..=max),
+        proptest::collection::vec(any::<u8>(), 0..=max),
+        proptest::collection::vec(prop_oneof![Just(0xffu8), Just(0xfe), Just(0x00)], 0..=max),
+        (0..=max).prop_map(|len| vec![0xff; len]),
+    ]
+}
+
 /// Encode twice — into an empty buffer and into a dirty, larger one — and
 /// require the same bytes; then encode the first `shorter` payload bytes
 /// into the warm buffer and require that it was reused in place.  Returns
@@ -822,6 +870,85 @@ proptest! {
             counts.record(c);
             prop_assert!(counts.dominates(&prev));
             prev = counts;
+        }
+    }
+}
+
+/// The word-at-a-time checksum kernel against [`checksum_oracle`]: over
+/// whole buffers, sub-slices at every alignment, the IPv4 and IPv6
+/// pseudo-header split, and the segments the UDP and TCP writers produce.
+mod checksum_kernel {
+    use super::*;
+
+    proptest! {
+        #[test]
+        fn internet_checksum_is_the_word_loop(bytes in arb_checksum_bytes(2048)) {
+            prop_assert_eq!(internet_checksum(&bytes), checksum_oracle(&bytes));
+        }
+
+        #[test]
+        fn every_alignment_sums_alike(
+            bytes in arb_checksum_bytes(2048 + 7),
+            offset in 0usize..8,
+            cut in any::<usize>(),
+        ) {
+            let offset = offset.min(bytes.len());
+            let slice = &bytes[offset..];
+            let slice = &slice[..cut % (slice.len() + 1)];
+            prop_assert_eq!(internet_checksum(slice), checksum_oracle(slice));
+        }
+
+        #[test]
+        fn pseudo_header_split_sums_as_one_buffer(
+            addrs in arb_addr_pair(),
+            udp in any::<bool>(),
+            bytes in arb_checksum_bytes(2048),
+            offset in 0usize..8,
+        ) {
+            let protocol = if udp { IpProtocol::Udp } else { IpProtocol::Tcp };
+            let segment = &bytes[offset.min(bytes.len())..];
+            let mut whole = pseudo_header(addrs.0, addrs.1, protocol, segment.len());
+            whole.extend_from_slice(segment);
+            prop_assert_eq!(
+                pseudo_header_checksum(addrs.0, addrs.1, protocol, segment),
+                checksum_oracle(&whole)
+            );
+        }
+
+        #[test]
+        fn written_segments_verify(
+            v6 in any::<bool>(),
+            bits in (any::<u128>(), any::<u128>()),
+            ports in (any::<u16>(), any::<u16>()),
+            tcp in (any::<u32>(), any::<u32>(), any::<u8>()),
+            payload in arb_checksum_bytes(1500),
+        ) {
+            let (src, dst) = if v6 {
+                (IpAddr::V6(Ipv6Addr::from(bits.0)), IpAddr::V6(Ipv6Addr::from(bits.1)))
+            } else {
+                (IpAddr::V4(Ipv4Addr::from(bits.0 as u32)), IpAddr::V4(Ipv4Addr::from(bits.1 as u32)))
+            };
+            let mut udp = Vec::new();
+            UdpHeader::new(ports.0, ports.1).encode(src, dst, &payload, &mut udp);
+            prop_assert!(UdpHeader::verify_checksum(src, dst, &udp));
+            let mut zeroed = udp.clone();
+            zeroed[6..8].copy_from_slice(&[0, 0]);
+            let mut whole = pseudo_header(src, dst, IpProtocol::Udp, udp.len());
+            whole.extend_from_slice(&zeroed);
+            let expected = match checksum_oracle(&whole) {
+                0 => 0xffff,
+                csum => csum,
+            };
+            prop_assert_eq!(u16::from_be_bytes([udp[6], udp[7]]), expected);
+
+            let (seq, ack, flags) = tcp;
+            let mut segment = Vec::new();
+            TcpHeader::new(ports.0, ports.1, seq, ack, TcpFlags::from_byte(flags))
+                .encode(src, dst, &payload, &mut segment);
+            prop_assert!(TcpHeader::verify_checksum(src, dst, &segment));
+            let mut whole = pseudo_header(src, dst, IpProtocol::Tcp, segment.len());
+            whole.extend_from_slice(&segment);
+            prop_assert_eq!(checksum_oracle(&whole), 0);
         }
     }
 }

@@ -32,6 +32,7 @@ use qem_packet::ecn::{EcnCodepoint, EcnCounts};
 use qem_packet::quic::{
     ConnectionId, FrameRef, LongPacketType, PacketHeader, PacketRef, QuicVersion, MIN_INITIAL_SIZE,
 };
+use std::borrow::Borrow;
 
 /// Whether and how the client uses ECN.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,10 +150,13 @@ pub struct ClientReport {
     pub error: Option<String>,
 }
 
-/// A sans-IO QUIC client connection.
+/// A sans-IO QUIC client connection, reading its configuration from a
+/// `C`: a [`ClientConfig`] it owns, or `&ClientConfig` — one its caller
+/// keeps for many connections (a scan worker, through
+/// [`ConnectionRun::lent`](crate::ConnectionRun::lent)).
 #[derive(Debug, Clone)]
-pub struct ClientConnection {
-    config: ClientConfig,
+pub struct ClientConnection<C = ClientConfig> {
+    config: C,
     version: QuicVersion,
     local_cid: ConnectionId,
     remote_cid: ConnectionId,
@@ -183,26 +187,24 @@ pub struct ClientConnection {
     pto_count: u32,
 }
 
-impl ClientConnection {
+impl<C: Borrow<ClientConfig>> ClientConnection<C> {
     /// Create a connection; `cid_seed` makes connection IDs deterministic.
-    pub fn new(config: ClientConfig, now: SimInstant, cid_seed: u64) -> Self {
+    pub fn new(config: C, now: SimInstant, cid_seed: u64) -> Self {
         ClientConnection::over(config, now, cid_seed, Buffers::default())
     }
 
     /// [`ClientConnection::new`] over `buffers`, reset first.
-    pub(crate) fn over(
-        config: ClientConfig,
-        now: SimInstant,
-        cid_seed: u64,
-        mut buffers: Buffers,
-    ) -> Self {
+    pub(crate) fn over(config: C, now: SimInstant, cid_seed: u64, mut buffers: Buffers) -> Self {
         buffers.reset();
-        let validator = match config.ecn {
+        let (ecn, version) = {
+            let config = config.borrow();
+            (config.ecn, config.preferred_version)
+        };
+        let validator = match ecn {
             ClientEcnMode::Disabled => EcnValidator::disabled(),
             ClientEcnMode::Validate(ecn_config) => EcnValidator::new(ecn_config),
         };
-        let ecn_enabled = matches!(config.ecn, ClientEcnMode::Validate(_));
-        let version = config.preferred_version;
+        let ecn_enabled = matches!(ecn, ClientEcnMode::Validate(_));
         ClientConnection {
             config,
             version,
@@ -308,7 +310,7 @@ impl ClientConnection {
         if self.closed {
             return None;
         }
-        let idle = self.start_time + self.config.idle_timeout;
+        let idle = self.start_time + self.config.borrow().idle_timeout;
         match self.pto_deadline {
             Some(pto) if self.has_unacked() => Some(pto.min(idle)),
             _ => Some(idle),
@@ -324,7 +326,7 @@ impl ClientConnection {
         if self.closed {
             return;
         }
-        let idle = self.start_time + self.config.idle_timeout;
+        let idle = self.start_time + self.config.borrow().idle_timeout;
         if now >= idle {
             if self.response.is_none() {
                 self.error = Some(if self.is_established() {
@@ -356,7 +358,7 @@ impl ClientConnection {
         // Retransmit unacknowledged ack-eliciting data, respecting the
         // retransmission budget (1 by default, per the paper).  Only the
         // packets sent before the PTO are visited; repeats queue behind.
-        let max = self.config.max_retransmissions;
+        let max = self.config.borrow().max_retransmissions;
         for space_id in SpaceId::ALL {
             let i = space_id.index();
             for at in 0..self.buffers.spaces[i].sent_len() {
@@ -366,7 +368,7 @@ impl ClientConnection {
             }
         }
         // Exponential backoff for the next PTO.
-        let backoff = self.config.pto * (1 << self.pto_count.min(6));
+        let backoff = self.config.borrow().pto * (1 << self.pto_count.min(6));
         self.pto_deadline = Some(now + backoff);
     }
 
@@ -498,7 +500,7 @@ impl ClientConnection {
                 self.request_sent = false;
                 self.pings_sent = 0;
                 self.server_params = None;
-                self.validator = match self.config.ecn {
+                self.validator = match self.config.borrow().ecn {
                     ClientEcnMode::Disabled => EcnValidator::disabled(),
                     ClientEcnMode::Validate(cfg) => EcnValidator::new(cfg),
                 };
@@ -535,7 +537,7 @@ impl ClientConnection {
             self.request_sent = true;
         }
         // 4. Top-up PINGs so the ECN testing budget is exercised.
-        while self.request_sent && self.pings_sent < self.config.extra_pings {
+        while self.request_sent && self.pings_sent < self.config.borrow().extra_pings {
             self.send_packet(SpaceId::Application, Content::Ping, now, 0);
             self.pings_sent += 1;
         }
@@ -573,7 +575,7 @@ impl ClientConnection {
         let space = &mut self.buffers.spaces[space_id.index()];
         let pn = space.next_pn();
         let header = space_id.header(self.version, self.remote_cid, self.local_cid, pn);
-        let config = &self.config;
+        let config = self.config.borrow();
         self.buffers.outbox.push(&header, ecn, |buf| {
             let payload_at = buf.len();
             content.encode(config, space, buf);
@@ -592,7 +594,7 @@ impl ClientConnection {
             retransmissions,
         });
         if content.is_ack_eliciting() && self.pto_deadline.is_none() {
-            self.pto_deadline = Some(now + self.config.pto);
+            self.pto_deadline = Some(now + self.config.borrow().pto);
         }
     }
 }

@@ -27,13 +27,13 @@
 //! [`LoadFlow`](qem_netsim::LoadFlow)s through a shared bottleneck, which is
 //! where CE marking becomes load-dependent.
 //!
-//! Both endpoints' packet spaces, outboxes and stream buffers and the
-//! flow's UDP body live in a [`QuicScratch`], which [`ConnectionRun::scratch`]
-//! lends beside the engine's and every run resets: over used scratches a
-//! run allocates what its outcome keeps — the response's header values, an
-//! error — and the engine's one-entry flow table.  Every run returns the
-//! engine's [`EngineTally`](qem_netsim::EngineTally); by-name telemetry is
-//! opt-in.
+//! Both endpoints' packet spaces, outboxes and stream buffers live in a
+//! [`QuicScratch`], which [`ConnectionRun::scratch`] lends beside the
+//! engine's — whose body the flow's UDP datagrams are encoded into — and
+//! every run resets: over used scratches a run allocates what its outcome
+//! keeps, the response's header values or an error.  Every run returns
+//! the engine's [`EngineTally`](qem_netsim::EngineTally); by-name
+//! telemetry is opt-in.
 
 use crate::behavior::ServerBehavior;
 use crate::client::{ClientConfig, ClientConnection, ClientReport};
@@ -48,6 +48,7 @@ use qem_packet::ip::{IpDatagram, IpProtocol};
 use qem_packet::quic::QUIC_PORT;
 use qem_packet::udp::UdpHeader;
 use rand::Rng;
+use std::borrow::Cow;
 use std::net::IpAddr;
 
 /// Driver parameters.
@@ -103,7 +104,7 @@ pub struct ConnectionOutcome {
 /// a timer that does not advance time nudges the clock forward by one
 /// millisecond.
 pub struct QuicFlow<'a, R: Rng + ?Sized> {
-    client: ClientConnection,
+    client: ClientConnection<&'a ClientConfig>,
     server: ServerConnection,
     path: &'a DuplexPath,
     config: &'a DriverConfig,
@@ -123,7 +124,7 @@ pub struct QuicFlow<'a, R: Rng + ?Sized> {
 impl<'a, R: Rng + ?Sized> QuicFlow<'a, R> {
     /// Wrap prepared endpoints into a flow.
     pub fn new(
-        client: ClientConnection,
+        client: ClientConnection<&'a ClientConfig>,
         server: ServerConnection,
         path: &'a DuplexPath,
         config: &'a DriverConfig,
@@ -147,11 +148,11 @@ impl<'a, R: Rng + ?Sized> QuicFlow<'a, R> {
     }
 
     /// Consume the flow into the connection outcome, handing what the
-    /// endpoints and the flow ran in back to `scratch`.
+    /// endpoints ran in back to `scratch`.
     fn into_outcome(self, scratch: &mut QuicScratch) -> ConnectionOutcome {
         let report;
         (report, scratch.client) = self.client.finish();
-        (scratch.server, scratch.body) = (self.server.finish(), self.body);
+        scratch.server = self.server.finish();
         ConnectionOutcome {
             report,
             forward_arrival_ecn: self.forward_arrival_ecn,
@@ -300,7 +301,7 @@ pub struct RunOutcome {
 /// attach to, on a hop-less path — leaves the RNG stream untouched.
 #[derive(Debug)]
 pub struct ConnectionRun<'a> {
-    client_config: ClientConfig,
+    client_config: Cow<'a, ClientConfig>,
     behavior: ServerBehavior,
     path: &'a DuplexPath,
     driver: DriverConfig,
@@ -310,15 +311,15 @@ pub struct ConnectionRun<'a> {
 }
 
 /// What a QUIC run allocates and the next one can use again: both
-/// endpoints' packet number spaces, outboxes and stream buffers, and the
-/// flow's UDP body.  Whoever runs many connections in a row — a scan worker
-/// — owns one and lends it to each ([`ConnectionRun::scratch`]); a run
-/// resets what it takes, so it is observably a fresh one.
+/// endpoints' packet number spaces, outboxes and stream buffers (the
+/// flow's UDP body is the [`EngineScratch`]'s).  Whoever runs many
+/// connections in a row — a scan worker — owns one and lends it to each
+/// ([`ConnectionRun::scratch`]); a run resets what it takes, so it is
+/// observably a fresh one.
 #[derive(Debug, Default)]
 pub struct QuicScratch {
     client: Buffers,
     server: Buffers,
-    body: Vec<u8>,
 }
 
 impl<'a> ConnectionRun<'a> {
@@ -326,6 +327,27 @@ impl<'a> ConnectionRun<'a> {
     /// with no cross traffic and no telemetry.
     pub fn new(
         client_config: ClientConfig,
+        behavior: ServerBehavior,
+        path: &'a DuplexPath,
+        driver: DriverConfig,
+    ) -> Self {
+        ConnectionRun::of(Cow::Owned(client_config), behavior, path, driver)
+    }
+
+    /// [`ConnectionRun::new`] reading a configuration its caller keeps —
+    /// a scan worker writes each host's SNI into one — instead of one it is
+    /// handed.
+    pub fn lent(
+        client_config: &'a ClientConfig,
+        behavior: ServerBehavior,
+        path: &'a DuplexPath,
+        driver: DriverConfig,
+    ) -> Self {
+        ConnectionRun::of(Cow::Borrowed(client_config), behavior, path, driver)
+    }
+
+    fn of(
+        client_config: Cow<'a, ClientConfig>,
         behavior: ServerBehavior,
         path: &'a DuplexPath,
         driver: DriverConfig,
@@ -341,8 +363,8 @@ impl<'a> ConnectionRun<'a> {
         }
     }
 
-    /// Run the engine over the caller's `engine` scratch and the endpoints
-    /// and flow over its `quic` one instead of fresh ones.  Lends
+    /// Run the engine and the flow over the caller's `engine` scratch and
+    /// the endpoints over its `quic` one instead of fresh ones.  Lends
     /// allocations, selects nothing: the outcome is the same bit for bit,
     /// whatever ran over the scratches before.
     pub fn scratch(mut self, engine: &'a mut EngineScratch, quic: &'a mut QuicScratch) -> Self {
@@ -372,11 +394,11 @@ impl<'a> ConnectionRun<'a> {
 
     /// Drive the connection to completion.
     pub fn execute<R: Rng + ?Sized>(self, rng: &mut R) -> RunOutcome {
-        let (engine, quic) = self.scratch.unzip();
+        let (mut engine, quic) = self.scratch.unzip();
         let mut fresh = QuicScratch::default();
         let quic = quic.unwrap_or(&mut fresh);
         let (seed, buffers) = (rng.gen(), std::mem::take(&mut quic.client));
-        let client = ClientConnection::over(self.client_config, SimInstant::EPOCH, seed, buffers);
+        let client = ClientConnection::over(&*self.client_config, SimInstant::EPOCH, seed, buffers);
         let server =
             ServerConnection::over(self.behavior, rng.gen(), std::mem::take(&mut quic.server));
         // The scenario's seed comes after the endpoints' and only when there
@@ -385,12 +407,18 @@ impl<'a> ConnectionRun<'a> {
             .cross
             .instantiate_with(&self.path.forward, || rng.gen());
         let mut flow = QuicFlow::new(client, server, self.path, &self.driver, rng);
-        flow.body = std::mem::take(&mut quic.body);
-        let (engine, telemetry) = run_measured(&mut flow, load, self.telemetry, engine);
+        if let Some(engine) = engine.as_deref_mut() {
+            flow.body = std::mem::take(&mut engine.body);
+        }
+        let (tally, telemetry) =
+            run_measured(&mut flow, load, self.telemetry, engine.as_deref_mut());
+        if let Some(engine) = engine {
+            engine.body = std::mem::take(&mut flow.body);
+        }
         let connection = flow.into_outcome(quic);
         RunOutcome {
             connection,
-            engine,
+            engine: tally,
             telemetry,
         }
     }
@@ -812,7 +840,7 @@ mod tests {
             "PTO pending"
         );
         assert!(!quic.server.stream.is_empty() && !quic.client.stream.is_empty());
-        assert!(!quic.body.is_empty());
+        assert!(!engine.body.is_empty());
         let negotiating = ServerBehavior::accurate().with_versions([QuicVersion::DRAFT_29]);
         let not_serving = ServerBehavior {
             serves_http: false,

@@ -135,12 +135,23 @@ impl<S: AsRef<str>> HttpResponse<S> {
 const HEADERS: [&str; 3] = ["server", "via", "alt-svc"];
 
 impl HttpResponse {
-    /// Parse from stream bytes, read in place — as their text when they are
-    /// UTF-8, else as a lossy copy — with only the kept header values
-    /// copied out.
+    /// Parse from stream bytes, read in place up to the blank line that
+    /// ends the headers, with only the kept header values copied out.
+    ///
+    /// The lines are the whole buffer's lossy UTF-8 text split as
+    /// [`str::lines`] splits it, decoded one at a time: each ends at a
+    /// `\n` with one `\r` before it stripped, and since neither byte can
+    /// sit inside a multi-byte sequence, a line's lossy text is the same
+    /// whether it is decoded alone or with the rest.  A valid line is
+    /// borrowed; the body is never read.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        let text = String::from_utf8_lossy(bytes);
-        let mut lines = text.lines();
+        let mut lines = bytes.split_inclusive(|&b| b == b'\n').map(|line| {
+            let line = match line.strip_suffix(b"\n") {
+                Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+                None => line,
+            };
+            String::from_utf8_lossy(line)
+        });
         let status_line = lines.next()?;
         let status = status_line.split_whitespace().nth(1)?.parse().ok()?;
         let mut response = HttpResponse {
@@ -233,6 +244,26 @@ mod tests {
         let decoded = HttpResponse::decode(&bytes).unwrap();
         assert_eq!(decoded.server, None);
         assert_eq!(decoded.status, 200);
+    }
+
+    #[test]
+    fn a_large_invalid_utf8_body_is_not_read() {
+        let resp = HttpResponse {
+            server: Some("nginx/1.25"),
+            alt_svc: Some("h3=\":443\""),
+            body_len: 1 << 20,
+            ..HttpResponse::ok()
+        };
+        let mut bytes = encoded(|buf| resp.encode(buf));
+        let body = bytes.len() - resp.body_len;
+        for (i, byte) in bytes[body..].iter_mut().enumerate() {
+            *byte = [0xff, b'\n', 0xc3, b'\r', b':'][i % 5];
+        }
+        let decoded = HttpResponse::decode(&bytes).unwrap();
+        assert_eq!(decoded.server.as_deref(), Some("nginx/1.25"));
+        assert_eq!(decoded.alt_svc.as_deref(), Some("h3=\":443\""));
+        assert_eq!(decoded.via, None);
+        assert_eq!((decoded.status, decoded.body_len), (200, 1 << 20));
     }
 
     #[test]

@@ -413,6 +413,67 @@ fn valid_messages() -> Vec<Vec<u8>> {
     ]
 }
 
+/// Stream bytes a response may arrive as: arbitrary bytes, bytes drawn
+/// from the ones line splitting and UTF-8 decoding turn on, and a written
+/// response — any header values, any status — whose body holds invalid
+/// UTF-8, bare `\r`, `\n\n` and header lines.
+fn arb_response_stream() -> impl Strategy<Value = Vec<u8>> {
+    let tricky = || {
+        prop_oneof![
+            Just(b'\r'),
+            Just(b'\n'),
+            Just(b':'),
+            Just(b' '),
+            Just(b'x'),
+            Just(0xff),
+            Just(0xc3),
+            Just(0xa9),
+            Just(0xe2),
+            Just(0x80),
+        ]
+    };
+    // Lines a reader that ran on into the body would take for headers.
+    let body_piece = prop_oneof![
+        tricky().prop_map(|byte| vec![byte]),
+        Just(b"server: body\r\n".to_vec()),
+        Just(b"Content-Length: 9\n".to_vec()),
+        Just(b"\r\n\r\n".to_vec()),
+    ];
+    let value = || {
+        proptest::option::of(prop_oneof![
+            arb_header(),
+            "[\u{1}-\u{2fff}]{0,30}",
+            "[ \t\r\n:\u{85}\u{a0}\u{2028}a-z]{0,20}",
+        ])
+    };
+    let response = (
+        (any::<u16>(), value()),
+        (value(), value()),
+        (0usize..2000, proptest::collection::vec(body_piece, 0..100)),
+    )
+        .prop_map(|((status, server), (via, alt_svc), (body_len, body))| {
+            let mut bytes = written(|buf| {
+                HttpResponse {
+                    status,
+                    server: server.as_deref(),
+                    via: via.as_deref(),
+                    alt_svc: alt_svc.as_deref(),
+                    body_len,
+                }
+                .encode(buf)
+            });
+            let start = bytes.len() - body_len;
+            bytes.truncate(start);
+            bytes.extend(body.concat());
+            bytes
+        });
+    prop_oneof![
+        proptest::collection::vec(any::<u8>(), 0..300),
+        proptest::collection::vec(tricky(), 0..300),
+        response,
+    ]
+}
+
 fn arb_config() -> impl Strategy<Value = EcnConfig> {
     prop_oneof![
         Just(EcnConfig::paper_default()),
@@ -737,5 +798,23 @@ proptest! {
             });
             prop_assert_eq!((version, sent), (version, Some(expected)));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The response reader, which stops at the blank line that ends the
+    /// headers and decodes a line at a time, reads what the owned reader —
+    /// the whole stream's lossy text, split into lines — read, field for
+    /// field: over arbitrary bytes, and over responses with any header
+    /// values and bodies of invalid UTF-8, bare `\r` and `\n\n`.
+    #[test]
+    fn response_reader_reads_what_the_whole_stream_reader_read(
+        bytes in arb_response_stream(),
+    ) {
+        let response = HttpResponse::decode(&bytes).map(|r| (r.status, r.server, r.via, r.alt_svc, r.body_len));
+        let expected = oracle::HttpResponse::decode(&bytes).map(|r| (r.status, r.server, r.via, r.alt_svc, r.body_len));
+        prop_assert_eq!(response, expected);
     }
 }

@@ -28,6 +28,7 @@ use qem_quic::http::HttpResponse;
 use qem_quic::{ClientReport, EcnValidationFailure, EcnValidationState, TransportParameters};
 use qem_tcp::TcpReport;
 use qem_tracebox::{EcnChange, PathVerdict, TraceAnalysis};
+use std::cell::Cell;
 // lint: allow(no-unordered-collections) intern indexes below are lookup-only
 use std::collections::HashMap;
 use std::net::IpAddr;
@@ -91,9 +92,16 @@ impl DictBuilder {
 }
 
 /// Decoded per-segment dictionaries.
+///
+/// The writer adds an entry when a record first uses it, so the entries of
+/// a block it wrote are distinct, first referenced in order, and all
+/// referenced.  The reader holds a block to the same, so the one value a
+/// block decodes to encodes back to that block.
 pub struct Dicts {
     strings: Vec<String>,
     asns: Vec<u32>,
+    /// How many entries of each dictionary the records have referenced.
+    used: [Cell<usize>; 2],
 }
 
 impl Dicts {
@@ -113,24 +121,76 @@ impl Dicts {
                     .map_err(|_| StoreError::Corrupt(format!("ASN {asn} overflows u32")))?,
             );
         }
-        Ok(Dicts { strings, asns })
+        if !distinct(&strings) || !distinct(&asns) {
+            return Err(StoreError::Corrupt(
+                "a dictionary holds an entry twice".to_string(),
+            ));
+        }
+        Ok(Dicts {
+            strings,
+            asns,
+            used: Default::default(),
+        })
     }
 
     fn string(&self, idx: u64) -> Result<&str, StoreError> {
-        self.strings
-            .get(idx as usize)
-            .map(String::as_str)
-            .ok_or_else(|| {
-                StoreError::Corrupt(format!("string dictionary index {idx} out of range"))
-            })
+        let idx = referenced(idx, self.strings.len(), &self.used[0], "string")?;
+        Ok(&self.strings[idx])
     }
 
     fn asn(&self, idx: u64) -> Result<Asn, StoreError> {
-        self.asns
-            .get(idx as usize)
-            .map(|&asn| Asn(asn))
-            .ok_or_else(|| StoreError::Corrupt(format!("ASN dictionary index {idx} out of range")))
+        let idx = referenced(idx, self.asns.len(), &self.used[1], "ASN")?;
+        Ok(Asn(self.asns[idx]))
     }
+
+    /// Fail unless the records referenced every entry.
+    fn expect_all_used(&self) -> Result<(), StoreError> {
+        let lens = [self.strings.len(), self.asns.len()];
+        if lens
+            .iter()
+            .zip(&self.used)
+            .all(|(&len, used)| used.get() == len)
+        {
+            Ok(())
+        } else {
+            Err(StoreError::Corrupt(
+                "a dictionary entry no record references".to_string(),
+            ))
+        }
+    }
+}
+
+/// Entry `idx` of a dictionary of `len` entries, of which the records have
+/// referenced the first `used`: one of those, or the next.
+fn referenced(idx: u64, len: usize, used: &Cell<usize>, what: &str) -> Result<usize, StoreError> {
+    let Some(idx) = usize::try_from(idx).ok().filter(|&idx| idx < len) else {
+        return Err(StoreError::Corrupt(format!(
+            "{what} dictionary index {idx} out of range"
+        )));
+    };
+    if idx > used.get() {
+        return Err(StoreError::Corrupt(format!(
+            "{what} dictionary entry {idx} referenced before entry {}",
+            used.get()
+        )));
+    }
+    used.set(used.get().max(idx + 1));
+    Ok(idx)
+}
+
+/// Whether no value appears twice in `entries`: pairwise for a dictionary
+/// of the size a segment writes, sorted for a larger one, so that a crafted
+/// block costs O(n log n).
+fn distinct<T: Ord>(entries: &[T]) -> bool {
+    if entries.len() <= 64 {
+        return entries
+            .iter()
+            .enumerate()
+            .all(|(i, entry)| !entries[..i].contains(entry));
+    }
+    let mut sorted: Vec<&T> = entries.iter().collect();
+    sorted.sort_unstable();
+    sorted.windows(2).all(|pair| pair[0] != pair[1])
 }
 
 // ---------------------------------------------------------------------------
@@ -531,7 +591,15 @@ fn decode_trace(r: &mut ByteReader<'_>, dicts: &Dicts) -> Result<TraceAnalysis, 
         0xff => None,
         bits => Some(codepoint_from_bits(bits)?),
     };
-    let dscp_rewritten_only = r.u8()? != 0;
+    let dscp_rewritten_only = match r.u8()? {
+        0 => false,
+        1 => true,
+        byte => {
+            return Err(StoreError::Corrupt(format!(
+                "invalid DSCP-rewrite flag {byte:#04x}"
+            )))
+        }
+    };
     Ok(TraceAnalysis {
         changes,
         verdict,
@@ -640,6 +708,7 @@ pub fn decode_block(data: &[u8]) -> Result<Vec<HostMeasurement>, StoreError> {
     for _ in 0..count {
         out.push(decode_measurement(&mut r, &dicts)?);
     }
+    dicts.expect_all_used()?;
     if !r.is_empty() {
         return Err(StoreError::Corrupt(format!(
             "{} trailing bytes after the last record",
@@ -760,6 +829,64 @@ mod tests {
             one.len() * hosts.len()
         );
         assert_eq!(decode_block(&block).unwrap(), hosts);
+    }
+
+    /// A one-record block of `m`, its strings interned into `dict` — which
+    /// may hold entries already — and `dict` then changed by `tweak`.
+    fn block_over(
+        mut dict: DictBuilder,
+        m: &HostMeasurement,
+        tweak: impl FnOnce(&mut DictBuilder),
+    ) -> Vec<u8> {
+        let mut records = Vec::new();
+        encode_measurement(&mut records, &mut dict, m);
+        tweak(&mut dict);
+        let mut block = Vec::new();
+        dict.encode(&mut block);
+        write_varint(&mut block, 1);
+        block.extend_from_slice(&records);
+        block
+    }
+
+    #[test]
+    fn a_block_has_one_encoding() {
+        let m = sample_measurement(3);
+        let block = block_over(DictBuilder::default(), &m, |_| {});
+        assert_eq!(block, encode_block(std::slice::from_ref(&m)));
+        assert_eq!(decode_block(&block).unwrap(), vec![m.clone()]);
+
+        // An entry no record references.
+        let unused = block_over(DictBuilder::default(), &m, |dict| {
+            dict.intern_str("never referenced");
+        });
+        assert!(decode_block(&unused).is_err());
+        // An entry referenced before the one ahead of it: `alt-svc` interned
+        // first, so the record's first reference is to entry 1.
+        let mut seeded = DictBuilder::default();
+        seeded.intern_str("h3=\":443\"");
+        assert!(decode_block(&block_over(seeded, &m, |_| {})).is_err());
+        // One value twice, each copy referenced.
+        let twice = block_over(DictBuilder::default(), &m, |dict| {
+            dict.strings[1] = dict.strings[0].clone();
+        });
+        assert!(decode_block(&twice).is_err());
+
+        // A DSCP-rewrite flag other than 0 or 1: the record's last byte.
+        let mut flag = encode_block(std::slice::from_ref(&m));
+        *flag.last_mut().unwrap() = 2;
+        assert!(decode_block(&flag).is_err());
+    }
+
+    #[test]
+    fn distinct_entries_are_found_at_any_size() {
+        for n in [0u32, 1, 2, 64, 65, 1000] {
+            let mut entries: Vec<u32> = (0..n).collect();
+            assert!(distinct(&entries));
+            if let Some(&first) = entries.first() {
+                entries.push(first);
+                assert!(!distinct(&entries));
+            }
+        }
     }
 
     #[test]

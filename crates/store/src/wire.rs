@@ -145,7 +145,7 @@ impl<'a> ByteReader<'a> {
         Ok(slice)
     }
 
-    /// Read a LEB128 varint.
+    /// Read a LEB128 varint in its shortest form.
     pub fn varint(&mut self) -> Result<u64, StoreError> {
         let mut value = 0u64;
         let mut shift = 0u32;
@@ -156,6 +156,11 @@ impl<'a> ByteReader<'a> {
             }
             value |= u64::from(byte & 0x7f) << shift;
             if byte & 0x80 == 0 {
+                // A zero last byte adds nothing: `write_varint` never
+                // writes one, so the value has one encoding.
+                if byte == 0 && shift > 0 {
+                    return Err(self.corrupt("overlong varint"));
+                }
                 return Ok(value);
             }
             shift += 7;
@@ -220,6 +225,15 @@ mod tests {
         write_varint(&mut buf, u64::MAX);
         buf.truncate(buf.len() - 1);
         assert!(ByteReader::new(&buf).varint().is_err());
+    }
+
+    #[test]
+    fn a_varint_has_one_encoding() {
+        assert_eq!(ByteReader::new(&[0x00]).varint().unwrap(), 0);
+        assert_eq!(ByteReader::new(&[0x80, 0x01]).varint().unwrap(), 128);
+        // The same values, padded with a zero last byte.
+        assert!(ByteReader::new(&[0x80, 0x00]).varint().is_err());
+        assert!(ByteReader::new(&[0x80, 0x81, 0x00]).varint().is_err());
     }
 
     #[test]

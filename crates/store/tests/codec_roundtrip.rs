@@ -15,8 +15,9 @@ use qem_packet::ecn::{EcnCodepoint, EcnCounts};
 use qem_packet::quic::QuicVersion;
 use qem_quic::http::HttpResponse;
 use qem_quic::{ClientReport, EcnValidationFailure, EcnValidationState, TransportParameters};
-use qem_store::codec::{decode_block, encode_block};
+use qem_store::codec::{decode_block, encode_block, Dicts};
 use qem_store::segment;
+use qem_store::wire::{write_str, write_varint, ByteReader};
 use qem_tcp::TcpReport;
 use qem_tracebox::{EcnChange, PathVerdict, TraceAnalysis};
 use rand::rngs::StdRng;
@@ -342,4 +343,109 @@ fn pinned_edge_cases_round_trip() {
     ];
     let decoded = decode_block(&encode_block(&cases)).expect("edge cases must decode");
     assert_eq!(decoded, cases);
+}
+
+/// A block of `count` arbitrary measurements grown from `seed`.
+fn arb_block(seed: u64, count: usize) -> Vec<u8> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let hosts: Vec<HostMeasurement> = (0..count)
+        .map(|id| arb_measurement(&mut rng, id * 7))
+        .collect();
+    encode_block(&hosts)
+}
+
+/// `valid` with the byte at `at` changed by `flip` (never zero), or cut to
+/// `cut` bytes when `flip` is zero.
+fn damaged(mut valid: Vec<u8>, at: usize, flip: u8, cut: usize) -> Vec<u8> {
+    if flip == 0 {
+        valid.truncate(cut % (valid.len() + 1));
+    } else if !valid.is_empty() {
+        let at = at % valid.len();
+        valid[at] ^= flip;
+    }
+    valid
+}
+
+/// The segment file `write_segment` writes around `block`.
+fn framed(block: &[u8]) -> Vec<u8> {
+    let mut bytes = b"QSEG".to_vec();
+    bytes.push(qem_store::FORMAT_VERSION);
+    bytes.extend_from_slice(block);
+    let seal = qem_store::wire::fnv1a(&bytes);
+    bytes.extend_from_slice(&seal.to_le_bytes());
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Whatever bytes a damaged disk presents, the block decoder returns a
+    /// typed error or measurements that encode back to exactly those bytes.
+    #[test]
+    fn decode_block_is_total(
+        arbitrary in proptest::collection::vec(any::<u8>(), 0..400),
+        seed in 0u64..1_000_000,
+        count in 0usize..6,
+        damage in (any::<usize>(), any::<u8>(), any::<usize>()),
+    ) {
+        let (at, flip, cut) = damage;
+        for bytes in [arbitrary, damaged(arb_block(seed, count), at, flip, cut)] {
+            if let Ok(hosts) = decode_block(&bytes) {
+                prop_assert_eq!(encode_block(&hosts), bytes);
+            }
+        }
+    }
+
+    /// The readers under the block decoder — the dictionaries and the wire
+    /// primitives — are total too, and what they read writes back to the
+    /// bytes they consumed.
+    #[test]
+    fn dictionary_and_wire_readers_are_total(
+        arbitrary in proptest::collection::vec(any::<u8>(), 0..64),
+        seed in 0u64..1_000_000,
+        damage in (any::<usize>(), any::<u8>(), any::<usize>()),
+    ) {
+        let (at, flip, cut) = damage;
+        for bytes in [arbitrary, damaged(arb_block(seed, 3), at, flip, cut)] {
+            let mut r = ByteReader::new(&bytes);
+            let _ = Dicts::decode(&mut r);
+            prop_assert!(r.position() <= bytes.len());
+
+            let mut r = ByteReader::new(&bytes);
+            if let Ok(value) = r.varint() {
+                let mut again = Vec::new();
+                write_varint(&mut again, value);
+                prop_assert_eq!(&again[..], &bytes[..r.position()]);
+            }
+            let mut r = ByteReader::new(&bytes);
+            if let Ok(text) = r.string() {
+                let mut again = Vec::new();
+                write_str(&mut again, &text);
+                prop_assert_eq!(&again[..], &bytes[..r.position()]);
+            }
+            let mut r = ByteReader::new(&bytes);
+            if let Ok(value) = r.u64_le() {
+                prop_assert_eq!(&value.to_le_bytes()[..], &bytes[..8]);
+            }
+        }
+    }
+
+    /// A segment file's framing check returns a typed error or the block it
+    /// seals, which framed again is the file.
+    #[test]
+    fn segment_framing_is_total(
+        arbitrary in proptest::collection::vec(any::<u8>(), 0..64),
+        seed in 0u64..1_000_000,
+        count in 0usize..4,
+        damage in (any::<usize>(), any::<u8>(), any::<usize>()),
+    ) {
+        let (at, flip, cut) = damage;
+        let valid = framed(&arb_block(seed, count));
+        prop_assert!(segment::check_framing(&valid).is_ok());
+        for bytes in [arbitrary, damaged(valid, at, flip, cut)] {
+            if let Ok(block) = segment::check_framing(&bytes) {
+                prop_assert_eq!(framed(block), bytes);
+            }
+        }
+    }
 }

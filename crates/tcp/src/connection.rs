@@ -15,13 +15,14 @@
 //! through a shared bottleneck queue, where CE marks — and therefore ECE
 //! echoes — emerge from combined occupancy.
 //!
-//! A flow allocates one segment buffer for its 15-odd segments, once, with
-//! the capacity of its largest segment (a header and the longest of the
-//! request, the response and a probe payload): each segment is encoded
-//! into the body the path handed back with the previous one, delivered or
-//! not.  Probe payloads are written digit by digit into a stack array.
-//! [`TcpConnectionRun::scratch`] lends the engine underneath its
-//! allocations the same way.
+//! A flow sends its 15-odd segments in one buffer, sized once for its
+//! largest segment (a header and the longest of the request, the response
+//! and a probe payload): each segment is encoded into the body the path
+//! handed back with the previous one, delivered or not.  Probe payloads
+//! are written digit by digit into a stack array.
+//! [`TcpConnectionRun::scratch`] lends that buffer — the
+//! [`EngineScratch`]'s body — and the engine underneath it the same way,
+//! so a probe over a used scratch allocates nothing.
 
 use crate::behavior::TcpServerBehavior;
 use qem_netsim::engine::{
@@ -171,7 +172,8 @@ pub struct TcpFlow<'a, R: Rng + ?Sized> {
     client: IpAddr,
     server: IpAddr,
     path: &'a DuplexPath,
-    /// The flow's segment buffer, between two sends.
+    /// The flow's segment buffer, between two sends: a new one, or the
+    /// [`EngineScratch`]'s body.
     body: Vec<u8>,
     rng: &'a mut R,
     report: TcpReport,
@@ -201,7 +203,7 @@ impl<'a, R: Rng + ?Sized> TcpFlow<'a, R> {
             client: client_addr,
             server: server_addr,
             path,
-            body: Vec::with_capacity(SEGMENT_CAPACITY),
+            body: Vec::new(),
             rng,
             report: TcpReport::default(),
             state: TcpFlowState::Handshake,
@@ -246,6 +248,9 @@ impl<'a, R: Rng + ?Sized> TcpFlow<'a, R> {
             (&self.path.reverse, self.server, self.client)
         };
         let mut segment = std::mem::take(&mut self.body);
+        // Sized for the largest segment once, at the first send.
+        segment.clear();
+        segment.reserve(SEGMENT_CAPACITY);
         header.encode(src, dst, payload, &mut segment);
         // A segment that cannot be assembled was never sent: a loss.
         let datagram = IpDatagram::assemble(src, dst, IpProtocol::Tcp, 64, ecn, segment).ok()?;
@@ -481,9 +486,10 @@ impl<'a> TcpConnectionRun<'a> {
         }
     }
 
-    /// Run the engine over the caller's `scratch` instead of a fresh one.
-    /// Lends allocations, selects nothing: the outcome is the same bit for
-    /// bit, whatever ran over the scratch before.
+    /// Run the engine over the caller's `scratch` instead of a fresh one,
+    /// and send every segment in its body.  Lends allocations, selects
+    /// nothing: the outcome is the same bit for bit, whatever ran over the
+    /// scratch before.
     pub fn scratch(mut self, scratch: &'a mut EngineScratch) -> Self {
         self.scratch = Some(scratch);
         self
@@ -509,6 +515,7 @@ impl<'a> TcpConnectionRun<'a> {
 
     /// Drive the exchange to completion.
     pub fn execute<R: Rng + ?Sized>(self, rng: &mut R) -> TcpRunOutcome {
+        let mut scratch = self.scratch;
         // The scenario's seed is drawn only when there is a scenario to
         // build, so a disabled one leaves the RNG stream untouched.
         let load = self
@@ -528,7 +535,14 @@ impl<'a> TcpConnectionRun<'a> {
             // one instant.
             flow = flow.with_pacing(SimDuration::from_millis(1));
         }
-        let (engine, telemetry) = run_measured(&mut flow, load, self.telemetry, self.scratch);
+        if let Some(scratch) = scratch.as_deref_mut() {
+            flow.body = std::mem::take(&mut scratch.body);
+        }
+        let (engine, telemetry) =
+            run_measured(&mut flow, load, self.telemetry, scratch.as_deref_mut());
+        if let Some(scratch) = scratch {
+            scratch.body = std::mem::take(&mut flow.body);
+        }
         TcpRunOutcome {
             report: flow.into_report(),
             engine,
@@ -577,6 +591,40 @@ mod tests {
         }
         assert_eq!(PROBE_PAYLOAD_MAX, format!("probe-{}", usize::MAX).len());
         assert_eq!(SEGMENT_CAPACITY, TCP_HEADER_LEN + RESPONSE.len());
+    }
+
+    #[test]
+    fn a_used_scratch_measures_what_a_fresh_one_does() {
+        // The scratch arrives dirty — a stale body longer than any segment,
+        // a used engine — as it does from a scan worker's QUIC probe.
+        let mut scratch = EngineScratch::default();
+        scratch.body = vec![0xa5; 1500];
+        let (c, s) = addrs();
+        let clearing = DuplexPath::symmetric_clean_reverse(build_transit_path(
+            Asn::DFN,
+            Asn(13335),
+            TransitProfile::Clearing { asn: Asn::ARELION },
+            false,
+        ));
+        let runs = [
+            (TcpClientConfig::ect0(), CrossTraffic::congested(), clean()),
+            (TcpClientConfig::force_ce(), CrossTraffic::none(), clean()),
+            (TcpClientConfig::ect0(), CrossTraffic::none(), clearing),
+        ];
+        for (seed, (config, cross, path)) in runs.into_iter().enumerate() {
+            let run = |scratch: Option<&mut EngineScratch>| {
+                let mut run =
+                    TcpConnectionRun::new(config, TcpServerBehavior::full_ecn(), c, s, &path)
+                        .cross_traffic(cross)
+                        .telemetry(true);
+                if let Some(scratch) = scratch {
+                    run = run.scratch(scratch);
+                }
+                run.execute(&mut StdRng::seed_from_u64(seed as u64))
+            };
+            assert_eq!(run(Some(&mut scratch)), run(None));
+            assert!(scratch.body.capacity() >= SEGMENT_CAPACITY);
+        }
     }
 
     #[test]

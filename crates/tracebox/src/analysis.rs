@@ -100,27 +100,16 @@ pub fn analyze_trace(
     trace: &PathTrace,
     ip_to_asn: &dyn Fn(IpAddr) -> Option<Asn>,
 ) -> TraceAnalysis {
-    let observed: Vec<_> = trace
-        .hops
-        .iter()
-        .filter(|h| h.observed_ecn.is_some())
-        .collect();
-
-    if observed.is_empty() {
-        return TraceAnalysis {
-            changes: Vec::new(),
-            verdict: PathVerdict::Untested,
-            final_observed: None,
-            dscp_rewritten_only: false,
-        };
-    }
-
     let mut changes = Vec::new();
     let mut previous_ecn = trace.sent_codepoint;
     let mut previous_router: Option<IpAddr> = None;
     let mut dscp_changed = false;
-    for hop in &observed {
-        let ecn = hop.observed_ecn.expect("filtered to observed");
+    let mut final_observed = None;
+    let observed = trace
+        .hops
+        .iter()
+        .filter_map(|hop| Some((hop, hop.observed_ecn?)));
+    for (hop, ecn) in observed {
         if let Some(dscp) = hop.observed_dscp {
             if dscp != trace.sent_dscp {
                 dscp_changed = true;
@@ -139,9 +128,10 @@ pub fn analyze_trace(
             previous_ecn = ecn;
         }
         previous_router = hop.router;
+        final_observed = Some(ecn);
     }
 
-    let final_observed = observed.last().and_then(|h| h.observed_ecn);
+    // No observed hop: no change, no DSCP rewrite, and `Untested`.
     let verdict = match final_observed {
         None => PathVerdict::Untested,
         Some(ecn) if ecn == trace.sent_codepoint && changes.is_empty() => PathVerdict::NoChange,

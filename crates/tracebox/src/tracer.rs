@@ -6,9 +6,13 @@
 //! header room, the Initial behind it, then the UDP length and checksum.
 //! Transit hands that body back whatever the verdict, and the next TTL's
 //! probe is written over it, so a trace has one probe buffer.  An
-//! answering hop's ICMP message is read in place — the quote is a slice of
-//! the response — and the response, which the router allocates, is a
-//! trace's only other allocation per hop.
+//! answering hop writes its ICMP message into a second buffer the tracer
+//! lends ([`Path::transit_answering`]); the message is read in place — the
+//! quote is a slice of the response — and the buffer taken back for the
+//! next hop.  The observations are sized once, for a probe per hop and one
+//! for the destination, so a trace allocates three times whatever the
+//! path's length — the two buffers and its hops — unless the probes meant
+//! for the destination are lost and the trace goes on past it.
 
 use qem_netsim::{Path, SharedQueues, SimDuration, SimInstant, TransitOutcome};
 use qem_packet::ecn::{Dscp, EcnCodepoint};
@@ -164,11 +168,14 @@ pub fn trace_path<R: Rng + ?Sized>(
     config: &TraceConfig,
     rng: &mut R,
 ) -> PathTrace {
+    // A probe per hop and one for the destination, unless `max_ttl` stops
+    // the trace first; only losing that last probe lets the trace go on.
+    let hops = (path.len() + 1).min(usize::from(config.max_ttl));
     let mut trace = PathTrace {
         destination,
         sent_codepoint: config.probe_codepoint,
         sent_dscp: config.probe_dscp,
-        hops: Vec::new(),
+        hops: Vec::with_capacity(hops),
         destination_reached: false,
         probes_sent: 0,
         time_spent: SimDuration::ZERO,
@@ -176,21 +183,27 @@ pub fn trace_path<R: Rng + ?Sized>(
     let mut consecutive_timeouts = 0u32;
     // Each probe is built for one TTL, in the body the last one came back
     // in, and sent by value: what `Path::transit` does — no registered
-    // queue, the epoch — minus its clone.
+    // queue, the epoch — minus its clone.  The routers answer in `answer`,
+    // which each response hands back.
     let mut no_queues = SharedQueues::new();
-    let mut body = Vec::new();
+    let (mut body, mut answer) = (Vec::new(), Vec::new());
     for ttl in 1..=config.max_ttl {
         // A probe that cannot be assembled is never answered: a timeout.
-        let outcome = probe_in(body, source, destination, ttl, config, u32::from(ttl))
-            .map(|probe| path.transit_shared(probe, SimInstant::EPOCH, rng, &mut no_queues));
+        let outcome =
+            probe_in(body, source, destination, ttl, config, u32::from(ttl)).map(|probe| {
+                path.transit_answering(probe, SimInstant::EPOCH, rng, &mut no_queues, &mut answer)
+            });
         trace.probes_sent += 1;
-        match &outcome {
+        match outcome {
             Ok(TransitOutcome::TimeExceeded {
-                response, delay, ..
+                response,
+                delay,
+                body: sent,
+                ..
             }) => {
                 consecutive_timeouts = 0;
-                trace.time_spent += *delay;
-                let observed = parse_quote(response);
+                trace.time_spent += delay;
+                let observed = parse_quote(&response);
                 trace.hops.push(HopObservation {
                     ttl,
                     router: Some(response.header.src()),
@@ -198,12 +211,14 @@ pub fn trace_path<R: Rng + ?Sized>(
                     observed_dscp: observed.map(|(_, d)| d),
                     timed_out: false,
                 });
+                (body, answer) = (sent, response.payload);
             }
             Ok(TransitOutcome::Delivered { .. }) => {
                 trace.destination_reached = true;
                 break;
             }
-            Ok(TransitOutcome::Expired { .. } | TransitOutcome::Dropped { .. }) | Err(_) => {
+            outcome @ (Ok(TransitOutcome::Expired { .. } | TransitOutcome::Dropped { .. })
+            | Err(_)) => {
                 consecutive_timeouts += 1;
                 trace.time_spent += config.per_hop_timeout;
                 trace.hops.push(HopObservation {
@@ -216,9 +231,9 @@ pub fn trace_path<R: Rng + ?Sized>(
                 if consecutive_timeouts >= config.max_consecutive_timeouts {
                     break;
                 }
+                body = outcome.map(TransitOutcome::into_body).unwrap_or_default();
             }
         }
-        body = outcome.map(TransitOutcome::into_body).unwrap_or_default();
     }
     trace
 }
