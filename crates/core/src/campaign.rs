@@ -1,7 +1,12 @@
 //! Campaign orchestration: main-vantage-point snapshots, longitudinal series,
 //! the CE-probing comparison run and the distributed cloud measurement.
+//!
+//! A snapshot holds its hosts as a [`HostMap`], the scanner's sorted output
+//! wrapped without a copy: reports read hosts in host-id order, and
+//! [`SnapshotMeasurement::host`] looks one up by binary search.
 
 use crate::executor::ShardedExecutor;
+use crate::host_map::HostMap;
 use crate::observation::HostMeasurement;
 use crate::resilience::RetryPolicy;
 use crate::scanner::{ProbeMode, ScanOptions, Scanner};
@@ -9,7 +14,6 @@ use crate::vantage::VantagePoint;
 use qem_netsim::CrossTraffic;
 use qem_obs::{MetricsSnapshot, RunTelemetry};
 use qem_web::{SnapshotDate, Universe};
-use std::collections::BTreeMap;
 
 /// Options shared by campaign runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -109,14 +113,14 @@ pub struct SnapshotMeasurement {
     pub ipv6: bool,
     /// The vantage point used.
     pub vantage: VantagePoint,
-    /// Per-host measurements, keyed by host id.
-    pub hosts: BTreeMap<usize, HostMeasurement>,
+    /// Per-host measurements in ascending host-id order.
+    pub hosts: HostMap,
 }
 
 impl SnapshotMeasurement {
-    /// Look up the measurement for a host.
+    /// Look up the measurement for a host: a binary search.
     pub fn host(&self, host_id: usize) -> Option<&HostMeasurement> {
-        self.hosts.get(&host_id)
+        self.hosts.get(host_id)
     }
 
     /// Number of hosts reachable via QUIC in this snapshot.
@@ -174,8 +178,8 @@ impl<'a> Campaign<'a> {
     }
 
     /// Build the scanner of `vantage`, let `probe` pick what it scans and
-    /// collect the measurements into a snapshot; the scanner comes back for
-    /// callers that read its metrics.
+    /// wrap the measurements, in place, as a snapshot; the scanner comes
+    /// back for callers that read its metrics.
     fn scan(
         &self,
         vantage: &VantagePoint,
@@ -188,10 +192,7 @@ impl<'a> Campaign<'a> {
             date: options.date,
             ipv6,
             vantage: vantage.clone(),
-            hosts: probe(&scanner)
-                .into_iter()
-                .map(|m| (m.host_id, m))
-                .collect(),
+            hosts: HostMap::from(probe(&scanner)),
         };
         (snapshot, scanner)
     }
@@ -359,6 +360,35 @@ mod tests {
             .filter(|(_, _, host)| pred(host))
             .map(|(_, domains, _)| domains)
             .sum()
+    }
+
+    #[test]
+    fn host_finds_every_measured_id_and_only_those() {
+        let bare = |host_id| HostMeasurement {
+            host_id,
+            quic_reachable: host_id == 9,
+            quic: None,
+            tcp: None,
+            trace: None,
+        };
+        let snapshot = |ids: &[usize]| SnapshotMeasurement {
+            date: SnapshotDate::APR_2023,
+            ipv6: false,
+            vantage: VantagePoint::main(),
+            hosts: HostMap::from(ids.iter().map(|&id| bare(id)).collect::<Vec<_>>()),
+        };
+        let measured = snapshot(&[2, 5, 9]);
+        assert_eq!(measured.host(2), Some(&bare(2)), "first");
+        assert_eq!(measured.host(9), Some(&bare(9)), "last");
+        assert_eq!(measured.host(5), Some(&bare(5)));
+        assert_eq!(measured.host(4), None, "missing");
+        assert_eq!(measured.host(0), None, "below the first");
+        assert_eq!(measured.host(10), None, "above the last");
+        assert_eq!(measured.host(usize::MAX), None);
+        assert_eq!(measured.quic_host_count(), 1);
+        let empty = snapshot(&[]);
+        assert_eq!(empty.host(0), None);
+        assert_eq!(empty.quic_host_count(), 0);
     }
 
     #[test]

@@ -18,6 +18,7 @@
 
 pub mod campaign;
 pub mod executor;
+pub mod host_map;
 mod metrics;
 pub mod observation;
 pub mod reports;
@@ -28,6 +29,7 @@ pub mod vantage;
 
 pub use campaign::{Campaign, CampaignOptions, CampaignResult, SnapshotMeasurement};
 pub use executor::ShardedExecutor;
+pub use host_map::HostMap;
 pub use observation::{EcnClass, HostMeasurement, MirrorUse};
 pub use qem_netsim::CrossTraffic;
 pub use resilience::{classify_probe, ProbeError, RetryPolicy};

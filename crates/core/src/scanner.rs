@@ -36,6 +36,7 @@ use qem_tracebox::{analyze_trace, trace_path, TraceConfig};
 use qem_web::{SnapshotDate, StackProfile, Universe};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::fmt::Write;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::Mutex;
@@ -225,10 +226,16 @@ impl<'a> Scanner<'a> {
     /// [`Scanner::scan_hosts`] for any worker count.
     pub fn scan_hosts_streaming<S: FnMut(HostMeasurement)>(&self, host_ids: &[usize], sink: S) {
         // Input order is delivery order; sort (and dedup) up front so the
-        // stream arrives in host-id order, matching `scan_hosts`.
-        let mut ids = host_ids.to_vec();
-        ids.sort_unstable();
-        ids.dedup();
+        // stream arrives in host-id order, matching `scan_hosts`.  Callers
+        // mostly pass ids already in that order, which need no copy.
+        let ids = if host_ids.windows(2).all(|w| w[0] < w[1]) {
+            Cow::Borrowed(host_ids)
+        } else {
+            let mut ids = host_ids.to_vec();
+            ids.sort_unstable();
+            ids.dedup();
+            Cow::Owned(ids)
+        };
         ShardedExecutor::new(self.options.workers).run_streaming(
             &ids,
             || self.worker(),
@@ -547,6 +554,11 @@ mod tests {
             .scan_hosts(&quic_hosts);
             assert_eq!(single, parallel, "workers={workers}");
         }
+        // Unsorted input with repeats measures each host once, in order.
+        let mut shuffled: Vec<usize> = quic_hosts.iter().rev().copied().collect();
+        shuffled.extend_from_slice(&quic_hosts[..5]);
+        let scanner = Scanner::new(&universe, VantagePoint::main(), options);
+        assert_eq!(scanner.scan_hosts(&shuffled), single);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! the hosts matching a predicate, and every "IPs" count the number of such
 //! hosts.
 //!
-//! The in-memory [`SnapshotMeasurement`] streams its map; `qem-store`'s
-//! segment reader decodes one segment at a time.  Both are joined by the
+//! The in-memory [`SnapshotMeasurement`] streams its sorted
+//! [`HostMap`](crate::HostMap); `qem-store`'s segment reader decodes one
+//! segment at a time into one lent buffer.  Both are joined by the
 //! same `HostTable::new`, which is what makes store-backed and in-memory
 //! reports the same path: measurements arrive in ascending host-id order and
 //! land in a table indexed by host id.  [`JoinedSnapshot`] keeps the table
@@ -158,8 +159,8 @@ impl SnapshotSource for SnapshotMeasurement {
     }
 
     fn for_each_host(&self, f: &mut dyn FnMut(&HostMeasurement)) {
-        // `hosts` is a BTreeMap, so iteration is already in ascending
-        // host-id order — the order the contract requires.
+        // A `HostMap` is kept in ascending host-id order — the order the
+        // contract requires.
         for m in self.hosts.values() {
             f(m);
         }
@@ -221,6 +222,7 @@ impl SnapshotSource for JoinedSnapshot<'_> {
 mod tests {
     use super::*;
     use crate::campaign::{Campaign, CampaignOptions, CampaignResult};
+    use crate::host_map::HostMap;
     use crate::observation::EcnClass;
     use crate::reports::{
         figure4, figure5, figure6, table1, table2, table3, table4, table5, table6, table7,
@@ -496,7 +498,7 @@ mod tests {
                     date: SnapshotDate::APR_2023,
                     ipv6,
                     vantage: VantagePoint::main(),
-                    hosts: BTreeMap::new(),
+                    hosts: HostMap::default(),
                 };
                 let table = HostTable::new(&universe, &unmeasured);
                 for (scope, count, member) in scopes {

@@ -684,6 +684,21 @@ pub fn encode_block(measurements: &[HostMeasurement]) -> Vec<u8> {
     block
 }
 
+/// The record count a block declares after its dictionaries.  Every record
+/// takes at least two bytes — its host-id varint and its flag byte — so a
+/// count above half of what is left is corrupt, and no count read from disk
+/// sizes an allocation the bytes could not fill.
+fn record_count(r: &mut ByteReader<'_>) -> Result<usize, StoreError> {
+    let count = r.varint()?;
+    match usize::try_from(count) {
+        Ok(count) if count <= r.remaining() / 2 => Ok(count),
+        _ => Err(StoreError::Corrupt(format!(
+            "a block of {} record bytes cannot hold {count} records",
+            r.remaining()
+        ))),
+    }
+}
+
 /// The record count of a block produced by [`encode_block`], read without
 /// decoding a record or allocating: the dictionaries are stepped over
 /// (string bytes and ASN varints skipped), then the count varint is read.
@@ -696,17 +711,52 @@ pub(crate) fn block_record_count(data: &[u8]) -> Result<u64, StoreError> {
     for _ in 0..r.varint()? {
         r.varint()?;
     }
-    r.varint()
+    Ok(record_count(&mut r)? as u64)
 }
 
-/// Decode a block produced by [`encode_block`].
-pub fn decode_block(data: &[u8]) -> Result<Vec<HostMeasurement>, StoreError> {
+/// Decode a block produced by [`encode_block`] onto the end of `out` — the
+/// store's one block decoder.
+///
+/// Host ids must rise strictly from record to record, starting above
+/// `after` (the last host id the caller already holds, if the block
+/// continues a sequence): the writer never produces anything else, so a
+/// block that does is corrupt, not something to re-sort.
+///
+/// All or nothing: on `Err`, `out` is truncated back to its length on entry
+/// and keeps its capacity, so a caller may lend one buffer to many blocks.
+pub(crate) fn decode_block_into(
+    data: &[u8],
+    after: Option<usize>,
+    out: &mut Vec<HostMeasurement>,
+) -> Result<(), StoreError> {
+    let start = out.len();
+    let decoded = decode_records(data, after, out);
+    if decoded.is_err() {
+        out.truncate(start);
+    }
+    decoded
+}
+
+fn decode_records(
+    data: &[u8],
+    after: Option<usize>,
+    out: &mut Vec<HostMeasurement>,
+) -> Result<(), StoreError> {
     let mut r = ByteReader::new(data);
     let dicts = Dicts::decode(&mut r)?;
-    let count = r.varint()? as usize;
-    let mut out = Vec::with_capacity(count.min(1 << 20));
+    let count = record_count(&mut r)?;
+    out.reserve(count);
+    let mut last = after;
     for _ in 0..count {
-        out.push(decode_measurement(&mut r, &dicts)?);
+        let m = decode_measurement(&mut r, &dicts)?;
+        if let Some(last) = last.filter(|&last| m.host_id <= last) {
+            return Err(StoreError::Corrupt(format!(
+                "host id {} follows host id {last}",
+                m.host_id
+            )));
+        }
+        last = Some(m.host_id);
+        out.push(m);
     }
     dicts.expect_all_used()?;
     if !r.is_empty() {
@@ -715,6 +765,13 @@ pub fn decode_block(data: &[u8]) -> Result<Vec<HostMeasurement>, StoreError> {
             data.len() - r.position()
         )));
     }
+    Ok(())
+}
+
+/// Decode a block produced by [`encode_block`] into a new `Vec`.
+pub fn decode_block(data: &[u8]) -> Result<Vec<HostMeasurement>, StoreError> {
+    let mut out = Vec::new();
+    decode_block_into(data, None, &mut out)?;
     Ok(out)
 }
 
@@ -875,6 +932,46 @@ mod tests {
         let mut flag = encode_block(std::slice::from_ref(&m));
         *flag.last_mut().unwrap() = 2;
         assert!(decode_block(&flag).is_err());
+    }
+
+    #[test]
+    fn a_failed_decode_leaves_the_callers_vec_as_it_was() {
+        let held: Vec<HostMeasurement> = (0..3).map(sample_measurement).collect();
+        let hosts: Vec<HostMeasurement> = (10..14).map(sample_measurement).collect();
+        let block = encode_block(&hosts);
+        let mut cut = block.clone();
+        cut.pop();
+        // The last record's last byte, the DSCP-rewrite flag, out of range.
+        let mut damaged = block.clone();
+        *damaged.last_mut().unwrap() = 2;
+        for bad in [&cut, &damaged] {
+            let mut out = held.clone();
+            assert!(decode_block_into(bad, Some(2), &mut out).is_err());
+            assert_eq!(out, held);
+        }
+        // Host ids continue from `after` or the block is refused whole.
+        for after in [10, 11, 100] {
+            let mut out = held.clone();
+            let refused = decode_block_into(&block, Some(after), &mut out);
+            assert!(matches!(refused, Err(StoreError::Corrupt(m)) if m.contains("follows")));
+            assert_eq!(out, held);
+        }
+        let mut out = held.clone();
+        decode_block_into(&block, Some(9), &mut out).unwrap();
+        assert_eq!(out, [held, hosts].concat());
+    }
+
+    #[test]
+    fn a_block_cannot_declare_more_records_than_it_has_bytes_for() {
+        let mut block = Vec::new();
+        DictBuilder::default().encode(&mut block);
+        write_varint(&mut block, 3);
+        block.extend_from_slice(&[0, 0, 1, 0, 2]);
+        assert!(block_record_count(&block).is_err());
+        assert!(decode_block(&block).is_err());
+        block.push(0);
+        assert_eq!(block_record_count(&block).unwrap(), 3);
+        assert_eq!(decode_block(&block).unwrap().len(), 3);
     }
 
     #[test]

@@ -27,6 +27,11 @@
 //! The scanned host set must be identical across dates (it is: membership
 //! depends only on address-family coverage, never on the date).  The writer
 //! enforces this, because replay correctness depends on it.
+//!
+//! Both directions keep one date's state as a [`HostMap`] in host-id order:
+//! the writer compares each measurement with the previous date's by binary
+//! search, and the replay drains each segment, decoded into one lent
+//! buffer, into the running state.
 
 use crate::codec::FORMAT_VERSION;
 use crate::segment::write_atomically;
@@ -34,10 +39,10 @@ use crate::store::{CampaignWriter, SnapshotMeta, StoredSnapshot};
 use crate::wire::{fnv1a, open_sealed, write_str, write_u64_le, write_varint};
 use crate::StoreError;
 use qem_core::campaign::{CampaignOptions, SnapshotMeasurement};
+use qem_core::host_map::HostMap;
 use qem_core::observation::HostMeasurement;
 use qem_core::vantage::VantagePoint;
 use qem_web::SnapshotDate;
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -106,8 +111,8 @@ pub struct LongitudinalWriter {
     dates: Vec<SnapshotDate>,
     vantage: VantagePoint,
     options: CampaignOptions,
-    /// The previous date's full state, keyed by host id.
-    previous: BTreeMap<usize, HostMeasurement>,
+    /// The previous date's full state, in host-id order.
+    previous: HostMap,
     /// Hosts seen in the current date, to enforce the constant-population
     /// invariant replay depends on.
     current_count: usize,
@@ -165,7 +170,7 @@ impl LongitudinalWriter {
             dates: dates.to_vec(),
             vantage: vantage.clone(),
             options: *options,
-            previous: BTreeMap::new(),
+            previous: HostMap::default(),
             current_count: 0,
             current_last_id: None,
             current_writer: None,
@@ -221,11 +226,11 @@ impl LongitudinalWriter {
         }
         self.current_last_id = Some(m.host_id);
         self.current_count += 1;
-        let changed = self.previous.get(&m.host_id) != Some(&m);
+        let changed = self.previous.get(m.host_id) != Some(&m);
         if changed {
             writer.append(m.clone())?;
         }
-        self.previous.insert(m.host_id, m);
+        self.previous.insert(m);
         Ok(())
     }
 
@@ -345,18 +350,23 @@ impl LongitudinalStore {
     /// Replay the series once, handing each date's **full** reconstructed
     /// snapshot to `f` in order.  Memory stays at O(hosts) — the single
     /// running state *is* the snapshot handed out (moved in and taken back,
-    /// never cloned) — independent of the number of dates.
+    /// never cloned) — independent of the number of dates.  Every segment of
+    /// every date decodes into one lent buffer, drained into the state: the
+    /// first date appends in host-id order, a delta replaces in place.
     pub fn for_each_snapshot(
         &self,
         f: &mut dyn FnMut(&SnapshotMeasurement),
     ) -> Result<(), StoreError> {
-        let mut state: BTreeMap<usize, HostMeasurement> = BTreeMap::new();
+        let mut state = HostMap::default();
+        let mut buf = Vec::new();
         for (idx, snapshot) in self.snapshots.iter().enumerate() {
-            for segment in snapshot.read_segments() {
-                for m in segment? {
-                    state.insert(m.host_id, m);
-                }
-            }
+            snapshot.read_segments(&mut buf, |records, read| {
+                read.map(|()| {
+                    for m in records.drain(..) {
+                        state.insert(m);
+                    }
+                })
+            })?;
             let full = SnapshotMeasurement {
                 date: self.dates[idx],
                 ipv6: false,
@@ -444,8 +454,7 @@ mod tests {
         assert!(snapshots[1].hosts[&7].quic_reachable);
         assert!(!snapshots[2].hosts[&7].quic_reachable);
         assert!(snapshots[2].hosts[&13].quic_reachable);
-        let date1: BTreeMap<usize, HostMeasurement> =
-            (0..50).map(|id| (id, measurement(id, id == 7))).collect();
+        let date1: HostMap = (0..50).map(|id| (id, measurement(id, id == 7))).collect();
         assert_eq!(snapshots[1].hosts, date1);
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -13,7 +13,7 @@
 //! `.tmp` orphan — never a half-segment — which is the invariant resume
 //! relies on.
 
-use crate::codec::{block_record_count, decode_block, encode_block, FORMAT_VERSION};
+use crate::codec::{block_record_count, decode_block_into, encode_block, FORMAT_VERSION};
 use crate::wire::{fnv1a, split_seal, ByteReader};
 use crate::StoreError;
 use qem_core::observation::HostMeasurement;
@@ -72,10 +72,24 @@ pub fn write_atomically(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
 
 /// Read and fully validate one segment file.
 pub fn read_segment(path: &Path) -> Result<Vec<HostMeasurement>, StoreError> {
+    let mut measurements = Vec::new();
+    read_segment_into(path, None, &mut measurements)?;
+    Ok(measurements)
+}
+
+/// Read and fully validate one segment file onto the end of `out`, all or
+/// nothing: its host ids rise strictly from above `after`
+/// ([`decode_block_into`]), and any failure is [`StoreError::Corrupt`]
+/// naming the file, with `out` left as it was.
+pub(crate) fn read_segment_into(
+    path: &Path,
+    after: Option<usize>,
+    out: &mut Vec<HostMeasurement>,
+) -> Result<(), StoreError> {
     let bytes = fs::read(path)?;
-    let payload = check_framing(&bytes)
-        .map_err(|e| StoreError::Corrupt(format!("{}: {e}", path.display())))?;
-    decode_block(payload).map_err(|e| StoreError::Corrupt(format!("{}: {e}", path.display())))
+    check_framing(&bytes)
+        .and_then(|payload| decode_block_into(payload, after, out))
+        .map_err(|e| StoreError::Corrupt(format!("{}: {e}", path.display())))
 }
 
 /// Verify a segment file's framing and FNV seal without decoding the block,

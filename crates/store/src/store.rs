@@ -18,18 +18,22 @@
 //! marker): [`StoredSnapshot::open`] requires the marker and verifies every
 //! seal and the marker's record count; [`StoredSnapshot::open_quarantining`]
 //! sets corrupt segments aside instead.  Every accessor then reads through
-//! one per-segment loop — strictly ([`StoredSnapshot::host_ids`],
-//! [`StoredSnapshot::to_snapshot`]) or, behind [`SnapshotSource`], skipping
-//! and counting what fails.
+//! one per-segment loop that decodes into a buffer it is lent and holds
+//! the host ids strictly ascending across segments — strictly
+//! ([`StoredSnapshot::host_ids`], [`StoredSnapshot::to_snapshot`]) or,
+//! behind [`SnapshotSource`], skipping and counting what fails.
+//! `to_snapshot` decodes every segment into one `Vec` sized to the sealed
+//! count; the streaming readers reuse one segment's worth of buffer.
 
 use crate::codec::FORMAT_VERSION;
 use crate::segment::{
-    list_segments, read_segment, remove_tmp_orphans, verify_segment, write_atomically,
+    list_segments, read_segment_into, remove_tmp_orphans, verify_segment, write_atomically,
     write_segment,
 };
 use crate::wire::{fnv1a, open_sealed, write_str, write_u64_le, write_varint};
 use crate::StoreError;
 use qem_core::campaign::{CampaignOptions, SnapshotMeasurement};
+use qem_core::host_map::HostMap;
 use qem_core::observation::HostMeasurement;
 use qem_core::resilience::RetryPolicy;
 use qem_core::scanner::ProbeMode;
@@ -38,7 +42,7 @@ use qem_core::vantage::{CloudProvider, VantagePoint, VantageQuirks};
 use qem_netsim::CrossTraffic;
 use qem_obs::MetricsSnapshot;
 use qem_web::SnapshotDate;
-use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -592,38 +596,60 @@ impl StoredSnapshot {
         snap
     }
 
-    /// The one read loop: every segment decoded in turn, one in memory at a
-    /// time, in host-id order.  Strict readers stop at the first `Err`; the
+    /// The records the `COMPLETE` marker seals, as a capacity: 0 while the
+    /// snapshot is partial.  Every opener has checked the count against the
+    /// segments, whose block counts are bounded by their bytes.
+    fn sealed_len(&self) -> usize {
+        self.recorded_count
+            .and_then(|count| usize::try_from(count).ok())
+            .unwrap_or(0)
+    }
+
+    /// The one read loop: each segment in turn decoded onto the end of
+    /// `buf`, then handed to `f` with the outcome — `Ok` once its records
+    /// are in `buf`, or, with `buf` as it was, the [`StoreError::Corrupt`]
+    /// naming a file that is unreadable, damaged, or does not continue the
+    /// strictly ascending host-id order of the segments read before it.
+    ///
+    /// `f` decides what the records become: left in `buf` to build one
+    /// `Vec`, or consumed and cleared so that the next segment decodes into
+    /// the same capacity.  Strict readers stop at the first `Err`; the
     /// [`SnapshotSource`] methods skip and count it.
-    pub(crate) fn read_segments(
+    pub(crate) fn read_segments<E>(
         &self,
-    ) -> impl Iterator<Item = Result<Vec<HostMeasurement>, StoreError>> + '_ {
-        self.segments.iter().map(|path| read_segment(path))
+        buf: &mut Vec<HostMeasurement>,
+        mut f: impl FnMut(&mut Vec<HostMeasurement>, Result<(), StoreError>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut last = None;
+        for path in &self.segments {
+            let read = read_segment_into(path, last, buf);
+            if read.is_ok() {
+                last = buf.last().map(|m| m.host_id).or(last);
+            }
+            f(buf, read)?;
+        }
+        Ok(())
     }
 
     /// The host ids persisted so far, in order.
     pub fn host_ids(&self) -> Result<Vec<usize>, StoreError> {
-        let mut ids = Vec::new();
-        for segment in self.read_segments() {
-            for m in segment? {
-                ids.push(m.host_id);
-            }
-        }
+        let mut ids = Vec::with_capacity(self.sealed_len());
+        self.read_segments(&mut Vec::new(), |records, read| {
+            read.map(|()| ids.extend(records.drain(..).map(|m| m.host_id)))
+        })?;
         Ok(ids)
     }
 
-    /// Materialise the snapshot as an in-memory [`SnapshotMeasurement`].
+    /// Materialise the snapshot as an in-memory [`SnapshotMeasurement`]:
+    /// every segment decoded straight into one `Vec` sized to the sealed
+    /// record count, which the snapshot's [`HostMap`] then wraps as it is.
     ///
     /// This is the convenience path for small universes and tests; the
     /// report builders do **not** need it — they consume the store directly
     /// through [`SnapshotSource`].
     pub fn to_snapshot(&self) -> Result<SnapshotMeasurement, StoreError> {
-        let mut hosts = BTreeMap::new();
-        for segment in self.read_segments() {
-            for m in segment? {
-                hosts.insert(m.host_id, m);
-            }
-        }
+        let mut hosts = Vec::with_capacity(self.sealed_len());
+        self.read_segments(&mut hosts, |_, read| read)?;
         if let Some(recorded) = self.recorded_count {
             if recorded != hosts.len() as u64 {
                 return Err(StoreError::Corrupt(format!(
@@ -636,7 +662,7 @@ impl StoredSnapshot {
             date: self.meta.date,
             ipv6: self.meta.ipv6,
             vantage: self.meta.vantage.clone(),
-            hosts,
+            hosts: HostMap::from(hosts),
         })
     }
 }
@@ -669,20 +695,27 @@ impl SnapshotSource for StoredSnapshot {
         }
     }
 
-    /// Streams from disk, skipping segments that fail their checksum.
+    /// Streams from disk through one buffer lent from segment to segment,
+    /// skipping segments that fail their checksum or break the host-id
+    /// order.
     ///
     /// A skipped segment bumps [`StoredSnapshot::quarantined_segments`]
     /// instead of aborting the census; reports degrade to partial results.
     /// [`StoredSnapshot::open`] verifies eagerly, so skips here mean the
-    /// file rotted (or was tampered with) after open.
+    /// file rotted (or was tampered with) after open, or was sealed with
+    /// records out of order.
     fn for_each_host(&self, f: &mut dyn FnMut(&HostMeasurement)) {
         let mut skipped = 0u64;
-        for segment in self.read_segments() {
-            match segment {
-                Ok(measurements) => measurements.iter().for_each(&mut *f),
+        let Ok(()) = self.read_segments(&mut Vec::new(), |records, read| {
+            match read {
+                Ok(()) => {
+                    records.iter().for_each(&mut *f);
+                    records.clear();
+                }
                 Err(_) => skipped += 1,
             }
-        }
+            Ok::<_, Infallible>(())
+        });
         self.quarantined.fetch_max(skipped, Ordering::Relaxed);
     }
 }
@@ -746,6 +779,80 @@ mod tests {
         let read: Vec<HostMeasurement> =
             stored.to_snapshot().unwrap().hosts.into_values().collect();
         assert_eq!(read, hosts);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Over `path`, a segment holding `block` under a valid seal.
+    fn reseal(path: &Path, block: &[u8]) {
+        let mut bytes = b"QSEG".to_vec();
+        bytes.push(FORMAT_VERSION);
+        bytes.extend_from_slice(block);
+        let seal = fnv1a(&bytes);
+        bytes.extend_from_slice(&seal.to_le_bytes());
+        fs::write(path, bytes).unwrap();
+    }
+
+    #[test]
+    fn a_segment_with_a_bad_last_record_yields_none_of_its_records() {
+        let measured = |host_id| HostMeasurement {
+            tcp: Some(qem_tcp::TcpReport {
+                forward_losses: 300,
+                ..Default::default()
+            }),
+            ..measurement(host_id)
+        };
+        let block = encode_block(&(4..8).map(measured).collect::<Vec<_>>());
+        let mut cut = block.clone();
+        cut.pop();
+        // The last byte of the last record's two-byte loss count zeroed: an
+        // overlong varint, found after three records have decoded.
+        let mut damaged = block.clone();
+        *damaged.last_mut().unwrap() = 0;
+        for bad in [cut, damaged] {
+            let dir = temp_dir("bad-last");
+            let mut writer = CampaignWriter::create(&dir, &meta())
+                .unwrap()
+                .with_segment_capacity(4);
+            for id in 0..12 {
+                writer.append(measured(id)).unwrap();
+            }
+            let stored = writer.finish().unwrap();
+            reseal(&dir.join(crate::segment::segment_file_name(1)), &bad);
+            let mut streamed = Vec::new();
+            stored.for_each_host(&mut |m| streamed.push(m.host_id));
+            assert_eq!(streamed, [0, 1, 2, 3, 8, 9, 10, 11]);
+            assert_eq!(stored.quarantined_segments(), 1);
+            assert!(matches!(stored.to_snapshot(), Err(StoreError::Corrupt(_))));
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_lent_buffer_keeps_its_capacity_across_segments() {
+        let dir = temp_dir("lent");
+        let mut writer = CampaignWriter::create(&dir, &meta())
+            .unwrap()
+            .with_segment_capacity(7);
+        for id in 0..23 {
+            writer.append(measurement(id)).unwrap();
+        }
+        let stored = writer.finish().unwrap();
+        let mut buf = Vec::new();
+        let mut seen = Vec::new();
+        stored
+            .read_segments(&mut buf, |records, read| {
+                read?;
+                seen.push((records.len(), records.as_ptr(), records.capacity()));
+                records.clear();
+                Ok::<_, StoreError>(())
+            })
+            .unwrap();
+        let lengths: Vec<usize> = seen.iter().map(|&(len, _, _)| len).collect();
+        assert_eq!(lengths, [7, 7, 7, 2]);
+        assert!(seen
+            .iter()
+            .all(|&(_, ptr, cap)| (ptr, cap) == (seen[0].1, seen[0].2)));
+        assert_eq!((buf.as_ptr(), buf.capacity()), (seen[0].1, seen[0].2));
         fs::remove_dir_all(&dir).unwrap();
     }
 

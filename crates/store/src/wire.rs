@@ -104,6 +104,11 @@ impl<'a> ByteReader<'a> {
         self.pos
     }
 
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.data.len().saturating_sub(self.pos)
+    }
+
     /// Whether every byte has been consumed.
     pub fn is_empty(&self) -> bool {
         self.pos >= self.data.len()
@@ -181,7 +186,7 @@ impl<'a> ByteReader<'a> {
     /// Read a length-prefixed UTF-8 string.
     pub fn string(&mut self) -> Result<String, StoreError> {
         let len = self.varint()? as usize;
-        if len > self.data.len().saturating_sub(self.pos) {
+        if len > self.remaining() {
             return Err(self.corrupt("string length exceeds remaining data"));
         }
         let bytes = self.bytes(len)?;

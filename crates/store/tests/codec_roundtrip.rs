@@ -251,18 +251,10 @@ proptest! {
 
 /// The named edge cases, pinned explicitly so they never depend on sampling
 /// luck: empty trace, IPv6-only routers, a ForceCe observation, and the
-/// all-absent measurement.
+/// all-absent measurement — in ascending host-id order, as in every block.
 #[test]
 fn pinned_edge_cases_round_trip() {
     let cases = vec![
-        // Host that answered nothing at all.
-        HostMeasurement {
-            host_id: usize::MAX >> 1,
-            quic_reachable: false,
-            quic: None,
-            tcp: None,
-            trace: None,
-        },
         // Empty trace: sampled for tracing but no hop produced a quote.
         HostMeasurement {
             host_id: 0,
@@ -338,6 +330,14 @@ fn pinned_edge_cases_round_trip() {
                 response_received: true,
                 forward_losses: u32::MAX,
             }),
+            trace: None,
+        },
+        // Host that answered nothing at all.
+        HostMeasurement {
+            host_id: usize::MAX >> 1,
+            quic_reachable: false,
+            quic: None,
+            tcp: None,
             trace: None,
         },
     ];

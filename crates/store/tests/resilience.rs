@@ -300,7 +300,13 @@ fn strict_and_tolerant_readers_agree_on_a_clean_store() {
     let snapshot = StoredSnapshot::open(&dir).unwrap();
     let ids = snapshot.host_ids().unwrap();
     assert_eq!(ids, (0..30).collect::<Vec<_>>());
-    let materialised: Vec<usize> = snapshot.to_snapshot().unwrap().hosts.into_keys().collect();
+    let materialised: Vec<usize> = snapshot
+        .to_snapshot()
+        .unwrap()
+        .hosts
+        .into_values()
+        .map(|m| m.host_id)
+        .collect();
     assert_eq!(materialised, ids);
     assert_eq!(streamed_ids(&snapshot), ids);
     assert_eq!(snapshot.quarantined_segments(), 0);
@@ -340,6 +346,60 @@ fn after_open_rot_fails_strict_readers_and_degrades_the_census_path() {
         Some(1)
     );
     fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// Host-id order is checked on read, never repaired
+// ---------------------------------------------------------------------------
+
+/// A complete store whose segments hold `segments`' host ids, each one
+/// sealed correctly: the writer refuses such ids, so each segment is
+/// rewritten through the segment writer over a store of the same shape.
+fn write_unordered_store(dir: &Path, segments: &[&[usize]]) -> StoredSnapshot {
+    let capacity = segments[0].len();
+    let total: usize = segments.iter().map(|ids| ids.len()).sum();
+    assert!(segments.iter().all(|ids| ids.len() <= capacity));
+    write_store(dir, total, capacity);
+    for (index, ids) in segments.iter().enumerate() {
+        let records: Vec<HostMeasurement> = ids.iter().map(|&id| measurement(id)).collect();
+        qem_store::segment::write_segment(dir, index as u32, &records).unwrap();
+    }
+    StoredSnapshot::open(dir).expect("every seal and the sealed count hold")
+}
+
+/// A store's segments by host id, the segment that breaks the order, and
+/// the ids the tolerant reader still streams.
+type OrderCase = (&'static [&'static [usize]], &'static str, &'static [usize]);
+
+#[test]
+fn ids_out_of_order_fail_strict_readers_and_skip_their_segment() {
+    // One descending and one repeated id: within a segment, and across the
+    // boundary between two.
+    let cases: [OrderCase; 4] = [
+        (&[&[0, 2, 1]], "segment-00000.qseg", &[]),
+        (&[&[0, 1, 1]], "segment-00000.qseg", &[]),
+        (&[&[0, 1, 2], &[1, 3]], "segment-00001.qseg", &[0, 1, 2]),
+        (&[&[0, 1, 2], &[2, 3]], "segment-00001.qseg", &[0, 1, 2]),
+    ];
+    for (segments, culprit, kept) in cases {
+        let dir = temp_dir("order");
+        let snapshot = write_unordered_store(&dir, segments);
+        for result in [
+            snapshot.host_ids().map(drop),
+            snapshot.to_snapshot().map(drop),
+        ] {
+            match result {
+                Err(StoreError::Corrupt(msg)) => assert!(
+                    msg.contains(culprit) && msg.contains("follows"),
+                    "{segments:?}: the error must name the segment: {msg}"
+                ),
+                other => panic!("{segments:?}: expected Corrupt, got {other:?}"),
+            }
+        }
+        assert_eq!(streamed_ids(&snapshot), kept, "{segments:?}");
+        assert_eq!(snapshot.quarantined_segments(), 1, "{segments:?}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 // ---------------------------------------------------------------------------
