@@ -119,12 +119,11 @@ fn panic_fixture_fires_on_every_abort_macro_and_method() {
 
 #[test]
 fn scheduler_files_are_panic_policy_zones() {
-    // The timer wheel and its arena joined the engine's hot path, and the
-    // datagram constructor with its tracebox and workload callers sits on
-    // every packet's; the panic policy must cover them at their exact paths.
+    // The timer wheel joined the engine's hot path, and the datagram
+    // constructor with its tracebox and workload callers sits on every
+    // packet's; the panic policy must cover them at their exact paths.
     for path in [
         "crates/netsim/src/wheel.rs",
-        "crates/netsim/src/arena.rs",
         "crates/packet/src/ip.rs",
         "crates/tracebox/src/tracer.rs",
         "crates/workload/src/apps.rs",

@@ -8,12 +8,11 @@
 //!
 //! * [`Scheduler`] — the event-scheduling boundary: virtual time, FIFO
 //!   tie-breaking (two events scheduled for the same instant fire in the
-//!   order they were scheduled, on every run, on every machine), O(1)
-//!   cancellation by [`EventId`], and same-instant batch draining.  Two
-//!   implementations share the contract: [`EventQueue`], the original
-//!   binary heap, kept as the reference oracle differential tests compare
-//!   against; and [`TimerWheel`], the hierarchical timer wheel production
-//!   engines run on.
+//!   order they were scheduled, on every run, on every machine) and
+//!   same-instant batch draining.  Flows only ever re-arm, so there is no
+//!   cancellation.  [`TimerWheel`], a hierarchical timer wheel, is the one
+//!   implementation; the differential tests put a sorted-`Vec` oracle of
+//!   their own behind the same trait.
 //! * [`SharedQueues`] — real egress queues attached to routers by
 //!   [`RouterId`].  Packets from *all* flows crossing a registered router
 //!   occupy the same queue; [`OccupancyAqm`] marks CE based on the combined
@@ -56,7 +55,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::BorrowMut;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::marker::PhantomData;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
@@ -64,73 +63,26 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 // The scheduler boundary
 // ---------------------------------------------------------------------------
 
-/// Identifier of a scheduled event, unique within one [`Scheduler`].
-///
-/// The encoding is implementation-private: the heap hands out sequence
-/// numbers, the wheel hands out packed arena keys.  Ids are only meaningful
-/// to the scheduler that produced them — hold on to one to cancel the event
-/// later via [`Scheduler::cancel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(pub u64);
-
-/// Running counters of one [`Scheduler`], surfaced through
-/// [`EngineCore::telemetry`] so cancellations are never silently dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SchedulerStats {
-    /// Events accepted by `schedule_at` / `schedule_after`.
-    pub scheduled: u64,
-    /// Successful `cancel` calls.
-    pub cancelled: u64,
-    /// Cancelled (stale) entries encountered and discarded while popping or
-    /// cascading — every successful cancel eventually shows up here too.
-    pub stale: u64,
-}
-
 /// The event-scheduling contract of the engine: virtual time with FIFO
-/// tie-breaking, cancellation by [`EventId`] and same-instant batch
-/// draining.
+/// tie-breaking and same-instant batch draining.
 ///
-/// Both implementations — [`EventQueue`] (binary heap, the reference
-/// oracle) and [`TimerWheel`] (the production
-/// scheduler) — produce bit-identical `(fire time, schedule order)` event
-/// sequences for identical workloads; `tests/scheduler_differential.rs`
-/// and the schedule/cancel proptests pin that equivalence down.
+/// [`TimerWheel`] is the implementation the engine runs on;
+/// `tests/scheduler_differential.rs` holds it to a sorted-`Vec` oracle
+/// event for event, batch for batch.
 pub trait Scheduler<T> {
-    /// The current virtual time: the fire time of the last event handed
-    /// out (cancelled events drained past also advance the clock).
+    /// The current virtual time: the fire time of the last batch handed
+    /// out.
     fn now(&self) -> SimInstant;
 
-    /// Number of pending (scheduled, neither fired nor cancelled) events.
-    fn len(&self) -> usize;
-
-    /// Whether no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Schedule `payload` at `at` (clamped to the present: events cannot
-    /// fire in the past).  The returned id can cancel the event until it
-    /// fires.
-    fn schedule_at(&mut self, at: SimInstant, payload: T) -> EventId;
-
-    /// Schedule `payload` after `delay` from the current instant.
-    fn schedule_after(&mut self, delay: SimDuration, payload: T) -> EventId;
-
-    /// Cancel a pending event.  Returns `false` — and counts nothing — when
-    /// the id already fired, was already cancelled, or never existed.
-    fn cancel(&mut self, id: EventId) -> bool;
-
-    /// Pop the next event, advancing virtual time to its fire time.
-    fn pop(&mut self) -> Option<Event<T>>;
+    /// fire in the past).
+    fn schedule_at(&mut self, at: SimInstant, payload: T);
 
     /// Drain every event firing at the next occupied instant into `out`
-    /// (cleared first), in FIFO order; returns the batch size.  Equivalent
-    /// to repeated [`pop`](Scheduler::pop) while the fire time stays equal —
-    /// the engine uses it to amortise dispatch across same-instant wakes.
+    /// (cleared first), in FIFO order, advancing virtual time to that
+    /// instant; returns the batch size, `0` once nothing is pending.  The
+    /// engine uses it to amortise dispatch across same-instant wakes.
     fn pop_batch(&mut self, out: &mut Vec<Event<T>>) -> usize;
-
-    /// Scheduling/cancellation counters (monotone).
-    fn stats(&self) -> SchedulerStats;
 }
 
 /// A popped event.
@@ -138,168 +90,8 @@ pub trait Scheduler<T> {
 pub struct Event<T> {
     /// When the event fires.
     pub at: SimInstant,
-    /// The event's id (for [`EventQueue`], also its FIFO sequence number).
-    pub id: EventId,
     /// The caller-supplied payload.
     pub payload: T,
-}
-
-#[derive(Debug)]
-struct Scheduled<T> {
-    at: SimInstant,
-    seq: u64,
-    payload: T,
-}
-
-impl<T> PartialEq for Scheduled<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for Scheduled<T> {}
-impl<T> PartialOrd for Scheduled<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Scheduled<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Primary: fire time.  Tie-break: schedule order (FIFO) — the
-        // property the determinism gate leans on.
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// A binary-heap event queue over virtual time with FIFO tie-breaking.
-///
-/// The original engine scheduler, kept as the slow-but-obviously-correct
-/// reference oracle behind the [`Scheduler`] trait: differential tests
-/// drive it and [`TimerWheel`] through identical
-/// workloads and assert identical event sequences.  Cancellation here is
-/// O(n) (a membership scan plus a lazy tombstone) — the wheel is where
-/// cancels are O(1).
-#[derive(Debug)]
-pub struct EventQueue<T> {
-    heap: BinaryHeap<Reverse<Scheduled<T>>>,
-    /// Sequence numbers of cancelled-but-still-heaped events, skipped (and
-    /// counted) lazily on pop.
-    tombstones: BTreeSet<u64>,
-    next_seq: u64,
-    now: SimInstant,
-    stats: SchedulerStats,
-}
-
-impl<T> Default for EventQueue<T> {
-    fn default() -> Self {
-        EventQueue::new()
-    }
-}
-
-impl<T> EventQueue<T> {
-    /// An empty queue starting at the epoch.
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            tombstones: BTreeSet::new(),
-            next_seq: 0,
-            now: SimInstant::EPOCH,
-            stats: SchedulerStats::default(),
-        }
-    }
-}
-
-impl<T> Scheduler<T> for EventQueue<T> {
-    fn now(&self) -> SimInstant {
-        self.now
-    }
-
-    // Cancelled events no longer count, even while their tombstoned heap
-    // entries await lazy removal.
-    fn len(&self) -> usize {
-        self.heap.len() - self.tombstones.len()
-    }
-
-    fn schedule_at(&mut self, at: SimInstant, payload: T) -> EventId {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.stats.scheduled += 1;
-        self.heap.push(Reverse(Scheduled {
-            at: at.max(self.now),
-            seq,
-            payload,
-        }));
-        EventId(seq)
-    }
-
-    fn schedule_after(&mut self, delay: SimDuration, payload: T) -> EventId {
-        let at = self.now + delay;
-        self.schedule_at(at, payload)
-    }
-
-    // O(n): the heap is scanned to prove the id is actually pending (this
-    // is the reference oracle — the wheel does this in O(1)), then a
-    // tombstone defers removal to pop time.
-    fn cancel(&mut self, id: EventId) -> bool {
-        let seq = id.0;
-        if self.tombstones.contains(&seq) {
-            return false;
-        }
-        if !self.heap.iter().any(|Reverse(s)| s.seq == seq) {
-            return false;
-        }
-        self.tombstones.insert(seq);
-        self.stats.cancelled += 1;
-        true
-    }
-
-    // Tombstoned entries drained on the way are counted as stale; like the
-    // wheel, draining past them still advances the clock.
-    fn pop(&mut self) -> Option<Event<T>> {
-        loop {
-            let Reverse(scheduled) = self.heap.pop()?;
-            self.now = self.now.max(scheduled.at);
-            if self.tombstones.remove(&scheduled.seq) {
-                self.stats.stale += 1;
-                continue;
-            }
-            return Some(Event {
-                at: scheduled.at,
-                id: EventId(scheduled.seq),
-                payload: scheduled.payload,
-            });
-        }
-    }
-
-    fn pop_batch(&mut self, out: &mut Vec<Event<T>>) -> usize {
-        out.clear();
-        let Some(first) = self.pop() else {
-            return 0;
-        };
-        let at = first.at;
-        out.push(first);
-        while let Some(Reverse(next)) = self.heap.peek() {
-            if next.at != at {
-                break;
-            }
-            let Some(Reverse(scheduled)) = self.heap.pop() else {
-                break;
-            };
-            if self.tombstones.remove(&scheduled.seq) {
-                self.stats.stale += 1;
-                continue;
-            }
-            out.push(Event {
-                at: scheduled.at,
-                id: EventId(scheduled.seq),
-                payload: scheduled.payload,
-            });
-        }
-        out.len()
-    }
-
-    fn stats(&self) -> SchedulerStats {
-        self.stats
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -522,11 +314,11 @@ impl SharedQueues {
 const CLOCK: usize = 4;
 
 /// An engine's own counts — events, flows, wake-log accounting, the
-/// virtual clock, cancellations — of one run or summed over many, as plain
-/// `Copy` slots: what a measured run returns and a scan worker adds up
-/// without a name in sight.
+/// virtual clock — of one run or summed over many, as plain `Copy` slots:
+/// what a measured run returns and a scan worker adds up without a name in
+/// sight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EngineTally([u64; 7]);
+pub struct EngineTally([u64; 5]);
 
 impl EngineTally {
     /// Fold `other` in: counters add, the virtual clock keeps its peak.
@@ -539,24 +331,14 @@ impl EngineTally {
     }
 
     /// Set every slot in `snap` under its name — the one place an engine
-    /// count gets one.  Cancellations are named only when nonzero, so that
-    /// runs that never cancel — every golden-pinned scenario — keep
-    /// byte-identical documents.
+    /// count gets one.
     pub fn name_into(&self, snap: &mut MetricsSnapshot) {
-        let [events, flows, recorded, dropped, clock, cancelled, stale] = self.0;
+        let [events, flows, recorded, dropped, clock] = self.0;
         snap.set_counter("engine.events_processed", events);
         snap.set_counter("engine.flows", flows);
         snap.set_counter("engine.trace.recorded", recorded);
         snap.set_counter("engine.trace.dropped", dropped);
         snap.set_gauge("engine.virtual_now_us", clock);
-        for (name, value) in [
-            ("engine.sched.cancelled", cancelled),
-            ("engine.sched.stale_pops", stale),
-        ] {
-            if value > 0 {
-                snap.set_counter(name, value);
-            }
-        }
     }
 }
 
@@ -607,19 +389,15 @@ const MAX_EVENTS: usize = 10_000_000;
 pub struct EngineTelemetry {
     /// The engine's [`EngineTally`], named, with [`SharedQueues::telemetry`].
     pub metrics: MetricsSnapshot,
-    /// Retained wake log, oldest first (see [`EngineCore::event_log`]).
+    /// The order in which flows were woken, oldest first — identical across
+    /// runs for identical inputs.  Bounded: only the newest
+    /// [`EngineCore::with_event_log_capacity`] wakes are retained.
     pub trace: Vec<FlowWake>,
 }
 
-/// The production engine: an [`EngineCore`] scheduling through the
-/// hierarchical [`TimerWheel`].  Every observable output — event log,
-/// telemetry, queue stats — is bit-identical to [`HeapEngine`]'s.
+/// The engine: an [`EngineCore`] scheduling through the hierarchical
+/// [`TimerWheel`].
 pub type Engine<'a> = EngineCore<'a, TimerWheel<usize>>;
-
-/// The reference engine: an [`EngineCore`] scheduling through the original
-/// binary-heap [`EventQueue`].  Kept for differential tests and heap-vs-
-/// wheel benchmarks.
-pub type HeapEngine<'a> = EngineCore<'a, EventQueue<usize>>;
 
 /// What an engine allocates and the next run can use again: the scheduler,
 /// the same-instant dispatch batch, the wake log and the flow table — and
@@ -637,8 +415,8 @@ pub struct EngineScratch<S = TimerWheel<usize>> {
     flows: FlowTable,
     /// The body the last run's flow sent its packets in, for the next
     /// run's flow to encode into: a run builder takes it before the run
-    /// and puts it back after.  Its bytes are stale; every sender clears
-    /// the buffer it writes a packet into.
+    /// and puts it back after.  Its bytes are the last run's leftovers;
+    /// every sender clears the buffer it writes a packet into.
     pub body: Vec<u8>,
 }
 
@@ -685,8 +463,8 @@ fn empty<'a, T: ?Sized, U: ?Sized>(flows: Vec<&mut T>) -> Vec<&'a mut U> {
 
 /// The discrete-event scheduler: owns virtual time, the shared queues and
 /// a [`Scheduler`] implementation, and drives registered flows to
-/// completion.  Use the [`Engine`] alias (timer wheel) unless you are
-/// differentially testing against the [`HeapEngine`] oracle.
+/// completion.  Use the [`Engine`] alias (timer wheel); the scheduler is a
+/// parameter so that tests can run the same engine over their oracle.
 ///
 /// `H` is how the engine holds its [`EngineScratch`]: owned (the default,
 /// what [`EngineCore::new`] builds) or `&mut`, borrowed from a caller that
@@ -750,14 +528,6 @@ impl<'a, S: Scheduler<usize>, H: BorrowMut<EngineScratch<S>>> EngineCore<'a, S, 
         &self.shared
     }
 
-    /// The order in which flows were woken — identical across runs for
-    /// identical inputs (and across scheduler implementations, which the
-    /// differential tests assert).  Bounded: only the newest
-    /// [`EngineCore::with_event_log_capacity`] wakes are retained.
-    pub fn event_log(&self) -> Vec<FlowWake> {
-        self.scratch.borrow().log.to_vec()
-    }
-
     /// Total number of events processed so far (unbounded, unlike the log).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
@@ -766,15 +536,12 @@ impl<'a, S: Scheduler<usize>, H: BorrowMut<EngineScratch<S>>> EngineCore<'a, S, 
     /// The engine's counts so far.
     pub fn tally(&self) -> EngineTally {
         let EngineScratch { queue, log, .. } = self.scratch.borrow();
-        let sched = queue.stats();
         EngineTally([
             self.events_processed,
             self.flows.len() as u64,
             log.recorded(),
             log.dropped(),
             queue.now().as_micros(),
-            sched.cancelled,
-            sched.stale,
         ])
     }
 
@@ -790,30 +557,6 @@ impl<'a, S: Scheduler<usize>, H: BorrowMut<EngineScratch<S>>> EngineCore<'a, S, 
             metrics,
             trace: self.scratch.borrow().log.to_vec(),
         }
-    }
-
-    /// The scheduler's own counters (also folded into
-    /// [`EngineCore::telemetry`] when nonzero).
-    pub fn scheduler_stats(&self) -> SchedulerStats {
-        self.scratch.borrow().queue.stats()
-    }
-
-    /// Schedule an extra wake for the flow at `index` (as returned by
-    /// [`EngineCore::add_flow`]) at `at`.  Unlike the automatic reschedule
-    /// of [`FlowStatus::Sleep`], the returned id makes this wake
-    /// cancellable via [`EngineCore::cancel_wake`] — O(1) on the default
-    /// wheel scheduler.
-    pub fn schedule_wake_at(&mut self, at: SimInstant, index: usize) -> EventId {
-        self.scratch.borrow_mut().queue.schedule_at(at, index)
-    }
-
-    /// Cancel a wake scheduled with [`EngineCore::schedule_wake_at`].
-    /// Returns `false` when it already fired or was already cancelled;
-    /// successful cancels surface in telemetry as `engine.sched.cancelled`
-    /// (and, once the dead entry drains, `engine.sched.stale_pops`) —
-    /// never silently dropped.
-    pub fn cancel_wake(&mut self, id: EventId) -> bool {
-        self.scratch.borrow_mut().queue.cancel(id)
     }
 
     /// Run until every flow is done (or the event cap is hit).
@@ -1166,27 +909,6 @@ mod tests {
     }
 
     #[test]
-    fn event_queue_orders_by_time_then_fifo() {
-        let mut queue = EventQueue::new();
-        let t1 = SimInstant::EPOCH + SimDuration::from_millis(1);
-        queue.schedule_at(t1, "b");
-        queue.schedule_at(SimInstant::EPOCH, "a");
-        queue.schedule_at(t1, "c");
-        let order: Vec<&str> = std::iter::from_fn(|| queue.pop().map(|e| e.payload)).collect();
-        assert_eq!(order, ["a", "b", "c"], "same-instant events must be FIFO");
-    }
-
-    #[test]
-    fn event_queue_clamps_past_events_to_now() {
-        let mut queue = EventQueue::new();
-        queue.schedule_at(SimInstant::EPOCH + SimDuration::from_millis(5), ());
-        queue.pop().unwrap();
-        queue.schedule_at(SimInstant::EPOCH, ());
-        let event = queue.pop().unwrap();
-        assert_eq!(event.at, SimInstant::EPOCH + SimDuration::from_millis(5));
-    }
-
-    #[test]
     fn unregistered_router_forwards_without_randomness() {
         let mut queues = SharedQueues::new();
         let mut rng = StdRng::seed_from_u64(1);
@@ -1375,7 +1097,7 @@ mod tests {
                 engine.add_flow(flow);
             }
             engine.run();
-            engine.event_log().to_vec()
+            engine.telemetry().trace
         };
         let first = run();
         let second = run();
@@ -1398,13 +1120,14 @@ mod tests {
                 engine.add_flow(flow);
             }
             engine.run();
-            (engine.event_log(), engine.telemetry())
+            engine.telemetry()
         };
-        let (full, full_telemetry) = run(None);
-        let (bounded, bounded_telemetry) = run(Some(16));
+        let full_telemetry = run(None);
+        let bounded_telemetry = run(Some(16));
+        let (full, bounded) = (&full_telemetry.trace, &bounded_telemetry.trace);
         assert_eq!(bounded.len(), 16);
         assert_eq!(
-            bounded,
+            bounded[..],
             full[full.len() - 16..],
             "the ring must retain exactly the newest wakes"
         );

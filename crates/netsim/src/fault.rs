@@ -7,8 +7,8 @@
 //! per-flow seeded RNG that drives the transit itself, and square-wave
 //! faults (blackhole, flap, burst loss) are pure functions of the virtual
 //! clock, so a faulted run is exactly as reproducible as a clean one:
-//! bit-identical across worker counts and across the TimerWheel / binary
-//! heap schedulers.
+//! bit-identical across worker counts, and between the timer wheel and the
+//! oracle scheduler of the differential tests.
 //!
 //! Paths without a plan take a zero-cost early exit that consumes **no**
 //! RNG draws, which is what keeps every committed golden report

@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub mod aqm;
-pub mod arena;
 pub mod engine;
 pub mod fault;
 pub mod path;
@@ -39,11 +38,10 @@ pub mod topology;
 pub mod wheel;
 
 pub use aqm::OccupancyAqm;
-pub use arena::{ArenaKey, EventArena};
 pub use engine::{
-    CrossTraffic, Engine, EngineCore, EngineScratch, EngineTally, EngineTelemetry, EventId,
-    EventQueue, Flow, FlowStatus, FlowWake, HeapEngine, LoadFlow, QueueConfig, QueueStats,
-    Scheduler, SchedulerStats, SharedQueues, DEFAULT_EVENT_LOG_CAPACITY,
+    CrossTraffic, Engine, EngineCore, EngineScratch, EngineTally, EngineTelemetry, Flow,
+    FlowStatus, FlowWake, LoadFlow, QueueConfig, QueueStats, Scheduler, SharedQueues,
+    DEFAULT_EVENT_LOG_CAPACITY,
 };
 pub use fault::{FaultDrop, FaultKind, FaultPlan, FaultStats, FaultVerdict, FaultWindow};
 pub use path::{DuplexPath, Hop, Path, TransitOutcome};

@@ -1,24 +1,18 @@
-//! A hierarchical slotted timer wheel: the engine's production scheduler.
+//! A hierarchical slotted timer wheel: the engine's scheduler.
 //!
 //! Nearly every event the engine schedules is a near-future timer — pacing
 //! ticks, RTOs, queue drains — which is the workload hierarchical wheels
 //! were designed for (Varghese & Lauck's hashed hierarchical wheels; the
-//! same structure production QUIC pacers use).  Compared to the reference
-//! [`EventQueue`](crate::engine::EventQueue) binary heap:
+//! same structure production QUIC pacers use).  Compared to a binary heap:
 //!
 //! * **O(1) insert** — a level is picked from the xor of the fire tick and
-//!   the current tick, a pooled node is linked onto that slot's list, one
-//!   bitmap OR.  No sift-up, no comparisons.
-//! * **O(1) cancel** — payloads live in a generational [`EventArena`];
-//!   cancelling frees the arena slot and bumps its generation, instantly
-//!   invalidating the wheel's entry without searching for it.  The stale
-//!   entry is discarded — and **counted**, never silently dropped — when
-//!   its slot drains.
+//!   the current tick, a pooled node carrying the payload is linked onto
+//!   that slot's list, one bitmap OR.  No sift-up, no comparisons.
 //! * **Amortised O(1) pop with native batching** — advancing means scanning
 //!   occupancy bitmaps (`trailing_zeros` on a `u64`), and a bottom-level
 //!   slot covers exactly one tick, so draining it yields the whole
 //!   same-instant batch at once, sorted by sequence number to keep the
-//!   FIFO tie-break bit-identical to the heap's.
+//!   FIFO tie-break.
 //!
 //! ## Geometry and storage
 //!
@@ -42,35 +36,31 @@
 //! thousands of slots this matters twice over — constructing a wheel is a
 //! small memset rather than thousands of `Vec` headers, and steady-state
 //! scheduling never allocates, where per-slot vectors would malloc on
-//! every first touch of a slot.
+//! every first touch of a slot.  Payloads are `Copy` and live in the
+//! nodes themselves.
 //!
 //! ## Reuse
 //!
 //! Constructing a wheel costs one 18.7 KB slot table — nothing next to a
 //! many-flow run, most of what a one-flow census probe used to allocate.
 //! [`TimerWheel::reset`] therefore makes a used wheel *observably* a new
-//! one (clock, sequence numbers, counters and [`EventId`]s start over)
-//! while keeping the slot table, node pool and arena, and the engine's
+//! one (clock and sequence numbers start over) while keeping the slot
+//! table and node pool, and the engine's
 //! [`EngineScratch`](crate::engine::EngineScratch) carries one wheel from
 //! probe to probe.  `tests/scheduler_differential.rs` holds a reset wheel to
 //! exactly what it holds a new one to.
 //!
 //! ## Determinism
 //!
-//! The wheel preserves the heap's observable contract exactly — same
-//! `(fire time, schedule order)` event sequence, same batch boundaries,
-//! same cancellation outcomes and counts — which
-//! `tests/scheduler_differential.rs` asserts by driving both
-//! implementations through identical workloads, including proptest-random
-//! schedule/cancel/pop interleavings.  At every fired event both clocks
-//! equal the fire time; when a drain empties the wheel, the clock lands on
-//! the latest discarded-entry tick (`stale_horizon_us`), matching where
-//! the heap's lazy tombstone drain leaves its clock.
+//! The wheel's observable contract is the `(fire time, schedule order)`
+//! event sequence, its batch boundaries and the clock, which equals the
+//! fire time of the last batch handed out.
+//! `tests/scheduler_differential.rs` asserts it by driving the wheel and a
+//! sorted-`Vec` oracle, kept under `tests/support/`, through identical
+//! workloads, including proptest-random schedule/pop interleavings.
 
-use crate::arena::{ArenaKey, EventArena};
-use crate::engine::{Event, EventId, Scheduler, SchedulerStats};
-use crate::time::{SimDuration, SimInstant};
-use std::collections::VecDeque;
+use crate::engine::{Event, Scheduler};
+use crate::time::SimInstant;
 
 /// Bits of the tick consumed by the bottom level: 4096 one-tick slots.
 const BOTTOM_BITS: u32 = 12;
@@ -88,20 +78,20 @@ const TOTAL_SLOTS: usize = BOTTOM_SLOTS + UPPER_LEVELS * UPPER_SLOTS;
 /// Empty-list sentinel for slot heads and node links.
 const NIL: u32 = u32::MAX;
 
-/// One slot entry: fire tick, FIFO sequence number and the arena key of the
-/// payload.  Small and `Copy` so cascades move plain words around.
+/// One slot entry: fire tick, FIFO sequence number and the payload.  Small
+/// and `Copy` so cascades move plain words around.
 #[derive(Debug, Clone, Copy)]
-struct WheelEntry {
+struct WheelEntry<T> {
     at_us: u64,
     seq: u64,
-    key: ArenaKey,
+    payload: T,
 }
 
 /// A pooled list node: the entry plus the next index in its slot's chain
 /// (or in the pool's free list once drained).
 #[derive(Debug, Clone, Copy)]
-struct Node {
-    entry: WheelEntry,
+struct Node<T> {
+    entry: WheelEntry<T>,
     next: u32,
 }
 
@@ -113,7 +103,7 @@ enum SlotRef {
 }
 
 /// The hierarchical timer wheel.  Implements [`Scheduler`]; the engine's
-/// default backing (see [`crate::engine::Engine`]).
+/// backing (see [`crate::engine::Engine`]).
 #[derive(Debug)]
 pub struct TimerWheel<T> {
     /// Head node index per slot, bottom level first then the upper levels
@@ -127,35 +117,24 @@ pub struct TimerWheel<T> {
     /// One occupancy bit per upper slot, per level.
     upper_occupied: [u64; UPPER_LEVELS],
     /// The shared node pool all slot lists thread through.
-    pool: Vec<Node>,
+    pool: Vec<Node<T>>,
     /// Head of the pool's free list (`NIL` when exhausted).
     pool_free: u32,
-    arena: EventArena<T>,
     /// The wheel clock in ticks (µs).  Monotone; never passes an occupied
     /// slot without draining it.
     now_us: u64,
     next_seq: u64,
-    /// Latest fire tick among discarded (cancelled) entries.  When a drain
-    /// empties the wheel, the clock lands here — the same instant the heap
-    /// oracle's lazy tombstone drain leaves *its* clock on, keeping
-    /// `engine.virtual_now_us` bit-identical across schedulers.
-    stale_horizon_us: u64,
-    stats: SchedulerStats,
-    /// Drained bottom-level events not yet handed to the caller — always a
-    /// (suffix of a) single same-tick batch in FIFO order.
-    ready: VecDeque<Event<T>>,
-    /// Cascade scratch buffer, reused so steady-state advancing allocates
-    /// nothing.
-    scratch: Vec<WheelEntry>,
+    /// Drain buffer, reused so steady-state advancing allocates nothing.
+    scratch: Vec<WheelEntry<T>>,
 }
 
-impl<T> Default for TimerWheel<T> {
+impl<T: Copy> Default for TimerWheel<T> {
     fn default() -> Self {
         TimerWheel::new()
     }
 }
 
-impl<T> TimerWheel<T> {
+impl<T: Copy> TimerWheel<T> {
     /// An empty wheel starting at the epoch.
     pub fn new() -> Self {
         TimerWheel {
@@ -165,22 +144,18 @@ impl<T> TimerWheel<T> {
             upper_occupied: [0; UPPER_LEVELS],
             pool: Vec::new(),
             pool_free: NIL,
-            arena: EventArena::new(),
             now_us: 0,
             next_seq: 0,
-            stale_horizon_us: 0,
-            stats: SchedulerStats::default(),
-            ready: VecDeque::new(),
             scratch: Vec::new(),
         }
     }
 
     /// Make the wheel observably a [`TimerWheel::new`] one — clock at the
-    /// epoch, sequence numbers, stats and [`EventId`]s starting over —
-    /// while keeping every allocation.  Pending, cancelled and undrained
-    /// entries are dropped.  `heads` is refilled only if the occupancy
-    /// bitmaps say a slot is non-empty: a wheel that ran dry, the common
-    /// case between two probes, resets without touching its 18.7 KB.
+    /// epoch, sequence numbers starting over — while keeping every
+    /// allocation.  Pending entries are dropped.  `heads` is refilled only
+    /// if the occupancy bitmaps say a slot is non-empty: a wheel that ran
+    /// dry, the common case between two probes, resets without touching
+    /// its 18.7 KB.
     pub fn reset(&mut self) {
         if self.bottom_summary != 0 || self.upper_occupied != [0; UPPER_LEVELS] {
             self.heads.fill(NIL);
@@ -190,12 +165,8 @@ impl<T> TimerWheel<T> {
         }
         self.pool.clear();
         self.pool_free = NIL;
-        self.arena.clear();
         self.now_us = 0;
         self.next_seq = 0;
-        self.stale_horizon_us = 0;
-        self.stats = SchedulerStats::default();
-        self.ready.clear();
     }
 
     fn upper_slot_of(at_us: u64, level: usize) -> usize {
@@ -205,7 +176,7 @@ impl<T> TimerWheel<T> {
 
     /// Link `entry` onto `slot`'s chain, reusing a freed pool node when one
     /// is available.
-    fn link(&mut self, slot: usize, entry: WheelEntry) {
+    fn link(&mut self, slot: usize, entry: WheelEntry<T>) {
         let head = self.heads[slot];
         let index = if self.pool_free != NIL {
             let index = self.pool_free;
@@ -244,7 +215,7 @@ impl<T> TimerWheel<T> {
     /// differing between `at_us` and the current tick: within the current
     /// 4096-tick window that is the bottom ring (the entry's exact firing
     /// slot); otherwise an upper level, strictly ahead of the clock.
-    fn push_entry(&mut self, entry: WheelEntry) {
+    fn push_entry(&mut self, entry: WheelEntry<T>) {
         let xor = entry.at_us ^ self.now_us;
         if xor < BOTTOM_SLOTS as u64 {
             let slot = (entry.at_us & (BOTTOM_SLOTS as u64 - 1)) as usize;
@@ -294,24 +265,32 @@ impl<T> TimerWheel<T> {
         }
         None
     }
+}
 
-    /// Refill `ready` with the next same-tick batch: cascade upper-level
-    /// slots downwards until a bottom slot yields live events (discarding
-    /// and counting stale entries along the way).
-    fn refill_ready(&mut self) {
-        while self.ready.is_empty() {
-            let Some(found) = self.next_occupied() else {
-                // The wheel is empty (no occupied slot anywhere): if the
-                // way here drained cancelled entries, finish on the latest
-                // of their fire ticks.  Safe — there is no occupied slot
-                // the jump could pass.
-                self.now_us = self.now_us.max(self.stale_horizon_us);
-                return;
-            };
+impl<T: Copy> Scheduler<T> for TimerWheel<T> {
+    fn now(&self) -> SimInstant {
+        SimInstant::from_micros(self.now_us)
+    }
+
+    fn schedule_at(&mut self, at: SimInstant, payload: T) {
+        let at_us = at.as_micros().max(self.now_us);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.push_entry(WheelEntry {
+            at_us,
+            seq,
+            payload,
+        });
+    }
+
+    /// Cascade upper-level slots downwards until a bottom slot is next,
+    /// then drain that slot — every event it holds fires at its one tick —
+    /// into `out` in schedule order.
+    fn pop_batch(&mut self, out: &mut Vec<Event<T>>) -> usize {
+        out.clear();
+        while let Some(found) = self.next_occupied() {
             match found {
                 SlotRef::Bottom(slot) => {
-                    // A bottom slot covers exactly one tick, so its entries
-                    // all fire now; order within the tick is schedule order.
                     self.now_us = (self.now_us & !(BOTTOM_SLOTS as u64 - 1)) | slot as u64;
                     let word = slot >> 6;
                     self.bottom_words[word] &= !(1u64 << (slot & 63));
@@ -319,22 +298,11 @@ impl<T> TimerWheel<T> {
                         self.bottom_summary &= !(1u64 << word);
                     }
                     self.drain_slot_to_scratch(slot);
-                    for i in 0..self.scratch.len() {
-                        let entry = self.scratch[i];
-                        match self.arena.remove(entry.key) {
-                            Some(payload) => self.ready.push_back(Event {
-                                at: SimInstant::from_micros(entry.at_us),
-                                id: EventId(entry.key.encode()),
-                                payload,
-                            }),
-                            // Cancelled after scheduling: count the stale
-                            // entry, never silently drop it.
-                            None => {
-                                self.stats.stale += 1;
-                                self.stale_horizon_us = self.stale_horizon_us.max(entry.at_us);
-                            }
-                        }
-                    }
+                    out.extend(self.scratch.iter().map(|entry| Event {
+                        at: SimInstant::from_micros(entry.at_us),
+                        payload: entry.payload,
+                    }));
+                    break;
                 }
                 SlotRef::Upper(level, slot) => {
                     // Advance the clock to the slot's base tick *first*;
@@ -352,67 +320,12 @@ impl<T> TimerWheel<T> {
                     self.upper_occupied[level] &= !(1u64 << slot);
                     self.drain_slot_to_scratch(BOTTOM_SLOTS + level * UPPER_SLOTS + slot);
                     for i in 0..self.scratch.len() {
-                        let entry = self.scratch[i];
-                        if self.arena.contains(entry.key) {
-                            self.push_entry(entry);
-                        } else {
-                            self.stats.stale += 1;
-                            self.stale_horizon_us = self.stale_horizon_us.max(entry.at_us);
-                        }
+                        self.push_entry(self.scratch[i]);
                     }
                 }
             }
         }
-    }
-}
-
-impl<T> Scheduler<T> for TimerWheel<T> {
-    fn now(&self) -> SimInstant {
-        SimInstant::from_micros(self.now_us)
-    }
-
-    fn len(&self) -> usize {
-        self.arena.len() + self.ready.len()
-    }
-
-    fn schedule_at(&mut self, at: SimInstant, payload: T) -> EventId {
-        let at_us = at.as_micros().max(self.now_us);
-        let key = self.arena.insert(payload);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.push_entry(WheelEntry { at_us, seq, key });
-        self.stats.scheduled += 1;
-        EventId(key.encode())
-    }
-
-    fn schedule_after(&mut self, delay: SimDuration, payload: T) -> EventId {
-        let at = SimInstant::from_micros(self.now_us) + delay;
-        self.schedule_at(at, payload)
-    }
-
-    fn cancel(&mut self, id: EventId) -> bool {
-        if self.arena.remove(ArenaKey::decode(id.0)).is_some() {
-            self.stats.cancelled += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn pop(&mut self) -> Option<Event<T>> {
-        self.refill_ready();
-        self.ready.pop_front()
-    }
-
-    fn pop_batch(&mut self, out: &mut Vec<Event<T>>) -> usize {
-        out.clear();
-        self.refill_ready();
-        out.extend(self.ready.drain(..));
         out.len()
-    }
-
-    fn stats(&self) -> SchedulerStats {
-        self.stats
     }
 }
 
@@ -424,24 +337,35 @@ mod tests {
         SimInstant::from_micros(us)
     }
 
+    /// Every event still pending, batch by batch, in firing order.
+    fn drain<T: Copy>(wheel: &mut TimerWheel<T>) -> Vec<Event<T>> {
+        let mut fired = Vec::new();
+        let mut batch = Vec::new();
+        while wheel.pop_batch(&mut batch) > 0 {
+            fired.extend_from_slice(&batch);
+        }
+        fired
+    }
+
     #[test]
     fn orders_by_time_then_fifo() {
         let mut wheel = TimerWheel::new();
         wheel.schedule_at(at(1000), "b");
         wheel.schedule_at(at(0), "a");
         wheel.schedule_at(at(1000), "c");
-        let order: Vec<&str> = std::iter::from_fn(|| wheel.pop().map(|e| e.payload)).collect();
+        let order: Vec<&str> = drain(&mut wheel).iter().map(|e| e.payload).collect();
         assert_eq!(order, ["a", "b", "c"], "same-instant events must be FIFO");
     }
 
     #[test]
     fn clamps_past_events_to_now() {
         let mut wheel = TimerWheel::new();
+        let mut batch = Vec::new();
         wheel.schedule_at(at(5000), ());
-        assert!(wheel.pop().is_some());
+        assert_eq!(wheel.pop_batch(&mut batch), 1);
         wheel.schedule_at(at(0), ());
-        let event = wheel.pop().expect("clamped event");
-        assert_eq!(event.at, at(5000));
+        assert_eq!(wheel.pop_batch(&mut batch), 1, "clamped event");
+        assert_eq!(batch[0].at, at(5000));
     }
 
     #[test]
@@ -459,22 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_is_effective_and_counted() {
-        let mut wheel = TimerWheel::new();
-        let a = wheel.schedule_at(at(100), "a");
-        wheel.schedule_at(at(100), "b");
-        assert!(wheel.cancel(a));
-        assert!(!wheel.cancel(a), "double cancel must be a no-op");
-        let event = wheel.pop().expect("surviving event");
-        assert_eq!(event.payload, "b");
-        assert!(wheel.pop().is_none());
-        let stats = wheel.stats();
-        assert_eq!(stats.cancelled, 1);
-        assert_eq!(stats.stale, 1, "the dead slot entry must be counted");
-        assert_eq!(stats.scheduled, 2);
-    }
-
-    #[test]
     fn far_future_timers_cascade_down_between_levels() {
         let mut wheel = TimerWheel::new();
         // One event per level boundary: 64^k µs apart, far past any single
@@ -484,7 +392,7 @@ mod tests {
             wheel.schedule_at(at(t), t);
         }
         let mut popped = Vec::new();
-        while let Some(event) = wheel.pop() {
+        for event in drain(&mut wheel) {
             assert_eq!(
                 event.at,
                 at(event.payload),
@@ -507,7 +415,7 @@ mod tests {
             wheel.schedule_at(at(t), t);
         }
         let mut popped = Vec::new();
-        while let Some(event) = wheel.pop() {
+        for event in drain(&mut wheel) {
             assert_eq!(event.at, at(event.payload));
             popped.push(event.payload);
         }

@@ -1,22 +1,25 @@
 //! Fault plans must not cost determinism: a faulted engine run — loss,
 //! burst loss, blackholes, flaps, corruption, jitter, reordering,
 //! duplication, in any window layout — produces a byte-identical event log
-//! and telemetry document on the binary-heap oracle and the production
-//! timer wheel, run after run, including when wakes are cancelled inside a
-//! blackhole window.
+//! and telemetry document on the sorted-`Vec` oracle
+//! (`tests/support/oracle.rs`) and the production timer wheel, run after
+//! run.
 //!
 //! Plans are grown from a proptest-sampled seed via a seeded RNG (the
 //! vendored proptest stand-in samples primitives), so one failing case
 //! prints one reproducible `(seed, plan_seed)` pair.
 
+mod support;
+
 use proptest::prelude::*;
-use qem_netsim::engine::{CrossTraffic, EngineCore, EventQueue, Scheduler};
+use qem_netsim::engine::{CrossTraffic, EngineCore, Scheduler};
 use qem_netsim::{
-    build_transit_path, Asn, EngineTelemetry, FaultKind, FaultPlan, FlowWake, SimDuration,
-    SimInstant, TimerWheel, TransitProfile,
+    build_transit_path, Asn, EngineTelemetry, FaultKind, FaultPlan, SimDuration, SimInstant,
+    TimerWheel, TransitProfile,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use support::oracle::Oracle;
 
 fn arb_kind(rng: &mut StdRng) -> FaultKind {
     match rng.gen_range(0u32..8) {
@@ -71,11 +74,9 @@ fn arb_plan(plan_seed: u64) -> FaultPlan {
 }
 
 /// The congested shared-bottleneck scenario with `plan` attached to the
-/// forward path, on scheduler `S`.
-fn run_faulted<S: Scheduler<usize> + Default>(
-    seed: u64,
-    plan: &FaultPlan,
-) -> (Vec<FlowWake>, EngineTelemetry) {
+/// forward path, on scheduler `S`: the telemetry document and its wake
+/// trace.
+fn run_faulted<S: Scheduler<usize> + Default>(seed: u64, plan: &FaultPlan) -> EngineTelemetry {
     let forward = build_transit_path(Asn::DFN, Asn(13335), TransitProfile::Clean, false)
         .with_fault(plan.clone());
     let (queues, mut loads) = CrossTraffic::congested()
@@ -86,74 +87,44 @@ fn run_faulted<S: Scheduler<usize> + Default>(
         engine.add_flow(load);
     }
     engine.run();
-    (engine.event_log(), engine.telemetry())
+    engine.telemetry()
 }
 
 proptest! {
     /// Same seed, same plan ⇒ byte-identical event logs and telemetry on
-    /// the heap oracle and the timer wheel, and across repeated runs.
+    /// the oracle and the timer wheel, and across repeated runs.
     #[test]
     fn faulted_runs_are_scheduler_and_rerun_deterministic(
         seed in any::<u64>(),
         plan_seed in any::<u64>(),
     ) {
         let plan = arb_plan(plan_seed);
-        let (heap_log, heap_tel) = run_faulted::<EventQueue<usize>>(seed, &plan);
-        let (wheel_log, wheel_tel) = run_faulted::<TimerWheel<usize>>(seed, &plan);
-        prop_assert_eq!(&heap_log, &wheel_log);
-        prop_assert_eq!(&heap_tel, &wheel_tel);
-        let (again_log, again_tel) = run_faulted::<TimerWheel<usize>>(seed, &plan);
-        prop_assert_eq!(&wheel_log, &again_log);
-        prop_assert_eq!(&wheel_tel, &again_tel);
+        let oracle = run_faulted::<Oracle<usize>>(seed, &plan);
+        let wheel = run_faulted::<TimerWheel<usize>>(seed, &plan);
+        prop_assert_eq!(&oracle.trace, &wheel.trace);
+        prop_assert_eq!(&oracle, &wheel);
+        let again = run_faulted::<TimerWheel<usize>>(seed, &plan);
+        prop_assert_eq!(&wheel.trace, &again.trace);
+        prop_assert_eq!(&wheel, &again);
     }
 }
 
-/// Cancellation inside a blackhole window: the cancelled wake never fires,
-/// the blackhole still swallows packets, and both schedulers agree on the
-/// whole observable outcome.
+/// A one-second blackhole window over the congested scenario: the
+/// blackhole swallows packets and both schedulers agree on the whole
+/// observable outcome.
 #[test]
-fn cancellation_during_a_blackhole_window_stays_deterministic() {
+fn a_blackhole_window_stays_scheduler_deterministic() {
     let plan = FaultPlan::new().window(
         SimInstant::EPOCH,
         SimInstant::EPOCH + SimDuration::from_secs(1),
         FaultKind::Blackhole,
     );
-
-    fn run<S: Scheduler<usize> + Default>(plan: &FaultPlan) -> (Vec<FlowWake>, EngineTelemetry) {
-        let forward = build_transit_path(Asn::DFN, Asn(13335), TransitProfile::Clean, false)
-            .with_fault(plan.clone());
-        let (queues, mut loads) = CrossTraffic::congested()
-            .instantiate(&forward, 1299)
-            .expect("transit path has a bottleneck hop");
-        let mut engine: EngineCore<'_, S> = EngineCore::new(queues);
-        let mut first_index = None;
-        for load in loads.iter_mut() {
-            let index = engine.add_flow(load);
-            first_index.get_or_insert(index);
-        }
-        // An extra wake in the middle of the blackhole, cancelled before
-        // it can fire: the cancellation accounting must not disturb the
-        // faulted run's determinism.
-        let id = engine.schedule_wake_at(
-            SimInstant::EPOCH + SimDuration::from_millis(500),
-            first_index.expect("at least one load flow"),
-        );
-        assert!(engine.cancel_wake(id));
-        engine.run();
-        (engine.event_log(), engine.telemetry())
-    }
-
-    let (heap_log, heap_tel) = run::<EventQueue<usize>>(&plan);
-    let (wheel_log, wheel_tel) = run::<TimerWheel<usize>>(&plan);
-    assert_eq!(heap_log, wheel_log);
-    assert_eq!(heap_tel, wheel_tel);
+    let oracle = run_faulted::<Oracle<usize>>(1299, &plan);
+    let wheel = run_faulted::<TimerWheel<usize>>(1299, &plan);
+    assert_eq!(oracle.trace, wheel.trace);
+    assert_eq!(oracle, wheel);
     assert!(
-        heap_tel
-            .metrics
-            .counter("fault.drops.blackhole")
-            .unwrap_or(0)
-            > 0,
+        oracle.metrics.counter("fault.drops.blackhole").unwrap_or(0) > 0,
         "the blackhole window must actually swallow packets"
     );
-    assert_eq!(heap_tel.metrics.counter("engine.sched.cancelled"), Some(1));
 }

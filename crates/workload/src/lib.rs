@@ -17,8 +17,10 @@
 //! [`qem_netsim::EngineCore`] and returns a deterministic
 //! [`WorkloadReport`].  [`Scenario::run_all`] produces the cross-variant
 //! [`WorkloadComparison`] the `netbench` example renders — byte-identical
-//! across worker counts and scheduler implementations, pinned by a golden
-//! snapshot.
+//! across worker counts, pinned by a golden snapshot.
+//! [`Scenario::run_with`] runs the same scenario over any
+//! [`Scheduler`](qem_netsim::Scheduler), which is how the determinism tests
+//! hold the timer wheel to an oracle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

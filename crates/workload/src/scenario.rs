@@ -7,14 +7,15 @@
 //! on the engine *is* spec order (connections within an app in connection
 //! order), which — together with the engine's FIFO tie-breaking — makes a
 //! scenario run a pure function of `(scenario, variant)`.  The same scenario
-//! runs unmodified on the production [`TimerWheel`] and the [`EventQueue`]
-//! oracle, which the determinism tests exploit.
+//! runs unmodified on any [`Scheduler`] ([`Scenario::run_with`]): the
+//! production [`TimerWheel`], or the oracle the determinism tests hold the
+//! wheel to.
 
 use crate::apps::{jitter_us, BulkAppFlow, RtcAppFlow};
 use crate::report::{BulkOutcome, LoadOutcome, RtcOutcome, WorkloadComparison, WorkloadReport};
 use qem_netsim::{
-    Asn, DuplexPath, EcnPolicy, EngineCore, EventQueue, FaultKind, FaultPlan, Hop, LoadFlow, Path,
-    QueueConfig, Router, RouterId, Scheduler, SharedQueues, SimDuration, SimInstant, TimerWheel,
+    Asn, DuplexPath, EcnPolicy, EngineCore, FaultKind, FaultPlan, Hop, LoadFlow, Path, QueueConfig,
+    Router, RouterId, Scheduler, SharedQueues, SimDuration, SimInstant, TimerWheel,
 };
 use qem_obs::HistogramSnapshot;
 use qem_packet::ecn::EcnCodepoint;
@@ -274,13 +275,7 @@ impl Scenario {
 
     /// Run the scenario under `variant` on the production timer wheel.
     pub fn run(&self, variant: EcnVariant) -> WorkloadReport {
-        self.run_core::<TimerWheel<usize>>(variant)
-    }
-
-    /// Run the scenario under `variant` on the binary-heap oracle scheduler.
-    /// Bit-identical to [`Scenario::run`] — the determinism tests prove it.
-    pub fn run_heap(&self, variant: EcnVariant) -> WorkloadReport {
-        self.run_core::<EventQueue<usize>>(variant)
+        self.run_with::<TimerWheel<usize>>(variant)
     }
 
     /// Run the scenario under every variant and bundle the comparison.
@@ -292,7 +287,11 @@ impl Scenario {
         }
     }
 
-    fn run_core<S: Scheduler<usize> + Default>(&self, variant: EcnVariant) -> WorkloadReport {
+    /// Run the scenario under `variant` on scheduler `S`.  Any scheduler
+    /// that keeps the [`Scheduler`] contract yields the report
+    /// [`Scenario::run`] does; the determinism tests check that with an
+    /// oracle of their own.
+    pub fn run_with<S: Scheduler<usize> + Default>(&self, variant: EcnVariant) -> WorkloadReport {
         let forward = self.forward_path(variant);
         let duplex = DuplexPath::symmetric_clean_reverse(forward.clone());
         let codepoint = variant.codepoint();
@@ -557,22 +556,7 @@ mod tests {
     }
 
     #[test]
-    fn wheel_and_heap_schedulers_agree_exactly() {
-        let scenario = tiny();
-        for variant in EcnVariant::ALL {
-            let wheel = scenario.run(variant);
-            let heap = scenario.run_heap(variant);
-            assert_eq!(
-                wheel,
-                heap,
-                "{} diverged across schedulers",
-                variant.label()
-            );
-        }
-    }
-
-    #[test]
-    fn fault_scenarios_impair_the_run_and_stay_scheduler_deterministic() {
+    fn fault_scenarios_impair_the_run() {
         let mut lossy = tiny();
         lossy.fault = Scenario::lossy_bottleneck(7).fault;
         let mut flappy = tiny();
@@ -588,7 +572,6 @@ mod tests {
             "steady loss must cost packets"
         );
         assert!(lossy_report.metrics.counter("fault.jittered").unwrap_or(0) > 0);
-        assert_eq!(lossy_report, lossy.run_heap(EcnVariant::EcnOn));
 
         let flappy_report = flappy.run(EcnVariant::EcnOn);
         assert!(
@@ -599,7 +582,6 @@ mod tests {
                 > 0,
             "the down slices must swallow packets"
         );
-        assert_eq!(flappy_report, flappy.run_heap(EcnVariant::EcnOn));
 
         // The fault-free scenario emits no fault keys at all — that silence
         // is what keeps the committed goldens byte-identical.
