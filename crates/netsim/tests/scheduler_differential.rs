@@ -42,7 +42,7 @@ fn run_congested<S: Scheduler<usize> + Default>(seed: u64) -> EngineTelemetry {
 /// A multi-flow engine run produces a bit-identical event log — and
 /// therefore bit-identical telemetry — on the oracle and the timer wheel.
 #[test]
-fn wheel_and_heap_agree_on_multi_flow_event_order() {
+fn wheel_and_oracle_agree_on_multi_flow_event_order() {
     for seed in [1u64, 7, 42, 1299] {
         let oracle = run_congested::<Oracle<usize>>(seed);
         let wheel = run_congested::<TimerWheel<usize>>(seed);

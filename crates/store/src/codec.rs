@@ -17,8 +17,16 @@
 //! The codec is intentionally explicit — one function per type, field order
 //! fixed by this file — because the format on disk is a compatibility
 //! surface: `FORMAT_VERSION` must be bumped whenever any of it changes.
+//!
+//! Both directions size their buffers from what they know.  Encoding
+//! writes the records first, so the block's exact length is known before
+//! the one buffer that holds it — and, in a segment, its framing — is
+//! allocated.  Decoding ([`decode_block_into`]) pushes each record's
+//! skeleton onto the caller's `Vec` and decodes its sections into that
+//! slot, so a 400-byte measurement is never built elsewhere and moved, and
+//! truncates the `Vec` back if any record fails.
 
-use crate::wire::{write_str, write_varint, ByteReader};
+use crate::wire::{varint_len, write_str, write_varint, ByteReader};
 use crate::StoreError;
 use qem_core::observation::HostMeasurement;
 use qem_netsim::Asn;
@@ -76,6 +84,21 @@ impl DictBuilder {
         self.asns.push(asn.0);
         self.asn_index.insert(asn.0, idx);
         idx
+    }
+
+    /// The length of what [`DictBuilder::encode`] writes.
+    fn encoded_len(&self) -> usize {
+        let strings: usize = self
+            .strings
+            .iter()
+            .map(|s| varint_len(s.len() as u64) + s.len())
+            .sum();
+        let asns: usize = self
+            .asns
+            .iter()
+            .map(|&asn| varint_len(u64::from(asn)))
+            .sum();
+        varint_len(self.strings.len() as u64) + strings + varint_len(self.asns.len() as u64) + asns
     }
 
     /// Serialise both dictionaries (strings, then ASNs).
@@ -632,11 +655,20 @@ pub fn encode_measurement(buf: &mut Vec<u8>, dict: &mut DictBuilder, m: &HostMea
     }
 }
 
-/// Decode one measurement record against the segment's dictionaries.
-pub fn decode_measurement(
+/// Decode one measurement record against the segment's dictionaries into
+/// a new slot at the end of `out`: the record's skeleton — host id,
+/// reachability, no sections — is pushed first and each section it holds is
+/// then decoded into that slot, so the 400-byte value is never built
+/// elsewhere and moved.  The host id must lie above `after`.
+///
+/// On `Err` the slot may hold a partial record; [`decode_block_into`]
+/// truncates it away.
+fn decode_measurement_into(
     r: &mut ByteReader<'_>,
     dicts: &Dicts,
-) -> Result<HostMeasurement, StoreError> {
+    after: Option<usize>,
+    out: &mut Vec<HostMeasurement>,
+) -> Result<(), StoreError> {
     let host_id = r.varint()? as usize;
     let flags = r.u8()?;
     if flags & 0xf0 != 0 {
@@ -644,44 +676,80 @@ pub fn decode_measurement(
             "unknown measurement flags {flags:#04x} for host {host_id}"
         )));
     }
-    let quic = if flags & (1 << 1) != 0 {
-        Some(decode_quic_report(r, dicts)?)
-    } else {
-        None
-    };
-    let tcp = if flags & (1 << 2) != 0 {
-        Some(decode_tcp_report(r)?)
-    } else {
-        None
-    };
-    let trace = if flags & (1 << 3) != 0 {
-        Some(decode_trace(r, dicts)?)
-    } else {
-        None
-    };
-    Ok(HostMeasurement {
+    if let Some(last) = after.filter(|&last| host_id <= last) {
+        return Err(StoreError::Corrupt(format!(
+            "host id {host_id} follows host id {last}"
+        )));
+    }
+    out.push(HostMeasurement {
         host_id,
         quic_reachable: flags & 1 != 0,
-        quic,
-        tcp,
-        trace,
-    })
+        quic: None,
+        tcp: None,
+        trace: None,
+    });
+    if let Some(m) = out.last_mut() {
+        if flags & (1 << 1) != 0 {
+            m.quic = Some(decode_quic_report(r, dicts)?);
+        }
+        if flags & (1 << 2) != 0 {
+            m.tcp = Some(decode_tcp_report(r)?);
+        }
+        if flags & (1 << 3) != 0 {
+            m.trace = Some(decode_trace(r, dicts)?);
+        }
+    }
+    Ok(())
 }
 
-/// Encode a batch of measurements as a self-contained block: dictionaries
-/// first, then the record count, then the records.  This is the payload of a
-/// segment file ([`crate::segment`] adds framing and the checksum).
-pub fn encode_block(measurements: &[HostMeasurement]) -> Vec<u8> {
-    let mut dict = DictBuilder::default();
-    let mut records = Vec::new();
-    for m in measurements {
-        encode_measurement(&mut records, &mut dict, m);
+/// A batch of measurements encoded as a self-contained block — dictionaries
+/// first, then the record count, then the records — before it is laid out:
+/// the records are encoded (filling the dictionaries) ahead of the bytes
+/// that precede them, so [`EncodedBlock::len`] knows the block's exact size
+/// and a caller allocates the buffer that holds it once.
+pub(crate) struct EncodedBlock {
+    dict: DictBuilder,
+    count: usize,
+    records: Vec<u8>,
+}
+
+impl EncodedBlock {
+    /// Encode `measurements`, interning their strings and ASNs.
+    pub(crate) fn new(measurements: &[HostMeasurement]) -> EncodedBlock {
+        let mut dict = DictBuilder::default();
+        let mut records = Vec::new();
+        for m in measurements {
+            encode_measurement(&mut records, &mut dict, m);
+        }
+        EncodedBlock {
+            dict,
+            count: measurements.len(),
+            records,
+        }
     }
-    let mut block = Vec::with_capacity(records.len() + 64);
-    dict.encode(&mut block);
-    write_varint(&mut block, measurements.len() as u64);
-    block.extend_from_slice(&records);
-    block
+
+    /// The block's length in bytes: what [`EncodedBlock::write_to`] appends.
+    pub(crate) fn len(&self) -> usize {
+        self.dict.encoded_len() + varint_len(self.count as u64) + self.records.len()
+    }
+
+    /// Append the block to `buf`.
+    pub(crate) fn write_to(&self, buf: &mut Vec<u8>) {
+        self.dict.encode(buf);
+        write_varint(buf, self.count as u64);
+        buf.extend_from_slice(&self.records);
+    }
+}
+
+/// Encode a batch of measurements as a self-contained block — dictionaries
+/// first, then the record count, then the records — in a buffer allocated
+/// once at its exact size.  This is the payload of a segment file
+/// ([`crate::segment`] adds framing and the checksum).
+pub fn encode_block(measurements: &[HostMeasurement]) -> Vec<u8> {
+    let block = EncodedBlock::new(measurements);
+    let mut bytes = Vec::with_capacity(block.len());
+    block.write_to(&mut bytes);
+    bytes
 }
 
 /// The record count a block declares after its dictionaries.  Every record
@@ -724,7 +792,7 @@ pub(crate) fn block_record_count(data: &[u8]) -> Result<u64, StoreError> {
 ///
 /// All or nothing: on `Err`, `out` is truncated back to its length on entry
 /// and keeps its capacity, so a caller may lend one buffer to many blocks.
-pub(crate) fn decode_block_into(
+pub fn decode_block_into(
     data: &[u8],
     after: Option<usize>,
     out: &mut Vec<HostMeasurement>,
@@ -748,15 +816,8 @@ fn decode_records(
     out.reserve(count);
     let mut last = after;
     for _ in 0..count {
-        let m = decode_measurement(&mut r, &dicts)?;
-        if let Some(last) = last.filter(|&last| m.host_id <= last) {
-            return Err(StoreError::Corrupt(format!(
-                "host id {} follows host id {last}",
-                m.host_id
-            )));
-        }
-        last = Some(m.host_id);
-        out.push(m);
+        decode_measurement_into(&mut r, &dicts, last, out)?;
+        last = out.last().map(|m| m.host_id);
     }
     dicts.expect_all_used()?;
     if !r.is_empty() {
@@ -944,10 +1005,25 @@ mod tests {
         // The last record's last byte, the DSCP-rewrite flag, out of range.
         let mut damaged = block.clone();
         *damaged.last_mut().unwrap() = 2;
-        for bad in [&cut, &damaged] {
-            let mut out = held.clone();
+        // A middle record's validation tag out of range, found after its
+        // response strings decoded: the one byte by which the block differs
+        // from one whose record is still `Testing`.
+        let mut testing = hosts.clone();
+        if let Some(quic) = testing[1].quic.as_mut() {
+            quic.ecn_state = EcnValidationState::Testing;
+        }
+        let other = encode_block(&testing);
+        let differ: Vec<usize> = (0..block.len()).filter(|&i| block[i] != other[i]).collect();
+        assert_eq!(differ.len(), 1);
+        let mut bad_tag = block.clone();
+        bad_tag[differ[0]] = 9;
+        for bad in [&cut, &damaged, &bad_tag] {
+            let mut out = Vec::with_capacity(16);
+            out.extend_from_slice(&held);
+            let (ptr, capacity) = (out.as_ptr(), out.capacity());
             assert!(decode_block_into(bad, Some(2), &mut out).is_err());
             assert_eq!(out, held);
+            assert_eq!((out.as_ptr(), out.capacity()), (ptr, capacity));
         }
         // Host ids continue from `after` or the block is refused whole.
         for after in [10, 11, 100] {
@@ -959,6 +1035,24 @@ mod tests {
         let mut out = held.clone();
         decode_block_into(&block, Some(9), &mut out).unwrap();
         assert_eq!(out, [held, hosts].concat());
+    }
+
+    #[test]
+    fn an_encoded_block_knows_its_exact_length() {
+        let mut hosts: Vec<HostMeasurement> = (0..40).map(sample_measurement).collect();
+        if let Some(trace) = hosts[7].trace.as_mut() {
+            trace.changes[0].asn_before = Some(Asn(u32::MAX));
+        }
+        if let Some(quic) = hosts[9].quic.as_mut() {
+            quic.error = Some("é".repeat(200));
+        }
+        for hosts in [&hosts[..0], &hosts[..1], &hosts[..]] {
+            let block = EncodedBlock::new(hosts);
+            let mut bytes = Vec::new();
+            block.write_to(&mut bytes);
+            assert_eq!(block.len(), bytes.len());
+            assert_eq!(encode_block(hosts), bytes);
+        }
     }
 
     #[test]

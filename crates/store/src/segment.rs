@@ -11,39 +11,47 @@
 //! file is synced, then renamed into place.  A campaign killed mid-write
 //! therefore leaves either a complete, checksummed segment or an ignorable
 //! `.tmp` orphan — never a half-segment — which is the invariant resume
-//! relies on.
+//! relies on.  The file's bytes are laid out in one buffer allocated once at
+//! their exact size.
+//!
+//! Reading takes a byte buffer lent by the caller: a pass over a snapshot
+//! reads every segment into the same allocation, cleared first so that a
+//! shorter file never shows the tail of the longer one before it.
 
-use crate::codec::{block_record_count, decode_block_into, encode_block, FORMAT_VERSION};
+use crate::codec::{block_record_count, decode_block_into, EncodedBlock, FORMAT_VERSION};
 use crate::wire::{fnv1a, split_seal, ByteReader};
 use crate::StoreError;
 use qem_core::observation::HostMeasurement;
 use std::fs;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"QSEG";
+/// Length of the FNV-1a seal that ends a segment file.
+const SEAL_LEN: usize = 8;
 
 /// File name of segment `index` inside a snapshot directory.
 pub fn segment_file_name(index: u32) -> String {
     format!("segment-{index:05}.qseg")
 }
 
-/// Write `measurements` as segment `index` in `dir`, atomically.
+/// Write `measurements` as segment `index` in `dir`, atomically, and return
+/// the file's length in bytes.  Framing and block are built in one buffer
+/// allocated once at its exact size.
 pub fn write_segment(
     dir: &Path,
     index: u32,
     measurements: &[HostMeasurement],
-) -> Result<PathBuf, StoreError> {
-    let mut bytes = Vec::with_capacity(measurements.len() * 64 + 16);
+) -> Result<u64, StoreError> {
+    let block = EncodedBlock::new(measurements);
+    let mut bytes = Vec::with_capacity(MAGIC.len() + 1 + block.len() + SEAL_LEN);
     bytes.extend_from_slice(MAGIC);
     bytes.push(FORMAT_VERSION);
-    bytes.extend_from_slice(&encode_block(measurements));
+    block.write_to(&mut bytes);
     let checksum = fnv1a(&bytes);
     bytes.extend_from_slice(&checksum.to_le_bytes());
-
-    let final_path = dir.join(segment_file_name(index));
-    write_atomically(&final_path, &bytes)?;
-    Ok(final_path)
+    write_atomically(&dir.join(segment_file_name(index)), &bytes)?;
+    Ok(bytes.len() as u64)
 }
 
 /// Write `bytes` to `path` via a `.tmp` sibling plus rename, syncing before
@@ -73,43 +81,60 @@ pub fn write_atomically(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
 /// Read and fully validate one segment file.
 pub fn read_segment(path: &Path) -> Result<Vec<HostMeasurement>, StoreError> {
     let mut measurements = Vec::new();
-    read_segment_into(path, None, &mut measurements)?;
+    read_segment_into(path, None, &mut measurements, &mut Vec::new())?;
     Ok(measurements)
 }
 
 /// Read and fully validate one segment file onto the end of `out`, all or
 /// nothing: its host ids rise strictly from above `after`
 /// ([`decode_block_into`]), and any failure is [`StoreError::Corrupt`]
-/// naming the file, with `out` left as it was.
+/// naming the file, with `out` left as it was.  The file is read into
+/// `bytes`, a buffer lent from file to file ([`read_file_into`]).
 pub(crate) fn read_segment_into(
     path: &Path,
     after: Option<usize>,
     out: &mut Vec<HostMeasurement>,
+    bytes: &mut Vec<u8>,
 ) -> Result<(), StoreError> {
-    let bytes = fs::read(path)?;
-    check_framing(&bytes)
+    read_file_into(path, bytes)?;
+    check_framing(bytes)
         .and_then(|payload| decode_block_into(payload, after, out))
         .map_err(|e| StoreError::Corrupt(format!("{}: {e}", path.display())))
 }
 
 /// Verify a segment file's framing and FNV seal without decoding the block,
-/// returning the block's record count.
+/// returning the block's record count.  The file is read into `bytes`, a
+/// buffer lent from file to file: cleared first, so it never holds a byte
+/// of the file before.
 ///
 /// This is the eager integrity check [`crate::StoredSnapshot::open`] runs
 /// over every segment, so corruption surfaces as a typed
 /// [`StoreError::Corrupt`] naming the file at open time instead of failing
 /// (or silently skipping) halfway through a census; the counts let it check
 /// the `COMPLETE` marker against what the segments hold.
-pub fn verify_segment(path: &Path) -> Result<u64, StoreError> {
-    let bytes = fs::read(path)?;
-    check_framing(&bytes)
+pub fn verify_segment(path: &Path, bytes: &mut Vec<u8>) -> Result<u64, StoreError> {
+    read_file_into(path, bytes)?;
+    check_framing(bytes)
         .and_then(block_record_count)
         .map_err(|e| StoreError::Corrupt(format!("{}: {e}", path.display())))
 }
 
+/// Replace the contents of `bytes` with the file at `path`: cleared, grown
+/// to the file's length at most once, then read to the end — so a buffer
+/// lent across a pass allocates only when a file outgrows every file before
+/// it, and never holds a byte of the file before.
+fn read_file_into(path: &Path, bytes: &mut Vec<u8>) -> Result<(), StoreError> {
+    let mut file = fs::File::open(path)?;
+    bytes.clear();
+    let len = file.metadata()?.len();
+    bytes.reserve(usize::try_from(len).unwrap_or(0));
+    file.read_to_end(bytes)?;
+    Ok(())
+}
+
 /// Validate magic, version and checksum; return the enclosed block bytes.
 pub fn check_framing(bytes: &[u8]) -> Result<&[u8], StoreError> {
-    if bytes.len() < MAGIC.len() + 1 + 8 {
+    if bytes.len() < MAGIC.len() + 1 + SEAL_LEN {
         return Err(StoreError::Corrupt(
             "file shorter than segment framing".to_string(),
         ));
@@ -201,7 +226,9 @@ mod tests {
     fn segments_round_trip_through_the_filesystem() {
         let dir = temp_dir("roundtrip");
         let hosts: Vec<HostMeasurement> = (0..10).map(measurement).collect();
-        let path = write_segment(&dir, 0, &hosts).unwrap();
+        let written = write_segment(&dir, 0, &hosts).unwrap();
+        let path = dir.join(segment_file_name(0));
+        assert_eq!(written, fs::metadata(&path).unwrap().len());
         assert_eq!(read_segment(&path).unwrap(), hosts);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -209,7 +236,8 @@ mod tests {
     #[test]
     fn a_flipped_bit_is_detected() {
         let dir = temp_dir("bitflip");
-        let path = write_segment(&dir, 0, &[measurement(7)]).unwrap();
+        write_segment(&dir, 0, &[measurement(7)]).unwrap();
+        let path = dir.join(segment_file_name(0));
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;

@@ -23,7 +23,10 @@
 //! ([`StoredSnapshot::host_ids`], [`StoredSnapshot::to_snapshot`]) or,
 //! behind [`SnapshotSource`], skipping and counting what fails.
 //! `to_snapshot` decodes every segment into one `Vec` sized to the sealed
-//! count; the streaming readers reuse one segment's worth of buffer.
+//! count; the streaming readers reuse one segment's worth of buffer.  The
+//! openers and the loop each read the files of a pass through one byte
+//! buffer, and the writer reserves its one segment's worth of measurements
+//! at its first append.
 
 use crate::codec::FORMAT_VERSION;
 use crate::segment::{
@@ -373,7 +376,8 @@ impl CampaignWriter {
     }
 
     /// Append one measurement; spills a segment to disk when the buffer
-    /// reaches the segment capacity.
+    /// reaches the segment capacity.  The first append reserves the whole
+    /// segment's buffer, which every later segment reuses.
     pub fn append(&mut self, m: HostMeasurement) -> Result<(), StoreError> {
         if let Some(last) = self.last_host_id {
             if m.host_id <= last {
@@ -384,6 +388,9 @@ impl CampaignWriter {
             }
         }
         self.last_host_id = Some(m.host_id);
+        if self.buf.capacity() == 0 {
+            self.buf.reserve_exact(self.segment_capacity);
+        }
         self.buf.push(m);
         self.appended += 1;
         if self.buf.len() >= self.segment_capacity {
@@ -396,9 +403,9 @@ impl CampaignWriter {
         if self.buf.is_empty() {
             return Ok(());
         }
-        let path = write_segment(&self.dir, self.next_segment, &self.buf)?;
+        let bytes = write_segment(&self.dir, self.next_segment, &self.buf)?;
         self.stats.segments_written += 1;
-        self.stats.bytes_written += fs::metadata(&path)?.len();
+        self.stats.bytes_written += bytes;
         self.stats.records_written += self.buf.len() as u64;
         self.next_segment += 1;
         self.buf.clear();
@@ -483,8 +490,9 @@ impl StoredSnapshot {
         };
         // Counts come from disk: sum them where no segment list can overflow.
         let mut held = 0u128;
+        let mut bytes = Vec::new();
         for path in &snapshot.segments {
-            held += u128::from(verify_segment(path)?);
+            held += u128::from(verify_segment(path, &mut bytes)?);
         }
         if held != u128::from(recorded) {
             return Err(StoreError::Corrupt(format!(
@@ -508,8 +516,9 @@ impl StoredSnapshot {
         let mut snapshot = StoredSnapshot::load(dir)?;
         let mut report = QuarantineReport::default();
         let mut held = 0u128;
+        let mut bytes = Vec::new();
         for path in std::mem::take(&mut snapshot.segments) {
-            match verify_segment(&path) {
+            match verify_segment(&path, &mut bytes) {
                 Ok(records) => {
                     held += u128::from(records);
                     snapshot.segments.push(path);
@@ -605,11 +614,12 @@ impl StoredSnapshot {
             .unwrap_or(0)
     }
 
-    /// The one read loop: each segment in turn decoded onto the end of
-    /// `buf`, then handed to `f` with the outcome — `Ok` once its records
-    /// are in `buf`, or, with `buf` as it was, the [`StoreError::Corrupt`]
-    /// naming a file that is unreadable, damaged, or does not continue the
-    /// strictly ascending host-id order of the segments read before it.
+    /// The one read loop: each segment in turn read into one byte buffer
+    /// kept for the pass, decoded onto the end of `buf`, then handed to `f`
+    /// with the outcome — `Ok` once its records are in `buf`, or, with `buf`
+    /// as it was, the [`StoreError::Corrupt`] naming a file that is
+    /// unreadable, damaged, or does not continue the strictly ascending
+    /// host-id order of the segments read before it.
     ///
     /// `f` decides what the records become: left in `buf` to build one
     /// `Vec`, or consumed and cleared so that the next segment decodes into
@@ -621,8 +631,9 @@ impl StoredSnapshot {
         mut f: impl FnMut(&mut Vec<HostMeasurement>, Result<(), StoreError>) -> Result<(), E>,
     ) -> Result<(), E> {
         let mut last = None;
+        let mut bytes = Vec::new();
         for path in &self.segments {
-            let read = read_segment_into(path, last, buf);
+            let read = read_segment_into(path, last, buf, &mut bytes);
             if read.is_ok() {
                 last = buf.last().map(|m| m.host_id).or(last);
             }
@@ -853,6 +864,54 @@ mod tests {
             .iter()
             .all(|&(_, ptr, cap)| (ptr, cap) == (seen[0].1, seen[0].2)));
         assert_eq!((buf.as_ptr(), buf.capacity()), (seen[0].1, seen[0].2));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_shorter_segment_never_reads_the_tail_of_the_one_before() {
+        let dir = temp_dir("stale");
+        let mut writer = CampaignWriter::create(&dir, &meta())
+            .unwrap()
+            .with_segment_capacity(7);
+        for id in 0..23 {
+            writer.append(measurement(id)).unwrap();
+        }
+        let stored = writer.finish().unwrap();
+        let segments = list_segments(&dir).unwrap();
+        // Segment 1 becomes segment 0 cut by three bytes: what a buffer that
+        // kept segment 0's tail would read back whole, with a valid seal.
+        let first = fs::read(&segments[0]).unwrap();
+        fs::write(&segments[1], &first[..first.len() - 3]).unwrap();
+        let names_the_cut_file = |e: StoreError| {
+            matches!(&e, StoreError::Corrupt(m)
+                if m.contains(&segments[1].display().to_string()) && !m.contains("follows"))
+        };
+        assert!(names_the_cut_file(StoredSnapshot::open(&dir).unwrap_err()));
+        assert!(names_the_cut_file(stored.host_ids().unwrap_err()));
+        assert!(names_the_cut_file(stored.to_snapshot().unwrap_err()));
+
+        let mut streamed = Vec::new();
+        stored
+            .read_segments(&mut Vec::new(), |records, read| {
+                streamed.push(read.map(|()| std::mem::take(records)));
+                Ok::<_, Infallible>(())
+            })
+            .unwrap();
+        assert_eq!(streamed.len(), segments.len());
+        for (streamed, path) in streamed.iter().zip(&segments) {
+            match (streamed, crate::segment::read_segment(path)) {
+                (Ok(records), Ok(alone)) => assert_eq!(records, &alone),
+                (Err(_), Err(_)) => {}
+                (streamed, alone) => panic!("{streamed:?} streamed, {alone:?} alone"),
+            }
+        }
+        assert!(streamed[1].is_err());
+        let mut ids = Vec::new();
+        stored.for_each_host(&mut |m| ids.push(m.host_id));
+        assert_eq!(
+            ids,
+            [(0..7).collect::<Vec<_>>(), (14..23).collect()].concat()
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -20,6 +20,12 @@ pub fn write_varint(buf: &mut Vec<u8>, mut value: u64) {
     }
 }
 
+/// The number of bytes [`write_varint`] appends for `value`: one per seven
+/// significant bits, and one for zero.
+pub(crate) fn varint_len(value: u64) -> usize {
+    (64 - (value | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// Append a little-endian `u64` (used for f64 bit patterns and checksums,
 /// where varint encoding would inflate random bit patterns).
 pub fn write_u64_le(buf: &mut Vec<u8>, value: u64) {
@@ -215,7 +221,9 @@ mod tests {
         ];
         let mut buf = Vec::new();
         for &v in &values {
+            let before = buf.len();
             write_varint(&mut buf, v);
+            assert_eq!(varint_len(v), buf.len() - before, "{v}");
         }
         let mut reader = ByteReader::new(&buf);
         for &v in &values {

@@ -15,7 +15,7 @@ use qem_packet::ecn::{EcnCodepoint, EcnCounts};
 use qem_packet::quic::QuicVersion;
 use qem_quic::http::HttpResponse;
 use qem_quic::{ClientReport, EcnValidationFailure, EcnValidationState, TransportParameters};
-use qem_store::codec::{decode_block, encode_block, Dicts};
+use qem_store::codec::{decode_block, decode_block_into, encode_block, Dicts};
 use qem_store::segment;
 use qem_store::wire::{write_str, write_varint, ByteReader};
 use qem_tcp::TcpReport;
@@ -241,7 +241,9 @@ proptest! {
             std::process::id()
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = segment::write_segment(&dir, 0, &hosts).unwrap();
+        let written = segment::write_segment(&dir, 0, &hosts).unwrap();
+        let path = dir.join(segment::segment_file_name(0));
+        prop_assert_eq!(written, std::fs::metadata(&path).unwrap().len());
         let read_back = segment::read_segment(&path);
         std::fs::remove_dir_all(&dir).unwrap();
         prop_assert!(read_back.is_ok(), "read failed: {:?}", read_back.err());
@@ -392,6 +394,48 @@ proptest! {
         for bytes in [arbitrary, damaged(arb_block(seed, count), at, flip, cut)] {
             if let Ok(hosts) = decode_block(&bytes) {
                 prop_assert_eq!(encode_block(&hosts), bytes);
+            }
+        }
+    }
+
+    /// Decoding onto a held prefix is all or nothing: the prefix stays as it
+    /// was, and either exactly the records `decode_block` returns — every
+    /// host id above `after` — follow it, or nothing does and the buffer
+    /// keeps its allocation.
+    #[test]
+    fn decode_block_into_appends_all_or_nothing(
+        arbitrary in proptest::collection::vec(any::<u8>(), 0..400),
+        seed in 0u64..1_000_000,
+        count in 0usize..6,
+        damage in (any::<usize>(), 1u8..=255),
+        prefix in (0usize..4, 0usize..20),
+    ) {
+        let (at, flip) = damage;
+        let (held_count, after) = prefix;
+        let after = after.checked_sub(1);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let held: Vec<HostMeasurement> =
+            (0..held_count).map(|id| arb_measurement(&mut rng, id)).collect();
+        let valid = arb_block(seed, count);
+        for bytes in [arbitrary, damaged(valid.clone(), at, flip, 0), valid] {
+            let mut out = Vec::with_capacity(held.len() + 8);
+            out.extend(held.iter().cloned());
+            let decoded = decode_block(&bytes);
+            let capacity = out.capacity();
+            match decode_block_into(&bytes, after, &mut out) {
+                Ok(()) => {
+                    prop_assert_eq!(&out[..held.len()], &held[..]);
+                    let records = decoded.expect("decode_block accepts what decode_block_into does");
+                    prop_assert_eq!(&out[held.len()..], &records[..]);
+                    prop_assert!(records.iter().all(|m| after.map_or(true, |a| m.host_id > a)));
+                }
+                Err(_) => {
+                    prop_assert_eq!(&out, &held);
+                    prop_assert!(out.capacity() >= capacity);
+                    if after.is_none() {
+                        prop_assert!(decoded.is_err());
+                    }
+                }
             }
         }
     }

@@ -67,14 +67,14 @@ fn comparison_with_workers(workers: usize) -> String {
 }
 
 #[test]
-fn timer_wheel_and_heap_oracle_agree_on_every_variant() {
+fn timer_wheel_and_oracle_agree_on_every_variant() {
     let scenario = scenario();
     for variant in EcnVariant::ALL {
         let wheel = scenario.run(variant);
-        let heap = scenario.run_with::<Oracle<usize>>(variant);
+        let oracle = scenario.run_with::<Oracle<usize>>(variant);
         assert_eq!(
             wheel,
-            heap,
+            oracle,
             "scenario diverged between schedulers under {}",
             variant.label()
         );
@@ -85,14 +85,14 @@ fn timer_wheel_and_heap_oracle_agree_on_every_variant() {
 /// so do its lossy and flapping variants, whose fault plans draw on every
 /// packet.
 #[test]
-fn wheel_and_heap_schedulers_agree_exactly() {
+fn wheel_and_oracle_schedulers_agree_exactly() {
     let scenario = tiny();
     for variant in EcnVariant::ALL {
         let wheel = scenario.run(variant);
-        let heap = scenario.run_with::<Oracle<usize>>(variant);
+        let oracle = scenario.run_with::<Oracle<usize>>(variant);
         assert_eq!(
             wheel,
-            heap,
+            oracle,
             "{} diverged across schedulers",
             variant.label()
         );
