@@ -72,6 +72,7 @@ impl CampaignOptions {
     /// loaded" variant of Figure 6, where CE marking (and hence the ECE/ACK
     /// echo split) emerges from combined queue occupancy instead of the
     /// probe codepoint alone.
+    // lint: allow(unused-pub) tested feature: the loaded-queue Figure 6 variant
     pub fn ce_probing_under_load() -> Self {
         CampaignOptions {
             cross_traffic: CrossTraffic::congested(),

@@ -461,18 +461,6 @@ pub fn table5<S: SnapshotSource + ?Sized>(universe: &Universe, v4: &S, v6: Optio
     }
 }
 
-impl Table5 {
-    /// Domain count for a class (IPv4).
-    pub fn v4_domains(&self, class: EcnClass) -> u64 {
-        self.v4.get(&class).map(|c| c.domains).unwrap_or(0)
-    }
-
-    /// Domain count for a class (IPv6).
-    pub fn v6_domains(&self, class: EcnClass) -> u64 {
-        self.v6.get(&class).map(|c| c.domains).unwrap_or(0)
-    }
-}
-
 impl fmt::Display for Table5 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -544,16 +532,6 @@ pub fn table6<S: SnapshotSource + ?Sized>(universe: &Universe, snapshot: &S) -> 
         columns.insert(class, rows);
     }
     Table6 { columns }
-}
-
-impl Table6 {
-    /// The top organisation for a class, if any.
-    pub fn top_org(&self, class: EcnClass) -> Option<&str> {
-        self.columns
-            .get(&class)
-            .and_then(|rows| rows.first())
-            .map(|(org, _)| org.as_str())
-    }
 }
 
 impl fmt::Display for Table6 {

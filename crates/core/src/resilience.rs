@@ -31,18 +31,6 @@ pub enum ProbeError {
     },
 }
 
-impl ProbeError {
-    /// Stable metric-name slug (`scan.probe_error.<slug>`).
-    pub fn slug(&self) -> &'static str {
-        match self {
-            ProbeError::Timeout => "timeout",
-            ProbeError::Blackhole => "blackhole",
-            ProbeError::CorruptReply => "corrupt_reply",
-            ProbeError::Exhausted { .. } => "exhausted",
-        }
-    }
-}
-
 impl fmt::Display for ProbeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -117,6 +105,7 @@ impl RetryPolicy {
 
     /// The chaos-campaign default: three attempts, 200 ms initial backoff
     /// doubling up to 3 s, half-backoff jitter.
+    // lint: allow(unused-pub) tested feature: retrying probes, exercised by the scanner and campaign tests
     pub fn standard() -> Self {
         RetryPolicy {
             attempts: 3,
@@ -157,6 +146,7 @@ impl RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{Row, ScanTally};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -224,10 +214,18 @@ mod tests {
 
     #[test]
     fn probe_error_slugs_are_stable() {
-        assert_eq!(ProbeError::Timeout.slug(), "timeout");
-        assert_eq!(ProbeError::Blackhole.slug(), "blackhole");
-        assert_eq!(ProbeError::CorruptReply.slug(), "corrupt_reply");
-        assert_eq!(ProbeError::Exhausted { attempts: 3 }.slug(), "exhausted");
+        // The metric names decided by `ROWS`, one per error kind.
+        for (error, slug) in [
+            (ProbeError::Timeout, "timeout"),
+            (ProbeError::Blackhole, "blackhole"),
+            (ProbeError::CorruptReply, "corrupt_reply"),
+            (ProbeError::Exhausted { attempts: 3 }, "exhausted"),
+        ] {
+            let mut tally = ScanTally::default();
+            tally.inc(Row::from(error));
+            let name = format!("scan.probe_error.{slug}");
+            assert_eq!(tally.snapshot().counter(&name), Some(1), "{error}");
+        }
         assert!(ProbeError::Exhausted { attempts: 3 }
             .to_string()
             .contains('3'));

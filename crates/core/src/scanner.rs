@@ -161,6 +161,7 @@ impl<'a> Scanner<'a> {
     /// Inject `plan` on the forward path of every probed host (builder
     /// style).  Pair with a non-noop [`RetryPolicy`] to measure what
     /// resilience costs under impairment.
+    // lint: allow(unused-pub) tested feature: the scanner under every FaultKind
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
         self
@@ -384,7 +385,10 @@ impl<'a> Scanner<'a> {
         // Per-domain sampling, at most one trace per IP: an IP serving `n`
         // domains is traced with probability 1 - (1-p)^n, so heavy-hitter IPs
         // are almost always covered — exactly the property §6.1 relies on.
-        let per_domain_p = self.options.trace_sample_probability.clamp(0.0, 1.0);
+        // `f64::clamp` passes NaN through, and `gen_bool(NaN)` panics: NaN
+        // draws nothing, as 0.0 does, and still takes the one draw below.
+        let p = self.options.trace_sample_probability;
+        let per_domain_p = if p.is_nan() { 0.0 } else { p.clamp(0.0, 1.0) };
         let weight = (host.cno_domains + host.toplist_domains).max(1);
         let host_trace_p = 1.0 - (1.0 - per_domain_p).powi(weight.min(1_000) as i32);
         let trace = if abnormal && rng.gen_bool(host_trace_p) {
@@ -517,7 +521,8 @@ impl<'a> Scanner<'a> {
 mod tests {
     use super::*;
     use crate::vantage::VantageQuirks;
-    use qem_netsim::FaultKind;
+    use qem_netsim::{FaultKind, SimDuration};
+    use qem_obs::MetricValue;
     use qem_web::UniverseConfig;
     use std::collections::BTreeMap;
 
@@ -633,9 +638,12 @@ mod tests {
                 .iter()
                 .map(|kind| whole.counter(&format!("scan.probe_error.{kind}")).unwrap())
                 .sum();
-            let backoffs = whole.histogram("scan.quic.backoff_us").unwrap().count;
+            let Some(MetricValue::Histogram(backoffs)) = whole.metrics.get("scan.quic.backoff_us")
+            else {
+                panic!("scan.quic.backoff_us is a histogram");
+            };
             assert_eq!(errors > 0, faulted);
-            assert_eq!(backoffs > 0, faulted);
+            assert_eq!(backoffs.count > 0, faulted);
         }
     }
 
@@ -667,10 +675,11 @@ mod tests {
         assert!(counter("scan.quic.recovered") > 0);
         assert!(counter("scan.probe_error.exhausted") > 0);
         // One backoff is recorded per retry, none per first attempt.
-        assert_eq!(
-            metrics.histogram("scan.quic.backoff_us").map(|h| h.count),
-            Some(counter("scan.quic.retries"))
-        );
+        let retries = counter("scan.quic.retries");
+        assert!(matches!(
+            metrics.metrics.get("scan.quic.backoff_us"),
+            Some(MetricValue::Histogram(h)) if h.count == retries
+        ));
         // A host's first attempt draws identically under both policies, so
         // retries can only add reachable hosts.
         let (_, single_attempt) = run(1, RetryPolicy::none());
@@ -684,7 +693,8 @@ mod tests {
     #[test]
     fn reused_scratches_measure_what_a_fresh_scratch_per_host_does() {
         let universe = universe();
-        let loss = FaultPlan::new().always(FaultKind::Loss { rate: 0.35 });
+        let ms = SimDuration::from_millis;
+        let loss = Some((FaultKind::Loss { rate: 0.35 }, "fault.drops.loss"));
         // A cloud vantage whose quirks re-mark or clean a host's transit by
         // a per-host draw: neighbours on one provider get different routes.
         let quirky = VantagePoint {
@@ -697,12 +707,79 @@ mod tests {
         };
         let none = (CrossTraffic::none(), RetryPolicy::none());
         let congested = (CrossTraffic::congested(), RetryPolicy::standard());
-        for (vantage, ipv6, (cross_traffic, retry), fault_plan) in [
-            (VantagePoint::main(), false, none, FaultPlan::default()),
-            (VantagePoint::main(), false, congested, loss.clone()),
-            (VantagePoint::main(), true, none, FaultPlan::default()),
+        let retrying = (CrossTraffic::none(), RetryPolicy::standard());
+        let main = VantagePoint::main;
+        // Each fault row names the `fault.*` counter its kind must move.
+        for (vantage, ipv6, (cross_traffic, retry), fault) in [
+            (main(), false, none, None),
+            (main(), false, congested, loss.clone()),
+            (main(), true, none, None),
             (quirky, false, congested, loss),
+            // Every other fault kind, always on.
+            (
+                main(),
+                false,
+                retrying,
+                Some((
+                    FaultKind::BurstLoss {
+                        period: ms(40),
+                        burst: ms(10),
+                    },
+                    "fault.drops.burst",
+                )),
+            ),
+            (
+                main(),
+                false,
+                retrying,
+                Some((FaultKind::Blackhole, "fault.drops.blackhole")),
+            ),
+            (
+                main(),
+                false,
+                retrying,
+                Some((
+                    FaultKind::Flap {
+                        period: ms(50),
+                        down: ms(20),
+                    },
+                    "fault.drops.flap",
+                )),
+            ),
+            (
+                main(),
+                false,
+                retrying,
+                Some((FaultKind::Corrupt { rate: 0.2 }, "fault.corrupted")),
+            ),
+            (
+                main(),
+                false,
+                retrying,
+                Some((FaultKind::Jitter { max: ms(5) }, "fault.jittered")),
+            ),
+            (
+                main(),
+                false,
+                retrying,
+                Some((
+                    FaultKind::Reorder {
+                        rate: 0.3,
+                        extra: ms(5),
+                    },
+                    "fault.reordered",
+                )),
+            ),
+            (
+                main(),
+                false,
+                retrying,
+                Some((FaultKind::Duplicate { rate: 0.3 }, "fault.duplicates")),
+            ),
         ] {
+            let fault_plan = fault.clone().map_or_else(FaultPlan::default, |(kind, _)| {
+                FaultPlan::new().always(kind)
+            });
             let scanner = |workers: usize| {
                 Scanner::new(
                     &universe,
@@ -724,6 +801,10 @@ mod tests {
                 .map(|&id| single.measure_host(id, &mut single.worker()))
                 .collect();
             let fresh_metrics = single.metrics_snapshot();
+            if let Some((kind, counter)) = &fault {
+                let moved = fresh_metrics.counter(counter).unwrap_or(0);
+                assert!(moved > 0, "{kind:?} left {counter} at zero");
+            }
 
             // One worker for every host, in orders whose route changes at
             // nearly every host: round robin over the providers, forwards
@@ -764,6 +845,27 @@ mod tests {
                 assert_eq!(scanner.metrics_snapshot(), fresh_metrics);
             }
         }
+    }
+
+    #[test]
+    fn a_nan_trace_probability_scans_as_zero_does() {
+        let universe = universe();
+        let census = |p: f64| {
+            let scanner = Scanner::new(
+                &universe,
+                VantagePoint::main(),
+                ScanOptions {
+                    trace_sample_probability: p,
+                    ..ScanOptions::paper_default(SnapshotDate::APR_2023)
+                },
+            );
+            (scanner.scan_all(), scanner.metrics_snapshot())
+        };
+        // The population has abnormal hosts, so the trace draw is taken.
+        assert!(census(1.0).1.counter("scan.traced").unwrap() > 0);
+        let zero = census(0.0);
+        assert_eq!(zero.1.counter("scan.traced"), Some(0));
+        assert_eq!(census(f64::NAN), zero);
     }
 
     #[test]

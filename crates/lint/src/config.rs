@@ -24,7 +24,8 @@
 //! identifier characters matches one identifier exactly; anything else
 //! matches its characters as consecutive punctuation.  Rules with an empty
 //! `deny` list are *structural* — their logic lives in the binary (today:
-//! `unsafe-hygiene`) — but their zones and allow lists still come from here.
+//! `unsafe-hygiene` and `unused-pub`) — but their zones and allow lists
+//! still come from here.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -65,13 +65,17 @@ fn relative(root: &Path, path: &Path) -> String {
 }
 
 /// Run every pattern/structural rule over the workspace sources, plus the
-/// crate-root `#![forbid(unsafe_code)]` audit.
+/// cross-file `unused-pub` pass and the crate-root `#![forbid(unsafe_code)]`
+/// audit.
 pub fn check_workspace(repo_root: &Path, engine: &Engine) -> std::io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
+    let mut files = Vec::new();
     for rel in source_files(repo_root, engine)? {
         let source = std::fs::read_to_string(repo_root.join(&rel))?;
         findings.extend(engine.check_file(&rel, &source));
+        files.push((rel, source));
     }
+    findings.extend(engine.check_unused_pub(&files));
     findings.extend(check_forbid_unsafe(repo_root, engine)?);
     findings.sort();
     findings.dedup();

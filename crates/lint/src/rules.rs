@@ -14,8 +14,8 @@
 
 use crate::config::{Config, RuleConfig};
 use crate::lexer::{self, Comment, Token, TokenKind};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::path::Path;
 
 /// One diagnostic: `file:line rule message`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -212,6 +212,83 @@ impl Engine {
             .filter(|r| r.config.id == "unsafe-hygiene")
             .any(|r| r.config.zones.iter().any(|z| zone_matches(z, path)))
     }
+
+    /// `unused-pub`, one pass over every workspace source: a `pub` item
+    /// defined in the rule's zones whose name no production source
+    /// (`crates/*/src`, `src/`, `examples/`, `#[cfg(test)] mod` bodies
+    /// masked) names as an identifier, apart from the definitions of that
+    /// name themselves.  Name-based, so a same-named item anywhere counts
+    /// as a use: the rule can miss a dead item but never lists a live one.
+    /// `files` holds (repo-relative path, source) pairs.
+    pub fn check_unused_pub(&self, files: &[(String, String)]) -> Vec<Finding> {
+        let Some(rule) = self.rules.iter().find(|r| r.config.id == "unused-pub") else {
+            return Vec::new();
+        };
+        let mut named: BTreeMap<String, usize> = BTreeMap::new();
+        let mut defined: BTreeMap<String, usize> = BTreeMap::new();
+        let mut candidates = Vec::new();
+        for (path, source) in files {
+            let production = (path.starts_with("src/")
+                || path.starts_with("examples/")
+                || zone_matches("crates/*/src", path))
+                && !path.split('/').any(|c| c == "tests");
+            if !production || self.skips(path) {
+                continue;
+            }
+            let reported = rule.config.zones.iter().any(|z| zone_matches(z, path))
+                && !rule.config.allow.iter().any(|z| zone_matches(z, path));
+            let lexed = lexer::lex(source);
+            let test_mask = test_code_mask(&lexed.tokens);
+            let suppressions = Suppressions::collect(&lexed.comments);
+            for (i, token) in lexed.tokens.iter().enumerate() {
+                let TokenKind::Ident(name) = &token.kind else {
+                    continue;
+                };
+                if test_mask[i] {
+                    continue;
+                }
+                *named.entry(name.clone()).or_default() += 1;
+                let Some(item) = pub_item_name(&lexed.tokens, i) else {
+                    continue;
+                };
+                *defined.entry(item.to_string()).or_default() += 1;
+                if reported && !suppressions.allows(&rule.config.id, token.line) {
+                    candidates.push((path, token.line, item.to_string()));
+                }
+            }
+        }
+        candidates
+            .into_iter()
+            .filter(|(_, _, item)| named.get(item) == defined.get(item))
+            .map(|(path, line, item)| Finding {
+                file: path.clone(),
+                line,
+                rule: rule.config.id.clone(),
+                message: format!("`{item}` has no caller outside tests and benchmark/"),
+            })
+            .collect()
+    }
+}
+
+/// Item keywords the `unused-pub` rule reads after `pub`.
+const ITEM_KEYWORDS: [&str; 7] = ["fn", "struct", "enum", "trait", "type", "const", "static"];
+
+/// If the token at `i` is `pub` followed by an item keyword (`pub const fn`
+/// and `pub unsafe fn` included), the item's name.
+fn pub_item_name(tokens: &[Token], i: usize) -> Option<&str> {
+    let ident = |at: usize| match tokens.get(at).map(|t| &t.kind) {
+        Some(TokenKind::Ident(name)) => Some(name.as_str()),
+        _ => None,
+    };
+    if ident(i) != Some("pub") {
+        return None;
+    }
+    let mut at = i + 1;
+    if matches!(ident(at), Some("const" | "unsafe")) && ident(at + 1) == Some("fn") {
+        at += 1;
+    }
+    ident(at).filter(|kw| ITEM_KEYWORDS.contains(kw))?;
+    ident(at + 1)
 }
 
 /// `unsafe` tokens need an adjacent `// SAFETY:` comment (same line or one
@@ -451,12 +528,6 @@ fn component_match(pattern: &str, component: &str) -> bool {
         }
     }
     true
-}
-
-/// Convenience: lint one file on disk against an engine.
-pub fn check_path(engine: &Engine, repo_root: &Path, rel: &str) -> std::io::Result<Vec<Finding>> {
-    let source = std::fs::read_to_string(repo_root.join(rel))?;
-    Ok(engine.check_file(rel, &source))
 }
 
 #[cfg(test)]

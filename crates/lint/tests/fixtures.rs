@@ -6,11 +6,13 @@
 //!    strings, raw strings, comments and lookalike identifiers and must
 //!    produce zero findings;
 //! 3. the real workspace itself must be clean — `check` and `vendor`
-//!    both return no findings (the CI gate, run as a test).
+//!    both return no findings (the CI gate, run as a test);
+//! 4. the cross-file `unused-pub` rule, over virtual file sets.
 //!
 //! Fixtures are checked under *virtual* in-zone paths (e.g.
 //! `crates/netsim/src/…`) so zone matching applies; their real on-disk
-//! home is excluded via `skip` in lint.toml, which test 4 verifies.
+//! home is excluded via `skip` in lint.toml, which
+//! `fixture_directory_is_skipped_at_its_real_path` verifies.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -328,4 +330,113 @@ fn real_workspace_passes_vendor_audit() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+/// The names `unused-pub` flags in a virtual workspace of `(path, source)`
+/// files, as `file:line name`.
+fn unused_pub(files: &[(&str, &str)]) -> Vec<String> {
+    let files: Vec<(String, String)> = files
+        .iter()
+        .map(|&(path, source)| (path.to_string(), source.to_string()))
+        .collect();
+    engine()
+        .check_unused_pub(&files)
+        .into_iter()
+        .map(|f| {
+            assert_eq!(f.rule, "unused-pub");
+            let name = f.message.split('`').nth(1).unwrap_or("").to_string();
+            format!("{}:{} {name}", f.file, f.line)
+        })
+        .collect()
+}
+
+const ORPHAN: (&str, &str) = ("crates/demo/src/lib.rs", "/// Doc.\npub fn orphan() {}\n");
+
+#[test]
+fn unused_pub_flags_an_item_only_tests_and_the_benchmark_name() {
+    let flagged = vec!["crates/demo/src/lib.rs:2 orphan".to_string()];
+    assert_eq!(unused_pub(&[ORPHAN]), flagged);
+    let in_test_mod = "/// Doc.\npub fn orphan() {}\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { super::orphan(); }\n}\n";
+    assert_eq!(
+        unused_pub(&[("crates/demo/src/lib.rs", in_test_mod)]),
+        flagged
+    );
+    for caller in [
+        "tests/end_to_end.rs",
+        "crates/demo/tests/it.rs",
+        "crates/other/src/tests/helper.rs",
+        "benchmark/src/probes.rs",
+        "benchmark/tests/smoke.rs",
+    ] {
+        let files = [ORPHAN, (caller, "fn call() { qem_demo::orphan(); }")];
+        assert_eq!(unused_pub(&files), flagged, "{caller}");
+    }
+}
+
+#[test]
+fn unused_pub_counts_examples_the_facade_and_other_crates_as_callers() {
+    for (caller, source) in [
+        ("examples/demo.rs", "fn main() { qem_demo::orphan(); }"),
+        ("src/lib.rs", "pub use qem_demo::orphan;"),
+        (
+            "crates/other/src/run.rs",
+            "fn run() { qem_demo::orphan(); }",
+        ),
+        // Name-based on purpose: a same-named item used anywhere counts.
+        (
+            "crates/other/src/run.rs",
+            "fn orphan() {}\nfn run() { orphan(); }",
+        ),
+    ] {
+        assert_eq!(
+            unused_pub(&[ORPHAN, (caller, source)]),
+            Vec::<String>::new(),
+            "{caller}"
+        );
+    }
+}
+
+#[test]
+fn unused_pub_reads_definitions_by_keyword_and_uses_by_identifier() {
+    let items = "pub const fn a() {}\npub unsafe fn b() {}\npub struct C;\npub enum D {}\n\
+                 pub trait E {}\npub type F = u8;\npub const G: u8 = 0;\npub static H: u8 = 0;\n";
+    let flagged: Vec<String> = "abCDEFGH"
+        .chars()
+        .enumerate()
+        .map(|(i, name)| format!("crates/demo/src/lib.rs:{} {name}", i + 1))
+        .collect();
+    assert_eq!(unused_pub(&[("crates/demo/src/lib.rs", items)]), flagged);
+    // Restricted visibility, modules, re-exports and fields define nothing.
+    let scoped = "pub(crate) fn a() {}\npub(super) struct B;\npub mod c;\npub use d::E;\n\
+                  struct S { pub f: u8 }\n";
+    assert!(unused_pub(&[("crates/demo/src/lib.rs", scoped)]).is_empty());
+    // A name in a string or a comment is not a use.
+    let mentions = "// orphan\nfn f() -> &'static str { \"orphan\" }\n";
+    assert_eq!(
+        unused_pub(&[ORPHAN, ("crates/other/src/lib.rs", mentions)]),
+        ["crates/demo/src/lib.rs:2 orphan"]
+    );
+}
+
+#[test]
+fn unused_pub_is_suppressed_by_an_annotation_on_or_above_the_item() {
+    for source in [
+        "// lint: allow(unused-pub) test fixture: built by tests only\npub fn orphan() {}\n",
+        "pub fn orphan() {} // lint: allow(unused-pub) test oracle\n",
+    ] {
+        assert!(unused_pub(&[("crates/demo/src/lib.rs", source)]).is_empty());
+    }
+    let other_rule = "// lint: allow(panic-policy) unrelated\npub fn orphan() {}\n";
+    assert_eq!(
+        unused_pub(&[("crates/demo/src/lib.rs", other_rule)]).len(),
+        1
+    );
+}
+
+#[test]
+fn rules_catalogue_lists_unused_pub() {
+    assert!(engine()
+        .catalogue()
+        .iter()
+        .any(|(id, description)| id == "unused-pub" && description.contains("Name-based")));
 }

@@ -333,16 +333,6 @@ impl FaultStats {
             self.jittered += 1;
         }
     }
-
-    /// Total packets the plan dropped, across all mechanisms.
-    pub fn total_drops(&self) -> u64 {
-        self.loss_drops + self.burst_drops + self.blackhole_drops + self.flap_drops
-    }
-
-    /// Whether nothing was recorded (fault-free run).
-    pub fn is_zero(&self) -> bool {
-        *self == FaultStats::default()
-    }
 }
 
 #[cfg(test)]
@@ -517,12 +507,10 @@ mod tests {
             ..FaultVerdict::CLEAN
         });
         assert_eq!(stats.flap_drops, 1);
-        assert_eq!(stats.total_drops(), 1);
         assert_eq!(
             (stats.corrupted, stats.duplicates, stats.salvaged),
             (1, 1, 1)
         );
-        assert!(!stats.is_zero());
-        assert!(FaultStats::default().is_zero());
+        assert_ne!(stats, FaultStats::default());
     }
 }

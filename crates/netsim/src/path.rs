@@ -179,6 +179,7 @@ impl Path {
     /// The ECN codepoint a packet sent with `sent` would carry on arrival,
     /// ignoring loss, AQM randomness and TTL.  This is the "ground truth"
     /// the measurement pipeline compares observations against.
+    // lint: allow(unused-pub) test oracle: what transit must deliver
     pub fn expected_arrival_ecn(&self, sent: EcnCodepoint) -> EcnCodepoint {
         self.hops
             .iter()
@@ -186,6 +187,7 @@ impl Path {
     }
 
     /// Whether any router on the path has an impairing ECN policy.
+    // lint: allow(unused-pub) test oracle: the ground truth path and universe tests check
     pub fn has_ecn_impairment(&self) -> bool {
         self.hops
             .iter()
@@ -511,8 +513,8 @@ mod tests {
                 let icmp = IcmpMessage::decode(&response.payload, false).unwrap();
                 // The quote shows the packet as received by hop 1: the
                 // re-marking happens *at* hop 1, so the quote still says ECT(0).
-                let quoted = IpDatagram::from_bytes(icmp.quote()).unwrap();
-                assert_eq!(quoted.header.ecn(), EcnCodepoint::Ect0);
+                let (quoted, _) = IpHeader::decode(icmp.quote()).unwrap();
+                assert_eq!(quoted.ecn(), EcnCodepoint::Ect0);
             }
             other => panic!("expected TimeExceeded, got {other:?}"),
         }
@@ -531,8 +533,8 @@ mod tests {
         match outcome {
             TransitOutcome::TimeExceeded { response, .. } => {
                 let icmp = IcmpMessage::decode(&response.payload, false).unwrap();
-                let quoted = IpDatagram::from_bytes(icmp.quote()).unwrap();
-                assert_eq!(quoted.header.ecn(), EcnCodepoint::NotEct);
+                let (quoted, _) = IpHeader::decode(icmp.quote()).unwrap();
+                assert_eq!(quoted.ecn(), EcnCodepoint::NotEct);
             }
             other => panic!("expected TimeExceeded, got {other:?}"),
         }
@@ -646,9 +648,12 @@ mod tests {
 
     #[test]
     fn truncated_icmp_quote_respects_router_setting() {
-        let path = Path::new(vec![Hop::new(
-            Router::transparent(1, Asn(680)).with_icmp(IcmpBehavior::minimal_quote()),
-        )]);
+        let path = Path::new(vec![Hop::new(Router::transparent(1, Asn(680)).with_icmp(
+            IcmpBehavior {
+                quote_bytes: 28,
+                ..IcmpBehavior::responsive()
+            },
+        ))]);
         let mut rng = StdRng::seed_from_u64(1);
         match path.transit(&dgram(1, EcnCodepoint::Ect0), &mut rng) {
             TransitOutcome::TimeExceeded { response, .. } => {

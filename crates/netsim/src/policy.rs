@@ -213,6 +213,6 @@ mod tests {
         let d = Dscp::new(46);
         assert_eq!(DscpPolicy::Pass.apply(d), d);
         assert_eq!(DscpPolicy::ResetToBestEffort.apply(d), Dscp::BEST_EFFORT);
-        assert_eq!(DscpPolicy::Rewrite(Dscp::CS1).apply(d), Dscp::CS1);
+        assert_eq!(DscpPolicy::Rewrite(Dscp::new(8)).apply(d), Dscp::new(8));
     }
 }

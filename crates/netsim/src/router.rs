@@ -61,27 +61,11 @@ impl IcmpBehavior {
     }
 
     /// A router that never answers (blackholes expired packets).
+    // lint: allow(unused-pub) test fixture: the ICMP-silent hop of tracer and path tests
     pub fn silent() -> Self {
         IcmpBehavior {
             response_probability: 0.0,
             quote_bytes: 0,
-        }
-    }
-
-    /// A router that answers with the given probability (rate limiting).
-    pub fn rate_limited(probability: f64) -> Self {
-        IcmpBehavior {
-            response_probability: probability.clamp(0.0, 1.0),
-            quote_bytes: 128,
-        }
-    }
-
-    /// A responsive router that quotes only the minimum 28 bytes
-    /// (IPv4 header + 8 bytes), hiding most of the QUIC payload.
-    pub fn minimal_quote() -> Self {
-        IcmpBehavior {
-            response_probability: 1.0,
-            quote_bytes: 28,
         }
     }
 }
@@ -160,13 +144,8 @@ impl Router {
         self
     }
 
-    /// Set the DSCP policy.
-    pub fn with_dscp_policy(mut self, policy: DscpPolicy) -> Self {
-        self.dscp_policy = policy;
-        self
-    }
-
     /// Set the ICMP behaviour.
+    // lint: allow(unused-pub) test fixture: the ICMP-silent hop of tracer and path tests
     pub fn with_icmp(mut self, icmp: IcmpBehavior) -> Self {
         self.icmp = icmp;
         self
@@ -231,7 +210,5 @@ mod tests {
     fn icmp_behaviour_presets() {
         assert_eq!(IcmpBehavior::responsive().response_probability, 1.0);
         assert_eq!(IcmpBehavior::silent().response_probability, 0.0);
-        assert_eq!(IcmpBehavior::rate_limited(7.0).response_probability, 1.0);
-        assert_eq!(IcmpBehavior::minimal_quote().quote_bytes, 28);
     }
 }

@@ -35,11 +35,6 @@ impl SimDuration {
         self.0
     }
 
-    /// The duration in (truncated) milliseconds.
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
@@ -137,14 +132,14 @@ mod tests {
     fn duration_constructors() {
         assert_eq!(SimDuration::from_secs(2).as_micros(), 2_000_000);
         assert_eq!(SimDuration::from_millis(3).as_micros(), 3_000);
-        assert_eq!(SimDuration::from_micros(7).as_millis(), 0);
+        assert_eq!(SimDuration::from_micros(7).as_micros(), 7);
     }
 
     #[test]
     fn instant_arithmetic() {
         let t0 = SimInstant::EPOCH;
         let t1 = t0 + SimDuration::from_millis(10);
-        assert_eq!((t1 - t0).as_millis(), 10);
+        assert_eq!(t1 - t0, SimDuration::from_millis(10));
         assert_eq!(t0.duration_since(t1), SimDuration::ZERO);
     }
 
@@ -160,7 +155,7 @@ mod tests {
         let a = SimDuration::from_millis(1);
         let b = SimDuration::from_millis(4);
         assert_eq!(a.saturating_sub(b), SimDuration::ZERO);
-        assert_eq!((b * 3).as_millis(), 12);
+        assert_eq!(b * 3, SimDuration::from_millis(12));
 
         // Every operation clamps at the end of the timeline.
         let forever = SimDuration::from_micros(u64::MAX);

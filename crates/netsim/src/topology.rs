@@ -6,7 +6,7 @@
 //! concrete [`Path`].
 
 use crate::path::{DuplexPath, Hop, Path};
-use crate::policy::{DscpPolicy, EcnPolicy};
+use crate::policy::EcnPolicy;
 use crate::router::Router;
 use crate::time::SimDuration;
 use std::fmt;
@@ -177,25 +177,12 @@ impl PathBuilder {
     }
 
     /// Append a fully customised router.
+    // lint: allow(unused-pub) test fixture: hand-built routers in tracer and topology tests
     pub fn custom_hop(mut self, router: Router) -> Self {
         let hop = Hop::new(router)
             .with_delay(self.default_delay)
             .with_loss(self.default_loss);
         self.hops.push(hop);
-        self
-    }
-
-    /// Append a router that resets DSCP but leaves ECN alone (the benign
-    /// AS-boundary behaviour the tracer must *not* flag).
-    pub fn dscp_reset_hop(mut self, asn: Asn) -> Self {
-        let router = self
-            .make_router(asn)
-            .with_dscp_policy(DscpPolicy::ResetToBestEffort);
-        self.hops.push(
-            Hop::new(router)
-                .with_delay(self.default_delay)
-                .with_loss(self.default_loss),
-        );
         self
     }
 
@@ -265,6 +252,7 @@ pub fn build_duplex_path(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::DscpPolicy;
     use qem_packet::ecn::EcnCodepoint;
 
     #[test]
@@ -415,7 +403,11 @@ mod tests {
 
     #[test]
     fn dscp_reset_hop_is_not_an_ecn_impairment() {
-        let path = PathBuilder::new().dscp_reset_hop(Asn::DFN).build();
+        let reset = Router {
+            dscp_policy: DscpPolicy::ResetToBestEffort,
+            ..Router::transparent(1, Asn::DFN)
+        };
+        let path = PathBuilder::new().custom_hop(reset).build();
         assert!(!path.has_ecn_impairment());
     }
 }

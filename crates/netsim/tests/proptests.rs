@@ -123,7 +123,10 @@ fn oracle_transit(
                 body: current.payload,
             };
         }
-        current.header.set_ttl(ttl_after);
+        match &mut current.header {
+            IpHeader::V4(h) => h.ttl = ttl_after,
+            IpHeader::V6(h) => h.hop_limit = ttl_after,
+        }
         let ecn_in = current.header.ecn();
         current.header.set_ecn(hop.router.ecn_policy.apply(ecn_in));
         let dscp_in = current.header.dscp();
@@ -209,13 +212,21 @@ fn layout_path(layout: &mut StdRng, hops: usize, loss: f64, faulted: bool) -> Pa
             let icmp = match layout.gen_range(0..4) {
                 0 => IcmpBehavior::responsive(),
                 1 => IcmpBehavior::silent(),
-                2 => IcmpBehavior::rate_limited(0.5),
-                _ => IcmpBehavior::minimal_quote(),
+                2 => IcmpBehavior {
+                    response_probability: 0.5,
+                    ..IcmpBehavior::responsive()
+                },
+                _ => IcmpBehavior {
+                    quote_bytes: 28,
+                    ..IcmpBehavior::responsive()
+                },
             };
-            let router = router
-                .with_ecn_policy(ECN_POLICIES[layout.gen_range(0..ECN_POLICIES.len())])
-                .with_dscp_policy(dscp_policy)
-                .with_icmp(icmp);
+            let router = Router {
+                dscp_policy,
+                ..router
+                    .with_ecn_policy(ECN_POLICIES[layout.gen_range(0..ECN_POLICIES.len())])
+                    .with_icmp(icmp)
+            };
             let hop_loss = if layout.gen_bool(0.3) { loss } else { 0.0 };
             Hop::new(router)
                 .with_delay(SimDuration::from_micros(layout.gen_range(0..5_000u64)))
@@ -275,16 +286,16 @@ fn datagram_with(v6: bool, ttl: u8, ecn: EcnCodepoint, dscp: Dscp, len: usize) -
         header.dscp = dscp;
         IpHeader::V6(header)
     } else {
-        IpHeader::V4(
-            Ipv4Header::new(
-                Ipv4Addr::new(192, 0, 2, 1),
-                Ipv4Addr::new(203, 0, 113, 9),
-                IpProtocol::Udp,
-                ttl,
-            )
-            .with_ecn(ecn)
-            .with_dscp(dscp),
-        )
+        let header = Ipv4Header::new(
+            Ipv4Addr::new(192, 0, 2, 1),
+            Ipv4Addr::new(203, 0, 113, 9),
+            IpProtocol::Udp,
+            ttl,
+        );
+        IpHeader::V4(Ipv4Header {
+            dscp,
+            ..header.with_ecn(ecn)
+        })
     };
     IpDatagram::new(header, (0..len).map(|i| i as u8).collect())
 }
@@ -484,8 +495,10 @@ proptest! {
     #[test]
     fn dscp_policies_do_not_affect_ecn(sent in arb_ecn(), dscp in 0u8..64) {
         let path = Path::new(vec![Hop::new(
-            Router::transparent(1, Asn(1))
-                .with_dscp_policy(DscpPolicy::Rewrite(qem_packet::ecn::Dscp::new(dscp))),
+            Router {
+                dscp_policy: DscpPolicy::Rewrite(qem_packet::ecn::Dscp::new(dscp)),
+                ..Router::transparent(1, Asn(1))
+            },
         )]);
         prop_assert_eq!(path.expected_arrival_ecn(sent), sent);
     }

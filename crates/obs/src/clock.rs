@@ -62,11 +62,6 @@ impl ManualClock {
         }
     }
 
-    /// Advance the clock by `micros`.
-    pub fn advance(&self, micros: u64) {
-        self.now.fetch_add(micros, Ordering::Relaxed);
-    }
-
     /// Jump the clock to `micros`.
     pub fn set(&self, micros: u64) {
         self.now.store(micros, Ordering::Relaxed);
@@ -113,7 +108,7 @@ mod tests {
     fn manual_clock_drives_rates_exactly() {
         let clock = ManualClock::new(0);
         let meter = RateMeter::start(&clock);
-        clock.advance(2_000_000); // 2 s
+        clock.set(2_000_000); // 2 s
         assert_eq!(meter.elapsed_micros(&clock), 2_000_000);
         assert!((meter.per_second(&clock, 500) - 250.0).abs() < 1e-9);
     }

@@ -94,29 +94,6 @@ impl HistogramSnapshot {
     pub fn mean(&self) -> u64 {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
-
-    /// Lower bound of the bucket holding the `q`-quantile sample
-    /// (`0.0 ≤ q ≤ 1.0`; nearest-rank over the bucketed distribution,
-    /// 0 when empty).
-    ///
-    /// Workload reports use this for frame-lateness percentiles; the
-    /// log-linear buckets bound the answer's relative error at 25 %,
-    /// which is plenty for a latency table.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((self.count as f64) * q.clamp(0.0, 1.0)).ceil() as u64;
-        let rank = rank.max(1);
-        let mut seen = 0u64;
-        for &(bound, n) in &self.buckets {
-            seen += n;
-            if seen >= rank {
-                return bound;
-            }
-        }
-        self.buckets.last().map(|&(bound, _)| bound).unwrap_or(0)
-    }
 }
 
 /// A deterministic, order-stable snapshot of many metrics.
@@ -160,17 +137,10 @@ impl MetricsSnapshot {
     }
 
     /// Value of gauge `name`, if present and a gauge.
+    // lint: allow(unused-pub) benchmark: its netbench probe reads the virtual clock gauge
     pub fn gauge(&self, name: &str) -> Option<u64> {
         match self.metrics.get(name) {
             Some(MetricValue::Gauge(v)) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The histogram `name`, if present and a histogram.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        match self.metrics.get(name) {
-            Some(MetricValue::Histogram(h)) => Some(h),
             _ => None,
         }
     }
@@ -197,17 +167,6 @@ impl MetricsSnapshot {
                     }
                 },
             }
-        }
-    }
-
-    /// Prefix every metric name with `prefix` (e.g. `"engine."`).
-    pub fn prefixed(self, prefix: &str) -> MetricsSnapshot {
-        MetricsSnapshot {
-            metrics: self
-                .metrics
-                .into_iter()
-                .map(|(name, v)| (format!("{prefix}{name}"), v))
-                .collect(),
         }
     }
 
@@ -413,7 +372,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_prefix_compose() {
+    fn merges_compose() {
         let mut a = MetricsSnapshot::new();
         a.set_counter("x", 1);
         a.set_gauge("g", 10);
@@ -431,9 +390,7 @@ mod tests {
         a.merge_from(&b);
         assert_eq!(a.counter("x"), Some(3));
         assert_eq!(a.gauge("g"), Some(10));
-        assert_eq!(a.histogram("d").unwrap().count, 1);
-        let p = a.prefixed("s.");
-        assert_eq!(p.counter("s.x"), Some(3));
+        assert!(matches!(a.metrics.get("d"), Some(MetricValue::Histogram(h)) if h.count == 1));
 
         // Histogram operands: empty, disjoint (below, above, interleaved),
         // overlapping and identical bucket lists, in both orders.
@@ -467,20 +424,6 @@ mod tests {
         a.merge_from(&histogram_of([1]));
         assert_eq!(a, histogram_of([u64::MAX, 1]));
         assert_eq!((a.count, a.sum), (2, 0));
-    }
-
-    #[test]
-    fn quantile_walks_the_bucketed_distribution() {
-        let snap = histogram_of(1..=100);
-        assert_eq!(snap.quantile(0.0), bucket_floor(1));
-        // Bucket bounds are exact only up to the log-linear resolution:
-        // the answer must bracket the true percentile within one bucket.
-        let p50 = snap.quantile(0.5);
-        assert!((32..=64).contains(&p50), "p50 bucket bound was {p50}");
-        let p99 = snap.quantile(0.99);
-        assert!(p99 >= 80, "p99 bucket bound was {p99}");
-        assert!(snap.quantile(1.0) >= p99);
-        assert_eq!(HistogramSnapshot::default().quantile(0.5), 0);
     }
 
     #[test]

@@ -81,10 +81,6 @@ pub struct Dscp(u8);
 impl Dscp {
     /// Default forwarding (best effort).
     pub const BEST_EFFORT: Dscp = Dscp(0);
-    /// Expedited forwarding (EF, RFC 3246).
-    pub const EF: Dscp = Dscp(46);
-    /// Class selector 1 (low priority / scavenger-adjacent).
-    pub const CS1: Dscp = Dscp(8);
 
     /// Build a DSCP value; the argument is masked to six bits.
     pub fn new(value: u8) -> Self {

@@ -97,12 +97,6 @@ impl Ipv4Header {
         self
     }
 
-    /// Return a copy with the given DSCP.
-    pub fn with_dscp(mut self, dscp: Dscp) -> Self {
-        self.dscp = dscp;
-        self
-    }
-
     /// Encode the header for a payload of `payload_len` bytes.
     ///
     /// The total-length field and the header checksum are computed here.
@@ -338,21 +332,6 @@ impl IpHeader {
         }
     }
 
-    /// Set the TTL / hop limit.
-    pub fn set_ttl(&mut self, ttl: u8) {
-        match self {
-            IpHeader::V4(h) => h.ttl = ttl,
-            IpHeader::V6(h) => h.hop_limit = ttl,
-        }
-    }
-
-    /// Decrement the TTL, returning the new value.
-    pub fn decrement_ttl(&mut self) -> u8 {
-        let new = self.ttl().saturating_sub(1);
-        self.set_ttl(new);
-        new
-    }
-
     /// Payload protocol.
     pub fn protocol(&self) -> IpProtocol {
         match self {
@@ -398,7 +377,7 @@ impl IpHeader {
 ///
 /// This is the unit the path simulator forwards hop by hop.  The payload is
 /// opaque to routers except for the ICMP quotation logic, which re-encodes
-/// the datagram via [`IpDatagram::to_bytes`].
+/// the datagram's header via [`IpHeader::write`] ahead of the quoted bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IpDatagram {
     /// The network-layer header.
@@ -448,23 +427,6 @@ impl IpDatagram {
     /// The transport bytes, borrowed, if the datagram carries `protocol`.
     pub fn transport(&self, protocol: IpProtocol) -> Option<&[u8]> {
         (self.header.protocol() == protocol).then_some(self.payload.as_slice())
-    }
-
-    /// Serialise header and payload into one byte vector.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.wire_len());
-        self.header.write(self.payload.len(), &mut buf);
-        buf.extend_from_slice(&self.payload);
-        buf
-    }
-
-    /// Parse a datagram from bytes.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self> {
-        let (header, hdr_len) = IpHeader::decode(buf)?;
-        Ok(IpDatagram {
-            header,
-            payload: buf[hdr_len..].to_vec(),
-        })
     }
 
     /// Total on-the-wire size in bytes.
@@ -570,14 +532,16 @@ mod tests {
     use super::*;
 
     fn v4() -> Ipv4Header {
-        Ipv4Header::new(
+        let header = Ipv4Header::new(
             Ipv4Addr::new(10, 0, 0, 1),
             Ipv4Addr::new(93, 184, 216, 34),
             IpProtocol::Udp,
             64,
-        )
-        .with_ecn(EcnCodepoint::Ect0)
-        .with_dscp(Dscp::new(12))
+        );
+        Ipv4Header {
+            dscp: Dscp::new(12),
+            ..header.with_ecn(EcnCodepoint::Ect0)
+        }
     }
 
     #[test]
@@ -640,17 +604,24 @@ mod tests {
         hdr.set_ecn(EcnCodepoint::Ce);
         assert_eq!(hdr.ecn(), EcnCodepoint::Ce);
         assert_eq!(hdr.ttl(), 64);
-        assert_eq!(hdr.decrement_ttl(), 63);
         assert_eq!(hdr.protocol(), IpProtocol::Udp);
         assert!(!hdr.is_v6());
+    }
+
+    /// A datagram's header as it goes on the wire.
+    fn header_bytes(dgram: &IpDatagram) -> Vec<u8> {
+        let mut buf = Vec::new();
+        dgram.header.write(dgram.payload.len(), &mut buf);
+        buf
     }
 
     #[test]
     fn datagram_round_trip() {
         let dgram = IpDatagram::new(IpHeader::V4(v4()), vec![1, 2, 3, 4, 5]);
-        let bytes = dgram.to_bytes();
-        let parsed = IpDatagram::from_bytes(&bytes).unwrap();
-        assert_eq!(parsed, dgram);
+        let mut bytes = header_bytes(&dgram);
+        bytes.extend_from_slice(&dgram.payload);
+        let (header, len) = IpHeader::decode(&bytes).unwrap();
+        assert_eq!(IpDatagram::new(header, bytes[len..].to_vec()), dgram);
         assert_eq!(dgram.wire_len(), IPV4_HEADER_LEN + 5);
     }
 
@@ -681,7 +652,7 @@ mod tests {
         .unwrap();
         let expected =
             Ipv4Header::new(v4.0, v4.1, IpProtocol::Udp, 64).with_ecn(EcnCodepoint::Ect0);
-        assert_eq!(quic.to_bytes()[..IPV4_HEADER_LEN], expected.encode(37));
+        assert_eq!(header_bytes(&quic), expected.encode(37));
         assert_eq!(quic.payload, transport);
 
         let tcp = IpDatagram::assemble(
@@ -694,7 +665,7 @@ mod tests {
         )
         .unwrap();
         let expected = Ipv6Header::new(v6.0, v6.1, IpProtocol::Tcp, 64).with_ecn(EcnCodepoint::Ce);
-        assert_eq!(tcp.to_bytes()[..IPV6_HEADER_LEN], expected.encode(37));
+        assert_eq!(header_bytes(&tcp), expected.encode(37));
 
         let mut probe = IpDatagram::assemble(
             v4.0.into(),
@@ -706,10 +677,11 @@ mod tests {
         )
         .unwrap();
         probe.header.set_dscp(Dscp::new(46));
-        let expected = Ipv4Header::new(v4.0, v4.1, IpProtocol::Udp, 3)
-            .with_ecn(EcnCodepoint::Ect1)
-            .with_dscp(Dscp::new(46));
-        assert_eq!(probe.to_bytes()[..IPV4_HEADER_LEN], expected.encode(37));
+        let expected = Ipv4Header {
+            dscp: Dscp::new(46),
+            ..Ipv4Header::new(v4.0, v4.1, IpProtocol::Udp, 3).with_ecn(EcnCodepoint::Ect1)
+        };
+        assert_eq!(header_bytes(&probe), expected.encode(37));
     }
 
     #[test]
@@ -758,12 +730,5 @@ mod tests {
         assert_eq!(IpProtocol::Udp.number(), 17);
         assert_eq!(IpProtocol::from_u8(6).unwrap(), IpProtocol::Tcp);
         assert!(IpProtocol::from_u8(89).is_err());
-    }
-
-    #[test]
-    fn ttl_decrement_saturates_at_zero() {
-        let mut hdr = IpHeader::V4(v4());
-        hdr.set_ttl(0);
-        assert_eq!(hdr.decrement_ttl(), 0);
     }
 }

@@ -181,17 +181,6 @@ impl PacketHeader {
         }
     }
 
-    /// True for Initial long-header packets.
-    pub fn is_initial(&self) -> bool {
-        matches!(
-            self,
-            PacketHeader::Long {
-                ty: LongPacketType::Initial,
-                ..
-            }
-        )
-    }
-
     /// Append this header to `buf` — the buffer that becomes the datagram.
     /// The caller appends the packet's frames behind it and then calls
     /// [`OpenPacket::finish`].  Initial packets are *not* padded here;
@@ -544,7 +533,6 @@ mod tests {
         let (decoded, consumed) = QuicPacket::decode(&bytes, 8).unwrap();
         assert_eq!(consumed, bytes.len());
         assert_eq!(decoded, pkt);
-        assert!(decoded.header.is_initial());
         assert_eq!(decoded.header.version(), Some(QuicVersion::V1));
     }
 

@@ -28,13 +28,14 @@ impl QuicVersion {
     pub const DRAFT_34: QuicVersion = QuicVersion::Draft(34);
 
     /// The versions the measurement client supports, mirroring the paper's
-    /// adapted quic-go (§4.1): v1 plus drafts 27, 29, 32 and 34.
+    /// adapted quic-go (§4.1), in its order of preference: v1, then the
+    /// newest draft first (34, 32, 29, 27).
     pub const CLIENT_SUPPORTED: [QuicVersion; 5] = [
         QuicVersion::V1,
-        QuicVersion::DRAFT_27,
-        QuicVersion::DRAFT_29,
-        QuicVersion::DRAFT_32,
         QuicVersion::DRAFT_34,
+        QuicVersion::DRAFT_32,
+        QuicVersion::DRAFT_29,
+        QuicVersion::DRAFT_27,
     ];
 
     /// Wire encoding of the version field.
@@ -53,14 +54,6 @@ impl QuicVersion {
             v if v & 0xffff_ff00 == 0xff00_0000 => QuicVersion::Draft((v & 0xff) as u8),
             v => QuicVersion::Other(v),
         }
-    }
-
-    /// Whether this crate knows how to encode packets of this version.
-    pub fn is_supported(self) -> bool {
-        matches!(
-            self,
-            QuicVersion::V1 | QuicVersion::Draft(27 | 29 | 32 | 34)
-        )
     }
 
     /// Short label used in reports ("v1", "d27", …), matching the paper's figures.
@@ -110,17 +103,16 @@ mod tests {
 
     #[test]
     fn support_matrix() {
-        assert!(QuicVersion::V1.is_supported());
-        assert!(QuicVersion::DRAFT_32.is_supported());
-        assert!(!QuicVersion::Draft(13).is_supported());
-        assert!(!QuicVersion::Other(0xdead_beef).is_supported());
+        let supports = |v| QuicVersion::CLIENT_SUPPORTED.contains(&v);
+        assert!(supports(QuicVersion::V1));
+        assert!(supports(QuicVersion::DRAFT_32));
+        assert!(!supports(QuicVersion::Draft(13)));
+        assert!(!supports(QuicVersion::Other(0xdead_beef)));
     }
 
     #[test]
     fn client_supports_five_versions() {
         assert_eq!(QuicVersion::CLIENT_SUPPORTED.len(), 5);
-        assert!(QuicVersion::CLIENT_SUPPORTED
-            .iter()
-            .all(|v| v.is_supported()));
+        assert_eq!(QuicVersion::CLIENT_SUPPORTED[0], QuicVersion::V1);
     }
 }

@@ -185,14 +185,6 @@ impl TcpHeader {
             &buf[data_offset..],
         ))
     }
-
-    /// Verify the TCP checksum of an encoded segment.
-    pub fn verify_checksum(src: IpAddr, dst: IpAddr, segment: &[u8]) -> bool {
-        if segment.len() < TCP_HEADER_LEN {
-            return false;
-        }
-        pseudo_header_checksum(src, dst, IpProtocol::Tcp, segment) == 0
-    }
 }
 
 #[cfg(test)]
@@ -248,9 +240,9 @@ mod tests {
         let (src, dst) = addrs();
         let mut seg = Vec::new();
         TcpHeader::new(50000, 443, 1, 0, TcpFlags::default()).encode(src, dst, b"data", &mut seg);
-        assert!(TcpHeader::verify_checksum(src, dst, &seg));
+        assert_eq!(pseudo_header_checksum(src, dst, IpProtocol::Tcp, &seg), 0);
         seg[4] ^= 1;
-        assert!(!TcpHeader::verify_checksum(src, dst, &seg));
+        assert_ne!(pseudo_header_checksum(src, dst, IpProtocol::Tcp, &seg), 0);
     }
 
     #[test]

@@ -63,7 +63,8 @@ impl UdpHeader {
     ///
     /// The checksum is *not* verified here because routers in the simulator
     /// legitimately rewrite IP-level fields that do not participate in the
-    /// UDP checksum; verification is available via [`UdpHeader::verify_checksum`].
+    /// UDP checksum; a segment verifies when
+    /// [`pseudo_header_checksum`] over it is zero.
     pub fn decode(buf: &[u8]) -> Result<(Self, &[u8])> {
         if buf.len() < UDP_HEADER_LEN {
             return Err(PacketError::Truncated {
@@ -85,14 +86,6 @@ impl UdpHeader {
             UdpHeader { src_port, dst_port },
             &buf[UDP_HEADER_LEN..length],
         ))
-    }
-
-    /// Verify the UDP checksum of an encoded segment for the given endpoints.
-    pub fn verify_checksum(src: IpAddr, dst: IpAddr, segment: &[u8]) -> bool {
-        if segment.len() < UDP_HEADER_LEN {
-            return false;
-        }
-        pseudo_header_checksum(src, dst, IpProtocol::Udp, segment) == 0
     }
 }
 
@@ -128,7 +121,7 @@ mod tests {
     fn checksum_verifies() {
         let (src, dst) = addrs();
         let seg = encoded(UdpHeader::new(1234, 443), src, dst, b"payload");
-        assert!(UdpHeader::verify_checksum(src, dst, &seg));
+        assert_eq!(pseudo_header_checksum(src, dst, IpProtocol::Udp, &seg), 0);
     }
 
     #[test]
@@ -136,7 +129,7 @@ mod tests {
         let (src, dst) = addrs();
         let mut seg = encoded(UdpHeader::new(1234, 443), src, dst, b"payload!");
         seg[10] ^= 0x55;
-        assert!(!UdpHeader::verify_checksum(src, dst, &seg));
+        assert_ne!(pseudo_header_checksum(src, dst, IpProtocol::Udp, &seg), 0);
     }
 
     #[test]
@@ -160,6 +153,6 @@ mod tests {
         let src: IpAddr = "2001:db8::1".parse().unwrap();
         let dst: IpAddr = "2001:db8::2".parse().unwrap();
         let seg = encoded(UdpHeader::new(5000, 443), src, dst, b"h3");
-        assert!(UdpHeader::verify_checksum(src, dst, &seg));
+        assert_eq!(pseudo_header_checksum(src, dst, IpProtocol::Udp, &seg), 0);
     }
 }

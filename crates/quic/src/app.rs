@@ -8,9 +8,9 @@
 //! frame streaming) instead need a steady supply of 1-RTT packets carrying
 //! STREAM data.  This module provides the two halves:
 //!
-//! * [`AppDataSource`] — a pull interface handing out [`AppChunk`]s of
-//!   stream data ([`BulkObject`] for a fixed-size HTTP-style object,
-//!   [`FrameSource`] for periodic RTC frames);
+//! * the sources handing out [`AppChunk`]s of stream data: [`BulkObject`]
+//!   for a fixed-size HTTP-style object, [`FrameSource`] for periodic RTC
+//!   frames;
 //! * [`StreamPacketizer`] — appends chunks as short-header QUIC packets
 //!   (one STREAM frame per packet, monotonically increasing packet
 //!   numbers) to the datagram a flow is building, and reads them back in
@@ -34,19 +34,6 @@ pub struct AppChunk {
     pub fin: bool,
 }
 
-/// A source of application data, pulled chunk by chunk by a sending flow.
-///
-/// Implementations are pure state machines: `next_chunk` either hands out
-/// the next at-most-`max_len`-byte chunk or reports the source exhausted.
-pub trait AppDataSource {
-    /// The next chunk of at most `max_len` bytes, or `None` when the source
-    /// has no more data to offer.
-    fn next_chunk(&mut self, max_len: usize) -> Option<AppChunk>;
-
-    /// Total number of bytes the source will ever produce, when known.
-    fn total_len(&self) -> Option<u64>;
-}
-
 /// A fixed-size object transferred once: the bulk-goodput workload's data
 /// source (think "HTTP response body of `size` bytes").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,14 +48,14 @@ impl BulkObject {
         BulkObject { size, next: 0 }
     }
 
-    /// Bytes handed out so far.
-    pub fn offered(&self) -> u64 {
-        self.next
+    /// The object's size in bytes.
+    pub fn size(&self) -> u64 {
+        self.size
     }
-}
 
-impl AppDataSource for BulkObject {
-    fn next_chunk(&mut self, max_len: usize) -> Option<AppChunk> {
+    /// The next chunk of at most `max_len` bytes, or `None` once the whole
+    /// object has been handed out.
+    pub fn next_chunk(&mut self, max_len: usize) -> Option<AppChunk> {
         if self.next >= self.size || max_len == 0 {
             return None;
         }
@@ -80,10 +67,6 @@ impl AppDataSource for BulkObject {
         };
         self.next += len as u64;
         Some(chunk)
-    }
-
-    fn total_len(&self) -> Option<u64> {
-        Some(self.size)
     }
 }
 
@@ -174,11 +157,6 @@ impl StreamPacketizer {
         open.finish(buf);
     }
 
-    /// Packets built so far (also the next packet number).
-    pub fn packets_built(&self) -> u64 {
-        self.next_pn
-    }
-
     /// Parse a packet built by [`StreamPacketizer::packetize`] back into its
     /// chunk, for the receiving side of a workload flow.  Returns `None` for
     /// anything that is not a short-header packet with one STREAM frame.
@@ -223,7 +201,7 @@ mod tests {
         assert_eq!(chunks[1].offset, 1_200);
         assert_eq!(chunks[2].len, 100);
         assert!(chunks[2].fin && !chunks[0].fin);
-        assert_eq!(object.total_len(), Some(2_500));
+        assert_eq!(object.size(), 2_500);
         assert_eq!(object.next_chunk(1_200), None);
     }
 
@@ -248,7 +226,6 @@ mod tests {
         };
         let mut wire = Vec::new();
         packetizer.packetize(&chunk, &mut wire);
-        assert_eq!(packetizer.packets_built(), 1);
         let parsed = StreamPacketizer::parse(&wire, CID_LEN).expect("valid stream packet");
         assert_eq!(parsed, chunk);
     }

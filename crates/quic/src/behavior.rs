@@ -44,12 +44,6 @@ pub enum EcnMirroringBehavior {
 }
 
 impl EcnMirroringBehavior {
-    /// Whether the behaviour ever produces ECN counts (the paper's
-    /// "Mirroring" notion).
-    pub fn mirrors(self) -> bool {
-        self != EcnMirroringBehavior::None
-    }
-
     /// Transform the counters a server actually observed in a given packet
     /// number space into the counters it will report.
     ///
@@ -147,18 +141,21 @@ impl ServerBehavior {
     }
 
     /// Set the mirroring behaviour.
+    // lint: allow(unused-pub) test fixture: servers that mirror wrongly, in connection-run and census tests
     pub fn with_mirroring(mut self, mirroring: EcnMirroringBehavior) -> Self {
         self.mirroring = mirroring;
         self
     }
 
     /// Make the server use ECN on its own packets (sets `ECT(0)`).
+    // lint: allow(unused-pub) test fixture: ECN-using servers in connection-run and wire tests
     pub fn with_ecn_use(mut self) -> Self {
         self.egress_ecn = EcnCodepoint::Ect0;
         self
     }
 
     /// Set the supported versions.
+    // lint: allow(unused-pub) test fixture: version-negotiating servers in connection-run and wire tests
     pub fn with_versions(mut self, versions: impl IntoIterator<Item = QuicVersion>) -> Self {
         self.supported_versions = Versions::new(versions);
         self
@@ -173,12 +170,6 @@ impl ServerBehavior {
     /// Whether `version` is acceptable to this server.
     pub fn supports_version(&self, version: QuicVersion) -> bool {
         self.supported_versions.iter().any(|v| v == version)
-    }
-
-    /// Whether this behaviour would count as "Mirroring" in the paper's
-    /// terminology, assuming a clean path.
-    pub fn nominally_mirrors(&self) -> bool {
-        self.mirroring.mirrors()
     }
 
     /// Whether this behaviour counts as "Use" in the paper's terminology.
@@ -206,7 +197,6 @@ mod tests {
     #[test]
     fn none_reports_nothing() {
         assert_eq!(EcnMirroringBehavior::None.report(OBSERVED, false), None);
-        assert!(!EcnMirroringBehavior::None.mirrors());
     }
 
     #[test]
@@ -256,7 +246,7 @@ mod tests {
             .with_server_header("LiteSpeed")
             .with_versions(vec![QuicVersion::DRAFT_27]);
         assert!(b.uses_ecn());
-        assert!(b.nominally_mirrors());
+        assert_ne!(b.mirroring, EcnMirroringBehavior::None);
         assert!(b.supports_version(QuicVersion::DRAFT_27));
         assert!(!b.supports_version(QuicVersion::V1));
         assert_eq!(b.server_header, Some("LiteSpeed"));
@@ -273,7 +263,7 @@ mod tests {
     #[test]
     fn no_mirroring_profile() {
         let b = ServerBehavior::no_mirroring();
-        assert!(!b.nominally_mirrors());
+        assert_eq!(b.mirroring, EcnMirroringBehavior::None);
         assert!(!b.uses_ecn());
         assert!(b.serves_http);
     }

@@ -479,15 +479,9 @@ impl<C: Borrow<ClientConfig>> ClientConnection<C> {
             return;
         }
         self.version_negotiated = true;
-        // Preference order: v1 first, then the newest supported draft.
-        let preference = [
-            QuicVersion::V1,
-            QuicVersion::DRAFT_34,
-            QuicVersion::DRAFT_32,
-            QuicVersion::DRAFT_29,
-            QuicVersion::DRAFT_27,
-        ];
-        let chosen = preference.into_iter().find(|v| supported.contains(v));
+        let chosen = QuicVersion::CLIENT_SUPPORTED
+            .into_iter()
+            .find(|v| supported.contains(v));
         match chosen {
             Some(version) => {
                 self.version = version;
@@ -619,7 +613,13 @@ mod tests {
         assert!(transmit.payload.len() >= MIN_INITIAL_SIZE - 60);
         assert_eq!(transmit.ecn, EcnCodepoint::Ect0);
         let (packet, _) = QuicPacket::decode(transmit.payload, CID_LEN).unwrap();
-        assert!(packet.header.is_initial());
+        assert!(matches!(
+            packet.header,
+            qem_packet::quic::PacketHeader::Long {
+                ty: qem_packet::quic::LongPacketType::Initial,
+                ..
+            }
+        ));
         assert_eq!(packet.header.version(), Some(QuicVersion::V1));
     }
 

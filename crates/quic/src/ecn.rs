@@ -34,15 +34,6 @@ pub struct EcnConfig {
 }
 
 impl EcnConfig {
-    /// The RFC 9000 §13.4.2 suggestion: 10 packets, 3 timeouts, ECT(0).
-    pub fn rfc_default() -> Self {
-        EcnConfig {
-            testing_packets: 10,
-            max_timeouts: 3,
-            codepoint: EcnCodepoint::Ect0,
-        }
-    }
-
     /// The paper's reduced budget: 5 packets, 2 timeouts, ECT(0) (§4.1).
     pub fn paper_default() -> Self {
         EcnConfig {
@@ -116,14 +107,6 @@ pub enum EcnValidationState {
 }
 
 impl EcnValidationState {
-    /// Whether the endpoint should still mark outgoing packets.
-    pub fn marking_active(self) -> bool {
-        matches!(
-            self,
-            EcnValidationState::Testing | EcnValidationState::Capable
-        )
-    }
-
     /// Whether a final verdict has been reached.
     pub fn is_final(self) -> bool {
         matches!(
@@ -380,7 +363,7 @@ mod tests {
         );
         assert_eq!(v.state(), EcnValidationState::Capable);
         assert!(v.peer_mirrored());
-        assert!(v.state().marking_active());
+        assert_eq!(v.codepoint_for_next_packet(), EcnCodepoint::Ect0);
     }
 
     #[test]
@@ -421,7 +404,7 @@ mod tests {
             EcnValidationState::Failed(EcnValidationFailure::NoMirroring)
         );
         assert!(!v.peer_mirrored());
-        assert!(!v.state().marking_active());
+        assert_eq!(v.codepoint_for_next_packet(), EcnCodepoint::NotEct);
     }
 
     #[test]
@@ -554,7 +537,12 @@ mod tests {
 
     #[test]
     fn rfc_budget_uses_ten_packets_and_three_timeouts() {
-        let mut v = EcnValidator::new(EcnConfig::rfc_default());
+        // RFC 9000 §13.4.2's suggestion.
+        let mut v = EcnValidator::new(EcnConfig {
+            testing_packets: 10,
+            max_timeouts: 3,
+            codepoint: EcnCodepoint::Ect0,
+        });
         send_n(&mut v, 9);
         assert_eq!(v.state(), EcnValidationState::Testing);
         send_n(&mut v, 1);

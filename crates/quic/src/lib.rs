@@ -45,7 +45,7 @@ pub mod server;
 pub mod spaces;
 pub mod transport_params;
 
-pub use app::{AppChunk, AppDataSource, BulkObject, FrameSource, StreamPacketizer};
+pub use app::{AppChunk, BulkObject, FrameSource, StreamPacketizer};
 pub use behavior::{EcnMirroringBehavior, ServerBehavior, Versions};
 pub use client::{ClientConfig, ClientConnection, ClientEcnMode, ClientReport};
 pub use driver::{

@@ -477,7 +477,12 @@ fn arb_response_stream() -> impl Strategy<Value = Vec<u8>> {
 fn arb_config() -> impl Strategy<Value = EcnConfig> {
     prop_oneof![
         Just(EcnConfig::paper_default()),
-        Just(EcnConfig::rfc_default()),
+        // RFC 9000 §13.4.2's suggestion.
+        Just(EcnConfig {
+            testing_packets: 10,
+            max_timeouts: 3,
+            codepoint: EcnCodepoint::Ect0,
+        }),
     ]
 }
 

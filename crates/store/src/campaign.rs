@@ -261,6 +261,28 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_trace_probability_is_stored_and_scans_as_zero_does() {
+        let universe = universe();
+        let campaign = Campaign::new(&universe);
+        let vantage = VantagePoint::main();
+        let zero = CampaignOptions {
+            trace_sample_probability: 0.0,
+            ..CampaignOptions::paper_default()
+        };
+        let nan = CampaignOptions {
+            trace_sample_probability: f64::NAN,
+            ..zero
+        };
+        let dir = temp_dir("nan-trace-p");
+        let stored = campaign
+            .run_snapshot_to_store(&vantage, &nan, false, &dir)
+            .unwrap();
+        let reference = campaign.run_snapshot(&vantage, &zero, false);
+        assert_eq!(stored.to_snapshot().unwrap().hosts, reference.hosts);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn store_backed_snapshot_equals_in_memory_snapshot() {
         let universe = universe();
         let campaign = Campaign::new(&universe);
@@ -275,9 +297,7 @@ mod tests {
         assert_eq!(stored.to_snapshot().unwrap().hosts, in_memory.hosts);
         assert_eq!(stored.date(), in_memory.date);
         assert_eq!(stored.vantage(), &in_memory.vantage);
-        let telemetry = stored
-            .telemetry_json()
-            .unwrap()
+        let telemetry = fs::read_to_string(dir.join(TELEMETRY_FILE))
             .expect("store-backed runs persist their telemetry");
         assert!(telemetry.contains("\"scan.hosts\""));
         assert!(telemetry.contains("\"store.segments_written\""));
@@ -334,7 +354,7 @@ mod tests {
         );
         assert_eq!(outcome.store.to_snapshot().unwrap().hosts, reference.hosts);
         // The resume's telemetry records how much work the store saved.
-        let telemetry = outcome.store.telemetry_json().unwrap().unwrap();
+        let telemetry = fs::read_to_string(dir.join(TELEMETRY_FILE)).unwrap();
         let needle = format!(
             "\"store.resume_skipped\": {{\"type\": \"counter\", \"value\": {}}}",
             outcome.skipped_hosts
@@ -370,9 +390,15 @@ mod tests {
         }
         // The first date stores the full population; later dates store
         // strictly fewer records (only changed hosts).
-        let full = store.stored_record_count(0).unwrap();
+        let stored = |idx| {
+            StoredSnapshot::open(&dir.join(crate::longitudinal::date_dir_name(idx)))
+                .unwrap()
+                .recorded_host_count()
+                .unwrap()
+        };
+        let full = stored(0);
         for idx in 1..dates.len() {
-            let delta = store.stored_record_count(idx).unwrap();
+            let delta = stored(idx);
             assert!(
                 delta < full,
                 "date {idx} stored {delta} records, expected fewer than {full}"

@@ -745,6 +745,7 @@ impl EncodedBlock {
 /// first, then the record count, then the records — in a buffer allocated
 /// once at its exact size.  This is the payload of a segment file
 /// ([`crate::segment`] adds framing and the checksum).
+// lint: allow(unused-pub) benchmark: its store probe times the block codec
 pub fn encode_block(measurements: &[HostMeasurement]) -> Vec<u8> {
     let block = EncodedBlock::new(measurements);
     let mut bytes = Vec::with_capacity(block.len());
@@ -830,6 +831,7 @@ fn decode_records(
 }
 
 /// Decode a block produced by [`encode_block`] into a new `Vec`.
+// lint: allow(unused-pub) benchmark: its store probe times the block codec
 pub fn decode_block(data: &[u8]) -> Result<Vec<HostMeasurement>, StoreError> {
     let mut out = Vec::new();
     decode_block_into(data, None, &mut out)?;

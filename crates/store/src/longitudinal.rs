@@ -79,11 +79,46 @@ fn encode_series_meta(
     bytes
 }
 
-fn decode_series_dates(bytes: &[u8]) -> Result<Vec<SnapshotDate>, StoreError> {
+/// What `longitudinal.meta` records: the series identity every date's
+/// [`SnapshotMeta`] must match, and the date sequence.
+struct SeriesManifest {
+    vantage_name: String,
+    seed: u64,
+    /// The trace probability's bits, so a NaN compares equal to itself.
+    trace_p_bits: u64,
+    dates: Vec<SnapshotDate>,
+}
+
+impl SeriesManifest {
+    /// Why date `idx`'s `meta` does not belong to this series, if it does
+    /// not; `first` is date 0's.
+    fn mismatch(&self, idx: usize, meta: &SnapshotMeta, first: &SnapshotMeta) -> Option<String> {
+        let date = self.dates[idx];
+        if meta.date != date {
+            Some(format!("holds {} but the manifest says {date}", meta.date))
+        } else if meta.delta != (idx > 0) {
+            Some("has the wrong delta flag".to_string())
+        } else if meta.vantage.name != self.vantage_name
+            || meta.seed != self.seed
+            || meta.trace_sample_probability.to_bits() != self.trace_p_bits
+        {
+            Some("differs from the manifest in vantage, seed or trace probability".to_string())
+        } else if meta.probe != first.probe
+            || meta.ipv6 != first.ipv6
+            || meta.vantage != first.vantage
+        {
+            Some("differs from date 0 in probe mode, address family or vantage".to_string())
+        } else {
+            None
+        }
+    }
+}
+
+fn decode_series_manifest(bytes: &[u8]) -> Result<SeriesManifest, StoreError> {
     let mut r = open_sealed(bytes, LONGITUDINAL_MAGIC, "longitudinal metadata")?;
-    let _vantage_name = r.string()?;
-    let _seed = r.u64_le()?;
-    let _trace_p = r.u64_le()?;
+    let vantage_name = r.string()?;
+    let seed = r.u64_le()?;
+    let trace_p_bits = r.u64_le()?;
     let count = r.varint()? as usize;
     let mut dates = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
@@ -93,7 +128,12 @@ fn decode_series_dates(bytes: &[u8]) -> Result<Vec<SnapshotDate>, StoreError> {
                 .map_err(|_| StoreError::Corrupt(format!("date offset {months} overflows u32")))?,
         ));
     }
-    Ok(dates)
+    Ok(SeriesManifest {
+        vantage_name,
+        seed,
+        trace_p_bits,
+        dates,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -315,36 +355,29 @@ impl LongitudinalStore {
             .and_then(|r| r.expect_end("COMPLETE marker"))
             .map_err(|e| StoreError::Corrupt(format!("{}: {e}", marker.display())))?;
         let meta_bytes = fs::read(dir.join(LONGITUDINAL_META_FILE))?;
-        let dates = decode_series_dates(&meta_bytes)?;
-        let mut snapshots = Vec::with_capacity(dates.len());
-        for (idx, &date) in dates.iter().enumerate() {
-            let snapshot = StoredSnapshot::open(&dir.join(date_dir_name(idx)))?;
-            if snapshot.meta().date != date {
+        let manifest = decode_series_manifest(&meta_bytes)?;
+        let mut snapshots: Vec<StoredSnapshot> = Vec::with_capacity(manifest.dates.len());
+        for idx in 0..manifest.dates.len() {
+            let date_dir = dir.join(date_dir_name(idx));
+            let snapshot = StoredSnapshot::open(&date_dir)?;
+            let first = snapshots.first().unwrap_or(&snapshot).meta();
+            if let Some(why) = manifest.mismatch(idx, snapshot.meta(), first) {
                 return Err(StoreError::Corrupt(format!(
-                    "date {idx} directory holds {} but the manifest says {date}",
-                    snapshot.meta().date
-                )));
-            }
-            if snapshot.meta().delta != (idx > 0) {
-                return Err(StoreError::Corrupt(format!(
-                    "date {idx} has the wrong delta flag"
+                    "{}: {why}",
+                    date_dir.display()
                 )));
             }
             snapshots.push(snapshot);
         }
-        Ok(LongitudinalStore { dates, snapshots })
+        Ok(LongitudinalStore {
+            dates: manifest.dates,
+            snapshots,
+        })
     }
 
     /// The date sequence.
     pub fn dates(&self) -> &[SnapshotDate] {
         &self.dates
-    }
-
-    /// Records persisted for date `idx` (the on-disk delta size).
-    pub fn stored_record_count(&self, idx: usize) -> Option<u64> {
-        self.snapshots
-            .get(idx)
-            .and_then(|s| s.recorded_host_count())
     }
 
     /// Replay the series once, handing each date's **full** reconstructed
@@ -440,9 +473,12 @@ mod tests {
         assert_eq!(writer.stored_per_date(), &[50, 1, 2]);
         let store = writer.finish().unwrap();
         assert_eq!(store.dates(), &dates);
-        assert_eq!(store.stored_record_count(0), Some(50));
-        assert_eq!(store.stored_record_count(1), Some(1));
-        assert_eq!(store.stored_record_count(2), Some(2));
+        let stored: Vec<_> = store
+            .snapshots
+            .iter()
+            .map(|s| s.recorded_host_count())
+            .collect();
+        assert_eq!(stored, [Some(50), Some(1), Some(2)]);
 
         // Replay: every date reconstructs the full 50-host population.
         let snapshots = store.snapshots().unwrap();
@@ -542,5 +578,46 @@ mod tests {
             Err(StoreError::State(_))
         ));
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_date_spliced_in_from_another_series_is_refused() {
+        let dates = [SnapshotDate::JUN_2022, SnapshotDate::new(2022, 7)];
+        // Two series over the same dates and hosts, seeds 1 and 2; host
+        // `flip` changes at date 1.
+        let write = |seed: u64, flip: usize| {
+            let dir = temp_dir(&format!("splice-{seed}"));
+            let options = CampaignOptions {
+                seed,
+                ..CampaignOptions::paper_default()
+            };
+            let mut writer =
+                LongitudinalWriter::create(&dir, &VantagePoint::main(), &options, &dates).unwrap();
+            for date in 0..dates.len() {
+                writer.begin_date().unwrap();
+                for id in 0..20 {
+                    writer
+                        .append(measurement(id, date == 1 && id == flip))
+                        .unwrap();
+                }
+                writer.end_date().unwrap();
+            }
+            writer.finish().unwrap();
+            dir
+        };
+        let (one, two) = (write(1, 7), write(2, 13));
+        let spliced = one.join(date_dir_name(1));
+        fs::remove_dir_all(&spliced).unwrap();
+        fs::create_dir(&spliced).unwrap();
+        for entry in fs::read_dir(two.join(date_dir_name(1))).unwrap() {
+            let from = entry.unwrap().path();
+            fs::copy(&from, spliced.join(from.file_name().unwrap())).unwrap();
+        }
+        match LongitudinalStore::open(&one) {
+            Err(StoreError::Corrupt(why)) => assert!(why.contains("date-001"), "{why}"),
+            other => panic!("a spliced date opened: {:?}", other.map(|s| s.dates)),
+        }
+        fs::remove_dir_all(&one).unwrap();
+        fs::remove_dir_all(&two).unwrap();
     }
 }

@@ -78,13 +78,6 @@ pub fn write_atomically(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Read and fully validate one segment file.
-pub fn read_segment(path: &Path) -> Result<Vec<HostMeasurement>, StoreError> {
-    let mut measurements = Vec::new();
-    read_segment_into(path, None, &mut measurements, &mut Vec::new())?;
-    Ok(measurements)
-}
-
 /// Read and fully validate one segment file onto the end of `out`, all or
 /// nothing: its host ids rise strictly from above `after`
 /// ([`decode_block_into`]), and any failure is [`StoreError::Corrupt`]
@@ -229,7 +222,9 @@ mod tests {
         let written = write_segment(&dir, 0, &hosts).unwrap();
         let path = dir.join(segment_file_name(0));
         assert_eq!(written, fs::metadata(&path).unwrap().len());
-        assert_eq!(read_segment(&path).unwrap(), hosts);
+        let mut read = Vec::new();
+        read_segment_into(&path, None, &mut read, &mut Vec::new()).unwrap();
+        assert_eq!(read, hosts);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -242,7 +237,8 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
-        assert!(matches!(read_segment(&path), Err(StoreError::Corrupt(_))));
+        let read = read_segment_into(&path, None, &mut Vec::new(), &mut Vec::new());
+        assert!(matches!(read, Err(StoreError::Corrupt(_))));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -2,8 +2,8 @@
 //! workload layer's bulk-transfer apps.
 //!
 //! Mirrors `qem_quic::app` for the TCP side: workload flows pull
-//! `AppChunk`s from an `AppDataSource` (both defined in the QUIC crate,
-//! which owns the shared sourcing vocabulary) and hand them to a
+//! `AppChunk`s from a `BulkObject` (both defined in the QUIC crate, which
+//! owns the shared sourcing vocabulary) and hand them to a
 //! [`SegmentPacketizer`], which emits real `ACK|PSH` data segments with
 //! monotonically advancing sequence numbers.  Sans-IO and deterministic, like
 //! everything below the engine: no sockets, no clocks, no randomness.

@@ -76,22 +76,6 @@ impl TraceAnalysis {
     pub fn is_impaired(&self) -> bool {
         !matches!(self.verdict, PathVerdict::NoChange | PathVerdict::Untested)
     }
-
-    /// ASes involved in any change, deduplicated, in order of appearance.
-    pub fn involved_asns(&self) -> Vec<Asn> {
-        let mut out = Vec::new();
-        for change in &self.changes {
-            for asn in [change.asn_before, change.asn_at_change]
-                .into_iter()
-                .flatten()
-            {
-                if !out.contains(&asn) {
-                    out.push(asn);
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Analyse a trace, resolving router addresses to ASes with `ip_to_asn`
@@ -220,7 +204,7 @@ mod tests {
         // The clearing router sits inside AS 1299; both attribution candidates
         // must include it.
         assert_eq!(change.attributed_asn(), Some(Asn::ARELION));
-        assert!(analysis.involved_asns().contains(&Asn::ARELION));
+        assert!([change.asn_before, change.asn_at_change].contains(&Some(Asn::ARELION)));
     }
 
     #[test]
@@ -247,7 +231,12 @@ mod tests {
         assert_eq!(analysis.changes.len(), 2);
         assert_eq!(analysis.changes[0].to, EcnCodepoint::Ect1);
         assert_eq!(analysis.changes[1].to, EcnCodepoint::NotEct);
-        let involved = analysis.involved_asns();
+        let involved: Vec<Asn> = analysis
+            .changes
+            .iter()
+            .flat_map(|c| [c.asn_before, c.asn_at_change])
+            .flatten()
+            .collect();
         assert!(involved.contains(&Asn::ARELION));
         assert!(involved.contains(&Asn::COGENT));
     }
@@ -265,10 +254,10 @@ mod tests {
     fn dscp_only_rewrite_is_not_an_impairment() {
         let path = PathBuilder::new()
             .transparent_hops(Asn::DFN, 1)
-            .custom_hop(
-                Router::transparent(5, Asn::ARELION)
-                    .with_dscp_policy(DscpPolicy::ResetToBestEffort),
-            )
+            .custom_hop(Router {
+                dscp_policy: DscpPolicy::ResetToBestEffort,
+                ..Router::transparent(5, Asn::ARELION)
+            })
             .transparent_hops(Asn(13335), 2)
             .build();
         let (src, dst) = endpoints();

@@ -92,18 +92,6 @@ pub struct PathTrace {
     pub time_spent: SimDuration,
 }
 
-impl PathTrace {
-    /// Observations for which the ECN codepoint could be recovered.
-    pub fn observed_hops(&self) -> impl Iterator<Item = &HopObservation> {
-        self.hops.iter().filter(|h| h.observed_ecn.is_some())
-    }
-
-    /// Number of hops that answered.
-    pub fn responding_hops(&self) -> usize {
-        self.hops.iter().filter(|h| !h.timed_out).count()
-    }
-}
-
 /// Build one probe in `udp`: a padded QUIC Initial inside UDP inside IP with
 /// the given TTL and traffic class.  The Initial is written once, where it
 /// goes: into the body the datagram takes.
@@ -275,9 +263,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let trace = trace_path(&path, src, dst, &TraceConfig::default(), &mut rng);
         assert!(trace.destination_reached);
-        assert_eq!(trace.responding_hops(), path.len());
+        assert!(trace.hops.iter().all(|h| !h.timed_out));
+        assert_eq!(trace.hops.len(), path.len());
         assert!(trace
-            .observed_hops()
+            .hops
+            .iter()
             .all(|h| h.observed_ecn == Some(EcnCodepoint::Ect0)));
     }
 
@@ -292,10 +282,7 @@ mod tests {
         let (src, dst) = endpoints();
         let mut rng = StdRng::seed_from_u64(2);
         let trace = trace_path(&path, src, dst, &TraceConfig::default(), &mut rng);
-        let observed: Vec<_> = trace
-            .observed_hops()
-            .map(|h| h.observed_ecn.unwrap())
-            .collect();
+        let observed: Vec<_> = trace.hops.iter().filter_map(|h| h.observed_ecn).collect();
         assert!(observed.contains(&EcnCodepoint::Ect0));
         assert!(observed.contains(&EcnCodepoint::NotEct));
         // Once cleared it never comes back.
@@ -347,7 +334,10 @@ mod tests {
         let path = PathBuilder::new()
             .custom_hop(
                 Router::transparent(1, Asn::DFN)
-                    .with_icmp(IcmpBehavior::minimal_quote())
+                    .with_icmp(IcmpBehavior {
+                        quote_bytes: 28,
+                        ..IcmpBehavior::responsive()
+                    })
                     .with_ecn_policy(EcnPolicy::Pass),
             )
             .transparent_hops(Asn(13335), 1)
@@ -367,7 +357,13 @@ mod tests {
         assert_eq!(probe.header.ecn(), EcnCodepoint::Ect0);
         let (_, udp_payload) = UdpHeader::decode(&probe.payload).unwrap();
         let (packet, _) = QuicPacket::decode(udp_payload, 8).unwrap();
-        assert!(packet.header.is_initial());
+        assert!(matches!(
+            packet.header,
+            qem_packet::quic::PacketHeader::Long {
+                ty: qem_packet::quic::LongPacketType::Initial,
+                ..
+            }
+        ));
     }
 
     /// FNV-1a of every probe's wire bytes at TTL 1..=12, towards a v4 and
@@ -390,7 +386,10 @@ mod tests {
                     u32::from(ttl),
                 )
                 .unwrap();
-                for byte in probe.to_bytes() {
+                let mut bytes = Vec::new();
+                probe.header.write(probe.payload.len(), &mut bytes);
+                bytes.extend_from_slice(&probe.payload);
+                for byte in bytes {
                     digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
                 }
             }
@@ -424,7 +423,8 @@ mod tests {
         let trace = trace_path(&path, src, dst, &TraceConfig::default(), &mut rng);
         assert!(trace.destination_reached);
         assert!(trace
-            .observed_hops()
+            .hops
+            .iter()
             .any(|h| h.observed_ecn == Some(EcnCodepoint::Ect1)));
         assert!(trace
             .hops

@@ -140,26 +140,6 @@ pub struct LandscapeSpec {
     pub parked_share: f64,
 }
 
-impl LandscapeSpec {
-    /// Total c/n/o QUIC domains at paper scale.
-    pub fn total_cno_quic(&self) -> u64 {
-        self.providers
-            .iter()
-            .flat_map(|p| &p.segments)
-            .map(|s| s.cno_quic_domains)
-            .sum()
-    }
-
-    /// Total toplist QUIC domains at paper scale.
-    pub fn total_toplist_quic(&self) -> u64 {
-        self.providers
-            .iter()
-            .flat_map(|p| &p.segments)
-            .map(|s| s.toplist_quic_domains)
-            .sum()
-    }
-}
-
 /// Build the landscape calibrated to the paper's April 2023 numbers.
 pub fn default_landscape() -> LandscapeSpec {
     use StackProfile::*;
@@ -812,11 +792,21 @@ pub fn default_landscape() -> LandscapeSpec {
 mod tests {
     use super::*;
 
+    /// `count` summed over every segment of the landscape, at paper scale.
+    fn total(landscape: &LandscapeSpec, count: fn(&SegmentSpec) -> u64) -> u64 {
+        landscape
+            .providers
+            .iter()
+            .flat_map(|p| &p.segments)
+            .map(count)
+            .sum()
+    }
+
     #[test]
     fn quic_totals_match_the_paper_within_tolerance() {
         let landscape = default_landscape();
-        let cno = landscape.total_cno_quic();
-        let top = landscape.total_toplist_quic();
+        let cno = total(&landscape, |s| s.cno_quic_domains);
+        let top = total(&landscape, |s| s.toplist_quic_domains);
         // Paper: 17.30 M c/n/o QUIC domains, 525.58 k toplist QUIC domains.
         assert!((16_900_000..=17_700_000).contains(&cno), "cno = {cno}");
         assert!((500_000..=545_000).contains(&top), "top = {top}");
@@ -844,7 +834,7 @@ mod tests {
     #[test]
     fn mirroring_share_is_a_small_minority() {
         let landscape = default_landscape();
-        let total = landscape.total_cno_quic() as f64;
+        let total = total(&landscape, |s| s.cno_quic_domains) as f64;
         let mirroring: u64 = landscape
             .providers
             .iter()
@@ -858,7 +848,7 @@ mod tests {
                     s.uses_ecn,
                     false,
                 );
-                b.mirroring.mirrors()
+                b.mirroring != qem_quic::behavior::EcnMirroringBehavior::None
                     && !matches!(s.transit_v4, TransitProfile::Clearing { .. })
                     && !matches!(s.transit_v4, TransitProfile::RemarkThenClear { .. })
             })

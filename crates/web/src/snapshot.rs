@@ -29,8 +29,6 @@ impl SnapshotDate {
     pub const MAR_2023: SnapshotDate = SnapshotDate::new(2023, 3);
     /// April 2023 — the main IPv4 measurement week (week 15/2023, Tables 1–7).
     pub const APR_2023: SnapshotDate = SnapshotDate::new(2023, 4);
-    /// The IPv6 measurement (week 13/2023) also falls in late March.
-    pub const IPV6_WEEK: SnapshotDate = SnapshotDate::new(2023, 3);
     /// May 2023 — the TCP-vs-QUIC CE experiment (week 20/2023, Figure 6).
     pub const MAY_2023: SnapshotDate = SnapshotDate::new(2023, 5);
 

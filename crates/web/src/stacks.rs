@@ -286,7 +286,7 @@ mod tests {
             early.supported_versions,
             Versions::new([QuicVersion::DRAFT_27])
         );
-        assert!(early.mirroring.mirrors());
+        assert_ne!(early.mirroring, EcnMirroringBehavior::None);
         // After upgrading (before lsquic 4.0) it speaks v1 and stops mirroring.
         let mid = stack.behavior_at(SnapshotDate::FEB_2023, 0.5, false, false);
         assert!(mid.supports_version(QuicVersion::V1));
@@ -305,7 +305,7 @@ mod tests {
             false,
         );
         assert_eq!(b.supported_versions, Versions::new([QuicVersion::DRAFT_27]));
-        assert!(b.mirroring.mirrors());
+        assert_ne!(b.mirroring, EcnMirroringBehavior::None);
     }
 
     #[test]
@@ -325,19 +325,25 @@ mod tests {
     #[test]
     fn google_experiments_start_with_the_commits() {
         let proxy = StackProfile::GooglePepyakaProxy;
-        assert!(!proxy
-            .behavior_at(SnapshotDate::FEB_2023, 0.0, false, false)
-            .mirroring
-            .mirrors());
-        assert!(proxy
-            .behavior_at(SnapshotDate::APR_2023, 0.0, false, false)
-            .mirroring
-            .mirrors());
+        assert_eq!(
+            proxy
+                .behavior_at(SnapshotDate::FEB_2023, 0.0, false, false)
+                .mirroring,
+            EcnMirroringBehavior::None
+        );
+        assert_ne!(
+            proxy
+                .behavior_at(SnapshotDate::APR_2023, 0.0, false, false)
+                .mirroring,
+            EcnMirroringBehavior::None
+        );
         let remark = StackProfile::GoogleEct1Remark;
-        assert!(!remark
-            .behavior_at(SnapshotDate::new(2022, 12), 0.0, false, false)
-            .mirroring
-            .mirrors());
+        assert_eq!(
+            remark
+                .behavior_at(SnapshotDate::new(2022, 12), 0.0, false, false)
+                .mirroring,
+            EcnMirroringBehavior::None
+        );
         assert_eq!(
             remark
                 .behavior_at(SnapshotDate::APR_2023, 0.0, false, false)

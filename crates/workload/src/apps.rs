@@ -23,7 +23,7 @@ use qem_netsim::{DuplexPath, Flow, FlowStatus, SharedQueues, SimDuration, SimIns
 use qem_packet::ecn::EcnCodepoint;
 use qem_packet::ip::{IpDatagram, IpProtocol};
 use qem_packet::udp::UdpHeader;
-use qem_quic::app::{AppDataSource, BulkObject, FrameSource, StreamPacketizer};
+use qem_quic::app::{BulkObject, FrameSource, StreamPacketizer};
 use qem_tcp::app::SegmentPacketizer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -305,7 +305,7 @@ impl Flow for BulkAppFlow {
         }
 
         // 2. Done once every byte of the object is acknowledged.
-        if self.acked_bytes >= self.source.total_len().unwrap_or(0) {
+        if self.acked_bytes >= self.source.size() {
             if self.completed_at.is_none() {
                 self.completed_at = Some(now);
             }
@@ -318,7 +318,7 @@ impl Flow for BulkAppFlow {
             if let Some((&offset, &len)) = self.retransmit.iter().next() {
                 self.retransmit.remove(&offset);
                 self.retransmits += 1;
-                let fin = offset + len as u64 >= self.source.total_len().unwrap_or(0);
+                let fin = offset + len as u64 >= self.source.size();
                 self.transmit(offset, len, fin, now, net, &mut body);
             } else if let Some(chunk) = self.source.next_chunk(MSS) {
                 self.transmit(chunk.offset, chunk.len, chunk.fin, now, net, &mut body);

@@ -279,6 +279,7 @@ impl Scenario {
     }
 
     /// Run the scenario under every variant and bundle the comparison.
+    // lint: allow(unused-pub) tested feature: the all-variant comparison the workload goldens pin
     pub fn run_all(&self) -> WorkloadComparison {
         WorkloadComparison {
             scenario: self.name.clone(),

@@ -99,7 +99,13 @@ fn every_observed_impairment_points_at_arelion() {
     {
         let trace = trace_from(Asn::DFN, host, &mut rng);
         let analysis = analyze_trace(&trace, &|ip| universe.as_org.asn_of_ip(ip));
-        let involved = analysis.involved_asns();
+        // Both attribution candidates of every change.
+        let involved: Vec<Asn> = analysis
+            .changes
+            .iter()
+            .flat_map(|c| [c.asn_before, c.asn_at_change])
+            .flatten()
+            .collect();
         match analysis.verdict {
             PathVerdict::Cleared | PathVerdict::RemarkedToEct1 => {
                 attributed += 1;

@@ -10,7 +10,8 @@ use qem_core::reports::{
 };
 use qem_core::vantage::VantagePoint;
 use qem_core::{Campaign, CampaignOptions, HostMeasurement, ScanOptions, Scanner};
-use qem_store::{scan_into, CampaignStoreExt, CampaignWriter, SnapshotMeta};
+use qem_store::longitudinal::date_dir_name;
+use qem_store::{scan_into, CampaignStoreExt, CampaignWriter, SnapshotMeta, StoredSnapshot};
 use qem_web::{SnapshotDate, Universe, UniverseConfig};
 use std::path::PathBuf;
 
@@ -222,9 +223,15 @@ fn store_backed_longitudinal_reports_are_byte_identical() {
 
     // Delta encoding: every date after the first persists strictly fewer
     // records than the full population.
-    let full = store.stored_record_count(0).expect("first date count");
+    let stored = |idx| {
+        StoredSnapshot::open(&dir.join(date_dir_name(idx)))
+            .expect("open date store")
+            .recorded_host_count()
+            .expect("date record count")
+    };
+    let full = stored(0);
     for idx in 1..dates.len() {
-        let delta = store.stored_record_count(idx).expect("delta count");
+        let delta = stored(idx);
         assert!(
             delta < full,
             "date {idx}: delta {delta} not smaller than {full}"
