@@ -67,19 +67,6 @@ impl CampaignOptions {
         }
     }
 
-    /// The CE-probing run again, but with a congested shared bottleneck in
-    /// front of every measured host: the "what if the queues were actually
-    /// loaded" variant of Figure 6, where CE marking (and hence the ECE/ACK
-    /// echo split) emerges from combined queue occupancy instead of the
-    /// probe codepoint alone.
-    // lint: allow(unused-pub) tested feature: the loaded-queue Figure 6 variant
-    pub fn ce_probing_under_load() -> Self {
-        CampaignOptions {
-            cross_traffic: CrossTraffic::congested(),
-            ..CampaignOptions::ce_probing()
-        }
-    }
-
     /// Derive a copy with the given cross-traffic scenario.
     pub fn with_cross_traffic(self, cross_traffic: CrossTraffic) -> Self {
         CampaignOptions {
@@ -311,6 +298,7 @@ impl<'a> Campaign<'a> {
 mod tests {
     use super::*;
     use crate::observation::{EcnClass, HostSummary};
+    use crate::resilience::RETRYING;
     use crate::source::{HostTable, Scope, SnapshotSource};
     use qem_web::UniverseConfig;
 
@@ -324,8 +312,8 @@ mod tests {
     fn scan_options_forwards_every_field() {
         let options = CampaignOptions {
             workers: 3,
-            retry: RetryPolicy::standard(),
-            ..CampaignOptions::ce_probing_under_load()
+            retry: RETRYING,
+            ..CampaignOptions::ce_probing().with_cross_traffic(CrossTraffic::congested())
         };
         let ScanOptions {
             date,
@@ -349,7 +337,7 @@ mod tests {
             )
         );
         assert_eq!(cross_traffic, CrossTraffic::congested());
-        assert_eq!(retry, RetryPolicy::standard());
+        assert_eq!(retry, RETRYING);
     }
 
     /// Domains of either population on the QUIC-reachable hosts of `table`

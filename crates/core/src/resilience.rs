@@ -103,18 +103,6 @@ impl RetryPolicy {
         }
     }
 
-    /// The chaos-campaign default: three attempts, 200 ms initial backoff
-    /// doubling up to 3 s, half-backoff jitter.
-    // lint: allow(unused-pub) tested feature: retrying probes, exercised by the scanner and campaign tests
-    pub fn standard() -> Self {
-        RetryPolicy {
-            attempts: 3,
-            base_backoff: SimDuration::from_millis(200),
-            max_backoff: SimDuration::from_secs(3),
-            jitter: 0.5,
-        }
-    }
-
     /// Whether the policy changes nothing (single attempt).
     pub fn is_noop(&self) -> bool {
         self.attempts <= 1
@@ -143,6 +131,16 @@ impl RetryPolicy {
     }
 }
 
+/// The retrying policy of this crate's tests: three attempts, 200 ms
+/// initial backoff doubling up to 3 s, half-backoff jitter.
+#[cfg(test)]
+pub(crate) const RETRYING: RetryPolicy = RetryPolicy {
+    attempts: 3,
+    base_backoff: SimDuration::from_millis(200),
+    max_backoff: SimDuration::from_secs(3),
+    jitter: 0.5,
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,7 +162,7 @@ mod tests {
     fn backoff_doubles_and_caps() {
         let policy = RetryPolicy {
             jitter: 0.0,
-            ..RetryPolicy::standard()
+            ..RETRYING
         };
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(
@@ -188,7 +186,7 @@ mod tests {
 
     #[test]
     fn jitter_is_bounded_and_seed_deterministic() {
-        let policy = RetryPolicy::standard();
+        let policy = RETRYING;
         let draws = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
             (2..8)

@@ -140,9 +140,10 @@ pub struct Scanner<'a> {
     /// The tally of every host scanned so far: each worker counts into a
     /// tally of its own and merges it in here once, when it ends.
     tally: Mutex<ScanTally>,
-    /// Impairments injected on every forward path (chaos scans).  Empty by
-    /// default; not part of [`ScanOptions`] because a plan is a schedule,
-    /// not part of a snapshot's identity — stores reject faulted scans.
+    /// Impairments injected on every forward path.  Always empty in
+    /// production: a test seam, set by this file's tests to scan under
+    /// every `FaultKind`.  Not part of [`ScanOptions`] because a plan is a
+    /// schedule, not part of a snapshot's identity.
     fault_plan: FaultPlan,
 }
 
@@ -156,15 +157,6 @@ impl<'a> Scanner<'a> {
             tally: Mutex::default(),
             fault_plan: FaultPlan::default(),
         }
-    }
-
-    /// Inject `plan` on the forward path of every probed host (builder
-    /// style).  Pair with a non-noop [`RetryPolicy`] to measure what
-    /// resilience costs under impairment.
-    // lint: allow(unused-pub) tested feature: the scanner under every FaultKind
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
-        self
     }
 
     /// The options in use.
@@ -520,6 +512,7 @@ impl<'a> Scanner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resilience::RETRYING;
     use crate::vantage::VantageQuirks;
     use qem_netsim::{FaultKind, SimDuration};
     use qem_obs::MetricValue;
@@ -595,10 +588,11 @@ mod tests {
         let loss = FaultPlan::new().always(FaultKind::Loss { rate: 0.35 });
         for (fault_plan, retry) in [
             (FaultPlan::default(), RetryPolicy::none()),
-            (loss, RetryPolicy::standard()),
+            (loss, RETRYING),
         ] {
-            let scanner = |workers: usize| {
-                Scanner::new(
+            let scanner = |workers: usize| Scanner {
+                fault_plan: fault_plan.clone(),
+                ..Scanner::new(
                     &universe,
                     VantagePoint::main(),
                     ScanOptions {
@@ -607,7 +601,6 @@ mod tests {
                         ..ScanOptions::paper_default(SnapshotDate::APR_2023)
                     },
                 )
-                .with_fault_plan(fault_plan.clone())
             };
             let whole = scanner(1);
             whole.scan_hosts(&population);
@@ -652,20 +645,22 @@ mod tests {
         let universe = universe();
         let population = universe.scan_population(false);
         let run = |workers: usize, retry: RetryPolicy| {
-            let scanner = Scanner::new(
-                &universe,
-                VantagePoint::main(),
-                ScanOptions {
-                    workers,
-                    retry,
-                    ..ScanOptions::paper_default(SnapshotDate::APR_2023)
-                },
-            )
-            .with_fault_plan(FaultPlan::new().always(FaultKind::Loss { rate: 0.35 }));
+            let scanner = Scanner {
+                fault_plan: FaultPlan::new().always(FaultKind::Loss { rate: 0.35 }),
+                ..Scanner::new(
+                    &universe,
+                    VantagePoint::main(),
+                    ScanOptions {
+                        workers,
+                        retry,
+                        ..ScanOptions::paper_default(SnapshotDate::APR_2023)
+                    },
+                )
+            };
             (scanner.scan_all(), scanner.metrics_snapshot())
         };
-        let (single, metrics) = run(1, RetryPolicy::standard());
-        let (every_core, every_core_metrics) = run(0, RetryPolicy::standard());
+        let (single, metrics) = run(1, RETRYING);
+        let (every_core, every_core_metrics) = run(0, RETRYING);
         assert_eq!(single, every_core);
         assert_eq!(metrics, every_core_metrics);
         assert_eq!(single.len(), population.len());
@@ -706,8 +701,8 @@ mod tests {
             ..VantagePoint::cloud_fleet()[0].clone()
         };
         let none = (CrossTraffic::none(), RetryPolicy::none());
-        let congested = (CrossTraffic::congested(), RetryPolicy::standard());
-        let retrying = (CrossTraffic::none(), RetryPolicy::standard());
+        let congested = (CrossTraffic::congested(), RETRYING);
+        let retrying = (CrossTraffic::none(), RETRYING);
         let main = VantagePoint::main;
         // Each fault row names the `fault.*` counter its kind must move.
         for (vantage, ipv6, (cross_traffic, retry), fault) in [
@@ -780,8 +775,9 @@ mod tests {
             let fault_plan = fault.clone().map_or_else(FaultPlan::default, |(kind, _)| {
                 FaultPlan::new().always(kind)
             });
-            let scanner = |workers: usize| {
-                Scanner::new(
+            let scanner = |workers: usize| Scanner {
+                fault_plan: fault_plan.clone(),
+                ..Scanner::new(
                     &universe,
                     vantage.clone(),
                     ScanOptions {
@@ -792,7 +788,6 @@ mod tests {
                         ..ScanOptions::paper_default(SnapshotDate::APR_2023)
                     },
                 )
-                .with_fault_plan(fault_plan.clone())
             };
             let population = universe.scan_population(ipv6);
             let single = scanner(1);

@@ -31,9 +31,10 @@ pub fn load_engine(repo_root: &Path) -> Result<Engine, String> {
     Ok(Engine::new(&config))
 }
 
-/// All `.rs` files under the repo root (repo-relative, `/`-separated,
-/// sorted), excluding whatever the engine skips outright.
-pub fn source_files(repo_root: &Path, engine: &Engine) -> std::io::Result<Vec<String>> {
+/// All `.rs` files under the repo root with their text, as (repo-relative
+/// `/`-separated path, source) pairs sorted by path, excluding whatever the
+/// engine skips outright.
+fn source_files(repo_root: &Path, engine: &Engine) -> std::io::Result<Vec<(String, String)>> {
     let mut files = Vec::new();
     let mut stack = vec![repo_root.to_path_buf()];
     while let Some(dir) = stack.pop() {
@@ -52,7 +53,10 @@ pub fn source_files(repo_root: &Path, engine: &Engine) -> std::io::Result<Vec<St
         }
     }
     files.sort();
-    Ok(files)
+    files
+        .into_iter()
+        .map(|rel| Ok((rel.clone(), std::fs::read_to_string(repo_root.join(&rel))?)))
+        .collect()
 }
 
 fn relative(root: &Path, path: &Path) -> String {
@@ -68,18 +72,22 @@ fn relative(root: &Path, path: &Path) -> String {
 /// cross-file `unused-pub` pass and the crate-root `#![forbid(unsafe_code)]`
 /// audit.
 pub fn check_workspace(repo_root: &Path, engine: &Engine) -> std::io::Result<Vec<Finding>> {
-    let mut findings = Vec::new();
-    let mut files = Vec::new();
-    for rel in source_files(repo_root, engine)? {
-        let source = std::fs::read_to_string(repo_root.join(&rel))?;
-        findings.extend(engine.check_file(&rel, &source));
-        files.push((rel, source));
-    }
+    let files = source_files(repo_root, engine)?;
+    let mut findings: Vec<Finding> = files
+        .iter()
+        .flat_map(|(rel, source)| engine.check_file(rel, source))
+        .collect();
     findings.extend(engine.check_unused_pub(&files));
     findings.extend(check_forbid_unsafe(repo_root, engine)?);
     findings.sort();
     findings.dedup();
     Ok(findings)
+}
+
+/// The `qem-lint count` table: non-test lines and `pub` items of every
+/// crate under `crates/*/src`, and in total.
+pub fn count_workspace(repo_root: &Path, engine: &Engine) -> std::io::Result<String> {
+    Ok(rules::count(&source_files(repo_root, engine)?))
 }
 
 /// Crate-root audit: a workspace crate whose sources contain no `unsafe`

@@ -4,6 +4,7 @@
 //! qem-lint check  [--root DIR]   # run the lint.toml rule set, exit 1 on findings
 //! qem-lint vendor [--root DIR]   # offline-vendoring audit, exit 1 on findings
 //! qem-lint rules  [--root DIR]   # print the rule catalogue
+//! qem-lint count  [--root DIR]   # non-test lines and pub items per crate
 //! ```
 //!
 //! Diagnostics are `file:line rule message`, one per line on stdout, sorted
@@ -28,7 +29,7 @@ fn main() -> ExitCode {
                     None => return usage("--root needs a directory"),
                 }
             }
-            "check" | "vendor" | "rules" if command.is_none() => {
+            "check" | "vendor" | "rules" | "count" if command.is_none() => {
                 command = Some(args[i].clone());
             }
             other => return usage(&format!("unknown argument `{other}`")),
@@ -64,6 +65,16 @@ fn main() -> ExitCode {
         }
         "check" => report(qem_lint::check_workspace(&root, &engine), "check"),
         "vendor" => report(qem_lint::vendor::audit(&root), "vendor"),
+        "count" => match qem_lint::count_workspace(&root, &engine) {
+            Ok(table) => {
+                print!("{table}");
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("qem-lint count: io error: {e}");
+                ExitCode::from(2)
+            }
+        },
         _ => unreachable!("parsed above"),
     }
 }
@@ -90,6 +101,6 @@ fn report(findings: std::io::Result<Vec<qem_lint::rules::Finding>>, what: &str) 
 
 fn usage(problem: &str) -> ExitCode {
     eprintln!("qem-lint: {problem}");
-    eprintln!("usage: qem-lint <check|vendor|rules> [--root DIR]");
+    eprintln!("usage: qem-lint <check|vendor|rules|count> [--root DIR]");
     ExitCode::from(2)
 }

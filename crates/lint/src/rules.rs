@@ -7,6 +7,8 @@
 //!    rules: test scaffolding legitimately unwraps, sleeps and hashes.
 //! 2. **In-file test code** — `#[cfg(test)] mod … { … }` bodies are masked
 //!    out, so unit tests co-located with hot-path code stay exempt.
+//!    `unused-pub` and `qem-lint count` mask every other `#[cfg(test)]`
+//!    item too.
 //! 3. **Line annotations** — `// lint: allow(<rule>[, <rule>…])` suppresses
 //!    the named rules on the comment's line *and* the line after it, so both
 //!    trailing and preceding comment styles work.  Every annotation should
@@ -14,7 +16,7 @@
 
 use crate::config::{Config, RuleConfig};
 use crate::lexer::{self, Comment, Token, TokenKind};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// One diagnostic: `file:line rule message`.
@@ -136,7 +138,7 @@ impl Engine {
         }
         let lexed = lexer::lex(source);
         let scaffold = is_scaffold(path);
-        let test_mask = test_code_mask(&lexed.tokens);
+        let test_mask = test_code_mask(&lexed.tokens, false);
         let suppressions = Suppressions::collect(&lexed.comments);
         let mut findings = Vec::new();
 
@@ -215,58 +217,153 @@ impl Engine {
 
     /// `unused-pub`, one pass over every workspace source: a `pub` item
     /// defined in the rule's zones whose name no production source
-    /// (`crates/*/src`, `src/`, `examples/`, `#[cfg(test)] mod` bodies
+    /// (`crates/*/src`, `src/`, `examples/`, every `#[cfg(test)]` item
     /// masked) names as an identifier, apart from the definitions of that
     /// name themselves.  Name-based, so a same-named item anywhere counts
     /// as a use: the rule can miss a dead item but never lists a live one.
+    ///
+    /// An `allow(unused-pub)` annotation that suppresses nothing is a
+    /// finding too: one whose lines define no `pub` item, one whose item
+    /// has a production use, and one whose reason starts with `benchmark`
+    /// while no file under `benchmark/src` names its item.
     /// `files` holds (repo-relative path, source) pairs.
     pub fn check_unused_pub(&self, files: &[(String, String)]) -> Vec<Finding> {
         let Some(rule) = self.rules.iter().find(|r| r.config.id == "unused-pub") else {
             return Vec::new();
         };
+        let id = rule.config.id.as_str();
         let mut named: BTreeMap<String, usize> = BTreeMap::new();
         let mut defined: BTreeMap<String, usize> = BTreeMap::new();
-        let mut candidates = Vec::new();
+        let mut benchmark_names: BTreeSet<String> = BTreeSet::new();
+        // Per reported file: its definitions and its `unused-pub` annotations.
+        let mut reported_files = Vec::new();
         for (path, source) in files {
-            let production = (path.starts_with("src/")
-                || path.starts_with("examples/")
-                || zone_matches("crates/*/src", path))
-                && !path.split('/').any(|c| c == "tests");
-            if !production || self.skips(path) {
+            let lexed = lexer::lex(source);
+            if path.starts_with("benchmark/src/") {
+                benchmark_names.extend(lexed.tokens.iter().filter_map(ident).map(str::to_string));
+            }
+            if !is_production(path) || self.skips(path) {
                 continue;
             }
-            let reported = rule.config.zones.iter().any(|z| zone_matches(z, path))
-                && !rule.config.allow.iter().any(|z| zone_matches(z, path));
-            let lexed = lexer::lex(source);
-            let test_mask = test_code_mask(&lexed.tokens);
-            let suppressions = Suppressions::collect(&lexed.comments);
+            let test_mask = test_code_mask(&lexed.tokens, true);
+            let mut definitions = Vec::new();
             for (i, token) in lexed.tokens.iter().enumerate() {
-                let TokenKind::Ident(name) = &token.kind else {
+                let Some(name) = ident(token).filter(|_| !test_mask[i]) else {
                     continue;
                 };
-                if test_mask[i] {
-                    continue;
+                *named.entry(name.to_string()).or_default() += 1;
+                if let Some(item) = pub_item_name(&lexed.tokens, i) {
+                    *defined.entry(item.to_string()).or_default() += 1;
+                    definitions.push((token.line, item.to_string()));
                 }
-                *named.entry(name.clone()).or_default() += 1;
-                let Some(item) = pub_item_name(&lexed.tokens, i) else {
-                    continue;
-                };
-                *defined.entry(item.to_string()).or_default() += 1;
-                if reported && !suppressions.allows(&rule.config.id, token.line) {
-                    candidates.push((path, token.line, item.to_string()));
+            }
+            if rule.config.zones.iter().any(|z| zone_matches(z, path))
+                && !rule.config.allow.iter().any(|z| zone_matches(z, path))
+            {
+                reported_files.push((path, definitions, Suppressions::collect(&lexed.comments)));
+            }
+        }
+        let used = |item: &str| named.get(item) != defined.get(item);
+        let mut findings = Vec::new();
+        for (path, definitions, suppressions) in &reported_files {
+            let mut report = |line, message| {
+                findings.push(Finding {
+                    file: path.to_string(),
+                    line,
+                    rule: id.to_string(),
+                    message,
+                })
+            };
+            for &(line, ref item) in definitions {
+                if !used(item) && !suppressions.allows(id, line) {
+                    report(
+                        line,
+                        format!("`{item}` has no caller outside tests and benchmark/"),
+                    );
+                }
+            }
+            for &(_, line, ref reason) in suppressions.entries.iter().filter(|e| e.0 == id) {
+                let covered: Vec<&str> = definitions
+                    .iter()
+                    .filter(|&&(at, _)| at == line || at == line + 1)
+                    .map(|(_, item)| item.as_str())
+                    .collect();
+                let stale = covered.iter().filter_map(|item| {
+                    if used(item) {
+                        Some(format!(
+                            "`{item}` has a caller outside tests and benchmark/"
+                        ))
+                    } else if reason.starts_with("benchmark") && !benchmark_names.contains(*item) {
+                        Some(format!("no file under benchmark/src names `{item}`"))
+                    } else {
+                        None
+                    }
+                });
+                let nothing = covered
+                    .is_empty()
+                    .then(|| "it covers no `pub` item".to_string());
+                for why in nothing.into_iter().chain(stale) {
+                    report(line, format!("stale `allow(unused-pub)`: {why}"));
                 }
             }
         }
-        candidates
-            .into_iter()
-            .filter(|(_, _, item)| named.get(item) == defined.get(item))
-            .map(|(path, line, item)| Finding {
-                file: path.clone(),
-                line,
-                rule: rule.config.id.clone(),
-                message: format!("`{item}` has no caller outside tests and benchmark/"),
-            })
-            .collect()
+        findings
+    }
+}
+
+/// The `qem-lint count` table: for every crate under `crates/*/src`, by
+/// directory name, then in total, the lines on which a token outside test
+/// code starts (so comments, blank lines and `#[cfg(test)]` items do not
+/// count) and the `pub` definitions `unused-pub` reads.  `files` holds
+/// (repo-relative path, source) pairs.
+pub(crate) fn count(files: &[(String, String)]) -> String {
+    let mut crates: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
+    for (path, source) in files {
+        if !zone_matches("crates/*/src", path) || !is_production(path) {
+            continue;
+        }
+        let lexed = lexer::lex(source);
+        let test_mask = test_code_mask(&lexed.tokens, true);
+        let mut lines = BTreeSet::new();
+        let (line_count, items) = crates
+            .entry(path.split('/').nth(1).unwrap_or(""))
+            .or_default();
+        for (i, token) in lexed
+            .tokens
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| !test_mask[i])
+        {
+            lines.insert(token.line);
+            *items += usize::from(pub_item_name(&lexed.tokens, i).is_some());
+        }
+        *line_count += lines.len();
+    }
+    let total = crates
+        .values()
+        .fold((0, 0), |sum, c| (sum.0 + c.0, sum.1 + c.1));
+    let mut table = format!("{:<12} {:>8} {:>5}\n", "crate", "lines", "pub");
+    for (name, (lines, items)) in crates.into_iter().chain([("total", total)]) {
+        table += &format!("{name:<12} {lines:>8} {items:>5}\n");
+    }
+    table
+}
+
+/// Whether `path` is production source for `unused-pub` and `count`:
+/// under `crates/*/src`, `src/` or `examples/`, and in no `tests`
+/// directory.
+fn is_production(path: &str) -> bool {
+    (path.starts_with("src/")
+        || path.starts_with("examples/")
+        || zone_matches("crates/*/src", path))
+        && !path.split('/').any(|c| c == "tests")
+}
+
+/// The identifier a token holds, if it is one.
+fn ident(token: &Token) -> Option<&str> {
+    match &token.kind {
+        TokenKind::Ident(name) => Some(name),
+        _ => None,
     }
 }
 
@@ -276,10 +373,7 @@ const ITEM_KEYWORDS: [&str; 7] = ["fn", "struct", "enum", "trait", "type", "cons
 /// If the token at `i` is `pub` followed by an item keyword (`pub const fn`
 /// and `pub unsafe fn` included), the item's name.
 fn pub_item_name(tokens: &[Token], i: usize) -> Option<&str> {
-    let ident = |at: usize| match tokens.get(at).map(|t| &t.kind) {
-        Some(TokenKind::Ident(name)) => Some(name.as_str()),
-        _ => None,
-    };
+    let ident = |at: usize| tokens.get(at).and_then(ident);
     if ident(i) != Some("pub") {
         return None;
     }
@@ -352,10 +446,10 @@ pub fn has_unsafe_token(source: &str) -> bool {
         .any(|t| t.kind == TokenKind::Ident("unsafe".to_string()))
 }
 
-/// Per-line rule suppressions from `// lint: allow(a, b)` comments.
+/// Per-line rule suppressions from `// lint: allow(a, b) <reason>` comments.
 struct Suppressions {
-    /// (rule id, line) pairs; an entry on line L covers L and L+1.
-    entries: Vec<(String, u32)>,
+    /// (rule id, line, reason) triples; an entry on line L covers L and L+1.
+    entries: Vec<(String, u32, String)>,
 }
 
 impl Suppressions {
@@ -367,8 +461,9 @@ impl Suppressions {
             };
             let rest = &comment.text[idx + "lint: allow(".len()..];
             let Some(end) = rest.find(')') else { continue };
+            let reason = rest[end + 1..].trim();
             for rule in rest[..end].split(',') {
-                entries.push((rule.trim().to_string(), comment.line));
+                entries.push((rule.trim().to_string(), comment.line, reason.to_string()));
             }
         }
         Suppressions { entries }
@@ -377,93 +472,89 @@ impl Suppressions {
     fn allows(&self, rule: &str, line: u32) -> bool {
         self.entries
             .iter()
-            .any(|(r, l)| r == rule && (line == *l || line == *l + 1))
+            .any(|(r, l, _)| r == rule && (line == *l || line == *l + 1))
     }
 }
 
-/// Mask of tokens inside `#[cfg(test)] mod … { … }` bodies.
-fn test_code_mask(tokens: &[Token]) -> Vec<bool> {
+/// Mask of test code: the tokens of every `#[cfg(test)] mod … { … }`, and
+/// with `items` those of every other `#[cfg(test)]`-attributed item (a
+/// `fn`, a `const`, a `use`, a field…) too.  Pattern rules mask modules
+/// only; `unused-pub` and `count` mask every item, so a name used only in
+/// a `#[cfg(test)] fn` is not a production use.
+fn test_code_mask(tokens: &[Token], items: bool) -> Vec<bool> {
+    let cfg_test = Pattern::compile("# [ cfg ( test ) ]");
     let mut mask = vec![false; tokens.len()];
     let mut i = 0usize;
     while i < tokens.len() {
-        if let Some(body_open) = cfg_test_mod_at(tokens, i) {
-            // Mask from the attribute through the matching close brace.
-            let mut depth = 0i64;
-            let mut j = body_open;
-            while j < tokens.len() {
-                match tokens[j].kind {
-                    TokenKind::Punct('{') => depth += 1,
-                    TokenKind::Punct('}') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
+        match cfg_test_item_at(&cfg_test, tokens, i, items) {
+            Some(end) => {
+                mask[i..end].fill(true);
+                i = end;
             }
-            let end = j.min(tokens.len().saturating_sub(1));
-            for cell in mask.iter_mut().take(end + 1).skip(i) {
-                *cell = true;
-            }
-            i = end + 1;
-        } else {
-            i += 1;
+            None => i += 1,
         }
     }
     mask
 }
 
-/// If tokens at `i` start `#[cfg(test)] … mod <name> {`, return the index of
-/// the opening brace.  Tolerates further attributes between the cfg and the
-/// `mod` keyword.
-fn cfg_test_mod_at(tokens: &[Token], i: usize) -> Option<usize> {
-    let kind = |offset: usize| tokens.get(i + offset).map(|t| &t.kind);
-    let attr = [
-        TokenKind::Punct('#'),
-        TokenKind::Punct('['),
-        TokenKind::Ident("cfg".to_string()),
-        TokenKind::Punct('('),
-        TokenKind::Ident("test".to_string()),
-        TokenKind::Punct(')'),
-        TokenKind::Punct(']'),
-    ];
-    for (offset, want) in attr.iter().enumerate() {
-        if kind(offset) != Some(want) {
-            return None;
-        }
-    }
-    // Skip any further `#[…]` attributes.
-    let mut j = i + attr.len();
-    while tokens.get(j).map(|t| &t.kind) == Some(&TokenKind::Punct('#'))
-        && tokens.get(j + 1).map(|t| &t.kind) == Some(&TokenKind::Punct('['))
-    {
-        let mut depth = 0i64;
-        while j < tokens.len() {
-            match tokens[j].kind {
-                TokenKind::Punct('[') => depth += 1,
-                TokenKind::Punct(']') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        j += 1;
-    }
-    if tokens.get(j).map(|t| &t.kind) != Some(&TokenKind::Ident("mod".to_string())) {
+/// If tokens at `i` start `#[cfg(test)]` (the `cfg_test` pattern) on an
+/// item — only on a `mod <name> { … }` unless `items` — the index one past
+/// the item's last token.  Tolerates further attributes between the cfg
+/// and the item.
+fn cfg_test_item_at(cfg_test: &Pattern, tokens: &[Token], i: usize, items: bool) -> Option<usize> {
+    if !cfg_test.matches_at(tokens, i) {
         return None;
     }
-    // mod <name> {  — a `mod name;` declaration has no body to mask.
-    let open = j + 2;
-    match tokens.get(open).map(|t| &t.kind) {
-        Some(TokenKind::Punct('{')) => Some(open),
-        _ => None,
+    let kind = |at: usize| tokens.get(at).map(|t| &t.kind);
+    // Skip any further `#[…]` attributes.
+    let mut j = i + cfg_test.tokens.len();
+    while kind(j) == Some(&TokenKind::Punct('#')) {
+        j = group_end(tokens, j + 1);
     }
+    // mod <name> {  — a `mod name;` declaration has no body to mask.
+    let is_mod = kind(j) == Some(&TokenKind::Ident("mod".to_string()))
+        && kind(j + 2) == Some(&TokenKind::Punct('{'));
+    (items || is_mod).then(|| item_end(tokens, j))
+}
+
+/// One past the last token of the item starting at `start`: its `;` or
+/// `,`, or the close of its first brace block (with a `;` right after it),
+/// whichever comes first outside nested groups.  Never runs past a closing
+/// delimiter of the enclosing scope.
+fn item_end(tokens: &[Token], start: usize) -> usize {
+    let mut j = start;
+    while let Some(token) = tokens.get(j) {
+        match token.kind {
+            TokenKind::Punct('{') => {
+                let end = group_end(tokens, j);
+                let semi = tokens.get(end).map(|t| &t.kind) == Some(&TokenKind::Punct(';'));
+                return end + usize::from(semi);
+            }
+            TokenKind::Punct('(' | '[') => j = group_end(tokens, j),
+            TokenKind::Punct(')' | ']' | '}') => return j,
+            TokenKind::Punct(';' | ',') => return j + 1,
+            _ => j += 1,
+        }
+    }
+    tokens.len()
+}
+
+/// One past the delimiter that closes the group opening at `open`.
+fn group_end(tokens: &[Token], open: usize) -> usize {
+    let mut depth = 0usize;
+    for (j, token) in tokens.iter().enumerate().skip(open) {
+        match token.kind {
+            TokenKind::Punct('(' | '[' | '{') => depth += 1,
+            TokenKind::Punct(')' | ']' | '}') => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    return j + 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    tokens.len()
 }
 
 /// True if the path sits in a built-in scaffold directory.

@@ -332,20 +332,33 @@ fn real_workspace_passes_vendor_audit() {
     );
 }
 
-/// The names `unused-pub` flags in a virtual workspace of `(path, source)`
-/// files, as `file:line name`.
-fn unused_pub(files: &[(&str, &str)]) -> Vec<String> {
-    let files: Vec<(String, String)> = files
+/// A virtual workspace of `(path, source)` files.
+fn tree(files: &[(&str, &str)]) -> Vec<(String, String)> {
+    files
         .iter()
         .map(|&(path, source)| (path.to_string(), source.to_string()))
-        .collect();
+        .collect()
+}
+
+/// What `unused-pub` reports over a virtual workspace, as `file:line message`.
+fn unused_pub_findings(files: &[(&str, &str)]) -> Vec<String> {
     engine()
-        .check_unused_pub(&files)
+        .check_unused_pub(&tree(files))
         .into_iter()
         .map(|f| {
             assert_eq!(f.rule, "unused-pub");
-            let name = f.message.split('`').nth(1).unwrap_or("").to_string();
-            format!("{}:{} {name}", f.file, f.line)
+            format!("{}:{} {}", f.file, f.line, f.message)
+        })
+        .collect()
+}
+
+/// The names `unused-pub` flags in a virtual workspace, as `file:line name`.
+fn unused_pub(files: &[(&str, &str)]) -> Vec<String> {
+    unused_pub_findings(files)
+        .into_iter()
+        .map(|f| {
+            let (at, message) = f.split_once(' ').unwrap_or_default();
+            format!("{at} {}", message.split('`').nth(1).unwrap_or(""))
         })
         .collect()
 }
@@ -439,4 +452,117 @@ fn rules_catalogue_lists_unused_pub() {
         .catalogue()
         .iter()
         .any(|(id, description)| id == "unused-pub" && description.contains("Name-based")));
+}
+
+#[test]
+fn unused_pub_masks_names_used_only_in_a_cfg_test_item() {
+    // A `#[cfg(test)] fn` outside any test module is test code, and so are
+    // the other items the attribute can sit on.
+    for tester in [
+        "#[cfg(test)]\nfn helper() { crate::orphan(); }\n",
+        "#[cfg(test)]\n#[allow(dead_code)]\npub(crate) fn helper() -> u8 { orphan(); 0 }\n",
+        "#[cfg(test)]\nconst HELPER: fn() = orphan;\n",
+        "#[cfg(test)]\nuse crate::orphan;\n",
+    ] {
+        let files = [ORPHAN, ("crates/other/src/lib.rs", tester)];
+        assert_eq!(
+            unused_pub(&files),
+            ["crates/demo/src/lib.rs:2 orphan"],
+            "{tester}"
+        );
+    }
+    // The mask ends with the item: the next one is production again.
+    let after = "#[cfg(test)]\nfn helper() { orphan(); }\nfn run() { orphan(); }\n";
+    assert!(unused_pub(&[ORPHAN, ("crates/other/src/lib.rs", after)]).is_empty());
+}
+
+#[test]
+fn unused_pub_flags_an_annotation_that_covers_no_pub_item() {
+    for source in [
+        "// lint: allow(unused-pub) test fixture\nfn private() {}\n",
+        "// lint: allow(unused-pub) test fixture\npub(crate) fn scoped() {}\n",
+        "// lint: allow(unused-pub) test fixture\n\npub fn orphan() {}\n",
+    ] {
+        let findings = unused_pub_findings(&[("crates/demo/src/lib.rs", source)]);
+        assert!(
+            findings.contains(
+                &"crates/demo/src/lib.rs:1 stale `allow(unused-pub)`: it covers no `pub` item"
+                    .to_string()
+            ),
+            "{source}: {findings:?}"
+        );
+    }
+}
+
+#[test]
+fn unused_pub_flags_an_annotation_whose_item_has_a_production_caller() {
+    let annotated = (
+        "crates/demo/src/lib.rs",
+        "// lint: allow(unused-pub) tested feature\npub fn orphan() {}\n",
+    );
+    assert!(unused_pub_findings(&[annotated]).is_empty());
+    let caller = ("examples/demo.rs", "fn main() { qem_demo::orphan(); }");
+    assert_eq!(
+        unused_pub_findings(&[annotated, caller]),
+        ["crates/demo/src/lib.rs:1 stale `allow(unused-pub)`: `orphan` has a caller outside tests and benchmark/"]
+    );
+}
+
+#[test]
+fn unused_pub_flags_a_benchmark_annotation_the_benchmark_no_longer_names() {
+    let annotated = (
+        "crates/demo/src/lib.rs",
+        "pub fn orphan() {} // lint: allow(unused-pub) benchmark: its demo probe calls it\n",
+    );
+    let stale = ["crates/demo/src/lib.rs:1 stale `allow(unused-pub)`: no file under benchmark/src names `orphan`"];
+    assert_eq!(unused_pub_findings(&[annotated]), stale);
+    // Only `benchmark/src` counts, and only an identifier there.
+    for (path, source) in [
+        ("benchmark/tests/smoke.rs", "fn t() { qem_demo::orphan(); }"),
+        (
+            "benchmark/src/probes.rs",
+            "// orphan\nconst NAME: &str = \"orphan\";",
+        ),
+    ] {
+        assert_eq!(
+            unused_pub_findings(&[annotated, (path, source)]),
+            stale,
+            "{path}"
+        );
+    }
+    let probe = (
+        "benchmark/src/probes.rs",
+        "fn probe() { qem_demo::orphan(); }",
+    );
+    assert!(unused_pub_findings(&[annotated, probe]).is_empty());
+}
+
+#[test]
+fn count_reports_non_test_lines_and_pub_items_per_crate() {
+    let alpha = "//! Docs and comments are not code.\n\npub fn a() {}\npub(crate) fn b() {}\npub struct C {\n    pub field: u8,\n}\n\n#[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n";
+    let beta =
+        "pub const fn d() {}\n#[cfg(test)]\npub fn e() {}\nfn f() {\n    /* block */ d();\n}\n";
+    let root = std::env::temp_dir().join(format!("qem-lint-count-{}", std::process::id()));
+    for (path, source) in [
+        ("crates/alpha/src/lib.rs", alpha),
+        ("crates/alpha/src/tests/helper.rs", "pub fn g() {}"),
+        ("crates/alpha/tests/it.rs", "pub fn h() {}"),
+        ("crates/beta/src/lib.rs", beta),
+        ("examples/demo.rs", "pub fn i() {}"),
+        ("src/lib.rs", "pub fn j() {}"),
+        ("target/release/build/out.rs", "pub fn k() {}"),
+    ] {
+        let path = root.join(path);
+        std::fs::create_dir_all(path.parent().expect("a parent")).expect("create the tree");
+        std::fs::write(&path, source).expect("write a source");
+    }
+    let counts = qem_lint::count_workspace(&root, &engine());
+    std::fs::remove_dir_all(&root).expect("remove the tree");
+    assert_eq!(
+        counts.expect("walk the tree"),
+        "crate           lines   pub\n\
+         alpha               5     2\n\
+         beta                4     1\n\
+         total               9     3\n"
+    );
 }

@@ -370,7 +370,7 @@ pub struct FlowWake {
     pub flow: usize,
 }
 
-/// Default capacity of the engine's wake log: large enough to retain every
+/// Capacity of the engine's wake log: large enough to retain every
 /// wake of any probe-scale scenario in the workspace, small enough to bound
 /// memory over arbitrarily long runs.
 pub const DEFAULT_EVENT_LOG_CAPACITY: usize = 65_536;
@@ -386,7 +386,8 @@ pub struct EngineTelemetry {
     pub metrics: MetricsSnapshot,
     /// The order in which flows were woken, oldest first — identical across
     /// runs for identical inputs.  Bounded: only the newest
-    /// [`EngineCore::with_event_log_capacity`] wakes are retained.
+    /// [`DEFAULT_EVENT_LOG_CAPACITY`] wakes are retained, and evictions are
+    /// counted as `engine.trace.dropped`.
     pub trace: Vec<FlowWake>,
 }
 
@@ -489,15 +490,6 @@ impl<'a, S: Scheduler<usize>, H: BorrowMut<EngineScratch<S>>> EngineCore<'a, S, 
             events_processed: 0,
             scheduler: PhantomData,
         }
-    }
-
-    /// Retain at most `capacity` wake-log entries (the newest ones; the
-    /// default is [`DEFAULT_EVENT_LOG_CAPACITY`]).  Evictions are counted
-    /// in [`EngineCore::telemetry`] as `engine.trace.dropped`.
-    // lint: allow(unused-pub) tested feature: eviction counting, reachable below the default capacity
-    pub fn with_event_log_capacity(mut self, capacity: usize) -> Self {
-        self.scratch.borrow_mut().log = TraceRing::new(capacity);
-        self
     }
 
     /// Register a flow to start at the epoch.  Flows registered earlier wake
@@ -1112,7 +1104,7 @@ mod tests {
             let (queues, mut flows) = cross.instantiate(&path, 42).expect("enabled");
             let mut engine = Engine::new(queues);
             if let Some(capacity) = capacity {
-                engine = engine.with_event_log_capacity(capacity);
+                engine.scratch.borrow_mut().log = TraceRing::new(capacity);
             }
             for flow in flows.iter_mut() {
                 engine.add_flow(flow);

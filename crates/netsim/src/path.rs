@@ -176,24 +176,6 @@ impl Path {
             .fold(SimDuration::ZERO, |acc, hop| acc + hop.delay)
     }
 
-    /// The ECN codepoint a packet sent with `sent` would carry on arrival,
-    /// ignoring loss, AQM randomness and TTL.  This is the "ground truth"
-    /// the measurement pipeline compares observations against.
-    // lint: allow(unused-pub) test oracle: what transit must deliver
-    pub fn expected_arrival_ecn(&self, sent: EcnCodepoint) -> EcnCodepoint {
-        self.hops
-            .iter()
-            .fold(sent, |ecn, hop| hop.router.ecn_policy.apply(ecn))
-    }
-
-    /// Whether any router on the path has an impairing ECN policy.
-    // lint: allow(unused-pub) test oracle: the ground truth path and universe tests check
-    pub fn has_ecn_impairment(&self) -> bool {
-        self.hops
-            .iter()
-            .any(|hop| hop.router.ecn_policy.is_impairing())
-    }
-
     /// Send `datagram` down the path.
     ///
     /// The datagram's TTL is decremented at every hop; if it reaches zero the
@@ -447,6 +429,12 @@ mod tests {
         IpDatagram::new(IpHeader::V4(header), vec![0xab; 100])
     }
 
+    /// A router that never answers a TTL-expired packet.
+    const SILENT: IcmpBehavior = IcmpBehavior {
+        response_probability: 0.0,
+        quote_bytes: 0,
+    };
+
     fn three_hop_path(middle_policy: EcnPolicy) -> Path {
         Path::new(vec![
             Hop::new(Router::transparent(1, Asn(680))),
@@ -464,7 +452,6 @@ mod tests {
         assert_eq!(delivered.header.ecn(), EcnCodepoint::Ect0);
         assert_eq!(delivered.header.ttl(), 61);
         assert_eq!(delay, SimDuration::from_millis(15));
-        assert!(!path.has_ecn_impairment());
     }
 
     #[test]
@@ -474,24 +461,19 @@ mod tests {
         let outcome = path.transit(&dgram(64, EcnCodepoint::Ect0), &mut rng);
         let (delivered, _) = outcome.delivered().unwrap();
         assert_eq!(delivered.header.ecn(), EcnCodepoint::NotEct);
-        assert_eq!(
-            path.expected_arrival_ecn(EcnCodepoint::Ect0),
-            EcnCodepoint::NotEct
-        );
-        assert!(path.has_ecn_impairment());
     }
 
     #[test]
     fn remarking_router_swaps_ect0_to_ect1() {
         let path = three_hop_path(EcnPolicy::RemarkEct0ToEct1);
-        assert_eq!(
-            path.expected_arrival_ecn(EcnCodepoint::Ect0),
-            EcnCodepoint::Ect1
-        );
-        assert_eq!(
-            path.expected_arrival_ecn(EcnCodepoint::Ce),
-            EcnCodepoint::Ce
-        );
+        let mut rng = StdRng::seed_from_u64(1);
+        for (sent, arrived) in [
+            (EcnCodepoint::Ect0, EcnCodepoint::Ect1),
+            (EcnCodepoint::Ce, EcnCodepoint::Ce),
+        ] {
+            let outcome = path.transit(&dgram(64, sent), &mut rng);
+            assert_eq!(outcome.delivered().unwrap().0.header.ecn(), arrived);
+        }
     }
 
     #[test]
@@ -542,7 +524,10 @@ mod tests {
 
     #[test]
     fn every_verdict_hands_back_the_body_that_was_sent() {
-        let silent = Router::transparent(1, Asn(680)).with_icmp(IcmpBehavior::silent());
+        let silent = Router {
+            icmp: SILENT,
+            ..Router::transparent(1, Asn(680))
+        };
         let cases = [
             // Dropped by a hop, and by the fault plan at the path entry.
             (Path::new(vec![Hop::new(silent.clone()).with_loss(1.0)]), 64),
@@ -586,9 +571,10 @@ mod tests {
 
     #[test]
     fn silent_router_expires_without_response() {
-        let path = Path::new(vec![Hop::new(
-            Router::transparent(1, Asn(680)).with_icmp(IcmpBehavior::silent()),
-        )]);
+        let path = Path::new(vec![Hop::new(Router {
+            icmp: SILENT,
+            ..Router::transparent(1, Asn(680))
+        })]);
         let mut rng = StdRng::seed_from_u64(1);
         match path.transit(&dgram(1, EcnCodepoint::Ect0), &mut rng) {
             TransitOutcome::Expired { at_hop, .. } => assert_eq!(at_hop, 0),
@@ -648,12 +634,13 @@ mod tests {
 
     #[test]
     fn truncated_icmp_quote_respects_router_setting() {
-        let path = Path::new(vec![Hop::new(Router::transparent(1, Asn(680)).with_icmp(
-            IcmpBehavior {
+        let path = Path::new(vec![Hop::new(Router {
+            icmp: IcmpBehavior {
                 quote_bytes: 28,
                 ..IcmpBehavior::responsive()
             },
-        ))]);
+            ..Router::transparent(1, Asn(680))
+        })]);
         let mut rng = StdRng::seed_from_u64(1);
         match path.transit(&dgram(1, EcnCodepoint::Ect0), &mut rng) {
             TransitOutcome::TimeExceeded { response, .. } => {
@@ -667,8 +654,14 @@ mod tests {
     #[test]
     fn duplex_symmetric_reverse_is_clean() {
         let duplex = DuplexPath::symmetric_clean_reverse(three_hop_path(EcnPolicy::ClearEcn));
-        assert!(duplex.forward.has_ecn_impairment());
-        assert!(!duplex.reverse.has_ecn_impairment());
+        let mut rng = StdRng::seed_from_u64(1);
+        for (path, arrived) in [
+            (&duplex.forward, EcnCodepoint::NotEct),
+            (&duplex.reverse, EcnCodepoint::Ect0),
+        ] {
+            let outcome = path.transit(&dgram(64, EcnCodepoint::Ect0), &mut rng);
+            assert_eq!(outcome.delivered().unwrap().0.header.ecn(), arrived);
+        }
         assert_eq!(duplex.rtt(), SimDuration::from_millis(30));
     }
 

@@ -77,12 +77,6 @@ impl EcnPolicy {
             }
         }
     }
-
-    /// Whether the policy can change at least one codepoint, i.e. whether a
-    /// path containing such a router is impaired for ECN purposes.
-    pub fn is_impairing(self) -> bool {
-        self != EcnPolicy::Pass
-    }
 }
 
 impl fmt::Display for EcnPolicy {
@@ -133,7 +127,6 @@ mod tests {
         for cp in EcnCodepoint::ALL {
             assert_eq!(EcnPolicy::Pass.apply(cp), cp);
         }
-        assert!(!EcnPolicy::Pass.is_impairing());
     }
 
     #[test]
@@ -141,7 +134,6 @@ mod tests {
         for cp in EcnCodepoint::ALL {
             assert_eq!(EcnPolicy::ClearEcn.apply(cp), EcnCodepoint::NotEct);
         }
-        assert!(EcnPolicy::ClearEcn.is_impairing());
     }
 
     #[test]
@@ -205,7 +197,6 @@ mod tests {
         for cp in [EcnCodepoint::NotEct, EcnCodepoint::Ect0, EcnCodepoint::Ect1] {
             assert_eq!(EcnPolicy::EraseCe.apply(cp), cp);
         }
-        assert!(EcnPolicy::EraseCe.is_impairing());
     }
 
     #[test]

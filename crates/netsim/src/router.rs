@@ -59,15 +59,6 @@ impl IcmpBehavior {
             quote_bytes: 128,
         }
     }
-
-    /// A router that never answers (blackholes expired packets).
-    // lint: allow(unused-pub) test fixture: the ICMP-silent hop of tracer and path tests
-    pub fn silent() -> Self {
-        IcmpBehavior {
-            response_probability: 0.0,
-            quote_bytes: 0,
-        }
-    }
 }
 
 impl Default for IcmpBehavior {
@@ -143,13 +134,6 @@ impl Router {
         self.ecn_policy = policy;
         self
     }
-
-    /// Set the ICMP behaviour.
-    // lint: allow(unused-pub) test fixture: the ICMP-silent hop of tracer and path tests
-    pub fn with_icmp(mut self, icmp: IcmpBehavior) -> Self {
-        self.icmp = icmp;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -158,13 +142,10 @@ mod tests {
 
     #[test]
     fn builder_sets_fields() {
-        let r = Router::transparent(7, Asn(1299))
-            .with_ecn_policy(EcnPolicy::ClearEcn)
-            .with_icmp(IcmpBehavior::silent());
+        let r = Router::transparent(7, Asn(1299)).with_ecn_policy(EcnPolicy::ClearEcn);
         assert_eq!(r.id, RouterId(7));
         assert_eq!(r.asn, Asn(1299));
         assert_eq!(r.ecn_policy, EcnPolicy::ClearEcn);
-        assert_eq!(r.icmp.response_probability, 0.0);
     }
 
     #[test]
@@ -209,6 +190,5 @@ mod tests {
     #[test]
     fn icmp_behaviour_presets() {
         assert_eq!(IcmpBehavior::responsive().response_probability, 1.0);
-        assert_eq!(IcmpBehavior::silent().response_probability, 0.0);
     }
 }

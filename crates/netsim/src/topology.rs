@@ -71,11 +71,6 @@ pub enum TransitProfile {
 }
 
 impl TransitProfile {
-    /// Whether the profile impairs ECN in a way QUIC's validation would flag.
-    pub fn is_impairing(self) -> bool {
-        !matches!(self, TransitProfile::Clean)
-    }
-
     /// The AS to which a tracebox-style analysis would attribute the
     /// *first visible* change, if any.
     pub fn attributed_asn(self) -> Option<Asn> {
@@ -176,16 +171,6 @@ impl PathBuilder {
         self
     }
 
-    /// Append a fully customised router.
-    // lint: allow(unused-pub) test fixture: hand-built routers in tracer and topology tests
-    pub fn custom_hop(mut self, router: Router) -> Self {
-        let hop = Hop::new(router)
-            .with_delay(self.default_delay)
-            .with_loss(self.default_loss);
-        self.hops.push(hop);
-        self
-    }
-
     /// Finish building.
     pub fn build(self) -> Path {
         Path::new(self.hops)
@@ -254,6 +239,24 @@ mod tests {
     use super::*;
     use crate::policy::DscpPolicy;
     use qem_packet::ecn::EcnCodepoint;
+    use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol, Ipv4Header};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::net::Ipv4Addr;
+
+    /// The codepoint an ECT(0) datagram arrives with over `path`.
+    fn arrival(path: &Path) -> EcnCodepoint {
+        let header = Ipv4Header::new(
+            Ipv4Addr::new(192, 0, 2, 1),
+            Ipv4Addr::new(198, 51, 100, 99),
+            IpProtocol::Udp,
+            64,
+        )
+        .with_ecn(EcnCodepoint::Ect0);
+        let datagram = IpDatagram::new(IpHeader::V4(header), vec![0; 100]);
+        let outcome = path.transit(&datagram, &mut StdRng::seed_from_u64(1));
+        outcome.delivered().expect("lossless").0.header.ecn()
+    }
 
     #[test]
     fn well_known_asns() {
@@ -277,8 +280,6 @@ mod tests {
             .attributed_asn(),
             Some(Asn::ARELION)
         );
-        assert!(!TransitProfile::Clean.is_impairing());
-        assert!(TransitProfile::MarkAllCe { asn: Asn(64500) }.is_impairing());
     }
 
     #[test]
@@ -323,11 +324,7 @@ mod tests {
     #[test]
     fn transit_path_shapes_match_profiles() {
         let clean = build_transit_path(Asn::DFN, Asn(16509), TransitProfile::Clean, false);
-        assert_eq!(
-            clean.expected_arrival_ecn(EcnCodepoint::Ect0),
-            EcnCodepoint::Ect0
-        );
-        assert!(!clean.has_ecn_impairment());
+        assert_eq!(arrival(&clean), EcnCodepoint::Ect0);
 
         let clearing = build_transit_path(
             Asn::DFN,
@@ -335,10 +332,7 @@ mod tests {
             TransitProfile::Clearing { asn: Asn::ARELION },
             false,
         );
-        assert_eq!(
-            clearing.expected_arrival_ecn(EcnCodepoint::Ect0),
-            EcnCodepoint::NotEct
-        );
+        assert_eq!(arrival(&clearing), EcnCodepoint::NotEct);
 
         let remarking = build_transit_path(
             Asn::DFN,
@@ -346,10 +340,7 @@ mod tests {
             TransitProfile::Remarking { asn: Asn::ARELION },
             false,
         );
-        assert_eq!(
-            remarking.expected_arrival_ecn(EcnCodepoint::Ect0),
-            EcnCodepoint::Ect1
-        );
+        assert_eq!(arrival(&remarking), EcnCodepoint::Ect1);
 
         let double = build_transit_path(
             Asn::DFN,
@@ -360,10 +351,7 @@ mod tests {
             },
             false,
         );
-        assert_eq!(
-            double.expected_arrival_ecn(EcnCodepoint::Ect0),
-            EcnCodepoint::NotEct
-        );
+        assert_eq!(arrival(&double), EcnCodepoint::NotEct);
 
         let all_ce = build_transit_path(
             Asn::DFN,
@@ -371,10 +359,7 @@ mod tests {
             TransitProfile::MarkAllCe { asn: Asn(64500) },
             false,
         );
-        assert_eq!(
-            all_ce.expected_arrival_ecn(EcnCodepoint::Ect0),
-            EcnCodepoint::Ce
-        );
+        assert_eq!(arrival(&all_ce), EcnCodepoint::Ce);
     }
 
     #[test]
@@ -397,8 +382,8 @@ mod tests {
             TransitProfile::Clean,
             false,
         );
-        assert!(duplex.forward.has_ecn_impairment());
-        assert!(!duplex.reverse.has_ecn_impairment());
+        assert_eq!(arrival(&duplex.forward), EcnCodepoint::NotEct);
+        assert_eq!(arrival(&duplex.reverse), EcnCodepoint::Ect0);
     }
 
     #[test]
@@ -407,7 +392,9 @@ mod tests {
             dscp_policy: DscpPolicy::ResetToBestEffort,
             ..Router::transparent(1, Asn::DFN)
         };
-        let path = PathBuilder::new().custom_hop(reset).build();
-        assert!(!path.has_ecn_impairment());
+        assert_eq!(
+            arrival(&Path::new(vec![Hop::new(reset)])),
+            EcnCodepoint::Ect0
+        );
     }
 }

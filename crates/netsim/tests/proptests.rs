@@ -1,5 +1,7 @@
 //! Property-based tests for the path simulator.
 
+mod support;
+
 use proptest::prelude::*;
 use qem_netsim::aqm::AqmDecision;
 use qem_netsim::{
@@ -12,6 +14,7 @@ use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol, Ipv4Header, Ipv6Header};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::{Ipv4Addr, Ipv6Addr};
+use support::oracle::{expected_arrival_ecn, has_ecn_impairment};
 
 fn arb_policy() -> impl Strategy<Value = EcnPolicy> {
     prop_oneof![
@@ -57,7 +60,10 @@ fn build_path(policies: &[EcnPolicy], loss: f64, silent: bool) -> Path {
                 let mut router =
                     Router::transparent(i as u32 + 1, Asn(100 + i as u32)).with_ecn_policy(*policy);
                 if silent {
-                    router = router.with_icmp(IcmpBehavior::silent());
+                    router.icmp = IcmpBehavior {
+                        response_probability: 0.0,
+                        quote_bytes: 0,
+                    };
                 }
                 Hop::new(router)
                     .with_delay(SimDuration::from_millis(1 + i as u64))
@@ -211,7 +217,10 @@ fn layout_path(layout: &mut StdRng, hops: usize, loss: f64, faulted: bool) -> Pa
             };
             let icmp = match layout.gen_range(0..4) {
                 0 => IcmpBehavior::responsive(),
-                1 => IcmpBehavior::silent(),
+                1 => IcmpBehavior {
+                    response_probability: 0.0,
+                    quote_bytes: 0,
+                },
                 2 => IcmpBehavior {
                     response_probability: 0.5,
                     ..IcmpBehavior::responsive()
@@ -223,9 +232,8 @@ fn layout_path(layout: &mut StdRng, hops: usize, loss: f64, faulted: bool) -> Pa
             };
             let router = Router {
                 dscp_policy,
-                ..router
-                    .with_ecn_policy(ECN_POLICIES[layout.gen_range(0..ECN_POLICIES.len())])
-                    .with_icmp(icmp)
+                icmp,
+                ..router.with_ecn_policy(ECN_POLICIES[layout.gen_range(0..ECN_POLICIES.len())])
             };
             let hop_loss = if layout.gen_bool(0.3) { loss } else { 0.0 };
             Hop::new(router)
@@ -353,7 +361,7 @@ proptest! {
         let path = build_path(&policies, 0.0, false);
         let mut rng = StdRng::seed_from_u64(seed);
         let outcome = path.transit(&datagram(64, sent), &mut rng);
-        let expected = path.expected_arrival_ecn(sent);
+        let expected = expected_arrival_ecn(&path, sent);
         match outcome {
             TransitOutcome::Delivered { datagram, delay } => {
                 prop_assert_eq!(datagram.header.ecn(), expected);
@@ -410,7 +418,7 @@ proptest! {
     #[test]
     fn not_ect_never_becomes_ect(policies in proptest::collection::vec(arb_policy(), 0..10)) {
         let path = build_path(&policies, 0.0, false);
-        prop_assert_eq!(path.expected_arrival_ecn(EcnCodepoint::NotEct), EcnCodepoint::NotEct);
+        prop_assert_eq!(expected_arrival_ecn(&path, EcnCodepoint::NotEct), EcnCodepoint::NotEct);
     }
 
     /// TTL expiry happens at exactly the hop the TTL allows, and the ICMP
@@ -491,6 +499,25 @@ proptest! {
         }
     }
 
+    /// The ground truth and the simulator agree on which paths are impaired:
+    /// a path with an impairing router changes at least one codepoint in
+    /// transit, and any other path delivers every codepoint unchanged.
+    #[test]
+    fn a_path_is_impaired_iff_transit_changes_a_codepoint(
+        policies in proptest::collection::vec(arb_policy(), 0..10),
+        seed in any::<u64>(),
+    ) {
+        let path = build_path(&policies, 0.0, false);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut changed = false;
+        for sent in EcnCodepoint::ALL {
+            let outcome = path.transit(&datagram(64, sent), &mut rng);
+            let (arrived, _) = outcome.delivered().expect("a lossless path delivers");
+            changed |= arrived.header.ecn() != sent;
+        }
+        prop_assert_eq!(has_ecn_impairment(&path), changed);
+    }
+
     /// DSCP rewrites never touch the ECN bits.
     #[test]
     fn dscp_policies_do_not_affect_ecn(sent in arb_ecn(), dscp in 0u8..64) {
@@ -500,6 +527,6 @@ proptest! {
                 ..Router::transparent(1, Asn(1))
             },
         )]);
-        prop_assert_eq!(path.expected_arrival_ecn(sent), sent);
+        prop_assert_eq!(expected_arrival_ecn(&path, sent), sent);
     }
 }

@@ -10,8 +10,8 @@
 //! `CRYPTO` / `STREAM` data and the close reason are slices of the payload,
 //! an ACK's ranges are re-read from it on demand ([`AckRef::ranges`]), and
 //! a run of padding is consumed by one scan for the first non-zero byte (a
-//! client Initial is ≈ 1 100 of them).  [`Frame::decode_all`] collects the
-//! same items into owned [`Frame`]s.  [`Frame::encode`] appends to the
+//! client Initial is ≈ 1 100 of them); [`FrameRef::to_owned`] copies one
+//! out into an owned [`Frame`].  [`Frame::encode`] appends to the
 //! caller's buffer; [`encode_ack`], [`encode_stream_header`] and
 //! [`encode_connection_close`] are its parts for senders that hold the
 //! content in another shape than an owned frame, and [`begin_crypto`] /
@@ -240,16 +240,6 @@ impl Frame {
             frame.encode(&mut buf);
         }
         buf
-    }
-
-    /// Decode all frames in `buf` into owned frames: what [`Frames`] reads,
-    /// copied out.  Runs of padding are collapsed into a single
-    /// [`Frame::Padding`] entry.
-    // lint: allow(unused-pub) test oracle: the owned decode the borrowed Frames reader is checked against
-    pub fn decode_all(buf: &[u8]) -> Result<Vec<Frame>> {
-        Frames::new(buf)
-            .map(|frame| frame.map(|f| f.to_owned()))
-            .collect()
     }
 }
 
@@ -593,8 +583,16 @@ impl<'a> Iterator for Frames<'a> {
 mod tests {
     use super::*;
 
+    /// What [`Frames`] reads from `buf`, copied out: a run of padding is
+    /// one [`Frame::Padding`].
+    fn decode_all(buf: &[u8]) -> Result<Vec<Frame>> {
+        Frames::new(buf)
+            .map(|frame| frame.map(|f| f.to_owned()))
+            .collect()
+    }
+
     fn round_trip(frames: &[Frame]) -> Vec<Frame> {
-        Frame::decode_all(&Frame::encode_all(frames)).unwrap()
+        decode_all(&Frame::encode_all(frames)).unwrap()
     }
 
     #[test]
@@ -687,7 +685,7 @@ mod tests {
     fn unknown_frame_type_rejected() {
         let buf = vec![0x21u8, 0, 0];
         assert!(matches!(
-            Frame::decode_all(&buf),
+            decode_all(&buf),
             Err(PacketError::UnknownFrameType(0x21))
         ));
     }
@@ -701,7 +699,7 @@ mod tests {
         encode_varint(&mut buf, 0);
         encode_varint(&mut buf, 0);
         encode_varint(&mut buf, 5);
-        assert!(Frame::decode_all(&buf).is_err());
+        assert!(decode_all(&buf).is_err());
     }
 
     #[test]
@@ -712,6 +710,6 @@ mod tests {
             data: vec![1, 2, 3, 4, 5, 6],
         }
         .encode(&mut buf);
-        assert!(Frame::decode_all(&buf[..buf.len() - 2]).is_err());
+        assert!(decode_all(&buf[..buf.len() - 2]).is_err());
     }
 }

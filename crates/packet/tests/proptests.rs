@@ -660,7 +660,7 @@ proptest! {
 
     #[test]
     fn frame_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
-        let _ = Frame::decode_all(&bytes);
+        let _ = frames_read_in_place(&bytes)?;
     }
 
     #[test]
@@ -674,8 +674,7 @@ proptest! {
         let first = largest.saturating_sub(below);
         let ack = AckFrame::contiguous(first, largest, Some(EcnCounts { ect0, ect1, ce }));
         let frames = vec![Frame::Ack(ack)];
-        let decoded = Frame::decode_all(&Frame::encode_all(&frames)).unwrap();
-        prop_assert_eq!(decoded, frames);
+        prop_assert_eq!(frames_read_in_place(&Frame::encode_all(&frames))?, Ok(frames));
     }
 
     #[test]
@@ -690,7 +689,6 @@ proptest! {
         let mut padded = vec![0u8; zeros];
         padded.extend_from_slice(&bytes);
         prop_assert_eq!(frames_read_in_place(&padded)?, oracle::decode_all(&padded));
-        prop_assert_eq!(Frame::decode_all(&padded), oracle::decode_all(&padded));
     }
 
     #[test]
@@ -701,7 +699,6 @@ proptest! {
     ) {
         let (bytes, frames) = lay_out(&pieces);
         prop_assert_eq!(frames_read_in_place(&bytes)?, Ok(frames));
-        prop_assert_eq!(Frame::decode_all(&bytes), oracle::decode_all(&bytes));
         if bytes.is_empty() {
             return Ok(());
         }

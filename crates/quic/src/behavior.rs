@@ -140,27 +140,6 @@ impl ServerBehavior {
         }
     }
 
-    /// Set the mirroring behaviour.
-    // lint: allow(unused-pub) test fixture: servers that mirror wrongly, in connection-run and census tests
-    pub fn with_mirroring(mut self, mirroring: EcnMirroringBehavior) -> Self {
-        self.mirroring = mirroring;
-        self
-    }
-
-    /// Make the server use ECN on its own packets (sets `ECT(0)`).
-    // lint: allow(unused-pub) test fixture: ECN-using servers in connection-run and wire tests
-    pub fn with_ecn_use(mut self) -> Self {
-        self.egress_ecn = EcnCodepoint::Ect0;
-        self
-    }
-
-    /// Set the supported versions.
-    // lint: allow(unused-pub) test fixture: version-negotiating servers in connection-run and wire tests
-    pub fn with_versions(mut self, versions: impl IntoIterator<Item = QuicVersion>) -> Self {
-        self.supported_versions = Versions::new(versions);
-        self
-    }
-
     /// Set the HTTP `server` header.
     pub fn with_server_header(mut self, header: &'static str) -> Self {
         self.server_header = Some(header);
@@ -241,10 +220,12 @@ mod tests {
 
     #[test]
     fn builder_profile() {
-        let b = ServerBehavior::accurate()
-            .with_ecn_use()
-            .with_server_header("LiteSpeed")
-            .with_versions(vec![QuicVersion::DRAFT_27]);
+        let b = ServerBehavior {
+            egress_ecn: EcnCodepoint::Ect0,
+            supported_versions: Versions::new([QuicVersion::DRAFT_27]),
+            ..ServerBehavior::accurate()
+        }
+        .with_server_header("LiteSpeed");
         assert!(b.uses_ecn());
         assert_ne!(b.mirroring, EcnMirroringBehavior::None);
         assert!(b.supports_version(QuicVersion::DRAFT_27));

@@ -433,10 +433,11 @@ fn quic_payload(datagram: &IpDatagram) -> Option<&[u8]> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::behavior::{EcnMirroringBehavior, ServerBehavior};
+    use crate::behavior::{EcnMirroringBehavior, ServerBehavior, Versions};
     use crate::ecn::{EcnValidationFailure, EcnValidationState};
     use qem_netsim::IcmpBehavior;
     use qem_netsim::{build_transit_path, Asn, DuplexPath, Hop, Path, Router, TransitProfile};
+    use qem_packet::ecn::EcnCodepoint;
     use qem_packet::quic::QuicVersion;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -497,7 +498,10 @@ mod tests {
     #[test]
     fn lsquic_style_undercount_is_detected() {
         let outcome = run(
-            ServerBehavior::accurate().with_mirroring(EcnMirroringBehavior::MirrorOnlyHandshake),
+            ServerBehavior {
+                mirroring: EcnMirroringBehavior::MirrorOnlyHandshake,
+                ..ServerBehavior::accurate()
+            },
             &clean_path(),
             3,
         );
@@ -513,7 +517,10 @@ mod tests {
     #[test]
     fn ect1_mixup_is_detected_as_wrong_codepoint() {
         let outcome = run(
-            ServerBehavior::accurate().with_mirroring(EcnMirroringBehavior::MirrorAsEct1),
+            ServerBehavior {
+                mirroring: EcnMirroringBehavior::MirrorAsEct1,
+                ..ServerBehavior::accurate()
+            },
             &clean_path(),
             4,
         );
@@ -582,7 +589,14 @@ mod tests {
 
     #[test]
     fn server_ecn_use_is_visible_to_the_client() {
-        let outcome = run(ServerBehavior::accurate().with_ecn_use(), &clean_path(), 8);
+        let outcome = run(
+            ServerBehavior {
+                egress_ecn: EcnCodepoint::Ect0,
+                ..ServerBehavior::accurate()
+            },
+            &clean_path(),
+            8,
+        );
         assert!(outcome.report.server_used_ecn);
         assert!(outcome.report.received_ecn.ect0 > 0);
         let outcome = run(ServerBehavior::accurate(), &clean_path(), 9);
@@ -591,9 +605,11 @@ mod tests {
 
     #[test]
     fn draft_only_server_is_reached_via_version_negotiation() {
-        let behavior = ServerBehavior::accurate()
-            .with_versions([QuicVersion::DRAFT_27])
-            .with_server_header("LiteSpeed");
+        let behavior = ServerBehavior {
+            supported_versions: Versions::new([QuicVersion::DRAFT_27]),
+            ..ServerBehavior::accurate()
+        }
+        .with_server_header("LiteSpeed");
         let outcome = run(behavior, &clean_path(), 10);
         assert!(outcome.report.connected);
         assert_eq!(outcome.report.version, QuicVersion::DRAFT_27);
@@ -637,9 +653,13 @@ mod tests {
 
     #[test]
     fn silent_icmp_routers_do_not_affect_regular_traffic() {
-        let forward = Path::new(vec![Hop::new(
-            Router::transparent(1, Asn::DFN).with_icmp(IcmpBehavior::silent()),
-        )]);
+        let forward = Path::new(vec![Hop::new(Router {
+            icmp: IcmpBehavior {
+                response_probability: 0.0,
+                quote_bytes: 0,
+            },
+            ..Router::transparent(1, Asn::DFN)
+        })]);
         let path = DuplexPath::symmetric_clean_reverse(forward);
         let outcome = run(ServerBehavior::accurate(), &path, 12);
         assert!(outcome.report.connected);
@@ -694,7 +714,14 @@ mod tests {
             false,
         );
         let path = DuplexPath::new(forward, reverse);
-        let outcome = run(ServerBehavior::accurate().with_ecn_use(), &path, 14);
+        let outcome = run(
+            ServerBehavior {
+                egress_ecn: EcnCodepoint::Ect0,
+                ..ServerBehavior::accurate()
+            },
+            &path,
+            14,
+        );
         assert!(outcome.report.connected);
         assert!(!outcome.report.server_used_ecn);
     }
@@ -841,7 +868,10 @@ mod tests {
         );
         assert!(!quic.server.stream.is_empty() && !quic.client.stream.is_empty());
         assert!(!engine.body.is_empty());
-        let negotiating = ServerBehavior::accurate().with_versions([QuicVersion::DRAFT_29]);
+        let negotiating = ServerBehavior {
+            supported_versions: Versions::new([QuicVersion::DRAFT_29]),
+            ..ServerBehavior::accurate()
+        };
         let not_serving = ServerBehavior {
             serves_http: false,
             ..accurate.clone()

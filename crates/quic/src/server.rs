@@ -270,9 +270,9 @@ impl ServerConnection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::behavior::EcnMirroringBehavior;
+    use crate::behavior::{EcnMirroringBehavior, Versions};
     use crate::transport_params::TransportParameters;
-    use qem_packet::quic::{Frame, QuicPacket};
+    use qem_packet::quic::{Frame, Frames, QuicPacket};
 
     fn client_initial(version: QuicVersion) -> Vec<u8> {
         let mut hello = Vec::new();
@@ -323,7 +323,10 @@ mod tests {
 
     #[test]
     fn unsupported_version_triggers_version_negotiation() {
-        let behavior = ServerBehavior::accurate().with_versions(vec![QuicVersion::DRAFT_27]);
+        let behavior = ServerBehavior {
+            supported_versions: Versions::new([QuicVersion::DRAFT_27]),
+            ..ServerBehavior::accurate()
+        };
         let mut server = ServerConnection::new(behavior, 1);
         server.handle_datagram(
             SimInstant::EPOCH,
@@ -344,7 +347,10 @@ mod tests {
     #[test]
     fn ack_carries_ecn_counts_according_to_behavior() {
         let mut server = ServerConnection::new(
-            ServerBehavior::accurate().with_mirroring(EcnMirroringBehavior::None),
+            ServerBehavior {
+                mirroring: EcnMirroringBehavior::None,
+                ..ServerBehavior::accurate()
+            },
             1,
         );
         server.handle_datagram(
@@ -355,8 +361,8 @@ mod tests {
         let mut saw_ack_without_ecn = false;
         while let Some(t) = server.poll_transmit(SimInstant::EPOCH) {
             let (pkt, _) = QuicPacket::decode(t.payload, CID_LEN).unwrap();
-            for frame in Frame::decode_all(&pkt.payload).unwrap() {
-                if let Frame::Ack(ack) = frame {
+            for frame in Frames::new(&pkt.payload) {
+                if let FrameRef::Ack(ack) = frame.unwrap() {
                     assert!(ack.ecn.is_none());
                     saw_ack_without_ecn = true;
                 }
@@ -367,7 +373,13 @@ mod tests {
 
     #[test]
     fn egress_ecn_follows_behavior() {
-        let mut server = ServerConnection::new(ServerBehavior::accurate().with_ecn_use(), 1);
+        let mut server = ServerConnection::new(
+            ServerBehavior {
+                egress_ecn: EcnCodepoint::Ect0,
+                ..ServerBehavior::accurate()
+            },
+            1,
+        );
         server.handle_datagram(
             SimInstant::EPOCH,
             EcnCodepoint::NotEct,
@@ -388,8 +400,8 @@ mod tests {
         let mut resent_crypto = false;
         while let Some(t) = server.poll_transmit(SimInstant::EPOCH) {
             let (pkt, _) = QuicPacket::decode(t.payload, CID_LEN).unwrap();
-            for frame in Frame::decode_all(&pkt.payload).unwrap() {
-                if matches!(frame, Frame::Crypto { .. }) {
+            for frame in Frames::new(&pkt.payload) {
+                if matches!(frame.unwrap(), FrameRef::Crypto { .. }) {
                     resent_crypto = true;
                 }
             }

@@ -15,7 +15,7 @@ use qem_packet::quic::{QuicVersion, QUIC_PORT};
 use qem_packet::udp::UdpHeader;
 use qem_quic::app::{AppChunk, StreamPacketizer};
 use qem_quic::client::{ClientConfig, ClientConnection, ClientReport};
-use qem_quic::{ConnectionRun, DriverConfig, ServerBehavior, ServerConnection};
+use qem_quic::{ConnectionRun, DriverConfig, ServerBehavior, ServerConnection, Versions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::{IpAddr, Ipv4Addr};
@@ -83,7 +83,10 @@ fn scenarios() -> Vec<Scenario> {
         scenario(
             "remarking",
             paper(),
-            ServerBehavior::accurate().with_ecn_use(),
+            ServerBehavior {
+                egress_ecn: EcnCodepoint::Ect0,
+                ..ServerBehavior::accurate()
+            },
             duplex(TransitProfile::Remarking { asn: Asn::ARELION }),
         ),
         scenario(
@@ -104,7 +107,10 @@ fn scenarios() -> Vec<Scenario> {
         scenario(
             "version-negotiation",
             paper(),
-            ServerBehavior::accurate().with_versions(vec![QuicVersion::DRAFT_29]),
+            ServerBehavior {
+                supported_versions: Versions::new([QuicVersion::DRAFT_29]),
+                ..ServerBehavior::accurate()
+            },
             duplex(TransitProfile::Clean),
         ),
         scenario(

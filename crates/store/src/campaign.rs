@@ -238,7 +238,8 @@ mod tests {
         let universe = universe();
         let campaign = Campaign::new(&universe);
         let vantage = VantagePoint::main();
-        let loaded = CampaignOptions::ce_probing_under_load();
+        let loaded =
+            CampaignOptions::ce_probing().with_cross_traffic(qem_core::CrossTraffic::congested());
 
         let dir = temp_dir("cross-traffic-reject");
         let snapshot = campaign.run_snapshot_to_store(&vantage, &loaded, false, &dir);

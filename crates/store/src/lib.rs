@@ -20,7 +20,8 @@
 //!   seal and the `COMPLETE` marker's record count before a report runs;
 //!   [`StoredSnapshot::open_quarantining`] skips and reports damaged
 //!   segments ([`QuarantineReport`]) so a census degrades to partial
-//!   results instead of dying.
+//!   results instead of dying.  Only tests open a store that way so far;
+//!   the two opens are to fold into one that takes a corruption policy.
 //!
 //! Reports never need the data back in memory: [`StoredSnapshot`] implements
 //! [`qem_core::source::SnapshotSource`], so every Table 1–7 / Figure 3–8

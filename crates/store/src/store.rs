@@ -511,7 +511,7 @@ impl StoredSnapshot {
     /// segments hold exactly that many records; otherwise (a segment
     /// quarantined or missing) the snapshot reports itself as incomplete
     /// and counts hosts by streaming.
-    // lint: allow(unused-pub) tested feature: the degraded open of a damaged store
+    // lint: allow(unused-pub) pending ROADMAP item 1's `open(dir, OnCorrupt)` fold, which benchmark/'s call to `StoredSnapshot::open(&dir)` blocks
     pub fn open_quarantining(dir: &Path) -> Result<(StoredSnapshot, QuarantineReport), StoreError> {
         let mut snapshot = StoredSnapshot::load(dir)?;
         let mut report = QuarantineReport::default();
@@ -585,7 +585,7 @@ impl StoredSnapshot {
     /// The current quarantine state as `store.quarantine.*` counters for
     /// [`qem_obs::RunTelemetry`] (empty while nothing was skipped, so clean
     /// runs' telemetry is unchanged).
-    // lint: allow(unused-pub) tested feature: the degraded open of a damaged store
+    // lint: allow(unused-pub) pending ROADMAP item 1's `open(dir, OnCorrupt)` fold, which benchmark/'s call to `StoredSnapshot::open(&dir)` blocks
     pub fn quarantine_telemetry(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
         let skipped = self.quarantined_segments();

@@ -145,7 +145,9 @@ pub fn analyze_trace(
 mod tests {
     use super::*;
     use crate::tracer::{trace_path, TraceConfig};
-    use qem_netsim::{build_transit_path, Asn, DscpPolicy, PathBuilder, Router, TransitProfile};
+    use qem_netsim::{
+        build_transit_path, Asn, DscpPolicy, Hop, IcmpBehavior, Path, Router, TransitProfile,
+    };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::net::Ipv4Addr;
@@ -252,14 +254,15 @@ mod tests {
 
     #[test]
     fn dscp_only_rewrite_is_not_an_impairment() {
-        let path = PathBuilder::new()
-            .transparent_hops(Asn::DFN, 1)
-            .custom_hop(Router {
+        let path = Path::new(vec![
+            Hop::new(Router::transparent(1, Asn::DFN)),
+            Hop::new(Router {
                 dscp_policy: DscpPolicy::ResetToBestEffort,
                 ..Router::transparent(5, Asn::ARELION)
-            })
-            .transparent_hops(Asn(13335), 2)
-            .build();
+            }),
+            Hop::new(Router::transparent(2, Asn(13335))),
+            Hop::new(Router::transparent(3, Asn(13335))),
+        ]);
         let (src, dst) = endpoints();
         let mut rng = StdRng::seed_from_u64(3);
         let config = TraceConfig {
@@ -275,10 +278,19 @@ mod tests {
 
     #[test]
     fn all_silent_path_is_untested() {
-        use qem_netsim::{Hop, IcmpBehavior, Path};
+        let icmp = IcmpBehavior {
+            response_probability: 0.0,
+            quote_bytes: 0,
+        };
         let path = Path::new(vec![
-            Hop::new(Router::transparent(1, Asn::DFN).with_icmp(IcmpBehavior::silent())),
-            Hop::new(Router::transparent(2, Asn::ARELION).with_icmp(IcmpBehavior::silent())),
+            Hop::new(Router {
+                icmp,
+                ..Router::transparent(1, Asn::DFN)
+            }),
+            Hop::new(Router {
+                icmp,
+                ..Router::transparent(2, Asn::ARELION)
+            }),
         ]);
         let (src, dst) = endpoints();
         let mut rng = StdRng::seed_from_u64(4);

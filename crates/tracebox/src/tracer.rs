@@ -241,13 +241,22 @@ fn build_probe(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qem_netsim::{
-        build_transit_path, Asn, EcnPolicy, Hop, IcmpBehavior, PathBuilder, Router, TransitProfile,
-    };
+    use qem_netsim::{build_transit_path, Asn, Hop, IcmpBehavior, Router, TransitProfile};
     use qem_packet::quic::QuicPacket;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::net::Ipv4Addr;
+
+    /// A hop in AS 1299 whose router never answers a TTL-expired probe.
+    fn silent_hop(id: u32) -> Hop {
+        Hop::new(Router {
+            icmp: IcmpBehavior {
+                response_probability: 0.0,
+                quote_bytes: 0,
+            },
+            ..Router::transparent(id, Asn::ARELION)
+        })
+    }
 
     fn endpoints() -> (IpAddr, IpAddr) {
         (
@@ -297,12 +306,12 @@ mod tests {
 
     #[test]
     fn silent_hops_are_tolerated_up_to_the_limit() {
-        let path = PathBuilder::new()
-            .transparent_hops(Asn::DFN, 1)
-            .custom_hop(Router::transparent(10, Asn::ARELION).with_icmp(IcmpBehavior::silent()))
-            .custom_hop(Router::transparent(11, Asn::ARELION).with_icmp(IcmpBehavior::silent()))
-            .transparent_hops(Asn(13335), 1)
-            .build();
+        let path = Path::new(vec![
+            Hop::new(Router::transparent(1, Asn::DFN)),
+            silent_hop(10),
+            silent_hop(11),
+            Hop::new(Router::transparent(2, Asn(13335))),
+        ]);
         let (src, dst) = endpoints();
         let mut rng = StdRng::seed_from_u64(3);
         let trace = trace_path(&path, src, dst, &TraceConfig::default(), &mut rng);
@@ -312,13 +321,10 @@ mod tests {
 
     #[test]
     fn too_many_silent_hops_abort_the_trace() {
-        let mut builder = PathBuilder::new().transparent_hops(Asn::DFN, 1);
-        for i in 0..8 {
-            builder = builder.custom_hop(
-                Router::transparent(20 + i, Asn::ARELION).with_icmp(IcmpBehavior::silent()),
-            );
-        }
-        let path = builder.transparent_hops(Asn(13335), 1).build();
+        let mut hops = vec![Hop::new(Router::transparent(1, Asn::DFN))];
+        hops.extend((20..28).map(silent_hop));
+        hops.push(Hop::new(Router::transparent(2, Asn(13335))));
+        let path = Path::new(hops);
         let (src, dst) = endpoints();
         let mut rng = StdRng::seed_from_u64(4);
         let config = TraceConfig::default();
@@ -331,17 +337,16 @@ mod tests {
 
     #[test]
     fn minimal_quotes_still_reveal_the_traffic_class() {
-        let path = PathBuilder::new()
-            .custom_hop(
-                Router::transparent(1, Asn::DFN)
-                    .with_icmp(IcmpBehavior {
-                        quote_bytes: 28,
-                        ..IcmpBehavior::responsive()
-                    })
-                    .with_ecn_policy(EcnPolicy::Pass),
-            )
-            .transparent_hops(Asn(13335), 1)
-            .build();
+        let path = Path::new(vec![
+            Hop::new(Router {
+                icmp: IcmpBehavior {
+                    quote_bytes: 28,
+                    ..IcmpBehavior::responsive()
+                },
+                ..Router::transparent(1, Asn::DFN)
+            }),
+            Hop::new(Router::transparent(1, Asn(13335))),
+        ]);
         let (src, dst) = endpoints();
         let mut rng = StdRng::seed_from_u64(5);
         let trace = trace_path(&path, src, dst, &TraceConfig::default(), &mut rng);

@@ -767,8 +767,13 @@ mod tests {
             .find(|h| matches!(h.transit_v4, TransitProfile::Clearing { .. }))
             .expect("some host behind a clearing path");
         let path = cleared_host.duplex_path_from(Asn::DFN, false);
-        assert!(path.forward.has_ecn_impairment());
-        assert!(!path.reverse.has_ecn_impairment());
+        let impaired = |path: &qem_netsim::Path| {
+            path.hops
+                .iter()
+                .any(|hop| hop.router.ecn_policy != qem_netsim::EcnPolicy::Pass)
+        };
+        assert!(impaired(&path.forward));
+        assert!(!impaired(&path.reverse));
     }
 
     #[test]

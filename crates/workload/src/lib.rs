@@ -15,9 +15,10 @@
 //!
 //! A [`Scenario`] is pure data; [`Scenario::run`] lowers it onto
 //! [`qem_netsim::EngineCore`] and returns a deterministic
-//! [`WorkloadReport`].  [`Scenario::run_all`] produces the cross-variant
-//! [`WorkloadComparison`] the `netbench` example renders — byte-identical
-//! across worker counts, pinned by a golden snapshot.
+//! [`WorkloadReport`].  The `netbench` and `chaos` examples run the
+//! variants through the executor and bundle the reports into the
+//! cross-variant [`WorkloadComparison`] they render — byte-identical across
+//! worker counts, pinned by golden snapshots.
 //! [`Scenario::run_with`] runs the same scenario over any
 //! [`Scheduler`](qem_netsim::Scheduler), which is how the determinism tests
 //! hold the timer wheel to an oracle.

@@ -12,7 +12,7 @@
 //! wheel to.
 
 use crate::apps::{jitter_us, BulkAppFlow, RtcAppFlow};
-use crate::report::{BulkOutcome, LoadOutcome, RtcOutcome, WorkloadComparison, WorkloadReport};
+use crate::report::{BulkOutcome, LoadOutcome, RtcOutcome, WorkloadReport};
 use qem_netsim::{
     Asn, DuplexPath, EcnPolicy, EngineCore, FaultKind, FaultPlan, Hop, LoadFlow, Path, QueueConfig,
     Router, RouterId, Scheduler, SharedQueues, SimDuration, SimInstant, TimerWheel,
@@ -278,16 +278,6 @@ impl Scenario {
         self.run_with::<TimerWheel<usize>>(variant)
     }
 
-    /// Run the scenario under every variant and bundle the comparison.
-    // lint: allow(unused-pub) tested feature: the all-variant comparison the workload goldens pin
-    pub fn run_all(&self) -> WorkloadComparison {
-        WorkloadComparison {
-            scenario: self.name.clone(),
-            seed: self.seed,
-            reports: EcnVariant::ALL.iter().map(|&v| self.run(v)).collect(),
-        }
-    }
-
     /// Run the scenario under `variant` on scheduler `S`.  Any scheduler
     /// that keeps the [`Scheduler`] contract yields the report
     /// [`Scenario::run`] does; the determinism tests check that with an
@@ -502,6 +492,7 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::WorkloadComparison;
 
     fn tiny() -> Scenario {
         Scenario {
@@ -593,14 +584,22 @@ mod tests {
 
     #[test]
     fn the_fault_section_renders_only_for_faulted_runs() {
+        let render = |scenario: &Scenario| {
+            WorkloadComparison {
+                scenario: scenario.name.clone(),
+                seed: scenario.seed,
+                reports: EcnVariant::ALL.iter().map(|&v| scenario.run(v)).collect(),
+            }
+            .to_string()
+        };
         let mut lossy = tiny();
         lossy.fault = Scenario::lossy_bottleneck(7).fault;
-        let faulted = lossy.run_all().to_string();
+        let faulted = render(&lossy);
         assert!(
             faulted.contains("-- fault injection --"),
             "faulted comparison must render the section:\n{faulted}"
         );
-        let clean = tiny().run_all().to_string();
+        let clean = render(&tiny());
         assert!(
             !clean.contains("-- fault injection --"),
             "clean comparison must not grow a section"
@@ -610,14 +609,15 @@ mod tests {
     #[test]
     fn only_the_blackhole_variant_impairs_the_path() {
         let scenario = Scenario::netbench_default(7);
-        assert!(!scenario
-            .forward_path(EcnVariant::EcnOn)
-            .has_ecn_impairment());
-        assert!(!scenario
-            .forward_path(EcnVariant::EcnOff)
-            .has_ecn_impairment());
+        let impaired = |path: &Path| {
+            path.hops
+                .iter()
+                .any(|hop| hop.router.ecn_policy != EcnPolicy::Pass)
+        };
+        assert!(!impaired(&scenario.forward_path(EcnVariant::EcnOn)));
+        assert!(!impaired(&scenario.forward_path(EcnVariant::EcnOff)));
         let broken = scenario.forward_path(EcnVariant::CeBlackhole);
-        assert!(broken.has_ecn_impairment());
+        assert!(impaired(&broken));
         // The eraser sits strictly after the bottleneck, so marks are spent
         // before they are destroyed.
         assert_eq!(

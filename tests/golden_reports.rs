@@ -17,6 +17,7 @@
 //! and commit the updated `tests/data/golden_reports_tiny.txt` together with
 //! the change that motivated it.
 
+use qem_core::executor::ShardedExecutor;
 use qem_core::reports::{
     figure3, figure4, figure5, figure6, figure7, table1, table2, table3, table4, table5, table6,
     table7,
@@ -25,6 +26,7 @@ use qem_core::{Campaign, CampaignOptions};
 use qem_netsim::{build_transit_path, Asn, DuplexPath, TransitProfile};
 use qem_quic::{ClientConfig, ConnectionRun, DriverConfig, ServerBehavior};
 use qem_web::{SnapshotDate, Universe, UniverseConfig};
+use qem_workload::{EcnVariant, Scenario, WorkloadComparison};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -146,13 +148,24 @@ fn check_golden(path: PathBuf, rendered: &str) {
     );
 }
 
+/// The cross-variant comparison of `scenario` the way
+/// `examples/{netbench,chaos}.rs` build it: one variant per executor shard,
+/// reassembled in input order.
+fn run_comparison(scenario: &Scenario, workers: usize) -> WorkloadComparison {
+    let executor = ShardedExecutor::new(workers);
+    WorkloadComparison {
+        scenario: scenario.name.clone(),
+        seed: scenario.seed,
+        reports: executor.run(&EcnVariant::ALL, |variant| scenario.run(*variant)),
+    }
+}
+
 /// The cross-variant workload comparison of the default netbench scenario
 /// at the example's default seed — exactly what `examples/netbench.rs`
-/// prints, so the snapshot also pins the example's output.
-fn render_workload_comparison() -> String {
-    qem_workload::Scenario::netbench_default(7)
-        .run_all()
-        .to_string()
+/// prints at `--workers <workers>`, so the snapshot also pins the example's
+/// output.
+fn render_workload_comparison(workers: usize) -> String {
+    run_comparison(&Scenario::netbench_default(7), workers).to_string()
 }
 
 #[test]
@@ -162,27 +175,28 @@ fn reports_match_golden_snapshot() {
 
 #[test]
 fn workload_comparison_matches_golden_snapshot() {
-    check_golden(golden_workload_path(), &render_workload_comparison());
+    for workers in [1, 0] {
+        check_golden(golden_workload_path(), &render_workload_comparison(workers));
+    }
 }
 
 /// The two fault scenarios at the chaos example's default seed — exactly
-/// what `examples/chaos.rs` prints, so the snapshot pins the example's
-/// output (fault-injection counter section included) across refactors of
-/// the fault plans, the engine, and the schedulers.
-fn render_chaos_report() -> String {
+/// what `examples/chaos.rs` prints at `--workers <workers>`, so the snapshot
+/// pins the example's output (fault-injection counter section included)
+/// across refactors of the fault plans, the engine, and the schedulers.
+fn render_chaos_report(workers: usize) -> String {
     let mut out = String::new();
-    for scenario in [
-        qem_workload::Scenario::lossy_bottleneck(7),
-        qem_workload::Scenario::flapping_link(7),
-    ] {
-        writeln!(out, "{}", scenario.run_all()).unwrap();
+    for scenario in [Scenario::lossy_bottleneck(7), Scenario::flapping_link(7)] {
+        writeln!(out, "{}", run_comparison(&scenario, workers)).unwrap();
     }
     out
 }
 
 #[test]
 fn chaos_report_matches_golden_snapshot() {
-    check_golden(golden_chaos_path(), &render_chaos_report());
+    for workers in [1, 0] {
+        check_golden(golden_chaos_path(), &render_chaos_report(workers));
+    }
 }
 
 /// The telemetry document of the main campaign (IPv4 + IPv6) on the tiny

@@ -60,7 +60,10 @@ proptest! {
         let path = DuplexPath::symmetric_clean_reverse(
             build_transit_path(Asn::DFN, Asn(16509), transit, false),
         );
-        let behavior = ServerBehavior::accurate().with_mirroring(mirroring);
+        let behavior = ServerBehavior {
+            mirroring,
+            ..ServerBehavior::accurate()
+        };
         let mut rng = StdRng::seed_from_u64(seed);
         let outcome = ConnectionRun::new(
             ClientConfig::paper_default("prop.example"),
@@ -95,7 +98,10 @@ proptest! {
         for i in 0..hops {
             let mut router = Router::transparent(i as u32 + 1, Asn(100 + i as u32));
             if silent_mask & (1 << i) != 0 {
-                router = router.with_icmp(qem_netsim::IcmpBehavior::silent());
+                router.icmp = qem_netsim::IcmpBehavior {
+                    response_probability: 0.0,
+                    quote_bytes: 0,
+                };
             }
             path_hops.push(Hop::new(router));
         }
@@ -131,7 +137,9 @@ proptest! {
             })
             .collect();
         let forward = Path::new(hops);
-        let expected = forward.expected_arrival_ecn(EcnCodepoint::Ect0);
+        let expected = policies
+            .iter()
+            .fold(EcnCodepoint::Ect0, |ecn, policy| policy.apply(ecn));
         let path = DuplexPath::new(forward, Path::empty());
         let mut rng = StdRng::seed_from_u64(seed);
         let outcome = ConnectionRun::new(

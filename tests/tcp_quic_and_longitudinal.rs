@@ -51,11 +51,6 @@ fn figure6_under_cross_traffic_shows_congestion_driven_mirroring() {
         "congestion must move domains into the CE-mirroring categories \
          (idle: {idle_fig}, loaded: {loaded_fig})"
     );
-
-    // And the dedicated preset is the CE-probing run plus the scenario.
-    let preset = CampaignOptions::ce_probing_under_load();
-    assert!(preset.cross_traffic.is_enabled());
-    assert_eq!(preset.probe, qem_core::scanner::ProbeMode::ForceCe);
 }
 
 #[test]
