@@ -15,10 +15,23 @@
 //! counted in — each probe's
 //! engine tally by slot — which the worker folds into the scanner's once,
 //! when it ends ([`Scanner::metrics_snapshot`] gives the counts their
-//! names), and its last route: the [`DuplexPath`] to the previous host and
-//! the `RouteKey` it was built from.  Hosts in id order share a route far
-//! more often than not, so a host whose key matches borrows that path, and
-//! only a new key builds one.
+//! names), and its last route: the [`DuplexPath`] to the previous host, the
+//! `RouteKey` it was built from, and the [`TcpReport`] of the last TCP
+//! exchange over it that drew nothing from its host's RNG, with the
+//! [`TcpServerBehavior`] it ran against.  Hosts in id order share a route
+//! far more often than not, so a host whose key matches borrows that path,
+//! and only a new key builds one; a host whose TCP behaviour matches too
+//! copies that report instead of running the exchange, and the report goes
+//! when the route does.  The probe mode, cross traffic and fault plan are
+//! the scanner's, and the exchange does not depend on the server address
+//! within a family, so a run that drew nothing depends on route key and
+//! behaviour alone.  The run draws through an adapter that notes any draw,
+//! so a run that drew (over a lossy hop, behind cross traffic, through a
+//! fault that draws) is never kept, and no list of those conditions has to
+//! be kept in step.  The oracle is
+//! `tests::reused_scratches_measure_what_a_fresh_scratch_per_host_does`: a
+//! fresh worker per host, which never reuses a report, against one worker
+//! reused in orders that change route at nearly every host.
 
 use crate::executor::ShardedExecutor;
 use crate::metrics::{Row, ScanTally};
@@ -31,11 +44,11 @@ use qem_netsim::{
 use qem_obs::MetricsSnapshot;
 use qem_quic::behavior::EcnMirroringBehavior;
 use qem_quic::{ClientConfig, ConnectionRun, DriverConfig, QuicScratch};
-use qem_tcp::{TcpClientConfig, TcpConnectionRun};
+use qem_tcp::{TcpClientConfig, TcpConnectionRun, TcpReport, TcpServerBehavior};
 use qem_tracebox::{analyze_trace, trace_path, TraceConfig};
 use qem_web::{SnapshotDate, StackProfile, Universe};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use std::borrow::Cow;
 use std::fmt::Write;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
@@ -110,9 +123,18 @@ struct ScanWorker<'s> {
     /// The QUIC probes' configuration, each host's SNI written into it.
     client: ClientConfig,
     tally: ScanTally,
-    /// The route to the last host measured, with what it was built from.
-    route: Option<(RouteKey, DuplexPath)>,
+    /// The route to the last host measured.
+    route: Option<Route>,
     scanner: &'s Scanner<'s>,
+}
+
+/// A worker's last route: the path, what it was built from, and the report
+/// of the last TCP exchange over it that drew nothing from its host's RNG,
+/// with the server behaviour it ran against.
+struct Route {
+    key: RouteKey,
+    path: DuplexPath,
+    tcp: Option<(TcpServerBehavior, TcpReport)>,
 }
 
 /// Everything a route depends on that varies per host: the host's AS, the
@@ -123,6 +145,20 @@ struct RouteKey {
     asn: Asn,
     transit: TransitProfile,
     v6: bool,
+}
+
+/// The host's RNG, noting whether anything was drawn from it.  `StdRng`
+/// draws everything through `next_u64`, as `RngCore`'s other methods do.
+struct Drawn<'r> {
+    rng: &'r mut StdRng,
+    any: bool,
+}
+
+impl RngCore for Drawn<'_> {
+    fn next_u64(&mut self) -> u64 {
+        self.any = true;
+        self.rng.next_u64()
+    }
 }
 
 impl Drop for ScanWorker<'_> {
@@ -270,7 +306,11 @@ impl<'a> Scanner<'a> {
             };
         };
         let client_addr = self.client_addr(v6);
-        let path = self.path_to(host_id, v6, &mut rng, route);
+        let Route {
+            path,
+            tcp: last_tcp,
+            ..
+        } = self.path_to(host_id, v6, &mut rng, route);
 
         // ---- QUIC ---------------------------------------------------------
         let behavior = self.effective_quic_behavior(host_id);
@@ -347,19 +387,27 @@ impl<'a> Scanner<'a> {
             ProbeMode::Ect0 => TcpClientConfig::ect0(),
             ProbeMode::ForceCe => TcpClientConfig::force_ce(),
         };
-        let tcp_report = Some(
-            TcpConnectionRun::new(
-                tcp_config,
-                host.tcp_behavior(),
-                client_addr,
-                server_addr,
-                path,
-            )
-            .cross_traffic(self.options.cross_traffic)
-            .scratch(scratch)
-            .execute(&mut rng)
-            .report,
-        );
+        let tcp_behavior = host.tcp_behavior();
+        let tcp_report = Some(match *last_tcp {
+            Some((last, report)) if last == tcp_behavior => report,
+            _ => {
+                let mut drawn = Drawn {
+                    rng: &mut rng,
+                    any: false,
+                };
+                let report =
+                    TcpConnectionRun::new(tcp_config, tcp_behavior, client_addr, server_addr, path)
+                        .cross_traffic(self.options.cross_traffic)
+                        .scratch(scratch)
+                        .execute(&mut drawn)
+                        .report;
+                // A run that drew depends on the host's RNG: never reuse it.
+                if !drawn.any {
+                    *last_tcp = Some((tcp_behavior, report));
+                }
+                report
+            }
+        });
         tally.inc(Row::TcpProbed);
         if tcp_report.as_ref().is_some_and(|r| r.connected) {
             tally.inc(Row::TcpConnected);
@@ -419,7 +467,7 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    /// The path from this vantage point to the host, after applying the
+    /// The route from this vantage point to the host, after applying the
     /// location quirks that are part of the simulated world: `route` if it
     /// was built for the same key, else built into `route`.  The quirk draws
     /// are made either way.
@@ -428,8 +476,8 @@ impl<'a> Scanner<'a> {
         host_id: usize,
         v6: bool,
         rng: &mut StdRng,
-        route: &'r mut Option<(RouteKey, DuplexPath)>,
-    ) -> &'r DuplexPath {
+        route: &'r mut Option<Route>,
+    ) -> &'r mut Route {
         let host = &self.universe.hosts[host_id];
         let mut transit = if v6 { host.transit_v6 } else { host.transit_v4 };
         if !v6 {
@@ -455,11 +503,14 @@ impl<'a> Scanner<'a> {
             transit,
             v6,
         };
-        if route.as_ref().is_some_and(|(last, _)| *last != key) {
+        if route.as_ref().is_some_and(|last| last.key != key) {
             *route = None;
         }
-        let (_, path) = route.get_or_insert_with(|| (key, self.build_route(key)));
-        path
+        route.get_or_insert_with(|| Route {
+            key,
+            path: self.build_route(key),
+            tcp: None,
+        })
     }
 
     /// The duplex path for `key`, with the scanner's fault plan on its

@@ -554,7 +554,8 @@ impl<'a> TcpConnectionRun<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qem_netsim::{build_transit_path, Asn, TransitProfile};
+    use proptest::prelude::*;
+    use qem_netsim::{build_duplex_path, build_transit_path, Asn, TransitProfile};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::net::Ipv4Addr;
@@ -846,17 +847,139 @@ mod tests {
     fn ipv6_tcp_connection_works() {
         let forward = build_transit_path(Asn::DFN, Asn(13335), TransitProfile::Clean, true);
         let path = DuplexPath::symmetric_clean_reverse(forward);
+        let (c, s) = addrs_v6();
         let mut rng = StdRng::seed_from_u64(7);
         let report = TcpConnectionRun::new(
             TcpClientConfig::force_ce(),
             TcpServerBehavior::full_ecn(),
-            "2001:db8::1".parse().unwrap(),
-            "2001:db8:2::9".parse().unwrap(),
+            c,
+            s,
             &path,
         )
         .execute(&mut rng)
         .report;
         assert!(report.connected);
         assert!(report.ce_mirrored);
+    }
+
+    fn addrs_v6() -> (IpAddr, IpAddr) {
+        (
+            "2001:db8::1".parse().unwrap(),
+            "2001:db8:2::9".parse().unwrap(),
+        )
+    }
+
+    /// Every forward transit a census route is built with, one per variant.
+    const TRANSITS: [TransitProfile; 5] = [
+        TransitProfile::Clean,
+        TransitProfile::Clearing { asn: Asn::ARELION },
+        TransitProfile::Remarking { asn: Asn::ARELION },
+        TransitProfile::RemarkThenClear {
+            first: Asn::ARELION,
+            second: Asn::COGENT,
+        },
+        TransitProfile::MarkAllCe { asn: Asn::ARELION },
+    ];
+
+    /// The index of `transit`'s variant in [`TRANSITS`].  A new variant
+    /// does not compile here until it is given the next index and listed.
+    fn variant(transit: TransitProfile) -> usize {
+        match transit {
+            TransitProfile::Clean => 0,
+            TransitProfile::Clearing { .. } => 1,
+            TransitProfile::Remarking { .. } => 2,
+            TransitProfile::RemarkThenClear { .. } => 3,
+            TransitProfile::MarkAllCe { .. } => 4,
+        }
+    }
+
+    /// A census route: `transit` forward, a clean reverse.
+    fn census_route(transit: TransitProfile, v6: bool) -> DuplexPath {
+        build_duplex_path(Asn::DFN, Asn(13335), transit, TransitProfile::Clean, v6)
+    }
+
+    /// Every exchange a census runs: both probe modes against the four
+    /// server presets, over every transit.
+    fn census_exchanges(
+    ) -> impl Iterator<Item = (TcpClientConfig, TcpServerBehavior, TransitProfile)> {
+        let presets = [
+            TcpServerBehavior::full_ecn(),
+            TcpServerBehavior::mirror_only(),
+            TcpServerBehavior::no_ecn(),
+            TcpServerBehavior::negotiate_without_mirroring(),
+        ];
+        [TcpClientConfig::ect0(), TcpClientConfig::force_ce()]
+            .into_iter()
+            .flat_map(move |config| {
+                presets.into_iter().flat_map(move |behavior| {
+                    TRANSITS
+                        .into_iter()
+                        .map(move |transit| (config, behavior, transit))
+                })
+            })
+    }
+
+    /// The next draw of an RNG seeded 42 that nothing drew from.
+    fn untouched() -> u64 {
+        StdRng::seed_from_u64(42).gen()
+    }
+
+    #[test]
+    fn the_exchange_is_draw_free_on_every_census_route() {
+        // What lets a scan reuse a report: over a lossless, unloaded route
+        // the run reads nothing from the host's RNG.
+        assert_eq!(TRANSITS.map(variant), [0, 1, 2, 3, 4]);
+        for v6 in [false, true] {
+            let (c, s) = if v6 { addrs_v6() } else { addrs() };
+            for (config, behavior, transit) in census_exchanges() {
+                let path = census_route(transit, v6);
+                let mut rng = StdRng::seed_from_u64(42);
+                TcpConnectionRun::new(config, behavior, c, s, &path).execute(&mut rng);
+                assert_eq!(
+                    rng.gen::<u64>(),
+                    untouched(),
+                    "{config:?} {behavior:?} {transit:?} v6={v6}"
+                );
+            }
+        }
+        // Controls: a lossy hop and a loaded bottleneck each draw.
+        use qem_netsim::{Hop, Path, Router};
+        let lossy = Path::new(vec![
+            Hop::new(Router::transparent(1, Asn::DFN)).with_loss(0.5)
+        ]);
+        let lossy = DuplexPath::new(lossy, Path::empty());
+        assert_ne!(
+            run_under(&lossy, CrossTraffic::none(), false, 42).1,
+            untouched()
+        );
+        let clean = census_route(TransitProfile::Clean, false);
+        assert_ne!(
+            run_under(&clean, CrossTraffic::congested(), false, 42).1,
+            untouched()
+        );
+    }
+
+    proptest! {
+        /// What lets a scan's memo leave the server address out of its key.
+        #[test]
+        fn the_outcome_does_not_depend_on_the_addresses_within_a_family(
+            c4 in any::<u32>(),
+            s4 in any::<u32>(),
+            c6 in any::<u128>(),
+            s6 in any::<u128>(),
+        ) {
+            let v4 = (IpAddr::V4(c4.into()), IpAddr::V4(s4.into()));
+            let v6 = (IpAddr::V6(c6.into()), IpAddr::V6(s6.into()));
+            for ((c, s), (ref_c, ref_s), v6) in [(v4, addrs(), false), (v6, addrs_v6(), true)] {
+                for (config, behavior, transit) in census_exchanges() {
+                    let path = census_route(transit, v6);
+                    let run = |c, s| {
+                        TcpConnectionRun::new(config, behavior, c, s, &path)
+                            .execute(&mut StdRng::seed_from_u64(42))
+                    };
+                    prop_assert_eq!(run(c, s), run(ref_c, ref_s));
+                }
+            }
+        }
     }
 }

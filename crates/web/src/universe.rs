@@ -404,7 +404,7 @@ impl Universe {
         let asn = self.providers[provider_idx].asn;
         for _ in 0..hosts_needed {
             let id = self.hosts.len();
-            let has_v6 = rng.gen_bool(segment.ipv6_share.clamp(0.0, 1.0));
+            let has_v6 = draw_share(rng, segment.ipv6_share);
             let (ipv4, ipv6) = host_addrs(v4_octet, v6_index, id as u32);
             self.hosts.push(Host {
                 id,
@@ -417,8 +417,7 @@ impl Universe {
                 uses_ecn: segment.uses_ecn,
                 upgrade_quantile: rng.gen::<f64>(),
                 availability_quantile: rng.gen::<f64>(),
-                suppress_server_header: rng
-                    .gen_bool(segment.header_suppressed_share.clamp(0.0, 1.0)),
+                suppress_server_header: draw_share(rng, segment.header_suppressed_share),
                 transit_v4: segment.transit_v4,
                 transit_v6: segment.transit_v6,
                 tcp_profile: segment.tcp,
@@ -428,7 +427,7 @@ impl Universe {
         }
         for i in 0..cno {
             let host = first_host + (i % hosts_needed) as usize;
-            let parked = rng.gen_bool(parked_share.clamp(0.0, 1.0));
+            let parked = draw_share(rng, parked_share);
             skip_tld_draw(rng);
             self.add_domain(CNO_ONLY, Some(host), parked, observe);
         }
@@ -458,7 +457,7 @@ impl Universe {
         let asn = self.providers[provider_idx].asn;
         for _ in 0..hosts_needed {
             let id = self.hosts.len();
-            let has_v6 = rng.gen_bool(background.ipv6_share.clamp(0.0, 1.0));
+            let has_v6 = draw_share(rng, background.ipv6_share);
             let (ipv4, ipv6) = host_addrs(v4_octet, v6_index, id as u32);
             self.hosts.push(Host {
                 id,
@@ -531,6 +530,17 @@ fn host_addrs(v4_octet: u8, v6_index: u16, host_no: u32) -> (Ipv4Addr, Ipv6Addr)
         Ipv4Addr::new(v4_octet, b, c, d),
         Ipv6Addr::new(0x2001, 0x0db8, v6_index, 0, 0, 0, hi, lo),
     )
+}
+
+/// A Bernoulli draw of a landscape `share`, clamped to `[0, 1]`.
+/// `f64::clamp` passes NaN through, and `gen_bool(NaN)` panics: NaN draws
+/// as 0.0 does, and the one draw is still taken.
+fn draw_share(rng: &mut StdRng, share: f64) -> bool {
+    rng.gen_bool(if share.is_nan() {
+        0.0
+    } else {
+        share.clamp(0.0, 1.0)
+    })
 }
 
 /// The draw that once picked a zone-file domain's TLD.  Domains carry no
@@ -774,6 +784,49 @@ mod tests {
         };
         assert!(impaired(&path.forward));
         assert!(!impaired(&path.reverse));
+    }
+
+    /// The tiny universe of the default landscape with `share` written into
+    /// it by `set`.
+    fn with_share(set: fn(&mut LandscapeSpec, f64), share: f64) -> Universe {
+        let mut landscape = default_landscape();
+        set(&mut landscape, share);
+        Universe::generate_from(&landscape, &UniverseConfig::tiny())
+    }
+
+    /// A NaN share generates the universe a 0.0 share does, without a panic.
+    fn a_nan_share_draws_as_zero(set: fn(&mut LandscapeSpec, f64)) {
+        let (nan, zero) = (with_share(set, f64::NAN), with_share(set, 0.0));
+        assert_eq!(nan.hosts, zero.hosts);
+        assert_eq!(nan.domains, zero.domains);
+    }
+
+    fn segments(landscape: &mut LandscapeSpec) -> impl Iterator<Item = &mut SegmentSpec> {
+        landscape.providers.iter_mut().flat_map(|p| &mut p.segments)
+    }
+
+    #[test]
+    fn a_nan_segment_ipv6_share_draws_as_zero() {
+        a_nan_share_draws_as_zero(|l, share| segments(l).for_each(|s| s.ipv6_share = share));
+    }
+
+    #[test]
+    fn a_nan_header_suppressed_share_draws_as_zero() {
+        a_nan_share_draws_as_zero(|l, share| {
+            segments(l).for_each(|s| s.header_suppressed_share = share)
+        });
+    }
+
+    #[test]
+    fn a_nan_parked_share_draws_as_zero() {
+        a_nan_share_draws_as_zero(|l, share| l.parked_share = share);
+    }
+
+    #[test]
+    fn a_nan_background_ipv6_share_draws_as_zero() {
+        a_nan_share_draws_as_zero(|l, share| {
+            l.background.iter_mut().for_each(|b| b.ipv6_share = share)
+        });
     }
 
     #[test]
