@@ -11,7 +11,7 @@ use crate::observation::HostMeasurement;
 use crate::resilience::RetryPolicy;
 use crate::scanner::{ProbeMode, ScanOptions, Scanner};
 use crate::vantage::VantagePoint;
-use qem_netsim::CrossTraffic;
+use qem_netsim::{CrossTraffic, Probability};
 use qem_obs::{MetricsSnapshot, RunTelemetry};
 use qem_web::{SnapshotDate, Universe};
 
@@ -23,7 +23,7 @@ pub struct CampaignOptions {
     /// Probe mode (ECT(0) methodology or the §6.3 CE run).
     pub probe: ProbeMode,
     /// Tracebox sampling probability for abnormal hosts.
-    pub trace_sample_probability: f64,
+    pub trace_sample_probability: Probability,
     /// Worker-thread budget; `0` means one worker per available core.
     ///
     /// Single-vantage runs give the whole budget to each scan; the cloud
@@ -50,7 +50,7 @@ impl CampaignOptions {
         CampaignOptions {
             date: SnapshotDate::APR_2023,
             probe: ProbeMode::Ect0,
-            trace_sample_probability: 0.2,
+            trace_sample_probability: Probability::new(0.2),
             workers: 0,
             seed: 0x1299,
             cross_traffic: CrossTraffic::none(),

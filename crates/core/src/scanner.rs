@@ -39,7 +39,8 @@ use crate::observation::{EcnClass, HostMeasurement};
 use crate::resilience::{classify_probe, RetryPolicy};
 use crate::vantage::VantagePoint;
 use qem_netsim::{
-    build_duplex_path, Asn, CrossTraffic, DuplexPath, EngineScratch, FaultPlan, TransitProfile,
+    build_duplex_path, Asn, CrossTraffic, DuplexPath, EngineScratch, FaultPlan, Probability,
+    TransitProfile,
 };
 use qem_obs::MetricsSnapshot;
 use qem_quic::behavior::EcnMirroringBehavior;
@@ -48,7 +49,7 @@ use qem_tcp::{TcpClientConfig, TcpConnectionRun, TcpReport, TcpServerBehavior};
 use qem_tracebox::{analyze_trace, trace_path, TraceConfig};
 use qem_web::{SnapshotDate, StackProfile, Universe};
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{RngCore, SeedableRng};
 use std::borrow::Cow;
 use std::fmt::Write;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
@@ -73,7 +74,7 @@ pub struct ScanOptions {
     /// Probe codepoint / mode.
     pub probe: ProbeMode,
     /// Probability that an abnormal host is traced (the paper samples 20 %).
-    pub trace_sample_probability: f64,
+    pub trace_sample_probability: Probability,
     /// Worker threads; `0` means one worker per available core.
     pub workers: usize,
     /// Seed for all per-host randomness.
@@ -99,7 +100,7 @@ impl ScanOptions {
             date,
             ipv6: false,
             probe: ProbeMode::Ect0,
-            trace_sample_probability: 0.2,
+            trace_sample_probability: Probability::new(0.2),
             workers: 0,
             seed: 0x5eed,
             cross_traffic: CrossTraffic::none(),
@@ -425,13 +426,12 @@ impl<'a> Scanner<'a> {
         // Per-domain sampling, at most one trace per IP: an IP serving `n`
         // domains is traced with probability 1 - (1-p)^n, so heavy-hitter IPs
         // are almost always covered — exactly the property §6.1 relies on.
-        // `f64::clamp` passes NaN through, and `gen_bool(NaN)` panics: NaN
-        // draws nothing, as 0.0 does, and still takes the one draw below.
-        let p = self.options.trace_sample_probability;
-        let per_domain_p = if p.is_nan() { 0.0 } else { p.clamp(0.0, 1.0) };
+        // An abnormal host takes the one draw whatever the probability.
+        let per_domain_p = self.options.trace_sample_probability.get();
         let weight = (host.cno_domains + host.toplist_domains).max(1);
-        let host_trace_p = 1.0 - (1.0 - per_domain_p).powi(weight.min(1_000) as i32);
-        let trace = if abnormal && rng.gen_bool(host_trace_p) {
+        let host_trace_p =
+            Probability::new(1.0 - (1.0 - per_domain_p).powi(weight.min(1_000) as i32));
+        let trace = if abnormal && host_trace_p.draw(&mut rng) {
             let trace = trace_path(
                 &path.forward,
                 client_addr,
@@ -483,15 +483,11 @@ impl<'a> Scanner<'a> {
         if !v6 {
             let quirks = &self.vantage.quirks;
             match transit {
-                TransitProfile::Clean
-                    if quirks.extra_remark_probability > 0.0
-                        && rng.gen_bool(quirks.extra_remark_probability.clamp(0.0, 1.0)) =>
-                {
+                TransitProfile::Clean if quirks.extra_remark_probability.draw_unless_zero(rng) => {
                     transit = TransitProfile::Remarking { asn: Asn::ARELION };
                 }
                 TransitProfile::Remarking { .. }
-                    if quirks.remark_suppression_probability > 0.0
-                        && rng.gen_bool(quirks.remark_suppression_probability.clamp(0.0, 1.0)) =>
+                    if quirks.remark_suppression_probability.draw_unless_zero(rng) =>
                 {
                     transit = TransitProfile::Clean;
                 }
@@ -636,7 +632,9 @@ mod tests {
     fn scan_tally_does_not_depend_on_how_the_hosts_are_partitioned() {
         let universe = universe();
         let population = universe.scan_population(false);
-        let loss = FaultPlan::new().always(FaultKind::Loss { rate: 0.35 });
+        let loss = FaultPlan::new().always(FaultKind::Loss {
+            rate: Probability::new(0.35),
+        });
         for (fault_plan, retry) in [
             (FaultPlan::default(), RetryPolicy::none()),
             (loss, RETRYING),
@@ -697,7 +695,9 @@ mod tests {
         let population = universe.scan_population(false);
         let run = |workers: usize, retry: RetryPolicy| {
             let scanner = Scanner {
-                fault_plan: FaultPlan::new().always(FaultKind::Loss { rate: 0.35 }),
+                fault_plan: FaultPlan::new().always(FaultKind::Loss {
+                    rate: Probability::new(0.35),
+                }),
                 ..Scanner::new(
                     &universe,
                     VantagePoint::main(),
@@ -740,13 +740,18 @@ mod tests {
     fn reused_scratches_measure_what_a_fresh_scratch_per_host_does() {
         let universe = universe();
         let ms = SimDuration::from_millis;
-        let loss = Some((FaultKind::Loss { rate: 0.35 }, "fault.drops.loss"));
+        let loss = Some((
+            FaultKind::Loss {
+                rate: Probability::new(0.35),
+            },
+            "fault.drops.loss",
+        ));
         // A cloud vantage whose quirks re-mark or clean a host's transit by
         // a per-host draw: neighbours on one provider get different routes.
         let quirky = VantagePoint {
             quirks: VantageQuirks {
-                extra_remark_probability: 0.5,
-                remark_suppression_probability: 0.5,
+                extra_remark_probability: Probability::new(0.5),
+                remark_suppression_probability: Probability::new(0.5),
                 ..VantageQuirks::default()
             },
             ..VantagePoint::cloud_fleet()[0].clone()
@@ -796,7 +801,12 @@ mod tests {
                 main(),
                 false,
                 retrying,
-                Some((FaultKind::Corrupt { rate: 0.2 }, "fault.corrupted")),
+                Some((
+                    FaultKind::Corrupt {
+                        rate: Probability::new(0.2),
+                    },
+                    "fault.corrupted",
+                )),
             ),
             (
                 main(),
@@ -810,7 +820,7 @@ mod tests {
                 retrying,
                 Some((
                     FaultKind::Reorder {
-                        rate: 0.3,
+                        rate: Probability::new(0.3),
                         extra: ms(5),
                     },
                     "fault.reordered",
@@ -820,7 +830,12 @@ mod tests {
                 main(),
                 false,
                 retrying,
-                Some((FaultKind::Duplicate { rate: 0.3 }, "fault.duplicates")),
+                Some((
+                    FaultKind::Duplicate {
+                        rate: Probability::new(0.3),
+                    },
+                    "fault.duplicates",
+                )),
             ),
         ] {
             let fault_plan = fault.clone().map_or_else(FaultPlan::default, |(kind, _)| {
@@ -901,7 +916,7 @@ mod tests {
                 &universe,
                 VantagePoint::main(),
                 ScanOptions {
-                    trace_sample_probability: p,
+                    trace_sample_probability: Probability::new(p),
                     ..ScanOptions::paper_default(SnapshotDate::APR_2023)
                 },
             );
@@ -940,7 +955,7 @@ mod tests {
             &universe,
             VantagePoint::main(),
             ScanOptions {
-                trace_sample_probability: 1.0,
+                trace_sample_probability: Probability::new(1.0),
                 ..ScanOptions::paper_default(SnapshotDate::APR_2023)
             },
         );
@@ -967,7 +982,7 @@ mod tests {
             &universe,
             VantagePoint::main(),
             ScanOptions {
-                trace_sample_probability: 1.0,
+                trace_sample_probability: Probability::new(1.0),
                 ..ScanOptions::paper_default(SnapshotDate::APR_2023)
             },
         );
@@ -993,7 +1008,7 @@ mod tests {
             &universe,
             VantagePoint::main(),
             ScanOptions {
-                trace_sample_probability: 1.0,
+                trace_sample_probability: Probability::new(1.0),
                 ..ScanOptions::paper_default(SnapshotDate::APR_2023)
             },
         );

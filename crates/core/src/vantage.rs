@@ -9,7 +9,7 @@
 //! ECN experiments visible from India, and the re-marking hotspot seen from
 //! Santiago de Chile).
 
-use qem_netsim::Asn;
+use qem_netsim::{Asn, Probability};
 
 /// Which platform hosts the vantage point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,10 +44,10 @@ pub struct VantageQuirks {
     pub google_ce_anomaly: bool,
     /// Probability that an otherwise clean IPv4 path shows ECT(0)→ECT(1)
     /// re-marking from this location (§8: Santiago de Chile, AWS Frankfurt).
-    pub extra_remark_probability: f64,
+    pub extra_remark_probability: Probability,
     /// Probability that a path that re-marks from the main vantage point is
     /// clean from here (§8: Vultr Frankfurt sees almost no re-marking).
-    pub remark_suppression_probability: f64,
+    pub remark_suppression_probability: Probability,
 }
 
 /// A measurement vantage point.
@@ -96,7 +96,7 @@ impl VantagePoint {
                 "AWS Frankfurt",
                 CloudProvider::Aws,
                 VantageQuirks {
-                    extra_remark_probability: 0.02,
+                    extra_remark_probability: Probability::new(0.02),
                     ..plain
                 },
             ),
@@ -115,7 +115,7 @@ impl VantagePoint {
                 "AWS Sao Paulo",
                 CloudProvider::Aws,
                 VantageQuirks {
-                    extra_remark_probability: 0.01,
+                    extra_remark_probability: Probability::new(0.01),
                     ..plain
                 },
             ),
@@ -124,7 +124,7 @@ impl VantagePoint {
                 "Vultr Frankfurt",
                 CloudProvider::Vultr,
                 VantageQuirks {
-                    remark_suppression_probability: 0.9,
+                    remark_suppression_probability: Probability::new(0.9),
                     ..plain
                 },
             ),
@@ -152,7 +152,7 @@ impl VantagePoint {
                 "Vultr Santiago",
                 CloudProvider::Vultr,
                 VantageQuirks {
-                    extra_remark_probability: 0.05,
+                    extra_remark_probability: Probability::new(0.05),
                     ..plain
                 },
             ),

@@ -232,6 +232,53 @@ fn shared_counter_fixture_fires_on_every_atomic_and_never_in_the_test_clock() {
 }
 
 #[test]
+fn raw_draw_fixture_fires_in_production_but_not_in_the_probability_file() {
+    // Every production source of the workspace is a zone; the draws in the
+    // fixture's `#[cfg(test)] mod` (line 20) never fire.
+    for path in [
+        "crates/core/src/scanner.rs",
+        "crates/web/src/universe.rs",
+        "crates/netsim/src/path.rs",
+        "src/lib.rs",
+    ] {
+        let lines = fired_lines(path, "violations/raw_draws.rs", "raw-gen-bool");
+        assert_eq!(lines, BTreeSet::from([6, 10]), "{path}");
+    }
+    // The type's own file holds the one sanctioned draw.
+    let findings = engine().check_file(
+        "crates/netsim/src/probability.rs",
+        &fixture("violations/raw_draws.rs"),
+    );
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn observation_boundary_fixture_fires_on_ground_truth_reads() {
+    // A planted `host.stack` read (line 4) and a transit-profile match
+    // (line 8) fire; the observed `uses_ecn` (line 12) and the test
+    // module's read (line 20) do not.
+    for path in [
+        "crates/core/src/reports/tables.rs",
+        "crates/core/src/observation.rs",
+        "crates/core/src/source.rs",
+        "crates/tracebox/src/analysis.rs",
+    ] {
+        let lines = fired_lines(
+            path,
+            "violations/observation_boundary.rs",
+            "observation-boundary",
+        );
+        assert_eq!(lines, BTreeSet::from([4, 8]), "{path}");
+    }
+    // The world side — the scanner builds the simulated paths — is outside.
+    let findings = engine().check_file(
+        "crates/core/src/scanner.rs",
+        &fixture("violations/observation_boundary.rs"),
+    );
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
 fn unsafe_fixture_fires_only_without_a_safety_comment() {
     let lines = fired_lines(
         "crates/packet/src/fixture.rs",
@@ -250,6 +297,7 @@ fn bait_fixture_is_clean() {
         "crates/netsim/src/bait.rs",
         "crates/packet/src/quic/bait.rs",
         "crates/quic/src/client.rs",
+        "crates/core/src/reports/bait.rs",
     ] {
         let findings = engine().check_file(path, &fixture("clean/bait.rs"));
         assert!(

@@ -15,12 +15,18 @@ pub const CHARS: (char, char) = ('a', '"');
 pub const AMBIENT: &'static str = "thread_local! static mut OnceLock OnceCell LazyLock lazy_static";
 pub const SHARED: &str = "AtomicU64 AtomicUsize AtomicU32 .fetch_add(1) .fetch_max(2)"; // fetch_add
 pub const ABORTS: &str = "x.unwrap() y.expect(\"why\") panic!() unreachable!() todo!() unimplemented!()"; // .unwrap()
+pub const DRAWS: &str = "rng.gen_bool(p)"; // gen_bool
+pub const TRUTH: &str = "host.stack, transit_v4, TransitProfile, tcp_behavior()"; // StackProfile
 
 /// Doc comments mentioning sleep, stdin and UdpSocket are also fine.
 pub struct SimInstant(pub u64);
 
 pub fn lookalikes(v: Option<u64>) -> u64 {
     v.unwrap_or(0)
+}
+
+pub fn truth_lookalikes(gen_bool_calls: u64, stack_depth: u64, uses_ecn: bool) -> u64 {
+    gen_bool_calls + stack_depth + u64::from(uses_ecn)
 }
 
 /// A parser of hostile bytes degrades without `.unwrap()` or `panic!`: the

@@ -8,6 +8,7 @@
 //! the paper's Table 5) are [`EcnPolicy`](crate::policy::EcnPolicy)s, not
 //! AQMs.
 
+use crate::probability::Probability;
 use qem_packet::ecn::EcnCodepoint;
 use rand::Rng;
 
@@ -76,7 +77,7 @@ impl OccupancyAqm {
                 } else if p <= 0.0 {
                     false
                 } else {
-                    rng.gen_bool(p)
+                    Probability::new(p).draw(rng)
                 };
                 if mark {
                     AqmDecision::Forward(EcnCodepoint::Ce)

@@ -14,6 +14,7 @@
 //! RNG draws, which is what keeps every committed golden report
 //! byte-identical to the pre-fault world.
 
+use crate::probability::Probability;
 use crate::time::{SimDuration, SimInstant};
 use rand::Rng;
 
@@ -23,13 +24,15 @@ use rand::Rng;
 /// Probabilistic kinds (`Loss`, `Corrupt`, `Jitter`, `Reorder`,
 /// `Duplicate`) draw from the flow RNG in window order; time-driven kinds
 /// (`Blackhole`, `Flap`, `BurstLoss`) draw nothing — they are square waves
-/// over the virtual clock, phase-locked to the window start.
+/// over the virtual clock, phase-locked to the window start.  A rate is a
+/// [`Probability`], drawn only when nonzero: a zero-rate window takes
+/// nothing from the RNG.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultKind {
     /// Drop each packet independently with probability `rate`.
     Loss {
-        /// Drop probability in `[0, 1]`.
-        rate: f64,
+        /// Drop probability.
+        rate: Probability,
     },
     /// Periodic loss bursts: within every `period` after the window opens,
     /// packets in the first `burst` are dropped.  Deterministic — no RNG.
@@ -54,8 +57,8 @@ pub enum FaultKind {
     /// routes — the receiver sees an undecodable payload, which is how
     /// corrupt-reply classification surfaces downstream.
     Corrupt {
-        /// Corruption probability in `[0, 1]`.
-        rate: f64,
+        /// Corruption probability.
+        rate: Probability,
     },
     /// Add a uniform extra delay in `[0, max]` to every packet.
     Jitter {
@@ -65,8 +68,8 @@ pub enum FaultKind {
     /// With probability `rate`, hold this packet back by an extra `extra` —
     /// it arrives after packets sent later, i.e. genuine reordering.
     Reorder {
-        /// Reorder probability in `[0, 1]`.
-        rate: f64,
+        /// Reorder probability.
+        rate: Probability,
         /// Extra delay applied to reordered packets.
         extra: SimDuration,
     },
@@ -76,8 +79,8 @@ pub enum FaultKind {
     /// alongside the original is absorbed at the receiver (exactly-once
     /// delivery) and only counted.
     Duplicate {
-        /// Duplication probability in `[0, 1]`.
-        rate: f64,
+        /// Duplication probability.
+        rate: Probability,
     },
 }
 
@@ -230,35 +233,28 @@ impl FaultPlan {
                     }
                 }
                 FaultKind::Duplicate { rate } => {
-                    if *rate > 0.0 && rng.gen_bool(rate.clamp(0.0, 1.0)) {
+                    if rate.draw_unless_zero(rng) {
                         copies += 1;
                         verdict.duplicated = true;
                     }
                 }
                 FaultKind::Loss { rate } => {
-                    if *rate > 0.0 {
-                        let rate = rate.clamp(0.0, 1.0);
-                        let mut survivors = 0u32;
-                        for _ in 0..copies {
-                            if !rng.gen_bool(rate) {
-                                survivors += 1;
-                            }
-                        }
-                        if survivors == 0 {
-                            verdict.drop = Some(FaultDrop::Loss);
-                            return verdict;
-                        }
-                        if survivors < copies && verdict.duplicated {
-                            verdict.salvaged = true;
-                        }
-                        copies = survivors;
+                    let survivors: u32 = (0..copies)
+                        .map(|_| u32::from(!rate.draw_unless_zero(rng)))
+                        .sum();
+                    if survivors == 0 {
+                        verdict.drop = Some(FaultDrop::Loss);
+                        return verdict;
                     }
+                    if survivors < copies && verdict.duplicated {
+                        verdict.salvaged = true;
+                    }
+                    copies = survivors;
                 }
                 FaultKind::Corrupt { rate } => {
-                    if *rate > 0.0
-                        && payload_len > 0
+                    if payload_len > 0
                         && verdict.corrupt_byte.is_none()
-                        && rng.gen_bool(rate.clamp(0.0, 1.0))
+                        && rate.draw_unless_zero(rng)
                     {
                         verdict.corrupt_byte = Some(rng.gen_range(0..payload_len));
                     }
@@ -271,7 +267,7 @@ impl FaultPlan {
                     }
                 }
                 FaultKind::Reorder { rate, extra } => {
-                    if *rate > 0.0 && rng.gen_bool(rate.clamp(0.0, 1.0)) {
+                    if rate.draw_unless_zero(rng) {
                         verdict.extra_delay += *extra;
                         verdict.reordered = true;
                     }
@@ -426,7 +422,9 @@ mod tests {
 
     #[test]
     fn certain_loss_always_drops_and_duplicate_can_salvage() {
-        let lossy = FaultPlan::new().always(FaultKind::Loss { rate: 1.0 });
+        let lossy = FaultPlan::new().always(FaultKind::Loss {
+            rate: Probability::new(1.0),
+        });
         let mut rng = StdRng::seed_from_u64(2);
         assert_eq!(
             lossy.apply(at_ms(0), 16, &mut rng).drop,
@@ -437,8 +435,12 @@ mod tests {
         // runs where exactly one copy dies; over many packets all of
         // dropped / clean / salvaged outcomes must appear.
         let protected = FaultPlan::new()
-            .always(FaultKind::Duplicate { rate: 1.0 })
-            .always(FaultKind::Loss { rate: 0.5 });
+            .always(FaultKind::Duplicate {
+                rate: Probability::new(1.0),
+            })
+            .always(FaultKind::Loss {
+                rate: Probability::new(0.5),
+            });
         let (mut drops, mut salvages, mut clean) = (0u32, 0u32, 0u32);
         for _ in 0..200 {
             let v = protected.apply(at_ms(0), 16, &mut rng);
@@ -453,7 +455,9 @@ mod tests {
 
     #[test]
     fn corruption_picks_a_payload_byte_and_skips_empty_payloads() {
-        let plan = FaultPlan::new().always(FaultKind::Corrupt { rate: 1.0 });
+        let plan = FaultPlan::new().always(FaultKind::Corrupt {
+            rate: Probability::new(1.0),
+        });
         let mut rng = StdRng::seed_from_u64(4);
         let v = plan.apply(at_ms(1), 32, &mut rng);
         assert!(matches!(v.corrupt_byte, Some(i) if i < 32));
@@ -465,7 +469,7 @@ mod tests {
         let plan = FaultPlan::new()
             .always(FaultKind::Jitter { max: ms(5) })
             .always(FaultKind::Reorder {
-                rate: 1.0,
+                rate: Probability::new(1.0),
                 extra: ms(50),
             });
         let mut rng = StdRng::seed_from_u64(5);
@@ -477,9 +481,15 @@ mod tests {
     #[test]
     fn same_seed_same_verdict_sequence() {
         let plan = FaultPlan::new()
-            .always(FaultKind::Duplicate { rate: 0.3 })
-            .always(FaultKind::Loss { rate: 0.2 })
-            .always(FaultKind::Corrupt { rate: 0.1 })
+            .always(FaultKind::Duplicate {
+                rate: Probability::new(0.3),
+            })
+            .always(FaultKind::Loss {
+                rate: Probability::new(0.2),
+            })
+            .always(FaultKind::Corrupt {
+                rate: Probability::new(0.1),
+            })
             .always(FaultKind::Jitter { max: ms(2) });
         let run = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);

@@ -16,7 +16,8 @@
 //!
 //! * **Determinism** — all randomness (loss, AQM marking, ICMP rate limiting)
 //!   is drawn from an explicit [`rand::Rng`] handed in by the caller, so a
-//!   seeded campaign is exactly reproducible.
+//!   seeded campaign is exactly reproducible; every yes/no draw is a
+//!   [`Probability`]'s.
 //! * **Sans-IO** — the simulator never spawns tasks or touches sockets; it
 //!   transforms [`IpDatagram`](qem_packet::IpDatagram)s and reports what a
 //!   real network would have done via [`TransitOutcome`].
@@ -32,6 +33,7 @@ pub mod engine;
 pub mod fault;
 pub mod path;
 pub mod policy;
+pub mod probability;
 pub mod router;
 pub mod time;
 pub mod topology;
@@ -46,6 +48,7 @@ pub use engine::{
 pub use fault::{FaultDrop, FaultKind, FaultPlan, FaultStats, FaultVerdict, FaultWindow};
 pub use path::{DuplexPath, Hop, Path, TransitOutcome};
 pub use policy::{DscpPolicy, EcnPolicy};
+pub use probability::Probability;
 pub use router::{IcmpBehavior, Router, RouterId};
 pub use time::{SimDuration, SimInstant};
 pub use topology::{build_duplex_path, build_transit_path, Asn, PathBuilder, TransitProfile};

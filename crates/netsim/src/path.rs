@@ -16,6 +16,7 @@
 use crate::engine::SharedQueues;
 use crate::fault::FaultPlan;
 use crate::policy::EcnPolicy;
+use crate::probability::Probability;
 use crate::router::Router;
 use crate::time::{SimDuration, SimInstant};
 use qem_packet::ecn::{Dscp, EcnCodepoint};
@@ -32,8 +33,9 @@ pub struct Hop {
     pub router: Router,
     /// One-way propagation + processing delay contributed by this hop.
     pub delay: SimDuration,
-    /// Probability in `[0, 1]` that a packet is lost at this hop.
-    pub loss: f64,
+    /// Probability that a packet is lost at this hop; drawn only when
+    /// nonzero, so a lossless hop takes nothing from the RNG.
+    pub loss: Probability,
 }
 
 impl Hop {
@@ -42,7 +44,7 @@ impl Hop {
         Hop {
             router,
             delay: SimDuration::from_millis(5),
-            loss: 0.0,
+            loss: Probability::new(0.0),
         }
     }
 
@@ -52,9 +54,9 @@ impl Hop {
         self
     }
 
-    /// Set the hop loss probability.
+    /// Set the hop loss probability (see [`Probability::new`]).
     pub fn with_loss(mut self, loss: f64) -> Self {
-        self.loss = loss.clamp(0.0, 1.0);
+        self.loss = Probability::new(loss);
         self
     }
 }
@@ -201,8 +203,8 @@ impl Path {
     /// whatever the verdict (same allocation).  The hops rewrite TTL, ECN and DSCP as three locals read out of the
     /// header once; the header is written once, on delivery or just before
     /// a router quotes it, so the quote shows the packet as it reached that
-    /// hop.  A hop's loss and ICMP response probabilities are clamped to
-    /// `[0, 1]` (NaN draws nothing), as a [`FaultPlan`]'s rates are.
+    /// hop.  A hop's loss and ICMP response probabilities, like a
+    /// [`FaultPlan`]'s rates, are [`Probability`]s drawn only when nonzero.
     pub fn transit_shared<R: Rng + ?Sized>(
         &self,
         datagram: IpDatagram,
@@ -255,15 +257,14 @@ impl Path {
             elapsed += hop.delay;
 
             // Queue loss happens before the router looks at the packet.
-            if hop.loss > 0.0 && rng.gen_bool(hop.loss.clamp(0.0, 1.0)) {
+            if hop.loss.draw_unless_zero(rng) {
                 return dropped(index, current.payload);
             }
 
             // TTL handling: the quote shows the packet as received.
             let ttl_after = ttl.saturating_sub(1);
             if ttl_after == 0 {
-                let p = hop.router.icmp.response_probability;
-                let answered = p > 0.0 && rng.gen_bool(p.clamp(0.0, 1.0));
+                let answered = hop.router.icmp.response_probability.draw_unless_zero(rng);
                 set_rewritable(&mut current.header, ttl, ecn, dscp);
                 // A router that cannot address the sender stays silent.
                 let response = answered
@@ -430,10 +431,12 @@ mod tests {
     }
 
     /// A router that never answers a TTL-expired packet.
-    const SILENT: IcmpBehavior = IcmpBehavior {
-        response_probability: 0.0,
-        quote_bytes: 0,
-    };
+    fn silent() -> IcmpBehavior {
+        IcmpBehavior {
+            response_probability: Probability::new(0.0),
+            quote_bytes: 0,
+        }
+    }
 
     fn three_hop_path(middle_policy: EcnPolicy) -> Path {
         Path::new(vec![
@@ -525,15 +528,18 @@ mod tests {
     #[test]
     fn every_verdict_hands_back_the_body_that_was_sent() {
         let silent = Router {
-            icmp: SILENT,
+            icmp: silent(),
             ..Router::transparent(1, Asn(680))
         };
         let cases = [
             // Dropped by a hop, and by the fault plan at the path entry.
             (Path::new(vec![Hop::new(silent.clone()).with_loss(1.0)]), 64),
             (
-                three_hop_path(EcnPolicy::Pass)
-                    .with_fault(FaultPlan::new().always(FaultKind::Loss { rate: 1.0 })),
+                three_hop_path(EcnPolicy::Pass).with_fault(FaultPlan::new().always(
+                    FaultKind::Loss {
+                        rate: Probability::new(1.0),
+                    },
+                )),
                 64,
             ),
             (Path::new(vec![Hop::new(silent)]), 1),
@@ -572,7 +578,7 @@ mod tests {
     #[test]
     fn silent_router_expires_without_response() {
         let path = Path::new(vec![Hop::new(Router {
-            icmp: SILENT,
+            icmp: silent(),
             ..Router::transparent(1, Asn(680))
         })]);
         let mut rng = StdRng::seed_from_u64(1);
@@ -596,12 +602,11 @@ mod tests {
 
     #[test]
     fn out_of_range_hop_probabilities_are_clamped() {
-        // `Hop` and `IcmpBehavior` fields are public, so a hop can hold any
-        // `f64` the builders would have clamped.
+        // A hop's probabilities can be made from any `f64`.
         let path = |loss: f64, respond: f64| {
             let mut hop = Hop::new(Router::transparent(1, Asn(680)));
-            hop.loss = loss;
-            hop.router.icmp.response_probability = respond;
+            hop.loss = Probability::new(loss);
+            hop.router.icmp.response_probability = Probability::new(respond);
             Path::new(vec![hop])
         };
         let run = |path: Path, ttl: u8| {

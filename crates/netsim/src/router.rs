@@ -1,6 +1,7 @@
 //! Routers: the per-hop actors of the path simulator.
 
 use crate::policy::{DscpPolicy, EcnPolicy};
+use crate::probability::Probability;
 use crate::topology::Asn;
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
@@ -41,10 +42,11 @@ impl fmt::Display for RouterId {
 /// How a router answers packets whose TTL expired.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IcmpBehavior {
-    /// Probability in `[0, 1]` that a time-exceeded message is actually sent.
-    /// Models ICMP rate limiting and administrative silence; the paper's
-    /// tracer tolerates up to five consecutive silent hops.
-    pub response_probability: f64,
+    /// Probability that a time-exceeded message is actually sent; drawn
+    /// only when nonzero.  Models ICMP rate limiting and administrative
+    /// silence; the paper's tracer tolerates up to five consecutive silent
+    /// hops.
+    pub response_probability: Probability,
     /// How many bytes of the offending datagram are quoted.  RFC 792 requires
     /// at least the IP header plus 8 bytes; modern routers often quote the
     /// full packet.  The tracer must cope with both.
@@ -55,7 +57,7 @@ impl IcmpBehavior {
     /// A router that always answers and quotes 128 bytes.
     pub fn responsive() -> Self {
         IcmpBehavior {
-            response_probability: 1.0,
+            response_probability: Probability::new(1.0),
             quote_bytes: 128,
         }
     }
@@ -189,6 +191,9 @@ mod tests {
 
     #[test]
     fn icmp_behaviour_presets() {
-        assert_eq!(IcmpBehavior::responsive().response_probability, 1.0);
+        assert_eq!(
+            IcmpBehavior::responsive().response_probability,
+            Probability::new(1.0)
+        );
     }
 }

@@ -7,6 +7,7 @@
 
 use crate::path::{DuplexPath, Hop, Path};
 use crate::policy::EcnPolicy;
+use crate::probability::Probability;
 use crate::router::Router;
 use crate::time::SimDuration;
 use std::fmt;
@@ -104,7 +105,7 @@ pub struct PathBuilder {
     next_router_id: u32,
     v6: bool,
     default_delay: SimDuration,
-    default_loss: f64,
+    default_loss: Probability,
 }
 
 impl PathBuilder {
@@ -115,7 +116,7 @@ impl PathBuilder {
             next_router_id: 1,
             v6: false,
             default_delay: SimDuration::from_millis(3),
-            default_loss: 0.0,
+            default_loss: Probability::new(0.0),
         }
     }
 
@@ -133,9 +134,10 @@ impl PathBuilder {
         self
     }
 
-    /// Set the per-hop loss probability used for subsequently added hops.
+    /// Set the per-hop loss probability used for subsequently added hops
+    /// (see [`Probability::new`]).
     pub fn default_loss(mut self, loss: f64) -> Self {
-        self.default_loss = loss.clamp(0.0, 1.0);
+        self.default_loss = Probability::new(loss);
         self
     }
 
@@ -155,7 +157,7 @@ impl PathBuilder {
             let router = self.make_router(asn);
             let hop = Hop::new(router)
                 .with_delay(self.default_delay)
-                .with_loss(self.default_loss);
+                .with_loss(self.default_loss.get());
             self.hops.push(hop);
         }
         self
@@ -166,7 +168,7 @@ impl PathBuilder {
         let router = self.make_router(asn).with_ecn_policy(policy);
         let hop = Hop::new(router)
             .with_delay(self.default_delay)
-            .with_loss(self.default_loss);
+            .with_loss(self.default_loss.get());
         self.hops.push(hop);
         self
     }

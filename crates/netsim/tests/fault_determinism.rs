@@ -14,8 +14,8 @@ mod support;
 use proptest::prelude::*;
 use qem_netsim::engine::{CrossTraffic, EngineCore, Scheduler};
 use qem_netsim::{
-    build_transit_path, Asn, EngineTelemetry, FaultKind, FaultPlan, SimDuration, SimInstant,
-    TimerWheel, TransitProfile,
+    build_transit_path, Asn, EngineTelemetry, FaultKind, FaultPlan, Probability, SimDuration,
+    SimInstant, TimerWheel, TransitProfile,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,7 +24,7 @@ use support::oracle::Oracle;
 fn arb_kind(rng: &mut StdRng) -> FaultKind {
     match rng.gen_range(0u32..8) {
         0 => FaultKind::Loss {
-            rate: rng.gen_range(0.0..0.4),
+            rate: Probability::new(rng.gen_range(0.0..0.4)),
         },
         1 => {
             let period = rng.gen_range(5_000u64..60_000);
@@ -42,17 +42,17 @@ fn arb_kind(rng: &mut StdRng) -> FaultKind {
             }
         }
         4 => FaultKind::Corrupt {
-            rate: rng.gen_range(0.0..0.4),
+            rate: Probability::new(rng.gen_range(0.0..0.4)),
         },
         5 => FaultKind::Jitter {
             max: SimDuration::from_micros(rng.gen_range(0u64..5_000)),
         },
         6 => FaultKind::Reorder {
-            rate: rng.gen_range(0.0..0.4),
+            rate: Probability::new(rng.gen_range(0.0..0.4)),
             extra: SimDuration::from_micros(rng.gen_range(0u64..5_000)),
         },
         _ => FaultKind::Duplicate {
-            rate: rng.gen_range(0.0..0.4),
+            rate: Probability::new(rng.gen_range(0.0..0.4)),
         },
     }
 }

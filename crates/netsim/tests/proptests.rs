@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use qem_netsim::aqm::AqmDecision;
 use qem_netsim::{
     Asn, DscpPolicy, EcnPolicy, FaultKind, FaultPlan, Hop, IcmpBehavior, OccupancyAqm, Path,
-    QueueConfig, Router, SharedQueues, SimDuration, SimInstant, TransitOutcome,
+    Probability, QueueConfig, Router, SharedQueues, SimDuration, SimInstant, TransitOutcome,
 };
 use qem_packet::ecn::{Dscp, EcnCodepoint};
 use qem_packet::icmp::write_time_exceeded;
@@ -61,7 +61,7 @@ fn build_path(policies: &[EcnPolicy], loss: f64, silent: bool) -> Path {
                     Router::transparent(i as u32 + 1, Asn(100 + i as u32)).with_ecn_policy(*policy);
                 if silent {
                     router.icmp = IcmpBehavior {
-                        response_probability: 0.0,
+                        response_probability: Probability::new(0.0),
                         quote_bytes: 0,
                     };
                 }
@@ -100,7 +100,7 @@ fn oracle_transit(
     }
     for (index, hop) in path.hops.iter().enumerate() {
         elapsed += hop.delay;
-        if hop.loss > 0.0 && rng.gen_bool(hop.loss) {
+        if hop.loss.get() > 0.0 && rng.gen_bool(hop.loss.get()) {
             return TransitOutcome::Dropped {
                 at_hop: index,
                 body: current.payload,
@@ -108,8 +108,8 @@ fn oracle_transit(
         }
         let ttl_after = current.header.ttl().saturating_sub(1);
         if ttl_after == 0 {
-            let respond = hop.router.icmp.response_probability > 0.0
-                && rng.gen_bool(hop.router.icmp.response_probability);
+            let respond = hop.router.icmp.response_probability.get() > 0.0
+                && rng.gen_bool(hop.router.icmp.response_probability.get());
             let response = respond
                 .then(|| oracle_time_exceeded(&hop.router, &current))
                 .flatten();
@@ -218,11 +218,11 @@ fn layout_path(layout: &mut StdRng, hops: usize, loss: f64, faulted: bool) -> Pa
             let icmp = match layout.gen_range(0..4) {
                 0 => IcmpBehavior::responsive(),
                 1 => IcmpBehavior {
-                    response_probability: 0.0,
+                    response_probability: Probability::new(0.0),
                     quote_bytes: 0,
                 },
                 2 => IcmpBehavior {
-                    response_probability: 0.5,
+                    response_probability: Probability::new(0.5),
                     ..IcmpBehavior::responsive()
                 },
                 _ => IcmpBehavior {
@@ -247,14 +247,20 @@ fn layout_path(layout: &mut StdRng, hops: usize, loss: f64, faulted: bool) -> Pa
     }
     path.with_fault(
         FaultPlan::new()
-            .always(FaultKind::Duplicate { rate: 0.2 })
-            .always(FaultKind::Loss { rate: 0.1 })
-            .always(FaultKind::Corrupt { rate: 0.3 })
+            .always(FaultKind::Duplicate {
+                rate: Probability::new(0.2),
+            })
+            .always(FaultKind::Loss {
+                rate: Probability::new(0.1),
+            })
+            .always(FaultKind::Corrupt {
+                rate: Probability::new(0.3),
+            })
             .always(FaultKind::Jitter {
                 max: SimDuration::from_millis(1),
             })
             .always(FaultKind::Reorder {
-                rate: 0.2,
+                rate: Probability::new(0.2),
                 extra: SimDuration::from_millis(3),
             }),
     )
@@ -390,8 +396,8 @@ proptest! {
         if faulted {
             path = path.with_fault(
                 FaultPlan::new()
-                    .always(FaultKind::Corrupt { rate: 0.5 })
-                    .always(FaultKind::Loss { rate: 0.1 }),
+                    .always(FaultKind::Corrupt { rate: Probability::new(0.5) })
+                    .always(FaultKind::Loss { rate: Probability::new(0.1) }),
             );
         }
         let sent = datagram(ttl, sent);

@@ -435,8 +435,8 @@ mod tests {
     use super::*;
     use crate::behavior::{EcnMirroringBehavior, ServerBehavior, Versions};
     use crate::ecn::{EcnValidationFailure, EcnValidationState};
-    use qem_netsim::IcmpBehavior;
     use qem_netsim::{build_transit_path, Asn, DuplexPath, Hop, Path, Router, TransitProfile};
+    use qem_netsim::{IcmpBehavior, Probability};
     use qem_packet::ecn::EcnCodepoint;
     use qem_packet::quic::QuicVersion;
     use rand::rngs::StdRng;
@@ -655,7 +655,7 @@ mod tests {
     fn silent_icmp_routers_do_not_affect_regular_traffic() {
         let forward = Path::new(vec![Hop::new(Router {
             icmp: IcmpBehavior {
-                response_probability: 0.0,
+                response_probability: Probability::new(0.0),
                 quote_bytes: 0,
             },
             ..Router::transparent(1, Asn::DFN)
@@ -831,7 +831,9 @@ mod tests {
         let mut path = clean_path();
         path.forward = path
             .forward
-            .with_fault(FaultPlan::new().always(FaultKind::Loss { rate: 0.3 }));
+            .with_fault(FaultPlan::new().always(FaultKind::Loss {
+                rate: Probability::new(0.3),
+            }));
         let run = |path: &DuplexPath,
                    behavior: &ServerBehavior,
                    cross,

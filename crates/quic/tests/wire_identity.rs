@@ -6,8 +6,8 @@
 //! was.
 
 use qem_netsim::{
-    build_transit_path, Asn, DuplexPath, FaultKind, FaultPlan, SharedQueues, SimDuration,
-    SimInstant, TransitProfile,
+    build_transit_path, Asn, DuplexPath, FaultKind, FaultPlan, Probability, SharedQueues,
+    SimDuration, SimInstant, TransitProfile,
 };
 use qem_packet::ecn::EcnCodepoint;
 use qem_packet::ip::{IpDatagram, IpProtocol};
@@ -93,15 +93,24 @@ fn scenarios() -> Vec<Scenario> {
             "forward-loss",
             paper(),
             ServerBehavior::accurate(),
-            faulted(FaultKind::Loss { rate: 0.35 }, None),
+            faulted(
+                FaultKind::Loss {
+                    rate: Probability::new(0.35),
+                },
+                None,
+            ),
         ),
         scenario(
             "corruption",
             paper(),
             ServerBehavior::accurate(),
             faulted(
-                FaultKind::Corrupt { rate: 0.5 },
-                Some(FaultKind::Corrupt { rate: 0.5 }),
+                FaultKind::Corrupt {
+                    rate: Probability::new(0.5),
+                },
+                Some(FaultKind::Corrupt {
+                    rate: Probability::new(0.5),
+                }),
             ),
         ),
         scenario(

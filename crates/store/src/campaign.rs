@@ -226,6 +226,7 @@ mod tests {
     use super::*;
     use crate::testutil::temp_dir;
     use qem_core::source::SnapshotSource;
+    use qem_netsim::Probability;
     use qem_web::{Universe, UniverseConfig};
     use std::fs;
 
@@ -267,11 +268,11 @@ mod tests {
         let campaign = Campaign::new(&universe);
         let vantage = VantagePoint::main();
         let zero = CampaignOptions {
-            trace_sample_probability: 0.0,
+            trace_sample_probability: Probability::new(0.0),
             ..CampaignOptions::paper_default()
         };
         let nan = CampaignOptions {
-            trace_sample_probability: f64::NAN,
+            trace_sample_probability: Probability::new(f64::NAN),
             ..zero
         };
         let dir = temp_dir("nan-trace-p");

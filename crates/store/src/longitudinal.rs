@@ -42,6 +42,7 @@ use qem_core::campaign::{CampaignOptions, SnapshotMeasurement};
 use qem_core::host_map::HostMap;
 use qem_core::observation::HostMeasurement;
 use qem_core::vantage::VantagePoint;
+use qem_netsim::Probability;
 use qem_web::SnapshotDate;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -69,7 +70,7 @@ fn encode_series_meta(
     bytes.push(FORMAT_VERSION);
     write_str(&mut bytes, &vantage.name);
     write_u64_le(&mut bytes, options.seed);
-    write_u64_le(&mut bytes, options.trace_sample_probability.to_bits());
+    write_u64_le(&mut bytes, options.trace_sample_probability.get().to_bits());
     write_varint(&mut bytes, dates.len() as u64);
     for date in dates {
         write_varint(&mut bytes, u64::from(date.months_since_start()));
@@ -84,8 +85,7 @@ fn encode_series_meta(
 struct SeriesManifest {
     vantage_name: String,
     seed: u64,
-    /// The trace probability's bits, so a NaN compares equal to itself.
-    trace_p_bits: u64,
+    trace_sample_probability: Probability,
     dates: Vec<SnapshotDate>,
 }
 
@@ -100,7 +100,7 @@ impl SeriesManifest {
             Some("has the wrong delta flag".to_string())
         } else if meta.vantage.name != self.vantage_name
             || meta.seed != self.seed
-            || meta.trace_sample_probability.to_bits() != self.trace_p_bits
+            || meta.trace_sample_probability != self.trace_sample_probability
         {
             Some("differs from the manifest in vantage, seed or trace probability".to_string())
         } else if meta.probe != first.probe
@@ -118,7 +118,7 @@ fn decode_series_manifest(bytes: &[u8]) -> Result<SeriesManifest, StoreError> {
     let mut r = open_sealed(bytes, LONGITUDINAL_MAGIC, "longitudinal metadata")?;
     let vantage_name = r.string()?;
     let seed = r.u64_le()?;
-    let trace_p_bits = r.u64_le()?;
+    let trace_sample_probability = r.probability()?;
     let count = r.varint()? as usize;
     let mut dates = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
@@ -131,7 +131,7 @@ fn decode_series_manifest(bytes: &[u8]) -> Result<SeriesManifest, StoreError> {
     Ok(SeriesManifest {
         vantage_name,
         seed,
-        trace_p_bits,
+        trace_sample_probability,
         dates,
     })
 }
@@ -577,6 +577,65 @@ mod tests {
             LongitudinalStore::open(&dir),
             Err(StoreError::State(_))
         ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Over the sealed file at `path`: its body with the 8 bytes at `at`
+    /// (which hold a 0.0) replaced by a NaN's, under a recomputed seal.
+    fn reseal_nan_at(path: &Path, at: impl FnOnce(&[u8]) -> usize) {
+        let bytes = fs::read(path).unwrap();
+        let mut body = bytes[..bytes.len() - 8].to_vec();
+        let at = at(&body);
+        assert_eq!(body[at..at + 8], 0.0f64.to_bits().to_le_bytes());
+        body[at..at + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        let seal = fnv1a(&body);
+        body.extend_from_slice(&seal.to_le_bytes());
+        fs::write(path, body).unwrap();
+    }
+
+    #[test]
+    fn a_series_stored_with_a_nan_trace_probability_replays_as_zero_does() {
+        // Until the option was a `Probability`, a NaN one reached the disk:
+        // in every date's metadata and in the series manifest.  Both decode
+        // through `Probability::new`, so they still agree.
+        let dates = [SnapshotDate::JUN_2022, SnapshotDate::new(2022, 7)];
+        let dir = temp_dir("nan-trace-p");
+        let options = CampaignOptions {
+            trace_sample_probability: Probability::new(0.0),
+            ..CampaignOptions::paper_default()
+        };
+        let vantage = VantagePoint::main();
+        let mut writer = LongitudinalWriter::create(&dir, &vantage, &options, &dates).unwrap();
+        for date in 0..dates.len() {
+            writer.begin_date().unwrap();
+            for id in 0..20 {
+                writer
+                    .append(measurement(id, date == 1 && id == 7))
+                    .unwrap();
+            }
+            writer.end_date().unwrap();
+        }
+        let replay = |store: LongitudinalStore| -> Vec<_> {
+            let snapshots = store.snapshots().unwrap();
+            snapshots
+                .into_iter()
+                .map(|s| (s.date, s.ipv6, s.vantage, s.hosts))
+                .collect()
+        };
+        let zero = replay(writer.finish().unwrap());
+
+        // The manifest: magic, version, vantage name (one length byte),
+        // seed, then the probability.
+        reseal_nan_at(&dir.join(LONGITUDINAL_META_FILE), |_| {
+            4 + 1 + 1 + vantage.name.len() + 8
+        });
+        // A date's metadata ends with the probability, then the seed.
+        for idx in 0..dates.len() {
+            let meta = dir.join(date_dir_name(idx)).join(crate::store::META_FILE);
+            reseal_nan_at(&meta, |body| body.len() - 16);
+        }
+        let store = LongitudinalStore::open(&dir).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(replay(store), zero);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -42,7 +42,7 @@ use qem_core::resilience::RetryPolicy;
 use qem_core::scanner::ProbeMode;
 use qem_core::source::SnapshotSource;
 use qem_core::vantage::{CloudProvider, VantagePoint, VantageQuirks};
-use qem_netsim::CrossTraffic;
+use qem_netsim::{CrossTraffic, Probability};
 use qem_obs::MetricsSnapshot;
 use qem_web::SnapshotDate;
 use std::convert::Infallible;
@@ -82,7 +82,7 @@ pub struct SnapshotMeta {
     /// Probe mode.
     pub probe: ProbeMode,
     /// Tracebox sampling probability.
-    pub trace_sample_probability: f64,
+    pub trace_sample_probability: Probability,
     /// Campaign seed (the scanner derives every per-host RNG from it).
     pub seed: u64,
     /// Whether the segments hold a delta against the previous longitudinal
@@ -143,13 +143,16 @@ impl SnapshotMeta {
         quirk_flags |= u8::from(quirks.wix_unreachable);
         quirk_flags |= u8::from(quirks.google_ce_anomaly) << 1;
         bytes.push(quirk_flags);
-        write_u64_le(&mut bytes, quirks.extra_remark_probability.to_bits());
-        write_u64_le(&mut bytes, quirks.remark_suppression_probability.to_bits());
+        write_u64_le(&mut bytes, quirks.extra_remark_probability.get().to_bits());
+        write_u64_le(
+            &mut bytes,
+            quirks.remark_suppression_probability.get().to_bits(),
+        );
         bytes.push(match self.probe {
             ProbeMode::Ect0 => 0,
             ProbeMode::ForceCe => 1,
         });
-        write_u64_le(&mut bytes, self.trace_sample_probability.to_bits());
+        write_u64_le(&mut bytes, self.trace_sample_probability.get().to_bits());
         write_u64_le(&mut bytes, self.seed);
         let checksum = fnv1a(&bytes);
         bytes.extend_from_slice(&checksum.to_le_bytes());
@@ -170,14 +173,14 @@ impl SnapshotMeta {
         };
         let asn = r.varint()?;
         let quirk_flags = r.u8()?;
-        let extra_remark = f64::from_bits(r.u64_le()?);
-        let remark_suppression = f64::from_bits(r.u64_le()?);
+        let extra_remark = r.probability()?;
+        let remark_suppression = r.probability()?;
         let probe = match r.u8()? {
             0 => ProbeMode::Ect0,
             1 => ProbeMode::ForceCe,
             tag => return Err(StoreError::Corrupt(format!("invalid probe tag {tag}"))),
         };
-        let trace_sample_probability = f64::from_bits(r.u64_le()?);
+        let trace_sample_probability = r.probability()?;
         let seed = r.u64_le()?;
         r.expect_end("metadata")?;
         Ok(SnapshotMeta {
@@ -755,7 +758,7 @@ mod tests {
                 ipv6: true,
                 vantage,
                 probe: ProbeMode::ForceCe,
-                trace_sample_probability: 0.2,
+                trace_sample_probability: Probability::new(0.2),
                 seed: 0x1299,
                 delta: true,
             };

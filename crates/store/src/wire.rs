@@ -6,6 +6,7 @@
 //! enough that a dependency would cost more than it saves.
 
 use crate::{StoreError, FORMAT_VERSION};
+use qem_netsim::Probability;
 
 /// Append a LEB128-encoded unsigned integer to `buf`.
 pub fn write_varint(buf: &mut Vec<u8>, mut value: u64) {
@@ -187,6 +188,12 @@ impl<'a> ByteReader<'a> {
         let mut array = [0u8; 8];
         array.copy_from_slice(bytes);
         Ok(u64::from_le_bytes(array))
+    }
+
+    /// Read a probability stored as its `f64` bits, through
+    /// [`Probability::new`]: a stored NaN reads as 0.
+    pub(crate) fn probability(&mut self) -> Result<Probability, StoreError> {
+        Ok(Probability::new(f64::from_bits(self.u64_le()?)))
     }
 
     /// Read a length-prefixed UTF-8 string.

@@ -146,7 +146,8 @@ mod tests {
     use super::*;
     use crate::tracer::{trace_path, TraceConfig};
     use qem_netsim::{
-        build_transit_path, Asn, DscpPolicy, Hop, IcmpBehavior, Path, Router, TransitProfile,
+        build_transit_path, Asn, DscpPolicy, Hop, IcmpBehavior, Path, Probability, Router,
+        TransitProfile,
     };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -279,7 +280,7 @@ mod tests {
     #[test]
     fn all_silent_path_is_untested() {
         let icmp = IcmpBehavior {
-            response_probability: 0.0,
+            response_probability: Probability::new(0.0),
             quote_bytes: 0,
         };
         let path = Path::new(vec![

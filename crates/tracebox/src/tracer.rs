@@ -241,7 +241,9 @@ fn build_probe(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qem_netsim::{build_transit_path, Asn, Hop, IcmpBehavior, Router, TransitProfile};
+    use qem_netsim::{
+        build_transit_path, Asn, Hop, IcmpBehavior, Probability, Router, TransitProfile,
+    };
     use qem_packet::quic::QuicPacket;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -251,7 +253,7 @@ mod tests {
     fn silent_hop(id: u32) -> Hop {
         Hop::new(Router {
             icmp: IcmpBehavior {
-                response_probability: 0.0,
+                response_probability: Probability::new(0.0),
                 quote_bytes: 0,
             },
             ..Router::transparent(id, Asn::ARELION)

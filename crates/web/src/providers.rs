@@ -13,7 +13,7 @@
 //! can audit which paper statement each segment encodes.
 
 use crate::stacks::StackProfile;
-use qem_netsim::{Asn, TransitProfile};
+use qem_netsim::{Asn, Probability, TransitProfile};
 use qem_tcp::TcpServerBehavior;
 
 /// TCP ECN behaviour classes used by the calibration (Figure 6 vocabulary).
@@ -59,13 +59,13 @@ pub struct SegmentSpec {
     /// Forward-path transit behaviour for IPv6 (almost always clean, §6.2).
     pub transit_v6: TransitProfile,
     /// Fraction of the segment's domains that also resolve to IPv6.
-    pub ipv6_share: f64,
+    pub ipv6_share: Probability,
     /// Domains hosted per IP address (CDN density).
     pub domains_per_ip: u32,
     /// TCP ECN behaviour of these hosts.
     pub tcp: TcpEcnProfile,
     /// Fraction of hosts that suppress the HTTP `server` header.
-    pub header_suppressed_share: f64,
+    pub header_suppressed_share: Probability,
 }
 
 impl SegmentSpec {
@@ -89,10 +89,10 @@ impl SegmentSpec {
             uses_ecn,
             transit_v4,
             transit_v6: TransitProfile::Clean,
-            ipv6_share,
+            ipv6_share: Probability::new(ipv6_share),
             domains_per_ip,
             tcp,
-            header_suppressed_share: if stack.is_litespeed() { 0.3 } else { 0.0 },
+            header_suppressed_share: Probability::new(if stack.is_litespeed() { 0.3 } else { 0.0 }),
         }
     }
 }
@@ -122,7 +122,7 @@ pub struct BackgroundSpec {
     /// Domains per IP.
     pub domains_per_ip: u32,
     /// Fraction with IPv6.
-    pub ipv6_share: f64,
+    pub ipv6_share: Probability,
 }
 
 /// The full landscape: QUIC providers, TCP-only background, unresolved mass.
@@ -137,7 +137,7 @@ pub struct LandscapeSpec {
     /// Toplist domains that do not resolve (paper scale).
     pub toplist_unresolved: u64,
     /// Fraction of QUIC c/n/o domains that are parked (§5.1: 0.6 %).
-    pub parked_share: f64,
+    pub parked_share: Probability,
 }
 
 /// Build the landscape calibrated to the paper's April 2023 numbers.
@@ -754,28 +754,28 @@ pub fn default_landscape() -> LandscapeSpec {
             toplist_domains: 860_000,
             tcp: TcpEcnProfile::FullEcn,
             domains_per_ip: 16,
-            ipv6_share: 0.15,
+            ipv6_share: Probability::new(0.15),
         },
         BackgroundSpec {
             cno_domains: 12_800_000,
             toplist_domains: 130_000,
             tcp: TcpEcnProfile::MirrorOnly,
             domains_per_ip: 16,
-            ipv6_share: 0.10,
+            ipv6_share: Probability::new(0.10),
         },
         BackgroundSpec {
             cno_domains: 14_200_000,
             toplist_domains: 140_000,
             tcp: TcpEcnProfile::NegotiateNoMirror,
             domains_per_ip: 16,
-            ipv6_share: 0.10,
+            ipv6_share: Probability::new(0.10),
         },
         BackgroundSpec {
             cno_domains: 28_400_000,
             toplist_domains: 284_420,
             tcp: TcpEcnProfile::NoNegotiation,
             domains_per_ip: 16,
-            ipv6_share: 0.10,
+            ipv6_share: Probability::new(0.10),
         },
     ];
 
@@ -784,7 +784,7 @@ pub fn default_landscape() -> LandscapeSpec {
         background,
         cno_unresolved: 23_880_000,
         toplist_unresolved: 780_000,
-        parked_share: 0.006,
+        parked_share: Probability::new(0.006),
     }
 }
 

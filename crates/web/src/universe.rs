@@ -15,7 +15,7 @@ use crate::providers::{
 };
 use crate::snapshot::SnapshotDate;
 use crate::stacks::StackProfile;
-use qem_netsim::{build_duplex_path, Asn, DuplexPath, Router, TransitProfile};
+use qem_netsim::{build_duplex_path, Asn, DuplexPath, Probability, Router, TransitProfile};
 use qem_quic::behavior::ServerBehavior;
 use qem_tcp::TcpServerBehavior;
 use rand::rngs::StdRng;
@@ -389,7 +389,7 @@ impl Universe {
         v4_octet: u8,
         v6_index: u16,
         segment: &SegmentSpec,
-        parked_share: f64,
+        parked_share: Probability,
         rng: &mut StdRng,
         observe: &mut impl FnMut(Domain),
     ) {
@@ -404,7 +404,7 @@ impl Universe {
         let asn = self.providers[provider_idx].asn;
         for _ in 0..hosts_needed {
             let id = self.hosts.len();
-            let has_v6 = draw_share(rng, segment.ipv6_share);
+            let has_v6 = segment.ipv6_share.draw(rng);
             let (ipv4, ipv6) = host_addrs(v4_octet, v6_index, id as u32);
             self.hosts.push(Host {
                 id,
@@ -417,7 +417,7 @@ impl Universe {
                 uses_ecn: segment.uses_ecn,
                 upgrade_quantile: rng.gen::<f64>(),
                 availability_quantile: rng.gen::<f64>(),
-                suppress_server_header: draw_share(rng, segment.header_suppressed_share),
+                suppress_server_header: segment.header_suppressed_share.draw(rng),
                 transit_v4: segment.transit_v4,
                 transit_v6: segment.transit_v6,
                 tcp_profile: segment.tcp,
@@ -427,7 +427,7 @@ impl Universe {
         }
         for i in 0..cno {
             let host = first_host + (i % hosts_needed) as usize;
-            let parked = draw_share(rng, parked_share);
+            let parked = parked_share.draw(rng);
             skip_tld_draw(rng);
             self.add_domain(CNO_ONLY, Some(host), parked, observe);
         }
@@ -457,7 +457,7 @@ impl Universe {
         let asn = self.providers[provider_idx].asn;
         for _ in 0..hosts_needed {
             let id = self.hosts.len();
-            let has_v6 = draw_share(rng, background.ipv6_share);
+            let has_v6 = background.ipv6_share.draw(rng);
             let (ipv4, ipv6) = host_addrs(v4_octet, v6_index, id as u32);
             self.hosts.push(Host {
                 id,
@@ -532,17 +532,6 @@ fn host_addrs(v4_octet: u8, v6_index: u16, host_no: u32) -> (Ipv4Addr, Ipv6Addr)
     )
 }
 
-/// A Bernoulli draw of a landscape `share`, clamped to `[0, 1]`.
-/// `f64::clamp` passes NaN through, and `gen_bool(NaN)` panics: NaN draws
-/// as 0.0 does, and the one draw is still taken.
-fn draw_share(rng: &mut StdRng, share: f64) -> bool {
-    rng.gen_bool(if share.is_nan() {
-        0.0
-    } else {
-        share.clamp(0.0, 1.0)
-    })
-}
-
 /// The draw that once picked a zone-file domain's TLD.  Domains carry no
 /// names, but the goldens pin the RNG stream, so the draw stays in place.
 fn skip_tld_draw(rng: &mut StdRng) {
@@ -552,10 +541,10 @@ fn skip_tld_draw(rng: &mut StdRng) {
 fn toplist_membership(rng: &mut StdRng) -> DomainLists {
     let mut lists = DomainLists {
         cno: false,
-        alexa: rng.gen_bool(0.45),
-        umbrella: rng.gen_bool(0.4),
-        majestic: rng.gen_bool(0.35),
-        tranco: rng.gen_bool(0.5),
+        alexa: Probability::new(0.45).draw(rng),
+        umbrella: Probability::new(0.4).draw(rng),
+        majestic: Probability::new(0.35).draw(rng),
+        tranco: Probability::new(0.5).draw(rng),
     };
     if !lists.toplist() {
         lists.tranco = true;
@@ -807,25 +796,29 @@ mod tests {
 
     #[test]
     fn a_nan_segment_ipv6_share_draws_as_zero() {
-        a_nan_share_draws_as_zero(|l, share| segments(l).for_each(|s| s.ipv6_share = share));
+        a_nan_share_draws_as_zero(|l, share| {
+            segments(l).for_each(|s| s.ipv6_share = Probability::new(share))
+        });
     }
 
     #[test]
     fn a_nan_header_suppressed_share_draws_as_zero() {
         a_nan_share_draws_as_zero(|l, share| {
-            segments(l).for_each(|s| s.header_suppressed_share = share)
+            segments(l).for_each(|s| s.header_suppressed_share = Probability::new(share))
         });
     }
 
     #[test]
     fn a_nan_parked_share_draws_as_zero() {
-        a_nan_share_draws_as_zero(|l, share| l.parked_share = share);
+        a_nan_share_draws_as_zero(|l, share| l.parked_share = Probability::new(share));
     }
 
     #[test]
     fn a_nan_background_ipv6_share_draws_as_zero() {
         a_nan_share_draws_as_zero(|l, share| {
-            l.background.iter_mut().for_each(|b| b.ipv6_share = share)
+            l.background
+                .iter_mut()
+                .for_each(|b| b.ipv6_share = Probability::new(share))
         });
     }
 

@@ -14,8 +14,8 @@
 use crate::apps::{jitter_us, BulkAppFlow, RtcAppFlow};
 use crate::report::{BulkOutcome, LoadOutcome, RtcOutcome, WorkloadReport};
 use qem_netsim::{
-    Asn, DuplexPath, EcnPolicy, EngineCore, FaultKind, FaultPlan, Hop, LoadFlow, Path, QueueConfig,
-    Router, RouterId, Scheduler, SharedQueues, SimDuration, SimInstant, TimerWheel,
+    Asn, DuplexPath, EcnPolicy, EngineCore, FaultKind, FaultPlan, Hop, LoadFlow, Path, Probability,
+    QueueConfig, Router, RouterId, Scheduler, SharedQueues, SimDuration, SimInstant, TimerWheel,
 };
 use qem_obs::HistogramSnapshot;
 use qem_packet::ecn::EcnCodepoint;
@@ -214,14 +214,18 @@ impl Scenario {
         let mut scenario = Scenario::netbench_default(seed);
         scenario.name = "lossy-bottleneck".into();
         scenario.fault = FaultPlan::new()
-            .always(FaultKind::Loss { rate: 0.03 })
+            .always(FaultKind::Loss {
+                rate: Probability::new(0.03),
+            })
             .always(FaultKind::Jitter {
                 max: SimDuration::from_micros(1_500),
             })
             .window(
                 SimInstant::EPOCH + SimDuration::from_micros(500_000),
                 SimInstant::EPOCH + SimDuration::from_micros(1_500_000),
-                FaultKind::Corrupt { rate: 0.02 },
+                FaultKind::Corrupt {
+                    rate: Probability::new(0.02),
+                },
             );
         scenario
     }
@@ -246,7 +250,7 @@ impl Scenario {
                 SimInstant::EPOCH + SimDuration::from_micros(300_000),
                 SimInstant::EPOCH + SimDuration::from_micros(2_300_000),
                 FaultKind::Reorder {
-                    rate: 0.05,
+                    rate: Probability::new(0.05),
                     extra: SimDuration::from_micros(2_500),
                 },
             );

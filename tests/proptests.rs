@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use qem_netsim::{
-    build_transit_path, Asn, DuplexPath, EcnPolicy, Hop, Path, Router, TransitProfile,
+    build_transit_path, Asn, DuplexPath, EcnPolicy, Hop, Path, Probability, Router, TransitProfile,
 };
 use qem_packet::ecn::EcnCodepoint;
 use qem_quic::ecn::EcnValidationState;
@@ -99,7 +99,7 @@ proptest! {
             let mut router = Router::transparent(i as u32 + 1, Asn(100 + i as u32));
             if silent_mask & (1 << i) != 0 {
                 router.icmp = qem_netsim::IcmpBehavior {
-                    response_probability: 0.0,
+                    response_probability: Probability::new(0.0),
                     quote_bytes: 0,
                 };
             }
