@@ -11,7 +11,10 @@
 //! The pipeline never reads the universe's ground-truth labels (stack,
 //! transit profile, …); it only sees what a real scanner would see —
 //! HTTP responses, ACK counters, ICMP quotes — and has to recover the
-//! paper's findings from those observations.
+//! paper's findings from those observations.  The one exception is the
+//! world side, [`vantage`], which decides what a probe from a vantage
+//! point meets at a host; the `observation-boundary` lint rule holds every
+//! other module to this.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -202,30 +202,6 @@ pub fn figure4<S: SnapshotSource>(universe: &Universe, snapshots: &[S]) -> Figur
     }
 }
 
-impl Figure4 {
-    /// Number of domains in a given state at snapshot index `at`.
-    pub fn count(&self, at: usize, state: &DomainState) -> u64 {
-        self.states
-            .get(at)
-            .and_then(|m| m.get(state))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Number of mirroring domains (any version) at snapshot index `at`.
-    pub fn mirroring_total(&self, at: usize) -> u64 {
-        self.states
-            .get(at)
-            .map(|m| {
-                m.iter()
-                    .filter(|(s, _)| matches!(s, DomainState::Mirroring(_)))
-                    .map(|(_, c)| c)
-                    .sum()
-            })
-            .unwrap_or(0)
-    }
-}
-
 impl fmt::Display for Figure4 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(

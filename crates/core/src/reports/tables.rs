@@ -255,13 +255,6 @@ pub fn table3<S: SnapshotSource + ?Sized>(universe: &Universe, snapshot: &S) -> 
     provider_table(universe, snapshot, Scope::Toplists, 5)
 }
 
-impl ProviderTable {
-    /// The row for a specific organisation, if listed.
-    pub fn row(&self, org: &str) -> Option<&ProviderRow> {
-        self.rows.iter().find(|r| r.org == org)
-    }
-}
-
 impl fmt::Display for ProviderTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -361,13 +354,6 @@ pub fn table4<S: SnapshotSource + ?Sized>(universe: &Universe, snapshot: &S) -> 
         rows,
         totals: (totals[0].domains, totals[1].domains, totals[2].domains),
         total_ips: (totals[0].ips, totals[1].ips, totals[2].ips),
-    }
-}
-
-impl Table4 {
-    /// Row for an organisation, if present.
-    pub fn row(&self, org: &str) -> Option<&Table4Row> {
-        self.rows.iter().find(|r| r.org == org)
     }
 }
 

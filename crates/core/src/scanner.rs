@@ -2,6 +2,12 @@
 //! (HTTP/2 / HTTP/1.1), records ECN observations and, for abnormal hosts,
 //! follows up with a tracebox measurement.
 //!
+//! The scanner is the observer: what a probe meets at a host — the servers
+//! after the vantage point's quirks, and the route to them — is the
+//! simulated world's, decided by `VantagePoint::encounter`, and the
+//! scanner reads only what comes back from the probes it runs against
+//! that.
+//!
 //! Hosts are scanned in parallel by the sharded batch executor
 //! ([`crate::executor::ShardedExecutor`]).  Each host gets its own
 //! deterministic RNG derived from the scan seed and the host id, so a scan
@@ -37,17 +43,13 @@ use crate::executor::ShardedExecutor;
 use crate::metrics::{Row, ScanTally};
 use crate::observation::{EcnClass, HostMeasurement};
 use crate::resilience::{classify_probe, RetryPolicy};
-use crate::vantage::VantagePoint;
-use qem_netsim::{
-    build_duplex_path, Asn, CrossTraffic, DuplexPath, EngineScratch, FaultPlan, Probability,
-    TransitProfile,
-};
+use crate::vantage::{Encounter, RouteKey, VantagePoint};
+use qem_netsim::{CrossTraffic, DuplexPath, EngineScratch, FaultPlan, Probability};
 use qem_obs::MetricsSnapshot;
-use qem_quic::behavior::EcnMirroringBehavior;
 use qem_quic::{ClientConfig, ConnectionRun, DriverConfig, QuicScratch};
 use qem_tcp::{TcpClientConfig, TcpConnectionRun, TcpReport, TcpServerBehavior};
 use qem_tracebox::{analyze_trace, trace_path, TraceConfig};
-use qem_web::{SnapshotDate, StackProfile, Universe};
+use qem_web::{SnapshotDate, Universe};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::borrow::Cow;
@@ -136,16 +138,6 @@ struct Route {
     key: RouteKey,
     path: DuplexPath,
     tcp: Option<(TcpServerBehavior, TcpReport)>,
-}
-
-/// Everything a route depends on that varies per host: the host's AS, the
-/// transit after the vantage quirks, and the address family.  The vantage
-/// AS and the fault plan are the scanner's, and a worker has one scanner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct RouteKey {
-    asn: Asn,
-    transit: TransitProfile,
-    v6: bool,
 }
 
 /// The host's RNG, noting whether anything was drawn from it.  `StdRng`
@@ -296,7 +288,15 @@ impl<'a> Scanner<'a> {
         );
         tally.inc(Row::Hosts);
         let v6 = self.options.ipv6;
-        let Some(server_addr) = host.addr(v6) else {
+        let Some(Encounter {
+            addr: server_addr,
+            quic: behavior,
+            tcp: tcp_behavior,
+            route: key,
+        }) = self
+            .vantage
+            .encounter(host, self.options.date, v6, &mut rng)
+        else {
             tally.inc(Row::NoAddress);
             return HostMeasurement {
                 host_id,
@@ -311,10 +311,9 @@ impl<'a> Scanner<'a> {
             path,
             tcp: last_tcp,
             ..
-        } = self.path_to(host_id, v6, &mut rng, route);
+        } = self.route_to(key, route);
 
         // ---- QUIC ---------------------------------------------------------
-        let behavior = self.effective_quic_behavior(host_id);
         if behavior.is_none() {
             tally.inc(Row::QuicNoStack);
         }
@@ -388,7 +387,6 @@ impl<'a> Scanner<'a> {
             ProbeMode::Ect0 => TcpClientConfig::ect0(),
             ProbeMode::ForceCe => TcpClientConfig::force_ce(),
         };
-        let tcp_behavior = host.tcp_behavior();
         let tcp_report = Some(match *last_tcp {
             Some((last, report)) if last == tcp_behavior => report,
             _ => {
@@ -467,92 +465,25 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    /// The route from this vantage point to the host, after applying the
-    /// location quirks that are part of the simulated world: `route` if it
-    /// was built for the same key, else built into `route`.  The quirk draws
-    /// are made either way.
-    fn path_to<'r>(
-        &self,
-        host_id: usize,
-        v6: bool,
-        rng: &mut StdRng,
-        route: &'r mut Option<Route>,
-    ) -> &'r mut Route {
-        let host = &self.universe.hosts[host_id];
-        let mut transit = if v6 { host.transit_v6 } else { host.transit_v4 };
-        if !v6 {
-            let quirks = &self.vantage.quirks;
-            match transit {
-                TransitProfile::Clean if quirks.extra_remark_probability.draw_unless_zero(rng) => {
-                    transit = TransitProfile::Remarking { asn: Asn::ARELION };
-                }
-                TransitProfile::Remarking { .. }
-                    if quirks.remark_suppression_probability.draw_unless_zero(rng) =>
-                {
-                    transit = TransitProfile::Clean;
-                }
-                _ => {}
-            }
-        }
-        let key = RouteKey {
-            asn: host.asn,
-            transit,
-            v6,
-        };
+    /// The route for `key`: `route` if it was built for the same key, else
+    /// built into `route`, with the scanner's fault plan on its forward
+    /// direction.  The vantage AS and the fault plan are the scanner's, and
+    /// a worker has one scanner.
+    fn route_to<'r>(&self, key: RouteKey, route: &'r mut Option<Route>) -> &'r mut Route {
         if route.as_ref().is_some_and(|last| last.key != key) {
             *route = None;
         }
-        route.get_or_insert_with(|| Route {
-            key,
-            path: self.build_route(key),
-            tcp: None,
+        route.get_or_insert_with(|| {
+            let mut path = key.path(self.vantage.asn);
+            if !self.fault_plan.is_empty() {
+                path.forward = path.forward.with_fault(self.fault_plan.clone());
+            }
+            Route {
+                key,
+                path,
+                tcp: None,
+            }
         })
-    }
-
-    /// The duplex path for `key`, with the scanner's fault plan on its
-    /// forward direction.
-    fn build_route(&self, key: RouteKey) -> DuplexPath {
-        let mut duplex = build_duplex_path(
-            self.vantage.asn,
-            key.asn,
-            key.transit,
-            TransitProfile::Clean,
-            key.v6,
-        );
-        if !self.fault_plan.is_empty() {
-            duplex.forward = duplex.forward.with_fault(self.fault_plan.clone());
-        }
-        duplex
-    }
-
-    /// The QUIC behaviour of the host at the scan date, after location quirks.
-    fn effective_quic_behavior(
-        &self,
-        host_id: usize,
-    ) -> Option<qem_quic::behavior::ServerBehavior> {
-        let host = &self.universe.hosts[host_id];
-        let mut behavior = host.quic_behavior_at(self.options.date)?;
-        let quirks = &self.vantage.quirks;
-        if quirks.wix_unreachable && host.stack == Some(StackProfile::GooglePepyakaProxy) {
-            return None;
-        }
-        if quirks.google_ce_anomaly
-            && matches!(
-                host.stack,
-                Some(
-                    StackProfile::GoogleFrontend
-                        | StackProfile::GooglePepyakaProxy
-                        | StackProfile::GoogleEct1Remark
-                )
-            )
-        {
-            behavior.mirroring = if host_id % 3 == 0 {
-                EcnMirroringBehavior::AlwaysCe
-            } else {
-                EcnMirroringBehavior::MirrorOnlyHandshake
-            };
-        }
-        Some(behavior)
     }
 }
 
@@ -561,7 +492,7 @@ mod tests {
     use super::*;
     use crate::resilience::RETRYING;
     use crate::vantage::VantageQuirks;
-    use qem_netsim::{FaultKind, SimDuration};
+    use qem_netsim::{FaultKind, SimDuration, TransitProfile};
     use qem_obs::MetricValue;
     use qem_web::UniverseConfig;
     use std::collections::BTreeMap;

@@ -8,8 +8,20 @@
 //! made 5 M domains unreachable from Hawaii and San Francisco, the Google
 //! ECN experiments visible from India, and the re-marking hotspot seen from
 //! Santiago de Chile).
+//!
+//! This module is the world side of `qem-core`, and the only file of the
+//! crate that reads a host's ground truth (its stack, transit and TCP
+//! profile): `VantagePoint::encounter` decides what a probe from here
+//! meets at a host, and the scanner reads only what comes back from the
+//! probes it runs against that.  The `observation-boundary` lint rule holds
+//! every other file of the crate to this.
 
-use qem_netsim::{Asn, Probability};
+use qem_netsim::{build_duplex_path, Asn, DuplexPath, Probability, TransitProfile};
+use qem_quic::behavior::{EcnMirroringBehavior, ServerBehavior};
+use qem_tcp::TcpServerBehavior;
+use qem_web::{Host, SnapshotDate, StackProfile};
+use rand::RngCore;
+use std::net::IpAddr;
 
 /// Which platform hosts the vantage point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,6 +73,46 @@ pub struct VantagePoint {
     pub asn: Asn,
     /// Location-specific peculiarities.
     pub quirks: VantageQuirks,
+}
+
+/// What a probe from one vantage point meets at one host on one date, in
+/// one address family.
+#[derive(Debug)]
+pub(crate) struct Encounter {
+    /// The host's address in the family.
+    pub(crate) addr: IpAddr,
+    /// The QUIC server after the location quirks; `None` when nothing
+    /// answers QUIC from here.
+    pub(crate) quic: Option<ServerBehavior>,
+    /// The TCP server.
+    pub(crate) tcp: TcpServerBehavior,
+    /// The route to the host.
+    pub(crate) route: RouteKey,
+}
+
+/// Everything a route depends on that varies per host: the host's AS, the
+/// transit after the vantage quirks, and the address family.  Equal keys
+/// build equal paths from one vantage point.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RouteKey {
+    asn: Asn,
+    transit: TransitProfile,
+    v6: bool,
+}
+
+impl RouteKey {
+    /// The duplex path from a vantage point in `vantage_asn`: the transit on
+    /// the forward direction, a clean reverse (the study can only observe —
+    /// and the paper only reports — forward-path impairments).
+    pub(crate) fn path(self, vantage_asn: Asn) -> DuplexPath {
+        build_duplex_path(
+            vantage_asn,
+            self.asn,
+            self.transit,
+            TransitProfile::Clean,
+            self.v6,
+        )
+    }
 }
 
 impl VantagePoint {
@@ -159,11 +211,161 @@ impl VantagePoint {
             VantagePoint::cloud("Vultr Tokyo", CloudProvider::Vultr, plain),
         ]
     }
+
+    /// What a probe from here meets at `host` on `date`, over IPv6 if `v6`:
+    /// `None` when the host has no address in the family, before any draw.
+    /// The transit quirks draw from `rng`, the host's own RNG: on IPv4 only,
+    /// one draw for a clean transit at a non-zero re-mark probability or a
+    /// re-marking one at a non-zero suppression probability, else none.
+    pub(crate) fn encounter<R: RngCore>(
+        &self,
+        host: &Host,
+        date: SnapshotDate,
+        v6: bool,
+        rng: &mut R,
+    ) -> Option<Encounter> {
+        let addr = host.addr(v6)?;
+        let quirks = &self.quirks;
+        let mut transit = if v6 { host.transit_v6 } else { host.transit_v4 };
+        if !v6 {
+            match transit {
+                TransitProfile::Clean if quirks.extra_remark_probability.draw_unless_zero(rng) => {
+                    transit = TransitProfile::Remarking { asn: Asn::ARELION };
+                }
+                TransitProfile::Remarking { .. }
+                    if quirks.remark_suppression_probability.draw_unless_zero(rng) =>
+                {
+                    transit = TransitProfile::Clean;
+                }
+                _ => {}
+            }
+        }
+        let quic = host.quic_behavior_at(date).and_then(|mut behavior| {
+            if quirks.wix_unreachable && host.stack == Some(StackProfile::GooglePepyakaProxy) {
+                return None;
+            }
+            if quirks.google_ce_anomaly
+                && matches!(
+                    host.stack,
+                    Some(
+                        StackProfile::GoogleFrontend
+                            | StackProfile::GooglePepyakaProxy
+                            | StackProfile::GoogleEct1Remark
+                    )
+                )
+            {
+                behavior.mirroring = if host.id % 3 == 0 {
+                    EcnMirroringBehavior::AlwaysCe
+                } else {
+                    EcnMirroringBehavior::MirrorOnlyHandshake
+                };
+            }
+            Some(behavior)
+        });
+        Some(Encounter {
+            addr,
+            quic,
+            tcp: host.tcp_profile.behavior(),
+            route: RouteKey {
+                asn: host.asn,
+                transit,
+                v6,
+            },
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qem_web::{Universe, UniverseConfig};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// An RNG that counts what is drawn from it: `StdRng` draws everything
+    /// through `next_u64`, as `RngCore`'s other methods do.
+    struct Counting {
+        rng: StdRng,
+        draws: usize,
+    }
+
+    impl RngCore for Counting {
+        fn next_u64(&mut self) -> u64 {
+            self.draws += 1;
+            self.rng.next_u64()
+        }
+    }
+
+    #[test]
+    fn an_encounter_draws_what_the_quirks_name_and_nothing_else() {
+        let universe = Universe::generate(&UniverseConfig::tiny());
+        let date = SnapshotDate::APR_2023;
+        let (mut no_address, mut quirk_draws, mut wix_lost) = (0, 0, 0);
+        for vantage in [VantagePoint::main()]
+            .into_iter()
+            .chain(VantagePoint::cloud_fleet())
+        {
+            let quirks = vantage.quirks;
+            for host in &universe.hosts {
+                for v6 in [false, true] {
+                    let mut rng = Counting {
+                        rng: StdRng::seed_from_u64(host.id as u64),
+                        draws: 0,
+                    };
+                    let encounter = vantage.encounter(host, date, v6, &mut rng);
+                    let Some(encounter) = encounter else {
+                        assert_eq!(host.addr(v6), None);
+                        assert_eq!(rng.draws, 0, "a host with no address draws nothing");
+                        no_address += 1;
+                        continue;
+                    };
+                    assert_eq!(Some(encounter.addr), host.addr(v6));
+                    assert_eq!(encounter.tcp, host.tcp_profile.behavior());
+                    let draws = match (v6, host.transit_v4) {
+                        (false, TransitProfile::Clean) => {
+                            usize::from(quirks.extra_remark_probability.get() > 0.0)
+                        }
+                        (false, TransitProfile::Remarking { .. }) => {
+                            usize::from(quirks.remark_suppression_probability.get() > 0.0)
+                        }
+                        _ => 0,
+                    };
+                    assert_eq!(
+                        rng.draws, draws,
+                        "{} host {} v6={v6}",
+                        vantage.name, host.id
+                    );
+                    quirk_draws += draws;
+
+                    let lost = quirks.wix_unreachable
+                        && host.stack == Some(StackProfile::GooglePepyakaProxy)
+                        && host.quic_behavior_at(date).is_some();
+                    wix_lost += usize::from(lost);
+                    if !quirks.google_ce_anomaly {
+                        let expected = host.quic_behavior_at(date).filter(|_| !lost);
+                        assert_eq!(encounter.quic, expected, "{}", vantage.name);
+                    }
+                    if vantage == VantagePoint::main() {
+                        assert_eq!(rng.draws, 0);
+                        let transit = if v6 { host.transit_v6 } else { host.transit_v4 };
+                        assert_eq!(
+                            encounter.route.path(vantage.asn),
+                            build_duplex_path(
+                                vantage.asn,
+                                host.asn,
+                                transit,
+                                TransitProfile::Clean,
+                                v6
+                            )
+                        );
+                    }
+                }
+            }
+        }
+        // Every case above is met: hosts without IPv6, quirk draws, and
+        // heavy hitters unreachable from the western US.
+        assert!(no_address > 0 && quirk_draws > 0 && wix_lost > 0);
+    }
 
     #[test]
     fn fleet_has_sixteen_locations() {

@@ -219,8 +219,11 @@ impl Engine {
     /// defined in the rule's zones whose name no production source
     /// (`crates/*/src`, `src/`, `examples/`, every `#[cfg(test)]` item
     /// masked) names as an identifier, apart from the definitions of that
-    /// name themselves.  Name-based, so a same-named item anywhere counts
-    /// as a use: the rule can miss a dead item but never lists a live one.
+    /// name themselves.  An item declared in an `impl` block can only be
+    /// reached as `.name` or `Path::name`, so only a name after `.` or `::`
+    /// uses it: a local of the same name does not.  Name-based, so a
+    /// same-named item anywhere counts as a use: the rule can miss a dead
+    /// item but never lists a live one.
     ///
     /// An `allow(unused-pub)` annotation that suppresses nothing is a
     /// finding too: one whose lines define no `pub` item, one whose item
@@ -234,6 +237,9 @@ impl Engine {
         let id = rule.config.id.as_str();
         let mut named: BTreeMap<String, usize> = BTreeMap::new();
         let mut defined: BTreeMap<String, usize> = BTreeMap::new();
+        // Names that follow `.` or `::`, the only way to reach an
+        // associated item.
+        let mut qualified: BTreeSet<String> = BTreeSet::new();
         let mut benchmark_names: BTreeSet<String> = BTreeSet::new();
         // Per reported file: its definitions and its `unused-pub` annotations.
         let mut reported_files = Vec::new();
@@ -246,15 +252,23 @@ impl Engine {
                 continue;
             }
             let test_mask = test_code_mask(&lexed.tokens, true);
+            let impl_mask = impl_body_mask(&lexed.tokens);
             let mut definitions = Vec::new();
             for (i, token) in lexed.tokens.iter().enumerate() {
                 let Some(name) = ident(token).filter(|_| !test_mask[i]) else {
                     continue;
                 };
                 *named.entry(name.to_string()).or_default() += 1;
+                let punct = |back: usize, c: char| {
+                    i.checked_sub(back)
+                        .is_some_and(|at| lexed.tokens[at].kind == TokenKind::Punct(c))
+                };
+                if punct(1, '.') || punct(1, ':') && punct(2, ':') {
+                    qualified.insert(name.to_string());
+                }
                 if let Some(item) = pub_item_name(&lexed.tokens, i) {
                     *defined.entry(item.to_string()).or_default() += 1;
-                    definitions.push((token.line, item.to_string()));
+                    definitions.push((token.line, item.to_string(), impl_mask[i]));
                 }
             }
             if rule.config.zones.iter().any(|z| zone_matches(z, path))
@@ -263,7 +277,10 @@ impl Engine {
                 reported_files.push((path, definitions, Suppressions::collect(&lexed.comments)));
             }
         }
-        let used = |item: &str| named.get(item) != defined.get(item);
+        let used = |&(_, ref item, associated): &(u32, String, bool)| match associated {
+            true => qualified.contains(item),
+            false => named.get(item) != defined.get(item),
+        };
         let mut findings = Vec::new();
         for (path, definitions, suppressions) in &reported_files {
             let mut report = |line, message| {
@@ -274,8 +291,8 @@ impl Engine {
                     message,
                 })
             };
-            for &(line, ref item) in definitions {
-                if !used(item) && !suppressions.allows(id, line) {
+            for definition @ &(line, ref item, _) in definitions {
+                if !used(definition) && !suppressions.allows(id, line) {
                     report(
                         line,
                         format!("`{item}` has no caller outside tests and benchmark/"),
@@ -283,17 +300,16 @@ impl Engine {
                 }
             }
             for &(_, line, ref reason) in suppressions.entries.iter().filter(|e| e.0 == id) {
-                let covered: Vec<&str> = definitions
+                let covered: Vec<_> = definitions
                     .iter()
-                    .filter(|&&(at, _)| at == line || at == line + 1)
-                    .map(|(_, item)| item.as_str())
+                    .filter(|&&(at, ..)| at == line || at == line + 1)
                     .collect();
-                let stale = covered.iter().filter_map(|item| {
-                    if used(item) {
+                let stale = covered.iter().filter_map(|&definition @ (_, item, _)| {
+                    if used(definition) {
                         Some(format!(
                             "`{item}` has a caller outside tests and benchmark/"
                         ))
-                    } else if reason.starts_with("benchmark") && !benchmark_names.contains(*item) {
+                    } else if reason.starts_with("benchmark") && !benchmark_names.contains(item) {
                         Some(format!("no file under benchmark/src names `{item}`"))
                     } else {
                         None
@@ -383,6 +399,26 @@ fn pub_item_name(tokens: &[Token], i: usize) -> Option<&str> {
     }
     ident(at).filter(|kw| ITEM_KEYWORDS.contains(kw))?;
     ident(at + 1)
+}
+
+/// Mask of the bodies of `impl` blocks: the tokens from each block's `{` to
+/// its `}`.  An `impl` starts a block only where an item can start — first
+/// in the file, after `}`, `;`, `{`, an attribute's `]` or `unsafe` — so
+/// `-> impl Trait` and `x: impl Trait` are not blocks.
+fn impl_body_mask(tokens: &[Token]) -> Vec<bool> {
+    let mut mask = vec![false; tokens.len()];
+    for (i, token) in tokens.iter().enumerate() {
+        let item_start = i == 0
+            || matches!(tokens[i - 1].kind, TokenKind::Punct('}' | ';' | '{' | ']'))
+            || ident(&tokens[i - 1]) == Some("unsafe");
+        if !item_start || ident(token) != Some("impl") {
+            continue;
+        }
+        if let Some(open) = (i..tokens.len()).find(|&at| tokens[at].kind == TokenKind::Punct('{')) {
+            mask[open..group_end(tokens, open)].fill(true);
+        }
+    }
+    mask
 }
 
 /// `unsafe` tokens need an adjacent `// SAFETY:` comment (same line or one

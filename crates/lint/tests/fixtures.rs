@@ -257,10 +257,13 @@ fn observation_boundary_fixture_fires_on_ground_truth_reads() {
     // A planted `host.stack` read (line 4) and a transit-profile match
     // (line 8) fire; the observed `uses_ecn` (line 12) and the test
     // module's read (line 20) do not.
+    // Every file of `qem-core` is the observer, the scanner included.
     for path in [
         "crates/core/src/reports/tables.rs",
         "crates/core/src/observation.rs",
         "crates/core/src/source.rs",
+        "crates/core/src/scanner.rs",
+        "crates/core/src/campaign.rs",
         "crates/tracebox/src/analysis.rs",
     ] {
         let lines = fired_lines(
@@ -270,9 +273,10 @@ fn observation_boundary_fixture_fires_on_ground_truth_reads() {
         );
         assert_eq!(lines, BTreeSet::from([4, 8]), "{path}");
     }
-    // The world side — the scanner builds the simulated paths — is outside.
+    // The world side — the vantage point decides what a probe meets at a
+    // host — is exempt.
     let findings = engine().check_file(
-        "crates/core/src/scanner.rs",
+        "crates/core/src/vantage.rs",
         &fixture("violations/observation_boundary.rs"),
     );
     assert!(findings.is_empty(), "{findings:?}");
@@ -477,6 +481,45 @@ fn unused_pub_reads_definitions_by_keyword_and_uses_by_identifier() {
         unused_pub(&[ORPHAN, ("crates/other/src/lib.rs", mentions)]),
         ["crates/demo/src/lib.rs:2 orphan"]
     );
+}
+
+#[test]
+fn unused_pub_counts_only_a_dot_or_path_call_as_a_use_of_an_associated_item() {
+    let table = (
+        "crates/demo/src/lib.rs",
+        "pub struct Table;\n\nimpl Table {\n    pub fn row(&self) -> u8 { 0 }\n    \
+         pub const ROWS: u8 = 1;\n}\n\npub fn build() -> Table { Table }\n",
+    );
+    // Production reaches `row` and `ROWS` only through same-named locals.
+    let locals = (
+        "crates/other/src/lib.rs",
+        "fn run() { let row = qem_demo::build(); let ROWS = 2; drop((row, ROWS)); }",
+    );
+    assert_eq!(
+        unused_pub(&[table, locals]),
+        [
+            "crates/demo/src/lib.rs:4 row",
+            "crates/demo/src/lib.rs:5 ROWS"
+        ]
+    );
+    // A method call and a path reach them.
+    let calls = (
+        "examples/demo.rs",
+        "fn main() { let t = qem_demo::build(); t.row(); qem_demo::Table::ROWS; }",
+    );
+    assert!(unused_pub(&[table, locals, calls]).is_empty());
+    // A free function is used by any identifier, and an `impl Trait` in a
+    // signature opens no `impl` block: the nested functions stay free.
+    let free = (
+        "crates/demo/src/lib.rs",
+        "pub fn row() -> impl Sized {\n    pub fn inner() {}\n}\n\
+         pub fn col(x: impl Sized) {\n    pub fn cell() {}\n}\n",
+    );
+    let named = (
+        "crates/other/src/lib.rs",
+        "use qem_demo::{col, row};\nfn f() { inner(); cell(); }\n",
+    );
+    assert!(unused_pub(&[free, named]).is_empty());
 }
 
 #[test]

@@ -16,7 +16,7 @@ pub const AMBIENT: &'static str = "thread_local! static mut OnceLock OnceCell La
 pub const SHARED: &str = "AtomicU64 AtomicUsize AtomicU32 .fetch_add(1) .fetch_max(2)"; // fetch_add
 pub const ABORTS: &str = "x.unwrap() y.expect(\"why\") panic!() unreachable!() todo!() unimplemented!()"; // .unwrap()
 pub const DRAWS: &str = "rng.gen_bool(p)"; // gen_bool
-pub const TRUTH: &str = "host.stack, transit_v4, TransitProfile, tcp_behavior()"; // StackProfile
+pub const TRUTH: &str = "host.stack, transit_v4, TransitProfile, tcp_profile"; // StackProfile
 
 /// Doc comments mentioning sleep, stdin and UdpSocket are also fine.
 pub struct SimInstant(pub u64);

@@ -199,18 +199,6 @@ impl SharedQueues {
         self.queues.is_empty()
     }
 
-    /// Current occupancy of `router`'s queue at `now` (after draining
-    /// departed packets).
-    pub fn occupancy(&mut self, router: RouterId, now: SimInstant) -> usize {
-        match self.queues.get_mut(&router) {
-            Some(state) => {
-                state.drain(now);
-                state.departures.len()
-            }
-            None => 0,
-        }
-    }
-
     /// Counters of `router`'s queue.
     pub fn stats(&self, router: RouterId) -> Option<QueueStats> {
         self.queues.get(&router).map(|s| s.stats)
@@ -919,10 +907,16 @@ mod tests {
         for _ in 0..3 {
             queues.admit(RouterId(1), SimInstant::EPOCH, EcnCodepoint::Ect0, &mut rng);
         }
-        assert_eq!(queues.occupancy(RouterId(1), SimInstant::EPOCH), 3);
+        // The queue's occupancy at `now`, after draining departed packets.
+        let state = queues.queues.get_mut(&RouterId(1)).unwrap();
+        let mut occupancy = |now| {
+            state.drain(now);
+            state.departures.len()
+        };
+        assert_eq!(occupancy(SimInstant::EPOCH), 3);
         // Service time is 500 µs per packet; after 2 ms all three are gone.
         let later = SimInstant::EPOCH + SimDuration::from_millis(2);
-        assert_eq!(queues.occupancy(RouterId(1), later), 0);
+        assert_eq!(occupancy(later), 0);
     }
 
     #[test]

@@ -139,14 +139,6 @@ pub struct Path {
 }
 
 impl Path {
-    /// An empty (zero-hop, loss-free, delay-free) path; useful in unit tests.
-    pub fn empty() -> Self {
-        Path {
-            hops: Vec::new(),
-            fault: FaultPlan::default(),
-        }
-    }
-
     /// Build a path from hops.
     pub fn new(hops: Vec<Hop>) -> Self {
         Path {
@@ -672,7 +664,7 @@ mod tests {
 
     #[test]
     fn empty_path_delivers_immediately() {
-        let path = Path::empty();
+        let path = Path::new(Vec::new());
         let mut rng = StdRng::seed_from_u64(1);
         let outcome = path.transit(&dgram(64, EcnCodepoint::Ect1), &mut rng);
         let (delivered, delay) = outcome.delivered().unwrap();

@@ -627,7 +627,7 @@ mod tests {
         let path = DuplexPath::symmetric_clean_reverse(lossy);
         // symmetric_clean_reverse keeps the loss on the reverse too; rebuild
         // the reverse without loss so only the forward direction black-holes.
-        let path = DuplexPath::new(path.forward, Path::empty());
+        let path = DuplexPath::new(path.forward, Path::new(Vec::new()));
         let outcome = run(ServerBehavior::accurate(), &path, 11);
         assert!(!outcome.report.connected);
         assert!(outcome.report.error.is_some());
@@ -646,7 +646,7 @@ mod tests {
             Hop::new(Router::transparent(1, Asn::DFN)).with_loss(0.4),
             Hop::new(Router::transparent(2, Asn(16509))),
         ]);
-        let path = DuplexPath::new(lossy, Path::empty());
+        let path = DuplexPath::new(lossy, Path::new(Vec::new()));
         let outcome = run(ServerBehavior::accurate(), &path, 21);
         assert!(outcome.forward_losses > 0 || outcome.report.connected);
     }
@@ -775,7 +775,7 @@ mod tests {
         // An enabled scenario with nothing to attach to — a hop-less forward
         // path has no bottleneck — is the single-flow run, bit for bit, and
         // leaves the caller's RNG where the plain run leaves it.
-        let hopless = DuplexPath::new(Path::new(vec![]), Path::empty());
+        let hopless = DuplexPath::new(Path::new(vec![]), Path::new(Vec::new()));
         assert_eq!(
             run_under(&hopless, CrossTraffic::congested(), false, 77),
             run_under(&hopless, CrossTraffic::none(), false, 77)

@@ -749,7 +749,7 @@ mod tests {
         let lossy = Path::new(vec![
             Hop::new(Router::transparent(1, Asn::DFN)).with_loss(1.0)
         ]);
-        let path = DuplexPath::new(lossy, Path::empty());
+        let path = DuplexPath::new(lossy, Path::new(Vec::new()));
         let report = run(
             TcpClientConfig::ect0(),
             TcpServerBehavior::full_ecn(),
@@ -836,7 +836,7 @@ mod tests {
         // An enabled scenario with nothing to attach to — a hop-less forward
         // path has no bottleneck — is the single-flow run, bit for bit, and
         // leaves the caller's RNG where the plain run leaves it.
-        let hopless = DuplexPath::new(Path::new(vec![]), Path::empty());
+        let hopless = DuplexPath::new(Path::new(vec![]), Path::new(Vec::new()));
         assert_eq!(
             run_under(&hopless, CrossTraffic::congested(), false, 99),
             run_under(&hopless, CrossTraffic::none(), false, 99)
@@ -947,7 +947,7 @@ mod tests {
         let lossy = Path::new(vec![
             Hop::new(Router::transparent(1, Asn::DFN)).with_loss(0.5)
         ]);
-        let lossy = DuplexPath::new(lossy, Path::empty());
+        let lossy = DuplexPath::new(lossy, Path::new(Vec::new()));
         assert_ne!(
             run_under(&lossy, CrossTraffic::none(), false, 42).1,
             untouched()

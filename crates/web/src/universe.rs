@@ -15,9 +15,8 @@ use crate::providers::{
 };
 use crate::snapshot::SnapshotDate;
 use crate::stacks::StackProfile;
-use qem_netsim::{build_duplex_path, Asn, DuplexPath, Probability, Router, TransitProfile};
+use qem_netsim::{Asn, Probability, Router, TransitProfile};
 use qem_quic::behavior::ServerBehavior;
-use qem_tcp::TcpServerBehavior;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
@@ -133,7 +132,7 @@ impl Host {
     }
 
     /// Whether the host answers QUIC at all at `date`.
-    pub fn quic_available_at(&self, date: SnapshotDate) -> bool {
+    fn quic_available_at(&self, date: SnapshotDate) -> bool {
         self.stack.is_some() && self.availability_quantile < Self::availability_fraction(date)
     }
 
@@ -153,11 +152,6 @@ impl Host {
         })
     }
 
-    /// TCP behaviour of the host.
-    pub fn tcp_behavior(&self) -> TcpServerBehavior {
-        self.tcp_profile.behavior()
-    }
-
     /// Address of the host for the requested IP version.
     pub fn addr(&self, v6: bool) -> Option<IpAddr> {
         if v6 {
@@ -165,15 +159,6 @@ impl Host {
         } else {
             Some(IpAddr::V4(self.ipv4))
         }
-    }
-
-    /// Build the duplex path between a vantage point in `vantage_asn` and
-    /// this host, applying the calibrated transit behaviour on the forward
-    /// direction (the reverse path is clean, as the study can only observe —
-    /// and the paper only reports — forward-path impairments).
-    pub fn duplex_path_from(&self, vantage_asn: Asn, v6: bool) -> DuplexPath {
-        let transit = if v6 { self.transit_v6 } else { self.transit_v4 };
-        build_duplex_path(vantage_asn, self.asn, transit, TransitProfile::Clean, v6)
     }
 }
 
@@ -501,14 +486,6 @@ impl Universe {
             .map(|h| h.id)
             .collect()
     }
-
-    /// Number of hosts that answer QUIC at `date`.
-    pub fn quic_host_count(&self, date: SnapshotDate) -> usize {
-        self.hosts
-            .iter()
-            .filter(|h| h.quic_available_at(date))
-            .count()
-    }
 }
 
 /// Membership of a zone-file domain that is on no toplist.
@@ -697,8 +674,9 @@ mod tests {
     #[test]
     fn availability_grows_over_time() {
         let u = universe();
-        let early = u.quic_host_count(SnapshotDate::JUN_2022);
-        let late = u.quic_host_count(SnapshotDate::APR_2023);
+        let quic_hosts = |date| u.hosts.iter().filter(|h| h.quic_available_at(date)).count();
+        let early = quic_hosts(SnapshotDate::JUN_2022);
+        let late = quic_hosts(SnapshotDate::APR_2023);
         assert!(early < late);
         assert!(early as f64 > 0.7 * late as f64);
     }
@@ -765,7 +743,13 @@ mod tests {
             .iter()
             .find(|h| matches!(h.transit_v4, TransitProfile::Clearing { .. }))
             .expect("some host behind a clearing path");
-        let path = cleared_host.duplex_path_from(Asn::DFN, false);
+        let path = qem_netsim::build_duplex_path(
+            Asn::DFN,
+            cleared_host.asn,
+            cleared_host.transit_v4,
+            TransitProfile::Clean,
+            false,
+        );
         let impaired = |path: &qem_netsim::Path| {
             path.hops
                 .iter()

@@ -7,7 +7,7 @@
 
 use qem_core::reports::{table4, table7};
 use qem_core::{Campaign, CampaignOptions};
-use qem_netsim::Asn;
+use qem_netsim::{build_duplex_path, Asn, TransitProfile};
 use qem_tracebox::{analyze_trace, trace_path, TraceConfig};
 use qem_web::{Universe, UniverseConfig};
 use rand::rngs::StdRng;
@@ -27,9 +27,15 @@ fn main() {
     if let Some(host) = universe
         .hosts
         .iter()
-        .find(|h| matches!(h.transit_v4, qem_netsim::TransitProfile::Remarking { .. }))
+        .find(|h| matches!(h.transit_v4, TransitProfile::Remarking { .. }))
     {
-        let path = host.duplex_path_from(Asn::DFN, false);
+        let path = build_duplex_path(
+            Asn::DFN,
+            host.asn,
+            host.transit_v4,
+            TransitProfile::Clean,
+            false,
+        );
         let source: IpAddr = "192.0.2.10".parse().unwrap();
         let mut rng = StdRng::seed_from_u64(9);
         let trace = trace_path(

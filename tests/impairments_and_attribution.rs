@@ -3,7 +3,7 @@
 
 use qem_core::reports::{table4, table7};
 use qem_core::{Campaign, CampaignOptions, CloudProvider, VantagePoint};
-use qem_netsim::{Asn, TransitProfile};
+use qem_netsim::{build_duplex_path, Asn, TransitProfile};
 use qem_tracebox::{analyze_trace, trace_path, PathTrace, PathVerdict, TraceConfig};
 use qem_web::{Host, Universe, UniverseConfig};
 use rand::rngs::StdRng;
@@ -24,12 +24,13 @@ fn clearing_is_concentrated_on_the_expected_providers() {
 
     // Paper §6.1: Server Central and A2 Hosting are (almost) fully behind
     // cleared paths, Cloudflare and Google are not affected at all.
-    let a2 = t4.row("A2 Hosting").expect("A2 Hosting row");
+    let row = |org: &str| t4.rows.iter().find(|r| r.org == org);
+    let a2 = row("A2 Hosting").expect("A2 Hosting row");
     assert!(a2.cleared > 0);
-    let cloudflare = t4.row("Cloudflare").expect("Cloudflare row");
+    let cloudflare = row("Cloudflare").expect("Cloudflare row");
     assert_eq!(cloudflare.cleared, 0);
     assert!(cloudflare.not_cleared > 0);
-    let google = t4.row("Google").expect("Google row");
+    let google = row("Google").expect("Google row");
     assert_eq!(google.cleared, 0);
 
     // Overall, cleared domains are a small fraction (~2 %) of the
@@ -73,7 +74,13 @@ fn validation_failures_split_into_path_and_stack_causes() {
 
 /// The IPv4 trace from `vantage` to `host`.
 fn trace_from(vantage: Asn, host: &Host, rng: &mut StdRng) -> PathTrace {
-    let path = host.duplex_path_from(vantage, false);
+    let path = build_duplex_path(
+        vantage,
+        host.asn,
+        host.transit_v4,
+        TransitProfile::Clean,
+        false,
+    );
     let source: IpAddr = "192.0.2.10".parse().unwrap();
     let destination = IpAddr::V4(host.ipv4);
     trace_path(
@@ -192,7 +199,8 @@ fn every_router_resolves_to_its_own_as() {
         let mut routers = 0;
         for vantage in &vantages {
             for (&(_, transit, v6), host) in &routes {
-                let path = host.duplex_path_from(vantage.asn, v6);
+                let path =
+                    build_duplex_path(vantage.asn, host.asn, transit, TransitProfile::Clean, v6);
                 for router in path.forward.hops.iter().chain(&path.reverse.hops) {
                     let router = &router.router;
                     assert_eq!(

@@ -140,7 +140,7 @@ proptest! {
         let expected = policies
             .iter()
             .fold(EcnCodepoint::Ect0, |ecn, policy| policy.apply(ecn));
-        let path = DuplexPath::new(forward, Path::empty());
+        let path = DuplexPath::new(forward, Path::new(Vec::new()));
         let mut rng = StdRng::seed_from_u64(seed);
         let outcome = ConnectionRun::new(
             ClientConfig::paper_default("compose.example"),
