@@ -21,23 +21,34 @@
 //! counted in — each probe's
 //! engine tally by slot — which the worker folds into the scanner's once,
 //! when it ends ([`Scanner::metrics_snapshot`] gives the counts their
-//! names), and its last route: the [`DuplexPath`] to the previous host, the
-//! `RouteKey` it was built from, and the [`TcpReport`] of the last TCP
-//! exchange over it that drew nothing from its host's RNG, with the
-//! [`TcpServerBehavior`] it ran against.  Hosts in id order share a route
+//! names); its last route: the [`DuplexPath`] to the previous host and the
+//! `RouteKey` it was built from; and two memos, each the last run of one
+//! protocol that drew nothing from its host's RNG, with the route key and
+//! the server behaviour it ran against.  Hosts in id order share a route
 //! far more often than not, so a host whose key matches borrows that path,
-//! and only a new key builds one; a host whose TCP behaviour matches too
-//! copies that report instead of running the exchange, and the report goes
-//! when the route does.  The probe mode, cross traffic and fault plan are
-//! the scanner's, and the exchange does not depend on the server address
-//! within a family, so a run that drew nothing depends on route key and
-//! behaviour alone.  The run draws through an adapter that notes any draw,
-//! so a run that drew (over a lossy hop, behind cross traffic, through a
-//! fault that draws) is never kept, and no list of those conditions has to
-//! be kept in step.  The oracle is
-//! `tests::reused_scratches_measure_what_a_fresh_scratch_per_host_does`: a
-//! fresh worker per host, which never reuses a report, against one worker
-//! reused in orders that change route at nearly every host.
+//! and only a new key builds one.  A host whose key and TCP behaviour match
+//! the TCP memo copies its [`TcpReport`] instead of running the exchange; a
+//! QUIC attempt whose key and QUIC behaviour match the QUIC memo copies its
+//! outcome and merges its engine tally instead of running the engine.  The probe mode, cross traffic and fault plan are the scanner's,
+//! and neither exchange depends on the server address within a family, nor
+//! the QUIC one on the SNI, so a run that drew nothing depends on route key
+//! and behaviour alone.
+//!
+//! "Drew nothing" counts what every run draws whatever the path: a TCP
+//! exchange is kept at no draws, a QUIC run at its endpoints' connection-ID
+//! seeds ([`ConnectionRun::SEED_DRAWS`]), whose values nothing observed
+//! depends on.  A replayed QUIC run takes those seeds from the host's RNG
+//! all the same, so the trace-sampling and backoff draws that follow are
+//! drawn where they were.  Each run draws through an adapter that counts
+//! its draws, so a run that drew more (over a lossy hop, behind cross
+//! traffic, through a fault that draws) is never kept, and no list of
+//! those conditions has to be kept in step; nor is a QUIC run that
+//! returned telemetry: it was observed, and a replay is not.  The oracle
+//! is `tests::reused_scratches_measure_what_a_fresh_scratch_per_host_does`:
+//! a fresh worker per host, which never replays a run, against one worker
+//! reused in orders that change route at nearly every host, and against
+//! executor workers in id order over a population where most QUIC attempts
+//! replay.
 
 use crate::executor::ShardedExecutor;
 use crate::metrics::{Row, ScanTally};
@@ -46,7 +57,9 @@ use crate::resilience::{classify_probe, RetryPolicy};
 use crate::vantage::{Encounter, RouteKey, VantagePoint};
 use qem_netsim::{CrossTraffic, DuplexPath, EngineScratch, FaultPlan, Probability};
 use qem_obs::MetricsSnapshot;
-use qem_quic::{ClientConfig, ConnectionRun, DriverConfig, QuicScratch};
+use qem_quic::{
+    ClientConfig, ConnectionRun, DriverConfig, QuicScratch, RunOutcome, ServerBehavior,
+};
 use qem_tcp::{TcpClientConfig, TcpConnectionRun, TcpReport, TcpServerBehavior};
 use qem_tracebox::{analyze_trace, trace_path, TraceConfig};
 use qem_web::{SnapshotDate, Universe};
@@ -128,28 +141,73 @@ struct ScanWorker<'s> {
     tally: ScanTally,
     /// The route to the last host measured.
     route: Option<Route>,
+    /// The last TCP exchange that drew nothing from its host's RNG.
+    last_tcp: Option<Kept<TcpServerBehavior, TcpReport>>,
+    /// The last QUIC run that drew nothing from its host's RNG but its
+    /// endpoint seeds, and returned no telemetry.
+    last_quic: Option<Kept<ServerBehavior, RunOutcome>>,
     scanner: &'s Scanner<'s>,
 }
 
-/// A worker's last route: the path, what it was built from, and the report
-/// of the last TCP exchange over it that drew nothing from its host's RNG,
-/// with the server behaviour it ran against.
+/// A worker's last route: the path and what it was built from.
 struct Route {
     key: RouteKey,
     path: DuplexPath,
-    tcp: Option<(TcpServerBehavior, TcpReport)>,
 }
 
-/// The host's RNG, noting whether anything was drawn from it.  `StdRng`
-/// draws everything through `next_u64`, as `RngCore`'s other methods do.
+/// The last draw-free run against a server behaving as `B`, with what it
+/// ran over: what a run over an equal route against an equal behaviour
+/// returns, whatever host it measures.
+struct Kept<B, R> {
+    key: RouteKey,
+    behavior: B,
+    run: R,
+}
+
+impl<B: Clone + PartialEq, R: Clone> Kept<B, R> {
+    /// The kept run, if it ran over `key` against `behavior`.
+    fn replay<'k>(kept: &'k Option<Self>, key: RouteKey, behavior: &B) -> Option<&'k R> {
+        kept.as_ref()
+            .filter(|kept| kept.key == key && kept.behavior == *behavior)
+            .map(|kept| &kept.run)
+    }
+
+    /// Keep `run` in `kept`, over what it held: the run's strings reuse
+    /// the kept run's.
+    fn keep(kept: &mut Option<Self>, key: RouteKey, behavior: &B, run: &R) {
+        match kept {
+            Some(kept) => {
+                kept.key = key;
+                kept.behavior.clone_from(behavior);
+                kept.run.clone_from(run);
+            }
+            None => {
+                *kept = Some(Kept {
+                    key,
+                    behavior: behavior.clone(),
+                    run: run.clone(),
+                })
+            }
+        }
+    }
+}
+
+/// The host's RNG, counting what is drawn from it.  `StdRng` draws
+/// everything through `next_u64`, as `RngCore`'s other methods do.
 struct Drawn<'r> {
     rng: &'r mut StdRng,
-    any: bool,
+    draws: usize,
+}
+
+impl<'r> Drawn<'r> {
+    fn new(rng: &'r mut StdRng) -> Self {
+        Drawn { rng, draws: 0 }
+    }
 }
 
 impl RngCore for Drawn<'_> {
     fn next_u64(&mut self) -> u64 {
-        self.any = true;
+        self.draws += 1;
         self.rng.next_u64()
     }
 }
@@ -217,6 +275,8 @@ impl<'a> Scanner<'a> {
             },
             tally: ScanTally::default(),
             route: None,
+            last_tcp: None,
+            last_quic: None,
             scanner: self,
         }
     }
@@ -277,6 +337,8 @@ impl<'a> Scanner<'a> {
             client,
             tally,
             route,
+            last_tcp,
+            last_quic,
             ..
         } = worker;
         let host = &self.universe.hosts[host_id];
@@ -307,11 +369,7 @@ impl<'a> Scanner<'a> {
             };
         };
         let client_addr = self.client_addr(v6);
-        let Route {
-            path,
-            tcp: last_tcp,
-            ..
-        } = self.route_to(key, route);
+        let path = &self.route_to(key, route).path;
 
         // ---- QUIC ---------------------------------------------------------
         if behavior.is_none() {
@@ -329,14 +387,40 @@ impl<'a> Scanner<'a> {
             let named = self.options.cross_traffic.is_enabled() || !self.fault_plan.is_empty();
             let mut attempt = 1u32;
             loop {
-                let driver = DriverConfig::new(client_addr, server_addr);
-                // A disabled scenario is the plain single-flow run inside
-                // the builder.
-                let run = ConnectionRun::lent(client, behavior.clone(), path, driver)
-                    .cross_traffic(self.options.cross_traffic)
-                    .telemetry(named)
-                    .scratch(scratch, quic)
-                    .execute(&mut rng);
+                let run = match Kept::replay(last_quic, key, &behavior) {
+                    Some(kept) => {
+                        // The seeds the run would draw, so that what the
+                        // host draws next is drawn where it was.
+                        for _ in 0..ConnectionRun::SEED_DRAWS {
+                            rng.next_u64();
+                        }
+                        // A replay is not an observed run: it has no
+                        // telemetry.
+                        RunOutcome {
+                            connection: kept.connection.clone(),
+                            engine: kept.engine,
+                            telemetry: None,
+                        }
+                    }
+                    None => {
+                        let driver = DriverConfig::new(client_addr, server_addr);
+                        let mut drawn = Drawn::new(&mut rng);
+                        // A disabled scenario is the plain single-flow run
+                        // inside the builder.
+                        let run = ConnectionRun::lent(client, behavior.clone(), path, driver)
+                            .cross_traffic(self.options.cross_traffic)
+                            .telemetry(named)
+                            .scratch(scratch, quic)
+                            .execute(&mut drawn);
+                        // A run that drew beyond its seeds depends on the
+                        // host's RNG, and one with telemetry was observed:
+                        // replay neither.
+                        if drawn.draws == ConnectionRun::SEED_DRAWS && run.telemetry.is_none() {
+                            Kept::keep(last_quic, key, &behavior, &run);
+                        }
+                        run
+                    }
+                };
                 let outcome = run.connection;
                 tally.quic_elapsed_us.record(outcome.elapsed.as_micros());
                 tally.add(Row::QuicForwardLosses, outcome.forward_losses);
@@ -387,13 +471,10 @@ impl<'a> Scanner<'a> {
             ProbeMode::Ect0 => TcpClientConfig::ect0(),
             ProbeMode::ForceCe => TcpClientConfig::force_ce(),
         };
-        let tcp_report = Some(match *last_tcp {
-            Some((last, report)) if last == tcp_behavior => report,
-            _ => {
-                let mut drawn = Drawn {
-                    rng: &mut rng,
-                    any: false,
-                };
+        let tcp_report = Some(match Kept::replay(last_tcp, key, &tcp_behavior) {
+            Some(&report) => report,
+            None => {
+                let mut drawn = Drawn::new(&mut rng);
                 let report =
                     TcpConnectionRun::new(tcp_config, tcp_behavior, client_addr, server_addr, path)
                         .cross_traffic(self.options.cross_traffic)
@@ -401,8 +482,8 @@ impl<'a> Scanner<'a> {
                         .execute(&mut drawn)
                         .report;
                 // A run that drew depends on the host's RNG: never reuse it.
-                if !drawn.any {
-                    *last_tcp = Some((tcp_behavior, report));
+                if drawn.draws == 0 {
+                    Kept::keep(last_tcp, key, &tcp_behavior, &report);
                 }
                 report
             }
@@ -478,11 +559,7 @@ impl<'a> Scanner<'a> {
             if !self.fault_plan.is_empty() {
                 path.forward = path.forward.with_fault(self.fault_plan.clone());
             }
-            Route {
-                key,
-                path,
-                tcp: None,
-            }
+            Route { key, path }
         })
     }
 }
@@ -669,7 +746,16 @@ mod tests {
 
     #[test]
     fn reused_scratches_measure_what_a_fresh_scratch_per_host_does() {
-        let universe = universe();
+        let tiny = universe();
+        // Round robin over the providers changes route at nearly every host.
+        for ipv6 in [false, true] {
+            let interleaved = round_robin(&tiny, &tiny.scan_population(ipv6));
+            let asn_changes = interleaved
+                .windows(2)
+                .filter(|w| tiny.hosts[w[0]].asn != tiny.hosts[w[1]].asn)
+                .count();
+            assert!(asn_changes > interleaved.len() / 2, "{asn_changes}");
+        }
         let ms = SimDuration::from_millis;
         let loss = Some((
             FaultKind::Loss {
@@ -692,7 +778,7 @@ mod tests {
         let retrying = (CrossTraffic::none(), RETRYING);
         let main = VantagePoint::main;
         // Each fault row names the `fault.*` counter its kind must move.
-        for (vantage, ipv6, (cross_traffic, retry), fault) in [
+        for (vantage, ipv6, scenario, fault) in [
             (main(), false, none, None),
             (main(), false, congested, loss.clone()),
             (main(), true, none, None),
@@ -769,74 +855,122 @@ mod tests {
                 )),
             ),
         ] {
-            let fault_plan = fault.clone().map_or_else(FaultPlan::default, |(kind, _)| {
-                FaultPlan::new().always(kind)
-            });
-            let scanner = |workers: usize| Scanner {
-                fault_plan: fault_plan.clone(),
-                ..Scanner::new(
-                    &universe,
-                    vantage.clone(),
-                    ScanOptions {
-                        workers,
-                        ipv6,
-                        cross_traffic,
-                        retry,
-                        ..ScanOptions::paper_default(SnapshotDate::APR_2023)
-                    },
-                )
-            };
-            let population = universe.scan_population(ipv6);
-            let single = scanner(1);
-            let fresh: Vec<HostMeasurement> = population
-                .iter()
-                .map(|&id| single.measure_host(id, &mut single.worker()))
-                .collect();
-            let fresh_metrics = single.metrics_snapshot();
-            if let Some((kind, counter)) = &fault {
-                let moved = fresh_metrics.counter(counter).unwrap_or(0);
-                assert!(moved > 0, "{kind:?} left {counter} at zero");
-            }
-
-            // One worker for every host, in orders whose route changes at
-            // nearly every host: round robin over the providers, forwards
-            // and backwards, and the population backwards…
-            let mut by_provider: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-            for &id in &population {
-                let provider = universe.hosts[id].provider;
-                by_provider.entry(provider).or_default().push(id);
-            }
-            let longest = by_provider.values().map(Vec::len).max().unwrap_or(0);
-            let interleaved: Vec<usize> = (0..longest)
-                .flat_map(|round| by_provider.values().filter_map(move |ids| ids.get(round)))
-                .copied()
-                .collect();
-            let asn_changes = interleaved
-                .windows(2)
-                .filter(|w| universe.hosts[w[0]].asn != universe.hosts[w[1]].asn)
-                .count();
-            assert!(asn_changes > interleaved.len() / 2, "{asn_changes}");
-            let reversed_interleaved: Vec<usize> = interleaved.iter().rev().copied().collect();
-            let reversed: Vec<usize> = population.iter().rev().copied().collect();
-            for order in [interleaved, reversed_interleaved, reversed] {
-                let reused = scanner(1);
-                let mut worker = reused.worker();
-                let mut measured: Vec<HostMeasurement> = order
-                    .iter()
-                    .map(|&id| reused.measure_host(id, &mut worker))
-                    .collect();
-                drop(worker);
-                measured.sort_by_key(|m| m.host_id);
-                assert_eq!(measured, fresh, "{} ipv6={ipv6}", vantage.name);
-                assert_eq!(reused.metrics_snapshot(), fresh_metrics);
-            }
-            // …and one per executor worker, inline and threaded.
-            for workers in [1, 2, 0] {
-                let scanner = scanner(workers);
-                assert_eq!(scanner.scan_hosts(&population), fresh, "workers={workers}");
-                assert_eq!(scanner.metrics_snapshot(), fresh_metrics);
-            }
+            check_reuse(
+                &tiny,
+                &tiny.scan_population(ipv6),
+                vantage,
+                ipv6,
+                scenario,
+                fault,
+            );
         }
+
+        // The QUIC hosts of a 1:1000 universe, where about two QUIC
+        // attempts in three replay a run in id order — among them
+        // low-weight abnormal hosts, whose trace-sampling draw shows whether
+        // a replay took the run's seeds.  From AWS Mumbai a Google host's
+        // QUIC behaviour changes by host id within one route.  Over routes
+        // that draw nothing every attempt succeeds at once, so a retry
+        // policy must change nothing.
+        let census = Universe::generate(&UniverseConfig {
+            scale: 0.001,
+            ..UniverseConfig::tiny()
+        });
+        let mumbai = VantagePoint::cloud_fleet()
+            .into_iter()
+            .find(|vantage| vantage.quirks.google_ce_anomaly)
+            .unwrap();
+        for (vantage, ipv6, scenario) in [
+            (mumbai, false, none),
+            (main(), false, retrying),
+            (main(), true, none),
+        ] {
+            let quic_hosts: Vec<usize> = census
+                .scan_population(ipv6)
+                .into_iter()
+                .filter(|&id| census.hosts[id].stack.is_some())
+                .collect();
+            check_reuse(&census, &quic_hosts, vantage, ipv6, scenario, None);
+        }
+    }
+
+    /// Scan `population` from `vantage` with a fresh worker per host, then
+    /// with reused ones, and hold the two to each other.  A fault names
+    /// the `fault.*` counter its kind must move.
+    fn check_reuse(
+        universe: &Universe,
+        population: &[usize],
+        vantage: VantagePoint,
+        ipv6: bool,
+        (cross_traffic, retry): (CrossTraffic, RetryPolicy),
+        fault: Option<(FaultKind, &str)>,
+    ) {
+        let fault_plan = fault.clone().map_or_else(FaultPlan::default, |(kind, _)| {
+            FaultPlan::new().always(kind)
+        });
+        let scanner = |workers: usize| Scanner {
+            fault_plan: fault_plan.clone(),
+            ..Scanner::new(
+                universe,
+                vantage.clone(),
+                ScanOptions {
+                    workers,
+                    ipv6,
+                    cross_traffic,
+                    retry,
+                    ..ScanOptions::paper_default(SnapshotDate::APR_2023)
+                },
+            )
+        };
+        let single = scanner(1);
+        let fresh: Vec<HostMeasurement> = population
+            .iter()
+            .map(|&id| single.measure_host(id, &mut single.worker()))
+            .collect();
+        let fresh_metrics = single.metrics_snapshot();
+        if let Some((kind, counter)) = &fault {
+            let moved = fresh_metrics.counter(counter).unwrap_or(0);
+            assert!(moved > 0, "{kind:?} left {counter} at zero");
+        }
+
+        // One worker for every host, in orders whose route changes far more
+        // often than in id order: round robin over the providers, forwards
+        // and backwards, and the population backwards…
+        let interleaved = round_robin(universe, population);
+        let reversed_interleaved: Vec<usize> = interleaved.iter().rev().copied().collect();
+        let reversed: Vec<usize> = population.iter().rev().copied().collect();
+        for order in [interleaved, reversed_interleaved, reversed] {
+            let reused = scanner(1);
+            let mut worker = reused.worker();
+            let mut measured: Vec<HostMeasurement> = order
+                .iter()
+                .map(|&id| reused.measure_host(id, &mut worker))
+                .collect();
+            drop(worker);
+            measured.sort_by_key(|m| m.host_id);
+            assert_eq!(measured, fresh, "{} ipv6={ipv6}", vantage.name);
+            assert_eq!(reused.metrics_snapshot(), fresh_metrics);
+        }
+        // …and one per executor worker, inline and threaded.
+        for workers in [1, 2, 0] {
+            let scanner = scanner(workers);
+            assert_eq!(scanner.scan_hosts(population), fresh, "workers={workers}");
+            assert_eq!(scanner.metrics_snapshot(), fresh_metrics);
+        }
+    }
+
+    /// `population` round robin over its hosts' providers.
+    fn round_robin(universe: &Universe, population: &[usize]) -> Vec<usize> {
+        let mut by_provider: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for &id in population {
+            let provider = universe.hosts[id].provider;
+            by_provider.entry(provider).or_default().push(id);
+        }
+        let longest = by_provider.values().map(Vec::len).max().unwrap_or(0);
+        (0..longest)
+            .flat_map(|round| by_provider.values().filter_map(move |ids| ids.get(round)))
+            .copied()
+            .collect()
     }
 
     #[test]

@@ -121,7 +121,7 @@ const INITIAL_PAYLOAD: usize = MIN_INITIAL_SIZE - 48;
 
 /// Summary of a finished (or failed) client connection, consumed by the
 /// measurement pipeline.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct ClientReport {
     /// Whether the QUIC handshake completed.
     pub connected: bool,
@@ -148,6 +148,47 @@ pub struct ClientReport {
     pub server_used_ecn: bool,
     /// Terminal error, if the connection failed.
     pub error: Option<String>,
+}
+
+impl Clone for ClientReport {
+    fn clone(&self) -> Self {
+        ClientReport {
+            response: self.response.clone(),
+            error: self.error.clone(),
+            ..*self
+        }
+    }
+
+    /// Field by field, so the response's header values and the error reuse
+    /// what `self` holds.
+    fn clone_from(&mut self, source: &Self) {
+        let ClientReport {
+            connected,
+            response,
+            version,
+            server_transport_params,
+            transport_fingerprint,
+            ecn_state,
+            peer_mirrored,
+            mirrored_counts,
+            sent_counts,
+            received_ecn,
+            server_used_ecn,
+            error,
+        } = source;
+        self.connected = *connected;
+        self.response.clone_from(response);
+        self.version = *version;
+        self.server_transport_params = *server_transport_params;
+        self.transport_fingerprint = *transport_fingerprint;
+        self.ecn_state = *ecn_state;
+        self.peer_mirrored = *peer_mirrored;
+        self.mirrored_counts = *mirrored_counts;
+        self.sent_counts = *sent_counts;
+        self.received_ecn = *received_ecn;
+        self.server_used_ecn = *server_used_ecn;
+        self.error.clone_from(error);
+    }
 }
 
 /// A sans-IO QUIC client connection, reading its configuration from a
@@ -792,5 +833,64 @@ mod tests {
         assert_eq!(report.ecn_state, EcnValidationState::Testing);
         assert!(report.response.is_none());
         assert!(!report.server_used_ecn);
+    }
+
+    #[test]
+    fn a_report_cloned_into_a_used_slot_is_its_clone() {
+        let response = |server: &str, via: Option<&str>| HttpResponse {
+            server: Some(server.to_string()),
+            via: via.map(str::to_string),
+            ..HttpResponse::ok()
+        };
+        let base = new_client().report();
+        let reports = [
+            base.clone(),
+            ClientReport {
+                connected: true,
+                response: Some(response("LiteSpeed", None)),
+                peer_mirrored: true,
+                ..base.clone()
+            },
+            ClientReport {
+                connected: true,
+                response: Some(response(
+                    "a much longer server header value",
+                    Some("1.1 google"),
+                )),
+                server_used_ecn: true,
+                ..base.clone()
+            },
+            ClientReport {
+                connected: true,
+                response: Some(HttpResponse::ok()),
+                ..base.clone()
+            },
+            ClientReport {
+                error: Some("handshake timed out".to_string()),
+                ..base.clone()
+            },
+            ClientReport {
+                error: Some("idle".to_string()),
+                version: QuicVersion::DRAFT_27,
+                ..base
+            },
+        ];
+        for source in &reports {
+            for slot in &reports {
+                let mut slot = slot.clone();
+                let kept = slot.response.as_ref().and_then(|r| r.server.as_ref());
+                let kept = kept.map(|server| (server.as_ptr(), server.capacity()));
+                slot.clone_from(source);
+                assert_eq!(&slot, source);
+                assert_eq!(slot, source.clone());
+                // A header value that fits is written over the slot's own.
+                let server = slot.response.as_ref().and_then(|r| r.server.as_ref());
+                if let (Some((ptr, capacity)), Some(server)) = (kept, server) {
+                    if server.len() <= capacity {
+                        assert_eq!(server.as_ptr(), ptr);
+                    }
+                }
+            }
+        }
     }
 }

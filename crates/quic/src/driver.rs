@@ -80,7 +80,7 @@ impl DriverConfig {
 }
 
 /// Everything observed while driving one connection.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct ConnectionOutcome {
     /// The client's measurement report.
     pub report: ClientReport,
@@ -94,6 +94,31 @@ pub struct ConnectionOutcome {
     pub reverse_losses: u64,
     /// Virtual time consumed by the connection.
     pub elapsed: SimDuration,
+}
+
+impl Clone for ConnectionOutcome {
+    fn clone(&self) -> Self {
+        ConnectionOutcome {
+            report: self.report.clone(),
+            ..*self
+        }
+    }
+
+    /// Field by field, so the report reuses what `self` holds.
+    fn clone_from(&mut self, source: &Self) {
+        let ConnectionOutcome {
+            report,
+            forward_arrival_ecn,
+            forward_losses,
+            reverse_losses,
+            elapsed,
+        } = source;
+        self.report.clone_from(report);
+        self.forward_arrival_ecn = *forward_arrival_ecn;
+        self.forward_losses = *forward_losses;
+        self.reverse_losses = *reverse_losses;
+        self.elapsed = *elapsed;
+    }
 }
 
 /// The QUIC measurement connection as a sans-IO flow for the discrete-event
@@ -281,7 +306,7 @@ impl<R: Rng + ?Sized> Flow for QuicFlow<'_, R> {
 /// A complete client↔server run: the measured [`ConnectionOutcome`], the
 /// engine's tally and, when requested via [`ConnectionRun::telemetry`], its
 /// telemetry.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct RunOutcome {
     /// What the measured connection observed.
     pub connection: ConnectionOutcome,
@@ -291,6 +316,28 @@ pub struct RunOutcome {
     /// shared bottleneck's per-router queue metrics (`queue.r<id>.*`: CE
     /// marks, tail drops, occupancy).
     pub telemetry: Option<EngineTelemetry>,
+}
+
+impl Clone for RunOutcome {
+    fn clone(&self) -> Self {
+        RunOutcome {
+            connection: self.connection.clone(),
+            engine: self.engine,
+            telemetry: self.telemetry.clone(),
+        }
+    }
+
+    /// Field by field, so the connection's report reuses what `self` holds.
+    fn clone_from(&mut self, source: &Self) {
+        let RunOutcome {
+            connection,
+            engine,
+            telemetry,
+        } = source;
+        self.connection.clone_from(connection);
+        self.engine = *engine;
+        self.telemetry.clone_from(telemetry);
+    }
 }
 
 /// Builder for one QUIC measurement connection — the single entrypoint.
@@ -392,15 +439,30 @@ impl<'a> ConnectionRun<'a> {
         self
     }
 
+    /// How many `u64`s every run draws from its RNG before anything else,
+    /// whatever the path: one connection-ID seed per endpoint.  Connection
+    /// IDs have a fixed length and nothing observed carries them, so over a
+    /// path that draws nothing — lossless, unloaded — these are all a run
+    /// draws, and its outcome does not depend on their values.
+    pub const SEED_DRAWS: usize = 2;
+
     /// Drive the connection to completion.
     pub fn execute<R: Rng + ?Sized>(self, rng: &mut R) -> RunOutcome {
         let (mut engine, quic) = self.scratch.unzip();
         let mut fresh = QuicScratch::default();
         let quic = quic.unwrap_or(&mut fresh);
-        let (seed, buffers) = (rng.gen(), std::mem::take(&mut quic.client));
-        let client = ClientConnection::over(&*self.client_config, SimInstant::EPOCH, seed, buffers);
+        // One pattern per seed: a draw added here must be counted above.
+        let [client_seed, server_seed]: [u64; ConnectionRun::<'static>::SEED_DRAWS] =
+            std::array::from_fn(|_| rng.gen());
+        let buffers = std::mem::take(&mut quic.client);
+        let client = ClientConnection::over(
+            &*self.client_config,
+            SimInstant::EPOCH,
+            client_seed,
+            buffers,
+        );
         let server =
-            ServerConnection::over(self.behavior, rng.gen(), std::mem::take(&mut quic.server));
+            ServerConnection::over(self.behavior, server_seed, std::mem::take(&mut quic.server));
         // The scenario's seed comes after the endpoints' and only when there
         // is a scenario to build — the draw order the golden reports pin.
         let load = self

@@ -87,7 +87,7 @@ impl<'a> HttpRequest<'a> {
 
 /// An HTTP response sent over stream 0: with `String` header values as a
 /// client report keeps it, or with `&str` ones as a server writes it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct HttpResponse<S = String> {
     /// Status code.
     pub status: u16,
@@ -100,6 +100,33 @@ pub struct HttpResponse<S = String> {
     pub alt_svc: Option<S>,
     /// Number of body bytes (the body itself is synthetic padding).
     pub body_len: usize,
+}
+
+impl<S: Clone> Clone for HttpResponse<S> {
+    fn clone(&self) -> Self {
+        HttpResponse {
+            server: self.server.clone(),
+            via: self.via.clone(),
+            alt_svc: self.alt_svc.clone(),
+            ..*self
+        }
+    }
+
+    /// Field by field, so the header values reuse what `self` holds.
+    fn clone_from(&mut self, source: &Self) {
+        let HttpResponse {
+            status,
+            server,
+            via,
+            alt_svc,
+            body_len,
+        } = source;
+        self.status = *status;
+        self.server.clone_from(server);
+        self.via.clone_from(via);
+        self.alt_svc.clone_from(alt_svc);
+        self.body_len = *body_len;
+    }
 }
 
 impl<S> HttpResponse<S> {
