@@ -127,16 +127,23 @@ pub struct HostMeasurement {
     pub trace: Option<TraceAnalysis>,
 }
 
-impl HostMeasurement {
-    /// Mirroring / use summary for the QUIC measurement.
-    pub fn mirror_use(&self) -> MirrorUse {
-        match &self.quic {
+impl MirrorUse {
+    /// The mirroring / use of a QUIC report: nothing unless it connected.
+    fn of(report: Option<&ClientReport>) -> Self {
+        match report {
             Some(report) if report.connected => MirrorUse {
                 mirroring: report.peer_mirrored,
                 uses_ecn: report.server_used_ecn,
             },
             _ => MirrorUse::default(),
         }
+    }
+}
+
+impl HostMeasurement {
+    /// Mirroring / use summary for the QUIC measurement.
+    pub fn mirror_use(&self) -> MirrorUse {
+        MirrorUse::of(self.quic.as_ref())
     }
 
     /// ECN validation class, if the host was reachable via QUIC.
@@ -145,15 +152,59 @@ impl HostMeasurement {
     }
 
     /// Everything the report builders read about this host, decided once
-    /// per host instead of once per domain it serves.  Total over any
-    /// measurement a store segment can decode to.
+    /// per host instead of once per domain it serves.
     pub(crate) fn summary(&self) -> HostSummary {
-        let quic = self.quic.as_ref();
+        HostSummary::from_parts(
+            self.quic_reachable,
+            self.quic.as_ref(),
+            self.tcp.as_ref(),
+            self.trace.as_ref(),
+        )
+    }
+}
+
+/// The per-host attributes of one [`HostMeasurement`] that tables and
+/// figures are built from — a flat value, no packet counters, no strings.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HostSummary {
+    /// Whether an HTTP/3-over-QUIC exchange succeeded.
+    pub(crate) quic_reachable: bool,
+    /// Mirroring / use summary.
+    pub(crate) mirror_use: MirrorUse,
+    /// Validation class, if a QUIC connection was established.
+    pub(crate) class: Option<EcnClass>,
+    /// Tracebox verdict, if the host was traced.
+    pub(crate) verdict: Option<PathVerdict>,
+    /// QUIC version spoken.
+    pub(crate) version: QuicVersion,
+    /// Server family from the `server` header, if the host sent one.
+    pub(crate) family: Option<ServerFamily>,
+    /// Transport-parameter fingerprint, which identifies the stack of hosts
+    /// that suppress the header (§5.3).
+    pub(crate) fingerprint: Option<u64>,
+    /// Figure 6 category of the TCP probe, if it connected.
+    pub(crate) tcp: Option<TcpCategory>,
+    /// Figure 6 category of the QUIC probe, if it connected.
+    pub(crate) quic_ce: Option<QuicCeCategory>,
+}
+
+impl HostSummary {
+    /// The summary of a measurement given as its parts — what
+    /// [`HostMeasurement`] holds, borrowed — so that a reader which decodes
+    /// the parts need not assemble the measurement.  Total over any parts a
+    /// store segment can decode to.
+    #[inline]
+    pub fn from_parts(
+        quic_reachable: bool,
+        quic: Option<&ClientReport>,
+        tcp: Option<&TcpReport>,
+        trace: Option<&TraceAnalysis>,
+    ) -> Self {
         HostSummary {
-            quic_reachable: self.quic_reachable,
-            mirror_use: self.mirror_use(),
-            class: self.ecn_class(),
-            verdict: self.trace.as_ref().map(|t| t.verdict),
+            quic_reachable,
+            mirror_use: MirrorUse::of(quic),
+            class: quic.and_then(EcnClass::classify),
+            verdict: trace.map(|t| t.verdict),
             // A decoded segment can carry the `quic_reachable` flag without a
             // QUIC report — the two are independent bits on disk — and
             // Figure 4 draws such a host as v1.
@@ -163,35 +214,10 @@ impl HostMeasurement {
                 .and_then(|resp| resp.server_family())
                 .map(ServerFamily::of),
             fingerprint: quic.and_then(|r| r.transport_fingerprint),
-            tcp: self.tcp.as_ref().and_then(TcpCategory::of),
+            tcp: tcp.and_then(TcpCategory::of),
             quic_ce: quic.and_then(QuicCeCategory::of),
         }
     }
-}
-
-/// The per-host attributes of one [`HostMeasurement`] that tables and
-/// figures are built from — a flat value, no packet counters, no strings.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct HostSummary {
-    /// Whether an HTTP/3-over-QUIC exchange succeeded.
-    pub quic_reachable: bool,
-    /// Mirroring / use summary.
-    pub mirror_use: MirrorUse,
-    /// Validation class, if a QUIC connection was established.
-    pub class: Option<EcnClass>,
-    /// Tracebox verdict, if the host was traced.
-    pub verdict: Option<PathVerdict>,
-    /// QUIC version spoken.
-    pub version: QuicVersion,
-    /// Server family from the `server` header, if the host sent one.
-    pub family: Option<ServerFamily>,
-    /// Transport-parameter fingerprint, which identifies the stack of hosts
-    /// that suppress the header (§5.3).
-    pub fingerprint: Option<u64>,
-    /// Figure 6 category of the TCP probe, if it connected.
-    pub tcp: Option<TcpCategory>,
-    /// Figure 6 category of the QUIC probe, if it connected.
-    pub quic_ce: Option<QuicCeCategory>,
 }
 
 #[cfg(test)]

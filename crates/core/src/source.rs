@@ -14,13 +14,17 @@
 //! the hosts matching a predicate, and every "IPs" count the number of such
 //! hosts.
 //!
-//! The in-memory [`SnapshotMeasurement`] streams its sorted
-//! [`HostMap`](crate::HostMap); `qem-store`'s segment reader decodes one
-//! segment at a time into one lent buffer.  Both are joined by the
-//! same `HostTable::new`, which is what makes store-backed and in-memory
-//! reports the same path: measurements arrive in ascending host-id order and
-//! land in a table indexed by host id.  [`JoinedSnapshot`] keeps the table
-//! so that a whole report set costs one pass over the source.
+//! The join reads summaries, not measurements:
+//! [`SnapshotSource::for_each_summary`] streams each host's id and
+//! [`HostSummary`].  The in-memory [`SnapshotMeasurement`] summarises its
+//! sorted [`HostMap`](crate::HostMap) as it streams it; `qem-store`'s
+//! segment reader decodes each record straight to its summary, one segment
+//! at a time into one lent buffer, and never assembles the measurement.
+//! Both are joined by the same `HostTable::new`, which is what makes
+//! store-backed and in-memory reports the same path: summaries arrive in
+//! ascending host-id order and land in a table indexed by host id.
+//! [`JoinedSnapshot`] keeps the table so that a whole report set costs one
+//! pass over the source.
 
 use crate::campaign::SnapshotMeasurement;
 use crate::observation::{HostMeasurement, HostSummary};
@@ -42,6 +46,14 @@ pub trait SnapshotSource {
 
     /// Stream every measurement in ascending host-id order.
     fn for_each_host(&self, f: &mut dyn FnMut(&HostMeasurement));
+
+    /// Stream every host's id and [`HostSummary`] in ascending host-id
+    /// order: what the per-host join keeps of a measurement.  The provided
+    /// body summarises [`SnapshotSource::for_each_host`]; a source that can
+    /// build the summaries without the measurements overrides it.
+    fn for_each_summary(&self, f: &mut dyn FnMut(usize, HostSummary)) {
+        self.for_each_host(&mut |m| f(m.host_id, m.summary()));
+    }
 
     /// Number of hosts measured.
     fn host_count(&self) -> usize {
@@ -97,11 +109,11 @@ impl HostTable {
         let weights = [served(|h| h.toplist_domains), served(|h| h.cno_domains)];
         let totals = [universe.domains.toplist, universe.domains.cno];
         let mut measured = vec![None; universe.hosts.len()];
-        source.for_each_host(&mut |m| {
+        source.for_each_summary(&mut |host_id, summary| {
             // A store written for another universe can name hosts this one
             // does not have; no domain resolves to them.
-            if let Some(slot) = measured.get_mut(m.host_id) {
-                *slot = Some(m.summary());
+            if let Some(slot) = measured.get_mut(host_id) {
+                *slot = Some(summary);
             }
         });
         HostTable {
@@ -207,6 +219,10 @@ impl SnapshotSource for JoinedSnapshot<'_> {
 
     fn for_each_host(&self, f: &mut dyn FnMut(&HostMeasurement)) {
         self.snapshot.for_each_host(f);
+    }
+
+    fn for_each_summary(&self, f: &mut dyn FnMut(usize, HostSummary)) {
+        self.snapshot.for_each_summary(f);
     }
 
     fn host_count(&self) -> usize {

@@ -21,14 +21,24 @@
 //! Both directions size their buffers from what they know.  Encoding
 //! writes the records first, so the block's exact length is known before
 //! the one buffer that holds it — and, in a segment, its framing — is
-//! allocated.  Decoding ([`decode_block_into`]) pushes each record's
-//! skeleton onto the caller's `Vec` and decodes its sections into that
-//! slot, so a 400-byte measurement is never built elsewhere and moved, and
-//! truncates the `Vec` back if any record fails.
+//! allocated.
+//!
+//! Decoding is one record walk ([`decode_block_into`]) that does every
+//! check a block is held to, generic over what each record becomes (an
+//! [`Element`]): the whole [`HostMeasurement`], decoded in its slot of the
+//! caller's `Vec` so the 400-byte value is never built elsewhere and moved;
+//! its host id alone; or its host id and [`HostSummary`].  The three read
+//! every section with the same section decoders and differ only in what
+//! they keep, so a block one of them accepts, all of them accept.  What
+//! every record passes through — the reader's one-byte fast paths, the
+//! record head, the section dispatch and the TCP section every census
+//! record holds — is `#[inline(always)]`: under `#[inline]` alone the
+//! compiler kept them out of line, each call returning its `Result` through
+//! memory, and a record cost about twice what it does inlined.
 
 use crate::wire::{varint_len, write_str, write_varint, ByteReader};
 use crate::StoreError;
-use qem_core::observation::HostMeasurement;
+use qem_core::observation::{HostMeasurement, HostSummary};
 use qem_netsim::Asn;
 use qem_packet::ecn::{EcnCodepoint, EcnCounts};
 use qem_packet::quic::QuicVersion;
@@ -228,6 +238,7 @@ fn write_opt_str(buf: &mut Vec<u8>, dict: &mut DictBuilder, value: Option<&str>)
     }
 }
 
+#[inline]
 fn read_opt_str(r: &mut ByteReader<'_>, dicts: &Dicts) -> Result<Option<String>, StoreError> {
     let tag = r.varint()?;
     if tag == 0 {
@@ -245,6 +256,7 @@ fn write_opt_asn(buf: &mut Vec<u8>, dict: &mut DictBuilder, value: Option<Asn>) 
     }
 }
 
+#[inline]
 fn read_opt_asn(r: &mut ByteReader<'_>, dicts: &Dicts) -> Result<Option<Asn>, StoreError> {
     let tag = r.varint()?;
     if tag == 0 {
@@ -269,6 +281,7 @@ fn write_opt_ip(buf: &mut Vec<u8>, value: Option<IpAddr>) {
     }
 }
 
+#[inline]
 fn read_opt_ip(r: &mut ByteReader<'_>) -> Result<Option<IpAddr>, StoreError> {
     match r.u8()? {
         0 => Ok(None),
@@ -292,6 +305,7 @@ fn write_counts(buf: &mut Vec<u8>, counts: EcnCounts) {
     write_varint(buf, counts.ce);
 }
 
+#[inline(always)]
 fn read_counts(r: &mut ByteReader<'_>) -> Result<EcnCounts, StoreError> {
     Ok(EcnCounts {
         ect0: r.varint()?,
@@ -304,6 +318,7 @@ fn codepoint_bits(cp: EcnCodepoint) -> u8 {
     cp as u8
 }
 
+#[inline]
 fn codepoint_from_bits(bits: u8) -> Result<EcnCodepoint, StoreError> {
     match bits {
         0b00 => Ok(EcnCodepoint::NotEct),
@@ -334,6 +349,7 @@ fn validation_state_tag(state: EcnValidationState) -> u8 {
     }
 }
 
+#[inline]
 fn validation_state_from_tag(tag: u8) -> Result<EcnValidationState, StoreError> {
     Ok(match tag {
         0 => EcnValidationState::Testing,
@@ -364,6 +380,7 @@ fn verdict_tag(verdict: PathVerdict) -> u8 {
     }
 }
 
+#[inline]
 fn verdict_from_tag(tag: u8) -> Result<PathVerdict, StoreError> {
     Ok(match tag {
         0 => PathVerdict::NoChange,
@@ -392,6 +409,7 @@ fn encode_response(buf: &mut Vec<u8>, dict: &mut DictBuilder, response: &HttpRes
     write_varint(buf, response.body_len as u64);
 }
 
+#[inline]
 fn decode_response(r: &mut ByteReader<'_>, dicts: &Dicts) -> Result<HttpResponse, StoreError> {
     let status = r.varint()?;
     Ok(HttpResponse {
@@ -418,6 +436,7 @@ fn encode_version(buf: &mut Vec<u8>, version: QuicVersion) {
     }
 }
 
+#[inline]
 fn decode_version(r: &mut ByteReader<'_>) -> Result<QuicVersion, StoreError> {
     match r.u8()? {
         0 => Ok(QuicVersion::V1),
@@ -445,6 +464,7 @@ fn encode_transport_params(buf: &mut Vec<u8>, params: &TransportParameters) {
     write_varint(buf, params.active_connection_id_limit);
 }
 
+#[inline]
 fn decode_transport_params(r: &mut ByteReader<'_>) -> Result<TransportParameters, StoreError> {
     Ok(TransportParameters {
         max_idle_timeout_ms: r.varint()?,
@@ -489,6 +509,7 @@ fn encode_quic_report(buf: &mut Vec<u8>, dict: &mut DictBuilder, report: &Client
     }
 }
 
+#[inline]
 fn decode_quic_report(r: &mut ByteReader<'_>, dicts: &Dicts) -> Result<ClientReport, StoreError> {
     let flags = r.u8()?;
     if flags & 0x80 != 0 {
@@ -551,6 +572,7 @@ fn encode_tcp_report(buf: &mut Vec<u8>, report: &TcpReport) {
     write_varint(buf, u64::from(report.forward_losses));
 }
 
+#[inline(always)]
 fn decode_tcp_report(r: &mut ByteReader<'_>) -> Result<TcpReport, StoreError> {
     let flags = r.u8()?;
     if flags & 0xc0 != 0 {
@@ -594,6 +616,7 @@ fn encode_trace(buf: &mut Vec<u8>, dict: &mut DictBuilder, trace: &TraceAnalysis
     buf.push(u8::from(trace.dscp_rewritten_only));
 }
 
+#[inline]
 fn decode_trace(r: &mut ByteReader<'_>, dicts: &Dicts) -> Result<TraceAnalysis, StoreError> {
     let change_count = r.varint()? as usize;
     let mut changes = Vec::with_capacity(change_count.min(256));
@@ -639,10 +662,10 @@ fn decode_trace(r: &mut ByteReader<'_>, dicts: &Dicts) -> Result<TraceAnalysis, 
 pub fn encode_measurement(buf: &mut Vec<u8>, dict: &mut DictBuilder, m: &HostMeasurement) {
     write_varint(buf, m.host_id as u64);
     let mut flags = 0u8;
-    flags |= u8::from(m.quic_reachable);
-    flags |= u8::from(m.quic.is_some()) << 1;
-    flags |= u8::from(m.tcp.is_some()) << 2;
-    flags |= u8::from(m.trace.is_some()) << 3;
+    flags |= if m.quic_reachable { REACHABLE } else { 0 };
+    flags |= if m.quic.is_some() { HAS_QUIC } else { 0 };
+    flags |= if m.tcp.is_some() { HAS_TCP } else { 0 };
+    flags |= if m.trace.is_some() { HAS_TRACE } else { 0 };
     buf.push(flags);
     if let Some(quic) = &m.quic {
         encode_quic_report(buf, dict, quic);
@@ -655,51 +678,174 @@ pub fn encode_measurement(buf: &mut Vec<u8>, dict: &mut DictBuilder, m: &HostMea
     }
 }
 
-/// Decode one measurement record against the segment's dictionaries into
-/// a new slot at the end of `out`: the record's skeleton — host id,
-/// reachability, no sections — is pushed first and each section it holds is
-/// then decoded into that slot, so the 400-byte value is never built
-/// elsewhere and moved.  The host id must lie above `after`.
+/// Flag bits of a record's leading byte: reachability, then which sections
+/// follow.  The four high bits are unassigned.
+const REACHABLE: u8 = 1;
+const HAS_QUIC: u8 = 1 << 1;
+const HAS_TCP: u8 = 1 << 2;
+const HAS_TRACE: u8 = 1 << 3;
+
+/// A record's head — its host id and flag byte — as the record walk read
+/// and checked it: the flags assign no unknown bit and the host id follows
+/// the one before.  Its sections are next in the reader.
+#[derive(Debug, Clone, Copy)]
+pub struct RecordHead {
+    host_id: usize,
+    flags: u8,
+}
+
+impl RecordHead {
+    /// Read a record's head; its host id must lie above `after`.
+    #[inline(always)]
+    fn decode(r: &mut ByteReader<'_>, after: Option<usize>) -> Result<RecordHead, StoreError> {
+        let host_id = r.varint()? as usize;
+        let flags = r.u8()?;
+        if flags & 0xf0 != 0 {
+            return Err(StoreError::Corrupt(format!(
+                "unknown measurement flags {flags:#04x} for host {host_id}"
+            )));
+        }
+        if let Some(last) = after.filter(|&last| host_id <= last) {
+            return Err(StoreError::Corrupt(format!(
+                "host id {host_id} follows host id {last}"
+            )));
+        }
+        Ok(RecordHead { host_id, flags })
+    }
+
+    /// A measurement of this record with no sections yet.
+    fn skeleton(self) -> HostMeasurement {
+        HostMeasurement {
+            host_id: self.host_id,
+            quic_reachable: self.flags & REACHABLE != 0,
+            quic: None,
+            tcp: None,
+            trace: None,
+        }
+    }
+
+    /// Decode the sections the flags announce, in their order on disk, into
+    /// the three slots.  Every [`Element`] reads a record's sections here.
+    #[inline(always)]
+    fn decode_sections(
+        self,
+        r: &mut ByteReader<'_>,
+        dicts: &Dicts,
+        quic: &mut Option<ClientReport>,
+        tcp: &mut Option<TcpReport>,
+        trace: &mut Option<TraceAnalysis>,
+    ) -> Result<(), StoreError> {
+        if self.flags & HAS_QUIC != 0 {
+            *quic = Some(decode_quic_report(r, dicts)?);
+        }
+        if self.flags & HAS_TCP != 0 {
+            *tcp = Some(decode_tcp_report(r)?);
+        }
+        if self.flags & HAS_TRACE != 0 {
+            *trace = Some(decode_trace(r, dicts)?);
+        }
+        Ok(())
+    }
+
+    /// Decode the sections into locals and hand them to `keep`: for the
+    /// element types that keep less than the measurement.
+    #[inline]
+    fn decode_parts<T>(
+        self,
+        r: &mut ByteReader<'_>,
+        dicts: &Dicts,
+        keep: impl FnOnce(Option<&ClientReport>, Option<&TcpReport>, Option<&TraceAnalysis>) -> T,
+    ) -> Result<T, StoreError> {
+        let (mut quic, mut tcp, mut trace) = (None, None, None);
+        self.decode_sections(r, dicts, &mut quic, &mut tcp, &mut trace)?;
+        Ok(keep(quic.as_ref(), tcp.as_ref(), trace.as_ref()))
+    }
+}
+
+/// What the record walk ([`decode_block_into`]) builds from each record.
 ///
-/// On `Err` the slot may hold a partial record; [`decode_block_into`]
-/// truncates it away.
-fn decode_measurement_into(
-    r: &mut ByteReader<'_>,
-    dicts: &Dicts,
-    after: Option<usize>,
-    out: &mut Vec<HostMeasurement>,
-) -> Result<(), StoreError> {
-    let host_id = r.varint()? as usize;
-    let flags = r.u8()?;
-    if flags & 0xf0 != 0 {
-        return Err(StoreError::Corrupt(format!(
-            "unknown measurement flags {flags:#04x} for host {host_id}"
-        )));
+/// The walk reads and checks every record's head and hands the rest of the
+/// record to [`Element::decode`], which reads the sections through
+/// [`RecordHead`]'s one section decode and keeps what its type holds:
+/// everything ([`HostMeasurement`]), the host id (`usize`), or the host id
+/// and the [`HostSummary`] the per-host join keeps.
+pub trait Element: Sized {
+    /// The host id of the record this element was decoded from.
+    fn host_id(&self) -> usize;
+
+    /// Decode the sections of the record `head` begins and push this
+    /// record's element onto `out`.  On `Err`, `out` may end in a partial
+    /// element; the walk truncates it away.
+    fn decode(
+        r: &mut ByteReader<'_>,
+        dicts: &Dicts,
+        head: RecordHead,
+        out: &mut Vec<Self>,
+    ) -> Result<(), StoreError>;
+}
+
+impl Element for HostMeasurement {
+    fn host_id(&self) -> usize {
+        self.host_id
     }
-    if let Some(last) = after.filter(|&last| host_id <= last) {
-        return Err(StoreError::Corrupt(format!(
-            "host id {host_id} follows host id {last}"
-        )));
-    }
-    out.push(HostMeasurement {
-        host_id,
-        quic_reachable: flags & 1 != 0,
-        quic: None,
-        tcp: None,
-        trace: None,
-    });
-    if let Some(m) = out.last_mut() {
-        if flags & (1 << 1) != 0 {
-            m.quic = Some(decode_quic_report(r, dicts)?);
-        }
-        if flags & (1 << 2) != 0 {
-            m.tcp = Some(decode_tcp_report(r)?);
-        }
-        if flags & (1 << 3) != 0 {
-            m.trace = Some(decode_trace(r, dicts)?);
+
+    /// The record's skeleton is built in a new slot at the end of `out` and
+    /// its sections decoded into that slot, so the 400-byte value is never
+    /// built elsewhere and moved.  `resize_with` writes the skeleton's
+    /// fields into the slot; `push` would build it on the stack and copy
+    /// all 400 bytes.
+    #[inline]
+    fn decode(
+        r: &mut ByteReader<'_>,
+        dicts: &Dicts,
+        head: RecordHead,
+        out: &mut Vec<Self>,
+    ) -> Result<(), StoreError> {
+        out.resize_with(out.len() + 1, || head.skeleton());
+        match out.last_mut() {
+            Some(m) => head.decode_sections(r, dicts, &mut m.quic, &mut m.tcp, &mut m.trace),
+            None => Ok(()),
         }
     }
-    Ok(())
+}
+
+impl Element for usize {
+    fn host_id(&self) -> usize {
+        *self
+    }
+
+    #[inline]
+    fn decode(
+        r: &mut ByteReader<'_>,
+        dicts: &Dicts,
+        head: RecordHead,
+        out: &mut Vec<Self>,
+    ) -> Result<(), StoreError> {
+        head.decode_parts(r, dicts, |_, _, _| ())?;
+        out.push(head.host_id);
+        Ok(())
+    }
+}
+
+impl Element for (usize, HostSummary) {
+    fn host_id(&self) -> usize {
+        self.0
+    }
+
+    #[inline]
+    fn decode(
+        r: &mut ByteReader<'_>,
+        dicts: &Dicts,
+        head: RecordHead,
+        out: &mut Vec<Self>,
+    ) -> Result<(), StoreError> {
+        let reachable = head.flags & REACHABLE != 0;
+        let summary = head.decode_parts(r, dicts, |quic, tcp, trace| {
+            HostSummary::from_parts(reachable, quic, tcp, trace)
+        })?;
+        out.push((head.host_id, summary));
+        Ok(())
+    }
 }
 
 /// A batch of measurements encoded as a self-contained block — dictionaries
@@ -783,20 +929,24 @@ pub(crate) fn block_record_count(data: &[u8]) -> Result<u64, StoreError> {
     Ok(record_count(&mut r)? as u64)
 }
 
-/// Decode a block produced by [`encode_block`] onto the end of `out` — the
-/// store's one block decoder.
+/// Decode a block produced by [`encode_block`] onto the end of `out`, each
+/// record as a `T` — the store's one record walk.
 ///
-/// Host ids must rise strictly from record to record, starting above
-/// `after` (the last host id the caller already holds, if the block
-/// continues a sequence): the writer never produces anything else, so a
-/// block that does is corrupt, not something to re-sort.
+/// Every check a block is held to is made here, whatever `T` keeps: the
+/// dictionaries' distinct entries, each used and first used in order; a
+/// record count the bytes can hold; each record's flag bits and section
+/// tags; no trailing bytes.  Host ids must rise strictly from record to
+/// record, starting above `after` (the last host id the caller already
+/// holds, if the block continues a sequence): the writer never produces
+/// anything else, so a block that does is corrupt, not something to
+/// re-sort.
 ///
 /// All or nothing: on `Err`, `out` is truncated back to its length on entry
 /// and keeps its capacity, so a caller may lend one buffer to many blocks.
-pub fn decode_block_into(
+pub fn decode_block_into<T: Element>(
     data: &[u8],
     after: Option<usize>,
-    out: &mut Vec<HostMeasurement>,
+    out: &mut Vec<T>,
 ) -> Result<(), StoreError> {
     let start = out.len();
     let decoded = decode_records(data, after, out);
@@ -806,10 +956,10 @@ pub fn decode_block_into(
     decoded
 }
 
-fn decode_records(
+fn decode_records<T: Element>(
     data: &[u8],
     after: Option<usize>,
-    out: &mut Vec<HostMeasurement>,
+    out: &mut Vec<T>,
 ) -> Result<(), StoreError> {
     let mut r = ByteReader::new(data);
     let dicts = Dicts::decode(&mut r)?;
@@ -817,8 +967,9 @@ fn decode_records(
     out.reserve(count);
     let mut last = after;
     for _ in 0..count {
-        decode_measurement_into(&mut r, &dicts, last, out)?;
-        last = out.last().map(|m| m.host_id);
+        let head = RecordHead::decode(&mut r, last)?;
+        T::decode(&mut r, &dicts, head, out)?;
+        last = Some(head.host_id);
     }
     dicts.expect_all_used()?;
     if !r.is_empty() {

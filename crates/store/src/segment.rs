@@ -18,7 +18,7 @@
 //! reads every segment into the same allocation, cleared first so that a
 //! shorter file never shows the tail of the longer one before it.
 
-use crate::codec::{block_record_count, decode_block_into, EncodedBlock, FORMAT_VERSION};
+use crate::codec::{block_record_count, decode_block_into, Element, EncodedBlock, FORMAT_VERSION};
 use crate::wire::{fnv1a, split_seal, ByteReader};
 use crate::StoreError;
 use qem_core::observation::HostMeasurement;
@@ -78,15 +78,15 @@ pub fn write_atomically(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Read and fully validate one segment file onto the end of `out`, all or
-/// nothing: its host ids rise strictly from above `after`
-/// ([`decode_block_into`]), and any failure is [`StoreError::Corrupt`]
+/// Read and fully validate one segment file onto the end of `out`, each
+/// record as a `T`, all or nothing: its host ids rise strictly from above
+/// `after` ([`decode_block_into`]), and any failure is [`StoreError::Corrupt`]
 /// naming the file, with `out` left as it was.  The file is read into
 /// `bytes`, a buffer lent from file to file ([`read_file_into`]).
-pub(crate) fn read_segment_into(
+pub(crate) fn read_segment_into<T: Element>(
     path: &Path,
     after: Option<usize>,
-    out: &mut Vec<HostMeasurement>,
+    out: &mut Vec<T>,
     bytes: &mut Vec<u8>,
 ) -> Result<(), StoreError> {
     read_file_into(path, bytes)?;
@@ -222,7 +222,7 @@ mod tests {
         let written = write_segment(&dir, 0, &hosts).unwrap();
         let path = dir.join(segment_file_name(0));
         assert_eq!(written, fs::metadata(&path).unwrap().len());
-        let mut read = Vec::new();
+        let mut read: Vec<HostMeasurement> = Vec::new();
         read_segment_into(&path, None, &mut read, &mut Vec::new()).unwrap();
         assert_eq!(read, hosts);
         fs::remove_dir_all(&dir).unwrap();
@@ -237,7 +237,8 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
-        let read = read_segment_into(&path, None, &mut Vec::new(), &mut Vec::new());
+        let read =
+            read_segment_into::<HostMeasurement>(&path, None, &mut Vec::new(), &mut Vec::new());
         assert!(matches!(read, Err(StoreError::Corrupt(_))));
         fs::remove_dir_all(&dir).unwrap();
     }

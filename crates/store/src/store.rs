@@ -18,17 +18,19 @@
 //! marker): [`StoredSnapshot::open`] requires the marker and verifies every
 //! seal and the marker's record count; [`StoredSnapshot::open_quarantining`]
 //! sets corrupt segments aside instead.  Every accessor then reads through
-//! one per-segment loop that decodes into a buffer it is lent and holds
-//! the host ids strictly ascending across segments — strictly
+//! one per-segment loop that decodes into a buffer it is lent, each record
+//! as what the accessor keeps ([`crate::codec::Element`]) — the whole
+//! measurement, its host id, or its host id and summary — and holds the
+//! host ids strictly ascending across segments: strictly
 //! ([`StoredSnapshot::host_ids`], [`StoredSnapshot::to_snapshot`]) or,
 //! behind [`SnapshotSource`], skipping and counting what fails.
 //! `to_snapshot` decodes every segment into one `Vec` sized to the sealed
-//! count; the streaming readers reuse one segment's worth of buffer.  The
-//! openers and the loop each read the files of a pass through one byte
-//! buffer, and the writer reserves its one segment's worth of measurements
-//! at its first append.
+//! count, and `host_ids` into one `Vec` of ids; the streaming readers reuse
+//! one segment's worth of buffer.  The openers and the loop each read the
+//! files of a pass through one byte buffer, and the writer reserves its one
+//! segment's worth of measurements at its first append.
 
-use crate::codec::FORMAT_VERSION;
+use crate::codec::{Element, FORMAT_VERSION};
 use crate::segment::{
     list_segments, read_segment_into, remove_tmp_orphans, verify_segment, write_atomically,
     write_segment,
@@ -37,7 +39,7 @@ use crate::wire::{fnv1a, open_sealed, write_str, write_u64_le, write_varint};
 use crate::StoreError;
 use qem_core::campaign::{CampaignOptions, SnapshotMeasurement};
 use qem_core::host_map::HostMap;
-use qem_core::observation::HostMeasurement;
+use qem_core::observation::{HostMeasurement, HostSummary};
 use qem_core::resilience::RetryPolicy;
 use qem_core::scanner::ProbeMode;
 use qem_core::source::SnapshotSource;
@@ -608,39 +610,64 @@ impl StoredSnapshot {
     }
 
     /// The one read loop: each segment in turn read into one byte buffer
-    /// kept for the pass, decoded onto the end of `buf`, then handed to `f`
-    /// with the outcome — `Ok` once its records are in `buf`, or, with `buf`
-    /// as it was, the [`StoreError::Corrupt`] naming a file that is
-    /// unreadable, damaged, or does not continue the strictly ascending
-    /// host-id order of the segments read before it.
+    /// kept for the pass, decoded — each record as a `T` — onto the end of
+    /// `buf`, then handed to `f` with the outcome: `Ok` once its records are
+    /// in `buf`, or, with `buf` as it was, the [`StoreError::Corrupt`] naming
+    /// a file that is unreadable, damaged, or does not continue the strictly
+    /// ascending host-id order of the segments read before it.
     ///
     /// `f` decides what the records become: left in `buf` to build one
     /// `Vec`, or consumed and cleared so that the next segment decodes into
     /// the same capacity.  Strict readers stop at the first `Err`; the
-    /// [`SnapshotSource`] methods skip and count it.
-    pub(crate) fn read_segments<E>(
+    /// [`SnapshotSource`] methods skip and count it ([`StoredSnapshot::stream`]).
+    pub(crate) fn read_segments<T: Element, E>(
         &self,
-        buf: &mut Vec<HostMeasurement>,
-        mut f: impl FnMut(&mut Vec<HostMeasurement>, Result<(), StoreError>) -> Result<(), E>,
+        buf: &mut Vec<T>,
+        mut f: impl FnMut(&mut Vec<T>, Result<(), StoreError>) -> Result<(), E>,
     ) -> Result<(), E> {
         let mut last = None;
         let mut bytes = Vec::new();
         for path in &self.segments {
             let read = read_segment_into(path, last, buf, &mut bytes);
             if read.is_ok() {
-                last = buf.last().map(|m| m.host_id).or(last);
+                last = buf.last().map(T::host_id).or(last);
             }
             f(buf, read)?;
         }
         Ok(())
     }
 
-    /// The host ids persisted so far, in order.
+    /// The tolerant pass behind [`SnapshotSource`]: every segment decoded,
+    /// each record as a `T`, into one buffer lent from segment to segment
+    /// and handed to `f` record by record, skipping segments that fail
+    /// their checksum or break the host-id order.
+    ///
+    /// A skipped segment bumps [`StoredSnapshot::quarantined_segments`]
+    /// instead of aborting the census; reports degrade to partial results.
+    /// [`StoredSnapshot::open`] verifies eagerly, so skips here mean the
+    /// file rotted (or was tampered with) after open, or was sealed with
+    /// records out of order.
+    fn stream<T: Element>(&self, mut f: impl FnMut(&T)) {
+        let mut skipped = 0u64;
+        let Ok(()) = self.read_segments(&mut Vec::new(), |records, read| {
+            match read {
+                Ok(()) => {
+                    records.iter().for_each(&mut f);
+                    records.clear();
+                }
+                Err(_) => skipped += 1,
+            }
+            Ok::<_, Infallible>(())
+        });
+        self.quarantined.fetch_max(skipped, Ordering::Relaxed);
+    }
+
+    /// The host ids persisted so far, in order, decoded straight into one
+    /// `Vec` sized to the sealed record count: each record's sections are
+    /// read and checked, and only its id is kept.
     pub fn host_ids(&self) -> Result<Vec<usize>, StoreError> {
         let mut ids = Vec::with_capacity(self.sealed_len());
-        self.read_segments(&mut Vec::new(), |records, read| {
-            read.map(|()| ids.extend(records.drain(..).map(|m| m.host_id)))
-        })?;
+        self.read_segments(&mut ids, |_, read| read)?;
         Ok(ids)
     }
 
@@ -688,40 +715,30 @@ impl SnapshotSource for StoredSnapshot {
     fn host_count(&self) -> usize {
         // The COMPLETE marker seals the exact record count — no need to
         // decode the segments just to count them.  Partial (or quarantined)
-        // stores fall back to streaming, skipping unreadable segments the
-        // same way `for_each_host` does.
+        // stores fall back to streaming host ids, skipping unreadable
+        // segments the same way `for_each_host` does.
         match self.recorded_count {
             Some(count) => count as usize,
             None => {
                 let mut count = 0usize;
-                self.for_each_host(&mut |_| count += 1);
+                self.stream(|_: &usize| count += 1);
                 count
             }
         }
     }
 
-    /// Streams from disk through one buffer lent from segment to segment,
-    /// skipping segments that fail their checksum or break the host-id
-    /// order.
-    ///
-    /// A skipped segment bumps [`StoredSnapshot::quarantined_segments`]
-    /// instead of aborting the census; reports degrade to partial results.
-    /// [`StoredSnapshot::open`] verifies eagerly, so skips here mean the
-    /// file rotted (or was tampered with) after open, or was sealed with
-    /// records out of order.
+    /// Streams from disk through one buffer lent from segment to segment:
+    /// a segment that fails is skipped and counted in
+    /// [`StoredSnapshot::quarantined_segments`].
     fn for_each_host(&self, f: &mut dyn FnMut(&HostMeasurement)) {
-        let mut skipped = 0u64;
-        let Ok(()) = self.read_segments(&mut Vec::new(), |records, read| {
-            match read {
-                Ok(()) => {
-                    records.iter().for_each(&mut *f);
-                    records.clear();
-                }
-                Err(_) => skipped += 1,
-            }
-            Ok::<_, Infallible>(())
-        });
-        self.quarantined.fetch_max(skipped, Ordering::Relaxed);
+        self.stream(f);
+    }
+
+    /// Decodes each record straight to its summary, never assembling the
+    /// measurement, and skips and counts what [`SnapshotSource::for_each_host`]
+    /// does: the same walk and the same checks.
+    fn for_each_summary(&self, f: &mut dyn FnMut(usize, HostSummary)) {
+        self.stream(|&(host_id, summary): &(usize, HostSummary)| f(host_id, summary));
     }
 }
 
@@ -842,7 +859,7 @@ mod tests {
             writer.append(measurement(id)).unwrap();
         }
         let stored = writer.finish().unwrap();
-        let mut buf = Vec::new();
+        let mut buf: Vec<HostMeasurement> = Vec::new();
         let mut seen = Vec::new();
         stored
             .read_segments(&mut buf, |records, read| {
@@ -886,7 +903,7 @@ mod tests {
 
         let mut streamed = Vec::new();
         stored
-            .read_segments(&mut Vec::new(), |records, read| {
+            .read_segments(&mut Vec::<HostMeasurement>::new(), |records, read| {
                 streamed.push(read.map(|()| std::mem::take(records)));
                 Ok::<_, Infallible>(())
             })

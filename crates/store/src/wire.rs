@@ -131,18 +131,21 @@ impl<'a> ByteReader<'a> {
         }
     }
 
+    #[cold]
     fn corrupt(&self, what: &str) -> StoreError {
         StoreError::Corrupt(format!("{what} at offset {}", self.pos))
     }
 
     /// Read one byte.
+    #[inline(always)]
     pub fn u8(&mut self) -> Result<u8, StoreError> {
-        let byte = *self
-            .data
-            .get(self.pos)
-            .ok_or_else(|| self.corrupt("unexpected end of data"))?;
-        self.pos += 1;
-        Ok(byte)
+        match self.data.get(self.pos) {
+            Some(&byte) => {
+                self.pos += 1;
+                Ok(byte)
+            }
+            None => Err(self.corrupt("unexpected end of data")),
+        }
     }
 
     /// Read `n` raw bytes.
@@ -158,7 +161,26 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Read a LEB128 varint in its shortest form.
+    ///
+    /// A value below 128 is one byte without the continuation bit, and it is
+    /// most of what a record holds: that byte is read here, and everything
+    /// else — the multi-byte, overlong and overflow rules — in
+    /// `varint_multi_byte`.
+    #[inline(always)]
     pub fn varint(&mut self) -> Result<u64, StoreError> {
+        match self.data.get(self.pos) {
+            Some(&byte) if byte & 0x80 == 0 => {
+                self.pos += 1;
+                Ok(u64::from(byte))
+            }
+            _ => self.varint_multi_byte(),
+        }
+    }
+
+    /// [`ByteReader::varint`] past its one-byte case: a varint that has a
+    /// continuation bit, or no byte at all.
+    #[inline(never)]
+    fn varint_multi_byte(&mut self) -> Result<u64, StoreError> {
         let mut value = 0u64;
         let mut shift = 0u32;
         loop {
@@ -276,6 +298,104 @@ mod tests {
         write_varint(&mut bad, 1_000);
         bad.push(b'x');
         assert!(ByteReader::new(&bad).string().is_err());
+    }
+
+    /// [`ByteReader::u8`] as it read before its fast path: the reference.
+    fn reference_u8(r: &mut ByteReader<'_>) -> Result<u8, StoreError> {
+        let byte = *r
+            .data
+            .get(r.pos)
+            .ok_or_else(|| r.corrupt("unexpected end of data"))?;
+        r.pos += 1;
+        Ok(byte)
+    }
+
+    /// [`ByteReader::varint`] as it read before its one-byte fast path: one
+    /// loop for every length, the reference.
+    fn reference_varint(r: &mut ByteReader<'_>) -> Result<u64, StoreError> {
+        let mut value = 0u64;
+        let mut shift = 0u32;
+        loop {
+            let byte = reference_u8(r)?;
+            if shift == 63 && byte > 1 {
+                return Err(r.corrupt("varint overflows u64"));
+            }
+            value |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    return Err(r.corrupt("overlong varint"));
+                }
+                return Ok(value);
+            }
+            shift += 7;
+            if shift > 63 {
+                return Err(r.corrupt("varint longer than 10 bytes"));
+            }
+        }
+    }
+
+    /// Whether `read` and `reference` agree from every start offset of
+    /// `data`: on the value or the error text, and on where they stop.
+    fn agrees_with_reference<'d, T: PartialEq + std::fmt::Debug>(
+        data: &'d [u8],
+        read: fn(&mut ByteReader<'d>) -> Result<T, StoreError>,
+        reference: fn(&mut ByteReader<'d>) -> Result<T, StoreError>,
+    ) {
+        for start in 0..=data.len() {
+            let (mut fast, mut slow) = (ByteReader::new(data), ByteReader::new(data));
+            fast.pos = start;
+            slow.pos = start;
+            let text = |read: Result<T, StoreError>| read.map_err(|e| e.to_string());
+            assert_eq!(
+                text(read(&mut fast)),
+                text(reference(&mut slow)),
+                "{data:02x?} from {start}"
+            );
+            assert_eq!(fast.position(), slow.position(), "{data:02x?} from {start}");
+        }
+    }
+
+    fn check_readers(data: &[u8]) {
+        agrees_with_reference(data, ByteReader::u8, reference_u8);
+        agrees_with_reference(data, ByteReader::varint, reference_varint);
+    }
+
+    #[test]
+    fn the_fast_paths_read_what_the_reference_loop_reads_at_the_edges() {
+        let mut overflow = vec![0xffu8; 9];
+        overflow.push(0x02);
+        let mut max = vec![0xffu8; 9];
+        max.push(0x01);
+        for data in [
+            &[][..],
+            &[0x00],
+            &[0x7f],
+            &[0x80],
+            &[0x80, 0x00],
+            &[0x80, 0x01],
+            &[0x80, 0x81, 0x00],
+            &overflow,
+            &max,
+            &[0x80; 11],
+        ] {
+            check_readers(data);
+        }
+        assert!(ByteReader::new(&overflow).varint().is_err());
+        assert_eq!(ByteReader::new(&max).varint().unwrap(), u64::MAX);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Over arbitrary bytes, the one-byte fast paths of `u8` and
+        /// `varint` return what the reference loop returns — value or error
+        /// text — and leave the reader where it leaves it.
+        #[test]
+        fn the_fast_paths_read_what_the_reference_loop_reads(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..24),
+        ) {
+            check_readers(&data);
+        }
     }
 
     #[test]

@@ -4,25 +4,34 @@
 //! IPv6-only hosts, ForceCe observations, absent sections and exotic
 //! strings.
 //!
+//! The same blocks, valid and damaged, pin the record walk's three element
+//! types to each other: the id and summary walks accept exactly what the
+//! full decode accepts and return its image, and the store's
+//! `for_each_summary` streams what `for_each_host` then `.summary()` does.
+//!
 //! The vendored proptest stand-in samples primitives; the measurement
 //! itself is grown from a seeded RNG so one failing case prints one
 //! reproducible seed.
 
 use proptest::prelude::*;
-use qem_core::observation::HostMeasurement;
+use qem_core::observation::{HostMeasurement, HostSummary};
+use qem_core::source::SnapshotSource;
+use qem_core::vantage::VantagePoint;
 use qem_netsim::Asn;
 use qem_packet::ecn::{EcnCodepoint, EcnCounts};
 use qem_packet::quic::QuicVersion;
 use qem_quic::http::HttpResponse;
 use qem_quic::{ClientReport, EcnValidationFailure, EcnValidationState, TransportParameters};
-use qem_store::codec::{decode_block, decode_block_into, encode_block, Dicts};
+use qem_store::codec::{decode_block, decode_block_into, encode_block, Dicts, Element};
 use qem_store::segment;
 use qem_store::wire::{write_str, write_varint, ByteReader};
-use qem_store::StoreError;
+use qem_store::{CampaignWriter, SnapshotMeta, StoreError, StoredSnapshot};
 use qem_tcp::TcpReport;
 use qem_tracebox::{EcnChange, PathVerdict, TraceAnalysis};
+use qem_web::SnapshotDate;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fs;
 use std::net::IpAddr;
 
 fn arb_counts(rng: &mut StdRng) -> EcnCounts {
@@ -494,5 +503,323 @@ proptest! {
                 prop_assert_eq!(framed(block), bytes);
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One record walk, three element types
+// ---------------------------------------------------------------------------
+
+/// `block` with its string dictionary — the first thing in a block —
+/// changed by `edit` and written back in front of the rest of the bytes.
+/// `None` if the block does not begin with a readable string dictionary.
+fn with_strings(block: &[u8], edit: impl FnOnce(&mut Vec<String>)) -> Option<Vec<u8>> {
+    let mut r = ByteReader::new(block);
+    let count = r.varint().ok()?;
+    let mut strings = Vec::new();
+    for _ in 0..count {
+        strings.push(r.string().ok()?);
+    }
+    edit(&mut strings);
+    let mut out = Vec::new();
+    write_varint(&mut out, strings.len() as u64);
+    for text in &strings {
+        write_str(&mut out, text);
+    }
+    out.extend_from_slice(&block[r.position()..]);
+    Some(out)
+}
+
+/// The offset of the first record's flag byte in `block`: past the
+/// dictionaries, the record count and the record's host id.
+fn first_flags_offset(block: &[u8]) -> Option<usize> {
+    let mut r = ByteReader::new(block);
+    for _ in 0..r.varint().ok()? {
+        r.string().ok()?;
+    }
+    for _ in 0..r.varint().ok()? {
+        r.varint().ok()?;
+    }
+    (r.varint().ok()? > 0).then_some(())?;
+    r.varint().ok()?;
+    (!r.is_empty()).then_some(r.position())
+}
+
+/// The block of `hosts` with its first record cut out and the dictionary
+/// entries that record introduced left in: the records after it reference
+/// them late, or never.
+fn first_record_cut(hosts: &[HostMeasurement]) -> Option<Vec<u8>> {
+    fn header(block: &[u8]) -> Option<(usize, usize)> {
+        let mut r = ByteReader::new(block);
+        Dicts::decode(&mut r).ok()?;
+        let dicts = r.position();
+        r.varint().ok()?;
+        Some((dicts, r.position()))
+    }
+    let block = encode_block(hosts);
+    let alone = encode_block(hosts.get(..1)?);
+    let (dicts, records) = header(&block)?;
+    let first = alone.len() - header(&alone)?.1;
+    let mut out = block[..dicts].to_vec();
+    write_varint(&mut out, hosts.len() as u64 - 1);
+    out.extend_from_slice(block.get(records + first..)?);
+    Some(out)
+}
+
+/// Blocks grown from `seed` that each break one rule the walk checks — or,
+/// by chance, none: every block here is a case the three element types must
+/// agree on.  Valid blocks, a flipped or cut byte, a trailing byte, an
+/// unknown flag bit, host ids that do not rise, a swapped or an unused
+/// dictionary entry, entries first referenced out of order.
+fn walk_cases(seed: u64, count: usize, damage: (usize, u8, usize)) -> Vec<Vec<u8>> {
+    let (at, flip, cut) = damage;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let hosts: Vec<HostMeasurement> = (0..count.max(2))
+        .map(|i| arb_measurement(&mut rng, i * 7 + 1))
+        .collect();
+    let valid = encode_block(&hosts);
+    let mut cases = vec![
+        valid.clone(),
+        encode_block(&hosts[..count]),
+        damaged(valid.clone(), at, flip, cut),
+        damaged(valid.clone(), at, 0, cut),
+        [valid.clone(), vec![flip]].concat(),
+    ];
+    if let Some(offset) = first_flags_offset(&valid) {
+        let mut unknown = valid.clone();
+        unknown[offset] |= 0x10 << (flip % 4);
+        cases.push(unknown);
+    }
+    let mut reordered = hosts.clone();
+    reordered.swap(0, 1);
+    cases.push(encode_block(&reordered));
+    let mut repeated = hosts.clone();
+    repeated[1].host_id = repeated[0].host_id;
+    cases.push(encode_block(&repeated));
+    cases.extend(with_strings(&valid, |strings| {
+        if let Some(last) = strings.len().checked_sub(1) {
+            strings.swap(0, last);
+        }
+    }));
+    cases.extend(with_strings(&valid, |strings| {
+        strings.push("no record references this".to_string());
+    }));
+    cases.extend(first_record_cut(&hosts));
+    cases
+}
+
+/// Walk `bytes` as `T`s onto a held prefix and hold the walk to the full
+/// decode: accepted exactly when the full decode accepts, then the prefix
+/// followed by `image` of every measurement; refused with the prefix as it
+/// was, its allocation kept.  What the full decode accepts must itself be a block
+/// the writer produces — it encodes back to `bytes`, its host ids rising
+/// from above `after` — so a rule every walk dropped shows too.
+fn check_walk<T: Element + Clone + PartialEq + std::fmt::Debug>(
+    bytes: &[u8],
+    after: Option<usize>,
+    held: &[T],
+    image: impl Fn(&HostMeasurement) -> T,
+) -> Result<(), TestCaseError> {
+    let mut full = Vec::new();
+    let full = decode_block_into(bytes, after, &mut full).map(|()| full);
+    if let Ok(hosts) = &full {
+        prop_assert_eq!(&encode_block(hosts)[..], bytes);
+        let mut last = after;
+        for m in hosts {
+            prop_assert!(last.map_or(true, |last| m.host_id > last));
+            last = Some(m.host_id);
+        }
+    }
+    let mut out = Vec::with_capacity(held.len() + 8);
+    out.extend_from_slice(held);
+    let capacity = out.capacity();
+    let walked = decode_block_into(bytes, after, &mut out);
+    match (walked, full) {
+        (Ok(()), Ok(hosts)) => {
+            prop_assert_eq!(&out[..held.len()], held);
+            let expected: Vec<T> = hosts.iter().map(image).collect();
+            prop_assert_eq!(&out[held.len()..], &expected[..]);
+        }
+        (Err(_), Err(_)) => {
+            prop_assert_eq!(&out[..], held);
+            prop_assert!(out.capacity() >= capacity);
+        }
+        (walked, full) => {
+            return Err(TestCaseError::fail(format!(
+                "the walk gave {walked:?}, the full decode {:?}",
+                full.map(|hosts| hosts.len())
+            )))
+        }
+    }
+    Ok(())
+}
+
+fn summary_of(m: &HostMeasurement) -> (usize, HostSummary) {
+    let summary = HostSummary::from_parts(
+        m.quic_reachable,
+        m.quic.as_ref(),
+        m.tcp.as_ref(),
+        m.trace.as_ref(),
+    );
+    (m.host_id, summary)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The full decode, held to the blocks the writer produces.
+    #[test]
+    fn the_measurement_walk_accepts_only_what_the_writer_writes(
+        seed in 0u64..1_000_000,
+        count in 0usize..6,
+        damage in (any::<usize>(), 1u8..=255, any::<usize>()),
+        after in 0usize..12,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let held = vec![arb_measurement(&mut rng, 0)];
+        for bytes in walk_cases(seed, count, damage) {
+            check_walk(&bytes, after.checked_sub(1), &held, HostMeasurement::clone)?;
+        }
+    }
+
+    /// The id walk is the full decode's host ids.
+    #[test]
+    fn the_id_walk_is_the_full_decode_mapped_to_host_ids(
+        seed in 0u64..1_000_000,
+        count in 0usize..6,
+        damage in (any::<usize>(), 1u8..=255, any::<usize>()),
+        after in 0usize..12,
+    ) {
+        for bytes in walk_cases(seed, count, damage) {
+            check_walk(&bytes, after.checked_sub(1), &[0], |m| m.host_id)?;
+        }
+    }
+
+    /// The summary walk is the full decode's summaries.
+    #[test]
+    fn the_summary_walk_is_the_full_decode_mapped_to_summaries(
+        seed in 0u64..1_000_000,
+        count in 0usize..6,
+        damage in (any::<usize>(), 1u8..=255, any::<usize>()),
+        after in 0usize..12,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let held = vec![summary_of(&arb_measurement(&mut rng, 0))];
+        for bytes in walk_cases(seed, count, damage) {
+            check_walk(&bytes, after.checked_sub(1), &held, summary_of)?;
+        }
+    }
+}
+
+/// A stored snapshot seen through the provided [`SnapshotSource`] bodies
+/// only: its summaries are `for_each_host` then `.summary()`.
+struct HostsOnly<'a>(&'a StoredSnapshot);
+
+impl SnapshotSource for HostsOnly<'_> {
+    fn date(&self) -> SnapshotDate {
+        self.0.date()
+    }
+    fn ipv6(&self) -> bool {
+        self.0.ipv6()
+    }
+    fn vantage(&self) -> &VantagePoint {
+        self.0.vantage()
+    }
+    fn for_each_host(&self, f: &mut dyn FnMut(&HostMeasurement)) {
+        self.0.for_each_host(f);
+    }
+}
+
+fn summaries(source: &dyn SnapshotSource) -> Vec<(usize, HostSummary)> {
+    let mut out = Vec::new();
+    source.for_each_summary(&mut |host_id, summary| out.push((host_id, summary)));
+    out
+}
+
+/// How one segment of a store is damaged after it was opened.
+#[derive(Debug, Clone, Copy)]
+enum Rot {
+    /// One byte flipped: the seal fails.
+    Flip(usize, u8),
+    /// The file cut short: the framing or the seal fails.
+    Cut(usize),
+    /// A byte appended to the block under a valid seal: the walk fails.
+    Trailing(u8),
+}
+
+/// Apply `rot` to the segment file at `path`.
+fn rot_segment(path: &std::path::Path, rot: Rot) {
+    let mut bytes = fs::read(path).unwrap();
+    match rot {
+        Rot::Flip(at, flip) => {
+            let at = at % bytes.len();
+            bytes[at] ^= flip;
+        }
+        Rot::Cut(len) => bytes.truncate(len % bytes.len()),
+        Rot::Trailing(byte) => {
+            bytes.truncate(bytes.len() - 8);
+            bytes.push(byte);
+            let seal = qem_store::wire::fnv1a(&bytes);
+            bytes.extend_from_slice(&seal.to_le_bytes());
+        }
+    }
+    fs::write(path, bytes).unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// On a store with one segment damaged after it was opened, the
+    /// summary stream is `for_each_host` then `.summary()` — the same hosts,
+    /// the same summaries — and both count the same quarantined segments;
+    /// so they do on the store opened again with quarantining.
+    #[test]
+    fn for_each_summary_is_for_each_host_summarised(
+        seed in 0u64..1_000_000,
+        count in 1usize..40,
+        capacity in 1usize..12,
+        victim in any::<usize>(),
+        rot in (0u8..3, any::<usize>(), 1u8..=255),
+    ) {
+        let dir = std::env::temp_dir().join(format!(
+            "qem-codec-walks-{}-{seed}-{count}-{capacity}",
+            std::process::id()
+        ));
+        let meta = SnapshotMeta::for_campaign(
+            &qem_core::campaign::CampaignOptions::paper_default(),
+            &VantagePoint::main(),
+            false,
+        );
+        let mut writer = CampaignWriter::create(&dir, &meta)
+            .unwrap()
+            .with_segment_capacity(capacity);
+        let mut rng = StdRng::seed_from_u64(seed);
+        for id in 0..count {
+            writer.append(arb_measurement(&mut rng, id * 3)).unwrap();
+        }
+        let segments = writer.finish().unwrap().segment_count();
+        let (summarised, streamed) =
+            (StoredSnapshot::open(&dir).unwrap(), StoredSnapshot::open(&dir).unwrap());
+        prop_assert_eq!(summaries(&summarised), summaries(&HostsOnly(&streamed)));
+        let (kind, at, byte) = rot;
+        let rot = match kind {
+            0 => Rot::Flip(at, byte),
+            1 => Rot::Cut(at),
+            _ => Rot::Trailing(byte),
+        };
+        rot_segment(&dir.join(segment::segment_file_name((victim % segments) as u32)), rot);
+        let got = summaries(&summarised);
+        prop_assert_eq!(&got, &summaries(&HostsOnly(&streamed)));
+        prop_assert!(got.len() < count, "{:?} left every record readable", rot);
+        prop_assert_eq!(summarised.quarantined_segments(), 1);
+        prop_assert_eq!(streamed.quarantined_segments(), 1);
+
+        let (reopened, report) = StoredSnapshot::open_quarantining(&dir).unwrap();
+        let again = summaries(&reopened);
+        prop_assert_eq!(&again, &summaries(&HostsOnly(&reopened)));
+        prop_assert!(again.len() <= got.len());
+        prop_assert_eq!(reopened.quarantined_segments(), 1);
+        prop_assert!(report.quarantined_segments() <= 1);
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -10,13 +10,14 @@
 //!
 //! ## The congestion model, honestly
 //!
-//! ROADMAP item 4 (full congestion-controller/loss-recovery state machines on
-//! the endpoints) is still open, so the bulk flow carries a deliberately
-//! small, self-contained AIMD model: slow start, congestion avoidance,
-//! multiplicative decrease once per round trip on a CE-marked ACK or a
-//! retransmission timeout.  It is enough for the property the workload layer
-//! measures — *whether the congestion feedback loop closes* — which is
-//! exactly what the ECN-on / ECN-off / CE-blackholed variants differ in.
+//! Full congestion-controller/loss-recovery state machines on the endpoints
+//! are parked (ROADMAP *Parked*, "Real congestion control"), so the bulk
+//! flow carries a deliberately small, self-contained AIMD model: slow start,
+//! congestion avoidance, multiplicative decrease once per round trip on a
+//! CE-marked ACK or a retransmission timeout.  It is enough for the property
+//! the workload layer measures — *whether the congestion feedback loop
+//! closes* — which is exactly what the ECN-on / ECN-off / CE-blackholed
+//! variants differ in.
 //! When real controllers land, these flows are the call sites to rewire.
 
 use qem_netsim::{DuplexPath, Flow, FlowStatus, SharedQueues, SimDuration, SimInstant};
