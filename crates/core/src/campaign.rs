@@ -154,7 +154,8 @@ impl<'a> Campaign<'a> {
 
     /// Like [`Campaign::run_snapshot`], additionally returning the scan's
     /// deterministic metrics snapshot (probe outcome counters plus the
-    /// aggregated engine/queue metrics of every simulated connection).
+    /// aggregated engine/queue metrics of every simulated QUIC connection;
+    /// a TCP run's engine is not counted).
     pub fn run_snapshot_with_telemetry(
         &self,
         vantage: &VantagePoint,
@@ -496,7 +497,11 @@ mod tests {
         let scan = single.section("scan.v4").expect("v4 section");
         assert!(scan.counter("scan.hosts").unwrap() > 0);
         assert!(scan.counter("engine.events_processed").unwrap() > 0);
-        assert_eq!(single.info("workers"), None, "worker count must not leak");
+        assert_eq!(
+            single.info.get("workers"),
+            None,
+            "worker count must not leak"
+        );
     }
 
     #[test]

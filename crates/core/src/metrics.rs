@@ -2,9 +2,10 @@
 //!
 //! A [`ScanTally`] is plain data — a fixed array of `u64` rows (probe
 //! outcomes, the six ECN validation classes, the four probe-error kinds),
-//! two histograms and the summed engine tallies of every connection the
-//! worker simulated (by name only for the runs whose queue or fault
-//! metrics are named after their router or fault).  Three places, three
+//! two histograms and the summed engine tallies of every QUIC connection
+//! the worker simulated (by name only for the runs whose queue or fault
+//! metrics are named after their router or fault).  A TCP run's engine
+//! tally is not kept: the `engine.*` keys count QUIC connections only.  Three places, three
 //! jobs:
 //!
 //! * **accumulated** in the worker: each executor worker owns one tally and
@@ -146,7 +147,7 @@ impl ScanTally {
     }
 
     /// The tally under its exported names: every `scan.*` row plus the
-    /// engine/queue metrics of every connection.
+    /// engine/queue metrics of every QUIC connection.
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
         // Every run has a flow: a tally that counted none has no names.
@@ -203,10 +204,13 @@ mod tests {
     /// shared queue and no fault plan — what a scan counts by slot: the
     /// engine's tally and its telemetry.
     fn engine_run(flows: u32, seed: u64) -> (EngineTally, MetricsSnapshot) {
-        use qem_netsim::{Asn, Engine, Hop, LoadFlow, Path, Router, SharedQueues, SimDuration};
-        let path = Path::new(vec![
-            Hop::new(Router::transparent(1, Asn(680))).with_loss(0.5)
-        ]);
+        use qem_netsim::{
+            Asn, Engine, Hop, LoadFlow, Path, Probability, Router, SharedQueues, SimDuration,
+        };
+        let path = Path::new(vec![Hop {
+            loss: Probability::new(0.5),
+            ..Hop::new(Router::transparent(1, Asn(680)))
+        }]);
         let ecn = qem_packet::ecn::EcnCodepoint::Ect0;
         let interval = SimDuration::from_millis(u64::from(flows));
         let mut loads = LoadFlow::fleet(&path, flows, 8, interval, ecn, seed);

@@ -142,13 +142,9 @@ impl MirrorUse {
 
 impl HostMeasurement {
     /// Mirroring / use summary for the QUIC measurement.
+    // lint: allow(unused-pub) benchmark: store-read folds it into its digest
     pub fn mirror_use(&self) -> MirrorUse {
         MirrorUse::of(self.quic.as_ref())
-    }
-
-    /// ECN validation class, if the host was reachable via QUIC.
-    pub fn ecn_class(&self) -> Option<EcnClass> {
-        self.quic.as_ref().and_then(EcnClass::classify)
     }
 
     /// Everything the report builders read about this host, decided once

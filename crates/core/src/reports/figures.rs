@@ -531,9 +531,9 @@ pub fn figure7<SM: SnapshotSource, SC: SnapshotSource>(
             return 0.0;
         }
         let mut capable = 0u64;
-        snapshot.for_each_host(&mut |m| {
-            if m.ecn_class() == Some(EcnClass::Capable) {
-                if let Some((weight, main)) = table.host(Scope::Cno, m.host_id) {
+        snapshot.for_each_summary(&mut |host_id, summary| {
+            if summary.class == Some(EcnClass::Capable) {
+                if let Some((weight, main)) = table.host(Scope::Cno, host_id) {
                     if main.quic_reachable {
                         capable += weight;
                     }

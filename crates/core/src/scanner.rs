@@ -122,14 +122,6 @@ impl ScanOptions {
             retry: RetryPolicy::none(),
         }
     }
-
-    /// Same, but probing IPv6.
-    pub fn ipv6(date: SnapshotDate) -> Self {
-        ScanOptions {
-            ipv6: true,
-            ..ScanOptions::paper_default(date)
-        }
-    }
 }
 
 /// What one executor worker owns for the length of a scan.
@@ -246,14 +238,11 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    /// The options in use.
-    pub fn options(&self) -> &ScanOptions {
-        &self.options
-    }
-
     /// The deterministic metrics of everything scanned so far: probe
     /// outcome counters, per-class counts and the aggregated engine/queue
-    /// metrics.  Bit-identical across worker counts.
+    /// metrics of the QUIC connections — a TCP run's engine tally is
+    /// dropped, so the `engine.*` keys count QUIC runs only.  Bit-identical
+    /// across worker counts.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.lock_tally().snapshot()
     }
@@ -1062,7 +1051,7 @@ mod tests {
             .find(|h| h.provider == amazon && h.segment == "cloudfront")
             .unwrap();
         let m = scanner.measure_host(host.id, &mut scanner.worker());
-        assert_eq!(m.ecn_class(), Some(EcnClass::Capable));
+        assert_eq!(m.summary().class, Some(EcnClass::Capable));
         assert!(m.trace.is_none());
     }
 
@@ -1083,7 +1072,7 @@ mod tests {
             .find(|h| matches!(h.transit_v4, TransitProfile::Clearing { .. }) && h.stack.is_some())
             .unwrap();
         let m = scanner.measure_host(host.id, &mut scanner.worker());
-        assert_eq!(m.ecn_class(), Some(EcnClass::NoMirroring));
+        assert_eq!(m.summary().class, Some(EcnClass::NoMirroring));
         let trace = m.trace.expect("abnormal host must be traced");
         assert!(trace.is_impaired());
     }
@@ -1094,7 +1083,10 @@ mod tests {
         let scanner = Scanner::new(
             &universe,
             VantagePoint::main(),
-            ScanOptions::ipv6(SnapshotDate::APR_2023),
+            ScanOptions {
+                ipv6: true,
+                ..ScanOptions::paper_default(SnapshotDate::APR_2023)
+            },
         );
         let results = scanner.scan_all();
         assert!(!results.is_empty());

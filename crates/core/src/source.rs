@@ -55,10 +55,11 @@ pub trait SnapshotSource {
         self.for_each_host(&mut |m| f(m.host_id, m.summary()));
     }
 
-    /// Number of hosts measured.
+    /// Number of hosts measured.  The provided body counts
+    /// [`SnapshotSource::for_each_summary`].
     fn host_count(&self) -> usize {
         let mut n = 0;
-        self.for_each_host(&mut |_| n += 1);
+        self.for_each_summary(&mut |_, _| n += 1);
         n
     }
 
@@ -241,8 +242,8 @@ mod tests {
     use crate::host_map::HostMap;
     use crate::observation::EcnClass;
     use crate::reports::{
-        figure4, figure5, figure6, table1, table2, table3, table4, table5, table6, table7,
-        DomainState, MirrorUseQuadrant,
+        figure3, figure4, figure5, figure6, figure7, table1, table2, table3, table4, table5,
+        table6, table7, DomainState, MirrorUseQuadrant,
     };
     use qem_web::{default_landscape, Domain, DomainLists, UniverseConfig};
     use std::cell::Cell;
@@ -334,6 +335,66 @@ mod tests {
         // The provided `host_count` streams too, and counts what it sees.
         assert_eq!(counted_v4.host_count(), v4.hosts.len());
         assert_eq!(counted_v4.passes.get(), 2);
+    }
+
+    /// A source that streams summaries only: reading a full measurement
+    /// from it is a bug.
+    struct SummariesOnly<'a>(&'a SnapshotMeasurement);
+
+    impl SnapshotSource for SummariesOnly<'_> {
+        fn date(&self) -> SnapshotDate {
+            self.0.date
+        }
+        fn ipv6(&self) -> bool {
+            self.0.ipv6
+        }
+        fn vantage(&self) -> &VantagePoint {
+            &self.0.vantage
+        }
+        fn for_each_host(&self, _: &mut dyn FnMut(&HostMeasurement)) {
+            unreachable!("a report read a full measurement")
+        }
+        fn for_each_summary(&self, f: &mut dyn FnMut(usize, HostSummary)) {
+            self.0.for_each_summary(f);
+        }
+    }
+
+    #[test]
+    fn no_report_reads_a_full_measurement() {
+        let (universe, result) = census();
+        let (v4, v6) = (&result.v4, result.v6.as_ref().unwrap());
+        let (only_v4, only_v6) = (SummariesOnly(v4), SummariesOnly(v6));
+        // Every builder renders from summaries alone, and the same as from
+        // the measurements.
+        let render = |v4: &dyn SnapshotSource, v6: &dyn SnapshotSource| {
+            [
+                table1(&universe, v4).to_string(),
+                table2(&universe, v4).to_string(),
+                table3(&universe, v4).to_string(),
+                table4(&universe, v4).to_string(),
+                table5(&universe, v4, Some(v6)).to_string(),
+                table6(&universe, v4).to_string(),
+                table7(&universe, v4).to_string(),
+                figure5(&universe, v4, v6).to_string(),
+                figure6(&universe, v4).to_string(),
+            ]
+        };
+        assert_eq!(render(&only_v4, &only_v6), render(v4, v6));
+        // The builders over a series and a fleet, fed v4 and v6 by `wrap`.
+        fn series<S: SnapshotSource>(universe: &Universe, wrap: impl Fn(bool) -> S) -> [String; 3] {
+            let snapshots = [wrap(false), wrap(true)];
+            let cloud = [(VantagePoint::main(), wrap(false), Some(wrap(true)))];
+            [
+                figure3(universe, &snapshots).to_string(),
+                figure4(universe, &snapshots).to_string(),
+                figure7(universe, &snapshots[0], &cloud).to_string(),
+            ]
+        }
+        let family = |ipv6: bool| if ipv6 { v6 } else { v4 };
+        assert_eq!(
+            series(&universe, |ipv6| SummariesOnly(family(ipv6))),
+            series(&universe, |ipv6| Counted::new(family(ipv6)))
+        );
     }
 
     #[test]
@@ -431,7 +492,7 @@ mod tests {
                     &domains,
                     snapshot.ipv6,
                     |l| l.cno,
-                    |h| quic(snapshot, h).is_some_and(|m| m.ecn_class() == Some(class)),
+                    |h| quic(snapshot, h).is_some_and(|m| m.summary().class == Some(class)),
                 );
                 let got = counts.get(&class).map_or((0, 0), |c| (c.ips, c.domains));
                 assert_eq!(got, expected, "{class} ipv6={}", snapshot.ipv6);

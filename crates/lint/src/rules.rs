@@ -220,8 +220,9 @@ impl Engine {
     /// (`crates/*/src`, `src/`, `examples/`, every `#[cfg(test)]` item
     /// masked) names as an identifier, apart from the definitions of that
     /// name themselves.  An item declared in an `impl` block can only be
-    /// reached as `.name` or `Path::name`, so only a name after `.` or `::`
-    /// uses it: a local of the same name does not.  Name-based, so a
+    /// reached as `.name(…)` or `Path::name`, so only a call after `.` —
+    /// `name` followed by `(` or `::<` — or a name after `::` uses it: a
+    /// local or a field read of the same name does not.  Name-based, so a
     /// same-named item anywhere counts as a use: the rule can miss a dead
     /// item but never lists a live one.
     ///
@@ -237,8 +238,8 @@ impl Engine {
         let id = rule.config.id.as_str();
         let mut named: BTreeMap<String, usize> = BTreeMap::new();
         let mut defined: BTreeMap<String, usize> = BTreeMap::new();
-        // Names that follow `.` or `::`, the only way to reach an
-        // associated item.
+        // Names called after `.` or named after `::`, the only ways to
+        // reach an associated item.
         let mut qualified: BTreeSet<String> = BTreeSet::new();
         let mut benchmark_names: BTreeSet<String> = BTreeSet::new();
         // Per reported file: its definitions and its `unused-pub` annotations.
@@ -263,7 +264,14 @@ impl Engine {
                     i.checked_sub(back)
                         .is_some_and(|at| lexed.tokens[at].kind == TokenKind::Punct(c))
                 };
-                if punct(1, '.') || punct(1, ':') && punct(2, ':') {
+                let ahead = |on: usize, c: char| {
+                    lexed
+                        .tokens
+                        .get(i + on)
+                        .is_some_and(|t| t.kind == TokenKind::Punct(c))
+                };
+                let called = ahead(1, '(') || ahead(1, ':') && ahead(2, ':') && ahead(3, '<');
+                if punct(1, '.') && called || punct(1, ':') && punct(2, ':') {
                     qualified.insert(name.to_string());
                 }
                 if let Some(item) = pub_item_name(&lexed.tokens, i) {

@@ -523,6 +523,39 @@ fn unused_pub_counts_only_a_dot_or_path_call_as_a_use_of_an_associated_item() {
 }
 
 #[test]
+fn unused_pub_counts_a_name_after_a_dot_only_when_it_is_called() {
+    let scanner = (
+        "crates/demo/src/lib.rs",
+        "pub struct Scanner { options: u8 }\n\nimpl Scanner {\n    \
+         pub fn options(&self) -> u8 { self.options }\n    \
+         pub fn cast<T>(&self) -> u8 { 0 }\n}\n",
+    );
+    // Field reads of the same names hide neither method.
+    let fields = (
+        "crates/other/src/lib.rs",
+        "fn run(s: Settings) -> u8 { s.options + s.cast }",
+    );
+    assert_eq!(
+        unused_pub(&[scanner, fields]),
+        [
+            "crates/demo/src/lib.rs:4 options",
+            "crates/demo/src/lib.rs:5 cast"
+        ]
+    );
+    // A call, a turbofish call and a path are uses.
+    let calls = (
+        "examples/demo.rs",
+        "fn main(s: &Scanner) { s.options(); s.cast::<u8>(); }",
+    );
+    assert!(unused_pub(&[scanner, fields, calls]).is_empty());
+    let paths = (
+        "examples/demo.rs",
+        "fn main(s: &Scanner) { [s].map(Scanner::options); Scanner::cast::<u8>(s); }",
+    );
+    assert!(unused_pub(&[scanner, fields, paths]).is_empty());
+}
+
+#[test]
 fn unused_pub_is_suppressed_by_an_annotation_on_or_above_the_item() {
     for source in [
         "// lint: allow(unused-pub) test fixture: built by tests only\npub fn orphan() {}\n",

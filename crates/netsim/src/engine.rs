@@ -505,6 +505,7 @@ impl<'a, S: Scheduler<usize>, H: BorrowMut<EngineScratch<S>>> EngineCore<'a, S, 
     }
 
     /// Total number of events processed so far (unbounded, unlike the log).
+    // lint: allow(unused-pub) benchmark: its engine probe counts events per pass
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }

@@ -53,12 +53,6 @@ impl Hop {
         self.delay = delay;
         self
     }
-
-    /// Set the hop loss probability (see [`Probability::new`]).
-    pub fn with_loss(mut self, loss: f64) -> Self {
-        self.loss = Probability::new(loss);
-        self
-    }
 }
 
 /// What happened to a datagram sent down a [`Path`].  Every verdict hands
@@ -177,6 +171,7 @@ impl Path {
     /// datagram *as it arrived at that router* (so upstream rewrites are
     /// visible in the quote) or stays silent, according to its
     /// [`IcmpBehavior`](crate::router::IcmpBehavior).
+    // lint: allow(unused-pub) benchmark: netsim.path_transit_ns times it
     pub fn transit<R: Rng + ?Sized>(&self, datagram: &IpDatagram, rng: &mut R) -> TransitOutcome {
         // No router is registered in an empty `SharedQueues`, so no hop
         // queues and nothing is drawn for one.
@@ -445,7 +440,7 @@ mod tests {
         let outcome = path.transit(&dgram(64, EcnCodepoint::Ect0), &mut rng);
         let (delivered, delay) = outcome.delivered().unwrap();
         assert_eq!(delivered.header.ecn(), EcnCodepoint::Ect0);
-        assert_eq!(delivered.header.ttl(), 61);
+        assert!(matches!(delivered.header, IpHeader::V4(h) if h.ttl == 61));
         assert_eq!(delay, SimDuration::from_millis(15));
     }
 
@@ -483,10 +478,10 @@ mod tests {
             } => {
                 assert_eq!(at_hop, 1);
                 assert_eq!(response.header.protocol(), IpProtocol::Icmp);
-                assert_eq!(
-                    response.header.dst(),
-                    "192.0.2.1".parse::<std::net::IpAddr>().unwrap()
-                );
+                assert!(matches!(
+                    response.header,
+                    IpHeader::V4(h) if h.dst == std::net::Ipv4Addr::new(192, 0, 2, 1)
+                ));
                 let icmp = IcmpMessage::decode(&response.payload, false).unwrap();
                 // The quote shows the packet as received by hop 1: the
                 // re-marking happens *at* hop 1, so the quote still says ECT(0).
@@ -525,7 +520,13 @@ mod tests {
         };
         let cases = [
             // Dropped by a hop, and by the fault plan at the path entry.
-            (Path::new(vec![Hop::new(silent.clone()).with_loss(1.0)]), 64),
+            (
+                Path::new(vec![Hop {
+                    loss: Probability::new(1.0),
+                    ..Hop::new(silent.clone())
+                }]),
+                64,
+            ),
             (
                 three_hop_path(EcnPolicy::Pass).with_fault(FaultPlan::new().always(
                     FaultKind::Loss {
@@ -582,9 +583,10 @@ mod tests {
 
     #[test]
     fn lossy_hop_eventually_drops() {
-        let path = Path::new(vec![
-            Hop::new(Router::transparent(1, Asn(680))).with_loss(1.0)
-        ]);
+        let path = Path::new(vec![Hop {
+            loss: Probability::new(1.0),
+            ..Hop::new(Router::transparent(1, Asn(680)))
+        }]);
         let mut rng = StdRng::seed_from_u64(1);
         assert!(matches!(
             path.transit(&dgram(64, EcnCodepoint::NotEct), &mut rng),

@@ -7,7 +7,6 @@
 
 use crate::path::{DuplexPath, Hop, Path};
 use crate::policy::EcnPolicy;
-use crate::probability::Probability;
 use crate::router::Router;
 use crate::time::SimDuration;
 use std::fmt;
@@ -98,14 +97,16 @@ impl TransitProfile {
     }
 }
 
-/// Builder assembling a [`Path`] hop by hop with sensible defaults.
+/// Delay of every hop a [`PathBuilder`] adds.
+const HOP_DELAY: SimDuration = SimDuration::from_millis(3);
+
+/// Builder assembling a [`Path`] hop by hop; every hop is lossless and
+/// adds 3 ms.
 #[derive(Debug, Clone, Default)]
 pub struct PathBuilder {
     hops: Vec<Hop>,
     next_router_id: u32,
     v6: bool,
-    default_delay: SimDuration,
-    default_loss: Probability,
 }
 
 impl PathBuilder {
@@ -115,8 +116,6 @@ impl PathBuilder {
             hops: Vec::new(),
             next_router_id: 1,
             v6: false,
-            default_delay: SimDuration::from_millis(3),
-            default_loss: Probability::new(0.0),
         }
     }
 
@@ -126,19 +125,6 @@ impl PathBuilder {
             v6: true,
             ..PathBuilder::new()
         }
-    }
-
-    /// Set the per-hop delay used for subsequently added hops.
-    pub fn default_delay(mut self, delay: SimDuration) -> Self {
-        self.default_delay = delay;
-        self
-    }
-
-    /// Set the per-hop loss probability used for subsequently added hops
-    /// (see [`Probability::new`]).
-    pub fn default_loss(mut self, loss: f64) -> Self {
-        self.default_loss = Probability::new(loss);
-        self
     }
 
     fn make_router(&mut self, asn: Asn) -> Router {
@@ -155,10 +141,7 @@ impl PathBuilder {
     pub fn transparent_hops(mut self, asn: Asn, count: usize) -> Self {
         for _ in 0..count {
             let router = self.make_router(asn);
-            let hop = Hop::new(router)
-                .with_delay(self.default_delay)
-                .with_loss(self.default_loss.get());
-            self.hops.push(hop);
+            self.hops.push(Hop::new(router).with_delay(HOP_DELAY));
         }
         self
     }
@@ -166,10 +149,7 @@ impl PathBuilder {
     /// Append a router in `asn` applying `policy`.
     pub fn policy_hop(mut self, asn: Asn, policy: EcnPolicy) -> Self {
         let router = self.make_router(asn).with_ecn_policy(policy);
-        let hop = Hop::new(router)
-            .with_delay(self.default_delay)
-            .with_loss(self.default_loss.get());
-        self.hops.push(hop);
+        self.hops.push(Hop::new(router).with_delay(HOP_DELAY));
         self
     }
 

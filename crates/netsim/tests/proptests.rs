@@ -13,7 +13,7 @@ use qem_packet::icmp::write_time_exceeded;
 use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol, Ipv4Header, Ipv6Header};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::net::{Ipv4Addr, Ipv6Addr};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use support::oracle::{expected_arrival_ecn, has_ecn_impairment};
 
 fn arb_policy() -> impl Strategy<Value = EcnPolicy> {
@@ -51,6 +51,22 @@ fn datagram(ttl: u8, ecn: EcnCodepoint) -> IpDatagram {
     )
 }
 
+/// Remaining TTL / hop limit.
+fn ttl(header: &IpHeader) -> u8 {
+    match header {
+        IpHeader::V4(h) => h.ttl,
+        IpHeader::V6(h) => h.hop_limit,
+    }
+}
+
+/// Destination address.
+fn dst(header: &IpHeader) -> IpAddr {
+    match header {
+        IpHeader::V4(h) => h.dst.into(),
+        IpHeader::V6(h) => h.dst.into(),
+    }
+}
+
 fn build_path(policies: &[EcnPolicy], loss: f64, silent: bool) -> Path {
     Path::new(
         policies
@@ -65,9 +81,10 @@ fn build_path(policies: &[EcnPolicy], loss: f64, silent: bool) -> Path {
                         quote_bytes: 0,
                     };
                 }
-                Hop::new(router)
-                    .with_delay(SimDuration::from_millis(1 + i as u64))
-                    .with_loss(loss)
+                Hop {
+                    loss: Probability::new(loss),
+                    ..Hop::new(router).with_delay(SimDuration::from_millis(1 + i as u64))
+                }
             })
             .collect(),
     )
@@ -106,7 +123,7 @@ fn oracle_transit(
                 body: current.payload,
             };
         }
-        let ttl_after = current.header.ttl().saturating_sub(1);
+        let ttl_after = ttl(&current.header).saturating_sub(1);
         if ttl_after == 0 {
             let respond = hop.router.icmp.response_probability.get() > 0.0
                 && rng.gen_bool(hop.router.icmp.response_probability.get());
@@ -236,9 +253,11 @@ fn layout_path(layout: &mut StdRng, hops: usize, loss: f64, faulted: bool) -> Pa
                 ..router.with_ecn_policy(ECN_POLICIES[layout.gen_range(0..ECN_POLICIES.len())])
             };
             let hop_loss = if layout.gen_bool(0.3) { loss } else { 0.0 };
-            Hop::new(router)
-                .with_delay(SimDuration::from_micros(layout.gen_range(0..5_000u64)))
-                .with_loss(hop_loss)
+            Hop {
+                loss: Probability::new(hop_loss),
+                ..Hop::new(router)
+                    .with_delay(SimDuration::from_micros(layout.gen_range(0..5_000u64)))
+            }
         })
         .collect();
     let path = Path::new(hops);
@@ -372,7 +391,7 @@ proptest! {
             TransitOutcome::Delivered { datagram, delay } => {
                 prop_assert_eq!(datagram.header.ecn(), expected);
                 prop_assert_eq!(delay, path.one_way_delay());
-                prop_assert_eq!(datagram.header.ttl(), 64 - path.len() as u8);
+                prop_assert_eq!(ttl(&datagram.header), 64 - path.len() as u8);
             }
             other => prop_assert!(false, "lossless path must deliver, got {other:?}"),
         }
@@ -443,7 +462,7 @@ proptest! {
             match outcome {
                 TransitOutcome::TimeExceeded { at_hop, response, .. } => {
                     prop_assert_eq!(at_hop, ttl as usize - 1);
-                    prop_assert_eq!(response.header.dst(), "192.0.2.1".parse::<std::net::IpAddr>().unwrap());
+                    prop_assert_eq!(dst(&response.header), "192.0.2.1".parse::<IpAddr>().unwrap());
                     prop_assert_eq!(response.header.protocol(), IpProtocol::Icmp);
                 }
                 other => prop_assert!(false, "expected TimeExceeded, got {other:?}"),

@@ -38,11 +38,6 @@ impl RunTelemetry {
         self.sections.insert(name.into(), snapshot);
     }
 
-    /// The info entry `key`, if present.
-    pub fn info(&self, key: &str) -> Option<&str> {
-        self.info.get(key).map(String::as_str)
-    }
-
     /// The section `name`, if present.
     pub fn section(&self, name: &str) -> Option<&MetricsSnapshot> {
         self.sections.get(name)

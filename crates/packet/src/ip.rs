@@ -284,14 +284,6 @@ impl IpHeader {
         }
     }
 
-    /// Destination address.
-    pub fn dst(&self) -> IpAddr {
-        match self {
-            IpHeader::V4(h) => IpAddr::V4(h.dst),
-            IpHeader::V6(h) => IpAddr::V6(h.dst),
-        }
-    }
-
     /// ECN codepoint.
     pub fn ecn(&self) -> EcnCodepoint {
         match self {
@@ -321,14 +313,6 @@ impl IpHeader {
         match self {
             IpHeader::V4(h) => h.dscp = dscp,
             IpHeader::V6(h) => h.dscp = dscp,
-        }
-    }
-
-    /// Remaining TTL / hop limit.
-    pub fn ttl(&self) -> u8 {
-        match self {
-            IpHeader::V4(h) => h.ttl,
-            IpHeader::V6(h) => h.hop_limit,
         }
     }
 
@@ -603,7 +587,6 @@ mod tests {
         assert_eq!(hdr.ecn(), EcnCodepoint::Ect0);
         hdr.set_ecn(EcnCodepoint::Ce);
         assert_eq!(hdr.ecn(), EcnCodepoint::Ce);
-        assert_eq!(hdr.ttl(), 64);
         assert_eq!(hdr.protocol(), IpProtocol::Udp);
         assert!(!hdr.is_v6());
     }

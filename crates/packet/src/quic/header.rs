@@ -164,15 +164,6 @@ const PN_LEN: usize = 4;
 const LENGTH_RESERVED: usize = 2;
 
 impl PacketHeader {
-    /// The packet number, if this header type carries one.
-    pub fn packet_number(&self) -> Option<u64> {
-        match self {
-            PacketHeader::Long { packet_number, .. }
-            | PacketHeader::Short { packet_number, .. } => Some(*packet_number),
-            PacketHeader::VersionNegotiation { .. } => None,
-        }
-    }
-
     /// The version of a long-header packet.
     pub fn version(&self) -> Option<QuicVersion> {
         match self {
@@ -567,7 +558,6 @@ mod tests {
         let (decoded, consumed) = QuicPacket::decode(&bytes, 8).unwrap();
         assert_eq!(consumed, bytes.len());
         assert_eq!(decoded, pkt);
-        assert_eq!(decoded.header.packet_number(), Some(42));
     }
 
     #[test]
@@ -583,7 +573,6 @@ mod tests {
         let bytes = pkt.encode();
         let (decoded, _) = QuicPacket::decode(&bytes, 8).unwrap();
         assert_eq!(decoded, pkt);
-        assert_eq!(decoded.header.packet_number(), None);
     }
 
     #[test]

@@ -109,11 +109,6 @@ impl FrameSource {
         self.frames_emitted += 1;
         chunks
     }
-
-    /// Frames emitted so far.
-    pub fn frames_emitted(&self) -> u64 {
-        self.frames_emitted
-    }
 }
 
 /// Builds (and parses) the 1-RTT short-header packets that carry application
@@ -213,7 +208,7 @@ mod tests {
         assert_eq!(first.len(), 3);
         assert_eq!(first.last().map(|c| c.len), Some(200));
         assert_eq!(second.first().map(|c| c.offset), Some(2_600));
-        assert_eq!(source.frames_emitted(), 2);
+        assert_eq!(source.frames_emitted, 2);
     }
 
     #[test]

@@ -150,11 +150,6 @@ impl ServerBehavior {
     pub fn supports_version(&self, version: QuicVersion) -> bool {
         self.supported_versions.iter().any(|v| v == version)
     }
-
-    /// Whether this behaviour counts as "Use" in the paper's terminology.
-    pub fn uses_ecn(&self) -> bool {
-        self.egress_ecn != EcnCodepoint::NotEct
-    }
 }
 
 impl Default for ServerBehavior {
@@ -226,7 +221,7 @@ mod tests {
             ..ServerBehavior::accurate()
         }
         .with_server_header("LiteSpeed");
-        assert!(b.uses_ecn());
+        assert_ne!(b.egress_ecn, EcnCodepoint::NotEct);
         assert_ne!(b.mirroring, EcnMirroringBehavior::None);
         assert!(b.supports_version(QuicVersion::DRAFT_27));
         assert!(!b.supports_version(QuicVersion::V1));
@@ -245,7 +240,7 @@ mod tests {
     fn no_mirroring_profile() {
         let b = ServerBehavior::no_mirroring();
         assert_eq!(b.mirroring, EcnMirroringBehavior::None);
-        assert!(!b.uses_ecn());
+        assert_eq!(b.egress_ecn, EcnCodepoint::NotEct);
         assert!(b.serves_http);
     }
 }

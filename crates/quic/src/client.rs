@@ -34,43 +34,15 @@ use qem_packet::quic::{
 };
 use std::borrow::Borrow;
 
-/// Whether and how the client uses ECN.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClientEcnMode {
-    /// Never set ECN codepoints (the unmodified quic-go behaviour).
-    Disabled,
-    /// Set codepoints and run ECN validation with the given configuration.
-    Validate(EcnConfig),
-}
-
-impl ClientEcnMode {
-    /// The paper's default: validate with 5 packets / 2 timeouts, ECT(0).
-    pub fn paper_default() -> Self {
-        ClientEcnMode::Validate(EcnConfig::paper_default())
-    }
-}
-
-/// Client configuration.
+/// Client configuration: what a census varies from probe to probe.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientConfig {
     /// The domain name being probed (SNI and HTTP authority).
     pub sni: String,
     /// The QUIC version offered first.
     pub preferred_version: QuicVersion,
-    /// ECN mode.
-    pub ecn: ClientEcnMode,
-    /// Client transport parameters.
-    pub transport_params: TransportParameters,
-    /// Overall connection deadline (the paper uses 10 s per request).
-    pub idle_timeout: SimDuration,
-    /// Probe timeout before retransmitting.
-    pub pto: SimDuration,
-    /// Maximum number of retransmissions per packet (the paper reduces this
-    /// to 1 to limit network stress).
-    pub max_retransmissions: u32,
-    /// Additional PING packets sent after the request so the ECN testing
-    /// budget is fully exercised.
-    pub extra_pings: u64,
+    /// The ECN validation budget and the codepoint it probes with.
+    pub ecn: EcnConfig,
 }
 
 impl ClientConfig {
@@ -79,12 +51,7 @@ impl ClientConfig {
         ClientConfig {
             sni: sni.to_string(),
             preferred_version: QuicVersion::V1,
-            ecn: ClientEcnMode::paper_default(),
-            transport_params: TransportParameters::client_default(),
-            idle_timeout: SimDuration::from_secs(10),
-            pto: SimDuration::from_millis(600),
-            max_retransmissions: 1,
-            extra_pings: 3,
+            ecn: EcnConfig::paper_default(),
         }
     }
 
@@ -92,18 +59,33 @@ impl ClientConfig {
     /// instead of ECT(0) — the §6.3 TCP-comparison experiment.
     pub fn force_ce(sni: &str) -> Self {
         ClientConfig {
-            ecn: ClientEcnMode::Validate(EcnConfig::force_ce()),
+            ecn: EcnConfig::force_ce(),
             ..ClientConfig::paper_default(sni)
         }
     }
 }
+
+/// Overall connection deadline: the paper gives each request 10 s (§4.1).
+const IDLE_TIMEOUT: SimDuration = SimDuration::from_secs(10);
+
+/// Probe timeout before the first retransmission; each further PTO doubles
+/// it.
+const PTO: SimDuration = SimDuration::from_millis(600);
+
+/// Retransmissions per packet: the paper reduces them to one to limit
+/// network stress (§4.1).
+const MAX_RETRANSMISSIONS: u32 = 1;
+
+/// PING packets sent after the request, so that the ECN testing budget is
+/// exercised even for a single small HTTP exchange.
+const EXTRA_PINGS: u64 = 3;
 
 impl Messages for ClientConfig {
     fn hello(&self) -> HandshakeMessage<'_> {
         HandshakeMessage::ClientHello {
             sni: self.sni.as_bytes(),
             alpn: b"h3",
-            transport_params: self.transport_params,
+            transport_params: TransportParameters::client_default(),
         }
     }
 
@@ -204,7 +186,6 @@ pub struct ClientConnection<C = ClientConfig> {
     /// Packet number spaces, outbox and the response stream.
     buffers: Buffers,
     validator: EcnValidator,
-    ecn_enabled: bool,
     /// Last cumulative ECN counters accepted from the peer, per space.
     peer_counts: [EcnCounts; 3],
     /// Aggregate of `peer_counts` fed to the validator.
@@ -237,15 +218,10 @@ impl<C: Borrow<ClientConfig>> ClientConnection<C> {
     /// [`ClientConnection::new`] over `buffers`, reset first.
     pub(crate) fn over(config: C, now: SimInstant, cid_seed: u64, mut buffers: Buffers) -> Self {
         buffers.reset();
-        let (ecn, version) = {
+        let (validator, version) = {
             let config = config.borrow();
-            (config.ecn, config.preferred_version)
+            (EcnValidator::new(config.ecn), config.preferred_version)
         };
-        let validator = match ecn {
-            ClientEcnMode::Disabled => EcnValidator::disabled(),
-            ClientEcnMode::Validate(ecn_config) => EcnValidator::new(ecn_config),
-        };
-        let ecn_enabled = matches!(ecn, ClientEcnMode::Validate(_));
         ClientConnection {
             config,
             version,
@@ -253,7 +229,6 @@ impl<C: Borrow<ClientConfig>> ClientConnection<C> {
             remote_cid: ConnectionId::from_u64(cid_seed.wrapping_add(1)),
             buffers,
             validator,
-            ecn_enabled,
             peer_counts: [EcnCounts::ZERO; 3],
             aggregate_counts: EcnCounts::ZERO,
             received_ecn: EcnCounts::ZERO,
@@ -271,11 +246,6 @@ impl<C: Borrow<ClientConfig>> ClientConnection<C> {
             pto_deadline: None,
             pto_count: 0,
         }
-    }
-
-    /// The connection ID this client expects on incoming short-header packets.
-    pub fn local_cid(&self) -> &ConnectionId {
-        &self.local_cid
     }
 
     /// Whether the handshake has completed.
@@ -351,7 +321,7 @@ impl<C: Borrow<ClientConfig>> ClientConnection<C> {
         if self.closed {
             return None;
         }
-        let idle = self.start_time + self.config.borrow().idle_timeout;
+        let idle = self.start_time + IDLE_TIMEOUT;
         match self.pto_deadline {
             Some(pto) if self.has_unacked() => Some(pto.min(idle)),
             _ => Some(idle),
@@ -367,7 +337,7 @@ impl<C: Borrow<ClientConfig>> ClientConnection<C> {
         if self.closed {
             return;
         }
-        let idle = self.start_time + self.config.borrow().idle_timeout;
+        let idle = self.start_time + IDLE_TIMEOUT;
         if now >= idle {
             if self.response.is_none() {
                 self.error = Some(if self.is_established() {
@@ -393,23 +363,21 @@ impl<C: Borrow<ClientConfig>> ClientConnection<C> {
 
     fn on_pto(&mut self, now: SimInstant) {
         self.pto_count += 1;
-        if self.ecn_enabled {
-            self.validator.on_timeout();
-        }
+        self.validator.on_timeout();
         // Retransmit unacknowledged ack-eliciting data, respecting the
-        // retransmission budget (1 by default, per the paper).  Only the
+        // retransmission budget (one, per the paper).  Only the
         // packets sent before the PTO are visited; repeats queue behind.
-        let max = self.config.borrow().max_retransmissions;
         for space_id in SpaceId::ALL {
             let i = space_id.index();
             for at in 0..self.buffers.spaces[i].sent_len() {
-                if let Some((content, repeat)) = self.buffers.spaces[i].retransmit(at, max) {
+                let retransmit = self.buffers.spaces[i].retransmit(at, MAX_RETRANSMISSIONS);
+                if let Some((content, repeat)) = retransmit {
                     self.send_packet(space_id, content, now, repeat);
                 }
             }
         }
         // Exponential backoff for the next PTO.
-        let backoff = self.config.borrow().pto * (1 << self.pto_count.min(6));
+        let backoff = PTO * (1 << self.pto_count.min(6));
         self.pto_deadline = Some(now + backoff);
     }
 
@@ -462,9 +430,7 @@ impl<C: Borrow<ClientConfig>> ClientConnection<C> {
                     self.pto_count = 0;
                     self.pto_deadline = None;
                 }
-                if self.ecn_enabled {
-                    self.on_ack_ecn(space_id.index(), ack.ecn, result);
-                }
+                self.on_ack_ecn(space_id.index(), ack.ecn, result);
             }
             FrameRef::Crypto { data, .. } => {
                 if let Ok(HandshakeMessage::ServerHello {
@@ -535,10 +501,7 @@ impl<C: Borrow<ClientConfig>> ClientConnection<C> {
                 self.request_sent = false;
                 self.pings_sent = 0;
                 self.server_params = None;
-                self.validator = match self.config.borrow().ecn {
-                    ClientEcnMode::Disabled => EcnValidator::disabled(),
-                    ClientEcnMode::Validate(cfg) => EcnValidator::new(cfg),
-                };
+                self.validator = EcnValidator::new(self.config.borrow().ecn);
                 self.pto_deadline = None;
                 self.pto_count = 0;
                 self.drive(now);
@@ -572,7 +535,7 @@ impl<C: Borrow<ClientConfig>> ClientConnection<C> {
             self.request_sent = true;
         }
         // 4. Top-up PINGs so the ECN testing budget is exercised.
-        while self.request_sent && self.pings_sent < self.config.borrow().extra_pings {
+        while self.request_sent && self.pings_sent < EXTRA_PINGS {
             self.send_packet(SpaceId::Application, Content::Ping, now, 0);
             self.pings_sent += 1;
         }
@@ -602,11 +565,7 @@ impl<C: Borrow<ClientConfig>> ClientConnection<C> {
         now: SimInstant,
         retransmissions: u32,
     ) {
-        let ecn = if self.ecn_enabled {
-            self.validator.codepoint_for_next_packet()
-        } else {
-            EcnCodepoint::NotEct
-        };
+        let ecn = self.validator.codepoint_for_next_packet();
         let space = &mut self.buffers.spaces[space_id.index()];
         let pn = space.next_pn();
         let header = space_id.header(self.version, self.remote_cid, self.local_cid, pn);
@@ -619,9 +578,7 @@ impl<C: Borrow<ClientConfig>> ClientConnection<C> {
                 buf.resize(payload_at + INITIAL_PAYLOAD, 0);
             }
         });
-        if self.ecn_enabled {
-            self.validator.on_packet_sent(ecn);
-        }
+        self.validator.on_packet_sent(ecn);
         space.on_packet_sent(SentPacket {
             packet_number: pn,
             content,
@@ -629,7 +586,7 @@ impl<C: Borrow<ClientConfig>> ClientConnection<C> {
             retransmissions,
         });
         if content.is_ack_eliciting() && self.pto_deadline.is_none() {
-            self.pto_deadline = Some(now + self.config.borrow().pto);
+            self.pto_deadline = Some(now + PTO);
         }
     }
 }
@@ -662,17 +619,6 @@ mod tests {
             }
         ));
         assert_eq!(packet.header.version(), Some(QuicVersion::V1));
-    }
-
-    #[test]
-    fn disabled_ecn_sends_not_ect() {
-        let config = ClientConfig {
-            ecn: ClientEcnMode::Disabled,
-            ..ClientConfig::paper_default("example.com")
-        };
-        let mut client = ClientConnection::new(config, SimInstant::EPOCH, 1);
-        let transmit = client.poll_transmit(SimInstant::EPOCH).unwrap();
-        assert_eq!(transmit.ecn, EcnCodepoint::NotEct);
     }
 
     #[test]
@@ -781,7 +727,7 @@ mod tests {
             let header = PacketHeader::Long {
                 ty: LongPacketType::Initial,
                 version: QuicVersion::V1,
-                dcid: *client.local_cid(),
+                dcid: client.local_cid,
                 scid: ConnectionId::from_u64(7),
                 token: Vec::new(),
                 packet_number: pn as u64,

@@ -51,30 +51,29 @@ use rand::Rng;
 use std::borrow::Cow;
 use std::net::IpAddr;
 
-/// Driver parameters.
+/// Driver parameters: the address pair a connection runs between.
 #[derive(Debug, Clone)]
 pub struct DriverConfig {
     /// Client source address.
     pub client_addr: IpAddr,
     /// Server address.
     pub server_addr: IpAddr,
-    /// Client ephemeral UDP port.
-    pub client_port: u16,
-    /// Hard wall-clock cap on the simulated connection.
-    pub max_duration: SimDuration,
-    /// Safety cap on driver iterations (guards against livelock bugs).
-    pub max_iterations: usize,
 }
 
 impl DriverConfig {
-    /// Defaults for the given address pair.
+    /// Client ephemeral UDP port.
+    pub const CLIENT_PORT: u16 = 48_000;
+    /// Hard cap on the simulated connection, well past the client's own
+    /// 10 s deadline.
+    pub const MAX_DURATION: SimDuration = SimDuration::from_secs(30);
+    /// Safety cap on driver iterations (guards against livelock bugs).
+    pub const MAX_ITERATIONS: usize = 10_000;
+
+    /// The driver for the given address pair.
     pub fn new(client_addr: IpAddr, server_addr: IpAddr) -> Self {
         DriverConfig {
             client_addr,
             server_addr,
-            client_port: 48_000,
-            max_duration: SimDuration::from_secs(30),
-            max_iterations: 10_000,
         }
     }
 }
@@ -162,7 +161,7 @@ impl<'a, R: Rng + ?Sized> QuicFlow<'a, R> {
             config,
             rng,
             now: SimInstant::EPOCH,
-            deadline: SimInstant::EPOCH + config.max_duration,
+            deadline: SimInstant::EPOCH + DriverConfig::MAX_DURATION,
             iterations: 0,
             pending_timer: None,
             forward_arrival_ecn: EcnCounts::ZERO,
@@ -193,7 +192,7 @@ impl<'a, R: Rng + ?Sized> QuicFlow<'a, R> {
     /// sent did not arrive: lost in transit, or never sent because the
     /// address pair cannot be assembled.
     fn send_next(&mut self, forward: bool, net: &mut SharedQueues) -> Option<Option<IpDatagram>> {
-        let client = (self.config.client_addr, self.config.client_port);
+        let client = (self.config.client_addr, DriverConfig::CLIENT_PORT);
         let server = (self.config.server_addr, QUIC_PORT);
         let (path, (src, src_port), (dst, dst_port), transmit) = if forward {
             let transmit = self.client.poll_transmit(self.now)?;
@@ -269,7 +268,7 @@ impl<R: Rng + ?Sized> Flow for QuicFlow<'_, R> {
         }
 
         loop {
-            if self.iterations >= self.config.max_iterations {
+            if self.iterations >= DriverConfig::MAX_ITERATIONS {
                 return FlowStatus::Done;
             }
             self.iterations += 1;
@@ -683,9 +682,10 @@ mod tests {
 
     #[test]
     fn total_forward_loss_times_out() {
-        let lossy = Path::new(vec![
-            Hop::new(Router::transparent(1, Asn::DFN)).with_loss(1.0)
-        ]);
+        let lossy = Path::new(vec![Hop {
+            loss: Probability::new(1.0),
+            ..Hop::new(Router::transparent(1, Asn::DFN))
+        }]);
         let path = DuplexPath::symmetric_clean_reverse(lossy);
         // symmetric_clean_reverse keeps the loss on the reverse too; rebuild
         // the reverse without loss so only the forward direction black-holes.
@@ -705,7 +705,10 @@ mod tests {
         // 40 % loss on one hop: with one allowed retransmission most seeds
         // still complete; pick one that does to exercise the recovery path.
         let lossy = Path::new(vec![
-            Hop::new(Router::transparent(1, Asn::DFN)).with_loss(0.4),
+            Hop {
+                loss: Probability::new(0.4),
+                ..Hop::new(Router::transparent(1, Asn::DFN))
+            },
             Hop::new(Router::transparent(2, Asn(16509))),
         ]);
         let path = DuplexPath::new(lossy, Path::new(Vec::new()));

@@ -52,12 +52,6 @@ impl EcnConfig {
     }
 }
 
-impl Default for EcnConfig {
-    fn default() -> Self {
-        EcnConfig::paper_default()
-    }
-}
-
 /// Why ECN validation failed.
 ///
 /// The variants map one-to-one onto the failure classes of Table 5 / §7.1.
@@ -156,16 +150,6 @@ impl EcnValidator {
         }
     }
 
-    /// Create a validator that never marks packets (ECN disabled by
-    /// configuration, like the unmodified quic-go client the paper started
-    /// from).
-    pub fn disabled() -> Self {
-        let mut v = EcnValidator::new(EcnConfig::paper_default());
-        v.state = EcnValidationState::Failed(EcnValidationFailure::NoMirroring);
-        v.marked_sent_total = 0;
-        v
-    }
-
     /// Current state.
     pub fn state(&self) -> EcnValidationState {
         self.state
@@ -179,11 +163,6 @@ impl EcnValidator {
     /// Cumulative codepoints sent with marking.
     pub fn sent_counts(&self) -> EcnCounts {
         self.sent
-    }
-
-    /// The last cumulative counters mirrored by the peer, if any.
-    pub fn mirrored_counts(&self) -> Option<EcnCounts> {
-        self.last_counts
     }
 
     /// The codepoint to place on the next outgoing packet.
@@ -582,13 +561,6 @@ mod tests {
             }),
         );
         assert_eq!(v.state(), EcnValidationState::Capable);
-    }
-
-    #[test]
-    fn disabled_validator_never_marks() {
-        let v = EcnValidator::disabled();
-        assert_eq!(v.codepoint_for_next_packet(), EcnCodepoint::NotEct);
-        assert!(v.state().is_final());
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod transport_params;
 
 pub use app::{AppChunk, BulkObject, FrameSource, StreamPacketizer};
 pub use behavior::{EcnMirroringBehavior, ServerBehavior, Versions};
-pub use client::{ClientConfig, ClientConnection, ClientEcnMode, ClientReport};
+pub use client::{ClientConfig, ClientConnection, ClientReport};
 pub use driver::{
     ConnectionOutcome, ConnectionRun, DriverConfig, QuicFlow, QuicScratch, RunOutcome,
 };

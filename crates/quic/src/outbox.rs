@@ -184,11 +184,12 @@ mod tests {
         while let Some(transmit) = outbox.pop() {
             let (packet, used) = QuicPacket::decode(transmit.payload, 8).unwrap();
             assert_eq!(used, transmit.payload.len(), "one packet per datagram");
-            out.push((
-                packet.header.packet_number().unwrap(),
-                transmit.ecn,
-                transmit.payload.to_vec(),
-            ));
+            let (PacketHeader::Long { packet_number, .. }
+            | PacketHeader::Short { packet_number, .. }) = packet.header
+            else {
+                panic!("a version negotiation packet has no number");
+            };
+            out.push((packet_number, transmit.ecn, transmit.payload.to_vec()));
         }
         out
     }

@@ -94,12 +94,6 @@ impl ServerConnection {
         self.closed
     }
 
-    /// ECN counters the server actually observed in a given space (ground
-    /// truth, before the behaviour profile distorts the report).
-    pub fn observed_ecn(&self, space: SpaceId) -> qem_packet::ecn::EcnCounts {
-        self.buffers.spaces[space.index()].ecn_received()
-    }
-
     /// Feed an incoming UDP payload.
     pub fn handle_datagram(&mut self, _now: SimInstant, ecn: EcnCodepoint, payload: &[u8]) {
         if self.closed {
@@ -318,7 +312,8 @@ mod tests {
         }
         assert!(kinds.contains(&"Initial".to_string()));
         assert!(kinds.contains(&"Handshake".to_string()));
-        assert_eq!(server.observed_ecn(SpaceId::Initial).ect0, 1);
+        let initial = &server.buffers.spaces[SpaceId::Initial.index()];
+        assert_eq!(initial.ecn_received().ect0, 1);
     }
 
     #[test]

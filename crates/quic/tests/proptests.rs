@@ -775,13 +775,12 @@ proptest! {
                 preferred_version: version,
                 ..ClientConfig::paper_default(&sni)
             };
-            let params = config.transport_params;
             let mut client = ClientConnection::new(config, SimInstant::EPOCH, seed);
             let sent = client.poll_transmit(SimInstant::EPOCH).map(|t| t.payload.to_vec());
             let hello = oracle::HandshakeMessage::ClientHello {
                 sni: sni.clone(),
                 alpn: "h3".to_string(),
-                transport_params: params,
+                transport_params: TransportParameters::client_default(),
             };
             let header = PacketHeader::Long {
                 ty: LongPacketType::Initial,

@@ -11,7 +11,7 @@ use qem_netsim::{
 };
 use qem_packet::ecn::EcnCodepoint;
 use qem_packet::ip::{IpDatagram, IpProtocol};
-use qem_packet::quic::{QuicVersion, QUIC_PORT};
+use qem_packet::quic::{PacketHeader, QuicVersion, QUIC_PORT};
 use qem_packet::udp::UdpHeader;
 use qem_quic::app::{AppChunk, StreamPacketizer};
 use qem_quic::client::{ClientConfig, ClientConnection, ClientReport};
@@ -150,7 +150,7 @@ fn drive(scenario: &Scenario, seed: u64) -> (u64, [u32; 2], ClientReport) {
     let mut digest = FNV_OFFSET;
     let mut emitted = [0u32; 2];
     let mut now = SimInstant::EPOCH;
-    let deadline = now + config.max_duration;
+    let deadline = now + DriverConfig::MAX_DURATION;
     let mut pending_timer: Option<SimInstant> = None;
     let mut iterations = 0;
 
@@ -164,7 +164,7 @@ fn drive(scenario: &Scenario, seed: u64) -> (u64, [u32; 2], ClientReport) {
         fnv(digest, &[u8::from(forward), ecn.bits()]);
         fnv(digest, &(payload.len() as u32).to_le_bytes());
         fnv(digest, payload);
-        let client = (config.client_addr, config.client_port);
+        let client = (config.client_addr, DriverConfig::CLIENT_PORT);
         let server = (config.server_addr, QUIC_PORT);
         let (path, (src, src_port), (dst, dst_port)) = if forward {
             (&scenario.path.forward, client, server)
@@ -192,7 +192,7 @@ fn drive(scenario: &Scenario, seed: u64) -> (u64, [u32; 2], ClientReport) {
             server.handle_timeout(now);
         }
         loop {
-            if iterations >= config.max_iterations {
+            if iterations >= DriverConfig::MAX_ITERATIONS {
                 break 'wakes;
             }
             iterations += 1;
@@ -314,7 +314,6 @@ fn outbox_order_is_fifo_under_a_pto_burst() {
     // PTO queues all five ack-eliciting packets again in one go.
     let at = SimInstant::EPOCH;
     let config = ClientConfig::paper_default("www.example.org");
-    assert_eq!(config.max_retransmissions, 1);
     let mut client = ClientConnection::new(config, at, 0x1000);
     let mut server = ServerConnection::new(ServerBehavior::accurate(), 0x2000);
     let initial = client
@@ -349,10 +348,12 @@ fn outbox_order_is_fifo_under_a_pto_burst() {
         fnv(&mut digest, &(bytes.len() as u32).to_le_bytes());
         fnv(&mut digest, &bytes);
         let (packet, _) = qem_packet::quic::QuicPacket::decode(&bytes, qem_quic::CID_LEN).unwrap();
-        burst.push((
-            packet.header.version().is_some(),
-            packet.header.packet_number().unwrap(),
-        ));
+        let (PacketHeader::Long { packet_number, .. } | PacketHeader::Short { packet_number, .. }) =
+            packet.header
+        else {
+            panic!("a version negotiation packet has no number");
+        };
+        burst.push((packet.header.version().is_some(), packet_number));
     }
     // Oldest first: the Handshake packet, then the 1-RTT ones by number.
     assert_eq!(burst.len(), 5, "{burst:?}");

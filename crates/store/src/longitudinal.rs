@@ -301,6 +301,7 @@ impl LongitudinalWriter {
     }
 
     /// Records persisted per finished date — the measured delta sizes.
+    // lint: allow(unused-pub) benchmark: store.delta_stored_share reads it
     pub fn stored_per_date(&self) -> &[u64] {
         &self.stored_per_date
     }
@@ -375,17 +376,13 @@ impl LongitudinalStore {
         })
     }
 
-    /// The date sequence.
-    pub fn dates(&self) -> &[SnapshotDate] {
-        &self.dates
-    }
-
     /// Replay the series once, handing each date's **full** reconstructed
     /// snapshot to `f` in order.  Memory stays at O(hosts) — the single
     /// running state *is* the snapshot handed out (moved in and taken back,
     /// never cloned) — independent of the number of dates.  Every segment of
     /// every date decodes into one lent buffer, drained into the state: the
     /// first date appends in host-id order, a delta replaces in place.
+    // lint: allow(unused-pub) tested feature: the series' read path; tests/scan_determinism.rs replays it
     pub fn for_each_snapshot(
         &self,
         f: &mut dyn FnMut(&SnapshotMeasurement),
@@ -411,14 +408,13 @@ impl LongitudinalStore {
         }
         Ok(())
     }
+}
 
-    /// Reconstruct every date.
-    ///
-    /// Convenience for report generation over small universes and for tests;
-    /// this is the O(dates × hosts) materialisation the store otherwise
-    /// avoids — prefer [`LongitudinalStore::for_each_snapshot`] when a
-    /// single pass suffices.
-    pub fn snapshots(&self) -> Result<Vec<SnapshotMeasurement>, StoreError> {
+#[cfg(test)]
+impl LongitudinalStore {
+    /// Every date reconstructed: the O(dates × hosts) materialisation
+    /// [`LongitudinalStore::for_each_snapshot`] avoids.
+    pub(crate) fn snapshots(&self) -> Result<Vec<SnapshotMeasurement>, StoreError> {
         let mut out = Vec::with_capacity(self.dates.len());
         self.for_each_snapshot(&mut |snapshot| out.push(snapshot.clone()))?;
         Ok(out)
@@ -472,7 +468,7 @@ mod tests {
         }
         assert_eq!(writer.stored_per_date(), &[50, 1, 2]);
         let store = writer.finish().unwrap();
-        assert_eq!(store.dates(), &dates);
+        assert_eq!(store.dates, dates);
         let stored: Vec<_> = store
             .snapshots
             .iter()

@@ -46,11 +46,6 @@ impl SegmentPacketizer {
         self.next_seq = self.next_seq.wrapping_add(len as u32);
     }
 
-    /// The sequence number the next segment will carry.
-    pub fn next_seq(&self) -> u32 {
-        self.next_seq
-    }
-
     /// Parse a data segment back into `(seq, payload_len)`, for the
     /// receiving side of a workload flow.  Returns `None` for anything that
     /// does not decode as a TCP segment.
@@ -79,7 +74,7 @@ mod tests {
         let (mut first, mut second) = (Vec::new(), Vec::new());
         packetizer.packetize(src, dst, 1_200, &mut first);
         packetizer.packetize(src, dst, 600, &mut second);
-        assert_eq!(packetizer.next_seq(), 1_000 + 1_200 + 600);
+        assert_eq!(packetizer.next_seq, 1_000 + 1_200 + 600);
         assert_eq!(SegmentPacketizer::parse(&first), Some((1_000, 1_200)));
         assert_eq!(SegmentPacketizer::parse(&second), Some((2_200, 600)));
     }

@@ -35,25 +35,20 @@ use qem_packet::tcp::{TcpFlags, TcpHeader, TCP_HEADER_LEN};
 use rand::Rng;
 use std::net::IpAddr;
 
-/// Client-side configuration.
+/// Client-side configuration.  The client always requests ECN with an
+/// ECN-setup SYN.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpClientConfig {
-    /// Whether the client requests ECN (sends an ECN-setup SYN).
-    pub ecn_enabled: bool,
     /// The codepoint set on data segments once ECN is negotiated.  The
     /// paper's §6.3 run replaces `ECT(0)` with `CE` to force the ECE echo.
     pub probe_codepoint: EcnCodepoint,
-    /// Number of probe data segments sent after the request.
-    pub probe_segments: u32,
 }
 
 impl TcpClientConfig {
     /// Standard ECN probing with ECT(0).
     pub fn ect0() -> Self {
         TcpClientConfig {
-            ecn_enabled: true,
             probe_codepoint: EcnCodepoint::Ect0,
-            probe_segments: 5,
         }
     }
 
@@ -61,23 +56,7 @@ impl TcpClientConfig {
     pub fn force_ce() -> Self {
         TcpClientConfig {
             probe_codepoint: EcnCodepoint::Ce,
-            ..TcpClientConfig::ect0()
         }
-    }
-
-    /// ECN disabled entirely.
-    pub fn disabled() -> Self {
-        TcpClientConfig {
-            ecn_enabled: false,
-            probe_codepoint: EcnCodepoint::NotEct,
-            probe_segments: 5,
-        }
-    }
-}
-
-impl Default for TcpClientConfig {
-    fn default() -> Self {
-        TcpClientConfig::ect0()
     }
 }
 
@@ -143,6 +122,10 @@ fn probe_payload(i: usize, buf: &mut [u8; PROBE_PAYLOAD_MAX]) -> &[u8] {
     buf[start..start + PROBE_PREFIX.len()].copy_from_slice(PROBE_PREFIX);
     &buf[start..]
 }
+
+/// Probe data segments sent after the request, each carrying the probe
+/// codepoint once ECN is negotiated.
+const PROBE_SEGMENTS: usize = 5;
 
 const CLIENT_PORT: u16 = 52_000;
 const SERVER_PORT: u16 = 443;
@@ -270,16 +253,8 @@ impl<'a, R: Rng + ?Sized> TcpFlow<'a, R> {
 
     /// SYN / SYN-ACK exchange; returns whether the data phase should run.
     fn handshake(&mut self, now: SimInstant, net: &mut SharedQueues) -> bool {
-        let syn_flags = if self.config.ecn_enabled {
-            TcpFlags::ECN_SETUP_SYN
-        } else {
-            TcpFlags {
-                syn: true,
-                ..TcpFlags::default()
-            }
-        };
         // The SYN itself is never ECT-marked (RFC 3168 §6.1.1).
-        let syn = TcpHeader::new(CLIENT_PORT, SERVER_PORT, 1_000, 0, syn_flags);
+        let syn = TcpHeader::new(CLIENT_PORT, SERVER_PORT, 1_000, 0, TcpFlags::ECN_SETUP_SYN);
         let Some((arrived_ecn, syn_seen)) =
             self.send(true, now, net, EcnCodepoint::NotEct, syn, &[])
         else {
@@ -309,8 +284,7 @@ impl<'a, R: Rng + ?Sized> TcpFlow<'a, R> {
         };
         self.report.received_ecn.record(arrived_ecn);
         self.report.connected = true;
-        self.report.negotiated =
-            self.config.ecn_enabled && syn_ack_seen.flags.is_ecn_setup_syn_ack();
+        self.report.negotiated = syn_ack_seen.flags.is_ecn_setup_syn_ack();
 
         // Client data codepoint: only marked if ECN was negotiated.
         self.client_data_ecn = if self.report.negotiated {
@@ -328,7 +302,7 @@ impl<'a, R: Rng + ?Sized> TcpFlow<'a, R> {
 
     /// Data segments of the exchange: the request, then the probes.
     fn data_segments(&self) -> usize {
-        1 + self.config.probe_segments as usize
+        1 + PROBE_SEGMENTS
     }
 
     /// One data segment plus the server's ACK (and, for the request, the
@@ -671,18 +645,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_client_never_negotiates() {
-        let report = run(
-            TcpClientConfig::disabled(),
-            TcpServerBehavior::full_ecn(),
-            &clean(),
-        );
-        assert!(report.connected);
-        assert!(!report.negotiated);
-        assert_eq!(report.server_observed_ecn.total(), 0);
-    }
-
-    #[test]
     fn negotiating_server_without_mirroring_shows_no_echo() {
         let report = run(
             TcpClientConfig::force_ce(),
@@ -745,10 +707,11 @@ mod tests {
 
     #[test]
     fn total_loss_reports_unconnected() {
-        use qem_netsim::{Hop, Path, Router};
-        let lossy = Path::new(vec![
-            Hop::new(Router::transparent(1, Asn::DFN)).with_loss(1.0)
-        ]);
+        use qem_netsim::{Hop, Path, Probability, Router};
+        let lossy = Path::new(vec![Hop {
+            loss: Probability::new(1.0),
+            ..Hop::new(Router::transparent(1, Asn::DFN))
+        }]);
         let path = DuplexPath::new(lossy, Path::new(Vec::new()));
         let report = run(
             TcpClientConfig::ect0(),
@@ -943,10 +906,11 @@ mod tests {
             }
         }
         // Controls: a lossy hop and a loaded bottleneck each draw.
-        use qem_netsim::{Hop, Path, Router};
-        let lossy = Path::new(vec![
-            Hop::new(Router::transparent(1, Asn::DFN)).with_loss(0.5)
-        ]);
+        use qem_netsim::{Hop, Path, Probability, Router};
+        let lossy = Path::new(vec![Hop {
+            loss: Probability::new(0.5),
+            ..Hop::new(Router::transparent(1, Asn::DFN))
+        }]);
         let lossy = DuplexPath::new(lossy, Path::new(Vec::new()));
         assert_ne!(
             run_under(&lossy, CrossTraffic::none(), false, 42).1,

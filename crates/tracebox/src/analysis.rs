@@ -268,7 +268,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let config = TraceConfig {
             probe_dscp: qem_packet::ecn::Dscp::new(12),
-            ..TraceConfig::default()
         };
         let trace = trace_path(&path, src, dst, &config, &mut rng);
         let analysis = analyze_trace(&trace, &resolver(ASNS));

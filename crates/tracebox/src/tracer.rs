@@ -26,33 +26,34 @@ use qem_packet::PacketError;
 use rand::Rng;
 use std::net::IpAddr;
 
+/// Largest TTL probed.
+const MAX_TTL: u8 = 32;
+
+/// How long a hop is waited for: the paper's tracebox waits 3 s (§4.2).
+const PER_HOP_TIMEOUT: SimDuration = SimDuration::from_secs(3);
+
+/// Consecutive silent hops after which a trace stops: the paper's tracebox
+/// gives up after 5 (§4.2).
+const MAX_CONSECUTIVE_TIMEOUTS: u32 = 5;
+
+/// ECN codepoint the probes carry: the codepoint whose fate along the path
+/// is being traced.
+const PROBE_CODEPOINT: EcnCodepoint = EcnCodepoint::Ect0;
+
+/// QUIC version advertised by the probe Initials.
+const PROBE_VERSION: QuicVersion = QuicVersion::V1;
+
 /// Configuration of a path trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceConfig {
-    /// Largest TTL probed.
-    pub max_ttl: u8,
-    /// Per-hop timeout (the paper uses 3 s).
-    pub per_hop_timeout: SimDuration,
-    /// Number of consecutive unanswered hops tolerated before the trace stops
-    /// (the paper uses 5).
-    pub max_consecutive_timeouts: u32,
-    /// ECN codepoint carried by the probes.
-    pub probe_codepoint: EcnCodepoint,
     /// DSCP carried by the probes.
     pub probe_dscp: Dscp,
-    /// QUIC version advertised by the probe Initials.
-    pub probe_version: QuicVersion,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
-            max_ttl: 32,
-            per_hop_timeout: SimDuration::from_secs(3),
-            max_consecutive_timeouts: 5,
-            probe_codepoint: EcnCodepoint::Ect0,
             probe_dscp: Dscp::BEST_EFFORT,
-            probe_version: QuicVersion::V1,
         }
     }
 }
@@ -106,7 +107,7 @@ fn probe_in(
     UdpHeader::begin(&mut udp, MIN_INITIAL_SIZE);
     let initial = PacketHeader::Long {
         ty: LongPacketType::Initial,
-        version: config.probe_version,
+        version: PROBE_VERSION,
         dcid: ConnectionId::from_u64(0x7261_6365_0000_0000 | u64::from(seq)),
         scid: ConnectionId::from_u64(0x7372_6300_0000_0000 | u64::from(seq)),
         token: Vec::new(),
@@ -127,7 +128,7 @@ fn probe_in(
         destination,
         IpProtocol::Udp,
         ttl,
-        config.probe_codepoint,
+        PROBE_CODEPOINT,
         udp,
     )?;
     probe.header.set_dscp(config.probe_dscp);
@@ -156,12 +157,12 @@ pub fn trace_path<R: Rng + ?Sized>(
     config: &TraceConfig,
     rng: &mut R,
 ) -> PathTrace {
-    // A probe per hop and one for the destination, unless `max_ttl` stops
+    // A probe per hop and one for the destination, unless `MAX_TTL` stops
     // the trace first; only losing that last probe lets the trace go on.
-    let hops = (path.len() + 1).min(usize::from(config.max_ttl));
+    let hops = (path.len() + 1).min(usize::from(MAX_TTL));
     let mut trace = PathTrace {
         destination,
-        sent_codepoint: config.probe_codepoint,
+        sent_codepoint: PROBE_CODEPOINT,
         sent_dscp: config.probe_dscp,
         hops: Vec::with_capacity(hops),
         destination_reached: false,
@@ -175,7 +176,7 @@ pub fn trace_path<R: Rng + ?Sized>(
     // which each response hands back.
     let mut no_queues = SharedQueues::new();
     let (mut body, mut answer) = (Vec::new(), Vec::new());
-    for ttl in 1..=config.max_ttl {
+    for ttl in 1..=MAX_TTL {
         // A probe that cannot be assembled is never answered: a timeout.
         let outcome =
             probe_in(body, source, destination, ttl, config, u32::from(ttl)).map(|probe| {
@@ -208,7 +209,7 @@ pub fn trace_path<R: Rng + ?Sized>(
             outcome @ (Ok(TransitOutcome::Expired { .. } | TransitOutcome::Dropped { .. })
             | Err(_)) => {
                 consecutive_timeouts += 1;
-                trace.time_spent += config.per_hop_timeout;
+                trace.time_spent += PER_HOP_TIMEOUT;
                 trace.hops.push(HopObservation {
                     ttl,
                     router: None,
@@ -216,7 +217,7 @@ pub fn trace_path<R: Rng + ?Sized>(
                     observed_dscp: None,
                     timed_out: true,
                 });
-                if consecutive_timeouts >= config.max_consecutive_timeouts {
+                if consecutive_timeouts >= MAX_CONSECUTIVE_TIMEOUTS {
                     break;
                 }
                 body = outcome.map(TransitOutcome::into_body).unwrap_or_default();
@@ -333,8 +334,8 @@ mod tests {
         let trace = trace_path(&path, src, dst, &config, &mut rng);
         assert!(!trace.destination_reached);
         let trailing_timeouts = trace.hops.iter().rev().take_while(|h| h.timed_out).count() as u32;
-        assert_eq!(trailing_timeouts, config.max_consecutive_timeouts);
-        assert!(trace.time_spent >= config.per_hop_timeout * 5);
+        assert_eq!(trailing_timeouts, MAX_CONSECUTIVE_TIMEOUTS);
+        assert!(trace.time_spent >= PER_HOP_TIMEOUT * 5);
     }
 
     #[test]
@@ -360,7 +361,7 @@ mod tests {
         let (src, dst) = endpoints();
         let probe = build_probe(src, dst, 3, &TraceConfig::default(), 3).unwrap();
         assert!(probe.wire_len() >= MIN_INITIAL_SIZE);
-        assert_eq!(probe.header.ttl(), 3);
+        assert!(matches!(probe.header, IpHeader::V4(h) if h.ttl == 3));
         assert_eq!(probe.header.ecn(), EcnCodepoint::Ect0);
         let (_, udp_payload) = UdpHeader::decode(&probe.payload).unwrap();
         let (packet, _) = QuicPacket::decode(udp_payload, 8).unwrap();
@@ -406,9 +407,10 @@ mod tests {
 
     #[test]
     fn lossy_first_hop_counts_as_timeout() {
-        let path = qem_netsim::Path::new(vec![
-            Hop::new(Router::transparent(1, Asn::DFN)).with_loss(1.0)
-        ]);
+        let path = qem_netsim::Path::new(vec![Hop {
+            loss: Probability::new(1.0),
+            ..Hop::new(Router::transparent(1, Asn::DFN))
+        }]);
         let (src, dst) = endpoints();
         let mut rng = StdRng::seed_from_u64(6);
         let trace = trace_path(&path, src, dst, &TraceConfig::default(), &mut rng);

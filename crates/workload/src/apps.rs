@@ -166,11 +166,6 @@ impl BulkAppFlow {
             .map(|at| at.duration_since(SimInstant::EPOCH))
     }
 
-    /// Packets sent, including retransmissions.
-    pub fn packets_sent(&self) -> u64 {
-        self.packets_sent
-    }
-
     /// Packets retransmitted after a timeout.
     pub fn retransmits(&self) -> u64 {
         self.retransmits
@@ -591,7 +586,7 @@ mod tests {
         assert!(fct > SimDuration::ZERO);
         assert_eq!(flow.retransmits(), 0);
         assert_eq!(flow.ce_acks(), 0);
-        assert_eq!(flow.packets_sent(), 50); // 60_000 / 1_200
+        assert_eq!(flow.packets_sent, 50); // 60_000 / 1_200
     }
 
     #[test]

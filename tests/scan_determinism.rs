@@ -208,7 +208,10 @@ fn store_backed_longitudinal_reports_are_byte_identical() {
     let store = campaign
         .run_longitudinal_to_store(&dates, &options, &dir)
         .expect("store longitudinal series");
-    let replayed = store.snapshots().expect("replay series");
+    let mut replayed = Vec::new();
+    store
+        .for_each_snapshot(&mut |snapshot| replayed.push(snapshot.clone()))
+        .expect("replay series");
 
     assert_eq!(
         figure3(&universe, &replayed).to_string(),
