@@ -4,9 +4,9 @@
 //! outcomes, the six ECN validation classes, the four probe-error kinds),
 //! two histograms and the summed engine tallies of every QUIC connection
 //! the worker simulated (by name only for the runs whose queue or fault
-//! metrics are named after their router or fault).  A TCP run's engine
-//! tally is not kept: the `engine.*` keys count QUIC connections only.  Three places, three
-//! jobs:
+//! metrics are named after their router or fault).  A TCP run returns only
+//! its report: the `engine.*` keys count QUIC connections only.  Three
+//! places, three jobs:
 //!
 //! * **accumulated** in the worker: each executor worker owns one tally and
 //!   `Scanner::measure_host` bumps it through `&mut`, so counting takes no
@@ -200,17 +200,13 @@ mod tests {
         assert_eq!(name, "scan.class.remark_ect1");
     }
 
-    /// A fleet of `flows` load flows over a lossy one-hop path with no
-    /// shared queue and no fault plan — what a scan counts by slot: the
-    /// engine's tally and its telemetry.
+    /// A fleet of `flows` load flows over a one-hop path with no shared
+    /// queue and no fault plan, so that its telemetry holds nothing but
+    /// `engine.*` keys — what a scan counts by slot: the engine's tally and
+    /// its telemetry.
     fn engine_run(flows: u32, seed: u64) -> (EngineTally, MetricsSnapshot) {
-        use qem_netsim::{
-            Asn, Engine, Hop, LoadFlow, Path, Probability, Router, SharedQueues, SimDuration,
-        };
-        let path = Path::new(vec![Hop {
-            loss: Probability::new(0.5),
-            ..Hop::new(Router::transparent(1, Asn(680)))
-        }]);
+        use qem_netsim::{Asn, Engine, Hop, LoadFlow, Path, Router, SharedQueues, SimDuration};
+        let path = Path::new(vec![Hop::new(Router::transparent(1, Asn(680)))]);
         let ecn = qem_packet::ecn::EcnCodepoint::Ect0;
         let interval = SimDuration::from_millis(u64::from(flows));
         let mut loads = LoadFlow::fleet(&path, flows, 8, interval, ecn, seed);

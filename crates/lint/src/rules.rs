@@ -224,7 +224,11 @@ impl Engine {
     /// `name` followed by `(` or `::<` — or a name after `::` uses it: a
     /// local or a field read of the same name does not.  Name-based, so a
     /// same-named item anywhere counts as a use: the rule can miss a dead
-    /// item but never lists a live one.
+    /// item but never lists a live one.  Its blind spot is a method that
+    /// production calls by its name only on another type (`to_owned`,
+    /// `len`, `report`); renaming one definition at a time in a throwaway
+    /// copy of the tree and building the libraries, examples and
+    /// `benchmark/` without their tests finds those.
     ///
     /// An `allow(unused-pub)` annotation that suppresses nothing is a
     /// finding too: one whose lines define no `pub` item, one whose item

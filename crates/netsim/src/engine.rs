@@ -272,12 +272,8 @@ impl SharedQueues {
         // every golden-pinned scenario — keep byte-identical telemetry.
         for (key, value) in [
             ("fault.drops.loss", self.faults.loss_drops),
-            ("fault.drops.burst", self.faults.burst_drops),
-            ("fault.drops.blackhole", self.faults.blackhole_drops),
             ("fault.drops.flap", self.faults.flap_drops),
             ("fault.corrupted", self.faults.corrupted),
-            ("fault.duplicates", self.faults.duplicates),
-            ("fault.dup_salvaged", self.faults.salvaged),
             ("fault.reordered", self.faults.reordered),
             ("fault.jittered", self.faults.jittered),
         ] {
@@ -492,11 +488,6 @@ impl<'a, S: Scheduler<usize>, H: BorrowMut<EngineScratch<S>>> EngineCore<'a, S, 
         self.flows.push(flow);
         self.scratch.borrow_mut().queue.schedule_at(start, index);
         index
-    }
-
-    /// The current virtual time.
-    pub fn now(&self) -> SimInstant {
-        self.scratch.borrow().queue.now()
     }
 
     /// The shared queues (e.g. to read [`QueueStats`] after a run).

@@ -1,14 +1,14 @@
 //! Deterministic fault injection: virtual-time impairment windows on paths.
 //!
 //! A [`FaultPlan`] attaches to a [`Path`](crate::path::Path) and schedules
-//! impairments — loss (steady or bursty), blackholes, link flaps, payload
-//! corruption, jitter, reordering and duplication — inside explicit
-//! virtual-time windows.  Every probabilistic decision draws from the
-//! per-flow seeded RNG that drives the transit itself, and square-wave
-//! faults (blackhole, flap, burst loss) are pure functions of the virtual
-//! clock, so a faulted run is exactly as reproducible as a clean one:
-//! bit-identical across worker counts, and between the timer wheel and the
-//! oracle scheduler of the differential tests.
+//! impairments — loss, link flaps, payload corruption, jitter and
+//! reordering — inside explicit virtual-time windows.  It is the one place
+//! a path loses packets other than to a full queue: hops themselves are
+//! lossless.  Every probabilistic decision draws from the per-flow seeded
+//! RNG that drives the transit itself, and a flap is a pure function of the
+//! virtual clock, so a faulted run is exactly as reproducible as a clean
+//! one: bit-identical across worker counts, and between the timer wheel and
+//! the oracle scheduler of the differential tests.
 //!
 //! Paths without a plan take a zero-cost early exit that consumes **no**
 //! RNG draws, which is what keeps every committed golden report
@@ -21,10 +21,10 @@ use rand::Rng;
 /// One impairment mechanism, active while its [`FaultWindow`] covers the
 /// current virtual time.
 ///
-/// Probabilistic kinds (`Loss`, `Corrupt`, `Jitter`, `Reorder`,
-/// `Duplicate`) draw from the flow RNG in window order; time-driven kinds
-/// (`Blackhole`, `Flap`, `BurstLoss`) draw nothing — they are square waves
-/// over the virtual clock, phase-locked to the window start.  A rate is a
+/// Probabilistic kinds (`Loss`, `Corrupt`, `Jitter`, `Reorder`) draw from
+/// the flow RNG in window order; `Flap` draws nothing — it is a square wave
+/// over the virtual clock, phase-locked to the window start, and a blackhole
+/// is a flap whose `down` is its whole `period`.  A rate is a
 /// [`Probability`], drawn only when nonzero: a zero-rate window takes
 /// nothing from the RNG.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,16 +34,6 @@ pub enum FaultKind {
         /// Drop probability.
         rate: Probability,
     },
-    /// Periodic loss bursts: within every `period` after the window opens,
-    /// packets in the first `burst` are dropped.  Deterministic — no RNG.
-    BurstLoss {
-        /// Length of one on/off cycle.
-        period: SimDuration,
-        /// Leading slice of each cycle during which every packet is lost.
-        burst: SimDuration,
-    },
-    /// Drop every packet for the whole window.
-    Blackhole,
     /// Link flapping: within every `period` after the window opens, the
     /// link is down for the first `down`.  Deterministic — no RNG.
     Flap {
@@ -72,15 +62,6 @@ pub enum FaultKind {
         rate: Probability,
         /// Extra delay applied to reordered packets.
         extra: SimDuration,
-    },
-    /// With probability `rate`, emit a duplicate copy.  The copy gives the
-    /// packet a second independent survival chance against *later*
-    /// probabilistic `Loss` windows in the same plan; a copy that survives
-    /// alongside the original is absorbed at the receiver (exactly-once
-    /// delivery) and only counted.
-    Duplicate {
-        /// Duplication probability.
-        rate: Probability,
     },
 }
 
@@ -114,12 +95,8 @@ impl FaultWindow {
 /// telemetry can show *which* impairment cost the packets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultDrop {
-    /// Probabilistic loss (all copies of the packet died).
+    /// Probabilistic loss.
     Loss,
-    /// Burst-loss cycle was in its loss slice.
-    Burst,
-    /// Blackhole window.
-    Blackhole,
     /// Flap cycle was in its down slice.
     Flap,
 }
@@ -135,11 +112,6 @@ pub struct FaultVerdict {
     pub extra_delay: SimDuration,
     /// Payload byte index to bit-flip, when corruption fired.
     pub corrupt_byte: Option<usize>,
-    /// A duplicate copy was emitted for this packet.
-    pub duplicated: bool,
-    /// The original died to probabilistic loss but a duplicate survived —
-    /// duplication salvaged the delivery.
-    pub salvaged: bool,
     /// The packet was held back past later traffic (reordering).
     pub reordered: bool,
     /// Jitter added delay to the packet.
@@ -152,8 +124,6 @@ impl FaultVerdict {
         drop: None,
         extra_delay: SimDuration::ZERO,
         corrupt_byte: None,
-        duplicated: false,
-        salvaged: false,
         reordered: false,
         jittered: false,
     };
@@ -163,8 +133,6 @@ impl FaultVerdict {
 ///
 /// Windows are evaluated **in plan order** for every packet, which fixes
 /// the RNG draw sequence and therefore the byte-identical replay property.
-/// Order is also semantic: a `Duplicate` window only protects against
-/// `Loss` windows that come after it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// The impairment windows, evaluated in order.
@@ -197,11 +165,11 @@ impl FaultPlan {
     /// Decide the fate of one packet of `payload_len` bytes at virtual time
     /// `now`.
     ///
-    /// Deterministic drops (blackhole, flap-down, burst slice) return
-    /// immediately without touching the RNG; probabilistic windows draw in
-    /// plan order.  [`Path::transit`](crate::path::Path::transit) — the
-    /// un-timed entry point — evaluates plans at [`SimInstant::EPOCH`], so
-    /// time-windowed faults need the engine's `transit_shared`.
+    /// A flap's down slice drops at once without touching the RNG;
+    /// probabilistic windows draw in plan order.
+    /// [`Path::transit`](crate::path::Path::transit) — the un-timed entry
+    /// point — evaluates plans at [`SimInstant::EPOCH`], so time-windowed
+    /// faults need the engine's `transit_shared`.
     pub fn apply<R: Rng + ?Sized>(
         &self,
         now: SimInstant,
@@ -209,47 +177,22 @@ impl FaultPlan {
         rng: &mut R,
     ) -> FaultVerdict {
         let mut verdict = FaultVerdict::CLEAN;
-        // Copies of the packet still alive: the original plus any duplicates.
-        let mut copies: u32 = 1;
         for window in &self.windows {
             if !window.active(now) {
                 continue;
             }
             match &window.fault {
-                FaultKind::Blackhole => {
-                    verdict.drop = Some(FaultDrop::Blackhole);
-                    return verdict;
-                }
                 FaultKind::Flap { period, down } => {
                     if window.phase(now, *period) < *down {
                         verdict.drop = Some(FaultDrop::Flap);
                         return verdict;
                     }
                 }
-                FaultKind::BurstLoss { period, burst } => {
-                    if window.phase(now, *period) < *burst {
-                        verdict.drop = Some(FaultDrop::Burst);
-                        return verdict;
-                    }
-                }
-                FaultKind::Duplicate { rate } => {
-                    if rate.draw_unless_zero(rng) {
-                        copies += 1;
-                        verdict.duplicated = true;
-                    }
-                }
                 FaultKind::Loss { rate } => {
-                    let survivors: u32 = (0..copies)
-                        .map(|_| u32::from(!rate.draw_unless_zero(rng)))
-                        .sum();
-                    if survivors == 0 {
+                    if rate.draw_unless_zero(rng) {
                         verdict.drop = Some(FaultDrop::Loss);
                         return verdict;
                     }
-                    if survivors < copies && verdict.duplicated {
-                        verdict.salvaged = true;
-                    }
-                    copies = survivors;
                 }
                 FaultKind::Corrupt { rate } => {
                     if payload_len > 0
@@ -285,18 +228,10 @@ impl FaultPlan {
 pub struct FaultStats {
     /// Packets dropped by probabilistic loss windows.
     pub loss_drops: u64,
-    /// Packets dropped inside burst-loss slices.
-    pub burst_drops: u64,
-    /// Packets dropped by blackhole windows.
-    pub blackhole_drops: u64,
     /// Packets dropped while a flapping link was down.
     pub flap_drops: u64,
     /// Packets delivered with a corrupted payload byte.
     pub corrupted: u64,
-    /// Duplicate copies emitted.
-    pub duplicates: u64,
-    /// Deliveries that only survived because of a duplicate copy.
-    pub salvaged: u64,
     /// Packets held back past later traffic (reordered).
     pub reordered: u64,
     /// Packets that picked up jitter delay.
@@ -308,19 +243,11 @@ impl FaultStats {
     pub fn record(&mut self, verdict: &FaultVerdict) {
         match verdict.drop {
             Some(FaultDrop::Loss) => self.loss_drops += 1,
-            Some(FaultDrop::Burst) => self.burst_drops += 1,
-            Some(FaultDrop::Blackhole) => self.blackhole_drops += 1,
             Some(FaultDrop::Flap) => self.flap_drops += 1,
             None => {}
         }
         if verdict.corrupt_byte.is_some() {
             self.corrupted += 1;
-        }
-        if verdict.duplicated {
-            self.duplicates += 1;
-        }
-        if verdict.salvaged {
-            self.salvaged += 1;
         }
         if verdict.reordered {
             self.reordered += 1;
@@ -358,17 +285,20 @@ mod tests {
 
     #[test]
     fn blackhole_window_drops_inside_and_only_inside() {
-        let plan = FaultPlan::new().window(at_ms(10), at_ms(20), FaultKind::Blackhole);
+        // A blackhole is a flap that is down for its whole period.
+        let blackhole = FaultKind::Flap {
+            period: ms(10),
+            down: ms(10),
+        };
+        let plan = FaultPlan::new().window(at_ms(10), at_ms(20), blackhole);
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(plan.apply(at_ms(9), 10, &mut rng).drop, None);
-        assert_eq!(
-            plan.apply(at_ms(10), 10, &mut rng).drop,
-            Some(FaultDrop::Blackhole)
-        );
-        assert_eq!(
-            plan.apply(at_ms(19), 10, &mut rng).drop,
-            Some(FaultDrop::Blackhole)
-        );
+        for t in 10..20 {
+            assert_eq!(
+                plan.apply(at_ms(t), 10, &mut rng).drop,
+                Some(FaultDrop::Flap)
+            );
+        }
         // Half-open: the `until` instant is back up.
         assert_eq!(plan.apply(at_ms(20), 10, &mut rng).drop, None);
     }
@@ -380,10 +310,14 @@ mod tests {
                 period: ms(10),
                 down: ms(4),
             })
-            .always(FaultKind::BurstLoss {
-                period: ms(7),
-                burst: ms(2),
-            });
+            .window(
+                at_ms(20),
+                at_ms(30),
+                FaultKind::Flap {
+                    period: ms(7),
+                    down: ms(7),
+                },
+            );
         let mut a = StdRng::seed_from_u64(3);
         let mut b = StdRng::seed_from_u64(3);
         for t in 0..40 {
@@ -421,7 +355,7 @@ mod tests {
     }
 
     #[test]
-    fn certain_loss_always_drops_and_duplicate_can_salvage() {
+    fn certain_loss_always_drops() {
         let lossy = FaultPlan::new().always(FaultKind::Loss {
             rate: Probability::new(1.0),
         });
@@ -430,27 +364,6 @@ mod tests {
             lossy.apply(at_ms(0), 16, &mut rng).drop,
             Some(FaultDrop::Loss)
         );
-
-        // A certain duplicate before a coin-flip loss salvages roughly the
-        // runs where exactly one copy dies; over many packets all of
-        // dropped / clean / salvaged outcomes must appear.
-        let protected = FaultPlan::new()
-            .always(FaultKind::Duplicate {
-                rate: Probability::new(1.0),
-            })
-            .always(FaultKind::Loss {
-                rate: Probability::new(0.5),
-            });
-        let (mut drops, mut salvages, mut clean) = (0u32, 0u32, 0u32);
-        for _ in 0..200 {
-            let v = protected.apply(at_ms(0), 16, &mut rng);
-            match (v.drop, v.salvaged) {
-                (Some(_), _) => drops += 1,
-                (None, true) => salvages += 1,
-                (None, false) => clean += 1,
-            }
-        }
-        assert!(drops > 0 && salvages > 0 && clean > 0);
     }
 
     #[test]
@@ -481,16 +394,17 @@ mod tests {
     #[test]
     fn same_seed_same_verdict_sequence() {
         let plan = FaultPlan::new()
-            .always(FaultKind::Duplicate {
-                rate: Probability::new(0.3),
-            })
             .always(FaultKind::Loss {
                 rate: Probability::new(0.2),
             })
             .always(FaultKind::Corrupt {
                 rate: Probability::new(0.1),
             })
-            .always(FaultKind::Jitter { max: ms(2) });
+            .always(FaultKind::Jitter { max: ms(2) })
+            .always(FaultKind::Reorder {
+                rate: Probability::new(0.3),
+                extra: ms(10),
+            });
         let run = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
             (0..100)
@@ -510,15 +424,13 @@ mod tests {
         });
         stats.record(&FaultVerdict {
             corrupt_byte: Some(3),
-            duplicated: true,
-            salvaged: true,
             reordered: true,
             jittered: true,
             ..FaultVerdict::CLEAN
         });
         assert_eq!(stats.flap_drops, 1);
         assert_eq!(
-            (stats.corrupted, stats.duplicates, stats.salvaged),
+            (stats.corrupted, stats.reordered, stats.jittered),
             (1, 1, 1)
         );
         assert_ne!(stats, FaultStats::default());

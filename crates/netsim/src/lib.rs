@@ -6,11 +6,11 @@
 //! single transit provider, AS 1299), some re-mark `ECT(0)` to `ECT(1)`, and
 //! a few mark every packet `CE`.  This crate models exactly that: a
 //! [`Path`] is an ordered list of [`Hop`]s, each owned by a [`Router`] with an
-//! [`EcnPolicy`] and a DSCP policy, a propagation delay, and a loss
-//! probability.  Routers
-//! decrement the TTL and answer with ICMP *time exceeded* quotations, which is
-//! what makes the tracebox methodology (paper §4.2) work against the
-//! simulator.
+//! [`EcnPolicy`] and a DSCP policy, and a propagation delay; random loss and
+//! the other scheduled impairments are a [`FaultPlan`] at the path entry.
+//! Routers decrement the TTL and answer with ICMP *time exceeded*
+//! quotations, which is what makes the tracebox methodology (paper §4.2)
+//! work against the simulator.
 //!
 //! Design notes:
 //!

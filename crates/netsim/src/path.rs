@@ -1,6 +1,10 @@
 //! Forwarding paths: ordered router hops that forward, rewrite, drop or
 //! answer packets with ICMP.
 //!
+//! Hops are lossless: a hop drops a packet only when its router's shared
+//! egress queue does.  Random loss, like every other scheduled impairment,
+//! is a [`FaultPlan`] window applied once, at path entry.
+//!
 //! A packet is moved down a path, not copied: [`Path::transit_shared`] takes
 //! the [`IpDatagram`] by value, carries its TTL, ECN and DSCP down the hops
 //! as three scalars, writes them into the header once — when it arrives, or
@@ -16,7 +20,6 @@
 use crate::engine::SharedQueues;
 use crate::fault::FaultPlan;
 use crate::policy::EcnPolicy;
-use crate::probability::Probability;
 use crate::router::Router;
 use crate::time::{SimDuration, SimInstant};
 use qem_packet::ecn::{Dscp, EcnCodepoint};
@@ -33,18 +36,14 @@ pub struct Hop {
     pub router: Router,
     /// One-way propagation + processing delay contributed by this hop.
     pub delay: SimDuration,
-    /// Probability that a packet is lost at this hop; drawn only when
-    /// nonzero, so a lossless hop takes nothing from the RNG.
-    pub loss: Probability,
 }
 
 impl Hop {
-    /// A hop with the default 5 ms delay and no loss.
+    /// A hop with the default 5 ms delay.
     pub fn new(router: Router) -> Self {
         Hop {
             router,
             delay: SimDuration::from_millis(5),
-            loss: Probability::new(0.0),
         }
     }
 
@@ -67,7 +66,8 @@ pub enum TransitOutcome {
         /// Total one-way delay accumulated on the path.
         delay: SimDuration,
     },
-    /// The datagram was dropped (queue loss or AQM drop).
+    /// The datagram was dropped: by the path's fault plan, at its entry
+    /// (reported as hop 0), or by a shared queue's tail or AQM drop.
     Dropped {
         /// Index of the hop at which the packet was lost.
         at_hop: usize,
@@ -187,11 +187,12 @@ impl Path {
     /// router has no registered queue forwards at once and draws nothing.
     ///
     /// The datagram is consumed and its body comes back in the outcome,
-    /// whatever the verdict (same allocation).  The hops rewrite TTL, ECN and DSCP as three locals read out of the
-    /// header once; the header is written once, on delivery or just before
-    /// a router quotes it, so the quote shows the packet as it reached that
-    /// hop.  A hop's loss and ICMP response probabilities, like a
-    /// [`FaultPlan`]'s rates, are [`Probability`]s drawn only when nonzero.
+    /// whatever the verdict (same allocation).  The hops rewrite TTL, ECN
+    /// and DSCP as three locals read out of the header once; the header is
+    /// written once, on delivery or just before a router quotes it, so the
+    /// quote shows the packet as it reached that hop.  A router's ICMP
+    /// response probability, like a [`FaultPlan`]'s rates, is a
+    /// [`Probability`](crate::Probability) drawn only when nonzero.
     pub fn transit_shared<R: Rng + ?Sized>(
         &self,
         datagram: IpDatagram,
@@ -242,11 +243,6 @@ impl Path {
         };
         for (index, hop) in self.hops.iter().enumerate() {
             elapsed += hop.delay;
-
-            // Queue loss happens before the router looks at the packet.
-            if hop.loss.draw_unless_zero(rng) {
-                return dropped(index, current.payload);
-            }
 
             // TTL handling: the quote shows the packet as received.
             let ttl_after = ttl.saturating_sub(1);
@@ -378,7 +374,6 @@ impl DuplexPath {
                     Hop {
                         router,
                         delay: hop.delay,
-                        loss: hop.loss,
                     }
                 })
                 .collect(),
@@ -395,8 +390,10 @@ impl DuplexPath {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::QueueConfig;
     use crate::fault::{FaultKind, FaultPlan};
     use crate::policy::EcnPolicy;
+    use crate::probability::Probability;
     use crate::router::{IcmpBehavior, Router};
     use crate::topology::Asn;
     use qem_packet::ecn::EcnCodepoint;
@@ -518,15 +515,12 @@ mod tests {
             icmp: silent(),
             ..Router::transparent(1, Asn(680))
         };
+        // A hop whose egress queue holds nothing drops every arrival.
+        let mut full = SharedQueues::new();
+        full.register(silent.id, QueueConfig::bottleneck(0, 0, 0));
         let cases = [
             // Dropped by a hop, and by the fault plan at the path entry.
-            (
-                Path::new(vec![Hop {
-                    loss: Probability::new(1.0),
-                    ..Hop::new(silent.clone())
-                }]),
-                64,
-            ),
+            (Path::new(vec![Hop::new(silent.clone())]), 64, full),
             (
                 three_hop_path(EcnPolicy::Pass).with_fault(FaultPlan::new().always(
                     FaultKind::Loss {
@@ -534,18 +528,18 @@ mod tests {
                     },
                 )),
                 64,
+                SharedQueues::new(),
             ),
-            (Path::new(vec![Hop::new(silent)]), 1),
-            (three_hop_path(EcnPolicy::ClearEcn), 2),
-            (three_hop_path(EcnPolicy::Pass), 64),
+            (Path::new(vec![Hop::new(silent)]), 1, SharedQueues::new()),
+            (three_hop_path(EcnPolicy::ClearEcn), 2, SharedQueues::new()),
+            (three_hop_path(EcnPolicy::Pass), 64, SharedQueues::new()),
         ];
         let mut rng = StdRng::seed_from_u64(5);
         let mut verdicts = Vec::new();
-        for (path, ttl) in cases {
+        for (path, ttl, mut queues) in cases {
             let sent = dgram(ttl, EcnCodepoint::Ect0);
             let (at, bytes) = (sent.payload.as_ptr(), sent.payload.clone());
-            let outcome =
-                path.transit_shared(sent, SimInstant::EPOCH, &mut rng, &mut SharedQueues::new());
+            let outcome = path.transit_shared(sent, SimInstant::EPOCH, &mut rng, &mut queues);
             verdicts.push(match &outcome {
                 TransitOutcome::Delivered { .. } => "delivered",
                 TransitOutcome::Dropped { .. } => "dropped",
@@ -582,26 +576,15 @@ mod tests {
     }
 
     #[test]
-    fn lossy_hop_eventually_drops() {
-        let path = Path::new(vec![Hop {
-            loss: Probability::new(1.0),
-            ..Hop::new(Router::transparent(1, Asn(680)))
-        }]);
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(matches!(
-            path.transit(&dgram(64, EcnCodepoint::NotEct), &mut rng),
-            TransitOutcome::Dropped { at_hop: 0, .. }
-        ));
-    }
-
-    #[test]
     fn out_of_range_hop_probabilities_are_clamped() {
-        // A hop's probabilities can be made from any `f64`.
+        // A path's probabilities — its plan's loss rate, its router's
+        // ICMP answer — can be made from any `f64`.
         let path = |loss: f64, respond: f64| {
             let mut hop = Hop::new(Router::transparent(1, Asn(680)));
-            hop.loss = Probability::new(loss);
             hop.router.icmp.response_probability = Probability::new(respond);
-            Path::new(vec![hop])
+            Path::new(vec![hop]).with_fault(FaultPlan::new().always(FaultKind::Loss {
+                rate: Probability::new(loss),
+            }))
         };
         let run = |path: Path, ttl: u8| {
             let mut rng = StdRng::seed_from_u64(9);

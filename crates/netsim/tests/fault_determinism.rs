@@ -1,6 +1,6 @@
 //! Fault plans must not cost determinism: a faulted engine run — loss,
-//! burst loss, blackholes, flaps, corruption, jitter, reordering,
-//! duplication, in any window layout — produces a byte-identical event log
+//! flaps (blackholes among them), corruption, jitter, reordering, in any
+//! window layout — produces a byte-identical event log
 //! and telemetry document on the sorted-`Vec` oracle
 //! (`tests/support/oracle.rs`) and the production timer wheel, run after
 //! run.
@@ -22,37 +22,27 @@ use rand::{Rng, SeedableRng};
 use support::oracle::Oracle;
 
 fn arb_kind(rng: &mut StdRng) -> FaultKind {
-    match rng.gen_range(0u32..8) {
+    match rng.gen_range(0u32..5) {
         0 => FaultKind::Loss {
             rate: Probability::new(rng.gen_range(0.0..0.4)),
         },
         1 => {
-            let period = rng.gen_range(5_000u64..60_000);
-            FaultKind::BurstLoss {
-                period: SimDuration::from_micros(period),
-                burst: SimDuration::from_micros(rng.gen_range(1..period)),
-            }
-        }
-        2 => FaultKind::Blackhole,
-        3 => {
+            // `down == period` is a blackhole.
             let period = rng.gen_range(5_000u64..60_000);
             FaultKind::Flap {
                 period: SimDuration::from_micros(period),
-                down: SimDuration::from_micros(rng.gen_range(1..period)),
+                down: SimDuration::from_micros(rng.gen_range(1..=period)),
             }
         }
-        4 => FaultKind::Corrupt {
+        2 => FaultKind::Corrupt {
             rate: Probability::new(rng.gen_range(0.0..0.4)),
         },
-        5 => FaultKind::Jitter {
+        3 => FaultKind::Jitter {
             max: SimDuration::from_micros(rng.gen_range(0u64..5_000)),
         },
-        6 => FaultKind::Reorder {
+        _ => FaultKind::Reorder {
             rate: Probability::new(rng.gen_range(0.0..0.4)),
             extra: SimDuration::from_micros(rng.gen_range(0u64..5_000)),
-        },
-        _ => FaultKind::Duplicate {
-            rate: Probability::new(rng.gen_range(0.0..0.4)),
         },
     }
 }
@@ -109,22 +99,26 @@ proptest! {
     }
 }
 
-/// A one-second blackhole window over the congested scenario: the
-/// blackhole swallows packets and both schedulers agree on the whole
-/// observable outcome.
+/// A one-second blackhole window — a flap down for its whole period — over
+/// the congested scenario: the blackhole swallows packets and both
+/// schedulers agree on the whole observable outcome.
 #[test]
 fn a_blackhole_window_stays_scheduler_deterministic() {
+    let second = SimDuration::from_secs(1);
     let plan = FaultPlan::new().window(
         SimInstant::EPOCH,
-        SimInstant::EPOCH + SimDuration::from_secs(1),
-        FaultKind::Blackhole,
+        SimInstant::EPOCH + second,
+        FaultKind::Flap {
+            period: second,
+            down: second,
+        },
     );
     let oracle = run_faulted::<Oracle<usize>>(1299, &plan);
     let wheel = run_faulted::<TimerWheel<usize>>(1299, &plan);
     assert_eq!(oracle.trace, wheel.trace);
     assert_eq!(oracle, wheel);
     assert!(
-        oracle.metrics.counter("fault.drops.blackhole").unwrap_or(0) > 0,
+        oracle.metrics.counter("fault.drops.flap").unwrap_or(0) > 0,
         "the blackhole window must actually swallow packets"
     );
 }

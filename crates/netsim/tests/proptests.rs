@@ -67,8 +67,10 @@ fn dst(header: &IpHeader) -> IpAddr {
     }
 }
 
+/// A path through `policies`, losing each packet at its entry with
+/// probability `loss`.
 fn build_path(policies: &[EcnPolicy], loss: f64, silent: bool) -> Path {
-    Path::new(
+    let path = Path::new(
         policies
             .iter()
             .enumerate()
@@ -81,13 +83,16 @@ fn build_path(policies: &[EcnPolicy], loss: f64, silent: bool) -> Path {
                         quote_bytes: 0,
                     };
                 }
-                Hop {
-                    loss: Probability::new(loss),
-                    ..Hop::new(router).with_delay(SimDuration::from_millis(1 + i as u64))
-                }
+                Hop::new(router).with_delay(SimDuration::from_millis(1 + i as u64))
             })
             .collect(),
-    )
+    );
+    if loss == 0.0 {
+        return path;
+    }
+    path.with_fault(FaultPlan::new().always(FaultKind::Loss {
+        rate: Probability::new(loss),
+    }))
 }
 
 /// The hop loop as it was before it ran on three scalars: the header is read
@@ -117,12 +122,6 @@ fn oracle_transit(
     }
     for (index, hop) in path.hops.iter().enumerate() {
         elapsed += hop.delay;
-        if hop.loss.get() > 0.0 && rng.gen_bool(hop.loss.get()) {
-            return TransitOutcome::Dropped {
-                at_hop: index,
-                body: current.payload,
-            };
-        }
         let ttl_after = ttl(&current.header).saturating_sub(1);
         if ttl_after == 0 {
             let respond = hop.router.icmp.response_probability.get() > 0.0
@@ -216,9 +215,9 @@ const ECN_POLICIES: [EcnPolicy; 7] = [
 
 /// A path of `hops` hops laid out by `layout`: any ECN and DSCP policy, one
 /// of four ICMP behaviours, a v4 or v6 router address (a v6 router cannot
-/// answer a v4 sender), `loss` on about a third of the hops, and — when
-/// `faulted` — a plan that duplicates, loses, corrupts, jitters and
-/// reorders.
+/// answer a v4 sender), and a plan that loses at rate `loss` over a stretch
+/// of the run and — when `faulted` — also loses, corrupts, jitters and
+/// reorders throughout: empty when `loss` is 0 and `faulted` is not.
 fn layout_path(layout: &mut StdRng, hops: usize, loss: f64, faulted: bool) -> Path {
     let hops = (1..=hops as u32)
         .map(|id| {
@@ -252,23 +251,20 @@ fn layout_path(layout: &mut StdRng, hops: usize, loss: f64, faulted: bool) -> Pa
                 icmp,
                 ..router.with_ecn_policy(ECN_POLICIES[layout.gen_range(0..ECN_POLICIES.len())])
             };
-            let hop_loss = if layout.gen_bool(0.3) { loss } else { 0.0 };
-            Hop {
-                loss: Probability::new(hop_loss),
-                ..Hop::new(router)
-                    .with_delay(SimDuration::from_micros(layout.gen_range(0..5_000u64)))
-            }
+            Hop::new(router).with_delay(SimDuration::from_micros(layout.gen_range(0..5_000u64)))
         })
         .collect();
-    let path = Path::new(hops);
-    if !faulted {
-        return path;
+    let mut plan = FaultPlan::new();
+    if loss > 0.0 {
+        // The run sends 512 datagrams about 200 µs apart: a stretch of up
+        // to 60 ms from anywhere in its first 60 ms.
+        let from = SimInstant::from_micros(layout.gen_range(0..60_000u64));
+        let until = from + SimDuration::from_micros(layout.gen_range(0..60_000u64));
+        let rate = Probability::new(loss);
+        plan = plan.window(from, until, FaultKind::Loss { rate });
     }
-    path.with_fault(
-        FaultPlan::new()
-            .always(FaultKind::Duplicate {
-                rate: Probability::new(0.2),
-            })
+    if faulted {
+        plan = plan
             .always(FaultKind::Loss {
                 rate: Probability::new(0.1),
             })
@@ -281,8 +277,9 @@ fn layout_path(layout: &mut StdRng, hops: usize, loss: f64, faulted: bool) -> Pa
             .always(FaultKind::Reorder {
                 rate: Probability::new(0.2),
                 extra: SimDuration::from_millis(3),
-            }),
-    )
+            });
+    }
+    Path::new(hops).with_fault(plan)
 }
 
 /// Shared queues at about a third of `path`'s hops, each pre-filled to a
@@ -413,11 +410,9 @@ proptest! {
     ) {
         let mut path = build_path(&policies, loss, false);
         if faulted {
-            path = path.with_fault(
-                FaultPlan::new()
-                    .always(FaultKind::Corrupt { rate: Probability::new(0.5) })
-                    .always(FaultKind::Loss { rate: Probability::new(0.1) }),
-            );
+            path.fault = std::mem::take(&mut path.fault)
+                .always(FaultKind::Corrupt { rate: Probability::new(0.5) })
+                .always(FaultKind::Loss { rate: Probability::new(0.1) });
         }
         let sent = datagram(ttl, sent);
         let mut borrowed_rng = StdRng::seed_from_u64(seed);

@@ -49,16 +49,6 @@ impl<T> TraceRing<T> {
         self.dropped = 0;
     }
 
-    /// Number of retained entries.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Maximum number of retained entries.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -111,7 +101,7 @@ mod tests {
             ring.push(i);
         }
         assert_eq!(ring.to_vec(), vec![4, 5, 6]);
-        assert_eq!(ring.len(), 3);
+        assert_eq!(ring.buf.len(), 3);
         assert_eq!(ring.dropped(), 4);
         assert_eq!(ring.recorded(), 7);
     }

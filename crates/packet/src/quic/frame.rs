@@ -51,11 +51,6 @@ impl AckFrame {
             ecn,
         }
     }
-
-    /// Whether `pn` is covered by one of the ranges.
-    pub fn acknowledges(&self, pn: u64) -> bool {
-        self.ranges.iter().any(|(s, e)| pn >= *s && pn <= *e)
-    }
 }
 
 /// The QUIC frames supported by this reproduction.
@@ -193,15 +188,6 @@ pub fn encode_connection_close(buf: &mut Vec<u8>, error_code: u64, reason: &str)
 }
 
 impl Frame {
-    /// Whether loss of this frame must be repaired (ack-eliciting and
-    /// retransmittable content).
-    pub fn is_ack_eliciting(&self) -> bool {
-        !matches!(
-            self,
-            Frame::Ack(_) | Frame::Padding { .. } | Frame::ConnectionClose { .. }
-        )
-    }
-
     /// Append the wire encoding of this frame to `buf`.
     pub fn encode(&self, buf: &mut Vec<u8>) {
         match self {
@@ -286,8 +272,8 @@ pub enum FrameRef<'a> {
 }
 
 impl FrameRef<'_> {
-    /// Whether loss of this frame must be repaired; see
-    /// [`Frame::is_ack_eliciting`].
+    /// Whether loss of this frame must be repaired (ack-eliciting and
+    /// retransmittable content).
     pub fn is_ack_eliciting(&self) -> bool {
         !matches!(
             self,
@@ -637,8 +623,6 @@ mod tests {
             ranges: vec![(18, 20), (10, 14), (2, 5)],
             ecn: None,
         };
-        assert!(ack.acknowledges(12));
-        assert!(!ack.acknowledges(8));
         let frames = vec![Frame::Ack(ack)];
         assert_eq!(round_trip(&frames), frames);
     }
@@ -671,14 +655,19 @@ mod tests {
 
     #[test]
     fn ack_eliciting_classification() {
-        assert!(Frame::Ping.is_ack_eliciting());
-        assert!(Frame::Crypto {
-            offset: 0,
-            data: vec![]
-        }
-        .is_ack_eliciting());
-        assert!(!Frame::Ack(AckFrame::contiguous(0, 0, None)).is_ack_eliciting());
-        assert!(!Frame::Padding { size: 1 }.is_ack_eliciting());
+        let frames = Frame::encode_all(&[
+            Frame::Ping,
+            Frame::Crypto {
+                offset: 0,
+                data: vec![],
+            },
+            Frame::Ack(AckFrame::contiguous(0, 0, None)),
+            Frame::Padding { size: 1 },
+        ]);
+        let eliciting: Vec<bool> = Frames::new(&frames)
+            .map(|frame| frame.unwrap().is_ack_eliciting())
+            .collect();
+        assert_eq!(eliciting, [true, true, false, false]);
     }
 
     #[test]

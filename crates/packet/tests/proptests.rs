@@ -198,6 +198,15 @@ mod oracle {
         }
     }
 
+    /// Whether loss of `frame` must be repaired: every frame but ACK,
+    /// PADDING and CONNECTION_CLOSE (RFC 9000 §13.2.1).
+    pub fn ack_eliciting(frame: &Frame) -> bool {
+        !matches!(
+            frame,
+            Frame::Ack(_) | Frame::Padding { .. } | Frame::ConnectionClose { .. }
+        )
+    }
+
     pub fn decode_all(buf: &[u8]) -> Result<Vec<Frame>, PacketError> {
         let mut frames = Vec::new();
         let mut at = 0usize;
@@ -719,7 +728,7 @@ proptest! {
         };
         prop_assert_eq!(
             packet.ack_eliciting(),
-            oracle::decode_all(&damaged).map(|frames| frames.iter().any(Frame::is_ack_eliciting))
+            oracle::decode_all(&damaged).map(|frames| frames.iter().any(oracle::ack_eliciting))
         );
     }
 

@@ -497,7 +497,7 @@ mod tests {
     use crate::behavior::{EcnMirroringBehavior, ServerBehavior, Versions};
     use crate::ecn::{EcnValidationFailure, EcnValidationState};
     use qem_netsim::{build_transit_path, Asn, DuplexPath, Hop, Path, Router, TransitProfile};
-    use qem_netsim::{IcmpBehavior, Probability};
+    use qem_netsim::{FaultKind, FaultPlan, IcmpBehavior, Probability};
     use qem_packet::ecn::EcnCodepoint;
     use qem_packet::quic::QuicVersion;
     use rand::rngs::StdRng;
@@ -682,14 +682,13 @@ mod tests {
 
     #[test]
     fn total_forward_loss_times_out() {
-        let lossy = Path::new(vec![Hop {
-            loss: Probability::new(1.0),
-            ..Hop::new(Router::transparent(1, Asn::DFN))
-        }]);
-        let path = DuplexPath::symmetric_clean_reverse(lossy);
-        // symmetric_clean_reverse keeps the loss on the reverse too; rebuild
-        // the reverse without loss so only the forward direction black-holes.
-        let path = DuplexPath::new(path.forward, Path::new(Vec::new()));
+        let lossy = Path::new(vec![Hop::new(Router::transparent(1, Asn::DFN))]).with_fault(
+            FaultPlan::new().always(FaultKind::Loss {
+                rate: Probability::new(1.0),
+            }),
+        );
+        // Only the forward direction black-holes.
+        let path = DuplexPath::new(lossy, Path::new(Vec::new()));
         let outcome = run(ServerBehavior::accurate(), &path, 11);
         assert!(!outcome.report.connected);
         assert!(outcome.report.error.is_some());
@@ -702,15 +701,15 @@ mod tests {
 
     #[test]
     fn partial_loss_recovers_via_retransmission() {
-        // 40 % loss on one hop: with one allowed retransmission most seeds
+        // 40 % forward loss: with one allowed retransmission most seeds
         // still complete; pick one that does to exercise the recovery path.
         let lossy = Path::new(vec![
-            Hop {
-                loss: Probability::new(0.4),
-                ..Hop::new(Router::transparent(1, Asn::DFN))
-            },
+            Hop::new(Router::transparent(1, Asn::DFN)),
             Hop::new(Router::transparent(2, Asn(16509))),
-        ]);
+        ])
+        .with_fault(FaultPlan::new().always(FaultKind::Loss {
+            rate: Probability::new(0.4),
+        }));
         let path = DuplexPath::new(lossy, Path::new(Vec::new()));
         let outcome = run(ServerBehavior::accurate(), &path, 21);
         assert!(outcome.forward_losses > 0 || outcome.report.connected);

@@ -8,7 +8,8 @@
 use proptest::prelude::*;
 use qem_netsim::TransitProfile;
 use qem_netsim::{
-    build_duplex_path, Asn, CrossTraffic, DuplexPath, Hop, Path, Probability, Router,
+    build_duplex_path, Asn, CrossTraffic, DuplexPath, FaultKind, FaultPlan, Hop, Path, Probability,
+    Router,
 };
 use qem_quic::behavior::{EcnMirroringBehavior, ServerBehavior};
 use qem_quic::{ClientConfig, ConnectionRun, DriverConfig, RunOutcome};
@@ -207,13 +208,14 @@ fn a_run_draws_its_seeds_and_nothing_else_on_every_census_route() {
             }
         }
     }
-    // Controls: a lossy hop and a loaded bottleneck each draw more.
+    // Controls: a lossy path and a loaded bottleneck each draw more.
     let [config, _] = configs("www.host-0.example");
     let accurate = ServerBehavior::accurate();
-    let lossy = Path::new(vec![Hop {
-        loss: Probability::new(0.5),
-        ..Hop::new(Router::transparent(1, Asn::DFN))
-    }]);
+    let lossy = Path::new(vec![Hop::new(Router::transparent(1, Asn::DFN))]).with_fault(
+        FaultPlan::new().always(FaultKind::Loss {
+            rate: Probability::new(0.5),
+        }),
+    );
     let lossy = DuplexPath::new(lossy, Path::new(Vec::new()));
     assert!(
         draws(&config, &accurate, &lossy, false, CrossTraffic::none()) > ConnectionRun::SEED_DRAWS

@@ -26,7 +26,7 @@
 
 use crate::behavior::TcpServerBehavior;
 use qem_netsim::engine::{
-    run_measured, CrossTraffic, EngineScratch, EngineTelemetry, Flow, FlowStatus, SharedQueues,
+    run_measured, CrossTraffic, EngineScratch, Flow, FlowStatus, SharedQueues,
 };
 use qem_netsim::{DuplexPath, SimDuration, SimInstant, TransitOutcome};
 use qem_packet::ecn::{EcnCodepoint, EcnCounts};
@@ -410,22 +410,10 @@ impl<R: Rng + ?Sized> Flow for TcpFlow<'_, R> {
     }
 }
 
-/// A complete TCP run: the scanner's [`TcpReport`], the engine's tally and,
-/// when requested via [`TcpConnectionRun::telemetry`], its telemetry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TcpRunOutcome {
-    /// The scanner's observations.
-    pub report: TcpReport,
-    /// The engine's counts.
-    pub engine: qem_netsim::EngineTally,
-    /// Engine telemetry, `Some` iff requested.
-    pub telemetry: Option<EngineTelemetry>,
-}
-
 /// Builder for one TCP measurement connection — the mirror of `qem_quic`'s
 /// `ConnectionRun`.
 ///
-/// Defaults mirror the paper's methodology: no cross traffic, no telemetry.
+/// Defaults mirror the paper's methodology: no cross traffic.
 #[derive(Debug)]
 pub struct TcpConnectionRun<'a> {
     config: TcpClientConfig,
@@ -434,13 +422,12 @@ pub struct TcpConnectionRun<'a> {
     server_addr: IpAddr,
     path: &'a DuplexPath,
     cross: CrossTraffic,
-    telemetry: bool,
     scratch: Option<&'a mut EngineScratch>,
 }
 
 impl<'a> TcpConnectionRun<'a> {
     /// A run of `config` against a `behavior` server between the given
-    /// addresses over `path`, with no cross traffic and no telemetry.
+    /// addresses over `path`, with no cross traffic.
     pub fn new(
         config: TcpClientConfig,
         behavior: TcpServerBehavior,
@@ -455,7 +442,6 @@ impl<'a> TcpConnectionRun<'a> {
             server_addr,
             path,
             cross: CrossTraffic::none(),
-            telemetry: false,
             scratch: None,
         }
     }
@@ -480,15 +466,8 @@ impl<'a> TcpConnectionRun<'a> {
         self
     }
 
-    /// Whether to capture the engine's telemetry.  Purely observational:
-    /// the report is bit-identical either way.
-    pub fn telemetry(mut self, enabled: bool) -> Self {
-        self.telemetry = enabled;
-        self
-    }
-
-    /// Drive the exchange to completion.
-    pub fn execute<R: Rng + ?Sized>(self, rng: &mut R) -> TcpRunOutcome {
+    /// Drive the exchange to completion and report what the client saw.
+    pub fn execute<R: Rng + ?Sized>(self, rng: &mut R) -> TcpReport {
         let mut scratch = self.scratch;
         // The scenario's seed is drawn only when there is a scenario to
         // build, so a disabled one leaves the RNG stream untouched.
@@ -512,16 +491,11 @@ impl<'a> TcpConnectionRun<'a> {
         if let Some(scratch) = scratch.as_deref_mut() {
             flow.body = std::mem::take(&mut scratch.body);
         }
-        let (engine, telemetry) =
-            run_measured(&mut flow, load, self.telemetry, scratch.as_deref_mut());
+        run_measured(&mut flow, load, false, scratch.as_deref_mut());
         if let Some(scratch) = scratch {
             scratch.body = std::mem::take(&mut flow.body);
         }
-        TcpRunOutcome {
-            report: flow.into_report(),
-            engine,
-            telemetry,
-        }
+        flow.into_report()
     }
 }
 
@@ -553,9 +527,7 @@ mod tests {
     fn run(config: TcpClientConfig, behavior: TcpServerBehavior, path: &DuplexPath) -> TcpReport {
         let (c, s) = addrs();
         let mut rng = StdRng::seed_from_u64(42);
-        TcpConnectionRun::new(config, behavior, c, s, path)
-            .execute(&mut rng)
-            .report
+        TcpConnectionRun::new(config, behavior, c, s, path).execute(&mut rng)
     }
 
     #[test]
@@ -590,8 +562,7 @@ mod tests {
             let run = |scratch: Option<&mut EngineScratch>| {
                 let mut run =
                     TcpConnectionRun::new(config, TcpServerBehavior::full_ecn(), c, s, &path)
-                        .cross_traffic(cross)
-                        .telemetry(true);
+                        .cross_traffic(cross);
                 if let Some(scratch) = scratch {
                     run = run.scratch(scratch);
                 }
@@ -707,12 +678,7 @@ mod tests {
 
     #[test]
     fn total_loss_reports_unconnected() {
-        use qem_netsim::{Hop, Path, Probability, Router};
-        let lossy = Path::new(vec![Hop {
-            loss: Probability::new(1.0),
-            ..Hop::new(Router::transparent(1, Asn::DFN))
-        }]);
-        let path = DuplexPath::new(lossy, Path::new(Vec::new()));
+        let path = DuplexPath::new(lossy(1.0), qem_netsim::Path::new(Vec::new()));
         let report = run(
             TcpClientConfig::ect0(),
             TcpServerBehavior::full_ecn(),
@@ -732,21 +698,26 @@ mod tests {
             "2001:db8:2::9".parse().unwrap(),
             &path,
         )
-        .execute(&mut StdRng::seed_from_u64(42))
-        .report;
+        .execute(&mut StdRng::seed_from_u64(42));
         assert!(!report.connected);
         assert_eq!(report.forward_losses, 1);
         assert_eq!(report.server_observed_ecn, EcnCounts::ZERO);
     }
 
+    /// A one-hop path losing each packet at its entry with probability
+    /// `rate`.
+    fn lossy(rate: f64) -> qem_netsim::Path {
+        use qem_netsim::{FaultKind, FaultPlan, Hop, Path, Probability, Router};
+        Path::new(vec![Hop::new(Router::transparent(1, Asn::DFN))]).with_fault(
+            FaultPlan::new().always(FaultKind::Loss {
+                rate: Probability::new(rate),
+            }),
+        )
+    }
+
     /// The ECT(0) exchange over `path` from a fresh `seed`ed RNG, plus that
     /// RNG's next draw (how far the run advanced the stream).
-    fn run_under(
-        path: &DuplexPath,
-        cross: CrossTraffic,
-        telemetry: bool,
-        seed: u64,
-    ) -> (TcpRunOutcome, u64) {
+    fn run_under(path: &DuplexPath, cross: CrossTraffic, seed: u64) -> (TcpReport, u64) {
         let (c, s) = addrs();
         let mut rng = StdRng::seed_from_u64(seed);
         let outcome = TcpConnectionRun::new(
@@ -757,7 +728,6 @@ mod tests {
             path,
         )
         .cross_traffic(cross)
-        .telemetry(telemetry)
         .execute(&mut rng);
         (outcome, rng.gen())
     }
@@ -768,41 +738,29 @@ mod tests {
         let path = clean();
 
         // ECT(0) probing alone never produces an ECE echo on a clean path…
-        let (solo, solo_next) = run_under(&path, CrossTraffic::none(), false, 99);
-        assert!(solo.report.negotiated);
-        assert!(!solo.report.ce_mirrored);
-        assert_eq!(solo.report.server_observed_ecn.ce, 0);
-        assert!(solo.telemetry.is_none(), "telemetry is strictly opt-in");
+        let (solo, solo_next) = run_under(&path, CrossTraffic::none(), 99);
+        assert!(solo.negotiated);
+        assert!(!solo.ce_mirrored);
+        assert_eq!(solo.server_observed_ecn.ce, 0);
 
         // …but behind a congested shared bottleneck the probes arrive CE and
         // the server echoes ECE.
-        let (loaded, loaded_next) = run_under(&path, CrossTraffic::congested(), false, 99);
-        assert!(loaded.report.negotiated);
+        let (loaded, loaded_next) = run_under(&path, CrossTraffic::congested(), 99);
+        assert!(loaded.negotiated);
         assert!(
-            loaded.report.server_observed_ecn.ce > 0,
+            loaded.server_observed_ecn.ce > 0,
             "combined occupancy must CE-mark TCP probes"
         );
-        assert!(
-            loaded.report.ce_mirrored,
-            "the server must echo the marks via ECE"
-        );
+        assert!(loaded.ce_mirrored, "the server must echo the marks via ECE");
         assert_ne!(loaded_next, solo_next, "a built scenario draws its seed");
-
-        // Capturing telemetry does not perturb the report, loaded or not.
-        let (observed, _) = run_under(&path, CrossTraffic::congested(), true, 99);
-        assert_eq!(observed.report, loaded.report);
-        assert!(observed.telemetry.is_some());
-        let (observed, _) = run_under(&path, CrossTraffic::none(), true, 99);
-        assert_eq!(observed.report, solo.report);
-        assert!(observed.telemetry.is_some());
 
         // An enabled scenario with nothing to attach to — a hop-less forward
         // path has no bottleneck — is the single-flow run, bit for bit, and
         // leaves the caller's RNG where the plain run leaves it.
         let hopless = DuplexPath::new(Path::new(vec![]), Path::new(Vec::new()));
         assert_eq!(
-            run_under(&hopless, CrossTraffic::congested(), false, 99),
-            run_under(&hopless, CrossTraffic::none(), false, 99)
+            run_under(&hopless, CrossTraffic::congested(), 99),
+            run_under(&hopless, CrossTraffic::none(), 99)
         );
     }
 
@@ -819,8 +777,7 @@ mod tests {
             s,
             &path,
         )
-        .execute(&mut rng)
-        .report;
+        .execute(&mut rng);
         assert!(report.connected);
         assert!(report.ce_mirrored);
     }
@@ -905,20 +862,12 @@ mod tests {
                 );
             }
         }
-        // Controls: a lossy hop and a loaded bottleneck each draw.
-        use qem_netsim::{Hop, Path, Probability, Router};
-        let lossy = Path::new(vec![Hop {
-            loss: Probability::new(0.5),
-            ..Hop::new(Router::transparent(1, Asn::DFN))
-        }]);
-        let lossy = DuplexPath::new(lossy, Path::new(Vec::new()));
-        assert_ne!(
-            run_under(&lossy, CrossTraffic::none(), false, 42).1,
-            untouched()
-        );
+        // Controls: a lossy path and a loaded bottleneck each draw.
+        let lossy = DuplexPath::new(lossy(0.5), qem_netsim::Path::new(Vec::new()));
+        assert_ne!(run_under(&lossy, CrossTraffic::none(), 42).1, untouched());
         let clean = census_route(TransitProfile::Clean, false);
         assert_ne!(
-            run_under(&clean, CrossTraffic::congested(), false, 42).1,
+            run_under(&clean, CrossTraffic::congested(), 42).1,
             untouched()
         );
     }

@@ -26,4 +26,4 @@ pub mod connection;
 
 pub use app::SegmentPacketizer;
 pub use behavior::TcpServerBehavior;
-pub use connection::{TcpClientConfig, TcpConnectionRun, TcpFlow, TcpReport, TcpRunOutcome};
+pub use connection::{TcpClientConfig, TcpConnectionRun, TcpFlow, TcpReport};

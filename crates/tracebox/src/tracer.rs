@@ -243,7 +243,8 @@ fn build_probe(
 mod tests {
     use super::*;
     use qem_netsim::{
-        build_transit_path, Asn, Hop, IcmpBehavior, Probability, Router, TransitProfile,
+        build_transit_path, Asn, FaultKind, FaultPlan, Hop, IcmpBehavior, Probability, Router,
+        TransitProfile,
     };
     use qem_packet::quic::QuicPacket;
     use rand::rngs::StdRng;
@@ -407,10 +408,10 @@ mod tests {
 
     #[test]
     fn lossy_first_hop_counts_as_timeout() {
-        let path = qem_netsim::Path::new(vec![Hop {
-            loss: Probability::new(1.0),
-            ..Hop::new(Router::transparent(1, Asn::DFN))
-        }]);
+        let path = qem_netsim::Path::new(vec![Hop::new(Router::transparent(1, Asn::DFN))])
+            .with_fault(FaultPlan::new().always(FaultKind::Loss {
+                rate: Probability::new(1.0),
+            }));
         let (src, dst) = endpoints();
         let mut rng = StdRng::seed_from_u64(6);
         let trace = trace_path(&path, src, dst, &TraceConfig::default(), &mut rng);

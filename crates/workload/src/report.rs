@@ -237,38 +237,28 @@ impl fmt::Display for WorkloadComparison {
         let fault_key =
             |report: &WorkloadReport, key: &str| report.metrics.counter(key).unwrap_or(0);
         let drops = |report: &WorkloadReport| {
-            fault_key(report, "fault.drops.loss")
-                + fault_key(report, "fault.drops.burst")
-                + fault_key(report, "fault.drops.blackhole")
-                + fault_key(report, "fault.drops.flap")
+            fault_key(report, "fault.drops.loss") + fault_key(report, "fault.drops.flap")
         };
         if self.reports.iter().any(|r| {
             drops(r) > 0
-                || [
-                    "fault.corrupted",
-                    "fault.duplicates",
-                    "fault.reordered",
-                    "fault.jittered",
-                ]
-                .iter()
-                .any(|k| fault_key(r, k) > 0)
+                || ["fault.corrupted", "fault.reordered", "fault.jittered"]
+                    .iter()
+                    .any(|k| fault_key(r, k) > 0)
         }) {
             writeln!(f)?;
             writeln!(f, "-- fault injection --")?;
             writeln!(
                 f,
-                "{:<14} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-                "variant", "drops", "corrupt", "dup", "salvage", "reorder", "jitter"
+                "{:<14} {:>8} {:>8} {:>8} {:>8}",
+                "variant", "drops", "corrupt", "reorder", "jitter"
             )?;
             for report in &self.reports {
                 writeln!(
                     f,
-                    "{:<14} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
+                    "{:<14} {:>8} {:>8} {:>8} {:>8}",
                     report.variant.label(),
                     drops(report),
                     fault_key(report, "fault.corrupted"),
-                    fault_key(report, "fault.duplicates"),
-                    fault_key(report, "fault.dup_salvaged"),
                     fault_key(report, "fault.reordered"),
                     fault_key(report, "fault.jittered"),
                 )?;
