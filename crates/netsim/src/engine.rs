@@ -513,16 +513,21 @@ impl<'a, S: Scheduler<usize>, H: BorrowMut<EngineScratch<S>>> EngineCore<'a, S, 
         ])
     }
 
-    /// Deterministic metrics and the retained wake trace: the
-    /// [`EngineTally`], named, with the per-router queue metrics of
-    /// [`SharedQueues::telemetry`].  Purely a read — taking telemetry does
-    /// not perturb the simulation, so instrumented and uninstrumented runs
-    /// stay bit-identical.
-    pub fn telemetry(&self) -> EngineTelemetry {
+    /// Deterministic metrics: the [`EngineTally`], named, with the
+    /// per-router queue metrics of [`SharedQueues::telemetry`].
+    pub fn metrics(&self) -> MetricsSnapshot {
         let mut metrics = self.shared.telemetry();
         self.tally().name_into(&mut metrics);
+        metrics
+    }
+
+    /// The [`metrics`](EngineCore::metrics) and a copy of the retained wake
+    /// trace.  Purely a read — taking telemetry does not perturb the
+    /// simulation, so instrumented and uninstrumented runs stay
+    /// bit-identical.
+    pub fn telemetry(&self) -> EngineTelemetry {
         EngineTelemetry {
-            metrics,
+            metrics: self.metrics(),
             trace: self.scratch.borrow().log.to_vec(),
         }
     }
@@ -693,8 +698,12 @@ pub struct LoadFlow {
     path: Path,
     packets: u64,
     interval: SimDuration,
-    /// The datagram every send is a copy of, assembled once.
+    /// The datagram every send repeats, assembled once: each send copies
+    /// its header, and its payload into `body`.
     datagram: Option<IpDatagram>,
+    /// The body of the last datagram sent, handed back by the path whatever
+    /// became of it; released when the flow is done.
+    body: Vec<u8>,
     rng: StdRng,
     sent: u64,
     delivered: u64,
@@ -728,6 +737,7 @@ impl LoadFlow {
             packets,
             interval,
             datagram: datagram.ok(),
+            body: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
             sent: 0,
             delivered: 0,
@@ -785,16 +795,19 @@ impl Flow for LoadFlow {
         if self.sent >= self.packets {
             return FlowStatus::Done;
         }
-        let delivered = self.datagram.as_ref().is_some_and(|datagram| {
-            self.path
-                .transit_shared(datagram.clone(), now, &mut self.rng, net)
-                .is_delivered()
-        });
-        if delivered {
-            self.delivered += 1;
+        if let Some(template) = &self.datagram {
+            self.body.clear();
+            self.body.extend_from_slice(&template.payload);
+            let datagram = IpDatagram::new(template.header, std::mem::take(&mut self.body));
+            let outcome = self.path.transit_shared(datagram, now, &mut self.rng, net);
+            if outcome.is_delivered() {
+                self.delivered += 1;
+            }
+            self.body = outcome.into_body();
         }
         self.sent += 1;
         if self.sent >= self.packets {
+            self.body = Vec::new();
             FlowStatus::Done
         } else {
             FlowStatus::Sleep(now + self.interval)

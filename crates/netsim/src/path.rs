@@ -14,8 +14,7 @@
 //! message — header and quote — into one body, the response's: a new one,
 //! or the one a tracer lends ([`Path::transit_answering`]) and takes back
 //! from each response, so that a whole trace is answered in one buffer.
-//! [`Path::transit`], which borrows, is the one place a packet is cloned
-//! (besides `LoadFlow`, which sends copies of a template).
+//! [`Path::transit`], which borrows, is the one place a packet is cloned.
 
 use crate::engine::SharedQueues;
 use crate::fault::FaultPlan;

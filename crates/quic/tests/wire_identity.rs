@@ -223,7 +223,12 @@ fn drive(scenario: &Scenario, seed: u64) -> (u64, [u32; 2], ClientReport) {
             if activity {
                 continue;
             }
-            match client.poll_timeout() {
+            // Sleep until the earlier of the two endpoints' timers.
+            let next = [client.poll_timeout(), server.poll_timeout()]
+                .into_iter()
+                .flatten()
+                .min();
+            match next {
                 Some(t) if t <= deadline => {
                     pending_timer = Some(t);
                     break;

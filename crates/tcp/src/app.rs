@@ -18,6 +18,8 @@ pub struct SegmentPacketizer {
     src_port: u16,
     dst_port: u16,
     next_seq: u32,
+    /// Zero bytes the payloads are copied from, as long as the longest yet.
+    zeros: Vec<u8>,
 }
 
 impl SegmentPacketizer {
@@ -28,6 +30,7 @@ impl SegmentPacketizer {
             src_port,
             dst_port,
             next_seq: isn,
+            zeros: Vec::new(),
         }
     }
 
@@ -42,7 +45,10 @@ impl SegmentPacketizer {
             ..TcpFlags::default()
         };
         let header = TcpHeader::new(self.src_port, self.dst_port, self.next_seq, 0, flags);
-        header.encode(src, dst, &vec![0u8; len], segment);
+        if self.zeros.len() < len {
+            self.zeros.resize(len, 0);
+        }
+        header.encode(src, dst, &self.zeros[..len], segment);
         self.next_seq = self.next_seq.wrapping_add(len as u32);
     }
 

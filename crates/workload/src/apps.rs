@@ -20,7 +20,9 @@
 //! variants differ in.
 //! When real controllers land, these flows are the call sites to rewire.
 
-use qem_netsim::{DuplexPath, Flow, FlowStatus, SharedQueues, SimDuration, SimInstant};
+use qem_netsim::{
+    DuplexPath, Flow, FlowStatus, SharedQueues, SimDuration, SimInstant, TransitOutcome,
+};
 use qem_packet::ecn::EcnCodepoint;
 use qem_packet::ip::{IpDatagram, IpProtocol};
 use qem_packet::udp::UdpHeader;
@@ -28,7 +30,8 @@ use qem_quic::app::{BulkObject, FrameSource, StreamPacketizer};
 use qem_tcp::app::SegmentPacketizer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::net::{IpAddr, Ipv4Addr};
 
 /// Maximum application bytes per packet (a QUIC-ish 1200-byte segment).
@@ -58,8 +61,49 @@ fn endpoint_addrs(conn: u8) -> (IpAddr, IpAddr) {
     )
 }
 
+/// A flow's timed events: popped in instant order and, within an instant,
+/// in push order — the `seq` of each push breaks the ties a heap alone
+/// leaves unordered.
+#[derive(Debug)]
+struct Timeline<E> {
+    heap: BinaryHeap<Reverse<(SimInstant, u64, E)>>,
+    seq: u64,
+}
+
+impl<E: Ord> Timeline<E> {
+    fn new() -> Self {
+        Timeline {
+            heap: BinaryHeap::new(),
+            seq: 0,
+        }
+    }
+
+    fn push(&mut self, at: SimInstant, event: E) {
+        self.heap.push(Reverse((at, self.seq, event)));
+        self.seq += 1;
+    }
+
+    /// The earliest event due by `now`, with its instant.
+    fn pop_due(&mut self, now: SimInstant) -> Option<(SimInstant, E)> {
+        if self.next_at()? > now {
+            return None;
+        }
+        let Reverse((at, _, event)) = self.heap.pop()?;
+        Some((at, event))
+    }
+
+    fn next_at(&self) -> Option<SimInstant> {
+        self.heap.peek().map(|Reverse((at, ..))| *at)
+    }
+
+    /// Free the heap's storage, for a flow that is done.
+    fn release(&mut self) {
+        self.heap = BinaryHeap::new();
+    }
+}
+
 /// What the bulk sender learns about one packet, delivered as a timed event.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Feedback {
     /// The packet arrived and its ACK came back; `ce` is whether the packet
     /// was CE-marked *on arrival at the receiver* (the only place a mark is
@@ -90,8 +134,10 @@ pub struct BulkAppFlow {
     in_flight: BTreeMap<u64, usize>,
     /// Offset → length of dropped packets awaiting retransmission.
     retransmit: BTreeMap<u64, usize>,
-    /// Timed feedback, ordered by delivery instant (FIFO within an instant).
-    feedback: BTreeMap<SimInstant, Vec<Feedback>>,
+    /// Timed feedback, by delivery instant.
+    feedback: Timeline<Feedback>,
+    /// The packet body, kept between wakes while the flow is active.
+    body: Vec<u8>,
     acked_bytes: u64,
     /// Results.
     completed_at: Option<SimInstant>,
@@ -150,7 +196,8 @@ impl BulkAppFlow {
             rto,
             in_flight: BTreeMap::new(),
             retransmit: BTreeMap::new(),
-            feedback: BTreeMap::new(),
+            feedback: Timeline::new(),
+            body: Vec::new(),
             acked_bytes: 0,
             completed_at: None,
             packets_sent: 0,
@@ -206,10 +253,10 @@ impl BulkAppFlow {
         }
     }
 
-    /// Send one packet, encoded into `body` — the buffer the previous
-    /// packet of this wake was delivered in, handed back for the next.  A
-    /// burst shares one body; nothing is kept between wakes, so a thousand
-    /// idle flows hold no packet buffers.
+    /// Send one packet, encoded into the flow's body — the body of its
+    /// previous packet, handed back by the path whatever became of it.  A
+    /// flow keeps that one body while active and releases it when done, so
+    /// finished flows hold no packet buffers.
     fn transmit(
         &mut self,
         offset: u64,
@@ -217,11 +264,10 @@ impl BulkAppFlow {
         fin: bool,
         now: SimInstant,
         net: &mut SharedQueues,
-        body: &mut Vec<u8>,
     ) {
         let (src, dst) = endpoint_addrs(self.conn);
         let chunk = qem_quic::app::AppChunk { offset, len, fin };
-        let mut transport_bytes = std::mem::take(body);
+        let mut transport_bytes = std::mem::take(&mut self.body);
         let protocol = match &mut self.packetizer {
             Packetizer::Quic(p) => {
                 UdpHeader::begin(
@@ -240,29 +286,26 @@ impl BulkAppFlow {
         };
         self.packets_sent += 1;
         self.in_flight.insert(offset, len);
-        let arrived = IpDatagram::assemble(src, dst, protocol, 64, self.ecn, transport_bytes)
+        let outcome = IpDatagram::assemble(src, dst, protocol, 64, self.ecn, transport_bytes)
             .ok()
-            .and_then(|datagram| {
+            .map(|datagram| {
                 self.path
                     .forward
                     .transit_shared(datagram, now, &mut self.rng, net)
-                    .delivered()
             });
-        match arrived {
-            Some((datagram, delay)) => {
+        match outcome {
+            Some(TransitOutcome::Delivered { datagram, delay }) => {
                 let ce = datagram.header.ecn() == EcnCodepoint::Ce;
-                *body = datagram.payload;
+                self.body = datagram.payload;
                 let ack_at = now + delay + self.path.reverse.one_way_delay();
                 self.feedback
-                    .entry(ack_at)
-                    .or_default()
-                    .push(Feedback::Ack { offset, len, ce });
+                    .push(ack_at, Feedback::Ack { offset, len, ce });
             }
-            None => {
+            // A datagram that never made it onto the wire is lost as well.
+            lost => {
+                self.body = lost.map(TransitOutcome::into_body).unwrap_or_default();
                 self.feedback
-                    .entry(now + self.rto)
-                    .or_default()
-                    .push(Feedback::Timeout { offset, len });
+                    .push(now + self.rto, Feedback::Timeout { offset, len });
             }
         }
     }
@@ -271,30 +314,24 @@ impl BulkAppFlow {
 impl Flow for BulkAppFlow {
     fn on_wake(&mut self, now: SimInstant, net: &mut SharedQueues) -> FlowStatus {
         // 1. Consume all feedback that has arrived by now, in time order.
-        while let Some((&at, _)) = self.feedback.iter().next() {
-            if at > now {
-                break;
-            }
-            let batch = self.feedback.remove(&at).unwrap_or_default();
-            for event in batch {
-                match event {
-                    Feedback::Ack { offset, len, ce } => {
-                        if self.in_flight.remove(&offset).is_some() {
-                            self.acked_bytes += len as u64;
-                            if ce {
-                                self.ce_acks += 1;
-                                self.on_congestion(at);
-                            } else {
-                                self.on_ack_growth();
-                            }
+        while let Some((at, event)) = self.feedback.pop_due(now) {
+            match event {
+                Feedback::Ack { offset, len, ce } => {
+                    if self.in_flight.remove(&offset).is_some() {
+                        self.acked_bytes += len as u64;
+                        if ce {
+                            self.ce_acks += 1;
+                            self.on_congestion(at);
+                        } else {
+                            self.on_ack_growth();
                         }
                     }
-                    Feedback::Timeout { offset, len } => {
-                        if self.in_flight.remove(&offset).is_some() {
-                            self.retransmit.insert(offset, len);
-                            self.timeouts += 1;
-                            self.on_congestion(at);
-                        }
+                }
+                Feedback::Timeout { offset, len } => {
+                    if self.in_flight.remove(&offset).is_some() {
+                        self.retransmit.insert(offset, len);
+                        self.timeouts += 1;
+                        self.on_congestion(at);
                     }
                 }
             }
@@ -305,30 +342,31 @@ impl Flow for BulkAppFlow {
             if self.completed_at.is_none() {
                 self.completed_at = Some(now);
             }
+            self.feedback.release();
+            self.body = Vec::new();
             return FlowStatus::Done;
         }
 
         // 3. Fill the window: retransmissions first, then fresh data.
-        let mut body = Vec::new();
         while self.in_flight.len() < self.cwnd {
             if let Some((&offset, &len)) = self.retransmit.iter().next() {
                 self.retransmit.remove(&offset);
                 self.retransmits += 1;
                 let fin = offset + len as u64 >= self.source.size();
-                self.transmit(offset, len, fin, now, net, &mut body);
+                self.transmit(offset, len, fin, now, net);
             } else if let Some(chunk) = self.source.next_chunk(MSS) {
-                self.transmit(chunk.offset, chunk.len, chunk.fin, now, net, &mut body);
+                self.transmit(chunk.offset, chunk.len, chunk.fin, now, net);
             } else {
                 break;
             }
         }
 
         // 4. Sleep until the next feedback event.  Every in-flight packet has
-        // one pending, so an empty map here means the transfer stalled with
-        // nothing outstanding — impossible by construction, but sleeping one
-        // RTO is a safe recovery rather than a panic.
-        match self.feedback.keys().next() {
-            Some(&at) => FlowStatus::Sleep(at),
+        // one pending, so an empty timeline here means the transfer stalled
+        // with nothing outstanding — impossible by construction, but sleeping
+        // one RTO is a safe recovery rather than a panic.
+        match self.feedback.next_at() {
+            Some(at) => FlowStatus::Sleep(at),
             None => FlowStatus::Sleep(now + self.rto),
         }
     }
@@ -369,8 +407,10 @@ pub struct RtcAppFlow {
     frames_generated: u64,
     /// Frame index → in-network state.
     pending: BTreeMap<u64, FrameState>,
-    /// Arrival instant → frame indices receiving a packet then.
-    arrivals: BTreeMap<SimInstant, Vec<u64>>,
+    /// Packet arrivals: the index of the frame each packet belongs to.
+    arrivals: Timeline<u64>,
+    /// The packet body, kept between frames while the flow is active.
+    body: Vec<u8>,
     /// Lateness (generation → last packet arrival) of delivered frames, µs.
     lateness_us: Vec<u64>,
     frames_delivered: u64,
@@ -401,7 +441,8 @@ impl RtcAppFlow {
             total_frames,
             frames_generated: 0,
             pending: BTreeMap::new(),
-            arrivals: BTreeMap::new(),
+            arrivals: Timeline::new(),
+            body: Vec::new(),
             lateness_us: Vec::new(),
             frames_delivered: 0,
             frames_lost: 0,
@@ -460,39 +501,34 @@ impl RtcAppFlow {
             ce: false,
             completed_at: now,
         };
-        // The packets of a frame share one body: each is encoded into the
-        // buffer the previous one was delivered in.
-        let mut body = Vec::new();
+        // Every packet is encoded into the body the previous one was sent in.
+        let mut body = std::mem::take(&mut self.body);
         for chunk in self.source.next_frame(MSS) {
-            let mut transport_bytes = std::mem::take(&mut body);
-            UdpHeader::begin(
-                &mut transport_bytes,
-                StreamPacketizer::PACKET_OVERHEAD + chunk.len,
-            );
-            self.packetizer.packetize(&chunk, &mut transport_bytes);
+            UdpHeader::begin(&mut body, StreamPacketizer::PACKET_OVERHEAD + chunk.len);
+            self.packetizer.packetize(&chunk, &mut body);
             let udp = UdpHeader::new(51_000 + u16::from(self.conn), 443);
-            udp.finish(src, dst, &mut transport_bytes);
-            let arrived =
-                IpDatagram::assemble(src, dst, IpProtocol::Udp, 64, self.ecn, transport_bytes)
-                    .ok()
-                    .and_then(|datagram| {
-                        self.path
-                            .forward
-                            .transit_shared(datagram, now, &mut self.rng, net)
-                            .delivered()
-                    });
-            match arrived {
-                Some((datagram, delay)) => {
+            udp.finish(src, dst, &mut body);
+            let outcome = IpDatagram::assemble(src, dst, IpProtocol::Udp, 64, self.ecn, body)
+                .ok()
+                .map(|datagram| {
+                    self.path
+                        .forward
+                        .transit_shared(datagram, now, &mut self.rng, net)
+                });
+            match outcome {
+                Some(TransitOutcome::Delivered { datagram, delay }) => {
                     state.outstanding += 1;
                     state.ce |= datagram.header.ecn() == EcnCodepoint::Ce;
                     body = datagram.payload;
-                    self.arrivals.entry(now + delay).or_default().push(index);
+                    self.arrivals.push(now + delay, index);
                 }
-                None => {
+                lost => {
                     state.lost = true;
+                    body = lost.map(TransitOutcome::into_body).unwrap_or_default();
                 }
             }
         }
+        self.body = body;
         self.pending.insert(index, state);
         if state.outstanding == 0 {
             // Every packet dropped: nothing will ever arrive.
@@ -509,23 +545,17 @@ impl RtcAppFlow {
 impl Flow for RtcAppFlow {
     fn on_wake(&mut self, now: SimInstant, net: &mut SharedQueues) -> FlowStatus {
         // 1. Book all packet arrivals up to now, in arrival order.
-        while let Some((&at, _)) = self.arrivals.iter().next() {
-            if at > now {
-                break;
-            }
-            let batch = self.arrivals.remove(&at).unwrap_or_default();
-            for index in batch {
-                let finished = match self.pending.get_mut(&index) {
-                    Some(state) => {
-                        state.outstanding -= 1;
-                        state.completed_at = at;
-                        state.outstanding == 0
-                    }
-                    None => false,
-                };
-                if finished {
-                    self.finalize(index);
+        while let Some((at, index)) = self.arrivals.pop_due(now) {
+            let finished = match self.pending.get_mut(&index) {
+                Some(state) => {
+                    state.outstanding -= 1;
+                    state.completed_at = at;
+                    state.outstanding == 0
                 }
+                None => false,
+            };
+            if finished {
+                self.finalize(index);
             }
         }
         // 2. Generate every frame whose schedule slot has arrived.
@@ -537,13 +567,17 @@ impl Flow for RtcAppFlow {
         }
 
         // 3. Sleep until the earlier of the next arrival and the next frame.
-        let next_arrival = self.arrivals.keys().next().copied();
+        let next_arrival = self.arrivals.next_at();
         let next_generation = self.next_generation_at();
         match (next_arrival, next_generation) {
             (Some(a), Some(g)) => FlowStatus::Sleep(a.min(g)),
             (Some(a), None) => FlowStatus::Sleep(a),
             (None, Some(g)) => FlowStatus::Sleep(g),
-            (None, None) => FlowStatus::Done,
+            (None, None) => {
+                self.arrivals.release();
+                self.body = Vec::new();
+                FlowStatus::Done
+            }
         }
     }
 }
@@ -561,7 +595,10 @@ pub fn jitter_us(lateness_us: &[u64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qem_netsim::{Asn, EngineCore, Hop, Path, QueueConfig, Router, TimerWheel};
+    use qem_netsim::{
+        Asn, EngineCore, FaultKind, FaultPlan, Hop, Path, Probability, QueueConfig, Router,
+        TimerWheel,
+    };
 
     fn clean_duplex() -> (DuplexPath, qem_netsim::RouterId) {
         let bottleneck = Router::transparent(2, Asn(64500));
@@ -647,6 +684,62 @@ mod tests {
         assert_eq!(flow.frames_lost(), 0);
         // One-way delay is 4 ms; queueing adds service time on top.
         assert!(flow.lateness_us().iter().all(|&l| l >= 4_000));
+    }
+
+    #[test]
+    fn timeline_pops_by_instant_and_in_push_order_within_one() {
+        let at = |ms| SimInstant::EPOCH + SimDuration::from_millis(ms);
+        let mut timeline = Timeline::new();
+        // Within each instant the events are pushed against their own
+        // order, so only the push sequence can put them back in it.
+        for (ms, event) in [(5, 9), (3, 8), (5, 1), (7, 6), (5, 4), (3, 2), (7, 0)] {
+            timeline.push(at(ms), event);
+        }
+        assert_eq!(timeline.next_at(), Some(at(3)));
+        let mut popped = Vec::new();
+        while let Some((when, event)) = timeline.pop_due(at(5)) {
+            popped.push((when, event));
+        }
+        assert_eq!(
+            popped,
+            [(at(3), 8), (at(3), 2), (at(5), 9), (at(5), 1), (at(5), 4)]
+        );
+        timeline.push(at(7), 3);
+        timeline.push(at(6), 5);
+        let rest: Vec<_> = std::iter::from_fn(|| timeline.pop_due(at(7))).collect();
+        assert_eq!(rest, [(at(6), 5), (at(7), 6), (at(7), 0), (at(7), 3)]);
+        assert_eq!(timeline.next_at(), None);
+    }
+
+    #[test]
+    fn bulk_flow_keeps_its_body_through_drops_and_releases_it_when_done() {
+        let (mut duplex, id) = clean_duplex();
+        duplex.forward.fault = FaultPlan::new().always(FaultKind::Loss {
+            rate: Probability::new(1.0),
+        });
+        let mut shared = SharedQueues::new();
+        shared.register(id, QueueConfig::bottleneck(256, 64, 128));
+        let mut flow = BulkAppFlow::quic(duplex, EcnCodepoint::Ect0, 60_000, 1, 7);
+        // Every packet is lost, yet each send hands its body back: the
+        // initial window's and its retransmissions' alike.
+        let mut now = SimInstant::EPOCH;
+        for _ in 0..2 {
+            let FlowStatus::Sleep(next) = flow.on_wake(now, &mut shared) else {
+                panic!("a lossy transfer is not done");
+            };
+            assert!(!flow.body.is_empty(), "the body is kept between wakes");
+            now = next;
+        }
+        assert!(flow.timeouts() > 0 && flow.packets_sent > INITIAL_CWND as u64);
+
+        flow.path.forward.fault = FaultPlan::new();
+        let mut engine: EngineCore<TimerWheel<usize>> = EngineCore::new(shared);
+        engine.add_flow_at(now, &mut flow);
+        engine.run();
+        drop(engine);
+        assert!(flow.completion_time().is_some());
+        assert_eq!(flow.feedback.heap.capacity(), 0, "the heap is freed");
+        assert_eq!(flow.body.capacity(), 0, "the body is freed");
     }
 
     #[test]

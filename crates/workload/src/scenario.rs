@@ -397,7 +397,7 @@ impl Scenario {
             .shared()
             .stats(Self::BOTTLENECK_ROUTER)
             .unwrap_or_default();
-        let mut metrics = engine.telemetry().metrics;
+        let mut metrics = engine.metrics();
         drop(engine);
 
         // Collect per-app outcomes in spec order.
