@@ -21,35 +21,43 @@
 //! counted in — each probe's
 //! engine tally by slot — which the worker folds into the scanner's once,
 //! when it ends ([`Scanner::metrics_snapshot`] gives the counts their
-//! names); its last route: the [`DuplexPath`] to the previous host and the
-//! `RouteKey` it was built from; and two memos, each the last run of one
-//! protocol that drew nothing from its host's RNG, with the route key and
-//! the server behaviour it ran against.  Hosts in id order share a route
-//! far more often than not, so a host whose key matches borrows that path,
-//! and only a new key builds one.  A host whose key and TCP behaviour match
-//! the TCP memo copies its [`TcpReport`] instead of running the exchange; a
-//! QUIC attempt whose key and QUIC behaviour match the QUIC memo copies its
-//! outcome and merges its engine tally instead of running the engine.
-//! The probe mode, cross traffic and fault plan are the scanner's, and
-//! neither exchange depends on the server address within a family, nor the
-//! QUIC one on the SNI, so a run that drew nothing depends on route key and
-//! behaviour alone.
+//! names); its last route: the [`DuplexPath`] to the previous host, the
+//! `RouteKey` it was built from and the analysis of the last trace over it
+//! that drew nothing from its host's RNG; and two memos, each the last run
+//! of one protocol that drew nothing, with the route key and the server
+//! behaviour it ran against.  Hosts in id order share a route far more
+//! often than not, so a host whose key matches borrows that path, and only
+//! a new key builds one, with no trace kept.  A traced host whose route
+//! keeps a trace copies its [`TraceAnalysis`] instead of probing every
+//! TTL.  A host whose key and TCP behaviour match the TCP memo copies its
+//! [`TcpReport`] instead of running the exchange; a QUIC attempt whose key
+//! and QUIC behaviour match the QUIC memo copies its outcome and merges its
+//! engine tally instead of running the engine.  The probe mode, cross
+//! traffic and fault plan are the scanner's, and neither exchange depends
+//! on the server address within a family, nor the QUIC one on the SNI, so
+//! a run that drew nothing depends on route key and behaviour alone.  Nor
+//! does a trace depend on the server address: the routers answer the
+//! client, and their quotes are read for the codepoints alone, so a trace
+//! that drew nothing depends on the route (its fault plan included) alone.
 //!
 //! "Drew nothing" counts what every run draws whatever the path: a TCP
-//! exchange is kept at no draws, a QUIC run at its endpoints' connection-ID
-//! seeds ([`ConnectionRun::SEED_DRAWS`]), whose values nothing observed
-//! depends on.  A replayed QUIC run takes those seeds from the host's RNG
-//! all the same, so the trace-sampling and backoff draws that follow are
-//! drawn where they were.  Each run draws through an adapter that counts
-//! its draws, so a run that drew more (over a lossy hop, behind cross
-//! traffic, through a fault that draws) is never kept, and no list of
-//! those conditions has to be kept in step; nor is a QUIC run that
-//! returned telemetry: it was observed, and a replay is not.  The oracle
-//! is `tests::reused_scratches_measure_what_a_fresh_scratch_per_host_does`:
-//! a fresh worker per host, which never replays a run, against one worker
-//! reused in orders that change route at nearly every host, and against
-//! executor workers in id order over a population where most QUIC attempts
-//! replay.
+//! exchange and a trace are kept at no draws, a QUIC run at its endpoints'
+//! connection-ID seeds ([`ConnectionRun::SEED_DRAWS`]), whose values
+//! nothing observed depends on.  A replayed QUIC run takes those seeds from
+//! the host's RNG all the same, so the trace-sampling and backoff draws
+//! that follow are drawn where they were.  Each run and trace draws through
+//! an adapter that counts its draws, so one that drew more (over a lossy
+//! hop, behind cross traffic, through a fault that draws, past a router
+//! that answers only sometimes) is never kept, and no list of those
+//! conditions has to be kept in step; nor is a QUIC run that returned
+//! telemetry: it was observed, and a replay is not.  A replayed trace is
+//! not an observed trace either, but it is counted as one: traced, and
+//! impaired if the trace it copies was.  The oracle is
+//! `tests::reused_scratches_measure_what_a_fresh_scratch_per_host_does`: a
+//! fresh worker per host, which never replays a run or a trace, against one
+//! worker reused in orders that change route at nearly every host, and
+//! against executor workers in id order over a population where most QUIC
+//! attempts replay.
 
 use crate::executor::ShardedExecutor;
 use crate::metrics::{Row, ScanTally};
@@ -62,7 +70,7 @@ use qem_quic::{
     ClientConfig, ConnectionRun, DriverConfig, QuicScratch, RunOutcome, ServerBehavior,
 };
 use qem_tcp::{TcpClientConfig, TcpConnectionRun, TcpReport, TcpServerBehavior};
-use qem_tracebox::{analyze_trace, trace_path, TraceConfig};
+use qem_tracebox::{analyze_trace, trace_path, TraceAnalysis, TraceConfig};
 use qem_web::{SnapshotDate, Universe};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -142,10 +150,12 @@ struct ScanWorker<'s> {
     scanner: &'s Scanner<'s>,
 }
 
-/// A worker's last route: the path and what it was built from.
+/// A worker's last route: the path, what it was built from, and the
+/// analysis of a trace over it that drew nothing from its host's RNG.
 struct Route {
     key: RouteKey,
     path: DuplexPath,
+    trace: Option<TraceAnalysis>,
 }
 
 /// The last draw-free run against a server behaving as `B`, with what it
@@ -359,7 +369,12 @@ impl<'a> Scanner<'a> {
             };
         };
         let client_addr = self.client_addr(v6);
-        let path = &self.route_to(key, route).path;
+        let Route {
+            path,
+            trace: kept_trace,
+            ..
+        } = self.route_to(key, route);
+        let path = &*path;
 
         // ---- QUIC ---------------------------------------------------------
         if behavior.is_none() {
@@ -500,15 +515,27 @@ impl<'a> Scanner<'a> {
         let host_trace_p =
             Probability::new(1.0 - (1.0 - per_domain_p).powi(weight.min(1_000) as i32));
         let trace = if abnormal && host_trace_p.draw(&mut rng) {
-            let trace = trace_path(
-                &path.forward,
-                client_addr,
-                server_addr,
-                &TraceConfig::default(),
-                &mut rng,
-            );
-            let as_org = &self.universe.as_org;
-            let analysis = analyze_trace(&trace, &|ip| as_org.asn_of_ip(ip));
+            let analysis = match kept_trace {
+                Some(kept) => kept.clone(),
+                None => {
+                    let mut drawn = Drawn::new(&mut rng);
+                    let trace = trace_path(
+                        &path.forward,
+                        client_addr,
+                        server_addr,
+                        &TraceConfig::default(),
+                        &mut drawn,
+                    );
+                    let as_org = &self.universe.as_org;
+                    let analysis = analyze_trace(&trace, &|ip| as_org.asn_of_ip(ip));
+                    // A trace that drew depends on the host's RNG: never
+                    // replay it.
+                    if drawn.draws == 0 {
+                        *kept_trace = Some(analysis.clone());
+                    }
+                    analysis
+                }
+            };
             tally.inc(Row::Traced);
             if analysis.is_impaired() {
                 tally.inc(Row::TraceImpaired);
@@ -548,7 +575,11 @@ impl<'a> Scanner<'a> {
             if !self.fault_plan.is_empty() {
                 path.forward = path.forward.with_fault(self.fault_plan.clone());
             }
-            Route { key, path }
+            Route {
+                key,
+                path,
+                trace: None,
+            }
         })
     }
 }

@@ -96,14 +96,6 @@ pub enum TransitOutcome {
 }
 
 impl TransitOutcome {
-    /// The delivered datagram, if any.
-    pub fn delivered(self) -> Option<(IpDatagram, SimDuration)> {
-        match self {
-            TransitOutcome::Delivered { datagram, delay } => Some((datagram, delay)),
-            _ => None,
-        }
-    }
-
     /// The body of the datagram that was sent, whatever became of it.
     pub fn into_body(self) -> Vec<u8> {
         match self {
@@ -189,9 +181,10 @@ impl Path {
     /// whatever the verdict (same allocation).  The hops rewrite TTL, ECN
     /// and DSCP as three locals read out of the header once; the header is
     /// written once, on delivery or just before a router quotes it, so the
-    /// quote shows the packet as it reached that hop.  A router's ICMP
-    /// response probability, like a [`FaultPlan`]'s rates, is a
-    /// [`Probability`](crate::Probability) drawn only when nonzero.
+    /// quote shows the packet as it reached that hop.  A [`FaultPlan`]'s
+    /// rates are [`Probability`](crate::Probability)s drawn only when
+    /// nonzero, a router's ICMP response probability one drawn only when
+    /// uncertain: a router that always answers draws nothing.
     pub fn transit_shared<R: Rng + ?Sized>(
         &self,
         datagram: IpDatagram,
@@ -246,7 +239,11 @@ impl Path {
             // TTL handling: the quote shows the packet as received.
             let ttl_after = ttl.saturating_sub(1);
             if ttl_after == 0 {
-                let answered = hop.router.icmp.response_probability.draw_unless_zero(rng);
+                let answered = hop
+                    .router
+                    .icmp
+                    .response_probability
+                    .draw_unless_certain(rng);
                 set_rewritable(&mut current.header, ttl, ecn, dscp);
                 // A router that cannot address the sender stays silent.
                 let response = answered
@@ -413,6 +410,14 @@ mod tests {
         IpDatagram::new(IpHeader::V4(header), vec![0xab; 100])
     }
 
+    /// The datagram and delay of an outcome that must be a delivery.
+    fn delivered(outcome: TransitOutcome) -> (IpDatagram, SimDuration) {
+        match outcome {
+            TransitOutcome::Delivered { datagram, delay } => (datagram, delay),
+            other => panic!("expected Delivered, got {other:?}"),
+        }
+    }
+
     /// A router that never answers a TTL-expired packet.
     fn silent() -> IcmpBehavior {
         IcmpBehavior {
@@ -434,7 +439,7 @@ mod tests {
         let path = three_hop_path(EcnPolicy::Pass);
         let mut rng = StdRng::seed_from_u64(1);
         let outcome = path.transit(&dgram(64, EcnCodepoint::Ect0), &mut rng);
-        let (delivered, delay) = outcome.delivered().unwrap();
+        let (delivered, delay) = delivered(outcome);
         assert_eq!(delivered.header.ecn(), EcnCodepoint::Ect0);
         assert!(matches!(delivered.header, IpHeader::V4(h) if h.ttl == 61));
         assert_eq!(delay, SimDuration::from_millis(15));
@@ -445,7 +450,7 @@ mod tests {
         let path = three_hop_path(EcnPolicy::ClearEcn);
         let mut rng = StdRng::seed_from_u64(1);
         let outcome = path.transit(&dgram(64, EcnCodepoint::Ect0), &mut rng);
-        let (delivered, _) = outcome.delivered().unwrap();
+        let (delivered, _) = delivered(outcome);
         assert_eq!(delivered.header.ecn(), EcnCodepoint::NotEct);
     }
 
@@ -458,7 +463,7 @@ mod tests {
             (EcnCodepoint::Ce, EcnCodepoint::Ce),
         ] {
             let outcome = path.transit(&dgram(64, sent), &mut rng);
-            assert_eq!(outcome.delivered().unwrap().0.header.ecn(), arrived);
+            assert_eq!(delivered(outcome).0.header.ecn(), arrived);
         }
     }
 
@@ -597,15 +602,16 @@ mod tests {
             TransitOutcome::Dropped { at_hop: 0, .. }
         ));
         assert_eq!(dropped, run(path(1.0, 1.0), 64));
-        // 2.0 answers as 1.0 does.
+        // 2.0 answers as 1.0 does, and neither draws.
+        let untouched = StdRng::seed_from_u64(9).gen::<u64>();
         let answered = run(path(0.0, 2.0), 1);
         assert!(matches!(
             answered.0,
             TransitOutcome::TimeExceeded { at_hop: 0, .. }
         ));
         assert_eq!(answered, run(path(0.0, 1.0), 1));
+        assert_eq!(answered.1, untouched);
         // NaN draws nothing, as 0.0 does.
-        let untouched = StdRng::seed_from_u64(9).gen::<u64>();
         for ttl in [1, 64] {
             let nan = run(path(f64::NAN, f64::NAN), ttl);
             assert_eq!(nan, run(path(0.0, 0.0), ttl));
@@ -641,7 +647,7 @@ mod tests {
             (&duplex.reverse, EcnCodepoint::Ect0),
         ] {
             let outcome = path.transit(&dgram(64, EcnCodepoint::Ect0), &mut rng);
-            assert_eq!(outcome.delivered().unwrap().0.header.ecn(), arrived);
+            assert_eq!(delivered(outcome).0.header.ecn(), arrived);
         }
         assert_eq!(duplex.rtt(), SimDuration::from_millis(30));
     }
@@ -651,7 +657,7 @@ mod tests {
         let path = Path::new(Vec::new());
         let mut rng = StdRng::seed_from_u64(1);
         let outcome = path.transit(&dgram(64, EcnCodepoint::Ect1), &mut rng);
-        let (delivered, delay) = outcome.delivered().unwrap();
+        let (delivered, delay) = delivered(outcome);
         assert_eq!(delivered.header.ecn(), EcnCodepoint::Ect1);
         assert_eq!(delay, SimDuration::ZERO);
         assert!(path.is_empty());

@@ -7,10 +7,12 @@
 //! is, so no configuration, landscape or stored snapshot can hand the RNG an
 //! out-of-range value (which `gen_bool` refuses with a panic).
 //!
-//! The two draws differ only in what they take from the RNG, and that is
+//! The three draws differ only in what they take from the RNG, and that is
 //! what keeps a seeded run reproducible: [`Probability::draw`] takes one value
 //! whatever the probability, [`Probability::draw_unless_zero`] takes none at
-//! 0, so a clean path or an empty fault rate leaves the stream untouched.
+//! 0, so a clean path or an empty fault rate leaves the stream untouched, and
+//! [`Probability::draw_unless_certain`] takes none at 0 nor at 1, so a router
+//! that always answers leaves a trace draw-free.
 
 use rand::Rng;
 
@@ -39,5 +41,16 @@ impl Probability {
     /// (and is then `false`), and one value otherwise.
     pub fn draw_unless_zero<R: Rng + ?Sized>(self, rng: &mut R) -> bool {
         self.0 > 0.0 && rng.gen_bool(self.0)
+    }
+
+    /// One Bernoulli draw that takes nothing from `rng` at probability 0
+    /// (and is then `false`) nor at 1 (and is then `true`), and one value
+    /// otherwise.
+    pub fn draw_unless_certain<R: Rng + ?Sized>(self, rng: &mut R) -> bool {
+        match self.0 {
+            p if p <= 0.0 => false,
+            p if p >= 1.0 => true,
+            p => rng.gen_bool(p),
+        }
     }
 }

@@ -219,6 +219,7 @@ pub fn build_duplex_path(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::path::TransitOutcome;
     use crate::policy::DscpPolicy;
     use qem_packet::ecn::EcnCodepoint;
     use qem_packet::ip::{IpDatagram, IpHeader, IpProtocol, Ipv4Header};
@@ -236,8 +237,10 @@ mod tests {
         )
         .with_ecn(EcnCodepoint::Ect0);
         let datagram = IpDatagram::new(IpHeader::V4(header), vec![0; 100]);
-        let outcome = path.transit(&datagram, &mut StdRng::seed_from_u64(1));
-        outcome.delivered().expect("lossless").0.header.ecn()
+        match path.transit(&datagram, &mut StdRng::seed_from_u64(1)) {
+            TransitOutcome::Delivered { datagram, .. } => datagram.header.ecn(),
+            other => panic!("lossless, got {other:?}"),
+        }
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! over any `f64` bit pattern and any seed, `draw` and `draw_unless_zero`
 //! must return what they returned and leave the RNG where they left it —
 //! which is what keeps every seeded run, digest and golden unchanged.
+//! `draw_unless_certain`, the ICMP answer's draw, replaced no inline form:
+//! it is held to its rule, no draw at 0 nor at 1 and `draw` in between.
 
 use proptest::prelude::*;
 use qem_netsim::Probability;
@@ -84,6 +86,25 @@ proptest! {
         let (mut old, mut new) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
         prop_assert_eq!(p.draw_unless_zero(&mut new), guarded_draw(&mut old, raw));
         prop_assert_eq!(new.next_u64(), old.next_u64());
+    }
+
+    #[test]
+    fn draw_unless_certain_draws_only_strictly_between_zero_and_one(
+        bits in probability_bits(),
+        seed in any::<u64>()
+    ) {
+        let raw = f64::from_bits(bits);
+        let p = Probability::new(raw);
+        let (mut plain, mut guarded) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        let drawn = p.draw_unless_certain(&mut guarded);
+        if raw.is_nan() || raw <= 0.0 {
+            prop_assert!(!drawn);
+        } else if raw >= 1.0 {
+            prop_assert!(drawn);
+        } else {
+            prop_assert_eq!(drawn, p.draw(&mut plain));
+        }
+        prop_assert_eq!(guarded.next_u64(), plain.next_u64());
     }
 
     #[test]

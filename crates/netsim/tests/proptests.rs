@@ -124,8 +124,9 @@ fn oracle_transit(
         elapsed += hop.delay;
         let ttl_after = ttl(&current.header).saturating_sub(1);
         if ttl_after == 0 {
-            let respond = hop.router.icmp.response_probability.get() > 0.0
-                && rng.gen_bool(hop.router.icmp.response_probability.get());
+            // A router that answers for certain, or never, draws nothing.
+            let p = hop.router.icmp.response_probability.get();
+            let respond = p >= 1.0 || (p > 0.0 && rng.gen_bool(p));
             let response = respond
                 .then(|| oracle_time_exceeded(&hop.router, &current))
                 .flatten();
@@ -532,7 +533,9 @@ proptest! {
         let mut changed = false;
         for sent in EcnCodepoint::ALL {
             let outcome = path.transit(&datagram(64, sent), &mut rng);
-            let (arrived, _) = outcome.delivered().expect("a lossless path delivers");
+            let TransitOutcome::Delivered { datagram: arrived, .. } = outcome else {
+                panic!("a lossless path delivers, got {outcome:?}");
+            };
             changed |= arrived.header.ecn() != sent;
         }
         prop_assert_eq!(has_ecn_impairment(&path), changed);

@@ -91,23 +91,27 @@ impl FrameSource {
         }
     }
 
-    /// The chunks of the next frame, each at most `max_len` bytes.
-    pub fn next_frame(&mut self, max_len: usize) -> Vec<AppChunk> {
-        let max_len = max_len.max(1);
-        let mut chunks = Vec::new();
+    /// The chunks of the next frame, each at most `max_len` bytes, handed
+    /// out as they are taken: the frame is counted once, and the stream
+    /// offset advances with each chunk, so the caller takes them all.
+    pub fn next_frame(&mut self, max_len: usize) -> impl Iterator<Item = AppChunk> + '_ {
+        let max_len = max_len.max(1) as u64;
         let mut remaining = self.frame_bytes;
-        while remaining > 0 {
-            let len = remaining.min(max_len as u64) as usize;
-            chunks.push(AppChunk {
-                offset: self.offset,
-                len,
-                fin: false,
-            });
-            self.offset += len as u64;
-            remaining -= len as u64;
-        }
         self.frames_emitted += 1;
-        chunks
+        std::iter::from_fn(move || {
+            let len = remaining.min(max_len);
+            if len == 0 {
+                return None;
+            }
+            let chunk = AppChunk {
+                offset: self.offset,
+                len: len as usize,
+                fin: false,
+            };
+            self.offset += len;
+            remaining -= len;
+            Some(chunk)
+        })
     }
 }
 
@@ -203,8 +207,8 @@ mod tests {
     #[test]
     fn frame_source_emits_consecutive_offsets_across_frames() {
         let mut source = FrameSource::new(2_600);
-        let first = source.next_frame(1_200);
-        let second = source.next_frame(1_200);
+        let first: Vec<_> = source.next_frame(1_200).collect();
+        let second: Vec<_> = source.next_frame(1_200).collect();
         assert_eq!(first.len(), 3);
         assert_eq!(first.last().map(|c| c.len), Some(200));
         assert_eq!(second.first().map(|c| c.offset), Some(2_600));

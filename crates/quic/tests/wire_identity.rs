@@ -7,7 +7,7 @@
 
 use qem_netsim::{
     build_transit_path, Asn, DuplexPath, FaultKind, FaultPlan, Probability, SharedQueues,
-    SimDuration, SimInstant, TransitProfile,
+    SimDuration, SimInstant, TransitOutcome, TransitProfile,
 };
 use qem_packet::ecn::EcnCodepoint;
 use qem_packet::ip::{IpDatagram, IpProtocol};
@@ -174,9 +174,12 @@ fn drive(scenario: &Scenario, seed: u64) -> (u64, [u32; 2], ClientReport) {
         let mut udp = Vec::new();
         UdpHeader::new(src_port, dst_port).encode(src, dst, payload, &mut udp);
         let datagram = IpDatagram::assemble(src, dst, IpProtocol::Udp, 64, ecn, udp).ok()?;
-        let (arrived, _) = path
-            .transit_shared(datagram, now, &mut rng, &mut net)
-            .delivered()?;
+        let TransitOutcome::Delivered {
+            datagram: arrived, ..
+        } = path.transit_shared(datagram, now, &mut rng, &mut net)
+        else {
+            return None;
+        };
         let (_, body) = UdpHeader::decode(arrived.transport(IpProtocol::Udp)?).ok()?;
         Some((arrived.header.ecn(), body.to_vec()))
     };

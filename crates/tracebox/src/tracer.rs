@@ -13,6 +13,11 @@
 //! for the destination, so a trace allocates three times whatever the
 //! path's length — the two buffers and its hops — unless the probes meant
 //! for the destination are lost and the trace goes on past it.
+//!
+//! A trace draws from its RNG only at a router whose answer is uncertain
+//! ([`Probability::draw_unless_certain`](qem_netsim::Probability::draw_unless_certain))
+//! and in a fault plan that draws: over a path whose routers always answer,
+//! it draws nothing, and its hops are a function of the path alone.
 
 use qem_netsim::{Path, SharedQueues, SimDuration, SimInstant, TransitOutcome};
 use qem_packet::ecn::{Dscp, EcnCodepoint};
