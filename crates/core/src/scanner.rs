@@ -22,23 +22,34 @@
 //! engine tally by slot — which the worker folds into the scanner's once,
 //! when it ends ([`Scanner::metrics_snapshot`] gives the counts their
 //! names); its last route: the [`DuplexPath`] to the previous host, the
-//! `RouteKey` it was built from and the analysis of the last trace over it
-//! that drew nothing from its host's RNG; and two memos, each the last run
-//! of one protocol that drew nothing, with the route key and the server
-//! behaviour it ran against.  Hosts in id order share a route far more
-//! often than not, so a host whose key matches borrows that path, and only
-//! a new key builds one, with no trace kept.  A traced host whose route
-//! keeps a trace copies its [`TraceAnalysis`] instead of probing every
-//! TTL.  A host whose key and TCP behaviour match the TCP memo copies its
-//! [`TcpReport`] instead of running the exchange; a QUIC attempt whose key
-//! and QUIC behaviour match the QUIC memo copies its outcome and merges its
-//! engine tally instead of running the engine.  The probe mode, cross
-//! traffic and fault plan are the scanner's, and neither exchange depends
-//! on the server address within a family, nor the QUIC one on the SNI, so
-//! a run that drew nothing depends on route key and behaviour alone.  Nor
-//! does a trace depend on the server address: the routers answer the
-//! client, and their quotes are read for the codepoints alone, so a trace
-//! that drew nothing depends on the route (its fault plan included) alone.
+//! `RouteKey` it was built from, what the path does to a packet (its
+//! [`PathEffect`]) and the analysis of the last trace over it that drew
+//! nothing from its host's RNG; and two memos, one per protocol, each
+//! holding up to `MEMO_SLOTS` runs that drew nothing, with the effect of
+//! the path and the server behaviour each ran against.  Hosts in id order
+//! share a route far more often than not, so a host whose key matches
+//! borrows that path, and only a new key builds one, with no trace kept.
+//! A traced host whose route keeps a trace copies its [`TraceAnalysis`]
+//! instead of probing every TTL: a trace reads the routers that answer and
+//! their ASes, so it stays with its route.  The exchanges read less.  The
+//! QUIC and TCP flows drop the delay of what a path delivers and send at
+//! TTL 64 over routes of fewer than 64 hops, so they read of the path only
+//! the codepoint each packet arrives with: its effect (premise tests in
+//! `qem-quic`'s `census_runs.rs` and `qem-tcp`'s `connection.rs` group the
+//! routes of every vantage AS by effect).  The probe mode, cross traffic
+//! and fault plan are the scanner's, and neither exchange depends on the
+//! server address within a family, nor the QUIC one on the SNI, so a run
+//! that drew nothing depends on path effect and behaviour alone.  A host
+//! whose path effect and TCP behaviour match a kept TCP run copies its
+//! [`TcpReport`] instead of running the exchange; a QUIC attempt whose
+//! path effect and QUIC behaviour match a kept QUIC run copies its outcome
+//! and merges its engine tally instead of running the engine.  A host
+//! meets one of a few transits behind one of a few server behaviours, and
+//! its neighbours in id order interleave them, so a memo keeps every pair
+//! it meets, not the last one: a lookup compares the 8-byte effect of each
+//! slot first, and a run not found is kept over the oldest slot.  The
+//! slots are held inline, so a worker's memos cost no heap; their strings
+//! are reused by `clone_from`.
 //!
 //! "Drew nothing" counts what every run draws whatever the path: a TCP
 //! exchange and a trace are kept at no draws, a QUIC run at its endpoints'
@@ -57,14 +68,16 @@
 //! fresh worker per host, which never replays a run or a trace, against one
 //! worker reused in orders that change route at nearly every host, and
 //! against executor workers in id order over a population where most QUIC
-//! attempts replay.
+//! attempts replay.  Debug builds also shadow every replayed exchange: it
+//! runs fresh on a copy of the host's RNG, and must return what the memo
+//! held, draw what the replay drew and leave the RNG where the replay did.
 
 use crate::executor::ShardedExecutor;
 use crate::metrics::{Row, ScanTally};
 use crate::observation::{EcnClass, HostMeasurement};
 use crate::resilience::{classify_probe, RetryPolicy};
 use crate::vantage::{Encounter, RouteKey, VantagePoint};
-use qem_netsim::{CrossTraffic, DuplexPath, EngineScratch, FaultPlan, Probability};
+use qem_netsim::{CrossTraffic, DuplexPath, EngineScratch, FaultPlan, PathEffect, Probability};
 use qem_obs::MetricsSnapshot;
 use qem_quic::{
     ClientConfig, ConnectionRun, DriverConfig, QuicScratch, RunOutcome, ServerBehavior,
@@ -142,51 +155,79 @@ struct ScanWorker<'s> {
     tally: ScanTally,
     /// The route to the last host measured.
     route: Option<Route>,
-    /// The last TCP exchange that drew nothing from its host's RNG.
-    last_tcp: Option<Kept<TcpServerBehavior, TcpReport>>,
-    /// The last QUIC run that drew nothing from its host's RNG but its
+    /// TCP exchanges that drew nothing from their host's RNG.
+    tcp_runs: Memo<TcpServerBehavior, TcpReport>,
+    /// QUIC runs that drew nothing from their host's RNG but their
     /// endpoint seeds, and returned no telemetry.
-    last_quic: Option<Kept<ServerBehavior, RunOutcome>>,
+    quic_runs: Memo<ServerBehavior, RunOutcome>,
     scanner: &'s Scanner<'s>,
 }
 
-/// A worker's last route: the path, what it was built from, and the
-/// analysis of a trace over it that drew nothing from its host's RNG.
+/// A worker's last route: the path, what it was built from, what it does
+/// to a packet, and the analysis of a trace over it that drew nothing from
+/// its host's RNG.
 struct Route {
     key: RouteKey,
     path: DuplexPath,
+    effect: PathEffect,
     trace: Option<TraceAnalysis>,
 }
 
-/// The last draw-free run against a server behaving as `B`, with what it
-/// ran over: what a run over an equal route against an equal behaviour
-/// returns, whatever host it measures.
+/// How many runs of one protocol a worker keeps.  The most distinct
+/// (path effect, behaviour) pairs one worker met in a `cloud-fleet` scan
+/// was 32 for QUIC and 8 for TCP; one that meets more writes over its
+/// oldest.
+const MEMO_SLOTS: usize = 32;
+
+/// A draw-free run against a server behaving as `B`, with what its path
+/// does to a packet: what a run over a path with an equal effect against
+/// an equal behaviour returns, whatever host it measures.
 struct Kept<B, R> {
-    key: RouteKey,
+    effect: PathEffect,
     behavior: B,
     run: R,
 }
 
-impl<B: Clone + PartialEq, R: Clone> Kept<B, R> {
-    /// The kept run, if it ran over `key` against `behavior`.
-    fn replay<'k>(kept: &'k Option<Self>, key: RouteKey, behavior: &B) -> Option<&'k R> {
-        kept.as_ref()
-            .filter(|kept| kept.key == key && kept.behavior == *behavior)
+/// The last [`MEMO_SLOTS`] distinct draw-free runs of one protocol a
+/// worker ran, held inline; a new one is written over the oldest.
+struct Memo<B, R> {
+    slots: [Option<Kept<B, R>>; MEMO_SLOTS],
+    oldest: usize,
+}
+
+impl<B, R> Default for Memo<B, R> {
+    fn default() -> Self {
+        Memo {
+            slots: std::array::from_fn(|_| None),
+            oldest: 0,
+        }
+    }
+}
+
+impl<B: Clone + PartialEq, R: Clone> Memo<B, R> {
+    /// The kept run over a path with `effect` against `behavior`, if any.
+    fn replay(&self, effect: PathEffect, behavior: &B) -> Option<&R> {
+        self.slots
+            .iter()
+            .flatten()
+            .find(|kept| kept.effect == effect && kept.behavior == *behavior)
             .map(|kept| &kept.run)
     }
 
-    /// Keep `run` in `kept`, over what it held: the run's strings reuse
-    /// the kept run's.
-    fn keep(kept: &mut Option<Self>, key: RouteKey, behavior: &B, run: &R) {
-        match kept {
+    /// Keep `run` over the oldest run kept: the run's strings reuse the
+    /// kept run's.
+    fn keep(&mut self, effect: PathEffect, behavior: &B, run: &R) {
+        let slot = &mut self.slots[self.oldest];
+        self.oldest = (self.oldest + 1) % MEMO_SLOTS;
+        match slot {
             Some(kept) => {
-                kept.key = key;
+                kept.effect = effect;
                 kept.behavior.clone_from(behavior);
                 kept.run.clone_from(run);
             }
             None => {
-                *kept = Some(Kept {
-                    key,
+                *slot = Some(Kept {
+                    effect,
                     behavior: behavior.clone(),
                     run: run.clone(),
                 })
@@ -275,8 +316,8 @@ impl<'a> Scanner<'a> {
             },
             tally: ScanTally::default(),
             route: None,
-            last_tcp: None,
-            last_quic: None,
+            tcp_runs: Memo::default(),
+            quic_runs: Memo::default(),
             scanner: self,
         }
     }
@@ -337,8 +378,8 @@ impl<'a> Scanner<'a> {
             client,
             tally,
             route,
-            last_tcp,
-            last_quic,
+            tcp_runs,
+            quic_runs,
             ..
         } = worker;
         let host = &self.universe.hosts[host_id];
@@ -371,10 +412,11 @@ impl<'a> Scanner<'a> {
         let client_addr = self.client_addr(v6);
         let Route {
             path,
+            effect,
             trace: kept_trace,
             ..
         } = self.route_to(key, route);
-        let path = &*path;
+        let (path, effect) = (&*path, *effect);
 
         // ---- QUIC ---------------------------------------------------------
         if behavior.is_none() {
@@ -390,14 +432,39 @@ impl<'a> Scanner<'a> {
             // Queue and fault metrics are named per router and per fault:
             // only a loaded or faulted run is counted by name.
             let named = self.options.cross_traffic.is_enabled() || !self.fault_plan.is_empty();
+            // One run, fresh, and what it drew.  A disabled scenario is
+            // the plain single-flow run inside the builder.
+            let mut fresh = |rng: &mut StdRng| {
+                let driver = DriverConfig::new(client_addr, server_addr);
+                let mut drawn = Drawn::new(rng);
+                let run = ConnectionRun::lent(client, behavior.clone(), path, driver)
+                    .cross_traffic(self.options.cross_traffic)
+                    .telemetry(named)
+                    .scratch(scratch, quic)
+                    .execute(&mut drawn);
+                (run, drawn.draws)
+            };
             let mut attempt = 1u32;
             loop {
-                let run = match Kept::replay(last_quic, key, &behavior) {
+                let run = match quic_runs.replay(effect, &behavior) {
                     Some(kept) => {
+                        #[cfg(debug_assertions)]
+                        let mut shadow = rng.clone();
                         // The seeds the run would draw, so that what the
                         // host draws next is drawn where it was.
                         for _ in 0..ConnectionRun::SEED_DRAWS {
                             rng.next_u64();
+                        }
+                        // Debug builds run the exchange all the same, on a
+                        // copy of the host's RNG, and hold the replay to it.
+                        #[cfg(debug_assertions)]
+                        {
+                            let (run, draws) = fresh(&mut shadow);
+                            assert_eq!(run.connection, kept.connection, "replayed QUIC outcome");
+                            assert_eq!(run.engine, kept.engine, "replayed QUIC engine tally");
+                            assert!(run.telemetry.is_none(), "a replayed QUIC run was observed");
+                            assert_eq!(draws, ConnectionRun::SEED_DRAWS, "QUIC draws");
+                            assert_eq!(shadow, rng, "the host's RNG after a QUIC replay");
                         }
                         // A replay is not an observed run: it has no
                         // telemetry.
@@ -408,20 +475,12 @@ impl<'a> Scanner<'a> {
                         }
                     }
                     None => {
-                        let driver = DriverConfig::new(client_addr, server_addr);
-                        let mut drawn = Drawn::new(&mut rng);
-                        // A disabled scenario is the plain single-flow run
-                        // inside the builder.
-                        let run = ConnectionRun::lent(client, behavior.clone(), path, driver)
-                            .cross_traffic(self.options.cross_traffic)
-                            .telemetry(named)
-                            .scratch(scratch, quic)
-                            .execute(&mut drawn);
+                        let (run, draws) = fresh(&mut rng);
                         // A run that drew beyond its seeds depends on the
                         // host's RNG, and one with telemetry was observed:
                         // replay neither.
-                        if drawn.draws == ConnectionRun::SEED_DRAWS && run.telemetry.is_none() {
-                            Kept::keep(last_quic, key, &behavior, &run);
+                        if draws == ConnectionRun::SEED_DRAWS && run.telemetry.is_none() {
+                            quic_runs.keep(effect, &behavior, &run);
                         }
                         run
                     }
@@ -476,18 +535,34 @@ impl<'a> Scanner<'a> {
             ProbeMode::Ect0 => TcpClientConfig::ect0(),
             ProbeMode::ForceCe => TcpClientConfig::force_ce(),
         };
-        let tcp_report = Some(match Kept::replay(last_tcp, key, &tcp_behavior) {
-            Some(&report) => report,
+        let mut fresh = |rng: &mut StdRng| {
+            let mut drawn = Drawn::new(rng);
+            let report =
+                TcpConnectionRun::new(tcp_config, tcp_behavior, client_addr, server_addr, path)
+                    .cross_traffic(self.options.cross_traffic)
+                    .scratch(scratch)
+                    .execute(&mut drawn);
+            (report, drawn.draws)
+        };
+        let tcp_report = Some(match tcp_runs.replay(effect, &tcp_behavior) {
+            Some(&report) => {
+                // Debug builds run the exchange all the same, on a copy of
+                // the host's RNG, and hold the replay to it.
+                #[cfg(debug_assertions)]
+                {
+                    let mut shadow = rng.clone();
+                    let (run, draws) = fresh(&mut shadow);
+                    assert_eq!(run, report, "replayed TCP report");
+                    assert_eq!(draws, 0, "TCP draws");
+                    assert_eq!(shadow, rng, "the host's RNG after a TCP replay");
+                }
+                report
+            }
             None => {
-                let mut drawn = Drawn::new(&mut rng);
-                let report =
-                    TcpConnectionRun::new(tcp_config, tcp_behavior, client_addr, server_addr, path)
-                        .cross_traffic(self.options.cross_traffic)
-                        .scratch(scratch)
-                        .execute(&mut drawn);
+                let (report, draws) = fresh(&mut rng);
                 // A run that drew depends on the host's RNG: never reuse it.
-                if drawn.draws == 0 {
-                    Kept::keep(last_tcp, key, &tcp_behavior, &report);
+                if draws == 0 {
+                    tcp_runs.keep(effect, &tcp_behavior, &report);
                 }
                 report
             }
@@ -577,6 +652,7 @@ impl<'a> Scanner<'a> {
             }
             Route {
                 key,
+                effect: path.effect(),
                 path,
                 trace: None,
             }

@@ -46,7 +46,7 @@ pub use engine::{
     DEFAULT_EVENT_LOG_CAPACITY,
 };
 pub use fault::{FaultDrop, FaultKind, FaultPlan, FaultStats, FaultVerdict, FaultWindow};
-pub use path::{DuplexPath, Hop, Path, TransitOutcome};
+pub use path::{DuplexPath, Hop, Path, PathEffect, TransitOutcome};
 pub use policy::{DscpPolicy, EcnPolicy};
 pub use probability::Probability;
 pub use router::{IcmpBehavior, Router, RouterId};

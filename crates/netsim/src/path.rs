@@ -155,6 +155,16 @@ impl Path {
             .fold(SimDuration::ZERO, |acc, hop| acc + hop.delay)
     }
 
+    /// The codepoint each of [`EcnCodepoint::ALL`] arrives as: every hop's
+    /// [`EcnPolicy::apply`], in forwarding order.
+    fn ecn_effect(&self) -> [EcnCodepoint; 4] {
+        EcnCodepoint::ALL.map(|sent| {
+            self.hops
+                .iter()
+                .fold(sent, |ecn, hop| hop.router.ecn_policy.apply(ecn))
+        })
+    }
+
     /// Send `datagram` down the path.
     ///
     /// The datagram's TTL is decremented at every hop; if it reaches zero the
@@ -381,6 +391,31 @@ impl DuplexPath {
     pub fn rtt(&self) -> SimDuration {
         self.forward.one_way_delay() + self.reverse.one_way_delay()
     }
+
+    /// What the path does to a packet's ECN codepoint, direction by
+    /// direction.
+    pub fn effect(&self) -> PathEffect {
+        PathEffect {
+            forward: self.forward.ecn_effect(),
+            reverse: self.reverse.ecn_effect(),
+        }
+    }
+}
+
+/// What a [`DuplexPath`] does to a packet, in each direction: the codepoint
+/// each of the four codepoints arrives as when no shared queue and no fault
+/// acts on it ([`DuplexPath::effect`]).
+///
+/// Paths whose routers, ASes, hop counts and delays differ can have equal
+/// effects.  The effect stands for the whole path only to a flow that
+/// reads *what* arrives, not *when* — as the QUIC and TCP probes do, which
+/// drop a delivery's delay — and that sends at TTL 64 over fewer than 64
+/// hops, so that no packet expires.  It does not stand for the path to a
+/// tracer, which reads the routers that answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PathEffect {
+    forward: [EcnCodepoint; 4],
+    reverse: [EcnCodepoint; 4],
 }
 
 #[cfg(test)]
@@ -650,6 +685,70 @@ mod tests {
             assert_eq!(delivered(outcome).0.header.ecn(), arrived);
         }
         assert_eq!(duplex.rtt(), SimDuration::from_millis(30));
+    }
+
+    #[test]
+    fn the_effect_composes_the_hops_policies() {
+        use crate::topology::{build_transit_path, TransitProfile};
+        use EcnCodepoint::{Ce, Ect0, Ect1, NotEct};
+        let transit = |profile| build_transit_path(Asn::DFN, Asn(13335), profile, false);
+        let remark_then_clear =
+            DuplexPath::symmetric_clean_reverse(transit(TransitProfile::RemarkThenClear {
+                first: Asn::ARELION,
+                second: Asn::COGENT,
+            }));
+        let mark_all_ce = DuplexPath::symmetric_clean_reverse(transit(TransitProfile::MarkAllCe {
+            asn: Asn::ARELION,
+        }));
+        // `ALL` is in wire order: a codepoint's bits are its index.
+        let arrives =
+            |duplex: &DuplexPath, sent: EcnCodepoint| duplex.effect().forward[sent as usize];
+        // ECT(0) is re-marked to ECT(1), then ECT is cleared; CE is left.
+        assert_eq!(arrives(&remark_then_clear, Ect0), NotEct);
+        assert_eq!(arrives(&remark_then_clear, Ect1), NotEct);
+        assert_eq!(arrives(&remark_then_clear, Ce), Ce);
+        assert_eq!(arrives(&mark_all_ce, NotEct), NotEct);
+        assert_eq!(arrives(&mark_all_ce, Ect0), Ce);
+        for duplex in [&remark_then_clear, &mark_all_ce] {
+            assert_eq!(duplex.effect().reverse, EcnCodepoint::ALL);
+        }
+
+        // The effect is what a transit delivers, hop by hop, for every
+        // policy and codepoint.
+        let mut rng = StdRng::seed_from_u64(1);
+        for policy in [
+            EcnPolicy::Pass,
+            EcnPolicy::ClearEcn,
+            EcnPolicy::RemarkEct0ToEct1,
+            EcnPolicy::RemarkEctToNotEct,
+            EcnPolicy::MarkAllCe,
+            EcnPolicy::BleachTos,
+            EcnPolicy::EraseCe,
+        ] {
+            let duplex = DuplexPath::new(three_hop_path(policy), remark_then_clear.forward.clone());
+            for (path, effect) in [
+                (&duplex.forward, duplex.effect().forward),
+                (&duplex.reverse, duplex.effect().reverse),
+            ] {
+                for (sent, arrived) in EcnCodepoint::ALL.into_iter().zip(effect) {
+                    let outcome = path.transit(&dgram(64, sent), &mut rng);
+                    assert_eq!(delivered(outcome).0.header.ecn(), arrived, "{policy:?}");
+                }
+            }
+        }
+
+        // A memo compares it first: it is eight bytes.
+        assert_eq!(std::mem::size_of::<PathEffect>(), 8);
+
+        // Neither the hop count nor the delays are part of it.
+        let two_hops = Path::new(vec![
+            Hop::new(Router::transparent(1, Asn::DFN)).with_delay(SimDuration::from_millis(40)),
+            Hop::new(Router::transparent(2, Asn(1299)).with_ecn_policy(EcnPolicy::MarkAllCe)),
+        ]);
+        assert_eq!(
+            DuplexPath::symmetric_clean_reverse(two_hops).effect(),
+            mark_all_ce.effect()
+        );
     }
 
     #[test]

@@ -2,21 +2,25 @@
 //! every route a census builds, against every server behaviour the web
 //! model produces, a run draws from its RNG only its endpoints'
 //! connection-ID seeds ([`ConnectionRun::SEED_DRAWS`]), and what it returns
-//! depends neither on those seeds, nor on the host's SNI, nor on the
-//! addresses within a family.
+//! depends on the route only through what the route does to a packet
+//! ([`DuplexPath::effect`]) — not on its ASes, hop count or delays — and
+//! neither on those seeds, nor on the host's SNI, nor on the addresses
+//! within a family.
 
 use proptest::prelude::*;
 use qem_netsim::TransitProfile;
 use qem_netsim::{
-    build_duplex_path, Asn, CrossTraffic, DuplexPath, FaultKind, FaultPlan, Hop, Path, Probability,
-    Router,
+    build_duplex_path, Asn, CrossTraffic, DuplexPath, EcnPolicy, FaultKind, FaultPlan, Hop, Path,
+    PathEffect, Probability, Router, SimDuration,
 };
+use qem_packet::ecn::EcnCodepoint;
 use qem_quic::behavior::{EcnMirroringBehavior, ServerBehavior};
 use qem_quic::{ClientConfig, ConnectionRun, DriverConfig, RunOutcome};
 use qem_web::{SnapshotDate, StackProfile};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::net::IpAddr;
+use std::sync::OnceLock;
 
 /// Every QUIC stack a host runs, one per variant.
 const STACKS: [StackProfile; 11] = [
@@ -55,7 +59,13 @@ fn stack_index(stack: StackProfile) -> usize {
 /// upgrade quantile (one that upgrades first, one midway, one that never
 /// does), with and without ECN use and a `server` header; and each with the
 /// mirroring the AWS Mumbai vantage point rewrites Google's hosts to.
-fn behaviors() -> Vec<ServerBehavior> {
+/// Listed once per test binary: every proptest case reads it.
+fn behaviors() -> &'static [ServerBehavior] {
+    static BEHAVIORS: OnceLock<Vec<ServerBehavior>> = OnceLock::new();
+    BEHAVIORS.get_or_init(distinct_behaviors)
+}
+
+fn distinct_behaviors() -> Vec<ServerBehavior> {
     let mut out: Vec<ServerBehavior> = Vec::new();
     for stack in STACKS {
         for date in SnapshotDate::longitudinal_range() {
@@ -113,17 +123,26 @@ fn transit_index(transit: TransitProfile) -> usize {
 const VANTAGE_ASNS: [Asn; 3] = [Asn::DFN, Asn(16509), Asn::VULTR];
 
 /// A census route: `transit` forward, a clean reverse, as a scan builds it.
-fn census_route(vantage: Asn, transit: TransitProfile, v6: bool) -> DuplexPath {
-    build_duplex_path(vantage, Asn(13335), transit, TransitProfile::Clean, v6)
+fn census_route(vantage: Asn, destination: Asn, transit: TransitProfile, v6: bool) -> DuplexPath {
+    build_duplex_path(vantage, destination, transit, TransitProfile::Clean, v6)
 }
 
-/// Every route a census builds: each vantage AS, each transit, each family.
+/// Every route a census builds to one destination AS: each vantage AS,
+/// each transit, each family.
 fn census_routes() -> Vec<(DuplexPath, bool)> {
+    routes_to(&[Asn(13335)])
+}
+
+/// Every route from each vantage AS to each of `destinations`, over each
+/// transit, in each family.
+fn routes_to(destinations: &[Asn]) -> Vec<(DuplexPath, bool)> {
     let mut out = Vec::new();
     for vantage in VANTAGE_ASNS {
-        for transit in TRANSITS {
-            for v6 in [false, true] {
-                out.push((census_route(vantage, transit, v6), v6));
+        for &destination in destinations {
+            for transit in TRANSITS {
+                for v6 in [false, true] {
+                    out.push((census_route(vantage, destination, transit, v6), v6));
+                }
             }
         }
     }
@@ -198,7 +217,7 @@ fn a_run_draws_its_seeds_and_nothing_else_on_every_census_route() {
     let behaviors = behaviors();
     let routes = census_routes();
     for config in configs("www.host-0.example") {
-        for behavior in &behaviors {
+        for behavior in behaviors {
             for (path, v6) in &routes {
                 assert_eq!(
                     draws(&config, behavior, path, *v6, CrossTraffic::none()),
@@ -220,11 +239,146 @@ fn a_run_draws_its_seeds_and_nothing_else_on_every_census_route() {
     assert!(
         draws(&config, &accurate, &lossy, false, CrossTraffic::none()) > ConnectionRun::SEED_DRAWS
     );
-    let clean = census_route(Asn::DFN, TransitProfile::Clean, false);
+    let clean = census_route(Asn::DFN, Asn(13335), TransitProfile::Clean, false);
     assert!(
         draws(&config, &accurate, &clean, false, CrossTraffic::congested())
             > ConnectionRun::SEED_DRAWS
     );
+}
+
+/// The runs of both probe modes against each of `behaviors` over `path`,
+/// each of which draws its seeds and nothing else and returns no telemetry.
+fn runs(behaviors: &[ServerBehavior], path: &DuplexPath, v6: bool) -> Vec<RunOutcome> {
+    let (client, server) = addrs(v6);
+    let mut out = Vec::new();
+    for config in configs("www.host-0.example") {
+        for behavior in behaviors {
+            let mut rng = Counting {
+                rng: StdRng::seed_from_u64(42),
+                draws: 0,
+            };
+            let run = ConnectionRun::lent(
+                &config,
+                behavior.clone(),
+                path,
+                DriverConfig::new(client, server),
+            )
+            .execute(&mut rng);
+            assert_eq!(
+                rng.draws,
+                ConnectionRun::SEED_DRAWS,
+                "{config:?} {behavior:?} {path:?}"
+            );
+            assert!(run.telemetry.is_none(), "{config:?} {behavior:?}");
+            out.push(run);
+        }
+    }
+    out
+}
+
+/// What lets a scan's QUIC memo key a run by the effect of its route: the
+/// routes from every vantage AS to four ASes the web model's providers
+/// announce, over every transit, in both families, and one more with the
+/// effect of a census route but hops and delays of its own, fall into
+/// groups of one effect each, and within a group every behaviour gives one
+/// outcome and one engine tally under both probe modes.
+#[test]
+fn routes_with_one_effect_give_one_run() {
+    let landscape = qem_web::default_landscape();
+    let destinations: Vec<Asn> = landscape.providers.iter().map(|p| p.asn).take(4).collect();
+    assert_eq!(destinations.len(), 4);
+    let mut routes = routes_to(&destinations);
+    // The five transits are five effects in each family.
+    for v6 in [false, true] {
+        let effects: Vec<PathEffect> = TRANSITS
+            .map(|transit| census_route(Asn::DFN, destinations[0], transit, v6).effect())
+            .to_vec();
+        for (i, effect) in effects.iter().enumerate() {
+            assert!(!effects[..i].contains(effect), "{:?}", TRANSITS[i]);
+        }
+    }
+    // Four hops of uneven delays that re-mark ECT(0), and a clean reverse
+    // of two: the effect of a re-marking census route, and a run that read
+    // the path's length or its delays would show it.
+    let ms = SimDuration::from_millis;
+    let remarking = census_route(
+        Asn::DFN,
+        destinations[0],
+        TransitProfile::Remarking { asn: Asn::ARELION },
+        false,
+    );
+    let uneven = DuplexPath::new(
+        Path::new(vec![
+            Hop::new(Router::transparent(1, Asn::DFN)).with_delay(ms(1)),
+            Hop::new(Router::transparent(2, Asn::COGENT)).with_delay(ms(40)),
+            Hop::new(
+                Router::transparent(3, Asn::COGENT).with_ecn_policy(EcnPolicy::RemarkEct0ToEct1),
+            )
+            .with_delay(ms(17)),
+            Hop::new(Router::transparent(4, destinations[1])).with_delay(ms(2)),
+        ]),
+        Path::new(vec![
+            Hop::new(Router::transparent(5, destinations[1])).with_delay(ms(9)),
+            Hop::new(Router::transparent(6, Asn::DFN)).with_delay(ms(30)),
+        ]),
+    );
+    assert_eq!(uneven.effect(), remarking.effect());
+    assert_ne!(uneven.forward.len(), remarking.forward.len());
+    assert_ne!(uneven.rtt(), remarking.rtt());
+    routes.push((uneven, false));
+
+    let behaviors = behaviors();
+    // Each route's runs, the two halves of the routes on two threads.
+    let route_runs: Vec<Vec<RunOutcome>> = std::thread::scope(|scope| {
+        let halves: Vec<_> = routes
+            .chunks(routes.len().div_ceil(2))
+            .map(|half| {
+                scope.spawn(move || {
+                    let runs = |(path, v6): &(DuplexPath, bool)| runs(behaviors, path, *v6);
+                    half.iter().map(runs).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        halves
+            .into_iter()
+            .flat_map(|half| half.join().expect("a route's runs panicked"))
+            .collect()
+    });
+    let mut groups: Vec<(PathEffect, Vec<RunOutcome>)> = Vec::new();
+    for ((path, _), runs) in routes.iter().zip(route_runs) {
+        // A flow sends at TTL 64: the effect holds where nothing expires.
+        assert!(path.forward.len() < 64 && path.reverse.len() < 64);
+        let effect = path.effect();
+        match groups.iter().find(|(kept, _)| *kept == effect) {
+            None => groups.push((effect, runs)),
+            Some((_, first)) => {
+                for (i, (run, first)) in runs.iter().zip(first).enumerate() {
+                    let behavior = &behaviors[i % behaviors.len()];
+                    assert_eq!(run.connection, first.connection, "{behavior:?} {path:?}");
+                    assert_eq!(run.engine, first.engine, "{behavior:?} {path:?}");
+                }
+            }
+        }
+    }
+    assert_eq!(groups.len(), TRANSITS.len());
+
+    // Control: the reverse half of the effect is needed.  A reverse that
+    // clears ECN under the same forward direction is another effect, and a
+    // server that sets ECT on what it sends is seen otherwise.
+    let clean = census_route(Asn::DFN, destinations[0], TransitProfile::Clean, false);
+    let clearing_reverse = DuplexPath::new(
+        clean.forward.clone(),
+        Path::new(vec![Hop::new(
+            Router::transparent(9, Asn::DFN).with_ecn_policy(EcnPolicy::ClearEcn),
+        )]),
+    );
+    assert_ne!(clearing_reverse.effect(), clean.effect());
+    let ecn_user = behaviors
+        .iter()
+        .find(|behavior| behavior.egress_ecn != EcnCodepoint::NotEct)
+        .unwrap();
+    let run = |path| runs(std::slice::from_ref(ecn_user), path, false).remove(0);
+    assert_ne!(run(&clearing_reverse).connection, run(&clean).connection);
 }
 
 /// An RNG that yields `seeds` and nothing more: a run that draws beyond

@@ -503,7 +503,10 @@ impl<'a> TcpConnectionRun<'a> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use qem_netsim::{build_duplex_path, build_transit_path, Asn, TransitProfile};
+    use qem_netsim::{
+        build_duplex_path, build_transit_path, Asn, EcnPolicy, Hop, Path, PathEffect, Router,
+        SimDuration, TransitProfile,
+    };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::net::Ipv4Addr;
@@ -818,10 +821,9 @@ mod tests {
         build_duplex_path(Asn::DFN, Asn(13335), transit, TransitProfile::Clean, v6)
     }
 
-    /// Every exchange a census runs: both probe modes against the four
-    /// server presets, over every transit.
-    fn census_exchanges(
-    ) -> impl Iterator<Item = (TcpClientConfig, TcpServerBehavior, TransitProfile)> {
+    /// Every exchange a census runs over one route: both probe modes
+    /// against the four server presets.
+    fn exchanges() -> impl Iterator<Item = (TcpClientConfig, TcpServerBehavior)> {
         let presets = [
             TcpServerBehavior::full_ecn(),
             TcpServerBehavior::mirror_only(),
@@ -830,13 +832,17 @@ mod tests {
         ];
         [TcpClientConfig::ect0(), TcpClientConfig::force_ce()]
             .into_iter()
-            .flat_map(move |config| {
-                presets.into_iter().flat_map(move |behavior| {
-                    TRANSITS
-                        .into_iter()
-                        .map(move |transit| (config, behavior, transit))
-                })
-            })
+            .flat_map(move |config| presets.map(|behavior| (config, behavior)))
+    }
+
+    /// Every exchange a census runs: [`exchanges`] over every transit.
+    fn census_exchanges(
+    ) -> impl Iterator<Item = (TcpClientConfig, TcpServerBehavior, TransitProfile)> {
+        exchanges().flat_map(|(config, behavior)| {
+            TRANSITS
+                .into_iter()
+                .map(move |transit| (config, behavior, transit))
+        })
     }
 
     /// The next draw of an RNG seeded 42 that nothing drew from.
@@ -870,6 +876,106 @@ mod tests {
             run_under(&clean, CrossTraffic::congested(), 42).1,
             untouched()
         );
+    }
+
+    /// The reports of every exchange in [`exchanges`] over `path`, each
+    /// with the RNG it ran on.
+    fn reports(path: &DuplexPath, v6: bool) -> Vec<(TcpReport, StdRng)> {
+        let (c, s) = if v6 { addrs_v6() } else { addrs() };
+        exchanges()
+            .map(|(config, behavior)| {
+                let mut rng = StdRng::seed_from_u64(42);
+                let report = TcpConnectionRun::new(config, behavior, c, s, path).execute(&mut rng);
+                (report, rng)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn routes_with_one_effect_give_one_report() {
+        // What lets a scan's TCP memo key a report by the effect of its
+        // route: the routes from the main and cloud vantage ASes (DFN, AWS,
+        // Vultr) to the first four ASes of the web model's providers
+        // (Cloudflare, Google, Hostinger, Fastly), over every transit, in
+        // both families, and one with the effect of a census route but hops
+        // and delays of its own, fall into one group per transit, and every
+        // exchange gives one report within a group and draws nothing.
+        const VANTAGES: [Asn; 3] = [Asn::DFN, Asn(16509), Asn::VULTR];
+        const DESTINATIONS: [Asn; 4] = [Asn(13335), Asn(15169), Asn(47583), Asn(54113)];
+        let route = |vantage, destination, transit, v6| {
+            build_duplex_path(vantage, destination, transit, TransitProfile::Clean, v6)
+        };
+        let mut routes = Vec::new();
+        for vantage in VANTAGES {
+            for destination in DESTINATIONS {
+                for transit in TRANSITS {
+                    for v6 in [false, true] {
+                        routes.push((route(vantage, destination, transit, v6), v6));
+                    }
+                }
+            }
+        }
+        for v6 in [false, true] {
+            let effects = TRANSITS.map(|transit| route(Asn::DFN, Asn(13335), transit, v6).effect());
+            for (i, effect) in effects.iter().enumerate() {
+                assert!(!effects[..i].contains(effect), "{:?}", TRANSITS[i]);
+            }
+        }
+        // Three hops of uneven delays that clear ECN, and a clean reverse
+        // of one: the effect of a clearing census route.
+        let ms = SimDuration::from_millis;
+        let clearing = route(
+            Asn::DFN,
+            Asn(13335),
+            TransitProfile::Clearing { asn: Asn::ARELION },
+            false,
+        );
+        let hop = |id, asn, delay| Hop::new(Router::transparent(id, asn)).with_delay(ms(delay));
+        let uneven = DuplexPath::new(
+            Path::new(vec![
+                hop(1, Asn::DFN, 23),
+                Hop::new(Router::transparent(2, Asn::ARELION).with_ecn_policy(EcnPolicy::ClearEcn))
+                    .with_delay(ms(2)),
+                hop(3, Asn(15169), 11),
+            ]),
+            Path::new(vec![hop(4, Asn(15169), 31)]),
+        );
+        assert_eq!(uneven.effect(), clearing.effect());
+        assert_ne!(uneven.forward.len(), clearing.forward.len());
+        assert_ne!(uneven.rtt(), clearing.rtt());
+        routes.push((uneven, false));
+
+        let untouched = StdRng::seed_from_u64(42);
+        let mut groups: Vec<(PathEffect, Vec<(TcpReport, StdRng)>)> = Vec::new();
+        for (path, v6) in &routes {
+            // Segments are sent at TTL 64: the effect holds where nothing
+            // expires.
+            assert!(path.forward.len() < 64 && path.reverse.len() < 64);
+            let reports = reports(path, *v6);
+            assert!(reports.iter().all(|(_, rng)| *rng == untouched), "{path:?}");
+            let effect = path.effect();
+            match groups.iter().find(|(kept, _)| *kept == effect) {
+                None => groups.push((effect, reports)),
+                Some((_, first)) => assert_eq!(reports, *first, "{path:?}"),
+            }
+        }
+        assert_eq!(groups.len(), TRANSITS.len());
+
+        // Control: the reverse half of the effect is needed.  A reverse
+        // that clears ECN under the same forward direction is another
+        // effect, and a server that sets ECT on its data is seen otherwise.
+        let clean = census_route(TransitProfile::Clean, false);
+        let clearing_reverse = DuplexPath::new(
+            clean.forward.clone(),
+            Path::new(vec![Hop::new(
+                Router::transparent(9, Asn::DFN).with_ecn_policy(EcnPolicy::ClearEcn),
+            )]),
+        );
+        assert_ne!(clearing_reverse.effect(), clean.effect());
+        let full_ecn = TcpServerBehavior::full_ecn();
+        assert_ne!(full_ecn.egress_ecn, EcnCodepoint::NotEct);
+        let run = |path| run(TcpClientConfig::ect0(), full_ecn, path);
+        assert_ne!(run(&clearing_reverse), run(&clean));
     }
 
     proptest! {
