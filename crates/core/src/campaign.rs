@@ -9,7 +9,7 @@ use crate::executor::ShardedExecutor;
 use crate::host_map::HostMap;
 use crate::observation::HostMeasurement;
 use crate::resilience::RetryPolicy;
-use crate::scanner::{ProbeMode, ScanOptions, Scanner};
+use crate::scanner::{Kits, ProbeMode, ScanOptions, Scanner};
 use crate::vantage::VantagePoint;
 use qem_netsim::{CrossTraffic, Probability};
 use qem_obs::{MetricsSnapshot, RunTelemetry};
@@ -106,6 +106,21 @@ pub struct SnapshotMeasurement {
 }
 
 impl SnapshotMeasurement {
+    /// `hosts`, measured from `vantage` under `options`, wrapped in place.
+    fn wrap(
+        vantage: &VantagePoint,
+        options: &CampaignOptions,
+        ipv6: bool,
+        hosts: Vec<HostMeasurement>,
+    ) -> Self {
+        SnapshotMeasurement {
+            date: options.date,
+            ipv6,
+            vantage: vantage.clone(),
+            hosts: HostMap::from(hosts),
+        }
+    }
+
     /// Look up the measurement for a host: a binary search.
     pub fn host(&self, host_id: usize) -> Option<&HostMeasurement> {
         self.hosts.get(host_id)
@@ -162,28 +177,9 @@ impl<'a> Campaign<'a> {
         options: &CampaignOptions,
         ipv6: bool,
     ) -> (SnapshotMeasurement, MetricsSnapshot) {
-        let (snapshot, scanner) = self.scan(vantage, options, ipv6, Scanner::scan_all);
-        (snapshot, scanner.metrics_snapshot())
-    }
-
-    /// Build the scanner of `vantage`, let `probe` pick what it scans and
-    /// wrap the measurements, in place, as a snapshot; the scanner comes
-    /// back for callers that read its metrics.
-    fn scan(
-        &self,
-        vantage: &VantagePoint,
-        options: &CampaignOptions,
-        ipv6: bool,
-        probe: impl FnOnce(&Scanner<'a>) -> Vec<HostMeasurement>,
-    ) -> (SnapshotMeasurement, Scanner<'a>) {
         let scanner = Scanner::new(self.universe, vantage.clone(), options.scan_options(ipv6));
-        let snapshot = SnapshotMeasurement {
-            date: options.date,
-            ipv6,
-            vantage: vantage.clone(),
-            hosts: HostMap::from(probe(&scanner)),
-        };
-        (snapshot, scanner)
+        let snapshot = SnapshotMeasurement::wrap(vantage, options, ipv6, scanner.scan_all());
+        (snapshot, scanner.metrics_snapshot())
     }
 
     /// Run the main-vantage-point campaign (IPv4, optionally IPv6).
@@ -274,19 +270,27 @@ impl<'a> Campaign<'a> {
         // independent measurement, so the executor shards over vantages and
         // any worker budget beyond the fleet size is divided among the
         // per-vantage scans.  Per-host determinism makes this reshuffling
-        // invisible in the results.
+        // invisible in the results.  The vantages share their ASes and most
+        // of the routes and servers they meet, so the scan workers' kits
+        // pass from scan to scan: a route, a trace or a run met from one is
+        // not measured again from the next.
         let fleet = VantagePoint::cloud_fleet();
         let executor = ShardedExecutor::new(options.workers).with_batch_size(1);
         let per_vantage_options = CampaignOptions {
             workers: (executor.workers() / fleet.len()).max(1),
             ..*options
         };
+        let kits = Kits::default();
         executor.run(&fleet, |vantage| {
             let scan = |ipv6, targets: &[usize]| {
-                self.scan(vantage, &per_vantage_options, ipv6, |s| {
-                    s.scan_hosts(targets)
-                })
-                .0
+                let scanner = Scanner::new(
+                    self.universe,
+                    vantage.clone(),
+                    per_vantage_options.scan_options(ipv6),
+                )
+                .with_kits(&kits);
+                let hosts = scanner.scan_hosts(targets);
+                SnapshotMeasurement::wrap(vantage, &per_vantage_options, ipv6, hosts)
             };
             let snap_v4 = scan(false, &v4_targets);
             let snap_v6 = (!v6_targets.is_empty()).then(|| scan(true, &v6_targets));
@@ -502,6 +506,55 @@ mod tests {
             None,
             "worker count must not leak"
         );
+    }
+
+    /// The kits a cloud campaign passes from scan to scan change nothing:
+    /// each vantage point measures what a scanner of its own, lent no
+    /// kits, does.
+    #[test]
+    fn a_cloud_campaign_measures_what_each_vantage_scanned_alone_does() {
+        let universe = universe();
+        let campaign = Campaign::new(&universe);
+        let options = CampaignOptions {
+            workers: 1,
+            ..CampaignOptions::paper_default()
+        };
+        let main = campaign.run_main(&options, true);
+        let main_v6 = main.v6.as_ref().unwrap();
+        let targets = |snapshot: &SnapshotMeasurement| -> Vec<usize> {
+            let reachable = snapshot.hosts.values().filter(|m| m.quic_reachable);
+            reachable.map(|m| m.host_id).collect()
+        };
+        let (v4_targets, v6_targets) = (targets(&main.v4), targets(main_v6));
+        assert!(!v4_targets.is_empty() && !v6_targets.is_empty());
+        let alone: Vec<_> = VantagePoint::cloud_fleet()
+            .into_iter()
+            .map(|vantage| {
+                let scan = |ipv6: bool, targets: &[usize]| {
+                    let scanner =
+                        Scanner::new(&universe, vantage.clone(), options.scan_options(ipv6));
+                    HostMap::from(scanner.scan_hosts(targets))
+                };
+                let v4 = scan(false, &v4_targets);
+                let v6 = scan(true, &v6_targets);
+                (vantage, v4, v6)
+            })
+            .collect();
+        for workers in [1, 0] {
+            let options = CampaignOptions { workers, ..options };
+            let cloud = campaign.run_cloud(&main.v4, Some(main_v6), &options);
+            assert_eq!(cloud.len(), alone.len());
+            for ((vantage, v4, v6), (alone_vantage, alone_v4, alone_v6)) in cloud.iter().zip(&alone)
+            {
+                let name = &vantage.name;
+                assert_eq!(vantage, alone_vantage);
+                assert_eq!((v4.ipv6, &v4.vantage), (false, vantage));
+                assert_eq!(v4.hosts, *alone_v4, "{name} v4 workers={workers}");
+                let v6 = v6.as_ref().unwrap();
+                assert_eq!((v6.ipv6, &v6.vantage), (true, vantage));
+                assert_eq!(v6.hosts, *alone_v6, "{name} v6 workers={workers}");
+            }
+        }
     }
 
     #[test]

@@ -12,44 +12,59 @@
 //! ([`crate::executor::ShardedExecutor`]).  Each host gets its own
 //! deterministic RNG derived from the scan seed and the host id, so a scan
 //! produces identical results regardless of worker count or scheduling.
-//! Each executor worker owns one `ScanWorker` for the scan: an
-//! [`EngineScratch`] lent to both probes of every host it measures (one
-//! timer wheel, flow table and packet body per worker, not per probe), a
-//! [`QuicScratch`] lent to its QUIC probes (the endpoints' packet spaces,
-//! outboxes and stream buffers) and the [`ClientConfig`] they read, each
-//! host's SNI written into it in place; the `ScanTally` those hosts are
-//! counted in — each probe's
+//! Each executor worker owns one `ScanWorker` for the scan: the
+//! [`ClientConfig`] its QUIC probes read, each host's SNI written into it
+//! in place; the `ScanTally` its hosts are counted in — each probe's
 //! engine tally by slot — which the worker folds into the scanner's once,
 //! when it ends ([`Scanner::metrics_snapshot`] gives the counts their
-//! names); its last route: the [`DuplexPath`] to the previous host, the
-//! `RouteKey` it was built from, what the path does to a packet (its
-//! [`PathEffect`]) and the analysis of the last trace over it that drew
-//! nothing from its host's RNG; and two memos, one per protocol, each
-//! holding up to `MEMO_SLOTS` runs that drew nothing, with the effect of
-//! the path and the server behaviour each ran against.  Hosts in id order
-//! share a route far more often than not, so a host whose key matches
-//! borrows that path, and only a new key builds one, with no trace kept.
-//! A traced host whose route keeps a trace copies its [`TraceAnalysis`]
+//! names); and a kit, what it reuses from host to host.  A kit holds an
+//! [`EngineScratch`] lent to both probes of every host (one timer wheel,
+//! flow table and packet body per worker, not per probe), a
+//! [`QuicScratch`] lent to the QUIC probes (the endpoints' packet spaces,
+//! outboxes and stream buffers), the routes the kit has met and two memos
+//! of runs, one per protocol.
+//!
+//! A route is remembered by the vantage AS it starts from and its
+//! `RouteKey`, with what its path does to a packet (its [`PathEffect`])
+//! and the analysis of a trace over it that drew nothing from its host's
+//! RNG.  Its [`DuplexPath`] is not kept: one slot holds the path built
+//! last, and a path is built only when its route is first met, to read the
+//! effect, and when a fresh exchange or a fresh trace runs over it.  A
+//! traced host whose route keeps a trace copies its [`TraceAnalysis`]
 //! instead of probing every TTL: a trace reads the routers that answer and
-//! their ASes, so it stays with its route.  The exchanges read less.  The
-//! QUIC and TCP flows drop the delay of what a path delivers and send at
-//! TTL 64 over routes of fewer than 64 hops, so they read of the path only
-//! the codepoint each packet arrives with: its effect (premise tests in
-//! `qem-quic`'s `census_runs.rs` and `qem-tcp`'s `connection.rs` group the
-//! routes of every vantage AS by effect).  The probe mode, cross traffic
-//! and fault plan are the scanner's, and neither exchange depends on the
-//! server address within a family, nor the QUIC one on the SNI, so a run
-//! that drew nothing depends on path effect and behaviour alone.  A host
-//! whose path effect and TCP behaviour match a kept TCP run copies its
-//! [`TcpReport`] instead of running the exchange; a QUIC attempt whose
-//! path effect and QUIC behaviour match a kept QUIC run copies its outcome
-//! and merges its engine tally instead of running the engine.  A host
-//! meets one of a few transits behind one of a few server behaviours, and
-//! its neighbours in id order interleave them, so a memo keeps every pair
-//! it meets, not the last one: a lookup compares the 8-byte effect of each
-//! slot first, and a run not found is kept over the oldest slot.  The
-//! slots are held inline, so a worker's memos cost no heap; their strings
-//! are reused by `clone_from`.
+//! their ASes, so it stays with its route and its vantage AS.  The
+//! exchanges read less.  The QUIC and TCP flows drop the delay of what a
+//! path delivers and send at TTL 64 over routes of fewer than 64 hops, so
+//! they read of the path only the codepoint each packet arrives with: its
+//! effect (premise tests in `qem-quic`'s `census_runs.rs` and `qem-tcp`'s
+//! `connection.rs` group the routes of every vantage AS, in both families,
+//! by effect).  The probe mode, cross traffic and fault plan are the
+//! scanner's, and neither exchange depends on the server address, nor the
+//! QUIC one on the SNI, so a run that drew nothing depends on path effect
+//! and behaviour alone.  A host whose path effect and TCP behaviour match
+//! a kept TCP run copies its [`TcpReport`] instead of running the
+//! exchange; a QUIC attempt whose path effect and QUIC behaviour match a
+//! kept QUIC run copies its outcome and merges its engine tally instead of
+//! running the engine.
+//!
+//! The routes and memos are lists that grow by every route, and every
+//! (path effect, behaviour) pair, a kit meets: their size is bounded by the
+//! world, not by the scan (the main census's IPv4 scan meets 64 distinct
+//! routes at 1:1000, 1:250 and 1:50 alike, and keeps 27, 29 and 38 QUIC
+//! runs and 8 TCP ones).  A host meets one of a few transits
+//! behind one of a few server behaviours, and its neighbours in id order
+//! interleave them; a lookup looks first at the entry it found last, then
+//! along the list, comparing the vantage AS or the 8-byte effect first.
+//!
+//! A scanner lent no pool gives each worker a fresh kit, dropped with the
+//! worker.  A cloud campaign lends one pool of kits (`Kits`) to every
+//! scanner it builds, within one call: a worker takes a kit from it, and
+//! gives the kit back when it ends, so what one vantage point's scan met
+//! is not measured again by the next.  The 16 cloud vantage points send
+//! from two ASes, and what they meet mostly repeats.  The scanners share
+//! their options but the vantage point and the family, and have no fault
+//! plan, so a kept run holds for all of them, and a kept trace for every
+//! scanner of its vantage AS.
 //!
 //! "Drew nothing" counts what every run draws whatever the path: a TCP
 //! exchange and a trace are kept at no draws, a QUIC run at its endpoints'
@@ -66,18 +81,22 @@
 //! impaired if the trace it copies was.  The oracle is
 //! `tests::reused_scratches_measure_what_a_fresh_scratch_per_host_does`: a
 //! fresh worker per host, which never replays a run or a trace, against one
-//! worker reused in orders that change route at nearly every host, and
-//! against executor workers in id order over a population where most QUIC
-//! attempts replay.  Debug builds also shadow every replayed exchange: it
-//! runs fresh on a copy of the host's RNG, and must return what the memo
-//! held, draw what the replay drew and leave the RNG where the replay did.
+//! worker reused in orders that change route at nearly every host, against
+//! executor workers in id order over a population where most QUIC
+//! attempts replay, and against vantage points scanned in turn with one
+//! pool of kits.  Debug builds also shadow every replayed exchange and
+//! trace: it runs fresh on a copy of the host's RNG, and must return what
+//! the kit held, draw what the replay drew and leave the RNG where the
+//! replay did.
 
 use crate::executor::ShardedExecutor;
 use crate::metrics::{Row, ScanTally};
 use crate::observation::{EcnClass, HostMeasurement};
 use crate::resilience::{classify_probe, RetryPolicy};
 use crate::vantage::{Encounter, RouteKey, VantagePoint};
-use qem_netsim::{CrossTraffic, DuplexPath, EngineScratch, FaultPlan, PathEffect, Probability};
+use qem_netsim::{
+    Asn, CrossTraffic, DuplexPath, EngineScratch, FaultPlan, PathEffect, Probability,
+};
 use qem_obs::MetricsSnapshot;
 use qem_quic::{
     ClientConfig, ConnectionRun, DriverConfig, QuicScratch, RunOutcome, ServerBehavior,
@@ -90,7 +109,7 @@ use rand::{RngCore, SeedableRng};
 use std::borrow::Cow;
 use std::fmt::Write;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// What the probes carry on the forward path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,36 +167,61 @@ impl ScanOptions {
 
 /// What one executor worker owns for the length of a scan.
 struct ScanWorker<'s> {
-    scratch: EngineScratch,
-    quic: QuicScratch,
+    /// What the worker reuses from host to host.  Only the worker's drop
+    /// takes it, to hand it back to the pool it came from.
+    kit: Option<Kit>,
     /// The QUIC probes' configuration, each host's SNI written into it.
     client: ClientConfig,
     tally: ScanTally,
-    /// The route to the last host measured.
-    route: Option<Route>,
+    scanner: &'s Scanner<'s>,
+}
+
+/// What a scan worker reuses from host to host and, lent through a
+/// [`Kits`] pool, from scan to scan: its scratches, the routes it has met
+/// and the runs it may replay.
+#[derive(Default)]
+pub(crate) struct Kit {
+    scratch: EngineScratch,
+    quic: QuicScratch,
+    routes: Routes,
     /// TCP exchanges that drew nothing from their host's RNG.
     tcp_runs: Memo<TcpServerBehavior, TcpReport>,
     /// QUIC runs that drew nothing from their host's RNG but their
     /// endpoint seeds, and returned no telemetry.
     quic_runs: Memo<ServerBehavior, RunOutcome>,
-    scanner: &'s Scanner<'s>,
 }
 
-/// A worker's last route: the path, what it was built from, what it does
-/// to a packet, and the analysis of a trace over it that drew nothing from
-/// its host's RNG.
-struct Route {
+/// The kits of the workers that have ended, lent by a campaign to each of
+/// its scanners in turn ([`Scanner::with_kits`]).
+pub(crate) type Kits = Mutex<Vec<Kit>>;
+
+/// The routes a kit has met, by the vantage AS they start from and their
+/// key, and the path of one of them.
+#[derive(Default)]
+struct Routes {
+    met: Vec<MetRoute>,
+    /// The entry found last, looked at first.
+    last: usize,
+    /// The path of the route built last.  A path is built only when a
+    /// route is first met, or when a fresh exchange or trace runs over it.
+    path: Option<BuiltPath>,
+}
+
+/// A route met: what its path does to a packet, and the analysis of a
+/// trace over it that drew nothing from its host's RNG.
+struct MetRoute {
+    vantage: Asn,
     key: RouteKey,
-    path: DuplexPath,
     effect: PathEffect,
     trace: Option<TraceAnalysis>,
 }
 
-/// How many runs of one protocol a worker keeps.  The most distinct
-/// (path effect, behaviour) pairs one worker met in a `cloud-fleet` scan
-/// was 32 for QUIC and 8 for TCP; one that meets more writes over its
-/// oldest.
-const MEMO_SLOTS: usize = 32;
+/// A route's path, with what it was built from.
+struct BuiltPath {
+    vantage: Asn,
+    key: RouteKey,
+    path: DuplexPath,
+}
 
 /// A draw-free run against a server behaving as `B`, with what its path
 /// does to a packet: what a run over a path with an equal effect against
@@ -188,51 +232,40 @@ struct Kept<B, R> {
     run: R,
 }
 
-/// The last [`MEMO_SLOTS`] distinct draw-free runs of one protocol a
-/// worker ran, held inline; a new one is written over the oldest.
+/// Every distinct draw-free run of one protocol a kit has run.
 struct Memo<B, R> {
-    slots: [Option<Kept<B, R>>; MEMO_SLOTS],
-    oldest: usize,
+    kept: Vec<Kept<B, R>>,
+    /// The entry found or kept last, looked at first.
+    last: usize,
 }
 
 impl<B, R> Default for Memo<B, R> {
     fn default() -> Self {
         Memo {
-            slots: std::array::from_fn(|_| None),
-            oldest: 0,
+            kept: Vec::new(),
+            last: 0,
         }
     }
 }
 
 impl<B: Clone + PartialEq, R: Clone> Memo<B, R> {
     /// The kept run over a path with `effect` against `behavior`, if any.
-    fn replay(&self, effect: PathEffect, behavior: &B) -> Option<&R> {
-        self.slots
-            .iter()
-            .flatten()
-            .find(|kept| kept.effect == effect && kept.behavior == *behavior)
-            .map(|kept| &kept.run)
+    fn replay(&mut self, effect: PathEffect, behavior: &B) -> Option<&R> {
+        let matches = |kept: &Kept<B, R>| kept.effect == effect && kept.behavior == *behavior;
+        if !self.kept.get(self.last).is_some_and(matches) {
+            self.last = self.kept.iter().position(matches)?;
+        }
+        Some(&self.kept[self.last].run)
     }
 
-    /// Keep `run` over the oldest run kept: the run's strings reuse the
-    /// kept run's.
+    /// Keep `run`, which no kept run matched.
     fn keep(&mut self, effect: PathEffect, behavior: &B, run: &R) {
-        let slot = &mut self.slots[self.oldest];
-        self.oldest = (self.oldest + 1) % MEMO_SLOTS;
-        match slot {
-            Some(kept) => {
-                kept.effect = effect;
-                kept.behavior.clone_from(behavior);
-                kept.run.clone_from(run);
-            }
-            None => {
-                *slot = Some(Kept {
-                    effect,
-                    behavior: behavior.clone(),
-                    run: run.clone(),
-                })
-            }
-        }
+        self.last = self.kept.len();
+        self.kept.push(Kept {
+            effect,
+            behavior: behavior.clone(),
+            run: run.clone(),
+        });
     }
 }
 
@@ -257,10 +290,21 @@ impl RngCore for Drawn<'_> {
 }
 
 impl Drop for ScanWorker<'_> {
-    /// The worker ends: hand its counts in.
+    /// The worker ends: hand its counts in, and its kit back to the pool
+    /// lent to its scanner, if any.
     fn drop(&mut self) {
         self.scanner.lock_tally().merge_from(&self.tally);
+        if let (Some(kits), Some(kit)) = (self.scanner.kits, self.kit.take()) {
+            lock(kits).push(kit);
+        }
     }
+}
+
+/// Lock `mutex`.  Poisoning only means a worker panicked while merging its
+/// tally or handing its kit back; every step of either leaves the value
+/// structurally valid.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// The scanner.
@@ -276,6 +320,9 @@ pub struct Scanner<'a> {
     /// every `FaultKind`.  Not part of [`ScanOptions`] because a plan is a
     /// schedule, not part of a snapshot's identity.
     fault_plan: FaultPlan,
+    /// The pool a worker takes its kit from and gives it back to; `None`
+    /// gives every worker a fresh kit.
+    kits: Option<&'a Kits>,
 }
 
 impl<'a> Scanner<'a> {
@@ -287,6 +334,19 @@ impl<'a> Scanner<'a> {
             options,
             tally: Mutex::default(),
             fault_plan: FaultPlan::default(),
+            kits: None,
+        }
+    }
+
+    /// Lend `kits` to this scanner: each worker takes a kit from the pool,
+    /// or a fresh one if it is empty, and gives it back when it ends.  A
+    /// kit's runs and traces hold for a scanner with the same options but
+    /// the vantage point and the family, and no fault plan: lend one pool
+    /// only to the scanners of one campaign.
+    pub(crate) fn with_kits(self, kits: &'a Kits) -> Self {
+        Scanner {
+            kits: Some(kits),
+            ..self
         }
     }
 
@@ -299,25 +359,24 @@ impl<'a> Scanner<'a> {
         self.lock_tally().snapshot()
     }
 
-    fn lock_tally(&self) -> std::sync::MutexGuard<'_, ScanTally> {
-        // Poisoning only means a worker panicked while merging; every step
-        // of a merge leaves the tally structurally valid.
-        self.tally.lock().unwrap_or_else(|e| e.into_inner())
+    fn lock_tally(&self) -> MutexGuard<'_, ScanTally> {
+        lock(&self.tally)
     }
 
-    /// The state of one scan worker, merged into this scanner when dropped.
+    /// The state of one scan worker, merged into this scanner when dropped:
+    /// a kit from the pool lent to the scanner, else a fresh one.
     fn worker(&self) -> ScanWorker<'_> {
         ScanWorker {
-            scratch: EngineScratch::default(),
-            quic: QuicScratch::default(),
+            kit: Some(
+                self.kits
+                    .and_then(|kits| lock(kits).pop())
+                    .unwrap_or_default(),
+            ),
             client: match self.options.probe {
                 ProbeMode::Ect0 => ClientConfig::paper_default(""),
                 ProbeMode::ForceCe => ClientConfig::force_ce(""),
             },
             tally: ScanTally::default(),
-            route: None,
-            tcp_runs: Memo::default(),
-            quic_runs: Memo::default(),
             scanner: self,
         }
     }
@@ -373,15 +432,15 @@ impl<'a> Scanner<'a> {
     /// worker measured before.
     fn measure_host(&self, host_id: usize, worker: &mut ScanWorker<'_>) -> HostMeasurement {
         let ScanWorker {
+            kit, client, tally, ..
+        } = worker;
+        let Kit {
             scratch,
             quic,
-            client,
-            tally,
-            route,
+            routes,
             tcp_runs,
             quic_runs,
-            ..
-        } = worker;
+        } = kit.get_or_insert_with(Kit::default);
         let host = &self.universe.hosts[host_id];
         let mut rng = StdRng::seed_from_u64(
             self.options
@@ -410,13 +469,15 @@ impl<'a> Scanner<'a> {
             };
         };
         let client_addr = self.client_addr(v6);
-        let Route {
-            path,
+        let (route, built) = self.route_to(key, routes);
+        let effect = route.effect;
+        // Debug builds hold a remembered route's effect to its path's.
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            self.path_to(key, built).effect(),
             effect,
-            trace: kept_trace,
-            ..
-        } = self.route_to(key, route);
-        let (path, effect) = (&*path, *effect);
+            "a route's effect"
+        );
 
         // ---- QUIC ---------------------------------------------------------
         if behavior.is_none() {
@@ -434,7 +495,7 @@ impl<'a> Scanner<'a> {
             let named = self.options.cross_traffic.is_enabled() || !self.fault_plan.is_empty();
             // One run, fresh, and what it drew.  A disabled scenario is
             // the plain single-flow run inside the builder.
-            let mut fresh = |rng: &mut StdRng| {
+            let mut fresh = |rng: &mut StdRng, path: &DuplexPath| {
                 let driver = DriverConfig::new(client_addr, server_addr);
                 let mut drawn = Drawn::new(rng);
                 let run = ConnectionRun::lent(client, behavior.clone(), path, driver)
@@ -459,7 +520,7 @@ impl<'a> Scanner<'a> {
                         // copy of the host's RNG, and hold the replay to it.
                         #[cfg(debug_assertions)]
                         {
-                            let (run, draws) = fresh(&mut shadow);
+                            let (run, draws) = fresh(&mut shadow, self.path_to(key, built));
                             assert_eq!(run.connection, kept.connection, "replayed QUIC outcome");
                             assert_eq!(run.engine, kept.engine, "replayed QUIC engine tally");
                             assert!(run.telemetry.is_none(), "a replayed QUIC run was observed");
@@ -475,7 +536,7 @@ impl<'a> Scanner<'a> {
                         }
                     }
                     None => {
-                        let (run, draws) = fresh(&mut rng);
+                        let (run, draws) = fresh(&mut rng, self.path_to(key, built));
                         // A run that drew beyond its seeds depends on the
                         // host's RNG, and one with telemetry was observed:
                         // replay neither.
@@ -535,7 +596,7 @@ impl<'a> Scanner<'a> {
             ProbeMode::Ect0 => TcpClientConfig::ect0(),
             ProbeMode::ForceCe => TcpClientConfig::force_ce(),
         };
-        let mut fresh = |rng: &mut StdRng| {
+        let mut fresh = |rng: &mut StdRng, path: &DuplexPath| {
             let mut drawn = Drawn::new(rng);
             let report =
                 TcpConnectionRun::new(tcp_config, tcp_behavior, client_addr, server_addr, path)
@@ -551,7 +612,7 @@ impl<'a> Scanner<'a> {
                 #[cfg(debug_assertions)]
                 {
                     let mut shadow = rng.clone();
-                    let (run, draws) = fresh(&mut shadow);
+                    let (run, draws) = fresh(&mut shadow, self.path_to(key, built));
                     assert_eq!(run, report, "replayed TCP report");
                     assert_eq!(draws, 0, "TCP draws");
                     assert_eq!(shadow, rng, "the host's RNG after a TCP replay");
@@ -559,7 +620,7 @@ impl<'a> Scanner<'a> {
                 report
             }
             None => {
-                let (report, draws) = fresh(&mut rng);
+                let (report, draws) = fresh(&mut rng, self.path_to(key, built));
                 // A run that drew depends on the host's RNG: never reuse it.
                 if draws == 0 {
                     tcp_runs.keep(effect, &tcp_behavior, &report);
@@ -590,23 +651,42 @@ impl<'a> Scanner<'a> {
         let host_trace_p =
             Probability::new(1.0 - (1.0 - per_domain_p).powi(weight.min(1_000) as i32));
         let trace = if abnormal && host_trace_p.draw(&mut rng) {
-            let analysis = match kept_trace {
-                Some(kept) => kept.clone(),
+            // One trace, fresh, and what it drew.
+            let fresh = |rng: &mut StdRng, path: &DuplexPath| {
+                let mut drawn = Drawn::new(rng);
+                let trace = trace_path(
+                    &path.forward,
+                    client_addr,
+                    server_addr,
+                    &TraceConfig::default(),
+                    &mut drawn,
+                );
+                let as_org = &self.universe.as_org;
+                (
+                    analyze_trace(&trace, &|ip| as_org.asn_of_ip(ip)),
+                    drawn.draws,
+                )
+            };
+            let analysis = match &route.trace {
+                Some(kept) => {
+                    // Debug builds trace all the same, on a copy of the
+                    // host's RNG, and hold the kept trace to it.
+                    #[cfg(debug_assertions)]
+                    {
+                        let mut shadow = rng.clone();
+                        let (analysis, draws) = fresh(&mut shadow, self.path_to(key, built));
+                        assert_eq!(&analysis, kept, "replayed trace");
+                        assert_eq!(draws, 0, "trace draws");
+                        assert_eq!(shadow, rng, "the host's RNG after a trace replay");
+                    }
+                    kept.clone()
+                }
                 None => {
-                    let mut drawn = Drawn::new(&mut rng);
-                    let trace = trace_path(
-                        &path.forward,
-                        client_addr,
-                        server_addr,
-                        &TraceConfig::default(),
-                        &mut drawn,
-                    );
-                    let as_org = &self.universe.as_org;
-                    let analysis = analyze_trace(&trace, &|ip| as_org.asn_of_ip(ip));
+                    let (analysis, draws) = fresh(&mut rng, self.path_to(key, built));
                     // A trace that drew depends on the host's RNG: never
                     // replay it.
-                    if drawn.draws == 0 {
-                        *kept_trace = Some(analysis.clone());
+                    if draws == 0 {
+                        route.trace = Some(analysis.clone());
                     }
                     analysis
                 }
@@ -637,26 +717,68 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    /// The route for `key`: `route` if it was built for the same key, else
-    /// built into `route`, with the scanner's fault plan on its forward
-    /// direction.  The vantage AS and the fault plan are the scanner's, and
-    /// a worker has one scanner.
-    fn route_to<'r>(&self, key: RouteKey, route: &'r mut Option<Route>) -> &'r mut Route {
-        if route.as_ref().is_some_and(|last| last.key != key) {
-            *route = None;
+    /// The route `key` from this scanner's vantage point, met before or
+    /// met now, and the slot its path is built into.  A route met now is
+    /// built there, to read its effect.
+    fn route_to<'r>(
+        &self,
+        key: RouteKey,
+        routes: &'r mut Routes,
+    ) -> (&'r mut MetRoute, &'r mut Option<BuiltPath>) {
+        let Routes { met, last, path } = routes;
+        let vantage = self.vantage.asn;
+        let matches = |route: &MetRoute| route.vantage == vantage && route.key == key;
+        if !met.get(*last).is_some_and(matches) {
+            match met.iter().position(matches) {
+                Some(found) => *last = found,
+                None => {
+                    let effect = self.path_to(key, path).effect();
+                    *last = met.len();
+                    met.push(MetRoute {
+                        vantage,
+                        key,
+                        effect,
+                        trace: None,
+                    });
+                }
+            }
         }
-        route.get_or_insert_with(|| {
-            let mut path = key.path(self.vantage.asn);
-            if !self.fault_plan.is_empty() {
-                path.forward = path.forward.with_fault(self.fault_plan.clone());
-            }
-            Route {
+        (&mut met[*last], path)
+    }
+
+    /// The path of the route `key` from this scanner's vantage point:
+    /// `built` if it holds it, else built into `built`.
+    fn path_to<'p>(&self, key: RouteKey, built: &'p mut Option<BuiltPath>) -> &'p DuplexPath {
+        let vantage = self.vantage.asn;
+        if built
+            .as_ref()
+            .is_some_and(|last| last.vantage != vantage || last.key != key)
+        {
+            *built = None;
+        }
+        // Debug builds build a kept path all the same and hold it to that.
+        #[cfg(debug_assertions)]
+        if let Some(last) = built {
+            assert_eq!(last.path, self.build_path(key), "a kept path");
+        }
+        &built
+            .get_or_insert_with(|| BuiltPath {
+                vantage,
                 key,
-                effect: path.effect(),
-                path,
-                trace: None,
-            }
-        })
+                path: self.build_path(key),
+            })
+            .path
+    }
+
+    /// The path of the route `key` from this scanner's vantage point, with
+    /// the scanner's fault plan on its forward direction.  The fault plan
+    /// is the scanner's, and a kit is lent only to scanners without one.
+    fn build_path(&self, key: RouteKey) -> DuplexPath {
+        let mut path = key.path(self.vantage.asn);
+        if !self.fault_plan.is_empty() {
+            path.forward = path.forward.with_fault(self.fault_plan.clone());
+        }
+        path
     }
 }
 
@@ -973,6 +1095,68 @@ mod tests {
                 .collect();
             check_reuse(&census, &quic_hosts, vantage, ipv6, scenario, None);
         }
+
+        // Vantages scanned in turn, as a cloud campaign scans them, with
+        // one pool of kits lent to each scanner: two that share an AS, one
+        // in another AS between them, and the main vantage point.
+        let fleet = VantagePoint::cloud_fleet();
+        let named = |name: &str| fleet.iter().find(|v| v.name == name).unwrap().clone();
+        check_pooled(
+            &census,
+            &[
+                named("AWS Frankfurt"),
+                named("Vultr Frankfurt"),
+                named("AWS Mumbai"),
+                main(),
+            ],
+        );
+    }
+
+    /// Scan the QUIC hosts of `universe` from each of `vantages` in turn,
+    /// in both families, with one pool of kits lent to every scanner, and
+    /// hold each scan to a fresh worker per host: a kit carries the routes,
+    /// traces and runs it met from one vantage point to the next.  The
+    /// fleet is scanned twice, at one executor worker and at two, so the
+    /// second pass meets everything from the first already kept.
+    fn check_pooled(universe: &Universe, vantages: &[VantagePoint]) {
+        let options = |workers: usize, ipv6: bool| ScanOptions {
+            workers,
+            ipv6,
+            ..ScanOptions::paper_default(SnapshotDate::APR_2023)
+        };
+        let scans: Vec<_> = vantages
+            .iter()
+            .flat_map(|vantage| [(vantage, false), (vantage, true)])
+            .map(|(vantage, ipv6)| {
+                let population: Vec<usize> = universe
+                    .scan_population(ipv6)
+                    .into_iter()
+                    .filter(|&id| universe.hosts[id].stack.is_some())
+                    .collect();
+                let single = Scanner::new(universe, vantage.clone(), options(1, ipv6));
+                let fresh: Vec<HostMeasurement> = population
+                    .iter()
+                    .map(|&id| single.measure_host(id, &mut single.worker()))
+                    .collect();
+                (vantage, ipv6, population, fresh, single.metrics_snapshot())
+            })
+            .collect();
+        let kits = Kits::default();
+        for workers in [1, 2] {
+            for (vantage, ipv6, population, fresh, metrics) in &scans {
+                let scanner = Scanner::new(universe, (*vantage).clone(), options(workers, *ipv6))
+                    .with_kits(&kits);
+                let name = &vantage.name;
+                assert_eq!(
+                    scanner.scan_hosts(population),
+                    *fresh,
+                    "{name} ipv6={ipv6} workers={workers}"
+                );
+                assert_eq!(scanner.metrics_snapshot(), *metrics, "{name} ipv6={ipv6}");
+            }
+        }
+        // Every kit came back: the first pass's, and the second worker's.
+        assert_eq!(lock(&kits).len(), 2);
     }
 
     /// Scan `population` from `vantage` with a fresh worker per host, then
