@@ -4,12 +4,19 @@
 //! A snapshot holds its hosts as a [`HostMap`], the scanner's sorted output
 //! wrapped without a copy: reports read hosts in host-id order, and
 //! [`SnapshotMeasurement::host`] looks one up by binary search.
+//!
+//! A [`Campaign`] keeps one exchange table for as long as it lives, and
+//! every scanner it builds ([`Campaign::scanner`]) keeps its routes, runs
+//! and traces there: a route, exchange or trace met by one scan — the
+//! other family, an earlier date, another vantage point of the fleet — is
+//! not measured again by the next (see the `scanner` module).  Results
+//! never depend on what the table holds.
 
 use crate::executor::ShardedExecutor;
 use crate::host_map::HostMap;
 use crate::observation::HostMeasurement;
 use crate::resilience::RetryPolicy;
-use crate::scanner::{Kits, ProbeMode, ScanOptions, Scanner};
+use crate::scanner::{ExchangeTable, ProbeMode, ScanOptions, Scanner};
 use crate::vantage::VantagePoint;
 use qem_netsim::{CrossTraffic, Probability};
 use qem_obs::{MetricsSnapshot, RunTelemetry};
@@ -144,17 +151,35 @@ pub struct CampaignResult {
 /// Campaign runner bound to a universe.
 pub struct Campaign<'a> {
     universe: &'a Universe,
+    /// What every scan of this campaign has measured.
+    table: ExchangeTable,
 }
 
 impl<'a> Campaign<'a> {
-    /// Create a campaign runner.
+    /// Create a campaign runner, with an empty exchange table.
     pub fn new(universe: &'a Universe) -> Self {
-        Campaign { universe }
+        Campaign {
+            universe,
+            table: ExchangeTable::default(),
+        }
     }
 
     /// The universe being measured.
     pub fn universe(&self) -> &Universe {
         self.universe
+    }
+
+    /// A scanner for one family of `options` from `vantage`, keeping its
+    /// runs and traces in this campaign's table.  Every scan of the
+    /// campaign, here and in the store-backed runs, is made by one.
+    pub fn scanner(
+        &self,
+        vantage: &VantagePoint,
+        options: &CampaignOptions,
+        ipv6: bool,
+    ) -> Scanner<'_> {
+        Scanner::new(self.universe, vantage.clone(), options.scan_options(ipv6))
+            .with_table(&self.table)
     }
 
     /// Run one snapshot from one vantage point.
@@ -177,7 +202,7 @@ impl<'a> Campaign<'a> {
         options: &CampaignOptions,
         ipv6: bool,
     ) -> (SnapshotMeasurement, MetricsSnapshot) {
-        let scanner = Scanner::new(self.universe, vantage.clone(), options.scan_options(ipv6));
+        let scanner = self.scanner(vantage, options, ipv6);
         let snapshot = SnapshotMeasurement::wrap(vantage, options, ipv6, scanner.scan_all());
         (snapshot, scanner.metrics_snapshot())
     }
@@ -218,6 +243,8 @@ impl<'a> Campaign<'a> {
     }
 
     /// Run the longitudinal series (one IPv4 snapshot per month, Figure 3/4/8).
+    /// Every date meets the same routes and mostly the same servers, and
+    /// measures only what the dates before it did not.
     pub fn run_longitudinal(
         &self,
         dates: &[SnapshotDate],
@@ -271,25 +298,20 @@ impl<'a> Campaign<'a> {
         // any worker budget beyond the fleet size is divided among the
         // per-vantage scans.  Per-host determinism makes this reshuffling
         // invisible in the results.  The vantages share their ASes and most
-        // of the routes and servers they meet, so the scan workers' kits
-        // pass from scan to scan: a route, a trace or a run met from one is
-        // not measured again from the next.
+        // of the routes and servers they meet, and their scans share the
+        // campaign's table: a route, a trace or a run met from one is not
+        // measured again from the next.
         let fleet = VantagePoint::cloud_fleet();
         let executor = ShardedExecutor::new(options.workers).with_batch_size(1);
         let per_vantage_options = CampaignOptions {
             workers: (executor.workers() / fleet.len()).max(1),
             ..*options
         };
-        let kits = Kits::default();
         executor.run(&fleet, |vantage| {
             let scan = |ipv6, targets: &[usize]| {
-                let scanner = Scanner::new(
-                    self.universe,
-                    vantage.clone(),
-                    per_vantage_options.scan_options(ipv6),
-                )
-                .with_kits(&kits);
-                let hosts = scanner.scan_hosts(targets);
+                let hosts = self
+                    .scanner(vantage, &per_vantage_options, ipv6)
+                    .scan_hosts(targets);
                 SnapshotMeasurement::wrap(vantage, &per_vantage_options, ipv6, hosts)
             };
             let snap_v4 = scan(false, &v4_targets);
@@ -508,9 +530,8 @@ mod tests {
         );
     }
 
-    /// The kits a cloud campaign passes from scan to scan change nothing:
-    /// each vantage point measures what a scanner of its own, lent no
-    /// kits, does.
+    /// The table a cloud campaign's scans share changes nothing: each
+    /// vantage point measures what a scanner with a table of its own does.
     #[test]
     fn a_cloud_campaign_measures_what_each_vantage_scanned_alone_does() {
         let universe = universe();
@@ -554,6 +575,127 @@ mod tests {
                 assert_eq!((v6.ipv6, &v6.vantage), (true, vantage));
                 assert_eq!(v6.hosts, *alone_v6, "{name} v6 workers={workers}");
             }
+        }
+    }
+
+    const SERIES: [SnapshotDate; 3] = [
+        SnapshotDate::JUN_2022,
+        SnapshotDate::FEB_2023,
+        SnapshotDate::APR_2023,
+    ];
+
+    /// One campaign's table serves an ECT(0) snapshot, a CE snapshot, both
+    /// families, a series and the cloud fleet in turn, and changes nothing
+    /// any of them returns: each returns what it returns on a campaign of
+    /// its own.
+    #[test]
+    fn one_campaign_measures_what_a_campaign_per_call_does() {
+        let universe = universe();
+        let shared = Campaign::new(&universe);
+        let alone = || Campaign::new(&universe);
+        let options = CampaignOptions {
+            workers: 2,
+            ..CampaignOptions::paper_default()
+        };
+        let ce = CampaignOptions {
+            workers: 2,
+            ..CampaignOptions::ce_probing()
+        };
+        let main = VantagePoint::main();
+        for options in [&options, &ce] {
+            let (snapshot, metrics) = shared.run_snapshot_with_telemetry(&main, options, false);
+            let (expected, expected_metrics) =
+                alone().run_snapshot_with_telemetry(&main, options, false);
+            assert_eq!(snapshot.hosts, expected.hosts, "{:?}", options.probe);
+            assert_eq!(metrics, expected_metrics, "{:?}", options.probe);
+        }
+        let (result, telemetry) = shared.run_main_with_telemetry(&options, true);
+        let (expected, expected_telemetry) = alone().run_main_with_telemetry(&options, true);
+        assert_eq!(result.v4.hosts, expected.v4.hosts);
+        let v6 = result.v6.as_ref().unwrap();
+        assert_eq!(v6.hosts, expected.v6.as_ref().unwrap().hosts);
+        assert_eq!(telemetry.to_json(), expected_telemetry.to_json());
+        let series = shared.run_longitudinal(&SERIES, &options);
+        let expected = alone().run_longitudinal(&SERIES, &options);
+        assert_eq!(series.len(), expected.len());
+        for (snapshot, expected) in series.iter().zip(&expected) {
+            assert_eq!(snapshot.hosts, expected.hosts, "{}", snapshot.date);
+        }
+        let cloud = shared.run_cloud(&result.v4, Some(v6), &options);
+        let expected = alone().run_cloud(&result.v4, Some(v6), &options);
+        assert_eq!(cloud.len(), expected.len());
+        for ((vantage, v4, v6), (_, expected_v4, expected_v6)) in cloud.iter().zip(&expected) {
+            assert_eq!(v4.hosts, expected_v4.hosts, "{}", vantage.name);
+            let hosts = |s: &Option<SnapshotMeasurement>| s.as_ref().map(|s| s.hosts.clone());
+            assert_eq!(hosts(v6), hosts(expected_v6), "{}", vantage.name);
+        }
+    }
+
+    /// Which host of a key runs it fresh follows the schedule, but that
+    /// each key runs fresh once does not: the main census and the cloud
+    /// fleet keep the same routes, traces and runs at any worker count.
+    #[test]
+    fn a_campaign_runs_the_same_keys_fresh_at_any_worker_count() {
+        let universe = universe();
+        let kept = |workers: usize| {
+            let campaign = Campaign::new(&universe);
+            let options = CampaignOptions {
+                workers,
+                ..CampaignOptions::paper_default()
+            };
+            let main = campaign.run_main(&options, true);
+            let census = campaign.table.kept();
+            campaign.run_cloud(&main.v4, main.v6.as_ref(), &options);
+            (census, campaign.table.kept())
+        };
+        let single = kept(1);
+        assert!(single.0.iter().all(|&n| n > 0), "{single:?}");
+        assert!(single
+            .0
+            .iter()
+            .zip(single.1)
+            .all(|(&census, cloud)| census <= cloud));
+        assert_ne!(
+            single.0, single.1,
+            "the fleet meets routes the census did not"
+        );
+        for workers in [2, 0] {
+            assert_eq!(kept(workers), single, "workers={workers}");
+        }
+    }
+
+    /// A series runs each route, exchange and trace once, not once per
+    /// date: its table holds what the dates' tables hold together, and
+    /// every date meets the same routes.
+    #[test]
+    fn a_series_runs_each_key_once() {
+        let universe = universe();
+        let options = CampaignOptions {
+            workers: 1,
+            ..CampaignOptions::paper_default()
+        };
+        let series = Campaign::new(&universe);
+        series.run_longitudinal(&SERIES, &options);
+        let kept = series.table.kept();
+        let per_date: Vec<[usize; 4]> = SERIES
+            .iter()
+            .map(|&date| {
+                let alone = Campaign::new(&universe);
+                alone.run_snapshot(
+                    &VantagePoint::main(),
+                    &CampaignOptions { date, ..options },
+                    false,
+                );
+                alone.table.kept()
+            })
+            .collect();
+        for date in &per_date {
+            assert_eq!(date[0], kept[0], "every date meets every route");
+            assert!(date.iter().zip(kept).all(|(&date, series)| date <= series));
+        }
+        for (kind, &series) in kept.iter().enumerate() {
+            let dates: usize = per_date.iter().map(|date| date[kind]).sum();
+            assert!(series < dates, "kind {kind}: {series} of {dates}");
         }
     }
 

@@ -102,8 +102,8 @@ pub use crate::outbox::Transmit;
 const INITIAL_PAYLOAD: usize = MIN_INITIAL_SIZE - 48;
 
 /// Summary of a finished (or failed) client connection, consumed by the
-/// measurement pipeline.
-#[derive(Debug, PartialEq)]
+/// measurement pipeline.  A clone shares the response's header values.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClientReport {
     /// Whether the QUIC handshake completed.
     pub connected: bool,
@@ -130,47 +130,6 @@ pub struct ClientReport {
     pub server_used_ecn: bool,
     /// Terminal error, if the connection failed.
     pub error: Option<String>,
-}
-
-impl Clone for ClientReport {
-    fn clone(&self) -> Self {
-        ClientReport {
-            response: self.response.clone(),
-            error: self.error.clone(),
-            ..*self
-        }
-    }
-
-    /// Field by field, so the response's header values and the error reuse
-    /// what `self` holds.
-    fn clone_from(&mut self, source: &Self) {
-        let ClientReport {
-            connected,
-            response,
-            version,
-            server_transport_params,
-            transport_fingerprint,
-            ecn_state,
-            peer_mirrored,
-            mirrored_counts,
-            sent_counts,
-            received_ecn,
-            server_used_ecn,
-            error,
-        } = source;
-        self.connected = *connected;
-        self.response.clone_from(response);
-        self.version = *version;
-        self.server_transport_params = *server_transport_params;
-        self.transport_fingerprint = *transport_fingerprint;
-        self.ecn_state = *ecn_state;
-        self.peer_mirrored = *peer_mirrored;
-        self.mirrored_counts = *mirrored_counts;
-        self.sent_counts = *sent_counts;
-        self.received_ecn = *received_ecn;
-        self.server_used_ecn = *server_used_ecn;
-        self.error.clone_from(error);
-    }
 }
 
 /// A sans-IO QUIC client connection, reading its configuration from a
@@ -595,6 +554,7 @@ impl<C: Borrow<ClientConfig>> ClientConnection<C> {
 mod tests {
     use super::*;
     use qem_packet::quic::{Frame, QuicPacket};
+    use std::sync::Arc;
 
     fn new_client() -> ClientConnection {
         ClientConnection::new(
@@ -784,8 +744,8 @@ mod tests {
     #[test]
     fn a_report_cloned_into_a_used_slot_is_its_clone() {
         let response = |server: &str, via: Option<&str>| HttpResponse {
-            server: Some(server.to_string()),
-            via: via.map(str::to_string),
+            server: Some(Arc::from(server)),
+            via: via.map(Arc::from),
             ..HttpResponse::ok()
         };
         let base = new_client().report();
@@ -821,19 +781,23 @@ mod tests {
                 ..base
             },
         ];
+        let headers = |report: &ClientReport| {
+            let response = report.response.as_ref();
+            [
+                response.and_then(|r| r.server.clone()),
+                response.and_then(|r| r.via.clone()),
+            ]
+        };
         for source in &reports {
             for slot in &reports {
                 let mut slot = slot.clone();
-                let kept = slot.response.as_ref().and_then(|r| r.server.as_ref());
-                let kept = kept.map(|server| (server.as_ptr(), server.capacity()));
                 slot.clone_from(source);
                 assert_eq!(&slot, source);
                 assert_eq!(slot, source.clone());
-                // A header value that fits is written over the slot's own.
-                let server = slot.response.as_ref().and_then(|r| r.server.as_ref());
-                if let (Some((ptr, capacity)), Some(server)) = (kept, server) {
-                    if server.len() <= capacity {
-                        assert_eq!(server.as_ptr(), ptr);
+                // A copy's header values are the source's, not copies.
+                for (copied, kept) in headers(&slot).iter().zip(headers(source)) {
+                    if let (Some(copied), Some(kept)) = (copied, kept) {
+                        assert!(Arc::ptr_eq(copied, &kept));
                     }
                 }
             }

@@ -79,7 +79,7 @@ impl DriverConfig {
 }
 
 /// Everything observed while driving one connection.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConnectionOutcome {
     /// The client's measurement report.
     pub report: ClientReport,
@@ -93,31 +93,6 @@ pub struct ConnectionOutcome {
     pub reverse_losses: u64,
     /// Virtual time consumed by the connection.
     pub elapsed: SimDuration,
-}
-
-impl Clone for ConnectionOutcome {
-    fn clone(&self) -> Self {
-        ConnectionOutcome {
-            report: self.report.clone(),
-            ..*self
-        }
-    }
-
-    /// Field by field, so the report reuses what `self` holds.
-    fn clone_from(&mut self, source: &Self) {
-        let ConnectionOutcome {
-            report,
-            forward_arrival_ecn,
-            forward_losses,
-            reverse_losses,
-            elapsed,
-        } = source;
-        self.report.clone_from(report);
-        self.forward_arrival_ecn = *forward_arrival_ecn;
-        self.forward_losses = *forward_losses;
-        self.reverse_losses = *reverse_losses;
-        self.elapsed = *elapsed;
-    }
 }
 
 /// The QUIC measurement connection as a sans-IO flow for the discrete-event
@@ -305,7 +280,7 @@ impl<R: Rng + ?Sized> Flow for QuicFlow<'_, R> {
 /// A complete client↔server run: the measured [`ConnectionOutcome`], the
 /// engine's tally and, when requested via [`ConnectionRun::telemetry`], its
 /// telemetry.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunOutcome {
     /// What the measured connection observed.
     pub connection: ConnectionOutcome,
@@ -315,28 +290,6 @@ pub struct RunOutcome {
     /// shared bottleneck's per-router queue metrics (`queue.r<id>.*`: CE
     /// marks, tail drops, occupancy).
     pub telemetry: Option<EngineTelemetry>,
-}
-
-impl Clone for RunOutcome {
-    fn clone(&self) -> Self {
-        RunOutcome {
-            connection: self.connection.clone(),
-            engine: self.engine,
-            telemetry: self.telemetry.clone(),
-        }
-    }
-
-    /// Field by field, so the connection's report reuses what `self` holds.
-    fn clone_from(&mut self, source: &Self) {
-        let RunOutcome {
-            connection,
-            engine,
-            telemetry,
-        } = source;
-        self.connection.clone_from(connection);
-        self.engine = *engine;
-        self.telemetry.clone_from(telemetry);
-    }
 }
 
 /// Builder for one QUIC measurement connection — the single entrypoint.

@@ -13,9 +13,11 @@
 //! header values, and each appends itself to the STREAM frame under
 //! construction; both parse as slices of the reassembled stream.  The one
 //! thing copied out is what a client report keeps: the response's header
-//! values.
+//! values, each into one shared `Arc<str>`, so that a report's copy — a
+//! replayed run's, a stored record's — shares them instead of copying them.
 
 use std::io::Write;
+use std::sync::Arc;
 
 /// An HTTP request sent over stream 0, its strings borrowed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,10 +87,14 @@ impl<'a> HttpRequest<'a> {
     }
 }
 
-/// An HTTP response sent over stream 0: with `String` header values as a
-/// client report keeps it, or with `&str` ones as a server writes it.
-#[derive(Debug, PartialEq, Eq)]
-pub struct HttpResponse<S = String> {
+/// An HTTP response sent over stream 0: with shared `Arc<str>` header
+/// values as a client report keeps it, or with `&str` ones as a server
+/// writes it.  Cloning a report's response copies three pointers: every
+/// copy of a report, the scanner's replay of a kept run and the store's
+/// decode of a record included, shares the header values of the response
+/// it was read from, never copies their text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HttpResponse<S = Arc<str>> {
     /// Status code.
     pub status: u16,
     /// The `server` header, if the server sets one.
@@ -100,33 +106,6 @@ pub struct HttpResponse<S = String> {
     pub alt_svc: Option<S>,
     /// Number of body bytes (the body itself is synthetic padding).
     pub body_len: usize,
-}
-
-impl<S: Clone> Clone for HttpResponse<S> {
-    fn clone(&self) -> Self {
-        HttpResponse {
-            server: self.server.clone(),
-            via: self.via.clone(),
-            alt_svc: self.alt_svc.clone(),
-            ..*self
-        }
-    }
-
-    /// Field by field, so the header values reuse what `self` holds.
-    fn clone_from(&mut self, source: &Self) {
-        let HttpResponse {
-            status,
-            server,
-            via,
-            alt_svc,
-            body_len,
-        } = source;
-        self.status = *status;
-        self.server.clone_from(server);
-        self.via.clone_from(via);
-        self.alt_svc.clone_from(alt_svc);
-        self.body_len = *body_len;
-    }
 }
 
 impl<S> HttpResponse<S> {
@@ -163,7 +142,8 @@ const HEADERS: [&str; 3] = ["server", "via", "alt-svc"];
 
 impl HttpResponse {
     /// Parse from stream bytes, read in place up to the blank line that
-    /// ends the headers, with only the kept header values copied out.
+    /// ends the headers, with only the kept header values copied out, each
+    /// into one `Arc<str>`.
     ///
     /// The lines are the whole buffer's lossy UTF-8 text split as
     /// [`str::lines`] splits it, decoded one at a time: each ends at a
@@ -199,7 +179,7 @@ impl HttpResponse {
                 ];
                 for (header, slot) in HEADERS.iter().zip(slots) {
                     if name.eq_ignore_ascii_case(header) {
-                        *slot = Some(value.to_string());
+                        *slot = Some(Arc::from(value));
                     }
                 }
                 if name.eq_ignore_ascii_case("content-length") {
@@ -258,11 +238,11 @@ mod tests {
     #[test]
     fn server_family_strips_version() {
         let resp = HttpResponse {
-            server: Some("LiteSpeed/6.1.2".to_string()),
+            server: Some(Arc::from("LiteSpeed/6.1.2")),
             ..HttpResponse::ok()
         };
         assert_eq!(resp.server_family(), Some("LiteSpeed"));
-        assert_eq!(HttpResponse::<String>::ok().server_family(), None);
+        assert_eq!(HttpResponse::ok().server_family(), None);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! accumulating measurements in memory.  Because every per-host measurement
 //! is a pure function of `seed × host id`, a resumed campaign — skipping the
 //! hosts already persisted before the kill — produces a snapshot
-//! bit-identical to an uninterrupted run at any worker count.
+//! bit-identical to an uninterrupted run at any worker count.  Every scan
+//! is made by [`Campaign::scanner`], so it shares the campaign's exchange
+//! table with the campaign's other runs and with the dates before it.
 
 use crate::longitudinal::{LongitudinalStore, LongitudinalWriter};
 use crate::segment::write_atomically;
@@ -149,7 +151,7 @@ impl CampaignStoreExt for Campaign<'_> {
         let universe = self.universe();
         let meta = SnapshotMeta::for_campaign(options, vantage, ipv6);
         let mut writer = CampaignWriter::create(dir, &meta)?;
-        let scanner = Scanner::new(universe, vantage.clone(), options.scan_options(ipv6));
+        let scanner = self.scanner(vantage, options, ipv6);
         let population = universe.scan_population(ipv6);
         scan_into(&scanner, &population, |m| writer.append(m))?;
         let (store, stats) = writer.finish_with_stats()?;
@@ -183,12 +185,7 @@ impl CampaignStoreExt for Campaign<'_> {
             .copied()
             .filter(|id| !persisted_set.contains(id))
             .collect();
-        let options = meta.campaign_options(workers);
-        let scanner = Scanner::new(
-            universe,
-            meta.vantage.clone(),
-            options.scan_options(meta.ipv6),
-        );
+        let scanner = self.scanner(&meta.vantage, &meta.campaign_options(workers), meta.ipv6);
         scan_into(&scanner, &remaining, |m| writer.append(m))?;
         let (store, stats) = writer.finish_with_stats()?;
         write_run_telemetry(dir, &meta, &scanner, stats)?;
@@ -213,7 +210,7 @@ impl CampaignStoreExt for Campaign<'_> {
         for _ in dates {
             let date = writer.begin_date()?;
             let dated = CampaignOptions { date, ..*options };
-            let scanner = Scanner::new(universe, vantage.clone(), dated.scan_options(false));
+            let scanner = self.scanner(&vantage, &dated, false);
             scan_into(&scanner, &population, |m| writer.append(m))?;
             writer.end_date()?;
         }

@@ -50,6 +50,7 @@ use std::cell::Cell;
 // lint: allow(no-unordered-collections) intern indexes below are lookup-only
 use std::collections::HashMap;
 use std::net::IpAddr;
+use std::sync::Arc;
 
 /// Version byte embedded in every store file.
 pub const FORMAT_VERSION: u8 = 1;
@@ -130,11 +131,18 @@ impl DictBuilder {
 /// a block it wrote are distinct, first referenced in order, and all
 /// referenced.  The reader holds a block to the same, so the one value a
 /// block decodes to encodes back to that block.
+///
+/// A string entry is decoded once, into an `Arc<str>`, and every header
+/// value a record refers it by shares it: decoding a record's `server`
+/// header copies a pointer.
 pub struct Dicts {
-    strings: Vec<String>,
+    strings: Vec<Arc<str>>,
     asns: Vec<u32>,
     /// How many entries of each dictionary the records have referenced.
     used: [Cell<usize>; 2],
+    /// The buffer a trace's changes are decoded into before they are made
+    /// one shared list: one per block, lent to each trace in turn.
+    changes: Cell<Vec<EcnChange>>,
 }
 
 impl Dicts {
@@ -143,7 +151,7 @@ impl Dicts {
         let string_count = r.varint()? as usize;
         let mut strings = Vec::with_capacity(string_count.min(4096));
         for _ in 0..string_count {
-            strings.push(r.string()?);
+            strings.push(Arc::from(r.str()?));
         }
         let asn_count = r.varint()? as usize;
         let mut asns = Vec::with_capacity(asn_count.min(4096));
@@ -163,10 +171,11 @@ impl Dicts {
             strings,
             asns,
             used: Default::default(),
+            changes: Cell::default(),
         })
     }
 
-    fn string(&self, idx: u64) -> Result<&str, StoreError> {
+    fn string(&self, idx: u64) -> Result<&Arc<str>, StoreError> {
         let idx = referenced(idx, self.strings.len(), &self.used[0], "string")?;
         Ok(&self.strings[idx])
     }
@@ -239,12 +248,12 @@ fn write_opt_str(buf: &mut Vec<u8>, dict: &mut DictBuilder, value: Option<&str>)
 }
 
 #[inline]
-fn read_opt_str(r: &mut ByteReader<'_>, dicts: &Dicts) -> Result<Option<String>, StoreError> {
+fn read_opt_str(r: &mut ByteReader<'_>, dicts: &Dicts) -> Result<Option<Arc<str>>, StoreError> {
     let tag = r.varint()?;
     if tag == 0 {
         Ok(None)
     } else {
-        Ok(Some(dicts.string(tag - 1)?.to_string()))
+        Ok(Some(Arc::clone(dicts.string(tag - 1)?)))
     }
 }
 
@@ -600,7 +609,7 @@ fn decode_tcp_report(r: &mut ByteReader<'_>) -> Result<TcpReport, StoreError> {
 
 fn encode_trace(buf: &mut Vec<u8>, dict: &mut DictBuilder, trace: &TraceAnalysis) {
     write_varint(buf, trace.changes.len() as u64);
-    for change in &trace.changes {
+    for change in trace.changes.iter() {
         buf.push(codepoint_bits(change.from) << 2 | codepoint_bits(change.to));
         buf.push(change.visible_at_ttl);
         write_opt_ip(buf, change.last_unchanged_router);
@@ -619,7 +628,12 @@ fn encode_trace(buf: &mut Vec<u8>, dict: &mut DictBuilder, trace: &TraceAnalysis
 #[inline]
 fn decode_trace(r: &mut ByteReader<'_>, dicts: &Dicts) -> Result<TraceAnalysis, StoreError> {
     let change_count = r.varint()? as usize;
-    let mut changes = Vec::with_capacity(change_count.min(256));
+    // Decoded into the block's buffer, then copied into the one allocation
+    // the analysis keeps; a trace without changes shares the empty list,
+    // which allocates nothing.  An error drops the buffer with the block.
+    let mut changes = dicts.changes.take();
+    changes.clear();
+    changes.reserve(change_count.min(256));
     for _ in 0..change_count {
         let codepoints = r.u8()?;
         changes.push(EcnChange {
@@ -646,12 +660,18 @@ fn decode_trace(r: &mut ByteReader<'_>, dicts: &Dicts) -> Result<TraceAnalysis, 
             )))
         }
     };
-    Ok(TraceAnalysis {
-        changes,
+    let analysis = TraceAnalysis {
+        changes: if changes.is_empty() {
+            Arc::default()
+        } else {
+            Arc::from(&changes[..])
+        },
         verdict,
         final_observed,
         dscp_rewritten_only,
-    })
+    };
+    dicts.changes.set(changes);
+    Ok(analysis)
 }
 
 // ---------------------------------------------------------------------------
@@ -998,9 +1018,9 @@ mod tests {
             connected: true,
             response: Some(HttpResponse {
                 status: 200,
-                server: Some("LiteSpeed/6.0".to_string()),
+                server: Some(Arc::from("LiteSpeed/6.0")),
                 via: None,
-                alt_svc: Some("h3=\":443\"".to_string()),
+                alt_svc: Some(Arc::from("h3=\":443\"")),
                 body_len: 2048,
             }),
             version: QuicVersion::Draft(29),
@@ -1049,7 +1069,7 @@ mod tests {
                 forward_losses: 1,
             }),
             trace: Some(TraceAnalysis {
-                changes: vec![EcnChange {
+                changes: Arc::new([EcnChange {
                     from: EcnCodepoint::Ect0,
                     to: EcnCodepoint::Ect1,
                     visible_at_ttl: 7,
@@ -1057,7 +1077,7 @@ mod tests {
                     asn_before: Some(Asn(1299)),
                     first_changed_router: Some("2001:db8::7".parse().unwrap()),
                     asn_at_change: Some(Asn(174)),
-                }],
+                }]),
                 verdict: PathVerdict::RemarkedToEct1,
                 final_observed: Some(EcnCodepoint::Ect1),
                 dscp_rewritten_only: false,
@@ -1190,11 +1210,38 @@ mod tests {
         assert_eq!(out, [held, hosts].concat());
     }
 
+    /// A block's header values are decoded once, into its dictionary, and
+    /// every record that names one shares it; values of different blocks
+    /// do not.
+    #[test]
+    fn equal_header_values_decoded_from_one_block_share_one_allocation() {
+        let mut hosts: Vec<HostMeasurement> = (0..8).map(sample_measurement).collect();
+        if let Some(response) = hosts[3].quic.as_mut().and_then(|q| q.response.as_mut()) {
+            response.server = Some(Arc::from("nginx"));
+        }
+        let block = encode_block(&hosts);
+        let servers = |decoded: &[HostMeasurement]| -> Vec<Arc<str>> {
+            let response = |m: &HostMeasurement| m.quic.as_ref()?.response.clone();
+            decoded.iter().filter_map(|m| response(m)?.server).collect()
+        };
+        let decoded = servers(&decode_block(&block).unwrap());
+        assert_eq!(decoded.len(), hosts.len());
+        for (i, a) in decoded.iter().enumerate() {
+            for b in &decoded[..i] {
+                assert_eq!(Arc::ptr_eq(a, b), a == b, "{a} {b}");
+            }
+        }
+        let again = servers(&decode_block(&block).unwrap());
+        assert!(!Arc::ptr_eq(&decoded[0], &again[0]));
+    }
+
     #[test]
     fn an_encoded_block_knows_its_exact_length() {
         let mut hosts: Vec<HostMeasurement> = (0..40).map(sample_measurement).collect();
         if let Some(trace) = hosts[7].trace.as_mut() {
-            trace.changes[0].asn_before = Some(Asn(u32::MAX));
+            let mut changes = trace.changes.to_vec();
+            changes[0].asn_before = Some(Asn(u32::MAX));
+            trace.changes = changes.into();
         }
         if let Some(quic) = hosts[9].quic.as_mut() {
             quic.error = Some("é".repeat(200));

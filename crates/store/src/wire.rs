@@ -220,12 +220,18 @@ impl<'a> ByteReader<'a> {
 
     /// Read a length-prefixed UTF-8 string.
     pub fn string(&mut self) -> Result<String, StoreError> {
+        self.str().map(str::to_owned)
+    }
+
+    /// Read a length-prefixed UTF-8 string where it lies, for a caller
+    /// that keeps it in another form (the dictionaries, as `Arc<str>`).
+    pub(crate) fn str(&mut self) -> Result<&'a str, StoreError> {
         let len = self.varint()? as usize;
         if len > self.remaining() {
             return Err(self.corrupt("string length exceeds remaining data"));
         }
         let bytes = self.bytes(len)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(bytes)
             .map_err(|_| StoreError::Corrupt(format!("invalid UTF-8 at offset {}", self.pos)))
     }
 }

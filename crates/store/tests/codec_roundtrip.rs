@@ -33,6 +33,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fs;
 use std::net::IpAddr;
+use std::sync::Arc;
 
 fn arb_counts(rng: &mut StdRng) -> EcnCounts {
     // Mix small realistic counters with u64 extremes.
@@ -125,9 +126,9 @@ fn arb_quic_report(rng: &mut StdRng, force_ce: bool) -> ClientReport {
         connected: rng.gen_bool(0.8),
         response: rng.gen_bool(0.7).then(|| HttpResponse {
             status: rng.gen_range(100u64..600) as u16,
-            server: arb_opt_string(rng),
-            via: arb_opt_string(rng),
-            alt_svc: arb_opt_string(rng),
+            server: arb_opt_string(rng).map(Arc::from),
+            via: arb_opt_string(rng).map(Arc::from),
+            alt_svc: arb_opt_string(rng).map(Arc::from),
             body_len: rng.gen_range(0usize..1 << 20),
         }),
         version: match rng.gen_range(0u32..4) {
@@ -276,7 +277,7 @@ fn pinned_edge_cases_round_trip() {
             quic: None,
             tcp: None,
             trace: Some(TraceAnalysis {
-                changes: vec![],
+                changes: Arc::default(),
                 verdict: PathVerdict::Untested,
                 final_observed: None,
                 dscp_rewritten_only: false,
@@ -289,7 +290,7 @@ fn pinned_edge_cases_round_trip() {
             quic: None,
             tcp: None,
             trace: Some(TraceAnalysis {
-                changes: vec![EcnChange {
+                changes: Arc::new([EcnChange {
                     from: EcnCodepoint::Ect0,
                     to: EcnCodepoint::NotEct,
                     visible_at_ttl: 255,
@@ -297,7 +298,7 @@ fn pinned_edge_cases_round_trip() {
                     asn_before: None,
                     first_changed_router: Some("2001:db8:ffff::2".parse().unwrap()),
                     asn_at_change: Some(Asn(1299)),
-                }],
+                }]),
                 verdict: PathVerdict::Cleared,
                 final_observed: Some(EcnCodepoint::NotEct),
                 dscp_rewritten_only: true,

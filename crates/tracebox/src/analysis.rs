@@ -7,10 +7,12 @@
 //! is first *visible* (§7.3: "residing in either AS 1299 (before) or AS 174
 //! (Cogent, after visible change)"); this module exposes both.
 
+use crate::tracer::HopObservation;
 use crate::tracer::PathTrace;
 use qem_netsim::Asn;
 use qem_packet::ecn::EcnCodepoint;
 use std::net::IpAddr;
+use std::sync::Arc;
 
 /// A single observed change of the probe's ECN codepoint along the path.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,11 +59,13 @@ pub enum PathVerdict {
     Untested,
 }
 
-/// The result of analysing one trace.
+/// The result of analysing one trace.  A clone shares its changes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceAnalysis {
-    /// Every codepoint change observed along the path, in order.
-    pub changes: Vec<EcnChange>,
+    /// Every codepoint change observed along the path, in order, shared:
+    /// a copy of an analysis — a route's kept trace replayed by the
+    /// scanner, a stored record decoded — copies a pointer, not the list.
+    pub changes: Arc<[EcnChange]>,
     /// The end-to-end verdict.
     pub verdict: PathVerdict,
     /// The codepoint observed at the last responding hop, if any.
@@ -80,40 +84,48 @@ impl TraceAnalysis {
 
 /// Analyse a trace, resolving router addresses to ASes with `ip_to_asn`
 /// (typically backed by the synthetic as2org data in `qem-web`).
+///
+/// The changes are counted first and then resolved into their list, so
+/// the analysis allocates once, for a path that changes the codepoint,
+/// and not at all for one that does not.
 pub fn analyze_trace(
     trace: &PathTrace,
     ip_to_asn: &dyn Fn(IpAddr) -> Option<Asn>,
 ) -> TraceAnalysis {
-    let mut changes = Vec::new();
-    let mut previous_ecn = trace.sent_codepoint;
-    let mut previous_router: Option<IpAddr> = None;
-    let mut dscp_changed = false;
-    let mut final_observed = None;
-    let observed = trace
-        .hops
-        .iter()
-        .filter_map(|hop| Some((hop, hop.observed_ecn?)));
-    for (hop, ecn) in observed {
-        if let Some(dscp) = hop.observed_dscp {
-            if dscp != trace.sent_dscp {
-                dscp_changed = true;
-            }
-        }
-        if ecn != previous_ecn {
-            changes.push(EcnChange {
-                from: previous_ecn,
-                to: ecn,
-                visible_at_ttl: hop.ttl,
-                last_unchanged_router: previous_router,
-                asn_before: previous_router.and_then(ip_to_asn),
-                first_changed_router: hop.router,
-                asn_at_change: hop.router.and_then(ip_to_asn),
-            });
-            previous_ecn = ecn;
-        }
-        previous_router = hop.router;
-        final_observed = Some(ecn);
-    }
+    let observed = || {
+        trace
+            .hops
+            .iter()
+            .filter_map(|hop| Some((hop, hop.observed_ecn?)))
+    };
+    let dscp_changed = observed().any(|(hop, _)| {
+        hop.observed_dscp
+            .is_some_and(|dscp| dscp != trace.sent_dscp)
+    });
+    let final_observed = observed().next_back().map(|(_, ecn)| ecn);
+    let count = changes_along(trace).count();
+    let changes: Arc<[EcnChange]> = if count == 0 {
+        Arc::default()
+    } else {
+        let mut found = changes_along(trace);
+        // A mapped range has a known length, which `Arc<[_]>` collects
+        // into one allocation (a filtered iterator it collects twice).
+        (0..count)
+            .map(|_| {
+                let (previous_router, hop, from, to) =
+                    found.next().expect("a second walk meets as many changes");
+                EcnChange {
+                    from,
+                    to,
+                    visible_at_ttl: hop.ttl,
+                    last_unchanged_router: previous_router,
+                    asn_before: previous_router.and_then(ip_to_asn),
+                    first_changed_router: hop.router,
+                    asn_at_change: hop.router.and_then(ip_to_asn),
+                }
+            })
+            .collect()
+    };
 
     // No observed hop: no change, no DSCP rewrite, and `Untested`.
     let verdict = match final_observed {
@@ -139,6 +151,24 @@ pub fn analyze_trace(
         final_observed,
         dscp_rewritten_only,
     }
+}
+
+/// Each observed hop whose codepoint differs from the one observed before
+/// it (the sent one, at the first), with the router observed before it:
+/// `(last unchanged router, hop, from, to)`.
+fn changes_along(
+    trace: &PathTrace,
+) -> impl Iterator<Item = (Option<IpAddr>, &HopObservation, EcnCodepoint, EcnCodepoint)> {
+    let mut previous_ecn = trace.sent_codepoint;
+    let mut previous_router = None;
+    trace.hops.iter().filter_map(move |hop| {
+        let ecn = hop.observed_ecn?;
+        let before = std::mem::replace(&mut previous_router, hop.router);
+        if ecn == previous_ecn {
+            return None;
+        }
+        Some((before, hop, std::mem::replace(&mut previous_ecn, ecn), ecn))
+    })
 }
 
 #[cfg(test)]

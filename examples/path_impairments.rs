@@ -63,7 +63,7 @@ fn main() {
         }
         let analysis = analyze_trace(&trace, &|ip| universe.as_org.asn_of_ip(ip));
         println!("  verdict: {:?}", analysis.verdict);
-        for change in &analysis.changes {
+        for change in analysis.changes.iter() {
             println!(
                 "  change {} -> {} first visible at ttl {} (attributed to {})",
                 change.from,

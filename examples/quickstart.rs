@@ -35,8 +35,8 @@ fn probe(label: &str, profile: TransitProfile, behavior: ServerBehavior) {
         report
             .response
             .as_ref()
-            .and_then(|r| r.server.clone())
-            .unwrap_or_else(|| "<none>".to_string())
+            .and_then(|r| r.server.as_deref())
+            .unwrap_or("<none>")
     );
     println!("  sent codepoints:  {}", report.sent_counts);
     println!("  mirrored counts:  {}", report.mirrored_counts);
