@@ -5,18 +5,18 @@
 //! wrapped without a copy: reports read hosts in host-id order, and
 //! [`SnapshotMeasurement::host`] looks one up by binary search.
 //!
-//! A [`Campaign`] keeps one exchange table for as long as it lives, and
-//! every scanner it builds ([`Campaign::scanner`]) keeps its routes, runs
-//! and traces there: a route, exchange or trace met by one scan — the
-//! other family, an earlier date, another vantage point of the fleet — is
-//! not measured again by the next (see the `scanner` module).  Results
-//! never depend on what the table holds.
+//! A [`Campaign`] keeps its scan workers' kits for as long as it lives,
+//! and lends them to every scanner it builds ([`Campaign::scanner`]): a
+//! route, exchange or trace a worker met in one scan — the other family,
+//! an earlier date, another vantage point of the fleet — is not measured
+//! again by the worker that takes its kit next (see the `scanner` module).
+//! Results never depend on what the kits hold.
 
 use crate::executor::ShardedExecutor;
 use crate::host_map::HostMap;
 use crate::observation::HostMeasurement;
 use crate::resilience::RetryPolicy;
-use crate::scanner::{ExchangeTable, ProbeMode, ScanOptions, Scanner};
+use crate::scanner::{Kits, ProbeMode, ScanOptions, Scanner};
 use crate::vantage::VantagePoint;
 use qem_netsim::{CrossTraffic, Probability};
 use qem_obs::{MetricsSnapshot, RunTelemetry};
@@ -151,16 +151,18 @@ pub struct CampaignResult {
 /// Campaign runner bound to a universe.
 pub struct Campaign<'a> {
     universe: &'a Universe,
-    /// What every scan of this campaign has measured.
-    table: ExchangeTable,
+    /// The kits of the scan workers that have ended, one pool per probe
+    /// mode: ECT(0) and CE.  A kit's runs hold only for the mode they ran
+    /// in.
+    kits: [Kits; 2],
 }
 
 impl<'a> Campaign<'a> {
-    /// Create a campaign runner, with an empty exchange table.
+    /// Create a campaign runner, with no kits yet.
     pub fn new(universe: &'a Universe) -> Self {
         Campaign {
             universe,
-            table: ExchangeTable::default(),
+            kits: Default::default(),
         }
     }
 
@@ -169,9 +171,9 @@ impl<'a> Campaign<'a> {
         self.universe
     }
 
-    /// A scanner for one family of `options` from `vantage`, keeping its
-    /// runs and traces in this campaign's table.  Every scan of the
-    /// campaign, here and in the store-backed runs, is made by one.
+    /// A scanner for one family of `options` from `vantage`, lent this
+    /// campaign's kits of its probe mode.  Every scan of the campaign, here
+    /// and in the store-backed runs, is made by one.
     pub fn scanner(
         &self,
         vantage: &VantagePoint,
@@ -179,7 +181,14 @@ impl<'a> Campaign<'a> {
         ipv6: bool,
     ) -> Scanner<'_> {
         Scanner::new(self.universe, vantage.clone(), options.scan_options(ipv6))
-            .with_table(&self.table)
+            .with_kits(self.kits(options.probe))
+    }
+
+    fn kits(&self, probe: ProbeMode) -> &Kits {
+        match probe {
+            ProbeMode::Ect0 => &self.kits[0],
+            ProbeMode::ForceCe => &self.kits[1],
+        }
     }
 
     /// Run one snapshot from one vantage point.
@@ -244,7 +253,7 @@ impl<'a> Campaign<'a> {
 
     /// Run the longitudinal series (one IPv4 snapshot per month, Figure 3/4/8).
     /// Every date meets the same routes and mostly the same servers, and
-    /// measures only what the dates before it did not.
+    /// its workers take the kits the dates before it filled.
     pub fn run_longitudinal(
         &self,
         dates: &[SnapshotDate],
@@ -298,9 +307,9 @@ impl<'a> Campaign<'a> {
         // any worker budget beyond the fleet size is divided among the
         // per-vantage scans.  Per-host determinism makes this reshuffling
         // invisible in the results.  The vantages share their ASes and most
-        // of the routes and servers they meet, and their scans share the
-        // campaign's table: a route, a trace or a run met from one is not
-        // measured again from the next.
+        // of the routes and servers they meet, and their scans take the
+        // campaign's kits in turn: a route, a trace or a run a kit met from
+        // one is not measured again from the next.
         let fleet = VantagePoint::cloud_fleet();
         let executor = ShardedExecutor::new(options.workers).with_batch_size(1);
         let per_vantage_options = CampaignOptions {
@@ -326,6 +335,7 @@ mod tests {
     use super::*;
     use crate::observation::{EcnClass, HostSummary};
     use crate::resilience::RETRYING;
+    use crate::scanner;
     use crate::source::{HostTable, Scope, SnapshotSource};
     use qem_web::UniverseConfig;
 
@@ -530,8 +540,9 @@ mod tests {
         );
     }
 
-    /// The table a cloud campaign's scans share changes nothing: each
-    /// vantage point measures what a scanner with a table of its own does.
+    /// The kits a cloud campaign passes from scan to scan change nothing:
+    /// each vantage point measures what a scanner of its own, lent no
+    /// kits, does.
     #[test]
     fn a_cloud_campaign_measures_what_each_vantage_scanned_alone_does() {
         let universe = universe();
@@ -584,8 +595,8 @@ mod tests {
         SnapshotDate::APR_2023,
     ];
 
-    /// One campaign's table serves an ECT(0) snapshot, a CE snapshot, both
-    /// families, a series and the cloud fleet in turn, and changes nothing
+    /// One campaign's kits serve an ECT(0) snapshot, a CE snapshot, both
+    /// families, a series and the cloud fleet in turn, and change nothing
     /// any of them returns: each returns what it returns on a campaign of
     /// its own.
     #[test]
@@ -631,42 +642,36 @@ mod tests {
         }
     }
 
-    /// Which host of a key runs it fresh follows the schedule, but that
-    /// each key runs fresh once does not: the main census and the cloud
-    /// fleet keep the same routes, traces and runs at any worker count.
+    /// A campaign keeps a kit per worker that ran at once, not per scan: a
+    /// series, the other family and the fleet take the kits the first scan
+    /// gave back, and each probe mode keeps its own.
     #[test]
-    fn a_campaign_runs_the_same_keys_fresh_at_any_worker_count() {
+    fn a_campaign_keeps_a_kit_per_concurrent_worker() {
         let universe = universe();
-        let kept = |workers: usize| {
-            let campaign = Campaign::new(&universe);
-            let options = CampaignOptions {
-                workers,
-                ..CampaignOptions::paper_default()
-            };
-            let main = campaign.run_main(&options, true);
-            let census = campaign.table.kept();
-            campaign.run_cloud(&main.v4, main.v6.as_ref(), &options);
-            (census, campaign.table.kept())
+        let campaign = Campaign::new(&universe);
+        let options = CampaignOptions {
+            workers: 2,
+            ..CampaignOptions::paper_default()
         };
-        let single = kept(1);
-        assert!(single.0.iter().all(|&n| n > 0), "{single:?}");
-        assert!(single
-            .0
-            .iter()
-            .zip(single.1)
-            .all(|(&census, cloud)| census <= cloud));
-        assert_ne!(
-            single.0, single.1,
-            "the fleet meets routes the census did not"
-        );
-        for workers in [2, 0] {
-            assert_eq!(kept(workers), single, "workers={workers}");
-        }
+        let pooled = |probe| campaign.kits(probe).lock().unwrap().len();
+        let main = campaign.run_main(&options, true);
+        assert_eq!(pooled(ProbeMode::Ect0), 2);
+        campaign.run_longitudinal(&SERIES, &options);
+        campaign.run_cloud(&main.v4, main.v6.as_ref(), &options);
+        assert_eq!(pooled(ProbeMode::Ect0), 2);
+        assert_eq!(pooled(ProbeMode::ForceCe), 0);
+        let ce = CampaignOptions {
+            workers: 2,
+            ..CampaignOptions::ce_probing()
+        };
+        campaign.run_snapshot(&VantagePoint::main(), &ce, false);
+        assert_eq!(pooled(ProbeMode::ForceCe), 2);
+        assert_eq!(pooled(ProbeMode::Ect0), 2);
     }
 
     /// A series runs each route, exchange and trace once, not once per
-    /// date: its table holds what the dates' tables hold together, and
-    /// every date meets the same routes.
+    /// date: the kit its one worker passes from date to date holds what the
+    /// dates' kits hold together, and every date meets the same routes.
     #[test]
     fn a_series_runs_each_key_once() {
         let universe = universe();
@@ -676,7 +681,7 @@ mod tests {
         };
         let series = Campaign::new(&universe);
         series.run_longitudinal(&SERIES, &options);
-        let kept = series.table.kept();
+        let kept = scanner::kept(series.kits(ProbeMode::Ect0));
         let per_date: Vec<[usize; 4]> = SERIES
             .iter()
             .map(|&date| {
@@ -686,7 +691,7 @@ mod tests {
                     &CampaignOptions { date, ..options },
                     false,
                 );
-                alone.table.kept()
+                scanner::kept(alone.kits(ProbeMode::Ect0))
             })
             .collect();
         for date in &per_date {

@@ -12,50 +12,73 @@
 //! ([`crate::executor::ShardedExecutor`]).  Each host gets its own
 //! deterministic RNG derived from the scan seed and the host id, so a scan
 //! produces identical results regardless of worker count or scheduling.
-//! Each executor worker owns one `ScanWorker` for the scan: its scratches
-//! — an [`EngineScratch`] lent to both probes of every host that runs one
-//! fresh (built by the first) and a [`QuicScratch`] lent to the QUIC
-//! probes —, the [`ClientConfig`] its fresh QUIC runs read, the
-//! `ScanTally` its hosts are counted in, which the worker folds into the
-//! scanner's once, when it ends ([`Scanner::metrics_snapshot`] gives the
-//! counts their names), and the table entries its last host used.
+//! Each executor worker owns one `ScanWorker` for the scan: the
+//! [`ClientConfig`] its QUIC probes read, the SNI of a host whose QUIC run
+//! goes fresh written into it in place (a replay never reads it); the
+//! `ScanTally` its hosts are counted in — each probe's engine tally by
+//! slot — which the worker folds into the scanner's once, when it ends ([`Scanner::metrics_snapshot`] gives the counts their
+//! names); and a kit, what it reuses from host to host.  A kit holds an
+//! [`EngineScratch`] lent to both probes of every host (one timer wheel,
+//! flow table and packet body per worker, not per probe), a
+//! [`QuicScratch`] lent to the QUIC probes (the endpoints' packet spaces,
+//! outboxes and stream buffers), the routes the kit has met and two memos
+//! of runs, one per protocol.
 //!
-//! What a probe measures is kept in an `ExchangeTable`, one per
-//! [`Campaign`](crate::campaign::Campaign), shared by every scanner the
-//! campaign builds: both families, every date of a series, every vantage
-//! point of the cloud fleet.  A route is kept by the vantage AS it starts
-//! from and its `RouteKey`, with its [`DuplexPath`], built once, when the
-//! route is first met, what the path does to a packet (its [`PathEffect`])
+//! A route is remembered by the vantage AS it starts from and its
+//! `RouteKey`, with what its path does to a packet (its [`PathEffect`])
 //! and the analysis of a trace over it that drew nothing from its host's
-//! RNG: a trace reads the routers that answer and their ASes, so it stays
-//! with its route and its vantage AS.  The exchanges read
-//! less.  The QUIC and TCP flows drop the delay of what a path delivers and
-//! send at TTL 64 over routes of fewer than 64 hops, so they read of the
-//! path only the codepoint each packet arrives with: its effect (premise
-//! tests in `qem-quic`'s `census_runs.rs` and `qem-tcp`'s `connection.rs`
-//! group the routes of every vantage AS, in both families, by effect).
-//! Neither exchange depends on the server address, nor the QUIC one on the
-//! SNI, so a run that drew nothing depends on the probe mode, the path
-//! effect and the server behaviour alone, and the table keeps QUIC and TCP
-//! runs by those three.
+//! RNG.  Its [`DuplexPath`] is not kept: one slot holds the path built
+//! last, and a path is built only when its route is first met, to read the
+//! effect, and when a fresh exchange or a fresh trace runs over it.  A
+//! traced host whose route keeps a trace copies its [`TraceAnalysis`]
+//! instead of probing every TTL: a trace reads the routers that answer and
+//! their ASes, so it stays with its route and its vantage AS.  The
+//! exchanges read less.  The QUIC and TCP flows drop the delay of what a
+//! path delivers and send at TTL 64 over routes of fewer than 64 hops, so
+//! they read of the path only the codepoint each packet arrives with: its
+//! effect (premise tests in `qem-quic`'s `census_runs.rs` and `qem-tcp`'s
+//! `connection.rs` group the routes of every vantage AS, in both families,
+//! by effect).  The probe mode, cross traffic and fault plan are the
+//! scanner's, and neither exchange depends on the server address, nor the
+//! QUIC one on the SNI, so a run that drew nothing depends on path effect
+//! and behaviour alone.  A host whose path effect and TCP behaviour match
+//! a kept TCP run copies its [`TcpReport`] instead of running the
+//! exchange; a QUIC attempt whose path effect and QUIC behaviour match a
+//! kept QUIC run copies its outcome and merges its engine tally instead of
+//! running the engine.  A copy shares what the kit keeps: a report's
+//! header values are `Arc<str>` and a trace's changes an `Arc<[_]>`, so a
+//! replay copies pointers, not text.
 //!
-//! Each entry is a once-cell.  The first host to meet a key runs its
-//! exchange (or trace) fresh, on its own RNG, and sets the cell; a host
-//! that meets the key meanwhile waits for it.  Every later host replays
-//! the kept run, which shares its header values and trace changes with the
-//! table (they are `Arc`s), or, if the first run was not kept, runs its
-//! own.  So each key runs fresh once per campaign, whatever the worker
-//! count, the family, the date or the vantage point.  The table's keys are
-//! hashed, under one lock; a worker keeps `Arc`s to the route, QUIC and TCP
-//! entries its last host used, and a host whose route and behaviours match
-//! those takes no lock at all.  Any other host takes the lock once, for
-//! all its lookups, and runs nothing under it but the build of a path new
-//! to the campaign.  Neighbours in id order mostly share a route and a
-//! server behaviour, so in a census most hosts take no lock.
+//! The routes and memos are lists that grow by every route, and every
+//! (path effect, behaviour) pair, a kit meets: their size is bounded by the
+//! world, not by the scan (the main census's IPv4 scan meets 64 distinct
+//! routes at 1:1000, 1:250 and 1:50 alike, and keeps 27, 29 and 38 QUIC
+//! runs and 8 TCP ones).  A host meets one of a few transits
+//! behind one of a few server behaviours, and its neighbours in id order
+//! interleave them; a lookup looks first at the entry it found last, then
+//! along the list, comparing the vantage AS or the 8-byte effect first.
 //!
-//! The keys do not name a fault plan or cross traffic: a scanner with
-//! either (only tests set a fault plan) keeps a table of its own, as does
-//! a scanner built with [`Scanner::new`] and lent none.
+//! A [`crate::campaign::Campaign`] lends one pool of kits (`Kits`) to
+//! every scanner it builds (`Campaign::scanner`): both families of the
+//! main census, every date of a series, every vantage point of the cloud
+//! fleet and the store's runs.  A worker takes a kit from the pool when it
+//! starts and gives it back when it ends, so what one scan met is not
+//! measured again by the next: the IPv6 scan replays the IPv4 scan's runs,
+//! a date replays what the dates before it ran, and the 16 cloud vantage
+//! points, which send from two ASes, mostly meet what the first of them
+//! met.  The pool is locked when a worker starts and when it ends, never
+//! per host: while a worker lives its kit is its own, and nothing a host's
+//! measurement touches is shared with another thread.  So each worker of a
+//! threaded scan fills a kit of its own, and which host of a key runs it
+//! fresh, and how often, follows the worker count; what a host measures
+//! does not.  A scanner lent no pool gives each worker a fresh kit, dropped
+//! with the worker.
+//!
+//! A campaign's scanners differ in vantage point, family and date, which
+//! the keys name (a date through the behaviours it gives the hosts), and
+//! in probe mode, which they do not: the campaign keeps one pool per mode.
+//! A scanner with cross traffic or a fault plan, which the keys do not name
+//! either, takes no kit from its pool and gives none back.
 //!
 //! "Drew nothing" counts what every run draws whatever the path: a TCP
 //! exchange and a trace are kept at no draws, a QUIC run at its endpoints'
@@ -63,23 +86,22 @@
 //! nothing observed depends on.  A replayed QUIC run takes those seeds from
 //! the host's RNG all the same, so the trace-sampling and backoff draws
 //! that follow are drawn where they were.  Each run and trace draws through
-//! an adapter that counts its draws, so one that drew more (behind cross
-//! traffic, through a fault that draws, past a router that answers only
-//! sometimes) is never kept, and no list of those conditions has to be
-//! kept in step; nor is a QUIC run that returned telemetry: it was
-//! observed, and a replay is not.  A replayed trace is not an observed
-//! trace either, but it is counted as one: traced, and impaired if the
-//! trace it copies was.  The oracle is
+//! an adapter that counts its draws, so one that drew more (over a lossy
+//! hop, behind cross traffic, through a fault that draws, past a router
+//! that answers only sometimes) is never kept, and no list of those
+//! conditions has to be kept in step; nor is a QUIC run that returned
+//! telemetry: it was observed, and a replay is not.  A replayed trace is
+//! not an observed trace either, but it is counted as one: traced, and
+//! impaired if the trace it copies was.  The oracle is
 //! `tests::reused_scratches_measure_what_a_fresh_scratch_per_host_does`: a
-//! fresh worker and table per host, which never replays a run or a trace,
-//! against one worker reused in orders that change route at nearly every
-//! host, against executor workers in id order over a population where most
-//! QUIC attempts replay, and against vantage points scanned in turn over
-//! one table.  Debug builds also shadow every replayed exchange and trace:
-//! it runs fresh on a copy of the host's RNG, and must return what the
-//! table kept, draw what the replay drew and leave the RNG where the
-//! replay did; and they build every host's path afresh and hold the kept
-//! one to it.
+//! fresh worker per host, which never replays a run or a trace, against one
+//! worker reused in orders that change route at nearly every host, against
+//! executor workers in id order over a population where most QUIC
+//! attempts replay, and against vantage points scanned in turn with one
+//! pool of kits; the fresh side is held to having replayed nothing.  Debug
+//! builds also shadow every replayed exchange and trace: it runs fresh on a
+//! copy of the host's RNG, and must return what the kit held, draw what
+//! the replay drew and leave the RNG where the replay did.
 
 use crate::executor::ShardedExecutor;
 use crate::metrics::{Row, ScanTally};
@@ -99,16 +121,12 @@ use qem_web::{SnapshotDate, Universe};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::borrow::Cow;
-use std::collections::HashMap;
-use std::fmt::{Debug, Write};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::fmt::Write;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
-// lint: allow(no-ambient-state) the cells are fields of a table its campaign owns and drops, not globals
-use std::sync::OnceLock;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 /// What the probes carry on the forward path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeMode {
     /// The standard methodology: ECT(0) plus ECN validation (§4.1).
     Ect0,
@@ -161,139 +179,109 @@ impl ScanOptions {
     }
 }
 
-/// The run of one key: unset until the first host to meet the key has run
-/// it; then `Some` run that every later host on the key replays, or `None`
-/// if that run drew from its host's RNG or was observed, and every host on
-/// the key runs its own.
-// lint: allow(no-ambient-state) a field type of the campaign's table
-type Once<R> = OnceLock<Option<R>>;
-
-/// The routes, runs and traces one campaign has measured, shared by every
-/// scanner it builds ([`Scanner::with_table`]).
-#[derive(Default)]
-pub(crate) struct ExchangeTable {
-    entries: Mutex<Entries>,
-}
-
-/// The table's entries, by hashed key.  Only looked up, never iterated in
-/// production, so the maps' order reaches nothing measured.
-#[derive(Default)]
-struct Entries {
-    routes: Keyed<(Asn, RouteKey), Arc<Route>>,
-    quic: Keyed<(ProbeMode, PathEffect, ServerBehavior), Arc<Once<RunOutcome>>>,
-    tcp: Keyed<(ProbeMode, PathEffect, TcpServerBehavior), Arc<Once<TcpReport>>>,
-}
-
-/// A map hashed by [`KeyHasher`].
-type Keyed<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
-
-/// A multiply-rotate hasher (rustc's "Fx" hash), a word at a time, for the
-/// table's keys: a host that misses its worker's last-used entries hashes
-/// up to three keys of some 30 words, which the standard library's SipHash
-/// takes several times longer over.  The keys come from the simulated
-/// world, not from anyone who could choose them to collide.
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl KeyHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    // The keys are mostly small integers and enum discriminants: each is
-    // one word, not a byte slice.
-    fn write_u8(&mut self, n: u8) {
-        self.add(u64::from(n));
-    }
-
-    fn write_u16(&mut self, n: u16) {
-        self.add(u64::from(n));
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    fn write_isize(&mut self, n: isize) {
-        self.add(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A route met: its path, built once, what the path does to a packet, and
-/// its trace.
-struct Route {
-    path: DuplexPath,
-    effect: PathEffect,
-    trace: Once<TraceAnalysis>,
-}
-
-/// The entries a worker's last host used, each with its key (the vantage
-/// AS and probe mode are the worker's scanner's).
-#[derive(Default)]
-struct LastUsed {
-    route: Slot<RouteKey, Route>,
-    quic: Slot<(PathEffect, ServerBehavior), Once<RunOutcome>>,
-    tcp: Slot<(PathEffect, TcpServerBehavior), Once<TcpReport>>,
-}
-
-/// An entry a worker used last, with its key.
-type Slot<K, V> = Option<(K, Arc<V>)>;
-
-/// The entry in `slot` if its key `matches`, else the one `miss` finds,
-/// now kept in `slot`.
-fn used<K, V>(
-    slot: &mut Slot<K, V>,
-    matches: impl FnOnce(&K) -> bool,
-    miss: impl FnOnce() -> (K, Arc<V>),
-) -> &V {
-    if slot.as_ref().is_some_and(|(key, _)| !matches(key)) {
-        *slot = None;
-    }
-    &slot.get_or_insert_with(miss).1
-}
-
-/// The entries of `table`, locked on first use: at most once per host.
-fn open<'g, 't>(
-    guard: &'g mut Option<MutexGuard<'t, Entries>>,
-    table: &'t ExchangeTable,
-) -> &'g mut Entries {
-    guard.get_or_insert_with(|| lock(&table.entries))
-}
-
 /// What one executor worker owns for the length of a scan.
 struct ScanWorker<'s> {
-    /// Built by the worker's first fresh exchange: a scan whose every
-    /// exchange replays never builds its timer wheel.
-    scratch: Option<EngineScratch>,
-    quic: QuicScratch,
-    /// The QUIC probes' configuration, each fresh run's SNI written into it.
+    /// What the worker reuses from host to host.  Only the worker's drop
+    /// takes it, to hand it back to the pool it came from.
+    kit: Option<Kit>,
+    /// The QUIC probes' configuration, the SNI of each fresh run written
+    /// into it.
     client: ClientConfig,
     tally: ScanTally,
-    last: LastUsed,
-    table: &'s ExchangeTable,
     scanner: &'s Scanner<'s>,
+}
+
+/// What a scan worker reuses from host to host and, lent through a
+/// [`Kits`] pool, from scan to scan: its scratches, the routes it has met
+/// and the runs it may replay.
+#[derive(Default)]
+pub(crate) struct Kit {
+    scratch: EngineScratch,
+    quic: QuicScratch,
+    routes: Routes,
+    /// TCP exchanges that drew nothing from their host's RNG.
+    tcp_runs: Memo<TcpServerBehavior, TcpReport>,
+    /// QUIC runs that drew nothing from their host's RNG but their
+    /// endpoint seeds, and returned no telemetry.
+    quic_runs: Memo<ServerBehavior, RunOutcome>,
+}
+
+/// The kits of the workers that have ended, lent by a campaign to each of
+/// its scanners in turn ([`Scanner::with_kits`]).
+pub(crate) type Kits = Mutex<Vec<Kit>>;
+
+/// The routes a kit has met, by the vantage AS they start from and their
+/// key, and the path of one of them.
+#[derive(Default)]
+struct Routes {
+    met: Vec<MetRoute>,
+    /// The entry found last, looked at first.
+    last: usize,
+    /// The path of the route built last.  A path is built only when a
+    /// route is first met, or when a fresh exchange or trace runs over it.
+    path: Option<BuiltPath>,
+}
+
+/// A route met: what its path does to a packet, and the analysis of a
+/// trace over it that drew nothing from its host's RNG.
+struct MetRoute {
+    vantage: Asn,
+    key: RouteKey,
+    effect: PathEffect,
+    trace: Option<TraceAnalysis>,
+}
+
+/// A route's path, with what it was built from.
+struct BuiltPath {
+    vantage: Asn,
+    key: RouteKey,
+    path: DuplexPath,
+}
+
+/// A draw-free run against a server behaving as `B`, with what its path
+/// does to a packet: what a run over a path with an equal effect against
+/// an equal behaviour returns, whatever host it measures.
+struct Kept<B, R> {
+    effect: PathEffect,
+    behavior: B,
+    run: R,
+}
+
+/// Every distinct draw-free run of one protocol a kit has run.
+struct Memo<B, R> {
+    kept: Vec<Kept<B, R>>,
+    /// The entry found or kept last, looked at first.
+    last: usize,
+}
+
+impl<B, R> Default for Memo<B, R> {
+    fn default() -> Self {
+        Memo {
+            kept: Vec::new(),
+            last: 0,
+        }
+    }
+}
+
+impl<B: Clone + PartialEq, R: Clone> Memo<B, R> {
+    /// The kept run over a path with `effect` against `behavior`, if any.
+    fn replay(&mut self, effect: PathEffect, behavior: &B) -> Option<&R> {
+        let matches = |kept: &Kept<B, R>| kept.effect == effect && kept.behavior == *behavior;
+        if !self.kept.get(self.last).is_some_and(matches) {
+            self.last = self.kept.iter().position(matches)?;
+        }
+        Some(&self.kept[self.last].run)
+    }
+
+    /// Keep `run`, which no kept run matched.
+    fn keep(&mut self, effect: PathEffect, behavior: &B, run: &R) {
+        self.last = self.kept.len();
+        self.kept.push(Kept {
+            effect,
+            behavior: behavior.clone(),
+            run: run.clone(),
+        });
+    }
 }
 
 /// The host's RNG, counting what is drawn from it.  `StdRng` draws
@@ -316,64 +304,20 @@ impl RngCore for Drawn<'_> {
     }
 }
 
-/// One host's run of the key of `cell`: the QUIC, TCP and trace probes'
-/// one replay-or-run.  A run that draws `seeds` values from the host's RNG
-/// and that `keepable` accepts is kept for every later host on the key.
-/// The first host to meet the key runs it fresh and sets the cell; a later
-/// one replays a kept run — taking `seeds` draws all the same, so what the
-/// host draws next is drawn where it was — or runs fresh if none was kept.
-#[cfg_attr(not(debug_assertions), allow(unused_variables))]
-fn replay_or_run<R: Clone + PartialEq + Debug>(
-    cell: &Once<R>,
-    rng: &mut StdRng,
-    seeds: usize,
-    what: &str,
-    mut fresh: impl FnMut(&mut Drawn<'_>) -> R,
-    keepable: impl FnOnce(&R) -> bool,
-) -> R {
-    let mut ran = None;
-    let kept = cell.get_or_init(|| {
-        let mut drawn = Drawn::new(rng);
-        let run = fresh(&mut drawn);
-        let kept = (drawn.draws == seeds && keepable(&run)).then(|| run.clone());
-        ran = Some(run);
-        kept
-    });
-    if let Some(run) = ran {
-        return run;
-    }
-    let Some(kept) = kept else {
-        return fresh(&mut Drawn::new(rng));
-    };
-    #[cfg(debug_assertions)]
-    let mut shadow = rng.clone();
-    for _ in 0..seeds {
-        rng.next_u64();
-    }
-    // Debug builds run it all the same, on a copy of the host's RNG, and
-    // hold the replay to it.
-    #[cfg(debug_assertions)]
-    {
-        let mut drawn = Drawn::new(&mut shadow);
-        let run = fresh(&mut drawn);
-        let draws = drawn.draws;
-        assert_eq!(&run, kept, "replayed {what}");
-        assert_eq!(draws, seeds, "{what} draws");
-        assert_eq!(shadow, *rng, "the host's RNG after a {what} replay");
-    }
-    kept.clone()
-}
-
 impl Drop for ScanWorker<'_> {
-    /// The worker ends: hand its counts in.
+    /// The worker ends: hand its counts in, and its kit back to the pool
+    /// lent to its scanner, if any.
     fn drop(&mut self) {
         self.scanner.lock_tally().merge_from(&self.tally);
+        if let (Some(kits), Some(kit)) = (self.scanner.pool(), self.kit.take()) {
+            lock(kits).push(kit);
+        }
     }
 }
 
 /// Lock `mutex`.  Poisoning only means a worker panicked while merging its
-/// tally or adding an entry to a table; every step of either leaves the
-/// value structurally valid.
+/// tally or handing its kit back; every step of either leaves the value
+/// structurally valid.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -391,15 +335,13 @@ pub struct Scanner<'a> {
     /// every `FaultKind`.  Not part of [`ScanOptions`] because a plan is a
     /// schedule, not part of a snapshot's identity.
     fault_plan: FaultPlan,
-    /// The table of the campaign that built the scanner, if any.
-    campaign: Option<&'a ExchangeTable>,
-    /// The table of a scanner lent none, or whose fault plan or cross
-    /// traffic the table's keys do not name.
-    own: ExchangeTable,
+    /// The pool a worker takes its kit from and gives it back to, if
+    /// [`Scanner::pool`] allows; `None` gives every worker a fresh kit.
+    kits: Option<&'a Kits>,
 }
 
 impl<'a> Scanner<'a> {
-    /// Create a scanner for one vantage point, with a table of its own.
+    /// Create a scanner for one vantage point.
     pub fn new(universe: &'a Universe, vantage: VantagePoint, options: ScanOptions) -> Self {
         Scanner {
             universe,
@@ -407,32 +349,28 @@ impl<'a> Scanner<'a> {
             options,
             tally: Mutex::default(),
             fault_plan: FaultPlan::default(),
-            campaign: None,
-            own: ExchangeTable::default(),
+            kits: None,
         }
     }
 
-    /// Keep this scanner's runs and traces in its campaign's `table`.  A
-    /// table holds for one universe: lend it only to the scanners of one
-    /// campaign.
-    pub(crate) fn with_table(self, table: &'a ExchangeTable) -> Self {
+    /// Lend `kits` to this scanner: each worker takes a kit from the pool,
+    /// or a fresh one if it is empty, and gives it back when it ends.  A
+    /// kit's runs and traces hold for any scanner with the same probe mode
+    /// and no cross traffic or fault plan ([`Scanner::pool`]): lend one
+    /// pool only to the scanners of one campaign and one probe mode.
+    pub(crate) fn with_kits(self, kits: &'a Kits) -> Self {
         Scanner {
-            campaign: Some(table),
+            kits: Some(kits),
             ..self
         }
     }
 
-    /// The table this scanner's runs are kept in: its campaign's, unless it
-    /// has a fault plan or cross traffic, which the keys do not name.
-    fn table(&self) -> &ExchangeTable {
-        match self.campaign {
-            Some(table)
-                if self.fault_plan.is_empty() && !self.options.cross_traffic.is_enabled() =>
-            {
-                table
-            }
-            _ => &self.own,
-        }
+    /// The pool lent to this scanner, unless it scans with cross traffic
+    /// or a fault plan: the keys name neither, so its workers' kits are
+    /// their own.
+    fn pool(&self) -> Option<&'a Kits> {
+        self.kits
+            .filter(|_| self.fault_plan.is_empty() && !self.options.cross_traffic.is_enabled())
     }
 
     /// The deterministic metrics of everything scanned so far: probe
@@ -448,23 +386,20 @@ impl<'a> Scanner<'a> {
         lock(&self.tally)
     }
 
-    /// The state of one scan worker, merged into this scanner when dropped.
+    /// The state of one scan worker, merged into this scanner when dropped:
+    /// a kit from the pool lent to the scanner, else a fresh one.
     fn worker(&self) -> ScanWorker<'_> {
-        self.worker_on(self.table())
-    }
-
-    /// The state of one scan worker keeping its runs in `table`.
-    fn worker_on<'s>(&'s self, table: &'s ExchangeTable) -> ScanWorker<'s> {
         ScanWorker {
-            scratch: None,
-            quic: QuicScratch::default(),
+            kit: Some(
+                self.pool()
+                    .and_then(|kits| lock(kits).pop())
+                    .unwrap_or_default(),
+            ),
             client: match self.options.probe {
                 ProbeMode::Ect0 => ClientConfig::paper_default(""),
                 ProbeMode::ForceCe => ClientConfig::force_ce(""),
             },
             tally: ScanTally::default(),
-            last: LastUsed::default(),
-            table,
             scanner: self,
         }
     }
@@ -515,21 +450,20 @@ impl<'a> Scanner<'a> {
     }
 
     /// Measure one host: QUIC, TCP and (sampled) tracebox.  Both probes run
-    /// their engine over the worker's scratches and the route's path,
-    /// replay or run
-    /// through the worker's table, and are counted in its tally; the
-    /// measurement does not depend on what the worker or the table measured
-    /// before.
+    /// their engine over the worker's scratches and the worker's route, and
+    /// are counted in its tally; the measurement does not depend on what the
+    /// worker measured before.
     fn measure_host(&self, host_id: usize, worker: &mut ScanWorker<'_>) -> HostMeasurement {
         let ScanWorker {
+            kit, client, tally, ..
+        } = worker;
+        let Kit {
             scratch,
             quic,
-            client,
-            tally,
-            last,
-            table,
-            ..
-        } = worker;
+            routes,
+            tcp_runs,
+            quic_runs,
+        } = kit.get_or_insert_with(Kit::default);
         let host = &self.universe.hosts[host_id];
         let mut rng = StdRng::seed_from_u64(
             self.options
@@ -558,89 +492,84 @@ impl<'a> Scanner<'a> {
             };
         };
         let client_addr = self.client_addr(v6);
-
-        // ---- The table's entries for this host ---------------------------
-        // The last host's, if they match; else from the table, locked once.
-        let mode = self.options.probe;
-        let mut guard = None;
-        let route = used(
-            &mut last.route,
-            |&last| last == key,
-            || {
-                let routes = &mut open(&mut guard, table).routes;
-                let route = routes.entry((self.vantage.asn, key)).or_insert_with(|| {
-                    let path = self.build_path(key);
-                    Arc::new(Route {
-                        effect: path.effect(),
-                        path,
-                        trace: Once::new(),
-                    })
-                });
-                (key, Arc::clone(route))
-            },
-        );
+        let (route, built) = self.route_to(key, routes);
         let effect = route.effect;
-        let quic_cell = behavior.as_ref().map(|behavior| {
-            used(
-                &mut last.quic,
-                |(e, b)| *e == effect && b == behavior,
-                || {
-                    let quic = &mut open(&mut guard, table).quic;
-                    let cell = quic.entry((mode, effect, behavior.clone())).or_default();
-                    ((effect, behavior.clone()), Arc::clone(cell))
-                },
-            )
-        });
-        let tcp_cell = used(
-            &mut last.tcp,
-            |&(e, b)| e == effect && b == tcp_behavior,
-            || {
-                let tcp = &mut open(&mut guard, table).tcp;
-                let cell = tcp.entry((mode, effect, tcp_behavior)).or_default();
-                ((effect, tcp_behavior), Arc::clone(cell))
-            },
-        );
-        drop(guard);
-        let path = &route.path;
-        // Debug builds build a kept path all the same and hold it to that.
+        // Debug builds hold a remembered route's effect to its path's.
         #[cfg(debug_assertions)]
-        assert_eq!(*path, self.build_path(key), "a kept path");
+        assert_eq!(
+            self.path_to(key, built).effect(),
+            effect,
+            "a route's effect"
+        );
 
         // ---- QUIC ---------------------------------------------------------
         if behavior.is_none() {
             tally.inc(Row::QuicNoStack);
         }
-        let quic_report = behavior.zip(quic_cell).map(|(behavior, cell)| {
+        let quic_report = behavior.map(|behavior| {
             tally.inc(Row::QuicAttempted);
             let policy = self.options.retry;
             let max_attempts = policy.attempts.max(1);
             // Queue and fault metrics are named per router and per fault:
             // only a loaded or faulted run is counted by name.
             let named = self.options.cross_traffic.is_enabled() || !self.fault_plan.is_empty();
-            // One run, fresh.  A disabled scenario is the plain single-flow
-            // run inside the builder.  Only a fresh run reads the SNI.
-            let mut fresh = |rng: &mut Drawn<'_>| {
+            // One run, fresh, and what it drew.  A disabled scenario is
+            // the plain single-flow run inside the builder.  Only a fresh
+            // run reads the SNI.
+            let mut fresh = |rng: &mut StdRng, path: &DuplexPath| {
                 client.sni.clear();
                 // Writing to a `String` cannot fail.
                 let _ = write!(client.sni, "www.host-{host_id}.example");
                 let driver = DriverConfig::new(client_addr, server_addr);
-                ConnectionRun::lent(client, behavior.clone(), path, driver)
+                let mut drawn = Drawn::new(rng);
+                let run = ConnectionRun::lent(client, behavior.clone(), path, driver)
                     .cross_traffic(self.options.cross_traffic)
                     .telemetry(named)
-                    .scratch(scratch.get_or_insert_with(EngineScratch::default), quic)
-                    .execute(rng)
+                    .scratch(scratch, quic)
+                    .execute(&mut drawn);
+                (run, drawn.draws)
             };
             let mut attempt = 1u32;
             loop {
-                // A run with telemetry was observed: a replay is not.
-                let run = replay_or_run(
-                    cell,
-                    &mut rng,
-                    ConnectionRun::SEED_DRAWS,
-                    "QUIC run",
-                    &mut fresh,
-                    |run| run.telemetry.is_none(),
-                );
+                let run = match quic_runs.replay(effect, &behavior) {
+                    Some(kept) => {
+                        #[cfg(debug_assertions)]
+                        let mut shadow = rng.clone();
+                        // The seeds the run would draw, so that what the
+                        // host draws next is drawn where it was.
+                        for _ in 0..ConnectionRun::SEED_DRAWS {
+                            rng.next_u64();
+                        }
+                        // Debug builds run the exchange all the same, on a
+                        // copy of the host's RNG, and hold the replay to it.
+                        #[cfg(debug_assertions)]
+                        {
+                            let (run, draws) = fresh(&mut shadow, self.path_to(key, built));
+                            assert_eq!(run.connection, kept.connection, "replayed QUIC outcome");
+                            assert_eq!(run.engine, kept.engine, "replayed QUIC engine tally");
+                            assert!(run.telemetry.is_none(), "a replayed QUIC run was observed");
+                            assert_eq!(draws, ConnectionRun::SEED_DRAWS, "QUIC draws");
+                            assert_eq!(shadow, rng, "the host's RNG after a QUIC replay");
+                        }
+                        // A replay is not an observed run: it has no
+                        // telemetry.
+                        RunOutcome {
+                            connection: kept.connection.clone(),
+                            engine: kept.engine,
+                            telemetry: None,
+                        }
+                    }
+                    None => {
+                        let (run, draws) = fresh(&mut rng, self.path_to(key, built));
+                        // A run that drew beyond its seeds depends on the
+                        // host's RNG, and one with telemetry was observed:
+                        // replay neither.
+                        if draws == ConnectionRun::SEED_DRAWS && run.telemetry.is_none() {
+                            quic_runs.keep(effect, &behavior, &run);
+                        }
+                        run
+                    }
+                };
                 let outcome = run.connection;
                 tally.quic_elapsed_us.record(outcome.elapsed.as_micros());
                 tally.add(Row::QuicForwardLosses, outcome.forward_losses);
@@ -687,25 +616,44 @@ impl<'a> Scanner<'a> {
         }
 
         // ---- TCP ----------------------------------------------------------
-        let tcp_config = match mode {
+        let tcp_config = match self.options.probe {
             ProbeMode::Ect0 => TcpClientConfig::ect0(),
             ProbeMode::ForceCe => TcpClientConfig::force_ce(),
         };
-        let tcp_report = replay_or_run(
-            tcp_cell,
-            &mut rng,
-            0,
-            "TCP run",
-            |rng| {
+        let mut fresh = |rng: &mut StdRng, path: &DuplexPath| {
+            let mut drawn = Drawn::new(rng);
+            let report =
                 TcpConnectionRun::new(tcp_config, tcp_behavior, client_addr, server_addr, path)
                     .cross_traffic(self.options.cross_traffic)
-                    .scratch(scratch.get_or_insert_with(EngineScratch::default))
-                    .execute(rng)
-            },
-            |_| true,
-        );
+                    .scratch(scratch)
+                    .execute(&mut drawn);
+            (report, drawn.draws)
+        };
+        let tcp_report = Some(match tcp_runs.replay(effect, &tcp_behavior) {
+            Some(&report) => {
+                // Debug builds run the exchange all the same, on a copy of
+                // the host's RNG, and hold the replay to it.
+                #[cfg(debug_assertions)]
+                {
+                    let mut shadow = rng.clone();
+                    let (run, draws) = fresh(&mut shadow, self.path_to(key, built));
+                    assert_eq!(run, report, "replayed TCP report");
+                    assert_eq!(draws, 0, "TCP draws");
+                    assert_eq!(shadow, rng, "the host's RNG after a TCP replay");
+                }
+                report
+            }
+            None => {
+                let (report, draws) = fresh(&mut rng, self.path_to(key, built));
+                // A run that drew depends on the host's RNG: never reuse it.
+                if draws == 0 {
+                    tcp_runs.keep(effect, &tcp_behavior, &report);
+                }
+                report
+            }
+        });
         tally.inc(Row::TcpProbed);
-        if tcp_report.connected {
+        if tcp_report.as_ref().is_some_and(|r| r.connected) {
             tally.inc(Row::TcpConnected);
         }
 
@@ -727,24 +675,46 @@ impl<'a> Scanner<'a> {
         let host_trace_p =
             Probability::new(1.0 - (1.0 - per_domain_p).powi(weight.min(1_000) as i32));
         let trace = if abnormal && host_trace_p.draw(&mut rng) {
-            let analysis = replay_or_run(
-                &route.trace,
-                &mut rng,
-                0,
-                "trace",
-                |rng| {
-                    let trace = trace_path(
-                        &path.forward,
-                        client_addr,
-                        server_addr,
-                        &TraceConfig::default(),
-                        rng,
-                    );
-                    let as_org = &self.universe.as_org;
-                    analyze_trace(&trace, &|ip| as_org.asn_of_ip(ip))
-                },
-                |_| true,
-            );
+            // One trace, fresh, and what it drew.
+            let fresh = |rng: &mut StdRng, path: &DuplexPath| {
+                let mut drawn = Drawn::new(rng);
+                let trace = trace_path(
+                    &path.forward,
+                    client_addr,
+                    server_addr,
+                    &TraceConfig::default(),
+                    &mut drawn,
+                );
+                let as_org = &self.universe.as_org;
+                (
+                    analyze_trace(&trace, &|ip| as_org.asn_of_ip(ip)),
+                    drawn.draws,
+                )
+            };
+            let analysis = match &route.trace {
+                Some(kept) => {
+                    // Debug builds trace all the same, on a copy of the
+                    // host's RNG, and hold the kept trace to it.
+                    #[cfg(debug_assertions)]
+                    {
+                        let mut shadow = rng.clone();
+                        let (analysis, draws) = fresh(&mut shadow, self.path_to(key, built));
+                        assert_eq!(&analysis, kept, "replayed trace");
+                        assert_eq!(draws, 0, "trace draws");
+                        assert_eq!(shadow, rng, "the host's RNG after a trace replay");
+                    }
+                    kept.clone()
+                }
+                None => {
+                    let (analysis, draws) = fresh(&mut rng, self.path_to(key, built));
+                    // A trace that drew depends on the host's RNG: never
+                    // replay it.
+                    if draws == 0 {
+                        route.trace = Some(analysis.clone());
+                    }
+                    analysis
+                }
+            };
             tally.inc(Row::Traced);
             if analysis.is_impaired() {
                 tally.inc(Row::TraceImpaired);
@@ -758,7 +728,7 @@ impl<'a> Scanner<'a> {
             host_id,
             quic_reachable,
             quic: quic_report,
-            tcp: Some(tcp_report),
+            tcp: tcp_report,
             trace,
         }
     }
@@ -771,9 +741,62 @@ impl<'a> Scanner<'a> {
         }
     }
 
+    /// The route `key` from this scanner's vantage point, met before or
+    /// met now, and the slot its path is built into.  A route met now is
+    /// built there, to read its effect.
+    fn route_to<'r>(
+        &self,
+        key: RouteKey,
+        routes: &'r mut Routes,
+    ) -> (&'r mut MetRoute, &'r mut Option<BuiltPath>) {
+        let Routes { met, last, path } = routes;
+        let vantage = self.vantage.asn;
+        let matches = |route: &MetRoute| route.vantage == vantage && route.key == key;
+        if !met.get(*last).is_some_and(matches) {
+            match met.iter().position(matches) {
+                Some(found) => *last = found,
+                None => {
+                    let effect = self.path_to(key, path).effect();
+                    *last = met.len();
+                    met.push(MetRoute {
+                        vantage,
+                        key,
+                        effect,
+                        trace: None,
+                    });
+                }
+            }
+        }
+        (&mut met[*last], path)
+    }
+
+    /// The path of the route `key` from this scanner's vantage point:
+    /// `built` if it holds it, else built into `built`.
+    fn path_to<'p>(&self, key: RouteKey, built: &'p mut Option<BuiltPath>) -> &'p DuplexPath {
+        let vantage = self.vantage.asn;
+        if built
+            .as_ref()
+            .is_some_and(|last| last.vantage != vantage || last.key != key)
+        {
+            *built = None;
+        }
+        // Debug builds build a kept path all the same and hold it to that.
+        #[cfg(debug_assertions)]
+        if let Some(last) = built {
+            assert_eq!(last.path, self.build_path(key), "a kept path");
+        }
+        &built
+            .get_or_insert_with(|| BuiltPath {
+                vantage,
+                key,
+                path: self.build_path(key),
+            })
+            .path
+    }
+
     /// The path of the route `key` from this scanner's vantage point, with
-    /// the scanner's fault plan on its forward direction.  A scanner with a
-    /// fault plan keeps its runs in a table of its own.
+    /// the scanner's fault plan on its forward direction.  The fault plan
+    /// is the scanner's, and a kit is lent only to scanners without one.
     fn build_path(&self, key: RouteKey) -> DuplexPath {
         let mut path = key.path(self.vantage.asn);
         if !self.fault_plan.is_empty() {
@@ -783,23 +806,21 @@ impl<'a> Scanner<'a> {
     }
 }
 
+/// How many routes the kits of `kits` hold, and how many traces, QUIC runs
+/// and TCP runs they keep, in that order: each ran fresh once in its kit.
 #[cfg(test)]
-impl ExchangeTable {
-    /// How many routes the table holds, and how many traces, QUIC runs and
-    /// TCP runs it keeps, in that order: each ran fresh once.
-    pub(crate) fn kept(&self) -> [usize; 4] {
-        fn is_kept<R>(cell: &Once<R>) -> bool {
-            matches!(cell.get(), Some(Some(_)))
-        }
-        let entries = lock(&self.entries);
-        let routes = entries.routes.values();
-        [
-            entries.routes.len(),
-            routes.filter(|route| is_kept(&route.trace)).count(),
-            entries.quic.values().filter(|cell| is_kept(cell)).count(),
-            entries.tcp.values().filter(|cell| is_kept(cell)).count(),
-        ]
-    }
+pub(crate) fn kept(kits: &Kits) -> [usize; 4] {
+    lock(kits)
+        .iter()
+        .fold([0; 4], |[routes, traces, quic, tcp], kit| {
+            let met = &kit.routes.met;
+            [
+                routes + met.len(),
+                traces + met.iter().filter(|route| route.trace.is_some()).count(),
+                quic + kit.quic_runs.kept.len(),
+                tcp + kit.tcp_runs.kept.len(),
+            ]
+        })
 }
 
 #[cfg(test)]
@@ -812,6 +833,7 @@ mod tests {
     use qem_tracebox::EcnChange;
     use qem_web::UniverseConfig;
     use std::collections::BTreeMap;
+    use std::sync::Arc;
 
     fn universe() -> Universe {
         Universe::generate(&UniverseConfig::tiny())
@@ -1117,12 +1139,12 @@ mod tests {
             check_reuse(&census, &quic_hosts, vantage, ipv6, scenario, None);
         }
 
-        // Vantages scanned in turn, as a cloud campaign scans them, over
-        // one table: two that share an AS, one in another AS between them,
-        // and the main vantage point.
+        // Vantages scanned in turn, as a cloud campaign scans them, with
+        // one pool of kits lent to each scanner: two that share an AS, one
+        // in another AS between them, and the main vantage point.
         let fleet = VantagePoint::cloud_fleet();
         let named = |name: &str| fleet.iter().find(|v| v.name == name).unwrap().clone();
-        check_shared(
+        check_pooled(
             &census,
             &[
                 named("AWS Frankfurt"),
@@ -1134,31 +1156,29 @@ mod tests {
     }
 
     /// Measure `id` as if nothing had been measured before: with a worker
-    /// and a table of its own.  The host runs every exchange and trace
-    /// fresh, one QUIC run per attempt, and replays none — which is held
-    /// here: its table holds one key per protocol and one trace, and only a
-    /// retry meets a key again, so a host that retried kept no QUIC run.
+    /// and a kit of its own.  The host runs every exchange and trace fresh,
+    /// one QUIC run per attempt, and replays none — which is held here: only
+    /// a retry meets a key of its kit again, so a host that retried kept no
+    /// QUIC run.
     fn measure_fresh(scanner: &Scanner<'_>, id: usize) -> HostMeasurement {
-        let table = ExchangeTable::default();
-        let mut worker = scanner.worker_on(&table);
+        let mut worker = scanner.worker();
         let measured = scanner.measure_host(id, &mut worker);
         let retries = worker.tally.snapshot().counter("scan.quic.retries");
-        let [_, _, quic, _] = table.kept();
+        let kit = worker.kit.as_ref().expect("a worker holds its kit");
         assert!(
-            retries.unwrap_or(0) == 0 || quic == 0,
+            retries.unwrap_or(0) == 0 || kit.quic_runs.kept.is_empty(),
             "host {id} replayed a QUIC run"
         );
         measured
     }
 
     /// Scan the QUIC hosts of `universe` from each of `vantages` in turn,
-    /// in both families, with one table lent to every scanner, and hold
-    /// each scan to a fresh worker and table per host: the table carries
-    /// the routes, traces and runs met from one vantage point to the next.
-    /// The fleet is scanned twice, at one executor worker and at two, so
-    /// the second pass meets everything from the first already kept, and
-    /// runs nothing fresh.
-    fn check_shared(universe: &Universe, vantages: &[VantagePoint]) {
+    /// in both families, with one pool of kits lent to every scanner, and
+    /// hold each scan to a fresh worker per host: a kit carries the routes,
+    /// traces and runs it met from one vantage point to the next.  The
+    /// fleet is scanned twice, at one executor worker and at two, so the
+    /// second pass meets everything from the first already kept.
+    fn check_pooled(universe: &Universe, vantages: &[VantagePoint]) {
         let options = |workers: usize, ipv6: bool| ScanOptions {
             workers,
             ipv6,
@@ -1181,12 +1201,11 @@ mod tests {
                 (vantage, ipv6, population, fresh, single.metrics_snapshot())
             })
             .collect();
-        let table = ExchangeTable::default();
-        let mut first_pass = None;
+        let kits = Kits::default();
         for workers in [1, 2] {
             for (vantage, ipv6, population, fresh, metrics) in &scans {
                 let scanner = Scanner::new(universe, (*vantage).clone(), options(workers, *ipv6))
-                    .with_table(&table);
+                    .with_kits(&kits);
                 let name = &vantage.name;
                 assert_eq!(
                     scanner.scan_hosts(population),
@@ -1195,10 +1214,9 @@ mod tests {
                 );
                 assert_eq!(scanner.metrics_snapshot(), *metrics, "{name} ipv6={ipv6}");
             }
-            let kept = table.kept();
-            assert!(kept.iter().all(|&n| n > 0), "{kept:?}");
-            assert_eq!(*first_pass.get_or_insert(kept), kept, "a second pass");
         }
+        // Every kit came back: the first pass's, and the second worker's.
+        assert_eq!(lock(&kits).len(), 2);
     }
 
     /// Scan `population` from `vantage` with a fresh worker per host, then
@@ -1283,8 +1301,9 @@ mod tests {
     /// A replayed host's header values and trace changes are the kept
     /// run's and trace's allocations, not copies of them.
     #[test]
-    fn a_replay_shares_what_the_table_keeps() {
+    fn a_replay_shares_what_the_kit_keeps() {
         let universe = universe();
+        let kits = Kits::default();
         let scanner = Scanner::new(
             &universe,
             VantagePoint::main(),
@@ -1293,35 +1312,44 @@ mod tests {
                 workers: 1,
                 ..ScanOptions::paper_default(SnapshotDate::APR_2023)
             },
-        );
+        )
+        .with_kits(&kits);
         let measured = scanner.scan_all();
-        let entries = lock(&scanner.own.entries);
-        let kept = |cell: &Once<_>| cell.get().cloned().flatten();
-        let runs: Vec<RunOutcome> = entries.quic.values().filter_map(|c| kept(c)).collect();
-        let traces: Vec<TraceAnalysis> = entries
+        let kit = lock(&kits).pop().expect("the worker gave its kit back");
+        let kept_servers: Vec<&Arc<str>> = kit
+            .quic_runs
+            .kept
+            .iter()
+            .filter_map(|kept| {
+                kept.run
+                    .connection
+                    .report
+                    .response
+                    .as_ref()?
+                    .server
+                    .as_ref()
+            })
+            .collect();
+        let kept_changes: Vec<&Arc<[EcnChange]>> = kit
             .routes
-            .values()
-            .filter_map(|route| route.trace.get().cloned().flatten())
-            .collect();
-        let kept_servers: Vec<Arc<str>> = runs
+            .met
             .iter()
-            .filter_map(|run| run.connection.report.response.as_ref()?.server.clone())
-            .collect();
-        let kept_changes: Vec<Arc<[EcnChange]>> = traces
-            .iter()
-            .map(|trace| Arc::clone(&trace.changes))
+            .filter_map(|route| route.trace.as_ref())
+            .map(|trace| &trace.changes)
             .filter(|changes| !changes.is_empty())
             .collect();
         let (mut servers, mut changes) = (0, 0);
         for m in &measured {
             let response = m.quic.as_ref().and_then(|q| q.response.as_ref());
             if let Some(server) = response.and_then(|r| r.server.as_ref()) {
-                let shared = kept_servers.iter().any(|kept| Arc::ptr_eq(kept, server));
+                let shared = kept_servers.iter().any(|&kept| Arc::ptr_eq(kept, server));
                 assert!(shared, "host {}'s server header", m.host_id);
                 servers += 1;
             }
             if let Some(trace) = m.trace.as_ref().filter(|t| !t.changes.is_empty()) {
-                let shared = kept_changes.iter().any(|k| Arc::ptr_eq(k, &trace.changes));
+                let shared = kept_changes
+                    .iter()
+                    .any(|&kept| Arc::ptr_eq(kept, &trace.changes));
                 assert!(shared, "host {}'s trace changes", m.host_id);
                 changes += 1;
             }

@@ -93,7 +93,7 @@ pub(crate) struct Encounter {
 /// Everything a route depends on that varies per host: the host's AS, the
 /// transit after the vantage quirks, and the address family.  Equal keys
 /// build equal paths from one vantage point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct RouteKey {
     asn: Asn,
     transit: TransitProfile,

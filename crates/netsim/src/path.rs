@@ -412,7 +412,7 @@ impl DuplexPath {
 /// drop a delivery's delay — and that sends at TTL 64 over fewer than 64
 /// hops, so that no packet expires.  It does not stand for the path to a
 /// tracer, which reads the routers that answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PathEffect {
     forward: [EcnCodepoint; 4],
     reverse: [EcnCodepoint; 4],

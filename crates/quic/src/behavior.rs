@@ -76,7 +76,7 @@ impl EcnMirroringBehavior {
 
 /// The QUIC versions a server accepts, in its order, held inline: the first
 /// eight of what it is given.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Versions([Option<QuicVersion>; 8]);
 
 impl Versions {
@@ -96,7 +96,7 @@ impl Versions {
 }
 
 /// Complete behavioural description of a simulated QUIC server.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerBehavior {
     /// QUIC versions the server accepts; anything else triggers version
     /// negotiation.

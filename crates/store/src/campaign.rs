@@ -6,8 +6,8 @@
 //! is a pure function of `seed × host id`, a resumed campaign — skipping the
 //! hosts already persisted before the kill — produces a snapshot
 //! bit-identical to an uninterrupted run at any worker count.  Every scan
-//! is made by [`Campaign::scanner`], so it shares the campaign's exchange
-//! table with the campaign's other runs and with the dates before it.
+//! is made by [`Campaign::scanner`], so its workers take the kits the
+//! campaign's other runs, and the dates before it, gave back.
 
 use crate::longitudinal::{LongitudinalStore, LongitudinalWriter};
 use crate::segment::write_atomically;

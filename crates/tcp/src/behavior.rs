@@ -3,7 +3,7 @@
 use qem_packet::ecn::EcnCodepoint;
 
 /// How a simulated TCP server treats ECN.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpServerBehavior {
     /// Whether the server accepts ECN negotiation (answers an ECN-setup SYN
     /// with an ECN-setup SYN-ACK).  Large providers almost universally do
