@@ -135,6 +135,11 @@ impl ScanTally {
         self.counts[row as usize] += n;
     }
 
+    /// The count of `row`.
+    pub(crate) fn count(&self, row: Row) -> u64 {
+        self.counts[row as usize]
+    }
+
     /// Fold `other` into `self`.
     pub(crate) fn merge_from(&mut self, other: &ScanTally) {
         for (mine, theirs) in self.counts.iter_mut().zip(other.counts) {
@@ -156,7 +161,7 @@ impl ScanTally {
         }
         snap.merge_from(&self.named);
         for (row, name) in ROWS {
-            snap.set_counter(name, self.counts[row as usize]);
+            snap.set_counter(name, self.count(row));
         }
         snap.set_histogram("scan.quic.elapsed_us", self.quic_elapsed_us.clone());
         snap.set_histogram("scan.quic.backoff_us", self.quic_backoff_us.clone());

@@ -13,95 +13,67 @@
 //! deterministic RNG derived from the scan seed and the host id, so a scan
 //! produces identical results regardless of worker count or scheduling.
 //! Each executor worker owns one `ScanWorker` for the scan: the
-//! [`ClientConfig`] its QUIC probes read, the SNI of a host whose QUIC run
-//! goes fresh written into it in place (a replay never reads it); the
-//! `ScanTally` its hosts are counted in — each probe's engine tally by
-//! slot — which the worker folds into the scanner's once, when it ends ([`Scanner::metrics_snapshot`] gives the counts their
-//! names); and a kit, what it reuses from host to host.  A kit holds an
-//! [`EngineScratch`] lent to both probes of every host (one timer wheel,
-//! flow table and packet body per worker, not per probe), a
-//! [`QuicScratch`] lent to the QUIC probes (the endpoints' packet spaces,
-//! outboxes and stream buffers), the routes the kit has met and two memos
-//! of runs, one per protocol.
+//! [`ClientConfig`] its QUIC probes read, the `ScanTally` it counts its
+//! hosts in, folded into the scanner's once, when the worker ends
+//! ([`Scanner::metrics_snapshot`] names the counts), and a kit, what it
+//! reuses from host to host: an [`EngineScratch`] and a [`QuicScratch`]
+//! lent to every probe, the path built last, the routes met and the runs
+//! kept.
 //!
-//! A route is remembered by the vantage AS it starts from and its
-//! `RouteKey`, with what its path does to a packet (its [`PathEffect`])
-//! and the analysis of a trace over it that drew nothing from its host's
-//! RNG.  Its [`DuplexPath`] is not kept: one slot holds the path built
-//! last, and a path is built only when its route is first met, to read the
-//! effect, and when a fresh exchange or a fresh trace runs over it.  A
-//! traced host whose route keeps a trace copies its [`TraceAnalysis`]
-//! instead of probing every TTL: a trace reads the routers that answer and
-//! their ASes, so it stays with its route and its vantage AS.  The
-//! exchanges read less.  The QUIC and TCP flows drop the delay of what a
-//! path delivers and send at TTL 64 over routes of fewer than 64 hops, so
-//! they read of the path only the codepoint each packet arrives with: its
-//! effect (premise tests in `qem-quic`'s `census_runs.rs` and `qem-tcp`'s
-//! `connection.rs` group the routes of every vantage AS, in both families,
-//! by effect).  The probe mode, cross traffic and fault plan are the
-//! scanner's, and neither exchange depends on the server address, nor the
-//! QUIC one on the SNI, so a run that drew nothing depends on path effect
-//! and behaviour alone.  A host whose path effect and TCP behaviour match
-//! a kept TCP run copies its [`TcpReport`] instead of running the
-//! exchange; a QUIC attempt whose path effect and QUIC behaviour match a
-//! kept QUIC run copies its outcome and merges its engine tally instead of
-//! running the engine.  A copy shares what the kit keeps: a report's
-//! header values are `Arc<str>` and a trace's changes an `Arc<[_]>`, so a
-//! replay copies pointers, not text.
+//! **One rule keeps and replays the QUIC exchange, the TCP exchange and the
+//! trace** (`replay_or_run`).  A run that drew from its host's RNG only its
+//! seeds, and was not observed, is kept under what it depends on, and a
+//! later host with that key replays it.  The seeds are what a run draws
+//! whatever the path: a QUIC run its endpoints' connection-ID seeds
+//! ([`ConnectionRun::SEED_DRAWS`]), whose values nothing observed depends
+//! on; a TCP exchange and a trace none.  A replay takes the seeds from the
+//! host's RNG all the same, so what the host draws next is drawn where it
+//! was.  A fresh run draws through an adapter that counts its draws, so a
+//! run that drew more (over a lossy hop, behind cross traffic, through a
+//! fault that draws, past a router that answers only sometimes) is never
+//! kept, and no list of those conditions is kept in step.  A QUIC run that
+//! returned telemetry was observed, and is not kept either.  A replayed
+//! trace is counted as an observed one: traced, and impaired if the kept
+//! one was.  Debug builds run every replay fresh all the same, on a copy of
+//! the host's RNG, and hold it to what the kit kept, to its seeds and to
+//! where the replay left the RNG; they also hold each route's effect to its
+//! path's, and the path kept to a fresh build.
 //!
-//! The routes and memos are lists that grow by every route, and every
-//! (path effect, behaviour) pair, a kit meets: their size is bounded by the
-//! world, not by the scan (the main census's IPv4 scan meets 64 distinct
-//! routes at 1:1000, 1:250 and 1:50 alike, and keeps 27, 29 and 38 QUIC
-//! runs and 8 TCP ones).  A host meets one of a few transits
-//! behind one of a few server behaviours, and its neighbours in id order
-//! interleave them; a lookup looks first at the entry it found last, then
-//! along the list, comparing the vantage AS or the 8-byte effect first.
+//! The keys.  A trace reads the routers that answer and their ASes, so it
+//! is kept with its route, by vantage AS and `RouteKey`, beside what the
+//! route's path does to a packet (its [`PathEffect`]).  The exchanges read
+//! less: the QUIC and TCP flows drop the delay of what a path delivers and
+//! send at TTL 64 over routes of fewer than 64 hops, so they read of the
+//! path only the codepoint each packet arrives with, its effect (premise
+//! tests in `qem-quic`'s `census_runs.rs` and `qem-tcp`'s `connection.rs`
+//! group the routes of every vantage AS, in both families, by effect).
+//! Neither depends on the server address, nor the QUIC one on the SNI
+//! (written only for a fresh run), so an exchange is kept by path effect
+//! and server behaviour.  A path is built only when its route is first met,
+//! to read its effect, and when a fresh run goes over it.  A replay shares
+//! what the kit keeps: a report's header values are `Arc<str>` and a
+//! trace's changes an `Arc<[_]>`.  Each list of a kit is a `Memo`, which
+//! grows by what the world holds, not by the scan (the main census's IPv4
+//! scan meets 64 routes at 1:1000, 1:250 and 1:50 alike); a lookup looks
+//! first at the entry found last.
 //!
-//! A [`crate::campaign::Campaign`] lends one pool of kits (`Kits`) to
-//! every scanner it builds (`Campaign::scanner`): both families of the
-//! main census, every date of a series, every vantage point of the cloud
-//! fleet and the store's runs.  A worker takes a kit from the pool when it
-//! starts and gives it back when it ends, so what one scan met is not
-//! measured again by the next: the IPv6 scan replays the IPv4 scan's runs,
-//! a date replays what the dates before it ran, and the 16 cloud vantage
-//! points, which send from two ASes, mostly meet what the first of them
-//! met.  The pool is locked when a worker starts and when it ends, never
-//! per host: while a worker lives its kit is its own, and nothing a host's
-//! measurement touches is shared with another thread.  So each worker of a
-//! threaded scan fills a kit of its own, and which host of a key runs it
-//! fresh, and how often, follows the worker count; what a host measures
-//! does not.  A scanner lent no pool gives each worker a fresh kit, dropped
-//! with the worker.
+//! A [`crate::campaign::Campaign`] lends one pool of kits (`Kits`) per
+//! probe mode, which no key names, to every scanner it builds: a worker
+//! takes a kit when it starts and gives it back when it ends, so the IPv6
+//! scan replays what the IPv4 scan ran, a date what the dates before it
+//! ran, and a vantage point of the fleet what the ones before it met.  The
+//! pool is locked only then: while a worker lives its kit is its own, so
+//! which host of a key runs fresh follows the worker count, and what a host
+//! measures does not.  A scanner with cross traffic or a fault plan, which
+//! no key names either, takes no kit from its pool; a scanner lent no pool
+//! gives each worker a fresh kit.
 //!
-//! A campaign's scanners differ in vantage point, family and date, which
-//! the keys name (a date through the behaviours it gives the hosts), and
-//! in probe mode, which they do not: the campaign keeps one pool per mode.
-//! A scanner with cross traffic or a fault plan, which the keys do not name
-//! either, takes no kit from its pool and gives none back.
-//!
-//! "Drew nothing" counts what every run draws whatever the path: a TCP
-//! exchange and a trace are kept at no draws, a QUIC run at its endpoints'
-//! connection-ID seeds ([`ConnectionRun::SEED_DRAWS`]), whose values
-//! nothing observed depends on.  A replayed QUIC run takes those seeds from
-//! the host's RNG all the same, so the trace-sampling and backoff draws
-//! that follow are drawn where they were.  Each run and trace draws through
-//! an adapter that counts its draws, so one that drew more (over a lossy
-//! hop, behind cross traffic, through a fault that draws, past a router
-//! that answers only sometimes) is never kept, and no list of those
-//! conditions has to be kept in step; nor is a QUIC run that returned
-//! telemetry: it was observed, and a replay is not.  A replayed trace is
-//! not an observed trace either, but it is counted as one: traced, and
-//! impaired if the trace it copies was.  The oracle is
+//! The oracle is
 //! `tests::reused_scratches_measure_what_a_fresh_scratch_per_host_does`: a
-//! fresh worker per host, which never replays a run or a trace, against one
+//! fresh worker per host, held to having replayed nothing, against one
 //! worker reused in orders that change route at nearly every host, against
-//! executor workers in id order over a population where most QUIC
-//! attempts replay, and against vantage points scanned in turn with one
-//! pool of kits; the fresh side is held to having replayed nothing.  Debug
-//! builds also shadow every replayed exchange and trace: it runs fresh on a
-//! copy of the host's RNG, and must return what the kit held, draw what
-//! the replay drew and leave the RNG where the replay did.
+//! executor workers over a population where most QUIC attempts replay, and
+//! against vantage points scanned in turn with one pool of kits.
 
 use crate::executor::ShardedExecutor;
 use crate::metrics::{Row, ScanTally};
@@ -121,7 +93,7 @@ use qem_web::{SnapshotDate, Universe};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::borrow::Cow;
-use std::fmt::Write;
+use std::fmt::{Debug, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::{Mutex, MutexGuard};
 
@@ -191,96 +163,57 @@ struct ScanWorker<'s> {
     scanner: &'s Scanner<'s>,
 }
 
+/// A route from a vantage point: the AS it starts from and its key.
+type Route = (Asn, RouteKey);
+
 /// What a scan worker reuses from host to host and, lent through a
-/// [`Kits`] pool, from scan to scan: its scratches, the routes it has met
-/// and the runs it may replay.
+/// [`Kits`] pool, from scan to scan: its scratches, the path it built
+/// last, the routes it has met and the runs it may replay.
 #[derive(Default)]
 pub(crate) struct Kit {
     scratch: EngineScratch,
     quic: QuicScratch,
-    routes: Routes,
-    /// TCP exchanges that drew nothing from their host's RNG.
-    tcp_runs: Memo<TcpServerBehavior, TcpReport>,
-    /// QUIC runs that drew nothing from their host's RNG but their
-    /// endpoint seeds, and returned no telemetry.
-    quic_runs: Memo<ServerBehavior, RunOutcome>,
+    path: Option<(Route, DuplexPath)>,
+    /// What each route's path does to a packet, and a kept trace over it.
+    routes: Memo<Route, (PathEffect, Option<TraceAnalysis>)>,
+    tcp_runs: Memo<(PathEffect, TcpServerBehavior), TcpReport>,
+    quic_runs: Memo<(PathEffect, ServerBehavior), RunOutcome>,
 }
 
 /// The kits of the workers that have ended, lent by a campaign to each of
 /// its scanners in turn ([`Scanner::with_kits`]).
 pub(crate) type Kits = Mutex<Vec<Kit>>;
 
-/// The routes a kit has met, by the vantage AS they start from and their
-/// key, and the path of one of them.
-#[derive(Default)]
-struct Routes {
-    met: Vec<MetRoute>,
-    /// The entry found last, looked at first.
-    last: usize,
-    /// The path of the route built last.  A path is built only when a
-    /// route is first met, or when a fresh exchange or trace runs over it.
-    path: Option<BuiltPath>,
-}
-
-/// A route met: what its path does to a packet, and the analysis of a
-/// trace over it that drew nothing from its host's RNG.
-struct MetRoute {
-    vantage: Asn,
-    key: RouteKey,
-    effect: PathEffect,
-    trace: Option<TraceAnalysis>,
-}
-
-/// A route's path, with what it was built from.
-struct BuiltPath {
-    vantage: Asn,
-    key: RouteKey,
-    path: DuplexPath,
-}
-
-/// A draw-free run against a server behaving as `B`, with what its path
-/// does to a packet: what a run over a path with an equal effect against
-/// an equal behaviour returns, whatever host it measures.
-struct Kept<B, R> {
-    effect: PathEffect,
-    behavior: B,
-    run: R,
-}
-
-/// Every distinct draw-free run of one protocol a kit has run.
-struct Memo<B, R> {
-    kept: Vec<Kept<B, R>>,
+/// Values by key, in the order they were kept.
+struct Memo<K, V> {
+    entries: Vec<(K, V)>,
     /// The entry found or kept last, looked at first.
     last: usize,
 }
 
-impl<B, R> Default for Memo<B, R> {
+impl<K, V> Default for Memo<K, V> {
     fn default() -> Self {
         Memo {
-            kept: Vec::new(),
+            entries: Vec::new(),
             last: 0,
         }
     }
 }
 
-impl<B: Clone + PartialEq, R: Clone> Memo<B, R> {
-    /// The kept run over a path with `effect` against `behavior`, if any.
-    fn replay(&mut self, effect: PathEffect, behavior: &B) -> Option<&R> {
-        let matches = |kept: &Kept<B, R>| kept.effect == effect && kept.behavior == *behavior;
-        if !self.kept.get(self.last).is_some_and(matches) {
-            self.last = self.kept.iter().position(matches)?;
+impl<K, V> Memo<K, V> {
+    /// The value of the key `is` accepts, if any.
+    fn find(&mut self, is: impl Fn(&K) -> bool) -> Option<&mut V> {
+        if !self.entries.get(self.last).is_some_and(|(key, _)| is(key)) {
+            self.last = self.entries.iter().position(|(key, _)| is(key))?;
         }
-        Some(&self.kept[self.last].run)
+        Some(&mut self.entries[self.last].1)
     }
 
-    /// Keep `run`, which no kept run matched.
-    fn keep(&mut self, effect: PathEffect, behavior: &B, run: &R) {
-        self.last = self.kept.len();
-        self.kept.push(Kept {
-            effect,
-            behavior: behavior.clone(),
-            run: run.clone(),
-        });
+    /// Keep `value` under `key`, which no entry holds.
+    fn keep(&mut self, key: K, value: V) -> &mut V {
+        self.last = self.entries.len();
+        self.entries.push((key, value));
+        &mut self.entries[self.last].1
     }
 }
 
@@ -291,12 +224,6 @@ struct Drawn<'r> {
     draws: usize,
 }
 
-impl<'r> Drawn<'r> {
-    fn new(rng: &'r mut StdRng) -> Self {
-        Drawn { rng, draws: 0 }
-    }
-}
-
 impl RngCore for Drawn<'_> {
     fn next_u64(&mut self) -> u64 {
         self.draws += 1;
@@ -304,10 +231,71 @@ impl RngCore for Drawn<'_> {
     }
 }
 
+/// `kept` replayed, or else a `fresh` run, and whether the run may be kept:
+/// it ran fresh, drew exactly `seeds` from the host's RNG and was not
+/// `observed`.  A replay draws the seeds, so that what the host draws next
+/// is drawn where it was.  Debug builds run a replay fresh all the same, on
+/// a copy of the host's RNG, and hold the replay to it.
+fn replay_or_run<R: Clone + PartialEq + Debug>(
+    kept: Option<&R>,
+    seeds: usize,
+    rng: &mut StdRng,
+    mut fresh: impl FnMut(&mut Drawn<'_>) -> R,
+    observed: impl Fn(&R) -> bool,
+) -> (R, bool) {
+    let mut run = |rng: &mut StdRng| {
+        let mut drawn = Drawn { rng, draws: 0 };
+        let run = fresh(&mut drawn);
+        (run, drawn.draws)
+    };
+    let Some(kept) = kept else {
+        let (run, draws) = run(rng);
+        let keep = draws == seeds && !observed(&run);
+        return (run, keep);
+    };
+    #[cfg(debug_assertions)]
+    let mut shadow = rng.clone();
+    for _ in 0..seeds {
+        rng.next_u64();
+    }
+    #[cfg(debug_assertions)]
+    {
+        let (run, draws) = run(&mut shadow);
+        assert_eq!(&run, kept, "a replayed run");
+        assert_eq!(draws, seeds, "a replayed run's draws");
+        assert_eq!(shadow, *rng, "the host's RNG after a replay");
+    }
+    (kept.clone(), false)
+}
+
 impl Drop for ScanWorker<'_> {
     /// The worker ends: hand its counts in, and its kit back to the pool
-    /// lent to its scanner, if any.
+    /// lent to its scanner, if any.  Debug builds first hold the counts to
+    /// the laws every measured host keeps, unless a measurement panicked.
     fn drop(&mut self) {
+        if !std::thread::panicking() {
+            let count = |row| self.tally.count(row);
+            debug_assert_eq!(
+                count(Row::Hosts),
+                count(Row::NoAddress) + count(Row::TcpProbed),
+                "hosts"
+            );
+            debug_assert_eq!(
+                count(Row::TcpProbed),
+                count(Row::QuicNoStack) + count(Row::QuicAttempted),
+                "TCP probes"
+            );
+            // Each QUIC attempt ends in one error, or, the last only,
+            // reachable: a retry follows an error.
+            debug_assert_eq!(
+                count(Row::QuicAttempted) + count(Row::QuicRetries),
+                count(Row::QuicReachable)
+                    + count(Row::ErrorTimeout)
+                    + count(Row::ErrorBlackhole)
+                    + count(Row::ErrorCorruptReply),
+                "QUIC attempts"
+            );
+        }
         self.scanner.lock_tally().merge_from(&self.tally);
         if let (Some(kits), Some(kit)) = (self.scanner.pool(), self.kit.take()) {
             lock(kits).push(kit);
@@ -460,6 +448,7 @@ impl<'a> Scanner<'a> {
         let Kit {
             scratch,
             quic,
+            path,
             routes,
             tcp_runs,
             quic_runs,
@@ -492,12 +481,18 @@ impl<'a> Scanner<'a> {
             };
         };
         let client_addr = self.client_addr(v6);
-        let (route, built) = self.route_to(key, routes);
-        let effect = route.effect;
-        // Debug builds hold a remembered route's effect to its path's.
+        let route = (self.vantage.asn, key);
+        let (effect, kept_trace) = match routes.find(|met| *met == route) {
+            Some(met) => met,
+            None => {
+                let effect = self.path_to(route, path).effect();
+                routes.keep(route, (effect, None))
+            }
+        };
+        let effect = *effect;
         #[cfg(debug_assertions)]
         assert_eq!(
-            self.path_to(key, built).effect(),
+            self.path_to(route, path).effect(),
             effect,
             "a route's effect"
         );
@@ -513,63 +508,32 @@ impl<'a> Scanner<'a> {
             // Queue and fault metrics are named per router and per fault:
             // only a loaded or faulted run is counted by name.
             let named = self.options.cross_traffic.is_enabled() || !self.fault_plan.is_empty();
-            // One run, fresh, and what it drew.  A disabled scenario is
-            // the plain single-flow run inside the builder.  Only a fresh
-            // run reads the SNI.
-            let mut fresh = |rng: &mut StdRng, path: &DuplexPath| {
+            // A disabled scenario is the plain single-flow run inside the
+            // builder.
+            let mut fresh = |drawn: &mut Drawn<'_>| {
                 client.sni.clear();
                 // Writing to a `String` cannot fail.
                 let _ = write!(client.sni, "www.host-{host_id}.example");
                 let driver = DriverConfig::new(client_addr, server_addr);
-                let mut drawn = Drawn::new(rng);
-                let run = ConnectionRun::lent(client, behavior.clone(), path, driver)
+                ConnectionRun::lent(client, behavior.clone(), self.path_to(route, path), driver)
                     .cross_traffic(self.options.cross_traffic)
                     .telemetry(named)
                     .scratch(scratch, quic)
-                    .execute(&mut drawn);
-                (run, drawn.draws)
+                    .execute(drawn)
             };
             let mut attempt = 1u32;
             loop {
-                let run = match quic_runs.replay(effect, &behavior) {
-                    Some(kept) => {
-                        #[cfg(debug_assertions)]
-                        let mut shadow = rng.clone();
-                        // The seeds the run would draw, so that what the
-                        // host draws next is drawn where it was.
-                        for _ in 0..ConnectionRun::SEED_DRAWS {
-                            rng.next_u64();
-                        }
-                        // Debug builds run the exchange all the same, on a
-                        // copy of the host's RNG, and hold the replay to it.
-                        #[cfg(debug_assertions)]
-                        {
-                            let (run, draws) = fresh(&mut shadow, self.path_to(key, built));
-                            assert_eq!(run.connection, kept.connection, "replayed QUIC outcome");
-                            assert_eq!(run.engine, kept.engine, "replayed QUIC engine tally");
-                            assert!(run.telemetry.is_none(), "a replayed QUIC run was observed");
-                            assert_eq!(draws, ConnectionRun::SEED_DRAWS, "QUIC draws");
-                            assert_eq!(shadow, rng, "the host's RNG after a QUIC replay");
-                        }
-                        // A replay is not an observed run: it has no
-                        // telemetry.
-                        RunOutcome {
-                            connection: kept.connection.clone(),
-                            engine: kept.engine,
-                            telemetry: None,
-                        }
-                    }
-                    None => {
-                        let (run, draws) = fresh(&mut rng, self.path_to(key, built));
-                        // A run that drew beyond its seeds depends on the
-                        // host's RNG, and one with telemetry was observed:
-                        // replay neither.
-                        if draws == ConnectionRun::SEED_DRAWS && run.telemetry.is_none() {
-                            quic_runs.keep(effect, &behavior, &run);
-                        }
-                        run
-                    }
-                };
+                let kept = quic_runs.find(|(e, b)| *e == effect && *b == behavior);
+                let (run, keep) = replay_or_run(
+                    kept.as_deref(),
+                    ConnectionRun::SEED_DRAWS,
+                    &mut rng,
+                    &mut fresh,
+                    |run| run.telemetry.is_some(),
+                );
+                if keep {
+                    quic_runs.keep((effect, behavior.clone()), run.clone());
+                }
                 let outcome = run.connection;
                 tally.quic_elapsed_us.record(outcome.elapsed.as_micros());
                 tally.add(Row::QuicForwardLosses, outcome.forward_losses);
@@ -620,40 +584,25 @@ impl<'a> Scanner<'a> {
             ProbeMode::Ect0 => TcpClientConfig::ect0(),
             ProbeMode::ForceCe => TcpClientConfig::force_ce(),
         };
-        let mut fresh = |rng: &mut StdRng, path: &DuplexPath| {
-            let mut drawn = Drawn::new(rng);
-            let report =
+        let kept = tcp_runs.find(|(e, b)| *e == effect && *b == tcp_behavior);
+        let (tcp_report, keep) = replay_or_run(
+            kept.as_deref(),
+            0,
+            &mut rng,
+            |drawn| {
+                let path = self.path_to(route, path);
                 TcpConnectionRun::new(tcp_config, tcp_behavior, client_addr, server_addr, path)
                     .cross_traffic(self.options.cross_traffic)
                     .scratch(scratch)
-                    .execute(&mut drawn);
-            (report, drawn.draws)
-        };
-        let tcp_report = Some(match tcp_runs.replay(effect, &tcp_behavior) {
-            Some(&report) => {
-                // Debug builds run the exchange all the same, on a copy of
-                // the host's RNG, and hold the replay to it.
-                #[cfg(debug_assertions)]
-                {
-                    let mut shadow = rng.clone();
-                    let (run, draws) = fresh(&mut shadow, self.path_to(key, built));
-                    assert_eq!(run, report, "replayed TCP report");
-                    assert_eq!(draws, 0, "TCP draws");
-                    assert_eq!(shadow, rng, "the host's RNG after a TCP replay");
-                }
-                report
-            }
-            None => {
-                let (report, draws) = fresh(&mut rng, self.path_to(key, built));
-                // A run that drew depends on the host's RNG: never reuse it.
-                if draws == 0 {
-                    tcp_runs.keep(effect, &tcp_behavior, &report);
-                }
-                report
-            }
-        });
+                    .execute(drawn)
+            },
+            |_| false,
+        );
+        if keep {
+            tcp_runs.keep((effect, tcp_behavior), tcp_report);
+        }
         tally.inc(Row::TcpProbed);
-        if tcp_report.as_ref().is_some_and(|r| r.connected) {
+        if tcp_report.connected {
             tally.inc(Row::TcpConnected);
         }
 
@@ -675,46 +624,22 @@ impl<'a> Scanner<'a> {
         let host_trace_p =
             Probability::new(1.0 - (1.0 - per_domain_p).powi(weight.min(1_000) as i32));
         let trace = if abnormal && host_trace_p.draw(&mut rng) {
-            // One trace, fresh, and what it drew.
-            let fresh = |rng: &mut StdRng, path: &DuplexPath| {
-                let mut drawn = Drawn::new(rng);
-                let trace = trace_path(
-                    &path.forward,
-                    client_addr,
-                    server_addr,
-                    &TraceConfig::default(),
-                    &mut drawn,
-                );
-                let as_org = &self.universe.as_org;
-                (
-                    analyze_trace(&trace, &|ip| as_org.asn_of_ip(ip)),
-                    drawn.draws,
-                )
-            };
-            let analysis = match &route.trace {
-                Some(kept) => {
-                    // Debug builds trace all the same, on a copy of the
-                    // host's RNG, and hold the kept trace to it.
-                    #[cfg(debug_assertions)]
-                    {
-                        let mut shadow = rng.clone();
-                        let (analysis, draws) = fresh(&mut shadow, self.path_to(key, built));
-                        assert_eq!(&analysis, kept, "replayed trace");
-                        assert_eq!(draws, 0, "trace draws");
-                        assert_eq!(shadow, rng, "the host's RNG after a trace replay");
-                    }
-                    kept.clone()
-                }
-                None => {
-                    let (analysis, draws) = fresh(&mut rng, self.path_to(key, built));
-                    // A trace that drew depends on the host's RNG: never
-                    // replay it.
-                    if draws == 0 {
-                        route.trace = Some(analysis.clone());
-                    }
-                    analysis
-                }
-            };
+            let (analysis, keep) = replay_or_run(
+                kept_trace.as_ref(),
+                0,
+                &mut rng,
+                |drawn| {
+                    let path = &self.path_to(route, path).forward;
+                    let config = TraceConfig::default();
+                    let trace = trace_path(path, client_addr, server_addr, &config, drawn);
+                    let as_org = &self.universe.as_org;
+                    analyze_trace(&trace, &|ip| as_org.asn_of_ip(ip))
+                },
+                |_| false,
+            );
+            if keep {
+                *kept_trace = Some(analysis.clone());
+            }
             tally.inc(Row::Traced);
             if analysis.is_impaired() {
                 tally.inc(Row::TraceImpaired);
@@ -728,7 +653,7 @@ impl<'a> Scanner<'a> {
             host_id,
             quic_reachable,
             quic: quic_report,
-            tcp: tcp_report,
+            tcp: Some(tcp_report),
             trace,
         }
     }
@@ -741,57 +666,23 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    /// The route `key` from this scanner's vantage point, met before or
-    /// met now, and the slot its path is built into.  A route met now is
-    /// built there, to read its effect.
-    fn route_to<'r>(
+    /// The path of `route`: `built` if it holds it, else built into `built`.
+    fn path_to<'p>(
         &self,
-        key: RouteKey,
-        routes: &'r mut Routes,
-    ) -> (&'r mut MetRoute, &'r mut Option<BuiltPath>) {
-        let Routes { met, last, path } = routes;
-        let vantage = self.vantage.asn;
-        let matches = |route: &MetRoute| route.vantage == vantage && route.key == key;
-        if !met.get(*last).is_some_and(matches) {
-            match met.iter().position(matches) {
-                Some(found) => *last = found,
-                None => {
-                    let effect = self.path_to(key, path).effect();
-                    *last = met.len();
-                    met.push(MetRoute {
-                        vantage,
-                        key,
-                        effect,
-                        trace: None,
-                    });
-                }
-            }
-        }
-        (&mut met[*last], path)
-    }
-
-    /// The path of the route `key` from this scanner's vantage point:
-    /// `built` if it holds it, else built into `built`.
-    fn path_to<'p>(&self, key: RouteKey, built: &'p mut Option<BuiltPath>) -> &'p DuplexPath {
-        let vantage = self.vantage.asn;
-        if built
-            .as_ref()
-            .is_some_and(|last| last.vantage != vantage || last.key != key)
-        {
+        route: Route,
+        built: &'p mut Option<(Route, DuplexPath)>,
+    ) -> &'p DuplexPath {
+        if built.as_ref().is_some_and(|(last, _)| *last != route) {
             *built = None;
         }
         // Debug builds build a kept path all the same and hold it to that.
         #[cfg(debug_assertions)]
-        if let Some(last) = built {
-            assert_eq!(last.path, self.build_path(key), "a kept path");
+        if let Some((_, path)) = built {
+            assert_eq!(*path, self.build_path(route.1), "a kept path");
         }
         &built
-            .get_or_insert_with(|| BuiltPath {
-                vantage,
-                key,
-                path: self.build_path(key),
-            })
-            .path
+            .get_or_insert_with(|| (route, self.build_path(route.1)))
+            .1
     }
 
     /// The path of the route `key` from this scanner's vantage point, with
@@ -813,12 +704,12 @@ pub(crate) fn kept(kits: &Kits) -> [usize; 4] {
     lock(kits)
         .iter()
         .fold([0; 4], |[routes, traces, quic, tcp], kit| {
-            let met = &kit.routes.met;
+            let met = &kit.routes.entries;
             [
                 routes + met.len(),
-                traces + met.iter().filter(|route| route.trace.is_some()).count(),
-                quic + kit.quic_runs.kept.len(),
-                tcp + kit.tcp_runs.kept.len(),
+                traces + met.iter().filter(|(_, (_, trace))| trace.is_some()).count(),
+                quic + kit.quic_runs.entries.len(),
+                tcp + kit.tcp_runs.entries.len(),
             ]
         })
 }
@@ -1166,7 +1057,7 @@ mod tests {
         let retries = worker.tally.snapshot().counter("scan.quic.retries");
         let kit = worker.kit.as_ref().expect("a worker holds its kit");
         assert!(
-            retries.unwrap_or(0) == 0 || kit.quic_runs.kept.is_empty(),
+            retries.unwrap_or(0) == 0 || kit.quic_runs.entries.is_empty(),
             "host {id} replayed a QUIC run"
         );
         measured
@@ -1318,23 +1209,15 @@ mod tests {
         let kit = lock(&kits).pop().expect("the worker gave its kit back");
         let kept_servers: Vec<&Arc<str>> = kit
             .quic_runs
-            .kept
+            .entries
             .iter()
-            .filter_map(|kept| {
-                kept.run
-                    .connection
-                    .report
-                    .response
-                    .as_ref()?
-                    .server
-                    .as_ref()
-            })
+            .filter_map(|(_, run)| run.connection.report.response.as_ref()?.server.as_ref())
             .collect();
         let kept_changes: Vec<&Arc<[EcnChange]>> = kit
             .routes
-            .met
+            .entries
             .iter()
-            .filter_map(|route| route.trace.as_ref())
+            .filter_map(|(_, (_, trace))| trace.as_ref())
             .map(|trace| &trace.changes)
             .filter(|changes| !changes.is_empty())
             .collect();
@@ -1365,6 +1248,44 @@ mod tests {
             "{changes} {}",
             kept_changes.len()
         );
+    }
+
+    /// One shadow holds every replay: a kept QUIC run, TCP exchange or
+    /// trace edited in a lent pool is caught when a rescan replays it.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn the_replay_shadow_catches_a_tampered_kit() {
+        let universe = universe();
+        let options = ScanOptions {
+            trace_sample_probability: Probability::new(1.0),
+            workers: 1,
+            ..ScanOptions::paper_default(SnapshotDate::APR_2023)
+        };
+        let tampers: [fn(&mut Kit); 3] = [
+            |kit| kit.quic_runs.entries[0].1.connection.forward_losses += 1,
+            |kit| kit.tcp_runs.entries[0].1.forward_losses += 1,
+            |kit| {
+                let mut routes = kit.routes.entries.iter_mut();
+                let trace = routes.find_map(|(_, (_, trace))| trace.as_mut());
+                trace.expect("a kept trace").dscp_rewritten_only ^= true;
+            },
+        ];
+        for (kind, tamper) in ["QUIC", "TCP", "trace"].into_iter().zip(tampers) {
+            let kits = Kits::default();
+            let scan = || {
+                Scanner::new(&universe, VantagePoint::main(), options)
+                    .with_kits(&kits)
+                    .scan_all()
+            };
+            scan();
+            tamper(&mut lock(&kits)[0]);
+            let rescan = std::panic::catch_unwind(std::panic::AssertUnwindSafe(scan));
+            let panic = rescan.expect_err(kind);
+            let message = panic
+                .downcast_ref::<String>()
+                .expect("an assertion message");
+            assert!(message.contains("a replayed run"), "{kind}: {message}");
+        }
     }
 
     #[test]
@@ -1498,5 +1419,19 @@ mod tests {
         for m in &results {
             assert!(universe.hosts[m.host_id].ipv6.is_some());
         }
+        // A host without an IPv6 address, scanned by id, measures nothing
+        // and is counted as having none.
+        let v4_only: Vec<usize> = universe
+            .hosts
+            .iter()
+            .filter(|h| h.ipv6.is_none())
+            .map(|h| h.id)
+            .collect();
+        for m in scanner.scan_hosts(&v4_only) {
+            assert!(m.quic.is_none() && m.tcp.is_none() && m.trace.is_none());
+        }
+        let no_address = scanner.metrics_snapshot().counter("scan.no_address");
+        assert_eq!(no_address, Some(v4_only.len() as u64));
+        assert!(!v4_only.is_empty());
     }
 }

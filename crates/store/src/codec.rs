@@ -66,9 +66,10 @@ pub const FORMAT_VERSION: u8 = 1;
 /// cannot leak into the output bytes.
 #[derive(Default)]
 pub struct DictBuilder {
-    strings: Vec<String>,
+    /// Each string once, shared by `strings` and `string_index`.
+    strings: Vec<Arc<str>>,
     // lint: allow(no-unordered-collections) lookup-only index, order carried by `strings`
-    string_index: HashMap<String, u32>,
+    string_index: HashMap<Arc<str>, u32>,
     asns: Vec<u32>,
     // lint: allow(no-unordered-collections) lookup-only index, order carried by `asns`
     asn_index: HashMap<u32, u32>,
@@ -81,8 +82,9 @@ impl DictBuilder {
             return idx;
         }
         let idx = self.strings.len() as u32;
-        self.strings.push(s.to_string());
-        self.string_index.insert(s.to_string(), idx);
+        let s: Arc<str> = Arc::from(s);
+        self.strings.push(Arc::clone(&s));
+        self.string_index.insert(s, idx);
         idx
     }
 
